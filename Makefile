@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos ci
+.PHONY: all build vet test race chaos bench-smoke ci
 
 all: build
 
@@ -28,4 +28,11 @@ chaos:
 	$(GO) test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
 	$(GO) test -race -run 'Facade|Chaos|Cancel|Checkpoint|Resume|Kill' . ./internal/core/ ./internal/checkpoint/
 
-ci: vet build race chaos
+# The benchmark is its own module (benchmark/go.mod), invisible to
+# `go build ./...` here: vet and test it, and run every workload once
+# on tiny shapes, so a facade change cannot break it silently.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -workload all -smoke
+
+ci: vet build race chaos bench-smoke

@@ -108,44 +108,29 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationVectorKernels compares the hand-vectorized AVX2+FMA
-// float64 tile kernels against the generic Go tiles. On hardware
-// without AVX2+FMA both sub-benchmarks run the generic path.
-func BenchmarkAblationVectorKernels(b *testing.B) {
-	b.Run("vector", func(b *testing.B) {
-		runGridderAblation(b, Params{})
-	})
-	b.Run("scalar", func(b *testing.B) {
-		runGridderAblation(b, Params{DisableVectorKernels: true})
-	})
-}
-
 // BenchmarkAblationPixelTileRows sweeps the pixel-tile height: tiles
 // size the phasor working set; very short tiles re-walk the
 // visibility block more often, very tall tiles spill the planar
-// visibility slabs out of L1.
+// visibility slabs out of L1. rows=24 is one whole-subgrid tile (no
+// tiling). For the vector-vs-generic tile comparison run any of these
+// under IDG_SIMD=scalar.
 func BenchmarkAblationPixelTileRows(b *testing.B) {
 	for _, tr := range []int{1, 2, 4, 8, 24} {
 		b.Run(fmt.Sprintf("rows=%d", tr), func(b *testing.B) {
 			runGridderAblation(b, Params{PixelTileRows: tr})
 		})
 	}
-	b.Run("disabled", func(b *testing.B) {
-		runGridderAblation(b, Params{DisablePixelTiling: true})
-	})
 }
 
 // BenchmarkAblationVisBlocking sweeps the visibility-block depth
-// (timesteps per cache block) including the unblocked path.
+// (timesteps per cache block); steps=64 covers the benchmark item's
+// whole time range (no blocking).
 func BenchmarkAblationVisBlocking(b *testing.B) {
 	for _, bl := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("steps=%d", bl), func(b *testing.B) {
 			runGridderAblation(b, Params{VisBlockTimesteps: bl})
 		})
 	}
-	b.Run("disabled", func(b *testing.B) {
-		runGridderAblation(b, Params{DisableVisBlocking: true})
-	})
 }
 
 // BenchmarkAblationSubgridSize sweeps N~; per-visibility cost scales

@@ -57,7 +57,7 @@ func goldenSHA(t *testing.T) string {
 // goldenChunks is the golden plan's chunk count at the streaming
 // parameters of checkpointGoldenObservation.
 func goldenChunks(o *Observation) int {
-	per := o.Kernels.StreamChunkItemsResolved()
+	per := o.Kernels.StreamChunkItems(len(o.Plan.Items))
 	return (len(o.Plan.Items) + per - 1) / per
 }
 
@@ -232,6 +232,62 @@ func TestResumeMismatchedChunking(t *testing.T) {
 	o2.Kernels = k
 	if _, _, _, err := o2.ResumeStreamed(context.Background(), nil, FaultConfig{}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("mismatched chunking resumed with err = %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestResumeAcrossWorkerCounts: the chunking of a checkpointed pass is
+// not derived from Workers, so a pass checkpointed on one worker and
+// killed resumes on four — no ErrCheckpointMismatch — and finishes
+// within reassociation distance of an uninterrupted run.
+func TestResumeAcrossWorkerCounts(t *testing.T) {
+	dir := t.TempDir()
+	build := func(workers int, hook CheckpointHook) *Observation {
+		cfg := smallObservation()
+		cfg.NrStations, cfg.NrTimesteps = 12, 128
+		cfg.MaxTimestepsPerSubgrid = 8 // > 1000 items: several default-size chunks
+		cfg.Workers = workers
+		cfg.CheckpointDir, cfg.CheckpointEvery = dir, 1
+		o, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hook != nil {
+			p := o.Kernels.Params()
+			p.CheckpointHook = hook
+			if o.Kernels, err = core.NewKernels(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.FillFromModel(StandardSkyModel(o, 2)); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+
+	o1 := build(1, faultinject.CrashHook(CheckpointAfterWrite, 1))
+	func() {
+		defer func() {
+			if _, ok := recover().(faultinject.Kill); !ok {
+				t.Fatal("one-worker pass was not killed after its second checkpoint")
+			}
+		}()
+		o1.GridAllStreamed(context.Background(), nil, FaultConfig{})
+	}()
+
+	o4 := build(4, nil)
+	g, _, rep, err := o4.ResumeStreamed(context.Background(), nil, FaultConfig{})
+	if err != nil {
+		t.Fatalf("resume on 4 workers of a 1-worker checkpoint: %v", err)
+	}
+	if rep.ItemsProcessed != len(o4.Plan.Items) {
+		t.Errorf("resumed report counts %d of %d items", rep.ItemsProcessed, len(o4.Plan.Items))
+	}
+	ref, _, err := build(1, nil).GridAll(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := g.MaxAbsDiff(ref); d > 1e-12*fingerprintGrid(ref).PeakAbs {
+		t.Errorf("resumed grid deviates %g from an uninterrupted run (peak %g)", d, fingerprintGrid(ref).PeakAbs)
 	}
 }
 

@@ -62,9 +62,9 @@ func run() int {
 	flag.BoolVar(&showMetrics, "metrics", false,
 		"print the pipeline metrics registry after the measured experiment")
 	flag.IntVar(&gridShards, "grid-shards", 0,
-		"shard the uv-grid into this many locked row bands and stream the measured gridding pass (0: classic batch pipeline)")
+		"shard the uv-grid of the measured gridding pass into this many locked row bands (0: one per worker)")
 	flag.IntVar(&maxInflight, "max-inflight", 0,
-		"bound on in-flight streaming chunks of the measured experiment; implies streaming when set (0: 2x workers)")
+		"bound on in-flight chunks of the measured gridding pass (0: the worker count)")
 	flag.Parse()
 
 	if *cpuprofile != "" {

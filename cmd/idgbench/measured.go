@@ -54,7 +54,7 @@ func runMeasured(scale float64) {
 	cfg.GridShards = gridShards
 	cfg.MaxInflightChunks = maxInflight
 	if cfg.GridShards > 0 || cfg.MaxInflightChunks > 0 {
-		fmt.Printf("streaming: %d grid shards, %d in-flight chunks (0 = default)\n",
+		fmt.Printf("gridding pass: %d grid shards, %d in-flight chunks (0 = default)\n",
 			cfg.GridShards, cfg.MaxInflightChunks)
 	}
 

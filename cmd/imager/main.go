@@ -42,10 +42,10 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 disables)")
 		trace    = flag.String("trace", "", "write a chrome://tracing timeline of the pipeline stages to this file")
 		metrics  = flag.Bool("metrics", false, "print the pipeline metrics registry at exit")
-		shards   = flag.Int("grid-shards", 0, "shard the uv-grid into this many locked row bands and stream gridding (0: classic batch pipeline)")
-		inflight = flag.Int("max-inflight", 0, "bound on in-flight streaming chunks; implies streaming when set (0: 2x workers)")
-		ckptDir  = flag.String("checkpoint-dir", "", "write durable checkpoints of the imaging gridding pass into this directory (implies streamed gridding)")
-		ckptEach = flag.Int("checkpoint-every", 0, "checkpoint period in streamed chunks (0 with -checkpoint-dir: a default period)")
+		shards   = flag.Int("grid-shards", 0, "shard the uv-grid into this many locked row bands for gridding (0: one per worker)")
+		inflight = flag.Int("max-inflight", 0, "bound on in-flight gridding chunks, which caps peak subgrid memory (0: the worker count)")
+		ckptDir  = flag.String("checkpoint-dir", "", "write durable checkpoints of the imaging gridding pass into this directory")
+		ckptEach = flag.Int("checkpoint-every", 0, "checkpoint period in gridding chunks (0 with -checkpoint-dir: a default period)")
 		resume   = flag.Bool("resume", false, "resume the imaging gridding pass from the newest valid checkpoint in -checkpoint-dir")
 	)
 	flag.Parse()

@@ -5,12 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/faulttol"
-	"repro/internal/grid"
 )
 
-// Checkpoint/restart re-exports: durable snapshots of streamed
-// gridding passes. Most callers only set
+// Checkpoint/restart re-exports: durable snapshots of gridding
+// passes. Most callers only set
 // ObservationConfig.CheckpointDir / CheckpointEvery and call
 // ResumeStreamed after a crash; the types are exported for tests and
 // for operators inspecting a checkpoint directory.
@@ -67,19 +65,20 @@ func LatestCheckpoint(dir string) (*CheckpointSnapshot, string, []string, error)
 }
 
 // checkSnapshot verifies that a snapshot belongs to this observation:
-// same grid size, same plan content, same streaming chunk size (the
-// cursor is meaningless under different chunking). Visibilities are
-// not fingerprinted — the caller must refill the same data, which the
+// same grid size, same plan content, same chunk size (the cursor is
+// meaningless under different chunking). Visibilities are not
+// fingerprinted — the caller must refill the same data, which the
 // deterministic simulator and sky model guarantee here and an
 // ingest-once visibility store guarantees in production.
 func (o *Observation) checkSnapshot(sn *CheckpointSnapshot) error {
+	chunkItems := o.Kernels.StreamChunkItems(len(o.Plan.Items))
 	switch {
 	case sn.GridSize != o.Config.GridSize:
 		return fmt.Errorf("%w: snapshot grid is %d pixels, this observation grids %d",
 			ErrCheckpointMismatch, sn.GridSize, o.Config.GridSize)
-	case sn.ChunkItems != o.Kernels.StreamChunkItemsResolved():
+	case sn.ChunkItems != chunkItems:
 		return fmt.Errorf("%w: snapshot cursor counts %d-item chunks, this run streams %d-item chunks",
-			ErrCheckpointMismatch, sn.ChunkItems, o.Kernels.StreamChunkItemsResolved())
+			ErrCheckpointMismatch, sn.ChunkItems, chunkItems)
 	case sn.PlanSum != checkpoint.PlanFingerprint(o.Plan):
 		return fmt.Errorf("%w: snapshot plan fingerprint differs (different observation, layout or plan config)",
 			ErrCheckpointMismatch)
@@ -87,51 +86,46 @@ func (o *Observation) checkSnapshot(sn *CheckpointSnapshot) error {
 	return nil
 }
 
-// ResumeStreamed continues an interrupted streamed gridding pass from
-// the newest valid checkpoint in ObservationConfig.CheckpointDir: the
+// latestSnapshot loads the newest valid checkpoint of this observation
+// for a resumed pass and restores its fault counters into rep.
+// Unusable newest checkpoints fall back to their predecessors; nil
+// means the directory holds no usable checkpoint and the pass restarts
+// clean. Either fallback is recorded as a note in rep.
+func (o *Observation) latestSnapshot(rep *FaultReport) (*CheckpointSnapshot, error) {
+	sn, path, notes, err := checkpoint.LoadLatest(o.Config.CheckpointDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range notes {
+		rep.AddNote(n)
+	}
+	if sn == nil {
+		rep.AddNote("checkpoint: no usable snapshot found; clean restart from chunk 0")
+		return nil, nil
+	}
+	if err := o.checkSnapshot(sn); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	rep.RestoreState(sn.Report)
+	return sn, nil
+}
+
+// ResumeStreamed continues an interrupted gridding pass from the
+// newest valid checkpoint in ObservationConfig.CheckpointDir: the
 // snapshot's grid and fault counters are restored and only the chunks
 // past its cursor are gridded (writing further checkpoints at the
 // same cursors the uninterrupted run would have used). Unusable
 // newest checkpoints fall back to their predecessors; a directory
 // with no usable checkpoint degrades to a clean full run. Either way
 // the fallback is recorded as a note in the returned report, and with
-// the bit-reproducible settings (Workers <= 1, GridShards <= 1) the
-// resumed grid is bit-identical to an uninterrupted pass.
+// Workers <= 1 the resumed grid is bit-identical to an uninterrupted
+// pass.
 //
 // The observation must be built with the same configuration and data
 // as the interrupted run: a snapshot from a different plan, grid size
-// or chunk size fails with ErrCheckpointMismatch. Cancellation
-// behaves as in GridAllStreamed.
+// or chunk size fails with ErrCheckpointMismatch (Workers may differ —
+// the chunking of a checkpointed pass does not depend on it).
+// Cancellation behaves as in GridAllFT.
 func (o *Observation) ResumeStreamed(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
-	if o.Config.CheckpointDir == "" {
-		return nil, StageTimes{}, nil, &ConfigError{Field: "CheckpointDir", Reason: "ResumeStreamed needs a checkpoint directory"}
-	}
-	if o.Vis == nil {
-		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
-	}
-	rep := faulttol.NewReport(ft)
-	sn, path, notes, err := checkpoint.LoadLatest(o.Config.CheckpointDir)
-	if err != nil {
-		return nil, StageTimes{}, rep, err
-	}
-	for _, n := range notes {
-		rep.AddNote(n)
-	}
-
-	g := grid.NewGrid(o.Config.GridSize)
-	start := 0
-	if sn != nil {
-		if err := o.checkSnapshot(sn); err != nil {
-			return nil, StageTimes{}, rep, fmt.Errorf("%s: %w", path, err)
-		}
-		g = sn.Grid
-		rep.RestoreState(sn.Report)
-		start = sn.NextChunk
-	} else {
-		rep.AddNote("checkpoint: no usable snapshot found; clean restart from chunk 0")
-	}
-
-	sh := o.Kernels.NewShardedGrid(g)
-	times, err := o.Kernels.ResumeVisibilitiesStreamed(ctx, o.Plan, o.Vis, prov, sh, ft, rep, start)
-	return g, times, rep, err
+	return o.gridPass(ctx, prov, ft, true)
 }

@@ -100,7 +100,7 @@ type DistribWorkerOptions struct {
 	// CrashHook, when set, is installed as the checkpoint hook — the
 	// crash-injection seam (see faultinject.CrashHook).
 	CrashHook CheckpointHook
-	// ChunkItems overrides the streamed scheduler's work items per
+	// ChunkItems overrides the gridding pass's work items per
 	// chunk (<= 0: the scheduler default). Small partitions need small
 	// chunks for checkpoints — and kills — to land mid-stream.
 	ChunkItems int
@@ -115,15 +115,14 @@ type DistribWorkerOptions struct {
 
 // RunDistribWorker executes one worker attempt end to end: build the
 // observation, filter the plan to this worker's partition, fill the
-// visibilities from the model, grid the partition through the
-// streamed scheduler (resuming from the worker's checkpoint when
-// asked), and deliver the partial grid to the coordinator.
+// visibilities from the model, grid the partition (resuming from the
+// worker's checkpoint when asked), and deliver the partial grid to the
+// coordinator.
 //
 // Bit-reproducibility of a killed-and-resumed worker follows the
-// single-process rule: with Config.Workers <= 1 and GridShards <= 1
-// the resumed partial is bit-identical to an uninterrupted one, so
-// the whole distributed run (fixed reduction tree) hashes identically
-// with and without kills.
+// single-process rule: with Config.Workers <= 1 the resumed partial is
+// bit-identical to an uninterrupted one, so the whole distributed run
+// (fixed reduction tree) hashes identically with and without kills.
 func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) error {
 	if opt.Workers < 1 || opt.Index < 0 || opt.Index >= opt.Workers {
 		return fmt.Errorf("repro: worker %d of %d is not a valid assignment", opt.Index, opt.Workers)
@@ -166,12 +165,7 @@ func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) error {
 		return err
 	}
 
-	var g *Grid
-	if opt.Resume && opt.CheckpointDir != "" {
-		g, _, _, err = o.ResumeStreamed(ctx, nil, opt.Fault)
-	} else {
-		g, _, _, err = o.GridAllStreamed(ctx, nil, opt.Fault)
-	}
+	g, _, _, err := o.gridPass(ctx, nil, opt.Fault, opt.Resume && opt.CheckpointDir != "")
 	if err != nil {
 		return err
 	}

@@ -158,8 +158,8 @@ func planKey(c ObservationConfig) string {
 // ServerBackend implements the server's gridding backend on the
 // facade: session configs become Observations (through the read-mostly
 // plan cache), streamed wire samples fill their visibilities, and
-// finalize runs the PR 5 streamed scheduler — checkpointing via PR 6
-// when the session opted in.
+// finalize runs the gridding pass — checkpointing when the session
+// opted in.
 type ServerBackend struct {
 	// Fault is the per-item failure policy of session gridding passes
 	// (zero value: fail fast). The soak suite injects chaos hooks here.
@@ -309,9 +309,9 @@ func (s *backendSession) SetVisibilities(baseline, sampleOffset int, samples []f
 	return nil
 }
 
-// Run executes the streamed gridding pass and fingerprints the grid.
+// Run executes the gridding pass and fingerprints the grid.
 func (s *backendSession) Run(ctx context.Context) (*server.Result, error) {
-	g, _, rep, err := s.o.GridAllStreamed(ctx, nil, s.ft)
+	g, _, rep, err := s.o.gridPass(ctx, nil, s.ft, false)
 	if err != nil {
 		return nil, err
 	}

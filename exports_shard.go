@@ -2,13 +2,12 @@ package repro
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/grid"
 )
 
 // Sharded-grid re-exports: the row-band-partitioned uv-grid accessor
-// behind the streaming gridding pipeline. Most callers only set
+// behind the gridding pass. Most callers only set
 // ObservationConfig.GridShards / MaxInflightChunks and never touch
 // these types; they are exported for tests and for callers that drive
 // the sharded adder/splitter directly.
@@ -22,28 +21,8 @@ type ShardedGrid = grid.Sharded
 // of row bands (clamped to [1, GridSize]).
 func NewShardedGrid(g *Grid, shards int) *ShardedGrid { return grid.NewSharded(g, shards) }
 
-// GridAllStreamed grids every visibility through the sharded
-// streaming scheduler onto a fresh grid, regardless of the
-// configuration's GridShards/MaxInflightChunks opt-in, and returns the
-// grid with the stage times and the fault report. The sharded grid's
-// shard count follows ObservationConfig.GridShards (default: one
-// shard per worker). With ObservationConfig.CheckpointDir set the
-// pass writes durable snapshots as it goes; see
-// Observation.ResumeStreamed for continuing an interrupted pass.
-//
-// Cancellation: when ctx is canceled mid-pass the returned error
-// matches errors.Is(err, ErrCanceled) (and the context's own
-// sentinel) even when the cancellation surfaced inside a retry layer.
-// The returned grid is still the partially filled grid: it holds
-// exactly the chunks whose add stage completed — every value finite
-// and correctly accumulated, but covering only part of the plan — so
-// it is suitable for inspection or checkpointing, not for imaging.
+// GridAllStreamed is GridAllFT: every gridding pass runs on the sharded
+// chunk scheduler. The name predates that and stays for its callers.
 func (o *Observation) GridAllStreamed(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
-	if o.Vis == nil {
-		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
-	}
-	g := grid.NewGrid(o.Config.GridSize)
-	sh := o.Kernels.NewShardedGrid(g)
-	times, rep, err := o.Kernels.GridVisibilitiesStreamed(ctx, o.Plan, o.Vis, prov, sh, ft)
-	return g, times, rep, err
+	return o.gridPass(ctx, prov, ft, false)
 }

@@ -10,9 +10,9 @@ import (
 // the SIMD tier in effect plus the tile-kernel entry points it enables.
 // A nil entry means "use the generic Go tile". Resolution happens once
 // in NewKernels — from xmath.ActiveSIMD() (hardware detection clamped
-// by the IDG_SIMD environment override), the DisableVectorKernels
-// ablation, and the forceSIMD test seam — so the hot paths select a
-// kernel with one pointer test instead of re-consulting feature flags.
+// by the IDG_SIMD environment override) and the forceSIMD test seam —
+// so the hot paths select a kernel with one pointer test instead of
+// re-consulting feature flags.
 type simdDispatch struct {
 	tier xmath.SIMDTier
 
@@ -51,7 +51,7 @@ type SIMDInfo struct {
 	// Detected is the widest SIMD tier the host CPU supports.
 	Detected string
 	// Active is the tier in effect after the IDG_SIMD environment
-	// override (which can only lower the tier) and any ablation.
+	// override (which can only lower the tier).
 	Active string
 	// Tiles64 and Tiles32 name the tile-kernel implementations the
 	// gridder/degridder dispatch to per precision.

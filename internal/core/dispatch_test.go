@@ -46,7 +46,7 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 	vecK := tilingKernels(t, sg, nc, func(p *Params) { p.Precision = Float32 })
 	scalK := tilingKernels(t, sg, nc, func(p *Params) {
 		p.Precision = Float32
-		p.DisableVectorKernels = true
+		forceTier(xmath.SIMDScalar)(p)
 	})
 	phaseBound := recurrencePhaseBound(vecK, item, uvw)
 
@@ -104,40 +104,6 @@ func TestDispatchPerTier(t *testing.T) {
 	}
 }
 
-// TestScalarTierMatchesAblation: forcing the scalar tier and setting
-// DisableVectorKernels must select the same generic tiles — bitwise
-// identical results — so the ablation flag and the dispatch table
-// cannot drift apart.
-func TestScalarTierMatchesAblation(t *testing.T) {
-	const sg, nt, nc = 8, 6, 16
-	item, uvw, vis, _ := tilingItem(107, nt, nc)
-	in, _ := randomSubgrid(sg, item, 109)
-	for _, prec := range []Precision{Float64, Float32} {
-		forced := tilingKernels(t, sg, nc, func(p *Params) {
-			p.Precision = prec
-			forceTier(xmath.SIMDScalar)(p)
-		})
-		ablated := tilingKernels(t, sg, nc, func(p *Params) {
-			p.Precision = prec
-			p.DisableVectorKernels = true
-		})
-		a := grid.NewSubgrid(sg, item.X0, item.Y0)
-		b := grid.NewSubgrid(sg, item.X0, item.Y0)
-		forced.GridSubgrid(item, uvw, vis, nil, nil, a)
-		ablated.GridSubgrid(item, uvw, vis, nil, nil, b)
-		if !subgridsEqual(a, b) {
-			t.Fatalf("%v: forced-scalar gridder differs from DisableVectorKernels", prec)
-		}
-		va := make([]xmath.Matrix2, nt*nc)
-		vb := make([]xmath.Matrix2, nt*nc)
-		forced.DegridSubgrid(item, in, uvw, nil, nil, va)
-		ablated.DegridSubgrid(item, in, uvw, nil, nil, vb)
-		if !visEqual(va, vb) {
-			t.Fatalf("%v: forced-scalar degridder differs from DisableVectorKernels", prec)
-		}
-	}
-}
-
 // TestSIMDInfo pins the dispatch report: the strings the commands log
 // must reflect the tier resolution and kernel selection actually in
 // effect.
@@ -175,15 +141,9 @@ func TestSIMDInfo(t *testing.T) {
 	if got := defFast.SIMDInfo().Sincos; !strings.HasPrefix(got, "sincosvec/") {
 		t.Fatalf("default-evaluator kernels report sincos=%q", got)
 	}
-	// Ablation and forced-scalar kernels report generic tiles.
-	for name, mod := range map[string]func(*Params){
-		"DisableVectorKernels": func(p *Params) { p.DisableVectorKernels = true },
-		"forceSIMD=scalar":     forceTier(xmath.SIMDScalar),
-	} {
-		si := tilingKernels(t, 8, 8, mod).SIMDInfo()
-		if si.Tiles64 != "generic" || si.Tiles32 != "generic" {
-			t.Fatalf("%s reports tiles64=%q tiles32=%q", name, si.Tiles64, si.Tiles32)
-		}
+	// Forced-scalar kernels report generic tiles.
+	if si := tilingKernels(t, 8, 8, forceTier(xmath.SIMDScalar)).SIMDInfo(); si.Tiles64 != "generic" || si.Tiles32 != "generic" {
+		t.Fatalf("forceSIMD=scalar reports tiles64=%q tiles32=%q", si.Tiles64, si.Tiles32)
 	}
 	if !strings.Contains(si.String(), "simd: detected=") {
 		t.Fatalf("SIMDInfo.String() = %q", si.String())

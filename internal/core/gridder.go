@@ -30,8 +30,8 @@ func (k *Kernels) GridSubgrid(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.
 // gridSubgridScratch is GridSubgrid with caller-owned scratch buffers
 // and an explicit pixel-tile parallelism hint: the pipeline threads one
 // scratch per worker through it so the steady state allocates nothing,
-// and raises par above 1 when a work group has fewer items than
-// workers so the item's pixel tiles fan out (see runTiles).
+// and raises par above 1 when it runs fewer items at once than it has
+// workers, so the item's pixel tiles fan out (see tilePar, runTiles).
 func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, s *scratch, par int) {
 	k.checkItem(item, uvw, vis)
 	out.X0, out.Y0, out.WOffset = item.X0, item.Y0, item.WOffset

@@ -166,6 +166,32 @@ func (s *scenario) dirtyImage(tb testing.TB, prov interface {
 	return img
 }
 
+// oracleGrid grids the scenario without the pass scheduler, composed
+// from the stage primitives alone: GridSubgrid for every work item,
+// FFTSubgrids, then the row-band Adder on one worker, all in plan
+// order. It is the independent reference the scheduler tests compare
+// against.
+func (s *scenario) oracleGrid(tb testing.TB) *grid.Grid {
+	tb.Helper()
+	params := s.kernels.Params()
+	params.Workers = 1
+	k, err := NewKernels(params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	subgrids := make([]*grid.Subgrid, len(s.plan.Items))
+	for i, item := range s.plan.Items {
+		vis := make([]xmath.Matrix2, item.NrVisibilities())
+		s.vs.gather(item, vis)
+		subgrids[i] = grid.NewSubgrid(params.SubgridSize, item.X0, item.Y0)
+		k.GridSubgrid(item, s.vs.itemUVW(item), vis, nil, nil, subgrids[i])
+	}
+	k.FFTSubgrids(subgrids)
+	g := grid.NewGrid(params.GridSize)
+	k.Adder(subgrids, g)
+	return g
+}
+
 // peakStokesI finds the maximum Stokes I pixel.
 func peakStokesI(img *grid.Grid) (x, y int, val float64) {
 	si := sky.StokesI(img)

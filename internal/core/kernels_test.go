@@ -118,16 +118,35 @@ func TestAdderVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestAdderPanicsOnOutOfBounds(t *testing.T) {
-	k := testKernels(t, 64, 16)
-	g := grid.NewGrid(64)
-	s := grid.NewSubgrid(16, 60, 0) // sticks out
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// The adder and the splitter must reject an out-of-bounds subgrid on
+// the calling goroutine — where the pipeline's panic isolation can
+// recover it — whatever the worker count, not inside a fan-out worker.
+func TestAdderSplitterPanicOnOutOfBounds(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		params := testKernels(t, 64, 16).Params()
+		params.Workers = workers
+		k, err := NewKernels(params)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	k.Adder([]*grid.Subgrid{s}, g)
+		g := grid.NewGrid(64)
+		// The second subgrid sticks out; the first keeps the fan-out
+		// from degenerating to one worker.
+		batch := []*grid.Subgrid{grid.NewSubgrid(16, 0, 0), grid.NewSubgrid(16, 60, 0)}
+		for name, stage := range map[string]func(){
+			"Adder":    func() { k.Adder(batch, g) },
+			"Splitter": func() { k.Splitter(g, batch) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != "core: subgrid outside grid" {
+						t.Fatalf("%s workers=%d: recovered %v, want the bounds panic", name, workers, r)
+					}
+				}()
+				stage()
+			}()
+		}
+	}
 }
 
 func TestFFTSubgridsRoundtrip(t *testing.T) {

@@ -82,12 +82,23 @@ const DefaultPixelTileRows = 4
 // and phasor state.
 const defaultVisBlockFloats = 2048
 
-// DefaultStreamChunkItems is the default number of work items per
-// streaming chunk. At the paper's subgrid size (24 pixels, 4
+// DefaultStreamChunkItems is the largest (and, for one-worker and
+// checkpointed passes, the only) derived number of work items per
+// gridding chunk. At the paper's subgrid size (24 pixels, 4
 // correlations) one chunk of 256 subgrids is ~9 MB of complex128
 // pixels — large enough to amortize per-chunk scheduling, small enough
 // that a handful of in-flight chunks stay far below grid memory.
 const DefaultStreamChunkItems = 256
+
+// A multi-worker pass cuts its plan into about streamChunksPerWorker
+// chunks per chunk worker, so that the last chunks to finish leave the
+// other workers idle for at most ~1/16 of the pass (256-item chunks
+// split a 1740-item plan 4:3 over two workers), but never into chunks
+// below minStreamChunkItems, where per-chunk scheduling would show.
+const (
+	streamChunksPerWorker = 16
+	minStreamChunkItems   = 8
+)
 
 // DefaultCheckpointEvery is the default checkpoint period, in streamed
 // chunks, when CheckpointDir is set without an explicit period. At the
@@ -126,41 +137,40 @@ type Params struct {
 	// subgrid's pixel loop is split into tiles of this many rows, which
 	// become independently schedulable work units when a pipeline pass
 	// has fewer work items than workers. <= 0 selects
-	// DefaultPixelTileRows. Gridder results are identical for every
+	// DefaultPixelTileRows; SubgridSize or more runs every subgrid as a
+	// single unit (no tiling). Gridder results are identical for every
 	// tile size; degridder results differ only by summation
 	// association (within rounding).
 	PixelTileRows int
 	// VisBlockTimesteps bounds the time-step extent of the visibility
 	// block the gridder streams per pixel, keeping the gathered planar
 	// block cache-resident across a pixel tile. <= 0 selects an
-	// L1-sized default (defaultVisBlockFloats). The block order never
-	// changes per-pixel accumulation order, so results are identical
-	// for every block size.
+	// L1-sized default (defaultVisBlockFloats); a value covering an
+	// item's whole time range streams it in one sweep (no blocking). The
+	// block order never changes per-pixel accumulation order, so results
+	// are identical for every block size.
 	VisBlockTimesteps int
 	// GridShards splits the master uv-grid into this many independently
-	// locked row bands for the sharded adder/splitter and enables the
-	// streaming scheduler in the gridding pipelines. 0 (the default)
-	// keeps the classic in-core batch pipeline; 1 is a single-shard
-	// (one-lock) sharded path that accumulates in exact plan order and
-	// reproduces the serial grid bit-for-bit; > 1 trades bitwise
-	// reproducibility (reordering changes float association, ~1e-15
-	// relative) for adder/splitter scaling. Values above the grid size
-	// are clamped.
+	// locked row bands for the gridding pass and the sharded
+	// adder/splitter. 0 (the default) selects one shard per worker.
+	// The shard count never changes what a one-worker pass computes;
+	// with several workers more shards mean less adder contention.
+	// Values above the grid size are clamped.
 	GridShards int
-	// MaxInflightChunks bounds how many streaming chunks may be between
-	// gridder and adder at once, which bounds peak subgrid memory at
-	// MaxInflightChunks x StreamChunkItems subgrids. <= 0 selects
-	// 2 x workers when streaming is enabled.
+	// MaxInflightChunks bounds how many chunks of the gridding pass may
+	// be between gridder and adder at once — at most this many chunk
+	// workers run — which bounds peak subgrid memory at
+	// MaxInflightChunks x chunk size subgrids. <= 0 leaves the bound to
+	// Workers.
 	MaxInflightChunks int
-	// StreamChunkItems is the number of work items per streaming chunk;
-	// <= 0 selects DefaultStreamChunkItems.
+	// StreamChunkItems pins the number of work items per chunk of the
+	// gridding pass; <= 0 derives it from the plan length and the
+	// chunk-worker count (see Kernels.StreamChunkItems).
 	StreamChunkItems int
-	// CheckpointDir, when non-empty, makes the streamed gridding pass
-	// write a durable snapshot (grid + chunk cursor + fault report,
-	// see internal/checkpoint) into this directory every
-	// CheckpointEvery chunks and once more at the end. Setting it
-	// enables the streaming scheduler like GridShards and
-	// MaxInflightChunks do.
+	// CheckpointDir, when non-empty, makes the gridding pass write a
+	// durable snapshot (grid + chunk cursor + fault report, see
+	// internal/checkpoint) into this directory every CheckpointEvery
+	// chunks and once more at the end.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks;
 	// <= 0 with a CheckpointDir selects DefaultCheckpointEvery.
@@ -171,40 +181,17 @@ type Params struct {
 	// crash-injection seam of the kill-and-resume chaos tests — a hook
 	// may panic to simulate a kill; nil in production.
 	CheckpointHook checkpoint.Hook
-	// DisablePixelTiling runs every subgrid as a single whole-subgrid
-	// work unit (no intra-subgrid fan-out; used by the ablation
-	// benchmarks).
-	DisablePixelTiling bool
-	// DisableVisBlocking streams each pixel's full time range in one
-	// sweep instead of cache-sized blocks (used by the ablation
-	// benchmarks; results are identical).
-	DisableVisBlocking bool
 	// DisableBatching selects the straightforward reference kernels
-	// instead of the batch-blocked ones (used by the ablation
-	// benchmarks; the results are identical to rounding).
+	// instead of the batch-blocked ones: the scalar oracle whose bits do
+	// not depend on host FMA/SIMD dispatch (the committed golden grid
+	// hash is computed with it; results are identical to rounding).
 	DisableBatching bool
 	// DisablePhasorRecurrence forces one sine/cosine evaluation per
 	// (pixel, time step, channel) even when the channel spacing is
-	// uniform, instead of the phasor rotation recurrence (used by the
-	// ablation benchmarks; the results are identical to within
+	// uniform, instead of the phasor rotation recurrence (the oracle of
+	// the recurrence's error bound; the results are identical to within
 	// xmath.PhasorErrorBound).
 	DisablePhasorRecurrence bool
-	// DisableVectorKernels forces the generic Go tile kernels even on
-	// hardware where the hand-vectorized AVX2+FMA loops are available
-	// (used by the ablation benchmarks and the property tests that
-	// compare the two paths; results agree to within the same rounding
-	// class as the scalar FMA split). Equivalent to running under
-	// IDG_SIMD=scalar as far as tile selection goes, but scoped to one
-	// Kernels value instead of the process.
-	DisableVectorKernels bool
-	// DisableFastFFT routes the subgrid FFT stage through the seed
-	// implementation — rotate-based fftshift passes around a
-	// per-column gather/scatter radix-2 transform — instead of the
-	// fused-centering radix-4 engine with blocked column tiles (used
-	// by the ablation benchmarks and the new-vs-old equivalence tests;
-	// results agree to ~1e-15 relative, the reordered-summation
-	// rounding class).
-	DisableFastFFT bool
 
 	// forceSIMD pins the dispatch tier of this Kernels value,
 	// overriding xmath.ActiveSIMD (still clamped to the detected
@@ -263,15 +250,7 @@ func (p *Params) workers() int {
 	return p.Workers
 }
 
-// streamingEnabled reports whether the gridding pipelines should route
-// through the sharded streaming scheduler. Any of the knobs opts in
-// (checkpointing is only defined for streamed passes: the chunk cursor
-// is its unit of progress); the others then take their defaults.
-func (p *Params) streamingEnabled() bool {
-	return p.GridShards > 0 || p.MaxInflightChunks > 0 || p.CheckpointDir != ""
-}
-
-// checkpointEnabled reports whether streamed passes write durable
+// checkpointEnabled reports whether gridding passes write durable
 // snapshots.
 func (p *Params) checkpointEnabled() bool { return p.CheckpointDir != "" }
 
@@ -284,7 +263,7 @@ func (p *Params) checkpointEvery() int {
 }
 
 // gridShards resolves the shard count: the configured value, or one
-// shard per worker when only MaxInflightChunks opted into streaming.
+// shard per worker.
 func (p *Params) gridShards() int {
 	if p.GridShards > 0 {
 		return p.GridShards
@@ -292,28 +271,36 @@ func (p *Params) gridShards() int {
 	return p.workers()
 }
 
-// maxInflight resolves the in-flight chunk bound; the default keeps
-// every worker busy with one chunk while another is staged.
-func (p *Params) maxInflight() int {
-	if p.MaxInflightChunks > 0 {
-		return p.MaxInflightChunks
+// chunkWorkers resolves how many chunks the gridding pass keeps in
+// flight, each on its own worker.
+func (p *Params) chunkWorkers() int {
+	w := p.workers()
+	if p.MaxInflightChunks > 0 && p.MaxInflightChunks < w {
+		w = p.MaxInflightChunks
 	}
-	return 2 * p.workers()
+	return w
 }
 
-// chunkItems resolves the streaming chunk size in work items.
-func (p *Params) chunkItems() int {
-	if p.StreamChunkItems > 0 {
+// StreamChunkItems returns the chunk size, in work items, of a gridding
+// pass over a plan of planItems items: Params.StreamChunkItems when
+// pinned, otherwise derived from what the pass can observe. A
+// checkpointed pass always gets DefaultStreamChunkItems — its chunk
+// cursor is only meaningful relative to the chunking it was counted
+// in, so the chunking must not depend on Workers — and so does a pass
+// with one chunk worker, which has nothing to balance. Other passes aim
+// at streamChunksPerWorker chunks per chunk worker.
+func (k *Kernels) StreamChunkItems(planItems int) int {
+	p := &k.params
+	cw := p.chunkWorkers()
+	switch {
+	case p.StreamChunkItems > 0:
 		return p.StreamChunkItems
+	case p.checkpointEnabled() || cw == 1:
+		return DefaultStreamChunkItems
 	}
-	return DefaultStreamChunkItems
+	per := streamChunksPerWorker * cw
+	return min(max((planItems+per-1)/per, minStreamChunkItems), DefaultStreamChunkItems)
 }
-
-// StreamChunkItemsResolved returns the effective streaming chunk size
-// (the configured value or its default). Resume validation compares it
-// against a checkpoint's recorded chunk size: the chunk cursor is only
-// meaningful relative to the chunking it was counted in.
-func (k *Kernels) StreamChunkItemsResolved() int { return k.params.chunkItems() }
 
 // Kernels holds the precomputed state shared by all kernel
 // invocations: per-pixel direction cosines, the taper map, wavenumber
@@ -349,8 +336,8 @@ type Kernels struct {
 
 	// disp is the SIMD dispatch table resolved once at construction
 	// (see dispatch.go): the active tier plus the vector tile kernels
-	// it enables, already accounting for the IDG_SIMD override, the
-	// DisableVectorKernels ablation and the forceSIMD test seam.
+	// it enables, already accounting for the IDG_SIMD override and the
+	// forceSIMD test seam.
 	disp simdDispatch
 
 	// sincosVec evaluates a batch of phase arguments into parallel
@@ -425,10 +412,6 @@ func NewKernels(params Params) (*Kernels, error) {
 		}
 	}
 	k.disp = dispatchFor(tier)
-	if params.DisableVectorKernels {
-		k.disp.gridVec64, k.disp.degridVec64 = nil, nil
-		k.disp.gridVec32, k.disp.degridVec32 = nil, nil
-	}
 	if params.Sincos == nil {
 		// Pin the batch evaluator to the resolved dispatch tier: bitwise
 		// identical at every tier, but a forced/lowered tier then also
@@ -448,7 +431,7 @@ func NewKernels(params Params) (*Kernels, error) {
 		}
 	}
 	// Shared via the package cache: every Kernels value (and every
-	// streamed chunk worker) reuses one immutable plan per size.
+	// chunk worker) reuses one immutable plan per size.
 	k.sgFFT = fft.CachedPlan2D(sg, sg)
 	k.scratchPool.New = func() any { return new(scratch) }
 	k.subgridPool.New = func() any { return grid.NewSubgrid(sg, 0, 0) }
@@ -462,9 +445,6 @@ func (k *Kernels) Params() Params { return k.params }
 // tileRows resolves the configured pixel-tile height for a subgrid of
 // the given row count.
 func (k *Kernels) tileRows(rows int) int {
-	if k.params.DisablePixelTiling {
-		return rows
-	}
 	tr := k.params.PixelTileRows
 	if tr <= 0 {
 		tr = DefaultPixelTileRows
@@ -478,9 +458,6 @@ func (k *Kernels) tileRows(rows int) int {
 // visBlockSteps resolves the time-step extent of one cache-blocked
 // visibility batch for an item of nt time steps and nc channels.
 func (k *Kernels) visBlockSteps(nt, nc int) int {
-	if k.params.DisableVisBlocking {
-		return nt
-	}
 	b := k.params.VisBlockTimesteps
 	if b <= 0 {
 		b = defaultVisBlockFloats / (8 * nc)

@@ -183,6 +183,11 @@ func (vs *VisibilitySet) itemUVW(item plan.WorkItem) []uvwsim.UVW {
 
 // StageTimes records the wall-clock time spent per pipeline stage,
 // the Go-measured analogue of the paper's Fig. 9 runtime distribution.
+// Degridding runs its stages one after the other, so each field is that
+// stage's elapsed time. Gridding runs them interleaved on concurrent
+// chunk workers, so each field is the stage's share of the pass's wall
+// time: its busy time summed over the chunk workers, divided by their
+// number. Either way Total() never exceeds the wall time of the pass.
 type StageTimes struct {
 	Gridder    time.Duration
 	Degridder  time.Duration
@@ -252,13 +257,13 @@ func (k *Kernels) prefillATerms(cache *aterm.Cache, items []plan.WorkItem, basel
 	}
 }
 
-// GridVisibilities runs the full gridding pass of Fig. 4: gridder
-// kernel, subgrid FFTs, adder; group by group over the plan's work.
-// The grid is accumulated into (callers zero it first for a fresh
-// pass). It returns per-stage timings. The context cancels or
-// deadline-bounds the run (the error then wraps faulttol.ErrCanceled);
-// item failures abort the run (fail-fast) — use GridVisibilitiesFT for
-// other policies.
+// GridVisibilities runs the full gridding pass of Fig. 4 — gridder
+// kernel, subgrid FFTs, adder — as a stream of chunks over the plan's
+// work (see gridStreamed). The grid is accumulated into (callers zero
+// it first for a fresh pass). It returns per-stage timings. The context
+// cancels or deadline-bounds the run (the error then wraps
+// faulttol.ErrCanceled); item failures abort the run (fail-fast) — use
+// GridVisibilitiesFT for other policies.
 func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
 	times, _, err := k.GridVisibilitiesFT(ctx, p, vs, prov, g, faulttol.Config{})
 	return times, err
@@ -269,80 +274,9 @@ func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *Visibi
 // becomes a typed per-item error instead of a crash; depending on
 // ft.Policy the item is retried, skipped (graceful degradation,
 // accounted in the returned report) or aborts the run. The report is
-// non-nil whenever the pipeline ran.
+// always non-nil.
 func (k *Kernels) GridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	var times StageTimes
-	rep := faulttol.NewReport(ft)
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, rep, err
-	}
-	// Streaming opt-in reroutes the whole pass through the sharded
-	// chunk scheduler (see streaming.go); the classic batch path below
-	// stays the default.
-	if k.params.streamingEnabled() {
-		sh := grid.NewSharded(g, k.params.gridShards())
-		return k.GridVisibilitiesStreamed(ctx, p, vs, prov, sh, ft)
-	}
-	cache := k.newATermCache(prov)
-	// One subgrid-pointer table for the whole pass: work groups are at
-	// most DefaultWorkGroupSize items, so the table is sliced (and its
-	// slots cleared) per group instead of reallocated.
-	subgridBuf := make([]*grid.Subgrid, DefaultWorkGroupSize)
-	for gi, group := range p.WorkGroups(DefaultWorkGroupSize) {
-		if err := ctx.Err(); err != nil {
-			return times, rep, faulttol.Canceled(err)
-		}
-		k.prefillATerms(cache, group, vs.Baselines)
-		wp := planeOf(group)
-		subgrids := subgridBuf[:len(group)]
-		for i := range subgrids {
-			subgrids[i] = nil
-		}
-
-		start := time.Now()
-		err := k.runItems(ctx, obs.StageGrid, gi, group, ft, rep, func(i int, s *scratch, par int) error {
-			item := group[i]
-			sgr := k.getSubgrid(item.X0, item.Y0)
-			sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-			vis := s.visBuf(item.NrVisibilities())
-			vs.gather(item, vis)
-			if k.ob.enabled() {
-				k.ob.flaggedVis(vs.countFlagged(item))
-			}
-			ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-			k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, par)
-			if !sgr.Finite() {
-				k.putSubgrid(sgr)
-				return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
-					faulttol.ErrBadInput)
-			}
-			subgrids[i] = sgr
-			return nil
-		})
-		d := time.Since(start)
-		times.Gridder += d
-		k.ob.stageDone(obs.StageGrid, gi, wp, start, d)
-		if err != nil {
-			k.releaseSubgrids(subgrids)
-			return times, rep, err
-		}
-		// Under skip-and-flag, failed items leave nil subgrids that
-		// the FFT and adder stages pass over.
-		start = time.Now()
-		k.FFTSubgrids(subgrids)
-		d = time.Since(start)
-		times.SubgridFFT += d
-		k.ob.stageDone(obs.StageFFT, gi, wp, start, d)
-
-		start = time.Now()
-		k.Adder(subgrids, g)
-		d = time.Since(start)
-		times.Adder += d
-		k.ob.stageDone(obs.StageAdd, gi, wp, start, d)
-
-		k.releaseSubgrids(subgrids)
-	}
-	return times, rep, nil
+	return k.GridVisibilitiesStreamed(ctx, p, vs, prov, k.NewShardedGrid(g), ft)
 }
 
 // releaseSubgrids returns every non-nil subgrid of a work group to the
@@ -376,10 +310,12 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 		return times, rep, err
 	}
 	cache := k.newATermCache(prov)
+	run := k.newItemRunner(ctx, obs.StageDegrid, ft, rep)
+	defer run.cancel()
 	subgridBuf := make([]*grid.Subgrid, DefaultWorkGroupSize)
 	for gi, group := range p.WorkGroups(DefaultWorkGroupSize) {
-		if err := ctx.Err(); err != nil {
-			return times, rep, faulttol.Canceled(err)
+		if run.ctx.Err() != nil {
+			break
 		}
 		k.prefillATerms(cache, group, vs.Baselines)
 		wp := planeOf(group)
@@ -405,7 +341,7 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 		k.ob.stageDone(obs.StageFFT, gi, wp, start, d)
 
 		start = time.Now()
-		err := k.runItems(ctx, obs.StageDegrid, gi, group, ft, rep, func(i int, s *scratch, par int) error {
+		run.each(gi, group, func(i int, s *scratch, par int) error {
 			item := group[i]
 			vis := s.visBuf(item.NrVisibilities())
 			ap, aq := k.lookupATerms(cache, vs.Baselines, item)
@@ -417,11 +353,8 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 		times.Degridder += d
 		k.ob.stageDone(obs.StageDegrid, gi, wp, start, d)
 		k.releaseSubgrids(subgrids)
-		if err != nil {
-			return times, rep, err
-		}
 	}
-	return times, rep, nil
+	return times, rep, run.finish()
 }
 
 // lookupATerms resolves a work item's two station maps from the warm
@@ -450,127 +383,170 @@ func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {
 	return nil
 }
 
-// runItems executes fn(i, s, par) for every work item on the worker
-// pool with panic isolation, the configured failure policy, and
-// cooperative cancellation. Each worker checks one scratch arena out of
-// the kernel pool for its whole run and hands it to every fn call, so
-// the steady state of the hot path allocates nothing. A panic inside fn
-// (or the injection hook) becomes an ErrKernelPanic-wrapped ItemError;
-// errors.Is(err, ErrBadInput) failures are never retried. The returned
-// error is nil, the first fatal *faulttol.ItemError, or an ErrCanceled
-// wrapper.
+// itemRunner applies one pass's failure policy to its work items. It
+// is the only place a work item is attempted: panic isolation, retries
+// with budgeted backoff, skip-and-flag accounting and the first fatal
+// error live here, shared by the gridding stream's chunk workers and
+// the degridding work groups.
+type itemRunner struct {
+	k      *Kernels
+	stage  obs.Stage
+	ft     faulttol.Config
+	rep    *faulttol.Report
+	budget *faulttol.BackoffBudget
+
+	// ctx is done once the caller's context (parent) is done or an item
+	// failed fatally; workers stop taking items then.
+	parent, ctx context.Context
+	cancel      context.CancelFunc
+
+	mu       sync.Mutex
+	firstErr error
+}
+
+// newItemRunner starts the item accounting of one pass. The caller
+// defers cancel and ends the pass with finish.
+func (k *Kernels) newItemRunner(ctx context.Context, stage obs.Stage, ft faulttol.Config, rep *faulttol.Report) *itemRunner {
+	r := &itemRunner{k: k, stage: stage, ft: ft, rep: rep,
+		budget: faulttol.NewBackoffBudget(ft), parent: ctx}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	return r
+}
+
+// fail records the pass's first fatal error and stops the workers.
+func (r *itemRunner) fail(err error) {
+	r.mu.Lock()
+	if r.firstErr == nil {
+		r.firstErr = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+// finish ends the pass and returns its verdict: the first fatal error,
+// an ErrCanceled wrapper when the caller gave up, or nil.
+func (r *itemRunner) finish() error {
+	if r.budget.Exhausted() {
+		r.rep.AddNote("faulttol: retry backoff budget exhausted; remaining failures were not retried")
+	}
+	if r.firstErr != nil {
+		return r.firstErr
+	}
+	return ctxErr(r.parent)
+}
+
+// attempt runs fn for one work item under the pass's policy and
+// reports whether it succeeded. A panic inside fn (or the injection
+// hook) becomes an ErrKernelPanic; errors.Is(err, ErrBadInput) failures
+// are never retried; re-attempts wait out the deterministic exponential
+// backoff, metered against the run's retry budget. An item that is
+// still failing is skipped and accounted (SkipAndFlag) or fails the
+// pass with a *faulttol.ItemError — unless the run is already ending,
+// in which case the failure is a casualty of the cancellation, not its
+// cause, and goes unrecorded.
 //
-// stage and group attribute the observer's per-item spans and counters
-// (see observe.go); with observation disabled they are unused and the
-// per-item cost is one nil check.
-//
-// par is the intra-item pixel-tile parallelism hint handed to fn: 1
-// while there are at least as many items as workers (item parallelism
-// alone saturates the pool), and ceil(workers/n) when a group is
-// smaller than the pool, so the spare workers pick up pixel tiles of
-// the in-flight items (runTiles) instead of idling.
-func (k *Kernels) runItems(ctx context.Context, stage obs.Stage, group int, items []plan.WorkItem, ft faulttol.Config, rep *faulttol.Report, fn func(i int, s *scratch, par int) error) error {
+// group, worker and i attribute the observer's per-item span; with
+// observation disabled they are unused.
+func (r *itemRunner) attempt(group, worker, i int, item plan.WorkItem, fn func() error) bool {
+	k := r.k
+	t0 := k.ob.now()
+	attempts := r.ft.Attempts()
+	var err error
+	made := 0
+	for a := 1; a <= attempts; a++ {
+		made = a
+		err = faulttol.Run(func() error {
+			if r.ft.Hook != nil {
+				r.ft.Hook(item, a)
+			}
+			return fn()
+		})
+		if err == nil {
+			r.rep.RecordSuccess(a > 1)
+			k.ob.itemDone(r.stage, group, worker, i, item, a, t0)
+			return true
+		}
+		k.ob.attemptFailed(err)
+		if r.ctx.Err() != nil {
+			return false
+		}
+		if errors.Is(err, faulttol.ErrBadInput) {
+			break
+		}
+		if a < attempts && !r.budget.Sleep(r.ctx, r.ft.BackoffDelay(a+1)) {
+			if r.ctx.Err() != nil {
+				return false
+			}
+			break // budget spent: the item takes its terminal path now
+		}
+	}
+	ie := &faulttol.ItemError{
+		Baseline:  item.Baseline,
+		TimeStart: item.TimeStart,
+		Channel0:  item.Channel0,
+		Attempts:  made,
+		Err:       err,
+	}
+	if r.ft.Policy == faulttol.SkipAndFlag {
+		r.rep.RecordSkip(ie, int64(item.NrVisibilities()))
+		k.ob.itemSkipped(item)
+	} else {
+		r.fail(ie)
+	}
+	return false
+}
+
+// tilePar is the intra-item pixel-tile parallelism hint for a pass
+// stage with the given number of concurrently running units (work items
+// of a group, or chunk workers of the stream): 1 while the units alone
+// fill the worker pool, ceil(workers/units) otherwise, so the spare
+// workers pick up pixel tiles of the in-flight items (runTiles) instead
+// of idling.
+func tilePar(units, workers int) int {
+	if units < 1 || units >= workers {
+		return 1
+	}
+	return (workers + units - 1) / units
+}
+
+// each executes fn(i, s, par) for every work item of a group on the
+// worker pool, through attempt. Each worker checks one scratch arena
+// out of the kernel pool for its whole run and hands it to every fn
+// call, so the steady state of the hot path allocates nothing.
+func (r *itemRunner) each(group int, items []plan.WorkItem, fn func(i int, s *scratch, par int) error) {
+	k := r.k
 	n := len(items)
-	if n == 0 {
-		return ctxErr(ctx)
-	}
-	par := 1
-	if w := k.params.workers(); w > n && !k.params.DisablePixelTiling {
-		par = (w + n - 1) / n
-	}
-	attempts := ft.Attempts()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	runOne := func(i, worker int, s *scratch) {
-		item := items[i]
-		t0 := k.ob.now()
-		var err error
-		made := 0
-		for a := 1; a <= attempts; a++ {
-			if runCtx.Err() != nil {
-				return
-			}
-			made = a
-			err = faulttol.Run(func() error {
-				if ft.Hook != nil {
-					ft.Hook(item, a)
-				}
-				return fn(i, s, par)
-			})
-			if err == nil {
-				rep.RecordSuccess(a > 1)
-				k.ob.itemDone(stage, group, worker, i, item, a, t0)
-				return
-			}
-			k.ob.attemptFailed(err)
-			if errors.Is(err, faulttol.ErrBadInput) {
-				break
-			}
-		}
-		ie := &faulttol.ItemError{
-			Baseline:  item.Baseline,
-			TimeStart: item.TimeStart,
-			Channel0:  item.Channel0,
-			Attempts:  made,
-			Err:       err,
-		}
-		if ft.Policy == faulttol.SkipAndFlag {
-			rep.RecordSkip(ie, int64(item.NrVisibilities()))
-			k.ob.itemSkipped(item)
-			return
-		}
-		fail(ie)
-	}
-
-	workers := k.params.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	par := tilePar(n, k.params.workers())
+	var next atomic.Int64
+	runWorkers(min(k.params.workers(), n), func(worker int) {
 		s := k.getScratch()
 		defer k.putScratch(s)
-		for i := 0; i < n; i++ {
-			if runCtx.Err() != nil {
-				break
+		for r.ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-			runOne(i, 0, s)
+			r.attempt(group, worker, i, items[i], func() error { return fn(i, s, par) })
 		}
-	} else {
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				s := k.getScratch()
-				defer k.putScratch(s)
-				for runCtx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					runOne(i, worker, s)
-				}
-			}(w)
-		}
-		wg.Wait()
+	})
+}
+
+// runWorkers runs work(0) .. work(n-1) concurrently and waits for them;
+// a single worker runs on the calling goroutine.
+func runWorkers(n int, work func(worker int)) {
+	if n <= 1 {
+		work(0)
+		return
 	}
-	if firstErr != nil {
-		return firstErr
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			work(worker)
+		}(w)
 	}
-	return ctxErr(ctx)
+	wg.Wait()
 }
 
 // ctxErr converts a context error into the faulttol taxonomy.

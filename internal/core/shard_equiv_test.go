@@ -138,50 +138,72 @@ func TestSplitterShardedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStreamedGriddingMatchesBatch runs the full streamed pipeline
-// (chunk scheduler + sharded adder) against the classic batch pipeline
-// over the shard matrix: bit-for-bit with one worker and one shard,
-// within 1e-12 relative otherwise — including chunk sizes that split
-// the plan mid-group.
-func TestStreamedGriddingMatchesBatch(t *testing.T) {
+// TestGriddingPassMatchesStageOracle runs the gridding pass (chunk
+// scheduler + sharded adder) against the stage-primitive oracle over
+// the shard matrix, for the derived chunk size and for pinned ones that
+// split the plan unevenly: bit-for-bit with one worker whatever the
+// shard count, within 1e-12 relative with four.
+func TestGriddingPassMatchesStageOracle(t *testing.T) {
 	sc := buildScenario(t, defaultScenarioConfig())
 	sc.fillFromModel(nil)
-	ref := grid.NewGrid(sc.plan.GridSize)
-	if _, err := sc.kernels.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, ref); err != nil {
-		t.Fatal(err)
-	}
+	ref := sc.oracleGrid(t)
 
-	for _, shards := range shardCounts() {
-		for _, chunkItems := range []int{5, 64} {
-			params := sc.kernels.Params()
-			params.GridShards = shards
-			params.StreamChunkItems = chunkItems
-			if shards == 1 {
-				// Bitwise case: serial dispatch, exact plan order.
-				params.Workers = 1
-			} else {
-				params.Workers = 4
-			}
-			k, err := NewKernels(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := grid.NewGrid(params.GridSize)
-			// GridVisibilities auto-dispatches to the streamed path when
-			// GridShards is set; this is the exact call sites use.
-			if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
-				t.Fatal(err)
-			}
-			if shards == 1 {
-				if d := g.MaxAbsDiff(ref); d != 0 {
-					t.Errorf("shards=1 chunk=%d: streamed grid differs bitwise (max diff %g)", chunkItems, d)
+	for _, workers := range []int{1, 4} {
+		for _, shards := range shardCounts() {
+			for _, chunkItems := range []int{0, 5, 64} {
+				params := sc.kernels.Params()
+				params.Workers = workers
+				params.GridShards = shards
+				params.StreamChunkItems = chunkItems
+				k, err := NewKernels(params)
+				if err != nil {
+					t.Fatal(err)
 				}
-				continue
-			}
-			if d := relMaxDiff(g, ref); d > 1e-12 {
-				t.Errorf("shards=%d chunk=%d: relative diff %g exceeds 1e-12", shards, chunkItems, d)
+				g := grid.NewGrid(params.GridSize)
+				if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					if d := g.MaxAbsDiff(ref); d != 0 {
+						t.Errorf("workers=1 shards=%d chunk=%d: grid differs bitwise from the oracle (max diff %g)", shards, chunkItems, d)
+					}
+				} else if d := relMaxDiff(g, ref); d > 1e-12 {
+					t.Errorf("workers=%d shards=%d chunk=%d: relative diff %g exceeds 1e-12", workers, shards, chunkItems, d)
+				}
 			}
 		}
+	}
+}
+
+// TestSmallPlanFansOutPixelTiles: a plan with fewer items than workers
+// cannot fill the pool with chunks, so the pass must hand the spare
+// workers pixel tiles of the in-flight items — visible as tile spans,
+// which only the parallel tile path records.
+func TestSmallPlanFansOutPixelTiles(t *testing.T) {
+	sc := buildScenario(t, defaultScenarioConfig())
+	sc.fillFromModel(nil)
+	small := *sc.plan
+	small.Items = sc.plan.Items[:2]
+	observer := obs.New(0)
+	params := sc.kernels.Params()
+	params.Workers = 4
+	params.Observer = observer
+	k, err := NewKernels(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.NewGrid(params.GridSize)
+	if _, err := k.GridVisibilities(context.Background(), &small, sc.vs, nil, g); err != nil {
+		t.Fatal(err)
+	}
+	tiles := 0
+	for _, span := range observer.Tracer.Spans() {
+		if span.Stage == obs.StageTile {
+			tiles++
+		}
+	}
+	if tiles == 0 {
+		t.Fatal("2 items on 4 workers recorded no parallel pixel-tile spans (par stayed 1)")
 	}
 }
 
@@ -223,8 +245,7 @@ func TestStreamedInflightMemoryBound(t *testing.T) {
 }
 
 // TestStreamedSkipAndFlag: a kernel panic injected into one work item
-// must degrade the streamed pass (skip + flag) instead of failing it,
-// exactly like the batch pipeline.
+// must degrade the pass (skip + flag) instead of failing it.
 func TestStreamedSkipAndFlag(t *testing.T) {
 	sc := buildScenario(t, defaultScenarioConfig())
 	sc.fillFromModel(nil)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,37 +26,26 @@ func (k *Kernels) transformSubgrids(subgrids []*grid.Subgrid, inverse bool) {
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
 	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers <= 1 {
-		for _, s := range subgrids {
-			if s != nil {
-				k.fftSubgridOne(s, inverse)
+	k.eachSubgrid(subgrids, func(_ int, s *grid.Subgrid) { k.fftSubgridOne(s, inverse) })
+}
+
+// eachSubgrid runs fn for every subgrid of a batch — skipped (nil)
+// subgrids of a degraded run carry no data and are passed over — on up
+// to Workers goroutines, or inline when one suffices. fn receives the
+// index of the worker it runs on.
+func (k *Kernels) eachSubgrid(subgrids []*grid.Subgrid, fn func(worker int, s *grid.Subgrid)) {
+	var next atomic.Int64
+	runWorkers(min(k.params.workers(), len(subgrids)), func(worker int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(subgrids) {
+				return
+			}
+			if s := subgrids[i]; s != nil {
+				fn(worker, s)
 			}
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		// Skipped (nil) subgrids of a degraded run carry no data.
-		if s != nil {
-			ch <- s
-		}
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				k.fftSubgridOne(s, inverse)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // fftSubgridOne transforms a single subgrid in place. The forward
@@ -65,23 +53,10 @@ func (k *Kernels) transformSubgrids(subgrids []*grid.Subgrid, inverse bool) {
 // deposits unit total weight onto the grid and (b) the degridding
 // pipeline is the exact adjoint of the gridding pipeline (the inverse
 // transform already carries the 1/N~^2 of fft.InverseCentered). The
-// streaming scheduler calls this directly so each chunk worker
+// gridding scheduler calls this directly so each chunk worker
 // transforms its own subgrids without a nested fan-out.
 func (k *Kernels) fftSubgridOne(s *grid.Subgrid, inverse bool) {
 	norm := complex(1/float64(k.params.SubgridSize*k.params.SubgridSize), 0)
-	if k.params.DisableFastFFT {
-		for c := 0; c < grid.NrCorrelations; c++ {
-			if inverse {
-				k.sgFFT.InverseCenteredLegacy(s.Data[c])
-			} else {
-				k.sgFFT.ForwardCenteredLegacy(s.Data[c])
-				for i := range s.Data[c] {
-					s.Data[c][i] *= norm
-				}
-			}
-		}
-		return
-	}
 	// All four correlation planes through the fused-centering batched
 	// path; both directions carry the same 1/N~^2, so the scale folds
 	// into the transform's output pass.
@@ -98,28 +73,19 @@ func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
 	if g.N != k.params.GridSize {
 		panic("core: grid size does not match kernel parameters")
 	}
+	// Validated here, before the fan-out, so that the panic is raised on
+	// the caller's goroutine (where the pipeline's panic isolation can
+	// recover it) and not inside a row-band worker.
+	checkInBounds(subgrids, g.N)
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgAdd, countLive(subgrids))
-	}
-	workers := k.params.workers()
-	if workers > g.N {
-		workers = g.N
 	}
 	addBand := func(rowLo, rowHi int) {
 		for _, s := range subgrids {
 			if s == nil {
 				continue
 			}
-			if !s.InBounds(g.N) {
-				panic("core: subgrid outside grid")
-			}
-			lo, hi := s.Y0, s.Y0+s.N
-			if lo < rowLo {
-				lo = rowLo
-			}
-			if hi > rowHi {
-				hi = rowHi
-			}
+			lo, hi := max(s.Y0, rowLo), min(s.Y0+s.N, rowHi)
 			for y := lo; y < hi; y++ {
 				sy := y - s.Y0
 				for c := 0; c < grid.NrCorrelations; c++ {
@@ -132,27 +98,9 @@ func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
 			}
 		}
 	}
-	if workers <= 1 || len(subgrids) == 0 {
-		addBand(0, g.N)
-		return
-	}
-	var wg sync.WaitGroup
+	workers := min(k.params.workers(), g.N)
 	band := (g.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*band, (w+1)*band
-		if hi > g.N {
-			hi = g.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			addBand(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	runWorkers(workers, func(w int) { addBand(w*band, min((w+1)*band, g.N)) })
 }
 
 // Splitter extracts uv-domain subgrids from the grid (the reverse of
@@ -163,49 +111,28 @@ func (k *Kernels) Splitter(g *grid.Grid, subgrids []*grid.Subgrid) {
 	if g.N != k.params.GridSize {
 		panic("core: grid size does not match kernel parameters")
 	}
+	checkInBounds(subgrids, g.N)
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgSplit, countLive(subgrids))
 	}
-	split := func(s *grid.Subgrid) {
-		if s == nil {
-			return
-		}
-		if !s.InBounds(g.N) {
-			panic("core: subgrid outside grid")
-		}
+	k.eachSubgrid(subgrids, func(_ int, s *grid.Subgrid) {
 		for c := 0; c < grid.NrCorrelations; c++ {
 			for y := 0; y < s.N; y++ {
 				gy := s.Y0 + y
 				copy(s.Data[c][y*s.N:(y+1)*s.N], g.Data[c][gy*g.N+s.X0:gy*g.N+s.X0+s.N])
 			}
 		}
-	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers <= 1 {
-		for _, s := range subgrids {
-			split(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *grid.Subgrid, len(subgrids))
+	})
+}
+
+// checkInBounds panics unless every subgrid of a batch lies inside an
+// n-pixel grid.
+func checkInBounds(subgrids []*grid.Subgrid, n int) {
 	for _, s := range subgrids {
-		ch <- s
+		if s != nil && !s.InBounds(n) {
+			panic("core: subgrid outside grid")
+		}
 	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				split(s)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // AdderSharded accumulates uv-domain subgrids onto a sharded grid.
@@ -221,125 +148,91 @@ func (k *Kernels) Splitter(g *grid.Grid, subgrids []*grid.Subgrid) {
 // the serial grid only by floating-point reassociation (~1e-15
 // relative, far inside the equivalence suite's 1e-12 bound).
 func (k *Kernels) AdderSharded(subgrids []*grid.Subgrid, sh *grid.Sharded) {
-	if sh.Master().N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
-	var locks, contended int64
-	if k.shardSerial(len(subgrids), sh) && !k.ob.tracing() {
-		// Direct serial loop: no function values, so the nil-observer
-		// hot path stays allocation-free.
-		for _, s := range subgrids {
-			if s != nil {
-				l, c := sh.AddSubgrid(s)
-				locks += int64(l)
-				contended += int64(c)
-			}
-		}
-	} else {
-		locks, contended = k.eachSubgridSharded(subgrids, sh, sh.AddSubgrid, sh.AddSubgridShard)
-	}
-	if k.ob.enabled() {
-		k.ob.shardBatch(k.ob.sgAdd, countLive(subgrids), locks, contended)
-	}
+	k.shardedBatch(0, subgrids, sh, true, k.shardSerial(len(subgrids), sh))
 }
 
 // SplitterSharded extracts uv-domain subgrids from a sharded grid
 // under the shard locks, so extraction is coherent even while another
-// goroutine is accumulating into the same sharded grid (the classic
+// goroutine is accumulating into the same sharded grid (the row-band
 // Splitter requires a quiescent grid). Each destination subgrid must
 // already carry its anchor (X0, Y0).
 func (k *Kernels) SplitterSharded(sh *grid.Sharded, subgrids []*grid.Subgrid) {
-	if sh.Master().N != k.params.GridSize {
-		panic("core: grid size does not match kernel parameters")
-	}
-	var locks, contended int64
-	if k.shardSerial(len(subgrids), sh) && !k.ob.tracing() {
-		for _, s := range subgrids {
-			if s != nil {
-				l, c := sh.CopySubgrid(s)
-				locks += int64(l)
-				contended += int64(c)
-			}
-		}
-	} else {
-		locks, contended = k.eachSubgridSharded(subgrids, sh, sh.CopySubgrid, sh.CopySubgridShard)
-	}
-	if k.ob.enabled() {
-		k.ob.shardBatch(k.ob.sgSplit, countLive(subgrids), locks, contended)
-	}
+	k.shardedBatch(0, subgrids, sh, false, k.shardSerial(len(subgrids), sh))
 }
 
 // shardSerial reports whether a sharded batch of n subgrids runs on
 // the serial in-order path (one effective worker or one shard).
 func (k *Kernels) shardSerial(n int, sh *grid.Sharded) bool {
-	workers := k.params.workers()
-	if workers > n {
-		workers = n
-	}
-	return workers <= 1 || sh.NumShards() == 1
+	return min(k.params.workers(), n) <= 1 || sh.NumShards() == 1
 }
 
-// eachSubgridSharded runs the shared adder/splitter scaffolding: the
-// serial in-order path (one worker or one shard, bitwise-deterministic
-// for the adder), the fan-out over subgrids otherwise, and the
-// lock/contention accounting. whole processes a full subgrid under its
-// shard locks; perShard processes a single (subgrid, shard) overlap
-// and is used instead when the tracer wants per-shard spans.
-func (k *Kernels) eachSubgridSharded(subgrids []*grid.Subgrid, sh *grid.Sharded,
-	whole func(*grid.Subgrid) (int, int), perShard func(*grid.Subgrid, int) bool) (locks, contended int64) {
-	one := func(worker int, s *grid.Subgrid) (l, c int64) {
-		if s == nil {
-			return 0, 0
-		}
-		if !k.ob.tracing() {
-			ll, cc := whole(s)
-			return int64(ll), int64(cc)
-		}
-		lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
-		for si := lo; si <= hi; si++ {
-			t0 := time.Now()
-			if perShard(s, si) {
-				c++
-			}
-			l++
-			k.ob.shardDone(worker, si, s.WPlane, t0)
-		}
-		return l, c
+// shardedBatch adds a batch of subgrids onto sh (add) or extracts it
+// from sh, and accounts the locks it took. serial processes the batch
+// in order on the calling goroutine, attributed to worker: the
+// bitwise-deterministic path of the sharded adder, and the one a
+// gridding chunk worker uses for its own chunk (the chunk workers are
+// the parallelism there; a nested fan-out would only oversubscribe the
+// pool). Otherwise the batch fans out over subgrids.
+func (k *Kernels) shardedBatch(worker int, subgrids []*grid.Subgrid, sh *grid.Sharded, add, serial bool) {
+	if sh.Master().N != k.params.GridSize {
+		panic("core: grid size does not match kernel parameters")
 	}
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers <= 1 || sh.NumShards() == 1 {
+	var locks, contended int64
+	if serial {
 		for _, s := range subgrids {
-			l, c := one(0, s)
-			locks += l
-			contended += c
-		}
-		return locks, contended
-	}
-	var wg sync.WaitGroup
-	var lockT, contT atomic.Int64
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		if s != nil {
-			ch <- s
-		}
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for s := range ch {
-				l, c := one(worker, s)
-				lockT.Add(l)
-				contT.Add(c)
+			if s != nil {
+				l, c := k.shardOne(worker, s, sh, add)
+				locks += l
+				contended += c
 			}
-		}(w)
+		}
+	} else {
+		var lockT, contT atomic.Int64
+		k.eachSubgrid(subgrids, func(worker int, s *grid.Subgrid) {
+			l, c := k.shardOne(worker, s, sh, add)
+			lockT.Add(l)
+			contT.Add(c)
+		})
+		locks, contended = lockT.Load(), contT.Load()
 	}
-	wg.Wait()
-	return lockT.Load(), contT.Load()
+	if k.ob.enabled() {
+		c := k.ob.sgSplit
+		if add {
+			c = k.ob.sgAdd
+		}
+		k.ob.shardBatch(c, countLive(subgrids), locks, contended)
+	}
+}
+
+// shardOne adds or extracts one subgrid under its shard locks and
+// returns the locks taken and how many were contended. With a tracer
+// attached it goes shard by shard so that every lock gets a span.
+func (k *Kernels) shardOne(worker int, s *grid.Subgrid, sh *grid.Sharded, add bool) (locks, contended int64) {
+	if !k.ob.tracing() {
+		var l, c int
+		if add {
+			l, c = sh.AddSubgrid(s)
+		} else {
+			l, c = sh.CopySubgrid(s)
+		}
+		return int64(l), int64(c)
+	}
+	lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
+	for si := lo; si <= hi; si++ {
+		t0 := time.Now()
+		var cont bool
+		if add {
+			cont = sh.AddSubgridShard(s, si)
+		} else {
+			cont = sh.CopySubgridShard(s, si)
+		}
+		if cont {
+			contended++
+		}
+		locks++
+		k.ob.shardDone(worker, si, s.WPlane, t0)
+	}
+	return locks, contended
 }
 
 // countLive counts the non-nil subgrids of a batch (skipped items of a
@@ -356,42 +249,9 @@ func countLive(subgrids []*grid.Subgrid) int {
 
 // AdderSerialLocked is the ablation alternative to Adder: it
 // parallelizes over subgrids and serializes every grid update behind a
-// single mutex, modelling the "prohibitive synchronization costs" the
-// paper avoids. Only benchmarks use it.
+// single mutex — the sharded adder's fan-out on a one-shard grid —
+// modelling the "prohibitive synchronization costs" the paper avoids.
+// Only benchmarks use it.
 func (k *Kernels) AdderSerialLocked(subgrids []*grid.Subgrid, g *grid.Grid) {
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	workers := k.params.workers()
-	if workers > len(subgrids) {
-		workers = len(subgrids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan *grid.Subgrid, len(subgrids))
-	for _, s := range subgrids {
-		ch <- s
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				mu.Lock()
-				for c := 0; c < grid.NrCorrelations; c++ {
-					for y := 0; y < s.N; y++ {
-						gy := s.Y0 + y
-						dst := g.Data[c][gy*g.N+s.X0 : gy*g.N+s.X0+s.N]
-						src := s.Data[c][y*s.N : (y+1)*s.N]
-						for x := range dst {
-							dst[x] += src[x]
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	k.shardedBatch(0, subgrids, grid.NewSharded(g, 1), true, false)
 }

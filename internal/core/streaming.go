@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,30 +46,11 @@ func (a *streamAccounting) release(subgrids int) (inflight int64) {
 	return a.inflight.Add(-1)
 }
 
-// GridVisibilitiesStreamed runs the gridding pass as a stream of
-// chunks: the plan is cut into chunks of at most Params.StreamChunkItems
-// work items (plan order preserved), and up to Params.MaxInflightChunks
-// chunks are in flight at once, each flowing grid -> FFT -> add as a
-// unit before its subgrids return to the pool. The chunk is the unit
-// of parallelism — inside a chunk items run serially on the owning
-// worker — so peak subgrid memory is bounded by
-// min(workers, MaxInflightChunks) x StreamChunkItems subgrids
-// regardless of observation length, which is what lets a streamed pass
-// grid observations larger than memory.
-//
-// Accumulation goes through the sharded adder onto sh: overlapping
-// chunks contend only on shared row bands. With Workers <= 1 or one
-// shard the chunks (and their items) run in exact plan order and the
-// result is bit-for-bit identical to the serial batch pipeline;
-// otherwise it differs only by floating-point reassociation.
-//
-// With Params.CheckpointDir set the stream is processed in epochs of
-// Params.CheckpointEvery chunks; at each epoch boundary the scheduler
-// quiesces and writes a durable snapshot (grid, chunk cursor, fault
-// counters — see internal/checkpoint), including a final one at the
-// end of the plan. ResumeVisibilitiesStreamed continues from such a
-// snapshot and its result is bit-identical to the uninterrupted run
-// under the same ordering guarantees as above.
+// GridVisibilitiesStreamed runs the gridding pass onto a caller-owned
+// sharded grid under an explicit fault-tolerance policy; it is the
+// entry point GridVisibilities and GridVisibilitiesFT wrap (they shard
+// the plain grid with NewShardedGrid). See gridStreamed for the
+// scheduler and DESIGN.md ("The gridding pass") for its contracts.
 //
 // On cancellation the error matches both faulttol.ErrCanceled and the
 // context's cause, even when the cancellation surfaced inside a retry
@@ -79,24 +58,18 @@ func (a *streamAccounting) release(subgrids int) (inflight int64) {
 // completed before the cancellation — every value finite and correct,
 // but only a prefix-plus-stragglers subset of the plan — so a partial
 // grid is useful for checkpointing but not as an image.
-//
-// GridVisibilitiesFT routes here automatically when
-// Params.GridShards, Params.MaxInflightChunks or Params.CheckpointDir
-// opt in.
 func (k *Kernels) GridVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
 	rep := faulttol.NewReport(ft)
 	times, err := k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, 0)
 	return times, rep, err
 }
 
-// ResumeVisibilitiesStreamed continues a streamed gridding pass whose
-// chunks [0, startChunk) are already accumulated onto sh — restored
-// from a checkpoint — processing only the remaining chunks. rep
-// carries the restored fault counters forward (nil allocates a fresh
-// report). The chunking must match the interrupted run
-// (StreamChunkItemsResolved); with the bit-reproducible settings
-// (Workers <= 1, one shard) the resumed grid is bit-identical to an
-// uninterrupted pass.
+// ResumeVisibilitiesStreamed continues a gridding pass whose chunks
+// [0, startChunk) are already accumulated onto sh — restored from a
+// checkpoint — processing only the remaining chunks. rep carries the
+// restored fault counters forward (nil allocates a fresh report). The
+// chunking must match the interrupted run (StreamChunkItems); with one
+// worker the resumed grid is bit-identical to an uninterrupted pass.
 func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
 	if rep == nil {
 		rep = faulttol.NewReport(ft)
@@ -107,8 +80,28 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 	return k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, startChunk)
 }
 
-// gridStreamed is the scheduler shared by fresh and resumed streamed
-// passes: it processes chunks [startChunk, len) in checkpoint epochs.
+// gridStreamed is the gridding scheduler, the one execution shape of
+// Fig. 4: the plan is cut into chunks of StreamChunkItems(len) work
+// items (plan order preserved) and min(Workers, MaxInflightChunks)
+// chunk workers each pump one chunk at a time through gridder ->
+// subgrid FFT -> adder before its subgrids return to the pool. The
+// chunk is the unit of parallelism — inside a chunk items run serially
+// on the owning worker, fanning out over pixel tiles only when there
+// are fewer chunk workers than Workers — so peak subgrid memory is
+// bounded by chunk workers x chunk size regardless of observation
+// length.
+//
+// Accumulation goes through the shard locks of sh: overlapping chunks
+// contend only on shared row bands. With one chunk worker the chunks
+// (and their items) are added in exact plan order, so the grid does not
+// depend on the chunk size or the shard count; with more it differs by
+// floating-point reassociation only.
+//
+// With Params.CheckpointDir set the chunks [startChunk, len) are
+// processed in epochs of Params.CheckpointEvery; at each epoch boundary
+// the scheduler quiesces and writes a durable snapshot (grid, chunk
+// cursor, fault counters — see internal/checkpoint), including a final
+// one at the end of the plan.
 func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
 	var times StageTimes
 	if err := k.checkPlan(p, vs); err != nil {
@@ -118,7 +111,8 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 		return times, fmt.Errorf("core: sharded grid size %d != kernel grid size %d",
 			sh.Master().N, k.params.GridSize)
 	}
-	chunks := p.StreamChunks(k.params.chunkItems())
+	chunkItems := k.StreamChunkItems(len(p.Items))
+	chunks := p.StreamChunks(chunkItems)
 	if startChunk < 0 || startChunk > len(chunks) {
 		return times, fmt.Errorf("core: resume cursor %d outside the plan's %d chunks", startChunk, len(chunks))
 	}
@@ -131,39 +125,16 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 	cache := k.newATermCache(prov)
 	k.prefillATerms(cache, p.Items, vs.Baselines)
 
-	workers := k.params.workers()
-	if m := k.params.maxInflight(); workers > m {
-		workers = m
-	}
-	if workers > len(chunks)-startChunk {
-		workers = len(chunks) - startChunk
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	attempts := ft.Attempts()
-	budget := faulttol.NewBackoffBudget(ft)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
+	workers := min(k.params.chunkWorkers(), len(chunks)-startChunk)
+	par := tilePar(workers, k.params.workers())
+	run := k.newItemRunner(ctx, obs.StageGrid, ft, rep)
+	defer run.cancel()
 
 	var acct streamAccounting
 	var gridNs, fftNs, addNs atomic.Int64
 
 	// runChunk pumps one chunk through grid -> FFT -> add on the
-	// calling worker. Items run serially (par 1): chunk-level
-	// parallelism saturates the pool, so intra-item tile fan-out would
-	// only add scheduling overhead.
+	// calling worker.
 	runChunk := func(worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
 		acct.acquire(len(c.Items))
 		defer func() {
@@ -174,91 +145,43 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 
 		gt0 := k.ob.now()
 		t0 := time.Now()
-		for i := range c.Items {
-			if runCtx.Err() != nil {
+		for i, item := range c.Items {
+			if run.ctx.Err() != nil {
 				return
 			}
-			item := c.Items[i]
-			it0 := k.ob.now()
-			var err error
-			made := 0
-			for a := 1; a <= attempts; a++ {
-				made = a
-				err = faulttol.Run(func() error {
-					if ft.Hook != nil {
-						ft.Hook(item, a)
-					}
-					sgr := subgrids[i]
-					if sgr == nil {
-						sgr = k.getSubgrid(item.X0, item.Y0)
-						subgrids[i] = sgr
-					}
-					sgr.X0, sgr.Y0 = item.X0, item.Y0
-					sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-					vis := s.visBuf(item.NrVisibilities())
-					vs.gather(item, vis)
-					if k.ob.enabled() {
-						k.ob.flaggedVis(vs.countFlagged(item))
-					}
-					ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-					k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, 1)
-					if !sgr.Finite() {
-						return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
-							faulttol.ErrBadInput)
-					}
-					return nil
-				})
-				if err == nil {
-					rep.RecordSuccess(a > 1)
-					k.ob.itemDone(obs.StageGrid, c.Index, worker, i, item, a, it0)
-					break
+			ok := run.attempt(c.Index, worker, i, item, func() error {
+				// A re-attempt reuses the subgrid of the failed one.
+				sgr := subgrids[i]
+				if sgr == nil {
+					sgr = k.getSubgrid(item.X0, item.Y0)
+					subgrids[i] = sgr
 				}
-				k.ob.attemptFailed(err)
-				if errors.Is(err, faulttol.ErrBadInput) || runCtx.Err() != nil {
-					break
+				sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
+				vis := s.visBuf(item.NrVisibilities())
+				vs.gather(item, vis)
+				if k.ob.enabled() {
+					k.ob.flaggedVis(vs.countFlagged(item))
 				}
-				// Deterministic exponential backoff before the next
-				// attempt, metered against the run's retry budget:
-				// when the budget is spent (or the run is canceled)
-				// the item takes its terminal path now.
-				if a < attempts && !budget.Sleep(runCtx, ft.BackoffDelay(a+1)) {
-					break
+				ap, aq := k.lookupATerms(cache, vs.Baselines, item)
+				k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, par)
+				if !sgr.Finite() {
+					return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
+						faulttol.ErrBadInput)
 				}
-			}
-			if err != nil {
+				return nil
+			})
+			if !ok && subgrids[i] != nil {
 				// Failed items leave a poisoned subgrid behind; drop it
 				// so the FFT/add stages pass over the slot.
-				if subgrids[i] != nil {
-					k.putSubgrid(subgrids[i])
-					subgrids[i] = nil
-				}
-				ie := &faulttol.ItemError{
-					Baseline:  item.Baseline,
-					TimeStart: item.TimeStart,
-					Channel0:  item.Channel0,
-					Attempts:  made,
-					Err:       err,
-				}
-				if ft.Policy == faulttol.SkipAndFlag {
-					rep.RecordSkip(ie, int64(item.NrVisibilities()))
-					k.ob.itemSkipped(item)
-					continue
-				}
-				if ctx.Err() != nil {
-					// The caller canceled the run; the item failure is
-					// a casualty of the cancellation, not its cause —
-					// report ErrCanceled, not the item error.
-					return
-				}
-				fail(ie)
-				return
+				k.putSubgrid(subgrids[i])
+				subgrids[i] = nil
 			}
 		}
 		d := time.Since(t0)
 		gridNs.Add(d.Nanoseconds())
 		k.ob.stageDone(obs.StageGrid, c.Index, wp, gt0, d)
 
-		if runCtx.Err() != nil {
+		if run.ctx.Err() != nil {
 			return
 		}
 		ft0 := k.ob.now()
@@ -275,12 +198,12 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 			k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
 		}
 
-		if runCtx.Err() != nil {
+		if run.ctx.Err() != nil {
 			return
 		}
 		at0 := k.ob.now()
 		t0 = time.Now()
-		k.AdderSharded(subgrids, sh)
+		k.shardedBatch(worker, subgrids, sh, true, true)
 		d = time.Since(t0)
 		addNs.Add(d.Nanoseconds())
 		k.ob.stageDone(obs.StageAdd, c.Index, wp, at0, d)
@@ -292,94 +215,48 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 	// multiples of the period from chunk 0, so a resumed run
 	// checkpoints at the same cursors as an uninterrupted one. Without
 	// checkpointing there is a single epoch and no barrier.
-	ckptEvery := 0
+	ckptEvery := len(chunks)
 	if k.params.checkpointEnabled() {
 		ckptEvery = k.params.checkpointEvery()
 	}
-	epochEnd := func(lo int) int {
-		if ckptEvery <= 0 {
-			return len(chunks)
-		}
-		hi := (lo/ckptEvery + 1) * ckptEvery
-		if hi > len(chunks) {
-			hi = len(chunks)
-		}
-		return hi
-	}
-
-	var ckptErr error
-	if workers == 1 {
-		// Serial dispatch in chunk order: with one shard this is the
-		// bit-for-bit reference ordering. Checkpoint events fire on
-		// this goroutine, so an injected crash unwinds the whole pass.
-		s := k.getScratch()
-		subgrids := make([]*grid.Subgrid, k.params.chunkItems())
-		for lo := startChunk; lo < len(chunks) && ckptErr == nil && runCtx.Err() == nil; {
-			hi := epochEnd(lo)
-			for ci := lo; ci < hi; ci++ {
-				if runCtx.Err() != nil {
-					break
+	for lo := startChunk; lo < len(chunks) && run.ctx.Err() == nil; {
+		hi := min((lo/ckptEvery+1)*ckptEvery, len(chunks))
+		var next atomic.Int64
+		next.Store(int64(lo))
+		// One worker runs on this goroutine, in chunk order, so that an
+		// injected crash (a panicking checkpoint hook) unwinds the whole
+		// pass.
+		runWorkers(workers, func(worker int) {
+			s := k.getScratch()
+			defer k.putScratch(s)
+			subgrids := make([]*grid.Subgrid, chunkItems)
+			for run.ctx.Err() == nil {
+				ci := int(next.Add(1)) - 1
+				if ci >= hi {
+					return
 				}
 				c := chunks[ci]
-				runChunk(0, c, s, subgrids[:len(c.Items)])
-				if runCtx.Err() == nil {
+				runChunk(worker, c, s, subgrids[:len(c.Items)])
+				if workers == 1 && run.ctx.Err() == nil {
+					// Concurrent workers commit chunks out of order and
+					// have no consistent point before the epoch barrier.
 					k.fireCheckpointHook(checkpoint.EventChunkCommitted, c.Index)
 				}
 			}
-			if ckptEvery > 0 && runCtx.Err() == nil {
-				ckptErr = k.writeStreamCheckpoint(p, sh, hi, rep)
+		})
+		if k.params.checkpointEnabled() && run.ctx.Err() == nil {
+			if err := k.writeStreamCheckpoint(p, sh, hi, chunkItems, rep); err != nil {
+				run.fail(err)
 			}
-			lo = hi
 		}
-		k.putScratch(s)
-	} else {
-		for lo := startChunk; lo < len(chunks) && ckptErr == nil && runCtx.Err() == nil; {
-			hi := epochEnd(lo)
-			var wg sync.WaitGroup
-			var next atomic.Int64
-			next.Store(int64(lo))
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(worker int) {
-					defer wg.Done()
-					s := k.getScratch()
-					defer k.putScratch(s)
-					subgrids := make([]*grid.Subgrid, k.params.chunkItems())
-					for runCtx.Err() == nil {
-						ci := int(next.Add(1)) - 1
-						if ci >= hi {
-							return
-						}
-						c := chunks[ci]
-						runChunk(worker, c, s, subgrids[:len(c.Items)])
-					}
-				}(w)
-			}
-			wg.Wait()
-			// Concurrent workers commit chunks out of order, so the
-			// per-chunk EventChunkCommitted is not fired here; the
-			// epoch barrier is the only consistent point.
-			if ckptEvery > 0 && runCtx.Err() == nil {
-				ckptErr = k.writeStreamCheckpoint(p, sh, hi, rep)
-			}
-			lo = hi
-		}
+		lo = hi
 	}
 
 	k.ob.streamPeak(acct.peakSubgrids.Load())
-	times.Gridder = time.Duration(gridNs.Load())
-	times.SubgridFFT = time.Duration(fftNs.Load())
-	times.Adder = time.Duration(addNs.Load())
-	if budget.Exhausted() {
-		rep.AddNote("faulttol: retry backoff budget exhausted; remaining failures were not retried")
-	}
-	if firstErr != nil {
-		return times, firstErr
-	}
-	if ckptErr != nil {
-		return times, ckptErr
-	}
-	return times, ctxErr(ctx)
+	times.Gridder = time.Duration(gridNs.Load() / int64(workers))
+	times.SubgridFFT = time.Duration(fftNs.Load() / int64(workers))
+	times.Adder = time.Duration(addNs.Load() / int64(workers))
+	return times, run.finish()
 }
 
 // fireCheckpointHook invokes the crash-injection hook at a checkpoint
@@ -395,14 +272,14 @@ func (k *Kernels) fireCheckpointHook(ev checkpoint.Event, chunk int) {
 // writeStreamCheckpoint durably snapshots the pass at a quiescent
 // epoch barrier: chunks [0, cursor) are fully accumulated onto sh and
 // no worker is in flight.
-func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor int, rep *faulttol.Report) error {
+func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor, chunkItems int, rep *faulttol.Report) error {
 	k.fireCheckpointHook(checkpoint.EventBeforeWrite, cursor-1)
 	t0 := time.Now()
 	sn := &checkpoint.Snapshot{
 		GridSize:   k.params.GridSize,
 		Shards:     sh.NumShards(),
 		NextChunk:  cursor,
-		ChunkItems: k.params.chunkItems(),
+		ChunkItems: chunkItems,
 		PlanSum:    checkpoint.PlanFingerprint(p),
 		Report:     rep.State(),
 		Grid:       sh.Master(),

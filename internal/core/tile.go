@@ -9,8 +9,8 @@ import (
 // The tiled kernels split each subgrid's pixel loop into tiles of
 // tileRows subgrid rows (the paper's GPU mapping parallelizes pixels
 // within a thread block the same way). Tiles are the intra-item work
-// units: when a pipeline pass has fewer work items than workers,
-// runItems raises the per-item parallelism hint and runTiles fans the
+// units: when a pass runs fewer work items at once than it has workers,
+// tilePar raises the per-item parallelism hint and runTiles fans the
 // tiles of one subgrid out across otherwise-idle workers. Tile
 // decomposition depends only on the kernel parameters — never on the
 // hint or on scheduling — so results are reproducible run to run.

@@ -119,7 +119,7 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 		mod  func(*Params)
 	}{
 		{"Float64", nil},
-		{"Float64NoVec", func(p *Params) { p.DisableVectorKernels = true }},
+		{"Float64NoVec", forceTier(xmath.SIMDScalar)},
 		{"Float32", func(p *Params) { p.Precision = Float32 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,9 +136,9 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 				variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
 			}
 			variants = append(variants,
-				func(p *Params) { p.DisablePixelTiling = true },
-				func(p *Params) { p.DisableVisBlocking = true },
-				func(p *Params) { p.DisablePixelTiling = true; p.DisableVisBlocking = true },
+				// One whole-subgrid tile, one whole-item block: no tiling,
+				// no blocking.
+				func(p *Params) { p.PixelTileRows = sg; p.VisBlockTimesteps = nt },
 				func(p *Params) { p.PixelTileRows = 1; p.VisBlockTimesteps = 1 },
 			)
 			for vi, v := range variants {
@@ -325,7 +325,7 @@ func TestFlaggedVisibilitiesExactZero(t *testing.T) {
 		mod  func(*Params)
 	}{
 		{"Float64", nil},
-		{"Float64NoVec", func(p *Params) { p.DisableVectorKernels = true }},
+		{"Float64NoVec", forceTier(xmath.SIMDScalar)},
 		{"Float32", func(p *Params) { p.Precision = Float32 }},
 		{"Reference", func(p *Params) { p.DisableBatching = true }},
 	} {
@@ -362,7 +362,7 @@ func TestVectorKernelsMatchScalar(t *testing.T) {
 	item, uvw, vis, maxAmp := tilingItem(73, nt, nc)
 	in, pixAmp := randomSubgrid(sg, item, 79)
 	vecK := tilingKernels(t, sg, nc, nil)
-	scalK := tilingKernels(t, sg, nc, func(p *Params) { p.DisableVectorKernels = true })
+	scalK := tilingKernels(t, sg, nc, forceTier(xmath.SIMDScalar))
 	phaseBound := recurrencePhaseBound(vecK, item, uvw)
 
 	a := grid.NewSubgrid(sg, item.X0, item.Y0)

@@ -1,6 +1,7 @@
 // Package fft implements the discrete Fourier transforms the IDG
-// pipeline needs: plan-based 1-D complex transforms (iterative radix-2
-// for power-of-two sizes, Bluestein's algorithm for everything else),
+// pipeline needs: plan-based 1-D complex transforms (fused radix-4 for
+// power-of-two sizes, mixed radix for 2/3/5-smooth sizes, Bluestein's
+// algorithm for everything else),
 // 2-D transforms, centered (fftshift-ed) transforms, and batched
 // parallel execution. It plays the role MKL, cuFFT and clFFT play in
 // the paper: the subgrid FFTs and the final grid FFT.
@@ -33,12 +34,10 @@ type Plan struct {
 	pow2 bool
 	tier xmath.SIMDTier
 
-	// Power-of-two tables: the bit-reversal permutation is shared by
-	// the fused radix-4 engine (radix4.go) and the legacy radix-2 path
-	// kept for ablation comparisons; twiddle is the legacy n/2 table.
-	perm    []int32
-	twiddle []complex128
-	r4      *r4Plan
+	// Power-of-two tables: the bit-reversal permutation and the
+	// per-stage twiddles of the fused radix-4 engine (radix4.go).
+	perm []int32
+	r4   *r4Plan
 
 	// Mixed-radix plan for 2/3/5-smooth lengths (nil otherwise).
 	mixed *mixedPlan
@@ -61,7 +60,7 @@ func NewPlan(n int) *Plan {
 	p := &Plan{n: n, tier: planTier()}
 	if n&(n-1) == 0 {
 		p.pow2 = true
-		p.initRadix2()
+		p.initPerm()
 		p.r4 = newR4Plan(n)
 		return p
 	}
@@ -76,20 +75,15 @@ func NewPlan(n int) *Plan {
 // N returns the transform length of the plan.
 func (p *Plan) N() int { return p.n }
 
-func (p *Plan) initRadix2() {
+func (p *Plan) initPerm() {
 	n := p.n
 	logN := bits.TrailingZeros(uint(n))
 	p.perm = make([]int32, n)
+	if n == 1 {
+		return
+	}
 	for i := 0; i < n; i++ {
 		p.perm[i] = int32(bits.Reverse32(uint32(i)) >> (32 - logN))
-	}
-	p.twiddle = make([]complex128, n/2)
-	for i := range p.twiddle {
-		ang := -2 * math.Pi * float64(i) / float64(n)
-		p.twiddle[i] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	if n == 1 {
-		p.perm[0] = 0
 	}
 }
 
@@ -206,65 +200,9 @@ func (p *Plan) backwardWith(x, scratch []complex128) {
 	}
 }
 
-// forwardLegacy is the pre-radix-4 transform (iterative radix-2 for
-// powers of two), kept selectable so the ablation path and the test
-// suite can compare the engines.
-func (p *Plan) forwardLegacy(x []complex128) {
-	if p.pow2 {
-		p.forwardRadix2(x)
-		return
-	}
-	if p.mixed != nil {
-		p.mixed.forward(x)
-		return
-	}
-	p.bluesteinPooled(x)
-}
-
-// inverseLegacy mirrors the seed Inverse: conj/forward/conj with the
-// scale fused into the final conjugation.
-func (p *Plan) inverseLegacy(x []complex128) {
-	for i, v := range x {
-		x[i] = complex(real(v), -imag(v))
-	}
-	p.forwardLegacy(x)
-	inv := 1 / float64(p.n)
-	for i, v := range x {
-		x[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-}
-
 func (p *Plan) checkLen(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), p.n))
-	}
-}
-
-func (p *Plan) forwardRadix2(x []complex128) {
-	n := p.n
-	if n == 1 {
-		return
-	}
-	// Bit-reversal permutation.
-	for i, pi := range p.perm {
-		if int32(i) < pi {
-			x[i], x[pi] = x[pi], x[i]
-		}
-	}
-	// Iterative Cooley-Tukey butterflies.
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for base := 0; base < n; base += size {
-			tw := 0
-			for j := base; j < base+half; j++ {
-				w := p.twiddle[tw]
-				t := w * x[j+half]
-				x[j+half] = x[j] - t
-				x[j] = x[j] + t
-				tw += step
-			}
-		}
 	}
 }
 

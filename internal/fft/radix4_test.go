@@ -60,22 +60,6 @@ func TestEngineMatchesDirectDFT(t *testing.T) {
 	}
 }
 
-// The new engine must match the legacy radix-2 path to reordered-
-// summation rounding on every size.
-func TestEngineMatchesLegacyRadix2(t *testing.T) {
-	for _, n := range engineSizes {
-		x := randSignal(int64(100+n), n)
-		p := NewPlan(n)
-		want := append([]complex128(nil), x...)
-		p.forwardLegacy(want)
-		got := append([]complex128(nil), x...)
-		p.Forward(got)
-		if d := maxRelDiff(got, want); d > 1e-13 {
-			t.Errorf("n=%d: radix-4 differs from legacy radix-2 by %g", n, d)
-		}
-	}
-}
-
 // Forward then Inverse must reproduce the input on every size.
 func TestEngineRoundTrip(t *testing.T) {
 	for _, n := range engineSizes {
@@ -90,10 +74,43 @@ func TestEngineRoundTrip(t *testing.T) {
 	}
 }
 
-// The fused-centering 2-D path must match the explicit rotate-based
-// legacy path on even sizes (including rectangular and the odd-log2
+// centeredDirect is the oracle of the centered 2-D transforms: explicit
+// ifftshift, a separable naive DFT (rows, then columns) and explicit
+// fftshift; the inverse conjugates around the forward DFT and scales.
+func centeredDirect(x []complex128, rows, cols int, inverse bool) []complex128 {
+	y := append([]complex128(nil), x...)
+	InverseShift2D(y, rows, cols)
+	if inverse {
+		for i, v := range y {
+			y[i] = cmplx.Conj(v)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		copy(y[r*cols:(r+1)*cols], DFTDirect(y[r*cols:(r+1)*cols]))
+	}
+	col := make([]complex128, rows)
+	for c := 0; c < cols; c++ {
+		for r := range col {
+			col[r] = y[r*cols+c]
+		}
+		for r, v := range DFTDirect(col) {
+			y[r*cols+c] = v
+		}
+	}
+	if inverse {
+		scale := complex(1/float64(rows*cols), 0)
+		for i, v := range y {
+			y[i] = cmplx.Conj(v) * scale
+		}
+	}
+	Shift2D(y, rows, cols)
+	return y
+}
+
+// The fused-centering 2-D path must match explicit shifts around the
+// naive DFT on even sizes (including rectangular and the odd-log2
 // leading-stage case), and the odd-size fallback must match too.
-func TestCenteredMatchesLegacy2D(t *testing.T) {
+func TestCenteredMatchesShiftedDirectDFT(t *testing.T) {
 	cases := [][2]int{{2, 2}, {4, 4}, {8, 8}, {16, 16}, {24, 24}, {32, 32},
 		{16, 24}, {24, 16}, {8, 32}, {25, 25}, {15, 9}, {64, 64}}
 	for _, rc := range cases {
@@ -101,17 +118,15 @@ func TestCenteredMatchesLegacy2D(t *testing.T) {
 		x := randSignal(int64(rows*100+cols), rows*cols)
 		p := NewPlan2D(rows, cols)
 		for _, inverse := range []bool{false, true} {
-			want := append([]complex128(nil), x...)
+			want := centeredDirect(x, rows, cols, inverse)
 			got := append([]complex128(nil), x...)
 			if inverse {
-				p.InverseCenteredLegacy(want)
 				p.InverseCentered(got)
 			} else {
-				p.ForwardCenteredLegacy(want)
 				p.ForwardCentered(got)
 			}
-			if d := maxRelDiff(got, want); d > 1e-13 {
-				t.Errorf("%dx%d inverse=%v: fused centering differs from legacy by %g",
+			if d := maxRelDiff(got, want); d > 1e-12 {
+				t.Errorf("%dx%d inverse=%v: fused centering differs from the shifted direct DFT by %g",
 					rows, cols, inverse, d)
 			}
 		}

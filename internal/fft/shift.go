@@ -143,51 +143,3 @@ func (p *Plan2D) InverseCenteredParallel(x []complex128, workers int) {
 	p.runParallel(x, true, false, scale, workers)
 	Shift2D(x, p.rows, p.cols)
 }
-
-// The Legacy variants below reproduce the seed implementation — rotate
-// shifts around a per-column gather/scatter radix-2 transform — and
-// back the DisableFastFFT ablation knob plus the new-vs-old test
-// comparisons.
-
-// transformLegacy is the seed 2-D transform: per-row transforms in
-// place, per-column transforms through a freshly allocated scratch,
-// legacy radix-2 for power-of-two lengths.
-func (p *Plan2D) transformLegacy(x []complex128, inverse bool) {
-	p.checkLen(x)
-	for r := 0; r < p.rows; r++ {
-		row := x[r*p.cols : (r+1)*p.cols]
-		if inverse {
-			p.colPlan.inverseLegacy(row)
-		} else {
-			p.colPlan.forwardLegacy(row)
-		}
-	}
-	col := make([]complex128, p.rows)
-	for c := 0; c < p.cols; c++ {
-		for r := 0; r < p.rows; r++ {
-			col[r] = x[r*p.cols+c]
-		}
-		if inverse {
-			p.rowPlan.inverseLegacy(col)
-		} else {
-			p.rowPlan.forwardLegacy(col)
-		}
-		for r := 0; r < p.rows; r++ {
-			x[r*p.cols+c] = col[r]
-		}
-	}
-}
-
-// ForwardCenteredLegacy is the seed centered forward transform.
-func (p *Plan2D) ForwardCenteredLegacy(x []complex128) {
-	InverseShift2D(x, p.rows, p.cols)
-	p.transformLegacy(x, false)
-	Shift2D(x, p.rows, p.cols)
-}
-
-// InverseCenteredLegacy is the seed centered inverse transform.
-func (p *Plan2D) InverseCenteredLegacy(x []complex128) {
-	InverseShift2D(x, p.rows, p.cols)
-	p.transformLegacy(x, true)
-	Shift2D(x, p.rows, p.cols)
-}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/aterm"
 	"repro/internal/core"
+	"repro/internal/faulttol"
 	"repro/internal/grid"
 	"repro/internal/layout"
 	"repro/internal/plan"
@@ -136,18 +137,16 @@ type ObservationConfig struct {
 	// see Params.Precision).
 	Precision Precision
 	// GridShards splits the uv-grid into independently locked row
-	// bands and routes gridding through the sharded streaming
-	// scheduler; 0 keeps the classic batch pipeline (see
+	// bands for the gridding pass; 0 selects one shard per worker (see
 	// Params.GridShards).
 	GridShards int
-	// MaxInflightChunks bounds the streaming scheduler's in-flight
-	// chunks — and with it peak subgrid memory (see
-	// Params.MaxInflightChunks).
+	// MaxInflightChunks bounds the gridding pass's in-flight chunks —
+	// and with it peak subgrid memory; 0 leaves the bound to Workers
+	// (see Params.MaxInflightChunks).
 	MaxInflightChunks int
-	// CheckpointDir, when non-empty, makes streamed gridding passes
-	// write durable snapshots into this directory and enables
-	// Observation.ResumeStreamed; setting it routes gridding through
-	// the streaming scheduler (see Params.CheckpointDir).
+	// CheckpointDir, when non-empty, makes gridding passes write
+	// durable snapshots into this directory and enables
+	// Observation.ResumeStreamed (see Params.CheckpointDir).
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks
 	// (0 with a CheckpointDir: a default period; setting it without
@@ -412,27 +411,61 @@ func (o *Observation) FillFromModelPlan(model SkyModel) error {
 	return nil
 }
 
+// gridPass is the one way the facade runs a gridding pass (the public
+// GridAll* / ResumeStreamed names, the server backend and the
+// distributed worker all land here): every visibility of the plan
+// through the chunk scheduler of internal/core onto a fresh grid
+// sharded per ObservationConfig.GridShards — or, with resume, onto the
+// grid of the newest usable checkpoint, gridding only the chunks past
+// its cursor. With ObservationConfig.CheckpointDir set the pass writes
+// durable snapshots as it goes.
+//
+// Cancellation: when ctx is canceled mid-pass the returned error
+// matches errors.Is(err, ErrCanceled) (and the context's own
+// sentinel) even when the cancellation surfaced inside a retry layer.
+// The returned grid is still the partially filled grid: it holds
+// exactly the chunks whose add stage completed — every value finite
+// and correctly accumulated, but covering only part of the plan — so
+// it is suitable for inspection or checkpointing, not for imaging.
+func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft FaultConfig, resume bool) (*Grid, StageTimes, *FaultReport, error) {
+	if resume && o.Config.CheckpointDir == "" {
+		return nil, StageTimes{}, nil, &ConfigError{Field: "CheckpointDir", Reason: "ResumeStreamed needs a checkpoint directory"}
+	}
+	if o.Vis == nil {
+		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
+	}
+	rep := faulttol.NewReport(ft)
+	var g *Grid
+	start := 0
+	if resume {
+		sn, err := o.latestSnapshot(rep)
+		if err != nil {
+			return nil, StageTimes{}, rep, err
+		}
+		if sn != nil {
+			g, start = sn.Grid, sn.NextChunk
+		}
+	}
+	if g == nil {
+		g = grid.NewGrid(o.Config.GridSize)
+	}
+	times, err := o.Kernels.ResumeVisibilitiesStreamed(ctx, o.Plan, o.Vis, prov, o.Kernels.NewShardedGrid(g), ft, rep, start)
+	return g, times, rep, err
+}
+
 // GridAll grids every visibility onto a fresh grid and returns it
 // with the stage times. The context cancels or deadline-bounds the
 // run; item failures fail fast — see GridAllFT for other policies.
 func (o *Observation) GridAll(ctx context.Context, prov ATermProvider) (*Grid, StageTimes, error) {
-	if o.Vis == nil {
-		return nil, StageTimes{}, fmt.Errorf("repro: visibilities not allocated")
-	}
-	g := grid.NewGrid(o.Config.GridSize)
-	times, err := o.Kernels.GridVisibilities(ctx, o.Plan, o.Vis, prov, g)
+	g, times, _, err := o.gridPass(ctx, prov, FaultConfig{}, false)
 	return g, times, err
 }
 
 // GridAllFT is GridAll under an explicit fault-tolerance policy; it
-// additionally returns the degradation report.
+// additionally returns the degradation report. See gridPass for what a
+// canceled pass leaves in the returned grid.
 func (o *Observation) GridAllFT(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
-	if o.Vis == nil {
-		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
-	}
-	g := grid.NewGrid(o.Config.GridSize)
-	times, rep, err := o.Kernels.GridVisibilitiesFT(ctx, o.Plan, o.Vis, prov, g, ft)
-	return g, times, rep, err
+	return o.gridPass(ctx, prov, ft, false)
 }
 
 // DegridAll predicts visibilities for the given uv grid, overwriting

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/aterm"
 	"repro/internal/sky"
@@ -112,6 +113,48 @@ func TestGridDegridRoundtripThroughFacade(t *testing.T) {
 	v := obs.Vis.Data[0][0]
 	if math.Abs(real(v[0])) < 0.01 {
 		t.Fatalf("degridded visibility suspiciously small: %v", v[0])
+	}
+}
+
+// TestStageTimesWithinWallTime: StageTimes are shares of the pass's
+// wall time on every path — with several chunk workers running the
+// gridding stages concurrently, too — so their total never exceeds it.
+func TestStageTimesWithinWallTime(t *testing.T) {
+	cfg := smallObservation()
+	cfg.NrStations, cfg.NrTimesteps = 12, 128
+	cfg.MaxTimestepsPerSubgrid = 8 // > 1000 items: every chunk worker gets chunks
+	cfg.Workers = 4
+	obs, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.FillFromModel(StandardSkyModel(obs, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, pass := range map[string]func() (StageTimes, error){
+		"GridAll": func() (StageTimes, error) {
+			_, times, err := obs.GridAll(ctx, nil)
+			return times, err
+		},
+		"GridAllStreamed": func() (StageTimes, error) {
+			_, times, _, err := obs.GridAllStreamed(ctx, nil, FaultConfig{})
+			return times, err
+		},
+		"DegridAll": func() (StageTimes, error) { return obs.DegridAll(ctx, nil, NewGrid(cfg.GridSize)) },
+	} {
+		start := time.Now()
+		times, err := pass()
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if times.Total() == 0 {
+			t.Errorf("%s reported no stage time", name)
+		}
+		if limit := wall + wall/20; times.Total() > limit {
+			t.Errorf("%s: stage times sum to %v, the pass took %v", name, times.Total(), wall)
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestFacadeSkipAndFlagSurvivesCorruption: through the public API,
@@ -114,6 +117,96 @@ func TestFacadeCancellation(t *testing.T) {
 	_, _, err = obs.GridAll(ctx, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("context sentinel lost: %v", err)
+	}
+}
+
+// TestFacadeRetryBackoffAndBudget: gridding and degridding share one
+// item-attempt loop, so under the Retry policy both wait out
+// RetryBackoff between the attempts of a flaky item, and both stop
+// retrying a permanently failing item once RetryBudget is spent,
+// leaving the exhaustion note in the report.
+func TestFacadeRetryBackoffAndBudget(t *testing.T) {
+	obs, err := smallObservation().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pix := obs.ImageSize / float64(obs.Config.GridSize)
+	if err := obs.FillFromModel(SkyModel{{L: 20 * pix, M: -12 * pix, I: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := obs.GridAll(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := obs.Plan.Items[len(obs.Plan.Items)/2]
+	isVictim := func(item WorkItem) bool {
+		return item.Baseline == victim.Baseline && item.TimeStart == victim.TimeStart && item.Channel0 == victim.Channel0
+	}
+	passes := map[string]func(FaultConfig) (*FaultReport, error){
+		"GridAllFT": func(ft FaultConfig) (*FaultReport, error) {
+			_, _, rep, err := obs.GridAllFT(context.Background(), nil, ft)
+			return rep, err
+		},
+		"DegridAllFT": func(ft FaultConfig) (*FaultReport, error) {
+			_, rep, err := obs.DegridAllFT(context.Background(), nil, g, ft)
+			return rep, err
+		},
+	}
+	for name, pass := range passes {
+		t.Run(name+"/backoff", func(t *testing.T) {
+			const backoff = 30 * time.Millisecond
+			var mu sync.Mutex
+			var attempts []time.Time
+			rep, err := pass(FaultConfig{
+				Policy: RetryItems, MaxRetries: 2, RetryBackoff: backoff,
+				Hook: func(item WorkItem, attempt int) {
+					if !isVictim(item) {
+						return
+					}
+					mu.Lock()
+					attempts = append(attempts, time.Now())
+					mu.Unlock()
+					if attempt == 1 {
+						panic("flaky injected fault")
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ItemsRetried != 1 || rep.Degraded() {
+				t.Fatalf("report = %s, want exactly one retried item and no skips", rep)
+			}
+			if len(attempts) != 2 {
+				t.Fatalf("victim was attempted %d times, want 2", len(attempts))
+			}
+			if gap := attempts[1].Sub(attempts[0]); gap < backoff {
+				t.Fatalf("re-attempt came %v after the failure, want >= RetryBackoff %v", gap, backoff)
+			}
+		})
+		t.Run(name+"/budget", func(t *testing.T) {
+			ft := FaultConfig{
+				Policy: RetryItems, MaxRetries: 5,
+				RetryBackoff: 20 * time.Millisecond,
+				RetryBudget:  20 * time.Millisecond, // covers the first backoff only
+				Hook: func(item WorkItem, attempt int) {
+					if isVictim(item) {
+						panic("permanent injected fault")
+					}
+				},
+			}
+			rep, err := pass(ft)
+			var ie *WorkItemError
+			if !errors.As(err, &ie) {
+				t.Fatalf("permanently failing item: got %v, want a WorkItemError", err)
+			}
+			if ie.Attempts < 2 || ie.Attempts >= 1+ft.MaxRetries {
+				t.Fatalf("item made %d attempts; the budget covers one retry, not all %d", ie.Attempts, ft.MaxRetries)
+			}
+			if !slices.Contains(rep.Notes, "faulttol: retry backoff budget exhausted; remaining failures were not retried") {
+				t.Fatalf("report notes %v lack the budget-exhaustion note", rep.Notes)
+			}
+		})
 	}
 }
 

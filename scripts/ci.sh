@@ -24,6 +24,12 @@ go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/
 # no-ops on narrower hosts rather than failures).
 IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/
 IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/
+# And with the core count pinned both ways: one thread hides panics and
+# races that only a fan-out goroutine can raise, four threads hide what
+# only the serial paths do, and a CI box has whatever it has. -count=1
+# because the test cache does not key on GOMAXPROCS.
+GOMAXPROCS=1 go test -count=1 -short ./internal/core/
+GOMAXPROCS=4 go test -count=1 -short ./internal/core/
 go test -race ./...
 go test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
 # Kill-and-resume chaos harness and the checkpoint round-trip golden
@@ -46,6 +52,12 @@ scripts/server_smoke.sh
 # must report exactly one restart.
 scripts/distrib_smoke.sh
 scripts/bench.sh -short
+# The benchmark is its own module (benchmark/go.mod), so the root
+# `go build ./... && go test ./...` cannot see it: vet and test it and
+# run every workload once on tiny shapes, or a facade rename breaks it
+# silently.
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh -workload all -smoke
 
 # Performance regression gate: briefly re-measure the four kernel
 # benchmarks (both precisions) plus the two FFT-stage benchmarks and

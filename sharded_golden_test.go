@@ -9,12 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// shardedGoldenObservation is goldenObservation with the streaming
-// scheduler opted in: same pinned dataset and serial reference kernels,
-// plus the given shard count. With shards == 1 (and the fixture's
-// Workers == 1) the streamed pass must reproduce the committed golden
-// hash bit-for-bit — chunking and sharding are pure reorganizations of
-// the same serial arithmetic.
+// shardedGoldenObservation is goldenObservation — same pinned dataset
+// and serial reference kernels — with the given shard count. With the
+// fixture's Workers == 1 the pass must reproduce the committed golden
+// hash bit-for-bit at every shard count: chunking and sharding are pure
+// reorganizations of the same serial arithmetic.
 func shardedGoldenObservation(t *testing.T, shards int) *Observation {
 	t.Helper()
 	o := goldenObservation(t)
@@ -28,12 +27,13 @@ func shardedGoldenObservation(t *testing.T, shards int) *Observation {
 	return o
 }
 
-// TestShardedGoldenConformance pins the tentpole's equivalence claim
-// to the committed golden fingerprint: the streamed, sharded gridding
-// pass at one shard hashes to exactly the bits of the classic serial
-// pipeline recorded in testdata/golden_grid.json.
+// TestShardedGoldenConformance pins the one-worker side of the bitwise
+// contract to the committed golden fingerprint: on a grid cut into four
+// row bands (TestGoldenGridConformance runs the default, one) the pass
+// still hashes to exactly the bits recorded in
+// testdata/golden_grid.json.
 func TestShardedGoldenConformance(t *testing.T) {
-	o := shardedGoldenObservation(t, 1)
+	o := shardedGoldenObservation(t, 4)
 	g, _, rep, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
