@@ -146,17 +146,31 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 
 // BenchmarkAblationChannelCount sweeps the channel block width of the
 // inner reduction (Listing 1: vectorization works best when the
-// channel count matches the SIMD width).
+// channel count matches the SIMD width). Every uniform comb runs twice:
+// as dispatched and with the recurrence disabled (one evaluated phasor
+// per sample) — the measurement the kernels' selection thresholds are
+// set from (core's vecRecurrence and perStepMinChannels on the vector
+// tiers, phasorMinChannels under IDG_SIMD=scalar). The non-uniform comb
+// has only the direct form.
 func BenchmarkAblationChannelCount(b *testing.B) {
-	for _, nc := range []int{2, 4, 8, 16} {
+	comb := func(nc int, jitter float64) []float64 {
+		freqs := make([]float64, nc)
+		for i := range freqs {
+			freqs[i] = 150e6 + float64(i)*200e3 + jitter*float64(i%3)
+		}
+		return freqs
+	}
+	for _, nc := range []int{1, 2, 3, 4, 5, 8, 16} {
 		b.Run(fmt.Sprintf("c=%d", nc), func(b *testing.B) {
-			freqs := make([]float64, nc)
-			for i := range freqs {
-				freqs[i] = 150e6 + float64(i)*200e3
-			}
-			runGridderAblation(b, Params{Frequencies: freqs})
+			runGridderAblation(b, Params{Frequencies: comb(nc, 0)})
+		})
+		b.Run(fmt.Sprintf("c=%d/direct", nc), func(b *testing.B) {
+			runGridderAblation(b, Params{Frequencies: comb(nc, 0), DisablePhasorRecurrence: true})
 		})
 	}
+	b.Run("c=16/nonuniform", func(b *testing.B) {
+		runGridderAblation(b, Params{Frequencies: comb(16, 30e3)})
+	})
 }
 
 // BenchmarkAblationAdder compares the paper's row-parallel adder

@@ -267,6 +267,14 @@ func benchGridderKernel(b *testing.B, n, nt, nc int) {
 
 func benchGridderKernelPrec(b *testing.B, n, nt, nc int, prec Precision) {
 	b.Helper()
+	benchGridderKernelATerms(b, n, nt, nc, prec, false)
+}
+
+// benchGridderKernelATerms is benchGridderKernelPrec with optional
+// per-pixel A-terms (a smooth non-identity Jones field for both
+// stations), so the kernel's epilogue does the full A-term sandwich.
+func benchGridderKernelATerms(b *testing.B, n, nt, nc int, prec Precision, aterms bool) {
+	b.Helper()
 	freqs := make([]float64, nc)
 	for i := range freqs {
 		freqs[i] = 150e6 + float64(i)*200e3
@@ -288,13 +296,23 @@ func benchGridderKernelPrec(b *testing.B, n, nt, nc int, prec Precision) {
 	for i := range vis {
 		vis[i] = xmath.Matrix2{1, 0, 0, 1}
 	}
+	var atermP, atermQ []xmath.Matrix2
+	if aterms {
+		atermP = make([]xmath.Matrix2, n*n)
+		atermQ = make([]xmath.Matrix2, n*n)
+		for i := range atermP {
+			g := complex(1-0.3*float64(i)/float64(n*n), 0.1*rnd())
+			atermP[i] = xmath.Matrix2{g, 0.02, -0.02, g}
+			atermQ[i] = xmath.Matrix2{g, -0.01, 0.01, g}
+		}
+	}
 	out := grid.NewSubgrid(n, item.X0, item.Y0)
 	// Warm-up call: fills the scratch pool so the timed iterations
 	// measure the steady state (and allocs/op stays at zero).
-	k.GridSubgrid(item, uvw, vis, nil, nil, out)
+	k.GridSubgrid(item, uvw, vis, atermP, atermQ, out)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.GridSubgrid(item, uvw, vis, nil, nil, out)
+		k.GridSubgrid(item, uvw, vis, atermP, atermQ, out)
 	}
 	visPerCall := float64(nt * nc)
 	b.ReportMetric(float64(b.N)*visPerCall/b.Elapsed().Seconds()/1e6, "MVis/s")
@@ -343,6 +361,15 @@ func BenchmarkGridderKernel(b *testing.B) {
 
 func BenchmarkGridderKernelFloat32(b *testing.B) {
 	benchGridderKernelPrec(b, 24, 128, 16, Float32)
+}
+
+// BenchmarkGridderKernelShortItems is the short-item regime of the
+// benchmark's sparse workload: 16 visibilities per subgrid (8 time
+// steps of 2 channels, below the recurrence threshold) and per-pixel
+// A-terms, where the per-subgrid fixed cost is as large as the
+// visibility loop.
+func BenchmarkGridderKernelShortItems(b *testing.B) {
+	benchGridderKernelATerms(b, 24, 8, 2, Float64, true)
 }
 
 func BenchmarkDegridderKernel(b *testing.B) {

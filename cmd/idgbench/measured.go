@@ -10,6 +10,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fft"
+	idgobs "repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/sky"
@@ -122,6 +123,8 @@ func runMeasured(scale float64) {
 	fftFrac := (gridTimes.SubgridFFT + degridTimes.SubgridFFT).Seconds() / cycle.Total().Seconds()
 	fmt.Printf("subgrid FFT share: %.1f%% of the grid+degrid cycle\n", 100*fftFrac)
 
+	runShortItems(cfg.NrTimesteps)
+
 	// Sanity: the dirty image must recover the brighter source.
 	img := core.GridToImage(g, 0)
 	core.ScaleImage(img, float64(cfg.GridSize*cfg.GridSize)/nvis)
@@ -157,4 +160,40 @@ func runMeasured(scale float64) {
 		fmt.Printf("wrote %s (%d spans, %d dropped) - load it in chrome://tracing or ui.perfetto.dev\n",
 			traceFile, observer.Tracer.Len(), observer.Tracer.Dropped())
 	}
+}
+
+// runShortItems grids the short-item regime — two channels, at most
+// eight time steps per subgrid, Gaussian-beam A-terms: 16 visibilities
+// per work item, the shape of the benchmark's sparse workload — and
+// prints its throughput next to what the kernels' own counters say is
+// left inside the gridder: the tile epilogue (lane fold, A-term
+// sandwich, taper) as a share of the items' busy time.
+func runShortItems(steps int) {
+	cfg := repro.DefaultObservation()
+	cfg.NrStations, cfg.NrTimesteps, cfg.NrChannels = 24, steps, 2
+	cfg.MaxTimestepsPerSubgrid = 8
+	cfg.ATermInterval = 16
+	// Metrics only: one counter add per tile, no spans.
+	observer := &repro.Observer{Metrics: idgobs.NewRegistry()}
+	cfg.Observer = observer
+	o, err := cfg.Build()
+	if err != nil {
+		fatal(err)
+	}
+	pix := o.ImageSize / float64(cfg.GridSize)
+	if err := o.FillFromModel(repro.SkyModel{{L: 40 * pix, M: -24 * pix, I: 1}}); err != nil {
+		fatal(err)
+	}
+	_, times, err := o.GridAll(context.Background(), repro.GaussianBeamATerms(0.5, 0.01))
+	if err != nil {
+		fatal(err)
+	}
+	st := o.Plan.Stats()
+	snap := observer.Metrics.Snapshot()
+	epilogue := float64(snap.Counters[idgobs.MetricGridEpilogueNs]) / 1e9
+	busy := snap.Histograms[idgobs.HistItemSeconds].Sum
+	fmt.Printf("short items: %6.2f MVis/s gridding (%d items of %.0f vis, gridder stage %.2fs); tile epilogue %.0f%% of the gridder's busy time\n",
+		float64(st.NrGriddedVisibilities)/times.Total().Seconds()/1e6,
+		len(o.Plan.Items), float64(st.NrGriddedVisibilities)/float64(len(o.Plan.Items)),
+		times.Gridder.Seconds(), 100*epilogue/busy)
 }

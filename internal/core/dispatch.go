@@ -76,7 +76,8 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		Sincos:   "scalar (configured)",
 	}
 	if k.disp.gridVec64 != nil {
-		si.Tiles64 = "avx2+fma 4-lane"
+		// The two lane fillers of gridTileVec (vecRecurrence selects).
+		si.Tiles64 = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
 	}
 	if k.disp.gridVec32 != nil {
 		si.Tiles32 = "avx2+fma 8-lane"

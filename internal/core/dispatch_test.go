@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -125,7 +126,7 @@ func TestSIMDInfo(t *testing.T) {
 		if xmath.ActiveSIMD() >= xmath.SIMDAVX512 {
 			want32 = "avx2+fma 8-lane, evex 2-pixel blocks"
 		}
-		if si.Tiles64 != "avx2+fma 4-lane" || si.Tiles32 != want32 {
+		if si.Tiles64 != "avx2+fma 4-lane: time-blocked recurrence, direct phasors" || si.Tiles32 != want32 {
 			t.Fatalf("vector-capable host reports tiles64=%q tiles32=%q", si.Tiles64, si.Tiles32)
 		}
 	} else if si.Tiles64 != "generic" || si.Tiles32 != "generic" {
@@ -175,5 +176,50 @@ func TestKernelPathVector32Counter(t *testing.T) {
 	}
 	if got := snap.Counters[obs.MetricKernelPathTiled32]; got != 0 {
 		t.Fatalf("generic float32 path counted %d on a vector-capable host", got)
+	}
+}
+
+// TestShortAndNonUniformItemsTakeVectorPath: on a vector-capable tier
+// no float64 item shape may fall back to the generic scalar tile — not
+// the one- and two-channel items below the recurrence threshold, not a
+// non-uniform comb.
+func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
+	skipWithoutVectorKernels(t)
+	const sg, nt = 8, 6
+	for _, freqs := range [][]float64{{150e6}, {150e6, 150.25e6}, nonUniformComb} {
+		nc := len(freqs)
+		item, uvw, vis, _ := tilingItem(127, nt, nc)
+		ob := obs.New(0)
+		k := tilingKernels(t, sg, nc, func(p *Params) {
+			p.Frequencies = freqs
+			p.Observer = ob
+		})
+		out := grid.NewSubgrid(sg, item.X0, item.Y0)
+		k.GridSubgrid(item, uvw, vis, nil, nil, out)
+		snap := ob.Metrics.Snapshot()
+		if got := snap.Counters[obs.MetricKernelPathVector]; got != 1 {
+			t.Errorf("nc=%d: %s = %d, want 1", nc, obs.MetricKernelPathVector, got)
+		}
+		if got := snap.Counters[obs.MetricKernelPathTiled64]; got != 0 {
+			t.Errorf("nc=%d: generic float64 tile counted %d on a vector-capable tier", nc, got)
+		}
+	}
+
+	// And through a whole pass over a plan of the sparse workload's item
+	// shape (two channels, at most eight time steps per subgrid).
+	sc := defaultScenarioConfig()
+	sc.nc, sc.tmax, sc.atermInterval = 2, 8, 16
+	s, ob := observedScenario(t, sc)
+	s.fillFromModel(nil)
+	g := grid.NewGrid(s.plan.GridSize)
+	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+		t.Fatal(err)
+	}
+	snap := ob.Metrics.Snapshot()
+	if got, want := snap.Counters[obs.MetricKernelPathVector], int64(len(s.plan.Items)); got != want {
+		t.Errorf("short-item pass: %s = %d, want %d (every item)", obs.MetricKernelPathVector, got, want)
+	}
+	if got := snap.Counters[obs.MetricKernelPathTiled64]; got != 0 {
+		t.Errorf("short-item pass: generic float64 tile counted %d", got)
 	}
 }

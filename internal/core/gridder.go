@@ -57,8 +57,11 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 		}
 		gridSubgridTiled[float32](k, item, uvw, vis, atermP, atermQ, out, s, par, tile)
 	} else {
+		// The float64 vector tile covers every item shape (recurrence or
+		// direct phasors, see gridTileVec); the generic tile is the scalar
+		// tier only.
 		tile := gridTile[float64]
-		vec := k.disp.gridVec64 != nil && k.useRecurrence(item.NrChannels)
+		vec := k.disp.gridVec64 != nil
 		if vec {
 			tile = k.disp.gridVec64
 		}
@@ -74,12 +77,21 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 }
 
 // phasorMinChannels is the smallest channel count for which the
-// recurrence wins: it replaces nc sincos evaluations per (pixel, time
-// step) with two plus nc-1 complex rotations.
+// recurrence wins in the generic (scalar) tiles, the degridders and the
+// float32 vector gridder: it replaces nc sincos evaluations per
+// (pixel, time step) with two plus nc-1 complex rotations. Measured
+// with BenchmarkAblationChannelCount under IDG_SIMD=scalar on the
+// reference host (ms per 64-step item, recurrence against direct):
+// c=2 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82 against 3.16 —
+// the two forms cross between 2 and 3 channels. The float64 vector
+// gridder evaluates its direct phasors in batches at about a twentieth
+// of the scalar cost per evaluation, which moves its crossover; it
+// selects with vecRecurrence instead.
 const phasorMinChannels = 3
 
 // useRecurrence reports whether the phasor rotation recurrence applies
-// to a work item of nc channels.
+// to a work item of nc channels (everywhere but the float64 vector
+// gridder, see vecRecurrence).
 func (k *Kernels) useRecurrence(nc int) bool {
 	return k.uniformScale && nc >= phasorMinChannels
 }
@@ -262,6 +274,7 @@ func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *sc
 			}
 		}
 	}
+	start := k.ob.now()
 	for i := pix0; i < pix1; i++ {
 		a := acc[8*(i-pix0):]
 		sum := xmath.Matrix2{
@@ -270,6 +283,7 @@ func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *sc
 		}
 		k.storePixel(out, i, sum, atermP, atermQ)
 	}
+	k.ob.epilogueDone(start)
 }
 
 // rotateAccumulate fuses the phasor rotation recurrence with the

@@ -30,6 +30,7 @@ type kernelObs struct {
 	residualPeak          *obs.Gauge
 	itemSeconds           *obs.Histogram
 	stageNs               map[obs.Stage]*obs.Counter
+	gridEpilogueNs        *obs.Counter
 
 	// Kernel dispatch-path counters (which code path actually ran:
 	// essential when a perf number surprises).
@@ -89,6 +90,7 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.ckptBytes = r.Counter(obs.MetricCheckpointBytes)
 		ko.ckptRestores = r.Counter(obs.MetricCheckpointRestores)
 		ko.ckptSeconds, _ = r.Histogram(obs.HistCheckpointWriteSeconds, obs.DurationBuckets)
+		ko.gridEpilogueNs = r.Counter(obs.MetricGridEpilogueNs)
 		ko.stageNs = make(map[obs.Stage]*obs.Counter)
 		for _, s := range []obs.Stage{obs.StageGrid, obs.StageDegrid, obs.StageFFT,
 			obs.StageAdd, obs.StageSplit, obs.StageShard, obs.StageWPlane, obs.StageCycle} {
@@ -208,6 +210,16 @@ func (ko *kernelObs) kernelPath(c *obs.Counter) {
 		return
 	}
 	c.Inc()
+}
+
+// epilogueDone adds one gridder tile's epilogue (lane fold, A-term
+// sandwich, taper, pixel store) to its busy-time counter; start comes
+// from now(), so the disabled path takes no timestamp.
+func (ko *kernelObs) epilogueDone(start time.Time) {
+	if ko == nil {
+		return
+	}
+	ko.gridEpilogueNs.Add(time.Since(start).Nanoseconds())
 }
 
 // tileDone records one pixel-tile span of the intra-item fan-out.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/aterm"
 	"repro/internal/faulttol"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -91,6 +92,25 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 	// The latency histogram saw every item of both passes.
 	if got := snap.Histograms[obs.HistItemSeconds].Count; got != 2*nItems {
 		t.Errorf("item latency count = %d, want %d", got, 2*nItems)
+	}
+}
+
+// TestObserverGridEpilogueCounter: an observed gridding pass reports
+// the tiles' epilogue busy time (lane fold, A-term sandwich, taper,
+// store) — a positive part of, and less than, the items' total time.
+func TestObserverGridEpilogueCounter(t *testing.T) {
+	s, ob := observedScenario(t, defaultScenarioConfig())
+	s.fillFromModel(nil)
+	g := grid.NewGrid(s.plan.GridSize)
+	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, aterm.Identity{}, g); err != nil {
+		t.Fatal(err)
+	}
+	snap := ob.Metrics.Snapshot()
+	epilogue := float64(snap.Counters[obs.MetricGridEpilogueNs]) / 1e9
+	items := snap.Histograms[obs.HistItemSeconds].Sum
+	if epilogue <= 0 || epilogue >= items {
+		t.Fatalf("%s = %g s against %g s of item time, want a positive part of it",
+			obs.MetricGridEpilogueNs, epilogue, items)
 	}
 }
 

@@ -89,57 +89,73 @@ func TestGriddingRecoversPointSource(t *testing.T) {
 // TestGridderDegridderAdjoint checks <G(v), g> == <v, D(g)>: the
 // degridding pipeline is the exact adjoint of the gridding pipeline,
 // a property any gridder/degridder pair used inside CLEAN major
-// cycles must satisfy.
+// cycles must satisfy. The second case is the benchmark's sparse item
+// shape — two channels, at most eight time steps per subgrid, Gaussian
+// beam A-terms — where the gridder runs its direct-phasor form and the
+// full A-term sandwich.
 func TestGridderDegridderAdjoint(t *testing.T) {
-	sc := defaultScenarioConfig()
-	sc.nrStations = 5
-	sc.nt = 16
-	s := buildScenario(t, sc)
+	short := defaultScenarioConfig()
+	short.nc, short.tmax, short.atermInterval = 2, 8, 16
+	for _, tc := range []struct {
+		name string
+		sc   scenarioConfig
+		prov aterm.Provider
+	}{
+		{"dense", defaultScenarioConfig(), nil},
+		{"short-items-gaussian-aterms", short, aterm.GaussianBeam{Sigma: 0.5, Wobble: 0.01}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc
+			sc.nrStations = 5
+			sc.nt = 16
+			s := buildScenario(t, sc)
 
-	// Random visibilities v.
-	rnd := newTestRand(42)
-	for b := range s.vs.Data {
-		for i := range s.vs.Data[b] {
-			for p := 0; p < 4; p++ {
-				s.vs.Data[b][i][p] = complex(rnd(), rnd())
+			// Random visibilities v.
+			rnd := newTestRand(42)
+			for b := range s.vs.Data {
+				for i := range s.vs.Data[b] {
+					for p := 0; p < 4; p++ {
+						s.vs.Data[b][i][p] = complex(rnd(), rnd())
+					}
+				}
 			}
-		}
-	}
-	// Random grid g.
-	g := grid.NewGrid(s.plan.GridSize)
-	for c := range g.Data {
-		for i := range g.Data[c] {
-			g.Data[c][i] = complex(rnd(), rnd())
-		}
-	}
-
-	// <G(v), g>
-	gv := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, gv); err != nil {
-		t.Fatal(err)
-	}
-	var lhs complex128
-	for c := range gv.Data {
-		for i := range gv.Data[c] {
-			lhs += gv.Data[c][i] * conj(g.Data[c][i])
-		}
-	}
-
-	// <v, D(g)>
-	vsOut := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, vsOut, nil, g); err != nil {
-		t.Fatal(err)
-	}
-	var rhs complex128
-	for b := range s.vs.Data {
-		for i := range s.vs.Data[b] {
-			for p := 0; p < 4; p++ {
-				rhs += s.vs.Data[b][i][p] * conj(vsOut.Data[b][i][p])
+			// Random grid g.
+			g := grid.NewGrid(s.plan.GridSize)
+			for c := range g.Data {
+				for i := range g.Data[c] {
+					g.Data[c][i] = complex(rnd(), rnd())
+				}
 			}
-		}
-	}
-	if d := cAbs(lhs-rhs) / cAbs(lhs); d > 1e-6 {
-		t.Fatalf("adjoint violated: <G(v),g>=%v, <v,D(g)>=%v (rel %g)", lhs, rhs, d)
+
+			// <G(v), g>
+			gv := grid.NewGrid(s.plan.GridSize)
+			if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, tc.prov, gv); err != nil {
+				t.Fatal(err)
+			}
+			var lhs complex128
+			for c := range gv.Data {
+				for i := range gv.Data[c] {
+					lhs += gv.Data[c][i] * conj(g.Data[c][i])
+				}
+			}
+
+			// <v, D(g)>
+			vsOut := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
+			if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, vsOut, tc.prov, g); err != nil {
+				t.Fatal(err)
+			}
+			var rhs complex128
+			for b := range s.vs.Data {
+				for i := range s.vs.Data[b] {
+					for p := 0; p < 4; p++ {
+						rhs += s.vs.Data[b][i][p] * conj(vsOut.Data[b][i][p])
+					}
+				}
+			}
+			if d := cAbs(lhs-rhs) / cAbs(lhs); d > 1e-6 {
+				t.Fatalf("adjoint violated: <G(v),g>=%v, <v,D(g)>=%v (rel %g)", lhs, rhs, d)
+			}
+		})
 	}
 }
 

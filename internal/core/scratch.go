@@ -36,9 +36,10 @@ type kbufs[F floatT] struct {
 	vacc []F
 
 	// phv stages the per-timestep phasor register blocks of the
-	// time-blocked vector gridder (one 18-lane block per time step of a
-	// visibility block), so a single blocked kernel call can sweep a
-	// whole block with the accumulators held in registers.
+	// time-blocked vector gridders (one block of 18 float32 or 10
+	// float64 per time step of a visibility block), so a single blocked
+	// kernel call can sweep a whole block with the accumulators held in
+	// registers.
 	phv []F
 
 	// vsum is the degridder's visibility accumulator (8 floats per
@@ -71,8 +72,9 @@ type scratch struct {
 
 	// Batched sine/cosine staging of the vector tiles: phase arguments
 	// gathered into sArg and evaluated in one Kernels.sincosVec call
-	// per seeding pass (results land in sSin/sCos, or directly in the
-	// float64 phasor buffers). Arguments and results stay float64 in
+	// per seeding pass, or per group of pixels in the direct-phasor
+	// gridder (results land in sSin/sCos, or directly in the float64
+	// phasor buffers). Arguments and results stay float64 in
 	// both precisions, like the phase tables above.
 	sArg, sSin, sCos []float64
 

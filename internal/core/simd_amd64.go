@@ -2,6 +2,12 @@
 
 package core
 
+import (
+	"unsafe"
+
+	"repro/internal/uvwsim"
+)
+
 // haveVectorASM gates the hand-vectorized (AVX2+FMA) tile kernel
 // bodies in kernels_amd64.s and kernels32_amd64.s. Whether they
 // actually run is decided per Kernels value by the runtime dispatch
@@ -15,6 +21,45 @@ const haveVectorASM = true
 //
 //go:noescape
 func rotAccQuads(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float64)
+
+// rotAccQuadsBlk is rotAccQuads blocked over nt time steps of one
+// pixel: the accumulators stay in registers across the block and the
+// phasor lanes reload from a fresh [10]float64 block per step. The
+// visibility streams must be contiguous across steps (nc = 4*nq).
+// Bitwise equal to nt separate rotAccQuads calls.
+//
+//go:noescape
+func rotAccQuadsBlk(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float64, nt int)
+
+// seedQuadsBlk is seedQuadLanes vectorized over time steps: it seeds
+// ng*4 consecutive [10]float64 phasor blocks at ph from the planar
+// base/delta sincos arrays (s0/c0/ds/dc each hold one value per time
+// step). Bitwise equal to 4*ng seedQuadLanes calls; the caller covers
+// the nt mod 4 leftover steps with seedQuadLanes.
+//
+//go:noescape
+func seedQuadsBlk(ph, s0, c0, ds, dc *float64, ng int)
+
+// stageArgsQuad stages the direct-phasor gridder's phase arguments for
+// four consecutive pixels (l, m, n point at their direction cosines):
+// nt*nc arguments per pixel, rows stride bytes apart, from the nt
+// {U, V, W} triples at uvw and the nc channel scales. Bitwise equal to
+// the scalar staging loop of gridLanesDirect.
+//
+//go:noescape
+func stageArgsQuad(arg *float64, stride int, l, m, n, uvw *float64, nt int, scale *float64, nc int, uOff, vOff, wOff float64)
+
+// stageArgsQuad walks a []uvwsim.UVW as packed {U, V, W} float64
+// triples; this fails to compile if the struct ever stops being one.
+var _ = [1]struct{}{}[unsafe.Sizeof(uvwsim.UVW{})-24]
+
+// accQuadsPix is the direct-phasor gridder reduction: npix pixels,
+// each accumulating the same 4*nq planar visibility samples against
+// its own precomputed phasors (ps/pc advance phStride bytes and acc 32
+// doubles per pixel); see kernels_amd64.s and gridLanesDirect.
+//
+//go:noescape
+func accQuadsPix(acc, r0, i0, r1, i1, r2, i2, r3, i3, ps, pc *float64, nq, npix, phStride int)
 
 // conjAccQuads is the degridder's conjugate accumulation pixel loop,
 // four float64 pixels per iteration.

@@ -13,6 +13,22 @@ func rotAccQuads(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float
 	panic("core: rotAccQuads without vector kernels")
 }
 
+func rotAccQuadsBlk(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float64, nt int) {
+	panic("core: rotAccQuadsBlk without vector kernels")
+}
+
+func seedQuadsBlk(ph, s0, c0, ds, dc *float64, ng int) {
+	panic("core: seedQuadsBlk without vector kernels")
+}
+
+func stageArgsQuad(arg *float64, stride int, l, m, n, uvw *float64, nt int, scale *float64, nc int, uOff, vOff, wOff float64) {
+	panic("core: stageArgsQuad without vector kernels")
+}
+
+func accQuadsPix(acc, r0, i0, r1, i1, r2, i2, r3, i3, ps, pc *float64, nq, npix, phStride int) {
+	panic("core: accQuadsPix without vector kernels")
+}
+
 func conjAccQuads(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *float64, nq int) {
 	panic("core: conjAccQuads without vector kernels")
 }

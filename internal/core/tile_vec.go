@@ -24,16 +24,134 @@ import (
 // the xmath.DefaultPhasorResync drift cadence of the scalar path.
 const chunkQuads = xmath.DefaultPhasorResync / 4
 
-// gridTileVec is gridTile on the vector kernels. The channel loop runs
-// four-wide: the four phasor lanes hold channels c..c+3, seeded from
-// sincos evaluations (chunk bases and delta) by three complex
-// rotations, and advanced four channels at a time by the rotator
-// exp(i*4*delta) (double-angle applied twice). Each pixel owns eight
+// directBatchArgs is how many phase arguments the direct-phasor tile
+// aims to stage per Kernels.sincosVec call: short items (16 samples per
+// pixel on the benchmark's sparse workload) batch several pixels into
+// one evaluation and one accQuadsPix sweep, so neither the call
+// overhead nor SincosVec's scalar remainder is paid per pixel. 256
+// arguments plus their sin/cos results are 6 KB of scratch, which sits
+// in L1 next to the visibility block; a group is never cut below four
+// pixels, so blocks of more than 64 samples stage four times their
+// length (between 256 and 1024 arguments were level when measured).
+const directBatchArgs = 256
+
+// gridTileVec is gridTile on the vector kernels. Each pixel owns eight
 // accumulators of four lanes each (scratch vacc); lanes persist across
 // visibility blocks and fold only when the tile finishes, so — exactly
 // like the scalar tile — the per-pixel result is independent of the
-// tile and block decomposition. Leftover channels (nc mod 4)
-// accumulate scalar-style into lane 0.
+// tile and block decomposition. What fills the lanes depends on the
+// item: the phasor recurrence where it applies (gridLanesRecurrence),
+// one evaluated phasor per visibility sample otherwise
+// (gridLanesDirect). Within a visibility block both are vector code
+// end to end; the only scalar arithmetic left is the n mod 4 sample
+// tail, which goes into lane 0.
+func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+	sg := k.params.SubgridSize
+	pix0, pix1 := row0*sg, row1*sg
+	vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
+	clear(vacc)
+	if k.vecRecurrence(item.NrChannels) {
+		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix1)
+	} else {
+		gridLanesDirect(k, item, uvw, sb, ts, vacc, pix0, pix1)
+	}
+	start := k.ob.now()
+	for i := pix0; i < pix1; i++ {
+		v := vacc[32*(i-pix0) : 32*(i-pix0)+32]
+		// Lane fold (l0+l2)+(l1+l3), matching the in-register reduce of
+		// conjAccQuads; any fixed order preserves decomposition
+		// independence, since the lanes themselves are.
+		var q [8]float64
+		for p := 0; p < 8; p++ {
+			q[p] = (v[4*p] + v[4*p+2]) + (v[4*p+1] + v[4*p+3])
+		}
+		sum := xmath.Matrix2{
+			complex(q[0], q[1]), complex(q[2], q[3]),
+			complex(q[4], q[5]), complex(q[6], q[7]),
+		}
+		k.storePixel(out, i, sum, atermP, atermQ)
+	}
+	k.ob.epilogueDone(start)
+}
+
+// seedQuadLanes fills one 10-wide phasor register block for the quad
+// kernels from an exact sincos pair (s0, c0) and the per-channel delta
+// phasor (ds, dc): lane k holds exp(i*(base + k*delta)) by k
+// single-delta rotations, and slots 8/9 hold the four-channel rotator
+// exp(i*4*delta) (double-angle applied twice). seedQuadsBlk is the same
+// arithmetic four time steps at a time.
+func seedQuadLanes(ph *[10]float64, s0, c0, ds, dc float64) {
+	ds2, dc2 := 2*ds*dc, dc*dc-ds*ds
+	s1, c1 := s0*dc+c0*ds, c0*dc-s0*ds
+	s2, c2 := s1*dc+c1*ds, c1*dc-s1*ds
+	ph[0], ph[4] = s0, c0
+	ph[1], ph[5] = s1, c1
+	ph[2], ph[6] = s2, c2
+	ph[3], ph[7] = s2*dc+c2*ds, c2*dc-s2*ds
+	ph[8], ph[9] = 2*ds2*dc2, dc2*dc2-ds2*ds2
+}
+
+// perStepMinChannels is the channel count from which the recurrence's
+// per-time-step form (a rotAccQuads call per resync chunk plus a scalar
+// channel tail, for the channel counts quadsBlocked does not cover)
+// runs instead of one evaluated phasor per sample. Measured with
+// BenchmarkAblationChannelCount on the reference host (ms per 64-step
+// item, per-step recurrence against direct, avx512 / avx2 tier): c=9
+// 1.51 against 0.74 / 1.51 against 0.83, c=21 2.21 against 1.63 / 1.95
+// against 1.92, c=25 2.46 against 1.94 / 2.15 against 2.37, c=33 2.86
+// against 2.57 / 2.42 against 3.17, c=66 4.77 against 5.18 / 4.08
+// against 6.44. The forms cross near 24 channels on the avx2 tier and
+// near 50 on avx512, whose eight-lane sincos makes the direct form
+// cheaper; 32 sits between and costs either tier at most a tenth in
+// the gap.
+const perStepMinChannels = 32
+
+// vecRecurrence reports whether the float64 vector gridder fills an
+// nc-channel item's lanes through the phasor recurrence: uniform
+// channels, and either the time-blocked form applies or there are
+// enough channels for the per-step form to win. The blocked form is
+// level with direct phasors at its smallest shape and ahead from there
+// (same benchmark and tiers: c=4 0.35 against 0.33 / 0.37 against 0.38,
+// c=8 0.50 against 0.65 / 0.49 against 0.79, c=16 0.83 against 1.27 /
+// 0.77 against 1.51); three channels, which would be all scalar tail,
+// take 1.25 against 0.25 / 1.21 against 0.29.
+func (k *Kernels) vecRecurrence(nc int) bool {
+	return k.uniformScale && (quadsBlocked(nc) || nc >= perStepMinChannels)
+}
+
+// quadsBlocked reports whether the recurrence tile sweeps an nc-channel
+// item with the time-blocked kernel: one resync chunk must cover every
+// channel with no tail. With several chunks or a tail the blocked sweep
+// would reorder the accumulation (all t of chunk 0, then all t of
+// chunk 1, ...), which would break decomposition independence — those
+// shapes keep the per-t calls.
+func quadsBlocked(nc int) bool {
+	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
+}
+
+// accLane0 accumulates visibility sample j against the phasor (sv, cv)
+// into lane 0 of a pixel's accumulator block: the scalar form both
+// lane fillers use for samples that do not fill a quad.
+func accLane0(a []float64, re, im *[4][]float64, j int, sv, cv float64) {
+	vr, vi := re[0][j], im[0][j]
+	a[0] += vr*cv - vi*sv
+	a[4] += vr*sv + vi*cv
+	vr, vi = re[1][j], im[1][j]
+	a[8] += vr*cv - vi*sv
+	a[12] += vr*sv + vi*cv
+	vr, vi = re[2][j], im[2][j]
+	a[16] += vr*cv - vi*sv
+	a[20] += vr*sv + vi*cv
+	vr, vi = re[3][j], im[3][j]
+	a[24] += vr*cv - vi*sv
+	a[28] += vr*sv + vi*cv
+}
+
+// gridLanesRecurrence fills the accumulator lanes of the pixels
+// [pix0, pix1) through the phasor recurrence. The channel loop runs
+// four-wide: the four phasor lanes hold channels c..c+3 (seedQuadLanes)
+// and advance four channels at a time by the rotator exp(i*4*delta).
+// Leftover channels (nc mod 4) accumulate scalar-style into lane 0.
 //
 // The seeding sincos calls are batched: per (pixel, time-step block)
 // every chunk base, the channel-tail base and the delta argument are
@@ -43,50 +161,78 @@ const chunkQuads = xmath.DefaultPhasorResync / 4
 // decomposition and SIMD tier, so this keeps the per-pixel result
 // independent of the block size.
 //
+// When quadsBlocked holds (the paper's channel counts), the
+// per-timestep phasor blocks of a whole visibility block are staged
+// into scratch (b64.phv, seeded four steps at a time by seedQuadsBlk)
+// and swept by one rotAccQuadsBlk call per (pixel, block): the eight
+// accumulator registers are loaded once per block instead of once per
+// time step. The blocked kernel replays the identical per-(t, channel)
+// operation sequence, so its results are bitwise equal to the per-t
+// form.
+//
 // Error class: the lane seeding applies at most three rotations to an
 // exact sincos pair and every lane is re-seeded each chunk, so the
 // per-channel phasor drift stays within the same
 // xmath.PhasorDriftBound class as the scalar recurrence; the fused
 // accumulation matches the scalar FMA split to reassociation.
-func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
-	sg := k.params.SubgridSize
+func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float64, pix0, pix1 int) {
 	nt, nc := item.NrTimesteps, item.NrChannels
 	re, im := visPlanes[float64](sb, nt*nc)
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
-	pix0, pix1 := row0*sg, row1*sg
-	vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
-	for i := range vacc {
-		vacc[i] = 0
-	}
 	nq := nc / 4
 	tail0 := 4 * nq
 	scale0 := k.scale[item.Channel0]
 	block := k.visBlockSteps(nt, nc)
 	// Batched-seeding layout, per time step of a block: one argument
 	// slot per resync chunk (its base phase), one for the channel tail
-	// when nc mod 4 != 0, and one for the per-channel delta.
+	// when nc mod 4 != 0, and one for the per-channel delta. The blocked
+	// form has one base and one delta per step and lays them out planar
+	// (bases, then deltas) so seedQuadsBlk loads contiguously.
 	nchunks := (nq + chunkQuads - 1) / chunkQuads
 	seeds := nchunks
 	if tail0 < nc {
 		seeds++
 	}
 	stride := seeds + 1
-	// ph is the register file handed to rotAccQuads: per-lane phasor
-	// sin [0:4] and cos [4:8], then the four-channel rotator sin/cos.
+	blocked := quadsBlocked(nc)
+	// ph is the register file handed to rotAccQuads (see seedQuadLanes).
 	var ph [10]float64
 	for t0 := 0; t0 < nt; t0 += block {
-		t1 := t0 + block
-		if t1 > nt {
-			t1 = nt
+		t1 := min(t0+block, nt)
+		bn := t1 - t0
+		arg := growF(&ts.sArg, stride*bn)
+		asn := growF(&ts.sSin, stride*bn)
+		acs := growF(&ts.sCos, stride*bn)
+		var phv []float64
+		if blocked {
+			phv = growF(&ts.b64.phv, 10*bn)
 		}
-		arg := growF(&ts.sArg, stride*(t1-t0))
-		asn := growF(&ts.sSin, stride*(t1-t0))
-		acs := growF(&ts.sCos, stride*(t1-t0))
 		for i := pix0; i < pix1; i++ {
 			l, m, n := k.l[i], k.m[i], k.n[i]
 			phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
 			a := vacc[32*(i-pix0) : 32*(i-pix0)+32]
+			if blocked {
+				for r, c3 := range uvw[t0:t1] {
+					phaseIndex := c3.U*l + c3.V*m + c3.W*n
+					arg[r] = phaseIndex*scale0 - phaseOffset
+					arg[bn+r] = phaseIndex * k.dscale
+				}
+				k.sincosVec(asn, acs, arg)
+				ng := bn / 4
+				if ng > 0 {
+					seedQuadsBlk(&phv[0], &asn[0], &acs[0], &asn[bn], &acs[bn], ng)
+				}
+				for r := 4 * ng; r < bn; r++ {
+					seedQuadLanes((*[10]float64)(phv[10*r:]), asn[r], acs[r], asn[bn+r], acs[bn+r])
+				}
+				jj := t0 * nc
+				rotAccQuadsBlk(&a[0],
+					&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
+					&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
+					nq, &phv[0], bn)
+				continue
+			}
 			for t := t0; t < t1; t++ {
 				c3 := uvw[t]
 				phaseIndex := c3.U*l + c3.V*m + c3.W*n
@@ -105,63 +251,106 @@ func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, 
 			for t := t0; t < t1; t++ {
 				o := stride * (t - t0)
 				ds, dc := asn[o+seeds], acs[o+seeds]
-				ds2, dc2 := 2*ds*dc, dc*dc-ds*ds
-				ph[8], ph[9] = 2*ds2*dc2, dc2*dc2-ds2*ds2
 				j := t * nc
 				for ci, q0 := 0, 0; q0 < nq; ci, q0 = ci+1, q0+chunkQuads {
-					qn := nq - q0
-					if qn > chunkQuads {
-						qn = chunkQuads
-					}
-					sv, cv := asn[o+ci], acs[o+ci]
-					ph[0], ph[4] = sv, cv
-					s1, c1 := sv*dc+cv*ds, cv*dc-sv*ds
-					ph[1], ph[5] = s1, c1
-					s2, c2 := s1*dc+c1*ds, c1*dc-s1*ds
-					ph[2], ph[6] = s2, c2
-					ph[3], ph[7] = s2*dc+c2*ds, c2*dc-s2*ds
+					seedQuadLanes(&ph, asn[o+ci], acs[o+ci], ds, dc)
 					jj := j + 4*q0
 					rotAccQuads(&a[0],
 						&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 						&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-						qn, &ph[0])
+						min(nq-q0, chunkQuads), &ph[0])
 				}
 				if tail0 < nc {
 					sv, cv := asn[o+seeds-1], acs[o+seeds-1]
 					for c := tail0; c < nc; c++ {
-						jj := j + c
-						vr, vi := re[0][jj], im[0][jj]
-						a[0] += vr*cv - vi*sv
-						a[4] += vr*sv + vi*cv
-						vr, vi = re[1][jj], im[1][jj]
-						a[8] += vr*cv - vi*sv
-						a[12] += vr*sv + vi*cv
-						vr, vi = re[2][jj], im[2][jj]
-						a[16] += vr*cv - vi*sv
-						a[20] += vr*sv + vi*cv
-						vr, vi = re[3][jj], im[3][jj]
-						a[24] += vr*cv - vi*sv
-						a[28] += vr*sv + vi*cv
+						accLane0(a, &re, &im, j+c, sv, cv)
 						sv, cv = sv*dc+cv*ds, cv*dc-sv*ds
 					}
 				}
 			}
 		}
 	}
-	for i := pix0; i < pix1; i++ {
-		v := vacc[32*(i-pix0) : 32*(i-pix0)+32]
-		// Lane fold (l0+l2)+(l1+l3), matching the in-register reduce of
-		// conjAccQuads; any fixed order preserves decomposition
-		// independence, since the lanes themselves are.
-		var q [8]float64
-		for p := 0; p < 8; p++ {
-			q[p] = (v[4*p] + v[4*p+2]) + (v[4*p+1] + v[4*p+3])
+}
+
+// gridLanesDirect fills the accumulator lanes of the pixels
+// [pix0, pix1) with one evaluated phasor per visibility sample: the
+// form for every item vecRecurrence turns down (non-uniform channels,
+// DisablePhasorRecurrence, channel counts where it is faster). The
+// item's samples are one flattened stream j = t*nc + c, contiguous in
+// the planar block. Per (pixel group, visibility block) the phase
+// arguments of the block's samples are staged for several pixels at
+// once (directBatchArgs), evaluated by one Kernels.sincosVec call, and
+// reduced by one accQuadsPix sweep that never looks at time-step or
+// channel boundaries.
+//
+// Sample j accumulates into lane j mod 4, in increasing j, whatever
+// the decomposition: visibility blocks are rounded up to a whole
+// number of sample quads, so every block but the last starts and ends
+// on a quad boundary, and the item's last nt*nc mod 4 samples go
+// scalar into lane 0 at the end of the last block. SincosVec is
+// independent of batch composition, so neither the pixel grouping nor
+// the tile shape can reach the result. The phase argument is the
+// reference kernel's expression, so this form carries no recurrence
+// drift at all.
+func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float64, pix0, pix1 int) {
+	nt, nc := item.NrTimesteps, item.NrChannels
+	re, im := visPlanes[float64](sb, nt*nc)
+	uOff, vOff := k.uvOffset(item.X0, item.Y0)
+	wOff := item.WOffset
+	scale := k.scale[item.Channel0 : item.Channel0+nc]
+	// Time steps per whole number of sample quads: 4/gcd(nc, 4).
+	quadSteps := 4
+	switch {
+	case nc%4 == 0:
+		quadSteps = 1
+	case nc%2 == 0:
+		quadSteps = 2
+	}
+	block := (k.visBlockSteps(nt, nc) + quadSteps - 1) / quadSteps * quadSteps
+	for t0 := 0; t0 < nt; t0 += block {
+		t1 := min(t0+block, nt)
+		n := (t1 - t0) * nc
+		nq := n / 4
+		j0 := t0 * nc
+		// Whole pixel quads, so all but a tile's last few pixels stage
+		// through stageArgsQuad.
+		group := (max(directBatchArgs/n, 1) + 3) &^ 3
+		arg := growF(&ts.sArg, group*n)
+		asn := growF(&ts.sSin, group*n)
+		acs := growF(&ts.sCos, group*n)
+		for i := pix0; i < pix1; i += group {
+			g := min(group, pix1-i)
+			g4 := g &^ 3
+			for p := 0; p < g4; p += 4 {
+				stageArgsQuad(&arg[p*n], 8*n, &k.l[i+p], &k.m[i+p], &k.n[i+p],
+					&uvw[t0].U, t1-t0, &scale[0], nc, uOff, vOff, wOff)
+			}
+			o := g4 * n
+			for p := i + g4; p < i+g; p++ {
+				l, m, nn := k.l[p], k.m[p], k.n[p]
+				phaseOffset := twoPi * (uOff*l + vOff*m + wOff*nn)
+				for _, c3 := range uvw[t0:t1] {
+					phaseIndex := c3.U*l + c3.V*m + c3.W*nn
+					for _, sc := range scale {
+						arg[o] = phaseIndex*sc - phaseOffset
+						o++
+					}
+				}
+			}
+			k.sincosVec(asn[:o], acs[:o], arg[:o])
+			a := vacc[32*(i-pix0) : 32*(i+g-pix0)]
+			if nq > 0 {
+				accQuadsPix(&a[0],
+					&re[0][j0], &im[0][j0], &re[1][j0], &im[1][j0],
+					&re[2][j0], &im[2][j0], &re[3][j0], &im[3][j0],
+					&asn[0], &acs[0], nq, g, 8*n)
+			}
+			for p := 0; p < g; p++ {
+				for j := 4 * nq; j < n; j++ {
+					accLane0(a[32*p:32*p+32], &re, &im, j0+j, asn[p*n+j], acs[p*n+j])
+				}
+			}
 		}
-		sum := xmath.Matrix2{
-			complex(q[0], q[1]), complex(q[2], q[3]),
-			complex(q[4], q[5]), complex(q[6], q[7]),
-		}
-		k.storePixel(out, i, sum, atermP, atermQ)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -106,55 +107,90 @@ func float32GridBound(n int, maxAmp, phaseBound float64) float64 {
 	return 2*math.Sqrt2*float64(n)*maxAmp*drift + 4*xmath.Float32AccumBound(n, sumAbs)
 }
 
+// nonUniformComb is a five-channel comb with unequal spacing: no
+// recurrence, every kernel takes its direct-phasor form.
+var nonUniformComb = []float64{150e6, 150.3e6, 150.9e6, 151.0e6, 152.2e6}
+
+// tilingShapes are the work-item shapes the decomposition tests sweep:
+// the paper's blocked-recurrence shape, then the direct-phasor shapes —
+// the sparse workload's 8 x 2, a non-uniform comb whose 35 samples
+// leave a three-sample tail, and a single channel whose nine samples
+// straddle quads in every block — and the per-step recurrence with a
+// channel tail and with a second resync chunk.
+type tilingShape struct {
+	nt, nc int
+	freqs  []float64 // nil: tilingKernels' uniform comb
+}
+
+var tilingShapes = []tilingShape{
+	{12, 16, nil},
+	{8, 2, nil},
+	{7, 5, nonUniformComb},
+	{9, 1, nil},
+	{5, 37, nil},
+	{3, 70, nil},
+}
+
 // TestGridderDecompositionInvariance: for a fixed precision and code
 // path, the gridder result must be numerically identical for EVERY
 // pixel-tile height and visibility-block size, including degenerate
 // ones — the per-pixel accumulation order is decomposition-invariant
 // by construction.
 func TestGridderDecompositionInvariance(t *testing.T) {
-	const sg, nt, nc = 8, 12, 16
-	item, uvw, vis, _ := tilingItem(51, nt, nc)
-	for _, tc := range []struct {
-		name string
-		mod  func(*Params)
-	}{
-		{"Float64", nil},
-		{"Float64NoVec", forceTier(xmath.SIMDScalar)},
-		{"Float32", func(p *Params) { p.Precision = Float32 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := tilingKernels(t, sg, nc, tc.mod)
-			want := grid.NewSubgrid(sg, item.X0, item.Y0)
-			base.GridSubgrid(item, uvw, vis, nil, nil, want)
-			variants := []func(*Params){}
-			for tr := 1; tr <= sg+3; tr++ {
-				tr := tr
-				variants = append(variants, func(p *Params) { p.PixelTileRows = tr })
-			}
-			for _, bl := range []int{1, 3, 5, nt, nt + 7} {
-				bl := bl
-				variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
-			}
-			variants = append(variants,
-				// One whole-subgrid tile, one whole-item block: no tiling,
-				// no blocking.
-				func(p *Params) { p.PixelTileRows = sg; p.VisBlockTimesteps = nt },
-				func(p *Params) { p.PixelTileRows = 1; p.VisBlockTimesteps = 1 },
-			)
-			for vi, v := range variants {
-				k := tilingKernels(t, sg, nc, func(p *Params) {
-					if tc.mod != nil {
-						tc.mod(p)
-					}
-					v(p)
-				})
-				got := grid.NewSubgrid(sg, item.X0, item.Y0)
-				k.GridSubgrid(item, uvw, vis, nil, nil, got)
-				if !subgridsEqual(want, got) {
-					t.Fatalf("variant %d: gridder result depends on the tile/block decomposition", vi)
+	const sg = 8
+	for _, shape := range tilingShapes {
+		nt, nc := shape.nt, shape.nc
+		item, uvw, vis, _ := tilingItem(51, nt, nc)
+		for _, tc := range []struct {
+			name string
+			mod  func(*Params)
+		}{
+			{"Float64", nil},
+			{"Float64NoVec", forceTier(xmath.SIMDScalar)},
+			{"Float32", func(p *Params) { p.Precision = Float32 }},
+		} {
+			t.Run(fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc), func(t *testing.T) {
+				kernels := func(v func(*Params)) *Kernels {
+					return tilingKernels(t, sg, nc, func(p *Params) {
+						if shape.freqs != nil {
+							p.Frequencies = shape.freqs
+						}
+						if tc.mod != nil {
+							tc.mod(p)
+						}
+						if v != nil {
+							v(p)
+						}
+					})
 				}
-			}
-		})
+				want := grid.NewSubgrid(sg, item.X0, item.Y0)
+				kernels(nil).GridSubgrid(item, uvw, vis, nil, nil, want)
+				variants := []func(*Params){}
+				for tr := 1; tr <= sg+3; tr++ {
+					tr := tr
+					variants = append(variants, func(p *Params) { p.PixelTileRows = tr })
+				}
+				for _, bl := range []int{1, 3, 5, nt, nt + 7} {
+					bl := bl
+					variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
+				}
+				// Tile heights x block sizes, from one pixel row and one time
+				// step up to no tiling and no blocking.
+				for _, tr := range []int{1, 3, sg} {
+					for _, bl := range []int{1, 3, nt} {
+						tr, bl := tr, bl
+						variants = append(variants, func(p *Params) { p.PixelTileRows = tr; p.VisBlockTimesteps = bl })
+					}
+				}
+				for vi, v := range variants {
+					got := grid.NewSubgrid(sg, item.X0, item.Y0)
+					kernels(v).GridSubgrid(item, uvw, vis, nil, nil, got)
+					if !subgridsEqual(want, got) {
+						t.Fatalf("variant %d: gridder result depends on the tile/block decomposition", vi)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -266,49 +302,56 @@ func TestDegridderSerialParallelBitwise(t *testing.T) {
 // result exactly. Run under -race in CI, this also proves the tile
 // fan-out and scratch handoff are data-race free.
 func TestKernelsConcurrentDeterminism(t *testing.T) {
-	const sg, nt, nc = 10, 8, 8
-	item, uvw, vis, _ := tilingItem(67, nt, nc)
-	in, _ := randomSubgrid(sg, item, 69)
-	mod := func(workers int) func(*Params) {
-		return func(p *Params) {
-			p.PixelTileRows = 2
-			p.Workers = workers
-		}
-	}
-	serial := tilingKernels(t, sg, nc, mod(1))
-	parallel := tilingKernels(t, sg, nc, mod(8))
-	wantGrid := grid.NewSubgrid(sg, item.X0, item.Y0)
-	serial.GridSubgrid(item, uvw, vis, nil, nil, wantGrid)
-	wantVis := make([]xmath.Matrix2, nt*nc)
-	serial.DegridSubgrid(item, in, uvw, nil, nil, wantVis)
-
-	const goroutines, rounds = 4, 3
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				out := grid.NewSubgrid(sg, item.X0, item.Y0)
-				parallel.GridSubgrid(item, uvw, vis, nil, nil, out)
-				if !subgridsEqual(wantGrid, out) {
-					errs <- "concurrent gridder result differs"
-					return
+	const sg = 10
+	shapes := append([]tilingShape{{8, 8, nil}}, tilingShapes[1:]...)
+	for _, shape := range shapes {
+		nt, nc := shape.nt, shape.nc
+		item, uvw, vis, _ := tilingItem(67, nt, nc)
+		in, _ := randomSubgrid(sg, item, 69)
+		mod := func(workers int) func(*Params) {
+			return func(p *Params) {
+				if shape.freqs != nil {
+					p.Frequencies = shape.freqs
 				}
-				pv := make([]xmath.Matrix2, nt*nc)
-				parallel.DegridSubgrid(item, in, uvw, nil, nil, pv)
-				if !visEqual(wantVis, pv) {
-					errs <- "concurrent degridder result differs"
-					return
-				}
+				p.PixelTileRows = 2
+				p.Workers = workers
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
+		}
+		serial := tilingKernels(t, sg, nc, mod(1))
+		parallel := tilingKernels(t, sg, nc, mod(8))
+		wantGrid := grid.NewSubgrid(sg, item.X0, item.Y0)
+		serial.GridSubgrid(item, uvw, vis, nil, nil, wantGrid)
+		wantVis := make([]xmath.Matrix2, nt*nc)
+		serial.DegridSubgrid(item, in, uvw, nil, nil, wantVis)
+
+		const goroutines, rounds = 4, 3
+		var wg sync.WaitGroup
+		errs := make(chan string, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					out := grid.NewSubgrid(sg, item.X0, item.Y0)
+					parallel.GridSubgrid(item, uvw, vis, nil, nil, out)
+					if !subgridsEqual(wantGrid, out) {
+						errs <- "concurrent gridder result differs"
+						return
+					}
+					pv := make([]xmath.Matrix2, nt*nc)
+					parallel.DegridSubgrid(item, in, uvw, nil, nil, pv)
+					if !visEqual(wantVis, pv) {
+						errs <- "concurrent degridder result differs"
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Fatalf("nt=%d nc=%d: %s", nt, nc, msg)
+		}
 	}
 }
 
@@ -353,37 +396,42 @@ func TestFlaggedVisibilitiesExactZero(t *testing.T) {
 // TestVectorKernelsMatchScalar pins the hand-vectorized float64 path
 // against the generic one: both apply the same resync cadence, so they
 // agree to within twice the recurrence bound (each side's drift) on
-// hardware where the vector kernels run at all.
+// hardware where the vector kernels run at all. The channel counts
+// take the gridder through its time-blocked recurrence (16), its
+// per-step recurrence with a one-channel tail (37) and with a second
+// resync chunk plus a tail (70), and direct phasors (21).
 func TestVectorKernelsMatchScalar(t *testing.T) {
 	if dispatchFor(xmath.ActiveSIMD()).gridVec64 == nil {
 		t.Skip("vector kernels unavailable on this CPU")
 	}
-	const sg, nt, nc = 16, 10, 21 // nc with a 1-channel tail
-	item, uvw, vis, maxAmp := tilingItem(73, nt, nc)
-	in, pixAmp := randomSubgrid(sg, item, 79)
-	vecK := tilingKernels(t, sg, nc, nil)
-	scalK := tilingKernels(t, sg, nc, forceTier(xmath.SIMDScalar))
-	phaseBound := recurrencePhaseBound(vecK, item, uvw)
+	const sg, nt = 16, 10
+	for _, nc := range []int{16, 21, 37, 70} {
+		item, uvw, vis, maxAmp := tilingItem(73, nt, nc)
+		in, pixAmp := randomSubgrid(sg, item, 79)
+		vecK := tilingKernels(t, sg, nc, nil)
+		scalK := tilingKernels(t, sg, nc, forceTier(xmath.SIMDScalar))
+		phaseBound := recurrencePhaseBound(vecK, item, uvw)
 
-	a := grid.NewSubgrid(sg, item.X0, item.Y0)
-	b := grid.NewSubgrid(sg, item.X0, item.Y0)
-	vecK.GridSubgrid(item, uvw, vis, nil, nil, a)
-	scalK.GridSubgrid(item, uvw, vis, nil, nil, b)
-	tol := 2 * 2 * math.Sqrt2 * float64(nt*nc) * maxAmp * phaseBound
-	if d := a.MaxAbsDiff(b); d > tol {
-		t.Fatalf("vector gridder differs from scalar by %g (bound %g)", d, tol)
-	}
+		a := grid.NewSubgrid(sg, item.X0, item.Y0)
+		b := grid.NewSubgrid(sg, item.X0, item.Y0)
+		vecK.GridSubgrid(item, uvw, vis, nil, nil, a)
+		scalK.GridSubgrid(item, uvw, vis, nil, nil, b)
+		tol := 2 * 2 * math.Sqrt2 * float64(nt*nc) * maxAmp * phaseBound
+		if d := a.MaxAbsDiff(b); d > tol {
+			t.Fatalf("nc=%d: vector gridder differs from scalar by %g (bound %g)", nc, d, tol)
+		}
 
-	va := make([]xmath.Matrix2, nt*nc)
-	vb := make([]xmath.Matrix2, nt*nc)
-	vecK.DegridSubgrid(item, in, uvw, nil, nil, va)
-	scalK.DegridSubgrid(item, in, uvw, nil, nil, vb)
-	npix := sg * sg
-	tol = 2 * 2 * math.Sqrt2 * float64(npix) * pixAmp * phaseBound
-	for i := range va {
-		for p := 0; p < 4; p++ {
-			if d := cmplx.Abs(va[i][p] - vb[i][p]); d > tol {
-				t.Fatalf("vector degridder differs from scalar by %g at vis %d (bound %g)", d, i, tol)
+		va := make([]xmath.Matrix2, nt*nc)
+		vb := make([]xmath.Matrix2, nt*nc)
+		vecK.DegridSubgrid(item, in, uvw, nil, nil, va)
+		scalK.DegridSubgrid(item, in, uvw, nil, nil, vb)
+		npix := sg * sg
+		tol = 2 * 2 * math.Sqrt2 * float64(npix) * pixAmp * phaseBound
+		for i := range va {
+			for p := 0; p < 4; p++ {
+				if d := cmplx.Abs(va[i][p] - vb[i][p]); d > tol {
+					t.Fatalf("nc=%d: vector degridder differs from scalar by %g at vis %d (bound %g)", nc, d, i, tol)
+				}
 			}
 		}
 	}

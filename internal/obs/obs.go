@@ -97,6 +97,13 @@ const (
 	// MetricKernelPathVector32 counts invocations of the hand-vectorized
 	// AVX2 float32 tile kernels (8 lanes).
 	MetricKernelPathVector32 = "kernel_path_vector_float32_total"
+	// MetricGridEpilogueNs sums the busy time (nanoseconds, over all
+	// tile workers) the gridder tiles spend after the visibility loop:
+	// lane fold, A-term sandwich, taper and pixel store. Its share of
+	// the gridder's item time (HistItemSeconds sum of a gridding pass) is
+	// the per-subgrid fixed cost of the kernel. The float32 vector tile
+	// does not report it.
+	MetricGridEpilogueNs = "grid_epilogue_ns_total"
 	// MetricShardLocks counts shard-lock acquisitions by the sharded
 	// adder and splitter (one per subgrid x shard overlap).
 	MetricShardLocks = "grid_shard_locks_total"

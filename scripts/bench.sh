@@ -1,9 +1,12 @@
 #!/bin/sh
 # Kernel/pipeline benchmark runner: measures the gridder and degridder
-# kernels (both precisions) and the full warm pipeline passes with
-# allocation tracking, and writes the machine-readable
-# BENCH_kernels.json (ns/op, allocs/op, visibilities/sec; see
-# cmd/benchjson) for diffing against BENCH_kernels_seed.json.
+# kernels (both precisions, plus the gridder's short-item regime) and
+# the full warm pipeline passes with allocation tracking, and writes
+# the machine-readable BENCH_kernels.json (ns/op, allocs/op,
+# visibilities/sec; see cmd/benchjson) for diffing against
+# BENCH_kernels_seed.json. The committed file is measured on one core
+# (GOMAXPROCS=1 scripts/bench.sh), which is what keeps the kernel rows
+# at 0 allocs/op: with more, GridSubgrid fans its pixel tiles out.
 #
 # Usage:
 #   scripts/bench.sh          # full run, rewrites BENCH_kernels.json
@@ -25,7 +28,7 @@ if [ "${1:-}" = "-distrib" ]; then
     exit 0
 fi
 
-bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$'
+bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$'
 out="${BENCH_OUT:-BENCH_kernels.json}"
 # The full pipeline passes take ~0.5 s per iteration; give them a few
 # iterations so the committed numbers aren't single-sample noise.

@@ -59,15 +59,19 @@ scripts/bench.sh -short
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload all -smoke
 
-# Performance regression gate: briefly re-measure the four kernel
-# benchmarks (both precisions) plus the two FFT-stage benchmarks and
+# Performance regression gate: briefly re-measure the five kernel
+# benchmarks (both precisions, and the gridder's short-item regime)
+# plus the two FFT-stage benchmarks and
 # compare their throughput against BENCH_kernels.json; a slowdown
 # beyond BENCH_THRESHOLD percent (default 10) fails CI. The float32
 # kernels are in the gate because they are the SIMD dispatch layer's
 # reason to exist: losing the vector path (a dispatch regression)
-# roughly halves their MVis/s, far beyond any threshold. The FFT
-# benchmarks guard the radix-4 engine the same way: falling back to
-# the seed per-plane path is a >3x slowdown on the subgrid stage.
+# roughly halves their MVis/s, far beyond any threshold. The
+# short-item gridder benchmark guards the direct-phasor tile the same
+# way: an item shape that falls back to the generic scalar tile loses
+# more than half of its MVis/s. The FFT benchmarks guard the radix-4
+# engine the same way: falling back to the seed per-plane path is a
+# >3x slowdown on the subgrid stage.
 # -allow-missing because this is a deliberate subset run: the
 # baseline holds the full bench.sh set, CI re-measures only the
 # kernels. -count 3 because benchjson gates on the best duplicate
@@ -75,7 +79,7 @@ bash benchmark/run.sh -workload all -smoke
 # noise, not regressions.
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$' -benchtime 1s -count 3 . |
+go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$' -benchtime 1s -count 3 . |
     go run ./cmd/benchjson > "$out"
 go run ./cmd/benchjson -compare -allow-missing -threshold "${BENCH_THRESHOLD:-10}" BENCH_kernels.json "$out"
 # Distributed scalability gate: re-measure the 1/2/4/8-worker
