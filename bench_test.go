@@ -298,13 +298,7 @@ func benchGridderKernelATerms(b *testing.B, n, nt, nc int, prec Precision, aterm
 	}
 	var atermP, atermQ []xmath.Matrix2
 	if aterms {
-		atermP = make([]xmath.Matrix2, n*n)
-		atermQ = make([]xmath.Matrix2, n*n)
-		for i := range atermP {
-			g := complex(1-0.3*float64(i)/float64(n*n), 0.1*rnd())
-			atermP[i] = xmath.Matrix2{g, 0.02, -0.02, g}
-			atermQ[i] = xmath.Matrix2{g, -0.01, 0.01, g}
-		}
+		atermP, atermQ = benchJones(n, rnd)
 	}
 	out := grid.NewSubgrid(n, item.X0, item.Y0)
 	// Warm-up call: fills the scratch pool so the timed iterations
@@ -318,9 +312,29 @@ func benchGridderKernelATerms(b *testing.B, n, nt, nc int, prec Precision, aterm
 	b.ReportMetric(float64(b.N)*visPerCall/b.Elapsed().Seconds()/1e6, "MVis/s")
 }
 
+// benchJones returns a smooth non-identity Jones field for two
+// stations over an n-pixel subgrid.
+func benchJones(n int, rnd func() float64) (atermP, atermQ []xmath.Matrix2) {
+	atermP = make([]xmath.Matrix2, n*n)
+	atermQ = make([]xmath.Matrix2, n*n)
+	for i := range atermP {
+		g := complex(1-0.3*float64(i)/float64(n*n), 0.1*rnd())
+		atermP[i] = xmath.Matrix2{g, 0.02, -0.02, g}
+		atermQ[i] = xmath.Matrix2{g, -0.01, 0.01, g}
+	}
+	return atermP, atermQ
+}
+
 func benchDegridderKernelPrec(b *testing.B, prec Precision) {
 	b.Helper()
-	const n, nt, nc = 24, 128, 16
+	benchDegridderKernelATerms(b, 24, 128, 16, prec, false)
+}
+
+// benchDegridderKernelATerms measures the degridder kernel in MVis/s for
+// one work item of nt x nc visibilities on an n-pixel subgrid, with
+// optional per-pixel A-terms (benchJones) for the kernel's prologue.
+func benchDegridderKernelATerms(b *testing.B, n, nt, nc int, prec Precision, aterms bool) {
+	b.Helper()
 	freqs := make([]float64, nc)
 	for i := range freqs {
 		freqs[i] = 150e6 + float64(i)*200e3
@@ -344,11 +358,15 @@ func benchDegridderKernelPrec(b *testing.B, prec Precision) {
 			in.Data[c][i] = complex(rnd(), rnd())
 		}
 	}
+	var atermP, atermQ []xmath.Matrix2
+	if aterms {
+		atermP, atermQ = benchJones(n, rnd)
+	}
 	vis := make([]xmath.Matrix2, nt*nc)
-	k.DegridSubgrid(item, in, uvw, nil, nil, vis) // warm up scratch pool
+	k.DegridSubgrid(item, in, uvw, atermP, atermQ, vis) // warm up scratch pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.DegridSubgrid(item, in, uvw, nil, nil, vis)
+		k.DegridSubgrid(item, in, uvw, atermP, atermQ, vis)
 	}
 	b.ReportMetric(float64(b.N)*float64(nt*nc)/b.Elapsed().Seconds()/1e6, "MVis/s")
 }
@@ -378,6 +396,14 @@ func BenchmarkDegridderKernel(b *testing.B) {
 
 func BenchmarkDegridderKernelFloat32(b *testing.B) {
 	benchDegridderKernelPrec(b, Float32)
+}
+
+// BenchmarkDegridderKernelShortItems is the mirror of
+// BenchmarkGridderKernelShortItems: the sparse workload's item shape
+// with per-pixel A-terms, where the prologue (A-term sandwich, taper,
+// plane split) weighs as much as the 16-visibility loop.
+func BenchmarkDegridderKernelShortItems(b *testing.B) {
+	benchDegridderKernelATerms(b, 24, 8, 2, Float64, true)
 }
 
 func BenchmarkFullGriddingPass(b *testing.B) {

@@ -162,12 +162,14 @@ func runMeasured(scale float64) {
 	}
 }
 
-// runShortItems grids the short-item regime — two channels, at most
-// eight time steps per subgrid, Gaussian-beam A-terms: 16 visibilities
-// per work item, the shape of the benchmark's sparse workload — and
-// prints its throughput next to what the kernels' own counters say is
-// left inside the gridder: the tile epilogue (lane fold, A-term
-// sandwich, taper) as a share of the items' busy time.
+// runShortItems grids and degrids the short-item regime — two channels,
+// at most eight time steps per subgrid, Gaussian-beam A-terms: 16
+// visibilities per work item, the shape of the benchmark's sparse
+// workload — and prints its throughput next to what the kernels' own
+// counters say the per-subgrid fixed cost is: the gridder's tile
+// epilogue (lane fold, A-term sandwich, taper) and the degridder's
+// prologue (its mirror) as shares of the items' busy time, and the
+// subgrid FFT stage per four-plane subgrid transform.
 func runShortItems(steps int) {
 	cfg := repro.DefaultObservation()
 	cfg.NrStations, cfg.NrTimesteps, cfg.NrChannels = 24, steps, 2
@@ -184,16 +186,27 @@ func runShortItems(steps int) {
 	if err := o.FillFromModel(repro.SkyModel{{L: 40 * pix, M: -24 * pix, I: 1}}); err != nil {
 		fatal(err)
 	}
-	_, times, err := o.GridAll(context.Background(), repro.GaussianBeamATerms(0.5, 0.01))
+	beam := repro.GaussianBeamATerms(0.5, 0.01)
+	g, gridTimes, err := o.GridAll(context.Background(), beam)
 	if err != nil {
 		fatal(err)
 	}
-	st := o.Plan.Stats()
+	gridSnap := observer.Metrics.Snapshot()
+	degridTimes, err := o.DegridAll(context.Background(), beam, g)
+	if err != nil {
+		fatal(err)
+	}
 	snap := observer.Metrics.Snapshot()
-	epilogue := float64(snap.Counters[idgobs.MetricGridEpilogueNs]) / 1e9
-	busy := snap.Histograms[idgobs.HistItemSeconds].Sum
-	fmt.Printf("short items: %6.2f MVis/s gridding (%d items of %.0f vis, gridder stage %.2fs); tile epilogue %.0f%% of the gridder's busy time\n",
-		float64(st.NrGriddedVisibilities)/times.Total().Seconds()/1e6,
+	st := o.Plan.Stats()
+	mvis := func(t repro.StageTimes) float64 {
+		return float64(st.NrGriddedVisibilities) / t.Total().Seconds() / 1e6
+	}
+	gridBusy := gridSnap.Histograms[idgobs.HistItemSeconds].Sum
+	degridBusy := snap.Histograms[idgobs.HistItemSeconds].Sum - gridBusy
+	fmt.Printf("short items: %6.2f MVis/s gridding, %.2f degridding (%d items of %.0f vis); tile epilogue %.0f%% of the gridder's busy time, prologue %.0f%% of the degridder's; subgrid FFT %.1f us per transform\n",
+		mvis(gridTimes), mvis(degridTimes),
 		len(o.Plan.Items), float64(st.NrGriddedVisibilities)/float64(len(o.Plan.Items)),
-		times.Gridder.Seconds(), 100*epilogue/busy)
+		100*float64(snap.Counters[idgobs.MetricGridEpilogueNs])/1e9/gridBusy,
+		100*float64(snap.Counters[idgobs.MetricDegridPrologueNs])/1e9/degridBusy,
+		float64(snap.Counters[idgobs.StageNsMetric(idgobs.StageFFT)])/1e3/float64(snap.Counters[idgobs.MetricFFTSubgrids]))
 }

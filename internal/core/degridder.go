@@ -130,27 +130,20 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 	npix := sg * sg
 	nt, nc := item.NrTimesteps, item.NrChannels
 
-	// Apply taper and A-terms once; split planes (the degridder's
-	// analogue of the gridder's transposition step). The planar block
-	// and phase-offset table are shared read-only by all tiles.
+	// Apply taper and A-terms once; split planes (degridPrologue, the
+	// degridder's analogue of the gridder's transposition step). The
+	// planar block and phase-offset table are shared read-only by all
+	// tiles.
 	b := bufsOf[F](s)
-	backing := grow(&b.planar, 8*npix)
-	var pre, pim [4][]F
-	for p := 0; p < 4; p++ {
-		pre[p] = backing[(2*p)*npix : (2*p+1)*npix]
-		pim[p] = backing[(2*p+1)*npix : (2*p+2)*npix]
-	}
+	start := k.ob.now()
+	degridPrologue(k, in, atermP, atermQ, s, grow(&b.planar, 8*npix))
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
 	pOff := growF(&s.pOff, npix)
-	for i := 0; i < npix; i++ {
-		px := k.correctedPixel(in, i, atermP, atermQ)
-		pre[0][i], pim[0][i] = F(real(px[0])), F(imag(px[0]))
-		pre[1][i], pim[1][i] = F(real(px[1])), F(imag(px[1]))
-		pre[2][i], pim[2][i] = F(real(px[2])), F(imag(px[2]))
-		pre[3][i], pim[3][i] = F(real(px[3])), F(imag(px[3]))
+	for i := range pOff {
 		pOff[i] = twoPi * (uOff*k.l[i] + vOff*k.m[i] + wOff*k.n[i])
 	}
+	k.ob.prologueDone(start)
 
 	vsum := grow(&b.vsum, 8*nt*nc)
 	tr := k.tileRows(sg)

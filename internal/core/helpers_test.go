@@ -31,6 +31,7 @@ type scenarioConfig struct {
 	atermInterval         int
 	sources               int
 	wstep                 float64
+	precision             Precision
 }
 
 func defaultScenarioConfig() scenarioConfig {
@@ -83,6 +84,7 @@ func buildScenario(tb testing.TB, sc scenarioConfig) *scenario {
 		SubgridSize: sc.subgridSize,
 		ImageSize:   imageSize,
 		Frequencies: freqs,
+		Precision:   sc.precision,
 	})
 	if err != nil {
 		tb.Fatal(err)

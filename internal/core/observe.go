@@ -31,6 +31,7 @@ type kernelObs struct {
 	itemSeconds           *obs.Histogram
 	stageNs               map[obs.Stage]*obs.Counter
 	gridEpilogueNs        *obs.Counter
+	degridPrologueNs      *obs.Counter
 
 	// Kernel dispatch-path counters (which code path actually ran:
 	// essential when a perf number surprises).
@@ -91,6 +92,7 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.ckptRestores = r.Counter(obs.MetricCheckpointRestores)
 		ko.ckptSeconds, _ = r.Histogram(obs.HistCheckpointWriteSeconds, obs.DurationBuckets)
 		ko.gridEpilogueNs = r.Counter(obs.MetricGridEpilogueNs)
+		ko.degridPrologueNs = r.Counter(obs.MetricDegridPrologueNs)
 		ko.stageNs = make(map[obs.Stage]*obs.Counter)
 		for _, s := range []obs.Stage{obs.StageGrid, obs.StageDegrid, obs.StageFFT,
 			obs.StageAdd, obs.StageSplit, obs.StageShard, obs.StageWPlane, obs.StageCycle} {
@@ -220,6 +222,15 @@ func (ko *kernelObs) epilogueDone(start time.Time) {
 		return
 	}
 	ko.gridEpilogueNs.Add(time.Since(start).Nanoseconds())
+}
+
+// prologueDone is epilogueDone's mirror: one degridder item's prologue
+// (A-term sandwich, taper, plane split, phase offsets).
+func (ko *kernelObs) prologueDone(start time.Time) {
+	if ko == nil {
+		return
+	}
+	ko.degridPrologueNs.Add(time.Since(start).Nanoseconds())
 }
 
 // tileDone records one pixel-tile span of the intra-item fan-out.

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"unsafe"
+
+	"repro/internal/grid"
+	"repro/internal/xmath"
+)
+
+// Tests of the gridder epilogue and degridder prologue: the assembled
+// fold and sandwiches over canary-fenced exact-length buffers (see
+// kernels_asm_test.go), bitwise against their math.FMA transcriptions
+// and to rounding against the Matrix2 arithmetic of storePixel and
+// correctedPixel, with Jones maps that are neither Hermitian nor
+// diagonal — a transposed index or a missed conjugate shows up here,
+// not only in the benchmark's rms gate.
+
+func asComplex(b []float64) []complex128 {
+	return unsafe.Slice((*complex128)(unsafe.Pointer(&b[0])), len(b)/2)
+}
+
+func asJones(b []float64) []xmath.Matrix2 {
+	return unsafe.Slice((*xmath.Matrix2)(unsafe.Pointer(&b[0])), len(b)/8)
+}
+
+func TestFoldQuadLanesBoundsAndOrder(t *testing.T) {
+	skipWithoutVectorKernels(t)
+	for npix := 1; npix <= 25; npix++ {
+		what := fmt.Sprintf("foldQuadLanes npix=%d", npix)
+		c := &canaried{rnd: newTestRand(uint64(300 + npix))}
+		vacc, sums := c.buf(32*npix), c.buf(8*npix)
+		want := make([]float64, 8*npix)
+		for i := range want {
+			v := vacc[4*i : 4*i+4]
+			want[i] = (v[0] + v[2]) + (v[1] + v[3])
+		}
+		foldQuadLanes(&sums[0], &vacc[0], npix)
+		c.check(t, what)
+		requireBitwise(t, what, sums, want)
+	}
+}
+
+// sandwichTol is the rounding allowance between the FMA sandwiches and
+// the Matrix2 oracle for one pixel: 1e-14 of the product of the operand
+// norms (the terms that cancel in the result are of that size).
+func sandwichTol(s, p, q xmath.Matrix2, taper float64) float64 {
+	norm := func(m xmath.Matrix2) (n float64) {
+		for _, v := range m {
+			n += math.Hypot(real(v), imag(v))
+		}
+		return n
+	}
+	return 1e-14 * norm(s) * norm(p) * norm(q) * math.Abs(taper)
+}
+
+func TestGridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
+	skipWithoutVectorKernels(t)
+	for npix := 1; npix <= 25; npix++ {
+		what := fmt.Sprintf("gridSandwich npix=%d", npix)
+		c := &canaried{rnd: newTestRand(uint64(400 + npix))}
+		sums, taper := c.buf(8*npix), c.buf(npix)
+		p, q := asJones(c.buf(8*npix)), asJones(c.buf(8*npix))
+		var out [4][]complex128
+		for i := range out {
+			out[i] = asComplex(c.buf(2 * npix))
+		}
+		gridSandwich(&out, sums, p, q, taper)
+		c.check(t, what)
+		for i := 0; i < npix; i++ {
+			s := (*[8]float64)(sums[8*i:])
+			r := gridSandwichPixel(s, &p[i], &q[i], taper[i])
+			sm := xmath.Matrix2{complex(s[0], s[1]), complex(s[2], s[3]), complex(s[4], s[5]), complex(s[6], s[7])}
+			// The oracle: storePixel on a one-pixel subgrid.
+			ref := &grid.Subgrid{N: 1}
+			for cc := range ref.Data {
+				ref.Data[cc] = make([]complex128, 1)
+			}
+			(&Kernels{taper: taper[i : i+1]}).storePixel(ref, 0, sm, p[i:i+1], q[i:i+1])
+			for cc := range out {
+				got := out[cc][i]
+				if math.Float64bits(real(got)) != math.Float64bits(r[2*cc]) || math.Float64bits(imag(got)) != math.Float64bits(r[2*cc+1]) {
+					t.Fatalf("%s: pixel %d plane %d = %v, transcription gives (%v, %v)", what, i, cc, got, r[2*cc], r[2*cc+1])
+				}
+				if d := cAbs(got - ref.Data[cc][0]); d > sandwichTol(sm, p[i], q[i], taper[i]) {
+					t.Fatalf("%s: pixel %d plane %d = %v, storePixel gives %v (off by %g)", what, i, cc, got, ref.Data[cc][0], d)
+				}
+			}
+		}
+	}
+}
+
+func TestDegridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
+	skipWithoutVectorKernels(t)
+	for npix := 1; npix <= 25; npix++ {
+		what := fmt.Sprintf("degridSandwich npix=%d", npix)
+		c := &canaried{rnd: newTestRand(uint64(500 + npix))}
+		taper := c.buf(npix)
+		p, q := asJones(c.buf(8*npix)), asJones(c.buf(8*npix))
+		in := &grid.Subgrid{N: 1}
+		for i := range in.Data {
+			in.Data[i] = asComplex(c.buf(2 * npix))
+		}
+		planes := c.buf(8 * npix)
+		degridSandwich(planes, &in.Data, p, q, taper)
+		c.check(t, what)
+		kk := &Kernels{taper: taper}
+		for i := 0; i < npix; i++ {
+			sm := xmath.Matrix2{in.Data[0][i], in.Data[1][i], in.Data[2][i], in.Data[3][i]}
+			sv := parts(&sm)
+			r := degridSandwichPixel(&sv, &p[i], &q[i], taper[i])
+			ref := kk.correctedPixel(in, i, p, q)
+			for cc := 0; cc < 4; cc++ {
+				re, im := planes[2*cc*npix+i], planes[(2*cc+1)*npix+i]
+				if math.Float64bits(re) != math.Float64bits(r[2*cc]) || math.Float64bits(im) != math.Float64bits(r[2*cc+1]) {
+					t.Fatalf("%s: pixel %d plane %d = (%v, %v), transcription gives (%v, %v)", what, i, cc, re, im, r[2*cc], r[2*cc+1])
+				}
+				if d := cAbs(complex(re, im) - ref[cc]); d > sandwichTol(sm, p[i], q[i], taper[i]) {
+					t.Fatalf("%s: pixel %d plane %d = (%v, %v), correctedPixel gives %v (off by %g)", what, i, cc, re, im, ref[cc], d)
+				}
+			}
+		}
+	}
+}
+
+// randomJones fills per-pixel Jones maps with full random complex 2x2
+// matrices around the identity.
+func randomJones(seed uint64, npix int) (p, q []xmath.Matrix2) {
+	rnd := newTestRand(seed)
+	p, q = make([]xmath.Matrix2, npix), make([]xmath.Matrix2, npix)
+	for i := range p {
+		for j := 0; j < 4; j++ {
+			p[i][j] = complex(0.4*rnd(), 0.4*rnd())
+			q[i][j] = complex(0.4*rnd(), 0.4*rnd())
+		}
+		p[i][0], p[i][3] = p[i][0]+1, p[i][3]+1
+		q[i][0], q[i][3] = q[i][0]+1, q[i][3]+1
+	}
+	return p, q
+}
+
+// TestEpilogueAndPrologueAgainstOracleKernels: whole kernels on the
+// vector tiers against the scalar tier (storePixel / correctedPixel
+// around the same visibility loop family), with random Jones maps and
+// with nil maps, both precisions, on a subgrid whose tiles leave pixel
+// tails. The visibility loops differ between tiers by reassociation and
+// FMA, so the comparison is to the kernels' own rounding class, far
+// below what any mis-wired matrix element would produce.
+func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
+	skipWithoutVectorKernels(t)
+	const sg = 18
+	jp, jq := randomJones(75, sg*sg)
+	// 8 x 2 is the short-item shape (float64: direct phasors); 6 x 4 is
+	// the smallest the float32 vector gridder takes.
+	for _, shape := range [][2]int{{8, 2}, {6, 4}} {
+		nt, nc := shape[0], shape[1]
+		item, uvw, vis, _ := tilingItem(71, nt, nc)
+		in, _ := randomSubgrid(sg, item, 73)
+		for _, prec := range []Precision{Float64, Float32} {
+			tol := 1e-11
+			if prec == Float32 {
+				tol = 2e-4
+			}
+			for _, maps := range []string{"random-jones", "nil"} {
+				p, q := jp, jq
+				if maps == "nil" {
+					p, q = nil, nil
+				}
+				t.Run(fmt.Sprintf("%dx%d/%v/%s", nt, nc, prec, maps), func(t *testing.T) {
+					mod := func(tier xmath.SIMDTier) func(*Params) {
+						return func(pr *Params) {
+							pr.Precision = prec
+							pr.PixelTileRows = 1 // 18-pixel tiles: two tail pixels each
+							forceTier(tier)(pr)
+						}
+					}
+					vec := tilingKernels(t, sg, nc, mod(xmath.ActiveSIMD()))
+					ref := tilingKernels(t, sg, nc, mod(xmath.SIMDScalar))
+					got, want := grid.NewSubgrid(sg, item.X0, item.Y0), grid.NewSubgrid(sg, item.X0, item.Y0)
+					vec.GridSubgrid(item, uvw, vis, p, q, got)
+					ref.GridSubgrid(item, uvw, vis, p, q, want)
+					if d := got.MaxAbsDiff(want); d > tol*float64(nt*nc) {
+						t.Errorf("gridder: vector tile off the scalar tile by %g", d)
+					}
+					gv, wv := make([]xmath.Matrix2, nt*nc), make([]xmath.Matrix2, nt*nc)
+					vec.DegridSubgrid(item, in, uvw, p, q, gv)
+					ref.DegridSubgrid(item, in, uvw, p, q, wv)
+					for j := range gv {
+						for cc := range gv[j] {
+							if d := cAbs(gv[j][cc] - wv[j][cc]); d > tol*float64(sg*sg) {
+								t.Fatalf("degridder: visibility %d corr %d off the scalar tile by %g", j, cc, d)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOneBlockEqualsThreeBlocks: the direct-phasor sweep folds a pixel
+// group straight out of its group-sized accumulator block when one
+// visibility block covers the item, and out of the tile-sized block
+// after the last one otherwise. Same lanes, same fold: bitwise equal.
+func TestOneBlockEqualsThreeBlocks(t *testing.T) {
+	const sg, nt, nc = 18, 12, 2
+	item, uvw, vis, _ := tilingItem(81, nt, nc)
+	p, q := randomJones(83, sg*sg)
+	run := func(block int) *grid.Subgrid {
+		k := tilingKernels(t, sg, nc, func(pr *Params) { pr.VisBlockTimesteps = block })
+		out := grid.NewSubgrid(sg, item.X0, item.Y0)
+		k.GridSubgrid(item, uvw, vis, p, q, out)
+		return out
+	}
+	if one, three := run(nt), run(nt/3); !subgridsEqual(one, three) {
+		t.Fatal("a one-block and a three-block pass over the same samples differ")
+	}
+}

@@ -78,6 +78,11 @@ type scratch struct {
 	// both precisions, like the phase tables above.
 	sArg, sSin, sCos []float64
 
+	// sums holds the folded accumulators of a vector gridder tile, eight
+	// float64 per pixel (a Matrix2's components), between the lane fold
+	// and the A-term/taper sweep of gridEpilogue.
+	sums []float64
+
 	// sPhd stages the float32 vector gridder's phasor register blocks
 	// in float64 (seedOctLanes); whole blocks narrow into b32.phv with
 	// one xmath.CvtF64F32 sweep.

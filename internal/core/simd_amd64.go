@@ -118,3 +118,25 @@ func conjAccOcts(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *float3
 //
 //go:noescape
 func rotOcts(phRe, phIm, dRe, dIm *float32, no int)
+
+// foldQuadLanes reduces the float64 vector gridder's accumulator lanes
+// (32 doubles per pixel at vacc) to eight sums per pixel at sums, each
+// (l0+l2)+(l1+l3).
+//
+//go:noescape
+func foldQuadLanes(sums, vacc *float64, npix int)
+
+// gridSandwichQuads is the A-term half of the gridder tile epilogue for
+// 4*nq pixels: out_c[i] = taper[i] * (P[i]^H S[i] Q[i])_c, S[i] the
+// eight folded sums of pixel i. Bitwise equal to gridSandwichPixel.
+//
+//go:noescape
+func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *complex128, taper *float64, nq int)
+
+// degridSandwichQuads is the A-term half of the degridder prologue for
+// 4*nq pixels: taper[i] * (P[i] S[i] Q[i]^H), S[i] = (in0[i]..in3[i]),
+// written to eight planar arrays (re0, im0, re1, ...) stride bytes
+// apart. Bitwise equal to degridSandwichPixel.
+//
+//go:noescape
+func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int)

@@ -60,3 +60,15 @@ func conjAccOcts(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *float3
 func rotOcts(phRe, phIm, dRe, dIm *float32, no int) {
 	panic("core: rotOcts without vector kernels")
 }
+
+func foldQuadLanes(sums, vacc *float64, npix int) {
+	panic("core: foldQuadLanes without vector kernels")
+}
+
+func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *complex128, taper *float64, nq int) {
+	panic("core: gridSandwichQuads without vector kernels")
+}
+
+func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int) {
+	panic("core: degridSandwichQuads without vector kernels")
+}

@@ -56,7 +56,7 @@ func (k *Kernels) eachSubgrid(subgrids []*grid.Subgrid, fn func(worker int, s *g
 // gridding scheduler calls this directly so each chunk worker
 // transforms its own subgrids without a nested fan-out.
 func (k *Kernels) fftSubgridOne(s *grid.Subgrid, inverse bool) {
-	norm := complex(1/float64(k.params.SubgridSize*k.params.SubgridSize), 0)
+	norm := 1 / float64(k.params.SubgridSize*k.params.SubgridSize)
 	// All four correlation planes through the fused-centering batched
 	// path; both directions carry the same 1/N~^2, so the scale folds
 	// into the transform's output pass.

@@ -37,40 +37,29 @@ const directBatchArgs = 256
 
 // gridTileVec is gridTile on the vector kernels. Each pixel owns eight
 // accumulators of four lanes each (scratch vacc); lanes persist across
-// visibility blocks and fold only when the tile finishes, so — exactly
-// like the scalar tile — the per-pixel result is independent of the
-// tile and block decomposition. What fills the lanes depends on the
-// item: the phasor recurrence where it applies (gridLanesRecurrence),
-// one evaluated phasor per visibility sample otherwise
-// (gridLanesDirect). Within a visibility block both are vector code
-// end to end; the only scalar arithmetic left is the n mod 4 sample
-// tail, which goes into lane 0.
+// visibility blocks and fold — (l0+l2)+(l1+l3), foldQuadLanes — only
+// when the pixel has seen every block, so — exactly like the scalar
+// tile — the per-pixel result is independent of the tile and block
+// decomposition. What fills the lanes depends on the item: the phasor
+// recurrence where it applies (gridLanesRecurrence), one evaluated
+// phasor per visibility sample otherwise (gridLanesDirect). Within a
+// visibility block both are vector code end to end; the only scalar
+// arithmetic left is the n mod 4 sample tail, which goes into lane 0.
+// The folded sums then take the shared epilogue (gridEpilogue).
 func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
-	vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
-	clear(vacc)
+	sums := growF(&ts.sums, 8*(pix1-pix0))
 	if k.vecRecurrence(item.NrChannels) {
+		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
+		clear(vacc)
 		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix1)
+		foldQuadLanes(&sums[0], &vacc[0], pix1-pix0)
 	} else {
-		gridLanesDirect(k, item, uvw, sb, ts, vacc, pix0, pix1)
+		gridLanesDirect(k, item, uvw, sb, ts, sums, pix0, pix1)
 	}
 	start := k.ob.now()
-	for i := pix0; i < pix1; i++ {
-		v := vacc[32*(i-pix0) : 32*(i-pix0)+32]
-		// Lane fold (l0+l2)+(l1+l3), matching the in-register reduce of
-		// conjAccQuads; any fixed order preserves decomposition
-		// independence, since the lanes themselves are.
-		var q [8]float64
-		for p := 0; p < 8; p++ {
-			q[p] = (v[4*p] + v[4*p+2]) + (v[4*p+1] + v[4*p+3])
-		}
-		sum := xmath.Matrix2{
-			complex(q[0], q[1]), complex(q[2], q[3]),
-			complex(q[4], q[5]), complex(q[6], q[7]),
-		}
-		k.storePixel(out, i, sum, atermP, atermQ)
-	}
+	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
 	k.ob.epilogueDone(start)
 }
 
@@ -272,8 +261,8 @@ func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, t
 	}
 }
 
-// gridLanesDirect fills the accumulator lanes of the pixels
-// [pix0, pix1) with one evaluated phasor per visibility sample: the
+// gridLanesDirect accumulates the pixels [pix0, pix1) with one
+// evaluated phasor per visibility sample and folds them into sums: the
 // form for every item vecRecurrence turns down (non-uniform channels,
 // DisablePhasorRecurrence, channel counts where it is faster). The
 // item's samples are one flattened stream j = t*nc + c, contiguous in
@@ -292,7 +281,15 @@ func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, t
 // the tile shape can reach the result. The phase argument is the
 // reference kernel's expression, so this form carries no recurrence
 // drift at all.
-func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float64, pix0, pix1 int) {
+//
+// When one visibility block covers the item (every short item), a
+// pixel group is complete after its one sweep: its lanes live in a
+// group-sized accumulator block that is cleared, filled and folded
+// while it is in L1, instead of a tile-sized one that is cleared,
+// filled and read back from L2. The lanes and the fold are the same
+// either way, so a one-block and a several-block run of the same
+// samples agree bit for bit.
+func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, sums []float64, pix0, pix1 int) {
 	nt, nc := item.NrTimesteps, item.NrChannels
 	re, im := visPlanes[float64](sb, nt*nc)
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
@@ -307,6 +304,12 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 		quadSteps = 2
 	}
 	block := (k.visBlockSteps(nt, nc) + quadSteps - 1) / quadSteps * quadSteps
+	oneBlock := block >= nt
+	var vacc []float64
+	if !oneBlock {
+		vacc = growF(&ts.b64.vacc, 32*(pix1-pix0))
+		clear(vacc)
+	}
 	for t0 := 0; t0 < nt; t0 += block {
 		t1 := min(t0+block, nt)
 		n := (t1 - t0) * nc
@@ -318,6 +321,9 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 		arg := growF(&ts.sArg, group*n)
 		asn := growF(&ts.sSin, group*n)
 		acs := growF(&ts.sCos, group*n)
+		if oneBlock {
+			vacc = growF(&ts.b64.vacc, 32*group)
+		}
 		for i := pix0; i < pix1; i += group {
 			g := min(group, pix1-i)
 			g4 := g &^ 3
@@ -338,7 +344,12 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 				}
 			}
 			k.sincosVec(asn[:o], acs[:o], arg[:o])
-			a := vacc[32*(i-pix0) : 32*(i+g-pix0)]
+			a := vacc[:32*g]
+			if oneBlock {
+				clear(a)
+			} else {
+				a = vacc[32*(i-pix0) : 32*(i+g-pix0)]
+			}
 			if nq > 0 {
 				accQuadsPix(&a[0],
 					&re[0][j0], &im[0][j0], &re[1][j0], &im[1][j0],
@@ -349,6 +360,10 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 				for j := 4 * nq; j < n; j++ {
 					accLane0(a[32*p:32*p+32], &re, &im, j0+j, asn[p*n+j], acs[p*n+j])
 				}
+			}
+			if t1 == nt {
+				// The group has seen its last block.
+				foldQuadLanes(&sums[8*(i-pix0)], &a[0], g)
 			}
 		}
 	}

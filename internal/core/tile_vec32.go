@@ -62,12 +62,11 @@ func seedOctLanes(ph *[18]float64, s0, c0, ds, dc float64) {
 // phasor lanes hold channels c..c+7 (seedOctLanes), and rotAccOcts
 // advances all lanes by exp(i*8*delta) per iteration. Each pixel owns
 // eight accumulators of eight lanes each (scratch b32.vacc), persisted
-// across visibility blocks and folded
-// ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)) — the conjAccOcts reduce order —
-// only when the tile finishes, so the per-pixel result is independent
-// of the tile and block decomposition. Leftover channels (nc mod 8)
-// accumulate scalar-style into lane 0 with a float32 rotation, the
-// same error class as the lanes.
+// across visibility blocks and folded (foldOctLanes) only when the tile
+// finishes, so the per-pixel result is independent of the tile and
+// block decomposition; the folded sums take gridTileVec's epilogue.
+// Leftover channels (nc mod 8) accumulate scalar-style into lane 0 with
+// a float32 rotation, the same error class as the lanes.
 //
 // When a single resync chunk covers every channel and there is no tail
 // (nc a multiple of 8, at most xmath.DefaultPhasorResync — the paper's
@@ -246,22 +245,11 @@ func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch
 			}
 		}
 	}
-	for i := pix0; i < pix1; i++ {
-		v := vacc[64*(i-pix0) : 64*(i-pix0)+64]
-		// Lane fold ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)), matching the
-		// in-register reduce of conjAccOcts; any fixed order preserves
-		// decomposition independence, since the lanes themselves are.
-		var q [8]float32
-		for p := 0; p < 8; p++ {
-			v8 := v[8*p : 8*p+8]
-			q[p] = ((v8[0] + v8[4]) + (v8[1] + v8[5])) + ((v8[2] + v8[6]) + (v8[3] + v8[7]))
-		}
-		sum := xmath.Matrix2{
-			complex(float64(q[0]), float64(q[1])), complex(float64(q[2]), float64(q[3])),
-			complex(float64(q[4]), float64(q[5])), complex(float64(q[6]), float64(q[7])),
-		}
-		k.storePixel(out, i, sum, atermP, atermQ)
-	}
+	start := k.ob.now()
+	sums := growF(&ts.sums, 8*(pix1-pix0))
+	foldOctLanes(sums, vacc)
+	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
+	k.ob.epilogueDone(start)
 }
 
 // degridTileVec32 is degridTileVec at eight float32 lanes: the

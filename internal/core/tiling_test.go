@@ -131,65 +131,113 @@ var tilingShapes = []tilingShape{
 	{3, 70, nil},
 }
 
+// gaussianJones returns per-pixel Jones maps of two stations with
+// Gaussian beams pointed slightly apart, plus a little polarization
+// leakage so that no matrix element is zero or shared.
+func gaussianJones(sg int) (p, q []xmath.Matrix2) {
+	p, q = make([]xmath.Matrix2, sg*sg), make([]xmath.Matrix2, sg*sg)
+	beam := func(x, y, x0, y0 float64) complex128 {
+		dx, dy := (x-x0)/float64(sg), (y-y0)/float64(sg)
+		return complex(math.Exp(-(dx*dx+dy*dy)/(2*0.35*0.35)), 0)
+	}
+	for y := 0; y < sg; y++ {
+		for x := 0; x < sg; x++ {
+			g := beam(float64(x), float64(y), 0.52*float64(sg), 0.47*float64(sg))
+			h := beam(float64(x), float64(y), 0.46*float64(sg), 0.55*float64(sg))
+			p[y*sg+x] = xmath.Matrix2{g, 0.05i * g, -0.03 * g, 0.9 * g}
+			q[y*sg+x] = xmath.Matrix2{0.95 * h, 0.02 * h, 0.04i * h, h}
+		}
+	}
+	return p, q
+}
+
+// atermTilingCases are the (subgrid size, A-term) combinations the
+// decomposition and concurrency tests sweep: the small nil-map subgrid
+// with every shape and variant, then Gaussian beams on the benchmark's
+// subgrid sizes and on 18, whose one-row tiles leave a two-pixel tail
+// behind the epilogue's quads.
+var atermTilingCases = []struct {
+	sg     int
+	aterms bool
+}{{8, false}, {16, true}, {18, true}, {20, true}, {24, true}}
+
 // TestGridderDecompositionInvariance: for a fixed precision and code
 // path, the gridder result must be numerically identical for EVERY
 // pixel-tile height and visibility-block size, including degenerate
 // ones — the per-pixel accumulation order is decomposition-invariant
 // by construction.
 func TestGridderDecompositionInvariance(t *testing.T) {
-	const sg = 8
-	for _, shape := range tilingShapes {
-		nt, nc := shape.nt, shape.nc
-		item, uvw, vis, _ := tilingItem(51, nt, nc)
-		for _, tc := range []struct {
-			name string
-			mod  func(*Params)
-		}{
-			{"Float64", nil},
-			{"Float64NoVec", forceTier(xmath.SIMDScalar)},
-			{"Float32", func(p *Params) { p.Precision = Float32 }},
-		} {
-			t.Run(fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc), func(t *testing.T) {
-				kernels := func(v func(*Params)) *Kernels {
-					return tilingKernels(t, sg, nc, func(p *Params) {
-						if shape.freqs != nil {
-							p.Frequencies = shape.freqs
-						}
-						if tc.mod != nil {
-							tc.mod(p)
-						}
-						if v != nil {
-							v(p)
-						}
-					})
+	for _, ac := range atermTilingCases {
+		sg, shapes := ac.sg, tilingShapes
+		var atermP, atermQ []xmath.Matrix2
+		if ac.aterms {
+			atermP, atermQ = gaussianJones(sg)
+			shapes = tilingShapes[:3] // blocked recurrence, short items, non-uniform
+		}
+		for _, shape := range shapes {
+			nt, nc := shape.nt, shape.nc
+			item, uvw, vis, _ := tilingItem(51, nt, nc)
+			for _, tc := range []struct {
+				name string
+				mod  func(*Params)
+			}{
+				{"Float64", nil},
+				{"Float64NoVec", forceTier(xmath.SIMDScalar)},
+				{"Float32", func(p *Params) { p.Precision = Float32 }},
+			} {
+				name := fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc)
+				if ac.aterms {
+					name += fmt.Sprintf(",sg=%d,aterms", sg)
 				}
-				want := grid.NewSubgrid(sg, item.X0, item.Y0)
-				kernels(nil).GridSubgrid(item, uvw, vis, nil, nil, want)
-				variants := []func(*Params){}
-				for tr := 1; tr <= sg+3; tr++ {
-					tr := tr
-					variants = append(variants, func(p *Params) { p.PixelTileRows = tr })
-				}
-				for _, bl := range []int{1, 3, 5, nt, nt + 7} {
-					bl := bl
-					variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
-				}
-				// Tile heights x block sizes, from one pixel row and one time
-				// step up to no tiling and no blocking.
-				for _, tr := range []int{1, 3, sg} {
-					for _, bl := range []int{1, 3, nt} {
-						tr, bl := tr, bl
-						variants = append(variants, func(p *Params) { p.PixelTileRows = tr; p.VisBlockTimesteps = bl })
+				t.Run(name, func(t *testing.T) {
+					kernels := func(v func(*Params)) *Kernels {
+						return tilingKernels(t, sg, nc, func(p *Params) {
+							if shape.freqs != nil {
+								p.Frequencies = shape.freqs
+							}
+							if tc.mod != nil {
+								tc.mod(p)
+							}
+							if v != nil {
+								v(p)
+							}
+						})
 					}
-				}
-				for vi, v := range variants {
-					got := grid.NewSubgrid(sg, item.X0, item.Y0)
-					kernels(v).GridSubgrid(item, uvw, vis, nil, nil, got)
-					if !subgridsEqual(want, got) {
-						t.Fatalf("variant %d: gridder result depends on the tile/block decomposition", vi)
+					want := grid.NewSubgrid(sg, item.X0, item.Y0)
+					kernels(nil).GridSubgrid(item, uvw, vis, atermP, atermQ, want)
+					variants := []func(*Params){}
+					rows := []int{1, 3, sg}
+					if !ac.aterms {
+						rows = rows[:0]
+						for tr := 1; tr <= sg+3; tr++ {
+							rows = append(rows, tr)
+						}
 					}
-				}
-			})
+					for _, tr := range rows {
+						tr := tr
+						variants = append(variants, func(p *Params) { p.PixelTileRows = tr })
+					}
+					for _, bl := range []int{1, 3, 5, nt, nt + 7} {
+						bl := bl
+						variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
+					}
+					// Tile heights x block sizes, from one pixel row and one time
+					// step up to no tiling and no blocking.
+					for _, tr := range []int{1, 3, sg} {
+						for _, bl := range []int{1, 3, nt} {
+							tr, bl := tr, bl
+							variants = append(variants, func(p *Params) { p.PixelTileRows = tr; p.VisBlockTimesteps = bl })
+						}
+					}
+					for vi, v := range variants {
+						got := grid.NewSubgrid(sg, item.X0, item.Y0)
+						kernels(v).GridSubgrid(item, uvw, vis, atermP, atermQ, got)
+						if !subgridsEqual(want, got) {
+							t.Fatalf("variant %d: gridder result depends on the tile/block decomposition", vi)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -302,55 +350,68 @@ func TestDegridderSerialParallelBitwise(t *testing.T) {
 // result exactly. Run under -race in CI, this also proves the tile
 // fan-out and scratch handoff are data-race free.
 func TestKernelsConcurrentDeterminism(t *testing.T) {
-	const sg = 10
-	shapes := append([]tilingShape{{8, 8, nil}}, tilingShapes[1:]...)
-	for _, shape := range shapes {
-		nt, nc := shape.nt, shape.nc
-		item, uvw, vis, _ := tilingItem(67, nt, nc)
-		in, _ := randomSubgrid(sg, item, 69)
-		mod := func(workers int) func(*Params) {
-			return func(p *Params) {
-				if shape.freqs != nil {
-					p.Frequencies = shape.freqs
-				}
-				p.PixelTileRows = 2
-				p.Workers = workers
-			}
+	for _, ac := range atermTilingCases {
+		sg := 10
+		shapes := append([]tilingShape{{8, 8, nil}}, tilingShapes[1:]...)
+		precisions := []Precision{Float64}
+		var atermP, atermQ []xmath.Matrix2
+		if ac.aterms {
+			sg = ac.sg
+			atermP, atermQ = gaussianJones(sg)
+			shapes = shapes[:3]
+			precisions = []Precision{Float64, Float32}
 		}
-		serial := tilingKernels(t, sg, nc, mod(1))
-		parallel := tilingKernels(t, sg, nc, mod(8))
-		wantGrid := grid.NewSubgrid(sg, item.X0, item.Y0)
-		serial.GridSubgrid(item, uvw, vis, nil, nil, wantGrid)
-		wantVis := make([]xmath.Matrix2, nt*nc)
-		serial.DegridSubgrid(item, in, uvw, nil, nil, wantVis)
+		for _, shape := range shapes {
+			for _, prec := range precisions {
+				nt, nc := shape.nt, shape.nc
+				item, uvw, vis, _ := tilingItem(67, nt, nc)
+				in, _ := randomSubgrid(sg, item, 69)
+				mod := func(workers int) func(*Params) {
+					return func(p *Params) {
+						if shape.freqs != nil {
+							p.Frequencies = shape.freqs
+						}
+						p.Precision = prec
+						p.PixelTileRows = 2
+						p.Workers = workers
+					}
+				}
+				serial := tilingKernels(t, sg, nc, mod(1))
+				parallel := tilingKernels(t, sg, nc, mod(8))
+				wantGrid := grid.NewSubgrid(sg, item.X0, item.Y0)
+				serial.GridSubgrid(item, uvw, vis, atermP, atermQ, wantGrid)
+				wantVis := make([]xmath.Matrix2, nt*nc)
+				serial.DegridSubgrid(item, in, uvw, atermP, atermQ, wantVis)
 
-		const goroutines, rounds = 4, 3
-		var wg sync.WaitGroup
-		errs := make(chan string, goroutines)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					out := grid.NewSubgrid(sg, item.X0, item.Y0)
-					parallel.GridSubgrid(item, uvw, vis, nil, nil, out)
-					if !subgridsEqual(wantGrid, out) {
-						errs <- "concurrent gridder result differs"
-						return
-					}
-					pv := make([]xmath.Matrix2, nt*nc)
-					parallel.DegridSubgrid(item, in, uvw, nil, nil, pv)
-					if !visEqual(wantVis, pv) {
-						errs <- "concurrent degridder result differs"
-						return
-					}
+				const goroutines, rounds = 4, 3
+				var wg sync.WaitGroup
+				errs := make(chan string, goroutines)
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for r := 0; r < rounds; r++ {
+							out := grid.NewSubgrid(sg, item.X0, item.Y0)
+							parallel.GridSubgrid(item, uvw, vis, atermP, atermQ, out)
+							if !subgridsEqual(wantGrid, out) {
+								errs <- "concurrent gridder result differs"
+								return
+							}
+							pv := make([]xmath.Matrix2, nt*nc)
+							parallel.DegridSubgrid(item, in, uvw, atermP, atermQ, pv)
+							if !visEqual(wantVis, pv) {
+								errs <- "concurrent degridder result differs"
+								return
+							}
+						}
+					}()
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for msg := range errs {
-			t.Fatalf("nt=%d nc=%d: %s", nt, nc, msg)
+				wg.Wait()
+				close(errs)
+				for msg := range errs {
+					t.Fatalf("sg=%d nt=%d nc=%d %v: %s", sg, nt, nc, prec, msg)
+				}
+			}
 		}
 	}
 }

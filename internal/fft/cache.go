@@ -61,6 +61,6 @@ func CachedPlan2D(rows, cols int) *Plan2D {
 // EngineInfo describes the active FFT engine configuration in one
 // line, for the CLI stage reports.
 func EngineInfo() string {
-	return fmt.Sprintf("fused radix-4 + mixed-radix/Bluestein, fused centering, blocked columns (B=%d), simd=%s",
+	return fmt.Sprintf("fused radix-4 + lane-parallel mixed-radix + Bluestein, fused centering, blocked columns (B=%d), simd=%s",
 		colBlock, planTier())
 }

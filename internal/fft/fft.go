@@ -1,7 +1,7 @@
 // Package fft implements the discrete Fourier transforms the IDG
 // pipeline needs: plan-based 1-D complex transforms (fused radix-4 for
-// power-of-two sizes, mixed radix for 2/3/5-smooth sizes, Bluestein's
-// algorithm for everything else),
+// power-of-two sizes, a lane-parallel mixed-radix schedule for
+// 2/3/5-smooth sizes, Bluestein's algorithm for everything else),
 // 2-D transforms, centered (fftshift-ed) transforms, and batched
 // parallel execution. It plays the role MKL, cuFFT and clFFT play in
 // the paper: the subgrid FFTs and the final grid FFT.
@@ -28,7 +28,8 @@ var planTier = xmath.ActiveSIMD
 // Plan holds the precomputed tables for transforms of one size.
 // A Plan is safe for concurrent use by multiple goroutines: all state
 // is read-only after construction, and scratch buffers are pooled per
-// plan (Bluestein, mixed-radix) or not needed (power-of-two).
+// plan (Bluestein) or not needed (power-of-two, mixed-radix up to
+// smoothStack points).
 type Plan struct {
 	n    int
 	pow2 bool
@@ -39,8 +40,8 @@ type Plan struct {
 	perm []int32
 	r4   *r4Plan
 
-	// Mixed-radix plan for 2/3/5-smooth lengths (nil otherwise).
-	mixed *mixedPlan
+	// Mixed-radix schedule for 2/3/5-smooth lengths (nil otherwise).
+	smooth *smoothPlan
 
 	// Bluestein tables (nil for power-of-two sizes).
 	bm         int          // convolution size (power of two >= 2n-1)
@@ -65,7 +66,7 @@ func NewPlan(n int) *Plan {
 		return p
 	}
 	if factors, ok := smoothFactors(n); ok {
-		p.mixed = newMixedPlan(n, factors)
+		p.smooth = newSmoothPlan(n, factors)
 		return p
 	}
 	p.initBluestein()
@@ -120,12 +121,8 @@ func (p *Plan) initBluestein() {
 // It panics if len(x) != N().
 func (p *Plan) Forward(x []complex128) {
 	p.checkLen(x)
-	if p.pow2 {
-		p.forwardPow2(x, false)
-		return
-	}
-	if p.mixed != nil {
-		p.mixed.forward(x)
+	if p.pow2 || p.smooth != nil {
+		p.forwardWith(x, nil)
 		return
 	}
 	p.bluesteinPooled(x)
@@ -135,8 +132,8 @@ func (p *Plan) Forward(x []complex128) {
 // and scales by 1/n, so that Inverse is the exact inverse of Forward.
 func (p *Plan) Inverse(x []complex128) {
 	p.checkLen(x)
-	if p.pow2 {
-		p.forwardPow2(x, true)
+	if p.pow2 || p.smooth != nil {
+		p.backwardWith(x, nil)
 		inv := 1 / float64(p.n)
 		for i, v := range x {
 			x[i] = complex(real(v)*inv, imag(v)*inv)
@@ -155,17 +152,14 @@ func (p *Plan) Inverse(x []complex128) {
 }
 
 // scratchLen is the caller-supplied scratch size forwardWith and
-// backwardWith need: zero for power-of-two plans (fully in place), 2n
-// for mixed-radix, the convolution length for Bluestein.
+// backwardWith need: the convolution length for Bluestein, nothing
+// otherwise (power-of-two plans run in place; the 2-D driver runs
+// mixed-radix plans through smoothPlan.run on its own tiles).
 func (p *Plan) scratchLen() int {
-	switch {
-	case p.pow2:
+	if p.pow2 || p.smooth != nil {
 		return 0
-	case p.mixed != nil:
-		return 2 * p.n
-	default:
-		return p.bm
 	}
+	return p.bm
 }
 
 // forwardWith is Forward with caller-supplied scratch (len >=
@@ -175,8 +169,8 @@ func (p *Plan) forwardWith(x, scratch []complex128) {
 	switch {
 	case p.pow2:
 		p.forwardPow2(x, false)
-	case p.mixed != nil:
-		p.mixed.forwardWith(x, scratch)
+	case p.smooth != nil:
+		p.smooth.transform1D(p.tier, x, scratch, false)
 	default:
 		p.bluestein(x, scratch)
 	}
@@ -187,6 +181,10 @@ func (p *Plan) forwardWith(x, scratch []complex128) {
 func (p *Plan) backwardWith(x, scratch []complex128) {
 	if p.pow2 {
 		p.forwardPow2(x, true)
+		return
+	}
+	if p.smooth != nil {
+		p.smooth.transform1D(p.tier, x, scratch, true)
 		return
 	}
 	// backward(x) = conj(forward(conj(x))); the conjugation sweeps run

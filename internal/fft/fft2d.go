@@ -4,17 +4,25 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/internal/xmath"
 )
 
 // colBlock is the tile width of the cache-blocked column pass: B
 // adjacent columns are gathered into a contiguous rows x B scratch,
-// transformed as B-wide vector lanes (power-of-two rows) or B
-// independent contiguous columns (mixed/Bluestein rows), and scattered
-// back. Eight complex128 columns are two cache lines per tile row, so
-// the gather walks the source at full line utilization, and the
+// transformed as B-wide vector lanes (power-of-two and mixed-radix
+// rows) or B independent contiguous columns (Bluestein rows), and
+// scattered back. Eight complex128 columns are two cache lines per tile
+// row, so the gather walks the source at full line utilization, and the
 // butterfly legs stride B*16 bytes instead of cols*16 — which for
 // power-of-two grids would alias to a handful of L1 sets.
 const colBlock = 8
+
+// smoothPlaneMax is the largest plane (in elements) a mixed-radix axis
+// transforms as one tile: up to 64 KB the whole plane and its work copy
+// stay in L1/L2, and whole rows make the longest lane vectors. Subgrids
+// (24 x 24) are far below it; larger planes fall back to colBlock lanes.
+const smoothPlaneMax = 4096
 
 // Plan2D performs 2-D transforms on row-major data of size rows x cols.
 // Like Plan, a Plan2D is safe for concurrent use; per-call state lives
@@ -24,14 +32,17 @@ type Plan2D struct {
 	rows, cols int
 	rowPlan    *Plan // length rows: transforms along a column
 	colPlan    *Plan // length cols: transforms along a row
-	sigma      complex128
+	colW       int   // columns per tile of the column pass
+	rowH       int   // rows per block of the mixed-radix row pass
+	sigma      float64
 	fusedOK    bool // fused centering needs both sides even
 	scratch    sync.Pool
 }
 
 type p2dScratch struct {
-	tile []complex128 // rows*colBlock tile / column staging
-	oneD []complex128 // scratch for non-pow2 1-D transforms
+	tile  []complex128 // transformed column tile / row block
+	stage []complex128 // transposed input of a mixed-radix row block
+	oneD  []complex128 // scratch for Bluestein 1-D transforms
 }
 
 // NewPlan2D creates a 2-D plan. Square plans share the underlying 1-D
@@ -49,14 +60,25 @@ func NewPlan2D(rows, cols int) *Plan2D {
 	if (rows/2+cols/2)%2 == 1 {
 		p.sigma = -1
 	}
-	oneD := p.rowPlan.scratchLen()
-	if l := p.colPlan.scratchLen(); l > oneD {
-		oneD = l
+	whole := rows*cols <= smoothPlaneMax
+	p.colW, p.rowH = min(colBlock, cols), min(colBlock, rows)
+	if p.rowPlan.smooth != nil && whole {
+		p.colW = cols
 	}
+	tile, stage := rows*p.colW, 0
+	if p.colPlan.smooth != nil {
+		if whole {
+			p.rowH = rows
+		}
+		stage = cols * p.rowH
+		tile = max(tile, stage)
+	}
+	oneD := max(p.rowPlan.scratchLen(), p.colPlan.scratchLen())
 	p.scratch.New = func() interface{} {
 		return &p2dScratch{
-			tile: make([]complex128, rows*colBlock),
-			oneD: make([]complex128, oneD),
+			tile:  make([]complex128, tile),
+			stage: make([]complex128, stage),
+			oneD:  make([]complex128, oneD),
 		}
 	}
 	return p
@@ -85,33 +107,38 @@ func (p *Plan2D) Forward(x []complex128) {
 // 1/(rows*cols) overall.
 func (p *Plan2D) Inverse(x []complex128) {
 	p.checkLen(x)
-	p.runSerial(x, true, false, complex(1/float64(p.rows*p.cols), 0))
+	p.runSerial(x, true, false, 1/float64(p.rows*p.cols))
 }
 
 // runSerial is the 2-D driver: a row pass in place, then the blocked
 // column pass tile by tile. fused folds the centering sign flips into
 // the passes; scale is applied once, during the column-tile scatter.
-func (p *Plan2D) runSerial(x []complex128, inverse, fused bool, scale complex128) {
+func (p *Plan2D) runSerial(x []complex128, inverse, fused bool, scale float64) {
 	sc := p.scratch.Get().(*p2dScratch)
 	p.rowPass(x, 0, p.rows, inverse, fused, sc)
-	for c0 := 0; c0 < p.cols; c0 += colBlock {
-		cw := p.cols - c0
-		if cw > colBlock {
-			cw = colBlock
-		}
-		p.colTile(x, c0, cw, inverse, fused, scale, sc)
+	for c0 := 0; c0 < p.cols; c0 += p.colW {
+		p.colTile(x, c0, min(p.colW, p.cols-c0), inverse, fused, scale, sc)
 	}
 	p.scratch.Put(sc)
 }
 
-// rowPass transforms rows [r0, r1) in place. preFlip negates the
-// odd-index elements of every row first: the (-1)^c half of the fused
-// centering's (-1)^(r+c) input checkerboard.
+// rowPass transforms rows [r0, r1) in place. preFlip first applies the
+// whole (-1)^(r+c) input checkerboard of the fused centering: its
+// (-1)^r half is constant along a row, so it commutes exactly with the
+// row transform and the column pass can read its input as it lies.
 func (p *Plan2D) rowPass(x []complex128, r0, r1 int, inverse, preFlip bool, sc *p2dScratch) {
+	if p.colPlan.smooth != nil {
+		for b0 := r0; b0 < r1; b0 += p.rowH {
+			p.rowBlockSmooth(x, b0, min(p.rowH, r1-b0), inverse, preFlip, sc)
+		}
+		return
+	}
 	for r := r0; r < r1; r++ {
 		row := x[r*p.cols : (r+1)*p.cols]
 		if preFlip {
-			flipOdd(row)
+			for i := (r + 1) & 1; i < len(row); i += 2 {
+				row[i] = -row[i]
+			}
 		}
 		if inverse {
 			p.colPlan.backwardWith(row, sc.oneD)
@@ -121,41 +148,53 @@ func (p *Plan2D) rowPass(x []complex128, r0, r1 int, inverse, preFlip bool, sc *
 	}
 }
 
-// colTile transforms columns [c0, c0+cw) of x. When fused, the gather
-// applies the (-1)^r input flip and the scatter applies the output
-// checkerboard (-1)^(k+l) together with the scale (which already
-// carries the caller's sigma factor).
-func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale complex128, sc *p2dScratch) {
+// rowBlockSmooth transforms the h rows from b0 with the mixed-radix
+// schedule: the block is transposed into staging (taking the input
+// checkerboard along), the lane engine runs down the former rows with
+// the h rows as its lanes, and the result is transposed back.
+func (p *Plan2D) rowBlockSmooth(x []complex128, b0, h int, inverse, preFlip bool, sc *p2dScratch) {
+	cols := p.cols
+	stage, tile := sc.stage[:cols*h], sc.tile[:cols*h]
+	block := x[b0*cols : (b0+h)*cols]
+	tier := p.colPlan.tier
+	xmath.TransposeLanes(tier, stage, h, block, cols, cols, h, preFlip, b0)
+	p.colPlan.smooth.run(tier, tile, stage, h, h, inverse)
+	xmath.TransposeLanes(tier, block, cols, tile, h, h, cols, false, 0)
+}
+
+// colTile transforms columns [c0, c0+cw) of x. When fused, the scatter
+// applies the output checkerboard (-1)^(k+l) together with the scale
+// (which already carries the caller's sigma factor); the input
+// checkerboard went in with the row pass.
+func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale float64, sc *p2dScratch) {
 	rows, cols := p.rows, p.cols
-	if p.rowPlan.pow2 {
+	tile := sc.tile[:rows*cw]
+	switch {
+	case p.rowPlan.smooth != nil:
+		// The leaf pass reads the columns where they lie, cols apart.
+		p.rowPlan.smooth.run(p.rowPlan.tier, tile, x[c0:], cols, cw, inverse)
+	case p.rowPlan.pow2:
 		// Gather into a row-major rows x cw tile and run the engine's
 		// lane-parallel schedule directly on it.
-		tile := sc.tile[:rows*cw]
 		for r := 0; r < rows; r++ {
-			src := x[r*cols+c0 : r*cols+c0+cw]
-			dst := tile[r*cw : r*cw+cw]
-			if fused && r&1 == 1 {
-				for j, v := range src {
-					dst[j] = -v
-				}
-			} else {
-				copy(dst, src)
-			}
+			copy(tile[r*cw:r*cw+cw], x[r*cols+c0:r*cols+c0+cw])
 		}
 		p.rowPlan.colPow2(tile, cw, inverse)
-		p.scatterTile(x, tile, c0, cw, fused, scale)
+	default:
+		p.colTileBluestein(x, c0, cw, inverse, fused, scale, sc)
 		return
 	}
-	// Non-power-of-two rows: stage each column contiguously and run cw
-	// independent 1-D transforms.
+	p.scatterTile(x, tile, c0, cw, fused, scale)
+}
+
+// colTileBluestein stages each column contiguously and runs cw
+// independent 1-D transforms.
+func (p *Plan2D) colTileBluestein(x []complex128, c0, cw int, inverse, fused bool, scale float64, sc *p2dScratch) {
+	rows, cols := p.rows, p.cols
 	for j := 0; j < cw; j++ {
 		col := sc.tile[j*rows : (j+1)*rows]
 		for r := 0; r < rows; r++ {
-			v := x[r*cols+c0+j]
-			if fused && r&1 == 1 {
-				v = -v
-			}
-			col[r] = v
+			col[r] = x[r*cols+c0+j]
 		}
 		if inverse {
 			p.rowPlan.backwardWith(col, sc.oneD)
@@ -167,60 +206,38 @@ func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale 
 	// scatterTile's row-major tile).
 	for r := 0; r < rows; r++ {
 		dst := x[r*cols+c0 : r*cols+c0+cw]
-		if !fused {
-			if scale == 1 {
-				for j := 0; j < cw; j++ {
-					dst[j] = sc.tile[j*rows+r]
-				}
-			} else {
-				for j := 0; j < cw; j++ {
-					dst[j] = sc.tile[j*rows+r] * scale
-				}
-			}
-			continue
-		}
 		s := scale
-		if (r+c0)&1 == 1 {
+		if fused && (r+c0)&1 == 1 {
 			s = -scale
 		}
 		for j := 0; j < cw; j++ {
-			dst[j] = sc.tile[j*rows+r] * s
-			s = -s
+			v := sc.tile[j*rows+r]
+			dst[j] = complex(real(v)*s, imag(v)*s)
+			if fused {
+				s = -s
+			}
 		}
 	}
 }
 
 // scatterTile writes a row-major rows x cw tile back into columns
 // [c0, c0+cw), applying the output checkerboard and scale.
-func (p *Plan2D) scatterTile(x, tile []complex128, c0, cw int, fused bool, scale complex128) {
+func (p *Plan2D) scatterTile(x, tile []complex128, c0, cw int, fused bool, scale float64) {
 	rows, cols := p.rows, p.cols
+	tier := p.rowPlan.tier
 	for r := 0; r < rows; r++ {
 		src := tile[r*cw : r*cw+cw]
 		dst := x[r*cols+c0 : r*cols+c0+cw]
-		if !fused {
-			if scale == 1 {
-				copy(dst, src)
-			} else {
-				for j, v := range src {
-					dst[j] = v * scale
-				}
-			}
-			continue
+		switch {
+		case fused && (r+c0)&1 == 1:
+			xmath.ScaleLanes(tier, dst, src, -scale, scale)
+		case fused:
+			xmath.ScaleLanes(tier, dst, src, scale, -scale)
+		case scale == 1:
+			copy(dst, src)
+		default:
+			xmath.ScaleLanes(tier, dst, src, scale, scale)
 		}
-		s := scale
-		if (r+c0)&1 == 1 {
-			s = -scale
-		}
-		for j, v := range src {
-			dst[j] = v * s
-			s = -s
-		}
-	}
-}
-
-func flipOdd(x []complex128) {
-	for i := 1; i < len(x); i += 2 {
-		x[i] = -x[i]
 	}
 }
 
@@ -236,14 +253,14 @@ func (p *Plan2D) ForwardParallel(x []complex128, workers int) {
 // InverseParallel is the parallel variant of Inverse.
 func (p *Plan2D) InverseParallel(x []complex128, workers int) {
 	p.checkLen(x)
-	p.runParallel(x, true, false, complex(1/float64(p.rows*p.cols), 0), workers)
+	p.runParallel(x, true, false, 1/float64(p.rows*p.cols), workers)
 }
 
 // runParallel splits the row pass by row ranges and the column pass by
 // tile ranges. Tiles are independent and the per-column math is
 // identical to the serial schedule, so parallel output is bitwise
 // equal to serial.
-func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale complex128, workers int) {
+func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale float64, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -273,7 +290,7 @@ func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale complex1
 		}(lo, hi)
 	}
 	wg.Wait()
-	tiles := (p.cols + colBlock - 1) / colBlock
+	tiles := (p.cols + p.colW - 1) / p.colW
 	tw := workers
 	if tw > tiles {
 		tw = tiles
@@ -292,12 +309,8 @@ func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale complex1
 			defer wg.Done()
 			sc := p.scratch.Get().(*p2dScratch)
 			for t := lo; t < hi; t++ {
-				c0 := t * colBlock
-				cw := p.cols - c0
-				if cw > colBlock {
-					cw = colBlock
-				}
-				p.colTile(x, c0, cw, inverse, fused, scale, sc)
+				c0 := t * p.colW
+				p.colTile(x, c0, min(p.colW, p.cols-c0), inverse, fused, scale, sc)
 			}
 			p.scratch.Put(sc)
 		}(lo, hi)
@@ -310,9 +323,9 @@ func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale complex1
 // paper, Section V-B(c)). Each element of batch must have length
 // rows*cols. inverse selects the transform direction.
 func (p *Plan2D) TransformBatch(batch [][]complex128, inverse bool, workers int) {
-	scale := complex128(1)
+	scale := 1.0
 	if inverse {
-		scale = complex(1/float64(p.rows*p.cols), 0)
+		scale = 1 / float64(p.rows*p.cols)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -352,7 +365,7 @@ func (p *Plan2D) TransformBatch(batch [][]complex128, inverse bool, workers int)
 // InverseCentered on every plane, and the forward direction matches
 // ForwardCentered followed by a scale sweep — with the shift rotates
 // and the normalization sweep fused away.
-func (p *Plan2D) TransformPlanes(planes [][]complex128, inverse bool, scale complex128) {
+func (p *Plan2D) TransformPlanes(planes [][]complex128, inverse bool, scale float64) {
 	if !p.fusedOK {
 		// Odd sizes fall back to explicit shift rotates around the
 		// blocked transform; scale stays fused into the column scatter.

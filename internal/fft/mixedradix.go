@@ -2,16 +2,23 @@ package fft
 
 import (
 	"math"
-	"sync"
+
+	"repro/internal/xmath"
 )
 
 // The paper's subgrids are 24 pixels (2^3 * 3); vendor FFT libraries
 // handle such sizes with mixed-radix decompositions rather than the
-// generic Bluestein fallback. This file implements a recursive
-// mixed-radix Cooley-Tukey transform for lengths whose prime factors
-// are 2, 3 and 5. Radix-2 and radix-3 butterflies are specialized,
-// and work buffers are pooled so concurrent transforms do not
-// allocate.
+// generic Bluestein fallback. This file holds the schedule for lengths
+// whose prime factors are 2, 3 and 5 and that are not powers of two: a
+// flat decimation-in-time plan — one pass of leaf transforms (8, 5, 3 or
+// 2 points, reading the input in digit-reversed order), then one
+// in-place combine stage per remaining factor — run over w independent
+// transforms at once. The data is a row-major n x w matrix, transform
+// index down the rows: every butterfly operand is a row of w contiguous
+// lanes and every twiddle one scalar per row, the shape colPow2 gives
+// the power-of-two sizes. For 24 that is three 8-point leaves over rows
+// j, j+3, ... and one radix-3 stage. The 1-D transform is the same
+// schedule at one lane.
 
 // smoothFactors factors n into primes from {2, 3, 5}; ok is false if
 // other factors remain. Larger factors first keeps the leaf
@@ -26,172 +33,137 @@ func smoothFactors(n int) (factors []int, ok bool) {
 	return factors, n == 1
 }
 
-// mixedPlan holds the precomputed state for a mixed-radix transform.
-type mixedPlan struct {
-	n       int
-	factors []int
-	// roots[j] = exp(-2*pi*i*j/n); all twiddles are powers of these.
-	roots []complex128
-	pool  sync.Pool // *[]complex128 of length 2n
+// smoothStage is one combine stage: radix-r butterflies over blocks of
+// r*m rows, row k + j*m of a block twiddled by W_(r*m)^(j*k). fwd holds
+// the r-1 non-trivial twiddles of every k, inv their conjugates for the
+// backward transform.
+type smoothStage struct {
+	r, m     int
+	fwd, inv []complex128
 }
 
-func newMixedPlan(n int, factors []int) *mixedPlan {
-	p := &mixedPlan{n: n, factors: factors}
-	p.roots = make([]complex128, n)
-	for j := 0; j < n; j++ {
-		ang := -2 * math.Pi * float64(j) / float64(n)
-		p.roots[j] = complex(math.Cos(ang), math.Sin(ang))
+// smoothPlan is the flat schedule for one length.
+type smoothPlan struct {
+	n       int
+	leaf    int     // leaf transform length
+	leafSrc []int32 // first input row of every leaf; the others follow n/leaf apart
+	stages  []smoothStage
+}
+
+func newSmoothPlan(n int, factors []int) *smoothPlan {
+	p := &smoothPlan{n: n, leaf: n}
+	// Peel factors off the front until a leaf codelet fits; each peeled
+	// factor r splits the input by residue mod r (decimation in time)
+	// and becomes a combine stage. Stages run innermost first.
+	peeled := 0
+	for ; p.leaf != 2 && p.leaf != 3 && p.leaf != 5 && p.leaf != 8; peeled++ {
+		p.leaf /= factors[peeled]
 	}
-	p.pool.New = func() interface{} {
-		buf := make([]complex128, 2*n)
-		return &buf
+	p.leafSrc = leafOrder(factors[:peeled])
+	for level := peeled - 1; level >= 0; level-- {
+		nb := n
+		for _, r := range factors[:level] {
+			nb /= r
+		}
+		r := factors[level]
+		st := smoothStage{r: r, m: nb / r}
+		for k := 0; k < st.m; k++ {
+			for j := 1; j < r; j++ {
+				ang := -2 * math.Pi * float64(j*k*(n/nb)%n) / float64(n)
+				w := complex(math.Cos(ang), math.Sin(ang))
+				st.fwd = append(st.fwd, w)
+				st.inv = append(st.inv, complex(real(w), -imag(w)))
+			}
+		}
+		p.stages = append(p.stages, st)
 	}
 	return p
 }
 
-// forward computes the DFT of x in place.
-func (p *mixedPlan) forward(x []complex128) {
-	bufp := p.pool.Get().(*[]complex128)
-	p.forwardWith(x, *bufp)
-	p.pool.Put(bufp)
+// leafOrder lists the first input row of every leaf transform, in
+// output order: the sub-transform of residue j at a level with input
+// stride s starts s*j rows further on, and the outermost level varies
+// slowest.
+func leafOrder(peeled []int) []int32 {
+	order := []int32{0}
+	stride := 1
+	for _, r := range peeled {
+		stride *= r
+	}
+	for level := len(peeled) - 1; level >= 0; level-- {
+		r := peeled[level]
+		stride /= r
+		next := make([]int32, 0, r*len(order))
+		for j := 0; j < r; j++ {
+			for _, s := range order {
+				next = append(next, s+int32(j*stride))
+			}
+		}
+		order = next
+	}
+	return order
 }
 
-// forwardWith is forward with caller-supplied scratch of length >= 2n,
-// so the 2-D driver's pooled buffer serves a whole plane of row and
-// column transforms without touching the pool per call.
-func (p *mixedPlan) forwardWith(x, buf []complex128) {
-	out, scratch := buf[:p.n], buf[p.n:2*p.n]
-	p.rec(x, out, scratch, p.n, 1, 0)
-	copy(x, out)
-}
-
-// rec computes the n-point DFT of src[0], src[stride], ... into
-// dst[0..n); level indexes into the factor list. scratch has room for
-// n elements and is free once the recursive sub-calls returned.
-func (p *mixedPlan) rec(src, dst, scratch []complex128, n, stride, level int) {
-	switch n {
-	case 1:
-		dst[0] = src[0]
-		return
-	case 2:
-		a, b := src[0], src[stride]
-		dst[0], dst[1] = a+b, a-b
-		return
-	case 3:
-		p.dft3(src, dst, stride)
-		return
-	case 5:
-		p.dftSmall(src, dst, 5, stride)
-		return
-	case 8:
-		dft8(src, dst, stride)
-		return
-	}
-	r := p.factors[level]
-	m := n / r
-	// Decimation in time: r interleaved sub-transforms of length m.
-	for j := 0; j < r; j++ {
-		p.rec(src[j*stride:], dst[j*m:], scratch, m, stride*r, level+1)
-	}
-	// Combine: output index k + q*m gets
-	// sum_j dst[j*m + k] * W^(j*(k + q*m)) with twiddle stride p.n/n
-	// in the global root table.
-	rootStride := p.n / n
-	switch r {
-	case 2:
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * p.roots[k*rootStride]
-			scratch[k], scratch[m+k] = a+b, a-b
+// run transforms w lanes: row i of the input is src[i*ss : i*ss+w], the
+// output lands in dst as a contiguous n x w matrix. dst and src must not
+// overlap. inverse runs the unnormalized backward transform.
+func (p *smoothPlan) run(tier xmath.SIMDTier, dst, src []complex128, ss, w int, inverse bool) {
+	lstride := p.n / p.leaf * ss
+	for b, s0 := range p.leafSrc {
+		d, s := dst[b*p.leaf*w:], src[int(s0)*ss:]
+		switch p.leaf {
+		case 8:
+			xmath.DFT8Lanes(tier, d, w, s, lstride, w, inverse)
+		case 5:
+			xmath.Bfly5Lanes(d, w, s, lstride, w, &unitTw, inverse)
+		case 3:
+			xmath.Bfly3Lanes(tier, d, w, s, lstride, w, 1, 1, inverse)
+		default:
+			xmath.Bfly2Lanes(tier, d, w, s, lstride, w, 1)
 		}
-	case 3:
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * p.roots[k*rootStride]
-			c := dst[2*m+k] * p.roots[2*k*rootStride%p.n]
-			// Radix-3 butterfly with w = exp(-2*pi*i/3).
-			t1 := b + c
-			t2 := a - t1/2
-			t3 := mulByI(b-c) * complex(-0.8660254037844386, 0) // sin(2*pi/3)
-			scratch[k] = a + t1
-			scratch[m+k] = t2 + t3
-			scratch[2*m+k] = t2 - t3
+	}
+	for i := range p.stages {
+		st := &p.stages[i]
+		tw := st.fwd
+		if inverse {
+			tw = st.inv
 		}
-	default:
-		for k := 0; k < m; k++ {
-			for q := 0; q < r; q++ {
-				idx := k + q*m
-				var sum complex128
-				for j := 0; j < r; j++ {
-					w := p.roots[(j*idx*rootStride)%p.n]
-					sum += dst[j*m+k] * w
+		ms := st.m * w
+		for base := 0; base < p.n; base += st.r * st.m {
+			for k := 0; k < st.m; k++ {
+				x := dst[(base+k)*w:]
+				t := tw[k*(st.r-1):]
+				switch st.r {
+				case 5:
+					xmath.Bfly5Lanes(x, ms, x, ms, w, (*[4]complex128)(t), inverse)
+				case 3:
+					xmath.Bfly3Lanes(tier, x, ms, x, ms, w, t[0], t[1], inverse)
+				default:
+					xmath.Bfly2Lanes(tier, x, ms, x, ms, w, t[0])
 				}
-				scratch[idx] = sum
 			}
 		}
 	}
-	copy(dst[:n], scratch[:n])
 }
 
-// dft3 computes a 3-point DFT directly.
-func (p *mixedPlan) dft3(src, dst []complex128, stride int) {
-	a, b, c := src[0], src[stride], src[2*stride]
-	t1 := b + c
-	t2 := a - t1/2
-	t3 := mulByI(b-c) * complex(-0.8660254037844386, 0)
-	dst[0] = a + t1
-	dst[1] = t2 + t3
-	dst[2] = t2 - t3
-}
+var unitTw = [4]complex128{1, 1, 1, 1}
 
-// dftSmall computes an n-point DFT by direct summation using the
-// plan's root table (used only for tiny leaf sizes).
-func (p *mixedPlan) dftSmall(src, dst []complex128, n, stride int) {
-	rootStride := p.n / n
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			sum += src[j*stride] * p.roots[(j*k*rootStride)%p.n]
-		}
-		dst[k] = sum
+// smoothStack is the largest 1-D smooth transform whose work row lives
+// on the stack when the caller brings no scratch.
+const smoothStack = 64
+
+// transform1D runs the schedule at one lane, in place; buf (>= n
+// elements, or nil) receives the leaf pass.
+func (p *smoothPlan) transform1D(tier xmath.SIMDTier, x, buf []complex128, inverse bool) {
+	var stack [smoothStack]complex128
+	switch {
+	case len(buf) >= p.n:
+		buf = buf[:p.n]
+	case p.n <= smoothStack:
+		buf = stack[:p.n]
+	default:
+		buf = make([]complex128, p.n)
 	}
-}
-
-// mulByI returns i*z.
-func mulByI(z complex128) complex128 {
-	return complex(-imag(z), real(z))
-}
-
-// invSqrt2 = sqrt(2)/2, the magnitude of the odd eighth roots.
-const invSqrt2 = 0.7071067811865476
-
-// dft8 is a hardcoded 8-point DIT codelet (two 4-point DFTs plus a
-// radix-2 combine whose only non-trivial twiddles are W8^1 and W8^3,
-// applied as shuffle/scale). The paper's 24-pixel subgrids factor as
-// 3 x 8, so this leaf carries most of the mixed-radix work.
-func dft8(src, dst []complex128, stride int) {
-	x0, x1 := src[0], src[stride]
-	x2, x3 := src[2*stride], src[3*stride]
-	x4, x5 := src[4*stride], src[5*stride]
-	x6, x7 := src[6*stride], src[7*stride]
-
-	// Even 4-point DFT: x0, x2, x4, x6.
-	t0, t1 := x0+x4, x0-x4
-	t2, t3 := x2+x6, complex(imag(x2-x6), -real(x2-x6)) // -i*(x2-x6)
-	e0, e1, e2, e3 := t0+t2, t1+t3, t0-t2, t1-t3
-
-	// Odd 4-point DFT: x1, x3, x5, x7.
-	u0, u1 := x1+x5, x1-x5
-	u2, u3 := x3+x7, complex(imag(x3-x7), -real(x3-x7))
-	o0, o1, o2, o3 := u0+u2, u1+u3, u0-u2, u1-u3
-
-	// Twiddled odds: W8^0=1, W8^1=s*(1-i), W8^2=-i, W8^3=-s*(1+i).
-	o1 = complex(invSqrt2*(real(o1)+imag(o1)), invSqrt2*(imag(o1)-real(o1)))
-	o2 = complex(imag(o2), -real(o2))
-	o3 = complex(invSqrt2*(imag(o3)-real(o3)), -invSqrt2*(real(o3)+imag(o3)))
-
-	dst[0], dst[4] = e0+o0, e0-o0
-	dst[1], dst[5] = e1+o1, e1-o1
-	dst[2], dst[6] = e2+o2, e2-o2
-	dst[3], dst[7] = e3+o3, e3-o3
+	p.run(tier, buf, x, 1, 1, inverse)
+	copy(x, buf)
 }

@@ -153,7 +153,7 @@ func TestCenteredRoundTrip2D(t *testing.T) {
 func TestTransformPlanesMatchesCentered(t *testing.T) {
 	for _, n := range []int{16, 24, 25} {
 		p := NewPlan2D(n, n)
-		scale := complex(1/float64(n*n), 0)
+		scale := 1 / float64(n*n)
 		for _, inverse := range []bool{false, true} {
 			planes := make([][]complex128, 4)
 			want := make([][]complex128, 4)
@@ -165,7 +165,7 @@ func TestTransformPlanesMatchesCentered(t *testing.T) {
 				} else {
 					p.ForwardCentered(want[c])
 					for i := range want[c] {
-						want[c][i] *= scale
+						want[c][i] *= complex(scale, 0)
 					}
 				}
 			}
@@ -212,7 +212,7 @@ func TestEngineTierBitwise(t *testing.T) {
 func TestConcurrentPlaneTransformsRace(t *testing.T) {
 	const n = 24
 	p := NewPlan2D(n, n)
-	scale := complex(1/float64(n*n), 0)
+	scale := 1 / float64(n*n)
 	want := randSignal(7, n*n)
 	ref := append([]complex128(nil), want...)
 	p.TransformPlanes([][]complex128{ref}, false, scale)

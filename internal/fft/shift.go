@@ -108,7 +108,7 @@ func (p *Plan2D) ForwardCentered(x []complex128) {
 // and for turning the final grid into a sky image.
 func (p *Plan2D) InverseCentered(x []complex128) {
 	p.checkLen(x)
-	scale := complex(1/float64(p.rows*p.cols), 0)
+	scale := 1 / float64(p.rows*p.cols)
 	if p.fusedOK {
 		p.runSerial(x, true, true, p.sigma*scale)
 		return
@@ -134,7 +134,7 @@ func (p *Plan2D) ForwardCenteredParallel(x []complex128, workers int) {
 // InverseCenteredParallel is the parallel variant of InverseCentered.
 func (p *Plan2D) InverseCenteredParallel(x []complex128, workers int) {
 	p.checkLen(x)
-	scale := complex(1/float64(p.rows*p.cols), 0)
+	scale := 1 / float64(p.rows*p.cols)
 	if p.fusedOK {
 		p.runParallel(x, true, true, p.sigma*scale, workers)
 		return

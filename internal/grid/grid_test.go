@@ -150,3 +150,38 @@ func TestAddGridSizeMismatchPanics(t *testing.T) {
 	}()
 	NewGrid(4).AddGrid(NewGrid(8))
 }
+
+// TestSubgridFiniteVerdicts plants every kind of non-finite value in
+// the first, a middle and the last cell of each plane, in either
+// component, on an even- and an odd-sized subgrid (the check runs two
+// pixels at a time).
+func TestSubgridFiniteVerdicts(t *testing.T) {
+	for _, n := range []int{6, 7} {
+		s := NewSubgrid(n, 0, 0)
+		for c := range s.Data {
+			for i := range s.Data[c] {
+				s.Data[c][i] = complex(float64(i)-3.5, -1e300*float64(c+1))
+			}
+		}
+		if !s.Finite() {
+			t.Fatalf("n=%d: finite subgrid reported as poisoned", n)
+		}
+		for c := range s.Data {
+			for _, i := range []int{0, n*n/2 + 1, n*n - 1} {
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					for _, v := range []complex128{complex(bad, 1), complex(1, bad)} {
+						old := s.Data[c][i]
+						s.Data[c][i] = v
+						if s.Finite() {
+							t.Fatalf("n=%d plane %d cell %d = %v: reported finite", n, c, i, v)
+						}
+						s.Data[c][i] = old
+					}
+				}
+			}
+		}
+		if !s.Finite() {
+			t.Fatalf("n=%d: restored subgrid reported as poisoned", n)
+		}
+	}
+}

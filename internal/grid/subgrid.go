@@ -85,13 +85,24 @@ func (s *Subgrid) Clone() *Subgrid {
 // subgrid reaches the shared grid.
 func (s *Subgrid) Finite() bool {
 	for c := range s.Data {
-		for _, v := range s.Data[c] {
-			re, im := real(v), imag(v)
-			// NaN fails every comparison; the subtraction turns
-			// +/-Inf into NaN as well.
-			if re-re != 0 || im-im != 0 {
-				return false
-			}
+		// v - v is zero for finite v and NaN for NaN and +/-Inf, and a
+		// NaN survives every later addition: sum over the plane (four
+		// independent chains) and test once, no branch per component.
+		var a0, a1, a2, a3 float64
+		p := s.Data[c]
+		for ; len(p) >= 2; p = p[2:] {
+			r0, i0, r1, i1 := real(p[0]), imag(p[0]), real(p[1]), imag(p[1])
+			a0 += r0 - r0
+			a1 += i0 - i0
+			a2 += r1 - r1
+			a3 += i1 - i1
+		}
+		for _, v := range p {
+			a0 += real(v) - real(v)
+			a1 += imag(v) - imag(v)
+		}
+		if (a0+a1)+(a2+a3) != 0 {
+			return false
 		}
 	}
 	return true

@@ -101,9 +101,12 @@ const (
 	// tile workers) the gridder tiles spend after the visibility loop:
 	// lane fold, A-term sandwich, taper and pixel store. Its share of
 	// the gridder's item time (HistItemSeconds sum of a gridding pass) is
-	// the per-subgrid fixed cost of the kernel. The float32 vector tile
-	// does not report it.
+	// the per-subgrid fixed cost of the kernel.
 	MetricGridEpilogueNs = "grid_epilogue_ns_total"
+	// MetricDegridPrologueNs is its mirror: the busy time the degridder
+	// spends per item before the visibility loop (A-term sandwich, taper,
+	// plane split, phase offsets).
+	MetricDegridPrologueNs = "degrid_prologue_ns_total"
 	// MetricShardLocks counts shard-lock acquisitions by the sharded
 	// adder and splitter (one per subgrid x shard overlap).
 	MetricShardLocks = "grid_shard_locks_total"

@@ -28,3 +28,25 @@ func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128)
 //
 //go:noescape
 func r4ColsPairsInv(a, b, c, d *complex128, np int, w1, w2 complex128)
+
+// bfly2Pairs, bfly3Pairs and dft8Pairs are the lane-pair loops of
+// Bfly2Lanes, Bfly3Lanes and DFT8Lanes: np pairs of lanes of rows ds
+// (destination) and ss (source) elements apart. cbfly_amd64.s.
+//
+//go:noescape
+func bfly2Pairs(dst *complex128, ds int, src *complex128, ss, np int, tw complex128)
+
+//go:noescape
+func bfly3Pairs(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool)
+
+//go:noescape
+func dft8Pairs(dst *complex128, ds int, src *complex128, ss, np int, inverse bool)
+
+// scalePairs and transposePairs are the pair loops of ScaleLanes and
+// TransposeLanes. cbfly_amd64.s.
+//
+//go:noescape
+func scalePairs(dst, src *complex128, np int, s0, s1 float64)
+
+//go:noescape
+func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int)

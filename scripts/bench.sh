@@ -1,6 +1,6 @@
 #!/bin/sh
 # Kernel/pipeline benchmark runner: measures the gridder and degridder
-# kernels (both precisions, plus the gridder's short-item regime) and
+# kernels (both precisions, plus their short-item regime) and
 # the full warm pipeline passes with allocation tracking, and writes
 # the machine-readable BENCH_kernels.json (ns/op, allocs/op,
 # visibilities/sec; see cmd/benchjson) for diffing against
@@ -28,7 +28,7 @@ if [ "${1:-}" = "-distrib" ]; then
     exit 0
 fi
 
-bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$'
+bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$'
 out="${BENCH_OUT:-BENCH_kernels.json}"
 # The full pipeline passes take ~0.5 s per iteration; give them a few
 # iterations so the committed numbers aren't single-sample noise.

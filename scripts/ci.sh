@@ -79,7 +79,7 @@ bash benchmark/run.sh -workload all -smoke
 # noise, not regressions.
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$' -benchtime 1s -count 3 . |
+go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$' -benchtime 1s -count 3 . |
     go run ./cmd/benchjson > "$out"
 go run ./cmd/benchjson -compare -allow-missing -threshold "${BENCH_THRESHOLD:-10}" BENCH_kernels.json "$out"
 # Distributed scalability gate: re-measure the 1/2/4/8-worker
