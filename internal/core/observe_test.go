@@ -97,7 +97,8 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 
 // TestObserverGridEpilogueCounter: an observed gridding pass reports
 // the tiles' epilogue busy time (lane fold, A-term sandwich, taper,
-// store) — a positive part of, and less than, the items' total time.
+// store), and a degridding pass its mirror, the prologue — each a
+// positive part of, and less than, its pass's item time.
 func TestObserverGridEpilogueCounter(t *testing.T) {
 	s, ob := observedScenario(t, defaultScenarioConfig())
 	s.fillFromModel(nil)
@@ -106,11 +107,22 @@ func TestObserverGridEpilogueCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ob.Metrics.Snapshot()
-	epilogue := float64(snap.Counters[obs.MetricGridEpilogueNs]) / 1e9
-	items := snap.Histograms[obs.HistItemSeconds].Sum
-	if epilogue <= 0 || epilogue >= items {
-		t.Fatalf("%s = %g s against %g s of item time, want a positive part of it",
-			obs.MetricGridEpilogueNs, epilogue, items)
+	gridItems := snap.Histograms[obs.HistItemSeconds].Sum
+	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, s.vs, aterm.Identity{}, g); err != nil {
+		t.Fatal(err)
+	}
+	snap = ob.Metrics.Snapshot()
+	for _, c := range []struct {
+		metric string
+		items  float64
+	}{
+		{obs.MetricGridEpilogueNs, gridItems},
+		{obs.MetricDegridPrologueNs, snap.Histograms[obs.HistItemSeconds].Sum - gridItems},
+	} {
+		busy := float64(snap.Counters[c.metric]) / 1e9
+		if busy <= 0 || busy >= c.items {
+			t.Errorf("%s = %g s against %g s of item time, want a positive part of it", c.metric, busy, c.items)
+		}
 	}
 }
 

@@ -59,19 +59,20 @@ scripts/bench.sh -short
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload all -smoke
 
-# Performance regression gate: briefly re-measure the five kernel
-# benchmarks (both precisions, and the gridder's short-item regime)
+# Performance regression gate: briefly re-measure the six kernel
+# benchmarks (both precisions, and both short-item regimes)
 # plus the two FFT-stage benchmarks and
 # compare their throughput against BENCH_kernels.json; a slowdown
 # beyond BENCH_THRESHOLD percent (default 10) fails CI. The float32
 # kernels are in the gate because they are the SIMD dispatch layer's
 # reason to exist: losing the vector path (a dispatch regression)
 # roughly halves their MVis/s, far beyond any threshold. The
-# short-item gridder benchmark guards the direct-phasor tile the same
-# way: an item shape that falls back to the generic scalar tile loses
-# more than half of its MVis/s. The FFT benchmarks guard the radix-4
-# engine the same way: falling back to the seed per-plane path is a
-# >3x slowdown on the subgrid stage.
+# short-item benchmarks guard the direct-phasor tile and the A-term
+# epilogue/prologue the same way: an item shape that falls back to the
+# generic scalar tile, or a sandwich that falls back to Matrix2
+# arithmetic, loses a third to a half of its MVis/s. The FFT benchmarks
+# guard the radix-4 and lane-parallel mixed-radix engines: a scalar
+# per-column subgrid transform is a >4x slowdown on the subgrid stage.
 # -allow-missing because this is a deliberate subset run: the
 # baseline holds the full bench.sh set, CI re-measures only the
 # kernels. -count 3 because benchjson gates on the best duplicate
