@@ -23,6 +23,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -474,6 +475,89 @@ func BenchmarkGridFFT2048(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.ForwardCentered(x)
 		p.InverseCentered(x)
+	}
+}
+
+// benchPartialGrid is a 1024-pixel grid shaped like a gridded partial:
+// a centred disc of nonzero cells on a zero background.
+func benchPartialGrid() *Grid {
+	const n = 1024
+	g := NewGrid(n)
+	rnd := newTestRand(19)
+	for c := range g.Data {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				if dx, dy := x-n/2, y-n/2; dx*dx+dy*dy < 400*400 {
+					g.Data[c][y*n+x] = complex(rnd(), rnd())
+				}
+			}
+		}
+	}
+	return g
+}
+
+// BenchmarkGridFingerprint measures the one-pass grid fingerprint
+// (canonical encode + SHA-256 + diagnostics) of a 1024-pixel grid — the
+// hash a distributed run takes of every partial on both ends of the
+// wire, and a served session at finalize. MB/s is over the 64 MiB of
+// canonical bytes; the SHA-NI block function alone runs near 1.2 GB/s
+// here.
+func BenchmarkGridFingerprint(b *testing.B) {
+	g := benchPartialGrid()
+	g.Fingerprint() // fills the codec's buffer pool
+	b.SetBytes(int64(grid.NrCorrelations * g.N * g.N * grid.CellBytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFingerprint = g.Fingerprint()
+	}
+}
+
+var benchFingerprint grid.Fingerprint
+
+// BenchmarkWriteGridBinary measures the grid fetch path (a served
+// session's /grid, idgdistrib -out) for one 512-pixel grid.
+func BenchmarkWriteGridBinary(b *testing.B) {
+	g := NewGrid(512)
+	rnd := newTestRand(20)
+	for c := range g.Data {
+		for i := range g.Data[c] {
+			g.Data[c][i] = complex(rnd(), rnd())
+		}
+	}
+	b.SetBytes(int64(grid.NrCorrelations * g.N * g.N * grid.CellBytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteGridBinary(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFillFromModelPlan measures the distributed worker's
+// visibility fill on the benchmark's dense shape (30 stations x 256
+// steps x 16 channels, four sources) at one and two fill goroutines;
+// MVis/s counts predicted samples.
+func BenchmarkFillFromModelPlan(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := DefaultObservation()
+			cfg.Workers = workers
+			o, err := cfg.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			model := StandardSkyModel(o, 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := o.FillFromModelPlan(model); err != nil {
+					b.Fatal(err)
+				}
+			}
+			vis := o.Plan.Stats().NrGriddedVisibilities
+			b.ReportMetric(float64(b.N)*float64(vis)/b.Elapsed().Seconds()/1e6, "MVis/s")
+		})
 	}
 }
 

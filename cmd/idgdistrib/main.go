@@ -4,7 +4,7 @@
 // workers with -resume so they continue from their private
 // checkpoints, tree-reduces the delivered partial grids, and prints
 // the final grid fingerprint (the same SHA-256 the golden conformance
-// suite pins).
+// suite pins) and, on stderr, where the coordinator's time went.
 //
 //	idgdistrib -workers 4 -axis rows -checkpoint-root /tmp/ckpt
 //	idgdistrib -workers 4 -kill 2:before-rename   # chaos: worker 2 dies once
@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro"
 )
@@ -144,6 +146,7 @@ func main() {
 		return cmd.Run()
 	})
 
+	start := time.Now()
 	g, sum, err := repro.RunDistributed(ctx, repro.DistribOptions{
 		Config:         cfg,
 		Workers:        *workers,
@@ -162,7 +165,11 @@ func main() {
 		fail(err)
 	}
 
-	fp := repro.FingerprintGrid(g)
+	// The coordinator already fingerprinted the reduced grid.
+	fp := repro.GridFingerprint{
+		SHA256: hex.EncodeToString(sum.Final.SHA256[:]), GridSize: sum.Final.GridSize,
+		SumAbs: sum.Final.SumAbs, PeakAbs: sum.Final.PeakAbs, Nonzero: int(sum.Final.Nonzero),
+	}
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
@@ -190,6 +197,32 @@ func main() {
 	}
 	fmt.Printf("final sha256 %s (workers %d, axis %s, restarts %d, nonzero %d)\n",
 		fp.SHA256, sum.Workers, sum.Axis, sum.Restarts, fp.Nonzero)
+	printStages(sum, time.Since(start))
+}
+
+// printStages prints the coordinator's stage table to stderr (stdout
+// carries the fingerprint), unasked.
+func printStages(sum *repro.DistribSummary, wall time.Duration) {
+	st := sum.Stages
+	rows := []struct {
+		name string
+		d    time.Duration
+	}{
+		{"plan + fingerprint pinning", st.Plan},
+		{"launch -> last hello (workers: build, fill, grid)", st.Launch},
+		{"receive + decode", st.Receive},
+		{"verify hash", st.Verify},
+		{"reduce", st.Reduce},
+		{"final hash", st.FinalHash},
+	}
+	rest := wall
+	fmt.Fprintf(os.Stderr, "%-52s %9s %6s\n", "coordinator stage", "seconds", "share")
+	for _, r := range rows {
+		rest -= r.d
+		fmt.Fprintf(os.Stderr, "%-52s %9.3f %5.1f%%\n", r.name, r.d.Seconds(), 100*r.d.Seconds()/wall.Seconds())
+	}
+	fmt.Fprintf(os.Stderr, "%-52s %9.3f %5.1f%%\n", "remainder (listener, hand-over, output)", rest.Seconds(), 100*rest.Seconds()/wall.Seconds())
+	fmt.Fprintf(os.Stderr, "%-52s %9.3f\n", "wall", wall.Seconds())
 }
 
 func fail(err error) {

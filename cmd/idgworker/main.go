@@ -4,7 +4,8 @@
 // from the standard sky model, grids the partition through the
 // streamed scheduler — checkpointing into -checkpoint-dir, resuming
 // from it under -resume — and delivers the partial grid to the
-// coordinator over the reduction wire protocol.
+// coordinator over the reduction wire protocol, logging where its time
+// went (build / fill / grid / deliver) to stderr.
 //
 // It is normally exec'd by cmd/idgdistrib, which passes every flag
 // below; running it by hand against a live coordinator is how one
@@ -119,7 +120,10 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := repro.RunDistribWorker(ctx, opt); err != nil {
+	times, err := repro.RunDistribWorker(ctx, opt)
+	fmt.Fprintf(os.Stderr, "idgworker %d/%d: build %.3fs  fill %.3fs  grid %.3fs  deliver %.3fs\n", *index, *workers,
+		times.Build.Seconds(), times.Fill.Seconds(), times.Grid.Seconds(), times.Deliver.Seconds())
+	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("worker %d/%d axis %s delivered\n", *index, *workers, axis)

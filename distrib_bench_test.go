@@ -7,16 +7,18 @@ import (
 )
 
 // BenchmarkDistribScale measures one full distributed imaging pass —
-// plan build, plan-scoped visibility fill, partition gridding,
-// reduction-protocol delivery and tree reduction — at 1, 2, 4 and 8
+// the coordinator's one plan build, then per worker the kernel build,
+// plan-scoped visibility fill, partition gridding and
+// reduction-protocol delivery, then tree reduction — at 1, 2, 4 and 8
 // in-process workers, reporting end-to-end MVis/s. On a multi-core
 // host the curve shows scale-out; on a serial host it pins the
-// per-worker harness overhead (plan build, fingerprint, wire round
-// trip, reduction) instead. Either way the committed
-// BENCH_distrib.json numbers are what ci.sh's benchjson -compare
-// gates: a fill that reverts to the full visibility set per worker,
-// or a wire path that ships full zero grids, shows up as super-linear
-// cost growth at workers=8 long before the threshold.
+// per-worker harness overhead (kernels, visibility allocation,
+// fingerprints, wire round trip, reduction) instead. Either way the
+// committed BENCH_distrib.json numbers are what ci.sh's benchjson
+// -compare gates: a fill that reverts to the full visibility set per
+// worker, a plan built once per worker again, or a wire path that
+// ships full zero grids shows up as super-linear cost growth at
+// workers=8 long before the threshold.
 func BenchmarkDistribScale(b *testing.B) {
 	cfg := distribGoldenConfig()
 	o, err := cfg.BuildPlan()

@@ -204,7 +204,7 @@ func TestDistribWorkerOptionValidation(t *testing.T) {
 		{Workers: 4, Index: -1},
 	}
 	for i, opt := range bad {
-		if err := RunDistribWorker(context.Background(), opt); err == nil {
+		if _, err := RunDistribWorker(context.Background(), opt); err == nil {
 			t.Errorf("options %d accepted: %+v", i, opt)
 		}
 	}

@@ -74,7 +74,7 @@ func distribExecWorker() {
 	if os.Getenv("REPRO_DISTRIB_KILL") == "1" {
 		opt.CrashHook = faultinject.CrashHook(CheckpointBeforeRename, -1)
 	}
-	if err := RunDistribWorker(context.Background(), opt); err != nil {
+	if _, err := RunDistribWorker(context.Background(), opt); err != nil {
 		fmt.Fprintln(os.Stderr, "exec worker:", err)
 		os.Exit(1)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/distrib"
@@ -29,12 +30,9 @@ type (
 	DistribLauncher = distrib.Launcher
 	// DistribLauncherFunc adapts a function to DistribLauncher.
 	DistribLauncherFunc = distrib.LauncherFunc
-	// DistribSummary reports restarts, discarded streams and all
-	// partial fingerprints of a distributed run.
+	// DistribSummary reports restarts, discarded streams, all partial
+	// fingerprints and the coordinator's stage times of a run.
 	DistribSummary = distrib.Summary
-	// DistribFingerprint is the internal grid fingerprint partials
-	// are verified with.
-	DistribFingerprint = distrib.Fingerprint
 )
 
 // Partition axes.
@@ -113,34 +111,52 @@ type DistribWorkerOptions struct {
 	MaxFramePayload int
 }
 
+// DistribWorkerTimes is where one worker attempt's wall time went:
+// Build is geometry (unless shared), kernels and the partition filter;
+// Deliver the fingerprint, band encode and wire.
+type DistribWorkerTimes struct {
+	Build, Fill, Grid, Deliver time.Duration
+}
+
 // RunDistribWorker executes one worker attempt end to end: build the
 // observation, filter the plan to this worker's partition, fill the
 // visibilities from the model, grid the partition (resuming from the
 // worker's checkpoint when asked), and deliver the partial grid to the
-// coordinator.
+// coordinator. It returns the times of the stages it completed.
 //
 // Bit-reproducibility of a killed-and-resumed worker follows the
 // single-process rule: with Config.Workers <= 1 the resumed partial is
 // bit-identical to an uninterrupted one, so the whole distributed run
 // (fixed reduction tree) hashes identically with and without kills.
-func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) error {
+func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) (DistribWorkerTimes, error) {
+	return runDistribWorker(ctx, opt, nil)
+}
+
+// runDistribWorker is RunDistribWorker over the coordinator's geometry
+// when the worker shares its process, over its own when geo is nil.
+func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geometry) (times DistribWorkerTimes, err error) {
 	if opt.Workers < 1 || opt.Index < 0 || opt.Index >= opt.Workers {
-		return fmt.Errorf("repro: worker %d of %d is not a valid assignment", opt.Index, opt.Workers)
+		return times, fmt.Errorf("repro: worker %d of %d is not a valid assignment", opt.Index, opt.Workers)
 	}
+	mark := time.Now()
+	lap := func(d *time.Duration) { *d, mark = time.Since(mark), time.Now() }
 	cfg := opt.Config
 	cfg.CheckpointDir = opt.CheckpointDir
 	if cfg.CheckpointDir == "" {
 		cfg.CheckpointEvery = 0
 	}
-	o, err := cfg.BuildPlan()
-	if err != nil {
-		return err
+	if geo == nil {
+		if geo, err = cfg.buildGeometry(cfg.Workers); err != nil {
+			return times, err
+		}
 	}
-	sub, err := distrib.FilterPlan(o.Plan, opt.Axis, opt.Workers, opt.Index)
+	o, err := newObservation(cfg, geo)
 	if err != nil {
-		return err
+		return times, err
 	}
-	o.Plan = sub
+	if o.Plan, err = distrib.FilterPlan(o.Plan, opt.Axis, opt.Workers, opt.Index); err != nil {
+		return times, err
+	}
 	if opt.CrashHook != nil || opt.ChunkItems > 0 || opt.ReferenceKernels {
 		p := o.Kernels.Params()
 		if opt.CrashHook != nil {
@@ -152,28 +168,32 @@ func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) error {
 		if opt.ReferenceKernels {
 			p.DisableBatching = true
 		}
-		k, err := NewKernels(p)
-		if err != nil {
-			return err
+		if o.Kernels, err = NewKernels(p); err != nil {
+			return times, err
 		}
-		o.Kernels = k
 	}
+	planSum := checkpoint.PlanFingerprint(o.Plan)
+	lap(&times.Build)
 	// Plan-scoped fill: the worker predicts only its partition's
 	// samples (bit-identical to a full fill for everything the
 	// partition grids), so fill cost scales down with the partition.
 	if err := o.FillFromModelPlan(opt.Model); err != nil {
-		return err
+		return times, err
 	}
+	lap(&times.Fill)
 
 	g, _, _, err := o.gridPass(ctx, nil, opt.Fault, opt.Resume && opt.CheckpointDir != "")
 	if err != nil {
-		return err
+		return times, err
 	}
+	lap(&times.Grid)
 	spec := DistribWorkerSpec{
 		Index: opt.Index, Workers: opt.Workers, Axis: opt.Axis,
 		Resume: opt.Resume, CoordinatorAddr: opt.CoordinatorAddr,
 	}
-	return distrib.Deliver(ctx, spec, checkpoint.PlanFingerprint(o.Plan), g, opt.MaxFramePayload)
+	err = distrib.Deliver(ctx, spec, planSum, g, opt.MaxFramePayload)
+	lap(&times.Deliver)
+	return times, err
 }
 
 // DistribOptions configures a whole distributed run.
@@ -202,8 +222,8 @@ type DistribOptions struct {
 	// Fault is the per-item failure policy inside each worker.
 	Fault FaultConfig
 	// Launcher overrides how worker attempts run. Nil runs each
-	// attempt as an in-process goroutine via RunDistribWorker —
-	// the single-binary harness the conformance tests use.
+	// attempt as an in-process goroutine over the coordinator's
+	// geometry — the single-binary harness the conformance tests use.
 	// cmd/idgdistrib supplies an exec launcher instead.
 	Launcher DistribLauncher
 	// WorkerHook, when set (and Launcher is nil), edits each
@@ -215,23 +235,26 @@ type DistribOptions struct {
 }
 
 // RunDistributed runs one full distributed imaging pass: it builds
-// the plan once to pin every worker's expected sub-plan fingerprint,
-// starts the coordinator, launches the workers, restarts failures
-// with Resume set, and returns the tree-reduced grid and the run
-// summary.
+// the geometry once — to pin every worker's expected sub-plan
+// fingerprint, and for the in-process workers to grid over — starts
+// the coordinator, launches the workers, restarts failures with Resume
+// set, and returns the tree-reduced grid and the run summary.
 func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSummary, error) {
 	if opt.Workers < 1 {
 		return nil, nil, fmt.Errorf("repro: need at least one distrib worker, got %d", opt.Workers)
 	}
+	start := time.Now()
 	planner := opt.Config
 	planner.CheckpointDir, planner.CheckpointEvery = "", 0
-	o, err := planner.BuildPlan()
+	// Config.Workers is each worker's share of the host; until they
+	// start, the planner has all of it.
+	geo, err := planner.buildGeometry(0)
 	if err != nil {
 		return nil, nil, err
 	}
 	sums := make([][32]byte, opt.Workers)
 	for i := range sums {
-		sub, err := distrib.FilterPlan(o.Plan, opt.Axis, opt.Workers, i)
+		sub, err := distrib.FilterPlan(geo.plan, opt.Axis, opt.Workers, i)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -279,16 +302,15 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 			if opt.WorkerHook != nil {
 				opt.WorkerHook(&w, spec)
 			}
-			return RunDistribWorker(ctx, w)
+			_, err = runDistribWorker(ctx, w, geo)
+			return err
 		})
 	}
+	planned := time.Since(start)
 	g, sum, err := co.Run(ctx, launcher)
 	if err != nil {
 		return nil, nil, err
 	}
+	sum.Stages.Plan = planned
 	return g, sum, nil
 }
-
-// DistribFingerprintOf exposes the internal fingerprint for
-// conformance tests comparing partials against facade hashes.
-func DistribFingerprintOf(g *Grid) DistribFingerprint { return distrib.FingerprintOf(g) }

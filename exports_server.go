@@ -2,18 +2,14 @@ package repro
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/server"
-	"repro/internal/uvwsim"
 )
 
 // Gridding-as-a-service: the facade side of internal/server. The
@@ -65,66 +61,37 @@ type GridFingerprint struct {
 	Nonzero  int     `json:"nonzero"`
 }
 
-// FingerprintGrid hashes and summarizes a grid.
+// FingerprintGrid hashes and summarizes a grid (grid.Fingerprint with
+// the hash in hex).
 func FingerprintGrid(g *Grid) GridFingerprint {
-	h := sha256.New()
-	var buf [16]byte
-	sum, peak := 0.0, 0.0
-	nonzero := 0
-	for c := 0; c < grid.NrCorrelations; c++ {
-		for _, v := range g.Data[c] {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
-			h.Write(buf[:])
-			a := math.Hypot(real(v), imag(v))
-			sum += a
-			if a > peak {
-				peak = a
-			}
-			if v != 0 {
-				nonzero++
-			}
-		}
-	}
+	fp := g.Fingerprint()
 	return GridFingerprint{
-		SHA256:   hex.EncodeToString(h.Sum(nil)),
-		GridSize: g.N,
-		SumAbs:   sum,
-		PeakAbs:  peak,
-		Nonzero:  nonzero,
+		SHA256:   hex.EncodeToString(fp.SHA256[:]),
+		GridSize: fp.GridSize,
+		SumAbs:   fp.SumAbs,
+		PeakAbs:  fp.PeakAbs,
+		Nonzero:  int(fp.Nonzero),
 	}
 }
 
 // WriteGridBinary streams a grid in the fingerprint byte order, so
 // hashing the written bytes reproduces FingerprintGrid(g).SHA256.
 func WriteGridBinary(w io.Writer, g *Grid) error {
-	for c := 0; c < grid.NrCorrelations; c++ {
-		if err := binary.Write(w, binary.LittleEndian, g.Data[c]); err != nil {
+	for c := range g.Data {
+		if err := grid.WriteCells(w, g.Data[c]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// planCacheEntry holds the expensive, immutable-after-build parts of
-// an observation: station layout, uvw simulator, execution plan and
-// the derived image size. Kernels and visibility storage are per
-// session (kernels carry per-run knobs like shards and observers;
-// visibilities are the session's mutable data).
-type planCacheEntry struct {
-	stations  []Station
-	sim       *uvwsim.Simulator
-	plan      *Plan
-	imageSize float64
-}
-
 // The plan cache follows the FFT plan cache pattern: read-mostly
-// lookups under an RWMutex, plans built outside any lock, first
+// lookups under an RWMutex, geometries built outside any lock, first
 // stored entry wins so concurrent sessions of the same configuration
 // share one plan.
 var (
 	planCacheMu sync.RWMutex
-	planCache   = make(map[string]*planCacheEntry)
+	planCache   = make(map[string]*geometry)
 
 	planCacheHits, planCacheMisses atomic.Int64
 )
@@ -139,7 +106,7 @@ func ServerPlanCacheStats() (hits, misses int64) {
 // resetServerPlanCache clears the cache and its counters (test seam).
 func resetServerPlanCache() {
 	planCacheMu.Lock()
-	planCache = make(map[string]*planCacheEntry)
+	planCache = make(map[string]*geometry)
 	planCacheMu.Unlock()
 	planCacheHits.Store(0)
 	planCacheMisses.Store(0)
@@ -215,57 +182,25 @@ func (b *ServerBackend) buildObservation(oc ObservationConfig) (*Observation, er
 	}
 	key := planKey(oc)
 	planCacheMu.RLock()
-	e := planCache[key]
+	geo := planCache[key]
 	planCacheMu.RUnlock()
-	if e == nil {
+	if geo == nil {
 		planCacheMisses.Add(1)
-		full, err := oc.BuildPlan()
+		fresh, err := oc.buildGeometry(oc.Workers)
 		if err != nil {
 			return nil, err
 		}
-		fresh := &planCacheEntry{
-			stations: full.Stations, sim: full.Simulator,
-			plan: full.Plan, imageSize: full.ImageSize,
-		}
 		planCacheMu.Lock()
-		if won, ok := planCache[key]; ok {
-			e = won
-		} else {
-			planCache[key] = fresh
-			e = fresh
+		if geo = planCache[key]; geo == nil { // else a concurrent builder won
+			geo, planCache[key] = fresh, fresh
 		}
 		planCacheMu.Unlock()
 	} else {
 		planCacheHits.Add(1)
 	}
-	// Per-session kernels: they carry the session's shards, in-flight
-	// bound, checkpoint directory and observer, and their scratch
-	// pools must not be shared across concurrently gridding sessions
-	// of different knob sets.
-	k, err := NewKernels(Params{
-		GridSize:          oc.GridSize,
-		SubgridSize:       oc.SubgridSize,
-		ImageSize:         e.imageSize,
-		Frequencies:       oc.Frequencies(),
-		Workers:           oc.Workers,
-		Precision:         oc.Precision,
-		GridShards:        oc.GridShards,
-		MaxInflightChunks: oc.MaxInflightChunks,
-		CheckpointDir:     oc.CheckpointDir,
-		CheckpointEvery:   oc.CheckpointEvery,
-		Observer:          oc.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Observation{
-		Config:    oc,
-		Stations:  e.stations,
-		Simulator: e.sim,
-		Plan:      e.plan,
-		Kernels:   k,
-		ImageSize: e.imageSize,
-	}, nil
+	// Per-session kernels: their scratch pools must not be shared across
+	// concurrently gridding sessions of different knob sets.
+	return newObservation(oc, geo)
 }
 
 // backendSession adapts one Observation to the server's session

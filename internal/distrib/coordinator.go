@@ -60,8 +60,23 @@ type Summary struct {
 	WorkerFingerprints []Fingerprint
 	// Final is the fingerprint of the reduced grid.
 	Final Fingerprint
+	// Stages is the coordinator's own account of the run's wall time.
+	Stages Stages
 	// Notes records rejected streams and relaunches, newest last.
 	Notes []string
+}
+
+// Stages splits a run's wall time along its critical path, by the
+// coordinator's own clock. Launch, Receive and Verify follow the
+// stream accepted last — the one the reduction waited for — so the
+// stages never overlap and sum to at most the run's wall time.
+type Stages struct {
+	Plan      time.Duration // plan build + sub-plan fingerprints; set by whoever planned (RunDistributed)
+	Launch    time.Duration // Run's start to that stream's hello: its worker's build, fill and gridding
+	Receive   time.Duration // to its result frame read: band transfer, CRC, decode
+	Verify    time.Duration // to its partial re-hashed and accepted
+	Reduce    time.Duration // the tree reduction
+	FinalHash time.Duration // hashing the reduced grid; 0 when Final came from the only contributor
 }
 
 // Coordinator assigns partitions, accepts reduction streams, restarts
@@ -73,9 +88,10 @@ type Coordinator struct {
 	ln  net.Listener
 
 	mu        sync.Mutex
-	partials  []*grid.Grid  // accepted partial per worker, nil until delivered
+	partials  []*grid.Grid  // accepted partial per worker; stays nil for a stream without bands
 	prints    []Fingerprint // fingerprint per accepted partial
 	arrived   []chan struct{}
+	marks     [3]time.Time // hello decoded, result read, partial accepted: of the stream accepted last
 	restarts  int
 	discarded int
 	notes     []string
@@ -140,6 +156,7 @@ func (c *Coordinator) Run(ctx context.Context, launcher Launcher) (*grid.Grid, *
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer c.ln.Close()
+	start := time.Now()
 
 	var accepting sync.WaitGroup
 	go c.acceptLoop(ctx, &accepting)
@@ -188,13 +205,31 @@ func (c *Coordinator) Run(ctx context.Context, launcher Launcher) (*grid.Grid, *
 		Notes:              append([]string(nil), c.notes...),
 	}
 	gs := append([]*grid.Grid(nil), c.partials...)
+	m := c.marks
 	c.mu.Unlock()
+	sum.Stages = Stages{Launch: m[0].Sub(start), Receive: m[1].Sub(m[0]), Verify: m[2].Sub(m[1])}
 
+	contributors, only := 0, 0
+	for i, p := range gs {
+		if p != nil {
+			contributors, only = contributors+1, i
+		}
+	}
+	reducing := time.Now()
 	g := TreeReduce(gs)
 	if g == nil {
 		g = grid.NewGrid(c.cfg.GridSize)
 	}
-	sum.Final = FingerprintOf(g)
+	reduced := time.Now()
+	sum.Stages.Reduce = reduced.Sub(reducing)
+	if contributors == 1 {
+		// The reduction of one partial is that partial, by pointer: the
+		// fingerprint it was accepted under is the reduced grid's.
+		sum.Final = sum.WorkerFingerprints[only]
+	} else {
+		sum.Final = FingerprintOf(g)
+		sum.Stages.FinalHash = time.Since(reduced)
+	}
 	return g, sum, nil
 }
 
@@ -291,7 +326,8 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	g := grid.NewGrid(c.cfg.GridSize)
+	marks := [3]time.Time{time.Now()}
+	var g *grid.Grid // allocated by the first band
 	for {
 		f, err := ReadReduceFrame(br, c.cfg.MaxPayload)
 		if err != nil {
@@ -300,6 +336,9 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 		}
 		switch f.Type {
 		case FrameBand:
+			if g == nil {
+				g = grid.NewGrid(c.cfg.GridSize)
+			}
 			if _, _, err := DecodeBandInto(g, f); err != nil {
 				c.discard("worker %d: %v", h.Worker, err)
 				return
@@ -314,13 +353,19 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 				c.discard("worker %d stream closed with worker %d's result", h.Worker, r.Worker)
 				return
 			}
-			got := FingerprintOf(g)
+			marks[1] = time.Now()
+			assembled := g
+			if assembled == nil { // no bands: the worker must be declaring the zero grid
+				assembled = grid.NewGrid(c.cfg.GridSize)
+			}
+			got := FingerprintOf(assembled)
 			if got != r.Fingerprint {
 				c.discard("worker %d partial fingerprint mismatch: declared %x, assembled %x",
 					h.Worker, r.Fingerprint.SHA256[:8], got.SHA256[:8])
 				return
 			}
-			c.deliver(h.Worker, g, got)
+			marks[2] = time.Now()
+			c.deliver(h.Worker, g, got, marks)
 			return
 		default:
 			c.discard("worker %d sent frame type %d mid-stream", h.Worker, f.Type)
@@ -341,14 +386,17 @@ func (c *Coordinator) discard(format string, args ...any) {
 // predecessor's late stream) is dropped — both were verified against
 // the same assigned sub-plan, so they carry the same bits in the
 // serial-worker configurations the conformance suite pins.
-func (c *Coordinator) deliver(i int, g *grid.Grid, fp Fingerprint) {
+func (c *Coordinator) deliver(i int, g *grid.Grid, fp Fingerprint, m [3]time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.partials[i] != nil {
+	select {
+	case <-c.arrived[i]:
 		c.notes = append(c.notes, fmt.Sprintf("worker %d delivered twice; keeping the first accepted partial", i))
 		return
+	default:
 	}
 	c.partials[i] = g
 	c.prints[i] = fp
+	c.marks = m
 	close(c.arrived[i])
 }

@@ -240,3 +240,142 @@ func TestCoordinatorContextCancel(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// emptyPartitionLauncher delivers honest partials, except that the
+// workers named empty have an empty partition: their partial is the
+// all-zero grid, whose stream carries no bands.
+func emptyPartitionLauncher(size int, empty map[int]bool) Launcher {
+	return LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
+		g := workerGrid(spec, size)
+		if empty[spec.Index] {
+			g = grid.NewGrid(size)
+		}
+		return Deliver(ctx, spec, [32]byte{}, g, 0)
+	})
+}
+
+// TestCoordinatorFinalFingerprintRule covers both ways Summary.Final
+// is obtained — hashing the reduced grid, and taking the only
+// contributor's verified fingerprint — against a fresh hash of the
+// returned grid: one worker; three workers with one empty partition
+// (two contributors); two workers with one empty partition (one
+// contributor, the other partial stays nil).
+func TestCoordinatorFinalFingerprintRule(t *testing.T) {
+	const size = 24
+	for _, tc := range []struct {
+		name    string
+		workers int
+		empty   map[int]bool
+		only    int // the single contributor, or -1
+	}{
+		{"one worker", 1, nil, 0},
+		{"three workers, one empty", 3, map[int]bool{1: true}, -1},
+		{"two workers, first empty", 2, map[int]bool{0: true}, 1},
+		{"two workers, second empty", 2, map[int]bool{1: true}, 0},
+		{"all empty", 2, map[int]bool{0: true, 1: true}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := emptyPartitionLauncher(size, tc.empty)
+			g, sum, err := runCoordinator(t, Config{Workers: tc.workers, Axis: AxisRows, GridSize: size}, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh := FingerprintOf(g); sum.Final != fresh {
+				t.Fatalf("Summary.Final %x is not the returned grid's fingerprint %x", sum.Final.SHA256[:6], fresh.SHA256[:6])
+			}
+			if tc.only >= 0 {
+				if sum.Final != sum.WorkerFingerprints[tc.only] {
+					t.Error("Final is not the only contributor's verified fingerprint")
+				}
+				if sum.Stages.FinalHash != 0 {
+					t.Errorf("the one-contributor run still spent %v on a final hash", sum.Stages.FinalHash)
+				}
+			}
+			zero := FingerprintOf(grid.NewGrid(size))
+			for i, fp := range sum.WorkerFingerprints {
+				if tc.empty[i] != (fp == zero) {
+					t.Errorf("worker %d: empty=%v but fingerprint zero=%v", i, tc.empty[i], fp == zero)
+				}
+			}
+		})
+	}
+}
+
+// TestCoordinatorStages: the coordinator's stage times are
+// non-negative, ordered along the critical path, and add up to no more
+// than the wall time of the run they describe.
+func TestCoordinatorStages(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		start := time.Now()
+		_, sum, err := runCoordinator(t, Config{Workers: workers, Axis: AxisRows, GridSize: 64}, honestLauncher(64))
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sum.Stages
+		total := time.Duration(0)
+		for name, d := range map[string]time.Duration{
+			"plan": st.Plan, "launch": st.Launch, "receive": st.Receive,
+			"verify": st.Verify, "reduce": st.Reduce, "final hash": st.FinalHash,
+		} {
+			if d < 0 {
+				t.Errorf("workers=%d: stage %s is negative: %v", workers, name, d)
+			}
+			total += d
+		}
+		if st.Launch == 0 || st.Verify == 0 {
+			t.Errorf("workers=%d: launch %v / verify %v not measured", workers, st.Launch, st.Verify)
+		}
+		if total > wall {
+			t.Errorf("workers=%d: stages sum to %v, more than the run's wall %v", workers, total, wall)
+		}
+	}
+}
+
+// truncatedDeliver sends the hello and every band of g, then closes
+// the connection without the result frame.
+func truncatedDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	if err := sendBands(bw, spec, [32]byte{}, g, 0); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// TestCoordinatorRejectsStreamWithoutResult: a stream that ends after
+// its last band — every byte of the partial arrived, only the declared
+// fingerprint did not — is discarded and the worker relaunched. Nothing
+// the worker hashes on the side can stand in for the result frame.
+func TestCoordinatorRejectsStreamWithoutResult(t *testing.T) {
+	const size = 16
+	cut := LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
+		if spec.Index == 1 && !spec.Resume {
+			return truncatedDeliver(ctx, spec, workerGrid(spec, size))
+		}
+		return Deliver(ctx, spec, [32]byte{}, workerGrid(spec, size), 0)
+	})
+	cfg := Config{
+		Workers: 2, Axis: AxisRows, GridSize: size,
+		MaxRestarts: 1, ResultWait: 200 * time.Millisecond,
+	}
+	g, sum, err := runCoordinator(t, cfg, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Discarded != 1 || sum.Restarts != 1 {
+		t.Fatalf("discarded=%d restarts=%d, want 1 and 1", sum.Discarded, sum.Restarts)
+	}
+	clean, _, err := runCoordinator(t, Config{Workers: 2, Axis: AxisRows, GridSize: size}, honestLauncher(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FingerprintOf(g) != FingerprintOf(clean) || sum.Final != FingerprintOf(g) {
+		t.Fatal("run with a truncated stream hashed differently from the clean run")
+	}
+}

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -44,9 +43,8 @@ const (
 const (
 	helloPayloadBytes = 4 + 4 + 1 + 32
 	// bandPayloadHeader is the fixed prefix of a FrameBand payload.
-	bandPayloadHeader = 12
-	// cellBytes is the wire size of one grid cell (float64 re + im).
-	cellBytes          = 16
+	bandPayloadHeader  = 12
+	cellBytes          = grid.CellBytes
 	resultPayloadBytes = 4 + 4 + 8 + 8 + 8 + 32
 )
 
@@ -135,22 +133,28 @@ func BandRowsPerFrame(gridSize, maxPayload int) int {
 
 // EncodeBand builds a FrameBand for rows [lo, hi) of g.
 func EncodeBand(g *grid.Grid, lo, hi int) (server.Frame, error) {
+	return encodeBandInto(nil, g, lo, hi)
+}
+
+// encodeBandInto is EncodeBand into buf's storage (replaced when too
+// small); the frame aliases it until it has been written out.
+func encodeBandInto(buf []byte, g *grid.Grid, lo, hi int) (server.Frame, error) {
 	if lo < 0 || hi > g.N || lo >= hi {
 		return server.Frame{}, fmt.Errorf("distrib: band rows [%d, %d) outside %d-row grid", lo, hi, g.N)
 	}
-	p := make([]byte, bandPayloadHeader+grid.NrCorrelations*(hi-lo)*g.N*cellBytes)
-	binary.LittleEndian.PutUint32(p[0:], uint32(g.N))
-	binary.LittleEndian.PutUint32(p[4:], uint32(lo))
-	binary.LittleEndian.PutUint32(p[8:], uint32(hi))
-	off := bandPayloadHeader
-	for c := 0; c < grid.NrCorrelations; c++ {
-		for _, v := range g.Data[c][lo*g.N : hi*g.N] {
-			binary.LittleEndian.PutUint64(p[off:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(p[off+8:], math.Float64bits(imag(v)))
-			off += cellBytes
-		}
+	plane := (hi - lo) * g.N * cellBytes
+	if n := bandPayloadHeader + grid.NrCorrelations*plane; cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
 	}
-	return server.Frame{Type: FrameBand, Payload: p}, nil
+	binary.LittleEndian.PutUint32(buf[0:], uint32(g.N))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(lo))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(hi))
+	for c := range g.Data {
+		grid.EncodeCells(buf[bandPayloadHeader+c*plane:], g.Data[c][lo*g.N:hi*g.N])
+	}
+	return server.Frame{Type: FrameBand, Payload: buf}, nil
 }
 
 // DecodeBandInto restores a FrameBand's rows into dst (overwriting,
@@ -174,58 +178,20 @@ func DecodeBandInto(dst *grid.Grid, f server.Frame) (lo, hi int, err error) {
 	if len(f.Payload) != want {
 		return 0, 0, fmt.Errorf("distrib: band [%d, %d) carries %d payload bytes, want %d", lo, hi, len(f.Payload), want)
 	}
-	off := bandPayloadHeader
-	for c := 0; c < grid.NrCorrelations; c++ {
-		row := dst.Data[c][lo*n : hi*n]
-		for i := range row {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(f.Payload[off:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(f.Payload[off+8:]))
-			row[i] = complex(re, im)
-			off += cellBytes
-		}
+	plane := (hi - lo) * n * cellBytes
+	for c := range dst.Data {
+		grid.DecodeCells(dst.Data[c][lo*n:hi*n], f.Payload[bandPayloadHeader+c*plane:])
 	}
 	return lo, hi, nil
 }
 
-// Fingerprint pins the exact bits of a (partial or final) grid — the
-// internal twin of the facade's GridFingerprint, with the SHA-256 as
-// raw bytes. Two fingerprints of bit-identical grids compare equal
-// with ==.
-type Fingerprint struct {
-	GridSize int
-	Nonzero  int64
-	SumAbs   float64
-	PeakAbs  float64
-	SHA256   [32]byte
-}
+// Fingerprint is what partials are declared and verified with: it
+// hashes the canonical cell bytes FrameBand carries, so a grid assembled
+// from a full-cover band stream fingerprints identically to the sender's.
+type Fingerprint = grid.Fingerprint
 
-// FingerprintOf hashes and summarizes g in the repository's canonical
-// grid byte order: correlation-plane-major, each cell little-endian
-// float64 (re, im) — the same bytes FrameBand carries, so a grid
-// assembled from a full-cover band stream fingerprints identically to
-// the sender's.
-func FingerprintOf(g *grid.Grid) Fingerprint {
-	h := sha256.New()
-	var buf [cellBytes]byte
-	fp := Fingerprint{GridSize: g.N}
-	for c := 0; c < grid.NrCorrelations; c++ {
-		for _, v := range g.Data[c] {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
-			h.Write(buf[:])
-			a := math.Hypot(real(v), imag(v))
-			fp.SumAbs += a
-			if a > fp.PeakAbs {
-				fp.PeakAbs = a
-			}
-			if v != 0 {
-				fp.Nonzero++
-			}
-		}
-	}
-	h.Sum(fp.SHA256[:0])
-	return fp
-}
+// FingerprintOf hashes and summarizes g.
+func FingerprintOf(g *grid.Grid) Fingerprint { return g.Fingerprint() }
 
 // Result closes a worker's reduction stream with its partial-grid
 // fingerprint.

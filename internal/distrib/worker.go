@@ -51,22 +51,15 @@ func (f LauncherFunc) Start(ctx context.Context, spec WorkerSpec) error {
 // grid returns (0, 0).
 func NonzeroRowSpan(g *grid.Grid) (lo, hi int) {
 	lo, hi = g.N, 0
-	for c := 0; c < grid.NrCorrelations; c++ {
+	for c := range g.Data {
 		for y := 0; y < g.N; y++ {
-			row := g.Data[c][y*g.N : (y+1)*g.N]
-			nonzero := false
-			for _, v := range row {
-				if v != 0 {
-					nonzero = true
-					break
-				}
+			if lo <= y && y < hi {
+				continue // inside the span already
 			}
-			if nonzero {
-				if y < lo {
-					lo = y
-				}
-				if y+1 > hi {
-					hi = y + 1
+			for _, v := range g.Data[c][y*g.N : (y+1)*g.N] {
+				if v != 0 {
+					lo, hi = min(lo, y), max(hi, y+1)
+					break
 				}
 			}
 		}
@@ -80,7 +73,8 @@ func NonzeroRowSpan(g *grid.Grid) (lo, hi int) {
 // Deliver streams a finished partial grid to the coordinator: dial,
 // Hello, the nonzero row span chunked into FrameBands under the
 // payload cap, and a closing FrameResult carrying the fingerprint of
-// the whole partial grid. maxPayload <= 0 selects the server default.
+// the whole partial grid — hashed on its own goroutine while the bands
+// are encoded and written. maxPayload <= 0 selects the server default.
 func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
@@ -92,31 +86,41 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 		conn.SetDeadline(dl)
 	}
 	bw := bufio.NewWriterSize(conn, 1<<16)
+	hashed := make(chan Fingerprint, 1)
+	go func() { hashed <- FingerprintOf(g) }()
+	err = sendBands(bw, spec, planSum, g, maxPayload)
+	res := Result{Worker: spec.Index, Fingerprint: <-hashed} // also on error: g is the caller's again
+	if err != nil {
+		return err
+	}
+	if err := server.WriteFrame(bw, EncodeResult(res)); err != nil {
+		return fmt.Errorf("distrib: worker %d sending result: %w", spec.Index, err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("distrib: worker %d flushing reduction stream: %w", spec.Index, err)
+	}
+	return nil
+}
+
+// sendBands writes the hello and the band frames of g's nonzero row
+// span, every band through one reused payload buffer.
+func sendBands(bw *bufio.Writer, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	hello := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
 	if err := server.WriteFrame(bw, EncodeHello(hello)); err != nil {
 		return fmt.Errorf("distrib: worker %d sending hello: %w", spec.Index, err)
 	}
 	lo, hi := NonzeroRowSpan(g)
 	step := BandRowsPerFrame(g.N, maxPayload)
+	var payload []byte
 	for y := lo; y < hi; y += step {
-		end := y + step
-		if end > hi {
-			end = hi
-		}
-		f, err := EncodeBand(g, y, end)
+		f, err := encodeBandInto(payload, g, y, min(y+step, hi))
 		if err != nil {
 			return err
 		}
 		if err := server.WriteFrame(bw, f); err != nil {
-			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", spec.Index, y, end, err)
+			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", spec.Index, y, min(y+step, hi), err)
 		}
-	}
-	res := Result{Worker: spec.Index, Fingerprint: FingerprintOf(g)}
-	if err := server.WriteFrame(bw, EncodeResult(res)); err != nil {
-		return fmt.Errorf("distrib: worker %d sending result: %w", spec.Index, err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("distrib: worker %d flushing reduction stream: %w", spec.Index, err)
+		payload = f.Payload
 	}
 	return nil
 }

@@ -1,70 +1,41 @@
 package grid
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
-
-// rowBytes is the wire size of one grid row of one correlation plane:
-// N complex128 values as little-endian float64 (re, im) pairs.
-func (sh *Sharded) rowBytes() int { return 16 * sh.g.N }
 
 // BandBytes returns the wire size of shard i's row band across all
 // correlation planes, as written by WriteBand.
 func (sh *Sharded) BandBytes(i int) int {
 	lo, hi := sh.Bounds(i)
-	return NrCorrelations * (hi - lo) * sh.rowBytes()
+	return NrCorrelations * (hi - lo) * sh.g.N * CellBytes
 }
 
 // WriteBand serializes shard i's row band — all correlation planes,
-// rows [lo, hi), each value as little-endian float64 (re, im) — to w,
-// holding the shard's lock so the bytes are coherent with concurrent
-// adders. The encoding is exact: float64 bit patterns round-trip
-// unchanged, which is what lets a restored grid hash identically to
-// the one that was saved.
+// rows [lo, hi), in the canonical cell encoding — to w, holding the
+// shard's lock so the bytes are coherent with concurrent adders.
 func (sh *Sharded) WriteBand(w io.Writer, i int) error {
-	lo, hi := sh.Bounds(i)
-	st := &sh.shards[i]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	buf := make([]byte, sh.rowBytes())
-	for c := 0; c < NrCorrelations; c++ {
-		for y := lo; y < hi; y++ {
-			row := sh.g.Data[c][y*sh.g.N : (y+1)*sh.g.N]
-			for x, v := range row {
-				binary.LittleEndian.PutUint64(buf[16*x:], math.Float64bits(real(v)))
-				binary.LittleEndian.PutUint64(buf[16*x+8:], math.Float64bits(imag(v)))
-			}
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("grid: write band %d row %d: %w", i, y, err)
-			}
-		}
-	}
-	return nil
+	return sh.eachBandPlane(i, func(cells []complex128) error { return WriteCells(w, cells) })
 }
 
 // ReadBand restores shard i's row band from r (the inverse of
 // WriteBand), holding the shard's lock. A short read returns the
 // underlying error.
 func (sh *Sharded) ReadBand(r io.Reader, i int) error {
+	return sh.eachBandPlane(i, func(cells []complex128) error { return ReadCells(r, cells) })
+}
+
+// eachBandPlane passes shard i's rows of each correlation plane to f
+// in turn, under the shard's lock.
+func (sh *Sharded) eachBandPlane(i int, f func(cells []complex128) error) error {
 	lo, hi := sh.Bounds(i)
 	st := &sh.shards[i]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	buf := make([]byte, sh.rowBytes())
-	for c := 0; c < NrCorrelations; c++ {
-		for y := lo; y < hi; y++ {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return fmt.Errorf("grid: read band %d row %d: %w", i, y, err)
-			}
-			row := sh.g.Data[c][y*sh.g.N : (y+1)*sh.g.N]
-			for x := range row {
-				re := math.Float64frombits(binary.LittleEndian.Uint64(buf[16*x:]))
-				im := math.Float64frombits(binary.LittleEndian.Uint64(buf[16*x+8:]))
-				row[x] = complex(re, im)
-			}
+	for c := range sh.g.Data {
+		if err := f(sh.g.Data[c][lo*sh.g.N : hi*sh.g.N]); err != nil {
+			return fmt.Errorf("grid: band %d plane %d: %w", i, c, err)
 		}
 	}
 	return nil

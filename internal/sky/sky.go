@@ -74,6 +74,42 @@ func (m Model) Predict(u, v, w float64) xmath.Matrix2 {
 	return out
 }
 
+// Predictor is a Model prepared for many predictions: each source's n
+// coordinate and brightness matrix are computed once instead of per
+// sample. Predict returns bit for bit what Model.Predict returns — the
+// phase expression, math.Sincos, the scaling and the source-order sum
+// are the same operations on the same values — so data sets filled
+// through either are interchangeable. A Predictor is read-only after
+// construction and safe for concurrent use.
+type Predictor []predictorSource
+
+type predictorSource struct {
+	l, m, n float64
+	b       xmath.Matrix2
+}
+
+// Predictor prepares the model. Like Predict, it panics if a source
+// lies outside the unit circle.
+func (m Model) Predictor() Predictor {
+	p := make(Predictor, len(m))
+	for i, s := range m {
+		p[i] = predictorSource{l: s.L, m: s.M, n: N(s.L, s.M), b: s.Brightness()}
+	}
+	return p
+}
+
+// Predict is Model.Predict on the prepared sources.
+func (p Predictor) Predict(u, v, w float64) xmath.Matrix2 {
+	var out xmath.Matrix2
+	for i := range p {
+		s := &p[i]
+		phase := -2 * math.Pi * (u*s.l + v*s.m + w*s.n)
+		sin, cos := math.Sincos(phase)
+		out = out.Add(s.b.Scale(complex(cos, sin)))
+	}
+	return out
+}
+
 // PredictWithATerms evaluates the measurement equation including the
 // direction-dependent station responses ap and aq, which are sampled
 // at each source direction via the provided lookup.

@@ -186,3 +186,40 @@ func TestTotalFlux(t *testing.T) {
 		t.Fatalf("total flux = %g", m.TotalFlux())
 	}
 }
+
+// TestPredictorMatchesPredictBitwise pins the hoisted predictor to
+// Model.Predict bit for bit — polarised sources, large and tiny uvw,
+// and the empty model — which is what lets filled data sets keep
+// their golden hashes.
+func TestPredictorMatchesPredictBitwise(t *testing.T) {
+	models := []Model{
+		nil,
+		{{L: 0.01, M: -0.02, I: 1}},
+		{{L: 0.013, M: -0.021, I: 1.5, Q: 0.2, U: -0.1, V: 0.05},
+			{L: -0.2, M: 0.11, I: 0.3, Q: -0.3, U: 0.7, V: -0.9},
+			{L: 0, M: 0, I: 2, V: 1}},
+	}
+	bits := func(m xmath.Matrix2) (b [8]uint64) {
+		for i, v := range m {
+			b[2*i], b[2*i+1] = math.Float64bits(real(v)), math.Float64bits(imag(v))
+		}
+		return b
+	}
+	for mi, m := range models {
+		p := m.Predictor()
+		state := uint64(mi + 1)
+		next := func() float64 {
+			state = state*6364136223846793005 + 1442695040888963407
+			return (float64(state>>11)/float64(1<<52) - 1) * 4000
+		}
+		for i := 0; i < 2000; i++ {
+			u, v, w := next(), next(), next()/10
+			if i%97 == 0 {
+				u, v, w = 0, 1e-300, -0.0
+			}
+			if got, want := bits(p.Predict(u, v, w)), bits(m.Predict(u, v, w)); got != want {
+				t.Fatalf("model %d at (%g, %g, %g): predictor %x, Predict %x", mi, u, v, w, got, want)
+			}
+		}
+	}
+}

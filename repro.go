@@ -18,6 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/aterm"
 	"repro/internal/core"
@@ -272,12 +275,28 @@ type Observation struct {
 	ImageSize float64
 }
 
-// BuildPlan constructs stations, uvw simulator, execution plan and
-// kernels, but no visibility storage.
-func (c ObservationConfig) BuildPlan() (*Observation, error) {
+// geometry holds the expensive, immutable-after-build parts of an
+// observation. The rest is per run (kernels carry shards, checkpoints
+// and observer; visibilities are mutable data), so one geometry serves
+// any number of concurrent observations: the sessions of one server
+// configuration, the in-process workers of one distributed run.
+type geometry struct {
+	stations  []Station
+	sim       *uvwsim.Simulator
+	plan      *Plan
+	imageSize float64
+}
+
+// geometryBuilds counts buildGeometry calls, for tests of the sharing.
+var geometryBuilds atomic.Int64
+
+// buildGeometry validates c and builds its geometry; the plan does not
+// depend on the planner's thread count (0: GOMAXPROCS).
+func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	geometryBuilds.Add(1)
 	lcfg := layout.SKA1LowConfig()
 	lcfg.NrStations = c.NrStations
 	if c.CoreOnly {
@@ -309,15 +328,21 @@ func (c ObservationConfig) BuildPlan() (*Observation, error) {
 	p, err := plan.NewStreaming(pcfg, len(baselines), c.NrTimesteps,
 		func(b int, buf []UVW) []UVW {
 			return sim.BaselineTrack(baselines[b], 0, c.NrTimesteps, buf)
-		}, c.Workers)
+		}, workers)
 	if err != nil {
 		return nil, err
 	}
+	return &geometry{stations: stations, sim: sim, plan: p, imageSize: imageSize}, nil
+}
+
+// newObservation makes one run's observation over a (possibly shared)
+// geometry: fresh kernels carrying c's per-run knobs, no visibilities.
+func newObservation(c ObservationConfig, geo *geometry) (*Observation, error) {
 	k, err := core.NewKernels(Params{
 		GridSize:          c.GridSize,
 		SubgridSize:       c.SubgridSize,
-		ImageSize:         imageSize,
-		Frequencies:       freqs,
+		ImageSize:         geo.imageSize,
+		Frequencies:       c.Frequencies(),
 		Workers:           c.Workers,
 		Precision:         c.Precision,
 		GridShards:        c.GridShards,
@@ -331,12 +356,22 @@ func (c ObservationConfig) BuildPlan() (*Observation, error) {
 	}
 	return &Observation{
 		Config:    c,
-		Stations:  stations,
-		Simulator: sim,
-		Plan:      p,
+		Stations:  geo.stations,
+		Simulator: geo.sim,
+		Plan:      geo.plan,
 		Kernels:   k,
-		ImageSize: imageSize,
+		ImageSize: geo.imageSize,
 	}, nil
+}
+
+// BuildPlan constructs stations, uvw simulator, execution plan and
+// kernels, but no visibility storage.
+func (c ObservationConfig) BuildPlan() (*Observation, error) {
+	geo, err := c.buildGeometry(c.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return newObservation(c, geo)
 }
 
 // Build is BuildPlan plus visibility storage allocation.
@@ -372,17 +407,11 @@ func (o *Observation) FillFromModel(model SkyModel) error {
 	if err := o.AllocateVisibilities(); err != nil {
 		return err
 	}
-	freqs := o.Config.Frequencies()
-	for b := range o.Vis.Data {
-		for t := 0; t < o.Vis.NrTimesteps; t++ {
-			coord := o.Vis.UVW[b][t]
-			for ch := 0; ch < o.Vis.NrChannels; ch++ {
-				sc := coord.Scale(freqs[ch])
-				o.Vis.Data[b][t*o.Vis.NrChannels+ch] = model.Predict(sc.U, sc.V, sc.W)
-			}
-		}
+	blocks := make([]WorkItem, len(o.Vis.Data))
+	for b := range blocks {
+		blocks[b] = WorkItem{Baseline: b, NrTimesteps: o.Vis.NrTimesteps, NrChannels: o.Vis.NrChannels}
 	}
-	return nil
+	return o.fillBlocks(model, blocks)
 }
 
 // FillFromModelPlan predicts only the visibility blocks the current
@@ -394,20 +423,42 @@ func (o *Observation) FillFromModel(model SkyModel) error {
 // prediction is per-sample); uncovered samples stay zero, and the
 // gridding pass never reads them.
 func (o *Observation) FillFromModelPlan(model SkyModel) error {
+	return o.fillBlocks(model, o.Plan.Items)
+}
+
+// fillBlocks predicts the (disjoint) sample blocks of the given items,
+// strided over Config.Workers goroutines. Each sample is
+// sky.Model.Predict's value bit for bit whichever goroutine computes
+// it, so the filled set does not depend on the worker count.
+func (o *Observation) fillBlocks(model SkyModel, blocks []WorkItem) error {
 	if err := o.AllocateVisibilities(); err != nil {
 		return err
 	}
+	pred := model.Predictor()
 	freqs := o.Config.Frequencies()
-	for i := range o.Plan.Items {
-		it := &o.Plan.Items[i]
-		for t := it.TimeStart; t < it.TimeStart+it.NrTimesteps; t++ {
-			coord := o.Vis.UVW[it.Baseline][t]
-			for ch := it.Channel0; ch < it.Channel0+it.NrChannels; ch++ {
-				sc := coord.Scale(freqs[ch])
-				o.Vis.Data[it.Baseline][t*o.Vis.NrChannels+ch] = model.Predict(sc.U, sc.V, sc.W)
-			}
-		}
+	vs := o.Vis
+	workers := o.Config.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(blocks); i += workers {
+				it := &blocks[i]
+				for t := it.TimeStart; t < it.TimeStart+it.NrTimesteps; t++ {
+					coord := vs.UVW[it.Baseline][t]
+					for ch := it.Channel0; ch < it.Channel0+it.NrChannels; ch++ {
+						sc := coord.Scale(freqs[ch])
+						vs.Data[it.Baseline][t*vs.NrChannels+ch] = pred.Predict(sc.U, sc.V, sc.W)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return nil
 }
 

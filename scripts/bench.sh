@@ -1,7 +1,9 @@
 #!/bin/sh
 # Kernel/pipeline benchmark runner: measures the gridder and degridder
-# kernels (both precisions, plus their short-item regime) and
-# the full warm pipeline passes with allocation tracking, and writes
+# kernels (both precisions, plus their short-item regime), the full
+# warm pipeline passes with allocation tracking and the distributed
+# run's harness steps (grid fingerprint, grid writer, model fill — on
+# one core the fill's workers=2 row repeats workers=1), and writes
 # the machine-readable BENCH_kernels.json (ns/op, allocs/op,
 # visibilities/sec; see cmd/benchjson) for diffing against
 # BENCH_kernels_seed.json. The committed file is measured on one core
@@ -28,7 +30,7 @@ if [ "${1:-}" = "-distrib" ]; then
     exit 0
 fi
 
-bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$'
+bench='BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$'
 out="${BENCH_OUT:-BENCH_kernels.json}"
 # The full pipeline passes take ~0.5 s per iteration; give them a few
 # iterations so the committed numbers aren't single-sample noise.

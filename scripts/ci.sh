@@ -73,6 +73,10 @@ bash benchmark/run.sh -workload all -smoke
 # arithmetic, loses a third to a half of its MVis/s. The FFT benchmarks
 # guard the radix-4 and lane-parallel mixed-radix engines: a scalar
 # per-column subgrid transform is a >4x slowdown on the subgrid stage.
+# The fingerprint, grid-writer and fill benchmarks guard the
+# distributed run's harness: a per-cell hash Write, a reflection
+# encode or a per-sample brightness matrix each cost well over the
+# threshold.
 # -allow-missing because this is a deliberate subset run: the
 # baseline holds the full bench.sh set, CI re-measures only the
 # kernels. -count 3 because benchjson gates on the best duplicate
@@ -80,7 +84,7 @@ bash benchmark/run.sh -workload all -smoke
 # noise, not regressions.
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$' -benchtime 1s -count 3 . |
+go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1s -count 3 . |
     go run ./cmd/benchjson > "$out"
 go run ./cmd/benchjson -compare -allow-missing -threshold "${BENCH_THRESHOLD:-10}" BENCH_kernels.json "$out"
 # Distributed scalability gate: re-measure the 1/2/4/8-worker
