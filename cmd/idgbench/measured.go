@@ -107,7 +107,8 @@ func runMeasured(scale float64) {
 	// run's exact operation counts. Exceeding 100% means the kernels
 	// beat the model's rho = 17 sincos assumption, which the phasor
 	// recurrence is designed to do.
-	host := arch.HostLike(runtime.GOMAXPROCS(0))
+	simd := obs.Kernels.SIMDInfo()
+	host := arch.HostLike(runtime.GOMAXPROCS(0), simd.Lanes)
 	d := perfmodel.FromPlan("measured", obs.Plan, len(obs.Simulator.Baselines()), cfg.NrTimesteps)
 	modelGrid, modelDegrid := perfmodel.ThroughputMVisPerSec(host, d)
 	fmt.Printf("gridding   : %6.1f MVis/s (%.0f%% of the %s roofline, %.1f MVis/s)\n",
@@ -115,8 +116,11 @@ func runMeasured(scale float64) {
 	fmt.Printf("degridding : %6.1f MVis/s (%.0f%% of the %s roofline, %.1f MVis/s)\n",
 		degridMVis, 100*degridMVis/modelDegrid, host.Name, modelDegrid)
 	// The dispatch actually measured: roofline percentages are only
-	// interpretable next to the kernel code path that produced them.
-	fmt.Println(obs.Kernels.SIMDInfo())
+	// interpretable next to the kernel code path that produced them, and
+	// the roofline is stated for that path's lane width.
+	fmt.Println(simd)
+	fmt.Printf("roofline: %d cores x %.1f GHz x %d FMA/cycle x %d lanes = %.0f GFlop/s (%s tiles on the %s tier)\n",
+		host.NrComputeUnits, host.ClockGHz, host.FPUInstrPerCyc, host.VectorSize, 1e3*host.PeakTFlops, cfg.Precision, simd.Active)
 	fmt.Println("fft: " + fft.EngineInfo())
 	frac := (gridTimes.Gridder + degridTimes.Degridder).Seconds() / cycle.Total().Seconds()
 	fmt.Printf("gridder+degridder share: %.1f%% (paper: >93%%)\n", 100*frac)

@@ -139,9 +139,12 @@ func Pascal() *Platform {
 // HostLike returns a model of the commodity x86-64 machine this
 // reproduction runs on, for rooflining the measured Go kernels against
 // the same model that produces Fig. 10: cores CPU cores at a nominal
-// 2.7 GHz, dual FMA issue, 4-lane (256-bit double) vectors — the shape
-// the hand-vectorized kernels in internal/core target. It is NOT part
-// of Platforms(): the paper's figures stay exactly the three Table I
+// 2.7 GHz, dual FMA issue, and vectors of lanes elements — the width of
+// the tile bodies the measured kernels actually dispatched (4 for the
+// 256-bit float64 tiles, 8 for the 512-bit float64 and the float32
+// ones, 1 for the generic tiles; core.SIMDInfo.Lanes), so a ceiling is
+// never stated for a lane width the run did not use. It is NOT part of
+// Platforms(): the paper's figures stay exactly the three Table I
 // systems.
 //
 // The sincos constant is calibrated to xmath.SincosFast (~86 cycles
@@ -150,17 +153,15 @@ func Pascal() *Platform {
 // one sincos over up to 64 channels, raising the effective FMA/sincos
 // ratio far beyond the rho = 17 the model assumes for the paper's
 // kernels.
-func HostLike(cores int) *Platform {
-	if cores < 1 {
-		cores = 1
-	}
+func HostLike(cores, lanes int) *Platform {
+	cores, lanes = max(cores, 1), max(lanes, 1)
 	return &Platform{
 		Name: "HOST", Model: "generic x86-64 host", Type: "CPU",
 		Architecture: "amd64",
 		ClockGHz:     2.7,
-		NrICs:        1, NrComputeUnits: cores, FPUInstrPerCyc: 2, VectorSize: 4,
-		// FMA-counted double-precision peak of the configuration above.
-		PeakTFlops: float64(cores) * 2.7e9 * 2 * 4 * 2 / 1e12,
+		NrICs:        1, NrComputeUnits: cores, FPUInstrPerCyc: 2, VectorSize: lanes,
+		// FMA-counted peak of the configuration above.
+		PeakTFlops: float64(cores) * 2.7e9 * 2 * float64(lanes) * 2 / 1e12,
 		MemGB:      8, MemBandwidthGBs: 20, TDPWatts: 95,
 		Sincos:           SincosSoftwareALU,
 		SincosSlots:      172,

@@ -147,18 +147,22 @@ func TestMixOpsPerSec(t *testing.T) {
 // TestHostLike pins the synthetic host platform used by cmd/idgbench
 // for its measured-vs-roofline readout.
 func TestHostLike(t *testing.T) {
-	h := HostLike(4)
+	h := HostLike(4, 4)
 	if h.NrComputeUnits != 4 {
 		t.Fatalf("cores = %d", h.NrComputeUnits)
 	}
-	// Peak must be cores * clock * FPU issue * vector width * 2 (FMA).
-	want := 4 * 2.7e9 * 2 * 4 * 2 / 1e12
-	if math.Abs(h.PeakTFlops-want) > 1e-9 {
-		t.Fatalf("PeakTFlops = %g, want %g", h.PeakTFlops, want)
+	// Peak must be cores * clock * FPU issue * vector width * 2 (FMA),
+	// at the lane width the caller measured with.
+	for _, lanes := range []int{1, 4, 8} {
+		hl := HostLike(4, lanes)
+		want := 4 * 2.7e9 * 2 * float64(lanes) * 2 / 1e12
+		if hl.VectorSize != lanes || math.Abs(hl.PeakTFlops-want) > 1e-9 {
+			t.Fatalf("lanes=%d: VectorSize = %d, PeakTFlops = %g, want %g", lanes, hl.VectorSize, hl.PeakTFlops, want)
+		}
 	}
-	// Degenerate core counts clamp to one unit instead of a zero roof.
-	if h0 := HostLike(0); h0.NrComputeUnits < 1 || h0.PeakTFlops <= 0 {
-		t.Fatalf("HostLike(0) = %+v", h0)
+	// Degenerate counts clamp to one unit instead of a zero roof.
+	if h0 := HostLike(0, 0); h0.NrComputeUnits < 1 || h0.VectorSize < 1 || h0.PeakTFlops <= 0 {
+		t.Fatalf("HostLike(0, 0) = %+v", h0)
 	}
 	// The sincos-bound mix fraction must behave like the other ALU
 	// platforms: well below peak at rho=1, approaching peak at high rho.

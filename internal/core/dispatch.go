@@ -22,16 +22,31 @@ type simdDispatch struct {
 	degridVec32 degridTileFn[float32]
 }
 
-// dispatchFor builds the dispatch table for a SIMD tier. The vector
-// tile bodies keep 256-bit lanes at both vector tiers — four float64
-// or eight float32 lanes per YMM register; 512-bit lanes would
-// downclock older server parts. The AVX-512 tier still differs in two
-// ways: the batched sine/cosine seeding inside xmath.SincosVec widens
-// to eight-lane ZMM arithmetic, and the blocked float32 gridder runs
-// two pixels per call (rotAccOctsBlk2), using the EVEX-only registers
-// Y16-Y31 for the second pixel's accumulator and phasor state. The
-// tier test for the pairing lives in gridTileVec32, keyed on the same
-// simdDispatch tier resolved here.
+// dispatchFor builds the dispatch table for a SIMD tier. Both vector
+// tiers install the same four tile entry points; what the SIMDAVX512
+// tier adds is selected inside them, keyed on the tier resolved here
+// and on the item's channel comb:
+//
+//   - float64 gridder: uniform items of 8, 16, ..., 64 channels run the
+//     time-blocked recurrence at eight channels per ZMM register, two
+//     pixels per call (Kernels.octsBlocked, gridLanesOcts); every other
+//     shape keeps the 256-bit quad forms.
+//   - float64 degridder: every recurrence item runs the fused,
+//     channel-blocked rotConjAccOctsBlk64, eight pixels per ZMM.
+//   - float32 gridder: the blocked form runs two pixels per call on the
+//     EVEX-only registers Y16-Y31 (rotAccOctsBlk2, test in
+//     gridTileVec32), still eight lanes per YMM.
+//   - the batched sine/cosine seeding inside xmath.SincosVec runs
+//     eight lanes per ZMM.
+//
+// The float64 tiles went to 512 bits on measurement, not on principle:
+// on the reference host class (Sapphire-Rapids-type Xeon) a thread
+// sustains about twice the lane-FMA rate at ZMM width that it does at
+// YMM width, both FMA loops were at their 256-bit two-port floor, and
+// no kernel is slower on the avx512 tier than on avx2 (EXPERIMENTS.md,
+// "Float64 tiles at full register width", has the pairs and the
+// per-tier table). The float32 tiles and the direct-phasor tile stay
+// at 256 bits because nobody has measured them wider yet.
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
 	d := simdDispatch{tier: tier}
 	if haveVectorASM && tier >= xmath.SIMDAVX2 {
@@ -58,13 +73,25 @@ type SIMDInfo struct {
 	Tiles64, Tiles32 string
 	// Sincos names the phase evaluator of the batched kernels.
 	Sincos string
+	// Lanes is the SIMD width, in elements of the configured precision,
+	// of the widest tile body this Kernels value dispatches (1 for the
+	// generic tiles): the vector size a roofline for its measurements
+	// has to assume.
+	Lanes int
 }
 
 // String renders the dispatch summary as one log line.
 func (si SIMDInfo) String() string {
-	return fmt.Sprintf("simd: detected=%s active=%s tiles64=%s tiles32=%s sincos=%s",
-		si.Detected, si.Active, si.Tiles64, si.Tiles32, si.Sincos)
+	return fmt.Sprintf("simd: detected=%s active=%s tiles64=%s tiles32=%s sincos=%s lanes=%d",
+		si.Detected, si.Active, si.Tiles64, si.Tiles32, si.Sincos, si.Lanes)
 }
+
+// The float64 tile bodies dispatched per vector tier, as SIMDInfo
+// names them.
+const (
+	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
+	tiles64AVX512 = "avx512 8-lane: time-blocked recurrence at 8..64 channels, fused degridder; avx2+fma 4-lane: other combs, direct phasors"
+)
 
 // SIMDInfo reports the SIMD dispatch this Kernels value resolved to.
 func (k *Kernels) SIMDInfo() SIMDInfo {
@@ -74,10 +101,15 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		Tiles64:  "generic",
 		Tiles32:  "generic",
 		Sincos:   "scalar (configured)",
+		Lanes:    1,
 	}
 	if k.disp.gridVec64 != nil {
-		// The two lane fillers of gridTileVec (vecRecurrence selects).
-		si.Tiles64 = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
+		// The lane fillers of gridTileVec (octsBlocked, then
+		// vecRecurrence, select) and the degridder's channel loop.
+		si.Tiles64 = tiles64AVX2
+		if k.disp.tier >= xmath.SIMDAVX512 {
+			si.Tiles64 = tiles64AVX512
+		}
 	}
 	if k.disp.gridVec32 != nil {
 		si.Tiles32 = "avx2+fma 8-lane"
@@ -89,6 +121,12 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 	}
 	if k.vecSincos {
 		si.Sincos = "sincosvec/" + k.disp.tier.String()
+	}
+	if k.disp.gridVec64 != nil {
+		si.Lanes = 4
+		if k.params.Precision == Float32 || k.disp.tier >= xmath.SIMDAVX512 {
+			si.Lanes = 8
+		}
 	}
 	return si
 }

@@ -78,31 +78,82 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 // TestDispatchPerTier runs both precisions at every executable tier
 // (forceSIMD seam) against the reference transcription: the dispatch
 // table must route to a kernel whose result stays within the
-// documented per-precision bound no matter which tier is active.
+// documented per-precision bound no matter which tier is active. The
+// channel counts cover the blocked bodies (8, 16, 24 and 64 channels:
+// octs on the avx512 tier, quads on avx2) beside a count with tails on
+// both lane widths.
+//
+// The float64 tiers are no longer bitwise equal to each other — the
+// avx512 tier sums eight lanes where avx2 sums four — so the two are
+// also compared directly: the difference is reassociation of the same
+// products plus the phasor lanes' rotation rounding, a few float64
+// roundings per term and orders of magnitude inside the bound each
+// tier holds against the reference.
 func TestDispatchPerTier(t *testing.T) {
-	const sg, nt, nc = 12, 8, 21 // tails on both lane widths
-	item, uvw, vis, maxAmp := tilingItem(103, nt, nc)
-	ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
-	want := grid.NewSubgrid(sg, item.X0, item.Y0)
-	ref.GridSubgrid(item, uvw, vis, nil, nil, want)
-	phaseBound := recurrencePhaseBound(ref, item, uvw)
-	for _, tier := range coreHostTiers() {
-		for _, prec := range []Precision{Float64, Float32} {
-			k := tilingKernels(t, sg, nc, func(p *Params) {
-				p.Precision = prec
-				forceTier(tier)(p)
-			})
-			got := grid.NewSubgrid(sg, item.X0, item.Y0)
-			k.GridSubgrid(item, uvw, vis, nil, nil, got)
-			tol := 2*2*math.Sqrt2*float64(nt*nc)*maxAmp*phaseBound + 1e-9
-			if prec == Float32 {
-				tol = 2*float32GridBound(nt*nc, maxAmp, phaseBound) + 1e-9
+	const sg, nt = 12, 8
+	for _, nc := range []int{8, 16, 21, 24, 64} {
+		item, uvw, vis, maxAmp := tilingItem(103, nt, nc)
+		in, pixAmp := randomSubgrid(sg, item, 107)
+		ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
+		want := grid.NewSubgrid(sg, item.X0, item.Y0)
+		ref.GridSubgrid(item, uvw, vis, nil, nil, want)
+		wantVis := make([]xmath.Matrix2, nt*nc)
+		ref.DegridSubgrid(item, in, uvw, nil, nil, wantVis)
+		phaseBound := recurrencePhaseBound(ref, item, uvw)
+		tol64 := 2*2*math.Sqrt2*float64(nt*nc)*maxAmp*phaseBound + 1e-9
+		tolVis64 := 2*2*math.Sqrt2*float64(sg*sg)*pixAmp*phaseBound + 1e-9
+		grids64 := map[xmath.SIMDTier]*grid.Subgrid{}
+		vis64 := map[xmath.SIMDTier][]xmath.Matrix2{}
+		for _, tier := range coreHostTiers() {
+			for _, prec := range []Precision{Float64, Float32} {
+				k := tilingKernels(t, sg, nc, func(p *Params) {
+					p.Precision = prec
+					forceTier(tier)(p)
+				})
+				got := grid.NewSubgrid(sg, item.X0, item.Y0)
+				k.GridSubgrid(item, uvw, vis, nil, nil, got)
+				gotVis := make([]xmath.Matrix2, nt*nc)
+				k.DegridSubgrid(item, in, uvw, nil, nil, gotVis)
+				tol, tolVis := tol64, tolVis64
+				if prec == Float32 {
+					tol = 2*float32GridBound(nt*nc, maxAmp, phaseBound) + 1e-9
+					tolVis = 2*float32GridBound(sg*sg, pixAmp, phaseBound) + 1e-9
+				} else {
+					grids64[tier], vis64[tier] = got, gotVis
+				}
+				if d := got.MaxAbsDiff(want); d > tol {
+					t.Fatalf("nc=%d tier %v %v: gridder differs from reference by %g (bound %g)", nc, tier, prec, d, tol)
+				}
+				if d := maxVisDiff(gotVis, wantVis); d > tolVis {
+					t.Fatalf("nc=%d tier %v %v: degridder differs from reference by %g (bound %g)", nc, tier, prec, d, tolVis)
+				}
 			}
-			if d := got.MaxAbsDiff(want); d > tol {
-				t.Fatalf("tier %v %v: gridder differs from reference by %g (bound %g)", tier, prec, d, tol)
+		}
+		if wide, ok := grids64[xmath.SIMDAVX512]; ok {
+			// Sixteen roundings per accumulated term, terms of at most
+			// sqrt2*amp: measured 3e-15 (8 channels) to 3e-14 (64) for
+			// the gridder and 2e-15 for the degridder, a hundredth of this.
+			reassoc := func(n int, amp float64) float64 { return 16 * float64(n) * math.Sqrt2 * amp * 0x1p-52 }
+			if d, tol := wide.MaxAbsDiff(grids64[xmath.SIMDAVX2]), reassoc(nt*nc, maxAmp); d > tol {
+				t.Fatalf("nc=%d: float64 gridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
+			}
+			if d, tol := maxVisDiff(vis64[xmath.SIMDAVX512], vis64[xmath.SIMDAVX2]), reassoc(sg*sg, pixAmp); d > tol {
+				t.Fatalf("nc=%d: float64 degridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
 			}
 		}
 	}
+}
+
+// maxVisDiff is the largest component distance between two visibility
+// sets.
+func maxVisDiff(a, b []xmath.Matrix2) float64 {
+	m := 0.0
+	for i := range a {
+		for p := 0; p < 4; p++ {
+			m = math.Max(m, cmplx.Abs(a[i][p]-b[i][p]))
+		}
+	}
+	return m
 }
 
 // TestSIMDInfo pins the dispatch report: the strings the commands log
@@ -121,16 +172,31 @@ func TestSIMDInfo(t *testing.T) {
 	if active > xmath.DetectedSIMD() {
 		t.Fatalf("active tier %v exceeds detected %v", active, xmath.DetectedSIMD())
 	}
-	if xmath.ActiveSIMD() >= xmath.SIMDAVX2 {
-		want32 := "avx2+fma 8-lane"
-		if xmath.ActiveSIMD() >= xmath.SIMDAVX512 {
-			want32 = "avx2+fma 8-lane, evex 2-pixel blocks"
+	// Per tier through the forceSIMD seam: the float64 string names the
+	// bodies that tier dispatches, so a 512-bit number is never read
+	// against a 256-bit description or the other way round.
+	for _, tier := range coreHostTiers() {
+		want64, want32 := "generic", "generic"
+		lanes64, lanes32 := 1, 1 // the roofline's vector size: the widest body per precision
+		switch tier {
+		case xmath.SIMDAVX2:
+			want64, want32 = tiles64AVX2, "avx2+fma 8-lane"
+			lanes64, lanes32 = 4, 8
+		case xmath.SIMDAVX512:
+			want64, want32 = tiles64AVX512, "avx2+fma 8-lane, evex 2-pixel blocks"
+			lanes64, lanes32 = 8, 8
 		}
-		if si.Tiles64 != "avx2+fma 4-lane: time-blocked recurrence, direct phasors" || si.Tiles32 != want32 {
-			t.Fatalf("vector-capable host reports tiles64=%q tiles32=%q", si.Tiles64, si.Tiles32)
+		ti := tilingKernels(t, 8, 8, forceTier(tier)).SIMDInfo()
+		if ti.Active != tier.String() || ti.Tiles64 != want64 || ti.Tiles32 != want32 {
+			t.Fatalf("forceSIMD=%v reports active=%q tiles64=%q tiles32=%q", tier, ti.Active, ti.Tiles64, ti.Tiles32)
 		}
-	} else if si.Tiles64 != "generic" || si.Tiles32 != "generic" {
-		t.Fatalf("scalar host reports tiles64=%q tiles32=%q", si.Tiles64, si.Tiles32)
+		ti32 := tilingKernels(t, 8, 8, func(p *Params) {
+			p.Precision = Float32
+			forceTier(tier)(p)
+		}).SIMDInfo()
+		if ti.Lanes != lanes64 || ti32.Lanes != lanes32 {
+			t.Fatalf("forceSIMD=%v reports %d float64 and %d float32 lanes, want %d and %d", tier, ti.Lanes, ti32.Lanes, lanes64, lanes32)
+		}
 	}
 	// tilingKernels configures SincosAccurate, so the batch evaluator
 	// must degrade to the configured scalar function and say so.
@@ -141,10 +207,6 @@ func TestSIMDInfo(t *testing.T) {
 	defFast := tilingKernels(t, 8, 8, func(p *Params) { p.Sincos = nil })
 	if got := defFast.SIMDInfo().Sincos; !strings.HasPrefix(got, "sincosvec/") {
 		t.Fatalf("default-evaluator kernels report sincos=%q", got)
-	}
-	// Forced-scalar kernels report generic tiles.
-	if si := tilingKernels(t, 8, 8, forceTier(xmath.SIMDScalar)).SIMDInfo(); si.Tiles64 != "generic" || si.Tiles32 != "generic" {
-		t.Fatalf("forceSIMD=scalar reports tiles64=%q tiles32=%q", si.Tiles64, si.Tiles32)
 	}
 	if !strings.Contains(si.String(), "simd: detected=") {
 		t.Fatalf("SIMDInfo.String() = %q", si.String())

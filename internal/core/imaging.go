@@ -12,12 +12,13 @@ import (
 // GridToImage converts a uv grid to a sky image (per correlation) with
 // the centered inverse FFT — the "inverse FFT" box of Fig. 2. The
 // grid is left untouched; the returned image is in the same 4-plane
-// layout. Workers <= 0 uses GOMAXPROCS.
+// layout, written by the transform itself (no copy pass first).
+// Workers <= 0 uses GOMAXPROCS.
 func GridToImage(g *grid.Grid, workers int) *grid.Grid {
-	img := g.Clone()
+	img := grid.NewGrid(g.N)
 	p := fft.CachedPlan2D(g.N, g.N)
 	for c := 0; c < grid.NrCorrelations; c++ {
-		p.InverseCenteredParallel(img.Data[c], workers)
+		p.InverseCenteredParallel(img.Data[c], g.Data[c], workers)
 	}
 	return img
 }
@@ -25,10 +26,10 @@ func GridToImage(g *grid.Grid, workers int) *grid.Grid {
 // ImageToGrid converts a sky image to a uv grid with the centered
 // forward FFT — the "FFT" box on the predict side of Fig. 2.
 func ImageToGrid(img *grid.Grid, workers int) *grid.Grid {
-	g := img.Clone()
+	g := grid.NewGrid(img.N)
 	p := fft.CachedPlan2D(img.N, img.N)
 	for c := 0; c < grid.NrCorrelations; c++ {
-		p.ForwardCenteredParallel(g.Data[c], workers)
+		p.ForwardCenteredParallel(g.Data[c], img.Data[c], workers)
 	}
 	return g
 }

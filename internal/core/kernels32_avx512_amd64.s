@@ -1,9 +1,10 @@
 // AVX-512VL float32 tile kernel for the SIMDAVX512 dispatch tier.
 //
-// The loop body stays at YMM width (the AVX2 kernels' register-light
-// 256-bit loops avoid the all-core downclock wider vectors can
-// trigger), but EVEX encoding unlocks registers Y16-Y31, enough to
-// keep TWO pixels' accumulator files and phasor lanes live at once.
+// The loop body stays at YMM width (float32 at sixteen lanes per ZMM
+// has not been measured; the float64 tiles of this tier,
+// kernels_avx512_amd64.s, went to 512 bits when it was), but EVEX
+// encoding unlocks registers Y16-Y31, enough to keep TWO pixels'
+// accumulator files and phasor lanes live at once.
 // The two pixels share every visibility load — the visibility planes
 // do not depend on the pixel — so the doubled FMA stream costs no
 // extra memory traffic and fills both FMA ports where the

@@ -29,15 +29,16 @@ type kbufs[F floatT] struct {
 
 	// acc is the gridder's per-tile accumulator block, 8 floats per
 	// pixel of the tile, carried across visibility blocks. vacc is its
-	// vector-kernel analogue: 8 accumulators x 4 (float64) or 8
-	// (float32) SIMD lanes per pixel, lane-reduced only when the tile
+	// vector-kernel analogue: 8 accumulators x 8 SIMD lanes per pixel
+	// (x 4 for the float64 quad forms), lane-reduced only when the tile
 	// finishes (amd64 only).
 	acc  []F
 	vacc []F
 
 	// phv stages the per-timestep phasor register blocks of the
-	// time-blocked vector gridders (one block of 18 float32 or 10
-	// float64 per time step of a visibility block), so a single blocked
+	// time-blocked vector gridders (one block of 18 values per time
+	// step of a visibility block for the oct forms of either precision,
+	// 10 for the float64 quad form), so a single blocked
 	// kernel call can sweep a whole block with the accumulators held in
 	// registers.
 	phv []F

@@ -140,3 +140,31 @@ func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *
 //
 //go:noescape
 func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int)
+
+// rotAccOctsBlk64 is rotAccQuadsBlk at eight float64 channels per ZMM
+// register and two pixels per call, sharing the visibility loads
+// (kernels_avx512_amd64.s): each acc is a [64]float64 block (eight
+// accumulators x eight lanes), each ph walks nt [18]float64 phasor
+// blocks in the seedOctsBlk layout, nc = 8*no. A pixel's result does
+// not depend on the pixel it is paired with. Only callable on the
+// SIMDAVX512 tier, like everything else in that file.
+//
+//go:noescape
+func rotAccOctsBlk64(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float64, no int, ph0, ph1 *float64, nt int)
+
+// foldOctLanes64 reduces the oct gridder's accumulator lanes (64
+// doubles per pixel at vacc) to eight sums per pixel at sums, each
+// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
+//
+//go:noescape
+func foldOctLanes64(sums, vacc *float64, npix int)
+
+// rotConjAccOctsBlk64 is the degridder's fused rotation and conjugate
+// accumulation over the nch channels of one resync chunk, eight pixels
+// per instruction with the n mod 8 tail masked: per channel it adds the
+// eight sums over the n pixels (planes re0, im0, re1, ... stride bytes
+// apart at planes; fold order as foldOctLanes64) into dst[8*c:8*c+8]
+// and advances phRe/phIm in place by dRe/dIm.
+//
+//go:noescape
+func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)

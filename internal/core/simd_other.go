@@ -72,3 +72,15 @@ func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *
 func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int) {
 	panic("core: degridSandwichQuads without vector kernels")
 }
+
+func rotAccOctsBlk64(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float64, no int, ph0, ph1 *float64, nt int) {
+	panic("core: rotAccOctsBlk64 without vector kernels")
+}
+
+func foldOctLanes64(sums, vacc *float64, npix int) {
+	panic("core: foldOctLanes64 without vector kernels")
+}
+
+func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int) {
+	panic("core: rotConjAccOctsBlk64 without vector kernels")
+}

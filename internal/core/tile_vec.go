@@ -1,13 +1,14 @@
 package core
 
 // The hand-vectorized float64 tile kernels. They drive the AVX2+FMA
-// loops in kernels_amd64.s and are selected (gridSubgridScratch /
-// degridSubgridScratch) only when the dispatch table installed them
+// loops in kernels_amd64.s and, on the SIMDAVX512 tier, the 512-bit
+// loops in kernels_avx512_amd64.s, and are selected (gridSubgridScratch
+// / degridSubgridScratch) only when the dispatch table installed them
 // (dispatch.go: amd64 with an active tier of at least SIMDAVX2); the
 // !amd64 stubs in simd_other.go are therefore unreachable. Compared to
-// the generic tiles the arithmetic runs four channels (gridder) or
-// four pixels (degridder) per instruction, with unconditionally fused
-// multiply-adds — the scalar math.FMA path compiles to a runtime
+// the generic tiles the arithmetic runs four or eight channels
+// (gridder) or pixels (degridder) per instruction, with unconditionally
+// fused multiply-adds — the scalar math.FMA path compiles to a runtime
 // fallback branch per call site under the default GOAMD64 level, which
 // is what these kernels exist to avoid.
 
@@ -36,13 +37,16 @@ const chunkQuads = xmath.DefaultPhasorResync / 4
 const directBatchArgs = 256
 
 // gridTileVec is gridTile on the vector kernels. Each pixel owns eight
-// accumulators of four lanes each (scratch vacc); lanes persist across
-// visibility blocks and fold — (l0+l2)+(l1+l3), foldQuadLanes — only
-// when the pixel has seen every block, so — exactly like the scalar
-// tile — the per-pixel result is independent of the tile and block
-// decomposition. What fills the lanes depends on the item: the phasor
-// recurrence where it applies (gridLanesRecurrence), one evaluated
-// phasor per visibility sample otherwise (gridLanesDirect). Within a
+// accumulators of four lanes each, or of eight in the 512-bit form
+// (scratch vacc); lanes persist across visibility blocks and fold in a
+// fixed order — (l0+l2)+(l1+l3), foldQuadLanes, or foldOctLanes64's
+// pairwise tree — only when the pixel has seen every block, so —
+// exactly like the scalar tile — the per-pixel result is independent of
+// the tile and block decomposition. What fills the lanes depends on the
+// item and the tier: the phasor recurrence where it applies
+// (gridLanesOcts for what octsBlocked admits, else
+// gridLanesRecurrence), one evaluated phasor per visibility sample
+// otherwise (gridLanesDirect). Within a
 // visibility block both are vector code end to end; the only scalar
 // arithmetic left is the n mod 4 sample tail, which goes into lane 0.
 // The folded sums then take the shared epilogue (gridEpilogue).
@@ -50,7 +54,12 @@ func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, 
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
 	sums := growF(&ts.sums, 8*(pix1-pix0))
-	if k.vecRecurrence(item.NrChannels) {
+	if k.octsBlocked(item.NrChannels) {
+		vacc := growF(&ts.b64.vacc, 64*(pix1-pix0))
+		clear(vacc)
+		gridLanesOcts(k, item, uvw, sb, ts, vacc, pix0, pix1)
+		foldOctLanes64(&sums[0], &vacc[0], pix1-pix0)
+	} else if k.vecRecurrence(item.NrChannels) {
 		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
 		clear(vacc)
 		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix1)
@@ -116,6 +125,16 @@ func (k *Kernels) vecRecurrence(nc int) bool {
 // shapes keep the per-t calls.
 func quadsBlocked(nc int) bool {
 	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
+}
+
+// octsBlocked reports whether the recurrence tile sweeps an nc-channel
+// item at eight channels per 512-bit register (gridLanesOcts): the
+// SIMDAVX512 tier, uniform channels, and quadsBlocked's rule at oct
+// granularity — one resync chunk covers every channel with no tail.
+// Everything else keeps the quad forms.
+func (k *Kernels) octsBlocked(nc int) bool {
+	return k.disp.tier >= xmath.SIMDAVX512 && k.uniformScale &&
+		nc > 0 && nc%8 == 0 && nc <= 8*chunkOcts
 }
 
 // accLane0 accumulates visibility sample j against the phasor (sv, cv)
@@ -261,6 +280,72 @@ func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, t
 	}
 }
 
+// gridLanesOcts is gridLanesRecurrence's blocked form at full register
+// width, for the items octsBlocked admits: eight accumulators of eight
+// lanes per pixel (64 doubles of vacc), the phasor lanes of channels
+// c..c+7 advancing by exp(i*8*delta). The per-step phasor blocks are
+// the [18]float64 ones seedOctsBlk / seedOctLanes already produce for
+// the float32 family, read here without narrowing. Pixels go through
+// the kernel in pairs that share the visibility loads (rotAccOctsBlk64);
+// a tile is whole rows of an even SubgridSize (Params.Validate), so no
+// pixel is left over. Per pixel the operation sequence is one oct
+// iteration per (time step, oct) in increasing order whatever the block
+// depth, the tile height or the neighbour in the pair, and SincosVec is
+// independent of batch composition, so none of the three can reach the
+// result. The lanes differ from the quad form's (and so from the avx2
+// tier's) by reassociation only: the same products against phasors
+// equal to a rotation's rounding, in eight partial sums per accumulator
+// instead of four.
+func gridLanesOcts(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float64, pix0, pix1 int) {
+	nt, nc := item.NrTimesteps, item.NrChannels
+	re, im := visPlanes[float64](sb, nt*nc)
+	uOff, vOff := k.uvOffset(item.X0, item.Y0)
+	wOff := item.WOffset
+	scale0 := k.scale[item.Channel0]
+	block := k.visBlockSteps(nt, nc)
+	for t0 := 0; t0 < nt; t0 += block {
+		t1 := min(t0+block, nt)
+		bn := t1 - t0
+		// Per pixel of a pair: bn base arguments, then bn delta arguments
+		// (planar, so seedOctsBlk loads contiguously).
+		arg := growF(&ts.sArg, 4*bn)
+		asn := growF(&ts.sSin, 4*bn)
+		acs := growF(&ts.sCos, 4*bn)
+		phv := growF(&ts.b64.phv, 2*18*bn)
+		ng := bn / 4
+		jj := t0 * nc
+		for i := pix0; i < pix1; i += 2 {
+			for p := 0; p < 2; p++ {
+				l, m, n := k.l[i+p], k.m[i+p], k.n[i+p]
+				phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
+				base := arg[2*bn*p:][:bn]
+				delta := arg[2*bn*p+bn:][:bn]
+				for r, c3 := range uvw[t0:t1] {
+					phaseIndex := c3.U*l + c3.V*m + c3.W*n
+					base[r] = phaseIndex*scale0 - phaseOffset
+					delta[r] = phaseIndex * k.dscale
+				}
+			}
+			k.sincosVec(asn, acs, arg)
+			for p := 0; p < 2; p++ {
+				o := 2 * bn * p
+				pb := phv[18*bn*p:]
+				if ng > 0 {
+					seedOctsBlk(&pb[0], &asn[o], &acs[o], &asn[o+bn], &acs[o+bn], ng)
+				}
+				for r := 4 * ng; r < bn; r++ {
+					seedOctLanes((*[18]float64)(pb[18*r:]), asn[o+r], acs[o+r], asn[o+bn+r], acs[o+bn+r])
+				}
+			}
+			a := vacc[64*(i-pix0):]
+			rotAccOctsBlk64(&a[0], &a[64],
+				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
+				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
+				nc/8, &phv[0], &phv[18*bn], bn)
+		}
+	}
+}
+
 // gridLanesDirect accumulates the pixels [pix0, pix1) with one
 // evaluated phasor per visibility sample and folds them into sums: the
 // form for every item vecRecurrence turns down (non-uniform channels,
@@ -379,6 +464,15 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 // lane fold combine in a local accumulator before touching dst,
 // keeping the one-addition-per-element property the serial ≡ parallel
 // bitwise guarantee of degridSubgridTiled rests on.
+//
+// On the SIMDAVX512 tier a recurrence item makes one call per (time
+// step, resync chunk) instead: rotConjAccOctsBlk64 runs the rotation
+// and the accumulation of every channel of the chunk in one sweep per
+// channel, eight pixels per instruction with the tail masked, and adds
+// each (t, c)'s eight folded sums to dst exactly once. Per (t, c) it is
+// rotQuads' and conjAccQuads' operation sequence at twice the lanes, so
+// the phasors are bitwise those of the quad form and the sums differ
+// from it by the association of the lane fold.
 func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []float64) {
 	sg := k.params.SubgridSize
 	nc := item.NrChannels
@@ -391,6 +485,7 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 	phRe := grow(&tb.phRe, n)
 	phIm := grow(&tb.phIm, n)
 	useRec := k.useRecurrence(nc)
+	fused := useRec && k.disp.tier >= xmath.SIMDAVX512
 	var dRe, dIm []float64
 	if useRec {
 		dRe = grow(&tb.dRe, n)
@@ -421,6 +516,20 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 			}
 			k.sincosVec(phIm, phRe, arg[:n])
 			k.sincosVec(dIm, dRe, arg[n:])
+		}
+		if fused {
+			for c0 := 0; c0 < nc; c0 += xmath.DefaultPhasorResync {
+				if c0 != 0 {
+					scale := k.scale[item.Channel0+c0]
+					for i := 0; i < n; i++ {
+						arg[i] = pIdx[i]*scale - off[i]
+					}
+					k.sincosVec(phIm, phRe, arg[:n])
+				}
+				rotConjAccOctsBlk64(&dst[8*(t*nc+c0)], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
+					&tpre[0][0], 8*sg*sg, n, min(nc-c0, xmath.DefaultPhasorResync))
+			}
+			continue
 		}
 		for c := 0; c < nc; c++ {
 			scale := k.scale[item.Channel0+c]

@@ -115,8 +115,10 @@ var nonUniformComb = []float64{150e6, 150.3e6, 150.9e6, 151.0e6, 152.2e6}
 // the paper's blocked-recurrence shape, then the direct-phasor shapes —
 // the sparse workload's 8 x 2, a non-uniform comb whose 35 samples
 // leave a three-sample tail, and a single channel whose nine samples
-// straddle quads in every block — and the per-step recurrence with a
-// channel tail and with a second resync chunk.
+// straddle quads in every block — the per-step recurrence with a
+// channel tail and with a second resync chunk, and the blocked
+// recurrence at one, three and eight octs per time step (on the avx512
+// tier: one, one and a half, four sample quads per step below it).
 type tilingShape struct {
 	nt, nc int
 	freqs  []float64 // nil: tilingKernels' uniform comb
@@ -129,6 +131,9 @@ var tilingShapes = []tilingShape{
 	{9, 1, nil},
 	{5, 37, nil},
 	{3, 70, nil},
+	{6, 8, nil},
+	{5, 24, nil},
+	{3, 64, nil},
 }
 
 // gaussianJones returns per-pixel Jones maps of two stations with
@@ -183,6 +188,9 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 			}{
 				{"Float64", nil},
 				{"Float64NoVec", forceTier(xmath.SIMDScalar)},
+				// On an avx512 host the line above runs the oct bodies;
+				// this one keeps the quad bodies covered there.
+				{"Float64AVX2", forceTier(xmath.SIMDAVX2)},
 				{"Float32", func(p *Params) { p.Precision = Float32 }},
 			} {
 				name := fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc)
@@ -318,28 +326,37 @@ func TestDegridderTiledMatchesReference(t *testing.T) {
 // the tiles on one worker or many must give numerically identical
 // visibilities — the parallel path combines per-tile partials in tile
 // order, replaying the serial addition sequence. Subgrid sizes 8 and
-// 10 cover both the quad-aligned and the tail-carrying vector paths.
+// 10 cover both the lane-aligned and the tail-carrying vector paths
+// (one-row tiles of 8 and of 10 pixels: a whole quad pair or oct, and a
+// two-pixel scalar or masked tail), 70 channels a second resync chunk,
+// and every executable tier runs, so an avx512 host still covers the
+// quad degridder beside the fused oct one.
 func TestDegridderSerialParallelBitwise(t *testing.T) {
-	const nt, nc = 9, 8
-	for _, sg := range []int{8, 10} {
-		for _, prec := range []Precision{Float64, Float32} {
-			item, uvw, _, _ := tilingItem(61, nt, nc)
-			in, _ := randomSubgrid(sg, item, 63)
-			mod := func(workers int) func(*Params) {
-				return func(p *Params) {
-					p.Precision = prec
-					p.PixelTileRows = 1
-					p.Workers = workers
+	const nt = 9
+	for _, nc := range []int{8, 70} {
+		for _, sg := range []int{8, 10} {
+			for _, tier := range coreHostTiers() {
+				for _, prec := range []Precision{Float64, Float32} {
+					item, uvw, _, _ := tilingItem(61, nt, nc)
+					in, _ := randomSubgrid(sg, item, 63)
+					mod := func(workers int) func(*Params) {
+						return func(p *Params) {
+							p.Precision = prec
+							p.PixelTileRows = 1
+							p.Workers = workers
+							forceTier(tier)(p)
+						}
+					}
+					serial := tilingKernels(t, sg, nc, mod(1))
+					parallel := tilingKernels(t, sg, nc, mod(8))
+					want := make([]xmath.Matrix2, nt*nc)
+					serial.DegridSubgrid(item, in, uvw, nil, nil, want)
+					got := make([]xmath.Matrix2, nt*nc)
+					parallel.DegridSubgrid(item, in, uvw, nil, nil, got)
+					if !visEqual(want, got) {
+						t.Fatalf("nc=%d sg=%d %v %v: parallel degridder differs from serial", nc, sg, tier, prec)
+					}
 				}
-			}
-			serial := tilingKernels(t, sg, nc, mod(1))
-			parallel := tilingKernels(t, sg, nc, mod(8))
-			want := make([]xmath.Matrix2, nt*nc)
-			serial.DegridSubgrid(item, in, uvw, nil, nil, want)
-			got := make([]xmath.Matrix2, nt*nc)
-			parallel.DegridSubgrid(item, in, uvw, nil, nil, got)
-			if !visEqual(want, got) {
-				t.Fatalf("sg=%d %v: parallel degridder differs from serial", sg, prec)
 			}
 		}
 	}

@@ -110,31 +110,45 @@ func (p *Plan2D) Inverse(x []complex128) {
 	p.runSerial(x, true, false, 1/float64(p.rows*p.cols))
 }
 
-// runSerial is the 2-D driver: a row pass in place, then the blocked
+// runSerial is the 2-D driver, in place: a row pass, then the blocked
 // column pass tile by tile. fused folds the centering sign flips into
 // the passes; scale is applied once, during the column-tile scatter.
 func (p *Plan2D) runSerial(x []complex128, inverse, fused bool, scale float64) {
+	p.runSerialFrom(x, x, inverse, fused, scale)
+}
+
+// runSerialFrom is runSerial reading its input from src (see rowPass).
+func (p *Plan2D) runSerialFrom(x, src []complex128, inverse, fused bool, scale float64) {
 	sc := p.scratch.Get().(*p2dScratch)
-	p.rowPass(x, 0, p.rows, inverse, fused, sc)
+	p.rowPass(x, src, 0, p.rows, inverse, fused, sc)
 	for c0 := 0; c0 < p.cols; c0 += p.colW {
 		p.colTile(x, c0, min(p.colW, p.cols-c0), inverse, fused, scale, sc)
 	}
 	p.scratch.Put(sc)
 }
 
-// rowPass transforms rows [r0, r1) in place. preFlip first applies the
-// whole (-1)^(r+c) input checkerboard of the fused centering: its
-// (-1)^r half is constant along a row, so it commutes exactly with the
-// row transform and the column pass can read its input as it lies.
-func (p *Plan2D) rowPass(x []complex128, r0, r1 int, inverse, preFlip bool, sc *p2dScratch) {
+// rowPass transforms rows [r0, r1) of src into the same rows of x (in
+// place when src is x; otherwise src is only read). preFlip first
+// applies the whole (-1)^(r+c) input checkerboard of the fused
+// centering: its (-1)^r half is constant along a row, so it commutes
+// exactly with the row transform and the column pass can read its input
+// as it lies. Out of place, each row (block) is brought over right
+// before it is transformed — by the first transpose of the mixed-radix
+// schedule, by a row-sized copy ahead of the in-place engines — so no
+// separate pass over the whole destination precedes the transform.
+func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool, sc *p2dScratch) {
 	if p.colPlan.smooth != nil {
 		for b0 := r0; b0 < r1; b0 += p.rowH {
-			p.rowBlockSmooth(x, b0, min(p.rowH, r1-b0), inverse, preFlip, sc)
+			p.rowBlockSmooth(x, src, b0, min(p.rowH, r1-b0), inverse, preFlip, sc)
 		}
 		return
 	}
+	inPlace := &x[0] == &src[0]
 	for r := r0; r < r1; r++ {
 		row := x[r*p.cols : (r+1)*p.cols]
+		if !inPlace {
+			copy(row, src[r*p.cols:(r+1)*p.cols])
+		}
 		if preFlip {
 			for i := (r + 1) & 1; i < len(row); i += 2 {
 				row[i] = -row[i]
@@ -148,18 +162,17 @@ func (p *Plan2D) rowPass(x []complex128, r0, r1 int, inverse, preFlip bool, sc *
 	}
 }
 
-// rowBlockSmooth transforms the h rows from b0 with the mixed-radix
-// schedule: the block is transposed into staging (taking the input
-// checkerboard along), the lane engine runs down the former rows with
-// the h rows as its lanes, and the result is transposed back.
-func (p *Plan2D) rowBlockSmooth(x []complex128, b0, h int, inverse, preFlip bool, sc *p2dScratch) {
+// rowBlockSmooth transforms the h rows from b0 of src into x with the
+// mixed-radix schedule: the block is transposed into staging (taking
+// the input checkerboard along), the lane engine runs down the former
+// rows with the h rows as its lanes, and the result is transposed back.
+func (p *Plan2D) rowBlockSmooth(x, src []complex128, b0, h int, inverse, preFlip bool, sc *p2dScratch) {
 	cols := p.cols
 	stage, tile := sc.stage[:cols*h], sc.tile[:cols*h]
-	block := x[b0*cols : (b0+h)*cols]
 	tier := p.colPlan.tier
-	xmath.TransposeLanes(tier, stage, h, block, cols, cols, h, preFlip, b0)
+	xmath.TransposeLanes(tier, stage, h, src[b0*cols:(b0+h)*cols], cols, cols, h, preFlip, b0)
 	p.colPlan.smooth.run(tier, tile, stage, h, h, inverse)
-	xmath.TransposeLanes(tier, block, cols, tile, h, h, cols, false, 0)
+	xmath.TransposeLanes(tier, x[b0*cols:(b0+h)*cols], cols, tile, h, h, cols, false, 0)
 }
 
 // colTile transforms columns [c0, c0+cw) of x. When fused, the scatter
@@ -247,20 +260,21 @@ func (p *Plan2D) scatterTile(x, tile []complex128, c0, cw int, fused bool, scale
 // and are instead batched across subgrids, see TransformBatch.
 func (p *Plan2D) ForwardParallel(x []complex128, workers int) {
 	p.checkLen(x)
-	p.runParallel(x, false, false, 1, workers)
+	p.runParallel(x, x, false, false, 1, workers)
 }
 
 // InverseParallel is the parallel variant of Inverse.
 func (p *Plan2D) InverseParallel(x []complex128, workers int) {
 	p.checkLen(x)
-	p.runParallel(x, true, false, 1/float64(p.rows*p.cols), workers)
+	p.runParallel(x, x, true, false, 1/float64(p.rows*p.cols), workers)
 }
 
 // runParallel splits the row pass by row ranges and the column pass by
-// tile ranges. Tiles are independent and the per-column math is
-// identical to the serial schedule, so parallel output is bitwise
-// equal to serial.
-func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale float64, workers int) {
+// tile ranges; the row pass reads src (x itself for an in-place
+// transform), everything after it works on x. Tiles are independent
+// and the per-column math is identical to the serial schedule, so
+// parallel output is bitwise equal to serial.
+func (p *Plan2D) runParallel(x, src []complex128, inverse, fused bool, scale float64, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -268,7 +282,7 @@ func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale float64,
 		workers = p.rows
 	}
 	if workers <= 1 {
-		p.runSerial(x, inverse, fused, scale)
+		p.runSerialFrom(x, src, inverse, fused, scale)
 		return
 	}
 	var wg sync.WaitGroup
@@ -285,7 +299,7 @@ func (p *Plan2D) runParallel(x []complex128, inverse, fused bool, scale float64,
 		go func(lo, hi int) {
 			defer wg.Done()
 			sc := p.scratch.Get().(*p2dScratch)
-			p.rowPass(x, lo, hi, inverse, fused, sc)
+			p.rowPass(x, src, lo, hi, inverse, fused, sc)
 			p.scratch.Put(sc)
 		}(lo, hi)
 	}

@@ -119,27 +119,35 @@ func (p *Plan2D) InverseCentered(x []complex128) {
 }
 
 // ForwardCenteredParallel is ForwardCentered with a parallel core
-// transform.
-func (p *Plan2D) ForwardCenteredParallel(x []complex128, workers int) {
-	p.checkLen(x)
+// transform, from src into dst. dst may be src (in place); otherwise
+// src is left untouched and the row pass brings each row block over as
+// it transforms it, so a caller that wants a transformed copy does not
+// pay a separate copy pass. The output bits do not depend on which.
+func (p *Plan2D) ForwardCenteredParallel(dst, src []complex128, workers int) {
+	p.checkLen(dst)
+	p.checkLen(src)
 	if p.fusedOK {
-		p.runParallel(x, false, true, p.sigma, workers)
+		p.runParallel(dst, src, false, true, p.sigma, workers)
 		return
 	}
-	InverseShift2D(x, p.rows, p.cols)
-	p.runParallel(x, false, false, 1, workers)
-	Shift2D(x, p.rows, p.cols)
+	copy(dst, src)
+	InverseShift2D(dst, p.rows, p.cols)
+	p.runParallel(dst, dst, false, false, 1, workers)
+	Shift2D(dst, p.rows, p.cols)
 }
 
-// InverseCenteredParallel is the parallel variant of InverseCentered.
-func (p *Plan2D) InverseCenteredParallel(x []complex128, workers int) {
-	p.checkLen(x)
+// InverseCenteredParallel is the parallel variant of InverseCentered,
+// from src into dst like ForwardCenteredParallel.
+func (p *Plan2D) InverseCenteredParallel(dst, src []complex128, workers int) {
+	p.checkLen(dst)
+	p.checkLen(src)
 	scale := 1 / float64(p.rows*p.cols)
 	if p.fusedOK {
-		p.runParallel(x, true, true, p.sigma*scale, workers)
+		p.runParallel(dst, src, true, true, p.sigma*scale, workers)
 		return
 	}
-	InverseShift2D(x, p.rows, p.cols)
-	p.runParallel(x, true, false, scale, workers)
-	Shift2D(x, p.rows, p.cols)
+	copy(dst, src)
+	InverseShift2D(dst, p.rows, p.cols)
+	p.runParallel(dst, dst, true, false, scale, workers)
+	Shift2D(dst, p.rows, p.cols)
 }
