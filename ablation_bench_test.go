@@ -149,14 +149,12 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 // channel count matches the SIMD width). Every uniform comb runs twice:
 // as dispatched and with the recurrence disabled (one evaluated phasor
 // per sample) — the measurement the kernels' selection thresholds are
-// set from (core's vecRecurrence and perStepMinChannels on the vector
-// tiers, phasorMinChannels under IDG_SIMD=scalar). The non-uniform comb
-// has only the direct form. The counts of 8 channels and up that are
-// whole octs (8, 16, 24, 64) are the oct-blocked column: dispatched on
-// the avx512 tier they run core's 512-bit gridLanesOcts, under
-// IDG_SIMD=avx2 the quad-blocked form, and the pair of runs is what
-// core's octsBlocked threshold (octs from 8 channels, where one oct per
-// time step is level with two quads) is set from.
+// set from: phasorMinChannels under IDG_SIMD=scalar and, dispatched on
+// the avx512 tier, for core's pixel-lane gridLanesPix (which has no
+// other rule about the channel count: 9, 33 and 66 are there for the
+// channel tail and the second resync chunk); core's vecRecurrence and
+// perStepMinChannels under IDG_SIMD=avx2. The non-uniform comb has only
+// the direct form.
 func BenchmarkAblationChannelCount(b *testing.B) {
 	comb := func(nc int, jitter float64) []float64 {
 		freqs := make([]float64, nc)
@@ -165,7 +163,7 @@ func BenchmarkAblationChannelCount(b *testing.B) {
 		}
 		return freqs
 	}
-	for _, nc := range []int{1, 2, 3, 4, 5, 8, 16, 24, 64} {
+	for _, nc := range []int{1, 2, 3, 4, 5, 8, 9, 16, 24, 33, 64, 66} {
 		b.Run(fmt.Sprintf("c=%d", nc), func(b *testing.B) {
 			runGridderAblation(b, Params{Frequencies: comb(nc, 0)})
 		})

@@ -27,12 +27,14 @@ type simdDispatch struct {
 // tier adds is selected inside them, keyed on the tier resolved here
 // and on the item's channel comb:
 //
-//   - float64 gridder: uniform items of 8, 16, ..., 64 channels run the
-//     time-blocked recurrence at eight channels per ZMM register, two
-//     pixels per call (Kernels.octsBlocked, gridLanesOcts); every other
-//     shape keeps the 256-bit quad forms.
+//   - float64 gridder: every item the recurrence applies to (uniform
+//     comb, phasorMinChannels or more) runs with a pixel per lane,
+//     sixteen pixels per call (Kernels.pixelLanes, gridLanesPix,
+//     rotAccPixBlk64); the rest keeps the 256-bit direct-phasor form.
 //   - float64 degridder: every recurrence item runs the fused,
 //     channel-blocked rotConjAccOctsBlk64, eight pixels per ZMM.
+//   - both: the phase arguments are staged by the 512-bit stagePIdx and
+//     stageArgs instead of Go loops.
 //   - float32 gridder: the blocked form runs two pixels per call on the
 //     EVEX-only registers Y16-Y31 (rotAccOctsBlk2, test in
 //     gridTileVec32), still eight lanes per YMM.
@@ -42,11 +44,11 @@ type simdDispatch struct {
 // The float64 tiles went to 512 bits on measurement, not on principle:
 // on the reference host class (Sapphire-Rapids-type Xeon) a thread
 // sustains about twice the lane-FMA rate at ZMM width that it does at
-// YMM width, both FMA loops were at their 256-bit two-port floor, and
-// no kernel is slower on the avx512 tier than on avx2 (EXPERIMENTS.md,
-// "Float64 tiles at full register width", has the pairs and the
-// per-tier table). The float32 tiles and the direct-phasor tile stay
-// at 256 bits because nobody has measured them wider yet.
+// YMM width, and no kernel is slower on the avx512 tier than on avx2
+// (EXPERIMENTS.md, "Float64 tiles at full register width" and "Pixels
+// in the lanes", has the pairs and the per-tier tables). The float32
+// tiles and the direct-phasor tile stay at 256 bits because nobody has
+// measured them wider yet.
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
 	d := simdDispatch{tier: tier}
 	if haveVectorASM && tier >= xmath.SIMDAVX2 {
@@ -87,10 +89,12 @@ func (si SIMDInfo) String() string {
 }
 
 // The float64 tile bodies dispatched per vector tier, as SIMDInfo
-// names them.
+// names them. The avx512 string states the one rule that tier selects
+// by (Kernels.pixelLanes; the degridder's fused form has the same
+// one); TestDispatchPerTier holds the stated threshold against it.
 const (
 	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
-	tiles64AVX512 = "avx512 8-lane: time-blocked recurrence at 8..64 channels, fused degridder; avx2+fma 4-lane: other combs, direct phasors"
+	tiles64AVX512 = "avx512 8-lane: uniform nc>=3 -> 16-pixel-lane gridder, fused degridder; else avx2+fma 4-lane direct phasors; staged phases"
 )
 
 // SIMDInfo reports the SIMD dispatch this Kernels value resolved to.
@@ -104,8 +108,8 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		Lanes:    1,
 	}
 	if k.disp.gridVec64 != nil {
-		// The lane fillers of gridTileVec (octsBlocked, then
-		// vecRecurrence, select) and the degridder's channel loop.
+		// The bodies gridTileVec (pixelLanes, then vecRecurrence) and
+		// degridTileVec select between.
 		si.Tiles64 = tiles64AVX2
 		if k.disp.tier >= xmath.SIMDAVX512 {
 			si.Tiles64 = tiles64AVX512

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -79,19 +80,24 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 // (forceSIMD seam) against the reference transcription: the dispatch
 // table must route to a kernel whose result stays within the
 // documented per-precision bound no matter which tier is active. The
-// channel counts cover the blocked bodies (8, 16, 24 and 64 channels:
-// octs on the avx512 tier, quads on avx2) beside a count with tails on
-// both lane widths.
+// channel counts cover the avx2 tier's blocked body (8, 16, 24 and 64
+// channels), counts with channel tails, the recurrence threshold and
+// its neighbour below, and a second resync chunk; on the avx512 tier
+// everything from the threshold up is the pixel-lane gridder.
 //
-// The float64 tiers are no longer bitwise equal to each other — the
-// avx512 tier sums eight lanes where avx2 sums four — so the two are
-// also compared directly: the difference is reassociation of the same
-// products plus the phasor lanes' rotation rounding, a few float64
-// roundings per term and orders of magnitude inside the bound each
-// tier holds against the reference.
+// The float64 tiers are not bitwise equal to each other — the avx512
+// gridder builds each sum as one chain where avx2 folds four lanes, its
+// degridder folds eight — so the two are also compared directly: the
+// difference is reassociation of the same products plus the phasors'
+// rotation rounding, a few float64 roundings per term and orders of
+// magnitude inside the bound each tier holds against the reference.
+//
+// Tiles64 is checked against what ran: the threshold the avx512 string
+// states must be the one Kernels.pixelLanes branches on, and no other
+// tier may claim or take the pixel-lane body.
 func TestDispatchPerTier(t *testing.T) {
 	const sg, nt = 12, 8
-	for _, nc := range []int{8, 16, 21, 24, 64} {
+	for _, nc := range []int{2, 3, 8, 16, 21, 24, 64, 66} {
 		item, uvw, vis, maxAmp := tilingItem(103, nt, nc)
 		in, pixAmp := randomSubgrid(sg, item, 107)
 		ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
@@ -110,6 +116,14 @@ func TestDispatchPerTier(t *testing.T) {
 					p.Precision = prec
 					forceTier(tier)(p)
 				})
+				var stated int
+				tiles := k.SIMDInfo().Tiles64
+				if i := strings.Index(tiles, "nc>="); i >= 0 {
+					fmt.Sscanf(tiles[i:], "nc>=%d", &stated)
+				}
+				if (stated > 0) != (tier >= xmath.SIMDAVX512) || k.pixelLanes(nc) != (stated > 0 && nc >= stated) {
+					t.Fatalf("nc=%d tier %v: pixel lanes = %v, but tiles64=%q", nc, tier, k.pixelLanes(nc), tiles)
+				}
 				got := grid.NewSubgrid(sg, item.X0, item.Y0)
 				k.GridSubgrid(item, uvw, vis, nil, nil, got)
 				gotVis := make([]xmath.Matrix2, nt*nc)
@@ -131,8 +145,9 @@ func TestDispatchPerTier(t *testing.T) {
 		}
 		if wide, ok := grids64[xmath.SIMDAVX512]; ok {
 			// Sixteen roundings per accumulated term, terms of at most
-			// sqrt2*amp: measured 3e-15 (8 channels) to 3e-14 (64) for
-			// the gridder and 2e-15 for the degridder, a hundredth of this.
+			// sqrt2*amp: measured 5e-15 (8 channels) to 5e-14 (64) for
+			// the gridder and 2e-15 for the degridder, a twentieth of
+			// this at most.
 			reassoc := func(n int, amp float64) float64 { return 16 * float64(n) * math.Sqrt2 * amp * 0x1p-52 }
 			if d, tol := wide.MaxAbsDiff(grids64[xmath.SIMDAVX2]), reassoc(nt*nc, maxAmp); d > tol {
 				t.Fatalf("nc=%d: float64 gridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)

@@ -3,14 +3,24 @@
 #include "textflag.h"
 
 // The full-width float64 tile bodies of the SIMDAVX512 dispatch tier:
-// the gridder's time-blocked recurrence at eight channels per ZMM
-// register (rotAccOctsBlk64, folded by foldOctLanes64) and the
-// degridder's fused, channel-blocked rotate-and-accumulate at eight
-// pixels per ZMM (rotConjAccOctsBlk64). See simd_amd64.go for the
-// contracts, tile_vec.go for the callers. Only that tier reaches this
+// the gridder's recurrence with sixteen pixels in the lanes of two ZMM
+// octs (rotAccPixBlk64), the degridder's fused, channel-blocked
+// rotate-and-accumulate at eight pixels per ZMM (rotConjAccOctsBlk64),
+// and the phase stagers both run ahead of their sincos batches
+// (stagePIdx, stageArgs). See simd_amd64.go for the contracts,
+// tile_vec.go for the callers. Only that tier reaches this
 // file: xmath's detection requires AVX-512 F+DQ+BW+VL and OS-saved
 // opmask/ZMM state. All routines are NOSPLIT leaves and VZEROUPPER
 // before returning to Go code.
+
+// TAIL_MASK sets K1 to the low (cnt mod 8) lanes; clobbers CX and DX.
+#define TAIL_MASK(cnt) \
+	MOVQ  cnt, CX \
+	ANDQ  $7, CX  \
+	MOVQ  $1, DX  \
+	SHLQ  CX, DX  \
+	DECQ  DX      \
+	KMOVW DX, K1
 
 // REDUCE8 folds the eight 8-lane accumulators Z4..Z11 into the eight
 // lanes of Z4 (lane k = the sum of accumulator k's lanes) as a pairwise
@@ -40,165 +50,115 @@
 	VSHUFF64X2 $0xDD, Z5, Z4, Z13   \
 	VADDPD     Z13, Z12, Z4
 
-// LOAD_CORR loads the eight samples at byte offset R14 of one
-// correlation's re/im visibility streams into Z12/Z13.
-#define LOAD_CORR(rp, ip) \
-	VMOVUPD (rp)(R14*1), Z12 \
-	VMOVUPD (ip)(R14*1), Z13
+// ACC_PIX accumulates one correlation's sample at byte offset R14 of its
+// re/im streams, broadcast to every lane, against the phasors of both
+// pixel octs (sin Z16/Z18, cos Z17/Z19): per accumulator rotAccQuads'
+// FMA order — a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps, a_im += vi*pc
+// — with the four chains interleaved.
+#define ACC_PIX(rp, ip, are0, are1, aim0, aim1) \
+	VBROADCASTSD (rp)(R14*1), Z24   \
+	VBROADCASTSD (ip)(R14*1), Z25   \
+	VFMADD231PD  Z17, Z24, are0     \
+	VFMADD231PD  Z19, Z24, are1     \
+	VFMADD231PD  Z16, Z24, aim0     \
+	VFMADD231PD  Z18, Z24, aim1     \
+	VFNMADD231PD Z16, Z25, are0     \
+	VFNMADD231PD Z18, Z25, are1     \
+	VFMADD231PD  Z17, Z25, aim0     \
+	VFMADD231PD  Z19, Z25, aim1
 
-// ACC_CORR accumulates the loaded samples against one pixel's phasor
-// lanes ps/pc: the FMA sequence of rotAccQuads — a_re += vr*pc,
-// a_re -= vi*ps, a_im += vr*ps, a_im += vi*pc.
-#define ACC_CORR(ps, pc, are, aim) \
-	VFMADD231PD  pc, Z12, are \
-	VFNMADD231PD ps, Z13, are \
-	VFMADD231PD  ps, Z12, aim \
-	VFMADD231PD  pc, Z13, aim
+// ROT_PIX advances one oct's phasors by one channel, each pixel by its
+// own delta phasor: ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds, the
+// cross terms rounded first (rotateAccumulateFMA's sequence).
+#define ROT_PIX(ps, pc, ds, dc, t0, t1) \
+	VMULPD      ds, ps, t1 \
+	VMULPD      ds, pc, t0 \
+	VFMSUB213PD t1, dc, pc \
+	VFMADD213PD t0, dc, ps
 
-// ROT_LANES advances one pixel's phasor lanes by eight channels
-// (rotator ds/dc broadcast): ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds.
-#define ROT_LANES(ps, pc, ds, dc, t0, t1) \
-	VMULPD       dc, ps, t0 \
-	VMULPD       dc, pc, t1 \
-	VFMADD231PD  ds, pc, t0 \
-	VFNMADD231PD ds, ps, t1 \
-	VMOVAPD      t0, ps     \
-	VMOVAPD      t1, pc
+// PIX_SUMS moves the sixteen accumulators Z0-Z15 between registers and
+// the [8][16]float64 at AX.
+#define PIX_LD(mem, reg) VMOVUPD mem, reg
+#define PIX_ST(mem, reg) VMOVUPD reg, mem
+#define PIX_SUMS(MV) \
+	MV((AX), Z0);     MV(64(AX), Z1);   MV(128(AX), Z2);  MV(192(AX), Z3);  \
+	MV(256(AX), Z4);  MV(320(AX), Z5);  MV(384(AX), Z6);  MV(448(AX), Z7);  \
+	MV(512(AX), Z8);  MV(576(AX), Z9);  MV(640(AX), Z10); MV(704(AX), Z11); \
+	MV(768(AX), Z12); MV(832(AX), Z13); MV(896(AX), Z14); MV(960(AX), Z15)
 
-// func rotAccOctsBlk64(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float64, no int, ph0, ph1 *float64, nt int)
+// func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int)
 //
-// rotAccQuadsBlk at eight channels per register, two pixels per call.
-// Each acc points at a [64]float64 block: eight accumulators x eight
-// lanes, accumulator k's lanes at acc[8k:8k+8], held in registers
-// across all nt time steps — pixel A's in Z4-Z11 with its phasor state
-// in Z0-Z3, pixel B's in Z20-Z27 and Z16-Z19. Per time step each
-// pixel's phasor lanes and rotator reload from a fresh [18]float64
-// block (the seedOctsBlk layout: sin lanes [0:8], cos lanes [8:16],
-// sin/cos of 8*delta at [16], [17]; ph0/ph1 advance 144 bytes) and the
-// channel loop runs no iterations. nc = 8*no, so the eight visibility
-// streams are contiguous across steps: R14 is the running byte offset
-// into all of them, and both pixels share every load. One pixel alone
-// would give each accumulator two dependent FMAs per iteration — as
-// long as its sixteen FMAs take to issue on two ports, so any hiccup
-// stalls; the second pixel's independent chains keep the ports busy
-// (what rotAccOctsBlk2 found for float32). The pixels do not interact:
-// each one's operation sequence depends on its own phasor blocks only.
-TEXT ·rotAccOctsBlk64(SB), NOSPLIT, $0-112
-	MOVQ r0+16(FP), SI
-	MOVQ i0+24(FP), DI
-	MOVQ r1+32(FP), R8
-	MOVQ i1+40(FP), R9
-	MOVQ r2+48(FP), R10
-	MOVQ i2+56(FP), R11
-	MOVQ r3+64(FP), R12
-	MOVQ i3+72(FP), R13
-	MOVQ no+80(FP), R15
-	MOVQ nt+104(FP), CX
+// The pixel-lane gridder: sixteen pixels, one per lane of two octs,
+// accumulate nt time steps of nc channels with their 8 x 2 accumulators
+// held in Z0-Z15 throughout (acc is [8][16]float64: sum k of lane p at
+// acc[16k+p], sums in the order re0, im0, re1, ...). Every visibility is
+// broadcast once and shared by both octs; R14 is the running byte
+// offset into the eight streams, which are contiguous over (t, c).
+//
+// sn/cs are the sincos of the staged arguments, rows of sixteen lanes:
+// per time step one row of per-pixel delta phasors (Z20-Z23), then one
+// row of base phasors per resync chunk of 64 channels, loaded into
+// Z16-Z19 where the chunk starts and rotated by the deltas from channel
+// to channel. A pixel's sums are therefore built in plain (t, c) order
+// from its own lane's phasors alone: nothing crosses lanes, so what
+// shares the call (or pads it) cannot reach them, and neither can nt.
+TEXT ·rotAccPixBlk64(SB), NOSPLIT, $0-104
+	MOVQ r0+8(FP), SI
+	MOVQ i0+16(FP), DI
+	MOVQ r1+24(FP), R8
+	MOVQ i1+32(FP), R9
+	MOVQ r2+40(FP), R10
+	MOVQ i2+48(FP), R11
+	MOVQ r3+56(FP), R12
+	MOVQ i3+64(FP), R13
 	XORQ R14, R14
 
-	MOVQ    acc0+0(FP), AX
-	VMOVUPD (AX), Z4
-	VMOVUPD 64(AX), Z5
-	VMOVUPD 128(AX), Z6
-	VMOVUPD 192(AX), Z7
-	VMOVUPD 256(AX), Z8
-	VMOVUPD 320(AX), Z9
-	VMOVUPD 384(AX), Z10
-	VMOVUPD 448(AX), Z11
-	MOVQ    acc1+8(FP), AX
-	VMOVUPD (AX), Z20
-	VMOVUPD 64(AX), Z21
-	VMOVUPD 128(AX), Z22
-	VMOVUPD 192(AX), Z23
-	VMOVUPD 256(AX), Z24
-	VMOVUPD 320(AX), Z25
-	VMOVUPD 384(AX), Z26
-	VMOVUPD 448(AX), Z27
+	MOVQ acc+0(FP), AX
+	PIX_SUMS(PIX_LD)
 
-	MOVQ ph0+88(FP), BX
-	MOVQ ph1+96(FP), AX
+	MOVQ sn+80(FP), BX
+	MOVQ cs+88(FP), CX
+	MOVQ nt+96(FP), AX
 
-octtloop:
-	VMOVUPD      (BX), Z0
-	VMOVUPD      64(BX), Z1
-	VBROADCASTSD 128(BX), Z2
-	VBROADCASTSD 136(BX), Z3
-	VMOVUPD      (AX), Z16
-	VMOVUPD      64(AX), Z17
-	VBROADCASTSD 128(AX), Z18
-	VBROADCASTSD 136(AX), Z19
-	MOVQ         R15, DX
+pixsteploop:
+	VMOVUPD (BX), Z20
+	VMOVUPD (CX), Z21
+	VMOVUPD 64(BX), Z22
+	VMOVUPD 64(CX), Z23
+	MOVQ    nc+72(FP), R15
 
-octloop:
-	LOAD_CORR(SI, DI)
-	ACC_CORR(Z0, Z1, Z4, Z5)
-	ACC_CORR(Z16, Z17, Z20, Z21)
-	LOAD_CORR(R8, R9)
-	ACC_CORR(Z0, Z1, Z6, Z7)
-	ACC_CORR(Z16, Z17, Z22, Z23)
-	LOAD_CORR(R10, R11)
-	ACC_CORR(Z0, Z1, Z8, Z9)
-	ACC_CORR(Z16, Z17, Z24, Z25)
-	LOAD_CORR(R12, R13)
-	ACC_CORR(Z0, Z1, Z10, Z11)
-	ACC_CORR(Z16, Z17, Z26, Z27)
-	ROT_LANES(Z0, Z1, Z2, Z3, Z14, Z15)
-	ROT_LANES(Z16, Z17, Z18, Z19, Z28, Z29)
-	ADDQ $64, R14
+pixchunkloop:
+	ADDQ    $128, BX
+	ADDQ    $128, CX
+	VMOVUPD (BX), Z16
+	VMOVUPD (CX), Z17
+	VMOVUPD 64(BX), Z18
+	VMOVUPD 64(CX), Z19
+	MOVQ    $64, DX             // xmath.DefaultPhasorResync
+	CMPQ    R15, DX
+	CMOVQLT R15, DX
+	SUBQ    DX, R15
+
+pixchanloop:
+	ACC_PIX(SI, DI, Z0, Z1, Z2, Z3)
+	ACC_PIX(R8, R9, Z4, Z5, Z6, Z7)
+	ACC_PIX(R10, R11, Z8, Z9, Z10, Z11)
+	ACC_PIX(R12, R13, Z12, Z13, Z14, Z15)
+	ROT_PIX(Z16, Z17, Z20, Z21, Z26, Z27)
+	ROT_PIX(Z18, Z19, Z22, Z23, Z28, Z29)
+	ADDQ $8, R14
 	DECQ DX
-	JNZ  octloop
+	JNZ  pixchanloop
 
-	ADDQ $144, BX
-	ADDQ $144, AX
-	DECQ CX
-	JNZ  octtloop
+	TESTQ R15, R15
+	JNZ   pixchunkloop
+	ADDQ  $128, BX
+	ADDQ  $128, CX
+	DECQ  AX
+	JNZ   pixsteploop
 
-	MOVQ    acc0+0(FP), AX
-	VMOVUPD Z4, (AX)
-	VMOVUPD Z5, 64(AX)
-	VMOVUPD Z6, 128(AX)
-	VMOVUPD Z7, 192(AX)
-	VMOVUPD Z8, 256(AX)
-	VMOVUPD Z9, 320(AX)
-	VMOVUPD Z10, 384(AX)
-	VMOVUPD Z11, 448(AX)
-	MOVQ    acc1+8(FP), AX
-	VMOVUPD Z20, (AX)
-	VMOVUPD Z21, 64(AX)
-	VMOVUPD Z22, 128(AX)
-	VMOVUPD Z23, 192(AX)
-	VMOVUPD Z24, 256(AX)
-	VMOVUPD Z25, 320(AX)
-	VMOVUPD Z26, 384(AX)
-	VMOVUPD Z27, 448(AX)
-	VZEROUPPER
-	RET
-
-// func foldOctLanes64(sums, vacc *float64, npix int)
-//
-// Lane fold of the oct gridder: per pixel, the eight eight-lane
-// accumulators at vacc[64*i:] reduce to eight sums at sums[8*i:] in the
-// REDUCE8 order.
-TEXT ·foldOctLanes64(SB), NOSPLIT, $0-24
-	MOVQ sums+0(FP), DI
-	MOVQ vacc+8(FP), SI
-	MOVQ npix+16(FP), CX
-
-fold8loop:
-	VMOVUPD (SI), Z4
-	VMOVUPD 64(SI), Z5
-	VMOVUPD 128(SI), Z6
-	VMOVUPD 192(SI), Z7
-	VMOVUPD 256(SI), Z8
-	VMOVUPD 320(SI), Z9
-	VMOVUPD 384(SI), Z10
-	VMOVUPD 448(SI), Z11
-	REDUCE8
-	VMOVUPD Z4, (DI)
-	ADDQ    $512, SI
-	ADDQ    $64, DI
-	DECQ    CX
-	JNZ     fold8loop
+	MOVQ acc+0(FP), AX
+	PIX_SUMS(PIX_ST)
 	VZEROUPPER
 	RET
 
@@ -282,16 +242,12 @@ TEXT ·rotConjAccOctsBlk64(SB), NOSPLIT, $0-72
 
 	// R12 = whole octs per sweep, R13 = the n mod 8 pixels past them,
 	// K1 = their lane mask.
-	MOVQ  n+56(FP), R12
-	MOVQ  R12, R13
-	SHRQ  $3, R12
-	ANDQ  $7, R13
-	MOVQ  R13, CX
-	MOVQ  $1, DX
-	SHLQ  CX, DX
-	DECQ  DX
-	KMOVW DX, K1
-	MOVQ  phIm+16(FP), CX
+	MOVQ n+56(FP), R12
+	TAIL_MASK(R12)
+	MOVQ R12, R13
+	SHRQ $3, R12
+	ANDQ $7, R13
+	MOVQ phIm+16(FP), CX
 
 fusedchloop:
 	MOVQ   planes+40(FP), SI
@@ -329,5 +285,126 @@ fusedfold:
 	ADDQ    $64, AX
 	DECQ    R15
 	JNZ     fusedchloop
+	VZEROUPPER
+	RET
+
+// PIDX_OCT is one oct of stagePIdx at byte offset AX: the unfused
+// (U*l + V*m) + W*n with U, V, W broadcast in Z0-Z2.
+#define PIDX_OCT(LD, ST) \
+	LD((SI)(AX*1), Z3)    \
+	LD((R8)(AX*1), Z4)    \
+	LD((R9)(AX*1), Z5)    \
+	VMULPD Z3, Z0, Z3     \
+	VMULPD Z4, Z1, Z4     \
+	VADDPD Z4, Z3, Z3     \
+	VMULPD Z5, Z2, Z5     \
+	VADDPD Z5, Z3, Z3     \
+	ST(Z3, (DI)(AX*1))
+
+// func stagePIdx(dst, l, m, n *float64, npix int, uvw *float64, nt int)
+//
+// The phase indices of npix pixels at nt time steps, dst[r*npix+i] =
+// U_r*l[i] + V_r*m[i] + W_r*n[i] from the packed {U, V, W} triples at
+// uvw, rounded exactly as Go rounds that expression (three products,
+// two sums, nothing fused). The npix mod 8 pixels past the last whole
+// oct of a row run under the opmask K1.
+TEXT ·stagePIdx(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ npix+32(FP), R10
+	MOVQ uvw+40(FP), BX
+	MOVQ nt+48(FP), R11
+	TAIL_MASK(R10)
+	MOVQ R10, R12
+	SHRQ $3, R12                // whole octs per row
+	ANDQ $7, R10                // pixels past them
+
+pidxsteploop:
+	VBROADCASTSD (BX), Z0
+	VBROADCASTSD 8(BX), Z1
+	VBROADCASTSD 16(BX), Z2
+	XORQ         AX, AX
+	MOVQ         R12, DX
+	TESTQ        DX, DX
+	JZ           pidxtail
+
+pidxoctloop:
+	PIDX_OCT(LDU, STU)
+	ADDQ $64, AX
+	DECQ DX
+	JNZ  pidxoctloop
+
+pidxtail:
+	TESTQ R10, R10
+	JZ    pidxnext
+	PIDX_OCT(LDM, STM)
+
+pidxnext:
+	LEAQ (AX)(R10*8), AX
+	ADDQ AX, DI                 // one row of npix doubles
+	ADDQ $24, BX
+	DECQ R11
+	JNZ  pidxsteploop
+	VZEROUPPER
+	RET
+
+// ARGS_OCT is one oct of stageArgs at byte offset AX: pIdx*scale, less
+// the pixel's phase offset when there is an offset table (R8 != 0).
+// The product is rounded before the difference, as in Go.
+#define ARGS_OCT(LD, ST, skip) \
+	LD((SI)(AX*1), Z1)    \
+	VMULPD Z1, Z0, Z1     \
+	TESTQ  R8, R8         \
+	JZ     skip           \
+	LD((R8)(AX*1), Z2)    \
+	VSUBPD Z2, Z1, Z1     \
+skip:                     \
+	ST(Z1, (DI)(AX*1))
+
+// func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int)
+//
+// Phase arguments from staged phase indices: for nt rows of npix pixels
+// (pIdx rows contiguous, arg rows stride bytes apart), arg[i] =
+// pIdx[i]*scale - off[i], the reference kernel's expression, or
+// pIdx[i]*scale alone when off is nil (the per-channel delta). off
+// holds one entry per pixel and serves every row. Tail as in stagePIdx.
+TEXT ·stageArgs(SB), NOSPLIT, $0-56
+	MOVQ         arg+0(FP), DI
+	MOVQ         stride+8(FP), R9
+	MOVQ         pIdx+16(FP), SI
+	MOVQ         off+24(FP), R8
+	VBROADCASTSD scale+32(FP), Z0
+	MOVQ         npix+40(FP), R10
+	MOVQ         nt+48(FP), R11
+	TAIL_MASK(R10)
+	MOVQ R10, R12
+	SHRQ $3, R12
+	ANDQ $7, R10
+
+argssteploop:
+	XORQ  AX, AX
+	MOVQ  R12, DX
+	TESTQ DX, DX
+	JZ    argstail
+
+argsoctloop:
+	ARGS_OCT(LDU, STU, argsnooff)
+	ADDQ $64, AX
+	DECQ DX
+	JNZ  argsoctloop
+
+argstail:
+	TESTQ R10, R10
+	JZ    argsnext
+	ARGS_OCT(LDM, STM, argstailnooff)
+
+argsnext:
+	LEAQ (AX)(R10*8), AX
+	ADDQ AX, SI
+	ADDQ R9, DI
+	DECQ R11
+	JNZ  argssteploop
 	VZEROUPPER
 	RET

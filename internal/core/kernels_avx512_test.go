@@ -25,93 +25,161 @@ func foldOct64Ref(l []float64) float64 {
 	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-// rotAccOctsRef is the scalar transcription of one time step of
-// rotAccOctsBlk64: no oct iterations over the samples from j, the
-// lanes advanced by the rotator after each.
-func rotAccOctsRef(a []float64, re, im *[4][]float64, j, no int, ph []float64) {
-	var ps, pc [8]float64
-	copy(ps[:], ph[0:8])
-	copy(pc[:], ph[8:16])
-	ds8, dc8 := ph[16], ph[17]
-	for o := 0; o < no; o++ {
-		for lane := 0; lane < 8; lane++ {
-			jj := j + 8*o + lane
-			for p := 0; p < 4; p++ {
-				vr, vi := re[p][jj], im[p][jj]
-				a[16*p+lane] = math.FMA(vr, pc[lane], a[16*p+lane])
-				a[16*p+lane] = math.FMA(-vi, ps[lane], a[16*p+lane])
-				a[16*p+8+lane] = math.FMA(vr, ps[lane], a[16*p+8+lane])
-				a[16*p+8+lane] = math.FMA(vi, pc[lane], a[16*p+8+lane])
+// rotAccPixRef is the scalar replay of rotAccPixBlk64, one lane at a
+// time: per time step the lane's delta phasor, per resync chunk a fresh
+// base phasor, per channel the four correlations' FMA pairs and then
+// the rotation, all in the kernel's order.
+func rotAccPixRef(acc []float64, re, im *[4][]float64, nc int, sn, cs []float64, bn int) {
+	nchunks := (nc + xmath.DefaultPhasorResync - 1) / xmath.DefaultPhasorResync
+	stride := 16 * (nchunks + 1)
+	for lane := 0; lane < 16; lane++ {
+		for r := 0; r < bn; r++ {
+			ds, dc := sn[r*stride+lane], cs[r*stride+lane]
+			var ps, pc float64
+			for c := 0; c < nc; c++ {
+				if c%xmath.DefaultPhasorResync == 0 {
+					o := r*stride + 16*(1+c/xmath.DefaultPhasorResync) + lane
+					ps, pc = sn[o], cs[o]
+				}
+				j := r*nc + c
+				for p := 0; p < 4; p++ {
+					vr, vi := re[p][j], im[p][j]
+					are, aim := &acc[32*p+lane], &acc[32*p+16+lane]
+					*are = math.FMA(vr, pc, *are)
+					*are = math.FMA(-vi, ps, *are)
+					*aim = math.FMA(vr, ps, *aim)
+					*aim = math.FMA(vi, pc, *aim)
+				}
+				ps, pc = math.FMA(ps, dc, pc*ds), math.FMA(pc, dc, -(ps*ds))
 			}
-			s, c := ps[lane], pc[lane]
-			ps[lane] = math.FMA(c, ds8, s*dc8)
-			pc[lane] = math.FMA(-s, ds8, c*dc8)
 		}
 	}
 }
 
-// TestRotAccOctsBlk64BoundsAndPerStep: the oct gridder kernel stays
-// inside its buffers, equals the scalar transcription for both pixels,
-// equals bn single-step calls (block depth cannot reach the result),
-// and gives a pixel the same bits whichever pixel it is paired with and
-// on whichever side of the pair — for the channel counts the tile
-// blocks (8, 16, 24, ..., 64) and one oct count beyond.
-func TestRotAccOctsBlk64BoundsAndPerStep(t *testing.T) {
+// TestRotAccPixBlk64BoundsAndReplay: the pixel-lane gridder kernel
+// stays inside its buffers and equals the scalar replay bit for bit —
+// channel counts below, at and across the resync boundary, with and
+// without a tail chunk — equals bn single-step calls (block depth
+// cannot reach the result), and gives a pixel the same bits in any lane
+// beside any neighbours.
+func TestRotAccPixBlk64BoundsAndReplay(t *testing.T) {
 	skipWithoutAVX512(t)
-	for no := 1; no <= 9; no++ {
-		for bn := 1; bn <= 9; bn++ {
-			what := fmt.Sprintf("rotAccOctsBlk64 nc=%d bn=%d", 8*no, bn)
-			c := &canaried{rnd: newTestRand(uint64(100*no + bn))}
-			re, im := visPlanesCanaried(c, 8*no*bn)
-			ph := [3][]float64{c.buf(18 * bn), c.buf(18 * bn), c.buf(18 * bn)}
-			acc := [3][]float64{c.buf(64), c.buf(64), c.buf(64)}
-			var want, perStep, swapped [3][]float64
-			for p := range acc {
-				want[p] = append([]float64(nil), acc[p]...)
-				perStep[p] = append([]float64(nil), acc[p]...)
-				swapped[p] = append([]float64(nil), acc[p]...)
-			}
-			call := func(a0, a1 []float64, p0, p1, j, r, nt int) {
-				rotAccOctsBlk64(&a0[0], &a1[0],
+	for _, nc := range []int{3, 5, 16, 37, 64, 66, 130} {
+		for _, bn := range []int{1, 3, 16} {
+			what := fmt.Sprintf("rotAccPixBlk64 nc=%d bn=%d", nc, bn)
+			c := &canaried{rnd: newTestRand(uint64(100*nc + bn))}
+			re, im := visPlanesCanaried(c, nc*bn)
+			stride := 16 * ((nc+xmath.DefaultPhasorResync-1)/xmath.DefaultPhasorResync + 1)
+			sn, cs := c.buf(stride*bn), c.buf(stride*bn)
+			acc := c.buf(128)
+			want := append([]float64(nil), acc...)
+			perStep := append([]float64(nil), acc...)
+			call := func(a []float64, sn, cs []float64, j, nt int) {
+				rotAccPixBlk64(&a[0],
 					&re[0][j], &im[0][j], &re[1][j], &im[1][j],
 					&re[2][j], &im[2][j], &re[3][j], &im[3][j],
-					no, &ph[p0][18*r], &ph[p1][18*r], nt)
+					nc, &sn[0], &cs[0], nt)
 			}
+			rotAccPixRef(want, &re, &im, nc, sn, cs, bn)
 			for r := 0; r < bn; r++ {
-				j := 8 * no * r
-				for p := range want {
-					rotAccOctsRef(want[p], &re, &im, j, no, ph[p][18*r:])
-				}
-				call(perStep[0], perStep[1], 0, 1, j, r, 1)
+				call(perStep, sn[r*stride:], cs[r*stride:], r*nc, 1)
 			}
-			call(acc[0], acc[1], 0, 1, 0, 0, bn)
+			lanes0 := append([]float64(nil), acc...)
+			call(acc, sn, cs, 0, bn)
 			c.check(t, what)
-			requireBitwise(t, what+" first pixel", acc[0], want[0])
-			requireBitwise(t, what+" second pixel", acc[1], want[1])
-			requireBitwise(t, what+" first pixel against per-step calls", acc[0], perStep[0])
-			requireBitwise(t, what+" second pixel against per-step calls", acc[1], perStep[1])
-			// Pixel 0 on the other side of a pair with pixel 2.
-			call(swapped[2], swapped[0], 2, 0, 0, 0, bn)
-			requireBitwise(t, what+" re-paired pixel", swapped[0], want[0])
-			requireBitwise(t, what+" its new neighbour", swapped[2], want[2])
+			requireBitwise(t, what, acc, want)
+			requireBitwise(t, what+" against per-step calls", acc, perStep)
+
+			// Reverse the lanes and replace the even ones with other
+			// pixels: the odd pixels must come out as before.
+			swapped := make([]float64, 128)
+			sn2, cs2 := make([]float64, len(sn)), make([]float64, len(cs))
+			for lane := 0; lane < 16; lane++ {
+				for k := 0; k < 8; k++ {
+					swapped[16*k+15-lane] = lanes0[16*k+lane]
+				}
+				for row := 0; row < len(sn); row += 16 {
+					sn2[row+15-lane], cs2[row+15-lane] = sn[row+lane], cs[row+lane]
+					if lane%2 == 0 {
+						sn2[row+15-lane], cs2[row+15-lane] = c.rnd(), c.rnd()
+					}
+				}
+			}
+			call(swapped, sn2, cs2, 0, bn)
+			for lane := 1; lane < 16; lane += 2 {
+				for k := 0; k < 8; k++ {
+					if math.Float64bits(swapped[16*k+15-lane]) != math.Float64bits(want[16*k+lane]) {
+						t.Fatalf("%s: pixel of lane %d changed sum %d when moved to lane %d", what, lane, k, 15-lane)
+					}
+				}
+			}
 		}
 	}
 }
 
-func TestFoldOctLanes64BoundsAndTranscription(t *testing.T) {
+// TestPhaseStagersBoundsAndTranscription: stagePIdx and stageArgs stay
+// inside their buffers and equal the Go expressions they replace bit
+// for bit, for pixel counts on both sides of every oct boundary, with
+// signed zeros, subnormals and arguments around 1e6 rad among the
+// inputs, with and without an offset table, in place and strided.
+func TestPhaseStagersBoundsAndTranscription(t *testing.T) {
 	skipWithoutAVX512(t)
-	for npix := 1; npix <= 9; npix++ {
-		what := fmt.Sprintf("foldOctLanes64 npix=%d", npix)
-		c := &canaried{rnd: newTestRand(uint64(300 + npix))}
-		vacc := c.buf(64 * npix)
-		sums := c.buf(8 * npix)
-		want := make([]float64, 8*npix)
-		for i := range want {
-			want[i] = foldOct64Ref(vacc[8*i : 8*i+8])
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e6, -1e6, 1}
+	for npix := 1; npix <= 33; npix++ {
+		for _, nt := range []int{1, 2, 5} {
+			what := fmt.Sprintf("npix=%d nt=%d", npix, nt)
+			c := &canaried{rnd: newTestRand(uint64(60*npix + nt))}
+			l, m, n, off := c.buf(npix), c.buf(npix), c.buf(npix), c.buf(npix)
+			uvw := c.buf(3 * nt)
+			// Specials in every operand position: zero products of both
+			// signs, subnormal products and sums, large arguments.
+			for i := 0; i < npix; i++ {
+				l[i] *= special[i%len(special)]
+				m[i] *= special[(i/2)%len(special)]
+				off[i] *= special[(i+3)%len(special)]
+			}
+			for r := 0; r < nt; r++ {
+				uvw[3*r+r%3] *= special[(r+4)%len(special)]
+			}
+			pIdx := c.buf(npix * nt)
+			wantIdx := make([]float64, npix*nt)
+			for r := 0; r < nt; r++ {
+				u, v, w := uvw[3*r], uvw[3*r+1], uvw[3*r+2]
+				for i := 0; i < npix; i++ {
+					wantIdx[r*npix+i] = u*l[i] + v*m[i] + w*n[i]
+				}
+			}
+			stagePIdx(&pIdx[0], &l[0], &m[0], &n[0], npix, &uvw[0], nt)
+			c.check(t, "stagePIdx "+what)
+			requireBitwise(t, "stagePIdx "+what, pIdx, wantIdx)
+
+			for _, scale := range []float64{3.25e-3, -1e6, 0, 5e-324} {
+				// Rows a few doubles apart, the gap canaried.
+				pitch := npix + 3
+				arg := c.buf(pitch*(nt-1) + npix)
+				before := append([]float64(nil), arg...)
+				wantArg := append([]float64(nil), arg...)
+				wantDelta := make([]float64, npix*nt)
+				for r := 0; r < nt; r++ {
+					for i := 0; i < npix; i++ {
+						wantArg[r*pitch+i] = pIdx[r*npix+i]*scale - off[i]
+						wantDelta[r*npix+i] = pIdx[r*npix+i] * scale
+					}
+				}
+				stageArgs(&arg[0], 8*pitch, &pIdx[0], &off[0], scale, npix, nt)
+				c.check(t, "stageArgs "+what)
+				requireBitwise(t, fmt.Sprintf("stageArgs %s scale=%g", what, scale), arg, wantArg)
+				for r := 0; r < nt-1; r++ {
+					requireBitwise(t, "stageArgs row gap "+what, arg[r*pitch+npix:(r+1)*pitch], before[r*pitch+npix:(r+1)*pitch])
+				}
+				// No offset table, in place.
+				delta := c.buf(npix * nt)
+				copy(delta, pIdx)
+				stageArgs(&delta[0], 8*npix, &delta[0], nil, scale, npix, nt)
+				c.check(t, "stageArgs in place "+what)
+				requireBitwise(t, fmt.Sprintf("stageArgs %s scale=%g, no offsets", what, scale), delta, wantDelta)
+			}
 		}
-		foldOctLanes64(&sums[0], &vacc[0], npix)
-		c.check(t, what)
-		requireBitwise(t, what, sums, want)
 	}
 }
 
@@ -199,32 +267,27 @@ func TestRotConjAccOctsBlk64BoundsAndTranscription(t *testing.T) {
 	}
 }
 
-// TestOctsBlockedShapes is TestQuadsBlockedShapes for the 512-bit form:
-// only the avx512 tier, only uniform channels, only whole octs inside
-// one resync chunk. An oct tail (12, 20, 36 channels) or a second chunk
-// (72, 128) stays on the quad forms, as does everything below the tier.
-func TestOctsBlockedShapes(t *testing.T) {
+// TestPixelLanesShapes pins which items the float64 gridder runs with
+// pixels in the lanes: on the avx512 tier every uniform comb from
+// phasorMinChannels up — whole octs or not, one resync chunk or several
+// — and nothing else; below the tier nothing at all.
+func TestPixelLanesShapes(t *testing.T) {
 	skipWithoutAVX512(t)
 	wide := func(nc int, mod func(*Params)) bool {
-		return tilingKernels(t, 8, nc, mod).octsBlocked(nc)
+		return tilingKernels(t, 8, nc, mod).pixelLanes(nc)
 	}
-	for _, nc := range []int{8, 16, 24, 40, 64} {
-		if !wide(nc, nil) {
-			t.Errorf("nc=%d must take the oct kernel on the avx512 tier", nc)
+	for nc := 1; nc <= 130; nc++ {
+		if got, want := wide(nc, nil), nc >= phasorMinChannels; got != want {
+			t.Errorf("nc=%d: pixel lanes = %v on the avx512 tier, want %v", nc, got, want)
 		}
 		if wide(nc, forceTier(xmath.SIMDAVX2)) || wide(nc, forceTier(xmath.SIMDScalar)) {
-			t.Errorf("nc=%d takes the oct kernel below the avx512 tier", nc)
+			t.Errorf("nc=%d takes the pixel-lane kernel below the avx512 tier", nc)
 		}
 		if wide(nc, func(p *Params) { p.DisablePhasorRecurrence = true }) {
-			t.Errorf("nc=%d takes the oct kernel with the recurrence disabled", nc)
+			t.Errorf("nc=%d takes the pixel-lane kernel with the recurrence disabled", nc)
 		}
 	}
-	for _, nc := range []int{1, 2, 4, 12, 20, 21, 36, 66, 72, 128} {
-		if wide(nc, nil) {
-			t.Errorf("nc=%d must not take the oct kernel", nc)
-		}
-	}
-	if k := tilingKernels(t, 8, 5, func(p *Params) { p.Frequencies = nonUniformComb }); k.octsBlocked(8) {
-		t.Error("a non-uniform comb takes the oct kernel")
+	if k := tilingKernels(t, 8, 5, func(p *Params) { p.Frequencies = nonUniformComb }); k.pixelLanes(5) {
+		t.Error("a non-uniform comb takes the pixel-lane kernel")
 	}
 }

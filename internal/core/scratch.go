@@ -29,18 +29,18 @@ type kbufs[F floatT] struct {
 
 	// acc is the gridder's per-tile accumulator block, 8 floats per
 	// pixel of the tile, carried across visibility blocks. vacc is its
-	// vector-kernel analogue: 8 accumulators x 8 SIMD lanes per pixel
-	// (x 4 for the float64 quad forms), lane-reduced only when the tile
-	// finishes (amd64 only).
+	// vector-kernel analogue (amd64 only): 8 accumulators x 8 SIMD lanes
+	// per pixel (x 4 for the float64 quad forms), lane-reduced only when
+	// the tile finishes — or, for the float64 pixel-lane gridder, 8 sums
+	// per pixel laid out by lane group.
 	acc  []F
 	vacc []F
 
 	// phv stages the per-timestep phasor register blocks of the
 	// time-blocked vector gridders (one block of 18 values per time
-	// step of a visibility block for the oct forms of either precision,
-	// 10 for the float64 quad form), so a single blocked
-	// kernel call can sweep a whole block with the accumulators held in
-	// registers.
+	// step of a visibility block for the float32 oct forms, 10 for the
+	// float64 quad form), so a single blocked kernel call can sweep a
+	// whole block with the accumulators held in registers.
 	phv []F
 
 	// vsum is the degridder's visibility accumulator (8 floats per
@@ -70,6 +70,10 @@ type scratch struct {
 	// magnitude ~1e4 rad would lose ~1e-3 rad to rounding, far beyond
 	// the float32 accumulation error class.
 	pIdx, pOff []float64
+
+	// geo holds a pixel-lane gridder tile's direction cosines and phase
+	// offsets (planes l, m, n, off), zero-padded to whole lane groups.
+	geo []float64
 
 	// Batched sine/cosine staging of the vector tiles: phase arguments
 	// gathered into sArg and evaluated in one Kernels.sincosVec call

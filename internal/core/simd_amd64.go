@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/uvwsim"
+	"repro/internal/xmath"
 )
 
 // haveVectorASM gates the hand-vectorized (AVX2+FMA) tile kernel
@@ -141,29 +142,44 @@ func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *
 //go:noescape
 func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int)
 
-// rotAccOctsBlk64 is rotAccQuadsBlk at eight float64 channels per ZMM
-// register and two pixels per call, sharing the visibility loads
-// (kernels_avx512_amd64.s): each acc is a [64]float64 block (eight
-// accumulators x eight lanes), each ph walks nt [18]float64 phasor
-// blocks in the seedOctsBlk layout, nc = 8*no. A pixel's result does
-// not depend on the pixel it is paired with. Only callable on the
-// SIMDAVX512 tier, like everything else in that file.
+// rotAccPixBlk64 is the pixel-lane gridder kernel of the SIMDAVX512
+// tier (kernels_avx512_amd64.s, like everything below): sixteen pixels,
+// one per lane, accumulate nt time steps of nc channels into acc, an
+// [8][16]float64 (sum k of lane p at acc[16k+p]). sn/cs are the sincos
+// of gridLanesPix's staged arguments: per step a sixteen-lane row of
+// per-pixel delta phasors, then one row of base phasors per
+// xmath.DefaultPhasorResync chunk of channels. The visibility streams
+// are contiguous over (t, c). Lanes never interact, so a pixel's sums
+// do not depend on what shares the call, and nt calls of one step give
+// the bits of one call of nt.
 //
 //go:noescape
-func rotAccOctsBlk64(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float64, no int, ph0, ph1 *float64, nt int)
+func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int)
 
-// foldOctLanes64 reduces the oct gridder's accumulator lanes (64
-// doubles per pixel at vacc) to eight sums per pixel at sums, each
-// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
+// The kernel has the resync cadence as an immediate.
+var _ = [1]struct{}{}[xmath.DefaultPhasorResync-64]
+
+// stagePIdx stages phase indices: dst[r*npix+i] = U_r*l[i] + V_r*m[i] +
+// W_r*n[i] for the nt packed {U, V, W} triples at uvw, bitwise the Go
+// expression.
 //
 //go:noescape
-func foldOctLanes64(sums, vacc *float64, npix int)
+func stagePIdx(dst, l, m, n *float64, npix int, uvw *float64, nt int)
+
+// stageArgs turns staged phase indices into phase arguments, nt rows of
+// npix (pIdx rows contiguous, arg rows stride bytes apart): arg[i] =
+// pIdx[i]*scale - off[i], or pIdx[i]*scale when off is nil; off has one
+// entry per pixel. Bitwise the Go expressions; arg may alias pIdx.
+//
+//go:noescape
+func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int)
 
 // rotConjAccOctsBlk64 is the degridder's fused rotation and conjugate
 // accumulation over the nch channels of one resync chunk, eight pixels
 // per instruction with the n mod 8 tail masked: per channel it adds the
 // eight sums over the n pixels (planes re0, im0, re1, ... stride bytes
-// apart at planes; fold order as foldOctLanes64) into dst[8*c:8*c+8]
+// apart at planes; each folded ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)))
+// into dst[8*c:8*c+8]
 // and advances phRe/phIm in place by dRe/dIm.
 //
 //go:noescape

@@ -73,12 +73,16 @@ func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *
 	panic("core: degridSandwichQuads without vector kernels")
 }
 
-func rotAccOctsBlk64(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float64, no int, ph0, ph1 *float64, nt int) {
-	panic("core: rotAccOctsBlk64 without vector kernels")
+func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int) {
+	panic("core: rotAccPixBlk64 without vector kernels")
 }
 
-func foldOctLanes64(sums, vacc *float64, npix int) {
-	panic("core: foldOctLanes64 without vector kernels")
+func stagePIdx(dst, l, m, n *float64, npix int, uvw *float64, nt int) {
+	panic("core: stagePIdx without vector kernels")
+}
+
+func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int) {
+	panic("core: stageArgs without vector kernels")
 }
 
 func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int) {

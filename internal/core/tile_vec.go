@@ -6,13 +6,15 @@ package core
 // / degridSubgridScratch) only when the dispatch table installed them
 // (dispatch.go: amd64 with an active tier of at least SIMDAVX2); the
 // !amd64 stubs in simd_other.go are therefore unreachable. Compared to
-// the generic tiles the arithmetic runs four or eight channels
-// (gridder) or pixels (degridder) per instruction, with unconditionally
+// the generic tiles the arithmetic runs four or eight channels or
+// pixels per instruction, with unconditionally
 // fused multiply-adds — the scalar math.FMA path compiles to a runtime
 // fallback branch per call site under the default GOAMD64 level, which
 // is what these kernels exist to avoid.
 
 import (
+	"unsafe"
+
 	"repro/internal/grid"
 	"repro/internal/plan"
 	"repro/internal/uvwsim"
@@ -36,35 +38,31 @@ const chunkQuads = xmath.DefaultPhasorResync / 4
 // length (between 256 and 1024 arguments were level when measured).
 const directBatchArgs = 256
 
-// gridTileVec is gridTile on the vector kernels. Each pixel owns eight
-// accumulators of four lanes each, or of eight in the 512-bit form
-// (scratch vacc); lanes persist across visibility blocks and fold in a
-// fixed order — (l0+l2)+(l1+l3), foldQuadLanes, or foldOctLanes64's
-// pairwise tree — only when the pixel has seen every block, so —
-// exactly like the scalar tile — the per-pixel result is independent of
-// the tile and block decomposition. What fills the lanes depends on the
-// item and the tier: the phasor recurrence where it applies
-// (gridLanesOcts for what octsBlocked admits, else
-// gridLanesRecurrence), one evaluated phasor per visibility sample
-// otherwise (gridLanesDirect). Within a
-// visibility block both are vector code end to end; the only scalar
-// arithmetic left is the n mod 4 sample tail, which goes into lane 0.
-// The folded sums then take the shared epilogue (gridEpilogue).
+// gridTileVec is gridTile on the vector kernels: one of three bodies
+// fills the tile's folded sums (eight per pixel), which then take the
+// shared epilogue (gridEpilogue). On the SIMDAVX512 tier every
+// recurrence item runs with pixels in the lanes (gridLanesPix). Below
+// it the lanes hold channels or samples: each pixel owns eight
+// accumulators of four lanes (scratch vacc) that persist across
+// visibility blocks and fold, (l0+l2)+(l1+l3), only when the pixel has
+// seen every block — gridLanesRecurrence where vecRecurrence holds, one
+// evaluated phasor per visibility sample otherwise (gridLanesDirect,
+// which is also every tier's body for the items the recurrence does not
+// apply to). In all three a pixel's operation sequence is independent
+// of the tile and block decomposition, exactly like the scalar tile.
 func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
 	sums := growF(&ts.sums, 8*(pix1-pix0))
-	if k.octsBlocked(item.NrChannels) {
-		vacc := growF(&ts.b64.vacc, 64*(pix1-pix0))
-		clear(vacc)
-		gridLanesOcts(k, item, uvw, sb, ts, vacc, pix0, pix1)
-		foldOctLanes64(&sums[0], &vacc[0], pix1-pix0)
-	} else if k.vecRecurrence(item.NrChannels) {
+	switch {
+	case k.pixelLanes(item.NrChannels):
+		gridLanesPix(k, item, uvw, sb, ts, sums, pix0, pix1)
+	case k.vecRecurrence(item.NrChannels):
 		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
 		clear(vacc)
 		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix1)
 		foldQuadLanes(&sums[0], &vacc[0], pix1-pix0)
-	} else {
+	default:
 		gridLanesDirect(k, item, uvw, sb, ts, sums, pix0, pix1)
 	}
 	start := k.ob.now()
@@ -89,30 +87,27 @@ func seedQuadLanes(ph *[10]float64, s0, c0, ds, dc float64) {
 	ph[8], ph[9] = 2*ds2*dc2, dc2*dc2-ds2*ds2
 }
 
-// perStepMinChannels is the channel count from which the recurrence's
-// per-time-step form (a rotAccQuads call per resync chunk plus a scalar
-// channel tail, for the channel counts quadsBlocked does not cover)
-// runs instead of one evaluated phasor per sample. Measured with
-// BenchmarkAblationChannelCount on the reference host (ms per 64-step
-// item, per-step recurrence against direct, avx512 / avx2 tier): c=9
-// 1.51 against 0.74 / 1.51 against 0.83, c=21 2.21 against 1.63 / 1.95
-// against 1.92, c=25 2.46 against 1.94 / 2.15 against 2.37, c=33 2.86
-// against 2.57 / 2.42 against 3.17, c=66 4.77 against 5.18 / 4.08
-// against 6.44. The forms cross near 24 channels on the avx2 tier and
-// near 50 on avx512, whose eight-lane sincos makes the direct form
-// cheaper; 32 sits between and costs either tier at most a tenth in
-// the gap.
+// perStepMinChannels is the channel count from which the avx2 tier's
+// per-time-step recurrence (a rotAccQuads call per resync chunk plus a
+// scalar channel tail, for the channel counts quadsBlocked does not
+// cover) runs instead of one evaluated phasor per sample. Measured with
+// BenchmarkAblationChannelCount under IDG_SIMD=avx2 (ms per 64-step
+// item, per-step recurrence against direct): c=9 1.51 against 0.83,
+// c=21 1.95 against 1.92, c=25 2.15 against 2.37, c=33 2.42 against
+// 3.17, c=66 4.08 against 6.44. The forms cross near 24; the constant
+// dates from when the avx512 tier shared the rule (crossing near 50)
+// and costs avx2 at most a tenth in the gap.
 const perStepMinChannels = 32
 
-// vecRecurrence reports whether the float64 vector gridder fills an
-// nc-channel item's lanes through the phasor recurrence: uniform
+// vecRecurrence reports whether the avx2 tier's float64 gridder fills
+// an nc-channel item's lanes through the phasor recurrence (the avx512
+// tier asks pixelLanes first, which takes every such item): uniform
 // channels, and either the time-blocked form applies or there are
 // enough channels for the per-step form to win. The blocked form is
 // level with direct phasors at its smallest shape and ahead from there
-// (same benchmark and tiers: c=4 0.35 against 0.33 / 0.37 against 0.38,
-// c=8 0.50 against 0.65 / 0.49 against 0.79, c=16 0.83 against 1.27 /
-// 0.77 against 1.51); three channels, which would be all scalar tail,
-// take 1.25 against 0.25 / 1.21 against 0.29.
+// (same benchmark: c=4 0.37 against 0.38, c=8 0.49 against 0.79, c=16
+// 0.77 against 1.51); three channels, all scalar tail, take 1.21
+// against 0.29.
 func (k *Kernels) vecRecurrence(nc int) bool {
 	return k.uniformScale && (quadsBlocked(nc) || nc >= perStepMinChannels)
 }
@@ -127,14 +122,14 @@ func quadsBlocked(nc int) bool {
 	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
 }
 
-// octsBlocked reports whether the recurrence tile sweeps an nc-channel
-// item at eight channels per 512-bit register (gridLanesOcts): the
-// SIMDAVX512 tier, uniform channels, and quadsBlocked's rule at oct
-// granularity — one resync chunk covers every channel with no tail.
-// Everything else keeps the quad forms.
-func (k *Kernels) octsBlocked(nc int) bool {
-	return k.disp.tier >= xmath.SIMDAVX512 && k.uniformScale &&
-		nc > 0 && nc%8 == 0 && nc <= 8*chunkOcts
+// pixelLanes reports whether the float64 gridder runs an nc-channel
+// item with pixels in the lanes (gridLanesPix): the SIMDAVX512 tier and
+// any item the recurrence applies to, the one threshold being
+// phasorMinChannels (BenchmarkAblationChannelCount, ms per 64-step
+// item against direct phasors: c=3 0.16 against 0.25, c=8 0.25 against
+// 0.68, c=33 0.77 against 2.92, c=66 1.50 against 5.90).
+func (k *Kernels) pixelLanes(nc int) bool {
+	return k.disp.tier >= xmath.SIMDAVX512 && k.useRecurrence(nc)
 }
 
 // accLane0 accumulates visibility sample j against the phasor (sv, cv)
@@ -280,76 +275,90 @@ func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, t
 	}
 }
 
-// gridLanesOcts is gridLanesRecurrence's blocked form at full register
-// width, for the items octsBlocked admits: eight accumulators of eight
-// lanes per pixel (64 doubles of vacc), the phasor lanes of channels
-// c..c+7 advancing by exp(i*8*delta). The per-step phasor blocks are
-// the [18]float64 ones seedOctsBlk / seedOctLanes already produce for
-// the float32 family, read here without narrowing. Pixels go through
-// the kernel in pairs that share the visibility loads (rotAccOctsBlk64);
-// a tile is whole rows of an even SubgridSize (Params.Validate), so no
-// pixel is left over. Per pixel the operation sequence is one oct
-// iteration per (time step, oct) in increasing order whatever the block
-// depth, the tile height or the neighbour in the pair, and SincosVec is
-// independent of batch composition, so none of the three can reach the
-// result. The lanes differ from the quad form's (and so from the avx2
-// tier's) by reassociation only: the same products against phasors
-// equal to a rotation's rounding, in eight partial sums per accumulator
-// instead of four.
-func gridLanesOcts(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float64, pix0, pix1 int) {
+// pixBlockBytes is the L1 budget one (pixel group, visibility block) of
+// gridLanesPix is cut to: the block's eight visibility planes plus the
+// group's staged phase indices, arguments and sincos results.
+const pixBlockBytes = 24 << 10
+
+// gridLanesPix fills sums for the pixels [pix0, pix1) of a recurrence
+// item the way the paper's GPU gridder does: a pixel per lane, every
+// lane walking the same visibility block. Per (group of sixteen pixels,
+// visibility block) the stagers write the reference kernel's phase
+// arguments — per time step a row of per-pixel channel deltas, then a
+// row of base phases per resync chunk — one sincosVec call evaluates
+// them, and one rotAccPixBlk64 call accumulates the block with the
+// group's sums in registers. Between blocks the sums rest in vacc, laid
+// out by lane; they are already complete sums, so the end is a
+// transposition, not a fold.
+//
+// A pixel's result is a function of its own lane alone: its phasors are
+// seeded from its own arguments at every (step, chunk) and advance by
+// its own delta, its sums grow in plain (t, c) order, and SincosVec is
+// independent of batch composition. Tile height, block depth, group and
+// lane cannot reach it, and the tile's last group simply runs its spare
+// lanes on zeroed geometry (finite phasors, discarded sums) instead of
+// under a mask. Against the avx2 tier the sums differ by reassociation
+// only: one chain per sum here, four lane partials folded there.
+func gridLanesPix(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, sums []float64, pix0, pix1 int) {
+	const resync = xmath.DefaultPhasorResync
 	nt, nc := item.NrTimesteps, item.NrChannels
 	re, im := visPlanes[float64](sb, nt*nc)
+	np := pix1 - pix0
+	npad := (np + 15) &^ 15
+	// The tile's direction cosines and phase offsets, padded with zeros
+	// to whole groups.
+	geo := growF(&ts.geo, 4*npad)
+	clear(geo)
+	l, m, n, off := geo[:npad], geo[npad:2*npad], geo[2*npad:3*npad], geo[3*npad:]
+	copy(l, k.l[pix0:pix1])
+	copy(m, k.m[pix0:pix1])
+	copy(n, k.n[pix0:pix1])
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
-	wOff := item.WOffset
-	scale0 := k.scale[item.Channel0]
-	block := k.visBlockSteps(nt, nc)
+	uvwOff := [3]float64{uOff, vOff, item.WOffset}
+	stagePIdx(&off[0], &l[0], &m[0], &n[0], npad, &uvwOff[0], 1)
+	stageArgs(&off[0], 0, &off[0], nil, twoPi, npad, 1)
+	vacc := growF(&ts.b64.vacc, 8*npad)
+	clear(vacc)
+
+	nchunks := (nc + resync - 1) / resync
+	stride := 16 * (nchunks + 1) // staged arguments per time step
+	block := k.params.VisBlockTimesteps
+	if block <= 0 {
+		block = max(pixBlockBytes/(64*nc+8*(16+3*stride)), 4)
+	}
 	for t0 := 0; t0 < nt; t0 += block {
-		t1 := min(t0+block, nt)
-		bn := t1 - t0
-		// Per pixel of a pair: bn base arguments, then bn delta arguments
-		// (planar, so seedOctsBlk loads contiguously).
-		arg := growF(&ts.sArg, 4*bn)
-		asn := growF(&ts.sSin, 4*bn)
-		acs := growF(&ts.sCos, 4*bn)
-		phv := growF(&ts.b64.phv, 2*18*bn)
-		ng := bn / 4
+		bn := min(block, nt-t0)
+		pIdx := growF(&ts.pIdx, 16*bn)
+		arg := growF(&ts.sArg, stride*bn)
+		asn := growF(&ts.sSin, stride*bn)
+		acs := growF(&ts.sCos, stride*bn)
 		jj := t0 * nc
-		for i := pix0; i < pix1; i += 2 {
-			for p := 0; p < 2; p++ {
-				l, m, n := k.l[i+p], k.m[i+p], k.n[i+p]
-				phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
-				base := arg[2*bn*p:][:bn]
-				delta := arg[2*bn*p+bn:][:bn]
-				for r, c3 := range uvw[t0:t1] {
-					phaseIndex := c3.U*l + c3.V*m + c3.W*n
-					base[r] = phaseIndex*scale0 - phaseOffset
-					delta[r] = phaseIndex * k.dscale
-				}
+		for g := 0; g < npad; g += 16 {
+			stagePIdx(&pIdx[0], &l[g], &m[g], &n[g], 16, &uvw[t0].U, bn)
+			stageArgs(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, 16, bn)
+			for ci := 0; ci < nchunks; ci++ {
+				stageArgs(&arg[16*(ci+1)], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+ci*resync], 16, bn)
 			}
 			k.sincosVec(asn, acs, arg)
-			for p := 0; p < 2; p++ {
-				o := 2 * bn * p
-				pb := phv[18*bn*p:]
-				if ng > 0 {
-					seedOctsBlk(&pb[0], &asn[o], &acs[o], &asn[o+bn], &acs[o+bn], ng)
-				}
-				for r := 4 * ng; r < bn; r++ {
-					seedOctLanes((*[18]float64)(pb[18*r:]), asn[o+r], acs[o+r], asn[o+bn+r], acs[o+bn+r])
-				}
-			}
-			a := vacc[64*(i-pix0):]
-			rotAccOctsBlk64(&a[0], &a[64],
+			rotAccPixBlk64(&vacc[8*g],
 				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-				nc/8, &phv[0], &phv[18*bn], bn)
+				nc, &asn[0], &acs[0], bn)
+		}
+	}
+	for i := 0; i < np; i++ {
+		a := vacc[128*(i/16)+i%16:]
+		for j := 0; j < 8; j++ {
+			sums[8*i+j] = a[16*j]
 		}
 	}
 }
 
 // gridLanesDirect accumulates the pixels [pix0, pix1) with one
 // evaluated phasor per visibility sample and folds them into sums: the
-// form for every item vecRecurrence turns down (non-uniform channels,
-// DisablePhasorRecurrence, channel counts where it is faster). The
+// form for every item pixelLanes and vecRecurrence turn down
+// (non-uniform channels, DisablePhasorRecurrence, channel counts where
+// it is faster). The
 // item's samples are one flattened stream j = t*nc + c, contiguous in
 // the planar block. Per (pixel group, visibility block) the phase
 // arguments of the block's samples are staged for several pixels at
@@ -454,16 +463,47 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 	}
 }
 
+// phaseIndices fills pIdx[i] = U*l[i] + V*m[i] + W*n[i] for one time
+// step; phaseArgs turns them into arg[i] = pIdx[i]*scale - off[i] (off
+// nil: pIdx[i]*scale, the per-channel delta). They are the staging
+// passes of degridTileVec: 512-bit stagers on the SIMDAVX512 tier, the
+// same expressions in Go below it, the same bits either way.
+func (k *Kernels) phaseIndices(pIdx, l, m, n []float64, c3 *uvwsim.UVW) {
+	if k.disp.tier >= xmath.SIMDAVX512 {
+		stagePIdx(&pIdx[0], &l[0], &m[0], &n[0], len(pIdx), &c3.U, 1)
+		return
+	}
+	u, v, w := c3.U, c3.V, c3.W
+	for i := range pIdx {
+		pIdx[i] = u*l[i] + v*m[i] + w*n[i]
+	}
+}
+
+func (k *Kernels) phaseArgs(arg, pIdx, off []float64, scale float64) {
+	switch {
+	case k.disp.tier >= xmath.SIMDAVX512:
+		stageArgs(&arg[0], 0, &pIdx[0], unsafe.SliceData(off), scale, len(pIdx), 1)
+	case off == nil:
+		for i, p := range pIdx {
+			arg[i] = p * scale
+		}
+	default:
+		for i, p := range pIdx {
+			arg[i] = p*scale - off[i]
+		}
+	}
+}
+
 // degridTileVec is degridTile on the vector kernels: the per-pixel
 // phasor rotation pass runs through rotQuads and the conjugate
 // accumulation through conjAccQuads, four pixels per instruction, with
 // a scalar loop covering the n mod 4 pixel tail. The per-pixel seed
 // and resync sincos sweeps are batched: arguments are staged into the
-// scratch sArg buffer and evaluated by one Kernels.sincosVec call
-// writing straight into the phasor buffers. Tail pixels and the vector
-// lane fold combine in a local accumulator before touching dst,
-// keeping the one-addition-per-element property the serial ≡ parallel
-// bitwise guarantee of degridSubgridTiled rests on.
+// scratch sArg buffer (phaseIndices, phaseArgs) and evaluated by one
+// Kernels.sincosVec call writing straight into the phasor buffers. Tail
+// pixels and the vector lane fold combine in a local accumulator before
+// touching dst, keeping the one-addition-per-element property the
+// serial ≡ parallel bitwise guarantee of degridSubgridTiled rests on.
 //
 // On the SIMDAVX512 tier a recurrence item makes one call per (time
 // step, resync chunk) instead: rotConjAccOctsBlk64 runs the rotation
@@ -499,31 +539,22 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 		tpre[p] = pre[p][i0:i1]
 		tpim[p] = pim[p][i0:i1]
 	}
-	scale0 := k.scale[item.Channel0]
 	arg := growF(&ts.sArg, 2*n)
 	for t := 0; t < item.NrTimesteps; t++ {
-		c3 := uvw[t]
-		for i := 0; i < n; i++ {
-			pIdx[i] = c3.U*l[i] + c3.V*m[i] + c3.W*nn[i]
-		}
+		k.phaseIndices(pIdx, l, m, nn, &uvw[t])
 		if useRec {
 			// Seed the per-pixel phasors at channel 0 and the delta
 			// phasors exp(i*pIdx*dscale) that advance them per channel,
 			// one batched evaluation each.
-			for i := 0; i < n; i++ {
-				arg[i] = pIdx[i]*scale0 - off[i]
-				arg[n+i] = pIdx[i] * k.dscale
-			}
+			k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0])
+			k.phaseArgs(arg[n:], pIdx, nil, k.dscale)
 			k.sincosVec(phIm, phRe, arg[:n])
 			k.sincosVec(dIm, dRe, arg[n:])
 		}
 		if fused {
 			for c0 := 0; c0 < nc; c0 += xmath.DefaultPhasorResync {
 				if c0 != 0 {
-					scale := k.scale[item.Channel0+c0]
-					for i := 0; i < n; i++ {
-						arg[i] = pIdx[i]*scale - off[i]
-					}
+					k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c0])
 					k.sincosVec(phIm, phRe, arg[:n])
 				}
 				rotConjAccOctsBlk64(&dst[8*(t*nc+c0)], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
@@ -532,12 +563,9 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 			continue
 		}
 		for c := 0; c < nc; c++ {
-			scale := k.scale[item.Channel0+c]
 			switch {
 			case !useRec, c != 0 && c%xmath.DefaultPhasorResync == 0:
-				for i := 0; i < n; i++ {
-					arg[i] = pIdx[i]*scale - off[i]
-				}
+				k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c])
 				k.sincosVec(phIm, phRe, arg[:n])
 			case c == 0:
 				// Seeded above.

@@ -117,8 +117,10 @@ var nonUniformComb = []float64{150e6, 150.3e6, 150.9e6, 151.0e6, 152.2e6}
 // leave a three-sample tail, and a single channel whose nine samples
 // straddle quads in every block — the per-step recurrence with a
 // channel tail and with a second resync chunk, and the blocked
-// recurrence at one, three and eight octs per time step (on the avx512
-// tier: one, one and a half, four sample quads per step below it).
+// recurrence at eight, twenty-four and sixty-four channels per time
+// step. On the avx512 tier every uniform shape from three channels up
+// is the pixel-lane gridder: with and without a channel tail, and (70
+// channels) across a resync boundary.
 type tilingShape struct {
 	nt, nc int
 	freqs  []float64 // nil: tilingKernels' uniform comb
@@ -159,12 +161,14 @@ func gaussianJones(sg int) (p, q []xmath.Matrix2) {
 // atermTilingCases are the (subgrid size, A-term) combinations the
 // decomposition and concurrency tests sweep: the small nil-map subgrid
 // with every shape and variant, then Gaussian beams on the benchmark's
-// subgrid sizes and on 18, whose one-row tiles leave a two-pixel tail
-// behind the epilogue's quads.
+// subgrid sizes, on 18, whose one-row tiles leave a two-pixel tail
+// behind the epilogue's quads, and on 28: with 20 and 24, tiles of one,
+// three and four rows then hold 0, 4, 8 and 12 pixels mod 16, every
+// way the pixel-lane gridder's last group of a tile can be filled.
 var atermTilingCases = []struct {
 	sg     int
 	aterms bool
-}{{8, false}, {16, true}, {18, true}, {20, true}, {24, true}}
+}{{8, false}, {16, true}, {18, true}, {20, true}, {24, true}, {28, true}}
 
 // TestGridderDecompositionInvariance: for a fixed precision and code
 // path, the gridder result must be numerically identical for EVERY
@@ -177,7 +181,8 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 		var atermP, atermQ []xmath.Matrix2
 		if ac.aterms {
 			atermP, atermQ = gaussianJones(sg)
-			shapes = tilingShapes[:3] // blocked recurrence, short items, non-uniform
+			// Blocked recurrence, short items, non-uniform, two resync chunks.
+			shapes = []tilingShape{tilingShapes[0], tilingShapes[1], tilingShapes[2], tilingShapes[5]}
 		}
 		for _, shape := range shapes {
 			nt, nc := shape.nt, shape.nc
@@ -186,10 +191,12 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 				name string
 				mod  func(*Params)
 			}{
-				{"Float64", nil},
+				// The widest tier the host has, whatever IDG_SIMD says (the
+				// seam clamps to the detected tier): on an avx512 host the
+				// pixel-lane gridder, while Float64AVX2 keeps the quad bodies
+				// covered there.
+				{"Float64", forceTier(xmath.SIMDAVX512)},
 				{"Float64NoVec", forceTier(xmath.SIMDScalar)},
-				// On an avx512 host the line above runs the oct bodies;
-				// this one keeps the quad bodies covered there.
 				{"Float64AVX2", forceTier(xmath.SIMDAVX2)},
 				{"Float32", func(p *Params) { p.Precision = Float32 }},
 			} {
@@ -214,7 +221,7 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 					want := grid.NewSubgrid(sg, item.X0, item.Y0)
 					kernels(nil).GridSubgrid(item, uvw, vis, atermP, atermQ, want)
 					variants := []func(*Params){}
-					rows := []int{1, 3, sg}
+					rows := []int{1, 3, 4, sg}
 					if !ac.aterms {
 						rows = rows[:0]
 						for tr := 1; tr <= sg+3; tr++ {
@@ -231,7 +238,7 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 					}
 					// Tile heights x block sizes, from one pixel row and one time
 					// step up to no tiling and no blocking.
-					for _, tr := range []int{1, 3, sg} {
+					for _, tr := range []int{1, 3, 4, sg} {
 						for _, bl := range []int{1, 3, nt} {
 							tr, bl := tr, bl
 							variants = append(variants, func(p *Params) { p.PixelTileRows = tr; p.VisBlockTimesteps = bl })
@@ -246,6 +253,83 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestPixelLaneIndependence: the pixel-lane gridder gives a pixel the
+// same eight sums whichever group and lane it lands in and whatever
+// shares its group — other pixels or the zeroed padding of a tile's
+// last group. Pixel ranges that no row tiling produces (a single pixel,
+// a group shifted by three, a range ending mid-group) are swept against
+// the whole subgrid in one range, for a channel tail and for two resync
+// chunks, at two block depths.
+func TestPixelLaneIndependence(t *testing.T) {
+	skipWithoutAVX512(t)
+	const sg, nt = 10, 7
+	for _, nc := range []int{5, 70} {
+		item, uvw, vis, _ := tilingItem(59, nt, nc)
+		for _, bl := range []int{0, 3} {
+			k := tilingKernels(t, sg, nc, func(p *Params) { p.VisBlockTimesteps = bl })
+			s := k.getScratch()
+			planar := grow(&s.b64.planar, 8*nt*nc)
+			for j, v := range vis {
+				for p := 0; p < 4; p++ {
+					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = real(v[p]), imag(v[p])
+				}
+			}
+			want := make([]float64, 8*sg*sg)
+			gridLanesPix(k, item, uvw, s, s, want, 0, sg*sg)
+			for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
+				got := make([]float64, 8*(r[1]-r[0]))
+				gridLanesPix(k, item, uvw, s, s, got, r[0], r[1])
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[8*r[0]+i]) {
+						t.Fatalf("nc=%d block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
+							nc, bl, r[0]+i/8, i%8, r[0], r[1])
+					}
+				}
+			}
+			k.putScratch(s)
+		}
+	}
+}
+
+// TestPixelLaneGridderAdjoint: on the avx512 tier the pixel-lane
+// gridder G and the fused degridder D of one work item are adjoint,
+// <Gv, g> = <v, Dg>, with Gaussian A-terms and a subgrid whose tiles
+// end in a partial group. Both sides evaluate the same phasors up to
+// the recurrence's drift and sum up to 2000 terms in float64 (measured
+// mismatch 1e-15 to 5e-15 relative); a structural asymmetry (a dropped
+// lane, a misplaced pixel) shows at the percent level.
+func TestPixelLaneGridderAdjoint(t *testing.T) {
+	skipWithoutAVX512(t)
+	const sg, nt = 20, 9
+	atermP, atermQ := gaussianJones(sg)
+	for _, nc := range []int{3, 16, 37, 70} {
+		item, uvw, vis, _ := tilingItem(61, nt, nc)
+		g, _ := randomSubgrid(sg, item, 67)
+		k := tilingKernels(t, sg, nc, nil)
+		if !k.pixelLanes(nc) {
+			t.Fatalf("nc=%d does not take the pixel-lane gridder", nc)
+		}
+		gv := grid.NewSubgrid(sg, item.X0, item.Y0)
+		k.GridSubgrid(item, uvw, vis, atermP, atermQ, gv)
+		dg := make([]xmath.Matrix2, nt*nc)
+		k.DegridSubgrid(item, g, uvw, atermP, atermQ, dg)
+		var lhs, rhs complex128
+		for p := range gv.Data {
+			for i := range gv.Data[p] {
+				lhs += cmplx.Conj(gv.Data[p][i]) * g.Data[p][i]
+			}
+		}
+		for j := range vis {
+			for p := 0; p < 4; p++ {
+				rhs += cmplx.Conj(vis[j][p]) * dg[j][p]
+			}
+		}
+		if d := cmplx.Abs(lhs-rhs) / cmplx.Abs(lhs); d > 1e-12 {
+			t.Fatalf("nc=%d: adjoint violated: <Gv,g>=%v, <v,Dg>=%v (rel %g)", nc, lhs, rhs, d)
 		}
 	}
 }

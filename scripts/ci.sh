@@ -81,10 +81,11 @@ bash benchmark/run.sh -workload all -smoke
 # baseline holds the full bench.sh set, CI re-measures only the
 # kernels. -count 3 because benchjson gates on the best duplicate
 # run — single-sample minima on a shared CI box measure scheduling
-# noise, not regressions.
+# noise, not regressions. GOMAXPROCS=1 because the baseline is measured
+# that way (scripts/bench.sh) and benchmark names carry the -N suffix.
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1s -count 3 . |
+GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1s -count 3 . |
     go run ./cmd/benchjson > "$out"
 go run ./cmd/benchjson -compare -allow-missing -threshold "${BENCH_THRESHOLD:-10}" BENCH_kernels.json "$out"
 # Distributed scalability gate: re-measure the 1/2/4/8-worker
