@@ -146,15 +146,17 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 
 // BenchmarkAblationChannelCount sweeps the channel block width of the
 // inner reduction (Listing 1: vectorization works best when the
-// channel count matches the SIMD width). Every uniform comb runs twice:
-// as dispatched and with the recurrence disabled (one evaluated phasor
-// per sample) — the measurement the kernels' selection thresholds are
+// channel count matches the SIMD width). Every uniform comb runs twice
+// per precision: as dispatched and with the recurrence disabled (one
+// evaluated phasor per sample; for float32 that is the generic tile on
+// every tier) — the measurement the kernels' selection thresholds are
 // set from: phasorMinChannels under IDG_SIMD=scalar and, dispatched on
-// the avx512 tier, for core's pixel-lane gridLanesPix (which has no
-// other rule about the channel count: 9, 33 and 66 are there for the
-// channel tail and the second resync chunk); core's vecRecurrence and
-// perStepMinChannels under IDG_SIMD=avx2. The non-uniform comb has only
-// the direct form.
+// the avx512 tier, for core's pixel-lane gridLanesPix in both
+// precisions (which has no other rule about the channel count: 9, 33
+// and 66 are there for the channel tail and the second resync chunk);
+// core's vecRecurrence and perStepMinChannels, and the float32 oct-lane
+// body, under IDG_SIMD=avx2. The non-uniform comb has only the direct
+// form.
 func BenchmarkAblationChannelCount(b *testing.B) {
 	comb := func(nc int, jitter float64) []float64 {
 		freqs := make([]float64, nc)
@@ -164,12 +166,18 @@ func BenchmarkAblationChannelCount(b *testing.B) {
 		return freqs
 	}
 	for _, nc := range []int{1, 2, 3, 4, 5, 8, 9, 16, 24, 33, 64, 66} {
-		b.Run(fmt.Sprintf("c=%d", nc), func(b *testing.B) {
-			runGridderAblation(b, Params{Frequencies: comb(nc, 0)})
-		})
-		b.Run(fmt.Sprintf("c=%d/direct", nc), func(b *testing.B) {
-			runGridderAblation(b, Params{Frequencies: comb(nc, 0), DisablePhasorRecurrence: true})
-		})
+		for _, prec := range []Precision{Float64, Float32} {
+			name := fmt.Sprintf("c=%d", nc)
+			if prec == Float32 {
+				name += "/f32"
+			}
+			b.Run(name, func(b *testing.B) {
+				runGridderAblation(b, Params{Frequencies: comb(nc, 0), Precision: prec})
+			})
+			b.Run(name+"/direct", func(b *testing.B) {
+				runGridderAblation(b, Params{Frequencies: comb(nc, 0), Precision: prec, DisablePhasorRecurrence: true})
+			})
+		}
 	}
 	b.Run("c=16/nonuniform", func(b *testing.B) {
 		runGridderAblation(b, Params{Frequencies: comb(16, 30e3)})

@@ -27,28 +27,29 @@ type simdDispatch struct {
 // tier adds is selected inside them, keyed on the tier resolved here
 // and on the item's channel comb:
 //
-//   - float64 gridder: every item the recurrence applies to (uniform
-//     comb, phasorMinChannels or more) runs with a pixel per lane,
-//     sixteen pixels per call (Kernels.pixelLanes, gridLanesPix,
-//     rotAccPixBlk64); the rest keeps the 256-bit direct-phasor form.
+//   - gridder, both precisions: every item the recurrence applies to
+//     (uniform comb, phasorMinChannels or more) runs with a pixel per
+//     lane (Kernels.pixelLanes, gridLanesPix): sixteen float64 pixels
+//     per call through rotAccPixBlk64, thirty-two float32 pixels through
+//     rotAccPixBlk32. The float64 rest keeps the 256-bit direct-phasor
+//     form; the float32 rest is the generic tile on every tier.
 //   - float64 degridder: every recurrence item runs the fused,
-//     channel-blocked rotConjAccOctsBlk64, eight pixels per ZMM.
-//   - both: the phase arguments are staged by the 512-bit stagePIdx and
-//     stageArgs instead of Go loops.
-//   - float32 gridder: the blocked form runs two pixels per call on the
-//     EVEX-only registers Y16-Y31 (rotAccOctsBlk2, test in
-//     gridTileVec32), still eight lanes per YMM.
+//     channel-blocked rotConjAccOctsBlk64, eight pixels per ZMM. The
+//     float32 degridder keeps its 256-bit per-(t, c) calls.
+//   - all four: the phase arguments are staged by the 512-bit stagePIdx
+//     and stageArgs instead of Go loops.
 //   - the batched sine/cosine seeding inside xmath.SincosVec runs
 //     eight lanes per ZMM.
 //
-// The float64 tiles went to 512 bits on measurement, not on principle:
-// on the reference host class (Sapphire-Rapids-type Xeon) a thread
-// sustains about twice the lane-FMA rate at ZMM width that it does at
-// YMM width, and no kernel is slower on the avx512 tier than on avx2
-// (EXPERIMENTS.md, "Float64 tiles at full register width" and "Pixels
-// in the lanes", has the pairs and the per-tier tables). The float32
-// tiles and the direct-phasor tile stay at 256 bits because nobody has
-// measured them wider yet.
+// The tiles went to 512 bits on measurement, not on principle: on the
+// reference host class (Sapphire-Rapids-type Xeon) a thread sustains
+// about twice the lane-FMA rate at ZMM width that it does at YMM width,
+// and no kernel is slower on the avx512 tier than on avx2
+// (EXPERIMENTS.md, "Float64 tiles at full register width", "Pixels in
+// the lanes" and "Float32 pixels in the lanes", has the pairs and the
+// per-tier tables). The float32 degridder and the direct-phasor tile
+// are the 256-bit bodies left on this tier; neither has been measured
+// wider.
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
 	d := simdDispatch{tier: tier}
 	if haveVectorASM && tier >= xmath.SIMDAVX2 {
@@ -88,13 +89,15 @@ func (si SIMDInfo) String() string {
 		si.Detected, si.Active, si.Tiles64, si.Tiles32, si.Sincos, si.Lanes)
 }
 
-// The float64 tile bodies dispatched per vector tier, as SIMDInfo
-// names them. The avx512 string states the one rule that tier selects
-// by (Kernels.pixelLanes; the degridder's fused form has the same
+// The tile bodies dispatched per vector tier, as SIMDInfo names them.
+// The avx512 strings state the one rule that tier selects by
+// (Kernels.pixelLanes; the float64 degridder's fused form has the same
 // one); TestDispatchPerTier holds the stated threshold against it.
 const (
 	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
 	tiles64AVX512 = "avx512 8-lane: uniform nc>=3 -> 16-pixel-lane gridder, fused degridder; else avx2+fma 4-lane direct phasors; staged phases"
+	tiles32AVX2   = "avx2+fma 8-lane"
+	tiles32AVX512 = "avx512 16-lane: uniform nc>=3 -> 32-pixel-lane gridder; avx2+fma 8-lane degridder; staged phases"
 )
 
 // SIMDInfo reports the SIMD dispatch this Kernels value resolved to.
@@ -116,20 +119,22 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		}
 	}
 	if k.disp.gridVec32 != nil {
-		si.Tiles32 = "avx2+fma 8-lane"
+		si.Tiles32 = tiles32AVX2
 		if k.disp.tier >= xmath.SIMDAVX512 {
-			// The blocked float32 gridder pairs pixels through the
-			// EVEX-encoded dual-pixel kernel at this tier.
-			si.Tiles32 = "avx2+fma 8-lane, evex 2-pixel blocks"
+			si.Tiles32 = tiles32AVX512
 		}
 	}
 	if k.vecSincos {
 		si.Sincos = "sincosvec/" + k.disp.tier.String()
 	}
 	if k.disp.gridVec64 != nil {
+		// A YMM of float64, doubled by float32 and by the ZMM tier.
 		si.Lanes = 4
-		if k.params.Precision == Float32 || k.disp.tier >= xmath.SIMDAVX512 {
-			si.Lanes = 8
+		if k.params.Precision == Float32 {
+			si.Lanes *= 2
+		}
+		if k.disp.tier >= xmath.SIMDAVX512 {
+			si.Lanes *= 2
 		}
 	}
 	return si

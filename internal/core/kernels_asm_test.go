@@ -25,32 +25,50 @@ const (
 // canaried hands out exact-length buffers surrounded by canaries and
 // checks them afterwards.
 type canaried struct {
-	rnd      func() float64
-	backings [][]float64
+	rnd    func() float64
+	intact []func() bool // one per buffer handed out: its canaries are untouched
 }
 
 // buf returns n random values with canaryPad canaries on either side.
-func (c *canaried) buf(n int) []float64 {
-	b := make([]float64, n+2*canaryPad)
+func (c *canaried) buf(n int) []float64 { return canaryBuf[float64](c, n) }
+
+// canaryBuf is buf for either element type; the float32 canary is the
+// float64 one narrowed, still a NaN with a payload.
+func canaryBuf[F floatT](c *canaried, n int) []F {
+	canary := F(math.Float64frombits(canaryBits))
+	b := make([]F, n+2*canaryPad)
 	for i := range b {
-		b[i] = math.Float64frombits(canaryBits)
+		b[i] = canary
 	}
-	c.backings = append(c.backings, b)
+	c.intact = append(c.intact, func() bool {
+		for i := 0; i < canaryPad; i++ {
+			if floatBits(b[i]) != floatBits(canary) || floatBits(b[len(b)-1-i]) != floatBits(canary) {
+				return false
+			}
+		}
+		return true
+	})
 	out := b[canaryPad : canaryPad+n : canaryPad+n]
 	for i := range out {
-		out[i] = c.rnd()
+		out[i] = F(c.rnd())
 	}
 	return out
+}
+
+// floatBits is the bit pattern of a value of either precision.
+func floatBits[F floatT](x F) uint64 {
+	if v, ok := any(x).(float32); ok {
+		return uint64(math.Float32bits(v))
+	}
+	return math.Float64bits(float64(x))
 }
 
 // check fails the test if any canary was overwritten.
 func (c *canaried) check(t *testing.T, what string) {
 	t.Helper()
-	for bi, b := range c.backings {
-		for i := 0; i < canaryPad; i++ {
-			if math.Float64bits(b[i]) != canaryBits || math.Float64bits(b[len(b)-1-i]) != canaryBits {
-				t.Fatalf("%s: buffer %d written outside its bounds", what, bi)
-			}
+	for bi, ok := range c.intact {
+		if !ok() {
+			t.Fatalf("%s: buffer %d written outside its bounds", what, bi)
 		}
 	}
 }
@@ -95,10 +113,10 @@ func rotAccQuadsRef(a []float64, re, im *[4][]float64, j, nq int, ph []float64) 
 	}
 }
 
-func requireBitwise(t *testing.T, what string, got, want []float64) {
+func requireBitwise[F floatT](t *testing.T, what string, got, want []F) {
 	t.Helper()
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+		if floatBits(got[i]) != floatBits(want[i]) {
 			t.Fatalf("%s: element %d = %v, transcription gives %v", what, i, got[i], want[i])
 		}
 	}

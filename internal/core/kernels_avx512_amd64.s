@@ -2,16 +2,17 @@
 
 #include "textflag.h"
 
-// The full-width float64 tile bodies of the SIMDAVX512 dispatch tier:
-// the gridder's recurrence with sixteen pixels in the lanes of two ZMM
-// octs (rotAccPixBlk64), the degridder's fused, channel-blocked
-// rotate-and-accumulate at eight pixels per ZMM (rotConjAccOctsBlk64),
-// and the phase stagers both run ahead of their sincos batches
-// (stagePIdx, stageArgs). See simd_amd64.go for the contracts,
-// tile_vec.go for the callers. Only that tier reaches this
-// file: xmath's detection requires AVX-512 F+DQ+BW+VL and OS-saved
-// opmask/ZMM state. All routines are NOSPLIT leaves and VZEROUPPER
-// before returning to Go code.
+// The full-width tile bodies of the SIMDAVX512 dispatch tier: the
+// gridder's recurrence with a pixel per lane, sixteen float64 pixels in
+// two ZMM octs (rotAccPixBlk64) or thirty-two float32 pixels in two ZMM
+// of sixteen (rotAccPixBlk32), the float64 degridder's fused,
+// channel-blocked rotate-and-accumulate at eight pixels per ZMM
+// (rotConjAccOctsBlk64), and the phase stagers every one of them runs
+// ahead of its sincos batch (stagePIdx, stageArgs). See simd_amd64.go
+// for the contracts, tile_vec.go for the callers. Only that tier
+// reaches this file: xmath's detection requires AVX-512 F+DQ+BW+VL and
+// OS-saved opmask/ZMM state. All routines are NOSPLIT leaves and
+// VZEROUPPER before returning to Go code.
 
 // TAIL_MASK sets K1 to the low (cnt mod 8) lanes; clobbers CX and DX.
 #define TAIL_MASK(cnt) \
@@ -52,32 +53,42 @@
 
 // ACC_PIX accumulates one correlation's sample at byte offset R14 of its
 // re/im streams, broadcast to every lane, against the phasors of both
-// pixel octs (sin Z16/Z18, cos Z17/Z19): per accumulator rotAccQuads'
-// FMA order — a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps, a_im += vi*pc
-// — with the four chains interleaved.
-#define ACC_PIX(rp, ip, are0, are1, aim0, aim1) \
-	VBROADCASTSD (rp)(R14*1), Z24   \
-	VBROADCASTSD (ip)(R14*1), Z25   \
-	VFMADD231PD  Z17, Z24, are0     \
-	VFMADD231PD  Z19, Z24, are1     \
-	VFMADD231PD  Z16, Z24, aim0     \
-	VFMADD231PD  Z18, Z24, aim1     \
-	VFNMADD231PD Z16, Z25, are0     \
-	VFNMADD231PD Z18, Z25, are1     \
-	VFMADD231PD  Z17, Z25, aim0     \
-	VFMADD231PD  Z19, Z25, aim1
+// pixel registers (sin Z16/Z18, cos Z17/Z19): per accumulator
+// rotAccQuads' FMA order — a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps,
+// a_im += vi*pc — with the four chains interleaved. BCAST, FMA and FNMA
+// are the element width's mnemonics (ACC_PIX64, ACC_PIX32).
+#define ACC_PIX(BCAST, FMA, FNMA, rp, ip, are0, are1, aim0, aim1) \
+	BCAST (rp)(R14*1), Z24   \
+	BCAST (ip)(R14*1), Z25   \
+	FMA   Z17, Z24, are0     \
+	FMA   Z19, Z24, are1     \
+	FMA   Z16, Z24, aim0     \
+	FMA   Z18, Z24, aim1     \
+	FNMA  Z16, Z25, are0     \
+	FNMA  Z18, Z25, are1     \
+	FMA   Z17, Z25, aim0     \
+	FMA   Z19, Z25, aim1
+#define ACC_PIX64(rp, ip, are0, are1, aim0, aim1) \
+	ACC_PIX(VBROADCASTSD, VFMADD231PD, VFNMADD231PD, rp, ip, are0, are1, aim0, aim1)
+#define ACC_PIX32(rp, ip, are0, are1, aim0, aim1) \
+	ACC_PIX(VBROADCASTSS, VFMADD231PS, VFNMADD231PS, rp, ip, are0, are1, aim0, aim1)
 
-// ROT_PIX advances one oct's phasors by one channel, each pixel by its
-// own delta phasor: ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds, the
+// ROT_PIX advances one register's phasors by one channel, each pixel by
+// its own delta phasor: ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds, the
 // cross terms rounded first (rotateAccumulateFMA's sequence).
-#define ROT_PIX(ps, pc, ds, dc, t0, t1) \
-	VMULPD      ds, ps, t1 \
-	VMULPD      ds, pc, t0 \
-	VFMSUB213PD t1, dc, pc \
-	VFMADD213PD t0, dc, ps
+#define ROT_PIX(MUL, FMSUB, FMADD, ps, pc, ds, dc, t0, t1) \
+	MUL   ds, ps, t1 \
+	MUL   ds, pc, t0 \
+	FMSUB t1, dc, pc \
+	FMADD t0, dc, ps
+#define ROT_PIX64(ps, pc, ds, dc, t0, t1) \
+	ROT_PIX(VMULPD, VFMSUB213PD, VFMADD213PD, ps, pc, ds, dc, t0, t1)
+#define ROT_PIX32(ps, pc, ds, dc, t0, t1) \
+	ROT_PIX(VMULPS, VFMSUB213PS, VFMADD213PS, ps, pc, ds, dc, t0, t1)
 
 // PIX_SUMS moves the sixteen accumulators Z0-Z15 between registers and
-// the [8][16]float64 at AX.
+// the 1 KB at AX: an [8][16]float64 or an [8][32]float32, two registers
+// per sum either way.
 #define PIX_LD(mem, reg) VMOVUPD mem, reg
 #define PIX_ST(mem, reg) VMOVUPD reg, mem
 #define PIX_SUMS(MV) \
@@ -140,12 +151,12 @@ pixchunkloop:
 	SUBQ    DX, R15
 
 pixchanloop:
-	ACC_PIX(SI, DI, Z0, Z1, Z2, Z3)
-	ACC_PIX(R8, R9, Z4, Z5, Z6, Z7)
-	ACC_PIX(R10, R11, Z8, Z9, Z10, Z11)
-	ACC_PIX(R12, R13, Z12, Z13, Z14, Z15)
-	ROT_PIX(Z16, Z17, Z20, Z21, Z26, Z27)
-	ROT_PIX(Z18, Z19, Z22, Z23, Z28, Z29)
+	ACC_PIX64(SI, DI, Z0, Z1, Z2, Z3)
+	ACC_PIX64(R8, R9, Z4, Z5, Z6, Z7)
+	ACC_PIX64(R10, R11, Z8, Z9, Z10, Z11)
+	ACC_PIX64(R12, R13, Z12, Z13, Z14, Z15)
+	ROT_PIX64(Z16, Z17, Z20, Z21, Z26, Z27)
+	ROT_PIX64(Z18, Z19, Z22, Z23, Z28, Z29)
 	ADDQ $8, R14
 	DECQ DX
 	JNZ  pixchanloop
@@ -406,5 +417,83 @@ argsnext:
 	ADDQ R9, DI
 	DECQ R11
 	JNZ  argssteploop
+	VZEROUPPER
+	RET
+
+// NARROW_ROW narrows the staged row of thirty-two doubles at base into
+// two registers of sixteen float32, lo = lanes 0-15 and hi = lanes
+// 16-31: VCVTPD2PS rounds to nearest even under Go's MXCSR, the bits of
+// Go's float32(x) and of xmath.CvtF64F32. Clobbers Z30, Z31.
+#define NARROW_ROW(base, lo, hi) \
+	VCVTPD2PS    (base), Y30      \
+	VCVTPD2PS    64(base), Y31    \
+	VINSERTF64X4 $1, Y31, Z30, lo \
+	VCVTPD2PS    128(base), Y30   \
+	VCVTPD2PS    192(base), Y31   \
+	VINSERTF64X4 $1, Y31, Z30, hi
+
+// func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int)
+//
+// rotAccPixBlk64 at sixteen float32 lanes per register: thirty-two
+// pixels per call, acc an [8][32]float32 (sum k of lane p at acc[32k+p]),
+// the same 32 FMAs and 8 rotation instructions per channel covering
+// twice the pixels. sn/cs stay float64, rows of thirty-two lanes in the
+// same order (per step a delta row, then a base row per resync chunk);
+// each row is narrowed in-register where the float64 kernel loads it, so
+// no float32 phasor is ever staged in memory. Phasors rotate and sums
+// accumulate in float32, the scalar float32 tile's error class.
+TEXT ·rotAccPixBlk32(SB), NOSPLIT, $0-104
+	MOVQ r0+8(FP), SI
+	MOVQ i0+16(FP), DI
+	MOVQ r1+24(FP), R8
+	MOVQ i1+32(FP), R9
+	MOVQ r2+40(FP), R10
+	MOVQ i2+48(FP), R11
+	MOVQ r3+56(FP), R12
+	MOVQ i3+64(FP), R13
+	XORQ R14, R14
+
+	MOVQ acc+0(FP), AX
+	PIX_SUMS(PIX_LD)
+
+	MOVQ sn+80(FP), BX
+	MOVQ cs+88(FP), CX
+	MOVQ nt+96(FP), AX
+
+pix32steploop:
+	NARROW_ROW(BX, Z20, Z22)
+	NARROW_ROW(CX, Z21, Z23)
+	MOVQ nc+72(FP), R15
+
+pix32chunkloop:
+	ADDQ    $256, BX
+	ADDQ    $256, CX
+	NARROW_ROW(BX, Z16, Z18)
+	NARROW_ROW(CX, Z17, Z19)
+	MOVQ    $64, DX             // xmath.DefaultPhasorResync
+	CMPQ    R15, DX
+	CMOVQLT R15, DX
+	SUBQ    DX, R15
+
+pix32chanloop:
+	ACC_PIX32(SI, DI, Z0, Z1, Z2, Z3)
+	ACC_PIX32(R8, R9, Z4, Z5, Z6, Z7)
+	ACC_PIX32(R10, R11, Z8, Z9, Z10, Z11)
+	ACC_PIX32(R12, R13, Z12, Z13, Z14, Z15)
+	ROT_PIX32(Z16, Z17, Z20, Z21, Z26, Z27)
+	ROT_PIX32(Z18, Z19, Z22, Z23, Z28, Z29)
+	ADDQ $4, R14
+	DECQ DX
+	JNZ  pix32chanloop
+
+	TESTQ R15, R15
+	JNZ   pix32chunkloop
+	ADDQ  $256, BX
+	ADDQ  $256, CX
+	DECQ  AX
+	JNZ   pix32steploop
+
+	MOVQ acc+0(FP), AX
+	PIX_SUMS(PIX_ST)
 	VZEROUPPER
 	RET

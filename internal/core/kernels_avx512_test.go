@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
+	"repro/internal/grid"
 	"repro/internal/xmath"
 )
 
-// Bounds and transcription tests of the SIMDAVX512 tier's float64
-// routines (kernels_avx512_amd64.s), on kernels_asm_test.go's
-// conventions: exact-length canary-fenced buffers, results bitwise
-// equal to a math.FMA transcription. All of it skips without AVX-512.
+// Bounds and transcription tests of the SIMDAVX512 tier's routines
+// (kernels_avx512_amd64.s), on kernels_asm_test.go's conventions:
+// exact-length canary-fenced buffers, results bitwise equal to a scalar
+// FMA transcription (math.FMA, fma32). All of it skips without AVX-512.
 
 func skipWithoutAVX512(t *testing.T) {
 	t.Helper()
@@ -25,32 +27,73 @@ func foldOct64Ref(l []float64) float64 {
 	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-// rotAccPixRef is the scalar replay of rotAccPixBlk64, one lane at a
-// time: per time step the lane's delta phasor, per resync chunk a fresh
-// base phasor, per channel the four correlations' FMA pairs and then
-// the rotation, all in the kernel's order.
-func rotAccPixRef(acc []float64, re, im *[4][]float64, nc int, sn, cs []float64, bn int) {
+// fma32 is the float32 fused multiply-add, a*b + c rounded once, which
+// Go does not have: the product of two float32 is exact in float64, the
+// float64 sum is forced to round-to-odd (when it is inexact, TwoSum's
+// error term says which neighbour is the odd one), and a round-to-odd
+// value with 29 bits to spare narrows to the correctly rounded float32.
+func fma32(a, b, c float32) float32 {
+	p, cc := float64(a)*float64(b), float64(c)
+	s := p + cc
+	bv := s - p
+	if err := (p - (s - bv)) + (cc - bv); err != 0 && math.Float64bits(s)&1 == 0 {
+		if (err > 0) == (s > 0) {
+			s = math.Float64frombits(math.Float64bits(s) + 1)
+		} else {
+			s = math.Float64frombits(math.Float64bits(s) - 1)
+		}
+	}
+	return float32(s)
+}
+
+// TestFMA32RoundsOnce: sums 2^-70 short of a float32 tie, which float64
+// rounds onto the tie — narrowing that would then round to even, away
+// from the correctly rounded result.
+func TestFMA32RoundsOnce(t *testing.T) {
+	const odd = 1 + 0x1p-23 // the tie above it rounds to even, 1 + 2^-22
+	for _, tc := range [][4]float32{
+		{0x1p-24 * odd, 1 - 0x1p-23, odd, odd},
+		{-0x1p-24 * odd, 1 - 0x1p-23, -odd, -odd},
+		{0x1p-25 * odd, 1 - 0x1p-23, 1 - 0x1p-24, 1 - 0x1p-24},
+	} {
+		if got := fma32(tc[0], tc[1], tc[2]); got != tc[3] {
+			t.Errorf("fma32(%g, %g, %g) = %g, want %g", tc[0], tc[1], tc[2], got, tc[3])
+		}
+		if twice := float32(float64(tc[0])*float64(tc[1]) + float64(tc[2])); twice == tc[3] {
+			t.Errorf("case %v does not separate one rounding from two", tc)
+		}
+	}
+}
+
+// rotAccPixRef is the scalar replay of rotAccPixBlk64 and
+// rotAccPixBlk32, one lane at a time: per time step the lane's delta
+// phasor, per resync chunk a fresh base phasor — both narrowed to F as
+// the kernel narrows them — per channel the four correlations' FMA
+// pairs and then the rotation, all in the kernel's order. fma is F's
+// fused multiply-add.
+func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, bn int, fma func(a, b, c F) F) {
+	w := len(acc) / 8
 	nchunks := (nc + xmath.DefaultPhasorResync - 1) / xmath.DefaultPhasorResync
-	stride := 16 * (nchunks + 1)
-	for lane := 0; lane < 16; lane++ {
+	stride := w * (nchunks + 1)
+	for lane := 0; lane < w; lane++ {
 		for r := 0; r < bn; r++ {
-			ds, dc := sn[r*stride+lane], cs[r*stride+lane]
-			var ps, pc float64
+			ds, dc := F(sn[r*stride+lane]), F(cs[r*stride+lane])
+			var ps, pc F
 			for c := 0; c < nc; c++ {
 				if c%xmath.DefaultPhasorResync == 0 {
-					o := r*stride + 16*(1+c/xmath.DefaultPhasorResync) + lane
-					ps, pc = sn[o], cs[o]
+					o := r*stride + w*(1+c/xmath.DefaultPhasorResync) + lane
+					ps, pc = F(sn[o]), F(cs[o])
 				}
 				j := r*nc + c
 				for p := 0; p < 4; p++ {
 					vr, vi := re[p][j], im[p][j]
-					are, aim := &acc[32*p+lane], &acc[32*p+16+lane]
-					*are = math.FMA(vr, pc, *are)
-					*are = math.FMA(-vi, ps, *are)
-					*aim = math.FMA(vr, ps, *aim)
-					*aim = math.FMA(vi, pc, *aim)
+					are, aim := &acc[2*w*p+lane], &acc[2*w*p+w+lane]
+					*are = fma(vr, pc, *are)
+					*are = fma(-vi, ps, *are)
+					*aim = fma(vr, ps, *aim)
+					*aim = fma(vi, pc, *aim)
 				}
-				ps, pc = math.FMA(ps, dc, pc*ds), math.FMA(pc, dc, -(ps*ds))
+				ps, pc = fma(ps, dc, pc*ds), fma(pc, dc, -(ps*ds))
 			}
 		}
 	}
@@ -63,28 +106,42 @@ func rotAccPixRef(acc []float64, re, im *[4][]float64, nc int, sn, cs []float64,
 // cannot reach the result), and gives a pixel the same bits in any lane
 // beside any neighbours.
 func TestRotAccPixBlk64BoundsAndReplay(t *testing.T) {
+	testRotAccPixBlk(t, "rotAccPixBlk64", math.FMA)
+}
+
+// TestRotAccPixBlk32BoundsAndReplay is the same for the float32 kernel,
+// whose phasors are narrowed from the float64 rows in-register.
+func TestRotAccPixBlk32BoundsAndReplay(t *testing.T) {
+	testRotAccPixBlk(t, "rotAccPixBlk32", fma32)
+}
+
+func testRotAccPixBlk[F floatT](t *testing.T, name string, fma func(a, b, c F) F) {
 	skipWithoutAVX512(t)
+	w := 128 / int(unsafe.Sizeof(F(0))) // the kernel's group: two ZMM registers of F
 	for _, nc := range []int{3, 5, 16, 37, 64, 66, 130} {
 		for _, bn := range []int{1, 3, 16} {
-			what := fmt.Sprintf("rotAccPixBlk64 nc=%d bn=%d", nc, bn)
+			what := fmt.Sprintf("%s nc=%d bn=%d", name, nc, bn)
 			c := &canaried{rnd: newTestRand(uint64(100*nc + bn))}
-			re, im := visPlanesCanaried(c, nc*bn)
-			stride := 16 * ((nc+xmath.DefaultPhasorResync-1)/xmath.DefaultPhasorResync + 1)
+			var re, im [4][]F
+			for p := range re {
+				re[p], im[p] = canaryBuf[F](c, nc*bn), canaryBuf[F](c, nc*bn)
+			}
+			stride := w * ((nc+xmath.DefaultPhasorResync-1)/xmath.DefaultPhasorResync + 1)
 			sn, cs := c.buf(stride*bn), c.buf(stride*bn)
-			acc := c.buf(128)
-			want := append([]float64(nil), acc...)
-			perStep := append([]float64(nil), acc...)
-			call := func(a []float64, sn, cs []float64, j, nt int) {
-				rotAccPixBlk64(&a[0],
+			acc := canaryBuf[F](c, 8*w)
+			want := append([]F(nil), acc...)
+			perStep := append([]F(nil), acc...)
+			call := func(a []F, sn, cs []float64, j, nt int) {
+				rotAccPixBlk(&a[0],
 					&re[0][j], &im[0][j], &re[1][j], &im[1][j],
 					&re[2][j], &im[2][j], &re[3][j], &im[3][j],
 					nc, &sn[0], &cs[0], nt)
 			}
-			rotAccPixRef(want, &re, &im, nc, sn, cs, bn)
+			rotAccPixRef(want, &re, &im, nc, sn, cs, bn, fma)
 			for r := 0; r < bn; r++ {
 				call(perStep, sn[r*stride:], cs[r*stride:], r*nc, 1)
 			}
-			lanes0 := append([]float64(nil), acc...)
+			lanes0 := append([]F(nil), acc...)
 			call(acc, sn, cs, 0, bn)
 			c.check(t, what)
 			requireBitwise(t, what, acc, want)
@@ -92,24 +149,24 @@ func TestRotAccPixBlk64BoundsAndReplay(t *testing.T) {
 
 			// Reverse the lanes and replace the even ones with other
 			// pixels: the odd pixels must come out as before.
-			swapped := make([]float64, 128)
+			swapped := make([]F, 8*w)
 			sn2, cs2 := make([]float64, len(sn)), make([]float64, len(cs))
-			for lane := 0; lane < 16; lane++ {
+			for lane := 0; lane < w; lane++ {
 				for k := 0; k < 8; k++ {
-					swapped[16*k+15-lane] = lanes0[16*k+lane]
+					swapped[w*k+w-1-lane] = lanes0[w*k+lane]
 				}
-				for row := 0; row < len(sn); row += 16 {
-					sn2[row+15-lane], cs2[row+15-lane] = sn[row+lane], cs[row+lane]
+				for row := 0; row < len(sn); row += w {
+					sn2[row+w-1-lane], cs2[row+w-1-lane] = sn[row+lane], cs[row+lane]
 					if lane%2 == 0 {
-						sn2[row+15-lane], cs2[row+15-lane] = c.rnd(), c.rnd()
+						sn2[row+w-1-lane], cs2[row+w-1-lane] = c.rnd(), c.rnd()
 					}
 				}
 			}
 			call(swapped, sn2, cs2, 0, bn)
-			for lane := 1; lane < 16; lane += 2 {
+			for lane := 1; lane < w; lane += 2 {
 				for k := 0; k < 8; k++ {
-					if math.Float64bits(swapped[16*k+15-lane]) != math.Float64bits(want[16*k+lane]) {
-						t.Fatalf("%s: pixel of lane %d changed sum %d when moved to lane %d", what, lane, k, 15-lane)
+					if floatBits(swapped[w*k+w-1-lane]) != floatBits(want[w*k+lane]) {
+						t.Fatalf("%s: pixel of lane %d changed sum %d when moved to lane %d", what, lane, k, w-1-lane)
 					}
 				}
 			}
@@ -267,27 +324,97 @@ func TestRotConjAccOctsBlk64BoundsAndTranscription(t *testing.T) {
 	}
 }
 
-// TestPixelLanesShapes pins which items the float64 gridder runs with
-// pixels in the lanes: on the avx512 tier every uniform comb from
-// phasorMinChannels up — whole octs or not, one resync chunk or several
-// — and nothing else; below the tier nothing at all.
+// TestPixelLanesShapes pins which items the gridder runs with pixels in
+// the lanes, in either precision: on the avx512 tier every uniform comb
+// from phasorMinChannels up — whole octs or not, one resync chunk or
+// several — and nothing else; below the tier nothing at all.
 func TestPixelLanesShapes(t *testing.T) {
 	skipWithoutAVX512(t)
-	wide := func(nc int, mod func(*Params)) bool {
-		return tilingKernels(t, 8, nc, mod).pixelLanes(nc)
+	for _, prec := range []Precision{Float64, Float32} {
+		wide := func(nc int, mod func(*Params)) bool {
+			return tilingKernels(t, 8, nc, func(p *Params) {
+				p.Precision = prec
+				if mod != nil {
+					mod(p)
+				}
+			}).pixelLanes(nc)
+		}
+		for nc := 1; nc <= 130; nc++ {
+			if got, want := wide(nc, nil), nc >= phasorMinChannels; got != want {
+				t.Errorf("%v nc=%d: pixel lanes = %v on the avx512 tier, want %v", prec, nc, got, want)
+			}
+			if wide(nc, forceTier(xmath.SIMDAVX2)) || wide(nc, forceTier(xmath.SIMDScalar)) {
+				t.Errorf("%v nc=%d takes the pixel-lane kernel below the avx512 tier", prec, nc)
+			}
+			if wide(nc, func(p *Params) { p.DisablePhasorRecurrence = true }) {
+				t.Errorf("%v nc=%d takes the pixel-lane kernel with the recurrence disabled", prec, nc)
+			}
+		}
+		if wide(5, func(p *Params) { p.Frequencies = nonUniformComb }) {
+			t.Errorf("%v: a non-uniform comb takes the pixel-lane kernel", prec)
+		}
 	}
-	for nc := 1; nc <= 130; nc++ {
-		if got, want := wide(nc, nil), nc >= phasorMinChannels; got != want {
-			t.Errorf("nc=%d: pixel lanes = %v on the avx512 tier, want %v", nc, got, want)
+}
+
+// TestPixelLanes32Decomposition: the float32 pixel-lane gridder's
+// result does not depend on the tile height (one, three and all rows of
+// an 18-pixel subgrid: tiles of 18, 54 and 324 pixels, none a multiple
+// of the 32-pixel group), the visibility block depth, or whether the
+// tiles run on one worker or four — below, at and across the resync
+// boundary, with and without a channel tail.
+func TestPixelLanes32Decomposition(t *testing.T) {
+	skipWithoutAVX512(t)
+	const sg, nt = 18, 7
+	for _, nc := range []int{3, 5, 8, 16, 37, 64, 66, 130} {
+		item, uvw, vis, _ := tilingItem(71, nt, nc)
+		run := func(rows, block, workers int) *grid.Subgrid {
+			k := tilingKernels(t, sg, nc, func(p *Params) {
+				p.Precision = Float32
+				p.PixelTileRows, p.VisBlockTimesteps, p.Workers = rows, block, workers
+			})
+			if !k.pixelLanes(nc) {
+				t.Fatalf("nc=%d does not take the pixel-lane gridder", nc)
+			}
+			out := grid.NewSubgrid(sg, item.X0, item.Y0)
+			k.GridSubgrid(item, uvw, vis, nil, nil, out)
+			return out
 		}
-		if wide(nc, forceTier(xmath.SIMDAVX2)) || wide(nc, forceTier(xmath.SIMDScalar)) {
-			t.Errorf("nc=%d takes the pixel-lane kernel below the avx512 tier", nc)
-		}
-		if wide(nc, func(p *Params) { p.DisablePhasorRecurrence = true }) {
-			t.Errorf("nc=%d takes the pixel-lane kernel with the recurrence disabled", nc)
+		want := run(0, 0, 1)
+		for _, rows := range []int{1, 3, sg} {
+			for _, block := range []int{1, 3, nt} {
+				for _, workers := range []int{1, 4} {
+					if !subgridsEqual(want, run(rows, block, workers)) {
+						t.Fatalf("nc=%d: result depends on the decomposition (tile rows %d, block %d, workers %d)", nc, rows, block, workers)
+					}
+				}
+			}
 		}
 	}
-	if k := tilingKernels(t, 8, 5, func(p *Params) { p.Frequencies = nonUniformComb }); k.pixelLanes(5) {
-		t.Error("a non-uniform comb takes the pixel-lane kernel")
+}
+
+// TestFloat32DegridderTiersBitwise: the float32 degridder stages its
+// phase arguments through the 512-bit stagers on the avx512 tier and
+// through Go loops on avx2, and runs the same 256-bit loops after them:
+// the visibilities agree bit for bit, without and with the recurrence,
+// with a channel tail and across a resync boundary, on tiles that end
+// in a partial oct (72- and 36-pixel tiles of an 18-pixel subgrid).
+func TestFloat32DegridderTiersBitwise(t *testing.T) {
+	skipWithoutAVX512(t)
+	const sg, nt = 18, 6
+	for _, nc := range []int{2, 5, 16, 37, 66} {
+		item, uvw, _, _ := tilingItem(73, nt, nc)
+		in, _ := randomSubgrid(sg, item, 79)
+		var got [2][]xmath.Matrix2
+		for i, tier := range []xmath.SIMDTier{xmath.SIMDAVX512, xmath.SIMDAVX2} {
+			k := tilingKernels(t, sg, nc, func(p *Params) {
+				p.Precision, p.Sincos = Float32, nil // the batched evaluator both tiers share
+				forceTier(tier)(p)
+			})
+			got[i] = make([]xmath.Matrix2, nt*nc)
+			k.DegridSubgrid(item, in, uvw, nil, nil, got[i])
+		}
+		if !visEqual(got[0], got[1]) {
+			t.Fatalf("nc=%d: float32 degridder visibilities differ between avx512 and avx2", nc)
+		}
 	}
 }

@@ -31,8 +31,8 @@ type kbufs[F floatT] struct {
 	// pixel of the tile, carried across visibility blocks. vacc is its
 	// vector-kernel analogue (amd64 only): 8 accumulators x 8 SIMD lanes
 	// per pixel (x 4 for the float64 quad forms), lane-reduced only when
-	// the tile finishes — or, for the float64 pixel-lane gridder, 8 sums
-	// per pixel laid out by lane group.
+	// the tile finishes — or, for the pixel-lane gridder, 8 sums per
+	// pixel laid out by lane group.
 	acc  []F
 	vacc []F
 

@@ -90,15 +90,6 @@ func rotAccOcts(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, no int, ph *float3
 //go:noescape
 func rotAccOctsBlk(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, no int, ph *float32, nt, visAdj, phAdj int)
 
-// rotAccOctsBlk2 is rotAccOctsBlk for two pixels at once (EVEX
-// registers Y16-Y31 hold the second pixel's state, the visibility
-// loads are shared); kernels32_avx512_amd64.s. Only callable when the
-// active dispatch tier is SIMDAVX512 — the encoding needs AVX-512VL.
-// Bitwise equal to two single-pixel rotAccOctsBlk calls.
-//
-//go:noescape
-func rotAccOctsBlk2(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float32, no int, ph0, ph1 *float32, nt, visAdj, phAdj int)
-
 // seedOctsBlk is seedOctLanes vectorized over time steps: it seeds
 // ng*4 consecutive [18]float64 phasor blocks at ph from the planar
 // base/delta sincos arrays (s0/c0/ds/dc each hold one value per time
@@ -156,7 +147,17 @@ func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *
 //go:noescape
 func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int)
 
-// The kernel has the resync cadence as an immediate.
+// rotAccPixBlk32 is rotAccPixBlk64 at sixteen float32 lanes per
+// register: thirty-two pixels per call, acc an [8][32]float32 (sum k of
+// lane p at acc[32k+p]). sn/cs are still float64, rows of thirty-two
+// lanes in the same order; the kernel narrows each row in-register
+// (VCVTPD2PS, the bits of float32(x)) and rotates and accumulates in
+// float32.
+//
+//go:noescape
+func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int)
+
+// Both kernels have the resync cadence as an immediate.
 var _ = [1]struct{}{}[xmath.DefaultPhasorResync-64]
 
 // stagePIdx stages phase indices: dst[r*npix+i] = U_r*l[i] + V_r*m[i] +

@@ -45,10 +45,6 @@ func rotAccOctsBlk(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, no int, ph *flo
 	panic("core: rotAccOctsBlk without vector kernels")
 }
 
-func rotAccOctsBlk2(acc0, acc1, r0, i0, r1, i1, r2, i2, r3, i3 *float32, no int, ph0, ph1 *float32, nt, visAdj, phAdj int) {
-	panic("core: rotAccOctsBlk2 without vector kernels")
-}
-
 func seedOctsBlk(ph, s0, c0, ds, dc *float64, ng int) {
 	panic("core: seedOctsBlk without vector kernels")
 }
@@ -75,6 +71,10 @@ func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *
 
 func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int) {
 	panic("core: rotAccPixBlk64 without vector kernels")
+}
+
+func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int) {
+	panic("core: rotAccPixBlk32 without vector kernels")
 }
 
 func stagePIdx(dst, l, m, n *float64, npix int, uvw *float64, nt int) {

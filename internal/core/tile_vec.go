@@ -1,6 +1,8 @@
 package core
 
-// The hand-vectorized float64 tile kernels. They drive the AVX2+FMA
+// The hand-vectorized float64 tile kernels, and the pixel-lane gridder
+// body both precisions share on the SIMDAVX512 tier (gridLanesPix; the
+// rest of float32 is tile_vec32.go). They drive the AVX2+FMA
 // loops in kernels_amd64.s and, on the SIMDAVX512 tier, the 512-bit
 // loops in kernels_avx512_amd64.s, and are selected (gridSubgridScratch
 // / degridSubgridScratch) only when the dispatch table installed them
@@ -56,7 +58,7 @@ func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, 
 	sums := growF(&ts.sums, 8*(pix1-pix0))
 	switch {
 	case k.pixelLanes(item.NrChannels):
-		gridLanesPix(k, item, uvw, sb, ts, sums, pix0, pix1)
+		gridLanesPix[float64](k, item, uvw, sb, ts, sums, pix0, pix1)
 	case k.vecRecurrence(item.NrChannels):
 		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
 		clear(vacc)
@@ -122,12 +124,16 @@ func quadsBlocked(nc int) bool {
 	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
 }
 
-// pixelLanes reports whether the float64 gridder runs an nc-channel
-// item with pixels in the lanes (gridLanesPix): the SIMDAVX512 tier and
-// any item the recurrence applies to, the one threshold being
-// phasorMinChannels (BenchmarkAblationChannelCount, ms per 64-step
-// item against direct phasors: c=3 0.16 against 0.25, c=8 0.25 against
-// 0.68, c=33 0.77 against 2.92, c=66 1.50 against 5.90).
+// pixelLanes reports whether the gridder, float64 or float32, runs an
+// nc-channel item with pixels in the lanes (gridLanesPix): the
+// SIMDAVX512 tier and any item the recurrence applies to, the one
+// threshold being phasorMinChannels (BenchmarkAblationChannelCount, ms
+// per 64-step item: float64 against direct phasors c=3 0.16 against
+// 0.25, c=8 0.25 against 0.68, c=33 0.77 against 2.92, c=66 1.50
+// against 5.90; float32 against the generic tile's direct phasors,
+// its only alternative, c=3 0.15 against 2.77, c=16 0.29 against 14.3,
+// c=66 0.87 against 46.4, and against the avx2 tier's oct lanes 1.19,
+// 0.77 and 4.66).
 func (k *Kernels) pixelLanes(nc int) bool {
 	return k.disp.tier >= xmath.SIMDAVX512 && k.useRecurrence(nc)
 }
@@ -282,14 +288,18 @@ const pixBlockBytes = 24 << 10
 
 // gridLanesPix fills sums for the pixels [pix0, pix1) of a recurrence
 // item the way the paper's GPU gridder does: a pixel per lane, every
-// lane walking the same visibility block. Per (group of sixteen pixels,
-// visibility block) the stagers write the reference kernel's phase
-// arguments — per time step a row of per-pixel channel deltas, then a
-// row of base phases per resync chunk — one sincosVec call evaluates
-// them, and one rotAccPixBlk64 call accumulates the block with the
-// group's sums in registers. Between blocks the sums rest in vacc, laid
-// out by lane; they are already complete sums, so the end is a
-// transposition, not a fold.
+// lane walking the same visibility block. It is the SIMDAVX512 tier's
+// gridder body in both precisions; a group is the two registers a sum
+// occupies in the kernel, sixteen float64 pixels or thirty-two float32.
+// Per (group, visibility block) the stagers write the reference
+// kernel's phase arguments — per time step a row of per-pixel channel
+// deltas, then a row of base phases per resync chunk — one sincosVec
+// call evaluates them, and one rotAccPixBlk call accumulates the block
+// with the group's sums in registers. Staging and evaluation are
+// float64 whatever F is; the float32 kernel narrows the phasors as it
+// loads them. Between blocks the sums rest in vacc, laid out by lane;
+// they are already complete sums, so the end is a transposition, not a
+// fold.
 //
 // A pixel's result is a function of its own lane alone: its phasors are
 // seeded from its own arguments at every (step, chunk) and advance by
@@ -298,13 +308,16 @@ const pixBlockBytes = 24 << 10
 // lane cannot reach it, and the tile's last group simply runs its spare
 // lanes on zeroed geometry (finite phasors, discarded sums) instead of
 // under a mask. Against the avx2 tier the sums differ by reassociation
-// only: one chain per sum here, four lane partials folded there.
-func gridLanesPix(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, sums []float64, pix0, pix1 int) {
+// only: one chain per sum here, four or eight lane partials folded
+// there (and in float32 a rotation per channel here, per eight there).
+func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, sums []float64, pix0, pix1 int) {
 	const resync = xmath.DefaultPhasorResync
+	size := int(unsafe.Sizeof(F(0)))
+	w := 128 / size // pixels per group: two ZMM registers of F
 	nt, nc := item.NrTimesteps, item.NrChannels
-	re, im := visPlanes[float64](sb, nt*nc)
+	re, im := visPlanes[F](sb, nt*nc)
 	np := pix1 - pix0
-	npad := (np + 15) &^ 15
+	npad := (np + w - 1) / w * w
 	// The tile's direction cosines and phase offsets, padded with zeros
 	// to whole groups.
 	geo := growF(&ts.geo, 4*npad)
@@ -317,41 +330,53 @@ func gridLanesPix(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scra
 	uvwOff := [3]float64{uOff, vOff, item.WOffset}
 	stagePIdx(&off[0], &l[0], &m[0], &n[0], npad, &uvwOff[0], 1)
 	stageArgs(&off[0], 0, &off[0], nil, twoPi, npad, 1)
-	vacc := growF(&ts.b64.vacc, 8*npad)
+	vacc := grow(&bufsOf[F](ts).vacc, 8*npad)
 	clear(vacc)
 
 	nchunks := (nc + resync - 1) / resync
-	stride := 16 * (nchunks + 1) // staged arguments per time step
+	stride := w * (nchunks + 1) // staged arguments per time step
 	block := k.params.VisBlockTimesteps
 	if block <= 0 {
-		block = max(pixBlockBytes/(64*nc+8*(16+3*stride)), 4)
+		block = max(pixBlockBytes/(8*size*nc+8*(w+3*stride)), 4)
 	}
 	for t0 := 0; t0 < nt; t0 += block {
 		bn := min(block, nt-t0)
-		pIdx := growF(&ts.pIdx, 16*bn)
+		pIdx := growF(&ts.pIdx, w*bn)
 		arg := growF(&ts.sArg, stride*bn)
 		asn := growF(&ts.sSin, stride*bn)
 		acs := growF(&ts.sCos, stride*bn)
 		jj := t0 * nc
-		for g := 0; g < npad; g += 16 {
-			stagePIdx(&pIdx[0], &l[g], &m[g], &n[g], 16, &uvw[t0].U, bn)
-			stageArgs(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, 16, bn)
+		for g := 0; g < npad; g += w {
+			stagePIdx(&pIdx[0], &l[g], &m[g], &n[g], w, &uvw[t0].U, bn)
+			stageArgs(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, w, bn)
 			for ci := 0; ci < nchunks; ci++ {
-				stageArgs(&arg[16*(ci+1)], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+ci*resync], 16, bn)
+				stageArgs(&arg[w*(ci+1)], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+ci*resync], w, bn)
 			}
 			k.sincosVec(asn, acs, arg)
-			rotAccPixBlk64(&vacc[8*g],
+			rotAccPixBlk(&vacc[8*g],
 				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
 				nc, &asn[0], &acs[0], bn)
 		}
 	}
 	for i := 0; i < np; i++ {
-		a := vacc[128*(i/16)+i%16:]
+		a := vacc[8*w*(i/w)+i%w:]
 		for j := 0; j < 8; j++ {
-			sums[8*i+j] = a[16*j]
+			sums[8*i+j] = float64(a[w*j])
 		}
 	}
+}
+
+// rotAccPixBlk is the pixel-lane kernel of element type F:
+// rotAccPixBlk64 or rotAccPixBlk32, one contract (simd_amd64.go).
+func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt int) {
+	if unsafe.Sizeof(*acc) == 8 {
+		f := func(p *F) *float64 { return (*float64)(unsafe.Pointer(p)) }
+		rotAccPixBlk64(f(acc), f(r0), f(i0), f(r1), f(i1), f(r2), f(i2), f(r3), f(i3), nc, sn, cs, nt)
+		return
+	}
+	f := func(p *F) *float32 { return (*float32)(unsafe.Pointer(p)) }
+	rotAccPixBlk32(f(acc), f(r0), f(i0), f(r1), f(i1), f(r2), f(i2), f(r3), f(i3), nc, sn, cs, nt)
 }
 
 // gridLanesDirect accumulates the pixels [pix0, pix1) with one
@@ -466,8 +491,9 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 // phaseIndices fills pIdx[i] = U*l[i] + V*m[i] + W*n[i] for one time
 // step; phaseArgs turns them into arg[i] = pIdx[i]*scale - off[i] (off
 // nil: pIdx[i]*scale, the per-channel delta). They are the staging
-// passes of degridTileVec: 512-bit stagers on the SIMDAVX512 tier, the
-// same expressions in Go below it, the same bits either way.
+// passes of degridTileVec and degridTileVec32: 512-bit stagers on the
+// SIMDAVX512 tier, the same expressions in Go below it, the same bits
+// either way.
 func (k *Kernels) phaseIndices(pIdx, l, m, n []float64, c3 *uvwsim.UVW) {
 	if k.disp.tier >= xmath.SIMDAVX512 {
 		stagePIdx(&pIdx[0], &l[0], &m[0], &n[0], len(pIdx), &c3.U, 1)

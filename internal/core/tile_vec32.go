@@ -7,7 +7,9 @@ package core
 // rotOcts iteration covers eight pixels — twice the elements per
 // instruction of the float64 quad kernels at the same instruction
 // count, which is the whole point of running the paper's
-// single-precision kernels in float32.
+// single-precision kernels in float32. On the SIMDAVX512 tier the
+// gridder is instead tile_vec.go's gridLanesPix at sixteen lanes per
+// ZMM.
 //
 // Phase arguments, sincos seeding and the lane-seeding rotations stay
 // float64 (the same policy as the scalar float32 tiles: a float32
@@ -58,15 +60,39 @@ func seedOctLanes(ph *[18]float64, s0, c0, ds, dc float64) {
 	ph[16], ph[17] = 2*ds4*dc4, dc4*dc4-ds4*ds4
 }
 
-// gridTileVec32 is gridTileVec at eight float32 lanes. The eight
-// phasor lanes hold channels c..c+7 (seedOctLanes), and rotAccOcts
-// advances all lanes by exp(i*8*delta) per iteration. Each pixel owns
-// eight accumulators of eight lanes each (scratch b32.vacc), persisted
-// across visibility blocks and folded (foldOctLanes) only when the tile
+// gridTileVec32 is gridTileVec for float32, which only takes recurrence
+// items (gridSubgridScratch): one of two bodies fills the tile's sums,
+// which then take gridTileVec's epilogue. On the SIMDAVX512 tier that is
+// gridLanesPix, thirty-two pixels per call; below it gridLanesOcts32,
+// whose eight-lane accumulators (scratch b32.vacc) fold here
+// (foldOctLanes).
+func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+	sg := k.params.SubgridSize
+	pix0, pix1 := row0*sg, row1*sg
+	sums := growF(&ts.sums, 8*(pix1-pix0))
+	if k.pixelLanes(item.NrChannels) {
+		gridLanesPix[float32](k, item, uvw, sb, ts, sums, pix0, pix1)
+	} else {
+		vacc := grow(&ts.b32.vacc, 64*(pix1-pix0))
+		clear(vacc)
+		gridLanesOcts32(k, item, uvw, sb, ts, vacc, pix0, pix1)
+		foldOctLanes(sums, vacc)
+	}
+	start := k.ob.now()
+	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
+	k.ob.epilogueDone(start)
+}
+
+// gridLanesOcts32 fills the accumulator lanes of the pixels [pix0, pix1)
+// with channels in the lanes, gridLanesRecurrence at eight float32
+// lanes. The eight phasor lanes hold channels c..c+7 (seedOctLanes), and
+// rotAccOcts advances all lanes by exp(i*8*delta) per iteration. Each
+// pixel owns eight accumulators of eight lanes each, persisted across
+// visibility blocks and folded by the caller only when the tile
 // finishes, so the per-pixel result is independent of the tile and
-// block decomposition; the folded sums take gridTileVec's epilogue.
-// Leftover channels (nc mod 8) accumulate scalar-style into lane 0 with
-// a float32 rotation, the same error class as the lanes.
+// block decomposition. Leftover channels (nc mod 8) accumulate
+// scalar-style into lane 0 with a float32 rotation, the same error
+// class as the lanes.
 //
 // When a single resync chunk covers every channel and there is no tail
 // (nc a multiple of 8, at most xmath.DefaultPhasorResync — the paper's
@@ -81,17 +107,11 @@ func seedOctLanes(ph *[18]float64, s0, c0, ds, dc float64) {
 // accumulation (all t of chunk 0, then all t of chunk 1, ...), which
 // WOULD break decomposition independence — those shapes keep the
 // per-t calls.
-func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
-	sg := k.params.SubgridSize
+func gridLanesOcts32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, vacc []float32, pix0, pix1 int) {
 	nt, nc := item.NrTimesteps, item.NrChannels
 	re, im := visPlanes[float32](sb, nt*nc)
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
-	pix0, pix1 := row0*sg, row1*sg
-	vacc := grow(&ts.b32.vacc, 64*(pix1-pix0))
-	for i := range vacc {
-		vacc[i] = 0
-	}
 	no := nc / 8
 	tail0 := 8 * no
 	scale0 := k.scale[item.Channel0]
@@ -106,103 +126,65 @@ func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch
 	}
 	stride := seeds + 1
 	blocked := no > 0 && nchunks == 1 && tail0 == nc
-	// On the AVX-512 tier the blocked kernel runs two pixels per call
-	// (rotAccOctsBlk2, EVEX registers for the second pixel's state),
-	// sharing the visibility loads. Per-pixel results are bitwise equal
-	// to single-pixel calls, and SincosVec's batch independence keeps
-	// the doubled seeding batch bitwise equal too, so pairing parity
-	// cannot leak into the result.
-	pairs := blocked && k.disp.tier >= xmath.SIMDAVX512
-	np1 := 1
-	if pairs {
-		np1 = 2
-	}
 	// ph is the register file handed to rotAccOcts: per-lane phasor
 	// sin [0:8] and cos [8:16], then the eight-channel rotator sin/cos.
 	// phd18 is its float64 staging (see seedOctLanes).
 	var ph [18]float32
 	var phd18 [18]float64
 	for t0 := 0; t0 < nt; t0 += block {
-		t1 := t0 + block
-		if t1 > nt {
-			t1 = nt
-		}
+		t1 := min(t0+block, nt)
 		bn := t1 - t0
-		arg := growF(&ts.sArg, np1*stride*bn)
-		asn := growF(&ts.sSin, np1*stride*bn)
-		acs := growF(&ts.sCos, np1*stride*bn)
+		arg := growF(&ts.sArg, stride*bn)
+		asn := growF(&ts.sSin, stride*bn)
+		acs := growF(&ts.sCos, stride*bn)
 		var phv []float32
 		var phd []float64
 		if blocked {
-			phv = grow(&ts.b32.phv, np1*18*bn)
-			phd = growF(&ts.sPhd, np1*18*bn)
+			phv = grow(&ts.b32.phv, 18*bn)
+			phd = growF(&ts.sPhd, 18*bn)
 		}
 		for i := pix0; i < pix1; i++ {
-			np := 1
-			if pairs && i+1 < pix1 {
-				np = 2
-			}
-			for p := 0; p < np; p++ {
-				l, m, n := k.l[i+p], k.m[i+p], k.n[i+p]
-				phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
-				po := p * stride * bn
-				for t := t0; t < t1; t++ {
-					c3 := uvw[t]
-					phaseIndex := c3.U*l + c3.V*m + c3.W*n
-					base := phaseIndex*scale0 - phaseOffset
-					delta := phaseIndex * k.dscale
-					if blocked {
-						// Planar layout (bases, then deltas) so the
-						// vectorized seeding loads contiguously.
-						o := po + (t - t0)
-						arg[o] = base
-						arg[o+bn] = delta
-						continue
-					}
-					o := po + stride*(t-t0)
-					for ci := 0; ci < nchunks; ci++ {
-						arg[o+ci] = base + float64(8*ci*chunkOcts)*delta
-					}
-					if tail0 < nc {
-						arg[o+seeds-1] = base + float64(tail0)*delta
-					}
-					arg[o+seeds] = delta
+			l, m, n := k.l[i], k.m[i], k.n[i]
+			phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
+			for t := t0; t < t1; t++ {
+				c3 := uvw[t]
+				phaseIndex := c3.U*l + c3.V*m + c3.W*n
+				base := phaseIndex*scale0 - phaseOffset
+				delta := phaseIndex * k.dscale
+				if blocked {
+					// Planar layout (bases, then deltas) so the
+					// vectorized seeding loads contiguously.
+					arg[t-t0] = base
+					arg[t-t0+bn] = delta
+					continue
 				}
+				o := stride * (t - t0)
+				for ci := 0; ci < nchunks; ci++ {
+					arg[o+ci] = base + float64(8*ci*chunkOcts)*delta
+				}
+				if tail0 < nc {
+					arg[o+seeds-1] = base + float64(tail0)*delta
+				}
+				arg[o+seeds] = delta
 			}
-			na := np * stride * bn
-			k.sincosVec(asn[:na], acs[:na], arg[:na])
+			k.sincosVec(asn, acs, arg)
 			a := vacc[64*(i-pix0) : 64*(i-pix0)+64]
 			if blocked {
-				for p := 0; p < np; p++ {
-					po := p * stride * bn
-					pb := phd[p*18*bn:]
-					ng := bn / 4
-					if ng > 0 {
-						seedOctsBlk(&pb[0], &asn[po], &acs[po],
-							&asn[po+bn], &acs[po+bn], ng)
-					}
-					for r := 4 * ng; r < bn; r++ {
-						seedOctLanes((*[18]float64)(pb[18*r:]),
-							asn[po+r], acs[po+r], asn[po+bn+r], acs[po+bn+r])
-					}
+				ng := bn / 4
+				if ng > 0 {
+					seedOctsBlk(&phd[0], &asn[0], &acs[0], &asn[bn], &acs[bn], ng)
 				}
-				xmath.CvtF64F32(phv[:np*18*bn], phd[:np*18*bn])
+				for r := 4 * ng; r < bn; r++ {
+					seedOctLanes((*[18]float64)(phd[18*r:]), asn[r], acs[r], asn[bn+r], acs[bn+r])
+				}
+				xmath.CvtF64F32(phv, phd)
 				jj := t0 * nc
 				// visAdj is 0: with no tail, the channel loop already
 				// leaves the visibility pointers at the next time step.
-				if np == 2 {
-					a2 := vacc[64*(i+1-pix0) : 64*(i+1-pix0)+64]
-					rotAccOctsBlk2(&a[0], &a2[0],
-						&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
-						&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-						no, &phv[0], &phv[18*bn], bn, 0, 18*4)
-					i++
-				} else {
-					rotAccOctsBlk(&a[0],
-						&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
-						&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-						no, &phv[0], bn, 0, 18*4)
-				}
+				rotAccOctsBlk(&a[0],
+					&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
+					&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
+					no, &phv[0], bn, 0, 18*4)
 				continue
 			}
 			for t := t0; t < t1; t++ {
@@ -210,17 +192,13 @@ func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch
 				ds, dc := asn[o+seeds], acs[o+seeds]
 				j := t * nc
 				for ci, o0 := 0, 0; o0 < no; ci, o0 = ci+1, o0+chunkOcts {
-					on := no - o0
-					if on > chunkOcts {
-						on = chunkOcts
-					}
 					seedOctLanes(&phd18, asn[o+ci], acs[o+ci], ds, dc)
 					xmath.CvtF64F32(ph[:], phd18[:])
 					jj := j + 8*o0
 					rotAccOcts(&a[0],
 						&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 						&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-						on, &ph[0])
+						min(no-o0, chunkOcts), &ph[0])
 				}
 				if tail0 < nc {
 					sv, cv := float32(asn[o+seeds-1]), float32(acs[o+seeds-1])
@@ -245,18 +223,14 @@ func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch
 			}
 		}
 	}
-	start := k.ob.now()
-	sums := growF(&ts.sums, 8*(pix1-pix0))
-	foldOctLanes(sums, vacc)
-	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
-	k.ob.epilogueDone(start)
 }
 
 // degridTileVec32 is degridTileVec at eight float32 lanes: the
 // per-pixel phasor rotation pass runs through rotOcts and the
 // conjugate accumulation through conjAccOcts, eight pixels per
 // instruction, with a scalar float32 loop covering the n mod 8 pixel
-// tail. Seed and resync sweeps evaluate in batched float64
+// tail. Seed and resync sweeps stage their arguments as degridTileVec
+// does (phaseIndices, phaseArgs), evaluate in batched float64
 // (Kernels.sincosVec into the scratch sSin/sCos staging) and narrow
 // once into the float32 phasor buffers. Tail pixels and the lane fold
 // combine in a local accumulator before touching dst, preserving the
@@ -287,23 +261,17 @@ func degridTileVec32(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.U
 		tpre[p] = pre[p][i0:i1]
 		tpim[p] = pim[p][i0:i1]
 	}
-	scale0 := k.scale[item.Channel0]
 	arg := growF(&ts.sArg, 2*n)
 	asn := growF(&ts.sSin, 2*n)
 	acs := growF(&ts.sCos, 2*n)
 	for t := 0; t < item.NrTimesteps; t++ {
-		c3 := uvw[t]
-		for i := 0; i < n; i++ {
-			pIdx[i] = c3.U*l[i] + c3.V*m[i] + c3.W*nn[i]
-		}
+		k.phaseIndices(pIdx, l, m, nn, &uvw[t])
 		if useRec {
 			// Seed the per-pixel phasors at channel 0 and the delta
 			// phasors exp(i*pIdx*dscale) in one batched evaluation, then
 			// narrow into the float32 phasor state.
-			for i := 0; i < n; i++ {
-				arg[i] = pIdx[i]*scale0 - off[i]
-				arg[n+i] = pIdx[i] * k.dscale
-			}
+			k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0])
+			k.phaseArgs(arg[n:], pIdx, nil, k.dscale)
 			k.sincosVec(asn, acs, arg)
 			xmath.CvtF64F32(phIm, asn[:n])
 			xmath.CvtF64F32(phRe, acs[:n])
@@ -311,12 +279,9 @@ func degridTileVec32(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.U
 			xmath.CvtF64F32(dRe, acs[n:])
 		}
 		for c := 0; c < nc; c++ {
-			scale := k.scale[item.Channel0+c]
 			switch {
 			case !useRec, c != 0 && c%xmath.DefaultPhasorResync == 0:
-				for i := 0; i < n; i++ {
-					arg[i] = pIdx[i]*scale - off[i]
-				}
+				k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c])
 				k.sincosVec(asn, acs, arg[:n])
 				xmath.CvtF64F32(phIm, asn[:n])
 				xmath.CvtF64F32(phRe, acs[:n])

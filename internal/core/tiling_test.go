@@ -199,6 +199,9 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 				{"Float64NoVec", forceTier(xmath.SIMDScalar)},
 				{"Float64AVX2", forceTier(xmath.SIMDAVX2)},
 				{"Float32", func(p *Params) { p.Precision = Float32 }},
+				// As Float64AVX2: the oct-lane body an avx512 host no longer
+				// runs by default.
+				{"Float32AVX2", func(p *Params) { p.Precision = Float32; forceTier(xmath.SIMDAVX2)(p) }},
 			} {
 				name := fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc)
 				if ac.aterms {
@@ -263,8 +266,14 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 // last group. Pixel ranges that no row tiling produces (a single pixel,
 // a group shifted by three, a range ending mid-group) are swept against
 // the whole subgrid in one range, for a channel tail and for two resync
-// chunks, at two block depths.
+// chunks, at two block depths, in both precisions (groups of sixteen
+// and of thirty-two).
 func TestPixelLaneIndependence(t *testing.T) {
+	t.Run("float64", testPixelLaneIndependence[float64])
+	t.Run("float32", testPixelLaneIndependence[float32])
+}
+
+func testPixelLaneIndependence[F floatT](t *testing.T) {
 	skipWithoutAVX512(t)
 	const sg, nt = 10, 7
 	for _, nc := range []int{5, 70} {
@@ -272,17 +281,17 @@ func TestPixelLaneIndependence(t *testing.T) {
 		for _, bl := range []int{0, 3} {
 			k := tilingKernels(t, sg, nc, func(p *Params) { p.VisBlockTimesteps = bl })
 			s := k.getScratch()
-			planar := grow(&s.b64.planar, 8*nt*nc)
+			planar := grow(&bufsOf[F](s).planar, 8*nt*nc)
 			for j, v := range vis {
 				for p := 0; p < 4; p++ {
-					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = real(v[p]), imag(v[p])
+					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = F(real(v[p])), F(imag(v[p]))
 				}
 			}
 			want := make([]float64, 8*sg*sg)
-			gridLanesPix(k, item, uvw, s, s, want, 0, sg*sg)
+			gridLanesPix[F](k, item, uvw, s, s, want, 0, sg*sg)
 			for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
 				got := make([]float64, 8*(r[1]-r[0]))
-				gridLanesPix(k, item, uvw, s, s, got, r[0], r[1])
+				gridLanesPix[F](k, item, uvw, s, s, got, r[0], r[1])
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[8*r[0]+i]) {
 						t.Fatalf("nc=%d block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",

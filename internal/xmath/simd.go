@@ -21,9 +21,8 @@ const (
 	SIMDAVX2
 	// SIMDAVX512 additionally requires AVX-512 F/DQ/BW/VL with
 	// OS-enabled ZMM and opmask state: the 8-lane sincos, the 512-bit
-	// float64 gridder and degridder tile bodies, and the EVEX-encoded
-	// dual-pixel form of the blocked float32 gridder tile (256-bit
-	// arithmetic on registers Y16-Y31, which need AVX-512VL).
+	// pixel-lane gridder of both precisions, the fused float64
+	// degridder and the phase stagers.
 	SIMDAVX512
 )
 

@@ -65,8 +65,10 @@ bash benchmark/run.sh -workload all -smoke
 # compare their throughput against BENCH_kernels.json; a slowdown
 # beyond BENCH_THRESHOLD percent (default 10) fails CI. The float32
 # kernels are in the gate because they are the SIMD dispatch layer's
-# reason to exist: losing the vector path (a dispatch regression)
-# roughly halves their MVis/s, far beyond any threshold. The
+# reason to exist: a gridder that loses the avx512 tier's pixel-lane
+# body to the 256-bit oct lanes drops to under half its MVis/s, and
+# either kernel falling back to the generic tile to a tenth, far beyond
+# any threshold. The
 # short-item benchmarks guard the direct-phasor tile and the A-term
 # epilogue/prologue the same way: an item shape that falls back to the
 # generic scalar tile, or a sandwich that falls back to Matrix2
