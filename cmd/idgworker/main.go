@@ -76,6 +76,7 @@ func main() {
 		WStepLambda:    *wstep,
 		Workers:        *innerWorke,
 		GridShards:     1,
+		CheckpointDir:  *ckptDir,
 		CheckpointEvery: func() int {
 			if *ckptDir == "" {
 				return 0
@@ -90,14 +91,12 @@ func main() {
 	}
 
 	// The model must be derived from the config alone so every worker
-	// process predicts identical visibility bits.
-	probe := cfg
-	probe.CheckpointDir, probe.CheckpointEvery = "", 0
-	po, err := probe.BuildPlan()
+	// process predicts identical visibility bits; RunDistribWorker builds
+	// the one plan of this process.
+	model, err := cfg.StandardSkyModel(*sources)
 	if err != nil {
 		fail(err)
 	}
-	model := repro.StandardSkyModel(po, *sources)
 
 	opt := repro.DistribWorkerOptions{
 		Config:          cfg,

@@ -6,9 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -178,6 +180,37 @@ func TestDistribBuildsGeometryOnce(t *testing.T) {
 	}
 	if n := geometryBuilds.Load() - before; n != 4 {
 		t.Errorf("coordinator plus 3 self-building workers built the geometry %d times, want 4", n)
+	}
+}
+
+// TestConfigSkyModelBuildsNoPlan: the model cmd/idgworker derives from
+// its flags alone (ObservationConfig.StandardSkyModel) is the built
+// observation's, bit for bit, and costs no plan build — with the
+// checkpoint knobs set as the worker sets them, which a config without
+// its directory would fail to validate.
+func TestConfigSkyModelBuildsNoPlan(t *testing.T) {
+	cfg := distribGoldenConfig()
+	cfg.CheckpointDir, cfg.CheckpointEvery = t.TempDir(), 2
+	before := geometryBuilds.Load()
+	got, err := cfg.StandardSkyModel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := geometryBuilds.Load() - before; n != 0 {
+		t.Errorf("deriving the model from the config built the geometry %d times, want 0", n)
+	}
+	o, err := cfg.BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StandardSkyModel(o, 3)
+	if len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("config-derived model %v, the built observation's %v", got, want)
+	}
+	bad := cfg
+	bad.NrStations = 1
+	if _, err := bad.StandardSkyModel(3); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("an invalid config gives %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -59,7 +59,25 @@ func (o *Observation) PartitionPlan(axis DistribAxis, workers, index int) (*Plan
 // same visibility bits — which is what lets distributed workers fill
 // their data independently yet grid a partition of one observation.
 func StandardSkyModel(o *Observation, sources int) SkyModel {
-	pix := o.ImageSize / float64(o.Config.GridSize)
+	return standardSkyModel(o.ImageSize/float64(o.Config.GridSize), sources)
+}
+
+// StandardSkyModel is the package-level StandardSkyModel of the
+// observation c builds, bit for bit, from c alone: the field of view
+// needs the layout and the uvw extent but no plan, so a worker process
+// that is about to build its own plan does not build a second one for
+// its model.
+func (c ObservationConfig) StandardSkyModel(sources int) (SkyModel, error) {
+	_, _, imageSize, err := c.fieldOfView()
+	if err != nil {
+		return nil, err
+	}
+	return standardSkyModel(imageSize/float64(c.GridSize), sources), nil
+}
+
+// standardSkyModel places the standard sources on a grid of pixel
+// scale pix (direction cosine per pixel).
+func standardSkyModel(pix float64, sources int) SkyModel {
 	offsets := [][3]float64{{40, -24, 1.0}, {-72, 52, 0.6}, {16, 88, 0.4}, {-30, -70, 0.3}}
 	model := make(SkyModel, 0, len(offsets))
 	for i := 0; i < sources && i < len(offsets); i++ {

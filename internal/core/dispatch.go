@@ -27,15 +27,15 @@ type simdDispatch struct {
 // tier adds is selected inside them, keyed on the tier resolved here
 // and on the item's channel comb:
 //
-//   - gridder, both precisions: every item the recurrence applies to
-//     (uniform comb, phasorMinChannels or more) runs with a pixel per
-//     lane (Kernels.pixelLanes, gridLanesPix): sixteen float64 pixels
-//     per call through rotAccPixBlk64, thirty-two float32 pixels through
-//     rotAccPixBlk32. The float64 rest keeps the 256-bit direct-phasor
-//     form; the float32 rest is the generic tile on every tier.
-//   - float64 degridder: every recurrence item runs the fused,
-//     channel-blocked rotConjAccOctsBlk64, eight pixels per ZMM. The
-//     float32 degridder keeps its 256-bit per-(t, c) calls.
+//   - both precisions: every item the recurrence applies to (uniform
+//     comb, phasorMinChannels or more: Kernels.fullWidth) grids with a
+//     pixel per lane (gridLanesPix: sixteen float64 pixels per call
+//     through rotAccPixBlk64, thirty-two float32 pixels through
+//     rotAccPixBlk32) and degrids fused over the channels of a resync
+//     chunk (degridTileVec: rotConjAccOctsBlk64 at eight pixels per ZMM,
+//     rotConjAccBlk32 at sixteen). The float64 rest keeps the 256-bit
+//     direct-phasor gridder, the float32 rest the generic gridder tile;
+//     both keep the 256-bit per-(t, c) degridder calls.
 //   - all four: the phase arguments are staged by the 512-bit stagePIdx
 //     and stageArgs instead of Go loops.
 //   - the batched sine/cosine seeding inside xmath.SincosVec runs
@@ -46,17 +46,17 @@ type simdDispatch struct {
 // about twice the lane-FMA rate at ZMM width that it does at YMM width,
 // and no kernel is slower on the avx512 tier than on avx2
 // (EXPERIMENTS.md, "Float64 tiles at full register width", "Pixels in
-// the lanes" and "Float32 pixels in the lanes", has the pairs and the
-// per-tier tables). The float32 degridder and the direct-phasor tile
-// are the 256-bit bodies left on this tier; neither has been measured
-// wider.
+// the lanes", "Float32 pixels in the lanes" and "Float32 degridder
+// fused over the channels", has the pairs and the per-tier tables). The
+// direct-phasor tile is the 256-bit body left on this tier; it has not
+// been measured wider.
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
 	d := simdDispatch{tier: tier}
 	if haveVectorASM && tier >= xmath.SIMDAVX2 {
 		d.gridVec64 = gridTileVec
-		d.degridVec64 = degridTileVec
+		d.degridVec64 = degridTileVec[float64]
 		d.gridVec32 = gridTileVec32
-		d.degridVec32 = degridTileVec32
+		d.degridVec32 = degridTileVec[float32]
 	}
 	return d
 }
@@ -90,14 +90,14 @@ func (si SIMDInfo) String() string {
 }
 
 // The tile bodies dispatched per vector tier, as SIMDInfo names them.
-// The avx512 strings state the one rule that tier selects by
-// (Kernels.pixelLanes; the float64 degridder's fused form has the same
-// one); TestDispatchPerTier holds the stated threshold against it.
+// The avx512 strings state the one rule that tier selects by, gridder
+// and degridder alike (Kernels.fullWidth); TestDispatchPerTier holds the
+// stated threshold against it.
 const (
 	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
 	tiles64AVX512 = "avx512 8-lane: uniform nc>=3 -> 16-pixel-lane gridder, fused degridder; else avx2+fma 4-lane direct phasors; staged phases"
 	tiles32AVX2   = "avx2+fma 8-lane"
-	tiles32AVX512 = "avx512 16-lane: uniform nc>=3 -> 32-pixel-lane gridder; avx2+fma 8-lane degridder; staged phases"
+	tiles32AVX512 = "avx512 16-lane: uniform nc>=3 -> 32-pixel-lane gridder, fused degridder; else generic gridder, avx2+fma 8-lane degridder; staged phases"
 )
 
 // SIMDInfo reports the SIMD dispatch this Kernels value resolved to.
@@ -111,8 +111,8 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		Lanes:    1,
 	}
 	if k.disp.gridVec64 != nil {
-		// The bodies gridTileVec (pixelLanes, then vecRecurrence) and
-		// degridTileVec select between.
+		// The bodies gridTileVec (fullWidth, then vecRecurrence) and
+		// degridTileVec (fullWidth) select between.
 		si.Tiles64 = tiles64AVX2
 		if k.disp.tier >= xmath.SIMDAVX512 {
 			si.Tiles64 = tiles64AVX512

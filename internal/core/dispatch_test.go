@@ -85,8 +85,9 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 // channels), counts with channel tails, the recurrence threshold and
 // its neighbour below, and a second and a third resync chunk; on the
 // avx512 tier everything from the threshold up is the pixel-lane
-// gridder, in both precisions. Run with -v for each float32 gridder's
-// measured error as a share of its bound (EXPERIMENTS.md has the table).
+// gridder, in both precisions. Run with -v for each float32 gridder's and
+// degridder's measured error as a share of its bound (EXPERIMENTS.md has
+// the tables).
 //
 // The float64 tiers are not bitwise equal to each other — the avx512
 // gridder builds each sum as one chain where avx2 folds four lanes, its
@@ -96,8 +97,12 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 // magnitude inside the bound each tier holds against the reference.
 //
 // Tiles64 and Tiles32 are checked against what ran: the threshold the
-// avx512 strings state must be the one Kernels.pixelLanes branches on,
-// and no other tier may claim or take the pixel-lane body.
+// avx512 strings state must be the one Kernels.fullWidth branches on,
+// the clause it governs must name both bodies that predicate selects,
+// and no other tier may claim or take them. For the degridder the bits
+// say which body ran: from the stated threshold up the avx512
+// visibilities differ from avx2's (the fused kernel folds twice the
+// lanes), below it they are identical.
 func TestDispatchPerTier(t *testing.T) {
 	const sg, nt = 12, 8
 	for _, nc := range []int{2, 3, 5, 8, 16, 21, 24, 37, 64, 66, 130} {
@@ -112,7 +117,8 @@ func TestDispatchPerTier(t *testing.T) {
 		tol64 := 2*2*math.Sqrt2*float64(nt*nc)*maxAmp*phaseBound + 1e-9
 		tolVis64 := 2*2*math.Sqrt2*float64(sg*sg)*pixAmp*phaseBound + 1e-9
 		grids64 := map[xmath.SIMDTier]*grid.Subgrid{}
-		vis64 := map[xmath.SIMDTier][]xmath.Matrix2{}
+		visOf := map[Precision]map[xmath.SIMDTier][]xmath.Matrix2{Float64: {}, Float32: {}}
+		fusedFrom := 0 // the avx512 strings' stated threshold
 		for _, tier := range coreHostTiers() {
 			for _, prec := range []Precision{Float64, Float32} {
 				k := tilingKernels(t, sg, nc, func(p *Params) {
@@ -124,9 +130,13 @@ func TestDispatchPerTier(t *testing.T) {
 					if i := strings.Index(tiles, "nc>="); i >= 0 {
 						fmt.Sscanf(tiles[i:], "nc>=%d", &stated)
 					}
-					if (stated > 0) != (tier >= xmath.SIMDAVX512) || k.pixelLanes(nc) != (stated > 0 && nc >= stated) {
-						t.Fatalf("nc=%d tier %v: pixel lanes = %v, but tiles=%q", nc, tier, k.pixelLanes(nc), tiles)
+					if (stated > 0) != (tier >= xmath.SIMDAVX512) || k.fullWidth(nc) != (stated > 0 && nc >= stated) {
+						t.Fatalf("nc=%d tier %v: full-width bodies = %v, but tiles=%q", nc, tier, k.fullWidth(nc), tiles)
 					}
+					if clause, _, _ := strings.Cut(tiles, ";"); stated > 0 && !(strings.Contains(clause, "pixel-lane gridder") && strings.Contains(clause, "fused degridder")) {
+						t.Fatalf("tier %v: %q puts a full-width body outside its nc>= clause", tier, tiles)
+					}
+					fusedFrom = max(fusedFrom, stated)
 				}
 				got := grid.NewSubgrid(sg, item.X0, item.Y0)
 				k.GridSubgrid(item, uvw, vis, nil, nil, got)
@@ -137,8 +147,9 @@ func TestDispatchPerTier(t *testing.T) {
 					tol = 2*float32GridBound(nt*nc, maxAmp, phaseBound) + 1e-9
 					tolVis = 2*float32GridBound(sg*sg, pixAmp, phaseBound) + 1e-9
 				} else {
-					grids64[tier], vis64[tier] = got, gotVis
+					grids64[tier] = got
 				}
+				visOf[prec][tier] = gotVis
 				d := got.MaxAbsDiff(want)
 				if d > tol {
 					t.Fatalf("nc=%d tier %v %v: gridder differs from reference by %g (bound %g)", nc, tier, prec, d, tol)
@@ -146,8 +157,13 @@ func TestDispatchPerTier(t *testing.T) {
 				if prec == Float32 {
 					t.Logf("nc=%d tier %v float32 gridder: error %.3g, %.2g of the bound", nc, tier, d, d/tol)
 				}
-				if d := maxVisDiff(gotVis, wantVis); d > tolVis {
+				d = maxVisDiff(gotVis, wantVis)
+				if d > tolVis {
 					t.Fatalf("nc=%d tier %v %v: degridder differs from reference by %g (bound %g)", nc, tier, prec, d, tolVis)
+				}
+				if prec == Float32 {
+					t.Logf("nc=%d tier %v float32 degridder: error %.3g, %.2g of the largest visibility, %.2g of the bound",
+						nc, tier, d, d/maxVisDiff(wantVis, make([]xmath.Matrix2, len(wantVis))), d/tolVis)
 				}
 			}
 		}
@@ -160,8 +176,13 @@ func TestDispatchPerTier(t *testing.T) {
 			if d, tol := wide.MaxAbsDiff(grids64[xmath.SIMDAVX2]), reassoc(nt*nc, maxAmp); d > tol {
 				t.Fatalf("nc=%d: float64 gridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
 			}
-			if d, tol := maxVisDiff(vis64[xmath.SIMDAVX512], vis64[xmath.SIMDAVX2]), reassoc(sg*sg, pixAmp); d > tol {
+			if d, tol := maxVisDiff(visOf[Float64][xmath.SIMDAVX512], visOf[Float64][xmath.SIMDAVX2]), reassoc(sg*sg, pixAmp); d > tol {
 				t.Fatalf("nc=%d: float64 degridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
+			}
+			for prec, vis := range visOf {
+				if same := visEqual(vis[xmath.SIMDAVX512], vis[xmath.SIMDAVX2]); same == (nc >= fusedFrom) {
+					t.Fatalf("nc=%d %v: avx512 degridder bits equal avx2's = %v, but the tiles strings put the fused degridder at nc>=%d", nc, prec, same, fusedFrom)
+				}
 			}
 		}
 	}

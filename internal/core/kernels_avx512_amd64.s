@@ -5,22 +5,24 @@
 // The full-width tile bodies of the SIMDAVX512 dispatch tier: the
 // gridder's recurrence with a pixel per lane, sixteen float64 pixels in
 // two ZMM octs (rotAccPixBlk64) or thirty-two float32 pixels in two ZMM
-// of sixteen (rotAccPixBlk32), the float64 degridder's fused,
-// channel-blocked rotate-and-accumulate at eight pixels per ZMM
-// (rotConjAccOctsBlk64), and the phase stagers every one of them runs
-// ahead of its sincos batch (stagePIdx, stageArgs). See simd_amd64.go
+// of sixteen (rotAccPixBlk32), the degridder's fused, channel-blocked
+// rotate-and-accumulate at eight float64 or sixteen float32 pixels per
+// ZMM (rotConjAccOctsBlk64, rotConjAccBlk32), and the phase stagers
+// every one of them runs ahead of its sincos batch (stagePIdx,
+// stageArgs). See simd_amd64.go
 // for the contracts, tile_vec.go for the callers. Only that tier
 // reaches this file: xmath's detection requires AVX-512 F+DQ+BW+VL and
 // OS-saved opmask/ZMM state. All routines are NOSPLIT leaves and
 // VZEROUPPER before returning to Go code.
 
-// TAIL_MASK sets K1 to the low (cnt mod 8) lanes; clobbers CX and DX.
-#define TAIL_MASK(cnt) \
-	MOVQ  cnt, CX \
-	ANDQ  $7, CX  \
-	MOVQ  $1, DX  \
-	SHLQ  CX, DX  \
-	DECQ  DX      \
+// TAIL_MASK sets K1 to the low (cnt mod lanes) lanes of a register of
+// eight or sixteen, given lanes-1; clobbers CX and DX.
+#define TAIL_MASK(cnt, lanes1) \
+	MOVQ  cnt, CX    \
+	ANDQ  lanes1, CX \
+	MOVQ  $1, DX     \
+	SHLQ  CX, DX     \
+	DECQ  DX         \
 	KMOVW DX, K1
 
 // REDUCE8 folds the eight 8-lane accumulators Z4..Z11 into the eight
@@ -173,55 +175,58 @@ pixchanloop:
 	VZEROUPPER
 	RET
 
-// LDU/STU and LDM/STM are the two flavours of pixel access FUSED_OCT is
-// instantiated with: plain, and under opmask K1 (masked-out lanes load
-// as zero and are not stored).
+// LDU/STU and LDM/STM are the two flavours of pixel access the sweeps
+// below are instantiated with: plain, and under opmask K1 (masked-out
+// lanes load as zero and are not stored).
 #define LDU(src, dst) VMOVUPD src, dst
 #define STU(src, dst) VMOVUPD src, dst
 #define LDM(src, dst) VMOVUPD.Z src, K1, dst
 #define STM(src, dst) VMOVUPD src, K1, dst
 
-// FUSED_OCT is one oct of pixels of rotConjAccOctsBlk64 at byte offset
-// R14 of the phasor arrays (BX phRe, CX phIm, R10 dRe, R11 dIm) and at
-// SI/DI in the pixel planes (SI planes 0-3, DI planes 4-7, R8 and R9
-// one and three plane strides): conjAccQuads' FMA sequence into Z4-Z11,
-// then rotQuads' — phIm' = phIm*dRe + phRe*dIm, phRe' = phRe*dRe -
-// phIm*dIm — stored back in place.
-#define FUSED_OCT(LD, ST) \
-	LD((BX)(R14*1), Z0)       \ // cr = phRe
-	LD((CX)(R14*1), Z1)       \ // -ci = phIm (conjugate phasor)
-	LD((SI), Z12)             \ // vr, correlation 0
-	LD((SI)(R8*1), Z13)       \ // vi
-	VFMADD231PD  Z0, Z12, Z4  \ // s_re += vr*cr
-	VFMADD231PD  Z1, Z13, Z4  \ // s_re += vi*phIm  (= -vi*ci)
-	VFNMADD231PD Z1, Z12, Z5  \ // s_im -= vr*phIm  (= +vr*ci)
-	VFMADD231PD  Z0, Z13, Z5  \ // s_im += vi*cr
-	LD((SI)(R8*2), Z12)       \
-	LD((SI)(R9*1), Z13)       \
-	VFMADD231PD  Z0, Z12, Z6  \
-	VFMADD231PD  Z1, Z13, Z6  \
-	VFNMADD231PD Z1, Z12, Z7  \
-	VFMADD231PD  Z0, Z13, Z7  \
-	LD((DI), Z12)             \
-	LD((DI)(R8*1), Z13)       \
-	VFMADD231PD  Z0, Z12, Z8  \
-	VFMADD231PD  Z1, Z13, Z8  \
-	VFNMADD231PD Z1, Z12, Z9  \
-	VFMADD231PD  Z0, Z13, Z9  \
-	LD((DI)(R8*2), Z12)       \
-	LD((DI)(R9*1), Z13)       \
-	VFMADD231PD  Z0, Z12, Z10 \
-	VFMADD231PD  Z1, Z13, Z10 \
-	VFNMADD231PD Z1, Z12, Z11 \
-	VFMADD231PD  Z0, Z13, Z11 \
-	LD((R10)(R14*1), Z2)      \ // dRe
-	LD((R11)(R14*1), Z3)      \ // dIm
-	VMULPD       Z2, Z1, Z14  \
-	VFMADD231PD  Z3, Z0, Z14  \
-	VMULPD       Z2, Z0, Z15  \
-	VFNMADD231PD Z3, Z1, Z15  \
-	ST(Z14, (CX)(R14*1))      \
+// FUSED_VEC is one register of pixels of the fused degridder kernels at
+// byte offset R14 of the phasor arrays (BX phRe, CX phIm, R10 dRe, R11
+// dIm) and at SI/DI in the pixel planes (SI planes 0-3, DI planes 4-7,
+// R8 and R9 one and three plane strides): conjAccQuads' FMA sequence
+// into Z4-Z11, then rotQuads' — phIm' = phIm*dRe + phRe*dIm, phRe' =
+// phRe*dRe - phIm*dIm — stored back in place. MUL, FMA and FNMA are the
+// element width's mnemonics (FUSED_OCT, FUSED_HEX).
+#define FUSED_VEC(LD, ST, MUL, FMA, FNMA) \
+	LD((BX)(R14*1), Z0)  \ // cr = phRe
+	LD((CX)(R14*1), Z1)  \ // -ci = phIm (conjugate phasor)
+	LD((SI), Z12)        \ // vr, correlation 0
+	LD((SI)(R8*1), Z13)  \ // vi
+	FMA  Z0, Z12, Z4     \ // s_re += vr*cr
+	FMA  Z1, Z13, Z4     \ // s_re += vi*phIm  (= -vi*ci)
+	FNMA Z1, Z12, Z5     \ // s_im -= vr*phIm  (= +vr*ci)
+	FMA  Z0, Z13, Z5     \ // s_im += vi*cr
+	LD((SI)(R8*2), Z12)  \
+	LD((SI)(R9*1), Z13)  \
+	FMA  Z0, Z12, Z6     \
+	FMA  Z1, Z13, Z6     \
+	FNMA Z1, Z12, Z7     \
+	FMA  Z0, Z13, Z7     \
+	LD((DI), Z12)        \
+	LD((DI)(R8*1), Z13)  \
+	FMA  Z0, Z12, Z8     \
+	FMA  Z1, Z13, Z8     \
+	FNMA Z1, Z12, Z9     \
+	FMA  Z0, Z13, Z9     \
+	LD((DI)(R8*2), Z12)  \
+	LD((DI)(R9*1), Z13)  \
+	FMA  Z0, Z12, Z10    \
+	FMA  Z1, Z13, Z10    \
+	FNMA Z1, Z12, Z11    \
+	FMA  Z0, Z13, Z11    \
+	LD((R10)(R14*1), Z2) \ // dRe
+	LD((R11)(R14*1), Z3) \ // dIm
+	MUL  Z2, Z1, Z14     \
+	FMA  Z3, Z0, Z14     \
+	MUL  Z2, Z0, Z15     \
+	FNMA Z3, Z1, Z15     \
+	ST(Z14, (CX)(R14*1)) \
 	ST(Z15, (BX)(R14*1))
+#define FUSED_OCT(LD, ST) FUSED_VEC(LD, ST, VMULPD, VFMADD231PD, VFNMADD231PD)
+#define FUSED_HEX(LD, ST) FUSED_VEC(LD, ST, VMULPS, VFMADD231PS, VFNMADD231PS)
 
 // func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)
 //
@@ -254,7 +259,7 @@ TEXT ·rotConjAccOctsBlk64(SB), NOSPLIT, $0-72
 	// R12 = whole octs per sweep, R13 = the n mod 8 pixels past them,
 	// K1 = their lane mask.
 	MOVQ n+56(FP), R12
-	TAIL_MASK(R12)
+	TAIL_MASK(R12, $7)
 	MOVQ R12, R13
 	SHRQ $3, R12
 	ANDQ $7, R13
@@ -327,7 +332,7 @@ TEXT ·stagePIdx(SB), NOSPLIT, $0-56
 	MOVQ npix+32(FP), R10
 	MOVQ uvw+40(FP), BX
 	MOVQ nt+48(FP), R11
-	TAIL_MASK(R10)
+	TAIL_MASK(R10, $7)
 	MOVQ R10, R12
 	SHRQ $3, R12                // whole octs per row
 	ANDQ $7, R10                // pixels past them
@@ -389,7 +394,7 @@ TEXT ·stageArgs(SB), NOSPLIT, $0-56
 	VBROADCASTSD scale+32(FP), Z0
 	MOVQ         npix+40(FP), R10
 	MOVQ         nt+48(FP), R11
-	TAIL_MASK(R10)
+	TAIL_MASK(R10, $7)
 	MOVQ R10, R12
 	SHRQ $3, R12
 	ANDQ $7, R10
@@ -495,5 +500,105 @@ pix32chanloop:
 
 	MOVQ acc+0(FP), AX
 	PIX_SUMS(PIX_ST)
+	VZEROUPPER
+	RET
+
+// LDM32/STM32 are LDM/STM at float32 granularity: K1 masks sixteen lanes.
+#define LDM32(src, dst) VMOVUPS.Z src, K1, dst
+#define STM32(src, dst) VMOVUPS src, K1, dst
+
+// FOLD_HALVES adds the upper eight float32 lanes of accumulator z onto
+// its lower eight (y is z's YMM name): lane i becomes l(i) + l(i+8).
+#define FOLD_HALVES(z, y, tmp) \
+	VEXTRACTF64X4 $1, z, tmp \
+	VADDPS        tmp, y, y
+
+// REDUCE16 folds the eight 16-lane float32 accumulators Z4..Z11 into
+// the eight lanes of Y4 (lane k = the sum of accumulator k's lanes):
+// first the halves, m(i) = l(i) + l(i+8), then a pairwise tree over the
+// eight m, ((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7)) — two rounds of VHADDPS,
+// which sum adjacent pairs and interleave two accumulators per 128-bit
+// lane, then the two 128-bit lanes. Clobbers Y5-Y13.
+#define REDUCE16 \
+	FOLD_HALVES(Z4, Y4, Y12)        \
+	FOLD_HALVES(Z5, Y5, Y13)        \
+	FOLD_HALVES(Z6, Y6, Y12)        \
+	FOLD_HALVES(Z7, Y7, Y13)        \
+	FOLD_HALVES(Z8, Y8, Y12)        \
+	FOLD_HALVES(Z9, Y9, Y13)        \
+	FOLD_HALVES(Z10, Y10, Y12)      \
+	FOLD_HALVES(Z11, Y11, Y13)      \
+	VHADDPS    Y5, Y4, Y4           \ // [a01 a23 b01 b23 | a45 a67 b45 b67] of Z4, Z5
+	VHADDPS    Y7, Y6, Y6           \
+	VHADDPS    Y9, Y8, Y8           \
+	VHADDPS    Y11, Y10, Y10        \
+	VHADDPS    Y6, Y4, Y4           \ // [a0123 b0123 c0123 d0123 | a4567 ... d4567]
+	VHADDPS    Y10, Y8, Y8          \ // the same of Z8..Z11
+	VPERM2F128 $0x20, Y8, Y4, Y12   \ // the eight 0123 sums
+	VPERM2F128 $0x31, Y8, Y4, Y13   \ // the eight 4567 sums
+	VADDPS     Y13, Y12, Y4
+
+// func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int)
+//
+// rotConjAccOctsBlk64 at sixteen float32 pixels per instruction: per
+// channel one FUSED_HEX sweep over the n pixels — conjAccOcts' FMA
+// sequence per pixel, then rotOcts' rotation in place — the n mod 16
+// pixels past the last whole register under the opmask K1, the eight
+// sums folded (REDUCE16) and added once into dst, which advances eight
+// float32 per channel.
+TEXT ·rotConjAccBlk32(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), AX
+	MOVQ phRe+8(FP), BX
+	MOVQ dRe+24(FP), R10
+	MOVQ dIm+32(FP), R11
+	MOVQ stride+48(FP), R8
+	MOVQ nch+64(FP), R15
+	LEAQ (R8)(R8*2), R9         // 3*stride
+
+	// R12 = whole registers per sweep, R13 = the n mod 16 pixels past
+	// them, K1 = their lane mask.
+	MOVQ n+56(FP), R12
+	TAIL_MASK(R12, $15)
+	MOVQ R12, R13
+	SHRQ $4, R12
+	ANDQ $15, R13
+	MOVQ phIm+16(FP), CX
+
+fused32chloop:
+	MOVQ   planes+40(FP), SI
+	LEAQ   (SI)(R8*4), DI
+	XORQ   R14, R14
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	MOVQ   R12, DX
+	TESTQ  DX, DX
+	JZ     fused32tail
+
+fused32pixloop:
+	FUSED_HEX(LDU, STU)
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  fused32pixloop
+
+fused32tail:
+	TESTQ R13, R13
+	JZ    fused32fold
+	FUSED_HEX(LDM32, STM32)
+
+fused32fold:
+	REDUCE16
+	VADDPS  (AX), Y4, Y4
+	VMOVUPS Y4, (AX)
+	ADDQ    $32, AX
+	DECQ    R15
+	JNZ     fused32chloop
 	VZEROUPPER
 	RET

@@ -22,9 +22,19 @@ func skipWithoutAVX512(t *testing.T) {
 	}
 }
 
-// foldOct64Ref is REDUCE8's order for one accumulator's eight lanes.
-func foldOct64Ref(l []float64) float64 {
+// foldOctRef is REDUCE8's order for one accumulator's eight lanes.
+func foldOctRef[F floatT](l []F) F {
 	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+// foldHexRef is REDUCE16's order for one accumulator's sixteen lanes:
+// the halves first, then REDUCE8's tree over the eight pair sums.
+func foldHexRef[F floatT](l []F) F {
+	var m [8]F
+	for i := range m {
+		m[i] = l[i] + l[i+8]
+	}
+	return foldOctRef(m[:])
 }
 
 // fma32 is the float32 fused multiply-add, a*b + c rounded once, which
@@ -240,30 +250,47 @@ func TestPhaseStagersBoundsAndTranscription(t *testing.T) {
 	}
 }
 
-// rotConjAccOctsRef is the scalar transcription of rotConjAccOctsBlk64:
-// per channel, pixel i accumulates into lane i mod 8 with conjAccQuads'
-// FMA sequence, the lanes fold in REDUCE8's order and add once into
-// dst, and the phasors advance with rotQuads' sequence.
-func rotConjAccOctsRef(dst, phRe, phIm, dRe, dIm []float64, planes *[8][]float64, n, nch int) {
+// rotConjAccRef is the scalar transcription of rotConjAccOctsBlk64 and
+// rotConjAccBlk32: per channel, pixel i accumulates into lane i mod
+// lanes with conjAccQuads' FMA sequence, the lanes fold in the kernel's
+// order and add once into dst, and the phasors advance with rotQuads'
+// sequence. fma is F's fused multiply-add.
+func rotConjAccRef[F floatT](dst, phRe, phIm, dRe, dIm []F, planes *[8][]F, n, nch, lanes int, fma func(a, b, c F) F, fold func([]F) F) {
 	for c := 0; c < nch; c++ {
-		var acc [8][8]float64
+		var acc [8][16]F
 		for i := 0; i < n; i++ {
-			lane := i % 8
+			lane := i % lanes
 			cr, pi := phRe[i], phIm[i]
 			for p := 0; p < 4; p++ {
 				vr, vi := planes[2*p][i], planes[2*p+1][i]
-				acc[2*p][lane] = math.FMA(vr, cr, acc[2*p][lane])
-				acc[2*p][lane] = math.FMA(vi, pi, acc[2*p][lane])
-				acc[2*p+1][lane] = math.FMA(-vr, pi, acc[2*p+1][lane])
-				acc[2*p+1][lane] = math.FMA(vi, cr, acc[2*p+1][lane])
+				acc[2*p][lane] = fma(vr, cr, acc[2*p][lane])
+				acc[2*p][lane] = fma(vi, pi, acc[2*p][lane])
+				acc[2*p+1][lane] = fma(-vr, pi, acc[2*p+1][lane])
+				acc[2*p+1][lane] = fma(vi, cr, acc[2*p+1][lane])
 			}
-			phIm[i] = math.FMA(cr, dIm[i], pi*dRe[i])
-			phRe[i] = math.FMA(-pi, dIm[i], cr*dRe[i])
+			phIm[i] = fma(cr, dIm[i], pi*dRe[i])
+			phRe[i] = fma(-pi, dIm[i], cr*dRe[i])
 		}
 		for k := range acc {
-			dst[8*c+k] += foldOct64Ref(acc[k][:])
+			dst[8*c+k] += fold(acc[k][:lanes])
 		}
 	}
+}
+
+// fusedDegridKernel describes one of the two fused degridder kernels to
+// testRotConjAccBlk: its register width in pixels, its scalar
+// ingredients, and the 256-bit conjAcc/rot pair it replaces (half the
+// lanes; one channel per call).
+type fusedDegridKernel[F floatT] struct {
+	name    string
+	lanes   int
+	nchs    []int
+	fma     func(a, b, c F) F
+	fold    func([]F) F
+	eps     float64
+	kernel  func(dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch int)
+	conjAcc func(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *F, n int)
+	rot     func(phRe, phIm, dRe, dIm *F, n int)
 }
 
 // TestRotConjAccOctsBlk64BoundsAndTranscription sweeps pixel counts on
@@ -273,50 +300,78 @@ func rotConjAccOctsRef(dst, phRe, phIm, dRe, dIm []float64, planes *[8][]float64
 // the tile, and the sums must agree with conjAccQuads' (a different
 // lane count, so a different association) to rounding.
 func TestRotConjAccOctsBlk64BoundsAndTranscription(t *testing.T) {
+	testRotConjAccBlk(t, fusedDegridKernel[float64]{
+		name: "rotConjAccOctsBlk64", lanes: 8, nchs: []int{1, 2, 5, 16},
+		fma: math.FMA, fold: foldOctRef[float64], eps: 0x1p-52,
+		kernel: rotConjAccOctsBlk64, conjAcc: conjAccQuads, rot: rotQuads,
+	})
+}
+
+// TestRotConjAccBlk32BoundsAndTranscription is the same for the float32
+// kernel — every n mod 16 residue, tiles of fewer than sixteen pixels,
+// one channel up to a whole resync chunk — against rotOcts and
+// conjAccOcts where the oct kernels cover the tile.
+func TestRotConjAccBlk32BoundsAndTranscription(t *testing.T) {
+	testRotConjAccBlk(t, fusedDegridKernel[float32]{
+		name: "rotConjAccBlk32", lanes: 16, nchs: []int{1, 2, 63, 64},
+		fma: fma32, fold: foldHexRef[float32], eps: 0x1p-23,
+		kernel: rotConjAccBlk32, conjAcc: conjAccOcts, rot: rotOcts,
+	})
+}
+
+func testRotConjAccBlk[F floatT](t *testing.T, fk fusedDegridKernel[F]) {
 	skipWithoutAVX512(t)
-	for n := 1; n <= 33; n++ {
-		for _, nch := range []int{1, 2, 5, 16} {
-			what := fmt.Sprintf("rotConjAccOctsBlk64 n=%d nch=%d", n, nch)
+	half := fk.lanes / 2
+	for n := 1; n <= 4*fk.lanes+1; n++ {
+		for _, nch := range fk.nchs {
+			what := fmt.Sprintf("%s n=%d nch=%d", fk.name, n, nch)
 			c := &canaried{rnd: newTestRand(uint64(40*n + nch))}
-			phRe, phIm, dRe, dIm := c.buf(n), c.buf(n), c.buf(n), c.buf(n)
+			phRe, phIm := canaryBuf[F](c, n), canaryBuf[F](c, n)
+			dRe, dIm := canaryBuf[F](c, n), canaryBuf[F](c, n)
+			// Delta phasors of unit modulus, as the degridder's are: the
+			// state stays finite over a whole chunk of rotations.
+			for i := range dRe {
+				s, co := math.Sincos(float64(dIm[i]))
+				dRe[i], dIm[i] = F(co), F(s)
+			}
 			// The planes sit at a fixed pitch inside one block, like the
 			// degridder's planar arena; the tile is its first n pixels.
 			pitch := n + 3
-			block := c.buf(7*pitch + n)
-			var planes [8][]float64
+			block := canaryBuf[F](c, 7*pitch+n)
+			var planes [8][]F
 			for j := range planes {
 				planes[j] = block[j*pitch : j*pitch+n]
 				for g := j*pitch + n; g < (j+1)*pitch && g < len(block); g++ {
-					block[g] = math.Float64frombits(canaryBits) // a read past the tile's n poisons a sum
+					block[g] = F(math.Float64frombits(canaryBits)) // a read past the tile's n poisons a sum
 				}
 			}
-			dst := c.buf(8 * nch)
-			want := append([]float64(nil), dst...)
-			wRe, wIm := append([]float64(nil), phRe...), append([]float64(nil), phIm...)
-			qRe, qIm := append([]float64(nil), phRe...), append([]float64(nil), phIm...)
-			quad := append([]float64(nil), dst...)
-			rotConjAccOctsRef(want, wRe, wIm, dRe, dIm, &planes, n, nch)
-			if n%4 == 0 {
+			dst := canaryBuf[F](c, 8*nch)
+			want := append([]F(nil), dst...)
+			wRe, wIm := append([]F(nil), phRe...), append([]F(nil), phIm...)
+			qRe, qIm := append([]F(nil), phRe...), append([]F(nil), phIm...)
+			narrow := append([]F(nil), dst...)
+			rotConjAccRef(want, wRe, wIm, dRe, dIm, &planes, n, nch, fk.lanes, fk.fma, fk.fold)
+			if n%half == 0 {
 				for ch := 0; ch < nch; ch++ {
-					conjAccQuads(&quad[8*ch], &qRe[0], &qIm[0],
+					fk.conjAcc(&narrow[8*ch], &qRe[0], &qIm[0],
 						&planes[0][0], &planes[1][0], &planes[2][0], &planes[3][0],
-						&planes[4][0], &planes[5][0], &planes[6][0], &planes[7][0], n/4)
-					rotQuads(&qRe[0], &qIm[0], &dRe[0], &dIm[0], n/4)
+						&planes[4][0], &planes[5][0], &planes[6][0], &planes[7][0], n/half)
+					fk.rot(&qRe[0], &qIm[0], &dRe[0], &dIm[0], n/half)
 				}
 			}
-			rotConjAccOctsBlk64(&dst[0], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
-				&block[0], 8*pitch, n, nch)
+			fk.kernel(&dst[0], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
+				&block[0], int(unsafe.Sizeof(F(0)))*pitch, n, nch)
 			c.check(t, what)
 			requireBitwise(t, what+" sums", dst, want)
 			requireBitwise(t, what+" phRe", phRe, wRe)
 			requireBitwise(t, what+" phIm", phIm, wIm)
-			if n%4 == 0 {
-				requireBitwise(t, what+" phRe against rotQuads", phRe, qRe)
-				requireBitwise(t, what+" phIm against rotQuads", phIm, qIm)
+			if n%half == 0 {
+				requireBitwise(t, what+" phRe against the 256-bit rotation", phRe, qRe)
+				requireBitwise(t, what+" phIm against the 256-bit rotation", phIm, qIm)
 				for i := range dst {
 					// |terms| < 2 each, 4n of them per sum.
-					if d := math.Abs(dst[i] - quad[i]); d > 8*float64(n)*0x1p-52 {
-						t.Fatalf("%s: sum %d differs from conjAccQuads by %g", what, i, d)
+					if d := math.Abs(float64(dst[i] - narrow[i])); d > 8*float64(n)*fk.eps {
+						t.Fatalf("%s: sum %d differs from the 256-bit accumulation by %g", what, i, d)
 					}
 				}
 			}
@@ -337,7 +392,7 @@ func TestPixelLanesShapes(t *testing.T) {
 				if mod != nil {
 					mod(p)
 				}
-			}).pixelLanes(nc)
+			}).fullWidth(nc)
 		}
 		for nc := 1; nc <= 130; nc++ {
 			if got, want := wide(nc, nil), nc >= phasorMinChannels; got != want {
@@ -372,7 +427,7 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 				p.Precision = Float32
 				p.PixelTileRows, p.VisBlockTimesteps, p.Workers = rows, block, workers
 			})
-			if !k.pixelLanes(nc) {
+			if !k.fullWidth(nc) {
 				t.Fatalf("nc=%d does not take the pixel-lane gridder", nc)
 			}
 			out := grid.NewSubgrid(sg, item.X0, item.Y0)
@@ -392,29 +447,69 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 	}
 }
 
-// TestFloat32DegridderTiersBitwise: the float32 degridder stages its
-// phase arguments through the 512-bit stagers on the avx512 tier and
-// through Go loops on avx2, and runs the same 256-bit loops after them:
-// the visibilities agree bit for bit, without and with the recurrence,
-// with a channel tail and across a resync boundary, on tiles that end
-// in a partial oct (72- and 36-pixel tiles of an 18-pixel subgrid).
+// TestFloat32DegridderTiersBitwise: what the avx512 tier's float32
+// degridder still shares with the avx2 tier's, as bits, on an 18-pixel
+// subgrid (tiles of 72 and 36 pixels: a masked half register, a masked
+// quarter). Items the recurrence does not apply to — two channels, a
+// non-uniform comb, the recurrence disabled — run the same 256-bit loops
+// behind different stagers, and every visibility agrees bit for bit.
+// Recurrence items run the fused sixteen-lane kernel, whose phasors are
+// rotOcts' bit for bit: a subgrid with one lit pixel predicts
+// conj(phasor) * pixel with nothing to reassociate, so its visibilities
+// are bitwise equal too — for a pixel in a whole register, in the masked
+// tail, in the last tile; each inside a whole oct on the avx2 side, whose
+// scalar tail pixels rotate unfused. On a random subgrid the sums differ
+// by the association of the lane fold, sixteen roundings per term at most
+// (measured 0.3 % of that; run with -v).
 func TestFloat32DegridderTiersBitwise(t *testing.T) {
 	skipWithoutAVX512(t)
 	const sg, nt = 18, 6
-	for _, nc := range []int{2, 5, 16, 37, 66} {
+	degrid := func(nc int, in *grid.Subgrid, mod func(*Params)) (wide, narrow []xmath.Matrix2) {
 		item, uvw, _, _ := tilingItem(73, nt, nc)
-		in, _ := randomSubgrid(sg, item, 79)
 		var got [2][]xmath.Matrix2
 		for i, tier := range []xmath.SIMDTier{xmath.SIMDAVX512, xmath.SIMDAVX2} {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision, p.Sincos = Float32, nil // the batched evaluator both tiers share
 				forceTier(tier)(p)
+				if mod != nil {
+					mod(p)
+				}
 			})
 			got[i] = make([]xmath.Matrix2, nt*nc)
 			k.DegridSubgrid(item, in, uvw, nil, nil, got[i])
 		}
-		if !visEqual(got[0], got[1]) {
-			t.Fatalf("nc=%d: float32 degridder visibilities differ between avx512 and avx2", nc)
+		return got[0], got[1]
+	}
+	item, _, _, _ := tilingItem(73, nt, 1)
+	random, pixAmp := randomSubgrid(sg, item, 79)
+	for _, tc := range []struct {
+		name string
+		nc   int
+		mod  func(*Params)
+	}{
+		{"two channels", 2, nil},
+		{"non-uniform comb", len(nonUniformComb), func(p *Params) { p.Frequencies = nonUniformComb }},
+		{"recurrence disabled", 16, func(p *Params) { p.DisablePhasorRecurrence = true }},
+	} {
+		if wide, narrow := degrid(tc.nc, random, tc.mod); !visEqual(wide, narrow) {
+			t.Errorf("%s: float32 degridder visibilities differ between avx512 and avx2", tc.name)
+		}
+	}
+	for _, nc := range []int{5, 16, 37, 66} {
+		for _, pixel := range []int{0, 37, 70, 16*sg + 20} {
+			lit := grid.NewSubgrid(sg, item.X0, item.Y0)
+			for p := range lit.Data {
+				lit.Data[p][pixel] = complex(0.75+float64(p), -0.5)
+			}
+			if wide, narrow := degrid(nc, lit, nil); !visEqual(wide, narrow) {
+				t.Errorf("nc=%d: the phasors of pixel %d differ between avx512 and avx2", nc, pixel)
+			}
+		}
+		wide, narrow := degrid(nc, random, nil)
+		d, tol := maxVisDiff(wide, narrow), 16*float64(sg*sg)*math.Sqrt2*pixAmp*0x1p-24
+		t.Logf("nc=%d: fused against 256-bit %.3g, %.2g of the reassociation bound", nc, d, d/tol)
+		if d > tol || d == 0 {
+			t.Errorf("nc=%d: fused float32 degridder against the 256-bit form differs by %g, want reassociation only (0 < d <= %g)", nc, d, tol)
 		}
 	}
 }

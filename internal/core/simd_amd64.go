@@ -185,3 +185,12 @@ func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix
 //
 //go:noescape
 func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)
+
+// rotConjAccBlk32 is rotConjAccOctsBlk64 at sixteen float32 pixels per
+// instruction, the n mod 16 tail masked. Per channel each of the eight
+// sums folds its sixteen lanes as m(i) = l(i) + l(i+8), then
+// ((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7)), and is added once into
+// dst[8*c:8*c+8]; phRe/phIm advance in place with rotOcts' bits.
+//
+//go:noescape
+func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int)

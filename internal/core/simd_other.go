@@ -88,3 +88,7 @@ func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix
 func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int) {
 	panic("core: rotConjAccOctsBlk64 without vector kernels")
 }
+
+func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int) {
+	panic("core: rotConjAccBlk32 without vector kernels")
+}

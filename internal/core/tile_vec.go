@@ -1,8 +1,9 @@
 package core
 
-// The hand-vectorized float64 tile kernels, and the pixel-lane gridder
-// body both precisions share on the SIMDAVX512 tier (gridLanesPix; the
-// rest of float32 is tile_vec32.go). They drive the AVX2+FMA
+// The hand-vectorized float64 tile kernels, and what both precisions
+// share: the degridder tile (degridTileVec) and the SIMDAVX512 tier's
+// pixel-lane gridder body (gridLanesPix; the rest of the float32 gridder
+// is tile_vec32.go). They drive the AVX2+FMA
 // loops in kernels_amd64.s and, on the SIMDAVX512 tier, the 512-bit
 // loops in kernels_avx512_amd64.s, and are selected (gridSubgridScratch
 // / degridSubgridScratch) only when the dispatch table installed them
@@ -57,7 +58,7 @@ func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, 
 	pix0, pix1 := row0*sg, row1*sg
 	sums := growF(&ts.sums, 8*(pix1-pix0))
 	switch {
-	case k.pixelLanes(item.NrChannels):
+	case k.fullWidth(item.NrChannels):
 		gridLanesPix[float64](k, item, uvw, sb, ts, sums, pix0, pix1)
 	case k.vecRecurrence(item.NrChannels):
 		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
@@ -103,7 +104,7 @@ const perStepMinChannels = 32
 
 // vecRecurrence reports whether the avx2 tier's float64 gridder fills
 // an nc-channel item's lanes through the phasor recurrence (the avx512
-// tier asks pixelLanes first, which takes every such item): uniform
+// tier asks fullWidth first, which takes every such item): uniform
 // channels, and either the time-blocked form applies or there are
 // enough channels for the per-step form to win. The blocked form is
 // level with direct phasors at its smallest shape and ahead from there
@@ -124,17 +125,18 @@ func quadsBlocked(nc int) bool {
 	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
 }
 
-// pixelLanes reports whether the gridder, float64 or float32, runs an
-// nc-channel item with pixels in the lanes (gridLanesPix): the
-// SIMDAVX512 tier and any item the recurrence applies to, the one
-// threshold being phasorMinChannels (BenchmarkAblationChannelCount, ms
-// per 64-step item: float64 against direct phasors c=3 0.16 against
-// 0.25, c=8 0.25 against 0.68, c=33 0.77 against 2.92, c=66 1.50
-// against 5.90; float32 against the generic tile's direct phasors,
-// its only alternative, c=3 0.15 against 2.77, c=16 0.29 against 14.3,
-// c=66 0.87 against 46.4, and against the avx2 tier's oct lanes 1.19,
-// 0.77 and 4.66).
-func (k *Kernels) pixelLanes(nc int) bool {
+// fullWidth reports whether an nc-channel item, float64 or float32, runs
+// the SIMDAVX512 tier's own bodies — the gridder with pixels in the lanes
+// (gridLanesPix), the degridder fused over the channels (degridTileVec):
+// that tier and any item the recurrence applies to, the one threshold
+// being phasorMinChannels (BenchmarkAblationChannelCount, ms per 64-step
+// item: float64 gridder against direct phasors c=3 0.16 against 0.25,
+// c=8 0.25 against 0.68, c=33 0.77 against 2.92, c=66 1.50 against 5.90;
+// float32 against the generic tile's direct phasors, its only
+// alternative, c=3 0.15 against 2.77, c=16 0.29 against 14.3, c=66 0.87
+// against 46.4, and against the avx2 tier's oct lanes 1.19, 0.77 and
+// 4.66).
+func (k *Kernels) fullWidth(nc int) bool {
 	return k.disp.tier >= xmath.SIMDAVX512 && k.useRecurrence(nc)
 }
 
@@ -371,17 +373,15 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 // rotAccPixBlk64 or rotAccPixBlk32, one contract (simd_amd64.go).
 func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt int) {
 	if unsafe.Sizeof(*acc) == 8 {
-		f := func(p *F) *float64 { return (*float64)(unsafe.Pointer(p)) }
-		rotAccPixBlk64(f(acc), f(r0), f(i0), f(r1), f(i1), f(r2), f(i2), f(r3), f(i3), nc, sn, cs, nt)
+		rotAccPixBlk64(as64(acc), as64(r0), as64(i0), as64(r1), as64(i1), as64(r2), as64(i2), as64(r3), as64(i3), nc, sn, cs, nt)
 		return
 	}
-	f := func(p *F) *float32 { return (*float32)(unsafe.Pointer(p)) }
-	rotAccPixBlk32(f(acc), f(r0), f(i0), f(r1), f(i1), f(r2), f(i2), f(r3), f(i3), nc, sn, cs, nt)
+	rotAccPixBlk32(as32(acc), as32(r0), as32(i0), as32(r1), as32(i1), as32(r2), as32(i2), as32(r3), as32(i3), nc, sn, cs, nt)
 }
 
 // gridLanesDirect accumulates the pixels [pix0, pix1) with one
 // evaluated phasor per visibility sample and folds them into sums: the
-// form for every item pixelLanes and vecRecurrence turn down
+// form for every item fullWidth and vecRecurrence turn down
 // (non-uniform channels, DisablePhasorRecurrence, channel counts where
 // it is faster). The
 // item's samples are one flattened stream j = t*nc + c, contiguous in
@@ -491,9 +491,8 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 // phaseIndices fills pIdx[i] = U*l[i] + V*m[i] + W*n[i] for one time
 // step; phaseArgs turns them into arg[i] = pIdx[i]*scale - off[i] (off
 // nil: pIdx[i]*scale, the per-channel delta). They are the staging
-// passes of degridTileVec and degridTileVec32: 512-bit stagers on the
-// SIMDAVX512 tier, the same expressions in Go below it, the same bits
-// either way.
+// passes of degridTileVec: 512-bit stagers on the SIMDAVX512 tier, the
+// same expressions in Go below it, the same bits either way.
 func (k *Kernels) phaseIndices(pIdx, l, m, n []float64, c3 *uvwsim.UVW) {
 	if k.disp.tier >= xmath.SIMDAVX512 {
 		stagePIdx(&pIdx[0], &l[0], &m[0], &n[0], len(pIdx), &c3.U, 1)
@@ -520,84 +519,95 @@ func (k *Kernels) phaseArgs(arg, pIdx, off []float64, scale float64) {
 	}
 }
 
-// degridTileVec is degridTile on the vector kernels: the per-pixel
-// phasor rotation pass runs through rotQuads and the conjugate
-// accumulation through conjAccQuads, four pixels per instruction, with
-// a scalar loop covering the n mod 4 pixel tail. The per-pixel seed
-// and resync sincos sweeps are batched: arguments are staged into the
-// scratch sArg buffer (phaseIndices, phaseArgs) and evaluated by one
-// Kernels.sincosVec call writing straight into the phasor buffers. Tail
-// pixels and the vector lane fold combine in a local accumulator before
-// touching dst, keeping the one-addition-per-element property the
-// serial ≡ parallel bitwise guarantee of degridSubgridTiled rests on.
+// seedPhasors sets sn, cs to the sine and cosine of the staged phase
+// arguments pIdx[i]*scale - off[i] (phaseArgs), evaluated in float64 by
+// one Kernels.sincosVec call whatever F is: straight into the float64
+// phasor buffers, through the sSin/sCos staging and one narrowing sweep
+// into the float32 ones.
+func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, pIdx, off []float64, scale float64) {
+	arg := growF(&ts.sArg, len(pIdx))
+	k.phaseArgs(arg, pIdx, off, scale)
+	switch sn := any(sn).(type) {
+	case []float64:
+		k.sincosVec(sn, any(cs).([]float64), arg)
+	case []float32:
+		asn, acs := growF(&ts.sSin, len(arg)), growF(&ts.sCos, len(arg))
+		k.sincosVec(asn, acs, arg)
+		xmath.CvtF64F32(sn, asn)
+		xmath.CvtF64F32(any(cs).([]float32), acs)
+	}
+}
+
+// degridTileVec is degridTile on the vector kernels, in either
+// precision. Per time step the tile's phase indices are staged
+// (phaseIndices) and the per-pixel phasors seeded, and re-seeded at
+// every resync boundary, from batched float64 evaluations (seedPhasors).
 //
-// On the SIMDAVX512 tier a recurrence item makes one call per (time
-// step, resync chunk) instead: rotConjAccOctsBlk64 runs the rotation
-// and the accumulation of every channel of the chunk in one sweep per
-// channel, eight pixels per instruction with the tail masked, and adds
-// each (t, c)'s eight folded sums to dst exactly once. Per (t, c) it is
-// rotQuads' and conjAccQuads' operation sequence at twice the lanes, so
-// the phasors are bitwise those of the quad form and the sums differ
-// from it by the association of the lane fold.
-func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []float64) {
+// On the SIMDAVX512 tier a recurrence item (Kernels.fullWidth) then
+// makes one call per (time step, resync chunk): rotConjAccBlk runs the
+// conjugate accumulation and the rotation of every channel of the chunk
+// in one sweep per channel, a ZMM of pixels per instruction with the
+// tail masked, and adds each (t, c)'s eight folded sums to dst exactly
+// once. Per (t, c) that is the 256-bit kernels' operation sequence at
+// twice the lanes, so the phasors are bitwise theirs and the sums differ
+// by the association of the lane fold.
+//
+// Everything else runs per (t, c): the rotation pass through rotVec and
+// the accumulation through conjAccVec, a YMM of pixels per instruction,
+// with a scalar loop covering the pixels past the last whole register.
+// Tail pixels and the vector lane fold combine in a local accumulator
+// before touching dst. Either way dst sees exactly ONE addition per
+// element per (t, c), the property the serial ≡ parallel bitwise
+// guarantee of degridSubgridTiled rests on.
+func degridTileVec[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
+	const resync = xmath.DefaultPhasorResync
+	size := int(unsafe.Sizeof(F(0)))
 	sg := k.params.SubgridSize
 	nc := item.NrChannels
 	i0, i1 := row0*sg, row1*sg
 	n := i1 - i0
-	nq := n / 4
-	tail0 := 4 * nq
-	tb := &ts.b64
+	nv := n / (32 / size) // whole YMM registers of pixels
+	tail0 := 32 / size * nv
+	tb := bufsOf[F](ts)
 	pIdx := growF(&ts.pIdx, n)
 	phRe := grow(&tb.phRe, n)
 	phIm := grow(&tb.phIm, n)
 	useRec := k.useRecurrence(nc)
-	fused := useRec && k.disp.tier >= xmath.SIMDAVX512
-	var dRe, dIm []float64
+	fused := k.fullWidth(nc)
+	var dRe, dIm []F
 	if useRec {
 		dRe = grow(&tb.dRe, n)
 		dIm = grow(&tb.dIm, n)
 	}
 	l, m, nn := k.l[i0:i1], k.m[i0:i1], k.n[i0:i1]
-	pre, pim := visPlanes[float64](sb, sg*sg)
+	pre, pim := visPlanes[F](sb, sg*sg)
 	off := sb.pOff[i0:i1]
-	var tpre, tpim [4][]float64
+	var tpre, tpim [4][]F
 	for p := 0; p < 4; p++ {
 		tpre[p] = pre[p][i0:i1]
 		tpim[p] = pim[p][i0:i1]
 	}
-	arg := growF(&ts.sArg, 2*n)
 	for t := 0; t < item.NrTimesteps; t++ {
 		k.phaseIndices(pIdx, l, m, nn, &uvw[t])
 		if useRec {
-			// Seed the per-pixel phasors at channel 0 and the delta
-			// phasors exp(i*pIdx*dscale) that advance them per channel,
-			// one batched evaluation each.
-			k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0])
-			k.phaseArgs(arg[n:], pIdx, nil, k.dscale)
-			k.sincosVec(phIm, phRe, arg[:n])
-			k.sincosVec(dIm, dRe, arg[n:])
+			// The delta phasors exp(i*pIdx*dscale) that advance the
+			// per-pixel phasors from channel to channel.
+			seedPhasors(k, ts, dIm, dRe, pIdx, nil, k.dscale)
 		}
 		if fused {
-			for c0 := 0; c0 < nc; c0 += xmath.DefaultPhasorResync {
-				if c0 != 0 {
-					k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c0])
-					k.sincosVec(phIm, phRe, arg[:n])
-				}
-				rotConjAccOctsBlk64(&dst[8*(t*nc+c0)], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
-					&tpre[0][0], 8*sg*sg, n, min(nc-c0, xmath.DefaultPhasorResync))
+			for c0 := 0; c0 < nc; c0 += resync {
+				seedPhasors(k, ts, phIm, phRe, pIdx, off, k.scale[item.Channel0+c0])
+				rotConjAccBlk(&dst[8*(t*nc+c0)], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
+					&tpre[0][0], size*sg*sg, n, min(nc-c0, resync))
 			}
 			continue
 		}
 		for c := 0; c < nc; c++ {
-			switch {
-			case !useRec, c != 0 && c%xmath.DefaultPhasorResync == 0:
-				k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c])
-				k.sincosVec(phIm, phRe, arg[:n])
-			case c == 0:
-				// Seeded above.
-			default:
-				if nq > 0 {
-					rotQuads(&phRe[0], &phIm[0], &dRe[0], &dIm[0], nq)
+			if !useRec || c%resync == 0 {
+				seedPhasors(k, ts, phIm, phRe, pIdx, off, k.scale[item.Channel0+c])
+			} else {
+				if nv > 0 {
+					rotVec(&phRe[0], &phIm[0], &dRe[0], &dIm[0], nv)
 				}
 				for i := tail0; i < n; i++ {
 					s, co := phIm[i], phRe[i]
@@ -605,12 +615,7 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 					phRe[i] = co*dRe[i] - s*dIm[i]
 				}
 			}
-			// Sum the tile's contribution into a local accumulator first
-			// (tail pixels, then the lane fold conjAccQuads adds on top),
-			// so dst sees exactly ONE addition per element per (t, c) —
-			// the property the serial ≡ parallel bitwise guarantee of
-			// degridSubgridTiled rests on.
-			var t8 [8]float64
+			var t8 [8]F
 			for i := tail0; i < n; i++ {
 				cr, ci := phRe[i], -phIm[i] // conjugate phasor
 				vr, vi := tpre[0][i], tpim[0][i]
@@ -626,15 +631,48 @@ func degridTileVec(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW
 				t8[6] += vr*cr - vi*ci
 				t8[7] += vr*ci + vi*cr
 			}
-			if nq > 0 {
-				conjAccQuads(&t8[0], &phRe[0], &phIm[0],
+			if nv > 0 {
+				conjAccVec(&t8[0], &phRe[0], &phIm[0],
 					&tpre[0][0], &tpim[0][0], &tpre[1][0], &tpim[1][0],
-					&tpre[2][0], &tpim[2][0], &tpre[3][0], &tpim[3][0], nq)
+					&tpre[2][0], &tpim[2][0], &tpre[3][0], &tpim[3][0], nv)
 			}
-			out := (*[8]float64)(dst[8*(t*nc+c):])
+			out := (*[8]F)(dst[8*(t*nc+c):])
 			for j := 0; j < 8; j++ {
 				out[j] += t8[j]
 			}
 		}
 	}
+}
+
+// as64 and as32 view a kernel argument of element type F as the width
+// the caller has established F to be.
+func as64[F floatT](p *F) *float64 { return (*float64)(unsafe.Pointer(p)) }
+func as32[F floatT](p *F) *float32 { return (*float32)(unsafe.Pointer(p)) }
+
+// rotConjAccBlk, rotVec and conjAccVec are the degridder kernels of
+// element type F (simd_amd64.go): the fused pair rotConjAccOctsBlk64 /
+// rotConjAccBlk32, and the 256-bit rotQuads / rotOcts and conjAccQuads /
+// conjAccOcts, nv counting YMM registers of pixels.
+func rotConjAccBlk[F floatT](dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch int) {
+	if unsafe.Sizeof(*dst) == 8 {
+		rotConjAccOctsBlk64(as64(dst), as64(phRe), as64(phIm), as64(dRe), as64(dIm), as64(planes), stride, n, nch)
+		return
+	}
+	rotConjAccBlk32(as32(dst), as32(phRe), as32(phIm), as32(dRe), as32(dIm), as32(planes), stride, n, nch)
+}
+
+func rotVec[F floatT](phRe, phIm, dRe, dIm *F, nv int) {
+	if unsafe.Sizeof(*phRe) == 8 {
+		rotQuads(as64(phRe), as64(phIm), as64(dRe), as64(dIm), nv)
+		return
+	}
+	rotOcts(as32(phRe), as32(phIm), as32(dRe), as32(dIm), nv)
+}
+
+func conjAccVec[F floatT](out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *F, nv int) {
+	if unsafe.Sizeof(*out) == 8 {
+		conjAccQuads(as64(out), as64(phRe), as64(phIm), as64(p0r), as64(p0i), as64(p1r), as64(p1i), as64(p2r), as64(p2i), as64(p3r), as64(p3i), nv)
+		return
+	}
+	conjAccOcts(as32(out), as32(phRe), as32(phIm), as32(p0r), as32(p0i), as32(p1r), as32(p1i), as32(p2r), as32(p2i), as32(p3r), as32(p3i), nv)
 }

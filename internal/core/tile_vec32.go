@@ -1,15 +1,14 @@
 package core
 
-// The hand-vectorized float32 tile kernels: eight-lane analogues of
-// gridTileVec / degridTileVec driving the AVX2+FMA PS loops in
-// kernels32_amd64.s. A YMM register holds eight float32 lanes, so one
-// rotAccOcts iteration covers eight channels and one conjAccOcts /
-// rotOcts iteration covers eight pixels — twice the elements per
-// instruction of the float64 quad kernels at the same instruction
-// count, which is the whole point of running the paper's
-// single-precision kernels in float32. On the SIMDAVX512 tier the
-// gridder is instead tile_vec.go's gridLanesPix at sixteen lanes per
-// ZMM.
+// The hand-vectorized float32 gridder tile: the eight-lane analogue of
+// gridTileVec driving the AVX2+FMA PS loops in kernels32_amd64.s. A YMM
+// register holds eight float32 lanes, so one rotAccOcts iteration covers
+// eight channels — twice the elements per instruction of the float64
+// quad kernels at the same instruction count, which is the whole point
+// of running the paper's single-precision kernels in float32. On the
+// SIMDAVX512 tier the gridder is instead tile_vec.go's gridLanesPix at
+// sixteen lanes per ZMM; the degridder is tile_vec.go's degridTileVec on
+// every tier.
 //
 // Phase arguments, sincos seeding and the lane-seeding rotations stay
 // float64 (the same policy as the scalar float32 tiles: a float32
@@ -70,7 +69,7 @@ func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
 	sums := growF(&ts.sums, 8*(pix1-pix0))
-	if k.pixelLanes(item.NrChannels) {
+	if k.fullWidth(item.NrChannels) {
 		gridLanesPix[float32](k, item, uvw, sb, ts, sums, pix0, pix1)
 	} else {
 		vacc := grow(&ts.b32.vacc, 64*(pix1-pix0))
@@ -220,109 +219,6 @@ func gridLanesOcts32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 						sv, cv = sv*dcf+cv*dsf, cv*dcf-sv*dsf
 					}
 				}
-			}
-		}
-	}
-}
-
-// degridTileVec32 is degridTileVec at eight float32 lanes: the
-// per-pixel phasor rotation pass runs through rotOcts and the
-// conjugate accumulation through conjAccOcts, eight pixels per
-// instruction, with a scalar float32 loop covering the n mod 8 pixel
-// tail. Seed and resync sweeps stage their arguments as degridTileVec
-// does (phaseIndices, phaseArgs), evaluate in batched float64
-// (Kernels.sincosVec into the scratch sSin/sCos staging) and narrow
-// once into the float32 phasor buffers. Tail pixels and the lane fold
-// combine in a local accumulator before touching dst, preserving the
-// one-addition-per-element property degridSubgridTiled's serial ≡
-// parallel bitwise guarantee rests on.
-func degridTileVec32(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []float32) {
-	sg := k.params.SubgridSize
-	nc := item.NrChannels
-	i0, i1 := row0*sg, row1*sg
-	n := i1 - i0
-	no := n / 8
-	tail0 := 8 * no
-	tb := &ts.b32
-	pIdx := growF(&ts.pIdx, n)
-	phRe := grow(&tb.phRe, n)
-	phIm := grow(&tb.phIm, n)
-	useRec := k.useRecurrence(nc)
-	var dRe, dIm []float32
-	if useRec {
-		dRe = grow(&tb.dRe, n)
-		dIm = grow(&tb.dIm, n)
-	}
-	l, m, nn := k.l[i0:i1], k.m[i0:i1], k.n[i0:i1]
-	pre, pim := visPlanes[float32](sb, sg*sg)
-	off := sb.pOff[i0:i1]
-	var tpre, tpim [4][]float32
-	for p := 0; p < 4; p++ {
-		tpre[p] = pre[p][i0:i1]
-		tpim[p] = pim[p][i0:i1]
-	}
-	arg := growF(&ts.sArg, 2*n)
-	asn := growF(&ts.sSin, 2*n)
-	acs := growF(&ts.sCos, 2*n)
-	for t := 0; t < item.NrTimesteps; t++ {
-		k.phaseIndices(pIdx, l, m, nn, &uvw[t])
-		if useRec {
-			// Seed the per-pixel phasors at channel 0 and the delta
-			// phasors exp(i*pIdx*dscale) in one batched evaluation, then
-			// narrow into the float32 phasor state.
-			k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0])
-			k.phaseArgs(arg[n:], pIdx, nil, k.dscale)
-			k.sincosVec(asn, acs, arg)
-			xmath.CvtF64F32(phIm, asn[:n])
-			xmath.CvtF64F32(phRe, acs[:n])
-			xmath.CvtF64F32(dIm, asn[n:])
-			xmath.CvtF64F32(dRe, acs[n:])
-		}
-		for c := 0; c < nc; c++ {
-			switch {
-			case !useRec, c != 0 && c%xmath.DefaultPhasorResync == 0:
-				k.phaseArgs(arg[:n], pIdx, off, k.scale[item.Channel0+c])
-				k.sincosVec(asn, acs, arg[:n])
-				xmath.CvtF64F32(phIm, asn[:n])
-				xmath.CvtF64F32(phRe, acs[:n])
-			case c == 0:
-				// Seeded above.
-			default:
-				if no > 0 {
-					rotOcts(&phRe[0], &phIm[0], &dRe[0], &dIm[0], no)
-				}
-				for i := tail0; i < n; i++ {
-					s, co := phIm[i], phRe[i]
-					phIm[i] = s*dRe[i] + co*dIm[i]
-					phRe[i] = co*dRe[i] - s*dIm[i]
-				}
-			}
-			// As in degridTileVec: dst sees exactly ONE addition per
-			// element per (t, c).
-			var t8 [8]float32
-			for i := tail0; i < n; i++ {
-				cr, ci := phRe[i], -phIm[i] // conjugate phasor
-				vr, vi := tpre[0][i], tpim[0][i]
-				t8[0] += vr*cr - vi*ci
-				t8[1] += vr*ci + vi*cr
-				vr, vi = tpre[1][i], tpim[1][i]
-				t8[2] += vr*cr - vi*ci
-				t8[3] += vr*ci + vi*cr
-				vr, vi = tpre[2][i], tpim[2][i]
-				t8[4] += vr*cr - vi*ci
-				t8[5] += vr*ci + vi*cr
-				vr, vi = tpre[3][i], tpim[3][i]
-				t8[6] += vr*cr - vi*ci
-				t8[7] += vr*ci + vi*cr
-			}
-			if no > 0 {
-				conjAccOcts(&t8[0], &phRe[0], &phIm[0],
-					&tpre[0][0], &tpim[0][0], &tpre[1][0], &tpim[1][0],
-					&tpre[2][0], &tpim[2][0], &tpre[3][0], &tpim[3][0], no)
-			}
-			out := (*[8]float32)(dst[8*(t*nc+c):])
-			for j := 0; j < 8; j++ {
-				out[j] += t8[j]
 			}
 		}
 	}

@@ -290,35 +290,42 @@ type geometry struct {
 // geometryBuilds counts buildGeometry calls, for tests of the sharing.
 var geometryBuilds atomic.Int64
 
-// buildGeometry validates c and builds its geometry; the plan does not
-// depend on the planner's thread count (0: GOMAXPROCS).
-func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
+// fieldOfView validates c and builds what the field of view follows
+// from: the station layout, the uvw simulator and the image size that
+// puts the longest baseline GridMargin pixels inside the grid's edge.
+func (c ObservationConfig) fieldOfView() (stations []Station, sim *uvwsim.Simulator, imageSize float64, err error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	geometryBuilds.Add(1)
 	lcfg := layout.SKA1LowConfig()
 	lcfg.NrStations = c.NrStations
 	if c.CoreOnly {
 		lcfg.CoreFraction = 1.0
 	}
-	stations := layout.Generate(lcfg)
+	stations = layout.Generate(lcfg)
 	opts := uvwsim.DefaultOptions()
 	if c.HourAngleStartDeg != 0 {
 		opts.HourAngleStartDeg = c.HourAngleStartDeg
 	}
-	sim := uvwsim.New(stations, opts)
-
-	freqs := c.Frequencies()
-	maxFreq := freqs[len(freqs)-1]
+	sim = uvwsim.New(stations, opts)
+	maxFreq := c.StartFrequency + float64(c.NrChannels-1)*c.ChannelWidth
 	maxUV := sim.MaxUV(c.NrTimesteps) * maxFreq / uvwsim.SpeedOfLight
-	imageSize := float64(c.GridSize/2-c.GridMargin) / maxUV
+	return stations, sim, float64(c.GridSize/2-c.GridMargin) / maxUV, nil
+}
 
+// buildGeometry validates c and builds its geometry; the plan does not
+// depend on the planner's thread count (0: GOMAXPROCS).
+func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
+	stations, sim, imageSize, err := c.fieldOfView()
+	if err != nil {
+		return nil, err
+	}
+	geometryBuilds.Add(1)
 	pcfg := PlanConfig{
 		GridSize:               c.GridSize,
 		SubgridSize:            c.SubgridSize,
 		ImageSize:              imageSize,
-		Frequencies:            freqs,
+		Frequencies:            c.Frequencies(),
 		KernelSupport:          c.KernelSupport,
 		MaxTimestepsPerSubgrid: c.MaxTimestepsPerSubgrid,
 		ATermUpdateInterval:    c.ATermInterval,
