@@ -391,6 +391,14 @@ func BenchmarkGridderKernelShortItems(b *testing.B) {
 	benchGridderKernelATerms(b, 24, 8, 2, Float64, true)
 }
 
+// BenchmarkGridderKernelShortItemsFloat32 is the same item in float32,
+// which takes a vector tile on the avx512 tier only: below it a
+// two-channel float32 item runs the generic tile, at a twentieth of the
+// rate.
+func BenchmarkGridderKernelShortItemsFloat32(b *testing.B) {
+	benchGridderKernelATerms(b, 24, 8, 2, Float32, true)
+}
+
 func BenchmarkDegridderKernel(b *testing.B) {
 	benchDegridderKernelPrec(b, Float64)
 }
@@ -405,6 +413,10 @@ func BenchmarkDegridderKernelFloat32(b *testing.B) {
 // plane split) weighs as much as the 16-visibility loop.
 func BenchmarkDegridderKernelShortItems(b *testing.B) {
 	benchDegridderKernelATerms(b, 24, 8, 2, Float64, true)
+}
+
+func BenchmarkDegridderKernelShortItemsFloat32(b *testing.B) {
+	benchDegridderKernelATerms(b, 24, 8, 2, Float32, true)
 }
 
 func BenchmarkFullGriddingPass(b *testing.B) {

@@ -9,6 +9,8 @@ package aterm
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/xmath"
 )
@@ -113,31 +115,66 @@ func hash2(station, slot int) (float64, float64) {
 	return a, b
 }
 
-// Map samples a provider over an n x n subgrid covering imageSize
-// direction cosines; the result is indexed [y*n+x] and is what the
-// apply_aterm step of Algorithms 1 and 2 consumes.
-func Map(p Provider, station, slot, n int, imageSize float64) []xmath.Matrix2 {
-	out := make([]xmath.Matrix2, n*n)
+// sample evaluates a provider over an n x n subgrid covering imageSize
+// direction cosines, handing put the matrix of pixel i = y*n+x.
+func sample(p Provider, station, slot, n int, imageSize float64, put func(i int, m xmath.Matrix2)) {
 	scale := imageSize / float64(n)
 	for y := 0; y < n; y++ {
 		m := float64(y-n/2) * scale
 		for x := 0; x < n; x++ {
 			l := float64(x-n/2) * scale
-			out[y*n+x] = p.Evaluate(station, slot, l, m)
+			put(y*n+x, p.Evaluate(station, slot, l, m))
 		}
 	}
+}
+
+// Map samples a provider over an n x n subgrid covering imageSize
+// direction cosines; the result is indexed [y*n+x] and is what the
+// apply_aterm step of Algorithms 1 and 2 consumes.
+func Map(p Provider, station, slot, n int, imageSize float64) []xmath.Matrix2 {
+	out := make([]xmath.Matrix2, n*n)
+	sample(p, station, slot, n, imageSize, func(i int, m xmath.Matrix2) { out[i] = m })
 	return out
+}
+
+// Planes lays the Jones map m out as eight planes of len(m) values in
+// dst and returns them: the real and imaginary parts of the four
+// components in Matrix2 order, plane j at dst[j*len(m):(j+1)*len(m)].
+// A register of consecutive pixels of one component is then one load,
+// which is how core's vector tiles read the A-terms.
+func Planes(dst []float64, m []xmath.Matrix2) []float64 {
+	dst = dst[:8*len(m)]
+	for i := range m {
+		setPlanes(dst, i, m[i])
+	}
+	return dst
+}
+
+func setPlanes(planes []float64, i int, m xmath.Matrix2) {
+	n := len(planes) / 8
+	for j, v := range m {
+		planes[2*j*n+i], planes[(2*j+1)*n+i] = real(v), imag(v)
+	}
 }
 
 // Cache memoizes Map results per (station, slot); the gridder reuses
 // the same maps for every subgrid of a work group that shares the slot.
-// Cache is not safe for concurrent writes; each worker builds its own
-// or the caller prefills it before fanning out.
+// A cache holds every map in one layout: per-pixel matrices (NewCache,
+// read with Get) or planes (NewPlanarCache, read with Planes). Cache is
+// not safe for concurrent writes; each worker builds its own or the
+// caller prefills it (Fill) before fanning out.
 type Cache struct {
 	provider  Provider
 	n         int
 	imageSize float64
-	maps      map[[2]int][]xmath.Matrix2
+	planar    bool
+	maps      map[[2]int]jonesMap
+}
+
+// jonesMap is one cached map: pixels or planes, by the cache's layout.
+type jonesMap struct {
+	pixels []xmath.Matrix2
+	planes []float64
 }
 
 // NewCache builds a cache for subgrids of size n covering imageSize.
@@ -146,17 +183,99 @@ func NewCache(p Provider, n int, imageSize float64) *Cache {
 		provider:  p,
 		n:         n,
 		imageSize: imageSize,
-		maps:      make(map[[2]int][]xmath.Matrix2),
+		maps:      make(map[[2]int]jonesMap),
 	}
 }
 
-// Get returns the memoized A-term map for (station, slot).
-func (c *Cache) Get(station, slot int) []xmath.Matrix2 {
-	key := [2]int{station, slot}
-	if m, ok := c.maps[key]; ok {
-		return m
+// NewPlanarCache is NewCache with the maps held as planes (Planes).
+func NewPlanarCache(p Provider, n int, imageSize float64) *Cache {
+	c := NewCache(p, n, imageSize)
+	c.planar = true
+	return c
+}
+
+// slabMaps is how many maps alloc cuts from one allocation: hundreds of
+// separate 36 KB allocations in a fill cost more than evaluating into
+// them, while one slab for a whole pass (28 MB on the benchmark's sparse
+// workload) is a span the next pass's cache cannot reuse piecemeal and
+// showed as 7 MB of peak RSS.
+const slabMaps = 32
+
+// alloc returns count empty maps in the cache's layout.
+func (c *Cache) alloc(count int) []jonesMap {
+	maps, npix := make([]jonesMap, count), c.n*c.n
+	for i0 := 0; i0 < count; i0 += slabMaps {
+		part := maps[i0:min(i0+slabMaps, count)]
+		if c.planar {
+			slab := make([]float64, len(part)*8*npix)
+			for i := range part {
+				part[i].planes = slab[8*npix*i : 8*npix*(i+1) : 8*npix*(i+1)]
+			}
+		} else {
+			slab := make([]xmath.Matrix2, len(part)*npix)
+			for i := range part {
+				part[i].pixels = slab[npix*i : npix*(i+1) : npix*(i+1)]
+			}
+		}
 	}
-	m := Map(c.provider, station, slot, c.n, c.imageSize)
-	c.maps[key] = m
+	return maps
+}
+
+// eval evaluates the map of one (station, slot) into m.
+func (c *Cache) eval(key [2]int, m jonesMap) {
+	sample(c.provider, key[0], key[1], c.n, c.imageSize, func(i int, v xmath.Matrix2) {
+		if m.planes != nil {
+			setPlanes(m.planes, i, v)
+		} else {
+			m.pixels[i] = v
+		}
+	})
+}
+
+func (c *Cache) get(station, slot int) jonesMap {
+	key := [2]int{station, slot}
+	m, ok := c.maps[key]
+	if !ok {
+		m = c.alloc(1)[0]
+		c.eval(key, m)
+		c.maps[key] = m
+	}
 	return m
+}
+
+// Get returns the memoized A-term map for (station, slot).
+func (c *Cache) Get(station, slot int) []xmath.Matrix2 { return c.get(station, slot).pixels }
+
+// Planes returns the memoized planes of the A-term map for (station,
+// slot) from a planar cache.
+func (c *Cache) Planes(station, slot int) []float64 { return c.get(station, slot).planes }
+
+// Fill evaluates the maps of those (station, slot) keys the cache does
+// not hold yet on up to workers goroutines and inserts them, so that
+// every later Get or Planes of one of keys is a read-only hit. It is a
+// write: nothing else may use the cache while it runs.
+func (c *Cache) Fill(keys [][2]int, workers int) {
+	var missing [][2]int
+	for _, key := range keys {
+		if _, ok := c.maps[key]; !ok {
+			c.maps[key] = jonesMap{} // claimed: a repeated key is evaluated once
+			missing = append(missing, key)
+		}
+	}
+	maps := c.alloc(len(missing))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(missing)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(missing); i = int(next.Add(1)) - 1 {
+				c.eval(missing[i], maps[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, key := range missing {
+		c.maps[key] = maps[i]
+	}
 }

@@ -3,6 +3,8 @@ package aterm
 import (
 	"math"
 	"math/cmplx"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/xmath"
@@ -124,6 +126,78 @@ func TestCacheMemoizes(t *testing.T) {
 	d := c.Get(2, 4)
 	if &a[0] == &d[0] {
 		t.Fatal("different slots must not share a map")
+	}
+}
+
+// countingProvider counts Evaluate calls per (station, slot).
+type countingProvider struct {
+	PhaseScreen
+	mu    sync.Mutex
+	calls map[[2]int]int
+}
+
+func (p *countingProvider) Evaluate(station, slot int, l, m float64) xmath.Matrix2 {
+	p.mu.Lock()
+	p.calls[[2]int{station, slot}]++
+	p.mu.Unlock()
+	return p.PhaseScreen.Evaluate(station, slot, l, m)
+}
+
+// TestCacheFillBothLayouts: Fill on several goroutines evaluates every
+// missing (station, slot) exactly once — repeated keys and keys already
+// held included — and leaves what a serial Get or Planes would have:
+// the same matrices, and in a planar cache their planes, component j of
+// pixel i at planes[j*n*n+i].
+func TestCacheFillBothLayouts(t *testing.T) {
+	const n = 6
+	var keys [][2]int
+	for st := 0; st < 5; st++ {
+		for slot := 0; slot < 3; slot++ {
+			keys = append(keys, [2]int{st, slot}, [2]int{st, slot})
+		}
+	}
+	for _, planar := range []bool{false, true} {
+		prov := &countingProvider{PhaseScreen: PhaseScreen{Strength: 10}, calls: map[[2]int]int{}}
+		c := NewCache(prov, n, 0.1)
+		if planar {
+			c = NewPlanarCache(prov, n, 0.1)
+		}
+		c.get(0, 0) // held before the fill
+		c.Fill(keys, 4)
+		c.Fill(keys, 4) // nothing left to do
+		for key, calls := range prov.calls {
+			if calls != n*n {
+				t.Fatalf("planar=%v: map %v evaluated %d pixels, want %d", planar, key, calls, n*n)
+			}
+		}
+		if len(prov.calls) != len(keys)/2 {
+			t.Fatalf("planar=%v: %d maps evaluated, want %d", planar, len(prov.calls), len(keys)/2)
+		}
+		for _, key := range keys {
+			want := Map(prov.PhaseScreen, key[0], key[1], n, 0.1)
+			if !planar {
+				for i, m := range c.Get(key[0], key[1]) {
+					if m != want[i] {
+						t.Fatalf("map %v pixel %d = %v, want %v", key, i, m, want[i])
+					}
+				}
+				continue
+			}
+			planes := c.Planes(key[0], key[1])
+			if len(planes) != 8*n*n {
+				t.Fatalf("map %v: %d plane values, want %d", key, len(planes), 8*n*n)
+			}
+			for i, m := range want {
+				for j, v := range m {
+					if planes[2*j*n*n+i] != real(v) || planes[(2*j+1)*n*n+i] != imag(v) {
+						t.Fatalf("map %v pixel %d component %d: planes hold (%v, %v), want %v", key, i, j, planes[2*j*n*n+i], planes[(2*j+1)*n*n+i], v)
+					}
+				}
+			}
+			if got := Planes(make([]float64, 8*n*n), want); !slices.Equal(got, planes) {
+				t.Fatalf("map %v: Planes of the map differs from the cache's planes", key)
+			}
+		}
 	}
 }
 

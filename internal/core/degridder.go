@@ -18,20 +18,20 @@ import (
 // The input subgrid is not modified.
 func (k *Kernels) DegridSubgrid(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, atermP, atermQ []xmath.Matrix2, vis []xmath.Matrix2) {
 	s := k.getScratch()
-	k.degridSubgridScratch(item, in, uvw, atermP, atermQ, vis, s, k.params.workers())
+	k.degridSubgridScratch(item, in, uvw, k.jonesOf(s, atermP, atermQ), vis, s, k.params.workers())
 	k.putScratch(s)
 }
 
 // degridSubgridScratch is DegridSubgrid with caller-owned scratch
 // buffers and an explicit pixel-tile parallelism hint (see
 // gridSubgridScratch).
-func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, atermP, atermQ []xmath.Matrix2, vis []xmath.Matrix2, s *scratch, par int) {
+func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, a jones, vis []xmath.Matrix2, s *scratch, par int) {
 	k.checkItem(item, uvw, vis)
 	if k.params.DisableBatching {
 		if k.ob.enabled() {
 			k.ob.kernelPath(k.ob.pathRef)
 		}
-		k.degridSubgridReference(item, in, uvw, atermP, atermQ, vis)
+		k.degridSubgridReference(item, in, uvw, a, vis)
 		return
 	}
 	if k.params.Precision == Float32 {
@@ -47,7 +47,7 @@ func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw
 				k.ob.kernelPath(k.ob.pathTiled32)
 			}
 		}
-		degridSubgridTiled(k, item, in, uvw, atermP, atermQ, vis, s, par, tile)
+		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, tile)
 	} else {
 		tile := degridTile[float64]
 		vec := k.disp.degridVec64 != nil
@@ -61,23 +61,24 @@ func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw
 				k.ob.kernelPath(k.ob.pathTiled64)
 			}
 		}
-		degridSubgridTiled(k, item, in, uvw, atermP, atermQ, vis, s, par, tile)
+		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, tile)
 	}
 }
 
 // correctedPixel applies the forward A-terms (Ap * S * Aq^H) and the
 // taper to pixel i of the input subgrid.
-func (k *Kernels) correctedPixel(in *grid.Subgrid, i int, atermP, atermQ []xmath.Matrix2) xmath.Matrix2 {
+func (k *Kernels) correctedPixel(in *grid.Subgrid, i int, a jones) xmath.Matrix2 {
 	s := xmath.Matrix2{in.Data[0][i], in.Data[1][i], in.Data[2][i], in.Data[3][i]}
-	if atermP != nil {
-		s = atermP[i].Mul(s).Mul(atermQ[i].Hermitian())
+	if !a.none() {
+		p, q := a.at(i)
+		s = p.Mul(s).Mul(q.Hermitian())
 	}
 	tp := complex(k.taper[i], 0)
 	return xmath.Matrix2{s[0] * tp, s[1] * tp, s[2] * tp, s[3] * tp}
 }
 
 // degridSubgridReference is the direct transcription of Algorithm 2.
-func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, atermP, atermQ []xmath.Matrix2, vis []xmath.Matrix2) {
+func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, a jones, vis []xmath.Matrix2) {
 	sg := k.params.SubgridSize
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
@@ -96,7 +97,7 @@ func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, u
 				// alpha = -(phase used by the gridder): conjugate.
 				sin, cos := k.sincos(phaseIndex*scale - phaseOffset)
 				phi := complex(cos, -sin)
-				s := k.correctedPixel(in, i, atermP, atermQ)
+				s := k.correctedPixel(in, i, a)
 				sum[0] += phi * s[0]
 				sum[1] += phi * s[1]
 				sum[2] += phi * s[2]
@@ -125,7 +126,7 @@ func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, u
 // the pixels collapses to two evaluations per (pixel, time step) plus
 // one complex rotation per (pixel, channel), re-synchronized exactly
 // every xmath.DefaultPhasorResync channels.
-func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, atermP, atermQ []xmath.Matrix2, vis []xmath.Matrix2, s *scratch, par int, tile degridTileFn[F]) {
+func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, a jones, vis []xmath.Matrix2, s *scratch, par int, tile degridTileFn[F]) {
 	sg := k.params.SubgridSize
 	npix := sg * sg
 	nt, nc := item.NrTimesteps, item.NrChannels
@@ -136,7 +137,7 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 	// tiles.
 	b := bufsOf[F](s)
 	start := k.ob.now()
-	degridPrologue(k, in, atermP, atermQ, s, grow(&b.planar, 8*npix))
+	degridPrologue(k, in, a, s, grow(&b.planar, 8*npix))
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
 	pOff := growF(&s.pOff, npix)

@@ -20,43 +20,55 @@ type simdDispatch struct {
 	degridVec64 degridTileFn[float64]
 	gridVec32   gridTileFn[float32]
 	degridVec32 degridTileFn[float32]
+
+	// The A-term sandwiches of the vector tiles (simd_amd64.go), lanes
+	// pixels per register, and the planar grouping the tier's gridder
+	// bodies leave their sums in: sum j of a tile's pixel i at
+	// sums[8*sumsW*(i/sumsW) + sumsW*j + i%sumsW].
+	gridSandwich   func(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
+	degridSandwich func(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
+	lanes, sumsW   int
+
+	tiles64, tiles32 string // SIMDInfo's names for the tiles above
 }
 
-// dispatchFor builds the dispatch table for a SIMD tier. Both vector
-// tiers install the same four tile entry points; what the SIMDAVX512
-// tier adds is selected inside them, keyed on the tier resolved here
-// and on the item's channel comb:
-//
-//   - both precisions: every item the recurrence applies to (uniform
-//     comb, phasorMinChannels or more: Kernels.fullWidth) grids with a
-//     pixel per lane (gridLanesPix: sixteen float64 pixels per call
-//     through rotAccPixBlk64, thirty-two float32 pixels through
-//     rotAccPixBlk32) and degrids fused over the channels of a resync
-//     chunk (degridTileVec: rotConjAccOctsBlk64 at eight pixels per ZMM,
-//     rotConjAccBlk32 at sixteen). The float64 rest keeps the 256-bit
-//     direct-phasor gridder, the float32 rest the generic gridder tile;
-//     both keep the 256-bit per-(t, c) degridder calls.
-//   - all four: the phase arguments are staged by the 512-bit stagePIdx
-//     and stageArgs instead of Go loops.
-//   - the batched sine/cosine seeding inside xmath.SincosVec runs
-//     eight lanes per ZMM.
+// The tile bodies dispatched per vector tier, as SIMDInfo names them.
+const (
+	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
+	tiles64AVX512 = "avx512 8-lane: 16-pixel-lane gridder, fused degridder, staged phases"
+	tiles32AVX2   = "avx2+fma 8-lane"
+	tiles32AVX512 = "avx512 16-lane: 32-pixel-lane gridder, fused degridder, staged phases"
+)
+
+// dispatchFor builds the dispatch table for a SIMD tier: which body runs
+// is the tier's alone to say. The avx2 tier's tiles still choose between
+// their recurrence and direct-phasor forms by the item's channel comb
+// (and its float32 gridder takes recurrence items only); the SIMDAVX512
+// tier's take every item of both precisions (Kernels.fullWidth): pixels
+// in the lanes (gridTilePix), the degridder fused over the channels a
+// staged row of phasors serves (degridTileFused), phases staged by
+// stagePIdx and stageArgs, A-term sandwiches at eight pixels per ZMM,
+// and xmath.SincosVec at eight lanes. Both vector tiers read the A-terms
+// as planes (planarATerms).
 //
 // The tiles went to 512 bits on measurement, not on principle: on the
 // reference host class (Sapphire-Rapids-type Xeon) a thread sustains
 // about twice the lane-FMA rate at ZMM width that it does at YMM width,
 // and no kernel is slower on the avx512 tier than on avx2
-// (EXPERIMENTS.md, "Float64 tiles at full register width", "Pixels in
-// the lanes", "Float32 pixels in the lanes" and "Float32 degridder
-// fused over the channels", has the pairs and the per-tier tables). The
-// direct-phasor tile is the 256-bit body left on this tier; it has not
-// been measured wider.
+// (EXPERIMENTS.md, "Float64 tiles at full register width" to "Short
+// items at full width", has the pairs and the per-tier tables).
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
-	d := simdDispatch{tier: tier}
-	if haveVectorASM && tier >= xmath.SIMDAVX2 {
-		d.gridVec64 = gridTileVec
-		d.degridVec64 = degridTileVec[float64]
-		d.gridVec32 = gridTileVec32
-		d.degridVec32 = degridTileVec[float32]
+	d := simdDispatch{tier: tier, tiles64: "generic", tiles32: "generic"}
+	switch {
+	case !haveVectorASM || tier < xmath.SIMDAVX2:
+	case tier < xmath.SIMDAVX512:
+		d.gridVec64, d.degridVec64, d.tiles64 = gridTileVec, degridTileVec[float64], tiles64AVX2
+		d.gridVec32, d.degridVec32, d.tiles32 = gridTileVec32, degridTileVec[float32], tiles32AVX2
+		d.gridSandwich, d.degridSandwich, d.lanes, d.sumsW = gridSandwichQuads, degridSandwichQuads, 4, 4
+	default:
+		d.gridVec64, d.degridVec64, d.tiles64 = gridTilePix[float64], degridTileFused[float64], tiles64AVX512
+		d.gridVec32, d.degridVec32, d.tiles32 = gridTilePix[float32], degridTileFused[float32], tiles32AVX512
+		d.gridSandwich, d.degridSandwich, d.lanes, d.sumsW = gridSandwichOcts, degridSandwichOcts, 8, 16
 	}
 	return d
 }
@@ -89,53 +101,21 @@ func (si SIMDInfo) String() string {
 		si.Detected, si.Active, si.Tiles64, si.Tiles32, si.Sincos, si.Lanes)
 }
 
-// The tile bodies dispatched per vector tier, as SIMDInfo names them.
-// The avx512 strings state the one rule that tier selects by, gridder
-// and degridder alike (Kernels.fullWidth); TestDispatchPerTier holds the
-// stated threshold against it.
-const (
-	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
-	tiles64AVX512 = "avx512 8-lane: uniform nc>=3 -> 16-pixel-lane gridder, fused degridder; else avx2+fma 4-lane direct phasors; staged phases"
-	tiles32AVX2   = "avx2+fma 8-lane"
-	tiles32AVX512 = "avx512 16-lane: uniform nc>=3 -> 32-pixel-lane gridder, fused degridder; else generic gridder, avx2+fma 8-lane degridder; staged phases"
-)
-
 // SIMDInfo reports the SIMD dispatch this Kernels value resolved to.
 func (k *Kernels) SIMDInfo() SIMDInfo {
 	si := SIMDInfo{
 		Detected: xmath.DetectedSIMD().String(),
 		Active:   k.disp.tier.String(),
-		Tiles64:  "generic",
-		Tiles32:  "generic",
+		Tiles64:  k.disp.tiles64,
+		Tiles32:  k.disp.tiles32,
 		Sincos:   "scalar (configured)",
-		Lanes:    1,
-	}
-	if k.disp.gridVec64 != nil {
-		// The bodies gridTileVec (fullWidth, then vecRecurrence) and
-		// degridTileVec (fullWidth) select between.
-		si.Tiles64 = tiles64AVX2
-		if k.disp.tier >= xmath.SIMDAVX512 {
-			si.Tiles64 = tiles64AVX512
-		}
-	}
-	if k.disp.gridVec32 != nil {
-		si.Tiles32 = tiles32AVX2
-		if k.disp.tier >= xmath.SIMDAVX512 {
-			si.Tiles32 = tiles32AVX512
-		}
+		Lanes:    max(k.disp.lanes, 1), // of float64; a register holds twice the float32
 	}
 	if k.vecSincos {
 		si.Sincos = "sincosvec/" + k.disp.tier.String()
 	}
-	if k.disp.gridVec64 != nil {
-		// A YMM of float64, doubled by float32 and by the ZMM tier.
-		si.Lanes = 4
-		if k.params.Precision == Float32 {
-			si.Lanes *= 2
-		}
-		if k.disp.tier >= xmath.SIMDAVX512 {
-			si.Lanes *= 2
-		}
+	if k.params.Precision == Float32 {
+		si.Lanes = max(2*k.disp.lanes, 1)
 	}
 	return si
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -77,38 +76,26 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestDispatchPerTier runs both precisions at every executable tier
-// (forceSIMD seam) against the reference transcription: the dispatch
-// table must route to a kernel whose result stays within the
-// documented per-precision bound no matter which tier is active. The
-// channel counts cover the avx2 tier's blocked body (8, 16, 24 and 64
-// channels), counts with channel tails, the recurrence threshold and
-// its neighbour below, and a second and a third resync chunk; on the
-// avx512 tier everything from the threshold up is the pixel-lane
-// gridder, in both precisions. Run with -v for each float32 gridder's and
-// degridder's measured error as a share of its bound (EXPERIMENTS.md has
-// the tables).
-//
-// The float64 tiers are not bitwise equal to each other — the avx512
-// gridder builds each sum as one chain where avx2 folds four lanes, its
-// degridder folds eight — so the two are also compared directly: the
-// difference is reassociation of the same products plus the phasors'
-// rotation rounding, a few float64 roundings per term and orders of
-// magnitude inside the bound each tier holds against the reference.
-//
-// Tiles64 and Tiles32 are checked against what ran: the threshold the
-// avx512 strings state must be the one Kernels.fullWidth branches on,
-// the clause it governs must name both bodies that predicate selects,
-// and no other tier may claim or take them. For the degridder the bits
-// say which body ran: from the stated threshold up the avx512
-// visibilities differ from avx2's (the fused kernel folds twice the
-// lanes), below it they are identical.
+// TestDispatchPerTier runs one item of every shape — uniform combs from
+// two channels to three resync chunks, and the short and non-uniform
+// shapes — through every tier the host has, in both precisions, against
+// the reference transcription within the documented bounds, and holds
+// the SIMDInfo strings to the dispatch: only the avx512 strings name the
+// pixel-lane gridder and the fused degridder, and exactly that tier is
+// full width, for every shape. The bits say which body ran: on avx512
+// the degridder's visibilities differ from avx2's whatever the shape
+// (the fused kernel folds twice the lanes), and the float64 gridder's
+// differ by reassociation only.
 func TestDispatchPerTier(t *testing.T) {
-	const sg, nt = 12, 8
-	for _, nc := range []int{2, 3, 5, 8, 16, 21, 24, 37, 64, 66, 130} {
+	const sg = 12
+	for _, sh := range shortAndUniformShapes(8, 2, 3, 5, 8, 16, 21, 24, 37, 64, 66, 130) {
+		nt, nc := sh.nt, sh.nc
 		item, uvw, vis, maxAmp := tilingItem(103, nt, nc)
 		in, pixAmp := randomSubgrid(sg, item, 107)
-		ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
+		ref := tilingKernels(t, sg, nc, func(p *Params) {
+			sh.mod(p)
+			p.DisableBatching = true
+		})
 		want := grid.NewSubgrid(sg, item.X0, item.Y0)
 		ref.GridSubgrid(item, uvw, vis, nil, nil, want)
 		wantVis := make([]xmath.Matrix2, nt*nc)
@@ -118,25 +105,18 @@ func TestDispatchPerTier(t *testing.T) {
 		tolVis64 := 2*2*math.Sqrt2*float64(sg*sg)*pixAmp*phaseBound + 1e-9
 		grids64 := map[xmath.SIMDTier]*grid.Subgrid{}
 		visOf := map[Precision]map[xmath.SIMDTier][]xmath.Matrix2{Float64: {}, Float32: {}}
-		fusedFrom := 0 // the avx512 strings' stated threshold
 		for _, tier := range coreHostTiers() {
 			for _, prec := range []Precision{Float64, Float32} {
 				k := tilingKernels(t, sg, nc, func(p *Params) {
 					p.Precision = prec
+					sh.mod(p)
 					forceTier(tier)(p)
 				})
 				for _, tiles := range []string{k.SIMDInfo().Tiles64, k.SIMDInfo().Tiles32} {
-					var stated int
-					if i := strings.Index(tiles, "nc>="); i >= 0 {
-						fmt.Sscanf(tiles[i:], "nc>=%d", &stated)
+					named := strings.Contains(tiles, "pixel-lane gridder") && strings.Contains(tiles, "fused degridder")
+					if named != (tier >= xmath.SIMDAVX512) || k.fullWidth() != named {
+						t.Fatalf("%s tier %v: full-width tiles = %v, but tiles=%q", sh.name, tier, k.fullWidth(), tiles)
 					}
-					if (stated > 0) != (tier >= xmath.SIMDAVX512) || k.fullWidth(nc) != (stated > 0 && nc >= stated) {
-						t.Fatalf("nc=%d tier %v: full-width bodies = %v, but tiles=%q", nc, tier, k.fullWidth(nc), tiles)
-					}
-					if clause, _, _ := strings.Cut(tiles, ";"); stated > 0 && !(strings.Contains(clause, "pixel-lane gridder") && strings.Contains(clause, "fused degridder")) {
-						t.Fatalf("tier %v: %q puts a full-width body outside its nc>= clause", tier, tiles)
-					}
-					fusedFrom = max(fusedFrom, stated)
 				}
 				got := grid.NewSubgrid(sg, item.X0, item.Y0)
 				k.GridSubgrid(item, uvw, vis, nil, nil, got)
@@ -152,18 +132,18 @@ func TestDispatchPerTier(t *testing.T) {
 				visOf[prec][tier] = gotVis
 				d := got.MaxAbsDiff(want)
 				if d > tol {
-					t.Fatalf("nc=%d tier %v %v: gridder differs from reference by %g (bound %g)", nc, tier, prec, d, tol)
+					t.Fatalf("%s tier %v %v: gridder differs from reference by %g (bound %g)", sh.name, tier, prec, d, tol)
 				}
 				if prec == Float32 {
-					t.Logf("nc=%d tier %v float32 gridder: error %.3g, %.2g of the bound", nc, tier, d, d/tol)
+					t.Logf("%s tier %v float32 gridder: error %.3g, %.2g of the bound", sh.name, tier, d, d/tol)
 				}
 				d = maxVisDiff(gotVis, wantVis)
 				if d > tolVis {
-					t.Fatalf("nc=%d tier %v %v: degridder differs from reference by %g (bound %g)", nc, tier, prec, d, tolVis)
+					t.Fatalf("%s tier %v %v: degridder differs from reference by %g (bound %g)", sh.name, tier, prec, d, tolVis)
 				}
 				if prec == Float32 {
-					t.Logf("nc=%d tier %v float32 degridder: error %.3g, %.2g of the largest visibility, %.2g of the bound",
-						nc, tier, d, d/maxVisDiff(wantVis, make([]xmath.Matrix2, len(wantVis))), d/tolVis)
+					t.Logf("%s tier %v float32 degridder: error %.3g, %.2g of the largest visibility, %.2g of the bound",
+						sh.name, tier, d, d/maxVisDiff(wantVis, make([]xmath.Matrix2, len(wantVis))), d/tolVis)
 				}
 			}
 		}
@@ -174,14 +154,14 @@ func TestDispatchPerTier(t *testing.T) {
 			// this at most.
 			reassoc := func(n int, amp float64) float64 { return 16 * float64(n) * math.Sqrt2 * amp * 0x1p-52 }
 			if d, tol := wide.MaxAbsDiff(grids64[xmath.SIMDAVX2]), reassoc(nt*nc, maxAmp); d > tol {
-				t.Fatalf("nc=%d: float64 gridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
+				t.Fatalf("%s: float64 gridder avx512 against avx2 differs by %g (reassociation bound %g)", sh.name, d, tol)
 			}
 			if d, tol := maxVisDiff(visOf[Float64][xmath.SIMDAVX512], visOf[Float64][xmath.SIMDAVX2]), reassoc(sg*sg, pixAmp); d > tol {
-				t.Fatalf("nc=%d: float64 degridder avx512 against avx2 differs by %g (reassociation bound %g)", nc, d, tol)
+				t.Fatalf("%s: float64 degridder avx512 against avx2 differs by %g (reassociation bound %g)", sh.name, d, tol)
 			}
 			for prec, vis := range visOf {
-				if same := visEqual(vis[xmath.SIMDAVX512], vis[xmath.SIMDAVX2]); same == (nc >= fusedFrom) {
-					t.Fatalf("nc=%d %v: avx512 degridder bits equal avx2's = %v, but the tiles strings put the fused degridder at nc>=%d", nc, prec, same, fusedFrom)
+				if visEqual(vis[xmath.SIMDAVX512], vis[xmath.SIMDAVX2]) {
+					t.Fatalf("%s %v: the avx512 degridder's bits are avx2's: the fused kernel did not run", sh.name, prec)
 				}
 			}
 		}
@@ -288,44 +268,57 @@ func TestKernelPathVector32Counter(t *testing.T) {
 // TestShortAndNonUniformItemsTakeVectorPath: on a vector-capable tier
 // no float64 item shape may fall back to the generic scalar tile — not
 // the one- and two-channel items below the recurrence threshold, not a
-// non-uniform comb.
+// non-uniform comb — and on the avx512 tier no float32 one either.
 func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
 	skipWithoutVectorKernels(t)
 	const sg, nt = 8, 6
-	for _, freqs := range [][]float64{{150e6}, {150e6, 150.25e6}, nonUniformComb} {
-		nc := len(freqs)
-		item, uvw, vis, _ := tilingItem(127, nt, nc)
-		ob := obs.New(0)
-		k := tilingKernels(t, sg, nc, func(p *Params) {
-			p.Frequencies = freqs
-			p.Observer = ob
-		})
-		out := grid.NewSubgrid(sg, item.X0, item.Y0)
-		k.GridSubgrid(item, uvw, vis, nil, nil, out)
-		snap := ob.Metrics.Snapshot()
-		if got := snap.Counters[obs.MetricKernelPathVector]; got != 1 {
-			t.Errorf("nc=%d: %s = %d, want 1", nc, obs.MetricKernelPathVector, got)
-		}
-		if got := snap.Counters[obs.MetricKernelPathTiled64]; got != 0 {
-			t.Errorf("nc=%d: generic float64 tile counted %d on a vector-capable tier", nc, got)
-		}
+	generic := map[Precision]string{Float64: obs.MetricKernelPathTiled64, Float32: obs.MetricKernelPathTiled32}
+	vector := map[Precision]string{Float64: obs.MetricKernelPathVector, Float32: obs.MetricKernelPathVector32}
+	precs := []Precision{Float64}
+	if xmath.ActiveSIMD() >= xmath.SIMDAVX512 {
+		precs = append(precs, Float32)
 	}
+	for _, prec := range precs {
+		for _, freqs := range [][]float64{{150e6}, {150e6, 150.25e6}, nonUniformComb} {
+			nc := len(freqs)
+			item, uvw, vis, _ := tilingItem(127, nt, nc)
+			ob := obs.New(0)
+			k := tilingKernels(t, sg, nc, func(p *Params) {
+				p.Frequencies = freqs
+				p.Precision = prec
+				p.Observer = ob
+			})
+			out := grid.NewSubgrid(sg, item.X0, item.Y0)
+			k.GridSubgrid(item, uvw, vis, nil, nil, out)
+			snap := ob.Metrics.Snapshot()
+			if got := snap.Counters[vector[prec]]; got != 1 {
+				t.Errorf("%v nc=%d: %s = %d, want 1", prec, nc, vector[prec], got)
+			}
+			if got := snap.Counters[generic[prec]]; got != 0 {
+				t.Errorf("%v nc=%d: generic tile counted %d on a vector-capable tier", prec, nc, got)
+			}
+		}
 
-	// And through a whole pass over a plan of the sparse workload's item
-	// shape (two channels, at most eight time steps per subgrid).
-	sc := defaultScenarioConfig()
-	sc.nc, sc.tmax, sc.atermInterval = 2, 8, 16
-	s, ob := observedScenario(t, sc)
-	s.fillFromModel(nil)
-	g := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
-		t.Fatal(err)
-	}
-	snap := ob.Metrics.Snapshot()
-	if got, want := snap.Counters[obs.MetricKernelPathVector], int64(len(s.plan.Items)); got != want {
-		t.Errorf("short-item pass: %s = %d, want %d (every item)", obs.MetricKernelPathVector, got, want)
-	}
-	if got := snap.Counters[obs.MetricKernelPathTiled64]; got != 0 {
-		t.Errorf("short-item pass: generic float64 tile counted %d", got)
+		// And through a whole pass, there and back, over a plan of the
+		// sparse workload's item shape (two channels, at most eight time
+		// steps per subgrid).
+		sc := defaultScenarioConfig()
+		sc.nc, sc.tmax, sc.atermInterval, sc.precision = 2, 8, 16, prec
+		s, ob := observedScenario(t, sc)
+		s.fillFromModel(nil)
+		g := grid.NewGrid(s.plan.GridSize)
+		if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+			t.Fatal(err)
+		}
+		snap := ob.Metrics.Snapshot()
+		if got, want := snap.Counters[vector[prec]], int64(2*len(s.plan.Items)); got != want {
+			t.Errorf("%v short-item passes: %s = %d, want %d (every item, both ways)", prec, vector[prec], got, want)
+		}
+		if got := snap.Counters[generic[prec]]; got != 0 {
+			t.Errorf("%v short-item passes: generic tile counted %d", prec, got)
+		}
 	}
 }

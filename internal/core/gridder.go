@@ -23,7 +23,7 @@ const twoPi = 2 * math.Pi
 // subgrid out is overwritten, including its anchor metadata.
 func (k *Kernels) GridSubgrid(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid) {
 	s := k.getScratch()
-	k.gridSubgridScratch(item, uvw, vis, atermP, atermQ, out, s, k.params.workers())
+	k.gridSubgridScratch(item, uvw, vis, k.jonesOf(s, atermP, atermQ), out, s, k.params.workers())
 	k.putScratch(s)
 }
 
@@ -32,19 +32,19 @@ func (k *Kernels) GridSubgrid(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.
 // scratch per worker through it so the steady state allocates nothing,
 // and raises par above 1 when it runs fewer items at once than it has
 // workers, so the item's pixel tiles fan out (see tilePar, runTiles).
-func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, s *scratch, par int) {
+func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, a jones, out *grid.Subgrid, s *scratch, par int) {
 	k.checkItem(item, uvw, vis)
 	out.X0, out.Y0, out.WOffset = item.X0, item.Y0, item.WOffset
 	if k.params.DisableBatching {
 		if k.ob.enabled() {
 			k.ob.kernelPath(k.ob.pathRef)
 		}
-		k.gridSubgridReference(item, uvw, vis, atermP, atermQ, out)
+		k.gridSubgridReference(item, uvw, vis, a, out)
 		return
 	}
 	if k.params.Precision == Float32 {
 		tile := gridTile[float32]
-		vec := k.disp.gridVec32 != nil && k.useRecurrence(item.NrChannels)
+		vec := k.disp.gridVec32 != nil && (k.fullWidth() || k.useRecurrence(item.NrChannels))
 		if vec {
 			tile = k.disp.gridVec32
 		}
@@ -55,11 +55,10 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 				k.ob.kernelPath(k.ob.pathTiled32)
 			}
 		}
-		gridSubgridTiled[float32](k, item, uvw, vis, atermP, atermQ, out, s, par, tile)
+		gridSubgridTiled[float32](k, item, uvw, vis, a, out, s, par, tile)
 	} else {
-		// The float64 vector tile covers every item shape (recurrence or
-		// direct phasors, see gridTileVec); the generic tile is the scalar
-		// tier only.
+		// The float64 vector tiles cover every item shape; the generic
+		// tile is the scalar tier only.
 		tile := gridTile[float64]
 		vec := k.disp.gridVec64 != nil
 		if vec {
@@ -72,25 +71,27 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 				k.ob.kernelPath(k.ob.pathTiled64)
 			}
 		}
-		gridSubgridTiled[float64](k, item, uvw, vis, atermP, atermQ, out, s, par, tile)
+		gridSubgridTiled[float64](k, item, uvw, vis, a, out, s, par, tile)
 	}
 }
 
 // phasorMinChannels is the smallest channel count for which the
-// recurrence wins in the generic (scalar) tiles, the degridders and the
-// float32 vector gridder: it replaces nc sincos evaluations per
+// recurrence wins, in every tile that has both forms but the avx2 tier's
+// float64 gridder (vecRecurrence): it replaces nc sincos evaluations per
 // (pixel, time step) with two plus nc-1 complex rotations. Measured
-// with BenchmarkAblationChannelCount under IDG_SIMD=scalar on the
-// reference host (ms per 64-step item, recurrence against direct):
-// c=2 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82 against 3.16 —
-// the two forms cross between 2 and 3 channels. The float64 vector
-// gridder evaluates its direct phasors in batches at about a twentieth
-// of the scalar cost per evaluation, which moves its crossover; it
-// selects with vecRecurrence instead.
+// with BenchmarkAblationChannelCount on the reference host, ms per
+// 64-step item, recurrence against direct: under IDG_SIMD=scalar c=2
+// 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82 against 3.16; in
+// the avx512 tier's pixel-lane gridder (rowChannels), whose evaluations
+// are batched at a twentieth of that cost, float64 c=2 0.125 against
+// 0.115-0.124, c=3 0.14-0.15 against 0.17, c=4 0.16 against 0.22,
+// float32 0.112 against 0.110, 0.13 against 0.155, 0.135 against 0.21 —
+// the two forms cross between 2 and 3 channels everywhere, and below
+// the crossing the direct form has no drift to bound.
 const phasorMinChannels = 3
 
 // useRecurrence reports whether the phasor rotation recurrence applies
-// to a work item of nc channels (everywhere but the float64 vector
+// to a work item of nc channels (everywhere but the avx2 tier's float64
 // gridder, see vecRecurrence).
 func (k *Kernels) useRecurrence(nc int) bool {
 	return k.uniformScale && nc >= phasorMinChannels
@@ -117,7 +118,7 @@ func (k *Kernels) checkItem(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Ma
 
 // gridSubgridReference is the direct transcription of Algorithm 1,
 // kept as the correctness reference and the "no batching" ablation.
-func (k *Kernels) gridSubgridReference(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid) {
+func (k *Kernels) gridSubgridReference(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, a jones, out *grid.Subgrid) {
 	sg := k.params.SubgridSize
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	wOff := item.WOffset
@@ -139,15 +140,16 @@ func (k *Kernels) gridSubgridReference(item plan.WorkItem, uvw []uvwsim.UVW, vis
 				sum[3] += phi * v[3]
 			}
 		}
-		k.storePixel(out, i, sum, atermP, atermQ)
+		k.storePixel(out, i, sum, a)
 	}
 }
 
 // storePixel applies the A-term adjoint (Ap^H * S * Aq) and the taper,
 // then writes the pixel.
-func (k *Kernels) storePixel(out *grid.Subgrid, i int, sum xmath.Matrix2, atermP, atermQ []xmath.Matrix2) {
-	if atermP != nil {
-		sum = atermP[i].Hermitian().Mul(sum).Mul(atermQ[i])
+func (k *Kernels) storePixel(out *grid.Subgrid, i int, sum xmath.Matrix2, a jones) {
+	if !a.none() {
+		p, q := a.at(i)
+		sum = p.Hermitian().Mul(sum).Mul(q)
 	}
 	tp := complex(k.taper[i], 0)
 	out.Data[0][i] = sum[0] * tp
@@ -165,7 +167,7 @@ func (k *Kernels) storePixel(out *grid.Subgrid, i int, sum xmath.Matrix2, atermP
 // pixel ranges. Per-pixel accumulation order is independent of the
 // tile and block sizes, so the result is identical for every
 // decomposition (and bitwise reproducible under concurrent tiles).
-func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, s *scratch, par int, tile gridTileFn[F]) {
+func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, a jones, out *grid.Subgrid, s *scratch, par int, tile gridTileFn[F]) {
 	sg := k.params.SubgridSize
 	nt, nc := item.NrTimesteps, item.NrChannels
 	b := bufsOf[F](s)
@@ -191,12 +193,12 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 			if r1 > sg {
 				r1 = sg
 			}
-			tile(k, item, uvw, s, atermP, atermQ, out, s, r0, r1)
+			tile(k, item, uvw, s, a, out, s, r0, r1)
 		}
 		return
 	}
 	k.runTiles(s, par, sg, func(ts *scratch, row0, row1 int) {
-		tile(k, item, uvw, s, atermP, atermQ, out, ts, row0, row1)
+		tile(k, item, uvw, s, a, out, ts, row0, row1)
 	})
 }
 
@@ -206,7 +208,7 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 // (re-deriving the plane headers locally keeps them off the heap: the
 // tile call is indirect, so pointer arguments would escape) and write
 // the disjoint pixel rows [row0, row1) of out.
-type gridTileFn[F floatT] func(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int)
+type gridTileFn[F floatT] func(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int)
 
 // visPlanes re-derives the planar visibility block headers laid down
 // by gridSubgridTiled in sb's arena.
@@ -224,7 +226,7 @@ func visPlanes[F floatT](sb *scratch, ntnc int) (re, im [4][]F) {
 // cache-blocked (visBlockSteps): each block of the planar arrays is
 // streamed across the whole tile before moving on, so the block stays
 // L1-resident instead of the full nt x nc footprint.
-func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, aterms jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
 	nt, nc := item.NrTimesteps, item.NrChannels
 	tb := bufsOf[F](ts)
@@ -281,7 +283,7 @@ func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *sc
 			complex(float64(a[0]), float64(a[1])), complex(float64(a[2]), float64(a[3])),
 			complex(float64(a[4]), float64(a[5])), complex(float64(a[6]), float64(a[7])),
 		}
-		k.storePixel(out, i, sum, atermP, atermQ)
+		k.storePixel(out, i, sum, aterms)
 	}
 	k.ob.epilogueDone(start)
 }

@@ -612,15 +612,18 @@ rotloop:
 
 // func foldQuadLanes(sums, vacc *float64, npix int)
 //
-// Gridder lane fold: per pixel, the eight four-lane accumulators at
-// vacc[32*i:] reduce to eight sums at sums[8*i:], each as
-// (l0+l2)+(l1+l3) — the order of conjAccQuads' in-register reduce.
+// Gridder lane fold: per pixel i, the eight four-lane accumulators at
+// vacc[32*i:] reduce to eight sums, each as (l0+l2)+(l1+l3) — the order
+// of conjAccQuads' in-register reduce — and land where the sandwich
+// below reads them, in planar groups of four pixels: sum j at
+// sums[32*(i/4) + 4*j + i%4].
 TEXT ·foldQuadLanes(SB), NOSPLIT, $0-24
 	MOVQ sums+0(FP), DI
 	MOVQ vacc+8(FP), SI
 	MOVQ npix+16(FP), CX
+	XORQ AX, AX                  // pixels folded
 
-#define FOLD_PAIR(off, out) \
+#define FOLD_PAIR(off) \
 	VMOVUPD      off(SI), Y0     \
 	VMOVUPD      off+32(SI), Y2  \
 	VEXTRACTF128 $1, Y0, X1      \
@@ -628,82 +631,44 @@ TEXT ·foldQuadLanes(SB), NOSPLIT, $0-24
 	VADDPD       X1, X0, X0      \ // l0+l2, l1+l3
 	VADDPD       X3, X2, X2      \
 	VHADDPD      X2, X0, X0      \ // (l0+l2)+(l1+l3) of both accumulators
-	VMOVUPD      X0, out(DI)
+	VMOVLPD      X0, off(DI)     \
+	VMOVHPD      X0, off+32(DI)
 
 foldloop:
-	FOLD_PAIR(0, 0)
-	FOLD_PAIR(64, 16)
-	FOLD_PAIR(128, 32)
-	FOLD_PAIR(192, 48)
-	ADDQ $256, SI
-	ADDQ $64, DI
+	FOLD_PAIR(0)
+	FOLD_PAIR(64)
+	FOLD_PAIR(128)
+	FOLD_PAIR(192)
+	ADDQ  $256, SI
+	ADDQ  $8, DI
+	INCQ  AX
+	TESTQ $3, AX
+	JNZ   foldnext
+	ADDQ  $224, DI               // the next group of four
+foldnext:
 	DECQ CX
 	JNZ  foldloop
 	VZEROUPPER
 	RET
 
-// The A-term sandwiches work on four pixels at a time in structure-of-
-// arrays form: every component of the 2x2 complex matrices S, P and Q
-// is one YMM of four pixels, staged in the frame. Slot j of a matrix
-// holds component j of [m0.re m0.im m1.re m1.im m2.re ... m3.im].
-#define S_(j) (32*(j))(SP)
-#define P_(j) (256+32*(j))(SP)
-#define Q_(j) (512+32*(j))(SP)
-
-// LOADT4 transposes the 4x4 block of doubles whose rows lie 64 bytes
-// apart from off(base) (half a Matrix2 of four consecutive pixels) into
-// the frame slots slot..slot+3.
-#define LOADT4(base, off, slot) \
-	VMOVUPD    off(base), Y0         \
-	VMOVUPD    off+64(base), Y1      \
-	VMOVUPD    off+128(base), Y2     \
-	VMOVUPD    off+192(base), Y3     \
-	VUNPCKLPD  Y1, Y0, Y4            \
-	VUNPCKHPD  Y1, Y0, Y5            \
-	VUNPCKLPD  Y3, Y2, Y6            \
-	VUNPCKHPD  Y3, Y2, Y7            \
-	VPERM2F128 $0x20, Y6, Y4, Y0     \
-	VPERM2F128 $0x20, Y7, Y5, Y1     \
-	VPERM2F128 $0x31, Y6, Y4, Y2     \
-	VPERM2F128 $0x31, Y7, Y5, Y3     \
-	VMOVUPD    Y0, (slot)(SP)        \
-	VMOVUPD    Y1, (slot+32)(SP)     \
-	VMOVUPD    Y2, (slot+64)(SP)     \
-	VMOVUPD    Y3, (slot+96)(SP)
-
-// MULADD2(xr, xi, zr, zi, y, w, re, im): re+i*im = x*y + z*w with x, z
-// in registers and y, w in the frame (slot of the real part).
-#define MULADD2(xr, xi, zr, zi, yr, yi, wr, wi, re, im) \
-	VMULPD       yr, xr, re  \
-	VFNMADD231PD yi, xi, re  \
-	VFMADD231PD  wr, zr, re  \
-	VFNMADD231PD wi, zi, re  \
-	VMULPD       yi, xr, im  \
-	VFMADD231PD  yr, xi, im  \
-	VFMADD231PD  wi, zr, im  \
-	VFMADD231PD  wr, zi, im
-
-// CMULADD2: re+i*im = conj(x)*y + conj(z)*w, same operand homes.
-#define CMULADD2(xr, xi, zr, zi, yr, yi, wr, wi, re, im) \
-	VMULPD       yr, xr, re  \
-	VFMADD231PD  yi, xi, re  \
-	VFMADD231PD  wr, zr, re  \
-	VFMADD231PD  wi, zi, re  \
-	VMULPD       yi, xr, im  \
-	VFNMADD231PD yr, xi, im  \
-	VFMADD231PD  wi, zr, im  \
-	VFNMADD231PD wr, zi, im
-
-// MULCADD2: re+i*im = x*conj(y) + z*conj(w), same operand homes.
-#define MULCADD2(xr, xi, zr, zi, yr, yi, wr, wi, re, im) \
-	VMULPD       yr, xr, re  \
-	VFMADD231PD  yi, xi, re  \
-	VFMADD231PD  wr, zr, re  \
-	VFMADD231PD  wi, zi, re  \
-	VMULPD       yr, xi, im  \
-	VFNMADD231PD yi, xr, im  \
-	VFMADD231PD  wr, zi, im  \
-	VFNMADD231PD wi, zr, im
+// The A-term sandwiches at four pixels per YMM: sandwich_amd64.h on the
+// sums as foldQuadLanes leaves them.
+#define V0 Y0
+#define V1 Y1
+#define V2 Y2
+#define V3 Y3
+#define V4 Y4
+#define V5 Y5
+#define V6 Y6
+#define V7 Y7
+#define V8 Y8
+#define V9 Y9
+#define V10 Y10
+#define V11 Y11
+#define V15 Y15
+#define VB 32
+#define SPL 32
+#define S_NEXT ADDQ $256, AX
 
 // STORE_AOS(re, im, out): interleaves four (re, im) pairs into four
 // consecutive complex128 at out.
@@ -715,32 +680,22 @@ foldloop:
 	VMOVUPD    Y14, (out)           \
 	VMOVUPD    Y13, 32(out)
 
-// GRID_ROW(pa, pb, outa, outb): one row of R = (P^H S) Q for the P
-// column (pa, pb): T0 = conj(pa) s0 + conj(pb) s2, T1 = conj(pa) s1 +
-// conj(pb) s3, then outa = T0 q0 + T1 q2, outb = T0 q1 + T1 q3, both
-// times the taper in Y15.
-#define GRID_ROW(pa, pb, outa, outb) \
-	VMOVUPD P_(2*pa), Y0   \
-	VMOVUPD P_(2*pa+1), Y1 \
-	VMOVUPD P_(2*pb), Y2   \
-	VMOVUPD P_(2*pb+1), Y3 \
-	CMULADD2(Y0, Y1, Y2, Y3, S_(0), S_(1), S_(4), S_(5), Y4, Y5) \
-	CMULADD2(Y0, Y1, Y2, Y3, S_(2), S_(3), S_(6), S_(7), Y6, Y7) \
-	MULADD2(Y4, Y5, Y6, Y7, Q_(0), Q_(1), Q_(4), Q_(5), Y8, Y9)   \
-	MULADD2(Y4, Y5, Y6, Y7, Q_(2), Q_(3), Q_(6), Q_(7), Y10, Y11) \
-	VMULPD Y15, Y8, Y8     \
-	VMULPD Y15, Y9, Y9     \
-	VMULPD Y15, Y10, Y10   \
-	VMULPD Y15, Y11, Y11   \
-	STORE_AOS(Y8, Y9, outa)   \
-	STORE_AOS(Y10, Y11, outb)
+// LOAD_AOS(in, re, im): splits four consecutive complex128 at in into
+// their real and imaginary vectors.
+#define LOAD_AOS(in, re, im) \
+	VMOVUPD    (in), Y12            \
+	VMOVUPD    32(in), Y13          \
+	VPERM2F128 $0x20, Y13, Y12, Y14 \
+	VPERM2F128 $0x31, Y13, Y12, Y13 \
+	VUNPCKLPD  Y13, Y14, Y12        \
+	VUNPCKHPD  Y13, Y14, Y13        \
+	VMOVUPD    Y12, re              \
+	VMOVUPD    Y13, im
 
-// func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *complex128, taper *float64, nq int)
-//
-// Gridder tile epilogue, four pixels per iteration: out_c[i] =
-// taper[i] * (P[i]^H S[i] Q[i])_c with S[i] the folded sums (eight
-// doubles per pixel), P and Q the per-pixel Jones matrices.
-TEXT ·gridSandwichQuads(SB), 0, $768-72
+#include "sandwich_amd64.h"
+
+// func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
+TEXT ·gridSandwichQuads(SB), NOSPLIT, $0-80
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), SI
 	MOVQ out2+16(FP), R8
@@ -748,69 +703,13 @@ TEXT ·gridSandwichQuads(SB), 0, $768-72
 	MOVQ sums+32(FP), AX
 	MOVQ p+40(FP), BX
 	MOVQ q+48(FP), DX
-	MOVQ taper+56(FP), R10
-	MOVQ nq+64(FP), CX
+	MOVQ stride+56(FP), R11
+	MOVQ taper+64(FP), R10
+	MOVQ nv+72(FP), CX
+	GRID_SANDWICH
 
-gridsandwich:
-	LOADT4(AX, 0, 0)
-	LOADT4(AX, 32, 128)
-	LOADT4(BX, 0, 256)
-	LOADT4(BX, 32, 384)
-	LOADT4(DX, 0, 512)
-	LOADT4(DX, 32, 640)
-	VMOVUPD (R10), Y15
-	GRID_ROW(0, 2, DI, SI)
-	GRID_ROW(1, 3, R8, R9)
-	ADDQ $256, AX
-	ADDQ $256, BX
-	ADDQ $256, DX
-	ADDQ $32, R10
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  gridsandwich
-	VZEROUPPER
-	RET
-
-// LOAD_AOS(in, slot): splits four consecutive complex128 at in into
-// their real and imaginary vectors, frame slots slot and slot+1.
-#define LOAD_AOS(in, slot) \
-	VMOVUPD    (in), Y0             \
-	VMOVUPD    32(in), Y1           \
-	VPERM2F128 $0x20, Y1, Y0, Y2    \
-	VPERM2F128 $0x31, Y1, Y0, Y3    \
-	VUNPCKLPD  Y3, Y2, Y4           \
-	VUNPCKHPD  Y3, Y2, Y5           \
-	VMOVUPD    Y4, S_(slot)         \
-	VMOVUPD    Y5, S_(slot+1)
-
-// DEGRID_ROW(pa, pb): one row of R = (P S) Q^H for the P row (pa, pb):
-// T0 = pa s0 + pb s2, T1 = pa s1 + pb s3, then Y8/Y9 = T0 conj(q0) +
-// T1 conj(q1) and Y10/Y11 = T0 conj(q2) + T1 conj(q3), both times the
-// taper in Y15.
-#define DEGRID_ROW(pa, pb) \
-	VMOVUPD P_(2*pa), Y0   \
-	VMOVUPD P_(2*pa+1), Y1 \
-	VMOVUPD P_(2*pb), Y2   \
-	VMOVUPD P_(2*pb+1), Y3 \
-	MULADD2(Y0, Y1, Y2, Y3, S_(0), S_(1), S_(4), S_(5), Y4, Y5) \
-	MULADD2(Y0, Y1, Y2, Y3, S_(2), S_(3), S_(6), S_(7), Y6, Y7) \
-	MULCADD2(Y4, Y5, Y6, Y7, Q_(0), Q_(1), Q_(2), Q_(3), Y8, Y9)   \
-	MULCADD2(Y4, Y5, Y6, Y7, Q_(4), Q_(5), Q_(6), Q_(7), Y10, Y11) \
-	VMULPD Y15, Y8, Y8     \
-	VMULPD Y15, Y9, Y9     \
-	VMULPD Y15, Y10, Y10   \
-	VMULPD Y15, Y11, Y11
-
-// func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int)
-//
-// Degridder prologue, four pixels per iteration: the corrected pixel
-// taper[i] * (P[i] S[i] Q[i]^H) with S[i] = (in0[i] .. in3[i]), written
-// to the eight planar arrays re0, im0, re1, ... that start stride bytes
-// apart at planes.
-TEXT ·degridSandwichQuads(SB), 0, $768-80
+// func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
+TEXT ·degridSandwichQuads(SB), 0, $256-80
 	MOVQ planes+0(FP), DI
 	MOVQ stride+8(FP), R11
 	MOVQ in0+16(FP), SI
@@ -820,40 +719,5 @@ TEXT ·degridSandwichQuads(SB), 0, $768-80
 	MOVQ p+48(FP), BX
 	MOVQ q+56(FP), DX
 	MOVQ taper+64(FP), AX
-	MOVQ nq+72(FP), CX
-	LEAQ (R11)(R11*2), R12
-	LEAQ (DI)(R11*4), R13
-
-degridsandwich:
-	LOAD_AOS(SI, 0)
-	LOAD_AOS(R8, 2)
-	LOAD_AOS(R9, 4)
-	LOAD_AOS(R10, 6)
-	LOADT4(BX, 0, 256)
-	LOADT4(BX, 32, 384)
-	LOADT4(DX, 0, 512)
-	LOADT4(DX, 32, 640)
-	VMOVUPD (AX), Y15
-	DEGRID_ROW(0, 1)
-	VMOVUPD Y8, (DI)
-	VMOVUPD Y9, (DI)(R11*1)
-	VMOVUPD Y10, (DI)(R11*2)
-	VMOVUPD Y11, (DI)(R12*1)
-	DEGRID_ROW(2, 3)
-	VMOVUPD Y8, (R13)
-	VMOVUPD Y9, (R13)(R11*1)
-	VMOVUPD Y10, (R13)(R11*2)
-	VMOVUPD Y11, (R13)(R12*1)
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $256, BX
-	ADDQ $256, DX
-	ADDQ $32, AX
-	ADDQ $32, DI
-	ADDQ $32, R13
-	DECQ CX
-	JNZ  degridsandwich
-	VZEROUPPER
-	RET
+	MOVQ nv+72(FP), CX
+	DEGRID_SANDWICH

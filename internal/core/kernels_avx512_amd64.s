@@ -3,17 +3,17 @@
 #include "textflag.h"
 
 // The full-width tile bodies of the SIMDAVX512 dispatch tier: the
-// gridder's recurrence with a pixel per lane, sixteen float64 pixels in
-// two ZMM octs (rotAccPixBlk64) or thirty-two float32 pixels in two ZMM
-// of sixteen (rotAccPixBlk32), the degridder's fused, channel-blocked
+// gridder with a pixel per lane, sixteen float64 pixels in two ZMM octs
+// (rotAccPixBlk64) or thirty-two float32 pixels in two ZMM of sixteen
+// (rotAccPixBlk32), the degridder's fused, channel-blocked
 // rotate-and-accumulate at eight float64 or sixteen float32 pixels per
-// ZMM (rotConjAccOctsBlk64, rotConjAccBlk32), and the phase stagers
-// every one of them runs ahead of its sincos batch (stagePIdx,
-// stageArgs). See simd_amd64.go
-// for the contracts, tile_vec.go for the callers. Only that tier
-// reaches this file: xmath's detection requires AVX-512 F+DQ+BW+VL and
-// OS-saved opmask/ZMM state. All routines are NOSPLIT leaves and
-// VZEROUPPER before returning to Go code.
+// ZMM (rotConjAccOctsBlk64, rotConjAccBlk32), the phase stagers every
+// one of them runs ahead of its sincos batch (stagePIdx, stageArgs), and
+// the A-term sandwiches at eight pixels per ZMM (gridSandwichOcts,
+// degridSandwichOcts). See simd_amd64.go for the contracts, tile_vec.go
+// and sandwich.go for the callers. Only that tier reaches this file:
+// xmath's detection requires AVX-512 F+DQ+BW+VL and OS-saved opmask/ZMM
+// state. All routines VZEROUPPER before returning to Go code.
 
 // TAIL_MASK sets K1 to the low (cnt mod lanes) lanes of a register of
 // eight or sixteen, given lanes-1; clobbers CX and DX.
@@ -89,17 +89,21 @@
 	ROT_PIX(VMULPS, VFMSUB213PS, VFMADD213PS, ps, pc, ds, dc, t0, t1)
 
 // PIX_SUMS moves the sixteen accumulators Z0-Z15 between registers and
-// the 1 KB at AX: an [8][16]float64 or an [8][32]float32, two registers
-// per sum either way.
+// the 1 KB at AX, register 2k+h (sum k, the group's pixel half h) at
+// byte k*A + h*B: an [8][16]float64 (PIX_F64), or two [8][16]float32
+// one after the other (PIX_F32) — in both, planes of sixteen pixels in
+// groups of sixteen, the layout the epilogue's sandwich reads.
 #define PIX_LD(mem, reg) VMOVUPD mem, reg
 #define PIX_ST(mem, reg) VMOVUPD reg, mem
-#define PIX_SUMS(MV) \
-	MV((AX), Z0);     MV(64(AX), Z1);   MV(128(AX), Z2);  MV(192(AX), Z3);  \
-	MV(256(AX), Z4);  MV(320(AX), Z5);  MV(384(AX), Z6);  MV(448(AX), Z7);  \
-	MV(512(AX), Z8);  MV(576(AX), Z9);  MV(640(AX), Z10); MV(704(AX), Z11); \
-	MV(768(AX), Z12); MV(832(AX), Z13); MV(896(AX), Z14); MV(960(AX), Z15)
+#define PIX_SUMS(MV, A, B) \
+	MV((0*A)(AX), Z0);  MV((0*A+B)(AX), Z1);  MV((1*A)(AX), Z2);  MV((1*A+B)(AX), Z3);  \
+	MV((2*A)(AX), Z4);  MV((2*A+B)(AX), Z5);  MV((3*A)(AX), Z6);  MV((3*A+B)(AX), Z7);  \
+	MV((4*A)(AX), Z8);  MV((4*A+B)(AX), Z9);  MV((5*A)(AX), Z10); MV((5*A+B)(AX), Z11); \
+	MV((6*A)(AX), Z12); MV((6*A+B)(AX), Z13); MV((7*A)(AX), Z14); MV((7*A+B)(AX), Z15)
+#define PIX_F64(MV) PIX_SUMS(MV, 128, 64)
+#define PIX_F32(MV) PIX_SUMS(MV, 64, 512)
 
-// func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int)
+// func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt, rowCh int)
 //
 // The pixel-lane gridder: sixteen pixels, one per lane of two octs,
 // accumulate nt time steps of nc channels with their 8 x 2 accumulators
@@ -108,14 +112,16 @@
 // broadcast once and shared by both octs; R14 is the running byte
 // offset into the eight streams, which are contiguous over (t, c).
 //
-// sn/cs are the sincos of the staged arguments, rows of sixteen lanes:
-// per time step one row of per-pixel delta phasors (Z20-Z23), then one
-// row of base phasors per resync chunk of 64 channels, loaded into
-// Z16-Z19 where the chunk starts and rotated by the deltas from channel
-// to channel. A pixel's sums are therefore built in plain (t, c) order
-// from its own lane's phasors alone: nothing crosses lanes, so what
-// shares the call (or pads it) cannot reach them, and neither can nt.
-TEXT ·rotAccPixBlk64(SB), NOSPLIT, $0-104
+// sn/cs are the sincos of the staged arguments, rows of sixteen lanes.
+// With rowCh > 1, per time step one row of per-pixel delta phasors
+// (Z20-Z23), then one row of base phasors per chunk of rowCh channels,
+// loaded into Z16-Z19 where the chunk starts and rotated by the deltas
+// from channel to channel. With rowCh = 1 there is no delta row and
+// every channel has its own base row: nothing rotates. A pixel's sums
+// are therefore built in plain (t, c) order from its own lane's phasors
+// alone: nothing crosses lanes, so what shares the call (or pads it)
+// cannot reach them, and neither can nt.
+TEXT ·rotAccPixBlk64(SB), NOSPLIT, $0-112
 	MOVQ r0+8(FP), SI
 	MOVQ i0+16(FP), DI
 	MOVQ r1+24(FP), R8
@@ -127,27 +133,31 @@ TEXT ·rotAccPixBlk64(SB), NOSPLIT, $0-104
 	XORQ R14, R14
 
 	MOVQ acc+0(FP), AX
-	PIX_SUMS(PIX_LD)
+	PIX_F64(PIX_LD)
 
 	MOVQ sn+80(FP), BX
 	MOVQ cs+88(FP), CX
 	MOVQ nt+96(FP), AX
 
 pixsteploop:
+	MOVQ    nc+72(FP), R15
+	CMPQ    rowCh+104(FP), $1
+	JEQ     pixchunkloop
 	VMOVUPD (BX), Z20
 	VMOVUPD (CX), Z21
 	VMOVUPD 64(BX), Z22
 	VMOVUPD 64(CX), Z23
-	MOVQ    nc+72(FP), R15
-
-pixchunkloop:
 	ADDQ    $128, BX
 	ADDQ    $128, CX
+
+pixchunkloop:
 	VMOVUPD (BX), Z16
 	VMOVUPD (CX), Z17
 	VMOVUPD 64(BX), Z18
 	VMOVUPD 64(CX), Z19
-	MOVQ    $64, DX             // xmath.DefaultPhasorResync
+	ADDQ    $128, BX
+	ADDQ    $128, CX
+	MOVQ    rowCh+104(FP), DX
 	CMPQ    R15, DX
 	CMOVQLT R15, DX
 	SUBQ    DX, R15
@@ -157,21 +167,21 @@ pixchanloop:
 	ACC_PIX64(R8, R9, Z4, Z5, Z6, Z7)
 	ACC_PIX64(R10, R11, Z8, Z9, Z10, Z11)
 	ACC_PIX64(R12, R13, Z12, Z13, Z14, Z15)
-	ROT_PIX64(Z16, Z17, Z20, Z21, Z26, Z27)
-	ROT_PIX64(Z18, Z19, Z22, Z23, Z28, Z29)
 	ADDQ $8, R14
 	DECQ DX
-	JNZ  pixchanloop
+	JZ   pixchunkdone
+	ROT_PIX64(Z16, Z17, Z20, Z21, Z26, Z27)
+	ROT_PIX64(Z18, Z19, Z22, Z23, Z28, Z29)
+	JMP  pixchanloop
 
+pixchunkdone:
 	TESTQ R15, R15
 	JNZ   pixchunkloop
-	ADDQ  $128, BX
-	ADDQ  $128, CX
 	DECQ  AX
 	JNZ   pixsteploop
 
 	MOVQ acc+0(FP), AX
-	PIX_SUMS(PIX_ST)
+	PIX_F64(PIX_ST)
 	VZEROUPPER
 	RET
 
@@ -437,17 +447,17 @@ argsnext:
 	VCVTPD2PS    192(base), Y31   \
 	VINSERTF64X4 $1, Y31, Z30, hi
 
-// func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int)
+// func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt, rowCh int)
 //
 // rotAccPixBlk64 at sixteen float32 lanes per register: thirty-two
-// pixels per call, acc an [8][32]float32 (sum k of lane p at acc[32k+p]),
-// the same 32 FMAs and 8 rotation instructions per channel covering
-// twice the pixels. sn/cs stay float64, rows of thirty-two lanes in the
-// same order (per step a delta row, then a base row per resync chunk);
-// each row is narrowed in-register where the float64 kernel loads it, so
-// no float32 phasor is ever staged in memory. Phasors rotate and sums
-// accumulate in float32, the scalar float32 tile's error class.
-TEXT ·rotAccPixBlk32(SB), NOSPLIT, $0-104
+// pixels per call, acc a [2][8][16]float32 (sum k of lane p at
+// acc[128*(p/16) + 16k + p%16]), the same 32 FMAs and 8 rotation
+// instructions per channel covering twice the pixels. sn/cs stay
+// float64, rows of thirty-two lanes in the same order; each row is
+// narrowed in-register where the float64 kernel loads it, so no float32
+// phasor is ever staged in memory. Phasors rotate and sums accumulate in
+// float32, the scalar float32 tile's error class.
+TEXT ·rotAccPixBlk32(SB), NOSPLIT, $0-112
 	MOVQ r0+8(FP), SI
 	MOVQ i0+16(FP), DI
 	MOVQ r1+24(FP), R8
@@ -459,23 +469,27 @@ TEXT ·rotAccPixBlk32(SB), NOSPLIT, $0-104
 	XORQ R14, R14
 
 	MOVQ acc+0(FP), AX
-	PIX_SUMS(PIX_LD)
+	PIX_F32(PIX_LD)
 
 	MOVQ sn+80(FP), BX
 	MOVQ cs+88(FP), CX
 	MOVQ nt+96(FP), AX
 
 pix32steploop:
+	MOVQ nc+72(FP), R15
+	CMPQ rowCh+104(FP), $1
+	JEQ  pix32chunkloop
 	NARROW_ROW(BX, Z20, Z22)
 	NARROW_ROW(CX, Z21, Z23)
-	MOVQ nc+72(FP), R15
+	ADDQ $256, BX
+	ADDQ $256, CX
 
 pix32chunkloop:
-	ADDQ    $256, BX
-	ADDQ    $256, CX
 	NARROW_ROW(BX, Z16, Z18)
 	NARROW_ROW(CX, Z17, Z19)
-	MOVQ    $64, DX             // xmath.DefaultPhasorResync
+	ADDQ    $256, BX
+	ADDQ    $256, CX
+	MOVQ    rowCh+104(FP), DX
 	CMPQ    R15, DX
 	CMOVQLT R15, DX
 	SUBQ    DX, R15
@@ -485,21 +499,21 @@ pix32chanloop:
 	ACC_PIX32(R8, R9, Z4, Z5, Z6, Z7)
 	ACC_PIX32(R10, R11, Z8, Z9, Z10, Z11)
 	ACC_PIX32(R12, R13, Z12, Z13, Z14, Z15)
-	ROT_PIX32(Z16, Z17, Z20, Z21, Z26, Z27)
-	ROT_PIX32(Z18, Z19, Z22, Z23, Z28, Z29)
 	ADDQ $4, R14
 	DECQ DX
-	JNZ  pix32chanloop
+	JZ   pix32chunkdone
+	ROT_PIX32(Z16, Z17, Z20, Z21, Z26, Z27)
+	ROT_PIX32(Z18, Z19, Z22, Z23, Z28, Z29)
+	JMP  pix32chanloop
 
+pix32chunkdone:
 	TESTQ R15, R15
 	JNZ   pix32chunkloop
-	ADDQ  $256, BX
-	ADDQ  $256, CX
 	DECQ  AX
 	JNZ   pix32steploop
 
 	MOVQ acc+0(FP), AX
-	PIX_SUMS(PIX_ST)
+	PIX_F32(PIX_ST)
 	VZEROUPPER
 	RET
 
@@ -602,3 +616,88 @@ fused32fold:
 	JNZ     fused32chloop
 	VZEROUPPER
 	RET
+
+// The A-term sandwiches at eight pixels per ZMM: sandwich_amd64.h on the
+// sums as the pixel-lane kernels leave them, in groups of sixteen pixels
+// — AX steps 64 bytes to a group's second oct, 960 on to the next group,
+// the step alternating in R14.
+#define V0 Z0
+#define V1 Z1
+#define V2 Z2
+#define V3 Z3
+#define V4 Z4
+#define V5 Z5
+#define V6 Z6
+#define V7 Z7
+#define V8 Z8
+#define V9 Z9
+#define V10 Z10
+#define V11 Z11
+#define V15 Z15
+#define VB 64
+#define SPL 128
+#define S_NEXT ADDQ R14, AX; XORQ $896, R14 // 64 ^ 960
+
+// PERM_INDEX sets z to the eight bytes of imm widened to quadwords, a
+// VPERMI2PD index vector; clobbers R14 and X12.
+#define PERM_INDEX(imm, z) \
+	MOVQ      imm, R14 \
+	VMOVQ     R14, X12 \
+	VPMOVZXBQ X12, z
+
+// STORE_AOS(re, im, out): interleaves eight (re, im) pairs into eight
+// consecutive complex128 at out; Z28/Z29 index the pairs 0-3 and 4-7.
+#define STORE_AOS(re, im, out) \
+	VMOVAPD   Z28, Z12    \
+	VMOVAPD   Z29, Z13    \
+	VPERMI2PD im, re, Z12 \
+	VPERMI2PD im, re, Z13 \
+	VMOVUPD   Z12, (out)  \
+	VMOVUPD   Z13, 64(out)
+
+// LOAD_AOS(in, re, im): splits eight consecutive complex128 at in into
+// their real and imaginary vectors; Z28/Z29 index the even and the odd
+// doubles.
+#define LOAD_AOS(in, re, im) \
+	VMOVUPD   (in), Z14           \
+	VMOVAPD   Z28, Z12            \
+	VMOVAPD   Z29, Z13            \
+	VPERMI2PD 64(in), Z14, Z12    \
+	VPERMI2PD 64(in), Z14, Z13    \
+	VMOVUPD   Z12, re             \
+	VMOVUPD   Z13, im
+
+#include "sandwich_amd64.h"
+
+// func gridSandwichOcts(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
+TEXT ·gridSandwichOcts(SB), NOSPLIT, $0-80
+	PERM_INDEX($0x0B030A0209010800, Z28)
+	PERM_INDEX($0x0F070E060D050C04, Z29)
+	MOVQ $64, R14
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), SI
+	MOVQ out2+16(FP), R8
+	MOVQ out3+24(FP), R9
+	MOVQ sums+32(FP), AX
+	MOVQ p+40(FP), BX
+	MOVQ q+48(FP), DX
+	MOVQ stride+56(FP), R11
+	MOVQ taper+64(FP), R10
+	MOVQ nv+72(FP), CX
+	GRID_SANDWICH
+
+// func degridSandwichOcts(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
+TEXT ·degridSandwichOcts(SB), 0, $512-80
+	PERM_INDEX($0x0E0C0A0806040200, Z28)
+	PERM_INDEX($0x0F0D0B0907050301, Z29)
+	MOVQ planes+0(FP), DI
+	MOVQ stride+8(FP), R11
+	MOVQ in0+16(FP), SI
+	MOVQ in1+24(FP), R8
+	MOVQ in2+32(FP), R9
+	MOVQ in3+40(FP), R10
+	MOVQ p+48(FP), BX
+	MOVQ q+56(FP), DX
+	MOVQ taper+64(FP), AX
+	MOVQ nv+72(FP), CX
+	DEGRID_SANDWICH

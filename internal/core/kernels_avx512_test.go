@@ -75,29 +75,35 @@ func TestFMA32RoundsOnce(t *testing.T) {
 	}
 }
 
+// pixSum is the index of sum k of lane p in the pixel-lane kernels' acc:
+// planes of sixteen lanes, eight to a group of sixteen pixels (the
+// float32 kernel's thirty-two lanes are two such groups).
+func pixSum(k, lane int) int { return 128*(lane/16) + 16*k + lane%16 }
+
 // rotAccPixRef is the scalar replay of rotAccPixBlk64 and
-// rotAccPixBlk32, one lane at a time: per time step the lane's delta
-// phasor, per resync chunk a fresh base phasor — both narrowed to F as
-// the kernel narrows them — per channel the four correlations' FMA
-// pairs and then the rotation, all in the kernel's order. fma is F's
-// fused multiply-add.
-func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, bn int, fma func(a, b, c F) F) {
+// rotAccPixBlk32, one lane at a time. With rowCh > 1: per time step the
+// lane's delta phasor, per chunk of rowCh channels a fresh base phasor —
+// both narrowed to F as the kernel narrows them — per channel the four
+// correlations' FMA pairs and then the rotation, all in the kernel's
+// order. With rowCh = 1 no delta row is staged and every channel takes
+// its own base phasor. fma is F's fused multiply-add.
+func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, bn, rowCh int, fma func(a, b, c F) F) {
 	w := len(acc) / 8
-	nchunks := (nc + xmath.DefaultPhasorResync - 1) / xmath.DefaultPhasorResync
-	stride := w * (nchunks + 1)
+	lead := min(rowCh-1, 1)
+	stride := w * (lead + (nc+rowCh-1)/rowCh)
 	for lane := 0; lane < w; lane++ {
 		for r := 0; r < bn; r++ {
-			ds, dc := F(sn[r*stride+lane]), F(cs[r*stride+lane])
+			ds, dc := F(sn[r*stride+lane]), F(cs[r*stride+lane]) // unused when rowCh = 1
 			var ps, pc F
 			for c := 0; c < nc; c++ {
-				if c%xmath.DefaultPhasorResync == 0 {
-					o := r*stride + w*(1+c/xmath.DefaultPhasorResync) + lane
+				if c%rowCh == 0 {
+					o := r*stride + w*(lead+c/rowCh) + lane
 					ps, pc = F(sn[o]), F(cs[o])
 				}
 				j := r*nc + c
 				for p := 0; p < 4; p++ {
 					vr, vi := re[p][j], im[p][j]
-					are, aim := &acc[2*w*p+lane], &acc[2*w*p+w+lane]
+					are, aim := &acc[pixSum(2*p, lane)], &acc[pixSum(2*p+1, lane)]
 					*are = fma(vr, pc, *are)
 					*are = fma(-vi, ps, *are)
 					*aim = fma(vr, ps, *aim)
@@ -111,8 +117,9 @@ func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, b
 
 // TestRotAccPixBlk64BoundsAndReplay: the pixel-lane gridder kernel
 // stays inside its buffers and equals the scalar replay bit for bit —
-// channel counts below, at and across the resync boundary, with and
-// without a tail chunk — equals bn single-step calls (block depth
+// with the recurrence, channel counts below, at and across the resync
+// boundary, with and without a tail chunk; with a base row per channel,
+// one, two and seven channels — equals bn single-step calls (block depth
 // cannot reach the result), and gives a pixel the same bits in any lane
 // beside any neighbours.
 func TestRotAccPixBlk64BoundsAndReplay(t *testing.T) {
@@ -127,16 +134,18 @@ func TestRotAccPixBlk32BoundsAndReplay(t *testing.T) {
 
 func testRotAccPixBlk[F floatT](t *testing.T, name string, fma func(a, b, c F) F) {
 	skipWithoutAVX512(t)
+	const resync = xmath.DefaultPhasorResync
 	w := 128 / int(unsafe.Sizeof(F(0))) // the kernel's group: two ZMM registers of F
-	for _, nc := range []int{3, 5, 16, 37, 64, 66, 130} {
+	for _, shape := range [][2]int{{2, resync}, {3, resync}, {5, resync}, {16, resync}, {37, resync}, {64, resync}, {66, resync}, {130, resync}, {1, 1}, {2, 1}, {7, 1}} {
+		nc, rowCh := shape[0], shape[1]
 		for _, bn := range []int{1, 3, 16} {
-			what := fmt.Sprintf("%s nc=%d bn=%d", name, nc, bn)
-			c := &canaried{rnd: newTestRand(uint64(100*nc + bn))}
+			what := fmt.Sprintf("%s nc=%d rowCh=%d bn=%d", name, nc, rowCh, bn)
+			c := &canaried{rnd: newTestRand(uint64(100*nc + bn + rowCh))}
 			var re, im [4][]F
 			for p := range re {
 				re[p], im[p] = canaryBuf[F](c, nc*bn), canaryBuf[F](c, nc*bn)
 			}
-			stride := w * ((nc+xmath.DefaultPhasorResync-1)/xmath.DefaultPhasorResync + 1)
+			stride := w * (min(rowCh-1, 1) + (nc+rowCh-1)/rowCh)
 			sn, cs := c.buf(stride*bn), c.buf(stride*bn)
 			acc := canaryBuf[F](c, 8*w)
 			want := append([]F(nil), acc...)
@@ -145,9 +154,9 @@ func testRotAccPixBlk[F floatT](t *testing.T, name string, fma func(a, b, c F) F
 				rotAccPixBlk(&a[0],
 					&re[0][j], &im[0][j], &re[1][j], &im[1][j],
 					&re[2][j], &im[2][j], &re[3][j], &im[3][j],
-					nc, &sn[0], &cs[0], nt)
+					nc, &sn[0], &cs[0], nt, rowCh)
 			}
-			rotAccPixRef(want, &re, &im, nc, sn, cs, bn, fma)
+			rotAccPixRef(want, &re, &im, nc, sn, cs, bn, rowCh, fma)
 			for r := 0; r < bn; r++ {
 				call(perStep, sn[r*stride:], cs[r*stride:], r*nc, 1)
 			}
@@ -163,7 +172,7 @@ func testRotAccPixBlk[F floatT](t *testing.T, name string, fma func(a, b, c F) F
 			sn2, cs2 := make([]float64, len(sn)), make([]float64, len(cs))
 			for lane := 0; lane < w; lane++ {
 				for k := 0; k < 8; k++ {
-					swapped[w*k+w-1-lane] = lanes0[w*k+lane]
+					swapped[pixSum(k, w-1-lane)] = lanes0[pixSum(k, lane)]
 				}
 				for row := 0; row < len(sn); row += w {
 					sn2[row+w-1-lane], cs2[row+w-1-lane] = sn[row+lane], cs[row+lane]
@@ -175,7 +184,7 @@ func testRotAccPixBlk[F floatT](t *testing.T, name string, fma func(a, b, c F) F
 			call(swapped, sn2, cs2, 0, bn)
 			for lane := 1; lane < w; lane += 2 {
 				for k := 0; k < 8; k++ {
-					if floatBits(swapped[w*k+w-1-lane]) != floatBits(want[w*k+lane]) {
+					if floatBits(swapped[pixSum(k, w-1-lane)]) != floatBits(want[pixSum(k, lane)]) {
 						t.Fatalf("%s: pixel of lane %d changed sum %d when moved to lane %d", what, lane, k, w-1-lane)
 					}
 				}
@@ -379,36 +388,59 @@ func testRotConjAccBlk[F floatT](t *testing.T, fk fusedDegridKernel[F]) {
 	}
 }
 
-// TestPixelLanesShapes pins which items the gridder runs with pixels in
-// the lanes, in either precision: on the avx512 tier every uniform comb
-// from phasorMinChannels up — whole octs or not, one resync chunk or
-// several — and nothing else; below the tier nothing at all.
+// TestPixelLanesShapes pins which items run the avx512 tier's own tiles,
+// in either precision: on that tier every shape — any channel count,
+// uniform comb or not, recurrence enabled or not — and below it none.
 func TestPixelLanesShapes(t *testing.T) {
 	skipWithoutAVX512(t)
 	for _, prec := range []Precision{Float64, Float32} {
-		wide := func(nc int, mod func(*Params)) bool {
-			return tilingKernels(t, 8, nc, func(p *Params) {
-				p.Precision = prec
-				if mod != nil {
+		for _, mod := range []func(*Params){
+			func(*Params) {},
+			func(p *Params) { p.DisablePhasorRecurrence = true },
+			func(p *Params) { p.Frequencies = nonUniformComb },
+		} {
+			kernels := func(tier xmath.SIMDTier) *Kernels {
+				return tilingKernels(t, 8, len(nonUniformComb), func(p *Params) {
+					p.Precision = prec
 					mod(p)
-				}
-			}).fullWidth(nc)
-		}
-		for nc := 1; nc <= 130; nc++ {
-			if got, want := wide(nc, nil), nc >= phasorMinChannels; got != want {
-				t.Errorf("%v nc=%d: pixel lanes = %v on the avx512 tier, want %v", prec, nc, got, want)
+					forceTier(tier)(p)
+				})
 			}
-			if wide(nc, forceTier(xmath.SIMDAVX2)) || wide(nc, forceTier(xmath.SIMDScalar)) {
-				t.Errorf("%v nc=%d takes the pixel-lane kernel below the avx512 tier", prec, nc)
+			if !kernels(xmath.SIMDAVX512).fullWidth() {
+				t.Errorf("%v: an item shape is not full width on the avx512 tier", prec)
 			}
-			if wide(nc, func(p *Params) { p.DisablePhasorRecurrence = true }) {
-				t.Errorf("%v nc=%d takes the pixel-lane kernel with the recurrence disabled", prec, nc)
+			if kernels(xmath.SIMDAVX2).fullWidth() || kernels(xmath.SIMDScalar).fullWidth() {
+				t.Errorf("%v: full-width tiles below the avx512 tier", prec)
 			}
-		}
-		if wide(5, func(p *Params) { p.Frequencies = nonUniformComb }) {
-			t.Errorf("%v: a non-uniform comb takes the pixel-lane kernel", prec)
 		}
 	}
+}
+
+// shortShapes are the item shapes that ran outside the avx512 tier's own
+// tiles until they lost their channel term: one and two channels, a
+// non-uniform comb, a uniform comb with the recurrence disabled. All
+// stage a base row per channel and rotate nothing.
+type itemShape struct {
+	name   string
+	nt, nc int
+	mod    func(*Params)
+}
+
+var shortShapes = []itemShape{
+	{"one channel", 9, 1, func(*Params) {}},
+	{"two channels", 8, 2, func(*Params) {}},
+	{"non-uniform comb", 7, len(nonUniformComb), func(p *Params) { p.Frequencies = nonUniformComb }},
+	{"recurrence disabled", 6, 16, func(p *Params) { p.DisablePhasorRecurrence = true }},
+}
+
+// shortAndUniformShapes is shortShapes followed by uniform combs of nt
+// time steps with the given channel counts.
+func shortAndUniformShapes(nt int, ncs ...int) []itemShape {
+	shapes := append([]itemShape(nil), shortShapes...)
+	for _, nc := range ncs {
+		shapes = append(shapes, itemShape{fmt.Sprintf("nc=%d", nc), nt, nc, func(*Params) {}})
+	}
+	return shapes
 }
 
 // TestPixelLanes32Decomposition: the float32 pixel-lane gridder's
@@ -416,20 +448,20 @@ func TestPixelLanesShapes(t *testing.T) {
 // an 18-pixel subgrid: tiles of 18, 54 and 324 pixels, none a multiple
 // of the 32-pixel group), the visibility block depth, or whether the
 // tiles run on one worker or four — below, at and across the resync
-// boundary, with and without a channel tail.
+// boundary, with and without a channel tail, and for the shapes that
+// stage a row per channel.
 func TestPixelLanes32Decomposition(t *testing.T) {
 	skipWithoutAVX512(t)
-	const sg, nt = 18, 7
-	for _, nc := range []int{3, 5, 8, 16, 37, 64, 66, 130} {
+	const sg = 18
+	for _, sh := range shortAndUniformShapes(7, 3, 5, 8, 16, 37, 64, 66, 130) {
+		nt, nc := sh.nt, sh.nc
 		item, uvw, vis, _ := tilingItem(71, nt, nc)
 		run := func(rows, block, workers int) *grid.Subgrid {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision = Float32
 				p.PixelTileRows, p.VisBlockTimesteps, p.Workers = rows, block, workers
+				sh.mod(p)
 			})
-			if !k.fullWidth(nc) {
-				t.Fatalf("nc=%d does not take the pixel-lane gridder", nc)
-			}
 			out := grid.NewSubgrid(sg, item.X0, item.Y0)
 			k.GridSubgrid(item, uvw, vis, nil, nil, out)
 			return out
@@ -439,7 +471,7 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 			for _, block := range []int{1, 3, nt} {
 				for _, workers := range []int{1, 4} {
 					if !subgridsEqual(want, run(rows, block, workers)) {
-						t.Fatalf("nc=%d: result depends on the decomposition (tile rows %d, block %d, workers %d)", nc, rows, block, workers)
+						t.Fatalf("%s: result depends on the decomposition (tile rows %d, block %d, workers %d)", sh.name, rows, block, workers)
 					}
 				}
 			}
@@ -448,68 +480,52 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 }
 
 // TestFloat32DegridderTiersBitwise: what the avx512 tier's float32
-// degridder still shares with the avx2 tier's, as bits, on an 18-pixel
-// subgrid (tiles of 72 and 36 pixels: a masked half register, a masked
-// quarter). Items the recurrence does not apply to — two channels, a
-// non-uniform comb, the recurrence disabled — run the same 256-bit loops
-// behind different stagers, and every visibility agrees bit for bit.
-// Recurrence items run the fused sixteen-lane kernel, whose phasors are
-// rotOcts' bit for bit: a subgrid with one lit pixel predicts
-// conj(phasor) * pixel with nothing to reassociate, so its visibilities
-// are bitwise equal too — for a pixel in a whole register, in the masked
-// tail, in the last tile; each inside a whole oct on the avx2 side, whose
-// scalar tail pixels rotate unfused. On a random subgrid the sums differ
-// by the association of the lane fold, sixteen roundings per term at most
-// (measured 0.3 % of that; run with -v).
+// degridder shares with the avx2 tier's, as bits, on an 18-pixel subgrid
+// (tiles of 72 and 36 pixels: a masked half register, a masked quarter).
+// Every item runs the fused sixteen-lane kernel, whose phasors are the
+// 256-bit loops' bit for bit — rotOcts' with the recurrence, the same
+// narrowed evaluations where a row is staged per channel: a subgrid with
+// one lit pixel predicts conj(phasor) * pixel with nothing to
+// reassociate, so its visibilities are bitwise equal — for a pixel in a
+// whole register, in the masked tail, in the last tile; each inside a
+// whole oct on the avx2 side, whose scalar tail pixels rotate unfused.
+// On a random subgrid the sums differ by the association of the lane
+// fold, sixteen roundings per term at most (measured 0.3 % of that; run
+// with -v).
 func TestFloat32DegridderTiersBitwise(t *testing.T) {
 	skipWithoutAVX512(t)
-	const sg, nt = 18, 6
-	degrid := func(nc int, in *grid.Subgrid, mod func(*Params)) (wide, narrow []xmath.Matrix2) {
+	const sg = 18
+	degrid := func(nt, nc int, in *grid.Subgrid, mod func(*Params)) (wide, narrow []xmath.Matrix2) {
 		item, uvw, _, _ := tilingItem(73, nt, nc)
 		var got [2][]xmath.Matrix2
 		for i, tier := range []xmath.SIMDTier{xmath.SIMDAVX512, xmath.SIMDAVX2} {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision, p.Sincos = Float32, nil // the batched evaluator both tiers share
 				forceTier(tier)(p)
-				if mod != nil {
-					mod(p)
-				}
+				mod(p)
 			})
 			got[i] = make([]xmath.Matrix2, nt*nc)
 			k.DegridSubgrid(item, in, uvw, nil, nil, got[i])
 		}
 		return got[0], got[1]
 	}
-	item, _, _, _ := tilingItem(73, nt, 1)
+	item, _, _, _ := tilingItem(73, 6, 1)
 	random, pixAmp := randomSubgrid(sg, item, 79)
-	for _, tc := range []struct {
-		name string
-		nc   int
-		mod  func(*Params)
-	}{
-		{"two channels", 2, nil},
-		{"non-uniform comb", len(nonUniformComb), func(p *Params) { p.Frequencies = nonUniformComb }},
-		{"recurrence disabled", 16, func(p *Params) { p.DisablePhasorRecurrence = true }},
-	} {
-		if wide, narrow := degrid(tc.nc, random, tc.mod); !visEqual(wide, narrow) {
-			t.Errorf("%s: float32 degridder visibilities differ between avx512 and avx2", tc.name)
-		}
-	}
-	for _, nc := range []int{5, 16, 37, 66} {
+	for _, sh := range shortAndUniformShapes(6, 5, 16, 37, 66) {
 		for _, pixel := range []int{0, 37, 70, 16*sg + 20} {
 			lit := grid.NewSubgrid(sg, item.X0, item.Y0)
 			for p := range lit.Data {
 				lit.Data[p][pixel] = complex(0.75+float64(p), -0.5)
 			}
-			if wide, narrow := degrid(nc, lit, nil); !visEqual(wide, narrow) {
-				t.Errorf("nc=%d: the phasors of pixel %d differ between avx512 and avx2", nc, pixel)
+			if wide, narrow := degrid(sh.nt, sh.nc, lit, sh.mod); !visEqual(wide, narrow) {
+				t.Errorf("%s: the phasors of pixel %d differ between avx512 and avx2", sh.name, pixel)
 			}
 		}
-		wide, narrow := degrid(nc, random, nil)
+		wide, narrow := degrid(sh.nt, sh.nc, random, sh.mod)
 		d, tol := maxVisDiff(wide, narrow), 16*float64(sg*sg)*math.Sqrt2*pixAmp*0x1p-24
-		t.Logf("nc=%d: fused against 256-bit %.3g, %.2g of the reassociation bound", nc, d, d/tol)
+		t.Logf("%s: fused against 256-bit %.3g, %.2g of the reassociation bound", sh.name, d, d/tol)
 		if d > tol || d == 0 {
-			t.Errorf("nc=%d: fused float32 degridder against the 256-bit form differs by %g, want reassociation only (0 < d <= %g)", nc, d, tol)
+			t.Errorf("%s: fused float32 degridder against the 256-bit form differs by %g, want reassociation only (0 < d <= %g)", sh.name, d, tol)
 		}
 	}
 }

@@ -218,13 +218,20 @@ const DefaultWorkGroupSize = 1024
 // newATermCache builds the run-level A-term cache; it lives for a
 // whole gridding or degridding pass so maps computed for one work
 // group are reused by every later group that shares the (station,
-// slot). A nil provider yields a nil cache (identity fast path).
+// slot). The vector tiers' cache holds planes, which is how their tiles
+// read the maps (jones); a nil provider yields a nil cache (identity
+// fast path).
 func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
-	if prov == nil {
+	switch {
+	case prov == nil:
 		return nil
+	case k.planarATerms():
+		return aterm.NewPlanarCache(prov, k.params.SubgridSize, k.params.ImageSize)
 	}
 	return aterm.NewCache(prov, k.params.SubgridSize, k.params.ImageSize)
 }
+
+func (k *Kernels) planarATerms() bool { return k.disp.gridVec64 != nil }
 
 // planeOf returns the W-layer shared by every item of a group, or -1
 // when the group is empty or mixes layers (only W-stacked passes plan
@@ -242,19 +249,21 @@ func planeOf(items []plan.WorkItem) int {
 	return w
 }
 
-// prefillATerms serially warms the cache with every (station, slot)
-// pair a group of work items needs. aterm.Cache is not safe for
-// concurrent writes, but after this prefill every worker Get is a
-// read-only hit, so the fan-out needs no locking.
+// prefillATerms warms the cache with every (station, slot) pair a group
+// of work items needs, evaluating the missing maps on the pass's
+// workers. aterm.Cache is not safe for concurrent writes, but after this
+// prefill every worker lookup is a read-only hit, so the fan-out needs no
+// locking.
 func (k *Kernels) prefillATerms(cache *aterm.Cache, items []plan.WorkItem, baselines []uvwsim.Baseline) {
 	if cache == nil {
 		return
 	}
+	keys := make([][2]int, 0, 2*len(items))
 	for i := range items {
 		b := baselines[items[i].Baseline]
-		cache.Get(b.P, items[i].ATermSlot)
-		cache.Get(b.Q, items[i].ATermSlot)
+		keys = append(keys, [2]int{b.P, items[i].ATermSlot}, [2]int{b.Q, items[i].ATermSlot})
 	}
+	cache.Fill(keys, k.params.workers())
 }
 
 // GridVisibilities runs the full gridding pass of Fig. 4 — gridder
@@ -344,8 +353,7 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 		run.each(gi, group, func(i int, s *scratch, par int) error {
 			item := group[i]
 			vis := s.visBuf(item.NrVisibilities())
-			ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-			k.degridSubgridScratch(item, subgrids[i], vs.itemUVW(item), ap, aq, vis, s, par)
+			k.degridSubgridScratch(item, subgrids[i], vs.itemUVW(item), k.lookupATerms(cache, vs.Baselines, item), vis, s, par)
 			vs.scatter(item, vis)
 			return nil
 		})
@@ -358,13 +366,16 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 }
 
 // lookupATerms resolves a work item's two station maps from the warm
-// run-level cache (every Get here is a hit; see prefillATerms).
-func (k *Kernels) lookupATerms(cache *aterm.Cache, baselines []uvwsim.Baseline, item plan.WorkItem) (ap, aq []xmath.Matrix2) {
+// run-level cache (every lookup here is a hit; see prefillATerms).
+func (k *Kernels) lookupATerms(cache *aterm.Cache, baselines []uvwsim.Baseline, item plan.WorkItem) jones {
 	if cache == nil {
-		return nil, nil
+		return jones{}
 	}
 	b := baselines[item.Baseline]
-	return cache.Get(b.P, item.ATermSlot), cache.Get(b.Q, item.ATermSlot)
+	if k.planarATerms() {
+		return jones{pp: cache.Planes(b.P, item.ATermSlot), qp: cache.Planes(b.Q, item.ATermSlot)}
+	}
+	return jones{p: cache.Get(b.P, item.ATermSlot), q: cache.Get(b.Q, item.ATermSlot)}
 }
 
 func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {

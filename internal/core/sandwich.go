@@ -1,19 +1,21 @@
 package core
 
 // The per-subgrid fixed cost on either side of the vector kernels: the
-// gridder tile epilogue (lane fold -> P^H S Q -> taper -> subgrid
+// gridder tile epilogue (planar sums -> P^H S Q -> taper -> subgrid
 // planes) and its mirror, the degridder prologue (subgrid planes ->
-// P S Q^H -> taper -> planar pixel block). Both sweep four pixels at a
-// time through the AVX2+FMA sandwiches in kernels_amd64.s; the
+// P S Q^H -> taper -> planar pixel block). Both sweep a register of
+// pixels at a time through the planar sandwiches of sandwich_amd64.h,
+// four per YMM on the avx2 tier and eight per ZMM on avx512; the
 // one-pixel forms below are their math.FMA transcriptions — the same
 // operations in the same order, so a pixel gets the same bits whether
-// it falls into a quad or into a tile's tail. The reference kernels and
-// the generic tiles keep storePixel/correctedPixel, the plain
+// it falls into a register or into a tile's tail. The reference kernels
+// and the generic tiles keep storePixel/correctedPixel, the plain
 // Matrix2 arithmetic these are tested against.
 
 import (
 	"math"
 
+	"repro/internal/aterm"
 	"repro/internal/grid"
 	"repro/internal/xmath"
 )
@@ -37,6 +39,42 @@ func mulcAdd2(xr, xi, zr, zi, yr, yi, wr, wi float64) (re, im float64) {
 	re = math.FMA(zi, wi, math.FMA(zr, wr, math.FMA(xi, yi, xr*yr)))
 	im = math.FMA(-zr, wi, math.FMA(zi, wr, math.FMA(-xr, yi, xi*yr)))
 	return re, im
+}
+
+// jones is a work item's pair of station A-term maps in one of two
+// layouts: a Matrix2 per pixel (p, q), as direct callers supply them, or
+// eight planes (pp, qp: aterm.Planes), as the vector tiles' sandwiches
+// read them and the passes' cache holds them on those tiers. The zero
+// value means no A-terms.
+type jones struct {
+	p, q   []xmath.Matrix2
+	pp, qp []float64
+}
+
+func (a jones) none() bool { return a.p == nil && a.pp == nil }
+
+// at returns pixel i's two matrices from either layout.
+func (a jones) at(i int) (p, q xmath.Matrix2) {
+	if a.pp == nil {
+		return a.p[i], a.q[i]
+	}
+	n := len(a.pp) / 8
+	for j := range p {
+		p[j] = complex(a.pp[2*j*n+i], a.pp[(2*j+1)*n+i])
+		q[j] = complex(a.qp[2*j*n+i], a.qp[(2*j+1)*n+i])
+	}
+	return p, q
+}
+
+// jonesOf wraps the maps a direct caller supplies: as they are for the
+// reference kernels and the scalar tier, laid out as planes in s for the
+// vector tiles.
+func (k *Kernels) jonesOf(s *scratch, p, q []xmath.Matrix2) jones {
+	if p == nil || !k.planarATerms() || k.params.DisableBatching {
+		return jones{p: p, q: q}
+	}
+	buf := growF(&s.jones, 16*len(p))
+	return jones{pp: aterm.Planes(buf[:8*len(p)], p), qp: aterm.Planes(buf[8*len(p):], q)}
 }
 
 // parts splits a Jones matrix into its eight real components.
@@ -82,103 +120,98 @@ func degridSandwichPixel(s *[8]float64, pm, qm *xmath.Matrix2, taper float64) (r
 // foldOctLanes is the float32 gridder's lane fold: the eight eight-lane
 // accumulators of each pixel at vacc[64*i:] reduce in float32 as
 // ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)) — the conjAccOcts order — and
-// widen into sums[8*i:].
+// widen into sums, in foldQuadLanes' groups of four pixels.
 func foldOctLanes(sums []float64, vacc []float32) {
-	for i := range sums {
-		v := vacc[8*i : 8*i+8]
-		sums[i] = float64(((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7])))
-	}
-}
-
-// gridSandwich writes out[c][i] = taper[i] * (P[i]^H S[i] Q[i])_c for
-// the len(taper) pixels whose folded sums S lie eight apiece in sums:
-// whole quads through the assembled body, the rest through its
-// transcription.
-func gridSandwich(out *[4][]complex128, sums []float64, p, q []xmath.Matrix2, taper []float64) {
-	nq := len(taper) / 4
-	if nq > 0 {
-		gridSandwichQuads(&out[0][0], &out[1][0], &out[2][0], &out[3][0],
-			&sums[0], &p[0][0], &q[0][0], &taper[0], nq)
-	}
-	for i := 4 * nq; i < len(taper); i++ {
-		r := gridSandwichPixel((*[8]float64)(sums[8*i:]), &p[i], &q[i], taper[i])
-		for c := range out {
-			out[c][i] = complex(r[2*c], r[2*c+1])
+	for i := 0; 64*i < len(vacc); i++ {
+		for j := 0; j < 8; j++ {
+			v := vacc[64*i+8*j:][:8]
+			sums[32*(i/4)+4*j+i%4] = float64(((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7])))
 		}
 	}
 }
 
-// degridSandwich writes taper[i] * (P[i] S[i] Q[i]^H), S[i] = (in[0][i]
-// .. in[3][i]), into the eight planes of len(taper) values in planes.
-func degridSandwich(planes []float64, in *[4][]complex128, p, q []xmath.Matrix2, taper []float64) {
-	npix := len(taper)
-	nq := npix / 4
-	if nq > 0 {
-		degridSandwichQuads(&planes[0], 8*npix, &in[0][0], &in[1][0], &in[2][0], &in[3][0],
-			&p[0][0], &q[0][0], &taper[0], nq)
-	}
-	for i := 4 * nq; i < npix; i++ {
-		sv := parts(&xmath.Matrix2{in[0][i], in[1][i], in[2][i], in[3][i]})
-		r := degridSandwichPixel(&sv, &p[i], &q[i], taper[i])
-		for j, v := range r {
-			planes[j*npix+i] = v
+// sandwichPixel is one pixel of either sandwich in Go, for the pixels
+// past a tile's last whole register: the assembled bodies' operations in
+// their order, so the same bits (without planes, the taper alone).
+func (a jones) sandwichPixel(i int, s *[8]float64, taper float64, sandwich func(s *[8]float64, pm, qm *xmath.Matrix2, taper float64) [8]float64) (r [8]float64) {
+	if a.pp == nil {
+		for j, v := range s {
+			r[j] = v * taper
 		}
+		return r
 	}
+	p, q := a.at(i)
+	return sandwich(s, &p, &q, taper)
 }
 
-// gridEpilogue finishes the pixels [pix0, pix0+len(sums)/8) of a vector
-// gridder tile from their folded sums: A-term adjoint, taper, store.
-// Per pixel and independent of how the tile was cut: the quad body and
-// the pixel tail agree bit for bit. Only the vector tiles call it, so
-// the assembled body is always there.
-func (k *Kernels) gridEpilogue(out *grid.Subgrid, pix0 int, sums []float64, atermP, atermQ []xmath.Matrix2) {
-	pix1 := pix0 + len(sums)/8
-	taper := k.taper[pix0:pix1]
-	if atermP == nil {
-		for i, t := range taper {
-			s := sums[8*i : 8*i+8]
-			for c := range out.Data {
-				out.Data[c][pix0+i] = complex(s[2*c]*t, s[2*c+1]*t)
-			}
-		}
-		return
+// gridEpilogue finishes the np pixels from pix0 on of a vector gridder
+// tile from their sums (simdDispatch.sumsW): out[c][i] = taper[i] * (P[i]^H S[i]
+// Q[i])_c, or taper[i] * S[i]_c without A-terms. Whole registers of
+// pixels go through the assembled sandwich, the rest through its
+// transcription: per pixel the same bits, however the tile was cut. Only
+// the vector tiles call it, so the assembled body is always there.
+func (k *Kernels) gridEpilogue(out *grid.Subgrid, pix0, np int, sums []float64, a jones) {
+	start := k.ob.now()
+	w, taper, d := k.disp.sumsW, k.taper[pix0:pix0+np], &out.Data
+	var pp, qp *float64
+	if a.pp != nil {
+		pp, qp = &a.pp[pix0], &a.qp[pix0]
 	}
-	planes := [4][]complex128{out.Data[0][pix0:pix1], out.Data[1][pix0:pix1], out.Data[2][pix0:pix1], out.Data[3][pix0:pix1]}
-	gridSandwich(&planes, sums, atermP[pix0:pix1], atermQ[pix0:pix1], taper)
+	nv := np / k.disp.lanes
+	if nv > 0 {
+		// len(a.pp) = 8 planes of 8-byte values: the bytes of one plane.
+		k.disp.gridSandwich(&d[0][pix0], &d[1][pix0], &d[2][pix0], &d[3][pix0], &sums[0], pp, qp, len(a.pp), &taper[0], nv)
+	}
+	for i := k.disp.lanes * nv; i < np; i++ {
+		var s [8]float64
+		for j := range s {
+			s[j] = sums[8*w*(i/w)+w*j+i%w]
+		}
+		r := a.sandwichPixel(pix0+i, &s, taper[i], gridSandwichPixel)
+		for c := range d {
+			d[c][pix0+i] = complex(r[2*c], r[2*c+1])
+		}
+	}
+	k.ob.epilogueDone(start)
 }
 
 // degridPrologue fills the planar corrected-pixel block of one subgrid
-// (planes re0, im0, re1, ... of npix values each in planar): A-terms,
-// taper, split. On the vector tiers the A-term sandwich runs in float64
-// (degridSandwich) — for float32 kernels into the float64 planar arena
-// first, narrowed in one sweep; the scalar tier keeps the Matrix2
-// arithmetic of correctedPixel.
-func degridPrologue[F floatT](k *Kernels, in *grid.Subgrid, atermP, atermQ []xmath.Matrix2, s *scratch, planar []F) {
+// (planes re0, im0, re1, ... of npix values each in planar): taper[i] *
+// (P[i] S[i] Q[i]^H), or taper[i] * S[i] without A-terms, S[i] =
+// (in.Data[0][i] .. in.Data[3][i]). On the vector tiers the sandwich
+// runs in float64 as in gridEpilogue — for float32 kernels into the
+// float64 planar arena first, narrowed in one sweep; the scalar tier
+// keeps the Matrix2 arithmetic of correctedPixel.
+func degridPrologue[F floatT](k *Kernels, in *grid.Subgrid, a jones, s *scratch, planar []F) {
 	npix := len(planar) / 8
-	switch {
-	case k.disp.degridVec64 == nil:
+	if k.disp.degridVec64 == nil {
 		for i := 0; i < npix; i++ {
-			px := k.correctedPixel(in, i, atermP, atermQ)
+			px := k.correctedPixel(in, i, a)
 			for c, v := range px {
 				planar[2*c*npix+i], planar[(2*c+1)*npix+i] = F(real(v)), F(imag(v))
 			}
 		}
-	case atermP == nil:
-		for c := range in.Data {
-			re, im := planar[2*c*npix:(2*c+1)*npix], planar[(2*c+1)*npix:(2*c+2)*npix]
-			for i, t := range k.taper[:npix] {
-				v := in.Data[c][i]
-				re[i], im[i] = F(real(v)*t), F(imag(v)*t)
-			}
+		return
+	}
+	wide, is64 := any(planar).([]float64)
+	if !is64 {
+		wide = growF(&s.b64.planar, 8*npix)
+	}
+	var pp, qp *float64
+	if a.pp != nil {
+		pp, qp = &a.pp[0], &a.qp[0]
+	}
+	nv := npix / k.disp.lanes
+	if d := &in.Data; nv > 0 {
+		k.disp.degridSandwich(&wide[0], 8*npix, &d[0][0], &d[1][0], &d[2][0], &d[3][0], pp, qp, &k.taper[0], nv)
+	}
+	for i := k.disp.lanes * nv; i < npix; i++ {
+		sv := parts(&xmath.Matrix2{in.Data[0][i], in.Data[1][i], in.Data[2][i], in.Data[3][i]})
+		for j, v := range a.sandwichPixel(i, &sv, k.taper[i], degridSandwichPixel) {
+			wide[j*npix+i] = v
 		}
-	default:
-		wide, is64 := any(planar).([]float64)
-		if !is64 {
-			wide = growF(&s.b64.planar, 8*npix)
-		}
-		degridSandwich(wide, &in.Data, atermP, atermQ, k.taper)
-		if !is64 {
-			xmath.CvtF64F32(any(planar).([]float32), wide)
-		}
+	}
+	if !is64 {
+		xmath.CvtF64F32(any(planar).([]float32), wide)
 	}
 }

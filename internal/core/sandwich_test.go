@@ -22,24 +22,51 @@ func asComplex(b []float64) []complex128 {
 	return unsafe.Slice((*complex128)(unsafe.Pointer(&b[0])), len(b)/2)
 }
 
-func asJones(b []float64) []xmath.Matrix2 {
-	return unsafe.Slice((*xmath.Matrix2)(unsafe.Pointer(&b[0])), len(b)/8)
+// sandwichKernels returns a bare Kernels per vector tier this host has,
+// with the given taper: what gridEpilogue and degridPrologue read.
+func sandwichKernels(t *testing.T, taper []float64) (ks []*Kernels) {
+	skipWithoutVectorKernels(t)
+	for _, tier := range coreHostTiers()[1:] {
+		ks = append(ks, &Kernels{taper: taper, disp: dispatchFor(tier)})
+	}
+	return ks
 }
+
+// sumsLen is the exact length of npix pixels' sums in planar groups of
+// w, and sumAt the index of sum j of pixel i in them.
+func sumsLen(npix, w int) int {
+	if r := npix % w; r > 0 {
+		return 8*w*(npix/w) + 7*w + r
+	}
+	return 8 * npix
+}
+
+func sumAt(w, i, j int) int { return 8*w*(i/w) + w*j + i%w }
 
 func TestFoldQuadLanesBoundsAndOrder(t *testing.T) {
 	skipWithoutVectorKernels(t)
 	for npix := 1; npix <= 25; npix++ {
 		what := fmt.Sprintf("foldQuadLanes npix=%d", npix)
 		c := &canaried{rnd: newTestRand(uint64(300 + npix))}
-		vacc, sums := c.buf(32*npix), c.buf(8*npix)
-		want := make([]float64, 8*npix)
-		for i := range want {
+		vacc, sums := c.buf(32*npix), c.buf(sumsLen(npix, 4))
+		want := append([]float64(nil), sums...) // the spare lanes of the last group keep their values
+		for i := 0; i < 8*npix; i++ {
 			v := vacc[4*i : 4*i+4]
-			want[i] = (v[0] + v[2]) + (v[1] + v[3])
+			want[sumAt(4, i/8, i%8)] = (v[0] + v[2]) + (v[1] + v[3])
 		}
 		foldQuadLanes(&sums[0], &vacc[0], npix)
 		c.check(t, what)
 		requireBitwise(t, what, sums, want)
+
+		vacc32, sums32 := canaryBuf[float32](c, 64*npix), c.buf(sumsLen(npix, 4))
+		want = append(want[:0], sums32...)
+		for i := 0; i < 8*npix; i++ {
+			v := vacc32[8*i : 8*i+8]
+			want[sumAt(4, i/8, i%8)] = float64(((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7])))
+		}
+		foldOctLanes(sums32, vacc32)
+		c.check(t, "foldOctLanes")
+		requireBitwise(t, fmt.Sprintf("foldOctLanes npix=%d", npix), sums32, want)
 	}
 }
 
@@ -56,69 +83,108 @@ func sandwichTol(s, p, q xmath.Matrix2, taper float64) float64 {
 	return 1e-14 * norm(s) * norm(p) * norm(q) * math.Abs(taper)
 }
 
-func TestGridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
-	skipWithoutVectorKernels(t)
-	for npix := 1; npix <= 25; npix++ {
-		what := fmt.Sprintf("gridSandwich npix=%d", npix)
-		c := &canaried{rnd: newTestRand(uint64(400 + npix))}
-		sums, taper := c.buf(8*npix), c.buf(npix)
-		p, q := asJones(c.buf(8*npix)), asJones(c.buf(8*npix))
-		var out [4][]complex128
-		for i := range out {
-			out[i] = asComplex(c.buf(2 * npix))
+// sandwichCase is the operands the two sandwich tests share for npix
+// pixels: a taper with zeros of both signs and subnormals among its
+// values, and the planes of two full random Jones maps — or none.
+func sandwichCase(c *canaried, npix int, maps bool) (taper []float64, a jones) {
+	taper = c.buf(npix)
+	for i, special := range []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310} {
+		for j := i + 1; j < npix; j += 6 {
+			taper[j] = special
 		}
-		gridSandwich(&out, sums, p, q, taper)
-		c.check(t, what)
-		for i := 0; i < npix; i++ {
-			s := (*[8]float64)(sums[8*i:])
-			r := gridSandwichPixel(s, &p[i], &q[i], taper[i])
-			sm := xmath.Matrix2{complex(s[0], s[1]), complex(s[2], s[3]), complex(s[4], s[5]), complex(s[6], s[7])}
-			// The oracle: storePixel on a one-pixel subgrid.
-			ref := &grid.Subgrid{N: 1}
-			for cc := range ref.Data {
-				ref.Data[cc] = make([]complex128, 1)
-			}
-			(&Kernels{taper: taper[i : i+1]}).storePixel(ref, 0, sm, p[i:i+1], q[i:i+1])
-			for cc := range out {
-				got := out[cc][i]
-				if math.Float64bits(real(got)) != math.Float64bits(r[2*cc]) || math.Float64bits(imag(got)) != math.Float64bits(r[2*cc+1]) {
-					t.Fatalf("%s: pixel %d plane %d = %v, transcription gives (%v, %v)", what, i, cc, got, r[2*cc], r[2*cc+1])
+	}
+	if maps {
+		a = jones{pp: c.buf(8 * npix), qp: c.buf(8 * npix)}
+	}
+	return taper, a
+}
+
+// TestGridSandwichBoundsTranscriptionAndOracle: the gridder epilogue of
+// either vector tier, with Jones planes and taper-only, for every pixel
+// count up to four registers and a tail, stays inside exact-length
+// buffers and equals gridSandwichPixel (taper-only: the plain product)
+// bit for bit, and storePixel to rounding.
+func TestGridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
+	for npix := 1; npix <= 33; npix++ {
+		for _, maps := range []bool{true, false} {
+			c := &canaried{rnd: newTestRand(uint64(400 + npix))}
+			taper, a := sandwichCase(c, npix, maps)
+			for _, k := range sandwichKernels(t, taper) {
+				w := k.disp.sumsW
+				what := fmt.Sprintf("gridEpilogue %v npix=%d maps=%v", k.disp.tier, npix, maps)
+				sums := c.buf(sumsLen(npix, w))
+				out := &grid.Subgrid{N: 1}
+				for i := range out.Data {
+					out.Data[i] = asComplex(c.buf(2 * npix))
 				}
-				if d := cAbs(got - ref.Data[cc][0]); d > sandwichTol(sm, p[i], q[i], taper[i]) {
-					t.Fatalf("%s: pixel %d plane %d = %v, storePixel gives %v (off by %g)", what, i, cc, got, ref.Data[cc][0], d)
+				k.gridEpilogue(out, 0, npix, sums, a)
+				c.check(t, what)
+				for i := 0; i < npix; i++ {
+					var s [8]float64
+					for j := range s {
+						s[j] = sums[sumAt(w, i, j)]
+					}
+					sm := xmath.Matrix2{complex(s[0], s[1]), complex(s[2], s[3]), complex(s[4], s[5]), complex(s[6], s[7])}
+					p, q := xmath.Identity2(), xmath.Identity2()
+					if maps {
+						p, q = a.at(i)
+					}
+					r := a.sandwichPixel(i, &s, taper[i], gridSandwichPixel)
+					// The oracle: storePixel on a one-pixel subgrid.
+					ref := &grid.Subgrid{N: 1}
+					for cc := range ref.Data {
+						ref.Data[cc] = make([]complex128, 1)
+					}
+					(&Kernels{taper: taper[i : i+1]}).storePixel(ref, 0, sm, jones{p: []xmath.Matrix2{p}, q: []xmath.Matrix2{q}})
+					for cc := range out.Data {
+						got := out.Data[cc][i]
+						if math.Float64bits(real(got)) != math.Float64bits(r[2*cc]) || math.Float64bits(imag(got)) != math.Float64bits(r[2*cc+1]) {
+							t.Fatalf("%s: pixel %d plane %d = %v, transcription gives (%v, %v)", what, i, cc, got, r[2*cc], r[2*cc+1])
+						}
+						if d := cAbs(got - ref.Data[cc][0]); d > sandwichTol(sm, p, q, taper[i]) {
+							t.Fatalf("%s: pixel %d plane %d = %v, storePixel gives %v (off by %g)", what, i, cc, got, ref.Data[cc][0], d)
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestDegridSandwichBoundsTranscriptionAndOracle is the same for the
+// degridder prologue against degridSandwichPixel and correctedPixel.
 func TestDegridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
-	skipWithoutVectorKernels(t)
-	for npix := 1; npix <= 25; npix++ {
-		what := fmt.Sprintf("degridSandwich npix=%d", npix)
-		c := &canaried{rnd: newTestRand(uint64(500 + npix))}
-		taper := c.buf(npix)
-		p, q := asJones(c.buf(8*npix)), asJones(c.buf(8*npix))
-		in := &grid.Subgrid{N: 1}
-		for i := range in.Data {
-			in.Data[i] = asComplex(c.buf(2 * npix))
-		}
-		planes := c.buf(8 * npix)
-		degridSandwich(planes, &in.Data, p, q, taper)
-		c.check(t, what)
-		kk := &Kernels{taper: taper}
-		for i := 0; i < npix; i++ {
-			sm := xmath.Matrix2{in.Data[0][i], in.Data[1][i], in.Data[2][i], in.Data[3][i]}
-			sv := parts(&sm)
-			r := degridSandwichPixel(&sv, &p[i], &q[i], taper[i])
-			ref := kk.correctedPixel(in, i, p, q)
-			for cc := 0; cc < 4; cc++ {
-				re, im := planes[2*cc*npix+i], planes[(2*cc+1)*npix+i]
-				if math.Float64bits(re) != math.Float64bits(r[2*cc]) || math.Float64bits(im) != math.Float64bits(r[2*cc+1]) {
-					t.Fatalf("%s: pixel %d plane %d = (%v, %v), transcription gives (%v, %v)", what, i, cc, re, im, r[2*cc], r[2*cc+1])
+	for npix := 1; npix <= 33; npix++ {
+		for _, maps := range []bool{true, false} {
+			c := &canaried{rnd: newTestRand(uint64(500 + npix))}
+			taper, a := sandwichCase(c, npix, maps)
+			for _, k := range sandwichKernels(t, taper) {
+				what := fmt.Sprintf("degridPrologue %v npix=%d maps=%v", k.disp.tier, npix, maps)
+				in := &grid.Subgrid{N: 1}
+				for i := range in.Data {
+					in.Data[i] = asComplex(c.buf(2 * npix))
 				}
-				if d := cAbs(complex(re, im) - ref[cc]); d > sandwichTol(sm, p[i], q[i], taper[i]) {
-					t.Fatalf("%s: pixel %d plane %d = (%v, %v), correctedPixel gives %v (off by %g)", what, i, cc, re, im, ref[cc], d)
+				planes := c.buf(8 * npix)
+				degridPrologue(k, in, a, nil, planes)
+				c.check(t, what)
+				for i := 0; i < npix; i++ {
+					sm := xmath.Matrix2{in.Data[0][i], in.Data[1][i], in.Data[2][i], in.Data[3][i]}
+					sv := parts(&sm)
+					p, q := xmath.Identity2(), xmath.Identity2()
+					if maps {
+						p, q = a.at(i)
+					}
+					r := a.sandwichPixel(i, &sv, taper[i], degridSandwichPixel)
+					ref := k.correctedPixel(in, i, a)
+					for cc := 0; cc < 4; cc++ {
+						re, im := planes[2*cc*npix+i], planes[(2*cc+1)*npix+i]
+						if math.Float64bits(re) != math.Float64bits(r[2*cc]) || math.Float64bits(im) != math.Float64bits(r[2*cc+1]) {
+							t.Fatalf("%s: pixel %d plane %d = (%v, %v), transcription gives (%v, %v)", what, i, cc, re, im, r[2*cc], r[2*cc+1])
+						}
+						if d := cAbs(complex(re, im) - ref[cc]); d > sandwichTol(sm, p, q, taper[i]) {
+							t.Fatalf("%s: pixel %d plane %d = (%v, %v), correctedPixel gives %v (off by %g)", what, i, cc, re, im, ref[cc], d)
+						}
+					}
 				}
 			}
 		}

@@ -83,10 +83,12 @@ type scratch struct {
 	// both precisions, like the phase tables above.
 	sArg, sSin, sCos []float64
 
-	// sums holds the folded accumulators of a vector gridder tile, eight
-	// float64 per pixel (a Matrix2's components), between the lane fold
-	// and the A-term/taper sweep of gridEpilogue.
-	sums []float64
+	// sums holds the sums of a vector gridder tile, eight float64 per
+	// pixel (a Matrix2's components) in the tier's planar groups
+	// (simdDispatch.sumsW), between the lane fold and the A-term/taper
+	// sweep of gridEpilogue. jones holds the planes of the two A-term
+	// maps a direct caller of a vector tier's kernels supplied per pixel.
+	sums, jones []float64
 
 	// sPhd stages the float32 vector gridder's phasor register blocks
 	// in float64 (seedOctLanes); whole blocks narrow into b32.phv with

@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"repro/internal/uvwsim"
-	"repro/internal/xmath"
 )
 
 // haveVectorASM gates the hand-vectorized (AVX2+FMA) tile kernel
@@ -112,53 +111,63 @@ func conjAccOcts(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *float3
 func rotOcts(phRe, phIm, dRe, dIm *float32, no int)
 
 // foldQuadLanes reduces the float64 vector gridder's accumulator lanes
-// (32 doubles per pixel at vacc) to eight sums per pixel at sums, each
-// (l0+l2)+(l1+l3).
+// (32 doubles per pixel at vacc) to eight sums per pixel, each
+// (l0+l2)+(l1+l3), in planar groups of four pixels: sum j of pixel i at
+// sums[32*(i/4)+4*j+i%4].
 //
 //go:noescape
 func foldQuadLanes(sums, vacc *float64, npix int)
 
-// gridSandwichQuads is the A-term half of the gridder tile epilogue for
-// 4*nq pixels: out_c[i] = taper[i] * (P[i]^H S[i] Q[i])_c, S[i] the
-// eight folded sums of pixel i. Bitwise equal to gridSandwichPixel.
+// gridSandwichQuads and gridSandwichOcts are the gridder tile epilogue
+// for nv whole registers of four (avx2 tier) or eight (avx512 tier)
+// pixels: out_c[i] = taper[i] * (P[i]^H S[i] Q[i])_c, S[i] pixel i's
+// eight sums in the tier's planar groups (gridSandwich), p and q plane 0
+// of the two Jones maps at the first pixel, their planes stride bytes
+// apart; p nil: out_c[i] = taper[i] * S[i]_c. Bitwise equal to
+// gridSandwichPixel.
 //
 //go:noescape
-func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *complex128, taper *float64, nq int)
+func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
 
-// degridSandwichQuads is the A-term half of the degridder prologue for
-// 4*nq pixels: taper[i] * (P[i] S[i] Q[i]^H), S[i] = (in0[i]..in3[i]),
-// written to eight planar arrays (re0, im0, re1, ...) stride bytes
-// apart. Bitwise equal to degridSandwichPixel.
+//go:noescape
+func gridSandwichOcts(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
+
+// degridSandwichQuads and degridSandwichOcts are the degridder prologue
+// for nv whole registers of pixels: taper[i] * (P[i] S[i] Q[i]^H), S[i] =
+// (in0[i]..in3[i]), or taper[i] * S[i] with p nil, written to eight
+// planes (re0, im0, re1, ...) that lie stride bytes apart, as the planes
+// of p and q do. Bitwise equal to degridSandwichPixel.
 //
 //go:noescape
-func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int)
+func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
+
+//go:noescape
+func degridSandwichOcts(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
 
 // rotAccPixBlk64 is the pixel-lane gridder kernel of the SIMDAVX512
 // tier (kernels_avx512_amd64.s, like everything below): sixteen pixels,
 // one per lane, accumulate nt time steps of nc channels into acc, an
 // [8][16]float64 (sum k of lane p at acc[16k+p]). sn/cs are the sincos
-// of gridLanesPix's staged arguments: per step a sixteen-lane row of
-// per-pixel delta phasors, then one row of base phasors per
-// xmath.DefaultPhasorResync chunk of channels. The visibility streams
-// are contiguous over (t, c). Lanes never interact, so a pixel's sums
-// do not depend on what shares the call, and nt calls of one step give
-// the bits of one call of nt.
+// of gridLanesPix's staged arguments in rows of sixteen lanes: with
+// rowCh > 1, per step a row of per-pixel delta phasors, then one row of
+// base phasors per chunk of rowCh channels; with rowCh = 1, per step one
+// base row per channel and nothing else. The visibility streams are
+// contiguous over (t, c). Lanes never interact, so a pixel's sums do not
+// depend on what shares the call, and nt calls of one step give the bits
+// of one call of nt.
 //
 //go:noescape
-func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int)
+func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt, rowCh int)
 
 // rotAccPixBlk32 is rotAccPixBlk64 at sixteen float32 lanes per
-// register: thirty-two pixels per call, acc an [8][32]float32 (sum k of
-// lane p at acc[32k+p]). sn/cs are still float64, rows of thirty-two
-// lanes in the same order; the kernel narrows each row in-register
-// (VCVTPD2PS, the bits of float32(x)) and rotates and accumulates in
-// float32.
+// register: thirty-two pixels per call, acc a [2][8][16]float32 (sum k
+// of lane p at acc[128*(p/16)+16k+p%16]). sn/cs are still float64, rows
+// of thirty-two lanes in the same order; the kernel narrows each row
+// in-register (VCVTPD2PS, the bits of float32(x)) and rotates and
+// accumulates in float32.
 //
 //go:noescape
-func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int)
-
-// Both kernels have the resync cadence as an immediate.
-var _ = [1]struct{}{}[xmath.DefaultPhasorResync-64]
+func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt, rowCh int)
 
 // stagePIdx stages phase indices: dst[r*npix+i] = U_r*l[i] + V_r*m[i] +
 // W_r*n[i] for the nt packed {U, V, W} triples at uvw, bitwise the Go

@@ -61,19 +61,27 @@ func foldQuadLanes(sums, vacc *float64, npix int) {
 	panic("core: foldQuadLanes without vector kernels")
 }
 
-func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums *float64, p, q *complex128, taper *float64, nq int) {
+func gridSandwichQuads(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int) {
 	panic("core: gridSandwichQuads without vector kernels")
 }
 
-func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3, p, q *complex128, taper *float64, nq int) {
+func gridSandwichOcts(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int) {
+	panic("core: gridSandwichOcts without vector kernels")
+}
+
+func degridSandwichQuads(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int) {
 	panic("core: degridSandwichQuads without vector kernels")
 }
 
-func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt int) {
+func degridSandwichOcts(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int) {
+	panic("core: degridSandwichOcts without vector kernels")
+}
+
+func rotAccPixBlk64(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt, rowCh int) {
 	panic("core: rotAccPixBlk64 without vector kernels")
 }
 
-func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt int) {
+func rotAccPixBlk32(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt, rowCh int) {
 	panic("core: rotAccPixBlk32 without vector kernels")
 }
 

@@ -162,8 +162,7 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 				if k.ob.enabled() {
 					k.ob.flaggedVis(vs.countFlagged(item))
 				}
-				ap, aq := k.lookupATerms(cache, vs.Baselines, item)
-				k.gridSubgridScratch(item, vs.itemUVW(item), vis, ap, aq, sgr, s, par)
+				k.gridSubgridScratch(item, vs.itemUVW(item), vis, k.lookupATerms(cache, vs.Baselines, item), sgr, s, par)
 				if !sgr.Finite() {
 					return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
 						faulttol.ErrBadInput)

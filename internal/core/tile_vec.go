@@ -1,16 +1,15 @@
 package core
 
-// The hand-vectorized float64 tile kernels, and what both precisions
-// share: the degridder tile (degridTileVec) and the SIMDAVX512 tier's
-// pixel-lane gridder body (gridLanesPix; the rest of the float32 gridder
-// is tile_vec32.go). They drive the AVX2+FMA
-// loops in kernels_amd64.s and, on the SIMDAVX512 tier, the 512-bit
-// loops in kernels_avx512_amd64.s, and are selected (gridSubgridScratch
-// / degridSubgridScratch) only when the dispatch table installed them
-// (dispatch.go: amd64 with an active tier of at least SIMDAVX2); the
-// !amd64 stubs in simd_other.go are therefore unreachable. Compared to
-// the generic tiles the arithmetic runs four or eight channels or
-// pixels per instruction, with unconditionally
+// The hand-vectorized tile kernels: the avx2 tier's float64 gridder
+// bodies and degridder tile (the float32 gridder is tile_vec32.go), and
+// the SIMDAVX512 tier's two tiles, which serve both precisions and every
+// item shape (gridTilePix, degridTileFused). They drive the AVX2+FMA
+// loops in kernels_amd64.s and the 512-bit loops in
+// kernels_avx512_amd64.s, and run only where the dispatch table
+// installed them (dispatch.go: amd64 with an active tier of at least
+// SIMDAVX2); the !amd64 stubs in simd_other.go are therefore
+// unreachable. Compared to the generic tiles the arithmetic runs four
+// to sixteen channels or pixels per instruction, with unconditionally
 // fused multiply-adds — the scalar math.FMA path compiles to a runtime
 // fallback branch per call site under the default GOAMD64 level, which
 // is what these kernels exist to avoid.
@@ -41,36 +40,38 @@ const chunkQuads = xmath.DefaultPhasorResync / 4
 // length (between 256 and 1024 arguments were level when measured).
 const directBatchArgs = 256
 
-// gridTileVec is gridTile on the vector kernels: one of three bodies
-// fills the tile's folded sums (eight per pixel), which then take the
-// shared epilogue (gridEpilogue). On the SIMDAVX512 tier every
-// recurrence item runs with pixels in the lanes (gridLanesPix). Below
-// it the lanes hold channels or samples: each pixel owns eight
-// accumulators of four lanes (scratch vacc) that persist across
+// gridTileVec is gridTile on the avx2 tier's float64 kernels: one of two
+// bodies fills the tile's sums (eight per pixel, in planar groups of
+// four: simdDispatch.sumsW), which then take the shared epilogue
+// (gridEpilogue). The lanes hold channels or samples: each pixel owns
+// eight accumulators of four lanes (scratch vacc) that persist across
 // visibility blocks and fold, (l0+l2)+(l1+l3), only when the pixel has
 // seen every block — gridLanesRecurrence where vecRecurrence holds, one
-// evaluated phasor per visibility sample otherwise (gridLanesDirect,
-// which is also every tier's body for the items the recurrence does not
-// apply to). In all three a pixel's operation sequence is independent
-// of the tile and block decomposition, exactly like the scalar tile.
-func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+// evaluated phasor per visibility sample otherwise (gridLanesDirect). In
+// both a pixel's operation sequence is independent of the tile and block
+// decomposition, exactly like the scalar tile.
+func gridTileVec(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+	sg := k.params.SubgridSize
+	pix0, np := row0*sg, (row1-row0)*sg
+	sums := growF(&ts.sums, 8*((np+3)&^3))
+	if k.vecRecurrence(item.NrChannels) {
+		vacc := growF(&ts.b64.vacc, 32*np)
+		clear(vacc)
+		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix0+np)
+		foldQuadLanes(&sums[0], &vacc[0], np)
+	} else {
+		gridLanesDirect(k, item, uvw, sb, ts, sums, pix0, pix0+np)
+	}
+	k.gridEpilogue(out, pix0, np, sums, a)
+}
+
+// gridTilePix is the gridder tile of the SIMDAVX512 tier, whatever the
+// precision and the item: pixels in the lanes (gridLanesPix), whose sums
+// take the shared epilogue as they lie.
+func gridTilePix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
-	sums := growF(&ts.sums, 8*(pix1-pix0))
-	switch {
-	case k.fullWidth(item.NrChannels):
-		gridLanesPix[float64](k, item, uvw, sb, ts, sums, pix0, pix1)
-	case k.vecRecurrence(item.NrChannels):
-		vacc := growF(&ts.b64.vacc, 32*(pix1-pix0))
-		clear(vacc)
-		gridLanesRecurrence(k, item, uvw, sb, ts, vacc, pix0, pix1)
-		foldQuadLanes(&sums[0], &vacc[0], pix1-pix0)
-	default:
-		gridLanesDirect(k, item, uvw, sb, ts, sums, pix0, pix1)
-	}
-	start := k.ob.now()
-	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
-	k.ob.epilogueDone(start)
+	k.gridEpilogue(out, pix0, pix1-pix0, gridLanesPix[F](k, item, uvw, sb, ts, pix0, pix1), a)
 }
 
 // seedQuadLanes fills one 10-wide phasor register block for the quad
@@ -103,8 +104,7 @@ func seedQuadLanes(ph *[10]float64, s0, c0, ds, dc float64) {
 const perStepMinChannels = 32
 
 // vecRecurrence reports whether the avx2 tier's float64 gridder fills
-// an nc-channel item's lanes through the phasor recurrence (the avx512
-// tier asks fullWidth first, which takes every such item): uniform
+// an nc-channel item's lanes through the phasor recurrence: uniform
 // channels, and either the time-blocked form applies or there are
 // enough channels for the per-step form to win. The blocked form is
 // level with direct phasors at its smallest shape and ahead from there
@@ -125,19 +125,25 @@ func quadsBlocked(nc int) bool {
 	return nc > 0 && nc%4 == 0 && nc <= 4*chunkQuads
 }
 
-// fullWidth reports whether an nc-channel item, float64 or float32, runs
-// the SIMDAVX512 tier's own bodies — the gridder with pixels in the lanes
-// (gridLanesPix), the degridder fused over the channels (degridTileVec):
-// that tier and any item the recurrence applies to, the one threshold
-// being phasorMinChannels (BenchmarkAblationChannelCount, ms per 64-step
-// item: float64 gridder against direct phasors c=3 0.16 against 0.25,
-// c=8 0.25 against 0.68, c=33 0.77 against 2.92, c=66 1.50 against 5.90;
-// float32 against the generic tile's direct phasors, its only
-// alternative, c=3 0.15 against 2.77, c=16 0.29 against 14.3, c=66 0.87
-// against 46.4, and against the avx2 tier's oct lanes 1.19, 0.77 and
-// 4.66).
-func (k *Kernels) fullWidth(nc int) bool {
-	return k.disp.tier >= xmath.SIMDAVX512 && k.useRecurrence(nc)
+// fullWidth reports whether the SIMDAVX512 tier's own tiles run — pixels
+// in the gridder's lanes (gridTilePix), the degridder fused over the
+// channels (degridTileFused): on that tier every item of both
+// precisions, whatever its channel comb; below it none.
+func (k *Kernels) fullWidth() bool {
+	return k.disp.tier >= xmath.SIMDAVX512
+}
+
+// rowChannels is how the full-width tiles seed an nc-channel item's
+// phasors, as rows of staged phase arguments per time step: where the
+// recurrence applies (useRecurrence) a base row serves a resync chunk of
+// rowCh channels and one leading row holds the per-pixel channel deltas
+// that rotate it from channel to channel; otherwise every channel has
+// its own base row and nothing leads or rotates.
+func (k *Kernels) rowChannels(nc int) (rowCh, lead int) {
+	if k.useRecurrence(nc) {
+		return xmath.DefaultPhasorResync, 1
+	}
+	return 1, 0
 }
 
 // accLane0 accumulates visibility sample j against the phasor (sv, cv)
@@ -288,32 +294,32 @@ func gridLanesRecurrence(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, t
 // group's staged phase indices, arguments and sincos results.
 const pixBlockBytes = 24 << 10
 
-// gridLanesPix fills sums for the pixels [pix0, pix1) of a recurrence
-// item the way the paper's GPU gridder does: a pixel per lane, every
+// gridLanesPix returns the sums of the pixels [pix0, pix1) of an item
+// computed the way the paper's GPU gridder does: a pixel per lane, every
 // lane walking the same visibility block. It is the SIMDAVX512 tier's
 // gridder body in both precisions; a group is the two registers a sum
 // occupies in the kernel, sixteen float64 pixels or thirty-two float32.
 // Per (group, visibility block) the stagers write the reference
-// kernel's phase arguments — per time step a row of per-pixel channel
-// deltas, then a row of base phases per resync chunk — one sincosVec
-// call evaluates them, and one rotAccPixBlk call accumulates the block
-// with the group's sums in registers. Staging and evaluation are
-// float64 whatever F is; the float32 kernel narrows the phasors as it
-// loads them. Between blocks the sums rest in vacc, laid out by lane;
-// they are already complete sums, so the end is a transposition, not a
-// fold.
+// kernel's phase arguments in rows of one per pixel — per time step the
+// channel deltas and a base per resync chunk, or a base per channel
+// (rowChannels) — one sincosVec call evaluates them, and one
+// rotAccPixBlk call accumulates the block with the group's sums in
+// registers. Staging and evaluation are float64 whatever F is; the
+// float32 kernel narrows the phasors as it loads them. Between blocks
+// the sums rest in vacc, complete sums in the epilogue's planar groups
+// of sixteen (simdDispatch.sumsW): float64 ones are returned as they
+// lie, float32 ones widened into scratch sums.
 //
 // A pixel's result is a function of its own lane alone: its phasors are
-// seeded from its own arguments at every (step, chunk) and advance by
-// its own delta, its sums grow in plain (t, c) order, and SincosVec is
+// seeded from its own arguments at every row and advance by its own
+// delta, its sums grow in plain (t, c) order, and SincosVec is
 // independent of batch composition. Tile height, block depth, group and
 // lane cannot reach it, and the tile's last group simply runs its spare
 // lanes on zeroed geometry (finite phasors, discarded sums) instead of
 // under a mask. Against the avx2 tier the sums differ by reassociation
 // only: one chain per sum here, four or eight lane partials folded
 // there (and in float32 a rotation per channel here, per eight there).
-func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, sums []float64, pix0, pix1 int) {
-	const resync = xmath.DefaultPhasorResync
+func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, pix0, pix1 int) []float64 {
 	size := int(unsafe.Sizeof(F(0)))
 	w := 128 / size // pixels per group: two ZMM registers of F
 	nt, nc := item.NrTimesteps, item.NrChannels
@@ -335,8 +341,9 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 	vacc := grow(&bufsOf[F](ts).vacc, 8*npad)
 	clear(vacc)
 
-	nchunks := (nc + resync - 1) / resync
-	stride := w * (nchunks + 1) // staged arguments per time step
+	rowCh, lead := k.rowChannels(nc)
+	rows := lead + (nc+rowCh-1)/rowCh
+	stride := w * rows // staged arguments per time step
 	block := k.params.VisBlockTimesteps
 	if block <= 0 {
 		block = max(pixBlockBytes/(8*size*nc+8*(w+3*stride)), 4)
@@ -350,40 +357,44 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 		jj := t0 * nc
 		for g := 0; g < npad; g += w {
 			stagePIdx(&pIdx[0], &l[g], &m[g], &n[g], w, &uvw[t0].U, bn)
-			stageArgs(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, w, bn)
-			for ci := 0; ci < nchunks; ci++ {
-				stageArgs(&arg[w*(ci+1)], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+ci*resync], w, bn)
+			if lead == 1 {
+				stageArgs(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, w, bn)
+			}
+			for r := lead; r < rows; r++ {
+				stageArgs(&arg[w*r], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+(r-lead)*rowCh], w, bn)
 			}
 			k.sincosVec(asn, acs, arg)
 			rotAccPixBlk(&vacc[8*g],
 				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-				nc, &asn[0], &acs[0], bn)
+				nc, &asn[0], &acs[0], bn, rowCh)
 		}
 	}
-	for i := 0; i < np; i++ {
-		a := vacc[8*w*(i/w)+i%w:]
-		for j := 0; j < 8; j++ {
-			sums[8*i+j] = float64(a[w*j])
-		}
+	if sums, ok := any(vacc).([]float64); ok {
+		return sums
 	}
+	sums := growF(&ts.sums, len(vacc))
+	for i, v := range vacc {
+		sums[i] = float64(v)
+	}
+	return sums
 }
 
 // rotAccPixBlk is the pixel-lane kernel of element type F:
 // rotAccPixBlk64 or rotAccPixBlk32, one contract (simd_amd64.go).
-func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt int) {
+func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt, rowCh int) {
 	if unsafe.Sizeof(*acc) == 8 {
-		rotAccPixBlk64(as64(acc), as64(r0), as64(i0), as64(r1), as64(i1), as64(r2), as64(i2), as64(r3), as64(i3), nc, sn, cs, nt)
+		rotAccPixBlk64(as64(acc), as64(r0), as64(i0), as64(r1), as64(i1), as64(r2), as64(i2), as64(r3), as64(i3), nc, sn, cs, nt, rowCh)
 		return
 	}
-	rotAccPixBlk32(as32(acc), as32(r0), as32(i0), as32(r1), as32(i1), as32(r2), as32(i2), as32(r3), as32(i3), nc, sn, cs, nt)
+	rotAccPixBlk32(as32(acc), as32(r0), as32(i0), as32(r1), as32(i1), as32(r2), as32(i2), as32(r3), as32(i3), nc, sn, cs, nt, rowCh)
 }
 
 // gridLanesDirect accumulates the pixels [pix0, pix1) with one
 // evaluated phasor per visibility sample and folds them into sums: the
-// form for every item fullWidth and vecRecurrence turn down
-// (non-uniform channels, DisablePhasorRecurrence, channel counts where
-// it is faster). The
+// avx2 tier's form for every item vecRecurrence turns down (non-uniform
+// channels, DisablePhasorRecurrence, channel counts where it is
+// faster). The
 // item's samples are one flattened stream j = t*nc + c, contiguous in
 // the planar block. Per (pixel group, visibility block) the phase
 // arguments of the block's samples are staged for several pixels at
@@ -488,45 +499,11 @@ func gridLanesDirect(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *s
 	}
 }
 
-// phaseIndices fills pIdx[i] = U*l[i] + V*m[i] + W*n[i] for one time
-// step; phaseArgs turns them into arg[i] = pIdx[i]*scale - off[i] (off
-// nil: pIdx[i]*scale, the per-channel delta). They are the staging
-// passes of degridTileVec: 512-bit stagers on the SIMDAVX512 tier, the
-// same expressions in Go below it, the same bits either way.
-func (k *Kernels) phaseIndices(pIdx, l, m, n []float64, c3 *uvwsim.UVW) {
-	if k.disp.tier >= xmath.SIMDAVX512 {
-		stagePIdx(&pIdx[0], &l[0], &m[0], &n[0], len(pIdx), &c3.U, 1)
-		return
-	}
-	u, v, w := c3.U, c3.V, c3.W
-	for i := range pIdx {
-		pIdx[i] = u*l[i] + v*m[i] + w*n[i]
-	}
-}
-
-func (k *Kernels) phaseArgs(arg, pIdx, off []float64, scale float64) {
-	switch {
-	case k.disp.tier >= xmath.SIMDAVX512:
-		stageArgs(&arg[0], 0, &pIdx[0], unsafe.SliceData(off), scale, len(pIdx), 1)
-	case off == nil:
-		for i, p := range pIdx {
-			arg[i] = p * scale
-		}
-	default:
-		for i, p := range pIdx {
-			arg[i] = p*scale - off[i]
-		}
-	}
-}
-
 // seedPhasors sets sn, cs to the sine and cosine of the staged phase
-// arguments pIdx[i]*scale - off[i] (phaseArgs), evaluated in float64 by
-// one Kernels.sincosVec call whatever F is: straight into the float64
-// phasor buffers, through the sSin/sCos staging and one narrowing sweep
-// into the float32 ones.
-func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, pIdx, off []float64, scale float64) {
-	arg := growF(&ts.sArg, len(pIdx))
-	k.phaseArgs(arg, pIdx, off, scale)
+// arguments, evaluated in float64 by one Kernels.sincosVec call whatever
+// F is: straight into the float64 phasor buffers, through the sSin/sCos
+// staging and one narrowing sweep into the float32 ones.
+func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, arg []float64) {
 	switch sn := any(sn).(type) {
 	case []float64:
 		k.sincosVec(sn, any(cs).([]float64), arg)
@@ -538,27 +515,63 @@ func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, pIdx, off []floa
 	}
 }
 
-// degridTileVec is degridTile on the vector kernels, in either
-// precision. Per time step the tile's phase indices are staged
-// (phaseIndices) and the per-pixel phasors seeded, and re-seeded at
-// every resync boundary, from batched float64 evaluations (seedPhasors).
-//
-// On the SIMDAVX512 tier a recurrence item (Kernels.fullWidth) then
-// makes one call per (time step, resync chunk): rotConjAccBlk runs the
-// conjugate accumulation and the rotation of every channel of the chunk
-// in one sweep per channel, a ZMM of pixels per instruction with the
-// tail masked, and adds each (t, c)'s eight folded sums to dst exactly
-// once. Per (t, c) that is the 256-bit kernels' operation sequence at
-// twice the lanes, so the phasors are bitwise theirs and the sums differ
-// by the association of the lane fold.
-//
-// Everything else runs per (t, c): the rotation pass through rotVec and
-// the accumulation through conjAccVec, a YMM of pixels per instruction,
-// with a scalar loop covering the pixels past the last whole register.
-// Tail pixels and the vector lane fold combine in a local accumulator
-// before touching dst. Either way dst sees exactly ONE addition per
-// element per (t, c), the property the serial ≡ parallel bitwise
-// guarantee of degridSubgridTiled rests on.
+// degridTileFused is the degridder tile of the SIMDAVX512 tier, whatever
+// the precision and the item. Per time step it stages gridLanesPix's
+// rows of phase arguments for the whole tile (rowChannels) and evaluates
+// them in one seedPhasors call; each base row then takes one
+// rotConjAccBlk call, which runs the conjugate accumulation and the
+// rotation of every channel the row serves in one sweep per channel, a
+// ZMM of pixels per instruction with the tail masked, and adds each
+// (t, c)'s eight folded sums to dst exactly once — what the serial ≡
+// parallel bitwise guarantee of degridSubgridTiled rests on. Per (t, c)
+// that is the 256-bit kernels' operation sequence at twice the lanes:
+// the phasors are bitwise theirs, the sums differ by the association of
+// the lane fold. (A row that serves one channel is rotated by whatever
+// row comes first and then dropped.)
+func degridTileFused[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
+	const resync = xmath.DefaultPhasorResync
+	size := int(unsafe.Sizeof(F(0)))
+	sg := k.params.SubgridSize
+	nc := item.NrChannels
+	i0, i1 := row0*sg, row1*sg
+	n := i1 - i0
+	rowCh, lead := k.rowChannels(nc)
+	tb := bufsOf[F](ts)
+	pIdx := growF(&ts.pIdx, n)
+	planes := &bufsOf[F](sb).planar[i0]
+	off := &sb.pOff[i0]
+	for t := 0; t < item.NrTimesteps; t++ {
+		stagePIdx(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1)
+		// At most resync rows a batch: one, but for a long non-uniform comb.
+		for c0 := 0; c0 < nc; c0 += resync * rowCh {
+			rows := lead + min((nc-c0+rowCh-1)/rowCh, resync)
+			arg := growF(&ts.sArg, rows*n)
+			if lead == 1 {
+				stageArgs(&arg[0], 0, &pIdx[0], nil, k.dscale, n, 1)
+			}
+			for r := lead; r < rows; r++ {
+				stageArgs(&arg[r*n], 0, &pIdx[0], off, k.scale[item.Channel0+c0+(r-lead)*rowCh], n, 1)
+			}
+			phRe, phIm := grow(&tb.phRe, rows*n), grow(&tb.phIm, rows*n)
+			seedPhasors(k, ts, phIm, phRe, arg)
+			for r := lead; r < rows; r++ {
+				c := c0 + (r-lead)*rowCh
+				rotConjAccBlk(&dst[8*(t*nc+c)], &phRe[r*n], &phIm[r*n], &phRe[0], &phIm[0],
+					planes, size*sg*sg, n, min(nc-c, rowCh))
+			}
+		}
+	}
+}
+
+// degridTileVec is degridTile on the avx2 tier's kernels, in either
+// precision. Per time step the tile's phase indices are staged and the
+// per-pixel phasors seeded, and re-seeded at every resync boundary, from
+// batched float64 evaluations (seedPhasors). Then per (t, c): the
+// rotation pass through rotVec and the accumulation through conjAccVec,
+// a YMM of pixels per instruction, with a scalar loop covering the
+// pixels past the last whole register. Tail pixels and the vector lane
+// fold combine in a local accumulator before touching dst, so dst sees
+// exactly ONE addition per element per (t, c), as in degridTileFused.
 func degridTileVec[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
 	const resync = xmath.DefaultPhasorResync
 	size := int(unsafe.Sizeof(F(0)))
@@ -570,10 +583,10 @@ func degridTileVec[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []
 	tail0 := 32 / size * nv
 	tb := bufsOf[F](ts)
 	pIdx := growF(&ts.pIdx, n)
+	arg := growF(&ts.sArg, n)
 	phRe := grow(&tb.phRe, n)
 	phIm := grow(&tb.phIm, n)
 	useRec := k.useRecurrence(nc)
-	fused := k.fullWidth(nc)
 	var dRe, dIm []F
 	if useRec {
 		dRe = grow(&tb.dRe, n)
@@ -588,23 +601,25 @@ func degridTileVec[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []
 		tpim[p] = pim[p][i0:i1]
 	}
 	for t := 0; t < item.NrTimesteps; t++ {
-		k.phaseIndices(pIdx, l, m, nn, &uvw[t])
+		u, v, w := uvw[t].U, uvw[t].V, uvw[t].W
+		for i := range pIdx {
+			pIdx[i] = u*l[i] + v*m[i] + w*nn[i]
+		}
 		if useRec {
 			// The delta phasors exp(i*pIdx*dscale) that advance the
 			// per-pixel phasors from channel to channel.
-			seedPhasors(k, ts, dIm, dRe, pIdx, nil, k.dscale)
-		}
-		if fused {
-			for c0 := 0; c0 < nc; c0 += resync {
-				seedPhasors(k, ts, phIm, phRe, pIdx, off, k.scale[item.Channel0+c0])
-				rotConjAccBlk(&dst[8*(t*nc+c0)], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
-					&tpre[0][0], size*sg*sg, n, min(nc-c0, resync))
+			for i, p := range pIdx {
+				arg[i] = p * k.dscale
 			}
-			continue
+			seedPhasors(k, ts, dIm, dRe, arg)
 		}
 		for c := 0; c < nc; c++ {
 			if !useRec || c%resync == 0 {
-				seedPhasors(k, ts, phIm, phRe, pIdx, off, k.scale[item.Channel0+c])
+				scale := k.scale[item.Channel0+c]
+				for i, p := range pIdx {
+					arg[i] = p*scale - off[i]
+				}
+				seedPhasors(k, ts, phIm, phRe, arg)
 			} else {
 				if nv > 0 {
 					rotVec(&phRe[0], &phIm[0], &dRe[0], &dIm[0], nv)

@@ -1,14 +1,13 @@
 package core
 
-// The hand-vectorized float32 gridder tile: the eight-lane analogue of
-// gridTileVec driving the AVX2+FMA PS loops in kernels32_amd64.s. A YMM
-// register holds eight float32 lanes, so one rotAccOcts iteration covers
-// eight channels — twice the elements per instruction of the float64
-// quad kernels at the same instruction count, which is the whole point
-// of running the paper's single-precision kernels in float32. On the
-// SIMDAVX512 tier the gridder is instead tile_vec.go's gridLanesPix at
-// sixteen lanes per ZMM; the degridder is tile_vec.go's degridTileVec on
-// every tier.
+// The hand-vectorized float32 gridder tile of the avx2 tier: the
+// eight-lane analogue of gridTileVec driving the AVX2+FMA PS loops in
+// kernels32_amd64.s. A YMM register holds eight float32 lanes, so one
+// rotAccOcts iteration covers eight channels — twice the elements per
+// instruction of the float64 quad kernels at the same instruction count,
+// which is the whole point of running the paper's single-precision
+// kernels in float32. The degridder, and the SIMDAVX512 tier's tiles of
+// both precisions, are in tile_vec.go.
 //
 // Phase arguments, sincos seeding and the lane-seeding rotations stay
 // float64 (the same policy as the scalar float32 tiles: a float32
@@ -59,27 +58,19 @@ func seedOctLanes(ph *[18]float64, s0, c0, ds, dc float64) {
 	ph[16], ph[17] = 2*ds4*dc4, dc4*dc4-ds4*ds4
 }
 
-// gridTileVec32 is gridTileVec for float32, which only takes recurrence
-// items (gridSubgridScratch): one of two bodies fills the tile's sums,
-// which then take gridTileVec's epilogue. On the SIMDAVX512 tier that is
-// gridLanesPix, thirty-two pixels per call; below it gridLanesOcts32,
-// whose eight-lane accumulators (scratch b32.vacc) fold here
-// (foldOctLanes).
-func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid, ts *scratch, row0, row1 int) {
+// gridTileVec32 is gridTileVec for float32 on the avx2 tier, which only
+// takes recurrence items (gridSubgridScratch): gridLanesOcts32 fills
+// eight-lane accumulators (scratch b32.vacc) that fold here
+// (foldOctLanes) and take gridTileVec's epilogue.
+func gridTileVec32(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
-	pix0, pix1 := row0*sg, row1*sg
-	sums := growF(&ts.sums, 8*(pix1-pix0))
-	if k.fullWidth(item.NrChannels) {
-		gridLanesPix[float32](k, item, uvw, sb, ts, sums, pix0, pix1)
-	} else {
-		vacc := grow(&ts.b32.vacc, 64*(pix1-pix0))
-		clear(vacc)
-		gridLanesOcts32(k, item, uvw, sb, ts, vacc, pix0, pix1)
-		foldOctLanes(sums, vacc)
-	}
-	start := k.ob.now()
-	k.gridEpilogue(out, pix0, sums, atermP, atermQ)
-	k.ob.epilogueDone(start)
+	pix0, np := row0*sg, (row1-row0)*sg
+	sums := growF(&ts.sums, 8*((np+3)&^3))
+	vacc := grow(&ts.b32.vacc, 64*np)
+	clear(vacc)
+	gridLanesOcts32(k, item, uvw, sb, ts, vacc, pix0, pix0+np)
+	foldOctLanes(sums, vacc)
+	k.gridEpilogue(out, pix0, np, sums, a)
 }
 
 // gridLanesOcts32 fills the accumulator lanes of the pixels [pix0, pix1)

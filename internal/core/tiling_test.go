@@ -265,9 +265,9 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 // shares its group — other pixels or the zeroed padding of a tile's
 // last group. Pixel ranges that no row tiling produces (a single pixel,
 // a group shifted by three, a range ending mid-group) are swept against
-// the whole subgrid in one range, for a channel tail and for two resync
-// chunks, at two block depths, in both precisions (groups of sixteen
-// and of thirty-two).
+// the whole subgrid in one range, for a channel tail, for two resync
+// chunks and for the shapes that stage a row per channel, at two block
+// depths, in both precisions (groups of sixteen and of thirty-two).
 func TestPixelLaneIndependence(t *testing.T) {
 	t.Run("float64", testPixelLaneIndependence[float64])
 	t.Run("float32", testPixelLaneIndependence[float32])
@@ -275,11 +275,15 @@ func TestPixelLaneIndependence(t *testing.T) {
 
 func testPixelLaneIndependence[F floatT](t *testing.T) {
 	skipWithoutAVX512(t)
-	const sg, nt = 10, 7
-	for _, nc := range []int{5, 70} {
+	const sg = 10
+	for _, sh := range shortAndUniformShapes(7, 5, 70) {
+		nt, nc := sh.nt, sh.nc
 		item, uvw, vis, _ := tilingItem(59, nt, nc)
 		for _, bl := range []int{0, 3} {
-			k := tilingKernels(t, sg, nc, func(p *Params) { p.VisBlockTimesteps = bl })
+			k := tilingKernels(t, sg, nc, func(p *Params) {
+				p.VisBlockTimesteps = bl
+				sh.mod(p)
+			})
 			s := k.getScratch()
 			planar := grow(&bufsOf[F](s).planar, 8*nt*nc)
 			for j, v := range vis {
@@ -287,15 +291,18 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = F(real(v[p])), F(imag(v[p]))
 				}
 			}
-			want := make([]float64, 8*sg*sg)
-			gridLanesPix[F](k, item, uvw, s, s, want, 0, sg*sg)
+			// The sums come back in planar groups of sixteen pixels from
+			// the start of the range.
+			sum := func(sums []float64, i, j int) uint64 { return math.Float64bits(sums[128*(i/16)+16*j+i%16]) }
+			want := append([]float64(nil), gridLanesPix[F](k, item, uvw, s, s, 0, sg*sg)...)
 			for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
-				got := make([]float64, 8*(r[1]-r[0]))
-				gridLanesPix[F](k, item, uvw, s, s, got, r[0], r[1])
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[8*r[0]+i]) {
-						t.Fatalf("nc=%d block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
-							nc, bl, r[0]+i/8, i%8, r[0], r[1])
+				got := gridLanesPix[F](k, item, uvw, s, s, r[0], r[1])
+				for i := r[0]; i < r[1]; i++ {
+					for j := 0; j < 8; j++ {
+						if sum(got, i-r[0], j) != sum(want, i, j) {
+							t.Fatalf("%s block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
+								sh.name, bl, i, j, r[0], r[1])
+						}
 					}
 				}
 			}
@@ -309,32 +316,32 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 // <Gv, g> = <v, Dg>, in both precisions, with Gaussian A-terms and a
 // subgrid whose tiles end in a partial group (float32: an 18-pixel
 // subgrid, tiles of 72 and 36 pixels against groups of 32 and registers
-// of 16; channel tails and one and two resync boundaries). Both sides
-// evaluate the same phasors up to the recurrence's drift and sum up to
-// 2000 terms (float64: measured mismatch 1e-15 to 5e-15 relative;
-// float32: 2e-7 to 2e-6 against a tolerance of a thousand float32
-// roundings); a structural asymmetry (a dropped lane, a misplaced pixel)
-// shows at the percent level.
+// of 16; channel tails, one and two resync boundaries, and the shapes
+// that stage a row per channel). Both sides evaluate the same phasors up
+// to the recurrence's drift and sum up to 2000 terms (float64: measured
+// mismatch 1e-15 to 5e-15 relative; float32: 2e-7 to 2e-6 against a
+// tolerance of a thousand float32 roundings); a structural asymmetry (a
+// dropped lane, a misplaced pixel) shows at the percent level.
 func TestPixelLaneGridderAdjoint(t *testing.T) {
 	skipWithoutAVX512(t)
-	const nt = 9
 	for _, tc := range []struct {
-		prec Precision
-		sg   int
-		ncs  []int
-		tol  float64
+		prec   Precision
+		sg     int
+		shapes []itemShape
+		tol    float64
 	}{
-		{Float64, 20, []int{3, 16, 37, 70}, 1e-12},
-		{Float32, 18, []int{5, 16, 66, 130}, 1000 * 0x1p-24},
+		{Float64, 20, shortAndUniformShapes(9, 3, 16, 37, 70), 1e-12},
+		{Float32, 18, shortAndUniformShapes(9, 5, 16, 66, 130), 1000 * 0x1p-24},
 	} {
 		atermP, atermQ := gaussianJones(tc.sg)
-		for _, nc := range tc.ncs {
+		for _, sh := range tc.shapes {
+			nt, nc := sh.nt, sh.nc
 			item, uvw, vis, _ := tilingItem(61, nt, nc)
 			g, _ := randomSubgrid(tc.sg, item, 67)
-			k := tilingKernels(t, tc.sg, nc, func(p *Params) { p.Precision = tc.prec })
-			if !k.fullWidth(nc) {
-				t.Fatalf("%v nc=%d does not take the avx512 tier's bodies", tc.prec, nc)
-			}
+			k := tilingKernels(t, tc.sg, nc, func(p *Params) {
+				p.Precision = tc.prec
+				sh.mod(p)
+			})
 			gv := grid.NewSubgrid(tc.sg, item.X0, item.Y0)
 			k.GridSubgrid(item, uvw, vis, atermP, atermQ, gv)
 			dg := make([]xmath.Matrix2, nt*nc)
@@ -351,9 +358,9 @@ func TestPixelLaneGridderAdjoint(t *testing.T) {
 				}
 			}
 			d := cmplx.Abs(lhs-rhs) / cmplx.Abs(lhs)
-			t.Logf("%v nc=%d: adjoint mismatch %.2g relative", tc.prec, nc, d)
+			t.Logf("%v %s: adjoint mismatch %.2g relative", tc.prec, sh.name, d)
 			if d > tc.tol {
-				t.Fatalf("%v nc=%d: adjoint violated: <Gv,g>=%v, <v,Dg>=%v (rel %g)", tc.prec, nc, lhs, rhs, d)
+				t.Fatalf("%v %s: adjoint violated: <Gv,g>=%v, <v,Dg>=%v (rel %g)", tc.prec, sh.name, lhs, rhs, d)
 			}
 		}
 	}

@@ -59,9 +59,9 @@ scripts/bench.sh -short
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload all -smoke
 
-# Performance regression gate: briefly re-measure the six kernel
-# benchmarks (both precisions, and both short-item regimes)
-# plus the two FFT-stage benchmarks and
+# Performance regression gate: briefly re-measure the eight kernel
+# benchmarks (both precisions, each at the dense and the short-item
+# shape) plus the two FFT-stage benchmarks and
 # compare their throughput against BENCH_kernels.json; a slowdown
 # beyond BENCH_THRESHOLD percent (default 10) fails CI. The float32
 # kernels are in the gate because they are the SIMD dispatch layer's
@@ -69,10 +69,11 @@ bash benchmark/run.sh -workload all -smoke
 # body to the 256-bit oct lanes drops to under half its MVis/s, and
 # either kernel falling back to the generic tile to a tenth, far beyond
 # any threshold. The
-# short-item benchmarks guard the direct-phasor tile and the A-term
-# epilogue/prologue the same way: an item shape that falls back to the
-# generic scalar tile, or a sandwich that falls back to Matrix2
-# arithmetic, loses a third to a half of its MVis/s. The FFT benchmarks
+# short-item benchmarks guard the tiles' row-per-channel form and the
+# A-term epilogue/prologue the same way: an item shape that falls back
+# to the generic scalar tile (float32: to a twentieth of its MVis/s), or
+# a sandwich that falls back to Matrix2 arithmetic, loses a third to a
+# half. The FFT benchmarks
 # guard the radix-4 and lane-parallel mixed-radix engines: a scalar
 # per-column subgrid transform is a >4x slowdown on the subgrid stage.
 # The fingerprint, grid-writer and fill benchmarks guard the
@@ -87,7 +88,7 @@ bash benchmark/run.sh -workload all -smoke
 # that way (scripts/bench.sh) and benchmark names carry the -N suffix.
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1s -count 3 . |
+GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkGridderKernelShortItemsFloat32$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkDegridderKernelShortItemsFloat32$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1s -count 3 . |
     go run ./cmd/benchjson > "$out"
 go run ./cmd/benchjson -compare -allow-missing -threshold "${BENCH_THRESHOLD:-10}" BENCH_kernels.json "$out"
 # Distributed scalability gate: re-measure the 1/2/4/8-worker
