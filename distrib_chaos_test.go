@@ -195,6 +195,31 @@ func TestDistribRestartBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestDistribStaleCheckpointsStartFresh: checkpoints another partition
+// wrote into a worker's directory — a 3-worker run's here, as a run
+// under an earlier row split leaves them — fail the sub-plan
+// fingerprint of the 2-worker run's resumed attempts, which grid their
+// partitions from the start and hash as a clean run.
+func TestDistribStaleCheckpointsStartFresh(t *testing.T) {
+	want := distribCleanHash(t, 2, DistribRows)
+	opt := distribChaosOptions(t, 3, DistribRows)
+	if _, _, err := RunDistributed(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Workers = 2
+	opt.WorkerHook = func(w *DistribWorkerOptions, _ DistribWorkerSpec) { w.Resume = true }
+	g, sum, err := RunDistributed(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Restarts != 0 {
+		t.Errorf("restarts = %d, want 0 (notes: %v)", sum.Restarts, sum.Notes)
+	}
+	if got := FingerprintGrid(g).SHA256; got != want {
+		t.Errorf("run over stale checkpoints hashes %s, want the clean run's %s", got, want)
+	}
+}
+
 // TestDistribWorkerOptionValidation covers RunDistribWorker's
 // assignment validation.
 func TestDistribWorkerOptionValidation(t *testing.T) {

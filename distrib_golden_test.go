@@ -176,13 +176,16 @@ func TestDistribPartitionPlanFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
+	bounds := distrib.RowBounds(o.Plan, 3)
 	for w := 0; w < 3; w++ {
 		sub, err := o.PartitionPlan(DistribRows, 3, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range sub.Items {
-			if got := distrib.ItemOwner(&sub.Items[i], distrib.AxisRows, cfg.GridSize, cfg.SubgridSize, 3); got != w {
+			it := &sub.Items[i]
+			centre := (it.Y0+cfg.SubgridSize/2)*cfg.GridSize + it.X0 + cfg.SubgridSize/2
+			if got := distrib.RowOwner(bounds, centre); got != w {
 				t.Fatalf("item in worker %d's sub-plan owned by %d", w, got)
 			}
 		}

@@ -108,6 +108,74 @@ func TestFillMatchesPredictPerSample(t *testing.T) {
 	}
 }
 
+// TestFillChannelBlocks: items that cover part of a baseline's
+// channels — the planner splits long baselines over a wide band so —
+// are predicted through a scratch block and copied row by row. Every
+// covered sample gets Model.Predict's bits, and the channels outside
+// the items stay zero.
+func TestFillChannelBlocks(t *testing.T) {
+	cfg := distribGoldenConfig()
+	cfg.Workers = 3
+	o, err := cfg.BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := *o.Plan
+	p.Items = nil
+	for i, it := range o.Plan.Items {
+		it.Channel0, it.NrChannels = i%3, 1+i%2 // within the 4 channels
+		p.Items = append(p.Items, it)
+	}
+	o.Plan = &p
+	model := polarisedModel(o)
+	if err := o.FillFromModelPlan(model); err != nil {
+		t.Fatal(err)
+	}
+	covered := map[[2]int]bool{}
+	for _, it := range p.Items {
+		for ts := it.TimeStart; ts < it.TimeStart+it.NrTimesteps; ts++ {
+			for ch := it.Channel0; ch < it.Channel0+it.NrChannels; ch++ {
+				covered[[2]int{it.Baseline, ts*cfg.NrChannels + ch}] = true
+			}
+		}
+	}
+	freqs := cfg.Frequencies()
+	for b := range o.Vis.Data {
+		for i, got := range o.Vis.Data[b] {
+			var want [8]uint64
+			if covered[[2]int{b, i}] {
+				sc := o.Vis.UVW[b][i/cfg.NrChannels].Scale(freqs[i%cfg.NrChannels])
+				want = matrixBits(model.Predict(sc.U, sc.V, sc.W))
+			}
+			if matrixBits(got) != want {
+				t.Fatalf("sample [%d][%d] (covered=%v) = %x, want %x", b, i, covered[[2]int{b, i}], matrixBits(got), want)
+			}
+		}
+	}
+}
+
+// TestDistribRowSplitBalanced pins the visibility-balanced row bands
+// on the benchmark's dense plan: at two workers the larger band holds
+// at most 51 % of the visibilities (equal rows gave worker 1 56.5 %).
+func TestDistribRowSplitBalanced(t *testing.T) {
+	o, err := DefaultObservation().BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := o.Plan.Stats().NrGriddedVisibilities
+	for w := 0; w < 2; w++ {
+		sub, err := o.PartitionPlan(DistribRows, 2, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := float64(sub.Stats().NrGriddedVisibilities) / float64(total)
+		if share > 0.51 {
+			t.Errorf("worker %d of 2 holds %.1f %% of the dense plan's visibilities, want <= 51 %%", w, 100*share)
+		}
+		t.Logf("worker %d of 2: %.2f %% of the visibilities", w, 100*share)
+	}
+}
+
 // TestPlanIndependentOfBuilderThreads: the plan BuildPlan returns does
 // not depend on Config.Workers, and the geometry a coordinator builds
 // on every core gives each worker the sub-plan fingerprint that worker
@@ -248,6 +316,45 @@ func TestDistribSummaryShortcuts(t *testing.T) {
 		if st.Plan == 0 || total > wall {
 			t.Errorf("workers=%d: stages %+v (sum %v) against a wall of %v", workers, st, total, wall)
 		}
+	}
+}
+
+// TestDistribSummaryWorkerTimes: a run's summary holds one stage-time
+// entry per worker — measured for in-process workers, each summing to
+// no more than the run's wall time, and zero for workers a custom
+// launcher ran.
+func TestDistribSummaryWorkerTimes(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		start := time.Now()
+		_, sum, err := RunDistributed(context.Background(), distribGoldenOptions(t, workers, DistribRows))
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.WorkerTimes) != workers {
+			t.Fatalf("workers=%d: %d stage-time entries", workers, len(sum.WorkerTimes))
+		}
+		for i, wt := range sum.WorkerTimes {
+			total := wt.Build + wt.Fill + wt.Grid + wt.Deliver
+			if wt.Fill <= 0 || wt.Grid <= 0 || wt.Deliver <= 0 || total > wall {
+				t.Errorf("workers=%d: worker %d times %+v (sum %v) against a wall of %v", workers, i, wt, total, wall)
+			}
+		}
+	}
+	opt := distribGoldenOptions(t, 2, DistribRows)
+	opt.Launcher = DistribLauncherFunc(func(ctx context.Context, spec DistribWorkerSpec) error {
+		_, err := RunDistribWorker(ctx, DistribWorkerOptions{
+			Config: opt.Config, Model: opt.Model, Workers: spec.Workers, Index: spec.Index, Axis: spec.Axis,
+			CoordinatorAddr: spec.CoordinatorAddr, ReferenceKernels: true,
+		})
+		return err
+	})
+	_, sum, err := RunDistributed(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := make([]DistribWorkerTimes, 2); !reflect.DeepEqual(sum.WorkerTimes, want) {
+		t.Errorf("custom-launcher run reports worker times %+v, want zero entries", sum.WorkerTimes)
 	}
 }
 

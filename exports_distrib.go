@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -31,13 +32,18 @@ type (
 	// DistribLauncherFunc adapts a function to DistribLauncher.
 	DistribLauncherFunc = distrib.LauncherFunc
 	// DistribSummary reports restarts, discarded streams, all partial
-	// fingerprints and the coordinator's stage times of a run.
+	// fingerprints, the coordinator's stage times and the in-process
+	// workers' stage times of a run.
 	DistribSummary = distrib.Summary
+	// DistribWorkerTimes is where one worker attempt's wall time went:
+	// build, fill, grid, deliver.
+	DistribWorkerTimes = distrib.WorkerTimes
 )
 
 // Partition axes.
 const (
-	// DistribRows partitions by uv row band (subgrid center row).
+	// DistribRows partitions by uv row band (subgrid centre), the bands
+	// balanced by visibility count.
 	DistribRows = distrib.AxisRows
 	// DistribWPlanes partitions by W-layer index modulo workers.
 	DistribWPlanes = distrib.AxisWPlanes
@@ -103,7 +109,8 @@ type DistribWorkerOptions struct {
 	Workers int
 	Index   int
 	Axis    DistribAxis
-	// Resume continues from CheckpointDir instead of starting fresh.
+	// Resume continues from CheckpointDir instead of starting fresh; a
+	// newest snapshot of another sub-plan is not resumed but replaced.
 	Resume bool
 	// CoordinatorAddr is where the partial grid is delivered.
 	CoordinatorAddr string
@@ -127,13 +134,6 @@ type DistribWorkerOptions struct {
 	ReferenceKernels bool
 	// MaxFramePayload caps reduction frames (<= 0: server default).
 	MaxFramePayload int
-}
-
-// DistribWorkerTimes is where one worker attempt's wall time went:
-// Build is geometry (unless shared), kernels and the partition filter;
-// Deliver the fingerprint, band encode and wire.
-type DistribWorkerTimes struct {
-	Build, Fill, Grid, Deliver time.Duration
 }
 
 // RunDistribWorker executes one worker attempt end to end: build the
@@ -200,7 +200,14 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 	}
 	lap(&times.Fill)
 
-	g, _, _, err := o.gridPass(ctx, nil, opt.Fault, opt.Resume && opt.CheckpointDir != "")
+	resume := opt.Resume && opt.CheckpointDir != ""
+	g, _, _, err := o.gridPass(ctx, nil, opt.Fault, resume)
+	if resume && errors.Is(err, ErrCheckpointMismatch) {
+		// The directory's newest snapshot is of another sub-plan (one
+		// written under an earlier partition, say): not this worker's
+		// to resume, so it grids its partition from the start.
+		g, _, _, err = o.gridPass(ctx, nil, opt.Fault, false)
+	}
 	if err != nil {
 		return times, err
 	}
@@ -290,6 +297,9 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 	if err != nil {
 		return nil, nil, err
 	}
+	// Attempts of one worker run one after another and distinct workers
+	// write distinct entries; co.Run returns after every attempt ended.
+	times := make([]DistribWorkerTimes, opt.Workers)
 	launcher := opt.Launcher
 	if launcher == nil {
 		launcher = DistribLauncherFunc(func(ctx context.Context, spec DistribWorkerSpec) (err error) {
@@ -320,7 +330,10 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 			if opt.WorkerHook != nil {
 				opt.WorkerHook(&w, spec)
 			}
-			_, err = runDistribWorker(ctx, w, geo)
+			t, err := runDistribWorker(ctx, w, geo)
+			if err == nil {
+				times[spec.Index] = t
+			}
 			return err
 		})
 	}
@@ -330,5 +343,6 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 		return nil, nil, err
 	}
 	sum.Stages.Plan = planned
+	sum.WorkerTimes = times
 	return g, sum, nil
 }

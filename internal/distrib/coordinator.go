@@ -62,8 +62,21 @@ type Summary struct {
 	Final Fingerprint
 	// Stages is the coordinator's own account of the run's wall time.
 	Stages Stages
+	// WorkerTimes holds, per worker, the stage times of its last attempt
+	// that returned cleanly, when the launcher ran it in the caller's
+	// process (RunDistributed's default launcher fills it); exec'd
+	// workers leave their entry zero.
+	WorkerTimes []WorkerTimes
 	// Notes records rejected streams and relaunches, newest last.
 	Notes []string
+}
+
+// WorkerTimes is where one worker attempt's wall time went: Build is
+// geometry (unless shared), kernels and the partition filter; Fill the
+// visibility prediction; Grid the streamed pass; Deliver the
+// fingerprint, band encode and wire.
+type WorkerTimes struct {
+	Build, Fill, Grid, Deliver time.Duration
 }
 
 // Stages splits a run's wall time along its critical path, by the
@@ -327,12 +340,16 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	}
 
 	marks := [3]time.Time{time.Now()}
-	var g *grid.Grid // allocated by the first band
+	var g *grid.Grid   // allocated by the first band
+	var payload []byte // every frame after the hello, each decoded before the next read
 	for {
-		f, err := ReadReduceFrame(br, c.cfg.MaxPayload)
+		f, err := ReadReduceFrameInto(br, c.cfg.MaxPayload, payload)
 		if err != nil {
 			c.discard("worker %d stream truncated: %v", h.Worker, err)
 			return
+		}
+		if cap(f.Payload) > cap(payload) {
+			payload = f.Payload
 		}
 		switch f.Type {
 		case FrameBand:

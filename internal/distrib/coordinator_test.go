@@ -2,9 +2,11 @@ package distrib
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,7 +20,7 @@ import (
 // tests: disjoint row bands for a rows-axis run.
 func workerGrid(spec WorkerSpec, size int) *grid.Grid {
 	g := grid.NewGrid(size)
-	bounds := RowBounds(size, spec.Workers)
+	bounds := grid.ShardBounds(size, spec.Workers)
 	for c := 0; c < grid.NrCorrelations; c++ {
 		for y := bounds[spec.Index]; y < bounds[spec.Index+1]; y++ {
 			for x := 0; x < size; x++ {
@@ -329,6 +331,57 @@ func TestCoordinatorStages(t *testing.T) {
 		if total > wall {
 			t.Errorf("workers=%d: stages sum to %v, more than the run's wall %v", workers, total, wall)
 		}
+	}
+}
+
+// TestHandleStreamReusesPayloadBuffer: the coordinator reads every
+// frame after a stream's hello into one payload buffer, so a 16-band
+// stream allocates no more than a 2-band stream of the same band size,
+// give or take one band (per frame it would be fourteen more).
+func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
+	const size, rows = 128, 8
+	maxPayload := bandPayloadHeader + rows*grid.NrCorrelations*size*cellBytes
+	allocated := func(bands int) uint64 {
+		g := grid.NewGrid(size)
+		for y := 0; y < bands*rows; y++ {
+			g.Set(0, y, 1, 1)
+		}
+		var stream bytes.Buffer
+		bw := bufio.NewWriter(&stream)
+		spec := WorkerSpec{Index: 0, Workers: 1, Axis: AxisRows}
+		if err := sendBands(bw, spec, [32]byte{}, g, maxPayload); err != nil {
+			t.Fatal(err)
+		}
+		if err := server.WriteFrame(bw, EncodeResult(Result{Worker: 0, Fingerprint: FingerprintOf(g)})); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		c, err := New(Config{Workers: 1, Axis: AxisRows, GridSize: size, MaxPayload: maxPayload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		coordSide, workerSide := net.Pipe()
+		go func() {
+			workerSide.Write(stream.Bytes())
+			workerSide.Close()
+		}()
+		var before, after runtime.MemStats
+		runtime.GC() // twice: the grid package's pooled hash buffers are
+		runtime.GC() // then reallocated inside the window on every run
+		runtime.ReadMemStats(&before)
+		c.handleStream(context.Background(), coordSide)
+		runtime.ReadMemStats(&after)
+		select {
+		case <-c.arrived[0]:
+		default:
+			t.Fatalf("%d-band stream not accepted: %v", bands, c.notes)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	two, sixteen := allocated(2), allocated(16)
+	if sixteen > two+uint64(maxPayload) {
+		t.Errorf("a 16-band stream allocated %d bytes, a 2-band one %d: more than one %d-byte band apart", sixteen, two, maxPayload)
 	}
 }
 

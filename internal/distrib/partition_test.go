@@ -4,55 +4,126 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/plan"
 )
 
-// TestRowBoundsGolden pins the balanced row partition on hand-checked
-// cases, including non-divisible sizes (the first rem bands get the
-// extra rows) and more workers than rows.
-func TestRowBoundsGolden(t *testing.T) {
-	cases := []struct {
-		gridSize, workers int
-		want              []int
-	}{
-		{8, 1, []int{0, 8}},
-		{8, 2, []int{0, 4, 8}},
-		{8, 3, []int{0, 3, 6, 8}},
-		{7, 4, []int{0, 2, 4, 6, 7}},
-		{256, 8, []int{0, 32, 64, 96, 128, 160, 192, 224, 256}},
-		{10, 10, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
-		{3, 5, []int{0, 1, 2, 3}}, // clamped to one row per band
+// weightedPlan has items of pseudo-random visibility counts on a
+// skewed spread of subgrid rows (dense near the grid centre, as uv
+// coverage is), so band boundaries fall between unequal rows.
+func weightedPlan(gridSize, subgridSize, items int, seed uint64) *plan.Plan {
+	p := &plan.Plan{Config: plan.Config{GridSize: gridSize, SubgridSize: subgridSize}}
+	span := max(gridSize-subgridSize+1, 1)
+	for i := 0; i < items; i++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		r := int(seed>>33) % span
+		y0 := (r + span/2) / 2 // biased towards the middle rows
+		if i%5 == 0 {
+			y0 = r
+		}
+		p.Items = append(p.Items, plan.WorkItem{
+			Baseline: i, Y0: y0, X0: i % span,
+			NrTimesteps: 1 + int(seed>>20)%16, NrChannels: 1 + int(seed>>40)%8,
+		})
 	}
-	for _, c := range cases {
-		if got := RowBounds(c.gridSize, c.workers); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("RowBounds(%d, %d) = %v, want %v", c.gridSize, c.workers, got, c.want)
+	return p
+}
+
+// rowBoundsCases are the partitions the property tests sweep: every
+// grid size and worker count of a table — including more workers than
+// rows — for an empty plan, a plan whose items carry no visibilities,
+// and weighted plans.
+func rowBoundsCases(yield func(p *plan.Plan, name string, workers int)) {
+	for _, gridSize := range []int{1, 2, 3, 7, 8, 16, 100, 256, 257} {
+		sub := min(8, gridSize)
+		plans := map[string]*plan.Plan{
+			"empty":      {Config: plan.Config{GridSize: gridSize, SubgridSize: sub}},
+			"no-vis":     weightlessPlan(gridSize, sub, 40),
+			"weighted":   weightedPlan(gridSize, sub, 300, uint64(gridSize)),
+			"one-item":   weightedPlan(gridSize, sub, 1, 3),
+			"few-weight": weightedPlan(gridSize, sub, 6, 9),
+		}
+		for name, p := range plans {
+			for _, workers := range []int{1, 2, 3, 4, 5, 8, 16, 300} {
+				yield(p, name, workers)
+			}
 		}
 	}
 }
 
-// TestRowOwnerMatchesBounds is the property test of the closed-form
-// owner: for every (gridSize, workers) pair in a table of divisible
-// and non-divisible sizes, every row has exactly one owner and the
-// owner is the band RowBounds assigns it to — so partition (owners)
-// and coverage (bounds) can never drift apart.
-func TestRowOwnerMatchesBounds(t *testing.T) {
-	for _, gridSize := range []int{1, 2, 3, 7, 8, 16, 100, 256, 257} {
-		for _, workers := range []int{1, 2, 3, 4, 5, 8, 16, 300} {
-			bounds := RowBounds(gridSize, workers)
-			covered := 0
-			for band := 0; band+1 < len(bounds); band++ {
-				for row := bounds[band]; row < bounds[band+1]; row++ {
-					covered++
-					if got := RowOwner(gridSize, workers, row); got != band {
-						t.Fatalf("RowOwner(%d, %d, %d) = %d, want band %d", gridSize, workers, row, got, band)
-					}
-				}
-			}
-			if covered != gridSize {
-				t.Fatalf("RowBounds(%d, %d) covers %d rows", gridSize, workers, covered)
+// TestRowBoundsProperties: the bands are contiguous runs of row-major
+// order covering [0, N²) for every plan and worker count, including
+// more workers than rows; a plan without visibilities gets equal rows;
+// and a weighted plan's every band holds its equal share total/W to
+// within the weight of the subgrid centre just before one of its
+// boundaries (the centre the cumulative count crossed).
+func TestRowBoundsProperties(t *testing.T) {
+	rowBoundsCases(func(p *plan.Plan, name string, workers int) {
+		n := p.GridSize
+		b := RowBounds(p, workers)
+		if len(b) != workers+1 || b[0] != 0 || b[workers] != n*n {
+			t.Fatalf("%s N=%d W=%d: bounds %v do not span [0, %d) in %d bands", name, n, workers, b, n*n, workers)
+		}
+		for i := 1; i < len(b); i++ {
+			if b[i] < b[i-1] {
+				t.Fatalf("%s N=%d W=%d: bounds %v decrease", name, n, workers, b)
 			}
 		}
-	}
+		weight := map[int]int64{} // visibilities per subgrid centre
+		var total int64
+		for i := range p.Items {
+			it := &p.Items[i]
+			weight[(it.Y0+p.SubgridSize/2)*n+it.X0+p.SubgridSize/2] += int64(it.NrVisibilities())
+			total += int64(it.NrVisibilities())
+		}
+		if total == 0 {
+			equal := grid.ShardBounds(n, workers)
+			for i := range b {
+				if b[i] != n*equal[min(i, len(equal)-1)] {
+					t.Fatalf("%s N=%d W=%d: bounds %v, want the equal rows %v", name, n, workers, b, equal)
+				}
+			}
+			return
+		}
+		for i := 0; i < workers; i++ {
+			var band, slack int64
+			for pos, w := range weight {
+				if b[i] <= pos && pos < b[i+1] {
+					band += w
+				}
+			}
+			for _, edge := range []int{i, i + 1} {
+				if edge > 0 && edge < workers {
+					slack = max(slack, weight[b[edge]-1])
+				}
+			}
+			if d := band*int64(workers) - total; d > slack*int64(workers) || -d > slack*int64(workers) {
+				t.Fatalf("%s N=%d W=%d: band %d [%d, %d) holds %d of %d visibilities, off its share by more than %d",
+					name, n, workers, i, b[i], b[i+1], band, total, slack)
+			}
+		}
+	})
+}
+
+// TestRowOwnerMatchesBounds is the property test of the owner search:
+// for every partition RowBounds draws, every position of [0, N²) has
+// exactly one owner and it is the band RowBounds assigns it to — so
+// partition (owners) and coverage (bounds) can never drift apart — and
+// positions past the grid fall to the last band.
+func TestRowOwnerMatchesBounds(t *testing.T) {
+	rowBoundsCases(func(p *plan.Plan, name string, workers int) {
+		bounds := RowBounds(p, workers)
+		for band := 0; band < workers; band++ {
+			for pos := bounds[band]; pos < bounds[band+1]; pos++ {
+				if got := RowOwner(bounds, pos); got != band {
+					t.Fatalf("%s N=%d W=%d: RowOwner(%v, %d) = %d, want band %d", name, p.GridSize, workers, bounds, pos, got, band)
+				}
+			}
+		}
+		if got := RowOwner(bounds, p.GridSize*p.GridSize); got != workers-1 {
+			t.Fatalf("%s N=%d W=%d: a position past the grid owned by %d", name, p.GridSize, workers, got)
+		}
+	})
 }
 
 // TestWPlaneOwnerTotal checks the W-axis partition is total over
@@ -79,6 +150,15 @@ func TestWPlaneOwnerTotal(t *testing.T) {
 // the grid and W-layers across a signed range, so both partition axes
 // see non-trivial, non-divisible distributions.
 func syntheticPlan(gridSize, subgridSize, items int) *plan.Plan {
+	p := weightlessPlan(gridSize, subgridSize, items)
+	for i := range p.Items {
+		p.Items[i].NrTimesteps, p.Items[i].NrChannels = 1+i%3, 2
+	}
+	return p
+}
+
+// weightlessPlan is syntheticPlan with items that carry no visibilities.
+func weightlessPlan(gridSize, subgridSize, items int) *plan.Plan {
 	p := &plan.Plan{Config: plan.Config{GridSize: gridSize, SubgridSize: subgridSize}}
 	for i := 0; i < items; i++ {
 		p.Items = append(p.Items, plan.WorkItem{

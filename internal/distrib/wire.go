@@ -79,6 +79,13 @@ func ReadReduceFrame(r io.Reader, maxPayload int) (server.Frame, error) {
 	return server.ReadFrameRules(r, maxPayload, reduceRules)
 }
 
+// ReadReduceFrameInto is ReadReduceFrame into buf's storage
+// (server.ReadFrameRulesInto): the payload aliases it, and it grows
+// only once a frame's length has passed the rule and cap checks.
+func ReadReduceFrameInto(r io.Reader, maxPayload int, buf []byte) (server.Frame, error) {
+	return server.ReadFrameRulesInto(r, maxPayload, reduceRules, buf)
+}
+
 // Hello announces one worker's reduction stream.
 type Hello struct {
 	Worker  int

@@ -202,10 +202,21 @@ func FuzzReadReduceFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		// The stream is read twice in step: by ReadReduceFrame, and into
+		// one reused buffer as the coordinator reads it. Both must see
+		// the same frames and fail at the same one.
+		r, again := bytes.NewReader(data), bytes.NewReader(data)
 		dst := grid.NewGrid(8)
+		buf := make([]byte, 0, 16)
 		for {
 			fr, err := ReadReduceFrame(r, 1<<16)
+			into, errInto := ReadReduceFrameInto(again, 1<<16, buf)
+			if (err == nil) != (errInto == nil) || fr.Type != into.Type || !bytes.Equal(fr.Payload, into.Payload) {
+				t.Fatalf("reused buffer read frame %d (%v), fresh read frame %d (%v)", into.Type, errInto, fr.Type, err)
+			}
+			if cap(into.Payload) > cap(buf) {
+				buf = into.Payload
+			}
 			if err != nil {
 				if err == io.EOF && r.Len() != 0 {
 					t.Fatal("clean EOF with bytes left on the stream")

@@ -140,6 +140,15 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 // entry point behind ReadFrame and the distributed reduction stream's
 // reader.
 func ReadFrameRules(r io.Reader, maxPayload int, rules map[byte]FrameRule) (Frame, error) {
+	return ReadFrameRulesInto(r, maxPayload, rules, nil)
+}
+
+// ReadFrameRulesInto is ReadFrameRules reading the payload into buf's
+// storage, which is replaced by a larger allocation only after the
+// frame's rule and the cap have accepted its length. The returned
+// Payload aliases that storage: a caller reusing it across frames must
+// be done with one frame before it reads the next.
+func ReadFrameRulesInto(r io.Reader, maxPayload int, rules map[byte]FrameRule, buf []byte) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxFramePayload
 	}
@@ -175,7 +184,10 @@ func ReadFrameRules(r io.Reader, maxPayload int, rules map[byte]FrameRule) (Fram
 	crc := crc64.New(wireCRCTable)
 	crc.Write(hdr)
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		f.Payload = buf[:n]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF

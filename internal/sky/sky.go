@@ -79,8 +79,9 @@ func (m Model) Predict(u, v, w float64) xmath.Matrix2 {
 // sample. Predict returns bit for bit what Model.Predict returns — the
 // phase expression, math.Sincos, the scaling and the source-order sum
 // are the same operations on the same values — so data sets filled
-// through either are interchangeable. A Predictor is read-only after
-// construction and safe for concurrent use.
+// through either are interchangeable; PredictBatch is the same again,
+// lane-parallel. A Predictor is read-only after construction and safe
+// for concurrent use.
 type Predictor []predictorSource
 
 type predictorSource struct {
@@ -108,6 +109,28 @@ func (p Predictor) Predict(u, v, w float64) xmath.Matrix2 {
 		out = out.Add(s.b.Scale(complex(cos, sin)))
 	}
 	return out
+}
+
+// PredictBatch sets dst[k] = p.Predict(u[k], v[k], w[k]) for every k,
+// bit for bit, with the samples in SIMD lanes on the active tier: four
+// per YMM on avx2, eight per ZMM on avx512. The lanes run math.Sincos
+// and the complex scale-and-add in Go's own operation order, unfused;
+// a group of samples with a phase at or beyond 2^29 (where math.Sincos
+// changes its reduction) or a non-finite one, and the tail after the
+// last whole group, go through Predict. The tier therefore changes no
+// bit. u, v and w must have one length; dst must be at least as long.
+func (p Predictor) PredictBatch(dst []xmath.Matrix2, u, v, w []float64) {
+	p.predictBatchAt(xmath.ActiveSIMD(), dst, u, v, w)
+}
+
+func (p Predictor) predictBatchAt(tier xmath.SIMDTier, dst []xmath.Matrix2, u, v, w []float64) {
+	n := len(u)
+	if len(v) != n || len(w) != n || len(dst) < n {
+		panic(fmt.Sprintf("sky: PredictBatch over %d/%d/%d coordinates into %d samples", n, len(v), len(w), len(dst)))
+	}
+	for i := predictLanes(tier, p, dst[:n], u, v, w); i < n; i++ {
+		dst[i] = p.Predict(u[i], v[i], w[i])
+	}
 }
 
 // PredictWithATerms evaluates the measurement equation including the

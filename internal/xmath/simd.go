@@ -17,12 +17,13 @@ const (
 	// SIMDScalar uses only the portable Go kernels.
 	SIMDScalar SIMDTier = iota
 	// SIMDAVX2 requires AVX2 + FMA with OS-enabled YMM state (the
-	// hand-vectorized 256-bit tile kernels and the 4-lane sincos).
+	// hand-vectorized 256-bit tile kernels, the 4-lane sincos and the
+	// 4-sample sky predictor).
 	SIMDAVX2
 	// SIMDAVX512 additionally requires AVX-512 F/DQ/BW/VL with
 	// OS-enabled ZMM and opmask state: the 8-lane sincos, the 512-bit
 	// pixel-lane gridder of both precisions, the fused float64
-	// degridder and the phase stagers.
+	// degridder, the phase stagers and the 8-sample sky predictor.
 	SIMDAVX512
 )
 

@@ -434,9 +434,10 @@ func (o *Observation) FillFromModelPlan(model SkyModel) error {
 }
 
 // fillBlocks predicts the (disjoint) sample blocks of the given items,
-// strided over Config.Workers goroutines. Each sample is
-// sky.Model.Predict's value bit for bit whichever goroutine computes
-// it, so the filled set does not depend on the worker count.
+// strided over Config.Workers goroutines, one item's [t][c] samples per
+// sky.Predictor.PredictBatch call. Each sample is sky.Model.Predict's
+// value bit for bit whichever goroutine and SIMD tier computes it, so
+// the filled set depends on neither.
 func (o *Observation) fillBlocks(model SkyModel, blocks []WorkItem) error {
 	if err := o.AllocateVisibilities(); err != nil {
 		return err
@@ -453,14 +454,35 @@ func (o *Observation) fillBlocks(model SkyModel, blocks []WorkItem) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var u, v, ww []float64
+			var out []Matrix2
 			for i := w; i < len(blocks); i += workers {
 				it := &blocks[i]
+				n := it.NrTimesteps * it.NrChannels
+				if cap(u) < n {
+					u, v, ww = make([]float64, n), make([]float64, n), make([]float64, n)
+				}
+				u, v, ww = u[:n], v[:n], ww[:n]
+				k := 0
 				for t := it.TimeStart; t < it.TimeStart+it.NrTimesteps; t++ {
 					coord := vs.UVW[it.Baseline][t]
 					for ch := it.Channel0; ch < it.Channel0+it.NrChannels; ch++ {
 						sc := coord.Scale(freqs[ch])
-						vs.Data[it.Baseline][t*vs.NrChannels+ch] = pred.Predict(sc.U, sc.V, sc.W)
+						u[k], v[k], ww[k] = sc.U, sc.V, sc.W
+						k++
 					}
+				}
+				row := vs.Data[it.Baseline]
+				if it.NrChannels == vs.NrChannels { // the item's samples are contiguous
+					pred.PredictBatch(row[it.TimeStart*vs.NrChannels:][:n], u, v, ww)
+					continue
+				}
+				if cap(out) < n {
+					out = make([]Matrix2, n)
+				}
+				pred.PredictBatch(out[:n], u, v, ww)
+				for t := 0; t < it.NrTimesteps; t++ {
+					copy(row[(it.TimeStart+t)*vs.NrChannels+it.Channel0:], out[t*it.NrChannels:(t+1)*it.NrChannels])
 				}
 			}
 		}()

@@ -21,9 +21,13 @@ go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/
 # IDG_SIMD override: the scalar tier runs the generic Go tiles, the
 # avx2 tier runs the 4/8-lane AVX2 kernels on hosts whose detected
 # tier is avx512 (the override can only lower the tier, so these are
-# no-ops on narrower hosts rather than failures).
-IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/
-IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/
+# no-ops on narrower hosts rather than failures). The sky predictor's
+# lanes and the fill built on them must keep Model.Predict's bits, and
+# the golden hashes with them, on every tier.
+IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
+IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
+IDG_SIMD=scalar go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
+IDG_SIMD=avx2 go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 # And with the core count pinned both ways: one thread hides panics and
 # races that only a fan-out goroutine can raise, four threads hide what
 # only the serial paths do, and a CI box has whatever it has. -count=1
@@ -78,7 +82,8 @@ bash benchmark/run.sh -workload all -smoke
 # per-column subgrid transform is a >4x slowdown on the subgrid stage.
 # The fingerprint, grid-writer and fill benchmarks guard the
 # distributed run's harness: a per-cell hash Write, a reflection
-# encode or a per-sample brightness matrix each cost well over the
+# encode, a per-sample brightness matrix or a fill off its SIMD lanes
+# (the predictor runs eight samples per ZMM) each cost well over the
 # threshold.
 # -allow-missing because this is a deliberate subset run: the
 # baseline holds the full bench.sh set, CI re-measures only the
