@@ -148,15 +148,13 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 // inner reduction (Listing 1: vectorization works best when the
 // channel count matches the SIMD width). Every uniform comb runs twice
 // per precision: as dispatched and with the recurrence disabled (one
-// evaluated phasor per sample; for float32 that is the generic tile
-// below the avx512 tier) — the measurement the kernels' selection
-// thresholds are set from: phasorMinChannels under IDG_SIMD=scalar and,
-// on the avx512 tier, for how core's pixel-lane gridLanesPix seeds its
-// phasors in both precisions (it has no other rule about the channel
-// count: 9, 33 and 66 are there for the channel tail and the second
-// resync chunk); core's vecRecurrence and perStepMinChannels, and the
-// float32 oct-lane body, under IDG_SIMD=avx2. The non-uniform comb has
-// only the direct form.
+// evaluated phasor per sample) — the measurement core's one selection
+// threshold, phasorMinChannels, is set from, per tier: the generic
+// tiles under IDG_SIMD=scalar, and how the pixel-lane gridLanesPix seeds
+// its phasors in both precisions under IDG_SIMD=avx2 and on the avx512
+// tier (it has no other rule about the channel count: 9, 33 and 66 are
+// there for the channel tail and the second resync chunk). The
+// non-uniform comb has only the direct form.
 func BenchmarkAblationChannelCount(b *testing.B) {
 	comb := func(nc int, jitter float64) []float64 {
 		freqs := make([]float64, nc)

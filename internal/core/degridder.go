@@ -197,7 +197,7 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 }
 
 // degridTileFn is the per-tile degridder kernel: the generic
-// degridTile, or the hand-vectorized degridTileVec on float64/amd64.
+// degridTile, or the hand-vectorized degridTileFused on the vector tiers.
 // Both read the shared corrected-pixel planes and phase offsets out of
 // the item-owner scratch sb (re-derived locally, as in gridTileFn) and
 // accumulate the tile's pixel contributions into dst.

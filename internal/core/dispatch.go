@@ -22,53 +22,55 @@ type simdDispatch struct {
 	degridVec32 degridTileFn[float32]
 
 	// The A-term sandwiches of the vector tiles (simd_amd64.go), lanes
-	// pixels per register, and the planar grouping the tier's gridder
-	// bodies leave their sums in: sum j of a tile's pixel i at
-	// sums[8*sumsW*(i/sumsW) + sumsW*j + i%sumsW].
+	// float64 pixels per register, and the planar grouping the gridder
+	// leaves its sums in: sum j of a tile's pixel i at
+	// sums[8*sumsW*(i/sumsW) + sumsW*j + i%sumsW]. zmm selects the ZMM
+	// forms of the pixel-lane routines, which the W routines take as
+	// their last argument.
 	gridSandwich   func(out0, out1, out2, out3 *complex128, sums, p, q *float64, stride int, taper *float64, nv int)
 	degridSandwich func(planes *float64, stride int, in0, in1, in2, in3 *complex128, p, q, taper *float64, nv int)
 	lanes, sumsW   int
+	zmm            bool
 
 	tiles64, tiles32 string // SIMDInfo's names for the tiles above
 }
 
 // The tile bodies dispatched per vector tier, as SIMDInfo names them.
 const (
-	tiles64AVX2   = "avx2+fma 4-lane: time-blocked recurrence, direct phasors"
+	tiles64AVX2   = "avx2+fma 4-lane: 4-pixel-lane gridder, fused degridder, staged phases"
 	tiles64AVX512 = "avx512 8-lane: 16-pixel-lane gridder, fused degridder, staged phases"
-	tiles32AVX2   = "avx2+fma 8-lane"
+	tiles32AVX2   = "avx2+fma 8-lane: 8-pixel-lane gridder, fused degridder, staged phases"
 	tiles32AVX512 = "avx512 16-lane: 32-pixel-lane gridder, fused degridder, staged phases"
 )
 
 // dispatchFor builds the dispatch table for a SIMD tier: which body runs
-// is the tier's alone to say. The avx2 tier's tiles still choose between
-// their recurrence and direct-phasor forms by the item's channel comb
-// (and its float32 gridder takes recurrence items only); the SIMDAVX512
-// tier's take every item of both precisions (Kernels.fullWidth): pixels
-// in the lanes (gridTilePix), the degridder fused over the channels a
-// staged row of phasors serves (degridTileFused), phases staged by
-// stagePIdx and stageArgs, A-term sandwiches at eight pixels per ZMM,
-// and xmath.SincosVec at eight lanes. Both vector tiers read the A-terms
-// as planes (planarATerms).
+// is the tier's alone to say. Both vector tiers run the same two tiles on
+// every item of both precisions — pixels in the lanes (gridTilePix), the
+// degridder fused over the channels a staged row of phasors serves
+// (degridTileFused), phases staged by stagePIdx and stageArgs — with
+// their routines, A-term sandwiches (read as planes: planarATerms) and
+// xmath.SincosVec at the tier's register width: YMM, four float64 pixels
+// per register, on avx2; ZMM, eight, on avx512.
 //
-// The tiles went to 512 bits on measurement, not on principle: on the
-// reference host class (Sapphire-Rapids-type Xeon) a thread sustains
-// about twice the lane-FMA rate at ZMM width that it does at YMM width,
-// and no kernel is slower on the avx512 tier than on avx2
-// (EXPERIMENTS.md, "Float64 tiles at full register width" to "Short
-// items at full width", has the pairs and the per-tier tables).
+// The avx512 tier went to 512 bits on measurement, not on principle: on
+// the reference host class (Sapphire-Rapids-type Xeon) a thread sustains
+// about twice the lane-FMA rate at ZMM width that it does at YMM width
+// (EXPERIMENTS.md, "Float64 tiles at full register width" on, has the
+// pairs and the per-tier tables).
 func dispatchFor(tier xmath.SIMDTier) simdDispatch {
 	d := simdDispatch{tier: tier, tiles64: "generic", tiles32: "generic"}
-	switch {
-	case !haveVectorASM || tier < xmath.SIMDAVX2:
-	case tier < xmath.SIMDAVX512:
-		d.gridVec64, d.degridVec64, d.tiles64 = gridTileVec, degridTileVec[float64], tiles64AVX2
-		d.gridVec32, d.degridVec32, d.tiles32 = gridTileVec32, degridTileVec[float32], tiles32AVX2
+	if !haveVectorASM || tier < xmath.SIMDAVX2 {
+		return d
+	}
+	d.gridVec64, d.degridVec64 = gridTilePix[float64], degridTileFused[float64]
+	d.gridVec32, d.degridVec32 = gridTilePix[float32], degridTileFused[float32]
+	if tier < xmath.SIMDAVX512 {
+		d.tiles64, d.tiles32 = tiles64AVX2, tiles32AVX2
 		d.gridSandwich, d.degridSandwich, d.lanes, d.sumsW = gridSandwichQuads, degridSandwichQuads, 4, 4
-	default:
-		d.gridVec64, d.degridVec64, d.tiles64 = gridTilePix[float64], degridTileFused[float64], tiles64AVX512
-		d.gridVec32, d.degridVec32, d.tiles32 = gridTilePix[float32], degridTileFused[float32], tiles32AVX512
+	} else {
+		d.tiles64, d.tiles32 = tiles64AVX512, tiles32AVX512
 		d.gridSandwich, d.degridSandwich, d.lanes, d.sumsW = gridSandwichOcts, degridSandwichOcts, 8, 16
+		d.zmm = true
 	}
 	return d
 }

@@ -42,9 +42,11 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 		k.gridSubgridReference(item, uvw, vis, a, out)
 		return
 	}
+	// The vector tiles cover every item shape of both precisions; the
+	// generic tiles are the scalar tier only.
 	if k.params.Precision == Float32 {
 		tile := gridTile[float32]
-		vec := k.disp.gridVec32 != nil && (k.fullWidth() || k.useRecurrence(item.NrChannels))
+		vec := k.disp.gridVec32 != nil
 		if vec {
 			tile = k.disp.gridVec32
 		}
@@ -57,8 +59,6 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 		}
 		gridSubgridTiled[float32](k, item, uvw, vis, a, out, s, par, tile)
 	} else {
-		// The float64 vector tiles cover every item shape; the generic
-		// tile is the scalar tier only.
 		tile := gridTile[float64]
 		vec := k.disp.gridVec64 != nil
 		if vec {
@@ -76,23 +76,25 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 }
 
 // phasorMinChannels is the smallest channel count for which the
-// recurrence wins, in every tile that has both forms but the avx2 tier's
-// float64 gridder (vecRecurrence): it replaces nc sincos evaluations per
-// (pixel, time step) with two plus nc-1 complex rotations. Measured
-// with BenchmarkAblationChannelCount on the reference host, ms per
-// 64-step item, recurrence against direct: under IDG_SIMD=scalar c=2
-// 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82 against 3.16; in
-// the avx512 tier's pixel-lane gridder (rowChannels), whose evaluations
-// are batched at a twentieth of that cost, float64 c=2 0.125 against
-// 0.115-0.124, c=3 0.14-0.15 against 0.17, c=4 0.16 against 0.22,
-// float32 0.112 against 0.110, 0.13 against 0.155, 0.135 against 0.21 —
-// the two forms cross between 2 and 3 channels everywhere, and below
-// the crossing the direct form has no drift to bound.
+// recurrence wins, in every tile of every tier: it replaces nc sincos
+// evaluations per (pixel, time step) with two plus nc-1 complex
+// rotations. Measured with BenchmarkAblationChannelCount on the
+// reference host, ms per 64-step item, recurrence against direct: under
+// IDG_SIMD=scalar c=2 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82
+// against 3.16; in the pixel-lane gridder (rowChannels), whose
+// evaluations are batched at a twentieth of that cost, on the avx512
+// tier float64 c=2 0.125 against 0.115-0.124, c=3 0.14-0.15 against
+// 0.17, c=4 0.16 against 0.22, float32 0.112 against 0.110, 0.13 against
+// 0.155, 0.135 against 0.21; on the avx2 tier (one thread, best of five)
+// float64 c=2 0.210 against 0.200 (the recurrence forced on at two
+// channels), c=3 0.26 against 0.32, c=4 0.285 against 0.41, float32
+// 0.196 against 0.189, 0.22 against 0.29, 0.23 against 0.36 — the two
+// forms cross between 2 and 3 channels everywhere, and below the
+// crossing the direct form has no drift to bound.
 const phasorMinChannels = 3
 
 // useRecurrence reports whether the phasor rotation recurrence applies
-// to a work item of nc channels (everywhere but the avx2 tier's float64
-// gridder, see vecRecurrence).
+// to a work item of nc channels, in every tile of every tier.
 func (k *Kernels) useRecurrence(nc int) bool {
 	return k.uniformScale && nc >= phasorMinChannels
 }
@@ -203,7 +205,7 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 }
 
 // gridTileFn is the per-tile gridder kernel: the generic gridTile, or
-// the hand-vectorized gridTileVec on float64/amd64. Both read the
+// the hand-vectorized gridTilePix on the vector tiers. Both read the
 // shared planar visibility block out of the item-owner scratch sb
 // (re-deriving the plane headers locally keeps them off the heap: the
 // tile call is indirect, so pointer arguments would escape) and write

@@ -2,657 +2,29 @@
 
 #include "textflag.h"
 
-// The hand-vectorized inner loops of the gridder and degridder
-// (see simd_amd64.go for the contract and vector layout). All
-// routines are leaf functions: NOSPLIT, no calls, VZEROUPPER before
-// returning to Go code.
-
-// func rotAccQuads(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float64)
+// The tile bodies of the avx2 dispatch tier: the avx512 tier's
+// pixel-lane routines (kernels_avx512_amd64.s) at YMM width. The gridder
+// holds four float64 or eight float32 pixels, one per lane, in one
+// register (rotAccPixBlk64W, rotAccPixBlk32W); the fused degridder runs a
+// register of pixels per instruction (rotConjAccBlk64W, rotConjAccBlk32W);
+// the phase stagers (stagePIdxW, stageArgsW) run ahead of both; and the
+// A-term sandwiches take four pixels per YMM (gridSandwichQuads,
+// degridSandwichQuads). The per-register text is the ZMM bodies' own
+// (pixlanes_amd64.h, sandwich_amd64.h), so per lane every routine does
+// what its ZMM twin does. Without EVEX there are sixteen vector registers
+// and no opmasks: a gridder call holds one register of pixels where the
+// ZMM one holds two, and the pixels past a row's last whole register go
+// through VMASKMOVPD/PS under a lane mask in V15.
 //
-// Gridder channel loop, four channels per iteration. acc points at a
-// [32]float64 block: eight accumulators x four lanes, accumulator k's
-// lanes at acc[4k:4k+4]. ph points at [10]float64: per-lane phasor
-// sin at ph[0:4], cos at ph[4:8], and the four-channel step rotator
-// sin/cos at ph[8], ph[9]. The phasor register state is NOT written
-// back: callers re-seed per resync chunk.
-TEXT ·rotAccQuads(SB), NOSPLIT, $0-88
-	MOVQ acc+0(FP), AX
-	MOVQ r0+8(FP), SI
-	MOVQ i0+16(FP), DI
-	MOVQ r1+24(FP), R8
-	MOVQ i1+32(FP), R9
-	MOVQ r2+40(FP), R10
-	MOVQ i2+48(FP), R11
-	MOVQ r3+56(FP), R12
-	MOVQ i3+64(FP), R13
-	MOVQ nq+72(FP), DX
-	MOVQ ph+80(FP), BX
+// The W routines serve both vector tiers: each takes its ZMM twin's
+// arguments plus a last flag, and with the flag set it jumps into the
+// twin (TO_ZMM), which finds its arguments where it reads them. Go code
+// thus makes one direct call whatever the width; a Go wrapper or a
+// function value in between cost the avx512 tier 5-6 % on short float32
+// items (BenchmarkGridderKernelShortItemsFloat32). See
+// simd_amd64.go for the contracts, tile_vec.go and sandwich.go for the
+// callers. All routines VZEROUPPER before returning to Go code.
 
-	VMOVUPD      (BX), Y0       // ps lanes
-	VMOVUPD      32(BX), Y1     // pc lanes
-	VBROADCASTSD 64(BX), Y2     // sin(4*delta)
-	VBROADCASTSD 72(BX), Y3     // cos(4*delta)
-
-	VMOVUPD (AX), Y4
-	VMOVUPD 32(AX), Y5
-	VMOVUPD 64(AX), Y6
-	VMOVUPD 96(AX), Y7
-	VMOVUPD 128(AX), Y8
-	VMOVUPD 160(AX), Y9
-	VMOVUPD 192(AX), Y10
-	VMOVUPD 224(AX), Y11
-
-quadloop:
-	VMOVUPD      (SI), Y12      // vr, correlation 0
-	VMOVUPD      (DI), Y13      // vi
-	VFMADD231PD  Y1, Y12, Y4    // a0 += vr*pc
-	VFNMADD231PD Y0, Y13, Y4    // a0 -= vi*ps
-	VFMADD231PD  Y0, Y12, Y5    // a1 += vr*ps
-	VFMADD231PD  Y1, Y13, Y5    // a1 += vi*pc
-	VMOVUPD      (R8), Y12
-	VMOVUPD      (R9), Y13
-	VFMADD231PD  Y1, Y12, Y6
-	VFNMADD231PD Y0, Y13, Y6
-	VFMADD231PD  Y0, Y12, Y7
-	VFMADD231PD  Y1, Y13, Y7
-	VMOVUPD      (R10), Y12
-	VMOVUPD      (R11), Y13
-	VFMADD231PD  Y1, Y12, Y8
-	VFNMADD231PD Y0, Y13, Y8
-	VFMADD231PD  Y0, Y12, Y9
-	VFMADD231PD  Y1, Y13, Y9
-	VMOVUPD      (R12), Y12
-	VMOVUPD      (R13), Y13
-	VFMADD231PD  Y1, Y12, Y10
-	VFNMADD231PD Y0, Y13, Y10
-	VFMADD231PD  Y0, Y12, Y11
-	VFMADD231PD  Y1, Y13, Y11
-
-	// Advance the phasor lanes by four channels:
-	// ps' = ps*dc4 + pc*ds4, pc' = pc*dc4 - ps*ds4.
-	VMULPD       Y3, Y0, Y14
-	VMULPD       Y3, Y1, Y15
-	VFMADD231PD  Y2, Y1, Y14
-	VFNMADD231PD Y2, Y0, Y15
-	VMOVAPD      Y14, Y0
-	VMOVAPD      Y15, Y1
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	DECQ DX
-	JNZ  quadloop
-
-	VMOVUPD Y4, (AX)
-	VMOVUPD Y5, 32(AX)
-	VMOVUPD Y6, 64(AX)
-	VMOVUPD Y7, 96(AX)
-	VMOVUPD Y8, 128(AX)
-	VMOVUPD Y9, 160(AX)
-	VMOVUPD Y10, 192(AX)
-	VMOVUPD Y11, 224(AX)
-	VZEROUPPER
-	RET
-
-// ACC_QUAD_AT_R14 is one quad iteration of the blocked and direct
-// accumulate kernels: the four samples at byte offset R14 of the eight
-// visibility streams (SI, DI, R8-R13: re/im of correlations 0-3)
-// against the phasor lanes Y0 (sin) and Y1 (cos), the same FMA sequence
-// as rotAccQuads — per correlation a_re += vr*pc, a_re -= vi*ps,
-// a_im += vr*ps, a_im += vi*pc into Y4-Y11. Clobbers Y12, Y13.
-#define ACC_QUAD_AT_R14 \
-	VMOVUPD      (SI)(R14*1), Y12; \
-	VMOVUPD      (DI)(R14*1), Y13; \
-	VFMADD231PD  Y1, Y12, Y4; \
-	VFNMADD231PD Y0, Y13, Y4; \
-	VFMADD231PD  Y0, Y12, Y5; \
-	VFMADD231PD  Y1, Y13, Y5; \
-	VMOVUPD      (R8)(R14*1), Y12; \
-	VMOVUPD      (R9)(R14*1), Y13; \
-	VFMADD231PD  Y1, Y12, Y6; \
-	VFNMADD231PD Y0, Y13, Y6; \
-	VFMADD231PD  Y0, Y12, Y7; \
-	VFMADD231PD  Y1, Y13, Y7; \
-	VMOVUPD      (R10)(R14*1), Y12; \
-	VMOVUPD      (R11)(R14*1), Y13; \
-	VFMADD231PD  Y1, Y12, Y8; \
-	VFNMADD231PD Y0, Y13, Y8; \
-	VFMADD231PD  Y0, Y12, Y9; \
-	VFMADD231PD  Y1, Y13, Y9; \
-	VMOVUPD      (R12)(R14*1), Y12; \
-	VMOVUPD      (R13)(R14*1), Y13; \
-	VFMADD231PD  Y1, Y12, Y10; \
-	VFNMADD231PD Y0, Y13, Y10; \
-	VFMADD231PD  Y0, Y12, Y11; \
-	VFMADD231PD  Y1, Y13, Y11
-
-// func rotAccQuadsBlk(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nq int, ph *float64, nt int)
-//
-// Timestep-blocked rotAccQuads: one call covers nt time steps of one
-// pixel, keeping the eight accumulator registers live across the whole
-// block instead of round-tripping them through memory per time step.
-// Per time step the phasor lanes and the rotator reload from a fresh
-// [10]float64 block (ph advances 80 bytes per step) and the channel
-// loop runs nq iterations. Only called when one resync chunk covers
-// every channel with no tail (nc = 4*nq), so the visibility streams are
-// contiguous across steps: R14 is the running byte offset into all
-// eight. The arithmetic sequence per (time step, channel) is identical
-// to per-step rotAccQuads calls, so results are bitwise equal to the
-// unblocked form.
-TEXT ·rotAccQuadsBlk(SB), NOSPLIT, $0-96
-	MOVQ acc+0(FP), AX
-	MOVQ r0+8(FP), SI
-	MOVQ i0+16(FP), DI
-	MOVQ r1+24(FP), R8
-	MOVQ i1+32(FP), R9
-	MOVQ r2+40(FP), R10
-	MOVQ i2+48(FP), R11
-	MOVQ r3+56(FP), R12
-	MOVQ i3+64(FP), R13
-	MOVQ nq+72(FP), R15
-	MOVQ ph+80(FP), BX
-	MOVQ nt+88(FP), CX
-	XORQ R14, R14
-
-	VMOVUPD (AX), Y4
-	VMOVUPD 32(AX), Y5
-	VMOVUPD 64(AX), Y6
-	VMOVUPD 96(AX), Y7
-	VMOVUPD 128(AX), Y8
-	VMOVUPD 160(AX), Y9
-	VMOVUPD 192(AX), Y10
-	VMOVUPD 224(AX), Y11
-
-blktloop:
-	VMOVUPD      (BX), Y0       // ps lanes of this time step
-	VMOVUPD      32(BX), Y1     // pc lanes
-	VBROADCASTSD 64(BX), Y2     // sin(4*delta)
-	VBROADCASTSD 72(BX), Y3     // cos(4*delta)
-	MOVQ         R15, DX
-
-blkquadloop:
-	ACC_QUAD_AT_R14
-
-	// Advance the phasor lanes by four channels (see rotAccQuads).
-	VMULPD       Y3, Y0, Y14
-	VMULPD       Y3, Y1, Y15
-	VFMADD231PD  Y2, Y1, Y14
-	VFNMADD231PD Y2, Y0, Y15
-	VMOVAPD      Y14, Y0
-	VMOVAPD      Y15, Y1
-
-	ADDQ $32, R14
-	DECQ DX
-	JNZ  blkquadloop
-
-	ADDQ $80, BX
-	DECQ CX
-	JNZ  blktloop
-
-	VMOVUPD Y4, (AX)
-	VMOVUPD Y5, 32(AX)
-	VMOVUPD Y6, 64(AX)
-	VMOVUPD Y7, 96(AX)
-	VMOVUPD Y8, 128(AX)
-	VMOVUPD Y9, 160(AX)
-	VMOVUPD Y10, 192(AX)
-	VMOVUPD Y11, 224(AX)
-	VZEROUPPER
-	RET
-
-// func seedQuadsBlk(ph, s0, c0, ds, dc *float64, ng int)
-//
-// Vectorized seedQuadLanes over time steps: each iteration seeds FOUR
-// consecutive time steps' 10-wide phasor register blocks from the
-// planar base/delta sincos results (s0/c0 hold sin/cos of the channel-0
-// phase per step, ds/dc of the per-channel delta). The arithmetic is
-// element-wise identical to seedQuadLanes — the same unfused multiply
-// and add sequence, four steps per VMULPD/VADDPD/VSUBPD — so results
-// are bitwise equal to the scalar Go seeding (2*x is computed as x+x,
-// which rounds identically). The caller handles the nt%4 leftover
-// steps with seedQuadLanes.
-//
-// Register map per iteration: Y0-Y1 s0/c0, Y2-Y3 ds/dc, Y10-Y15 lanes
-// 1-3 s/c, Y4-Y5 ds2/dc2, Y8-Y9 rotator sin/cos, Y6-Y7 scratch.
-// Transposed stores go through VUNPCKL/HPD pairs and 128-bit halves
-// (low half via X register, high half via VEXTRACTF128-to-memory).
-// Block stride is 10 doubles = 80 bytes.
-TEXT ·seedQuadsBlk(SB), NOSPLIT, $0-48
-	MOVQ ph+0(FP), DI
-	MOVQ s0+8(FP), SI
-	MOVQ c0+16(FP), BX
-	MOVQ ds+24(FP), R8
-	MOVQ dc+32(FP), R9
-	MOVQ ng+40(FP), CX
-
-seedloop:
-	VMOVUPD (SI), Y0  // s0
-	VMOVUPD (BX), Y1  // c0
-	VMOVUPD (R8), Y2  // ds
-	VMOVUPD (R9), Y3  // dc
-
-	// Lanes 1-3 by single-delta rotations (sk*dc+ck*ds, ck*dc-sk*ds).
-	VMULPD Y3, Y0, Y10
-	VMULPD Y2, Y1, Y11
-	VADDPD Y11, Y10, Y10 // s1
-	VMULPD Y3, Y1, Y11
-	VMULPD Y2, Y0, Y12
-	VSUBPD Y12, Y11, Y11 // c1
-	VMULPD Y3, Y10, Y12
-	VMULPD Y2, Y11, Y13
-	VADDPD Y13, Y12, Y12 // s2
-	VMULPD Y3, Y11, Y13
-	VMULPD Y2, Y10, Y14
-	VSUBPD Y14, Y13, Y13 // c2
-	VMULPD Y3, Y12, Y14
-	VMULPD Y2, Y13, Y15
-	VADDPD Y15, Y14, Y14 // s3
-	VMULPD Y3, Y13, Y15
-	VMULPD Y2, Y12, Y4
-	VSUBPD Y4, Y15, Y15  // c3
-
-	// Double-angle chain: delta -> 2*delta -> 4*delta (the rotator).
-	VADDPD Y2, Y2, Y4
-	VMULPD Y3, Y4, Y4 // ds2 = (2*ds)*dc
-	VMULPD Y3, Y3, Y5
-	VMULPD Y2, Y2, Y6
-	VSUBPD Y6, Y5, Y5 // dc2 = dc*dc - ds*ds
-	VADDPD Y4, Y4, Y8
-	VMULPD Y5, Y8, Y8 // rotator sin = (2*ds2)*dc2
-	VMULPD Y5, Y5, Y9
-	VMULPD Y4, Y4, Y6
-	VSUBPD Y6, Y9, Y9 // rotator cos = dc2*dc2 - ds2*ds2
-
-	// Transposed stores: lane sin -> ph[t][0:4] (bytes +0).
-	VUNPCKLPD    Y10, Y0, Y2
-	VUNPCKHPD    Y10, Y0, Y3
-	VUNPCKLPD    Y14, Y12, Y4
-	VUNPCKHPD    Y14, Y12, Y5
-	VMOVUPD      X2, (DI)
-	VMOVUPD      X4, 16(DI)
-	VMOVUPD      X3, 80(DI)
-	VMOVUPD      X5, 96(DI)
-	VEXTRACTF128 $1, Y2, 160(DI)
-	VEXTRACTF128 $1, Y4, 176(DI)
-	VEXTRACTF128 $1, Y3, 240(DI)
-	VEXTRACTF128 $1, Y5, 256(DI)
-
-	// Lane cos -> ph[t][4:8] (bytes +32).
-	VUNPCKLPD    Y11, Y1, Y2
-	VUNPCKHPD    Y11, Y1, Y3
-	VUNPCKLPD    Y15, Y13, Y4
-	VUNPCKHPD    Y15, Y13, Y5
-	VMOVUPD      X2, 32(DI)
-	VMOVUPD      X4, 48(DI)
-	VMOVUPD      X3, 112(DI)
-	VMOVUPD      X5, 128(DI)
-	VEXTRACTF128 $1, Y2, 192(DI)
-	VEXTRACTF128 $1, Y4, 208(DI)
-	VEXTRACTF128 $1, Y3, 272(DI)
-	VEXTRACTF128 $1, Y5, 288(DI)
-
-	// Rotator -> ph[t][8:10] (bytes +64).
-	VUNPCKLPD    Y9, Y8, Y2
-	VUNPCKHPD    Y9, Y8, Y3
-	VMOVUPD      X2, 64(DI)
-	VMOVUPD      X3, 144(DI)
-	VEXTRACTF128 $1, Y2, 224(DI)
-	VEXTRACTF128 $1, Y3, 304(DI)
-
-	ADDQ $32, SI
-	ADDQ $32, BX
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $320, DI
-	DECQ CX
-	JNZ  seedloop
-
-	VZEROUPPER
-	RET
-
-// func stageArgsQuad(arg *float64, stride int, l, m, n, uvw *float64, nt int, scale *float64, nc int, uOff, vOff, wOff float64)
-//
-// Phase-argument staging of the direct-phasor gridder for FOUR
-// consecutive pixels at once (lanes = pixels): for every time step t
-// (uvw holds nt {U, V, W} triples) and channel c it writes
-//
-//	phaseIndex*scale[c] - phaseOffset,
-//	phaseIndex  = (U*l + V*m) + W*n,
-//	phaseOffset = 2*pi * ((uOff*l + vOff*m) + wOff*n)
-//
-// to arg[p*stride/8 + t*nc + c] for pixel p = 0..3 (stride in bytes).
-// Every product and sum is a separate, unfused instruction in the order
-// the Go expression evaluates them on amd64, so the arguments are
-// bitwise equal to the scalar staging loop in gridLanesDirect, which
-// covers the pixels that do not fill a quad.
-DATA twoPi<>+0(SB)/8, $0x401921fb54442d18
-GLOBL twoPi<>(SB), RODATA|NOPTR, $8
-
-TEXT ·stageArgsQuad(SB), NOSPLIT, $0-96
-	MOVQ arg+0(FP), DI
-	MOVQ stride+8(FP), DX
-	MOVQ l+16(FP), AX
-	MOVQ m+24(FP), BX
-	MOVQ n+32(FP), CX
-	MOVQ uvw+40(FP), SI
-	MOVQ nt+48(FP), R8
-	MOVQ scale+56(FP), R9
-	MOVQ nc+64(FP), R10
-
-	VMOVUPD      (AX), Y0       // l of the four pixels
-	VMOVUPD      (BX), Y1       // m
-	VMOVUPD      (CX), Y2       // n
-	VBROADCASTSD uOff+72(FP), Y4
-	VBROADCASTSD vOff+80(FP), Y5
-	VBROADCASTSD wOff+88(FP), Y6
-	VMULPD       Y0, Y4, Y4
-	VMULPD       Y1, Y5, Y5
-	VADDPD       Y5, Y4, Y4
-	VMULPD       Y2, Y6, Y6
-	VADDPD       Y6, Y4, Y4
-	VBROADCASTSD twoPi<>(SB), Y3
-	VMULPD       Y4, Y3, Y3     // phaseOffset
-
-	// One output row per pixel.
-	LEAQ (DI)(DX*1), R11
-	LEAQ (DI)(DX*2), R12
-	LEAQ (R11)(DX*2), R13
-
-stagetloop:
-	VBROADCASTSD (SI), Y4       // U
-	VBROADCASTSD 8(SI), Y5      // V
-	VBROADCASTSD 16(SI), Y6     // W
-	VMULPD       Y0, Y4, Y4
-	VMULPD       Y1, Y5, Y5
-	VADDPD       Y5, Y4, Y4
-	VMULPD       Y2, Y6, Y6
-	VADDPD       Y6, Y4, Y4     // phaseIndex
-	MOVQ         R9, R14
-	MOVQ         R10, R15
-
-stagecloop:
-	VBROADCASTSD (R14), Y5
-	VMULPD       Y5, Y4, Y5
-	VSUBPD       Y3, Y5, Y5     // phaseIndex*scale[c] - phaseOffset
-	VEXTRACTF128 $1, Y5, X6
-	VMOVLPD      X5, (DI)
-	VMOVHPD      X5, (R11)
-	VMOVLPD      X6, (R12)
-	VMOVHPD      X6, (R13)
-	ADDQ         $8, DI
-	ADDQ         $8, R11
-	ADDQ         $8, R12
-	ADDQ         $8, R13
-	ADDQ         $8, R14
-	DECQ         R15
-	JNZ          stagecloop
-
-	ADDQ $24, SI
-	DECQ R8
-	JNZ  stagetloop
-
-	VZEROUPPER
-	RET
-
-// func accQuadsPix(acc, r0, i0, r1, i1, r2, i2, r3, i3, ps, pc *float64, nq, npix, phStride int)
-//
-// Direct-phasor gridder reduction: the phasors are read from memory
-// (one sin/cos pair per visibility sample, evaluated beforehand)
-// instead of advancing in registers. One call sweeps npix consecutive
-// pixels over the same 4*nq visibility samples: pixel p accumulates
-// into the [32]float64 block at acc+256*p (layout as rotAccQuads) with
-// the phasors at ps/pc + p*phStride bytes. Sample j lands in lane
-// j mod 4 and each lane sees its samples in increasing j, through the
-// same FMA sequence as rotAccQuads.
-TEXT ·accQuadsPix(SB), NOSPLIT, $0-112
-	MOVQ acc+0(FP), AX
-	MOVQ r0+8(FP), SI
-	MOVQ i0+16(FP), DI
-	MOVQ r1+24(FP), R8
-	MOVQ i1+32(FP), R9
-	MOVQ r2+40(FP), R10
-	MOVQ i2+48(FP), R11
-	MOVQ r3+56(FP), R12
-	MOVQ i3+64(FP), R13
-	MOVQ ps+72(FP), BX
-	MOVQ pc+80(FP), CX
-	MOVQ npix+96(FP), R15
-
-accpixloop:
-	VMOVUPD (AX), Y4
-	VMOVUPD 32(AX), Y5
-	VMOVUPD 64(AX), Y6
-	VMOVUPD 96(AX), Y7
-	VMOVUPD 128(AX), Y8
-	VMOVUPD 160(AX), Y9
-	VMOVUPD 192(AX), Y10
-	VMOVUPD 224(AX), Y11
-	XORQ    R14, R14
-	MOVQ    nq+88(FP), DX
-
-accquadloop:
-	VMOVUPD      (BX)(R14*1), Y0   // ps of samples j..j+3
-	VMOVUPD      (CX)(R14*1), Y1   // pc
-	ACC_QUAD_AT_R14
-
-	ADDQ $32, R14
-	DECQ DX
-	JNZ  accquadloop
-
-	VMOVUPD Y4, (AX)
-	VMOVUPD Y5, 32(AX)
-	VMOVUPD Y6, 64(AX)
-	VMOVUPD Y7, 96(AX)
-	VMOVUPD Y8, 128(AX)
-	VMOVUPD Y9, 160(AX)
-	VMOVUPD Y10, 192(AX)
-	VMOVUPD Y11, 224(AX)
-	ADDQ    $256, AX
-	MOVQ    phStride+104(FP), DX
-	ADDQ    DX, BX
-	ADDQ    DX, CX
-	DECQ    R15
-	JNZ     accpixloop
-
-	VZEROUPPER
-	RET
-
-// func conjAccQuads(out, phRe, phIm, p0r, p0i, p1r, p1i, p2r, p2i, p3r, p3i *float64, nq int)
-//
-// Degridder pixel loop, four pixels per iteration: accumulates
-// sum_i conj(phasor_i) * pixel_i over 4*nq pixels into the eight
-// scalars at out (re/im per correlation). Vector partial sums reduce
-// lane 0+1+2+3 on exit and ADD into out.
-TEXT ·conjAccQuads(SB), NOSPLIT, $0-96
-	MOVQ out+0(FP), AX
-	MOVQ phRe+8(FP), BX
-	MOVQ phIm+16(FP), CX
-	MOVQ p0r+24(FP), SI
-	MOVQ p0i+32(FP), DI
-	MOVQ p1r+40(FP), R8
-	MOVQ p1i+48(FP), R9
-	MOVQ p2r+56(FP), R10
-	MOVQ p2i+64(FP), R11
-	MOVQ p3r+72(FP), R12
-	MOVQ p3i+80(FP), R13
-	MOVQ nq+88(FP), DX
-
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-
-pixloop:
-	VMOVUPD (BX), Y0            // cr = phRe
-	VMOVUPD (CX), Y1            // -ci = phIm (conjugate phasor)
-	VMOVUPD      (SI), Y12      // vr, correlation 0
-	VMOVUPD      (DI), Y13      // vi
-	VFMADD231PD  Y0, Y12, Y4    // s_re += vr*cr
-	VFMADD231PD  Y1, Y13, Y4    // s_re += vi*phIm  (= -vi*ci)
-	VFNMADD231PD Y1, Y12, Y5    // s_im -= vr*phIm  (= +vr*ci)
-	VFMADD231PD  Y0, Y13, Y5    // s_im += vi*cr
-	VMOVUPD      (R8), Y12
-	VMOVUPD      (R9), Y13
-	VFMADD231PD  Y0, Y12, Y6
-	VFMADD231PD  Y1, Y13, Y6
-	VFNMADD231PD Y1, Y12, Y7
-	VFMADD231PD  Y0, Y13, Y7
-	VMOVUPD      (R10), Y12
-	VMOVUPD      (R11), Y13
-	VFMADD231PD  Y0, Y12, Y8
-	VFMADD231PD  Y1, Y13, Y8
-	VFNMADD231PD Y1, Y12, Y9
-	VFMADD231PD  Y0, Y13, Y9
-	VMOVUPD      (R12), Y12
-	VMOVUPD      (R13), Y13
-	VFMADD231PD  Y0, Y12, Y10
-	VFMADD231PD  Y1, Y13, Y10
-	VFNMADD231PD Y1, Y12, Y11
-	VFMADD231PD  Y0, Y13, Y11
-
-	ADDQ $32, BX
-	ADDQ $32, CX
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	DECQ DX
-	JNZ  pixloop
-
-	// Reduce each accumulator's lanes as (l0+l2)+(l1+l3) and add into
-	// out[k]. VEXTRACTF128 folds the upper half onto the lower; HADDPD
-	// sums the remaining pair.
-	VEXTRACTF128 $1, Y4, X12
-	VADDPD       X12, X4, X4
-	VHADDPD      X4, X4, X4
-	VEXTRACTF128 $1, Y5, X12
-	VADDPD       X12, X5, X5
-	VHADDPD      X5, X5, X5
-	VEXTRACTF128 $1, Y6, X12
-	VADDPD       X12, X6, X6
-	VHADDPD      X6, X6, X6
-	VEXTRACTF128 $1, Y7, X12
-	VADDPD       X12, X7, X7
-	VHADDPD      X7, X7, X7
-	VEXTRACTF128 $1, Y8, X12
-	VADDPD       X12, X8, X8
-	VHADDPD      X8, X8, X8
-	VEXTRACTF128 $1, Y9, X12
-	VADDPD       X12, X9, X9
-	VHADDPD      X9, X9, X9
-	VEXTRACTF128 $1, Y10, X12
-	VADDPD       X12, X10, X10
-	VHADDPD      X10, X10, X10
-	VEXTRACTF128 $1, Y11, X12
-	VADDPD       X12, X11, X11
-	VHADDPD      X11, X11, X11
-
-	VADDSD (AX), X4, X4
-	VMOVSD X4, (AX)
-	VADDSD 8(AX), X5, X5
-	VMOVSD X5, 8(AX)
-	VADDSD 16(AX), X6, X6
-	VMOVSD X6, 16(AX)
-	VADDSD 24(AX), X7, X7
-	VMOVSD X7, 24(AX)
-	VADDSD 32(AX), X8, X8
-	VMOVSD X8, 32(AX)
-	VADDSD 40(AX), X9, X9
-	VMOVSD X9, 40(AX)
-	VADDSD 48(AX), X10, X10
-	VMOVSD X10, 48(AX)
-	VADDSD 56(AX), X11, X11
-	VMOVSD X11, 56(AX)
-	VZEROUPPER
-	RET
-
-// func rotQuads(phRe, phIm, dRe, dIm *float64, nq int)
-//
-// Degridder phasor rotation pass, four pixels per iteration:
-// phIm' = phIm*dRe + phRe*dIm, phRe' = phRe*dRe - phIm*dIm.
-TEXT ·rotQuads(SB), NOSPLIT, $0-40
-	MOVQ phRe+0(FP), AX
-	MOVQ phIm+8(FP), BX
-	MOVQ dRe+16(FP), CX
-	MOVQ dIm+24(FP), SI
-	MOVQ nq+32(FP), DX
-
-rotloop:
-	VMOVUPD      (AX), Y0       // co
-	VMOVUPD      (BX), Y1       // s
-	VMOVUPD      (CX), Y2       // dRe
-	VMOVUPD      (SI), Y3       // dIm
-	VMULPD       Y2, Y1, Y4     // s*dRe
-	VFMADD231PD  Y3, Y0, Y4     // += co*dIm -> phIm'
-	VMULPD       Y2, Y0, Y5     // co*dRe
-	VFNMADD231PD Y3, Y1, Y5     // -= s*dIm -> phRe'
-	VMOVUPD      Y4, (BX)
-	VMOVUPD      Y5, (AX)
-	ADDQ         $32, AX
-	ADDQ         $32, BX
-	ADDQ         $32, CX
-	ADDQ         $32, SI
-	DECQ         DX
-	JNZ          rotloop
-	VZEROUPPER
-	RET
-
-// func foldQuadLanes(sums, vacc *float64, npix int)
-//
-// Gridder lane fold: per pixel i, the eight four-lane accumulators at
-// vacc[32*i:] reduce to eight sums, each as (l0+l2)+(l1+l3) — the order
-// of conjAccQuads' in-register reduce — and land where the sandwich
-// below reads them, in planar groups of four pixels: sum j at
-// sums[32*(i/4) + 4*j + i%4].
-TEXT ·foldQuadLanes(SB), NOSPLIT, $0-24
-	MOVQ sums+0(FP), DI
-	MOVQ vacc+8(FP), SI
-	MOVQ npix+16(FP), CX
-	XORQ AX, AX                  // pixels folded
-
-#define FOLD_PAIR(off) \
-	VMOVUPD      off(SI), Y0     \
-	VMOVUPD      off+32(SI), Y2  \
-	VEXTRACTF128 $1, Y0, X1      \
-	VEXTRACTF128 $1, Y2, X3      \
-	VADDPD       X1, X0, X0      \ // l0+l2, l1+l3
-	VADDPD       X3, X2, X2      \
-	VHADDPD      X2, X0, X0      \ // (l0+l2)+(l1+l3) of both accumulators
-	VMOVLPD      X0, off(DI)     \
-	VMOVHPD      X0, off+32(DI)
-
-foldloop:
-	FOLD_PAIR(0)
-	FOLD_PAIR(64)
-	FOLD_PAIR(128)
-	FOLD_PAIR(192)
-	ADDQ  $256, SI
-	ADDQ  $8, DI
-	INCQ  AX
-	TESTQ $3, AX
-	JNZ   foldnext
-	ADDQ  $224, DI               // the next group of four
-foldnext:
-	DECQ CX
-	JNZ  foldloop
-	VZEROUPPER
-	RET
-
-// The A-term sandwiches at four pixels per YMM: sandwich_amd64.h on the
-// sums as foldQuadLanes leaves them.
 #define V0 Y0
 #define V1 Y1
 #define V2 Y2
@@ -665,8 +37,407 @@ foldnext:
 #define V9 Y9
 #define V10 Y10
 #define V11 Y11
+#define V12 Y12
+#define V13 Y13
+#define V14 Y14
 #define V15 Y15
 #define VB 32
+
+// tailmask is 32 bytes of ones, then 32 of zeros: the register at
+// tailmask+32-nb has ones in its first nb bytes.
+DATA tailmask<>+0(SB)/8, $-1
+DATA tailmask<>+8(SB)/8, $-1
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $-1
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// TAIL_MASK sets V15 to the lanes of a register's first nb bytes (nb a
+// register holding a whole number of elements, fewer than a register's);
+// clobbers DX.
+#define TAIL_MASK(nb) \
+	LEAQ    tailmask<>+32(SB), DX \
+	SUBQ    nb, DX                \
+	VMOVDQU (DX), V15
+
+// LDM/STM load and store the pixels of a register under the mask in V15
+// (masked-out lanes load as zero, fault on nothing, and are not stored);
+// LDM32/STM32 are the same at float32 granularity.
+#define LDM(src, dst) VMASKMOVPD src, V15, dst
+#define STM(src, dst) VMASKMOVPD src, V15, dst
+#define LDM32(src, dst) VMASKMOVPS src, V15, dst
+#define STM32(src, dst) VMASKMOVPS src, V15, dst
+
+#include "pixlanes_amd64.h"
+
+// TO_ZMM continues in the ZMM routine zr when the flag at fp, the W
+// routine's last argument, is set.
+#define TO_ZMM(fp, zr) \
+	CMPB fp, $0 \
+	JEQ  2(PC)  \
+	JMP  zr
+
+// ACC_PIX1 accumulates one correlation's sample at byte offset R14 of its
+// re/im streams, broadcast to every lane, against one register of pixel
+// phasors (sin V8, cos V9): per lane the ZMM ACC_PIX's four FMAs in its
+// order, a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps, a_im += vi*pc.
+#define ACC_PIX1(BCAST, FMA, FNMA, rp, ip, are, aim) \
+	BCAST (rp)(R14*1), V12 \
+	BCAST (ip)(R14*1), V13 \
+	FMA   V9, V12, are     \
+	FMA   V8, V12, aim     \
+	FNMA  V8, V13, are     \
+	FMA   V9, V13, aim
+#define ACC_PIX64Y(rp, ip, are, aim) \
+	ACC_PIX1(VBROADCASTSD, VFMADD231PD, VFNMADD231PD, rp, ip, are, aim)
+#define ACC_PIX32Y(rp, ip, are, aim) \
+	ACC_PIX1(VBROADCASTSS, VFMADD231PS, VFNMADD231PS, rp, ip, are, aim)
+
+// SUMS64 moves the eight sums V0-V7 of four float64 pixels between
+// registers and the [8][4]float64 at AX; SUMS32 those of eight float32
+// pixels and the [2][8][4]float32 at AX, lanes 0-3 of sum k at byte 16k,
+// lanes 4-7 at 128+16k. Either way sum k of pixel p lies at
+// acc[32*(p/4) + 4k + p%4], the planar groups of four the sandwich reads.
+#define SUMS64(MV) \
+	MV(0(AX), V0);   MV(32(AX), V1);  MV(64(AX), V2);  MV(96(AX), V3); \
+	MV(128(AX), V4); MV(160(AX), V5); MV(192(AX), V6); MV(224(AX), V7)
+#define LD64(mem, reg) VMOVUPD mem, reg
+#define ST64(mem, reg) VMOVUPD reg, mem
+#define SUMS32(MV) \
+	MV(0, X0, Y0); MV(1, X1, Y1); MV(2, X2, Y2); MV(3, X3, Y3); \
+	MV(4, X4, Y4); MV(5, X5, Y5); MV(6, X6, Y6); MV(7, X7, Y7)
+#define LD32(k, x, y) VMOVUPS (16*k)(AX), x; VINSERTF128 $1, (128+16*k)(AX), y, y
+#define ST32(k, x, y) VMOVUPS x, (16*k)(AX); VEXTRACTF128 $1, y, (128+16*k)(AX)
+
+// func rotAccPixBlk64W(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float64, nc int, sn, cs *float64, nt, rowCh int, zmm bool)
+//
+// rotAccPixBlk64 for four pixels, one register: the eight sums in V0-V7
+// throughout, a chunk's phasors in V8/V9, a step's deltas in V10/V11,
+// sn/cs rows of four lanes in the same order. Every visibility is
+// broadcast once per channel; R14 is the running byte offset into the
+// eight streams, which are contiguous over (t, c).
+TEXT ·rotAccPixBlk64W(SB), NOSPLIT, $0-113
+	TO_ZMM(zmm+112(FP), ·rotAccPixBlk64(SB))
+	MOVQ r0+8(FP), SI
+	MOVQ i0+16(FP), DI
+	MOVQ r1+24(FP), R8
+	MOVQ i1+32(FP), R9
+	MOVQ r2+40(FP), R10
+	MOVQ i2+48(FP), R11
+	MOVQ r3+56(FP), R12
+	MOVQ i3+64(FP), R13
+	XORQ R14, R14
+
+	MOVQ acc+0(FP), AX
+	SUMS64(LD64)
+
+	MOVQ sn+80(FP), BX
+	MOVQ cs+88(FP), CX
+	MOVQ nt+96(FP), AX
+
+pixsteploop:
+	MOVQ    nc+72(FP), R15
+	CMPQ    rowCh+104(FP), $1
+	JEQ     pixchunkloop
+	VMOVUPD (BX), V10
+	VMOVUPD (CX), V11
+	ADDQ    $32, BX
+	ADDQ    $32, CX
+
+pixchunkloop:
+	VMOVUPD (BX), V8
+	VMOVUPD (CX), V9
+	ADDQ    $32, BX
+	ADDQ    $32, CX
+	MOVQ    rowCh+104(FP), DX
+	CMPQ    R15, DX
+	CMOVQLT R15, DX
+	SUBQ    DX, R15
+
+pixchanloop:
+	ACC_PIX64Y(SI, DI, V0, V1)
+	ACC_PIX64Y(R8, R9, V2, V3)
+	ACC_PIX64Y(R10, R11, V4, V5)
+	ACC_PIX64Y(R12, R13, V6, V7)
+	ADDQ $8, R14
+	DECQ DX
+	JZ   pixchunkdone
+	ROT_PIX64(V8, V9, V10, V11, V14, V15)
+	JMP  pixchanloop
+
+pixchunkdone:
+	TESTQ R15, R15
+	JNZ   pixchunkloop
+	DECQ  AX
+	JNZ   pixsteploop
+
+	MOVQ acc+0(FP), AX
+	SUMS64(ST64)
+	VZEROUPPER
+	RET
+
+// NARROW_ROW narrows the staged row of eight doubles at base into the
+// register y (x its low half) with VCVTPD2PS, the bits of Go's
+// float32(x); clobbers xt.
+#define NARROW_ROW(base, x, y, xt) \
+	VCVTPD2PSY  (base), x      \
+	VCVTPD2PSY  32(base), xt   \
+	VINSERTF128 $1, xt, y, y
+
+// func rotAccPixBlk32W(acc, r0, i0, r1, i1, r2, i2, r3, i3 *float32, nc int, sn, cs *float64, nt, rowCh int, zmm bool)
+//
+// rotAccPixBlk64W at eight float32 lanes: eight pixels per call, acc a
+// [2][8][4]float32 (SUMS32), sn/cs float64 rows of eight lanes, each
+// narrowed in-register where the float64 kernel loads it. Phasors rotate
+// and sums accumulate in float32.
+TEXT ·rotAccPixBlk32W(SB), NOSPLIT, $0-113
+	TO_ZMM(zmm+112(FP), ·rotAccPixBlk32(SB))
+	MOVQ r0+8(FP), SI
+	MOVQ i0+16(FP), DI
+	MOVQ r1+24(FP), R8
+	MOVQ i1+32(FP), R9
+	MOVQ r2+40(FP), R10
+	MOVQ i2+48(FP), R11
+	MOVQ r3+56(FP), R12
+	MOVQ i3+64(FP), R13
+	XORQ R14, R14
+
+	MOVQ acc+0(FP), AX
+	SUMS32(LD32)
+
+	MOVQ sn+80(FP), BX
+	MOVQ cs+88(FP), CX
+	MOVQ nt+96(FP), AX
+
+pix32steploop:
+	MOVQ nc+72(FP), R15
+	CMPQ rowCh+104(FP), $1
+	JEQ  pix32chunkloop
+	NARROW_ROW(BX, X10, Y10, X14)
+	NARROW_ROW(CX, X11, Y11, X15)
+	ADDQ $64, BX
+	ADDQ $64, CX
+
+pix32chunkloop:
+	NARROW_ROW(BX, X8, Y8, X14)
+	NARROW_ROW(CX, X9, Y9, X15)
+	ADDQ    $64, BX
+	ADDQ    $64, CX
+	MOVQ    rowCh+104(FP), DX
+	CMPQ    R15, DX
+	CMOVQLT R15, DX
+	SUBQ    DX, R15
+
+pix32chanloop:
+	ACC_PIX32Y(SI, DI, V0, V1)
+	ACC_PIX32Y(R8, R9, V2, V3)
+	ACC_PIX32Y(R10, R11, V4, V5)
+	ACC_PIX32Y(R12, R13, V6, V7)
+	ADDQ $4, R14
+	DECQ DX
+	JZ   pix32chunkdone
+	ROT_PIX32(V8, V9, V10, V11, V14, V15)
+	JMP  pix32chanloop
+
+pix32chunkdone:
+	TESTQ R15, R15
+	JNZ   pix32chunkloop
+	DECQ  AX
+	JNZ   pix32steploop
+
+	MOVQ acc+0(FP), AX
+	SUMS32(ST32)
+	VZEROUPPER
+	RET
+
+// ZERO_SUMS clears the fused kernels' eight accumulators.
+#define ZERO_SUMS \
+	VXORPD Y4, Y4, Y4    \
+	VXORPD Y5, Y5, Y5    \
+	VXORPD Y6, Y6, Y6    \
+	VXORPD Y7, Y7, Y7    \
+	VXORPD Y8, Y8, Y8    \
+	VXORPD Y9, Y9, Y9    \
+	VXORPD Y10, Y10, Y10 \
+	VXORPD Y11, Y11, Y11
+
+// FOLD4_PD folds the eight float64 accumulators of four lanes Y4..Y11
+// into Y4 (sums 0-3) and Y8 (sums 4-7) as a pairwise tree, (l0+l1) +
+// (l2+l3): VHADDPD sums adjacent pairs of two accumulators, interleaved
+// per 128-bit lane, then the two 128-bit lanes add. Clobbers Y5-Y13.
+#define FOLD4_PD \
+	VHADDPD    Y5, Y4, Y4          \ // [a01 b01 a23 b23]
+	VHADDPD    Y7, Y6, Y6          \ // [c01 d01 c23 d23]
+	VHADDPD    Y9, Y8, Y8          \
+	VHADDPD    Y11, Y10, Y10       \
+	VPERM2F128 $0x20, Y6, Y4, Y12  \ // [a01 b01 c01 d01]
+	VPERM2F128 $0x31, Y6, Y4, Y13  \ // [a23 b23 c23 d23]
+	VADDPD     Y13, Y12, Y4        \
+	VPERM2F128 $0x20, Y10, Y8, Y12 \
+	VPERM2F128 $0x31, Y10, Y8, Y13 \
+	VADDPD     Y13, Y12, Y8
+
+// func rotConjAccBlk64W(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int, zmm bool)
+//
+// rotConjAccOctsBlk64 at four pixels per instruction: per channel one
+// FUSED64 sweep over the n pixels, the n mod 4 past the last whole
+// register under a lane mask, the eight sums folded (FOLD4_PD) and added
+// once into dst, which advances eight doubles per channel. With all
+// sixteen registers taken by the sweep the mask is rebuilt per channel,
+// and the masked sweep rotates into V12/V13 instead of V14/V15.
+TEXT ·rotConjAccBlk64W(SB), NOSPLIT, $0-73
+	TO_ZMM(zmm+72(FP), ·rotConjAccOctsBlk64(SB))
+	MOVQ dst+0(FP), AX
+	MOVQ phRe+8(FP), BX
+	MOVQ dRe+24(FP), R10
+	MOVQ dIm+32(FP), R11
+	MOVQ stride+48(FP), R8
+	MOVQ nch+64(FP), R15
+	LEAQ (R8)(R8*2), R9         // 3*stride
+
+	// R12 = whole registers per sweep, R13 = the bytes of the n mod 4
+	// pixels past them.
+	MOVQ n+56(FP), R12
+	MOVQ R12, R13
+	SHRQ $2, R12
+	ANDQ $3, R13
+	SHLQ $3, R13
+	MOVQ phIm+16(FP), CX
+
+fusedchloop:
+	MOVQ planes+40(FP), SI
+	LEAQ (SI)(R8*4), DI
+	XORQ R14, R14
+	ZERO_SUMS
+	MOVQ  R12, DX
+	TESTQ DX, DX
+	JZ    fusedtail
+
+fusedpixloop:
+	FUSED64(LDU, STU, V14, V15)
+	ADDQ $32, R14
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  fusedpixloop
+
+fusedtail:
+	TESTQ R13, R13
+	JZ    fusedfold
+	TAIL_MASK(R13)
+	FUSED64(LDM, STM, V12, V13)
+
+fusedfold:
+	FOLD4_PD
+	VADDPD  (AX), Y4, Y4
+	VMOVUPD Y4, (AX)
+	VADDPD  32(AX), Y8, Y8
+	VMOVUPD Y8, 32(AX)
+	ADDQ    $64, AX
+	DECQ    R15
+	JNZ     fusedchloop
+	VZEROUPPER
+	RET
+
+// func rotConjAccBlk32W(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int, zmm bool)
+//
+// rotConjAccBlk64W at eight float32 pixels per instruction, the n mod 8
+// tail under the mask, each channel's eight sums folded by FOLD8_PS and
+// added once into dst, which advances eight float32 per channel.
+TEXT ·rotConjAccBlk32W(SB), NOSPLIT, $0-73
+	TO_ZMM(zmm+72(FP), ·rotConjAccBlk32(SB))
+	MOVQ dst+0(FP), AX
+	MOVQ phRe+8(FP), BX
+	MOVQ dRe+24(FP), R10
+	MOVQ dIm+32(FP), R11
+	MOVQ stride+48(FP), R8
+	MOVQ nch+64(FP), R15
+	LEAQ (R8)(R8*2), R9         // 3*stride
+
+	MOVQ n+56(FP), R12
+	MOVQ R12, R13
+	SHRQ $3, R12
+	ANDQ $7, R13
+	SHLQ $2, R13
+	MOVQ phIm+16(FP), CX
+
+fused32chloop:
+	MOVQ planes+40(FP), SI
+	LEAQ (SI)(R8*4), DI
+	XORQ R14, R14
+	ZERO_SUMS
+	MOVQ  R12, DX
+	TESTQ DX, DX
+	JZ    fused32tail
+
+fused32pixloop:
+	FUSED32(LDU, STU, V14, V15)
+	ADDQ $32, R14
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  fused32pixloop
+
+fused32tail:
+	TESTQ R13, R13
+	JZ    fused32fold
+	TAIL_MASK(R13)
+	FUSED32(LDM32, STM32, V12, V13)
+
+fused32fold:
+	FOLD8_PS
+	VADDPS  (AX), Y4, Y4
+	VMOVUPS Y4, (AX)
+	ADDQ    $32, AX
+	DECQ    R15
+	JNZ     fused32chloop
+	VZEROUPPER
+	RET
+
+// func stagePIdxW(dst, l, m, n *float64, npix int, uvw *float64, nt int, zmm bool)
+//
+// stagePIdx at four pixels per register, the npix mod 4 past a row's last
+// whole register under the mask.
+TEXT ·stagePIdxW(SB), NOSPLIT, $0-57
+	TO_ZMM(zmm+56(FP), ·stagePIdx(SB))
+	MOVQ dst+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ npix+32(FP), R10
+	MOVQ uvw+40(FP), BX
+	MOVQ nt+48(FP), R11
+	MOVQ R10, R12
+	SHRQ $2, R12                // whole registers per row
+	ANDQ $3, R10                // pixels past them
+	MOVQ R10, CX
+	SHLQ $3, CX
+	TAIL_MASK(CX)
+
+	PIDX_ROWS
+
+// func stageArgsW(arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int, zmm bool)
+//
+// stageArgs at four pixels per register, tail as in stagePIdxW.
+TEXT ·stageArgsW(SB), NOSPLIT, $0-57
+	TO_ZMM(zmm+56(FP), ·stageArgs(SB))
+	MOVQ         arg+0(FP), DI
+	MOVQ         stride+8(FP), R9
+	MOVQ         pIdx+16(FP), SI
+	MOVQ         off+24(FP), R8
+	VBROADCASTSD scale+32(FP), V0
+	MOVQ         npix+40(FP), R10
+	MOVQ         nt+48(FP), R11
+	MOVQ         R10, R12
+	SHRQ         $2, R12
+	ANDQ         $3, R10
+	MOVQ         R10, CX
+	SHLQ         $3, CX
+	TAIL_MASK(CX)
+
+	ARGS_ROWS
+
+// The A-term sandwiches at four pixels per YMM: sandwich_amd64.h on the
+// sums as the pixel-lane kernels leave them, in planar groups of four.
 #define SPL 32
 #define S_NEXT ADDQ $256, AX
 

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// The full-width tile bodies of the SIMDAVX512 dispatch tier: the
+// The tile bodies of the SIMDAVX512 dispatch tier: the
 // gridder with a pixel per lane, sixteen float64 pixels in two ZMM octs
 // (rotAccPixBlk64) or thirty-two float32 pixels in two ZMM of sixteen
 // (rotAccPixBlk32), the degridder's fused, channel-blocked
@@ -13,7 +13,36 @@
 // degridSandwichOcts). See simd_amd64.go for the contracts, tile_vec.go
 // and sandwich.go for the callers. Only that tier reaches this file:
 // xmath's detection requires AVX-512 F+DQ+BW+VL and OS-saved opmask/ZMM
-// state. All routines VZEROUPPER before returning to Go code.
+// state. All routines VZEROUPPER before returning to Go code. The text
+// the YMM bodies share is pixlanes_amd64.h's and sandwich_amd64.h's.
+
+#define V0 Z0
+#define V1 Z1
+#define V2 Z2
+#define V3 Z3
+#define V4 Z4
+#define V5 Z5
+#define V6 Z6
+#define V7 Z7
+#define V8 Z8
+#define V9 Z9
+#define V10 Z10
+#define V11 Z11
+#define V12 Z12
+#define V13 Z13
+#define V14 Z14
+#define V15 Z15
+#define VB 64
+
+// LDM/STM load and store the pixels of a register under the opmask K1
+// (masked-out lanes load as zero and are not stored); LDM32/STM32 are
+// the same at float32 granularity, K1 masking sixteen lanes.
+#define LDM(src, dst) VMOVUPD.Z src, K1, dst
+#define STM(src, dst) VMOVUPD src, K1, dst
+#define LDM32(src, dst) VMOVUPS.Z src, K1, dst
+#define STM32(src, dst) VMOVUPS src, K1, dst
+
+#include "pixlanes_amd64.h"
 
 // TAIL_MASK sets K1 to the low (cnt mod lanes) lanes of a register of
 // eight or sixteen, given lanes-1; clobbers CX and DX.
@@ -56,8 +85,8 @@
 // ACC_PIX accumulates one correlation's sample at byte offset R14 of its
 // re/im streams, broadcast to every lane, against the phasors of both
 // pixel registers (sin Z16/Z18, cos Z17/Z19): per accumulator
-// rotAccQuads' FMA order — a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps,
-// a_im += vi*pc — with the four chains interleaved. BCAST, FMA and FNMA
+// the FMA order a_re += vr*pc, a_re -= vi*ps, a_im += vr*ps, a_im +=
+// vi*pc, with the four chains interleaved. BCAST, FMA and FNMA
 // are the element width's mnemonics (ACC_PIX64, ACC_PIX32).
 #define ACC_PIX(BCAST, FMA, FNMA, rp, ip, are0, are1, aim0, aim1) \
 	BCAST (rp)(R14*1), Z24   \
@@ -74,19 +103,6 @@
 	ACC_PIX(VBROADCASTSD, VFMADD231PD, VFNMADD231PD, rp, ip, are0, are1, aim0, aim1)
 #define ACC_PIX32(rp, ip, are0, are1, aim0, aim1) \
 	ACC_PIX(VBROADCASTSS, VFMADD231PS, VFNMADD231PS, rp, ip, are0, are1, aim0, aim1)
-
-// ROT_PIX advances one register's phasors by one channel, each pixel by
-// its own delta phasor: ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds, the
-// cross terms rounded first (rotateAccumulateFMA's sequence).
-#define ROT_PIX(MUL, FMSUB, FMADD, ps, pc, ds, dc, t0, t1) \
-	MUL   ds, ps, t1 \
-	MUL   ds, pc, t0 \
-	FMSUB t1, dc, pc \
-	FMADD t0, dc, ps
-#define ROT_PIX64(ps, pc, ds, dc, t0, t1) \
-	ROT_PIX(VMULPD, VFMSUB213PD, VFMADD213PD, ps, pc, ds, dc, t0, t1)
-#define ROT_PIX32(ps, pc, ds, dc, t0, t1) \
-	ROT_PIX(VMULPS, VFMSUB213PS, VFMADD213PS, ps, pc, ds, dc, t0, t1)
 
 // PIX_SUMS moves the sixteen accumulators Z0-Z15 between registers and
 // the 1 KB at AX, register 2k+h (sum k, the group's pixel half h) at
@@ -185,65 +201,12 @@ pixchunkdone:
 	VZEROUPPER
 	RET
 
-// LDU/STU and LDM/STM are the two flavours of pixel access the sweeps
-// below are instantiated with: plain, and under opmask K1 (masked-out
-// lanes load as zero and are not stored).
-#define LDU(src, dst) VMOVUPD src, dst
-#define STU(src, dst) VMOVUPD src, dst
-#define LDM(src, dst) VMOVUPD.Z src, K1, dst
-#define STM(src, dst) VMOVUPD src, K1, dst
-
-// FUSED_VEC is one register of pixels of the fused degridder kernels at
-// byte offset R14 of the phasor arrays (BX phRe, CX phIm, R10 dRe, R11
-// dIm) and at SI/DI in the pixel planes (SI planes 0-3, DI planes 4-7,
-// R8 and R9 one and three plane strides): conjAccQuads' FMA sequence
-// into Z4-Z11, then rotQuads' — phIm' = phIm*dRe + phRe*dIm, phRe' =
-// phRe*dRe - phIm*dIm — stored back in place. MUL, FMA and FNMA are the
-// element width's mnemonics (FUSED_OCT, FUSED_HEX).
-#define FUSED_VEC(LD, ST, MUL, FMA, FNMA) \
-	LD((BX)(R14*1), Z0)  \ // cr = phRe
-	LD((CX)(R14*1), Z1)  \ // -ci = phIm (conjugate phasor)
-	LD((SI), Z12)        \ // vr, correlation 0
-	LD((SI)(R8*1), Z13)  \ // vi
-	FMA  Z0, Z12, Z4     \ // s_re += vr*cr
-	FMA  Z1, Z13, Z4     \ // s_re += vi*phIm  (= -vi*ci)
-	FNMA Z1, Z12, Z5     \ // s_im -= vr*phIm  (= +vr*ci)
-	FMA  Z0, Z13, Z5     \ // s_im += vi*cr
-	LD((SI)(R8*2), Z12)  \
-	LD((SI)(R9*1), Z13)  \
-	FMA  Z0, Z12, Z6     \
-	FMA  Z1, Z13, Z6     \
-	FNMA Z1, Z12, Z7     \
-	FMA  Z0, Z13, Z7     \
-	LD((DI), Z12)        \
-	LD((DI)(R8*1), Z13)  \
-	FMA  Z0, Z12, Z8     \
-	FMA  Z1, Z13, Z8     \
-	FNMA Z1, Z12, Z9     \
-	FMA  Z0, Z13, Z9     \
-	LD((DI)(R8*2), Z12)  \
-	LD((DI)(R9*1), Z13)  \
-	FMA  Z0, Z12, Z10    \
-	FMA  Z1, Z13, Z10    \
-	FNMA Z1, Z12, Z11    \
-	FMA  Z0, Z13, Z11    \
-	LD((R10)(R14*1), Z2) \ // dRe
-	LD((R11)(R14*1), Z3) \ // dIm
-	MUL  Z2, Z1, Z14     \
-	FMA  Z3, Z0, Z14     \
-	MUL  Z2, Z0, Z15     \
-	FNMA Z3, Z1, Z15     \
-	ST(Z14, (CX)(R14*1)) \
-	ST(Z15, (BX)(R14*1))
-#define FUSED_OCT(LD, ST) FUSED_VEC(LD, ST, VMULPD, VFMADD231PD, VFNMADD231PD)
-#define FUSED_HEX(LD, ST) FUSED_VEC(LD, ST, VMULPS, VFMADD231PS, VFNMADD231PS)
-
 // func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)
 //
 // The degridder's rotation and conjugate accumulation fused and blocked
 // over the nch channels of one resync chunk, eight pixels per
 // instruction. For each channel in turn it sweeps the n pixels once
-// (FUSED_OCT): sum_i conj(phasor_i) * pixel_i over the pixel planes
+// (FUSED64): sum_i conj(phasor_i) * pixel_i over the pixel planes
 // re0, im0, re1, ... that start stride bytes apart at planes, and in
 // the same sweep the phasors advance by their per-pixel delta phasors,
 // ready for the next channel (the advance after the last channel is
@@ -292,7 +255,7 @@ fusedchloop:
 	JZ     fusedtail
 
 fusedpixloop:
-	FUSED_OCT(LDU, STU)
+	FUSED64(LDU, STU, V14, V15)
 	ADDQ $64, R14
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -302,7 +265,7 @@ fusedpixloop:
 fusedtail:
 	TESTQ R13, R13
 	JZ    fusedfold
-	FUSED_OCT(LDM, STM)
+	FUSED64(LDM, STM, V14, V15)
 
 fusedfold:
 	REDUCE8
@@ -313,19 +276,6 @@ fusedfold:
 	JNZ     fusedchloop
 	VZEROUPPER
 	RET
-
-// PIDX_OCT is one oct of stagePIdx at byte offset AX: the unfused
-// (U*l + V*m) + W*n with U, V, W broadcast in Z0-Z2.
-#define PIDX_OCT(LD, ST) \
-	LD((SI)(AX*1), Z3)    \
-	LD((R8)(AX*1), Z4)    \
-	LD((R9)(AX*1), Z5)    \
-	VMULPD Z3, Z0, Z3     \
-	VMULPD Z4, Z1, Z4     \
-	VADDPD Z4, Z3, Z3     \
-	VMULPD Z5, Z2, Z5     \
-	VADDPD Z5, Z3, Z3     \
-	ST(Z3, (DI)(AX*1))
 
 // func stagePIdx(dst, l, m, n *float64, npix int, uvw *float64, nt int)
 //
@@ -347,47 +297,7 @@ TEXT ·stagePIdx(SB), NOSPLIT, $0-56
 	SHRQ $3, R12                // whole octs per row
 	ANDQ $7, R10                // pixels past them
 
-pidxsteploop:
-	VBROADCASTSD (BX), Z0
-	VBROADCASTSD 8(BX), Z1
-	VBROADCASTSD 16(BX), Z2
-	XORQ         AX, AX
-	MOVQ         R12, DX
-	TESTQ        DX, DX
-	JZ           pidxtail
-
-pidxoctloop:
-	PIDX_OCT(LDU, STU)
-	ADDQ $64, AX
-	DECQ DX
-	JNZ  pidxoctloop
-
-pidxtail:
-	TESTQ R10, R10
-	JZ    pidxnext
-	PIDX_OCT(LDM, STM)
-
-pidxnext:
-	LEAQ (AX)(R10*8), AX
-	ADDQ AX, DI                 // one row of npix doubles
-	ADDQ $24, BX
-	DECQ R11
-	JNZ  pidxsteploop
-	VZEROUPPER
-	RET
-
-// ARGS_OCT is one oct of stageArgs at byte offset AX: pIdx*scale, less
-// the pixel's phase offset when there is an offset table (R8 != 0).
-// The product is rounded before the difference, as in Go.
-#define ARGS_OCT(LD, ST, skip) \
-	LD((SI)(AX*1), Z1)    \
-	VMULPD Z1, Z0, Z1     \
-	TESTQ  R8, R8         \
-	JZ     skip           \
-	LD((R8)(AX*1), Z2)    \
-	VSUBPD Z2, Z1, Z1     \
-skip:                     \
-	ST(Z1, (DI)(AX*1))
+	PIDX_ROWS
 
 // func stageArgs(arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int)
 //
@@ -409,31 +319,7 @@ TEXT ·stageArgs(SB), NOSPLIT, $0-56
 	SHRQ $3, R12
 	ANDQ $7, R10
 
-argssteploop:
-	XORQ  AX, AX
-	MOVQ  R12, DX
-	TESTQ DX, DX
-	JZ    argstail
-
-argsoctloop:
-	ARGS_OCT(LDU, STU, argsnooff)
-	ADDQ $64, AX
-	DECQ DX
-	JNZ  argsoctloop
-
-argstail:
-	TESTQ R10, R10
-	JZ    argsnext
-	ARGS_OCT(LDM, STM, argstailnooff)
-
-argsnext:
-	LEAQ (AX)(R10*8), AX
-	ADDQ AX, SI
-	ADDQ R9, DI
-	DECQ R11
-	JNZ  argssteploop
-	VZEROUPPER
-	RET
+	ARGS_ROWS
 
 // NARROW_ROW narrows the staged row of thirty-two doubles at base into
 // two registers of sixteen float32, lo = lanes 0-15 and hi = lanes
@@ -517,10 +403,6 @@ pix32chunkdone:
 	VZEROUPPER
 	RET
 
-// LDM32/STM32 are LDM/STM at float32 granularity: K1 masks sixteen lanes.
-#define LDM32(src, dst) VMOVUPS.Z src, K1, dst
-#define STM32(src, dst) VMOVUPS src, K1, dst
-
 // FOLD_HALVES adds the upper eight float32 lanes of accumulator z onto
 // its lower eight (y is z's YMM name): lane i becomes l(i) + l(i+8).
 #define FOLD_HALVES(z, y, tmp) \
@@ -529,10 +411,8 @@ pix32chunkdone:
 
 // REDUCE16 folds the eight 16-lane float32 accumulators Z4..Z11 into
 // the eight lanes of Y4 (lane k = the sum of accumulator k's lanes):
-// first the halves, m(i) = l(i) + l(i+8), then a pairwise tree over the
-// eight m, ((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7)) — two rounds of VHADDPS,
-// which sum adjacent pairs and interleave two accumulators per 128-bit
-// lane, then the two 128-bit lanes. Clobbers Y5-Y13.
+// first the halves, m(i) = l(i) + l(i+8), then FOLD8_PS's pairwise tree
+// over the eight m. Clobbers Y5-Y13.
 #define REDUCE16 \
 	FOLD_HALVES(Z4, Y4, Y12)        \
 	FOLD_HALVES(Z5, Y5, Y13)        \
@@ -542,21 +422,13 @@ pix32chunkdone:
 	FOLD_HALVES(Z9, Y9, Y13)        \
 	FOLD_HALVES(Z10, Y10, Y12)      \
 	FOLD_HALVES(Z11, Y11, Y13)      \
-	VHADDPS    Y5, Y4, Y4           \ // [a01 a23 b01 b23 | a45 a67 b45 b67] of Z4, Z5
-	VHADDPS    Y7, Y6, Y6           \
-	VHADDPS    Y9, Y8, Y8           \
-	VHADDPS    Y11, Y10, Y10        \
-	VHADDPS    Y6, Y4, Y4           \ // [a0123 b0123 c0123 d0123 | a4567 ... d4567]
-	VHADDPS    Y10, Y8, Y8          \ // the same of Z8..Z11
-	VPERM2F128 $0x20, Y8, Y4, Y12   \ // the eight 0123 sums
-	VPERM2F128 $0x31, Y8, Y4, Y13   \ // the eight 4567 sums
-	VADDPS     Y13, Y12, Y4
+	FOLD8_PS
 
 // func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int)
 //
 // rotConjAccOctsBlk64 at sixteen float32 pixels per instruction: per
-// channel one FUSED_HEX sweep over the n pixels — conjAccOcts' FMA
-// sequence per pixel, then rotOcts' rotation in place — the n mod 16
+// channel one FUSED32 sweep over the n pixels — the conjugate
+// accumulation per pixel, then the rotation in place — the n mod 16
 // pixels past the last whole register under the opmask K1, the eight
 // sums folded (REDUCE16) and added once into dst, which advances eight
 // float32 per channel.
@@ -595,7 +467,7 @@ fused32chloop:
 	JZ     fused32tail
 
 fused32pixloop:
-	FUSED_HEX(LDU, STU)
+	FUSED32(LDU, STU, V14, V15)
 	ADDQ $64, R14
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -605,7 +477,7 @@ fused32pixloop:
 fused32tail:
 	TESTQ R13, R13
 	JZ    fused32fold
-	FUSED_HEX(LDM32, STM32)
+	FUSED32(LDM32, STM32, V14, V15)
 
 fused32fold:
 	REDUCE16
@@ -621,20 +493,6 @@ fused32fold:
 // sums as the pixel-lane kernels leave them, in groups of sixteen pixels
 // — AX steps 64 bytes to a group's second oct, 960 on to the next group,
 // the step alternating in R14.
-#define V0 Z0
-#define V1 Z1
-#define V2 Z2
-#define V3 Z3
-#define V4 Z4
-#define V5 Z5
-#define V6 Z6
-#define V7 Z7
-#define V8 Z8
-#define V9 Z9
-#define V10 Z10
-#define V11 Z11
-#define V15 Z15
-#define VB 64
 #define SPL 128
 #define S_NEXT ADDQ R14, AX; XORQ $896, R14 // 64 ^ 960
 

@@ -214,8 +214,8 @@ func (ko *kernelObs) kernelPath(c *obs.Counter) {
 	c.Inc()
 }
 
-// epilogueDone adds one gridder tile's epilogue (lane fold, A-term
-// sandwich, taper, pixel store) to its busy-time counter; start comes
+// epilogueDone adds one gridder tile's epilogue (A-term sandwich,
+// taper, pixel store) to its busy-time counter; start comes
 // from now(), so the disabled path takes no timestamp.
 func (ko *kernelObs) epilogueDone(start time.Time) {
 	if ko == nil {

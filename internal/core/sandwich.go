@@ -117,19 +117,6 @@ func degridSandwichPixel(s *[8]float64, pm, qm *xmath.Matrix2, taper float64) (r
 	return r
 }
 
-// foldOctLanes is the float32 gridder's lane fold: the eight eight-lane
-// accumulators of each pixel at vacc[64*i:] reduce in float32 as
-// ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)) — the conjAccOcts order — and
-// widen into sums, in foldQuadLanes' groups of four pixels.
-func foldOctLanes(sums []float64, vacc []float32) {
-	for i := 0; 64*i < len(vacc); i++ {
-		for j := 0; j < 8; j++ {
-			v := vacc[64*i+8*j:][:8]
-			sums[32*(i/4)+4*j+i%4] = float64(((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7])))
-		}
-	}
-}
-
 // sandwichPixel is one pixel of either sandwich in Go, for the pixels
 // past a tile's last whole register: the assembled bodies' operations in
 // their order, so the same bits (without planes, the taper alone).

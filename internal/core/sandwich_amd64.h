@@ -3,8 +3,8 @@
 // avx2 tier (kernels_amd64.s), eight per ZMM on the avx512 tier
 // (kernels_avx512_amd64.s). Every component of the 2x2 complex matrices
 // S, P and Q is a register of consecutive pixels, read from its plane.
-// The including file defines V0-V11 and V15, the vector registers
-// (V12-V14 are its AOS macros'); VB, their size in bytes; SPL, the bytes
+// The including file defines V0-V15, the vector registers (the text
+// leaves V12-V14 to its AOS macros); VB, their size in bytes; SPL, the bytes
 // between the planes of a group of sums, and S_NEXT, the step of AX to
 // the group's next register of pixels; LOAD_AOS(in, re, im) and
 // STORE_AOS(re, im, out), VB/8 consecutive complex128 split into, or

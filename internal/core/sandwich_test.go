@@ -11,7 +11,7 @@ import (
 )
 
 // Tests of the gridder epilogue and degridder prologue: the assembled
-// fold and sandwiches over canary-fenced exact-length buffers (see
+// sandwiches over canary-fenced exact-length buffers (see
 // kernels_asm_test.go), bitwise against their math.FMA transcriptions
 // and to rounding against the Matrix2 arithmetic of storePixel and
 // correctedPixel, with Jones maps that are neither Hermitian nor
@@ -42,33 +42,6 @@ func sumsLen(npix, w int) int {
 }
 
 func sumAt(w, i, j int) int { return 8*w*(i/w) + w*j + i%w }
-
-func TestFoldQuadLanesBoundsAndOrder(t *testing.T) {
-	skipWithoutVectorKernels(t)
-	for npix := 1; npix <= 25; npix++ {
-		what := fmt.Sprintf("foldQuadLanes npix=%d", npix)
-		c := &canaried{rnd: newTestRand(uint64(300 + npix))}
-		vacc, sums := c.buf(32*npix), c.buf(sumsLen(npix, 4))
-		want := append([]float64(nil), sums...) // the spare lanes of the last group keep their values
-		for i := 0; i < 8*npix; i++ {
-			v := vacc[4*i : 4*i+4]
-			want[sumAt(4, i/8, i%8)] = (v[0] + v[2]) + (v[1] + v[3])
-		}
-		foldQuadLanes(&sums[0], &vacc[0], npix)
-		c.check(t, what)
-		requireBitwise(t, what, sums, want)
-
-		vacc32, sums32 := canaryBuf[float32](c, 64*npix), c.buf(sumsLen(npix, 4))
-		want = append(want[:0], sums32...)
-		for i := 0; i < 8*npix; i++ {
-			v := vacc32[8*i : 8*i+8]
-			want[sumAt(4, i/8, i%8)] = float64(((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7])))
-		}
-		foldOctLanes(sums32, vacc32)
-		c.check(t, "foldOctLanes")
-		requireBitwise(t, fmt.Sprintf("foldOctLanes npix=%d", npix), sums32, want)
-	}
-}
 
 // sandwichTol is the rounding allowance between the FMA sandwiches and
 // the Matrix2 oracle for one pixel: 1e-14 of the product of the operand
@@ -218,8 +191,8 @@ func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
 	skipWithoutVectorKernels(t)
 	const sg = 18
 	jp, jq := randomJones(75, sg*sg)
-	// 8 x 2 is the short-item shape (float64: direct phasors); 6 x 4 is
-	// the smallest the float32 vector gridder takes.
+	// 8 x 2 is the short-item shape (a phasor per channel); 6 x 4 takes
+	// the recurrence.
 	for _, shape := range [][2]int{{8, 2}, {6, 4}} {
 		nt, nc := shape[0], shape[1]
 		item, uvw, vis, _ := tilingItem(71, nt, nc)
@@ -266,10 +239,9 @@ func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
 	}
 }
 
-// TestOneBlockEqualsThreeBlocks: the direct-phasor sweep folds a pixel
-// group straight out of its group-sized accumulator block when one
-// visibility block covers the item, and out of the tile-sized block
-// after the last one otherwise. Same lanes, same fold: bitwise equal.
+// TestOneBlockEqualsThreeBlocks: the short-item shape with A-terms,
+// gridded in one visibility block and in three, is bitwise equal: a
+// pixel's sums grow in the same (t, c) order however the block is cut.
 func TestOneBlockEqualsThreeBlocks(t *testing.T) {
 	const sg, nt, nc = 18, 12, 2
 	item, uvw, vis, _ := tilingItem(81, nt, nc)

@@ -21,27 +21,19 @@ type floatT interface {
 type kbufs[F floatT] struct {
 	planar []F // 8-plane re/im backing (gridder: vis block, degridder: pixels)
 
-	// Phasor buffers: the gridder's direct (non-recurrence) path uses
-	// phRe/phIm per channel; the degridder uses all four per pixel
-	// (current and delta phasors).
+	// Phasor buffers: the generic gridder's direct (non-recurrence) path
+	// uses phRe/phIm per channel; the generic degridder uses all four per
+	// pixel (current and delta phasors), the fused one phRe/phIm per
+	// staged row of pixels.
 	phRe, phIm []F
 	dRe, dIm   []F
 
-	// acc is the gridder's per-tile accumulator block, 8 floats per
-	// pixel of the tile, carried across visibility blocks. vacc is its
-	// vector-kernel analogue (amd64 only): 8 accumulators x 8 SIMD lanes
-	// per pixel (x 4 for the float64 quad forms), lane-reduced only when
-	// the tile finishes — or, for the pixel-lane gridder, 8 sums per
-	// pixel laid out by lane group.
+	// acc is the generic gridder's per-tile accumulator block, 8 floats
+	// per pixel of the tile, carried across visibility blocks. vacc is the
+	// pixel-lane gridder's (amd64 only): 8 sums per pixel in the planar
+	// groups its kernel leaves them in.
 	acc  []F
 	vacc []F
-
-	// phv stages the per-timestep phasor register blocks of the
-	// time-blocked vector gridders (one block of 18 values per time
-	// step of a visibility block for the float32 oct forms, 10 for the
-	// float64 quad form), so a single blocked kernel call can sweep a
-	// whole block with the accumulators held in registers.
-	phv []F
 
 	// vsum is the degridder's visibility accumulator (8 floats per
 	// visibility); partial holds the per-tile partial sums when tiles
@@ -76,24 +68,19 @@ type scratch struct {
 	geo []float64
 
 	// Batched sine/cosine staging of the vector tiles: phase arguments
-	// gathered into sArg and evaluated in one Kernels.sincosVec call
-	// per seeding pass, or per group of pixels in the direct-phasor
-	// gridder (results land in sSin/sCos, or directly in the float64
-	// phasor buffers). Arguments and results stay float64 in
+	// gathered into sArg and evaluated in one Kernels.sincosVec call per
+	// (pixel group, visibility block) of the gridder and per time step of
+	// the degridder (results land in sSin/sCos, or directly in the
+	// float64 phasor buffers). Arguments and results stay float64 in
 	// both precisions, like the phase tables above.
 	sArg, sSin, sCos []float64
 
-	// sums holds the sums of a vector gridder tile, eight float64 per
-	// pixel (a Matrix2's components) in the tier's planar groups
-	// (simdDispatch.sumsW), between the lane fold and the A-term/taper
-	// sweep of gridEpilogue. jones holds the planes of the two A-term
-	// maps a direct caller of a vector tier's kernels supplied per pixel.
+	// sums holds a float32 vector gridder tile's sums widened to
+	// float64, eight per pixel (a Matrix2's components) in the tier's
+	// planar groups (simdDispatch.sumsW), for the A-term/taper sweep of
+	// gridEpilogue. jones holds the planes of the two A-term maps a
+	// direct caller of a vector tier's kernels supplied per pixel.
 	sums, jones []float64
-
-	// sPhd stages the float32 vector gridder's phasor register blocks
-	// in float64 (seedOctLanes); whole blocks narrow into b32.phv with
-	// one xmath.CvtF64F32 sweep.
-	sPhd []float64
 
 	b64 kbufs[float64]
 	b32 kbufs[float32]

@@ -21,9 +21,11 @@ import (
 //
 //	go test ./internal/core -run TestLowerTiersMatchRecordedHashes -update-tier-hashes
 //
-// The committed file was generated at the commit before the avx512
-// tier's pixel-lane gridder went in. Regenerate it only with a change
-// that means to move the scalar or avx2 bits.
+// The scalar keys were generated at the commit before the avx512 tier's
+// pixel-lane gridder went in, the avx512 keys at the commit before the
+// avx2 tier took the same kernel family, and the avx2 keys with it.
+// Regenerate the file only with a change that means to move bits, and
+// check that the keys of every other tier come back as they were.
 var updateTierHashes = flag.Bool("update-tier-hashes", false, "rewrite the per-tier hash file")
 
 const tierHashFile = "testdata/tier_hashes.json"
@@ -53,25 +55,20 @@ func hashVisibilities(vs *VisibilitySet) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestLowerTiersMatchRecordedHashes pins "a change to the bodies of the
-// avx512 tier leaves everything else alone" as bits: the scalar and avx2
-// tiers are forced in-process, each grids and degrids one small seeded
-// observation per precision on one worker (so the accumulation order is
-// the serial one), and must reproduce the recorded SHA-256 of the grid
-// and of the predicted visibilities. The channel counts take the avx2
-// tier through its three float64 gridder bodies: the time-blocked
-// recurrence (16), the per-step recurrence with a channel tail (37) and
-// direct phasors (5); in float32 they are the blocked oct lanes, the
-// per-step oct lanes with a tail, and a tail alone.
+// TestLowerTiersMatchRecordedHashes pins every tier's bits, so that a
+// change to the bodies of one tier visibly leaves the others alone: each
+// tier the host has — scalar, avx2, avx512 — is forced in-process, grids
+// and degrids one small seeded observation per precision on one worker
+// (so the accumulation order is the serial one), and must reproduce the
+// recorded SHA-256 of the grid and of the predicted visibilities. The
+// channel counts (16, 37, 5) are the ones the first keys were recorded
+// at; every tier runs all three through the phasor recurrence.
 func TestLowerTiersMatchRecordedHashes(t *testing.T) {
 	if !xmath.HasFastFMA() {
 		t.Skip("recorded with hardware FMA; the generic tiles round differently without it")
 	}
 	got := map[string]tierHash{}
 	for _, tier := range coreHostTiers() {
-		if tier >= xmath.SIMDAVX512 {
-			continue
-		}
 		for _, prec := range []Precision{Float64, Float32} {
 			for _, nc := range []int{16, 37, 5} {
 				sc := defaultScenarioConfig()
@@ -131,7 +128,7 @@ func TestLowerTiersMatchRecordedHashes(t *testing.T) {
 		if w, ok := want[key]; !ok {
 			t.Errorf("%s: no recorded hash", key)
 		} else if g != w {
-			t.Errorf("%s: bits moved below the avx512 tier\n got: %+v\nwant: %+v", key, g, w)
+			t.Errorf("%s: bits moved\n got: %+v\nwant: %+v", key, g, w)
 		}
 	}
 }

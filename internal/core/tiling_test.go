@@ -108,19 +108,15 @@ func float32GridBound(n int, maxAmp, phaseBound float64) float64 {
 }
 
 // nonUniformComb is a five-channel comb with unequal spacing: no
-// recurrence, every kernel takes its direct-phasor form.
+// recurrence, every kernel evaluates a phasor per channel.
 var nonUniformComb = []float64{150e6, 150.3e6, 150.9e6, 151.0e6, 152.2e6}
 
 // tilingShapes are the work-item shapes the decomposition tests sweep:
-// the paper's blocked-recurrence shape, then the direct-phasor shapes —
-// the sparse workload's 8 x 2, a non-uniform comb whose 35 samples
-// leave a three-sample tail, and a single channel whose nine samples
-// straddle quads in every block — the per-step recurrence with a
-// channel tail and with a second resync chunk, and the blocked
-// recurrence at eight, twenty-four and sixty-four channels per time
-// step. On the avx512 tier every uniform shape from three channels up
-// is the pixel-lane gridder: with and without a channel tail, and (70
-// channels) across a resync boundary.
+// the paper's 12 x 16, then the shapes that evaluate a phasor per
+// channel — the sparse workload's 8 x 2, a non-uniform comb and a single
+// channel — then the recurrence with 37 channels, across a resync
+// boundary (70), and at eight, twenty-four and sixty-four channels per
+// time step.
 type tilingShape struct {
 	nt, nc int
 	freqs  []float64 // nil: tilingKernels' uniform comb
@@ -162,7 +158,7 @@ func gaussianJones(sg int) (p, q []xmath.Matrix2) {
 // decomposition and concurrency tests sweep: the small nil-map subgrid
 // with every shape and variant, then Gaussian beams on the benchmark's
 // subgrid sizes, on 18, whose one-row tiles leave a two-pixel tail
-// behind the epilogue's quads, and on 28: with 20 and 24, tiles of one,
+// behind the epilogue's registers, and on 28: with 20 and 24, tiles of one,
 // three and four rows then hold 0, 4, 8 and 12 pixels mod 16, every
 // way the pixel-lane gridder's last group of a tile can be filled.
 var atermTilingCases = []struct {
@@ -181,7 +177,7 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 		var atermP, atermQ []xmath.Matrix2
 		if ac.aterms {
 			atermP, atermQ = gaussianJones(sg)
-			// Blocked recurrence, short items, non-uniform, two resync chunks.
+			// The paper's shape, short items, non-uniform, two resync chunks.
 			shapes = []tilingShape{tilingShapes[0], tilingShapes[1], tilingShapes[2], tilingShapes[5]}
 		}
 		for _, shape := range shapes {
@@ -193,14 +189,12 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 			}{
 				// The widest tier the host has, whatever IDG_SIMD says (the
 				// seam clamps to the detected tier): on an avx512 host the
-				// pixel-lane gridder, while Float64AVX2 keeps the quad bodies
+				// ZMM kernels, while the AVX2 variants keep the YMM ones
 				// covered there.
 				{"Float64", forceTier(xmath.SIMDAVX512)},
 				{"Float64NoVec", forceTier(xmath.SIMDScalar)},
 				{"Float64AVX2", forceTier(xmath.SIMDAVX2)},
 				{"Float32", func(p *Params) { p.Precision = Float32 }},
-				// As Float64AVX2: the oct-lane body an avx512 host no longer
-				// runs by default.
 				{"Float32AVX2", func(p *Params) { p.Precision = Float32; forceTier(xmath.SIMDAVX2)(p) }},
 			} {
 				name := fmt.Sprintf("%s/nt=%d,nc=%d", tc.name, nt, nc)
@@ -267,22 +261,28 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 // a group shifted by three, a range ending mid-group) are swept against
 // the whole subgrid in one range, for a channel tail, for two resync
 // chunks and for the shapes that stage a row per channel, at two block
-// depths, in both precisions (groups of sixteen and of thirty-two).
+// depths, in both precisions, on every vector tier (groups of four and
+// eight pixels on avx2, sixteen and thirty-two on avx512).
 func TestPixelLaneIndependence(t *testing.T) {
 	t.Run("float64", testPixelLaneIndependence[float64])
 	t.Run("float32", testPixelLaneIndependence[float32])
 }
 
 func testPixelLaneIndependence[F floatT](t *testing.T) {
-	skipWithoutAVX512(t)
+	skipWithoutVectorKernels(t)
 	const sg = 10
 	for _, sh := range shortAndUniformShapes(7, 5, 70) {
 		nt, nc := sh.nt, sh.nc
 		item, uvw, vis, _ := tilingItem(59, nt, nc)
-		for _, bl := range []int{0, 3} {
+		for _, run := range [][2]int{{0, int(xmath.SIMDAVX2)}, {3, int(xmath.SIMDAVX2)}, {0, int(xmath.SIMDAVX512)}, {3, int(xmath.SIMDAVX512)}} {
+			bl, tier := run[0], xmath.SIMDTier(run[1])
+			if tier > xmath.ActiveSIMD() {
+				continue
+			}
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.VisBlockTimesteps = bl
 				sh.mod(p)
+				forceTier(tier)(p)
 			})
 			s := k.getScratch()
 			planar := grow(&bufsOf[F](s).planar, 8*nt*nc)
@@ -291,17 +291,17 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = F(real(v[p])), F(imag(v[p]))
 				}
 			}
-			// The sums come back in planar groups of sixteen pixels from
-			// the start of the range.
-			sum := func(sums []float64, i, j int) uint64 { return math.Float64bits(sums[128*(i/16)+16*j+i%16]) }
+			// The sums come back in the tier's planar groups from the
+			// start of the range.
+			sum := func(sums []float64, i, j int) uint64 { return math.Float64bits(sums[sumAt(k.disp.sumsW, i, j)]) }
 			want := append([]float64(nil), gridLanesPix[F](k, item, uvw, s, s, 0, sg*sg)...)
 			for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
 				got := gridLanesPix[F](k, item, uvw, s, s, r[0], r[1])
 				for i := r[0]; i < r[1]; i++ {
 					for j := 0; j < 8; j++ {
 						if sum(got, i-r[0], j) != sum(want, i, j) {
-							t.Fatalf("%s block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
-								sh.name, bl, i, j, r[0], r[1])
+							t.Fatalf("%v %s block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
+								tier, sh.name, bl, i, j, r[0], r[1])
 						}
 					}
 				}
@@ -311,19 +311,25 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 	}
 }
 
-// TestPixelLaneGridderAdjoint: on the avx512 tier the pixel-lane
+// TestPixelLaneGridderAdjoint: on every vector tier the pixel-lane
 // gridder G and the fused degridder D of one work item are adjoint,
 // <Gv, g> = <v, Dg>, in both precisions, with Gaussian A-terms and a
 // subgrid whose tiles end in a partial group (float32: an 18-pixel
-// subgrid, tiles of 72 and 36 pixels against groups of 32 and registers
-// of 16; channel tails, one and two resync boundaries, and the shapes
-// that stage a row per channel). Both sides evaluate the same phasors up
+// subgrid, tiles of 72 and 36 pixels against groups of 32 or 8 and
+// registers of 16 or 8; channel tails, one and two resync boundaries,
+// and the shapes that stage a row per channel). Both sides evaluate the same phasors up
 // to the recurrence's drift and sum up to 2000 terms (float64: measured
 // mismatch 1e-15 to 5e-15 relative; float32: 2e-7 to 2e-6 against a
 // tolerance of a thousand float32 roundings); a structural asymmetry (a
 // dropped lane, a misplaced pixel) shows at the percent level.
 func TestPixelLaneGridderAdjoint(t *testing.T) {
-	skipWithoutAVX512(t)
+	skipWithoutVectorKernels(t)
+	for _, tier := range coreHostTiers()[1:] {
+		testPixelLaneGridderAdjoint(t, tier)
+	}
+}
+
+func testPixelLaneGridderAdjoint(t *testing.T, tier xmath.SIMDTier) {
 	for _, tc := range []struct {
 		prec   Precision
 		sg     int
@@ -341,6 +347,7 @@ func TestPixelLaneGridderAdjoint(t *testing.T) {
 			k := tilingKernels(t, tc.sg, nc, func(p *Params) {
 				p.Precision = tc.prec
 				sh.mod(p)
+				forceTier(tier)(p)
 			})
 			gv := grid.NewSubgrid(tc.sg, item.X0, item.Y0)
 			k.GridSubgrid(item, uvw, vis, atermP, atermQ, gv)
@@ -358,9 +365,9 @@ func TestPixelLaneGridderAdjoint(t *testing.T) {
 				}
 			}
 			d := cmplx.Abs(lhs-rhs) / cmplx.Abs(lhs)
-			t.Logf("%v %s: adjoint mismatch %.2g relative", tc.prec, sh.name, d)
+			t.Logf("%v %v %s: adjoint mismatch %.2g relative", tier, tc.prec, sh.name, d)
 			if d > tc.tol {
-				t.Fatalf("%v %s: adjoint violated: <Gv,g>=%v, <v,Dg>=%v (rel %g)", tc.prec, sh.name, lhs, rhs, d)
+				t.Fatalf("%v %v %s: adjoint violated: <Gv,g>=%v, <v,Dg>=%v (rel %g)", tier, tc.prec, sh.name, lhs, rhs, d)
 			}
 		}
 	}
@@ -443,10 +450,10 @@ func TestDegridderTiledMatchesReference(t *testing.T) {
 // visibilities — the parallel path combines per-tile partials in tile
 // order, replaying the serial addition sequence. Subgrid sizes 8 and
 // 10 cover both the lane-aligned and the tail-carrying vector paths
-// (one-row tiles of 8 and of 10 pixels: a whole quad pair or oct, and a
-// two-pixel scalar or masked tail), 70 channels a second resync chunk,
-// and every executable tier runs, so an avx512 host still covers the
-// quad degridder beside the fused oct one.
+// (one-row tiles of 8 and of 10 pixels: whole registers, and a two-pixel
+// masked tail), 70 channels a second resync chunk, and every executable
+// tier runs, so an avx512 host still covers the YMM degridder beside the
+// ZMM one.
 func TestDegridderSerialParallelBitwise(t *testing.T) {
 	const nt = 9
 	for _, nc := range []int{8, 70} {
@@ -591,9 +598,8 @@ func TestFlaggedVisibilitiesExactZero(t *testing.T) {
 // against the generic one: both apply the same resync cadence, so they
 // agree to within twice the recurrence bound (each side's drift) on
 // hardware where the vector kernels run at all. The channel counts
-// take the gridder through its time-blocked recurrence (16), its
-// per-step recurrence with a one-channel tail (37) and with a second
-// resync chunk plus a tail (70), and direct phasors (21).
+// take the recurrence within one resync chunk (16, 21, 37) and across
+// one (70).
 func TestVectorKernelsMatchScalar(t *testing.T) {
 	if dispatchFor(xmath.ActiveSIMD()).gridVec64 == nil {
 		t.Skip("vector kernels unavailable on this CPU")
@@ -632,8 +638,9 @@ func TestVectorKernelsMatchScalar(t *testing.T) {
 }
 
 // TestTiledEdgeChannelCounts covers the channel-count edge cases: no
-// recurrence (nc < 3), exactly one quad, quad+tail, and a single
-// channel, for both precisions, against the reference transcription.
+// recurrence (nc < 3), the recurrence at its threshold and just above,
+// and a single channel, for both precisions, against the reference
+// transcription.
 func TestTiledEdgeChannelCounts(t *testing.T) {
 	const sg, nt = 10, 5
 	for _, nc := range []int{1, 2, 3, 4, 5} {

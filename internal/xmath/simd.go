@@ -16,14 +16,14 @@ type SIMDTier int
 const (
 	// SIMDScalar uses only the portable Go kernels.
 	SIMDScalar SIMDTier = iota
-	// SIMDAVX2 requires AVX2 + FMA with OS-enabled YMM state (the
-	// hand-vectorized 256-bit tile kernels, the 4-lane sincos and the
-	// 4-sample sky predictor).
+	// SIMDAVX2 requires AVX2 + FMA with OS-enabled YMM state: the
+	// 256-bit pixel-lane gridder and fused degridder of both precisions,
+	// the phase stagers, the 4-lane sincos and the 4-sample sky
+	// predictor.
 	SIMDAVX2
 	// SIMDAVX512 additionally requires AVX-512 F/DQ/BW/VL with
-	// OS-enabled ZMM and opmask state: the 8-lane sincos, the 512-bit
-	// pixel-lane gridder of both precisions, the fused float64
-	// degridder, the phase stagers and the 8-sample sky predictor.
+	// OS-enabled ZMM and opmask state: the 512-bit forms of the same
+	// kernels, the 8-lane sincos and the 8-sample sky predictor.
 	SIMDAVX512
 )
 

@@ -19,15 +19,18 @@ GOOS=linux GOARCH=arm64 go build ./...
 go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/... ./internal/checkpoint/... ./internal/server/... ./internal/distrib/...
 # The same short race pass with the SIMD tier forced down via the
 # IDG_SIMD override: the scalar tier runs the generic Go tiles, the
-# avx2 tier runs the 4/8-lane AVX2 kernels on hosts whose detected
-# tier is avx512 (the override can only lower the tier, so these are
-# no-ops on narrower hosts rather than failures). The sky predictor's
-# lanes and the fill built on them must keep Model.Predict's bits, and
-# the golden hashes with them, on every tier.
+# avx2 tier runs the YMM forms of the pixel-lane gridder and fused
+# degridder on hosts whose detected tier is avx512 (the override can
+# only lower the tier, so these are no-ops on narrower hosts rather
+# than failures). The sky predictor's lanes and the fill built on them
+# must keep Model.Predict's bits, and the golden hashes with them, on
+# every tier. The avx2 leg also runs the eight kernel benchmarks once
+# each, so the YMM bodies run under the benchmark harness too.
 IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
 IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
 IDG_SIMD=scalar go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=avx2 go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
+IDG_SIMD=avx2 GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$' -benchtime 1x .
 # And with the core count pinned both ways: one thread hides panics and
 # races that only a fan-out goroutine can raise, four threads hide what
 # only the serial paths do, and a CI box has whatever it has. -count=1
@@ -69,10 +72,10 @@ bash benchmark/run.sh -workload all -smoke
 # compare their throughput against BENCH_kernels.json; a slowdown
 # beyond BENCH_THRESHOLD percent (default 10) fails CI. The float32
 # kernels are in the gate because they are the SIMD dispatch layer's
-# reason to exist: a gridder that loses the avx512 tier's pixel-lane
-# body to the 256-bit oct lanes drops to under half its MVis/s, and
-# either kernel falling back to the generic tile to a tenth, far beyond
-# any threshold. The
+# reason to exist: a gridder that falls from the avx512 tier's ZMM
+# pixel-lane body to the YMM one drops to half its MVis/s, and either
+# kernel falling back to the generic tile to a tenth, far beyond any
+# threshold. The
 # short-item benchmarks guard the tiles' row-per-channel form and the
 # A-term epilogue/prologue the same way: an item shape that falls back
 # to the generic scalar tile (float32: to a twentieth of its MVis/s), or
