@@ -11,6 +11,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/plan"
 	"repro/internal/uvwsim"
@@ -164,7 +165,7 @@ func BenchmarkAblationChannelCount(b *testing.B) {
 		return freqs
 	}
 	for _, nc := range []int{1, 2, 3, 4, 5, 8, 9, 16, 24, 33, 64, 66} {
-		for _, prec := range []Precision{Float64, Float32} {
+		for _, prec := range []Precision{core.Float64, Float32} {
 			name := fmt.Sprintf("c=%d", nc)
 			if prec == Float32 {
 				name += "/f32"
@@ -209,7 +210,7 @@ func BenchmarkAblationAdder(b *testing.B) {
 		}
 		subgrids[i] = s
 	}
-	g := NewGrid(1024)
+	g := grid.NewGrid(1024)
 	b.Run("row-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.Adder(subgrids, g)
@@ -247,7 +248,7 @@ func BenchmarkAblationTmax(b *testing.B) {
 			b.ResetTimer()
 			var times StageTimes
 			for i := 0; i < b.N; i++ {
-				g := NewGrid(cfg.GridSize)
+				g := grid.NewGrid(cfg.GridSize)
 				t, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g)
 				if err != nil {
 					b.Fatal(err)
@@ -323,7 +324,7 @@ func BenchmarkSplitterStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := NewGrid(1024)
+	g := grid.NewGrid(1024)
 	rnd := newTestRand(14)
 	subgrids := make([]*grid.Subgrid, 512)
 	for i := range subgrids {
@@ -343,7 +344,7 @@ func BenchmarkPlanConstruction(b *testing.B) {
 	tracks := obs.Vis.UVW
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewPlan(cfg, tracks); err != nil {
+		if _, err := plan.New(cfg, tracks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/fft"
 	"repro/internal/grid"
@@ -263,7 +264,7 @@ func BenchmarkFig16WprojComparison(b *testing.B) {
 // one work item of nt x nc visibilities on an n-pixel subgrid.
 func benchGridderKernel(b *testing.B, n, nt, nc int) {
 	b.Helper()
-	benchGridderKernelPrec(b, n, nt, nc, Float64)
+	benchGridderKernelPrec(b, n, nt, nc, core.Float64)
 }
 
 func benchGridderKernelPrec(b *testing.B, n, nt, nc int, prec Precision) {
@@ -388,7 +389,7 @@ func BenchmarkGridderKernelFloat32(b *testing.B) {
 // A-terms, where the per-subgrid fixed cost is as large as the
 // visibility loop.
 func BenchmarkGridderKernelShortItems(b *testing.B) {
-	benchGridderKernelATerms(b, 24, 8, 2, Float64, true)
+	benchGridderKernelATerms(b, 24, 8, 2, core.Float64, true)
 }
 
 // BenchmarkGridderKernelShortItemsFloat32 is the same item in float32,
@@ -400,7 +401,7 @@ func BenchmarkGridderKernelShortItemsFloat32(b *testing.B) {
 }
 
 func BenchmarkDegridderKernel(b *testing.B) {
-	benchDegridderKernelPrec(b, Float64)
+	benchDegridderKernelPrec(b, core.Float64)
 }
 
 func BenchmarkDegridderKernelFloat32(b *testing.B) {
@@ -412,7 +413,7 @@ func BenchmarkDegridderKernelFloat32(b *testing.B) {
 // with per-pixel A-terms, where the prologue (A-term sandwich, taper,
 // plane split) weighs as much as the 16-visibility loop.
 func BenchmarkDegridderKernelShortItems(b *testing.B) {
-	benchDegridderKernelATerms(b, 24, 8, 2, Float64, true)
+	benchDegridderKernelATerms(b, 24, 8, 2, core.Float64, true)
 }
 
 func BenchmarkDegridderKernelShortItemsFloat32(b *testing.B) {
@@ -424,7 +425,7 @@ func BenchmarkFullGriddingPass(b *testing.B) {
 	// Steady-state measurement: the grid is allocated once and zeroed
 	// per pass, and one warm-up pass fills the kernel scratch/subgrid
 	// pools, so allocs/op reflects the warm pipeline hot path.
-	g := NewGrid(obs.Config.GridSize)
+	g := grid.NewGrid(obs.Config.GridSize)
 	if _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g); err != nil {
 		b.Fatal(err)
 	}
@@ -445,11 +446,11 @@ func BenchmarkFullGriddingPass(b *testing.B) {
 
 func BenchmarkFullDegriddingPass(b *testing.B) {
 	obs := mustBenchObs(b)
-	g := NewGrid(obs.Config.GridSize)
+	g := grid.NewGrid(obs.Config.GridSize)
 	if _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g); err != nil {
 		b.Fatal(err)
 	}
-	out := MustNewVisibilitySet(obs.Vis.Baselines, obs.Vis.UVW, obs.Vis.NrChannels)
+	out := core.MustNewVisibilitySet(obs.Vis.Baselines, obs.Vis.UVW, obs.Vis.NrChannels)
 	// Warm-up pass: fills the kernel scratch/subgrid pools so the timed
 	// iterations measure the steady state.
 	if _, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g); err != nil {
@@ -494,7 +495,7 @@ func BenchmarkGridFFT2048(b *testing.B) {
 // a centred disc of nonzero cells on a zero background.
 func benchPartialGrid() *Grid {
 	const n = 1024
-	g := NewGrid(n)
+	g := grid.NewGrid(n)
 	rnd := newTestRand(19)
 	for c := range g.Data {
 		for y := 0; y < n; y++ {
@@ -530,7 +531,7 @@ var benchFingerprint grid.Fingerprint
 // BenchmarkWriteGridBinary measures the grid fetch path (a served
 // session's /grid, idgdistrib -out) for one 512-pixel grid.
 func BenchmarkWriteGridBinary(b *testing.B) {
-	g := NewGrid(512)
+	g := grid.NewGrid(512)
 	rnd := newTestRand(20)
 	for c := range g.Data {
 		for i := range g.Data[c] {
@@ -560,7 +561,10 @@ func BenchmarkFillFromModelPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			model := StandardSkyModel(o, 4)
+			model, err := cfg.StandardSkyModel(4)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := o.FillFromModelPlan(model); err != nil {

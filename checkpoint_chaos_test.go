@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/faulttol"
 	"repro/internal/obs"
 )
 
@@ -69,18 +71,18 @@ func TestKillAndResumeChaos(t *testing.T) {
 	want := goldenSHA(t)
 	kills := []struct {
 		name string
-		ev   CheckpointEvent
+		ev   checkpoint.Event
 		at   int
 	}{
 		// Mid-epoch: work done past the last snapshot is lost and must
 		// be regridded on resume.
-		{"chunk-committed", CheckpointChunkCommitted, 2},
+		{"chunk-committed", checkpoint.EventChunkCommitted, 2},
 		// At the barrier, before any bytes hit disk.
-		{"before-write", CheckpointBeforeWrite, -1},
+		{"before-write", checkpoint.EventBeforeWrite, -1},
 		// The torn-write window: temp file synced, rename pending.
-		{"before-rename", CheckpointBeforeRename, -1},
+		{"before-rename", checkpoint.EventBeforeRename, -1},
 		// Snapshot durable; the crash loses only scheduler state.
-		{"after-write", CheckpointAfterWrite, -1},
+		{"after-write", checkpoint.EventAfterWrite, -1},
 	}
 	for _, kc := range kills {
 		t.Run(kc.name, func(t *testing.T) {
@@ -258,13 +260,17 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := o.FillFromModel(StandardSkyModel(o, 2)); err != nil {
+		model, err := cfg.StandardSkyModel(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.FillFromModel(model); err != nil {
 			t.Fatal(err)
 		}
 		return o
 	}
 
-	o1 := build(1, faultinject.CrashHook(CheckpointAfterWrite, 1))
+	o1 := build(1, faultinject.CrashHook(checkpoint.EventAfterWrite, 1))
 	func() {
 		defer func() {
 			if _, ok := recover().(faultinject.Kill); !ok {
@@ -301,7 +307,7 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 	if _, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	sn, path, notes, err := LatestCheckpoint(dir)
+	sn, path, notes, err := checkpoint.LoadLatest(dir)
 	if err != nil || sn == nil {
 		t.Fatalf("LoadLatest: %v %v", sn, err)
 	}
@@ -334,7 +340,7 @@ func TestStreamedCancelDuringRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	victim := o.Plan.Items[len(o.Plan.Items)/2]
 	ft := FaultConfig{
-		Policy:     RetryItems,
+		Policy:     faulttol.Retry,
 		MaxRetries: 3,
 		Hook: func(item WorkItem, attempt int) {
 			if item.Baseline == victim.Baseline &&
@@ -376,7 +382,7 @@ func TestRetryAndCheckpointMetrics(t *testing.T) {
 		t.Fatal("selector picked no victims; raise the fraction")
 	}
 	ft := FaultConfig{
-		Policy:     RetryItems,
+		Policy:     faulttol.Retry,
 		MaxRetries: 2,
 		Hook:       faultinject.FlakyHook(sel, 1), // each victim fails exactly once
 	}
@@ -463,7 +469,7 @@ func TestConfigValidationTyped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			err := cfg.Validate()
+			err := cfg.validate()
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("err = %v, want ErrInvalidConfig", err)
 			}
@@ -479,7 +485,7 @@ func TestConfigValidationTyped(t *testing.T) {
 	good := base
 	good.GridShards = 4
 	good.MaxInflightChunks = 2
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid streaming config rejected: %v", err)
 	}
 }

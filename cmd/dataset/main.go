@@ -55,7 +55,10 @@ func runGenerate(path string, stations, steps, channels, sources int, sigma floa
 	if err != nil {
 		fail(err)
 	}
-	model := repro.StandardSkyModel(obs, sources)
+	model, err := cfg.StandardSkyModel(sources)
+	if err != nil {
+		fail(err)
+	}
 	if err := obs.FillFromModel(model); err != nil {
 		fail(err)
 	}

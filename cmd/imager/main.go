@@ -174,7 +174,7 @@ func main() {
 	if *resume {
 		g, times, faults, err = obs.ResumeStreamed(ctx, nil, ft)
 	} else {
-		g, times, faults, err = obs.GridAllFT(ctx, nil, ft)
+		g, times, faults, err = obs.GridAllStreamed(ctx, nil, ft)
 	}
 	if err != nil {
 		fail(err)

@@ -19,8 +19,6 @@ import (
 // passes — in-process goroutine workers by default, exec'd
 // cmd/idgworker processes under cmd/idgdistrib.
 
-// Distrib re-exports, so callers configure distributed runs without
-// importing internal packages.
 type (
 	// DistribAxis selects the partition axis (rows or W-planes).
 	DistribAxis = distrib.Axis
@@ -38,61 +36,18 @@ type (
 	// DistribWorkerTimes is where one worker attempt's wall time went:
 	// build, fill, grid, deliver.
 	DistribWorkerTimes = distrib.WorkerTimes
+	// CheckpointHook observes checkpoint events; the crash-injection
+	// harness panics inside one to simulate kills (see
+	// faultinject.CrashHook).
+	CheckpointHook = checkpoint.Hook
 )
 
-// Partition axes.
-const (
-	// DistribRows partitions by uv row band (subgrid centre), the bands
-	// balanced by visibility count.
-	DistribRows = distrib.AxisRows
-	// DistribWPlanes partitions by W-layer index modulo workers.
-	DistribWPlanes = distrib.AxisWPlanes
-)
+// DistribRows partitions by uv row band (subgrid centre), the bands
+// balanced by visibility count.
+const DistribRows = distrib.AxisRows
 
 // ParseDistribAxis converts the CLI spellings "rows" / "wplanes".
 func ParseDistribAxis(s string) (DistribAxis, error) { return distrib.ParseAxis(s) }
-
-// PartitionPlan returns the sub-plan worker index owns under the
-// axis (order-preserving; see distrib.FilterPlan).
-func (o *Observation) PartitionPlan(axis DistribAxis, workers, index int) (*Plan, error) {
-	return distrib.FilterPlan(o.Plan, axis, workers, index)
-}
-
-// StandardSkyModel is the deterministic point-source model the
-// repository's data generators share: up to four sources at fixed
-// pixel offsets, scaled to o's field of view. Every process that
-// builds the same ObservationConfig and source count predicts the
-// same visibility bits — which is what lets distributed workers fill
-// their data independently yet grid a partition of one observation.
-func StandardSkyModel(o *Observation, sources int) SkyModel {
-	return standardSkyModel(o.ImageSize/float64(o.Config.GridSize), sources)
-}
-
-// StandardSkyModel is the package-level StandardSkyModel of the
-// observation c builds, bit for bit, from c alone: the field of view
-// needs the layout and the uvw extent but no plan, so a worker process
-// that is about to build its own plan does not build a second one for
-// its model.
-func (c ObservationConfig) StandardSkyModel(sources int) (SkyModel, error) {
-	_, _, imageSize, err := c.fieldOfView()
-	if err != nil {
-		return nil, err
-	}
-	return standardSkyModel(imageSize/float64(c.GridSize), sources), nil
-}
-
-// standardSkyModel places the standard sources on a grid of pixel
-// scale pix (direction cosine per pixel).
-func standardSkyModel(pix float64, sources int) SkyModel {
-	offsets := [][3]float64{{40, -24, 1.0}, {-72, 52, 0.6}, {16, 88, 0.4}, {-30, -70, 0.3}}
-	model := make(SkyModel, 0, len(offsets))
-	for i := 0; i < sources && i < len(offsets); i++ {
-		model = append(model, PointSource{
-			L: offsets[i][0] * pix, M: offsets[i][1] * pix, I: offsets[i][2],
-		})
-	}
-	return model
-}
 
 // DistribWorkerOptions configures one worker process (or in-process
 // worker goroutine) of a distributed run.
@@ -132,7 +87,7 @@ type DistribWorkerOptions struct {
 	// setting under which a 1-worker distributed run reproduces the
 	// committed golden grid hash exactly.
 	ReferenceKernels bool
-	// MaxFramePayload caps reduction frames (<= 0: server default).
+	// MaxFramePayload caps reduction frames (<= 0: frame.DefaultMaxPayload).
 	MaxFramePayload int
 }
 
@@ -242,7 +197,7 @@ type DistribOptions struct {
 	// ReferenceKernels runs every worker on the reference (unbatched)
 	// kernel path; see DistribWorkerOptions.ReferenceKernels.
 	ReferenceKernels bool
-	// MaxFramePayload caps reduction frames (<= 0: server default).
+	// MaxFramePayload caps reduction frames (<= 0: frame.DefaultMaxPayload).
 	MaxFramePayload int
 	// Fault is the per-item failure policy inside each worker.
 	Fault FaultConfig

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
+	"repro/internal/distrib"
 	"repro/internal/faultinject"
 )
 
@@ -53,13 +55,13 @@ func TestDistribKillAndResumeChaos(t *testing.T) {
 	want := distribCleanHash(t, 4, DistribRows)
 	kills := []struct {
 		name string
-		ev   CheckpointEvent
+		ev   checkpoint.Event
 		at   int
 	}{
-		{"chunk-committed", CheckpointChunkCommitted, 2},
-		{"before-write", CheckpointBeforeWrite, -1},
-		{"before-rename", CheckpointBeforeRename, -1},
-		{"after-write", CheckpointAfterWrite, -1},
+		{"chunk-committed", checkpoint.EventChunkCommitted, 2},
+		{"before-write", checkpoint.EventBeforeWrite, -1},
+		{"before-rename", checkpoint.EventBeforeRename, -1},
+		{"after-write", checkpoint.EventAfterWrite, -1},
 	}
 	for _, kc := range kills {
 		t.Run(kc.name, func(t *testing.T) {
@@ -94,7 +96,7 @@ func distribBusiestWorkers(t *testing.T, cfg ObservationConfig, axis DistribAxis
 	}
 	first, second := 0, 1
 	count := func(w int) int {
-		sub, err := o.PartitionPlan(axis, workers, w)
+		sub, err := distrib.FilterPlan(o.Plan, axis, workers, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +126,7 @@ func TestDistribChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-iteration chaos soak in -short mode")
 	}
-	for _, axis := range []DistribAxis{DistribRows, DistribWPlanes} {
+	for _, axis := range []DistribAxis{distrib.AxisRows, distrib.AxisWPlanes} {
 		t.Run(axis.String(), func(t *testing.T) {
 			clean := distribGoldenOptions(t, 4, axis)
 			clean.Config.WStepLambda = 40
@@ -150,10 +152,10 @@ func TestDistribChaosSoak(t *testing.T) {
 					}
 					switch spec.Index {
 					case v1:
-						w.CrashHook = faultinject.CrashHook(CheckpointBeforeRename, -1)
+						w.CrashHook = faultinject.CrashHook(checkpoint.EventBeforeRename, -1)
 						killed[v1] = true
 					case v2:
-						w.CrashHook = faultinject.CrashHook(CheckpointChunkCommitted, -1)
+						w.CrashHook = faultinject.CrashHook(checkpoint.EventChunkCommitted, -1)
 						killed[v2] = true
 					}
 				}
@@ -183,7 +185,7 @@ func TestDistribRestartBudgetExhausted(t *testing.T) {
 		if spec.Index == 1 {
 			// EventChunkCommitted fires on every attempt's first chunks,
 			// resumed or not, so the worker can never finish.
-			w.CrashHook = faultinject.CrashHook(CheckpointChunkCommitted, -1)
+			w.CrashHook = faultinject.CrashHook(checkpoint.EventChunkCommitted, -1)
 		}
 	}
 	_, _, err := RunDistributed(context.Background(), opt)

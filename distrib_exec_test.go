@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 )
 
@@ -72,7 +73,7 @@ func distribExecWorker() {
 		ReferenceKernels: true,
 	}
 	if os.Getenv("REPRO_DISTRIB_KILL") == "1" {
-		opt.CrashHook = faultinject.CrashHook(CheckpointBeforeRename, -1)
+		opt.CrashHook = faultinject.CrashHook(checkpoint.EventBeforeRename, -1)
 	}
 	if _, err := RunDistribWorker(context.Background(), opt); err != nil {
 		fmt.Fprintln(os.Stderr, "exec worker:", err)

@@ -82,7 +82,7 @@ func distribSerialReference(t *testing.T) *Grid {
 // partition/wire/reduction stack adds and removes nothing.
 func TestDistribSingleWorkerGolden(t *testing.T) {
 	want := goldenSHA(t)
-	for _, axis := range []DistribAxis{DistribRows, DistribWPlanes} {
+	for _, axis := range []DistribAxis{distrib.AxisRows, distrib.AxisWPlanes} {
 		t.Run(axis.String(), func(t *testing.T) {
 			g, sum, err := RunDistributed(context.Background(), distribGoldenOptions(t, 1, axis))
 			if err != nil {
@@ -108,7 +108,7 @@ func TestDistribEquivalenceMatrix(t *testing.T) {
 	ref := distribSerialReference(t)
 	peak := FingerprintGrid(ref).PeakAbs
 	refNonzero := FingerprintGrid(ref).Nonzero
-	for _, axis := range []DistribAxis{DistribRows, DistribWPlanes} {
+	for _, axis := range []DistribAxis{distrib.AxisRows, distrib.AxisWPlanes} {
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", axis, workers), func(t *testing.T) {
 				g, sum, err := RunDistributed(context.Background(), distribGoldenOptions(t, workers, axis))
@@ -156,7 +156,7 @@ func TestDistribWPlanesPartitionNontrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _, err := RunDistributed(context.Background(), DistribOptions{
-		Config: cfg, Model: model, Workers: 3, Axis: DistribWPlanes,
+		Config: cfg, Model: model, Workers: 3, Axis: distrib.AxisWPlanes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestDistribPartitionPlanFacade(t *testing.T) {
 	total := 0
 	bounds := distrib.RowBounds(o.Plan, 3)
 	for w := 0; w < 3; w++ {
-		sub, err := o.PartitionPlan(DistribRows, 3, w)
+		sub, err := distrib.FilterPlan(o.Plan, DistribRows, 3, w)
 		if err != nil {
 			t.Fatal(err)
 		}

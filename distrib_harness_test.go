@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/distrib"
+	"repro/internal/grid"
 )
 
 // The distributed run's harness: the pieces around the gridding pass —
@@ -61,7 +62,7 @@ func TestFillMatchesPredictPerSample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if part.Plan, err = part.PartitionPlan(DistribRows, 2, 0); err != nil {
+			if part.Plan, err = distrib.FilterPlan(part.Plan, DistribRows, 2, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := full.FillFromModel(model); err != nil {
@@ -164,7 +165,7 @@ func TestDistribRowSplitBalanced(t *testing.T) {
 	}
 	total := o.Plan.Stats().NrGriddedVisibilities
 	for w := 0; w < 2; w++ {
-		sub, err := o.PartitionPlan(DistribRows, 2, w)
+		sub, err := distrib.FilterPlan(o.Plan, DistribRows, 2, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,13 +206,13 @@ func TestPlanIndependentOfBuilderThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, axis := range []DistribAxis{DistribRows, DistribWPlanes} {
+	for _, axis := range []DistribAxis{distrib.AxisRows, distrib.AxisWPlanes} {
 		for i := 0; i < 3; i++ {
 			a, err := distrib.FilterPlan(shared.plan, axis, 3, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := own.PartitionPlan(axis, 3, i)
+			b, err := distrib.FilterPlan(own.Plan, axis, 3, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +272,7 @@ func TestConfigSkyModelBuildsNoPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := StandardSkyModel(o, 3)
+	want := standardSkyModel(o.ImageSize/float64(o.Config.GridSize), 3)
 	if len(got) != 3 || !reflect.DeepEqual(got, want) {
 		t.Errorf("config-derived model %v, the built observation's %v", got, want)
 	}
@@ -368,7 +369,7 @@ func TestWriteGridBinaryMatchesReflectionEncoding(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.MaxFloat64,
 	}
 	for _, n := range []int{1, 24, 256} {
-		g := NewGrid(n)
+		g := grid.NewGrid(n)
 		rnd := newTestRand(uint64(n))
 		for c := range g.Data {
 			for i := range g.Data[c] {
@@ -402,7 +403,7 @@ func TestWriteGridBinaryMatchesReflectionEncoding(t *testing.T) {
 			}
 		}
 	}
-	if err := WriteGridBinary(failWriter{}, NewGrid(8)); err == nil {
+	if err := WriteGridBinary(failWriter{}, grid.NewGrid(8)); err == nil {
 		t.Error("writer error swallowed")
 	}
 }

@@ -2,7 +2,7 @@
 // (gridding + inverse FFT), extract sources with CLEAN, predict
 // (FFT + degridding), subtract, and show that the residual shrinks
 // each major cycle. This is how IDG is used inside an imager such as
-// WSClean.
+// WSClean; Observation.ImagingCycle runs the loop.
 package main
 
 import (
@@ -36,76 +36,27 @@ func main() {
 	if err := obs.FillFromModel(truth); err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
 
-	// The PSF is needed by CLEAN's minor cycles.
-	psf, err := obs.PSF(ctx)
+	// Each major cycle cleans down to 30% of the residual peak; the
+	// loop stops once the residual image peaks below 0.05 Jy.
+	res, err := obs.ImagingCycle(context.Background(), repro.CycleConfig{
+		MajorCycles: 3,
+		CycleDepth:  0.3,
+		Clean:       repro.CleanParams{Gain: 0.2, MaxIterations: 150, Threshold: 0.05},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	skyModel := repro.SkyModel{}
-	for major := 1; major <= 3; major++ {
-		// Image the current residual visibilities.
-		dirty, err := obs.DirtyImage(ctx, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		si := repro.StokesI(dirty)
-
-		peak := 0.0
-		for _, v := range si {
-			if v > peak {
-				peak = v
-			}
-		}
-		fmt.Printf("major cycle %d: residual image peak %.4f Jy\n", major, peak)
-		if peak < 0.05 {
-			break
-		}
-
-		// Minor cycles: extract the brightest emission.
-		res, err := repro.Hogbom(si, psf, n, repro.CleanParams{
-			Gain: 0.2, MaxIterations: 150, Threshold: 0.3 * peak,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, c := range res.MergedComponents() {
-			l, m := repro.PixelToLM(c.X, c.Y, n, obs.ImageSize)
-			skyModel = append(skyModel, repro.PointSource{L: l, M: m, I: c.Flux})
-		}
-		fmt.Printf("  CLEAN: %d iterations, %d components, model total %.3f Jy\n",
-			res.Iterations, len(res.MergedComponents()), skyModel.TotalFlux())
-
-		// Predict the model (FFT + degridding) and subtract it from
-		// the data, revealing fainter structure.
-		modelImg := skyModel.Rasterize(n, obs.ImageSize)
-		mg := repro.ImageToGrid(modelImg, 0)
-		predicted, err := repro.NewVisibilitySet(obs.Vis.Baselines, obs.Vis.UVW, obs.Vis.NrChannels)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := obs.Kernels.DegridVisibilities(ctx, obs.Plan, predicted, nil, mg); err != nil {
-			log.Fatal(err)
-		}
-		// Reset data to truth minus full model each cycle.
-		if err := obs.FillFromModel(truth); err != nil {
-			log.Fatal(err)
-		}
-		for b := range obs.Vis.Data {
-			for i := range obs.Vis.Data[b] {
-				obs.Vis.Data[b][i] = obs.Vis.Data[b][i].Sub(predicted.Data[b][i])
-			}
-		}
+	for i, peak := range res.PeakHistory {
+		fmt.Printf("major cycle %d: residual image peak %.4f Jy\n", i+1, peak)
 	}
 
 	fmt.Printf("\nfinal sky model (%d components, %.3f Jy; truth %.3f Jy):\n",
-		len(skyModel), skyModel.TotalFlux(), truth.TotalFlux())
+		len(res.Model), res.Model.TotalFlux(), truth.TotalFlux())
 	for _, s := range truth {
 		x, y := repro.LMToPixel(s.L, s.M, n, obs.ImageSize)
 		recovered := 0.0
-		for _, c := range skyModel {
+		for _, c := range res.Model {
 			cx, cy := repro.LMToPixel(c.L, c.M, n, obs.ImageSize)
 			if abs(cx-x) <= 1 && abs(cy-y) <= 1 {
 				recovered += c.I

@@ -4,11 +4,16 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/aterm"
+	"repro/internal/core"
+	"repro/internal/grid"
+	"repro/internal/xmath"
 )
 
 func TestATermProviderConstructors(t *testing.T) {
-	id := IdentityATerms()
-	if d := id.Evaluate(0, 0, 0.01, 0.01).MaxAbsDiff(Identity2()); d != 0 {
+	id := aterm.Identity{}
+	if d := id.Evaluate(0, 0, 0.01, 0.01).MaxAbsDiff(xmath.Identity2()); d != 0 {
 		t.Fatal("identity provider wrong")
 	}
 	beam := GaussianBeamATerms(0.05, 0)
@@ -17,7 +22,7 @@ func TestATermProviderConstructors(t *testing.T) {
 	if real(edge[0]) >= real(center[0]) {
 		t.Fatal("beam must fall off")
 	}
-	screen := PhaseScreenATerms(10)
+	screen := aterm.PhaseScreen{Strength: 10}
 	m := screen.Evaluate(1, 1, 0.01, 0.02)
 	if math.Abs(real(m[0])*real(m[0])+imag(m[0])*imag(m[0])-1) > 1e-12 {
 		t.Fatal("phase screen must be unimodular")
@@ -31,22 +36,51 @@ func TestATermSchedulerAlias(t *testing.T) {
 	}
 }
 
+// TestCleanThroughFacade: Observation.ImagingCycle, the facade's one
+// route to CLEAN, shrinks the residual peak cycle by cycle, recovers
+// the source's flux at its pixel, and refuses an observation without
+// visibilities.
 func TestCleanThroughFacade(t *testing.T) {
-	n := 32
-	psf := make([]float64, n*n)
-	psf[(n/2)*n+n/2] = 1
-	dirty := make([]float64, n*n)
-	dirty[10*n+12] = 2
-	res, err := Hogbom(dirty, psf, n, CleanParams{Gain: 0.5, MaxIterations: 100, Threshold: 1e-6})
+	cfg := smallObservation()
+	cfg.NrStations = 16
+	obs, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Model[10*n+12]-2) > 1e-6 {
-		t.Fatalf("CLEAN through facade recovered %g", res.Model[10*n+12])
+	pix := obs.ImageSize / float64(cfg.GridSize)
+	src := PointSource{L: 20 * pix, M: -12 * pix, I: 1}
+	if err := obs.FillFromModel(SkyModel{src}); err != nil {
+		t.Fatal(err)
 	}
-	restored := RestoreImage(res, n, 1.5)
-	if restored[10*n+12] < 1.9 {
-		t.Fatal("restore through facade lost flux")
+	cycle := CycleConfig{
+		MajorCycles: 3,
+		CycleDepth:  0.3,
+		Clean:       CleanParams{Gain: 0.2, MaxIterations: 200, Threshold: 0.02},
+	}
+	res, err := obs.ImagingCycle(context.Background(), cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := res.PeakHistory
+	if len(peaks) < 2 || peaks[len(peaks)-1] > peaks[0]/2 {
+		t.Fatalf("residual peaks %v did not halve", peaks)
+	}
+	x, y := LMToPixel(src.L, src.M, cfg.GridSize, obs.ImageSize)
+	recovered := 0.0
+	for _, c := range res.Model {
+		if cx, cy := LMToPixel(c.L, c.M, cfg.GridSize, obs.ImageSize); math.Abs(float64(cx-x)) <= 1 && math.Abs(float64(cy-y)) <= 1 {
+			recovered += c.I
+		}
+	}
+	if math.Abs(recovered-src.I) > 0.2 {
+		t.Fatalf("recovered %.3f Jy at the source, want %.1f", recovered, src.I)
+	}
+	bare, err := cfg.BuildPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.ImagingCycle(context.Background(), cycle); err == nil {
+		t.Fatal("imaging cycle ran without visibilities")
 	}
 }
 
@@ -59,15 +93,15 @@ func TestPixelLMHelpers(t *testing.T) {
 }
 
 func TestScaleImageAndWScreen(t *testing.T) {
-	img := NewGrid(16)
+	img := grid.NewGrid(16)
 	img.Set(0, 8, 8, 2)
-	ScaleImage(img, 0.5)
+	core.ScaleImage(img, 0.5)
 	if img.At(0, 8, 8) != 1 {
 		t.Fatal("ScaleImage wrong")
 	}
 	orig := img.Clone()
-	ApplyWScreen(img, 0.2, 50, +1)
-	ApplyWScreen(img, 0.2, 50, -1)
+	core.ApplyWScreen(img, 0.2, 50, +1)
+	core.ApplyWScreen(img, 0.2, 50, -1)
 	if d := img.MaxAbsDiff(orig); d > 1e-9 {
 		t.Fatalf("w screen roundtrip %g", d)
 	}
@@ -83,7 +117,7 @@ func TestObservationPSF(t *testing.T) {
 	pix := obs.ImageSize / float64(cfg.GridSize)
 	obs.FillFromModel(SkyModel{{L: 10 * pix, M: 0, I: 1}})
 	before := obs.Vis.Data[0][0]
-	psf, err := obs.PSF(context.Background())
+	psf, err := obs.psf(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +150,14 @@ func TestWStackedFacadeRoundtrip(t *testing.T) {
 	pix := obs.ImageSize / float64(cfg.GridSize)
 	model := SkyModel{{L: 15 * pix, M: 10 * pix, I: 1}}
 	obs.FillFromModel(model)
-	grids, times, err := obs.GridWStacked(context.Background(), nil)
+	grids, times, err := obs.Kernels.GridVisibilitiesWStacked(context.Background(), obs.Plan, obs.Vis, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if times.Gridder <= 0 {
 		t.Fatal("no gridder time recorded")
 	}
-	img := obs.CombineWStackedImage(grids)
+	img := obs.Kernels.CombineWStackedImage(grids, obs.Plan.WStepLambda)
 	if img.Norm2() == 0 {
 		t.Fatal("empty combined image")
 	}

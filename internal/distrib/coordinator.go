@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/grid"
 )
 
@@ -27,7 +28,7 @@ type Config struct {
 	// Must have length Workers when set.
 	ExpectPlanSums [][32]byte
 	// MaxPayload caps reduction frame payloads on both sides
-	// (<= 0: the server package's default).
+	// (<= 0: frame.DefaultMaxPayload).
 	MaxPayload int
 	// MaxRestarts bounds how many times one worker may be relaunched
 	// (with Resume set) after a failure. 0 means a failed worker fails
@@ -319,7 +320,7 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
 
-	f, err := ReadReduceFrame(br, c.cfg.MaxPayload)
+	f, err := frame.Read(br, c.cfg.MaxPayload, reduceRules, nil)
 	if err != nil {
 		c.discard("stream with no hello: %v", err)
 		return
@@ -343,7 +344,7 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	var g *grid.Grid   // allocated by the first band
 	var payload []byte // every frame after the hello, each decoded before the next read
 	for {
-		f, err := ReadReduceFrameInto(br, c.cfg.MaxPayload, payload)
+		f, err := frame.Read(br, c.cfg.MaxPayload, reduceRules, payload)
 		if err != nil {
 			c.discard("worker %d stream truncated: %v", h.Worker, err)
 			return

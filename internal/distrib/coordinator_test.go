@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/grid"
-	"repro/internal/server"
 )
 
 // workerGrid is the deterministic partial grid of one worker in these
@@ -138,19 +138,19 @@ func lyingDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := server.WriteFrame(bw, EncodeHello(Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis})); err != nil {
+	if err := frame.Write(bw, EncodeHello(Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis})); err != nil {
 		return err
 	}
 	f, err := EncodeBand(g, 0, g.N)
 	if err != nil {
 		return err
 	}
-	if err := server.WriteFrame(bw, f); err != nil {
+	if err := frame.Write(bw, f); err != nil {
 		return err
 	}
 	fp := FingerprintOf(g)
 	fp.SHA256[0] ^= 0xff // corrupt the declared hash
-	if err := server.WriteFrame(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: fp})); err != nil {
+	if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: fp})); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -352,7 +352,7 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		if err := sendBands(bw, spec, [32]byte{}, g, maxPayload); err != nil {
 			t.Fatal(err)
 		}
-		if err := server.WriteFrame(bw, EncodeResult(Result{Worker: 0, Fingerprint: FingerprintOf(g)})); err != nil {
+		if err := frame.Write(bw, EncodeResult(Result{Worker: 0, Fingerprint: FingerprintOf(g)})); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()

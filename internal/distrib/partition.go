@@ -4,7 +4,7 @@
 // scheduler over its own partition — with its own checkpoint
 // directory, so a killed worker resumes bit-identically — and the
 // partial grids are merged by a binary tree reduction, transported
-// over the length-prefixed CRC-64 frame format of internal/server.
+// as length-prefixed CRC-64 frames of internal/frame.
 //
 // The package owns the partition math, the reduction wire frames, the
 // tree reduction and the coordinator; the gridding itself is injected

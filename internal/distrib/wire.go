@@ -3,11 +3,10 @@ package distrib
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
+	"repro/internal/frame"
 	"repro/internal/grid"
-	"repro/internal/server"
 )
 
 // Reduction stream: after a worker finishes gridding its partition it
@@ -15,13 +14,13 @@ import (
 //
 //	FrameHello | FrameBand* | FrameResult
 //
-// over the server package's length-prefixed CRC-64 frame format. The
-// bands carry only the rows the partial grid actually touched (sparse
-// partitions ship a fraction of the grid), chunked so each frame stays
-// under the payload cap; the closing result frame carries the sender's
-// fingerprint of the whole partial grid, which the coordinator
-// recomputes over the assembled bytes before accepting the partial —
-// a truncated or reordered stream is discarded, not merged.
+// as internal/frame frames. The bands carry only the rows the partial
+// grid actually touched (sparse partitions ship a fraction of the
+// grid), chunked so each frame stays under the payload cap; the closing
+// result frame carries the sender's fingerprint of the whole partial
+// grid, which the coordinator recomputes over the assembled bytes
+// before accepting the partial — a truncated or reordered stream is
+// discarded, not merged.
 const (
 	// FrameHello opens a worker's reduction stream: payload = worker
 	// uint32 | workers uint32 | axis uint8 | plan fingerprint 32 bytes
@@ -50,7 +49,7 @@ const (
 
 // reduceRules is the frame-type table of the reduction stream; each
 // rule length-checks its type before the reader allocates the payload.
-var reduceRules = map[byte]server.FrameRule{
+var reduceRules = frame.Rules{
 	FrameHello: func(n int64) error {
 		if n != helloPayloadBytes {
 			return fmt.Errorf("distrib: FrameHello payload of %d bytes, want %d", n, helloPayloadBytes)
@@ -71,21 +70,6 @@ var reduceRules = map[byte]server.FrameRule{
 	},
 }
 
-// ReadReduceFrame decodes one reduction-stream frame, sharing the
-// server package's header/CRC machinery and its
-// validate-length-before-allocation contract. maxPayload <= 0 selects
-// server.DefaultMaxFramePayload.
-func ReadReduceFrame(r io.Reader, maxPayload int) (server.Frame, error) {
-	return server.ReadFrameRules(r, maxPayload, reduceRules)
-}
-
-// ReadReduceFrameInto is ReadReduceFrame into buf's storage
-// (server.ReadFrameRulesInto): the payload aliases it, and it grows
-// only once a frame's length has passed the rule and cap checks.
-func ReadReduceFrameInto(r io.Reader, maxPayload int, buf []byte) (server.Frame, error) {
-	return server.ReadFrameRulesInto(r, maxPayload, reduceRules, buf)
-}
-
 // Hello announces one worker's reduction stream.
 type Hello struct {
 	Worker  int
@@ -96,17 +80,17 @@ type Hello struct {
 }
 
 // EncodeHello builds the opening frame of a reduction stream.
-func EncodeHello(h Hello) server.Frame {
+func EncodeHello(h Hello) frame.Frame {
 	p := make([]byte, helloPayloadBytes)
 	binary.LittleEndian.PutUint32(p[0:], uint32(h.Worker))
 	binary.LittleEndian.PutUint32(p[4:], uint32(h.Workers))
 	p[8] = byte(h.Axis)
 	copy(p[9:], h.PlanSum[:])
-	return server.Frame{Type: FrameHello, Payload: p}
+	return frame.Frame{Type: FrameHello, Payload: p}
 }
 
 // DecodeHello decodes a FrameHello payload.
-func DecodeHello(f server.Frame) (Hello, error) {
+func DecodeHello(f frame.Frame) (Hello, error) {
 	if f.Type != FrameHello || len(f.Payload) != helloPayloadBytes {
 		return Hello{}, fmt.Errorf("distrib: decoding frame type %d (%d bytes) as FrameHello", f.Type, len(f.Payload))
 	}
@@ -129,7 +113,7 @@ func DecodeHello(f server.Frame) (Hello, error) {
 // error surfaced loudly rather than an infinite loop).
 func BandRowsPerFrame(gridSize, maxPayload int) int {
 	if maxPayload <= 0 {
-		maxPayload = server.DefaultMaxFramePayload
+		maxPayload = frame.DefaultMaxPayload
 	}
 	rows := (maxPayload - bandPayloadHeader) / (grid.NrCorrelations * cellBytes * gridSize)
 	if rows < 1 {
@@ -139,15 +123,15 @@ func BandRowsPerFrame(gridSize, maxPayload int) int {
 }
 
 // EncodeBand builds a FrameBand for rows [lo, hi) of g.
-func EncodeBand(g *grid.Grid, lo, hi int) (server.Frame, error) {
+func EncodeBand(g *grid.Grid, lo, hi int) (frame.Frame, error) {
 	return encodeBandInto(nil, g, lo, hi)
 }
 
 // encodeBandInto is EncodeBand into buf's storage (replaced when too
 // small); the frame aliases it until it has been written out.
-func encodeBandInto(buf []byte, g *grid.Grid, lo, hi int) (server.Frame, error) {
+func encodeBandInto(buf []byte, g *grid.Grid, lo, hi int) (frame.Frame, error) {
 	if lo < 0 || hi > g.N || lo >= hi {
-		return server.Frame{}, fmt.Errorf("distrib: band rows [%d, %d) outside %d-row grid", lo, hi, g.N)
+		return frame.Frame{}, fmt.Errorf("distrib: band rows [%d, %d) outside %d-row grid", lo, hi, g.N)
 	}
 	plane := (hi - lo) * g.N * cellBytes
 	if n := bandPayloadHeader + grid.NrCorrelations*plane; cap(buf) < n {
@@ -161,14 +145,14 @@ func encodeBandInto(buf []byte, g *grid.Grid, lo, hi int) (server.Frame, error) 
 	for c := range g.Data {
 		grid.EncodeCells(buf[bandPayloadHeader+c*plane:], g.Data[c][lo*g.N:hi*g.N])
 	}
-	return server.Frame{Type: FrameBand, Payload: buf}, nil
+	return frame.Frame{Type: FrameBand, Payload: buf}, nil
 }
 
 // DecodeBandInto restores a FrameBand's rows into dst (overwriting,
 // not accumulating: bands of one stream are disjoint) and returns the
 // row range it covered. The embedded grid size and row range are
 // cross-checked against dst and the payload length before any write.
-func DecodeBandInto(dst *grid.Grid, f server.Frame) (lo, hi int, err error) {
+func DecodeBandInto(dst *grid.Grid, f frame.Frame) (lo, hi int, err error) {
 	if f.Type != FrameBand || len(f.Payload) < bandPayloadHeader {
 		return 0, 0, fmt.Errorf("distrib: decoding frame type %d (%d bytes) as FrameBand", f.Type, len(f.Payload))
 	}
@@ -208,7 +192,7 @@ type Result struct {
 }
 
 // EncodeResult builds the closing frame of a reduction stream.
-func EncodeResult(r Result) server.Frame {
+func EncodeResult(r Result) frame.Frame {
 	p := make([]byte, resultPayloadBytes)
 	binary.LittleEndian.PutUint32(p[0:], uint32(r.Worker))
 	binary.LittleEndian.PutUint32(p[4:], uint32(r.Fingerprint.GridSize))
@@ -216,11 +200,11 @@ func EncodeResult(r Result) server.Frame {
 	binary.LittleEndian.PutUint64(p[16:], math.Float64bits(r.Fingerprint.SumAbs))
 	binary.LittleEndian.PutUint64(p[24:], math.Float64bits(r.Fingerprint.PeakAbs))
 	copy(p[32:], r.Fingerprint.SHA256[:])
-	return server.Frame{Type: FrameResult, Payload: p}
+	return frame.Frame{Type: FrameResult, Payload: p}
 }
 
 // DecodeResult decodes a FrameResult payload.
-func DecodeResult(f server.Frame) (Result, error) {
+func DecodeResult(f frame.Frame) (Result, error) {
 	if f.Type != FrameResult || len(f.Payload) != resultPayloadBytes {
 		return Result{}, fmt.Errorf("distrib: decoding frame type %d (%d bytes) as FrameResult", f.Type, len(f.Payload))
 	}

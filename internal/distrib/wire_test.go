@@ -6,15 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/grid"
-	"repro/internal/server"
 )
 
 // frameBytes encodes one frame to raw wire bytes.
-func frameBytes(t testing.TB, f server.Frame) []byte {
+func frameBytes(t testing.TB, f frame.Frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := server.WriteFrame(&buf, f); err != nil {
+	if err := frame.Write(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,7 +40,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	for i := range h.PlanSum {
 		h.PlanSum[i] = byte(i * 7)
 	}
-	f, err := ReadReduceFrame(bytes.NewReader(frameBytes(t, EncodeHello(h))), 0)
+	f, err := frame.Read(bytes.NewReader(frameBytes(t, EncodeHello(h))), 0, reduceRules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestHelloRoundTrip(t *testing.T) {
 // TestResultRoundTrip round-trips the closing fingerprint frame.
 func TestResultRoundTrip(t *testing.T) {
 	r := Result{Worker: 5, Fingerprint: FingerprintOf(testGrid(16))}
-	f, err := ReadReduceFrame(bytes.NewReader(frameBytes(t, EncodeResult(r))), 0)
+	f, err := frame.Read(bytes.NewReader(frameBytes(t, EncodeResult(r))), 0, reduceRules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBandRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := ReadReduceFrame(bytes.NewReader(frameBytes(t, ef)), 0)
+		f, err := frame.Read(bytes.NewReader(frameBytes(t, ef)), 0, reduceRules, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestBandRejects(t *testing.T) {
 	// A band whose payload length disagrees with its row range must be
 	// rejected by the decoder even though the frame layer accepted it
 	// (the length is a valid k*cellBytes, just not this range's k).
-	bad := server.Frame{Type: FrameBand, Payload: f.Payload[:len(f.Payload)-16]}
+	bad := frame.Frame{Type: FrameBand, Payload: f.Payload[:len(f.Payload)-16]}
 	if _, _, err := DecodeBandInto(grid.NewGrid(8), bad); err == nil {
 		t.Error("DecodeBandInto accepted a short payload")
 	}
@@ -141,13 +141,13 @@ func TestReduceFrameSizeChecks(t *testing.T) {
 		{"band not whole cells", func(b []byte) { b[5] = FrameBand; b[6] = 13 }, "FrameBand payload"},
 		{"result wrong length", func(b []byte) { b[5] = FrameResult; b[6] = 1 }, "FrameResult payload"},
 		{"unknown type", func(b []byte) { b[5] = 99 }, "unknown frame type"},
-		{"session type on reduce stream", func(b []byte) { b[5] = server.FrameVis; b[6] = 44 }, "unknown frame type"},
+		{"session type on reduce stream", func(b []byte) { b[5] = 1; b[6] = 44 }, "unknown frame type"}, // server.FrameVis
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			b := frameBytes(t, EncodeHello(Hello{Workers: 1}))
 			c.mutate(b)
-			_, err := ReadReduceFrame(bytes.NewReader(b[:10]), 0)
+			_, err := frame.Read(bytes.NewReader(b[:10]), 0, reduceRules, nil)
 			if err == nil || !strings.Contains(err.Error(), c.errPart) {
 				t.Fatalf("got %v, want error containing %q (from the header alone)", err, c.errPart)
 			}
@@ -160,7 +160,7 @@ func TestReduceFrameSizeChecks(t *testing.T) {
 	b := frameBytes(t, EncodeHello(Hello{Workers: 1}))[:10]
 	b[5] = FrameBand
 	b[6], b[7], b[8], b[9] = 0x0c, 0x00, 0x00, 0xff // 0xff00000c = header + k*16
-	if _, err := ReadReduceFrame(bytes.NewReader(b), 1<<20); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := frame.Read(bytes.NewReader(b), 1<<20, reduceRules, nil); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("4 GiB declared band length not stopped by the cap: %v", err)
 	}
 }
@@ -202,15 +202,15 @@ func FuzzReadReduceFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The stream is read twice in step: by ReadReduceFrame, and into
-		// one reused buffer as the coordinator reads it. Both must see
+		// The stream is read twice in step: into a fresh payload, and
+		// into one reused buffer as the coordinator reads it. Both must see
 		// the same frames and fail at the same one.
 		r, again := bytes.NewReader(data), bytes.NewReader(data)
 		dst := grid.NewGrid(8)
 		buf := make([]byte, 0, 16)
 		for {
-			fr, err := ReadReduceFrame(r, 1<<16)
-			into, errInto := ReadReduceFrameInto(again, 1<<16, buf)
+			fr, err := frame.Read(r, 1<<16, reduceRules, nil)
+			into, errInto := frame.Read(again, 1<<16, reduceRules, buf)
 			if (err == nil) != (errInto == nil) || fr.Type != into.Type || !bytes.Equal(fr.Payload, into.Payload) {
 				t.Fatalf("reused buffer read frame %d (%v), fresh read frame %d (%v)", into.Type, errInto, fr.Type, err)
 			}

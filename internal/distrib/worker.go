@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net"
 
+	"repro/internal/frame"
 	"repro/internal/grid"
-	"repro/internal/server"
 )
 
 // WorkerSpec identifies one worker attempt: which partition of how
@@ -74,7 +74,7 @@ func NonzeroRowSpan(g *grid.Grid) (lo, hi int) {
 // Hello, the nonzero row span chunked into FrameBands under the
 // payload cap, and a closing FrameResult carrying the fingerprint of
 // the whole partial grid — hashed on its own goroutine while the bands
-// are encoded and written. maxPayload <= 0 selects the server default.
+// are encoded and written. maxPayload <= 0 selects frame.DefaultMaxPayload.
 func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
@@ -93,7 +93,7 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 	if err != nil {
 		return err
 	}
-	if err := server.WriteFrame(bw, EncodeResult(res)); err != nil {
+	if err := frame.Write(bw, EncodeResult(res)); err != nil {
 		return fmt.Errorf("distrib: worker %d sending result: %w", spec.Index, err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -106,7 +106,7 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 // span, every band through one reused payload buffer.
 func sendBands(bw *bufio.Writer, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	hello := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
-	if err := server.WriteFrame(bw, EncodeHello(hello)); err != nil {
+	if err := frame.Write(bw, EncodeHello(hello)); err != nil {
 		return fmt.Errorf("distrib: worker %d sending hello: %w", spec.Index, err)
 	}
 	lo, hi := NonzeroRowSpan(g)
@@ -117,7 +117,7 @@ func sendBands(bw *bufio.Writer, spec WorkerSpec, planSum [32]byte, g *grid.Grid
 		if err != nil {
 			return err
 		}
-		if err := server.WriteFrame(bw, f); err != nil {
+		if err := frame.Write(bw, f); err != nil {
 			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", spec.Index, y, min(y+step, hi), err)
 		}
 		payload = f.Payload

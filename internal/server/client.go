@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/frame"
 )
 
 // Client drives the server's HTTP API. It is the programmatic face of
@@ -102,7 +104,7 @@ func (fw *FrameWriter) WriteVis(baseline, sampleOffset int, samples []float32) e
 	if err != nil {
 		return err
 	}
-	return WriteFrame(fw.w, f)
+	return frame.Write(fw.w, f)
 }
 
 // StreamVis opens one chunk-stream request and calls write to emit
@@ -113,7 +115,7 @@ func (c *Client) StreamVis(sessionID string, write func(w *FrameWriter) error) e
 	go func() {
 		err := write(&FrameWriter{w: pw})
 		if err == nil {
-			err = WriteFrame(pw, Frame{Type: FrameDone})
+			err = frame.Write(pw, frame.Frame{Type: FrameDone})
 		}
 		pw.CloseWithError(err)
 	}()

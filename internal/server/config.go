@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -40,7 +41,7 @@ type Config struct {
 	// (<= 0: 30 seconds).
 	DrainTimeout time.Duration
 	// MaxFrameBytes caps one wire frame's payload
-	// (<= 0: DefaultMaxFramePayload).
+	// (<= 0: frame.DefaultMaxPayload).
 	MaxFrameBytes int
 	// CheckpointRoot, when non-empty, lets sessions opt into durable
 	// checkpoints: each checkpointing session gets its own directory
@@ -168,7 +169,7 @@ func (c *Config) drainTimeout() time.Duration {
 
 func (c *Config) maxFrameBytes() int {
 	if c.MaxFrameBytes <= 0 {
-		return DefaultMaxFramePayload
+		return frame.DefaultMaxPayload
 	}
 	return c.MaxFrameBytes
 }

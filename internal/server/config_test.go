@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // TestConfigValidate pins the typed-validation contract: every bad
@@ -105,7 +107,7 @@ func TestConfigResolvedDefaults(t *testing.T) {
 	if got := c.drainTimeout(); got != 30*time.Second {
 		t.Errorf("default drain timeout %v", got)
 	}
-	if got := c.maxFrameBytes(); got != DefaultMaxFramePayload {
+	if got := c.maxFrameBytes(); got != frame.DefaultMaxPayload {
 		t.Errorf("default frame cap %d", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -366,7 +367,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var frames, samples int64
 	counted := &countingReader{r: r.Body}
 	for {
-		f, err := ReadFrame(counted, s.cfg.maxFrameBytes())
+		f, err := frame.Read(counted, s.cfg.maxFrameBytes(), sessionRules, nil)
 		if err == io.EOF {
 			break
 		}
@@ -377,7 +378,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if f.Type == FrameDone {
 			break
 		}
-		c, err := f.DecodeVis()
+		c, err := DecodeVis(f)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "frame %d: %v", frames, err)
 			return

@@ -17,6 +17,7 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
+	"repro/internal/faulttol"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -66,8 +67,8 @@ func TestSoakMultiTenant(t *testing.T) {
 		// server. Selection is deterministic in the work item and seed,
 		// so the degraded count is stable run to run.
 		Fault: repro.FaultConfig{
-			Policy: repro.SkipAndFlag,
-			Hook:   faultinject.PanicHook(repro.FaultSelector{Fraction: 0.15, Seed: 7}),
+			Policy: faulttol.SkipAndFlag,
+			Hook:   faultinject.PanicHook(faultinject.Selector{Fraction: 0.15, Seed: 7}),
 		},
 	}
 	cfg := server.Config{
@@ -217,8 +218,8 @@ func TestSoakMultiTenant(t *testing.T) {
 func TestSoakFailFastPanic(t *testing.T) {
 	back := &repro.ServerBackend{
 		Fault: repro.FaultConfig{
-			Policy: repro.FailFast,
-			Hook:   faultinject.PanicHook(repro.FaultSelector{Fraction: 1}),
+			Policy: faulttol.FailFast,
+			Hook:   faultinject.PanicHook(faultinject.Selector{Fraction: 1}),
 		},
 	}
 	s, err := server.New(server.Config{}, back)

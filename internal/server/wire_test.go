@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // TestFrameRoundTrip: frames survive encode -> decode bit-exactly,
@@ -20,18 +22,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+	if err := frame.Write(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, Frame{Type: FrameDone}); err != nil {
+	if err := frame.Write(&buf, frame.Frame{Type: FrameDone}); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := ReadFrame(&buf, 0)
+	got, err := frame.Read(&buf, 0, sessionRules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := got.DecodeVis()
+	c, err := DecodeVis(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +45,11 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("sample %d: %g != %g", i, c.Samples[i], samples[i])
 		}
 	}
-	done, err := ReadFrame(&buf, 0)
+	done, err := frame.Read(&buf, 0, sessionRules, nil)
 	if err != nil || done.Type != FrameDone {
 		t.Fatalf("second frame: type %d, err %v", done.Type, err)
 	}
-	if _, err := ReadFrame(&buf, 0); err != io.EOF {
+	if _, err := frame.Read(&buf, 0, sessionRules, nil); err != io.EOF {
 		t.Fatalf("stream end: %v, want io.EOF", err)
 	}
 }
@@ -59,7 +61,7 @@ func TestReadFrameRejections(t *testing.T) {
 	valid := func() []byte {
 		f, _ := EncodeVis(0, 0, make([]float32, 8))
 		var buf bytes.Buffer
-		WriteFrame(&buf, f)
+		frame.Write(&buf, f)
 		return buf.Bytes()
 	}()
 
@@ -72,7 +74,7 @@ func TestReadFrameRejections(t *testing.T) {
 		{"bad version", append(append([]byte("IDGF"), 9), valid[5:]...), "unsupported frame version"},
 		{"unknown type", append(append([]byte(nil), valid[:5]...), append([]byte{99}, valid[6:]...)...), "unknown frame type"},
 		{"truncated header", valid[:6], "reading frame header"},
-		{"truncated payload", valid[:frameHeaderSize+10], "reading 44-byte frame payload"},
+		{"truncated payload", valid[:frame.HeaderSize+10], "reading 44-byte frame payload"},
 		{"truncated checksum", valid[:len(valid)-4], "reading frame checksum"},
 		{"ragged vis length", func() []byte {
 			d := append([]byte(nil), valid...)
@@ -81,15 +83,13 @@ func TestReadFrameRejections(t *testing.T) {
 		}(), "not 12 + k*32"},
 		{"done with payload", func() []byte {
 			var buf bytes.Buffer
-			// Hand-build a FrameDone with a length: WriteFrame would not.
-			hdr := append([]byte("IDGF"), frameVersion, FrameDone, 4, 0, 0, 0)
-			buf.Write(hdr)
-			buf.Write([]byte{1, 2, 3, 4})
+			// The writer does not check rules; the reader must.
+			frame.Write(&buf, frame.Frame{Type: FrameDone, Payload: []byte{1, 2, 3, 4}})
 			return buf.Bytes()
 		}(), "FrameDone with 4 payload bytes"},
 		{"flipped payload bit", func() []byte {
 			d := append([]byte(nil), valid...)
-			d[frameHeaderSize] ^= 0x80
+			d[frame.HeaderSize] ^= 0x80
 			return d
 		}(), "checksum mismatch"},
 		{"flipped checksum bit", func() []byte {
@@ -100,7 +100,7 @@ func TestReadFrameRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadFrame(bytes.NewReader(tc.data), 0)
+			_, err := frame.Read(bytes.NewReader(tc.data), 0, sessionRules, nil)
 			if err == nil {
 				t.Fatal("corrupt frame accepted")
 			}
@@ -117,9 +117,11 @@ func TestReadFrameRejections(t *testing.T) {
 // truncated body proves it: a reader that allocated-and-read would
 // fail with an unexpected EOF instead of the cap error.
 func TestReadFrameCapBeforeAllocation(t *testing.T) {
-	hdr := append([]byte("IDGF"), frameVersion, FrameVis, 0, 0, 0, 0)
+	var buf bytes.Buffer
+	frame.Write(&buf, frame.Frame{Type: FrameVis})
+	hdr := buf.Bytes()[:frame.HeaderSize]
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(visPayloadHeader+1000*VisSampleBytes))
-	_, err := ReadFrame(bytes.NewReader(hdr), MinFramePayloadCap)
+	_, err := frame.Read(bytes.NewReader(hdr), MinFramePayloadCap, sessionRules, nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized frame: %v, want a cap rejection", err)
 	}
@@ -147,17 +149,17 @@ func TestEncodeVisRejections(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	// Seed with genuine frames plus systematic mutations, so the
 	// fuzzer starts from deep coverage of the happy path.
-	seed := func(fr Frame) []byte {
+	seed := func(fr frame.Frame) []byte {
 		var buf bytes.Buffer
-		WriteFrame(&buf, fr)
+		frame.Write(&buf, fr)
 		return buf.Bytes()
 	}
 	vis, _ := EncodeVis(2, 4, []float32{1, 2, 3, 4, 5, 6, 7, 8})
 	valid := seed(vis)
 	f.Add(valid)
-	f.Add(seed(Frame{Type: FrameDone}))
+	f.Add(seed(frame.Frame{Type: FrameDone}))
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:frameHeaderSize])
+	f.Add(valid[:frame.HeaderSize])
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut)
@@ -168,13 +170,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := ReadFrame(bytes.NewReader(data), DefaultMaxFramePayload)
+		fr, err := frame.Read(bytes.NewReader(data), frame.DefaultMaxPayload, sessionRules, nil)
 		if err != nil {
 			return
 		}
 		switch fr.Type {
 		case FrameVis:
-			c, err := fr.DecodeVis()
+			c, err := DecodeVis(fr)
 			if err != nil {
 				return
 			}

@@ -9,9 +9,14 @@
 // (Table I and Figures 8-16). See DESIGN.md for the system inventory
 // and EXPERIMENTS.md for the paper-vs-measured record.
 //
-// The package itself is a facade: it re-exports the main API from the
-// internal packages and provides the Observation builder that wires a
-// full synthetic observation together.
+// The package is the facade the binaries, examples and benchmark
+// build on: the Observation builder that wires a full synthetic
+// observation together, its gridding, degridding and imaging-cycle
+// passes, and the adapters that serve them over HTTP (server.go) and
+// spread them over worker processes (distrib.go). It exports only what
+// those callers spell, the types of those names' parameters, results
+// and fields, and the error sentinels its calls return; everything
+// else is reached through the internal packages.
 package repro
 
 import (
@@ -23,18 +28,23 @@ import (
 	"sync/atomic"
 
 	"repro/internal/aterm"
+	"repro/internal/checkpoint"
+	"repro/internal/clean"
 	"repro/internal/core"
 	"repro/internal/faulttol"
+	"repro/internal/flagging"
 	"repro/internal/grid"
 	"repro/internal/layout"
+	"repro/internal/noise"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sky"
 	"repro/internal/uvwsim"
+	"repro/internal/weight"
 	"repro/internal/xmath"
 )
 
-// Re-exported core types; see the internal packages for full
-// documentation.
+// Re-exported types; see the internal packages for full documentation.
 type (
 	// Params configures the IDG kernels (grid and subgrid geometry,
 	// frequencies, taper, sincos evaluator, worker count).
@@ -48,12 +58,8 @@ type (
 	StageTimes = core.StageTimes
 	// Grid is the uv-grid (4 correlation planes).
 	Grid = grid.Grid
-	// Subgrid is one N~ x N~ tile.
-	Subgrid = grid.Subgrid
 	// Plan is the execution plan (work items).
 	Plan = plan.Plan
-	// PlanConfig configures the execution planner.
-	PlanConfig = plan.Config
 	// WorkItem is one subgrid plus its visibility block.
 	WorkItem = plan.WorkItem
 	// Baseline is an ordered station pair.
@@ -68,29 +74,74 @@ type (
 	SkyModel = sky.Model
 	// ATermProvider evaluates direction-dependent station responses.
 	ATermProvider = aterm.Provider
+	// ATermScheduler maps time steps to A-term slots.
+	ATermScheduler = aterm.Scheduler
 	// Station is a station position in local ENU meters.
 	Station = layout.Station
 	// Precision selects the kernel compute precision (Params.Precision).
 	Precision = core.Precision
+	// Observer bundles a metrics registry and a stage tracer; nil
+	// disables observation at zero cost.
+	Observer = obs.Observer
+	// FaultConfig selects the per-work-item failure policy of a pass
+	// (fail fast, retry, skip-and-flag).
+	FaultConfig = faulttol.Config
+	// FaultPolicy enumerates the failure dispositions.
+	FaultPolicy = faulttol.Policy
+	// FaultReport is the degradation report of a fault-tolerant run:
+	// items processed/retried/skipped and visibilities dropped.
+	FaultReport = faulttol.Report
+	// FlaggingConfig selects the corrupt-sample detectors.
+	FlaggingConfig = flagging.Config
+	// FlaggingStats reports one flagging pass.
+	FlaggingStats = flagging.Stats
+	// WeightScheme selects the imaging density weighting.
+	WeightScheme = weight.Scheme
+	// ImagingWeights is a computed weighting function.
+	ImagingWeights = weight.Weights
+	// CleanParams configures the Högbom CLEAN minor cycles.
+	CleanParams = clean.Params
+	// CycleConfig configures Observation.ImagingCycle.
+	CycleConfig = core.CycleConfig
+	// CycleResult reports one Observation.ImagingCycle run.
+	CycleResult = core.CycleResult
 )
 
-// Kernel compute precisions. Float64 is the default; Float32 halves
-// the arithmetic width and memory traffic of the hot loops at the cost
-// of the error bound documented in DESIGN.md (phase arguments stay
-// float64 in both modes).
+// Float32 selects the float32 kernels (the zero Precision is float64):
+// half the arithmetic width and memory traffic of the hot loops at the
+// cost of the error bound documented in DESIGN.md (phase arguments
+// stay float64 in both modes).
+const Float32 = core.Float32
+
+// Imaging weighting schemes.
 const (
-	Float64 = core.Float64
-	Float32 = core.Float32
+	NaturalWeighting = weight.Natural
+	UniformWeighting = weight.Uniform
+	RobustWeighting  = weight.Robust
+)
+
+// Sentinel errors of the passes; match with errors.Is.
+var (
+	// ErrBadInput marks deterministic input problems.
+	ErrBadInput = faulttol.ErrBadInput
+	// ErrKernelPanic marks a recovered kernel crash.
+	ErrKernelPanic = faulttol.ErrKernelPanic
+	// ErrCanceled marks a run aborted by its context.
+	ErrCanceled = faulttol.ErrCanceled
+	// ErrCheckpointMismatch marks a valid snapshot that belongs to a
+	// different observation (plan, grid size or chunking differ).
+	ErrCheckpointMismatch = checkpoint.ErrMismatch
 )
 
 // NewKernels precomputes the IDG kernel state for the parameters.
 func NewKernels(p Params) (*Kernels, error) { return core.NewKernels(p) }
 
-// NewGrid allocates a zeroed n x n grid.
-func NewGrid(n int) *Grid { return grid.NewGrid(n) }
-
-// NewPlan builds an execution plan from per-baseline uvw tracks.
-func NewPlan(cfg PlanConfig, tracks [][]UVW) (*Plan, error) { return plan.New(cfg, tracks) }
+// NewVisibilitySet allocates zeroed visibilities over the baselines
+// and uvw tracks. Mismatched dimensions return an error wrapping
+// ErrBadInput.
+func NewVisibilitySet(baselines []Baseline, uvw [][]UVW, nrChannels int) (*VisibilitySet, error) {
+	return core.NewVisibilitySet(baselines, uvw, nrChannels)
+}
 
 // GridToImage converts a uv grid into a sky image (centered inverse
 // FFT per correlation).
@@ -98,6 +149,38 @@ func GridToImage(g *Grid, workers int) *Grid { return core.GridToImage(g, worker
 
 // ImageToGrid converts a sky image into a uv grid.
 func ImageToGrid(img *Grid, workers int) *Grid { return core.ImageToGrid(img, workers) }
+
+// StokesI extracts the Stokes I plane of an image.
+func StokesI(img *Grid) []float64 { return sky.StokesI(img) }
+
+// PixelToLM converts image pixel indices to direction cosines.
+func PixelToLM(x, y, n int, imageSize float64) (l, m float64) {
+	return sky.PixelToLM(x, y, n, imageSize)
+}
+
+// LMToPixel converts direction cosines to the nearest image pixel.
+func LMToPixel(l, m float64, n int, imageSize float64) (x, y int) {
+	return sky.LMToPixel(l, m, n, imageSize)
+}
+
+// ImageRMS estimates the noise rms of a Stokes I image, excluding a
+// box of half-width exclude around pixel (cx, cy).
+func ImageRMS(img []float64, n, cx, cy, exclude int) float64 {
+	return noise.ImageRMS(img, n, cx, cy, exclude)
+}
+
+// GaussianBeamATerms returns a station power-beam provider with the
+// given beam sigma (direction cosines) and per-slot pointing wobble.
+func GaussianBeamATerms(sigma, wobble float64) ATermProvider {
+	return aterm.GaussianBeam{Sigma: sigma, Wobble: wobble}
+}
+
+// ParseFaultPolicy converts "fail-fast", "retry" or "skip-and-flag".
+func ParseFaultPolicy(s string) (FaultPolicy, error) { return faulttol.ParsePolicy(s) }
+
+// NewObserver returns an observer with a fresh registry and a tracer
+// bounded to maxSpans spans (<= 0 selects obs.DefaultMaxSpans).
+func NewObserver(maxSpans int) *Observer { return obs.New(maxSpans) }
 
 // ObservationConfig describes a synthetic SKA1-low-like observation.
 // The zero value is not valid; start from DefaultObservation or
@@ -202,6 +285,10 @@ func PaperObservation() ObservationConfig {
 	}
 }
 
+// errNoVisibilities rejects a pass over an observation built with
+// BuildPlan whose visibilities were never allocated.
+var errNoVisibilities = errors.New("repro: visibilities not allocated")
+
 // ErrInvalidConfig marks every ObservationConfig validation failure;
 // match it with errors.Is. The concrete error is a *ConfigError
 // naming the offending field.
@@ -226,8 +313,8 @@ func (e *ConfigError) Error() string {
 // Unwrap makes every ConfigError match ErrInvalidConfig.
 func (e *ConfigError) Unwrap() error { return ErrInvalidConfig }
 
-// Validate checks the configuration.
-func (c *ObservationConfig) Validate() error {
+// validate checks the configuration; Build and BuildPlan run it first.
+func (c *ObservationConfig) validate() error {
 	switch {
 	case c.NrStations < 2:
 		return &ConfigError{Field: "NrStations", Reason: fmt.Sprintf("need >= 2 stations, got %d", c.NrStations)}
@@ -294,7 +381,7 @@ var geometryBuilds atomic.Int64
 // from: the station layout, the uvw simulator and the image size that
 // puts the longest baseline GridMargin pixels inside the grid's edge.
 func (c ObservationConfig) fieldOfView() (stations []Station, sim *uvwsim.Simulator, imageSize float64, err error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, nil, 0, err
 	}
 	lcfg := layout.SKA1LowConfig()
@@ -313,6 +400,35 @@ func (c ObservationConfig) fieldOfView() (stations []Station, sim *uvwsim.Simula
 	return stations, sim, float64(c.GridSize/2-c.GridMargin) / maxUV, nil
 }
 
+// StandardSkyModel is the deterministic point-source model the
+// repository's data generators share: up to four sources at fixed
+// pixel offsets, scaled to the field of view of the observation c
+// builds. It follows from c alone — the layout and the uvw extent, no
+// plan — so every process that holds the same config and source count
+// predicts the same visibility bits: that is what lets distributed
+// workers fill their data independently yet grid a partition of one
+// observation.
+func (c ObservationConfig) StandardSkyModel(sources int) (SkyModel, error) {
+	_, _, imageSize, err := c.fieldOfView()
+	if err != nil {
+		return nil, err
+	}
+	return standardSkyModel(imageSize/float64(c.GridSize), sources), nil
+}
+
+// standardSkyModel places the standard sources on a grid of pixel
+// scale pix (direction cosine per pixel).
+func standardSkyModel(pix float64, sources int) SkyModel {
+	offsets := [][3]float64{{40, -24, 1.0}, {-72, 52, 0.6}, {16, 88, 0.4}, {-30, -70, 0.3}}
+	model := make(SkyModel, 0, len(offsets))
+	for i := 0; i < sources && i < len(offsets); i++ {
+		model = append(model, PointSource{
+			L: offsets[i][0] * pix, M: offsets[i][1] * pix, I: offsets[i][2],
+		})
+	}
+	return model
+}
+
 // buildGeometry validates c and builds its geometry; the plan does not
 // depend on the planner's thread count (0: GOMAXPROCS).
 func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
@@ -321,7 +437,7 @@ func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
 		return nil, err
 	}
 	geometryBuilds.Add(1)
-	pcfg := PlanConfig{
+	pcfg := plan.Config{
 		GridSize:               c.GridSize,
 		SubgridSize:            c.SubgridSize,
 		ImageSize:              imageSize,
@@ -512,7 +628,7 @@ func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft Fault
 		return nil, StageTimes{}, nil, &ConfigError{Field: "CheckpointDir", Reason: "ResumeStreamed needs a checkpoint directory"}
 	}
 	if o.Vis == nil {
-		return nil, StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
+		return nil, StageTimes{}, nil, errNoVisibilities
 	}
 	rep := faulttol.NewReport(ft)
 	var g *Grid
@@ -533,18 +649,85 @@ func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft Fault
 	return g, times, rep, err
 }
 
+// checkSnapshot verifies that a snapshot belongs to this observation:
+// same grid size, same plan content, same chunk size (the cursor is
+// meaningless under different chunking). Visibilities are not
+// fingerprinted — the caller must refill the same data, which the
+// deterministic simulator and sky model guarantee here and an
+// ingest-once visibility store guarantees in production.
+func (o *Observation) checkSnapshot(sn *checkpoint.Snapshot) error {
+	chunkItems := o.Kernels.StreamChunkItems(len(o.Plan.Items))
+	switch {
+	case sn.GridSize != o.Config.GridSize:
+		return fmt.Errorf("%w: snapshot grid is %d pixels, this observation grids %d",
+			ErrCheckpointMismatch, sn.GridSize, o.Config.GridSize)
+	case sn.ChunkItems != chunkItems:
+		return fmt.Errorf("%w: snapshot cursor counts %d-item chunks, this run streams %d-item chunks",
+			ErrCheckpointMismatch, sn.ChunkItems, chunkItems)
+	case sn.PlanSum != checkpoint.PlanFingerprint(o.Plan):
+		return fmt.Errorf("%w: snapshot plan fingerprint differs (different observation, layout or plan config)",
+			ErrCheckpointMismatch)
+	}
+	return nil
+}
+
+// latestSnapshot loads the newest valid checkpoint of this observation
+// for a resumed pass and restores its fault counters into rep.
+// Unusable newest checkpoints fall back to their predecessors; nil
+// means the directory holds no usable checkpoint and the pass restarts
+// clean. Either fallback is recorded as a note in rep.
+func (o *Observation) latestSnapshot(rep *FaultReport) (*checkpoint.Snapshot, error) {
+	sn, path, notes, err := checkpoint.LoadLatest(o.Config.CheckpointDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range notes {
+		rep.AddNote(n)
+	}
+	if sn == nil {
+		rep.AddNote("checkpoint: no usable snapshot found; clean restart from chunk 0")
+		return nil, nil
+	}
+	if err := o.checkSnapshot(sn); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	rep.RestoreState(sn.Report)
+	return sn, nil
+}
+
+// ResumeStreamed continues an interrupted gridding pass from the
+// newest valid checkpoint in ObservationConfig.CheckpointDir: the
+// snapshot's grid and fault counters are restored and only the chunks
+// past its cursor are gridded (writing further checkpoints at the
+// same cursors the uninterrupted run would have used). Unusable
+// newest checkpoints fall back to their predecessors; a directory
+// with no usable checkpoint degrades to a clean full run. Either way
+// the fallback is recorded as a note in the returned report, and with
+// Workers <= 1 the resumed grid is bit-identical to an uninterrupted
+// pass.
+//
+// The observation must be built with the same configuration and data
+// as the interrupted run: a snapshot from a different plan, grid size
+// or chunk size fails with ErrCheckpointMismatch (Workers may differ —
+// the chunking of a checkpointed pass does not depend on it).
+// Cancellation behaves as in GridAllStreamed.
+func (o *Observation) ResumeStreamed(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
+	return o.gridPass(ctx, prov, ft, true)
+}
+
 // GridAll grids every visibility onto a fresh grid and returns it
 // with the stage times. The context cancels or deadline-bounds the
-// run; item failures fail fast — see GridAllFT for other policies.
+// run; item failures fail fast — see GridAllStreamed for other
+// policies.
 func (o *Observation) GridAll(ctx context.Context, prov ATermProvider) (*Grid, StageTimes, error) {
 	g, times, _, err := o.gridPass(ctx, prov, FaultConfig{}, false)
 	return g, times, err
 }
 
-// GridAllFT is GridAll under an explicit fault-tolerance policy; it
-// additionally returns the degradation report. See gridPass for what a
-// canceled pass leaves in the returned grid.
-func (o *Observation) GridAllFT(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
+// GridAllStreamed is GridAll under an explicit fault-tolerance policy;
+// it additionally returns the degradation report. See gridPass for
+// what a canceled pass leaves in the returned grid.
+func (o *Observation) GridAllStreamed(ctx context.Context, prov ATermProvider, ft FaultConfig) (*Grid, StageTimes, *FaultReport, error) {
 	return o.gridPass(ctx, prov, ft, false)
 }
 
@@ -552,17 +735,18 @@ func (o *Observation) GridAllFT(ctx context.Context, prov ATermProvider, ft Faul
 // the observation's visibility data, and returns the stage times.
 func (o *Observation) DegridAll(ctx context.Context, prov ATermProvider, g *Grid) (StageTimes, error) {
 	if o.Vis == nil {
-		return StageTimes{}, fmt.Errorf("repro: visibilities not allocated")
+		return StageTimes{}, errNoVisibilities
 	}
 	return o.Kernels.DegridVisibilities(ctx, o.Plan, o.Vis, prov, g)
 }
 
-// DegridAllFT is DegridAll under an explicit fault-tolerance policy.
-func (o *Observation) DegridAllFT(ctx context.Context, prov ATermProvider, g *Grid, ft FaultConfig) (StageTimes, *FaultReport, error) {
-	if o.Vis == nil {
-		return StageTimes{}, nil, fmt.Errorf("repro: visibilities not allocated")
+// DegridWStacked predicts visibilities from a sky image through the
+// W-stacking pipeline.
+func (o *Observation) DegridWStacked(ctx context.Context, prov ATermProvider, img *Grid) (StageTimes, error) {
+	if err := o.AllocateVisibilities(); err != nil {
+		return StageTimes{}, err
 	}
-	return o.Kernels.DegridVisibilitiesFT(ctx, o.Plan, o.Vis, prov, g, ft)
+	return o.Kernels.DegridVisibilitiesWStacked(ctx, o.Plan, o.Vis, prov, img)
 }
 
 // DirtyImage grids the visibilities and converts the result into a
@@ -579,5 +763,83 @@ func (o *Observation) DirtyImage(ctx context.Context, prov ATermProvider) (*Grid
 	return img, nil
 }
 
-// StokesI extracts the Stokes I plane of an image.
-func StokesI(img *Grid) []float64 { return sky.StokesI(img) }
+// psf grids unit visibilities and returns the normalized Stokes I
+// point spread function, restoring the observation's visibilities
+// afterwards.
+func (o *Observation) psf(ctx context.Context) ([]float64, error) {
+	if err := o.AllocateVisibilities(); err != nil {
+		return nil, err
+	}
+	backup := make([][]Matrix2, len(o.Vis.Data))
+	for b := range o.Vis.Data {
+		backup[b] = append([]Matrix2(nil), o.Vis.Data[b]...)
+	}
+	defer func() {
+		for b := range o.Vis.Data {
+			copy(o.Vis.Data[b], backup[b])
+		}
+	}()
+	if err := o.FillFromModel(SkyModel{{L: 0, M: 0, I: 1}}); err != nil {
+		return nil, err
+	}
+	img, err := o.DirtyImage(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sky.StokesI(img), nil
+}
+
+// ImagingCycle runs the imaging cycle of Fig. 2 on the observation's
+// visibilities (core.RunImagingCycle over the observation's PSF): per
+// major cycle it grids and images the residual, CLEANs it down to
+// cfg.CycleDepth of its peak, degrids the new components and subtracts
+// them. The visibilities are consumed: on return they hold the final
+// residual.
+func (o *Observation) ImagingCycle(ctx context.Context, cfg CycleConfig) (*CycleResult, error) {
+	if o.Vis == nil {
+		return nil, errNoVisibilities
+	}
+	psf, err := o.psf(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return o.Kernels.RunImagingCycle(ctx, o.Plan, o.Vis, psf, cfg)
+}
+
+// ComputeWeights builds the weighting function for this observation.
+func (o *Observation) ComputeWeights(scheme WeightScheme, robust float64) (*ImagingWeights, error) {
+	if err := o.AllocateVisibilities(); err != nil {
+		return nil, err
+	}
+	return weight.Compute(weight.Config{
+		Scheme: scheme, Robust: robust,
+		GridSize: o.Config.GridSize, ImageSize: o.ImageSize,
+	}, o.Vis.UVW, o.Config.Frequencies())
+}
+
+// ApplyWeights multiplies the observation's visibilities in place and
+// returns the total applied weight (the normalization a weighted
+// dirty image must divide by).
+func (o *Observation) ApplyWeights(w *ImagingWeights) float64 {
+	return weight.Apply(o.Vis, w, o.Config.Frequencies())
+}
+
+// AddNoise adds zero-mean complex Gaussian noise with the given
+// per-component standard deviation to all visibilities.
+func (o *Observation) AddNoise(sigma float64, seed int64) error {
+	if err := o.AllocateVisibilities(); err != nil {
+		return err
+	}
+	return noise.AddGaussian(o.Vis, sigma, seed)
+}
+
+// FlagVisibilities runs the configured detectors (NaN/Inf, amplitude
+// clipping) over the observation's visibilities, marking bad samples
+// in the per-sample flag mask: flagged samples are zero-weight in both
+// gridding and degridding.
+func (o *Observation) FlagVisibilities(cfg FlaggingConfig) (FlaggingStats, error) {
+	if err := o.AllocateVisibilities(); err != nil {
+		return FlaggingStats{}, err
+	}
+	return flagging.Apply(o.Vis, cfg), nil
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/aterm"
+	"repro/internal/grid"
 	"repro/internal/sky"
 )
 
@@ -33,12 +34,12 @@ func TestObservationConfigValidation(t *testing.T) {
 		{NrStations: 4, NrTimesteps: 4, NrChannels: 1, StartFrequency: 1, GridSize: 64, GridMargin: 40},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Fatalf("config %d should fail", i)
 		}
 	}
 	good := DefaultObservation()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +129,11 @@ func TestStageTimesWithinWallTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.FillFromModel(StandardSkyModel(obs, 2)); err != nil {
+	model, err := cfg.StandardSkyModel(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.FillFromModel(model); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -141,7 +146,7 @@ func TestStageTimesWithinWallTime(t *testing.T) {
 			_, times, _, err := obs.GridAllStreamed(ctx, nil, FaultConfig{})
 			return times, err
 		},
-		"DegridAll": func() (StageTimes, error) { return obs.DegridAll(ctx, nil, NewGrid(cfg.GridSize)) },
+		"DegridAll": func() (StageTimes, error) { return obs.DegridAll(ctx, nil, grid.NewGrid(cfg.GridSize)) },
 	} {
 		start := time.Now()
 		times, err := pass()
@@ -166,7 +171,7 @@ func TestGridAllRequiresVisibilities(t *testing.T) {
 	if _, _, err := obs.GridAll(context.Background(), nil); err == nil {
 		t.Fatal("expected error without visibilities")
 	}
-	if _, err := obs.DegridAll(context.Background(), nil, NewGrid(obs.Config.GridSize)); err == nil {
+	if _, err := obs.DegridAll(context.Background(), nil, grid.NewGrid(obs.Config.GridSize)); err == nil {
 		t.Fatal("expected error without visibilities")
 	}
 }

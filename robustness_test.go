@@ -8,6 +8,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/faulttol"
+	"repro/internal/grid"
 )
 
 // TestFacadeSkipAndFlagSurvivesCorruption: through the public API,
@@ -23,10 +27,7 @@ func TestFacadeSkipAndFlagSurvivesCorruption(t *testing.T) {
 	if err := obs.FillFromModel(SkyModel{{L: 20 * pix, M: -12 * pix, I: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	corrupted, err := obs.CorruptVisibilities(0.01, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corrupted := faultinject.CorruptVisibilities(obs.Vis, 0.01, 77)
 	if len(corrupted) == 0 {
 		t.Fatal("nothing corrupted")
 	}
@@ -38,7 +39,7 @@ func TestFacadeSkipAndFlagSurvivesCorruption(t *testing.T) {
 		t.Fatalf("flagged %d non-finite samples, corrupted %d", stats.NonFinite, len(corrupted))
 	}
 
-	g, _, rep, err := obs.GridAllFT(context.Background(), nil, FaultConfig{Policy: SkipAndFlag})
+	g, _, rep, err := obs.GridAllStreamed(context.Background(), nil, FaultConfig{Policy: faulttol.SkipAndFlag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +64,17 @@ func TestFacadeUnflaggedCorruptionPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.CorruptVisibilities(0.01, 3); err != nil {
-		t.Fatal(err)
-	}
+	faultinject.CorruptVisibilities(obs.Vis, 0.01, 3)
 
-	if _, _, _, err := obs.GridAllFT(context.Background(), nil, FaultConfig{Policy: FailFast}); !errors.Is(err, ErrBadInput) {
+	if _, _, _, err := obs.GridAllStreamed(context.Background(), nil, FaultConfig{Policy: faulttol.FailFast}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("fail-fast over NaN data: got %v, want ErrBadInput", err)
 	}
-	var ie *WorkItemError
-	if _, _, _, err := obs.GridAllFT(context.Background(), nil, FaultConfig{Policy: FailFast}); !errors.As(err, &ie) {
-		t.Fatalf("failure not a WorkItemError: %v", err)
+	var ie *faulttol.ItemError
+	if _, _, _, err := obs.GridAllStreamed(context.Background(), nil, FaultConfig{Policy: faulttol.FailFast}); !errors.As(err, &ie) {
+		t.Fatalf("failure not a faulttol.ItemError: %v", err)
 	}
 
-	g, _, rep, err := obs.GridAllFT(context.Background(), nil, FaultConfig{Policy: SkipAndFlag})
+	g, _, rep, err := obs.GridAllStreamed(context.Background(), nil, FaultConfig{Policy: faulttol.SkipAndFlag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +103,13 @@ func TestFacadeCancellation(t *testing.T) {
 	if _, _, err := obs.GridAll(ctx, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("GridAll: %v", err)
 	}
-	if _, err := obs.DegridAll(ctx, nil, NewGrid(obs.Config.GridSize)); !errors.Is(err, ErrCanceled) {
+	if _, err := obs.DegridAll(ctx, nil, grid.NewGrid(obs.Config.GridSize)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("DegridAll: %v", err)
 	}
 	if _, err := obs.DirtyImage(ctx, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("DirtyImage: %v", err)
 	}
-	if _, err := obs.PSF(ctx); !errors.Is(err, ErrCanceled) {
+	if _, err := obs.psf(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("PSF: %v", err)
 	}
 	// The canceled error also matches the context sentinel.
@@ -143,12 +142,12 @@ func TestFacadeRetryBackoffAndBudget(t *testing.T) {
 		return item.Baseline == victim.Baseline && item.TimeStart == victim.TimeStart && item.Channel0 == victim.Channel0
 	}
 	passes := map[string]func(FaultConfig) (*FaultReport, error){
-		"GridAllFT": func(ft FaultConfig) (*FaultReport, error) {
-			_, _, rep, err := obs.GridAllFT(context.Background(), nil, ft)
+		"GridAllStreamed": func(ft FaultConfig) (*FaultReport, error) {
+			_, _, rep, err := obs.GridAllStreamed(context.Background(), nil, ft)
 			return rep, err
 		},
-		"DegridAllFT": func(ft FaultConfig) (*FaultReport, error) {
-			_, rep, err := obs.DegridAllFT(context.Background(), nil, g, ft)
+		"DegridVisibilitiesFT": func(ft FaultConfig) (*FaultReport, error) {
+			_, rep, err := obs.Kernels.DegridVisibilitiesFT(context.Background(), obs.Plan, obs.Vis, nil, g, ft)
 			return rep, err
 		},
 	}
@@ -158,7 +157,7 @@ func TestFacadeRetryBackoffAndBudget(t *testing.T) {
 			var mu sync.Mutex
 			var attempts []time.Time
 			rep, err := pass(FaultConfig{
-				Policy: RetryItems, MaxRetries: 2, RetryBackoff: backoff,
+				Policy: faulttol.Retry, MaxRetries: 2, RetryBackoff: backoff,
 				Hook: func(item WorkItem, attempt int) {
 					if !isVictim(item) {
 						return
@@ -186,7 +185,7 @@ func TestFacadeRetryBackoffAndBudget(t *testing.T) {
 		})
 		t.Run(name+"/budget", func(t *testing.T) {
 			ft := FaultConfig{
-				Policy: RetryItems, MaxRetries: 5,
+				Policy: faulttol.Retry, MaxRetries: 5,
 				RetryBackoff: 20 * time.Millisecond,
 				RetryBudget:  20 * time.Millisecond, // covers the first backoff only
 				Hook: func(item WorkItem, attempt int) {
@@ -196,9 +195,9 @@ func TestFacadeRetryBackoffAndBudget(t *testing.T) {
 				},
 			}
 			rep, err := pass(ft)
-			var ie *WorkItemError
+			var ie *faulttol.ItemError
 			if !errors.As(err, &ie) {
-				t.Fatalf("permanently failing item: got %v, want a WorkItemError", err)
+				t.Fatalf("permanently failing item: got %v, want a faulttol.ItemError", err)
 			}
 			if ie.Attempts < 2 || ie.Attempts >= 1+ft.MaxRetries {
 				t.Fatalf("item made %d attempts; the budget covers one retry, not all %d", ie.Attempts, ft.MaxRetries)
@@ -212,9 +211,9 @@ func TestFacadeRetryBackoffAndBudget(t *testing.T) {
 
 func TestParseFaultPolicyFacade(t *testing.T) {
 	for name, want := range map[string]FaultPolicy{
-		"fail-fast":     FailFast,
-		"retry":         RetryItems,
-		"skip-and-flag": SkipAndFlag,
+		"fail-fast":     faulttol.FailFast,
+		"retry":         faulttol.Retry,
+		"skip-and-flag": faulttol.SkipAndFlag,
 	} {
 		got, err := ParseFaultPolicy(name)
 		if err != nil || got != want {

@@ -9,6 +9,14 @@ set -eux
 
 go vet ./...
 go build ./...
+# Layering: the distributed reducer reads its frames through
+# internal/frame and must not pull in the HTTP server to do it.
+if go list -deps ./internal/distrib | grep -qx 'repro/internal/server'; then
+    echo "internal/distrib depends on internal/server" >&2
+    exit 1
+fi
+# The imaging-cycle example is the facade's Fig. 2 loop end to end.
+go run ./examples/imagingcycle
 # Cross-compile check: the SIMD dispatch layer must keep the pure-Go
 # fallbacks buildable on a register-poor non-amd64 target (the asm
 # kernels are amd64-only; arm64 exercises the !amd64 stub files).

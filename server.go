@@ -18,20 +18,11 @@ import (
 // session configs into Observations and its streamed bytes into
 // gridding passes.
 
-// Server re-exports, so operators embedding the service configure it
-// without importing internal packages.
 type (
 	// GridServer is the multi-tenant streaming gridding server.
 	GridServer = server.Server
 	// GridServerConfig configures it (quotas, timeouts, wire caps).
 	GridServerConfig = server.Config
-	// GridSessionConfig is the wire-facing observation config clients
-	// open sessions with.
-	GridSessionConfig = server.SessionConfig
-	// GridServerClient drives the server's HTTP API.
-	GridServerClient = server.Client
-	// GridSessionResult is a finalized session's grid fingerprint.
-	GridSessionResult = server.Result
 )
 
 // ErrInvalidServerConfig marks server configuration rejections
@@ -134,9 +125,6 @@ type ServerBackend struct {
 	// Observer, when set, receives every session's pipeline metrics
 	// and spans in addition to the server's own session metrics.
 	Observer *Observer
-	// DisablePlanCache builds every session from scratch (ablation and
-	// equivalence-test seam).
-	DisablePlanCache bool
 }
 
 // observationConfig maps a wire session config onto the facade config.
@@ -177,9 +165,6 @@ func (b *ServerBackend) Open(cfg server.SessionConfig) (server.BackendSession, e
 }
 
 func (b *ServerBackend) buildObservation(oc ObservationConfig) (*Observation, error) {
-	if b.DisablePlanCache {
-		return oc.BuildPlan()
-	}
 	key := planKey(oc)
 	planCacheMu.RLock()
 	geo := planCache[key]

@@ -80,8 +80,8 @@ func conformanceWire(t *testing.T) (*Observation, [][]float32) {
 }
 
 // sessionConfigFor mirrors the observation config onto the wire form.
-func sessionConfigFor(cfg ObservationConfig) GridSessionConfig {
-	return GridSessionConfig{
+func sessionConfigFor(cfg ObservationConfig) server.SessionConfig {
+	return server.SessionConfig{
 		NrStations:        cfg.NrStations,
 		NrTimesteps:       cfg.NrTimesteps,
 		NrChannels:        cfg.NrChannels,
@@ -100,7 +100,7 @@ func sessionConfigFor(cfg ObservationConfig) GridSessionConfig {
 
 // streamWire replays the wire samples into one server session and
 // returns its finalize result.
-func streamWire(t *testing.T, c *GridServerClient, scfg GridSessionConfig, wire [][]float32) GridSessionResult {
+func streamWire(t *testing.T, c *server.Client, scfg server.SessionConfig, wire [][]float32) server.Result {
 	t.Helper()
 	info, err := c.CreateSession(scfg)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestServerConformance(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	c := &GridServerClient{Base: hs.URL, Tenant: "conformance", HTTP: hs.Client()}
+	c := &server.Client{Base: hs.URL, Tenant: "conformance", HTTP: hs.Client()}
 	scfg := sessionConfigFor(conformanceConfig())
 
 	res := streamWire(t, c, scfg, wire)
@@ -202,8 +202,9 @@ func TestServerConformance(t *testing.T) {
 }
 
 // TestServerConformanceCacheEquivalence: the plan cache must be
-// invisible to the numbers — a session built through the cache and
-// one built from scratch (DisablePlanCache) hash identically.
+// invisible to the numbers — on fresh servers, the session that misses
+// the cache (building its plan from scratch) and the session that hits
+// it hash identically.
 func TestServerConformanceCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second server pass in -short mode")
@@ -211,21 +212,24 @@ func TestServerConformanceCacheEquivalence(t *testing.T) {
 	_, wire := conformanceWire(t)
 	scfg := sessionConfigFor(conformanceConfig())
 
-	hash := func(back *ServerBackend) string {
-		srv, err := NewGridServer(GridServerConfig{}, back)
+	hash := func() string {
+		srv, err := NewGridServer(GridServerConfig{}, &ServerBackend{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
-		c := &GridServerClient{Base: hs.URL, HTTP: hs.Client()}
+		c := &server.Client{Base: hs.URL, HTTP: hs.Client()}
 		return streamWire(t, c, scfg, wire).SHA256
 	}
 	resetServerPlanCache()
-	cached := hash(&ServerBackend{})
-	scratch := hash(&ServerBackend{DisablePlanCache: true})
-	if cached != scratch {
-		t.Fatalf("cached plan grid %s != scratch plan grid %s", cached, scratch)
+	miss := hash()
+	hit := hash()
+	if hits, misses := ServerPlanCacheStats(); misses != 1 || hits < 1 {
+		t.Fatalf("plan cache saw %d hits / %d misses across the two sessions, want >=1 / 1", hits, misses)
+	}
+	if miss != hit {
+		t.Fatalf("cache-miss plan grid %s != cache-hit plan grid %s", miss, hit)
 	}
 }
 

@@ -64,7 +64,7 @@ func reportShardPixRate(b *testing.B) {
 func BenchmarkAdderKernel(b *testing.B) {
 	k := benchShardKernels(b, 0)
 	subgrids := benchShardSubgrids(11)
-	g := NewGrid(benchShardGridSize)
+	g := grid.NewGrid(benchShardGridSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Adder(subgrids, g)
@@ -77,7 +77,7 @@ func BenchmarkAdderKernel(b *testing.B) {
 func BenchmarkAdderSharded(b *testing.B) {
 	k := benchShardKernels(b, 0)
 	subgrids := benchShardSubgrids(11)
-	sh := k.NewShardedGrid(NewGrid(benchShardGridSize))
+	sh := k.NewShardedGrid(grid.NewGrid(benchShardGridSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.AdderSharded(subgrids, sh)
@@ -95,7 +95,7 @@ func BenchmarkAdderShardedScaling(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			k := benchShardKernels(b, w)
-			sh := NewShardedGrid(NewGrid(benchShardGridSize), 16)
+			sh := grid.NewSharded(grid.NewGrid(benchShardGridSize), 16)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.AdderSharded(subgrids, sh)
@@ -110,7 +110,7 @@ func BenchmarkAdderShardedScaling(b *testing.B) {
 func BenchmarkSplitterSharded(b *testing.B) {
 	k := benchShardKernels(b, 0)
 	subgrids := benchShardSubgrids(13)
-	sh := k.NewShardedGrid(NewGrid(benchShardGridSize))
+	sh := k.NewShardedGrid(grid.NewGrid(benchShardGridSize))
 	k.AdderSharded(subgrids, sh)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,7 +131,7 @@ func BenchmarkStreamedGriddingPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := NewGrid(obs.Config.GridSize)
+	g := grid.NewGrid(obs.Config.GridSize)
 	sh := k.NewShardedGrid(g)
 	// Warm-up pass fills the scratch/subgrid pools.
 	if _, _, err := k.GridVisibilitiesStreamed(context.Background(), obs.Plan, obs.Vis, nil, sh, FaultConfig{}); err != nil {
@@ -158,7 +158,7 @@ func BenchmarkStreamedGriddingPass(b *testing.B) {
 func TestShardedAdderNoAllocs(t *testing.T) {
 	k := benchShardKernels(t, 1)
 	subgrids := benchShardSubgrids(17)
-	sh := NewShardedGrid(NewGrid(benchShardGridSize), 8)
+	sh := grid.NewSharded(grid.NewGrid(benchShardGridSize), 8)
 	if n := testing.AllocsPerRun(10, func() { k.AdderSharded(subgrids, sh) }); n != 0 {
 		t.Fatalf("serial sharded adder allocates %.1f per run, want 0", n)
 	}
