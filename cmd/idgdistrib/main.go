@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -165,11 +164,7 @@ func main() {
 		fail(err)
 	}
 
-	// The coordinator already fingerprinted the reduced grid.
-	fp := repro.GridFingerprint{
-		SHA256: hex.EncodeToString(sum.Final.SHA256[:]), GridSize: sum.Final.GridSize,
-		SumAbs: sum.Final.SumAbs, PeakAbs: sum.Final.PeakAbs, Nonzero: int(sum.Final.Nonzero),
-	}
+	fp := repro.FingerprintGrid(g)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
@@ -213,7 +208,6 @@ func printStages(sum *repro.DistribSummary, wall time.Duration) {
 		{"receive + decode", st.Receive},
 		{"verify hash", st.Verify},
 		{"reduce", st.Reduce},
-		{"final hash", st.FinalHash},
 	}
 	rest := wall
 	fmt.Fprintf(os.Stderr, "%-52s %9s %6s\n", "coordinator stage", "seconds", "share")
@@ -221,7 +215,7 @@ func printStages(sum *repro.DistribSummary, wall time.Duration) {
 		rest -= r.d
 		fmt.Fprintf(os.Stderr, "%-52s %9.3f %5.1f%%\n", r.name, r.d.Seconds(), 100*r.d.Seconds()/wall.Seconds())
 	}
-	fmt.Fprintf(os.Stderr, "%-52s %9.3f %5.1f%%\n", "remainder (listener, hand-over, output)", rest.Seconds(), 100*rest.Seconds()/wall.Seconds())
+	fmt.Fprintf(os.Stderr, "%-52s %9.3f %5.1f%%\n", "remainder (listener, hand-over, hash, output)", rest.Seconds(), 100*rest.Seconds()/wall.Seconds())
 	fmt.Fprintf(os.Stderr, "%-52s %9.3f\n", "wall", wall.Seconds())
 }
 

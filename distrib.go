@@ -214,11 +214,12 @@ type DistribOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RunDistributed runs one full distributed imaging pass: it builds
-// the geometry once — to pin every worker's expected sub-plan
-// fingerprint, and for the in-process workers to grid over — starts
-// the coordinator, launches the workers, restarts failures with Resume
-// set, and returns the tree-reduced grid and the run summary.
+// RunDistributed runs one full distributed imaging pass: it takes the
+// geometry from the plan cache server sessions share (building it on a
+// miss) — to pin every worker's expected sub-plan fingerprint, and for
+// the in-process workers to grid over — starts the coordinator,
+// launches the workers, restarts failures with Resume set, and returns
+// the tree-reduced grid and the run summary.
 func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSummary, error) {
 	if opt.Workers < 1 {
 		return nil, nil, fmt.Errorf("repro: need at least one distrib worker, got %d", opt.Workers)
@@ -227,8 +228,8 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 	planner := opt.Config
 	planner.CheckpointDir, planner.CheckpointEvery = "", 0
 	// Config.Workers is each worker's share of the host; until they
-	// start, the planner has all of it.
-	geo, err := planner.buildGeometry(0)
+	// start, a planner on a miss has all of it.
+	geo, err := planner.cachedGeometry(0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -223,20 +223,67 @@ func TestPlanIndependentOfBuilderThreads(t *testing.T) {
 	}
 }
 
-// TestDistribBuildsGeometryOnce: with the default launcher a
-// distributed run builds one plan, however many workers it starts; a
-// worker on its own (RunDistribWorker, what cmd/idgworker runs) builds
-// its own.
+// TestDistribBuildsGeometryOnce: a distributed run takes its geometry
+// from the plan cache. After a reset the first run of a config builds
+// one geometry, however many in-process workers it starts, and a second
+// run builds none; changing any one field of the plan key misses; and a
+// coordinator whose workers build their own (RunDistribWorker, what
+// cmd/idgworker runs) still makes four builds for three workers on a
+// cold cache.
 func TestDistribBuildsGeometryOnce(t *testing.T) {
 	opt := distribGoldenOptions(t, 3, DistribRows)
-	before := geometryBuilds.Load()
-	if _, _, err := RunDistributed(context.Background(), opt); err != nil {
-		t.Fatal(err)
+	run := func(opt DistribOptions) (builds int64) {
+		t.Helper()
+		before := geometryBuilds.Load()
+		if _, _, err := RunDistributed(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		return geometryBuilds.Load() - before
 	}
-	if n := geometryBuilds.Load() - before; n != 1 {
-		t.Errorf("a 3-worker in-process run built the geometry %d times, want 1", n)
+	resetServerPlanCache()
+	if n := run(opt); n != 1 {
+		t.Errorf("a cold 3-worker in-process run built the geometry %d times, want 1", n)
 	}
-	before = geometryBuilds.Load()
+	if n := run(opt); n != 0 {
+		t.Errorf("a repeated run built the geometry %d times, want 0", n)
+	}
+	if hits, misses := ServerPlanCacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("plan cache saw %d hits / %d misses over two runs, want 1 / 1", hits, misses)
+	}
+
+	for name, edit := range map[string]func(*ObservationConfig){
+		"NrStations":             func(c *ObservationConfig) { c.NrStations++ },
+		"NrTimesteps":            func(c *ObservationConfig) { c.NrTimesteps++ },
+		"NrChannels":             func(c *ObservationConfig) { c.NrChannels++ },
+		"StartFrequency":         func(c *ObservationConfig) { c.StartFrequency += 1e3 },
+		"ChannelWidth":           func(c *ObservationConfig) { c.ChannelWidth += 1e3 },
+		"GridSize":               func(c *ObservationConfig) { c.GridSize += 32 },
+		"SubgridSize":            func(c *ObservationConfig) { c.SubgridSize += 8 },
+		"KernelSupport":          func(c *ObservationConfig) { c.KernelSupport++ },
+		"GridMargin":             func(c *ObservationConfig) { c.GridMargin++ },
+		"ATermInterval":          func(c *ObservationConfig) { c.ATermInterval *= 2 },
+		"MaxTimestepsPerSubgrid": func(c *ObservationConfig) { c.MaxTimestepsPerSubgrid = 8 },
+		"WStepLambda":            func(c *ObservationConfig) { c.WStepLambda = 40 },
+		"CoreOnly":               func(c *ObservationConfig) { c.CoreOnly = true },
+		"HourAngleStartDeg":      func(c *ObservationConfig) { c.HourAngleStartDeg = -30 },
+		"Workers":                func(c *ObservationConfig) { c.Workers++ },
+	} {
+		cfg := opt.Config
+		edit(&cfg)
+		if planKey(cfg) == planKey(opt.Config) {
+			t.Errorf("%s: the plan key does not change", name)
+			continue
+		}
+		_, misses := ServerPlanCacheStats()
+		if _, err := cfg.cachedGeometry(0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, after := ServerPlanCacheStats(); after != misses+1 {
+			t.Errorf("%s: a config differing in it did not miss the plan cache", name)
+		}
+	}
+
+	resetServerPlanCache()
 	opt.Launcher = DistribLauncherFunc(func(ctx context.Context, spec DistribWorkerSpec) error {
 		_, err := RunDistribWorker(ctx, DistribWorkerOptions{
 			Config: opt.Config, Model: opt.Model, Workers: spec.Workers, Index: spec.Index, Axis: spec.Axis,
@@ -244,11 +291,98 @@ func TestDistribBuildsGeometryOnce(t *testing.T) {
 		})
 		return err
 	})
-	if _, _, err := RunDistributed(context.Background(), opt); err != nil {
+	if n := run(opt); n != 4 {
+		t.Errorf("coordinator plus 3 self-building workers built the geometry %d times, want 4", n)
+	}
+}
+
+// TestDistribSharesServerPlanCache: a server session and a distributed
+// run of one configuration share one plan-cache entry, in either order
+// and concurrently (the raced CI pass runs this): one build, the other
+// user a hit, and both grids right — the run's against the golden hash
+// a one-worker run pins, the session's against a local pass over the
+// same samples.
+func TestDistribSharesServerPlanCache(t *testing.T) {
+	opt := distribGoldenOptions(t, 1, DistribRows)
+	want := goldenSHA(t)
+	scfg := sessionConfigFor(opt.Config)
+	local, err := opt.Config.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := geometryBuilds.Load() - before; n != 4 {
-		t.Errorf("coordinator plus 3 self-building workers built the geometry %d times, want 4", n)
+	if err := local.FillFromModel(opt.Model); err != nil {
+		t.Fatal(err)
+	}
+	g, _, _, err := local.GridAllStreamed(context.Background(), nil, FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSession := FingerprintGrid(g).SHA256
+
+	session := func() error {
+		bs, err := (&ServerBackend{}).Open(scfg)
+		if err != nil {
+			return err
+		}
+		s := bs.(*backendSession)
+		if err := s.o.FillFromModel(opt.Model); err != nil {
+			return err
+		}
+		res, err := s.Run(context.Background())
+		if err != nil {
+			return err
+		}
+		if res.SHA256 != wantSession {
+			return fmt.Errorf("session grid %s, local pass %s", res.SHA256, wantSession)
+		}
+		return nil
+	}
+	distributed := func() error {
+		g, _, err := RunDistributed(context.Background(), opt)
+		if err != nil {
+			return err
+		}
+		if got := FingerprintGrid(g).SHA256; got != want {
+			return fmt.Errorf("distributed grid %s, golden %s", got, want)
+		}
+		return nil
+	}
+	for _, order := range []string{"session first", "run first", "concurrent"} {
+		resetServerPlanCache()
+		before := geometryBuilds.Load()
+		errs := make(chan error, 2)
+		switch order {
+		case "session first":
+			errs <- session()
+			errs <- distributed()
+		case "run first":
+			errs <- distributed()
+			errs <- session()
+		default:
+			go func() { errs <- session() }()
+			go func() { errs <- distributed() }()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Errorf("%s: %v", order, err)
+			}
+		}
+		hits, misses := ServerPlanCacheStats()
+		builds := geometryBuilds.Load() - before
+		// Concurrent users may both miss and build; the first stored
+		// entry wins and the other build is dropped.
+		if order != "concurrent" && (hits != 1 || misses != 1 || builds != 1) {
+			t.Errorf("%s: %d hits / %d misses / %d builds, want 1 / 1 / 1", order, hits, misses, builds)
+		}
+		if hits+misses != 2 {
+			t.Errorf("%s: %d cache lookups for two users, want 2", order, hits+misses)
+		}
+		planCacheMu.RLock()
+		entries := len(planCache)
+		planCacheMu.RUnlock()
+		if entries != 1 {
+			t.Errorf("%s: %d plan-cache entries, want the one both share", order, entries)
+		}
 	}
 }
 
@@ -283,12 +417,11 @@ func TestConfigSkyModelBuildsNoPlan(t *testing.T) {
 	}
 }
 
-// TestDistribSummaryShortcuts: a one-worker run's Final is the
-// worker's coordinator-verified fingerprint and the returned grid's
-// fresh hash at once; a multi-worker run's Final is the fresh hash of
-// the reduced grid; and the stage times RunDistributed reports are
-// non-negative, include the plan, and fit inside the run's wall time.
-func TestDistribSummaryShortcuts(t *testing.T) {
+// TestDistribSummaryStages: a run's summary holds each worker's band
+// fingerprint — for one worker, the band of the returned grid's nonzero
+// span — and the stage times RunDistributed reports are non-negative,
+// include the plan, and fit inside the run's wall time.
+func TestDistribSummaryStages(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		start := time.Now()
 		g, sum, err := RunDistributed(context.Background(), distribGoldenOptions(t, workers, DistribRows))
@@ -296,19 +429,15 @@ func TestDistribSummaryShortcuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := g.Fingerprint()
-		if sum.Final != fresh {
-			t.Errorf("workers=%d: Summary.Final is not the returned grid's fingerprint", workers)
+		if len(sum.WorkerFingerprints) != workers {
+			t.Fatalf("workers=%d: %d worker fingerprints", workers, len(sum.WorkerFingerprints))
 		}
-		if workers == 1 && sum.Final != sum.WorkerFingerprints[0] {
-			t.Error("one-worker Final differs from the worker's verified fingerprint")
-		}
-		if hex.EncodeToString(fresh.SHA256[:]) != FingerprintGrid(g).SHA256 {
-			t.Error("distrib and facade fingerprints disagree on the same grid")
+		if workers == 1 && sum.WorkerFingerprints[0] != g.Rows(distrib.NonzeroRowSpan(g)).Fingerprint() {
+			t.Error("one-worker run: the accepted band fingerprint is not the returned grid's span")
 		}
 		st := sum.Stages
 		total := time.Duration(0)
-		for _, d := range []time.Duration{st.Plan, st.Launch, st.Receive, st.Verify, st.Reduce, st.FinalHash} {
+		for _, d := range []time.Duration{st.Plan, st.Launch, st.Receive, st.Verify, st.Reduce} {
 			if d < 0 {
 				t.Errorf("workers=%d: negative stage in %+v", workers, st)
 			}

@@ -54,13 +54,12 @@ type Summary struct {
 	// Restarts counts worker relaunches across the whole run.
 	Restarts int
 	// Discarded counts reduction streams rejected before acceptance
-	// (bad hello, fingerprint mismatch, truncation).
+	// (bad hello, a band outside or out of order in its span, fingerprint
+	// mismatch, truncation).
 	Discarded int
-	// WorkerFingerprints holds every accepted partial's fingerprint,
-	// indexed by worker.
+	// WorkerFingerprints holds every accepted partial's band fingerprint
+	// (grid.Band.Fingerprint of its nonzero row span), indexed by worker.
 	WorkerFingerprints []Fingerprint
-	// Final is the fingerprint of the reduced grid.
-	Final Fingerprint
 	// Stages is the coordinator's own account of the run's wall time.
 	Stages Stages
 	// WorkerTimes holds, per worker, the stage times of its last attempt
@@ -85,24 +84,23 @@ type WorkerTimes struct {
 // stream accepted last — the one the reduction waited for — so the
 // stages never overlap and sum to at most the run's wall time.
 type Stages struct {
-	Plan      time.Duration // plan build + sub-plan fingerprints; set by whoever planned (RunDistributed)
-	Launch    time.Duration // Run's start to that stream's hello: its worker's build, fill and gridding
-	Receive   time.Duration // to its result frame read: band transfer, CRC, decode
-	Verify    time.Duration // to its partial re-hashed and accepted
-	Reduce    time.Duration // the tree reduction
-	FinalHash time.Duration // hashing the reduced grid; 0 when Final came from the only contributor
+	Plan    time.Duration // plan lookup or build + sub-plan fingerprints; set by whoever planned (RunDistributed)
+	Launch  time.Duration // Run's start to that stream's hello: its worker's build, fill and gridding
+	Receive time.Duration // to its result frame read: band transfer, CRC, decode
+	Verify  time.Duration // to its band re-hashed and accepted
+	Reduce  time.Duration // the tree reduction over bands, into the returned grid
 }
 
 // Coordinator assigns partitions, accepts reduction streams, restarts
 // failed workers with Resume set, and tree-reduces the accepted
-// partials into the final grid. One Coordinator runs one distributed
+// partial bands into the final grid. One Coordinator runs one distributed
 // pass: create, Run, discard.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
 
 	mu        sync.Mutex
-	partials  []*grid.Grid  // accepted partial per worker; stays nil for a stream without bands
+	partials  []*grid.Band  // accepted partial per worker; stays nil for an empty span
 	prints    []Fingerprint // fingerprint per accepted partial
 	arrived   []chan struct{}
 	marks     [3]time.Time // hello decoded, result read, partial accepted: of the stream accepted last
@@ -136,7 +134,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		ln:       ln,
-		partials: make([]*grid.Grid, cfg.Workers),
+		partials: make([]*grid.Band, cfg.Workers),
 		prints:   make([]Fingerprint, cfg.Workers),
 		arrived:  make([]chan struct{}, cfg.Workers),
 	}
@@ -218,32 +216,17 @@ func (c *Coordinator) Run(ctx context.Context, launcher Launcher) (*grid.Grid, *
 		WorkerFingerprints: append([]Fingerprint(nil), c.prints...),
 		Notes:              append([]string(nil), c.notes...),
 	}
-	gs := append([]*grid.Grid(nil), c.partials...)
+	bs := append([]*grid.Band(nil), c.partials...)
 	m := c.marks
 	c.mu.Unlock()
 	sum.Stages = Stages{Launch: m[0].Sub(start), Receive: m[1].Sub(m[0]), Verify: m[2].Sub(m[1])}
 
-	contributors, only := 0, 0
-	for i, p := range gs {
-		if p != nil {
-			contributors, only = contributors+1, i
-		}
-	}
 	reducing := time.Now()
-	g := TreeReduce(gs)
+	g := reduceBands(bs)
 	if g == nil {
 		g = grid.NewGrid(c.cfg.GridSize)
 	}
-	reduced := time.Now()
-	sum.Stages.Reduce = reduced.Sub(reducing)
-	if contributors == 1 {
-		// The reduction of one partial is that partial, by pointer: the
-		// fingerprint it was accepted under is the reduced grid's.
-		sum.Final = sum.WorkerFingerprints[only]
-	} else {
-		sum.Final = FingerprintOf(g)
-		sum.Stages.FinalHash = time.Since(reduced)
-	}
+	sum.Stages.Reduce = time.Since(reducing)
 	return g, sum, nil
 }
 
@@ -309,10 +292,11 @@ func (c *Coordinator) acceptLoop(ctx context.Context, accepting *sync.WaitGroup)
 	}
 }
 
-// handleStream decodes one worker's reduction stream, assembles its
-// partial grid, and accepts it only if the recomputed fingerprint
-// matches the one the worker declared. A stream failing any check is
-// discarded whole; the worker's manager will time out and relaunch.
+// handleStream decodes one worker's reduction stream into the band its
+// hello announced, and accepts it only if the bands tile that span in
+// order and the recomputed band fingerprint matches the one the worker
+// declared. A stream failing any check is discarded whole; the worker's
+// manager will time out and relaunch.
 func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	if dl, ok := ctx.Deadline(); ok {
@@ -339,9 +323,14 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 		c.discard("worker %d announced a sub-plan fingerprint that does not match its assigned partition", h.Worker)
 		return
 	}
+	if h.Hi > c.cfg.GridSize {
+		c.discard("worker %d announced rows [%d, %d) of a %d-row grid", h.Worker, h.Lo, h.Hi, c.cfg.GridSize)
+		return
+	}
 
 	marks := [3]time.Time{time.Now()}
-	var g *grid.Grid   // allocated by the first band
+	band := grid.NewBand(c.cfg.GridSize, h.Lo, h.Hi)
+	next := h.Lo       // the row the next band must start at
 	var payload []byte // every frame after the hello, each decoded before the next read
 	for {
 		f, err := frame.Read(br, c.cfg.MaxPayload, reduceRules, payload)
@@ -354,13 +343,16 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 		}
 		switch f.Type {
 		case FrameBand:
-			if g == nil {
-				g = grid.NewGrid(c.cfg.GridSize)
-			}
-			if _, _, err := DecodeBandInto(g, f); err != nil {
+			lo, hi, err := DecodeBandInto(band, f)
+			if err != nil {
 				c.discard("worker %d: %v", h.Worker, err)
 				return
 			}
+			if lo != next {
+				c.discard("worker %d sent rows [%d, %d) where row %d was due", h.Worker, lo, hi, next)
+				return
+			}
+			next = hi
 		case FrameResult:
 			r, err := DecodeResult(f)
 			if err != nil {
@@ -371,19 +363,22 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 				c.discard("worker %d stream closed with worker %d's result", h.Worker, r.Worker)
 				return
 			}
-			marks[1] = time.Now()
-			assembled := g
-			if assembled == nil { // no bands: the worker must be declaring the zero grid
-				assembled = grid.NewGrid(c.cfg.GridSize)
+			if next != h.Hi {
+				c.discard("worker %d stream closed at row %d of its span [%d, %d)", h.Worker, next, h.Lo, h.Hi)
+				return
 			}
-			got := FingerprintOf(assembled)
+			marks[1] = time.Now()
+			got := band.Fingerprint()
 			if got != r.Fingerprint {
 				c.discard("worker %d partial fingerprint mismatch: declared %x, assembled %x",
 					h.Worker, r.Fingerprint.SHA256[:8], got.SHA256[:8])
 				return
 			}
 			marks[2] = time.Now()
-			c.deliver(h.Worker, g, got, marks)
+			if h.Lo == h.Hi {
+				band = nil // an empty partition adds nothing
+			}
+			c.deliver(h.Worker, band, got, marks)
 			return
 		default:
 			c.discard("worker %d sent frame type %d mid-stream", h.Worker, f.Type)
@@ -404,7 +399,7 @@ func (c *Coordinator) discard(format string, args ...any) {
 // predecessor's late stream) is dropped — both were verified against
 // the same assigned sub-plan, so they carry the same bits in the
 // serial-worker configurations the conformance suite pins.
-func (c *Coordinator) deliver(i int, g *grid.Grid, fp Fingerprint, m [3]time.Time) {
+func (c *Coordinator) deliver(i int, b *grid.Band, fp Fingerprint, m [3]time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	select {
@@ -413,7 +408,7 @@ func (c *Coordinator) deliver(i int, g *grid.Grid, fp Fingerprint, m [3]time.Tim
 		return
 	default:
 	}
-	c.partials[i] = g
+	c.partials[i] = b
 	c.prints[i] = fp
 	c.marks = m
 	close(c.arrived[i])

@@ -61,6 +61,9 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	want := make([]*grid.Grid, workers)
 	for i := range want {
 		want[i] = workerGrid(WorkerSpec{Index: i, Workers: workers}, size)
+		if got, span := sum.WorkerFingerprints[i], spanPrint(want[i]); got != span || got.Nonzero == 0 {
+			t.Fatalf("worker %d: summary holds %x, its span's band fingerprint is %x", i, got.SHA256[:6], span.SHA256[:6])
+		}
 	}
 	if wantG := TreeReduce(want); g.MaxAbsDiff(wantG) != 0 {
 		t.Fatal("final grid is not the reduction of the partials")
@@ -68,15 +71,10 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	if sum.Restarts != 0 || sum.Discarded != 0 {
 		t.Fatalf("clean run reported restarts=%d discarded=%d", sum.Restarts, sum.Discarded)
 	}
-	for i, fp := range sum.WorkerFingerprints {
-		if fp.Nonzero == 0 {
-			t.Fatalf("worker %d fingerprint missing from summary", i)
-		}
-	}
-	if sum.Final != FingerprintOf(g) {
-		t.Fatal("summary final fingerprint does not match the returned grid")
-	}
 }
+
+// spanPrint is the band fingerprint a worker declares for g.
+func spanPrint(g *grid.Grid) Fingerprint { return g.Rows(NonzeroRowSpan(g)).Fingerprint() }
 
 // TestCoordinatorRestartsKilledWorker kills one worker's first attempt
 // after partial progress; the relaunch must carry Resume and the final
@@ -138,17 +136,10 @@ func lyingDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := frame.Write(bw, EncodeHello(Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis})); err != nil {
+	if err := sendBands(bw, Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, Hi: g.N}, g, 0); err != nil {
 		return err
 	}
-	f, err := EncodeBand(g, 0, g.N)
-	if err != nil {
-		return err
-	}
-	if err := frame.Write(bw, f); err != nil {
-		return err
-	}
-	fp := FingerprintOf(g)
+	fp := g.Rows(0, g.N).Fingerprint()
 	fp.SHA256[0] ^= 0xff // corrupt the declared hash
 	if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: fp})); err != nil {
 		return err
@@ -256,25 +247,25 @@ func emptyPartitionLauncher(size int, empty map[int]bool) Launcher {
 	})
 }
 
-// TestCoordinatorFinalFingerprintRule covers both ways Summary.Final
-// is obtained — hashing the reduced grid, and taking the only
-// contributor's verified fingerprint — against a fresh hash of the
-// returned grid: one worker; three workers with one empty partition
-// (two contributors); two workers with one empty partition (one
-// contributor, the other partial stays nil).
+// TestCoordinatorFinalFingerprintRule: the returned grid fingerprints
+// as the reduction of the whole partial grids, whether bands merge
+// (three workers, one empty partition), one band is materialised alone
+// (one worker; two workers with one empty partition) or nothing
+// contributed; and an empty partition is accepted under the empty
+// span's band fingerprint.
 func TestCoordinatorFinalFingerprintRule(t *testing.T) {
 	const size = 24
+	emptySpan := grid.NewBand(size, 0, 0).Fingerprint()
 	for _, tc := range []struct {
 		name    string
 		workers int
 		empty   map[int]bool
-		only    int // the single contributor, or -1
 	}{
-		{"one worker", 1, nil, 0},
-		{"three workers, one empty", 3, map[int]bool{1: true}, -1},
-		{"two workers, first empty", 2, map[int]bool{0: true}, 1},
-		{"two workers, second empty", 2, map[int]bool{1: true}, 0},
-		{"all empty", 2, map[int]bool{0: true, 1: true}, -1},
+		{"one worker", 1, nil},
+		{"three workers, one empty", 3, map[int]bool{1: true}},
+		{"two workers, first empty", 2, map[int]bool{0: true}},
+		{"two workers, second empty", 2, map[int]bool{1: true}},
+		{"all empty", 2, map[int]bool{0: true, 1: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := emptyPartitionLauncher(size, tc.empty)
@@ -282,21 +273,19 @@ func TestCoordinatorFinalFingerprintRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fresh := FingerprintOf(g); sum.Final != fresh {
-				t.Fatalf("Summary.Final %x is not the returned grid's fingerprint %x", sum.Final.SHA256[:6], fresh.SHA256[:6])
-			}
-			if tc.only >= 0 {
-				if sum.Final != sum.WorkerFingerprints[tc.only] {
-					t.Error("Final is not the only contributor's verified fingerprint")
-				}
-				if sum.Stages.FinalHash != 0 {
-					t.Errorf("the one-contributor run still spent %v on a final hash", sum.Stages.FinalHash)
+			partials := make([]*grid.Grid, tc.workers)
+			for i := range partials {
+				partials[i] = grid.NewGrid(size)
+				if !tc.empty[i] {
+					partials[i] = workerGrid(WorkerSpec{Index: i, Workers: tc.workers}, size)
 				}
 			}
-			zero := FingerprintOf(grid.NewGrid(size))
+			if got, want := FingerprintOf(g), FingerprintOf(TreeReduce(partials)); got != want {
+				t.Fatalf("returned grid %x, the whole partials reduce to %x", got.SHA256[:6], want.SHA256[:6])
+			}
 			for i, fp := range sum.WorkerFingerprints {
-				if tc.empty[i] != (fp == zero) {
-					t.Errorf("worker %d: empty=%v but fingerprint zero=%v", i, tc.empty[i], fp == zero)
+				if tc.empty[i] != (fp == emptySpan) {
+					t.Errorf("worker %d: empty=%v but empty-span fingerprint=%v", i, tc.empty[i], fp == emptySpan)
 				}
 			}
 		})
@@ -318,7 +307,7 @@ func TestCoordinatorStages(t *testing.T) {
 		total := time.Duration(0)
 		for name, d := range map[string]time.Duration{
 			"plan": st.Plan, "launch": st.Launch, "receive": st.Receive,
-			"verify": st.Verify, "reduce": st.Reduce, "final hash": st.FinalHash,
+			"verify": st.Verify, "reduce": st.Reduce,
 		} {
 			if d < 0 {
 				t.Errorf("workers=%d: stage %s is negative: %v", workers, name, d)
@@ -335,9 +324,10 @@ func TestCoordinatorStages(t *testing.T) {
 }
 
 // TestHandleStreamReusesPayloadBuffer: the coordinator reads every
-// frame after a stream's hello into one payload buffer, so a 16-band
-// stream allocates no more than a 2-band stream of the same band size,
-// give or take one band (per frame it would be fourteen more).
+// frame after a stream's hello into one payload buffer, so beside its
+// receiving band a 16-band stream allocates no more than a 2-band
+// stream of the same band size, give or take one band (per frame it
+// would be fourteen more).
 func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 	const size, rows = 128, 8
 	maxPayload := bandPayloadHeader + rows*grid.NrCorrelations*size*cellBytes
@@ -348,11 +338,11 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		}
 		var stream bytes.Buffer
 		bw := bufio.NewWriter(&stream)
-		spec := WorkerSpec{Index: 0, Workers: 1, Axis: AxisRows}
-		if err := sendBands(bw, spec, [32]byte{}, g, maxPayload); err != nil {
+		h := Hello{Workers: 1, Axis: AxisRows, Hi: bands * rows}
+		if err := sendBands(bw, h, g, maxPayload); err != nil {
 			t.Fatal(err)
 		}
-		if err := frame.Write(bw, EncodeResult(Result{Worker: 0, Fingerprint: FingerprintOf(g)})); err != nil {
+		if err := frame.Write(bw, EncodeResult(Result{Worker: 0, Fingerprint: spanPrint(g)})); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()
@@ -377,7 +367,7 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		default:
 			t.Fatalf("%d-band stream not accepted: %v", bands, c.notes)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc - uint64(bands*rows*grid.NrCorrelations*size*cellBytes)
 	}
 	two, sixteen := allocated(2), allocated(16)
 	if sixteen > two+uint64(maxPayload) {
@@ -395,7 +385,9 @@ func truncatedDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error 
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := sendBands(bw, spec, [32]byte{}, g, 0); err != nil {
+	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis}
+	h.Lo, h.Hi = NonzeroRowSpan(g)
+	if err := sendBands(bw, h, g, 0); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -428,7 +420,89 @@ func TestCoordinatorRejectsStreamWithoutResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FingerprintOf(g) != FingerprintOf(clean) || sum.Final != FingerprintOf(g) {
+	if FingerprintOf(g) != FingerprintOf(clean) {
 		t.Fatal("run with a truncated stream hashed differently from the clean run")
+	}
+}
+
+// bandsDeliver sends the hello h, then g's rows cut into the given
+// bands in the given order, then the honest band fingerprint of g's
+// nonzero span: a stream whose cells can assemble the declared band
+// even though its framing breaks the protocol.
+func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, bands [][2]int) error {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	if err := frame.Write(bw, EncodeHello(h)); err != nil {
+		return err
+	}
+	for _, b := range bands {
+		f, err := EncodeBand(g, b[0], b[1])
+		if err != nil {
+			return err
+		}
+		if err := frame.Write(bw, f); err != nil {
+			return err
+		}
+	}
+	if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: spanPrint(g)})); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// TestCoordinatorRejectsMalformedBands: worker 1 owns rows [8, 16) of
+// a 16-row grid. A first attempt whose bands leave the hello's span,
+// overlap, leave a gap, repeat a band or stop short of the span — or
+// whose hello announces rows beyond the grid — is discarded with a note
+// naming the fault, the worker is relaunched, and the run ends as a
+// clean run does.
+func TestCoordinatorRejectsMalformedBands(t *testing.T) {
+	const size = 16
+	clean, _, err := runCoordinator(t, Config{Workers: 2, Axis: AxisRows, GridSize: size}, honestLauncher(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		lo, hi int
+		bands  [][2]int
+		note   string
+	}{
+		{"band leaves the span", 8, 16, [][2]int{{6, 12}, {12, 16}}, "outside the span [8, 16)"},
+		{"bands overlap", 8, 16, [][2]int{{8, 12}, {11, 16}}, "sent rows [11, 16) where row 12 was due"},
+		{"bands leave a gap", 8, 16, [][2]int{{8, 11}, {12, 16}}, "sent rows [12, 16) where row 11 was due"},
+		{"band repeated", 8, 16, [][2]int{{8, 12}, {8, 12}, {12, 16}}, "sent rows [8, 12) where row 12 was due"},
+		{"bands stop short", 8, 16, [][2]int{{8, 12}}, "stream closed at row 12 of its span [8, 16)"},
+		{"span beyond the grid", 8, 17, [][2]int{{8, 16}}, "announced rows [8, 17) of a 16-row grid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
+				g := workerGrid(spec, size)
+				if spec.Index == 1 && !spec.Resume {
+					h := Hello{Worker: 1, Workers: 2, Axis: AxisRows, Lo: tc.lo, Hi: tc.hi}
+					return bandsDeliver(ctx, spec, h, g, tc.bands)
+				}
+				return Deliver(ctx, spec, [32]byte{}, g, 0)
+			})
+			cfg := Config{Workers: 2, Axis: AxisRows, GridSize: size, MaxRestarts: 1, ResultWait: 200 * time.Millisecond}
+			g, sum, err := runCoordinator(t, cfg, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Discarded != 1 || sum.Restarts != 1 {
+				t.Fatalf("discarded=%d restarts=%d, want 1 and 1 (notes %q)", sum.Discarded, sum.Restarts, sum.Notes)
+			}
+			if !strings.Contains(strings.Join(sum.Notes, "\n"), tc.note) {
+				t.Errorf("no note names the fault %q: %q", tc.note, sum.Notes)
+			}
+			if FingerprintOf(g) != FingerprintOf(clean) {
+				t.Error("the run with a discarded stream hashed differently from the clean run")
+			}
+		})
 	}
 }

@@ -4,43 +4,74 @@ import "sync"
 
 import "repro/internal/grid"
 
-// TreeReduce merges the partial grids into gs[0] by a binary reduction
-// tree: in round r (stride s = 2^r) every grid at index i with
-// i % 2s == 0 absorbs the grid at i+s, so N partials merge in
-// ceil(log2 N) rounds with the merges of one round running
-// concurrently. The tree's associativity is fixed by index, never by
-// arrival order or goroutine scheduling, so a distributed run's final
-// grid is a deterministic function of its partials — the property the
-// chaos suite leans on when it demands a killed-and-resumed run hash
-// identically to a clean one.
-//
-// Entries may be nil (a worker that contributed nothing); a nil
-// absorbs into its partner by pointer swap. The merged grid is
-// returned (nil only if every entry was nil). gs is consumed: the
-// non-root entries are left in an unspecified state.
+// TreeReduce merges the partial grids as reduceBands merges bands, over
+// full-height bands: every merge adds in place, so the result is the
+// first non-nil entry's memory (nil if every entry was nil). gs is
+// consumed: the non-root entries are left in an unspecified state.
 func TreeReduce(gs []*grid.Grid) *grid.Grid {
-	n := len(gs)
+	bs := make([]*grid.Band, len(gs))
+	for i, g := range gs {
+		if g != nil {
+			bs[i] = g.Rows(0, g.N)
+		}
+	}
+	return reduceBands(bs)
+}
+
+// reduceBands merges the partial bands by a binary reduction tree: in
+// round r (stride s = 2^r) every band at index i with i % 2s == 0
+// absorbs the band at i+s, so N partials merge in ceil(log2 N) rounds
+// with the merges of one round running concurrently. The tree's
+// associativity is fixed by index, never by arrival order or goroutine
+// scheduling, so a distributed run's final grid is a deterministic
+// function of its partials — the property the chaos suite leans on
+// when it demands a killed-and-resumed run hash identically to a clean
+// one. A band holds every nonzero cell of its partial and +0 + x = x,
+// so each cell gets the sum, in the association, that merging whole
+// grids gives it. A nil entry (an empty partition) absorbs into its
+// partner by pointer swap. The root is materialised once, as the
+// returned grid (nil if every entry was nil).
+func reduceBands(bs []*grid.Band) *grid.Grid {
+	n := len(bs)
 	for stride := 1; stride < n; stride *= 2 {
+		root := 2*stride >= n
 		var wg sync.WaitGroup
 		for i := 0; i+stride < n; i += 2 * stride {
 			a, b := i, i+stride
-			if gs[b] == nil {
+			if bs[b] == nil {
 				continue
 			}
-			if gs[a] == nil {
-				gs[a], gs[b] = gs[b], nil
+			if bs[a] == nil {
+				bs[a], bs[b] = bs[b], nil
 				continue
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				gs[a].AddGrid(gs[b])
+				bs[a] = merge(bs[a], bs[b], root)
 			}()
 		}
 		wg.Wait()
 	}
-	if n == 0 {
+	if n == 0 || bs[0] == nil {
 		return nil
 	}
-	return gs[0]
+	return bs[0].Grid()
+}
+
+// merge returns a + b: in a when a's rows cover b's, else in a new band
+// over the union of their rows, or over every row at the root.
+func merge(a, b *grid.Band, root bool) *grid.Band {
+	if a.Lo <= b.Lo && b.Hi <= a.Hi {
+		a.Add(b)
+		return a
+	}
+	lo, hi := min(a.Lo, b.Lo), max(a.Hi, b.Hi)
+	if root {
+		lo, hi = 0, a.N
+	}
+	dst := grid.NewBand(a.N, lo, hi)
+	dst.Add(a)
+	dst.Add(b)
+	return dst
 }

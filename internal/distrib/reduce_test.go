@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/grid"
@@ -76,5 +77,80 @@ func TestTreeReduceNilEntries(t *testing.T) {
 	}
 	if TreeReduce(nil) != nil {
 		t.Fatal("empty reduction should be nil")
+	}
+}
+
+// wholeTreeSum is the index-fixed reduction tree over whole grids,
+// spelled out: round by round, gs[i] += gs[i+stride].
+func wholeTreeSum(gs []*grid.Grid) *grid.Grid {
+	for stride := 1; stride < len(gs); stride *= 2 {
+		for i := 0; i+stride < len(gs); i += 2 * stride {
+			switch {
+			case gs[i+stride] == nil:
+			case gs[i] == nil:
+				gs[i], gs[i+stride] = gs[i+stride], nil
+			default:
+				gs[i].AddGrid(gs[i+stride])
+			}
+		}
+	}
+	if len(gs) == 0 {
+		return nil
+	}
+	return gs[0]
+}
+
+// TestReduceBandsMatchesGridReduction: partials whose nonzero rows
+// cover overlapping spans — some empty, some nil — reduce over their
+// bands to the same bits as the index-fixed tree over the whole grids,
+// and so does TreeReduce, at every count from one to nine partials.
+// Every band is its own copy, so the check also sees a merge writing
+// into a band it should only read.
+func TestReduceBandsMatchesGridReduction(t *testing.T) {
+	const size = 16
+	for n := 1; n <= 9; n++ {
+		whole := make([]*grid.Grid, n)
+		bands := make([]*grid.Band, n)
+		for i := range whole {
+			if i%4 == 3 {
+				continue // nil: a worker without a partition
+			}
+			g := grid.NewGrid(size)
+			lo, hi := (3*i)%8, (3*i)%8+5+i%4 // spans overlapping up to four deep
+			if i%5 == 2 {
+				hi = lo // an empty partition
+			}
+			for c := range g.Data {
+				for j := lo * size; j < hi*size; j++ {
+					g.Data[c][j] = complex(math.Sqrt(float64(j+i))/float64(i+3), float64(c)-float64(j%3)/7)
+				}
+			}
+			whole[i] = g
+			span := g.Rows(NonzeroRowSpan(g))
+			bands[i] = grid.NewBand(size, span.Lo, span.Hi)
+			bands[i].Add(span)
+			if span.Lo == span.Hi {
+				bands[i] = nil // the coordinator holds no band for an empty span
+			}
+		}
+		clones := make([]*grid.Grid, n)
+		for i, g := range whole {
+			if g != nil {
+				clones[i] = g.Clone()
+			}
+		}
+		hashOf := func(g *grid.Grid) (fp Fingerprint) {
+			if g != nil {
+				fp = FingerprintOf(g)
+			}
+			return fp
+		}
+		want := hashOf(wholeTreeSum(whole))
+		if got := hashOf(reduceBands(bands)); got != want {
+			t.Errorf("n=%d: the bands reduce to %x, the whole grids to %x", n, got.SHA256[:6], want.SHA256[:6])
+		}
+		if got := hashOf(TreeReduce(clones)); got != want {
+			t.Errorf("n=%d: TreeReduce gives %x, the whole-grid tree %x", n, got.SHA256[:6], want.SHA256[:6])
+		}
 	}
 }

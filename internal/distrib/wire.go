@@ -14,18 +14,19 @@ import (
 //
 //	FrameHello | FrameBand* | FrameResult
 //
-// as internal/frame frames. The bands carry only the rows the partial
-// grid actually touched (sparse partitions ship a fraction of the
-// grid), chunked so each frame stays under the payload cap; the closing
-// result frame carries the sender's fingerprint of the whole partial
-// grid, which the coordinator recomputes over the assembled bytes
-// before accepting the partial — a truncated or reordered stream is
-// discarded, not merged.
+// as internal/frame frames. The hello announces the row span [lo, hi)
+// the partial grid touched; the bands carry exactly those rows, in
+// order, chunked so each frame stays under the payload cap; the closing
+// result frame carries the sender's fingerprint of that band, which the
+// coordinator recomputes over the received cells before accepting the
+// partial — a truncated, reordered or out-of-span stream is discarded,
+// not merged.
 const (
 	// FrameHello opens a worker's reduction stream: payload = worker
 	// uint32 | workers uint32 | axis uint8 | plan fingerprint 32 bytes
 	// (the checkpoint.PlanFingerprint of the worker's sub-plan, so the
-	// coordinator can reject a worker gridding the wrong partition).
+	// coordinator can reject a worker gridding the wrong partition) |
+	// lo uint32 | hi uint32, the row span its bands cover.
 	FrameHello byte = 16
 	// FrameBand carries rows [lo, hi) of every correlation plane of the
 	// partial grid: payload = gridSize uint32 | lo uint32 | hi uint32 |
@@ -35,12 +36,12 @@ const (
 	FrameBand byte = 17
 	// FrameResult closes the stream: payload = worker uint32 | gridSize
 	// uint32 | nonzero uint64 | sumAbs float64 | peakAbs float64 |
-	// SHA-256 32 bytes, the sender's fingerprint of its partial grid.
+	// SHA-256 32 bytes, the sender's grid.Band fingerprint of its span.
 	FrameResult byte = 18
 )
 
 const (
-	helloPayloadBytes = 4 + 4 + 1 + 32
+	helloPayloadBytes = 4 + 4 + 1 + 32 + 4 + 4
 	// bandPayloadHeader is the fixed prefix of a FrameBand payload.
 	bandPayloadHeader  = 12
 	cellBytes          = grid.CellBytes
@@ -77,6 +78,9 @@ type Hello struct {
 	Axis    Axis
 	// PlanSum fingerprints the sub-plan the worker gridded.
 	PlanSum [32]byte
+	// Lo and Hi bound the rows the worker's bands cover (NonzeroRowSpan
+	// of its partial; Lo == Hi for an empty partition).
+	Lo, Hi int
 }
 
 // EncodeHello builds the opening frame of a reduction stream.
@@ -86,6 +90,8 @@ func EncodeHello(h Hello) frame.Frame {
 	binary.LittleEndian.PutUint32(p[4:], uint32(h.Workers))
 	p[8] = byte(h.Axis)
 	copy(p[9:], h.PlanSum[:])
+	binary.LittleEndian.PutUint32(p[41:], uint32(h.Lo))
+	binary.LittleEndian.PutUint32(p[45:], uint32(h.Hi))
 	return frame.Frame{Type: FrameHello, Payload: p}
 }
 
@@ -98,10 +104,15 @@ func DecodeHello(f frame.Frame) (Hello, error) {
 		Worker:  int(binary.LittleEndian.Uint32(f.Payload[0:])),
 		Workers: int(binary.LittleEndian.Uint32(f.Payload[4:])),
 		Axis:    Axis(f.Payload[8]),
+		Lo:      int(binary.LittleEndian.Uint32(f.Payload[41:])),
+		Hi:      int(binary.LittleEndian.Uint32(f.Payload[45:])),
 	}
-	copy(h.PlanSum[:], f.Payload[9:])
+	copy(h.PlanSum[:], f.Payload[9:41])
 	if h.Axis != AxisRows && h.Axis != AxisWPlanes {
 		return Hello{}, fmt.Errorf("distrib: FrameHello with unknown axis %d", f.Payload[8])
+	}
+	if h.Lo < 0 || h.Lo > h.Hi {
+		return Hello{}, fmt.Errorf("distrib: FrameHello with row span [%d, %d)", h.Lo, h.Hi)
 	}
 	return h, nil
 }
@@ -151,8 +162,9 @@ func encodeBandInto(buf []byte, g *grid.Grid, lo, hi int) (frame.Frame, error) {
 // DecodeBandInto restores a FrameBand's rows into dst (overwriting,
 // not accumulating: bands of one stream are disjoint) and returns the
 // row range it covered. The embedded grid size and row range are
-// cross-checked against dst and the payload length before any write.
-func DecodeBandInto(dst *grid.Grid, f frame.Frame) (lo, hi int, err error) {
+// cross-checked against dst's size and rows and the payload length
+// before any write.
+func DecodeBandInto(dst *grid.Band, f frame.Frame) (lo, hi int, err error) {
 	if f.Type != FrameBand || len(f.Payload) < bandPayloadHeader {
 		return 0, 0, fmt.Errorf("distrib: decoding frame type %d (%d bytes) as FrameBand", f.Type, len(f.Payload))
 	}
@@ -162,8 +174,8 @@ func DecodeBandInto(dst *grid.Grid, f frame.Frame) (lo, hi int, err error) {
 	if n != dst.N {
 		return 0, 0, fmt.Errorf("distrib: band for a %d-pixel grid arriving at a %d-pixel grid", n, dst.N)
 	}
-	if lo < 0 || hi > n || lo >= hi {
-		return 0, 0, fmt.Errorf("distrib: band rows [%d, %d) outside %d-row grid", lo, hi, n)
+	if lo < dst.Lo || hi > dst.Hi || lo >= hi {
+		return 0, 0, fmt.Errorf("distrib: band rows [%d, %d) outside the span [%d, %d)", lo, hi, dst.Lo, dst.Hi)
 	}
 	want := bandPayloadHeader + grid.NrCorrelations*(hi-lo)*n*cellBytes
 	if len(f.Payload) != want {
@@ -171,21 +183,21 @@ func DecodeBandInto(dst *grid.Grid, f frame.Frame) (lo, hi int, err error) {
 	}
 	plane := (hi - lo) * n * cellBytes
 	for c := range dst.Data {
-		grid.DecodeCells(dst.Data[c][lo*n:hi*n], f.Payload[bandPayloadHeader+c*plane:])
+		grid.DecodeCells(dst.Data[c][(lo-dst.Lo)*n:(hi-dst.Lo)*n], f.Payload[bandPayloadHeader+c*plane:])
 	}
 	return lo, hi, nil
 }
 
-// Fingerprint is what partials are declared and verified with: it
-// hashes the canonical cell bytes FrameBand carries, so a grid assembled
-// from a full-cover band stream fingerprints identically to the sender's.
+// Fingerprint is what partials are declared and verified with: the
+// grid.Band fingerprint of the span, over the canonical cell bytes
+// FrameBand carries, so a band assembled from a full-cover stream
+// fingerprints identically to the sender's.
 type Fingerprint = grid.Fingerprint
 
-// FingerprintOf hashes and summarizes g.
+// FingerprintOf hashes and summarizes the whole grid g.
 func FingerprintOf(g *grid.Grid) Fingerprint { return g.Fingerprint() }
 
-// Result closes a worker's reduction stream with its partial-grid
-// fingerprint.
+// Result closes a worker's reduction stream with its band fingerprint.
 type Result struct {
 	Worker      int
 	Fingerprint Fingerprint

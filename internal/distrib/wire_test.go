@@ -36,7 +36,7 @@ func testGrid(n int) *grid.Grid {
 
 // TestHelloRoundTrip round-trips the stream-opening frame.
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{Worker: 3, Workers: 8, Axis: AxisWPlanes}
+	h := Hello{Worker: 3, Workers: 8, Axis: AxisWPlanes, Lo: 17, Hi: 1000}
 	for i := range h.PlanSum {
 		h.PlanSum[i] = byte(i * 7)
 	}
@@ -50,6 +50,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if got != h {
 		t.Fatalf("hello round-trip: got %+v, want %+v", got, h)
+	}
+	h.Lo, h.Hi = 9, 8
+	if _, err := DecodeHello(EncodeHello(h)); err == nil || !strings.Contains(err.Error(), "row span [9, 8)") {
+		t.Errorf("inverted row span accepted: %v", err)
 	}
 }
 
@@ -69,15 +73,17 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBandRoundTrip streams a grid band by band into a fresh grid and
-// requires bit-identity — the fingerprint must survive the wire.
+// TestBandRoundTrip streams a grid's nonzero span frame by frame into
+// a band of that span and requires bit-identity — the band fingerprint
+// must survive the wire, and the band materialised as a grid is the
+// source grid.
 func TestBandRoundTrip(t *testing.T) {
 	src := testGrid(24)
-	dst := grid.NewGrid(24)
 	lo, hi := NonzeroRowSpan(src)
 	if lo != 2 || hi != 23 {
 		t.Fatalf("NonzeroRowSpan = [%d, %d), want [2, 23)", lo, hi)
 	}
+	dst := grid.NewBand(24, lo, hi)
 	for y := lo; y < hi; y += 5 {
 		end := min(y+5, hi)
 		ef, err := EncodeBand(src, y, end)
@@ -96,8 +102,11 @@ func TestBandRoundTrip(t *testing.T) {
 			t.Fatalf("band decoded as [%d, %d), want [%d, %d)", glo, ghi, y, end)
 		}
 	}
-	if FingerprintOf(dst) != FingerprintOf(src) {
-		t.Fatal("grid changed across the band stream")
+	if dst.Fingerprint() != src.Rows(lo, hi).Fingerprint() {
+		t.Fatal("band changed across the stream")
+	}
+	if FingerprintOf(dst.Grid()) != FingerprintOf(src) {
+		t.Fatal("the received band materialises to another grid")
 	}
 }
 
@@ -109,8 +118,11 @@ func TestBandRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBandInto(grid.NewGrid(16), f); err == nil || !strings.Contains(err.Error(), "16-pixel") {
+	if _, _, err := DecodeBandInto(grid.NewBand(16, 0, 16), f); err == nil || !strings.Contains(err.Error(), "16-pixel") {
 		t.Errorf("band for the wrong grid size accepted: %v", err)
+	}
+	if _, _, err := DecodeBandInto(grid.NewBand(8, 2, 8), f); err == nil || !strings.Contains(err.Error(), "outside the span [2, 8)") {
+		t.Errorf("band leaving the receiving span accepted: %v", err)
 	}
 	if _, err := EncodeBand(src, 4, 4); err == nil {
 		t.Error("EncodeBand accepted an empty row range")
@@ -122,7 +134,7 @@ func TestBandRejects(t *testing.T) {
 	// rejected by the decoder even though the frame layer accepted it
 	// (the length is a valid k*cellBytes, just not this range's k).
 	bad := frame.Frame{Type: FrameBand, Payload: f.Payload[:len(f.Payload)-16]}
-	if _, _, err := DecodeBandInto(grid.NewGrid(8), bad); err == nil {
+	if _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), bad); err == nil {
 		t.Error("DecodeBandInto accepted a short payload")
 	}
 }
@@ -182,14 +194,15 @@ func TestFingerprintDistinguishes(t *testing.T) {
 // payload cap: it must never panic, never allocate more than the cap
 // (the band rule and cap check run on the declared length before the
 // payload allocation), and any accepted frame must decode or be
-// rejected cleanly by its typed decoder.
+// rejected cleanly by its typed decoder — bands into the span the last
+// hello announced, as the coordinator decodes them.
 func FuzzReadReduceFrame(f *testing.F) {
 	g := testGrid(8)
 	band, _ := EncodeBand(g, 2, 6)
 	seeds := [][]byte{
-		frameBytes(f, EncodeHello(Hello{Worker: 1, Workers: 4, Axis: AxisRows})),
+		frameBytes(f, EncodeHello(Hello{Worker: 1, Workers: 4, Axis: AxisRows, Lo: 2, Hi: 6})),
 		frameBytes(f, band),
-		frameBytes(f, EncodeResult(Result{Worker: 2, Fingerprint: FingerprintOf(g)})),
+		frameBytes(f, EncodeResult(Result{Worker: 2, Fingerprint: g.Rows(2, 6).Fingerprint()})),
 	}
 	// A two-frame stream, a truncated band and a corrupt-length band
 	// round out the committed corpus shapes.
@@ -206,7 +219,7 @@ func FuzzReadReduceFrame(f *testing.F) {
 		// into one reused buffer as the coordinator reads it. Both must see
 		// the same frames and fail at the same one.
 		r, again := bytes.NewReader(data), bytes.NewReader(data)
-		dst := grid.NewGrid(8)
+		dst := grid.NewBand(8, 0, 8)
 		buf := make([]byte, 0, 16)
 		for {
 			fr, err := frame.Read(r, 1<<16, reduceRules, nil)
@@ -225,8 +238,12 @@ func FuzzReadReduceFrame(f *testing.F) {
 			}
 			switch fr.Type {
 			case FrameHello:
-				if _, err := DecodeHello(fr); err != nil {
+				h, err := DecodeHello(fr)
+				if err != nil {
 					return
+				}
+				if h.Hi <= dst.N {
+					dst = grid.NewBand(dst.N, h.Lo, h.Hi)
 				}
 			case FrameBand:
 				if _, _, err := DecodeBandInto(dst, fr); err != nil {

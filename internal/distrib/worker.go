@@ -70,11 +70,12 @@ func NonzeroRowSpan(g *grid.Grid) (lo, hi int) {
 	return lo, hi
 }
 
-// Deliver streams a finished partial grid to the coordinator: dial,
-// Hello, the nonzero row span chunked into FrameBands under the
-// payload cap, and a closing FrameResult carrying the fingerprint of
-// the whole partial grid — hashed on its own goroutine while the bands
-// are encoded and written. maxPayload <= 0 selects frame.DefaultMaxPayload.
+// Deliver streams a finished partial grid to the coordinator: dial, a
+// Hello announcing g's nonzero row span, that span chunked into
+// FrameBands under the payload cap, and a closing FrameResult carrying
+// the span's band fingerprint — hashed on its own goroutine while the
+// bands are encoded and written. maxPayload <= 0 selects
+// frame.DefaultMaxPayload.
 func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
@@ -86,9 +87,11 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 		conn.SetDeadline(dl)
 	}
 	bw := bufio.NewWriterSize(conn, 1<<16)
+	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
+	h.Lo, h.Hi = NonzeroRowSpan(g)
 	hashed := make(chan Fingerprint, 1)
-	go func() { hashed <- FingerprintOf(g) }()
-	err = sendBands(bw, spec, planSum, g, maxPayload)
+	go func() { hashed <- g.Rows(h.Lo, h.Hi).Fingerprint() }()
+	err = sendBands(bw, h, g, maxPayload)
 	res := Result{Worker: spec.Index, Fingerprint: <-hashed} // also on error: g is the caller's again
 	if err != nil {
 		return err
@@ -102,23 +105,21 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 	return nil
 }
 
-// sendBands writes the hello and the band frames of g's nonzero row
-// span, every band through one reused payload buffer.
-func sendBands(bw *bufio.Writer, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
-	hello := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
-	if err := frame.Write(bw, EncodeHello(hello)); err != nil {
-		return fmt.Errorf("distrib: worker %d sending hello: %w", spec.Index, err)
+// sendBands writes the hello h and the band frames of g's rows
+// [h.Lo, h.Hi), every band through one reused payload buffer.
+func sendBands(bw *bufio.Writer, h Hello, g *grid.Grid, maxPayload int) error {
+	if err := frame.Write(bw, EncodeHello(h)); err != nil {
+		return fmt.Errorf("distrib: worker %d sending hello: %w", h.Worker, err)
 	}
-	lo, hi := NonzeroRowSpan(g)
 	step := BandRowsPerFrame(g.N, maxPayload)
 	var payload []byte
-	for y := lo; y < hi; y += step {
-		f, err := encodeBandInto(payload, g, y, min(y+step, hi))
+	for y := h.Lo; y < h.Hi; y += step {
+		f, err := encodeBandInto(payload, g, y, min(y+step, h.Hi))
 		if err != nil {
 			return err
 		}
 		if err := frame.Write(bw, f); err != nil {
-			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", spec.Index, y, min(y+step, hi), err)
+			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", h.Worker, y, min(y+step, h.Hi), err)
 		}
 		payload = f.Payload
 	}

@@ -109,11 +109,7 @@ func TestFingerprintSpecials(t *testing.T) {
 	for i, re := range awkward {
 		g := sparseGrid(5)
 		g.Data[1][3] = complex(re, awkward[(i+3)%len(awkward)])
-		got, want := g.Fingerprint(), referenceFingerprint(g)
-		// NaN != NaN: compare the float fields by bit pattern.
-		if got.SHA256 != want.SHA256 || got.Nonzero != want.Nonzero ||
-			math.Float64bits(got.SumAbs) != math.Float64bits(want.SumAbs) ||
-			math.Float64bits(got.PeakAbs) != math.Float64bits(want.PeakAbs) {
+		if got, want := g.Fingerprint(), referenceFingerprint(g); !sameFingerprint(got, want) {
 			t.Errorf("special %d: %+v, want %+v", i, got, want)
 		}
 	}
@@ -193,5 +189,106 @@ func TestFingerprintSteadyStateAllocs(t *testing.T) {
 	g.Fingerprint()
 	if a := testing.AllocsPerRun(10, func() { g.Fingerprint() }); a != 0 {
 		t.Errorf("Fingerprint allocates %.0f times per call", a)
+	}
+}
+
+// TestZeroCopyMatchesPortableEncoder: on this host the codec moves and
+// hashes cell memory directly (when little-endian); the per-cell
+// encoder, the path of every other host, must give the same bytes, the
+// same decoded bits and the same grid and band fingerprints for every
+// awkward bit pattern — ±0, NaN payloads, ±Inf, subnormals.
+func TestZeroCopyMatchesPortableEncoder(t *testing.T) {
+	src := make([]complex128, len(awkward)*len(awkward)+streamCells+3)
+	for i := range src {
+		src[i] = complex(awkward[i%len(awkward)], awkward[(i/len(awkward))%len(awkward)])
+	}
+	g := sparseGrid(67)
+	for c := range g.Data {
+		copy(g.Data[c][c:], src[:len(awkward)*len(awkward)])
+	}
+	type out struct {
+		enc, written []byte
+		dec          []complex128
+		grid, band   Fingerprint
+	}
+	run := func(le bool) (o out) {
+		defer func(v bool) { hostLE = v }(hostLE)
+		hostLE = le
+		o.enc = make([]byte, CellBytes*len(src))
+		EncodeCells(o.enc, src)
+		var buf bytes.Buffer
+		if err := WriteCells(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		o.written = buf.Bytes()
+		o.dec = make([]complex128, len(src))
+		DecodeCells(o.dec, o.enc)
+		viaStream := make([]complex128, len(src))
+		if err := ReadCells(bytes.NewReader(o.enc), viaStream); err != nil {
+			t.Fatal(err)
+		}
+		for i := range src {
+			if !sameBits(o.dec[i], src[i]) || !sameBits(viaStream[i], src[i]) {
+				t.Fatalf("hostLE=%v cell %d: %v / %v, want the bits of %v", le, i, o.dec[i], viaStream[i], src[i])
+			}
+		}
+		o.grid, o.band = g.Fingerprint(), g.Rows(3, 60).Fingerprint()
+		return o
+	}
+	portable := run(false)
+	if !bytes.Equal(portable.enc, portable.written) {
+		t.Fatal("portable EncodeCells and WriteCells disagree")
+	}
+	if want := referenceFingerprint(g); !sameFingerprint(portable.grid, want) {
+		t.Fatalf("portable fingerprint %+v, per-cell reference %+v", portable.grid, want)
+	}
+	if !hostLE {
+		t.Skip("big-endian host: the portable path is the only path")
+	}
+	direct := run(true)
+	if !bytes.Equal(direct.enc, portable.enc) || !bytes.Equal(direct.written, portable.enc) {
+		t.Error("the direct path encodes other bytes than the per-cell encoder")
+	}
+	if !sameFingerprint(direct.grid, portable.grid) || !sameFingerprint(direct.band, portable.band) {
+		t.Errorf("direct fingerprints %+v / %+v, portable %+v / %+v", direct.grid, direct.band, portable.grid, portable.band)
+	}
+}
+
+// sameFingerprint compares fingerprints with their floats by bit
+// pattern (a NaN sum is not == itself).
+func sameFingerprint(a, b Fingerprint) bool {
+	return a.SHA256 == b.SHA256 && a.GridSize == b.GridSize && a.Nonzero == b.Nonzero &&
+		math.Float64bits(a.SumAbs) == math.Float64bits(b.SumAbs) &&
+		math.Float64bits(a.PeakAbs) == math.Float64bits(b.PeakAbs)
+}
+
+// TestBandFingerprint: a band hashes its grid size, Lo and Hi as
+// little-endian uint32 and then its cells in the canonical order, its
+// diagnostics cover its cells only, and the empty span hashes the
+// header alone.
+func TestBandFingerprint(t *testing.T) {
+	g := sparseGrid(9)
+	for _, span := range [][2]int{{0, 9}, {2, 7}, {4, 4}} {
+		b := g.Rows(span[0], span[1])
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, [3]uint32{9, uint32(span[0]), uint32(span[1])})
+		want := Fingerprint{GridSize: 9}
+		for c := range b.Data {
+			binary.Write(h, binary.LittleEndian, b.Data[c])
+			for _, v := range b.Data[c] {
+				if v != 0 {
+					want.Nonzero++
+					want.SumAbs += math.Hypot(real(v), imag(v))
+					want.PeakAbs = max(want.PeakAbs, math.Hypot(real(v), imag(v)))
+				}
+			}
+		}
+		h.Sum(want.SHA256[:0])
+		if got := b.Fingerprint(); got != want {
+			t.Errorf("band %v: %+v, want %+v", span, got, want)
+		}
+	}
+	if g.Rows(0, 9).Fingerprint().SHA256 == g.Fingerprint().SHA256 {
+		t.Error("a full-height band hashes as the grid: the span is not in the hash")
 	}
 }

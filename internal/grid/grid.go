@@ -75,15 +75,7 @@ func (g *Grid) Clone() *Grid {
 
 // AddGrid accumulates other into g. The sizes must match.
 func (g *Grid) AddGrid(other *Grid) {
-	if other.N != g.N {
-		panic(fmt.Sprintf("grid: size mismatch %d vs %d", g.N, other.N))
-	}
-	for c := range g.Data {
-		dst, src := g.Data[c], other.Data[c]
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
+	g.Rows(0, g.N).Add(other.Rows(0, other.N))
 }
 
 // MaxAbsDiff returns the largest per-pixel complex magnitude difference

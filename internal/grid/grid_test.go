@@ -185,3 +185,46 @@ func TestSubgridFiniteVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestBandGridAndAdd: a band materialises as a grid holding its rows
+// and zeros around them (a full-height band as its own memory), and Add
+// accumulates a narrower band over its rows only.
+func TestBandGridAndAdd(t *testing.T) {
+	b := NewBand(6, 2, 5)
+	for c := range b.Data {
+		for i := range b.Data[c] {
+			b.Data[c][i] = complex(float64(i+1), float64(c))
+		}
+	}
+	g := b.Grid()
+	for c := range g.Data {
+		for y := 0; y < 6; y++ {
+			for x := 0; x < 6; x++ {
+				var want complex128
+				if y >= 2 && y < 5 {
+					want = b.Data[c][(y-2)*6+x]
+				}
+				if got := g.At(c, y, x); got != want {
+					t.Fatalf("plane %d (%d, %d) = %v, want %v", c, y, x, got, want)
+				}
+			}
+		}
+	}
+	if full := g.Rows(0, 6); &full.Grid().Data[1][0] != &g.Data[1][0] {
+		t.Error("a full-height band materialised as a copy")
+	}
+	narrow := g.Rows(3, 4)
+	b.Add(narrow)
+	if got, want := b.Data[2][6+4], 2*g.At(2, 3, 4); got != want {
+		t.Errorf("added cell %v, want %v", got, want)
+	}
+	if got, want := b.Data[2][4], g.At(2, 2, 4); got != want {
+		t.Errorf("cell outside the added rows moved: %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("adding a band outside the destination's rows did not panic")
+		}
+	}()
+	narrow.Add(b)
+}

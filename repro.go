@@ -458,6 +458,69 @@ func (c ObservationConfig) buildGeometry(workers int) (*geometry, error) {
 	return &geometry{stations: stations, sim: sim, plan: p, imageSize: imageSize}, nil
 }
 
+// The plan cache serves the geometries of server sessions and
+// distributed runs. It follows the FFT plan cache pattern: read-mostly
+// lookups under an RWMutex, geometries built outside any lock, first
+// stored entry wins so concurrent users of the same configuration share
+// one plan.
+var (
+	planCacheMu sync.RWMutex
+	planCache   = make(map[string]*geometry)
+
+	planCacheHits, planCacheMisses atomic.Int64
+)
+
+// ServerPlanCacheStats reports cumulative plan-cache hits and misses
+// (tests pin that repeated configurations stop paying for plan
+// builds).
+func ServerPlanCacheStats() (hits, misses int64) {
+	return planCacheHits.Load(), planCacheMisses.Load()
+}
+
+// resetServerPlanCache clears the cache and its counters (test seam).
+func resetServerPlanCache() {
+	planCacheMu.Lock()
+	planCache = make(map[string]*geometry)
+	planCacheMu.Unlock()
+	planCacheHits.Store(0)
+	planCacheMisses.Store(0)
+}
+
+// planKey fingerprints every field that shapes the plan. Workers is
+// included defensively: the parallel plan builder is deterministic,
+// but sharing across worker counts buys little and costs an invariant.
+func planKey(c ObservationConfig) string {
+	return fmt.Sprintf("s%d.t%d.c%d.f%g.w%g.g%d.sg%d.k%d.m%d.a%d.mts%d.ws%g.core%t.ha%g.wk%d",
+		c.NrStations, c.NrTimesteps, c.NrChannels, c.StartFrequency, c.ChannelWidth,
+		c.GridSize, c.SubgridSize, c.KernelSupport, c.GridMargin, c.ATermInterval,
+		c.MaxTimestepsPerSubgrid, c.WStepLambda, c.CoreOnly, c.HourAngleStartDeg, c.Workers)
+}
+
+// cachedGeometry is c's geometry from the plan cache; a miss builds it
+// on the given planner threads (0: GOMAXPROCS) and stores it. A hit
+// still validates c.
+func (c ObservationConfig) cachedGeometry(workers int) (*geometry, error) {
+	key := planKey(c)
+	planCacheMu.RLock()
+	geo := planCache[key]
+	planCacheMu.RUnlock()
+	if geo != nil {
+		planCacheHits.Add(1)
+		return geo, c.validate()
+	}
+	planCacheMisses.Add(1)
+	fresh, err := c.buildGeometry(workers)
+	if err != nil {
+		return nil, err
+	}
+	planCacheMu.Lock()
+	if geo = planCache[key]; geo == nil { // else a concurrent builder won
+		geo, planCache[key] = fresh, fresh
+	}
+	planCacheMu.Unlock()
+	return geo, nil
+}
+
 // newObservation makes one run's observation over a (possibly shared)
 // geometry: fresh kernels carrying c's per-run knobs, no visibilities.
 func newObservation(c ObservationConfig, geo *geometry) (*Observation, error) {

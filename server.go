@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/server"
@@ -76,43 +75,6 @@ func WriteGridBinary(w io.Writer, g *Grid) error {
 	return nil
 }
 
-// The plan cache follows the FFT plan cache pattern: read-mostly
-// lookups under an RWMutex, geometries built outside any lock, first
-// stored entry wins so concurrent sessions of the same configuration
-// share one plan.
-var (
-	planCacheMu sync.RWMutex
-	planCache   = make(map[string]*geometry)
-
-	planCacheHits, planCacheMisses atomic.Int64
-)
-
-// ServerPlanCacheStats reports cumulative plan-cache hits and misses
-// (tests pin that repeated configurations stop paying for plan
-// builds).
-func ServerPlanCacheStats() (hits, misses int64) {
-	return planCacheHits.Load(), planCacheMisses.Load()
-}
-
-// resetServerPlanCache clears the cache and its counters (test seam).
-func resetServerPlanCache() {
-	planCacheMu.Lock()
-	planCache = make(map[string]*geometry)
-	planCacheMu.Unlock()
-	planCacheHits.Store(0)
-	planCacheMisses.Store(0)
-}
-
-// planKey fingerprints every field that shapes the plan. Workers is
-// included defensively: the parallel plan builder is deterministic,
-// but sharing across worker counts buys little and costs an invariant.
-func planKey(c ObservationConfig) string {
-	return fmt.Sprintf("s%d.t%d.c%d.f%g.w%g.g%d.sg%d.k%d.m%d.a%d.mts%d.ws%g.core%t.ha%g.wk%d",
-		c.NrStations, c.NrTimesteps, c.NrChannels, c.StartFrequency, c.ChannelWidth,
-		c.GridSize, c.SubgridSize, c.KernelSupport, c.GridMargin, c.ATermInterval,
-		c.MaxTimestepsPerSubgrid, c.WStepLambda, c.CoreOnly, c.HourAngleStartDeg, c.Workers)
-}
-
 // ServerBackend implements the server's gridding backend on the
 // facade: session configs become Observations (through the read-mostly
 // plan cache), streamed wire samples fill their visibilities, and
@@ -149,12 +111,18 @@ func (b *ServerBackend) observationConfig(cfg server.SessionConfig) ObservationC
 	}
 }
 
-// Open builds a session: plan and simulator from the cache (or a
+// Open builds a session: plan and simulator from the plan cache (or a
 // fresh build that populates it), fresh kernels carrying the session's
 // streaming and checkpoint knobs, and zeroed visibility storage.
 func (b *ServerBackend) Open(cfg server.SessionConfig) (server.BackendSession, error) {
 	oc := b.observationConfig(cfg)
-	o, err := b.buildObservation(oc)
+	geo, err := oc.cachedGeometry(oc.Workers)
+	if err != nil {
+		return nil, err
+	}
+	// Per-session kernels: their scratch pools must not be shared across
+	// concurrently gridding sessions of different knob sets.
+	o, err := newObservation(oc, geo)
 	if err != nil {
 		return nil, err
 	}
@@ -162,30 +130,6 @@ func (b *ServerBackend) Open(cfg server.SessionConfig) (server.BackendSession, e
 		return nil, err
 	}
 	return &backendSession{o: o, ft: b.Fault}, nil
-}
-
-func (b *ServerBackend) buildObservation(oc ObservationConfig) (*Observation, error) {
-	key := planKey(oc)
-	planCacheMu.RLock()
-	geo := planCache[key]
-	planCacheMu.RUnlock()
-	if geo == nil {
-		planCacheMisses.Add(1)
-		fresh, err := oc.buildGeometry(oc.Workers)
-		if err != nil {
-			return nil, err
-		}
-		planCacheMu.Lock()
-		if geo = planCache[key]; geo == nil { // else a concurrent builder won
-			geo, planCache[key] = fresh, fresh
-		}
-		planCacheMu.Unlock()
-	} else {
-		planCacheHits.Add(1)
-	}
-	// Per-session kernels: their scratch pools must not be shared across
-	// concurrently gridding sessions of different knob sets.
-	return newObservation(oc, geo)
 }
 
 // backendSession adapts one Observation to the server's session
