@@ -113,8 +113,8 @@ func BenchmarkAblationPrecision(b *testing.B) {
 // size the phasor working set; very short tiles re-walk the
 // visibility block more often, very tall tiles spill the planar
 // visibility slabs out of L1. rows=24 is one whole-subgrid tile (no
-// tiling). For the vector-vs-generic tile comparison run any of these
-// under IDG_SIMD=scalar.
+// tiling). For the vector tiles against their Go bodies run any of
+// these under IDG_SIMD=scalar.
 func BenchmarkAblationPixelTileRows(b *testing.B) {
 	for _, tr := range []int{1, 2, 4, 8, 24} {
 		b.Run(fmt.Sprintf("rows=%d", tr), func(b *testing.B) {
@@ -150,11 +150,11 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 // channel count matches the SIMD width). Every uniform comb runs twice
 // per precision: as dispatched and with the recurrence disabled (one
 // evaluated phasor per sample) — the measurement core's one selection
-// threshold, phasorMinChannels, is set from, per tier: the generic
-// tiles under IDG_SIMD=scalar, and how the pixel-lane gridLanesPix seeds
-// its phasors in both precisions under IDG_SIMD=avx2 and on the avx512
-// tier (it has no other rule about the channel count: 9, 33 and 66 are
-// there for the channel tail and the second resync chunk). The
+// threshold, phasorMinChannels, is set from: how the pixel-lane
+// gridLanesPix seeds its phasors in both precisions on every tier, its
+// Go lanes under IDG_SIMD=scalar, YMM under IDG_SIMD=avx2, ZMM on the
+// avx512 tier (it has no other rule about the channel count: 9, 33 and
+// 66 are there for the channel tail and the second resync chunk). The
 // non-uniform comb has only the direct form.
 func BenchmarkAblationChannelCount(b *testing.B) {
 	comb := func(nc int, jitter float64) []float64 {

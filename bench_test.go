@@ -391,10 +391,7 @@ func BenchmarkGridderKernelShortItems(b *testing.B) {
 	benchGridderKernelATerms(b, 24, 8, 2, core.Float64, true)
 }
 
-// BenchmarkGridderKernelShortItemsFloat32 is the same item in float32,
-// which takes a vector tile on the avx512 tier only: below it a
-// two-channel float32 item runs the generic tile, at a twentieth of the
-// rate.
+// BenchmarkGridderKernelShortItemsFloat32 is the same item in float32.
 func BenchmarkGridderKernelShortItemsFloat32(b *testing.B) {
 	benchGridderKernelATerms(b, 24, 8, 2, Float32, true)
 }

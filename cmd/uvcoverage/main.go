@@ -23,6 +23,14 @@ func main() {
 		pgmSize  = flag.Int("pgm-size", 512, "PGM raster size")
 	)
 	flag.Parse()
+	switch {
+	case *stations < 2:
+		fail(fmt.Errorf("-stations must be >= 2, got %d", *stations))
+	case *width < 4:
+		fail(fmt.Errorf("-width must be >= 4, got %d", *width))
+	case *pgmSize < 1:
+		fail(fmt.Errorf("-pgm-size must be >= 1, got %d", *pgmSize))
+	}
 
 	cfg := layout.SKA1LowConfig()
 	cfg.NrStations = *stations

@@ -142,10 +142,10 @@ func Pascal() *Platform {
 // 2.7 GHz, dual FMA issue, and vectors of lanes elements — the width of
 // the tile bodies the measured kernels actually dispatched (4 for the
 // 256-bit float64 tiles, 8 for the 512-bit float64 and the float32
-// ones, 1 for the generic tiles; core.SIMDInfo.Lanes), so a ceiling is
-// never stated for a lane width the run did not use. It is NOT part of
-// Platforms(): the paper's figures stay exactly the three Table I
-// systems.
+// ones, 1 for the scalar tier's Go bodies; core.SIMDInfo.Lanes), so a
+// ceiling is never stated for a lane width the run did not use. It is
+// NOT part of Platforms(): the paper's figures stay exactly the three
+// Table I systems.
 //
 // The sincos constant is calibrated to xmath.SincosFast (~86 cycles
 // per scalar pair, ~172 dual-issue slots). Note the measured kernels

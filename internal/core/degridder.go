@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/grid"
 	"repro/internal/plan"
 	"repro/internal/uvwsim"
@@ -18,7 +16,7 @@ import (
 // The input subgrid is not modified.
 func (k *Kernels) DegridSubgrid(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, atermP, atermQ []xmath.Matrix2, vis []xmath.Matrix2) {
 	s := k.getScratch()
-	k.degridSubgridScratch(item, in, uvw, k.jonesOf(s, atermP, atermQ), vis, s, k.params.workers())
+	k.degridSubgridScratch(item, in, uvw, jonesOf(s, atermP, atermQ), vis, s, k.params.workers())
 	k.putScratch(s)
 }
 
@@ -35,33 +33,15 @@ func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw
 		return
 	}
 	if k.params.Precision == Float32 {
-		tile := degridTile[float32]
-		vec := k.disp.degridVec32 != nil
-		if vec {
-			tile = k.disp.degridVec32
-		}
 		if k.ob.enabled() {
-			if vec {
-				k.ob.kernelPath(k.ob.pathVec32)
-			} else {
-				k.ob.kernelPath(k.ob.pathTiled32)
-			}
+			k.ob.kernelPath(k.ob.pathVec32)
 		}
-		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, tile)
+		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, k.disp.degrid32)
 	} else {
-		tile := degridTile[float64]
-		vec := k.disp.degridVec64 != nil
-		if vec {
-			tile = k.disp.degridVec64
-		}
 		if k.ob.enabled() {
-			if vec {
-				k.ob.kernelPath(k.ob.pathVec)
-			} else {
-				k.ob.kernelPath(k.ob.pathTiled64)
-			}
+			k.ob.kernelPath(k.ob.pathVec)
 		}
-		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, tile)
+		degridSubgridTiled(k, item, in, uvw, a, vis, s, par, k.disp.degrid64)
 	}
 }
 
@@ -142,7 +122,9 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 	wOff := item.WOffset
 	pOff := growF(&s.pOff, npix)
 	for i := range pOff {
-		pOff[i] = twoPi * (uOff*k.l[i] + vOff*k.m[i] + wOff*k.n[i])
+		// Every product rounded, as stagePIdx rounds them: no compiler
+		// may fuse these, so the offsets are the same bits everywhere.
+		pOff[i] = twoPi * (float64(uOff*k.l[i]) + float64(vOff*k.m[i]) + float64(wOff*k.n[i]))
 	}
 	k.ob.prologueDone(start)
 
@@ -196,158 +178,8 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 	}
 }
 
-// degridTileFn is the per-tile degridder kernel: the generic
-// degridTile, or the hand-vectorized degridTileFused on the vector tiers.
-// Both read the shared corrected-pixel planes and phase offsets out of
-// the item-owner scratch sb (re-derived locally, as in gridTileFn) and
-// accumulate the tile's pixel contributions into dst.
+// degridTileFn is the per-tile degridder kernel, degridTileFused on every
+// tier. It reads the shared corrected-pixel planes and phase offsets out
+// of the item-owner scratch sb (re-derived locally, as in gridTileFn) and
+// accumulates the tile's pixel contributions into dst.
 type degridTileFn[F floatT] func(k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F)
-
-// degridTile predicts the contribution of pixel rows [row0, row1) to
-// every visibility of the work item, accumulating into dst (8 floats
-// per visibility, indexed 8*(t*nc+c)). Per (time step, channel) it runs
-// two passes over the tile's pixels: a phasor pass (seed, rotate, or
-// exact re-sync) and a conjugate accumulation pass, the latter fused on
-// hardware FMA.
-func degridTile[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
-	sg := k.params.SubgridSize
-	nc := item.NrChannels
-	i0, i1 := row0*sg, row1*sg
-	n := i1 - i0
-	tb := bufsOf[F](ts)
-	pIdx := growF(&ts.pIdx, n)
-	phRe := grow(&tb.phRe, n)
-	phIm := grow(&tb.phIm, n)
-	useRec := k.useRecurrence(nc)
-	var dRe, dIm []F
-	if useRec {
-		dRe = grow(&tb.dRe, n)
-		dIm = grow(&tb.dIm, n)
-	}
-	l, m, nn := k.l[i0:i1], k.m[i0:i1], k.n[i0:i1]
-	pre, pim := visPlanes[F](sb, sg*sg)
-	off := sb.pOff[i0:i1]
-	var tpre, tpim [4][]F
-	for p := 0; p < 4; p++ {
-		tpre[p] = pre[p][i0:i1]
-		tpim[p] = pim[p][i0:i1]
-	}
-	scale0 := k.scale[item.Channel0]
-	for t := 0; t < item.NrTimesteps; t++ {
-		c3 := uvw[t]
-		for i := 0; i < n; i++ {
-			pIdx[i] = c3.U*l[i] + c3.V*m[i] + c3.W*nn[i]
-		}
-		if useRec {
-			// Seed the per-pixel phasors at channel 0 and the delta
-			// phasors exp(i*pIdx*dscale) that advance them per channel.
-			// Phase arguments and sincos stay float64 in both precisions.
-			for i := 0; i < n; i++ {
-				sv, cv := k.sincos(pIdx[i]*scale0 - off[i])
-				phIm[i], phRe[i] = F(sv), F(cv)
-				sv, cv = k.sincos(pIdx[i] * k.dscale)
-				dIm[i], dRe[i] = F(sv), F(cv)
-			}
-		}
-		for c := 0; c < nc; c++ {
-			scale := k.scale[item.Channel0+c]
-			switch {
-			case !useRec:
-				for i := 0; i < n; i++ {
-					sv, cv := k.sincos(pIdx[i]*scale - off[i])
-					phIm[i], phRe[i] = F(sv), F(cv)
-				}
-			case c == 0:
-				// Seeded above.
-			case c%xmath.DefaultPhasorResync == 0:
-				// Exact re-sync bounds the rotation drift.
-				for i := 0; i < n; i++ {
-					sv, cv := k.sincos(pIdx[i]*scale - off[i])
-					phIm[i], phRe[i] = F(sv), F(cv)
-				}
-			default:
-				for i := 0; i < n; i++ {
-					s, co := phIm[i], phRe[i]
-					phIm[i] = s*dRe[i] + co*dIm[i]
-					phRe[i] = co*dRe[i] - s*dIm[i]
-				}
-			}
-			out := (*[8]F)(dst[8*(t*nc+c):])
-			conjAccumulate(out, phRe, phIm, &tpre, &tpim, k.fastFMA)
-		}
-	}
-}
-
-// conjAccumulate adds sum_i conj(phasor_i) * pixel_i over the tile's
-// pixels into out, one component pair per correlation.
-func conjAccumulate[F floatT](out *[8]F, phRe, phIm []F, pre, pim *[4][]F, fastFMA bool) {
-	if fastFMA {
-		if o, ok := any(out).(*[8]float64); ok {
-			conjAccumulateFMA(o, any(phRe).([]float64), any(phIm).([]float64),
-				any(pre).(*[4][]float64), any(pim).(*[4][]float64))
-			return
-		}
-	}
-	var s0r, s0i, s1r, s1i, s2r, s2i, s3r, s3i F
-	r0, i0v := pre[0], pim[0]
-	r1, i1v := pre[1], pim[1]
-	r2, i2v := pre[2], pim[2]
-	r3, i3v := pre[3], pim[3]
-	for i := range phRe {
-		cr, ci := phRe[i], -phIm[i] // conjugate phasor
-		vr, vi := r0[i], i0v[i]
-		s0r += vr*cr - vi*ci
-		s0i += vr*ci + vi*cr
-		vr, vi = r1[i], i1v[i]
-		s1r += vr*cr - vi*ci
-		s1i += vr*ci + vi*cr
-		vr, vi = r2[i], i2v[i]
-		s2r += vr*cr - vi*ci
-		s2i += vr*ci + vi*cr
-		vr, vi = r3[i], i3v[i]
-		s3r += vr*cr - vi*ci
-		s3i += vr*ci + vi*cr
-	}
-	out[0] += s0r
-	out[1] += s0i
-	out[2] += s1r
-	out[3] += s1i
-	out[4] += s2r
-	out[5] += s2i
-	out[6] += s3r
-	out[7] += s3i
-}
-
-// conjAccumulateFMA is the float64 specialization of conjAccumulate on
-// hardware fused multiply-add (see rotateAccumulateFMA; the fused and
-// unfused variants differ only in rounding).
-func conjAccumulateFMA(out *[8]float64, phRe, phIm []float64, pre, pim *[4][]float64) {
-	var s0r, s0i, s1r, s1i, s2r, s2i, s3r, s3i float64
-	r0, i0v := pre[0], pim[0]
-	r1, i1v := pre[1], pim[1]
-	r2, i2v := pre[2], pim[2]
-	r3, i3v := pre[3], pim[3]
-	for i := range phRe {
-		cr, ci := phRe[i], -phIm[i] // conjugate phasor
-		vr, vi := r0[i], i0v[i]
-		s0r = math.FMA(vr, cr, math.FMA(-vi, ci, s0r))
-		s0i = math.FMA(vr, ci, math.FMA(vi, cr, s0i))
-		vr, vi = r1[i], i1v[i]
-		s1r = math.FMA(vr, cr, math.FMA(-vi, ci, s1r))
-		s1i = math.FMA(vr, ci, math.FMA(vi, cr, s1i))
-		vr, vi = r2[i], i2v[i]
-		s2r = math.FMA(vr, cr, math.FMA(-vi, ci, s2r))
-		s2i = math.FMA(vr, ci, math.FMA(vi, cr, s2i))
-		vr, vi = r3[i], i3v[i]
-		s3r = math.FMA(vr, cr, math.FMA(-vi, ci, s3r))
-		s3i = math.FMA(vr, ci, math.FMA(vi, cr, s3i))
-	}
-	out[0] += s0r
-	out[1] += s0i
-	out[2] += s1r
-	out[3] += s1i
-	out[4] += s2r
-	out[5] += s2i
-	out[6] += s3r
-	out[7] += s3i
-}

@@ -31,15 +31,15 @@ func forceTier(tier xmath.SIMDTier) func(*Params) {
 	return func(p *Params) { p.forceSIMD = &tier }
 }
 
-// TestFloat32VectorKernelsMatchScalar pins the hand-vectorized float32
-// paths of every vector tier the host has against the generic float32
-// tiles: all apply the same resync cadence and the same float64 seeding,
-// so they agree to within twice the documented float32 bound (each
-// side's drift plus accumulation rounding). The channel counts cover
-// one and several registers of channels, the resync boundary and a third
-// chunk.
+// TestFloat32VectorKernelsMatchScalar pins the assembled float32 lanes
+// of every vector tier the host has against the scalar tier's Go lanes,
+// which round each product before adding it: all apply the same resync
+// cadence and the same float64 seeding, so they agree to within twice
+// the documented float32 bound (each side's drift plus accumulation
+// rounding). The channel counts cover one and several registers of
+// channels, the resync boundary and a third chunk.
 func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
-	if dispatchFor(xmath.ActiveSIMD()).gridVec32 == nil {
+	if len(coreHostTiers()) < 2 {
 		t.Skip("vector kernels unavailable on this CPU")
 	}
 	const sg, nt = 16, 10
@@ -80,15 +80,14 @@ func TestFloat32VectorKernelsMatchScalar(t *testing.T) {
 // two channels to three resync chunks, and the short and non-uniform
 // shapes — through every tier the host has, in both precisions, against
 // the reference transcription within the documented bounds, and holds
-// the SIMDInfo strings to the dispatch: every vector tier's strings name
-// the pixel-lane gridder and the fused degridder, the scalar tier's
-// neither. Between tiers the relation is one of reassociation: every
-// vector tier's float64 gridder and degridder differ from the scalar
-// tier's generic tiles by reassociation only — the same phasors,
-// accumulated in another order. Between the vector tiers the gridder is
-// the same bits in both precisions (one per-lane text at either width),
-// and the degridder differs by the association of the lane fold whatever
-// the shape (the ZMM fold has twice the lanes).
+// the SIMDInfo strings to the dispatch: every tier's strings name the
+// pixel-lane gridder and the fused degridder. Between tiers: in float64
+// the scalar tier's Go lanes are avx2's bits in both directions, and
+// every tier grids the same bits; the avx512 degridder differs by the
+// association of the lane fold (the ZMM fold has twice the lanes) whatever
+// the shape, in both precisions. Float32 on the scalar tier rounds each
+// product before adding it, so it stays within the float32 bound of
+// avx2 in both directions without being its bits.
 func TestDispatchPerTier(t *testing.T) {
 	const sg = 12
 	for _, sh := range shortAndUniformShapes(8, 2, 3, 5, 8, 16, 21, 24, 37, 64, 66, 130) {
@@ -116,8 +115,7 @@ func TestDispatchPerTier(t *testing.T) {
 					forceTier(tier)(p)
 				})
 				for _, tiles := range []string{k.SIMDInfo().Tiles64, k.SIMDInfo().Tiles32} {
-					named := strings.Contains(tiles, "pixel-lane gridder") && strings.Contains(tiles, "fused degridder")
-					if named != (tier >= xmath.SIMDAVX2) {
+					if !strings.Contains(tiles, "pixel-lane gridder") || !strings.Contains(tiles, "fused degridder") {
 						t.Fatalf("%s tier %v: tiles=%q", sh.name, tier, tiles)
 					}
 				}
@@ -148,18 +146,23 @@ func TestDispatchPerTier(t *testing.T) {
 				}
 			}
 		}
-		// Sixteen roundings per accumulated term, terms of at most
-		// sqrt2*amp: measured against the scalar tier 0.8-1.8 % of this
-		// for the gridder and 0.15-0.45 % for the degridder, on either
-		// vector tier.
-		reassoc := func(n int, amp float64) float64 { return 16 * float64(n) * math.Sqrt2 * amp * 0x1p-52 }
 		for _, tier := range coreHostTiers()[1:] {
-			if d, tol := grids[Float64][tier].MaxAbsDiff(grids[Float64][xmath.SIMDScalar]), reassoc(nt*nc, maxAmp); d > tol {
-				t.Fatalf("%s: float64 gridder %v against scalar differs by %g (reassociation bound %g)", sh.name, tier, d, tol)
+			if !subgridsEqual(grids[Float64][tier], grids[Float64][xmath.SIMDScalar]) {
+				t.Fatalf("%s: the float64 gridder's bits differ between %v and scalar", sh.name, tier)
 			}
-			if d, tol := maxVisDiff(visOf[Float64][tier], visOf[Float64][xmath.SIMDScalar]), reassoc(sg*sg, pixAmp); d > tol {
-				t.Fatalf("%s: float64 degridder %v against scalar differs by %g (reassociation bound %g)", sh.name, tier, d, tol)
-			}
+		}
+		if xmath.DetectedSIMD() < xmath.SIMDAVX2 {
+			continue
+		}
+		if !visEqual(visOf[Float64][xmath.SIMDAVX2], visOf[Float64][xmath.SIMDScalar]) {
+			t.Fatalf("%s: the float64 degridder's bits differ between avx2 and scalar", sh.name)
+		}
+		// Float32: each side's drift plus accumulation rounding.
+		if d, tol := grids[Float32][xmath.SIMDAVX2].MaxAbsDiff(grids[Float32][xmath.SIMDScalar]), 2*float32GridBound(nt*nc, maxAmp, phaseBound); d > tol {
+			t.Fatalf("%s: float32 gridder avx2 against scalar differs by %g (bound %g)", sh.name, d, tol)
+		}
+		if d, tol := maxVisDiff(visOf[Float32][xmath.SIMDAVX2], visOf[Float32][xmath.SIMDScalar]), 2*float32GridBound(sg*sg, pixAmp, phaseBound); d > tol {
+			t.Fatalf("%s: float32 degridder avx2 against scalar differs by %g (bound %g)", sh.name, d, tol)
 		}
 		if xmath.DetectedSIMD() < xmath.SIMDAVX512 {
 			continue
@@ -172,7 +175,9 @@ func TestDispatchPerTier(t *testing.T) {
 				t.Fatalf("%s %v: the avx512 degridder's bits are avx2's: the ZMM fold did not run", sh.name, prec)
 			}
 		}
-		if d, tol := maxVisDiff(visOf[Float64][xmath.SIMDAVX512], visOf[Float64][xmath.SIMDAVX2]), reassoc(sg*sg, pixAmp); d > tol {
+		// Sixteen roundings per accumulated term, terms of at most
+		// sqrt2*amp: measured 0.15-0.45 % of this.
+		if d, tol := maxVisDiff(visOf[Float64][xmath.SIMDAVX512], visOf[Float64][xmath.SIMDAVX2]), 16*float64(sg*sg)*math.Sqrt2*pixAmp*0x1p-52; d > tol {
 			t.Fatalf("%s: float64 degridder avx512 against avx2 differs by %g (reassociation bound %g)", sh.name, d, tol)
 		}
 	}
@@ -210,7 +215,7 @@ func TestSIMDInfo(t *testing.T) {
 	// bodies that tier dispatches, so a 512-bit number is never read
 	// against a 256-bit description or the other way round.
 	for _, tier := range coreHostTiers() {
-		want64, want32 := "generic", "generic"
+		want64, want32 := tiles64Scalar, tiles32Scalar
 		lanes64, lanes32 := 1, 1 // the roofline's vector size: the widest body per precision
 		switch tier {
 		case xmath.SIMDAVX2:
@@ -247,13 +252,10 @@ func TestSIMDInfo(t *testing.T) {
 	}
 }
 
-// TestKernelPathVector32Counter: the float32 vector path reports its
-// own dispatch counter, so measured float32 numbers are attributable
-// to the kernel that produced them.
+// TestKernelPathVector32Counter: the float32 tiles report their own
+// dispatch counter, so measured float32 numbers are attributable to the
+// kernel that produced them.
 func TestKernelPathVector32Counter(t *testing.T) {
-	if dispatchFor(xmath.ActiveSIMD()).gridVec32 == nil {
-		t.Skip("vector kernels unavailable on this CPU")
-	}
 	const sg, nt, nc = 8, 4, 16
 	item, uvw, vis, _ := tilingItem(113, nt, nc)
 	ob := obs.New(0)
@@ -270,19 +272,13 @@ func TestKernelPathVector32Counter(t *testing.T) {
 		t.Fatalf("%s = %d, want 2 (one gridder + one degridder call)",
 			obs.MetricKernelPathVector32, got)
 	}
-	if got := snap.Counters[obs.MetricKernelPathTiled32]; got != 0 {
-		t.Fatalf("generic float32 path counted %d on a vector-capable host", got)
-	}
 }
 
-// TestShortAndNonUniformItemsTakeVectorPath: on a vector-capable tier
-// no item shape of either precision may fall back to the generic scalar
-// tile — not the one- and two-channel items below the recurrence
-// threshold, not a non-uniform comb.
+// TestShortAndNonUniformItemsTakeVectorPath: every item shape of either
+// precision runs the pixel-lane tiles — the one- and two-channel items
+// below the recurrence threshold and a non-uniform comb too.
 func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
-	skipWithoutVectorKernels(t)
 	const sg, nt = 8, 6
-	generic := map[Precision]string{Float64: obs.MetricKernelPathTiled64, Float32: obs.MetricKernelPathTiled32}
 	vector := map[Precision]string{Float64: obs.MetricKernelPathVector, Float32: obs.MetricKernelPathVector32}
 	for _, prec := range []Precision{Float64, Float32} {
 		for _, freqs := range [][]float64{{150e6}, {150e6, 150.25e6}, nonUniformComb} {
@@ -299,9 +295,6 @@ func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
 			snap := ob.Metrics.Snapshot()
 			if got := snap.Counters[vector[prec]]; got != 1 {
 				t.Errorf("%v nc=%d: %s = %d, want 1", prec, nc, vector[prec], got)
-			}
-			if got := snap.Counters[generic[prec]]; got != 0 {
-				t.Errorf("%v nc=%d: generic tile counted %d on a vector-capable tier", prec, nc, got)
 			}
 		}
 
@@ -322,9 +315,6 @@ func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
 		snap := ob.Metrics.Snapshot()
 		if got, want := snap.Counters[vector[prec]], int64(2*len(s.plan.Items)); got != want {
 			t.Errorf("%v short-item passes: %s = %d, want %d (every item, both ways)", prec, vector[prec], got, want)
-		}
-		if got := snap.Counters[generic[prec]]; got != 0 {
-			t.Errorf("%v short-item passes: generic tile counted %d", prec, got)
 		}
 	}
 }

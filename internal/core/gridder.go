@@ -23,7 +23,7 @@ const twoPi = 2 * math.Pi
 // subgrid out is overwritten, including its anchor metadata.
 func (k *Kernels) GridSubgrid(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, atermP, atermQ []xmath.Matrix2, out *grid.Subgrid) {
 	s := k.getScratch()
-	k.gridSubgridScratch(item, uvw, vis, k.jonesOf(s, atermP, atermQ), out, s, k.params.workers())
+	k.gridSubgridScratch(item, uvw, vis, jonesOf(s, atermP, atermQ), out, s, k.params.workers())
 	k.putScratch(s)
 }
 
@@ -42,59 +42,40 @@ func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis [
 		k.gridSubgridReference(item, uvw, vis, a, out)
 		return
 	}
-	// The vector tiles cover every item shape of both precisions; the
-	// generic tiles are the scalar tier only.
 	if k.params.Precision == Float32 {
-		tile := gridTile[float32]
-		vec := k.disp.gridVec32 != nil
-		if vec {
-			tile = k.disp.gridVec32
-		}
 		if k.ob.enabled() {
-			if vec {
-				k.ob.kernelPath(k.ob.pathVec32)
-			} else {
-				k.ob.kernelPath(k.ob.pathTiled32)
-			}
+			k.ob.kernelPath(k.ob.pathVec32)
 		}
-		gridSubgridTiled[float32](k, item, uvw, vis, a, out, s, par, tile)
+		gridSubgridTiled(k, item, uvw, vis, a, out, s, par, k.disp.grid32)
 	} else {
-		tile := gridTile[float64]
-		vec := k.disp.gridVec64 != nil
-		if vec {
-			tile = k.disp.gridVec64
-		}
 		if k.ob.enabled() {
-			if vec {
-				k.ob.kernelPath(k.ob.pathVec)
-			} else {
-				k.ob.kernelPath(k.ob.pathTiled64)
-			}
+			k.ob.kernelPath(k.ob.pathVec)
 		}
-		gridSubgridTiled[float64](k, item, uvw, vis, a, out, s, par, tile)
+		gridSubgridTiled(k, item, uvw, vis, a, out, s, par, k.disp.grid64)
 	}
 }
 
 // phasorMinChannels is the smallest channel count for which the
-// recurrence wins, in every tile of every tier: it replaces nc sincos
+// recurrence wins, in both tiles of every tier: it replaces nc sincos
 // evaluations per (pixel, time step) with two plus nc-1 complex
 // rotations. Measured with BenchmarkAblationChannelCount on the
-// reference host, ms per 64-step item, recurrence against direct: under
-// IDG_SIMD=scalar c=2 2.51 against 2.35, c=3 2.29 against 2.70, c=4 2.82
-// against 3.16; in the pixel-lane gridder (rowChannels), whose
-// evaluations are batched at a twentieth of that cost, on the avx512
-// tier float64 c=2 0.125 against 0.115-0.124, c=3 0.14-0.15 against
-// 0.17, c=4 0.16 against 0.22, float32 0.112 against 0.110, 0.13 against
-// 0.155, 0.135 against 0.21; on the avx2 tier (one thread, best of five)
-// float64 c=2 0.210 against 0.200 (the recurrence forced on at two
-// channels), c=3 0.26 against 0.32, c=4 0.285 against 0.41, float32
-// 0.196 against 0.189, 0.22 against 0.29, 0.23 against 0.36 — the two
-// forms cross between 2 and 3 channels everywhere, and below the
-// crossing the direct form has no drift to bound.
+// reference host, ms per 64-step item of the pixel-lane gridder
+// (rowChannels), recurrence against direct, one thread, best of five (at
+// two channels with the recurrence forced on): under IDG_SIMD=scalar,
+// the Go lanes, float64 c=2 2.24 against 2.19, c=3 2.51 against 3.26,
+// c=4 2.88 against 4.17, float32 1.95 against 2.00, 2.38 against 2.92,
+// 2.67 against 3.95; on the avx512 tier, whose evaluations are batched
+// at a twentieth of that cost, float64 0.125 against 0.115-0.124,
+// 0.14-0.15 against 0.17, 0.16 against 0.22, float32 0.112 against
+// 0.110, 0.13 against 0.155, 0.135 against 0.21; on the avx2 tier
+// float64 0.210 against 0.200, 0.26 against 0.32, 0.285 against 0.41,
+// float32 0.196 against 0.189, 0.22 against 0.29, 0.23 against 0.36 —
+// the two forms cross between 2 and 3 channels on every tier, and below
+// the crossing the direct form has no drift to bound.
 const phasorMinChannels = 3
 
 // useRecurrence reports whether the phasor rotation recurrence applies
-// to a work item of nc channels, in every tile of every tier.
+// to a work item of nc channels, in both tiles of every tier.
 func (k *Kernels) useRecurrence(nc int) bool {
 	return k.uniformScale && nc >= phasorMinChannels
 }
@@ -204,12 +185,11 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 	})
 }
 
-// gridTileFn is the per-tile gridder kernel: the generic gridTile, or
-// the hand-vectorized gridTilePix on the vector tiers. Both read the
-// shared planar visibility block out of the item-owner scratch sb
-// (re-deriving the plane headers locally keeps them off the heap: the
-// tile call is indirect, so pointer arguments would escape) and write
-// the disjoint pixel rows [row0, row1) of out.
+// gridTileFn is the per-tile gridder kernel, gridTilePix on every tier.
+// It reads the shared planar visibility block out of the item-owner
+// scratch sb (re-deriving the plane headers locally keeps them off the
+// heap: the tile call is indirect, so pointer arguments would escape) and
+// writes the disjoint pixel rows [row0, row1) of out.
 type gridTileFn[F floatT] func(k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int)
 
 // visPlanes re-derives the planar visibility block headers laid down
@@ -221,201 +201,4 @@ func visPlanes[F floatT](sb *scratch, ntnc int) (re, im [4][]F) {
 		im[p] = backing[(2*p+1)*ntnc : (2*p+2)*ntnc]
 	}
 	return re, im
-}
-
-// gridTile grids the pixel rows [row0, row1) of one work item against
-// the shared planar visibility block. The time x channel loop is
-// cache-blocked (visBlockSteps): each block of the planar arrays is
-// streamed across the whole tile before moving on, so the block stays
-// L1-resident instead of the full nt x nc footprint.
-func gridTile[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, aterms jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
-	sg := k.params.SubgridSize
-	nt, nc := item.NrTimesteps, item.NrChannels
-	tb := bufsOf[F](ts)
-	// Home the plane headers in the (heap-resident) tile scratch: their
-	// addresses cross the any()-based FMA dispatch below, which would
-	// move stack locals to the heap once per tile.
-	tb.reP, tb.imP = visPlanes[F](sb, nt*nc)
-	re, im := &tb.reP, &tb.imP
-	uOff, vOff := k.uvOffset(item.X0, item.Y0)
-	wOff := item.WOffset
-	pix0, pix1 := row0*sg, row1*sg
-	acc := grow(&tb.acc, 8*(pix1-pix0))
-	for i := range acc {
-		acc[i] = 0
-	}
-	useRec := k.useRecurrence(nc)
-	phRe := grow(&tb.phRe, nc)
-	phIm := grow(&tb.phIm, nc)
-	scale := k.scale[item.Channel0 : item.Channel0+nc]
-	block := k.visBlockSteps(nt, nc)
-	for t0 := 0; t0 < nt; t0 += block {
-		t1 := t0 + block
-		if t1 > nt {
-			t1 = nt
-		}
-		for i := pix0; i < pix1; i++ {
-			l, m, n := k.l[i], k.m[i], k.n[i]
-			phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
-			a := (*[8]F)(acc[8*(i-pix0):])
-			for t := t0; t < t1; t++ {
-				c3 := uvw[t]
-				phaseIndex := c3.U*l + c3.V*m + c3.W*n
-				if useRec {
-					// The channel phase step phaseIndex*dscale is constant
-					// for this (pixel, time step): rotate instead of
-					// re-evaluating, fused with the channel reduction.
-					rotateAccumulate(a, re, im, t*nc, nc,
-						phaseIndex*scale[0]-phaseOffset, phaseIndex*k.dscale,
-						k.sincos, k.fastFMA)
-				} else {
-					for c := 0; c < nc; c++ {
-						sv, cv := k.sincos(phaseIndex*scale[c] - phaseOffset)
-						phIm[c], phRe[c] = F(sv), F(cv)
-					}
-					reduceChannels(a, phRe, phIm, re, im, t*nc, nc)
-				}
-			}
-		}
-	}
-	start := k.ob.now()
-	for i := pix0; i < pix1; i++ {
-		a := acc[8*(i-pix0):]
-		sum := xmath.Matrix2{
-			complex(float64(a[0]), float64(a[1])), complex(float64(a[2]), float64(a[3])),
-			complex(float64(a[4]), float64(a[5])), complex(float64(a[6]), float64(a[7])),
-		}
-		k.storePixel(out, i, sum, aterms)
-	}
-	k.ob.epilogueDone(start)
-}
-
-// rotateAccumulate fuses the phasor rotation recurrence with the
-// channel reduction of one (pixel, time step): instead of filling a
-// phasor buffer (xmath.PhasorRotator.Fill) and reducing it in a second
-// pass, the phasor advances in registers while each channel's four
-// correlations accumulate, eliminating the buffer store/reload from
-// the innermost loop. The recurrence re-syncs with an exact evaluation
-// every xmath.DefaultPhasorResync channels, preserving the documented
-// drift bound. The phase arguments stay float64 in both precisions;
-// the rotation itself runs in F (the float32 drift bound is
-// xmath.Float32PhasorDriftBound).
-func rotateAccumulate[F floatT](acc *[8]F, re, im *[4][]F, j0, nc int, base, delta float64, sincos xmath.SincosFunc, fastFMA bool) {
-	if fastFMA {
-		if a, ok := any(acc).(*[8]float64); ok {
-			rotateAccumulateFMA(a, any(re).(*[4][]float64), any(im).(*[4][]float64),
-				j0, nc, base, delta, sincos)
-			return
-		}
-	}
-	sv, cv := sincos(base)
-	ds, dc := sincos(delta)
-	ps, pc := F(sv), F(cv)
-	fs, fc := F(ds), F(dc)
-	r0 := re[0][j0 : j0+nc]
-	i0 := im[0][j0 : j0+nc]
-	r1 := re[1][j0 : j0+nc]
-	i1 := im[1][j0 : j0+nc]
-	r2 := re[2][j0 : j0+nc]
-	i2 := im[2][j0 : j0+nc]
-	r3 := re[3][j0 : j0+nc]
-	i3 := im[3][j0 : j0+nc]
-	var a0a, a0b, a1a, a1b, a2a, a2b, a3a, a3b F
-	var a4a, a4b, a5a, a5b, a6a, a6b, a7a, a7b F
-	for c := 0; c < nc; c++ {
-		if c > 0 && c%xmath.DefaultPhasorResync == 0 {
-			sv, cv = sincos(base + float64(c)*delta)
-			ps, pc = F(sv), F(cv)
-		}
-		vr, vi := r0[c], i0[c]
-		a0a += vr * pc
-		a0b += vi * ps
-		a1a += vr * ps
-		a1b += vi * pc
-		vr, vi = r1[c], i1[c]
-		a2a += vr * pc
-		a2b += vi * ps
-		a3a += vr * ps
-		a3b += vi * pc
-		vr, vi = r2[c], i2[c]
-		a4a += vr * pc
-		a4b += vi * ps
-		a5a += vr * ps
-		a5b += vi * pc
-		vr, vi = r3[c], i3[c]
-		a6a += vr * pc
-		a6b += vi * ps
-		a7a += vr * ps
-		a7b += vi * pc
-		ps, pc = ps*fc+pc*fs, pc*fc-ps*fs
-	}
-	acc[0] += a0a - a0b
-	acc[1] += a1a + a1b
-	acc[2] += a2a - a2b
-	acc[3] += a3a + a3b
-	acc[4] += a4a - a4b
-	acc[5] += a5a + a5b
-	acc[6] += a6a - a6b
-	acc[7] += a7a + a7b
-}
-
-// rotateAccumulateFMA is the float64 specialization of
-// rotateAccumulate on hardware with fused multiply-add: every product
-// runs as math.FMA (Go never contracts a*b+c on its own), halving the
-// floating-point issue pressure of the innermost loop. Each of the
-// eight accumulators is further split into two independent partial
-// banks — one per product of the complex multiply — so every
-// loop-carried chain is one FMA deep instead of two; the sixteen
-// independent chains hide the FMA latency behind the issue rate. The
-// banks recombine on exit (a = bankA -/+ bankB), which only
-// reassociates the sum: the fused and split variants differ from the
-// generic one only in rounding, well inside the recurrence bound the
-// property tests assert.
-func rotateAccumulateFMA(acc *[8]float64, re, im *[4][]float64, j0, nc int, base, delta float64, sincos xmath.SincosFunc) {
-	ps, pc := sincos(base)
-	fs, fc := sincos(delta)
-	r0 := re[0][j0 : j0+nc]
-	i0 := im[0][j0 : j0+nc]
-	r1 := re[1][j0 : j0+nc]
-	i1 := im[1][j0 : j0+nc]
-	r2 := re[2][j0 : j0+nc]
-	i2 := im[2][j0 : j0+nc]
-	r3 := re[3][j0 : j0+nc]
-	i3 := im[3][j0 : j0+nc]
-	var a0a, a0b, a1a, a1b, a2a, a2b, a3a, a3b float64
-	var a4a, a4b, a5a, a5b, a6a, a6b, a7a, a7b float64
-	for c := 0; c < nc; c++ {
-		if c > 0 && c%xmath.DefaultPhasorResync == 0 {
-			ps, pc = sincos(base + float64(c)*delta)
-		}
-		vr, vi := r0[c], i0[c]
-		a0a = math.FMA(vr, pc, a0a)
-		a0b = math.FMA(vi, ps, a0b)
-		a1a = math.FMA(vr, ps, a1a)
-		a1b = math.FMA(vi, pc, a1b)
-		vr, vi = r1[c], i1[c]
-		a2a = math.FMA(vr, pc, a2a)
-		a2b = math.FMA(vi, ps, a2b)
-		a3a = math.FMA(vr, ps, a3a)
-		a3b = math.FMA(vi, pc, a3b)
-		vr, vi = r2[c], i2[c]
-		a4a = math.FMA(vr, pc, a4a)
-		a4b = math.FMA(vi, ps, a4b)
-		a5a = math.FMA(vr, ps, a5a)
-		a5b = math.FMA(vi, pc, a5b)
-		vr, vi = r3[c], i3[c]
-		a6a = math.FMA(vr, pc, a6a)
-		a6b = math.FMA(vi, ps, a6b)
-		a7a = math.FMA(vr, ps, a7a)
-		a7b = math.FMA(vi, pc, a7b)
-		ps, pc = math.FMA(ps, fc, pc*fs), math.FMA(pc, fc, -(ps*fs))
-	}
-	acc[0] += a0a - a0b
-	acc[1] += a1a + a1b
-	acc[2] += a2a - a2b
-	acc[3] += a3a + a3b
-	acc[4] += a4a - a4b
-	acc[5] += a5a + a5b
-	acc[6] += a6a - a6b
-	acc[7] += a7a + a7b
 }

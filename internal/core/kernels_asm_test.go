@@ -11,14 +11,15 @@ import (
 	"repro/internal/xmath"
 )
 
-// Bounds and transcription tests of the vector tiers' assembly routines,
-// at both register widths. Every buffer handed to a routine is cut out
-// of a larger allocation so that it ends exactly where a run of NaN
-// canaries begins: a store past the end changes a canary's bits, a load
-// past the end (or at a wrong stride) feeds a NaN into the result, and
-// the result must equal a scalar Go transcription of the routine bit for
-// bit — math.FMA and fma32 are the same single rounding as the vector
-// FMAs.
+// Bounds and transcription tests of the pixel-lane routines: the vector
+// tiers' assembly at both register widths and the scalar tier's Go
+// bodies. Every buffer handed to a routine is cut out of a larger
+// allocation so that it ends exactly where a run of NaN canaries begins:
+// a store past the end changes a canary's bits, a load past the end (or
+// at a wrong stride) feeds a NaN into the result, and the result must
+// equal a scalar Go transcription of the routine bit for bit — math.FMA
+// and fma32 are the same single rounding as the vector FMAs, and the Go
+// bodies' float32 lanes round the product first (laneFMA).
 
 const (
 	canaryPad  = 16
@@ -85,27 +86,51 @@ func requireBitwise[F floatT](t *testing.T, what string, got, want []F) {
 	}
 }
 
-func skipWithoutVectorKernels(t *testing.T) {
-	t.Helper()
-	if dispatchFor(xmath.ActiveSIMD()).gridVec64 == nil {
-		t.Skip("vector kernels unavailable on this CPU")
-	}
-}
-
-// forEachWidth runs fn as one subtest per register width the pixel-lane
-// routines are assembled at, with the dispatch table of the tier that
-// runs it — YMM on avx2, ZMM on avx512 — and skips a width the active
-// tier does not reach.
+// forEachWidth runs fn as one subtest per form of the pixel-lane
+// routines, with the dispatch table of the tier that runs it — the Go
+// bodies on scalar, YMM on avx2, ZMM on avx512 — and skips a width the
+// active tier does not reach.
 func forEachWidth(t *testing.T, fn func(t *testing.T, d *simdDispatch)) {
-	for _, tier := range []xmath.SIMDTier{xmath.SIMDAVX2, xmath.SIMDAVX512} {
+	for _, tier := range []xmath.SIMDTier{xmath.SIMDScalar, xmath.SIMDAVX2, xmath.SIMDAVX512} {
 		d := dispatchFor(tier)
 		t.Run(tier.String(), func(t *testing.T) {
-			if xmath.ActiveSIMD() < tier || d.gridVec64 == nil {
+			if xmath.ActiveSIMD() < tier || d.scalar != (tier == xmath.SIMDScalar) {
 				t.Skipf("%v kernels unavailable on this CPU or tier", tier)
 			}
 			fn(t, &d)
 		})
 	}
+}
+
+// laneFMA is the multiply-add a lane of d's routines runs in F: one
+// rounding in float64 on every tier and in the assembled float32 lanes,
+// the product rounded first in the Go bodies' float32 lanes.
+func laneFMA[F floatT](d *simdDispatch) func(a, b, c F) F {
+	switch {
+	case unsafe.Sizeof(F(0)) == 8:
+		return func(a, b, c F) F { return F(math.FMA(float64(a), float64(b), float64(c))) }
+	case d.scalar:
+		return func(a, b, c F) F { return F(a*b) + c }
+	}
+	return func(a, b, c F) F { return F(fma32(float32(a), float32(b), float32(c))) }
+}
+
+// stagePIdxOf and stageArgsOf run the phase stagers d selects, as the
+// tiles do.
+func stagePIdxOf(d *simdDispatch, dst, l, m, n *float64, npix int, uvw *float64, nt int) {
+	if d.scalar {
+		stagePIdxGo(dst, l, m, n, npix, uvw, nt)
+		return
+	}
+	stagePIdxW(dst, l, m, n, npix, uvw, nt, d.zmm)
+}
+
+func stageArgsOf(d *simdDispatch, arg *float64, stride int, pIdx, off *float64, scale float64, npix, nt int) {
+	if d.scalar {
+		stageArgsGo(arg, stride, pIdx, off, scale, npix, nt)
+		return
+	}
+	stageArgsW(arg, stride, pIdx, off, scale, npix, nt, d.zmm)
 }
 
 // fma32 is the float32 fused multiply-add, a*b + c rounded once, which
@@ -153,7 +178,7 @@ func TestFMA32RoundsOnce(t *testing.T) {
 // the kernel narrows them — per channel the four correlations' FMA pairs
 // and then the rotation, all in the kernel's order. With rowCh = 1 no
 // delta row is staged and every channel takes its own base phasor. fma
-// is F's fused multiply-add.
+// is the lanes' multiply-add (laneFMA).
 func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, bn, rowCh, sw int, fma func(a, b, c F) F) {
 	w := len(acc) / 8
 	lead := min(rowCh-1, 1)
@@ -176,31 +201,32 @@ func rotAccPixRef[F floatT](acc []F, re, im *[4][]F, nc int, sn, cs []float64, b
 					*aim = fma(vr, ps, *aim)
 					*aim = fma(vi, pc, *aim)
 				}
-				ps, pc = fma(ps, dc, pc*ds), fma(pc, dc, -(ps*ds))
+				ps, pc = fma(ps, dc, F(pc*ds)), fma(pc, dc, -F(ps*ds))
 			}
 		}
 	}
 }
 
 // TestRotAccPixBlk64BoundsAndReplay: the pixel-lane gridder kernel of
-// either width stays inside its buffers and equals the scalar replay bit
+// every form stays inside its buffers and equals the scalar replay bit
 // for bit — with the recurrence, channel counts below, at and across the
 // resync boundary, with and without a tail chunk; with a base row per
 // channel, one, two and seven channels — equals bn single-step calls
 // (block depth cannot reach the result), and gives a pixel the same bits
 // in any lane beside any neighbours.
 func TestRotAccPixBlk64BoundsAndReplay(t *testing.T) {
-	testRotAccPixBlk(t, math.FMA)
+	testRotAccPixBlk[float64](t)
 }
 
 // TestRotAccPixBlk32BoundsAndReplay is the same for the float32 kernels,
 // whose phasors are narrowed from the float64 rows in-register.
 func TestRotAccPixBlk32BoundsAndReplay(t *testing.T) {
-	testRotAccPixBlk(t, fma32)
+	testRotAccPixBlk[float32](t)
 }
 
-func testRotAccPixBlk[F floatT](t *testing.T, fma func(a, b, c F) F) {
+func testRotAccPixBlk[F floatT](t *testing.T) {
 	forEachWidth(t, func(t *testing.T, d *simdDispatch) {
+		fma := laneFMA[F](d)
 		const resync = xmath.DefaultPhasorResync
 		sw := d.sumsW
 		w := sw * 8 / int(unsafe.Sizeof(F(0))) // the kernel's group of pixels
@@ -222,7 +248,7 @@ func testRotAccPixBlk[F floatT](t *testing.T, fma func(a, b, c F) F) {
 					rotAccPixBlk(&a[0],
 						&re[0][j], &im[0][j], &re[1][j], &im[1][j],
 						&re[2][j], &im[2][j], &re[3][j], &im[3][j],
-						nc, &sn[0], &cs[0], nt, rowCh, d.zmm)
+						nc, &sn[0], &cs[0], nt, rowCh, d.scalar, d.zmm)
 				}
 				rotAccPixRef(want, &re, &im, nc, sn, cs, bn, rowCh, sw, fma)
 				for r := 0; r < bn; r++ {
@@ -263,7 +289,7 @@ func testRotAccPixBlk[F floatT](t *testing.T, fma func(a, b, c F) F) {
 }
 
 // TestPhaseStagersBoundsAndTranscription: stagePIdx and stageArgs of
-// either width stay inside their buffers and equal the Go expressions
+// every form stay inside their buffers and equal the Go expressions
 // they replace bit for bit, for pixel counts on both sides of every
 // register boundary, with signed zeros, subnormals and arguments around
 // 1e6 rad among the inputs, with and without an offset table, in place
@@ -292,10 +318,10 @@ func TestPhaseStagersBoundsAndTranscription(t *testing.T) {
 				for r := 0; r < nt; r++ {
 					u, v, w := uvw[3*r], uvw[3*r+1], uvw[3*r+2]
 					for i := 0; i < npix; i++ {
-						wantIdx[r*npix+i] = u*l[i] + v*m[i] + w*n[i]
+						wantIdx[r*npix+i] = float64(u*l[i]) + float64(v*m[i]) + float64(w*n[i])
 					}
 				}
-				stagePIdxW(&pIdx[0], &l[0], &m[0], &n[0], npix, &uvw[0], nt, d.zmm)
+				stagePIdxOf(d, &pIdx[0], &l[0], &m[0], &n[0], npix, &uvw[0], nt)
 				c.check(t, "stagePIdx "+what)
 				requireBitwise(t, "stagePIdx "+what, pIdx, wantIdx)
 
@@ -308,11 +334,11 @@ func TestPhaseStagersBoundsAndTranscription(t *testing.T) {
 					wantDelta := make([]float64, npix*nt)
 					for r := 0; r < nt; r++ {
 						for i := 0; i < npix; i++ {
-							wantArg[r*pitch+i] = pIdx[r*npix+i]*scale - off[i]
+							wantArg[r*pitch+i] = float64(pIdx[r*npix+i]*scale) - off[i]
 							wantDelta[r*npix+i] = pIdx[r*npix+i] * scale
 						}
 					}
-					stageArgsW(&arg[0], 8*pitch, &pIdx[0], &off[0], scale, npix, nt, d.zmm)
+					stageArgsOf(d, &arg[0], 8*pitch, &pIdx[0], &off[0], scale, npix, nt)
 					c.check(t, "stageArgs "+what)
 					requireBitwise(t, fmt.Sprintf("stageArgs %s scale=%g", what, scale), arg, wantArg)
 					for r := 0; r < nt-1; r++ {
@@ -321,7 +347,7 @@ func TestPhaseStagersBoundsAndTranscription(t *testing.T) {
 					// No offset table, in place.
 					delta := c.buf(npix * nt)
 					copy(delta, pIdx)
-					stageArgsW(&delta[0], 8*npix, &delta[0], nil, scale, npix, nt, d.zmm)
+					stageArgsOf(d, &delta[0], 8*npix, &delta[0], nil, scale, npix, nt)
 					c.check(t, "stageArgs in place "+what)
 					requireBitwise(t, fmt.Sprintf("stageArgs %s scale=%g, no offsets", what, scale), delta, wantDelta)
 				}
@@ -350,8 +376,8 @@ func pairTree[F floatT](l []F) F {
 // rotConjAccRef is the scalar transcription of the fused degridder
 // kernels: per channel, pixel i accumulates into lane i mod lanes with
 // FUSED_VEC's FMA sequence, the lanes fold in the kernel's order and add
-// once into dst, and the phasors advance with its rotation. fma is F's
-// fused multiply-add.
+// once into dst, and the phasors advance with its rotation. fma is the
+// lanes' multiply-add (laneFMA).
 func rotConjAccRef[F floatT](dst, phRe, phIm, dRe, dIm []F, planes *[8][]F, n, nch, lanes int, fma func(a, b, c F) F) {
 	for c := 0; c < nch; c++ {
 		var acc [8][16]F
@@ -365,8 +391,8 @@ func rotConjAccRef[F floatT](dst, phRe, phIm, dRe, dIm []F, planes *[8][]F, n, n
 				acc[2*p+1][lane] = fma(-vr, pi, acc[2*p+1][lane])
 				acc[2*p+1][lane] = fma(vi, cr, acc[2*p+1][lane])
 			}
-			phIm[i] = fma(cr, dIm[i], pi*dRe[i])
-			phRe[i] = fma(-pi, dIm[i], cr*dRe[i])
+			phIm[i] = fma(cr, dIm[i], F(pi*dRe[i]))
+			phRe[i] = fma(-pi, dIm[i], F(cr*dRe[i]))
 		}
 		for k := range acc {
 			dst[8*c+k] += pairTree(acc[k][:lanes])
@@ -375,23 +401,24 @@ func rotConjAccRef[F floatT](dst, phRe, phIm, dRe, dIm []F, planes *[8][]F, n, n
 }
 
 // TestRotConjAccOctsBlk64BoundsAndTranscription sweeps the float64 fused
-// degridder kernel of either width over pixel counts on both sides of
+// degridder kernel of every form over pixel counts on both sides of
 // every register boundary (the masked tail) and chunk depths from one
 // channel up, against the scalar transcription: sums, and the phasor
 // state the sweep leaves behind.
 func TestRotConjAccOctsBlk64BoundsAndTranscription(t *testing.T) {
-	testRotConjAccBlk(t, []int{1, 2, 5, 16}, math.FMA)
+	testRotConjAccBlk[float64](t, []int{1, 2, 5, 16})
 }
 
 // TestRotConjAccBlk32BoundsAndTranscription is the same for the float32
 // kernels — every residue of n, tiles of fewer pixels than a register,
 // one channel up to a whole resync chunk.
 func TestRotConjAccBlk32BoundsAndTranscription(t *testing.T) {
-	testRotConjAccBlk(t, []int{1, 2, 63, 64}, fma32)
+	testRotConjAccBlk[float32](t, []int{1, 2, 63, 64})
 }
 
-func testRotConjAccBlk[F floatT](t *testing.T, nchs []int, fma func(a, b, c F) F) {
+func testRotConjAccBlk[F floatT](t *testing.T, nchs []int) {
 	forEachWidth(t, func(t *testing.T, d *simdDispatch) {
+		fma := laneFMA[F](d)
 		lanes := d.lanes * 8 / int(unsafe.Sizeof(F(0)))
 		for n := 1; n <= 4*lanes+1; n++ {
 			for _, nch := range nchs {
@@ -421,7 +448,7 @@ func testRotConjAccBlk[F floatT](t *testing.T, nchs []int, fma func(a, b, c F) F
 				wRe, wIm := append([]F(nil), phRe...), append([]F(nil), phIm...)
 				rotConjAccRef(want, wRe, wIm, dRe, dIm, &planes, n, nch, lanes, fma)
 				rotConjAccBlk(&dst[0], &phRe[0], &phIm[0], &dRe[0], &dIm[0],
-					&block[0], int(unsafe.Sizeof(F(0)))*pitch, n, nch, d.zmm)
+					&block[0], int(unsafe.Sizeof(F(0)))*pitch, n, nch, d.scalar, d.zmm)
 				c.check(t, what)
 				requireBitwise(t, what+" sums", dst, want)
 				requireBitwise(t, what+" phRe", phRe, wRe)
@@ -431,13 +458,11 @@ func testRotConjAccBlk[F floatT](t *testing.T, nchs []int, fma func(a, b, c F) F
 	})
 }
 
-// TestPixelLanesShapes pins which items run the vector tiles, in either
-// precision and both directions: on every vector tier every shape — any
-// channel count, uniform comb or not, recurrence enabled or not — and on
-// the scalar tier none.
+// TestPixelLanesShapes pins which items run the pixel-lane tiles, in
+// either precision and both directions: on every tier every shape — any
+// channel count, uniform comb or not, recurrence enabled or not.
 func TestPixelLanesShapes(t *testing.T) {
 	const sg = 8
-	generic := map[Precision]string{Float64: obs.MetricKernelPathTiled64, Float32: obs.MetricKernelPathTiled32}
 	vector := map[Precision]string{Float64: obs.MetricKernelPathVector, Float32: obs.MetricKernelPathVector32}
 	for _, tier := range coreHostTiers() {
 		for _, prec := range []Precision{Float64, Float32} {
@@ -452,25 +477,17 @@ func TestPixelLanesShapes(t *testing.T) {
 				out := grid.NewSubgrid(sg, item.X0, item.Y0)
 				k.GridSubgrid(item, uvw, vis, nil, nil, out)
 				k.DegridSubgrid(item, out, uvw, nil, nil, vis)
-				want := map[string]int64{vector[prec]: 2, generic[prec]: 0}
-				if tier < xmath.SIMDAVX2 {
-					want = map[string]int64{vector[prec]: 0, generic[prec]: 2}
-				}
-				snap := ob.Metrics.Snapshot()
-				for name, n := range want {
-					if got := snap.Counters[name]; got != n {
-						t.Errorf("%v %v %s: %s = %d, want %d", tier, prec, sh.name, name, got, n)
-					}
+				if got := ob.Metrics.Snapshot().Counters[vector[prec]]; got != 2 {
+					t.Errorf("%v %v %s: %s = %d, want 2", tier, prec, sh.name, vector[prec], got)
 				}
 			}
 		}
 	}
 }
 
-// shortShapes are the item shapes that ran outside the vector tiles
-// until they lost their channel term: one and two channels, a
-// non-uniform comb, a uniform comb with the recurrence disabled. All
-// stage a base row per channel and rotate nothing.
+// shortShapes are the item shapes that stage a base row per channel and
+// rotate nothing: one and two channels, a non-uniform comb, a uniform
+// comb with the recurrence disabled.
 type itemShape struct {
 	name   string
 	nt, nc int
@@ -494,8 +511,8 @@ func shortAndUniformShapes(nt int, ncs ...int) []itemShape {
 	return shapes
 }
 
-// TestPixelLanes32Decomposition: on every vector tier the float32
-// pixel-lane gridder's result does not depend on the tile height (one,
+// TestPixelLanes32Decomposition: on every tier the float32 pixel-lane
+// gridder's result does not depend on the tile height (one,
 // three and all rows of an 18-pixel subgrid: tiles of 18, 54 and 324
 // pixels, none a multiple of a 32-pixel group, the first none of an
 // 8-pixel one), the visibility block depth, or whether the tiles run on
@@ -503,9 +520,8 @@ func shortAndUniformShapes(nt int, ncs ...int) []itemShape {
 // and without a channel tail, and for the shapes that stage a row per
 // channel.
 func TestPixelLanes32Decomposition(t *testing.T) {
-	skipWithoutVectorKernels(t)
 	const sg = 18
-	for _, tier := range coreHostTiers()[1:] {
+	for _, tier := range coreHostTiers() {
 		for _, sh := range shortAndUniformShapes(7, 3, 5, 8, 16, 37, 64, 66, 130) {
 			nt, nc := sh.nt, sh.nc
 			item, uvw, vis, _ := tilingItem(71, nt, nc)

@@ -35,7 +35,7 @@ type kernelObs struct {
 
 	// Kernel dispatch-path counters (which code path actually ran:
 	// essential when a perf number surprises).
-	pathRef, pathTiled32, pathTiled64, pathVec, pathVec32 *obs.Counter
+	pathRef, pathVec, pathVec32 *obs.Counter
 
 	// Sharded-grid and streaming-scheduler instruments.
 	shardLocks, shardContended *obs.Counter
@@ -76,8 +76,6 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.residualPeak = r.Gauge(obs.GaugeResidualPeak)
 		ko.itemSeconds, _ = r.Histogram(obs.HistItemSeconds, obs.DurationBuckets)
 		ko.pathRef = r.Counter(obs.MetricKernelPathReference)
-		ko.pathTiled32 = r.Counter(obs.MetricKernelPathTiled32)
-		ko.pathTiled64 = r.Counter(obs.MetricKernelPathTiled64)
 		ko.pathVec = r.Counter(obs.MetricKernelPathVector)
 		ko.pathVec32 = r.Counter(obs.MetricKernelPathVector32)
 		ko.shardLocks = r.Counter(obs.MetricShardLocks)

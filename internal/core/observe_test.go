@@ -75,8 +75,6 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 	// Kernel dispatch-path counters must add up to one invocation per
 	// item per pipeline.
 	paths := snap.Counters[obs.MetricKernelPathReference] +
-		snap.Counters[obs.MetricKernelPathTiled32] +
-		snap.Counters[obs.MetricKernelPathTiled64] +
 		snap.Counters[obs.MetricKernelPathVector] +
 		snap.Counters[obs.MetricKernelPathVector32]
 	if paths != 2*nItems {

@@ -75,13 +75,6 @@ func (p Precision) String() string {
 // two-subgrid pass fans out across a dozen cores.
 const DefaultPixelTileRows = 4
 
-// defaultVisBlockFloats bounds the planar visibility-block footprint
-// the gridder streams per pixel: 2048 floats are 16 KB in float64
-// (8 KB in float32), half a typical 32 KB L1 so the block stays
-// resident across the whole pixel tile together with the accumulators
-// and phasor state.
-const defaultVisBlockFloats = 2048
-
 // DefaultStreamChunkItems is the largest (and, for one-worker and
 // checkpointed passes, the only) derived number of work items per
 // gridding chunk. At the paper's subgrid size (24 pixels, 4
@@ -145,7 +138,7 @@ type Params struct {
 	// VisBlockTimesteps bounds the time-step extent of the visibility
 	// block the gridder streams per pixel, keeping the gathered planar
 	// block cache-resident across a pixel tile. <= 0 selects an
-	// L1-sized default (defaultVisBlockFloats); a value covering an
+	// L1-sized default (pixBlockBytes); a value covering an
 	// item's whole time range streams it in one sweep (no blocking). The
 	// block order never changes per-pixel accumulation order, so results
 	// are identical for every block size.
@@ -324,15 +317,9 @@ type Kernels struct {
 	// per channel). Non-uniform plans fall back to the direct path.
 	uniformScale bool
 	dscale       float64
-	rotator      xmath.PhasorRotator
 
 	sincos xmath.SincosFunc
 	sgFFT  *fft.Plan2D
-
-	// fastFMA records whether math.FMA is a hardware instruction here;
-	// the float64 hot loops then use the fused formulation (see
-	// xmath.HasFastFMA).
-	fastFMA bool
 
 	// disp is the SIMD dispatch table resolved once at construction
 	// (see dispatch.go): the active tier plus the vector tile kernels
@@ -402,8 +389,6 @@ func NewKernels(params Params) (*Kernels, error) {
 		k.uniformScale = true
 		k.dscale = 2 * math.Pi * df / uvwsim.SpeedOfLight
 	}
-	k.rotator = xmath.PhasorRotator{Sincos: k.sincos}
-	k.fastFMA = xmath.HasFastFMA()
 	tier := xmath.ActiveSIMD()
 	if params.forceSIMD != nil {
 		tier = *params.forceSIMD
@@ -453,22 +438,6 @@ func (k *Kernels) tileRows(rows int) int {
 		tr = rows
 	}
 	return tr
-}
-
-// visBlockSteps resolves the time-step extent of one cache-blocked
-// visibility batch for an item of nt time steps and nc channels.
-func (k *Kernels) visBlockSteps(nt, nc int) int {
-	b := k.params.VisBlockTimesteps
-	if b <= 0 {
-		b = defaultVisBlockFloats / (8 * nc)
-		if b < 4 {
-			b = 4
-		}
-	}
-	if b > nt {
-		b = nt
-	}
-	return b
 }
 
 // uvOffset returns the uv offset of a subgrid anchored at (x0, y0), in

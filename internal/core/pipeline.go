@@ -218,20 +218,14 @@ const DefaultWorkGroupSize = 1024
 // newATermCache builds the run-level A-term cache; it lives for a
 // whole gridding or degridding pass so maps computed for one work
 // group are reused by every later group that shares the (station,
-// slot). The vector tiers' cache holds planes, which is how their tiles
-// read the maps (jones); a nil provider yields a nil cache (identity
-// fast path).
+// slot). It holds planes, which is how the kernels read the maps
+// (jones); a nil provider yields a nil cache (identity fast path).
 func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
-	switch {
-	case prov == nil:
+	if prov == nil {
 		return nil
-	case k.planarATerms():
-		return aterm.NewPlanarCache(prov, k.params.SubgridSize, k.params.ImageSize)
 	}
-	return aterm.NewCache(prov, k.params.SubgridSize, k.params.ImageSize)
+	return aterm.NewPlanarCache(prov, k.params.SubgridSize, k.params.ImageSize)
 }
-
-func (k *Kernels) planarATerms() bool { return k.disp.gridVec64 != nil }
 
 // planeOf returns the W-layer shared by every item of a group, or -1
 // when the group is empty or mixes layers (only W-stacked passes plan
@@ -372,10 +366,7 @@ func (k *Kernels) lookupATerms(cache *aterm.Cache, baselines []uvwsim.Baseline, 
 		return jones{}
 	}
 	b := baselines[item.Baseline]
-	if k.planarATerms() {
-		return jones{pp: cache.Planes(b.P, item.ATermSlot), qp: cache.Planes(b.Q, item.ATermSlot)}
-	}
-	return jones{p: cache.Get(b.P, item.ATermSlot), q: cache.Get(b.Q, item.ATermSlot)}
+	return jones{pp: cache.Planes(b.P, item.ATermSlot), qp: cache.Planes(b.Q, item.ATermSlot)}
 }
 
 func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {

@@ -12,7 +12,7 @@
 
 // ROT_PIX advances one register's phasors by one channel, each pixel by
 // its own delta phasor: ps' = ps*dc + pc*ds, pc' = pc*dc - ps*ds, the
-// cross terms rounded first (rotateAccumulateFMA's sequence).
+// cross terms rounded first (rotAccPixGo's sequence).
 #define ROT_PIX(MUL, FMSUB, FMADD, ps, pc, ds, dc, t0, t1) \
 	MUL   ds, ps, t1 \
 	MUL   ds, pc, t0 \

@@ -11,8 +11,9 @@ import (
 )
 
 // Tests of the gridder epilogue and degridder prologue: the assembled
-// sandwiches over canary-fenced exact-length buffers (see
-// kernels_asm_test.go), bitwise against their math.FMA transcriptions
+// sandwiches and the scalar tier's per-pixel ones over canary-fenced
+// exact-length buffers (see kernels_asm_test.go), bitwise against their
+// math.FMA transcriptions
 // and to rounding against the Matrix2 arithmetic of storePixel and
 // correctedPixel, with Jones maps that are neither Hermitian nor
 // diagonal — a transposed index or a missed conjugate shows up here,
@@ -22,11 +23,10 @@ func asComplex(b []float64) []complex128 {
 	return unsafe.Slice((*complex128)(unsafe.Pointer(&b[0])), len(b)/2)
 }
 
-// sandwichKernels returns a bare Kernels per vector tier this host has,
-// with the given taper: what gridEpilogue and degridPrologue read.
-func sandwichKernels(t *testing.T, taper []float64) (ks []*Kernels) {
-	skipWithoutVectorKernels(t)
-	for _, tier := range coreHostTiers()[1:] {
+// sandwichKernels returns a bare Kernels per tier this host has, with
+// the given taper: what gridEpilogue and degridPrologue read.
+func sandwichKernels(taper []float64) (ks []*Kernels) {
+	for _, tier := range coreHostTiers() {
 		ks = append(ks, &Kernels{taper: taper, disp: dispatchFor(tier)})
 	}
 	return ks
@@ -73,7 +73,7 @@ func sandwichCase(c *canaried, npix int, maps bool) (taper []float64, a jones) {
 }
 
 // TestGridSandwichBoundsTranscriptionAndOracle: the gridder epilogue of
-// either vector tier, with Jones planes and taper-only, for every pixel
+// every tier, with Jones planes and taper-only, for every pixel
 // count up to four registers and a tail, stays inside exact-length
 // buffers and equals gridSandwichPixel (taper-only: the plain product)
 // bit for bit, and storePixel to rounding.
@@ -82,7 +82,7 @@ func TestGridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
 		for _, maps := range []bool{true, false} {
 			c := &canaried{rnd: newTestRand(uint64(400 + npix))}
 			taper, a := sandwichCase(c, npix, maps)
-			for _, k := range sandwichKernels(t, taper) {
+			for _, k := range sandwichKernels(taper) {
 				w := k.disp.sumsW
 				what := fmt.Sprintf("gridEpilogue %v npix=%d maps=%v", k.disp.tier, npix, maps)
 				sums := c.buf(sumsLen(npix, w))
@@ -102,13 +102,13 @@ func TestGridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
 					if maps {
 						p, q = a.at(i)
 					}
-					r := a.sandwichPixel(i, &s, taper[i], gridSandwichPixel)
+					r := a.sandwichPixel(i, &s, taper[i], false)
 					// The oracle: storePixel on a one-pixel subgrid.
 					ref := &grid.Subgrid{N: 1}
 					for cc := range ref.Data {
 						ref.Data[cc] = make([]complex128, 1)
 					}
-					(&Kernels{taper: taper[i : i+1]}).storePixel(ref, 0, sm, jones{p: []xmath.Matrix2{p}, q: []xmath.Matrix2{q}})
+					(&Kernels{taper: taper[i : i+1]}).storePixel(ref, 0, sm, jonesOf(&scratch{}, []xmath.Matrix2{p}, []xmath.Matrix2{q}))
 					for cc := range out.Data {
 						got := out.Data[cc][i]
 						if math.Float64bits(real(got)) != math.Float64bits(r[2*cc]) || math.Float64bits(imag(got)) != math.Float64bits(r[2*cc+1]) {
@@ -131,7 +131,7 @@ func TestDegridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
 		for _, maps := range []bool{true, false} {
 			c := &canaried{rnd: newTestRand(uint64(500 + npix))}
 			taper, a := sandwichCase(c, npix, maps)
-			for _, k := range sandwichKernels(t, taper) {
+			for _, k := range sandwichKernels(taper) {
 				what := fmt.Sprintf("degridPrologue %v npix=%d maps=%v", k.disp.tier, npix, maps)
 				in := &grid.Subgrid{N: 1}
 				for i := range in.Data {
@@ -147,7 +147,7 @@ func TestDegridSandwichBoundsTranscriptionAndOracle(t *testing.T) {
 					if maps {
 						p, q = a.at(i)
 					}
-					r := a.sandwichPixel(i, &sv, taper[i], degridSandwichPixel)
+					r := a.sandwichPixel(i, &sv, taper[i], true)
 					ref := k.correctedPixel(in, i, a)
 					for cc := 0; cc < 4; cc++ {
 						re, im := planes[2*cc*npix+i], planes[(2*cc+1)*npix+i]
@@ -180,15 +180,14 @@ func randomJones(seed uint64, npix int) (p, q []xmath.Matrix2) {
 	return p, q
 }
 
-// TestEpilogueAndPrologueAgainstOracleKernels: whole kernels on the
-// vector tiers against the scalar tier (storePixel / correctedPixel
-// around the same visibility loop family), with random Jones maps and
-// with nil maps, both precisions, on a subgrid whose tiles leave pixel
-// tails. The visibility loops differ between tiers by reassociation and
-// FMA, so the comparison is to the kernels' own rounding class, far
-// below what any mis-wired matrix element would produce.
+// TestEpilogueAndPrologueAgainstOracleKernels: whole kernels on every
+// tier against the reference kernels (storePixel / correctedPixel around
+// Algorithm 1 and 2), with random Jones maps and with nil maps, both
+// precisions, on a subgrid whose tiles leave pixel tails. The visibility
+// loops differ by the recurrence, reassociation and FMA, so the
+// comparison is to the kernels' own rounding class, far below what any
+// mis-wired matrix element would produce.
 func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
-	skipWithoutVectorKernels(t)
 	const sg = 18
 	jp, jq := randomJones(75, sg*sg)
 	// 8 x 2 is the short-item shape (a phasor per channel); 6 x 4 takes
@@ -208,28 +207,29 @@ func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
 					p, q = nil, nil
 				}
 				t.Run(fmt.Sprintf("%dx%d/%v/%s", nt, nc, prec, maps), func(t *testing.T) {
-					mod := func(tier xmath.SIMDTier) func(*Params) {
-						return func(pr *Params) {
+					ref := tilingKernels(t, sg, nc, func(pr *Params) { pr.DisableBatching = true })
+					want := grid.NewSubgrid(sg, item.X0, item.Y0)
+					ref.GridSubgrid(item, uvw, vis, p, q, want)
+					wv := make([]xmath.Matrix2, nt*nc)
+					ref.DegridSubgrid(item, in, uvw, p, q, wv)
+					for _, tier := range coreHostTiers() {
+						k := tilingKernels(t, sg, nc, func(pr *Params) {
 							pr.Precision = prec
 							pr.PixelTileRows = 1 // 18-pixel tiles: two tail pixels each
 							forceTier(tier)(pr)
+						})
+						got := grid.NewSubgrid(sg, item.X0, item.Y0)
+						k.GridSubgrid(item, uvw, vis, p, q, got)
+						if d := got.MaxAbsDiff(want); d > tol*float64(nt*nc) {
+							t.Errorf("%v gridder: tile off the reference by %g", tier, d)
 						}
-					}
-					vec := tilingKernels(t, sg, nc, mod(xmath.ActiveSIMD()))
-					ref := tilingKernels(t, sg, nc, mod(xmath.SIMDScalar))
-					got, want := grid.NewSubgrid(sg, item.X0, item.Y0), grid.NewSubgrid(sg, item.X0, item.Y0)
-					vec.GridSubgrid(item, uvw, vis, p, q, got)
-					ref.GridSubgrid(item, uvw, vis, p, q, want)
-					if d := got.MaxAbsDiff(want); d > tol*float64(nt*nc) {
-						t.Errorf("gridder: vector tile off the scalar tile by %g", d)
-					}
-					gv, wv := make([]xmath.Matrix2, nt*nc), make([]xmath.Matrix2, nt*nc)
-					vec.DegridSubgrid(item, in, uvw, p, q, gv)
-					ref.DegridSubgrid(item, in, uvw, p, q, wv)
-					for j := range gv {
-						for cc := range gv[j] {
-							if d := cAbs(gv[j][cc] - wv[j][cc]); d > tol*float64(sg*sg) {
-								t.Fatalf("degridder: visibility %d corr %d off the scalar tile by %g", j, cc, d)
+						gv := make([]xmath.Matrix2, nt*nc)
+						k.DegridSubgrid(item, in, uvw, p, q, gv)
+						for j := range gv {
+							for cc := range gv[j] {
+								if d := cAbs(gv[j][cc] - wv[j][cc]); d > tol*float64(sg*sg) {
+									t.Fatalf("%v degridder: visibility %d corr %d off the reference by %g", tier, j, cc, d)
+								}
 							}
 						}
 					}

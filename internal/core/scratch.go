@@ -21,30 +21,19 @@ type floatT interface {
 type kbufs[F floatT] struct {
 	planar []F // 8-plane re/im backing (gridder: vis block, degridder: pixels)
 
-	// Phasor buffers: the generic gridder's direct (non-recurrence) path
-	// uses phRe/phIm per channel; the generic degridder uses all four per
-	// pixel (current and delta phasors), the fused one phRe/phIm per
-	// staged row of pixels.
+	// phRe/phIm are the fused degridder's phasors, per staged row of
+	// pixels.
 	phRe, phIm []F
-	dRe, dIm   []F
 
-	// acc is the generic gridder's per-tile accumulator block, 8 floats
-	// per pixel of the tile, carried across visibility blocks. vacc is the
-	// pixel-lane gridder's (amd64 only): 8 sums per pixel in the planar
-	// groups its kernel leaves them in.
-	acc  []F
+	// vacc is the pixel-lane gridder's per-tile accumulator block: 8 sums
+	// per pixel in the planar groups its kernel leaves them in, carried
+	// across visibility blocks.
 	vacc []F
 
 	// vsum is the degridder's visibility accumulator (8 floats per
 	// visibility); partial holds the per-tile partial sums when tiles
 	// run in parallel, reduced in tile order for determinism.
 	vsum, partial []F
-
-	// reP/imP are heap homes for the gridder tile's planar headers
-	// (re-derived views into the item owner's planar block): their
-	// addresses cross the any()-based FMA dispatch, which would
-	// otherwise move stack copies to the heap once per tile.
-	reP, imP [4][]F
 }
 
 // scratch holds the per-worker reusable buffers of the kernel hot
@@ -67,7 +56,7 @@ type scratch struct {
 	// offsets (planes l, m, n, off), zero-padded to whole lane groups.
 	geo []float64
 
-	// Batched sine/cosine staging of the vector tiles: phase arguments
+	// Batched sine/cosine staging of the tiles: phase arguments
 	// gathered into sArg and evaluated in one Kernels.sincosVec call per
 	// (pixel group, visibility block) of the gridder and per time step of
 	// the degridder (results land in sSin/sCos, or directly in the
@@ -75,11 +64,11 @@ type scratch struct {
 	// both precisions, like the phase tables above.
 	sArg, sSin, sCos []float64
 
-	// sums holds a float32 vector gridder tile's sums widened to
-	// float64, eight per pixel (a Matrix2's components) in the tier's
-	// planar groups (simdDispatch.sumsW), for the A-term/taper sweep of
-	// gridEpilogue. jones holds the planes of the two A-term maps a
-	// direct caller of a vector tier's kernels supplied per pixel.
+	// sums holds a float32 gridder tile's sums widened to float64, eight
+	// per pixel (a Matrix2's components) in the tier's planar groups
+	// (simdDispatch.sumsW), for the A-term/taper sweep of gridEpilogue.
+	// jones holds the planes of the two A-term maps a direct caller of
+	// the kernels supplied per pixel.
 	sums, jones []float64
 
 	b64 kbufs[float64]

@@ -2,11 +2,10 @@
 
 package core
 
-// haveVectorASM is false off amd64: the generic Go kernels are the
-// only implementation, the dispatch table (dispatch.go) never installs
-// the vector tiles, and the stubs below are unreachable (their only
-// callers sit behind haveVectorASM-gated dispatch entries, so the
-// linker drops them).
+// haveVectorASM is false off amd64: the dispatch table (dispatch.go)
+// pins the scalar tier, whose tiles run the Go bodies of the pixel-lane
+// routines (lanes.go) and the per-pixel sandwiches, so the stubs below
+// are unreachable.
 const haveVectorASM = false
 
 const noVectorKernels = "core: vector kernel without vector kernels"

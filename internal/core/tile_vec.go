@@ -1,18 +1,14 @@
 package core
 
-// The hand-vectorized tile kernels of both vector tiers, each serving
-// both precisions and every item shape: pixels in the gridder's lanes
-// (gridTilePix) and the degridder fused over the channels
-// (degridTileFused). They drive the pixel-lane routines at the tier's
-// register width — YMM on the avx2 tier (kernels_amd64.s), ZMM on avx512
-// (kernels_avx512_amd64.s) — and run only where the dispatch table
-// installed them (dispatch.go: amd64 with an active tier of at least
-// SIMDAVX2); the !amd64 stubs in simd_other.go are therefore
-// unreachable. Compared to the generic tiles the arithmetic runs four to
-// sixteen pixels per instruction, with unconditionally fused
-// multiply-adds — the scalar math.FMA path compiles to a runtime fallback
-// branch per call site under the default GOAMD64 level, which is what
-// these kernels exist to avoid.
+// The tile kernels of every tier, each serving both precisions and every
+// item shape: pixels in the gridder's lanes (gridTilePix) and the
+// degridder fused over the channels (degridTileFused). They drive the
+// pixel-lane routines at the tier's register width — YMM on the avx2 tier
+// (kernels_amd64.s), ZMM on avx512 (kernels_avx512_amd64.s) — or, on the
+// scalar tier (simdDispatch.scalar), their Go bodies (lanes.go) at the
+// avx2 geometry. The assembled routines run four to sixteen pixels per
+// instruction with unconditionally fused multiply-adds; the Go bodies
+// run the same operations a lane at a time.
 
 import (
 	"unsafe"
@@ -23,16 +19,16 @@ import (
 	"repro/internal/xmath"
 )
 
-// gridTilePix is the gridder tile of both vector tiers, whatever the
-// precision and the item: pixels in the lanes (gridLanesPix), whose sums
-// take the shared epilogue as they lie.
+// gridTilePix is the gridder tile of every tier, whatever the precision
+// and the item: pixels in the lanes (gridLanesPix), whose sums take the
+// shared epilogue as they lie.
 func gridTilePix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb *scratch, a jones, out *grid.Subgrid, ts *scratch, row0, row1 int) {
 	sg := k.params.SubgridSize
 	pix0, pix1 := row0*sg, row1*sg
 	k.gridEpilogue(out, pix0, pix1-pix0, gridLanesPix[F](k, item, uvw, sb, ts, pix0, pix1), a)
 }
 
-// rowChannels is how the vector tiles seed an nc-channel item's phasors,
+// rowChannels is how the tiles seed an nc-channel item's phasors,
 // as rows of staged phase arguments per time step: where the recurrence
 // applies (useRecurrence) a base row serves a resync chunk of rowCh
 // channels and one leading row holds the per-pixel channel deltas that
@@ -52,11 +48,12 @@ const pixBlockBytes = 24 << 10
 
 // gridLanesPix returns the sums of the pixels [pix0, pix1) of an item
 // computed the way the paper's GPU gridder does: a pixel per lane, every
-// lane walking the same visibility block. It is the gridder body of both
-// vector tiers in both precisions; a group is the pixels one kernel call
-// holds, the epilogue's planar group of sums (simdDispatch.sumsW) in
-// lanes of F — two ZMM registers on the avx512 tier, sixteen float64
-// pixels or thirty-two float32, one YMM register on avx2, four or eight.
+// lane walking the same visibility block. It is the gridder body of every
+// tier in both precisions; a group is the pixels one kernel call holds,
+// the epilogue's planar group of sums (simdDispatch.sumsW) in lanes of F
+// — two ZMM registers on the avx512 tier, sixteen float64 pixels or
+// thirty-two float32, one YMM register on avx2 and the scalar tier's Go
+// lanes, four or eight.
 // Per (group, visibility block) the stagers write the reference kernel's
 // phase arguments in rows of one per pixel — per time step the channel
 // deltas and a base per resync chunk, or a base per channel
@@ -72,8 +69,9 @@ const pixBlockBytes = 24 << 10
 // seeded from its own arguments at every row and advance by its own
 // delta, its sums grow in plain (t, c) order, and SincosVec is
 // independent of batch composition. Tile height, block depth, group,
-// lane and register width cannot reach it — the two tiers' kernels run
-// one per-lane text, so they grid the same bits — and the tile's last
+// lane and register width cannot reach it — the vector tiers' kernels
+// run one per-lane text, so they grid the same bits, and so does the
+// scalar tier's Go in float64 — and the tile's last
 // group simply runs its spare lanes on zeroed geometry (finite phasors,
 // discarded sums) instead of under a mask.
 func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb, ts *scratch, pix0, pix1 int) []float64 {
@@ -93,9 +91,14 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 	copy(n, k.n[pix0:pix1])
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)
 	uvwOff := [3]float64{uOff, vOff, item.WOffset}
-	zmm := k.disp.zmm
-	stagePIdxW(&off[0], &l[0], &m[0], &n[0], npad, &uvwOff[0], 1, zmm)
-	stageArgsW(&off[0], 0, &off[0], nil, twoPi, npad, 1, zmm)
+	scalar, zmm := k.disp.scalar, k.disp.zmm
+	if scalar {
+		stagePIdxGo(&off[0], &l[0], &m[0], &n[0], npad, &uvwOff[0], 1)
+		stageArgsGo(&off[0], 0, &off[0], nil, twoPi, npad, 1)
+	} else {
+		stagePIdxW(&off[0], &l[0], &m[0], &n[0], npad, &uvwOff[0], 1, zmm)
+		stageArgsW(&off[0], 0, &off[0], nil, twoPi, npad, 1, zmm)
+	}
 	vacc := grow(&bufsOf[F](ts).vacc, 8*npad)
 	clear(vacc)
 
@@ -114,18 +117,27 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 		acs := growF(&ts.sCos, stride*bn)
 		jj := t0 * nc
 		for g := 0; g < npad; g += w {
-			stagePIdxW(&pIdx[0], &l[g], &m[g], &n[g], w, &uvw[t0].U, bn, zmm)
-			if lead == 1 {
-				stageArgsW(&arg[0], 8*stride, &pIdx[0], nil, k.dscale, w, bn, zmm)
+			if scalar {
+				stagePIdxGo(&pIdx[0], &l[g], &m[g], &n[g], w, &uvw[t0].U, bn)
+			} else {
+				stagePIdxW(&pIdx[0], &l[g], &m[g], &n[g], w, &uvw[t0].U, bn, zmm)
 			}
-			for r := lead; r < rows; r++ {
-				stageArgsW(&arg[w*r], 8*stride, &pIdx[0], &off[g], k.scale[item.Channel0+(r-lead)*rowCh], w, bn, zmm)
+			for r := 0; r < rows; r++ {
+				o, scale := (*float64)(nil), k.dscale // the lead row: channel deltas
+				if r >= lead {
+					o, scale = &off[g], k.scale[item.Channel0+(r-lead)*rowCh]
+				}
+				if scalar {
+					stageArgsGo(&arg[w*r], 8*stride, &pIdx[0], o, scale, w, bn)
+				} else {
+					stageArgsW(&arg[w*r], 8*stride, &pIdx[0], o, scale, w, bn, zmm)
+				}
 			}
 			k.sincosVec(asn, acs, arg)
 			rotAccPixBlk(&vacc[8*g],
 				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
-				nc, &asn[0], &acs[0], bn, rowCh, zmm)
+				nc, &asn[0], &acs[0], bn, rowCh, scalar, zmm)
 		}
 	}
 	if sums, ok := any(vacc).([]float64); ok {
@@ -154,8 +166,8 @@ func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, arg []float64) {
 	}
 }
 
-// degridTileFused is the degridder tile of both vector tiers, whatever
-// the precision and the item. Per time step it stages gridLanesPix's
+// degridTileFused is the degridder tile of every tier, whatever the
+// precision and the item. Per time step it stages gridLanesPix's
 // rows of phase arguments for the whole tile (rowChannels) and evaluates
 // them in one seedPhasors call; each base row then takes one
 // rotConjAccBlk call, which runs the conjugate accumulation and the
@@ -163,9 +175,10 @@ func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, arg []float64) {
 // register of pixels per instruction with the tail masked, and adds each
 // (t, c)'s eight folded sums to dst exactly once — what the serial ≡
 // parallel bitwise guarantee of degridSubgridTiled rests on. Per (t, c)
-// the two tiers share the operation sequence of every lane, so their
+// the vector tiers share the operation sequence of every lane, so their
 // phasors are the same bits; the sums differ by the association of the
-// lane fold, four or eight lanes on avx2, eight or sixteen on avx512. (A
+// lane fold, four or eight lanes on avx2 (and the scalar tier's Go
+// lanes: float64 avx2's bits), eight or sixteen on avx512. (A
 // row that serves one channel is rotated by whatever row comes first and
 // then dropped.)
 func degridTileFused[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
@@ -176,50 +189,66 @@ func degridTileFused[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw 
 	i0, i1 := row0*sg, row1*sg
 	n := i1 - i0
 	rowCh, lead := k.rowChannels(nc)
-	zmm := k.disp.zmm
+	scalar, zmm := k.disp.scalar, k.disp.zmm
 	tb := bufsOf[F](ts)
 	pIdx := growF(&ts.pIdx, n)
 	planes := &bufsOf[F](sb).planar[i0]
 	off := &sb.pOff[i0]
 	for t := 0; t < item.NrTimesteps; t++ {
-		stagePIdxW(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1, zmm)
+		if scalar {
+			stagePIdxGo(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1)
+		} else {
+			stagePIdxW(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1, zmm)
+		}
 		// At most resync rows a batch: one, but for a long non-uniform comb.
 		for c0 := 0; c0 < nc; c0 += resync * rowCh {
 			rows := lead + min((nc-c0+rowCh-1)/rowCh, resync)
 			arg := growF(&ts.sArg, rows*n)
-			if lead == 1 {
-				stageArgsW(&arg[0], 0, &pIdx[0], nil, k.dscale, n, 1, zmm)
-			}
-			for r := lead; r < rows; r++ {
-				stageArgsW(&arg[r*n], 0, &pIdx[0], off, k.scale[item.Channel0+c0+(r-lead)*rowCh], n, 1, zmm)
+			for r := 0; r < rows; r++ {
+				o, scale := (*float64)(nil), k.dscale // the lead row: channel deltas
+				if r >= lead {
+					o, scale = off, k.scale[item.Channel0+c0+(r-lead)*rowCh]
+				}
+				if scalar {
+					stageArgsGo(&arg[r*n], 0, &pIdx[0], o, scale, n, 1)
+				} else {
+					stageArgsW(&arg[r*n], 0, &pIdx[0], o, scale, n, 1, zmm)
+				}
 			}
 			phRe, phIm := grow(&tb.phRe, rows*n), grow(&tb.phIm, rows*n)
 			seedPhasors(k, ts, phIm, phRe, arg)
 			for r := lead; r < rows; r++ {
 				c := c0 + (r-lead)*rowCh
 				rotConjAccBlk(&dst[8*(t*nc+c)], &phRe[r*n], &phIm[r*n], &phRe[0], &phIm[0],
-					planes, size*sg*sg, n, min(nc-c, rowCh), zmm)
+					planes, size*sg*sg, n, min(nc-c, rowCh), scalar, zmm)
 			}
 		}
 	}
 }
 
 // rotAccPixBlk and rotConjAccBlk are the pixel-lane kernels of element
-// type F at the width zmm selects (simd_amd64.go).
-func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt, rowCh int, zmm bool) {
-	if unsafe.Sizeof(*acc) == 8 {
+// type F: their Go bodies on the scalar tier (lanes.go), otherwise the
+// assembled ones at the width zmm selects (simd_amd64.go).
+func rotAccPixBlk[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, cs *float64, nt, rowCh int, scalar, zmm bool) {
+	switch {
+	case scalar:
+		rotAccPixGo(acc, r0, i0, r1, i1, r2, i2, r3, i3, nc, sn, cs, nt, rowCh)
+	case unsafe.Sizeof(*acc) == 8:
 		rotAccPixBlk64W(as64(acc), as64(r0), as64(i0), as64(r1), as64(i1), as64(r2), as64(i2), as64(r3), as64(i3), nc, sn, cs, nt, rowCh, zmm)
-		return
+	default:
+		rotAccPixBlk32W(as32(acc), as32(r0), as32(i0), as32(r1), as32(i1), as32(r2), as32(i2), as32(r3), as32(i3), nc, sn, cs, nt, rowCh, zmm)
 	}
-	rotAccPixBlk32W(as32(acc), as32(r0), as32(i0), as32(r1), as32(i1), as32(r2), as32(i2), as32(r3), as32(i3), nc, sn, cs, nt, rowCh, zmm)
 }
 
-func rotConjAccBlk[F floatT](dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch int, zmm bool) {
-	if unsafe.Sizeof(*dst) == 8 {
+func rotConjAccBlk[F floatT](dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch int, scalar, zmm bool) {
+	switch {
+	case scalar:
+		rotConjAccGo(dst, phRe, phIm, dRe, dIm, planes, stride, n, nch)
+	case unsafe.Sizeof(*dst) == 8:
 		rotConjAccBlk64W(as64(dst), as64(phRe), as64(phIm), as64(dRe), as64(dIm), as64(planes), stride, n, nch, zmm)
-		return
+	default:
+		rotConjAccBlk32W(as32(dst), as32(phRe), as32(phIm), as32(dRe), as32(dIm), as32(planes), stride, n, nch, zmm)
 	}
-	rotConjAccBlk32W(as32(dst), as32(phRe), as32(phIm), as32(dRe), as32(dIm), as32(planes), stride, n, nch, zmm)
 }
 
 // as64 and as32 view a kernel argument of element type F as the width

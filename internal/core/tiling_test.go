@@ -261,57 +261,54 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 // a group shifted by three, a range ending mid-group) are swept against
 // the whole subgrid in one range, for a channel tail, for two resync
 // chunks and for the shapes that stage a row per channel, at two block
-// depths, in both precisions, on every vector tier (groups of four and
-// eight pixels on avx2, sixteen and thirty-two on avx512).
+// depths, in both precisions, on every tier (groups of four and eight
+// pixels on scalar and avx2, sixteen and thirty-two on avx512).
 func TestPixelLaneIndependence(t *testing.T) {
 	t.Run("float64", testPixelLaneIndependence[float64])
 	t.Run("float32", testPixelLaneIndependence[float32])
 }
 
 func testPixelLaneIndependence[F floatT](t *testing.T) {
-	skipWithoutVectorKernels(t)
 	const sg = 10
 	for _, sh := range shortAndUniformShapes(7, 5, 70) {
 		nt, nc := sh.nt, sh.nc
 		item, uvw, vis, _ := tilingItem(59, nt, nc)
-		for _, run := range [][2]int{{0, int(xmath.SIMDAVX2)}, {3, int(xmath.SIMDAVX2)}, {0, int(xmath.SIMDAVX512)}, {3, int(xmath.SIMDAVX512)}} {
-			bl, tier := run[0], xmath.SIMDTier(run[1])
-			if tier > xmath.ActiveSIMD() {
-				continue
-			}
-			k := tilingKernels(t, sg, nc, func(p *Params) {
-				p.VisBlockTimesteps = bl
-				sh.mod(p)
-				forceTier(tier)(p)
-			})
-			s := k.getScratch()
-			planar := grow(&bufsOf[F](s).planar, 8*nt*nc)
-			for j, v := range vis {
-				for p := 0; p < 4; p++ {
-					planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = F(real(v[p])), F(imag(v[p]))
+		for _, tier := range coreHostTiers() {
+			for _, bl := range []int{0, 3} {
+				k := tilingKernels(t, sg, nc, func(p *Params) {
+					p.VisBlockTimesteps = bl
+					sh.mod(p)
+					forceTier(tier)(p)
+				})
+				s := k.getScratch()
+				planar := grow(&bufsOf[F](s).planar, 8*nt*nc)
+				for j, v := range vis {
+					for p := 0; p < 4; p++ {
+						planar[2*p*nt*nc+j], planar[(2*p+1)*nt*nc+j] = F(real(v[p])), F(imag(v[p]))
+					}
 				}
-			}
-			// The sums come back in the tier's planar groups from the
-			// start of the range.
-			sum := func(sums []float64, i, j int) uint64 { return math.Float64bits(sums[sumAt(k.disp.sumsW, i, j)]) }
-			want := append([]float64(nil), gridLanesPix[F](k, item, uvw, s, s, 0, sg*sg)...)
-			for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
-				got := gridLanesPix[F](k, item, uvw, s, s, r[0], r[1])
-				for i := r[0]; i < r[1]; i++ {
-					for j := 0; j < 8; j++ {
-						if sum(got, i-r[0], j) != sum(want, i, j) {
-							t.Fatalf("%v %s block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
-								tier, sh.name, bl, i, j, r[0], r[1])
+				// The sums come back in the tier's planar groups from the
+				// start of the range.
+				sum := func(sums []float64, i, j int) uint64 { return math.Float64bits(sums[sumAt(k.disp.sumsW, i, j)]) }
+				want := append([]float64(nil), gridLanesPix[F](k, item, uvw, s, s, 0, sg*sg)...)
+				for _, r := range [][2]int{{0, 1}, {41, 42}, {3, 19}, {7, 40}, {sg*sg - 5, sg * sg}, {16, 100}} {
+					got := gridLanesPix[F](k, item, uvw, s, s, r[0], r[1])
+					for i := r[0]; i < r[1]; i++ {
+						for j := 0; j < 8; j++ {
+							if sum(got, i-r[0], j) != sum(want, i, j) {
+								t.Fatalf("%v %s block=%d: pixel %d sum %d depends on the range [%d, %d) it was gridded in",
+									tier, sh.name, bl, i, j, r[0], r[1])
+							}
 						}
 					}
 				}
+				k.putScratch(s)
 			}
-			k.putScratch(s)
 		}
 	}
 }
 
-// TestPixelLaneGridderAdjoint: on every vector tier the pixel-lane
+// TestPixelLaneGridderAdjoint: on every tier the pixel-lane
 // gridder G and the fused degridder D of one work item are adjoint,
 // <Gv, g> = <v, Dg>, in both precisions, with Gaussian A-terms and a
 // subgrid whose tiles end in a partial group (float32: an 18-pixel
@@ -323,8 +320,7 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 // tolerance of a thousand float32 roundings); a structural asymmetry (a
 // dropped lane, a misplaced pixel) shows at the percent level.
 func TestPixelLaneGridderAdjoint(t *testing.T) {
-	skipWithoutVectorKernels(t)
-	for _, tier := range coreHostTiers()[1:] {
+	for _, tier := range coreHostTiers() {
 		testPixelLaneGridderAdjoint(t, tier)
 	}
 }
@@ -594,14 +590,14 @@ func TestFlaggedVisibilitiesExactZero(t *testing.T) {
 	}
 }
 
-// TestVectorKernelsMatchScalar pins the hand-vectorized float64 path
-// against the generic one: both apply the same resync cadence, so they
-// agree to within twice the recurrence bound (each side's drift) on
-// hardware where the vector kernels run at all. The channel counts
-// take the recurrence within one resync chunk (16, 21, 37) and across
-// one (70).
+// TestVectorKernelsMatchScalar pins the active tier's float64 path
+// against the scalar tier's Go lanes: both apply the same resync cadence,
+// so they agree to within twice the recurrence bound (each side's drift)
+// on hardware where the vector kernels run at all — avx2 to the bit. The
+// channel counts take the recurrence within one resync chunk (16, 21,
+// 37) and across one (70).
 func TestVectorKernelsMatchScalar(t *testing.T) {
-	if dispatchFor(xmath.ActiveSIMD()).gridVec64 == nil {
+	if xmath.ActiveSIMD() == xmath.SIMDScalar {
 		t.Skip("vector kernels unavailable on this CPU")
 	}
 	const sg, nt = 16, 10

@@ -85,17 +85,11 @@ const (
 	// MetricKernelPathReference counts kernel invocations dispatched
 	// to the straightforward reference kernels (DisableBatching).
 	MetricKernelPathReference = "kernel_path_reference_total"
-	// MetricKernelPathTiled32 counts invocations of the generic tiled
-	// float32 kernels.
-	MetricKernelPathTiled32 = "kernel_path_tiled_float32_total"
-	// MetricKernelPathTiled64 counts invocations of the generic tiled
-	// float64 kernels.
-	MetricKernelPathTiled64 = "kernel_path_tiled_float64_total"
-	// MetricKernelPathVector counts invocations of the hand-vectorized
-	// AVX2 float64 tile kernels (4 lanes).
+	// MetricKernelPathVector counts invocations of the float64 tile
+	// kernels (pixel-lane gridder, fused degridder) on any tier.
 	MetricKernelPathVector = "kernel_path_vector_total"
-	// MetricKernelPathVector32 counts invocations of the hand-vectorized
-	// AVX2 float32 tile kernels (8 lanes).
+	// MetricKernelPathVector32 counts invocations of the float32 tile
+	// kernels on any tier.
 	MetricKernelPathVector32 = "kernel_path_vector_float32_total"
 	// MetricGridEpilogueNs sums the busy time (nanoseconds, over all
 	// tile workers) the gridder tiles spend after the visibility loop:

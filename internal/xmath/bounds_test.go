@@ -2,19 +2,6 @@ package xmath
 
 import "testing"
 
-func TestHasFastFMAStable(t *testing.T) {
-	// The probe is cached: repeated calls must agree (kernel dispatch
-	// relies on the answer being a constant of the process).
-	a, b := HasFastFMA(), HasFastFMA()
-	if a != b {
-		t.Fatal("HasFastFMA changed between calls")
-	}
-	if HasAVX2FMA() && !a {
-		// CPUID says the hardware fuses; the timing probe must agree.
-		t.Fatal("AVX2+FMA hardware but HasFastFMA is false")
-	}
-}
-
 func TestFloat32AccumBound(t *testing.T) {
 	if got := Float32AccumBound(0, 1); got != 8*Eps32 {
 		t.Fatalf("n=0 bound = %g", got)

@@ -9,7 +9,8 @@ import "math"
 // with a delta that is constant for a given (pixel, time step). A full
 // sine/cosine evaluation per channel can therefore be replaced by two
 // evaluations (base and delta) plus one complex multiplication per
-// remaining channel — the phasor rotation recurrence implemented here.
+// remaining channel — the phasor rotation recurrence the kernels in
+// internal/core run.
 //
 // # Error bound
 //
@@ -34,19 +35,10 @@ import "math"
 // to |phase| * eps before any trigonometry happens. PhasorErrorBound
 // combines both terms; for the kernels' |phase| <= 1e4 argument range
 // (Section VI-C of the IPDPS paper) it evaluates to ≈ 2.3e-12, and the
-// property tests assert it against SincosAccurate.
+// kernels' property tests assert it against the direct evaluation.
 // Seeding with an approximate evaluator (SincosFast, SincosLUT) adds
 // that evaluator's own error on top, exactly as in the direct path, so
 // the recurrence never changes the accuracy class of a kernel.
-type PhasorRotator struct {
-	// Sincos seeds and re-syncs the recurrence; nil means
-	// SincosAccurate.
-	Sincos SincosFunc
-	// Resync is the re-sync interval K: an exact evaluation replaces
-	// the recurrence every K entries, bounding the drift. <= 0 means
-	// DefaultPhasorResync.
-	Resync int
-}
 
 // DefaultPhasorResync is the default re-sync interval K of the
 // recurrence. 64 keeps the drift below ~8.5e-14 (see PhasorDriftBound)
@@ -72,49 +64,6 @@ func PhasorErrorBound(resync int, maxAbsPhase float64) float64 {
 		resync = DefaultPhasorResync
 	}
 	return PhasorDriftBound(resync) + maxAbsPhase*eps
-}
-
-func (r PhasorRotator) evaluator() SincosFunc {
-	if r.Sincos == nil {
-		return SincosAccurate
-	}
-	return r.Sincos
-}
-
-func (r PhasorRotator) resync() int {
-	if r.Resync <= 0 {
-		return DefaultPhasorResync
-	}
-	return r.Resync
-}
-
-// Fill stores sin(base + k*delta) and cos(base + k*delta) into sin[k]
-// and cos[k] for k = 0..len(sin)-1 using the rotation recurrence,
-// re-syncing with an exact evaluation every Resync entries. Both
-// slices must have equal length.
-func (r PhasorRotator) Fill(sin, cos []float64, base, delta float64) {
-	if len(sin) != len(cos) {
-		panic("xmath: phasor buffers must have equal length")
-	}
-	n := len(sin)
-	if n == 0 {
-		return
-	}
-	f := r.evaluator()
-	resync := r.resync()
-	ds, dc := f(delta)
-	for start := 0; start < n; start += resync {
-		s, c := f(base + float64(start)*delta)
-		sin[start], cos[start] = s, c
-		end := start + resync
-		if end > n {
-			end = n
-		}
-		for i := start + 1; i < end; i++ {
-			s, c = s*dc+c*ds, c*dc-s*ds
-			sin[i], cos[i] = s, c
-		}
-	}
 }
 
 // UniformSpacing reports whether xs is an (approximately) arithmetic

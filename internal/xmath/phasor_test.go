@@ -2,107 +2,8 @@ package xmath
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-// maxFillError runs one Fill and returns the maximum absolute
-// deviation of either component from the libm reference.
-func maxFillError(r PhasorRotator, n int, base, delta float64) float64 {
-	sin := make([]float64, n)
-	cos := make([]float64, n)
-	r.Fill(sin, cos, base, delta)
-	maxErr := 0.0
-	for k := 0; k < n; k++ {
-		sr, cr := math.Sincos(base + float64(k)*delta)
-		if d := math.Abs(sin[k] - sr); d > maxErr {
-			maxErr = d
-		}
-		if d := math.Abs(cos[k] - cr); d > maxErr {
-			maxErr = d
-		}
-	}
-	return maxErr
-}
-
-// TestPhasorRotatorWithinDocumentedBound is the property test of the
-// recurrence: on random non-uniform (base, delta) pairs spanning the
-// kernels' argument range, the recurrence seeded by SincosAccurate
-// stays within PhasorErrorBound of the reference path for the default
-// re-sync interval.
-func TestPhasorRotatorWithinDocumentedBound(t *testing.T) {
-	rnd := rand.New(rand.NewSource(31))
-	r := PhasorRotator{Sincos: SincosAccurate}
-	for trial := 0; trial < 500; trial++ {
-		base := (rnd.Float64()*2 - 1) * kernelArgRange
-		delta := (rnd.Float64()*2 - 1) * 10
-		n := 1 + rnd.Intn(3*DefaultPhasorResync) // spans several re-syncs
-		maxPhase := math.Abs(base) + float64(n)*math.Abs(delta)
-		bound := PhasorErrorBound(0, maxPhase)
-		if err := maxFillError(r, n, base, delta); err > bound {
-			t.Fatalf("recurrence error %g exceeds documented bound %g (base=%g delta=%g n=%d)",
-				err, bound, base, delta, n)
-		}
-	}
-}
-
-// TestPhasorRotatorDriftBound checks the analytic per-step drift bound
-// at a re-sync interval much longer than the default: the observed
-// drift must stay below PhasorDriftBound(k) plus the seed evaluation
-// error.
-func TestPhasorRotatorDriftBound(t *testing.T) {
-	const k = 1024
-	r := PhasorRotator{Sincos: SincosAccurate, Resync: k}
-	rnd := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 50; trial++ {
-		base := (rnd.Float64()*2 - 1) * kernelArgRange
-		delta := (rnd.Float64()*2 - 1) * 2
-		maxPhase := math.Abs(base) + float64(k)*math.Abs(delta)
-		bound := PhasorErrorBound(k, maxPhase)
-		if err := maxFillError(r, k, base, delta); err > bound {
-			t.Fatalf("drift %g exceeds analytic bound %g at K=%d", err, bound, k)
-		}
-	}
-}
-
-// TestPhasorRotatorResyncSnapsBack verifies the re-sync entries are
-// exact evaluations: with Resync=1 the recurrence degenerates to the
-// direct path.
-func TestPhasorRotatorResyncSnapsBack(t *testing.T) {
-	r := PhasorRotator{Sincos: SincosAccurate, Resync: 1}
-	if err := maxFillError(r, 100, 0.7, 0.3); err != 0 {
-		t.Fatalf("Resync=1 must reproduce the evaluator exactly, got error %g", err)
-	}
-}
-
-// TestPhasorRotatorApproximateSeed: seeding with SincosFast keeps the
-// result within SincosFast's own error class plus the drift bound —
-// the recurrence never changes the accuracy class of a kernel.
-func TestPhasorRotatorApproximateSeed(t *testing.T) {
-	r := PhasorRotator{Sincos: SincosFast}
-	rnd := rand.New(rand.NewSource(5))
-	fastErr := 4 * 6e-8 // the SincosFast test bound (4 float32 ulps)
-	for trial := 0; trial < 100; trial++ {
-		base := (rnd.Float64()*2 - 1) * kernelArgRange
-		delta := (rnd.Float64()*2 - 1) * 5
-		n := 2 * DefaultPhasorResync
-		bound := fastErr + PhasorErrorBound(0, math.Abs(base)+float64(n)*math.Abs(delta))
-		if err := maxFillError(r, n, base, delta); err > bound {
-			t.Fatalf("fast-seeded recurrence error %g out of class", err)
-		}
-	}
-}
-
-func TestPhasorRotatorEmptyAndMismatch(t *testing.T) {
-	var r PhasorRotator
-	r.Fill(nil, nil, 1, 2) // must not panic
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched buffer lengths must panic")
-		}
-	}()
-	r.Fill(make([]float64, 3), make([]float64, 4), 1, 2)
-}
 
 func TestUniformSpacing(t *testing.T) {
 	uniform := []float64{150e6, 150.2e6, 150.4e6, 150.6e6}
@@ -123,26 +24,4 @@ func TestUniformSpacing(t *testing.T) {
 	if d, ok := UniformSpacing([]float64{5, 5, 5}, 1e-12); !ok || d != 0 {
 		t.Fatalf("constant sequence: d=%g ok=%v", d, ok)
 	}
-}
-
-func BenchmarkPhasorFill(b *testing.B) {
-	sin := make([]float64, 16)
-	cos := make([]float64, 16)
-	r := PhasorRotator{Sincos: SincosFast}
-	for i := 0; i < b.N; i++ {
-		r.Fill(sin, cos, float64(i)*0.37, 0.11)
-	}
-	sinkFloat = sin[15] + cos[15]
-}
-
-func BenchmarkPhasorDirect(b *testing.B) {
-	sin := make([]float64, 16)
-	cos := make([]float64, 16)
-	for i := 0; i < b.N; i++ {
-		base := float64(i) * 0.37
-		for c := range sin {
-			sin[c], cos[c] = SincosFast(base + float64(c)*0.11)
-		}
-	}
-	sinkFloat = sin[15] + cos[15]
 }

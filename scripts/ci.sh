@@ -17,27 +17,29 @@ if go list -deps ./internal/distrib | grep -qx 'repro/internal/server'; then
 fi
 # The imaging-cycle example is the facade's Fig. 2 loop end to end.
 go run ./examples/imagingcycle
-# Cross-compile check: the SIMD dispatch layer must keep the pure-Go
-# fallbacks buildable on a register-poor non-amd64 target (the asm
-# kernels are amd64-only; arm64 exercises the !amd64 stub files).
+# Cross-compile check: off amd64 the tiles run the Go bodies of the
+# pixel-lane routines (the asm kernels are amd64-only), so arm64 must
+# build, and vet the packages whose Go and asm declarations pair up.
 GOOS=linux GOARCH=arm64 go build ./...
+GOOS=linux GOARCH=arm64 go vet ./internal/core/ ./internal/xmath/
 # Fast-fail race pass over the concurrency-heavy packages (pipelines,
 # fault tolerance, the lock-free metrics/tracer, the session server)
 # in short mode before paying for the full raced suite below.
 go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/... ./internal/checkpoint/... ./internal/server/... ./internal/distrib/...
 # The same short race pass with the SIMD tier forced down via the
-# IDG_SIMD override: the scalar tier runs the generic Go tiles, the
-# avx2 tier runs the YMM forms of the pixel-lane gridder and fused
-# degridder on hosts whose detected tier is avx512 (the override can
-# only lower the tier, so these are no-ops on narrower hosts rather
-# than failures). The sky predictor's lanes and the fill built on them
-# must keep Model.Predict's bits, and the golden hashes with them, on
-# every tier. The avx2 leg also runs the eight kernel benchmarks once
-# each, so the YMM bodies run under the benchmark harness too.
+# IDG_SIMD override: the scalar tier runs the pixel-lane gridder and
+# fused degridder through their Go bodies, the avx2 tier through the YMM
+# forms on hosts whose detected tier is avx512 (the override can only
+# lower the tier, so these are no-ops on narrower hosts rather than
+# failures). The sky predictor's lanes and the fill built on them must
+# keep Model.Predict's bits, and the golden hashes with them, on every
+# tier. Both legs also run the eight kernel benchmarks once each, so the
+# Go and the YMM bodies run under the benchmark harness too.
 IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
 IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
 IDG_SIMD=scalar go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=avx2 go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
+IDG_SIMD=scalar GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$' -benchtime 1x .
 IDG_SIMD=avx2 GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$' -benchtime 1x .
 # And with the core count pinned both ways: one thread hides panics and
 # races that only a fan-out goroutine can raise, four threads hide what
@@ -82,13 +84,12 @@ bash benchmark/run.sh -workload all -smoke
 # kernels are in the gate because they are the SIMD dispatch layer's
 # reason to exist: a gridder that falls from the avx512 tier's ZMM
 # pixel-lane body to the YMM one drops to half its MVis/s, and either
-# kernel falling back to the generic tile to a tenth, far beyond any
+# kernel falling back to the Go bodies to a tenth, far beyond any
 # threshold. The
 # short-item benchmarks guard the tiles' row-per-channel form and the
-# A-term epilogue/prologue the same way: an item shape that falls back
-# to the generic scalar tile (float32: to a twentieth of its MVis/s), or
-# a sandwich that falls back to Matrix2 arithmetic, loses a third to a
-# half. The FFT benchmarks
+# A-term epilogue/prologue the same way: a sandwich that falls back to
+# its per-pixel transcription loses a third to a half. The FFT
+# benchmarks
 # guard the radix-4 and lane-parallel mixed-radix engines: a scalar
 # per-column subgrid transform is a >4x slowdown on the subgrid stage.
 # The fingerprint, grid-writer and fill benchmarks guard the
