@@ -1,8 +1,9 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// the sincos evaluator (the paper's SVML / fast-math / SFU axis), the
+// Ablation benchmarks for the design choices DESIGN.md calls out: the
 // batch-blocked kernels vs the naive Algorithm 1/2 loops, the
 // row-parallel adder vs a lock-serialized one, the subgrid size, and
-// the channel count (the SIMD reduction width of Listing 1).
+// the channel count (the SIMD reduction width of Listing 1). The
+// pixel-tile and visibility-block sweeps sit beside their unexported
+// knobs, in internal/core (tiling_bench_test.go).
 package repro
 
 import (
@@ -67,25 +68,6 @@ func runGridderAblation(b *testing.B, params Params) {
 	b.ReportMetric(float64(b.N)*float64(item.NrVisibilities())/b.Elapsed().Seconds()/1e6, "MVis/s")
 }
 
-// BenchmarkAblationSincos compares the three sine/cosine evaluation
-// strategies inside the real gridder kernel. The ordering mirrors the
-// paper's platform axis: table lookup (SFU-like) > polynomial
-// (SVML-like) > libm.
-func BenchmarkAblationSincos(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		fn   xmath.SincosFunc
-	}{
-		{"libm", xmath.SincosAccurate},
-		{"polynomial", xmath.SincosFast},
-		{"lut", xmath.SincosLUT},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			runGridderAblation(b, Params{Sincos: tc.fn})
-		})
-	}
-}
-
 // BenchmarkAblationBatching compares the batch-blocked kernels
 // (Section V-B optimizations: transposition, planar re/im, batched
 // sincos) against the naive Algorithm 1 transcription.
@@ -107,31 +89,6 @@ func BenchmarkAblationPrecision(b *testing.B) {
 	b.Run("float32", func(b *testing.B) {
 		runGridderAblation(b, Params{Precision: Float32})
 	})
-}
-
-// BenchmarkAblationPixelTileRows sweeps the pixel-tile height: tiles
-// size the phasor working set; very short tiles re-walk the
-// visibility block more often, very tall tiles spill the planar
-// visibility slabs out of L1. rows=24 is one whole-subgrid tile (no
-// tiling). For the vector tiles against their Go bodies run any of
-// these under IDG_SIMD=scalar.
-func BenchmarkAblationPixelTileRows(b *testing.B) {
-	for _, tr := range []int{1, 2, 4, 8, 24} {
-		b.Run(fmt.Sprintf("rows=%d", tr), func(b *testing.B) {
-			runGridderAblation(b, Params{PixelTileRows: tr})
-		})
-	}
-}
-
-// BenchmarkAblationVisBlocking sweeps the visibility-block depth
-// (timesteps per cache block); steps=64 covers the benchmark item's
-// whole time range (no blocking).
-func BenchmarkAblationVisBlocking(b *testing.B) {
-	for _, bl := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("steps=%d", bl), func(b *testing.B) {
-			runGridderAblation(b, Params{VisBlockTimesteps: bl})
-		})
-	}
 }
 
 // BenchmarkAblationSubgridSize sweeps N~; per-visibility cost scales

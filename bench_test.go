@@ -230,10 +230,6 @@ func BenchmarkFig16WprojComparison(b *testing.B) {
 			g, err := wproj.NewGridder(wproj.Config{
 				GridSize: gridSize, ImageSize: imageSize,
 				Support: nw, Oversampling: 8,
-				// The comparison is about steady-state gridding throughput;
-				// use the fast sincos for the one-off kernel tabulation so
-				// small-NW runs aren't dominated by setup.
-				Sincos: xmath.SincosFast,
 			})
 			if err != nil {
 				b.Fatal(err)

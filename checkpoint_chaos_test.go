@@ -438,8 +438,9 @@ func TestRetryAndCheckpointMetrics(t *testing.T) {
 	}
 }
 
-// TestConfigValidationTyped (satellite): every streaming/checkpoint
-// knob rejects bad values with a *ConfigError wrapping
+// TestConfigValidationTyped: every rejected ObservationConfig value —
+// the observation's shape and band (NaN and infinities included) and
+// every streaming/checkpoint knob — is a *ConfigError wrapping
 // ErrInvalidConfig that names the offending field.
 func TestConfigValidationTyped(t *testing.T) {
 	base := ObservationConfig{
@@ -456,6 +457,17 @@ func TestConfigValidationTyped(t *testing.T) {
 		mutate func(*ObservationConfig)
 		field  string
 	}{
+		{"one-station", func(c *ObservationConfig) { c.NrStations = 1 }, "NrStations"},
+		{"no-timesteps", func(c *ObservationConfig) { c.NrTimesteps = 0 }, "NrTimesteps"},
+		{"no-channels", func(c *ObservationConfig) { c.NrChannels = 0 }, "NrChannels"},
+		{"zero-frequency", func(c *ObservationConfig) { c.StartFrequency = 0 }, "StartFrequency"},
+		{"nan-frequency", func(c *ObservationConfig) { c.StartFrequency = math.NaN() }, "StartFrequency"},
+		{"inf-frequency", func(c *ObservationConfig) { c.StartFrequency = math.Inf(1) }, "StartFrequency"},
+		{"negative-width", func(c *ObservationConfig) { c.ChannelWidth = -1 }, "ChannelWidth"},
+		{"nan-width", func(c *ObservationConfig) { c.ChannelWidth = math.NaN() }, "ChannelWidth"},
+		{"inf-width", func(c *ObservationConfig) { c.ChannelWidth = math.Inf(1) }, "ChannelWidth"},
+		{"negative-margin", func(c *ObservationConfig) { c.GridMargin = -1 }, "GridMargin"},
+		{"margin-half-grid", func(c *ObservationConfig) { c.GridMargin = 64 }, "GridMargin"},
 		{"negative-shards", func(c *ObservationConfig) { c.GridShards = -1 }, "GridShards"},
 		{"shards-exceed-grid", func(c *ObservationConfig) { c.GridShards = 129 }, "GridShards"},
 		{"negative-inflight", func(c *ObservationConfig) { c.MaxInflightChunks = -2 }, "MaxInflightChunks"},

@@ -1,41 +1,20 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON report on stdout. It understands the standard
 // benchmark line format including -benchmem columns and custom
-// b.ReportMetric units, so CI jobs and scripts/bench.sh can diff
-// kernel performance without scraping free-form text:
+// b.ReportMetric units, so scripts/bench.sh can write the committed
+// kernel record without scraping free-form text:
 //
 //	go test -bench Kernel -benchmem . | benchjson > BENCH_kernels.json
 //
-// With -best, duplicate benchmark names on stdin (a -count N run)
-// collapse to their best-throughput run before emitting — the way to
-// write a committed baseline from a repeated measurement:
-//
-//	go test -bench Distrib -count 3 . | benchjson -best > BENCH_distrib.json
-//
-// With -compare it instead diffs two reports and acts as a regression
-// gate: benchmarks present in both are compared by visibility
-// throughput (falling back to 1/ns_per_op when either side lacks the
-// MVis/s metric), and any slowdown beyond -threshold percent fails the
-// run. When the new report holds several runs of the same benchmark
-// (go test -count N), the best run gates — repeated-run minima measure
-// scheduling noise, not the code under test. A benchmark recorded in the old report but absent from the new
-// one also fails the gate — a silently vanished benchmark usually
-// means a renamed or deleted test, not an intentional retirement —
-// unless -allow-missing is given (for subset runs that deliberately
-// re-measure only part of the baseline):
-//
-//	benchjson -compare -threshold 10 BENCH_kernels.json new.json
-//
-// (flags go before the two report files: the flag package stops
-// parsing at the first positional argument)
+// It gates nothing: wall-clock rows move between runs on a shared host
+// by more than the changes they would have to resolve, so speed claims
+// use alternating parent/change pairs instead (benchmark/README.md).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -65,28 +44,6 @@ type Report struct {
 }
 
 func main() {
-	compare := flag.Bool("compare", false, "compare two JSON reports (old new) instead of parsing stdin")
-	threshold := flag.Float64("threshold", 10, "with -compare: maximum tolerated slowdown in percent")
-	allowMissing := flag.Bool("allow-missing", false,
-		"with -compare: benchmarks missing from the new report warn instead of failing")
-	best := flag.Bool("best", false,
-		"collapse duplicate benchmark names (go test -count N) to the best run before emitting")
-	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two report files (old new)")
-			os.Exit(2)
-		}
-		ok, err := runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold, *allowMissing)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
 	rep, err := Parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
@@ -96,40 +53,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	if *best {
-		rep.Benchmarks = bestRuns(rep.Benchmarks)
-	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// bestRuns collapses duplicate benchmark names to the run with the
-// highest throughput, preserving first-appearance order — the same
-// rule the compare gate judges a -count N re-measure by, so a
-// baseline written with -best holds exactly the numbers later runs
-// are gated against.
-func bestRuns(bs []Benchmark) []Benchmark {
-	idx := make(map[string]int, len(bs))
-	out := make([]Benchmark, 0, len(bs))
-	for i := range bs {
-		b := bs[i]
-		j, ok := idx[b.Name]
-		if !ok {
-			idx[b.Name] = len(out)
-			out = append(out, b)
-			continue
-		}
-		pt, _ := throughput(&out[j])
-		nt, _ := throughput(&b)
-		if nt > pt {
-			out[j] = b
-		}
-	}
-	return out
 }
 
 // Parse consumes `go test -bench` output line by line.
@@ -199,93 +128,4 @@ func addMetric(b *Benchmark, unit string, val float64) {
 		b.Metrics = make(map[string]float64)
 	}
 	b.Metrics[unit] = val
-}
-
-// loadReport reads one JSON report written by the parse mode.
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &rep, nil
-}
-
-// throughput returns a higher-is-better score for a benchmark: the
-// visibility rate when recorded, else the inverse op time.
-func throughput(b *Benchmark) (float64, bool) {
-	if b.VisPerSec != nil && *b.VisPerSec > 0 {
-		return *b.VisPerSec, true
-	}
-	if b.NsPerOp > 0 {
-		return 1 / b.NsPerOp, false
-	}
-	return 0, false
-}
-
-// runCompare diffs two reports benchmark by benchmark and reports
-// whether every common benchmark stayed within the slowdown threshold
-// (percent). A baseline benchmark missing from the new report fails
-// the gate unless allowMissing is set; benchmarks only present in the
-// new report merely warn (the set is allowed to grow).
-func runCompare(w io.Writer, oldPath, newPath string, threshold float64, allowMissing bool) (bool, error) {
-	oldRep, err := loadReport(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newRep, err := loadReport(newPath)
-	if err != nil {
-		return false, err
-	}
-	// Duplicate names in either report (a -count N re-measure) gate on
-	// their best run: regression thresholds compare against sustained
-	// capability, and the minimum over repeated runs is dominated by
-	// scheduling noise rather than by the code under test.
-	oldRep.Benchmarks = bestRuns(oldRep.Benchmarks)
-	newRep.Benchmarks = bestRuns(newRep.Benchmarks)
-	newByName := make(map[string]*Benchmark, len(newRep.Benchmarks))
-	for i := range newRep.Benchmarks {
-		newByName[newRep.Benchmarks[i].Name] = &newRep.Benchmarks[i]
-	}
-	ok := true
-	compared := 0
-	for i := range oldRep.Benchmarks {
-		ob := &oldRep.Benchmarks[i]
-		nb, found := newByName[ob.Name]
-		if !found {
-			if allowMissing {
-				fmt.Fprintf(w, "WARN  %-40s missing from %s\n", ob.Name, newPath)
-			} else {
-				fmt.Fprintf(w, "FAIL  %-40s in baseline %s but missing from %s (renamed or deleted? pass -allow-missing for subset runs)\n",
-					ob.Name, oldPath, newPath)
-				ok = false
-			}
-			continue
-		}
-		delete(newByName, ob.Name)
-		oldT, oldVis := throughput(ob)
-		newT, newVis := throughput(nb)
-		if oldT == 0 || newT == 0 || oldVis != newVis {
-			fmt.Fprintf(w, "WARN  %-40s metrics not comparable\n", ob.Name)
-			continue
-		}
-		compared++
-		deltaPct := 100 * (newT - oldT) / oldT
-		status := "ok   "
-		if deltaPct < -threshold {
-			status = "FAIL "
-			ok = false
-		}
-		fmt.Fprintf(w, "%s %-40s %+7.1f%%\n", status, ob.Name, deltaPct)
-	}
-	for name := range newByName {
-		fmt.Fprintf(w, "WARN  %-40s only in %s\n", name, newPath)
-	}
-	if compared == 0 {
-		return false, fmt.Errorf("no comparable benchmarks between %s and %s", oldPath, newPath)
-	}
-	return ok, nil
 }

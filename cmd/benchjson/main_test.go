@@ -2,30 +2,9 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func writeReport(t *testing.T, dir, name string, rep *Report) string {
-	t.Helper()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func visBench(name string, mvisPerSec float64) Benchmark {
-	v := mvisPerSec * 1e6
-	return Benchmark{Name: name, Iterations: 10, NsPerOp: 1e6, VisPerSec: &v}
-}
 
 func TestParseBenchOutput(t *testing.T) {
 	const out = `goos: linux
@@ -55,224 +34,5 @@ PASS
 	}
 	if rep.Benchmarks[1].VisPerSec != nil {
 		t.Fatal("plain benchmark must not have VisPerSec")
-	}
-}
-
-func TestCompareWithinThresholdPasses(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.30),
-		visBench("BenchmarkDegridderKernel-8", 0.60),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.29), // -3.3%: inside threshold
-		visBench("BenchmarkDegridderKernel-8", 0.75),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("compare failed:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "FAIL") {
-		t.Fatalf("unexpected FAIL line:\n%s", sb.String())
-	}
-}
-
-func TestCompareRegressionFails(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.30),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.20), // -33%
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatalf("33%% regression passed a 10%% gate:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "FAIL") {
-		t.Fatalf("missing FAIL line:\n%s", sb.String())
-	}
-}
-
-// A -count N re-measure produces duplicate names in the new report;
-// the gate must judge the best run, so one noisy-slow sample among
-// good ones cannot fail CI (and the duplicates must not warn as
-// "only in new").
-func TestCompareDuplicatesGateOnBestRun(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.30),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.20), // -33%: noise
-		visBench("BenchmarkGridderKernel-8", 0.31), // best run: fine
-		visBench("BenchmarkGridderKernel-8", 0.26),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("best duplicate run within threshold still failed:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "only in") {
-		t.Fatalf("duplicate runs reported as new benchmarks:\n%s", sb.String())
-	}
-}
-
-// A baseline benchmark that vanished from the new report fails the
-// gate with an actionable message: a silently shrinking benchmark set
-// would let a deleted or renamed benchmark dodge the regression check.
-func TestCompareMissingBenchmarkFails(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.30),
-		visBench("BenchmarkRetired-8", 1.0),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.31),
-		visBench("BenchmarkBrandNew-8", 2.0),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatalf("missing baseline benchmark must fail the gate:\n%s", sb.String())
-	}
-	out := sb.String()
-	if !strings.Contains(out, "FAIL") || !strings.Contains(out, "BenchmarkRetired-8") ||
-		!strings.Contains(out, "missing from") || !strings.Contains(out, "-allow-missing") {
-		t.Fatalf("missing-benchmark FAIL line must name the benchmark and the escape hatch:\n%s", out)
-	}
-	// Growth stays a warning: BenchmarkBrandNew-8 must not FAIL.
-	if !strings.Contains(out, "only in") || !strings.Contains(out, "BenchmarkBrandNew-8") {
-		t.Fatalf("missing WARN line for the new-only benchmark:\n%s", out)
-	}
-}
-
-// -allow-missing restores the warn-only behaviour for deliberate
-// subset runs (CI re-measures two of the six baseline kernels).
-func TestCompareAllowMissingWarns(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.30),
-		visBench("BenchmarkRetired-8", 1.0),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkGridderKernel-8", 0.31),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("-allow-missing must not fail on a one-sided benchmark:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "WARN") || !strings.Contains(sb.String(), "BenchmarkRetired-8") {
-		t.Fatalf("missing WARN line under -allow-missing:\n%s", sb.String())
-	}
-}
-
-// ns/op-only benchmarks fall back to inverse op time; mixing metric
-// kinds between the two sides is not comparable and only warns.
-func TestCompareNsPerOpFallbackAndMixedKinds(t *testing.T) {
-	dir := t.TempDir()
-	nsBench := func(name string, ns float64) Benchmark {
-		return Benchmark{Name: name, Iterations: 10, NsPerOp: ns}
-	}
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		nsBench("BenchmarkFFT-8", 1000),
-		nsBench("BenchmarkMixed-8", 1000),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		nsBench("BenchmarkFFT-8", 2000), // 2x slower
-		visBench("BenchmarkMixed-8", 0.5),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatalf("2x ns/op regression passed:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "BenchmarkMixed-8") || !strings.Contains(sb.String(), "not comparable") {
-		t.Fatalf("mixed metric kinds must warn:\n%s", sb.String())
-	}
-}
-
-func TestCompareNothingComparableErrors(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkA-8", 1),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkB-8", 1),
-	}})
-	var sb strings.Builder
-	if _, err := runCompare(&sb, oldP, newP, 10, false); err == nil {
-		t.Fatal("disjoint benchmark sets must be an error, not a silent pass")
-	}
-}
-
-// bestRuns must keep first-appearance order and pick the
-// best-throughput duplicate — the committed-baseline path of -best,
-// and since the compare gate now collapses the baseline side too, a
-// -count N baseline must gate exactly like a -best one.
-func TestBestRunsCollapsesDuplicates(t *testing.T) {
-	in := []Benchmark{
-		visBench("BenchmarkA", 0.20),
-		visBench("BenchmarkB", 0.50),
-		visBench("BenchmarkA", 0.30), // best A
-		visBench("BenchmarkB", 0.40),
-		visBench("BenchmarkA", 0.10),
-	}
-	out := bestRuns(in)
-	if len(out) != 2 {
-		t.Fatalf("collapsed to %d entries, want 2: %+v", len(out), out)
-	}
-	if out[0].Name != "BenchmarkA" || out[1].Name != "BenchmarkB" {
-		t.Fatalf("order not preserved: %+v", out)
-	}
-	if *out[0].VisPerSec != 0.30e6 || *out[1].VisPerSec != 0.50e6 {
-		t.Fatalf("best runs not selected: A=%v B=%v", *out[0].VisPerSec, *out[1].VisPerSec)
-	}
-}
-
-// A baseline holding duplicate runs (written without -best) must not
-// produce spurious missing-benchmark failures: each name is compared
-// once, best against best.
-func TestCompareDuplicateBaseline(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkX", 0.30),
-		visBench("BenchmarkX", 0.32),
-		visBench("BenchmarkX", 0.29),
-	}})
-	newP := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
-		visBench("BenchmarkX", 0.31),
-	}})
-	var sb strings.Builder
-	ok, err := runCompare(&sb, oldP, newP, 10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("duplicate-baseline compare failed:\n%s", sb.String())
-	}
-	if n := strings.Count(sb.String(), "BenchmarkX"); n != 1 {
-		t.Fatalf("BenchmarkX compared %d times, want once:\n%s", n, sb.String())
 	}
 }

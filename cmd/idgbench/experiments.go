@@ -14,7 +14,7 @@ import (
 )
 
 // runTable1 prints Table I from the arch package.
-func runTable1(float64) {
+func runTable1(float64) error {
 	t := report.NewTable("model", "type", "architecture", "clock(GHz)",
 		"core config = #FPUs", "peak(TFlops)", "mem(GB)", "mem bw(GB/s)", "TDP(W)")
 	for _, p := range arch.Platforms() {
@@ -24,6 +24,7 @@ func runTable1(float64) {
 			p.PeakTFlops, p.MemGB, p.MemBandwidthGBs, p.TDPWatts)
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // paperModelDataset returns the dataset all modelled figures use.
@@ -33,7 +34,7 @@ func paperModelDataset() perfmodel.Dataset {
 
 // runFig8 renders the uv coverage of the SKA1-low test data set as an
 // ASCII density plot. scale < 1 reduces the time sampling.
-func runFig8(scale float64) {
+func runFig8(scale float64) error {
 	cfg := repro.PaperObservation()
 	cfg.NrTimesteps = int(float64(cfg.NrTimesteps) * scale)
 	if cfg.NrTimesteps < 16 {
@@ -41,7 +42,7 @@ func runFig8(scale float64) {
 	}
 	obs, err := cfg.BuildPlan()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Sample the tracks (both signs: each visibility has a conjugate
 	// mirror point, which is what makes Fig. 8 symmetric).
@@ -61,11 +62,12 @@ func runFig8(scale float64) {
 	fmt.Printf("%d sampled uv points (of %d baselines x %d steps):\n",
 		len(us), len(baselines), cfg.NrTimesteps)
 	fmt.Print(report.Scatter(us, vs, 72, 36))
+	return nil
 }
 
 // runFig9 prints the modelled runtime distribution of one imaging
 // cycle per platform.
-func runFig9(float64) {
+func runFig9(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "gridder(s)", "degridder(s)", "subgrid-fft(s)",
 		"adder(s)", "splitter(s)", "total(s)", "gridder+degridder")
@@ -82,10 +84,11 @@ func runFig9(float64) {
 		fmt.Printf("  %-8s |%s| %.1fs\n", p.Name,
 			report.Bar(c.Gridder.Seconds+c.Degridder.Seconds, c.Total(), 40), c.Total())
 	}
+	return nil
 }
 
 // runFig10 prints gridding/degridding throughput in MVis/s.
-func runFig10(float64) {
+func runFig10(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "gridding(MVis/s)", "degridding(MVis/s)")
 	for _, p := range arch.Platforms() {
@@ -93,10 +96,11 @@ func runFig10(float64) {
 		t.AddRow(p.Name, g, dg)
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // runFig11 prints the device-memory roofline points and ceilings.
-func runFig11(float64) {
+func runFig11(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "kernel", "OI(ops/byte)", "achieved(TOps/s)",
 		"mix ceiling(TOps/s)", "peak(TOps/s)", "fraction of peak", "bound")
@@ -114,10 +118,11 @@ func runFig11(float64) {
 			fmt.Sprintf("%.0f%%", 100*perf.FractionOfPeak), string(perf.Bound))
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // runFig12 prints the ops throughput for FMA/sincos mixes.
-func runFig12(float64) {
+func runFig12(float64) error {
 	t := report.NewTable("rho", "HASWELL(TOps/s)", "FIJI(TOps/s)", "PASCAL(TOps/s)")
 	for rho := 0.25; rho <= 4096; rho *= 2 {
 		row := []interface{}{rho}
@@ -132,10 +137,11 @@ func runFig12(float64) {
 		fmt.Printf("  %-8s %.2f TOps/s (%.0f%% of peak)\n", p.Name,
 			p.MixOpsPerSec(arch.KernelRho)/1e12, 100*p.MixFraction(arch.KernelRho))
 	}
+	return nil
 }
 
 // runFig13 prints the shared-memory roofline points.
-func runFig13(float64) {
+func runFig13(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "kernel", "shared OI(ops/byte)",
 		"achieved(TOps/s)", "shared ceiling(TOps/s)", "of ceiling")
@@ -144,17 +150,18 @@ func runFig13(float64) {
 			fmt.Sprintf("%.0f%%", 100*pt.TOpsPerSec/pt.CeilingTOps))
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // runFig14 prints the energy distribution of one imaging cycle.
-func runFig14(float64) {
+func runFig14(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "gridder(kJ)", "degridder(kJ)", "fft(kJ)",
 		"adder+splitter(kJ)", "host(kJ)", "total(kJ)")
 	for _, p := range arch.Platforms() {
 		c, err := energy.Cycle(p, d)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		t.AddRow(p.Name, c.Gridder.DeviceJoules/1e3, c.Degridder.DeviceJoules/1e3,
 			c.SubgridFFT.DeviceJoules/1e3,
@@ -162,10 +169,11 @@ func runFig14(float64) {
 			c.HostJoules/1e3, c.Total()/1e3)
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // runFig15 prints the per-kernel energy efficiency.
-func runFig15(float64) {
+func runFig15(float64) error {
 	d := paperModelDataset()
 	t := report.NewTable("platform", "gridder(GFlops/W)", "degridder(GFlops/W)")
 	for _, p := range arch.Platforms() {
@@ -174,10 +182,11 @@ func runFig15(float64) {
 		t.AddRow(p.Name, g.GFlopsPerWatt, dg.GFlopsPerWatt)
 	}
 	t.Render(os.Stdout)
+	return nil
 }
 
 // runFig16 prints the IDG vs WPG comparison on PASCAL.
-func runFig16(float64) {
+func runFig16(float64) error {
 	d := paperModelDataset()
 	p := arch.Pascal()
 	rows := perfmodel.Fig16(p, d, []int{4, 8, 12, 16, 24, 32, 48, 64}, []int{24, 32, 48})
@@ -189,10 +198,11 @@ func runFig16(float64) {
 	t.Render(os.Stdout)
 	fmt.Println("\n(IDG columns are flat: its cost depends on the subgrid size, not N_W;")
 	fmt.Println(" in practice N_W <= 24, where IDG N~=24 wins by 2-4x — Section VI-E.)")
+	return nil
 }
 
 // runFig7 simulates the triple-buffering timeline.
-func runFig7(float64) {
+func runFig7(float64) error {
 	d := paperModelDataset()
 	p := arch.Pascal()
 	// Per-work-group durations for 1024-item groups of the paper
@@ -208,11 +218,12 @@ func runFig7(float64) {
 	t.AddRow("triple buffering", res3.Makespan*1e3, fmt.Sprintf("%.0f%%", 100*res3.KernelBusy))
 	t.Render(os.Stdout)
 	fmt.Printf("speedup from overlapping I/O with kernels: %.2fx\n", res1.Makespan/res3.Makespan)
+	return nil
 }
 
 // runPlanStats builds the full-size paper plan with the streaming
 // planner and compares against the closed-form dataset.
-func runPlanStats(scale float64) {
+func runPlanStats(scale float64) error {
 	cfg := repro.PaperObservation()
 	cfg.NrTimesteps = int(float64(cfg.NrTimesteps) * scale)
 	if cfg.NrTimesteps < 256 {
@@ -222,7 +233,7 @@ func runPlanStats(scale float64) {
 		cfg.NrStations, cfg.NrTimesteps, cfg.NrChannels)
 	obs, err := cfg.BuildPlan()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	st := obs.Plan.Stats()
 	total := int64(len(obs.Simulator.Baselines())) * int64(cfg.NrTimesteps) * int64(cfg.NrChannels)
@@ -241,9 +252,5 @@ func runPlanStats(scale float64) {
 	cf := perfmodel.PaperDataset()
 	ratio := d.NrSubgrids / (cf.NrSubgrids * float64(cfg.NrTimesteps) / float64(cf.NrTimesteps))
 	fmt.Printf("\nclosed-form subgrid count vs exact plan: off by %.1f%%\n", 100*math.Abs(ratio-1))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "idgbench:", err)
-	os.Exit(1)
+	return nil
 }

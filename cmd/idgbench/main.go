@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,7 +26,7 @@ import (
 var experiments = []struct {
 	name string
 	desc string
-	run  func(scale float64)
+	run  func(scale float64) error
 }{
 	{"table1", "Table I: the three architectures", runTable1},
 	{"fig8", "Fig. 8: uv coverage of the test data set", runFig8},
@@ -66,6 +67,10 @@ func run() int {
 	flag.IntVar(&maxInflight, "max-inflight", 0,
 		"bound on in-flight chunks of the measured gridding pass (0: the worker count)")
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "idgbench: -scale must be a positive finite number, got %g\n", *scale)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -105,7 +110,11 @@ func run() int {
 			continue
 		}
 		fmt.Printf("=== %s: %s ===\n", e.name, e.desc)
-		e.run(*scale)
+		if err := e.run(*scale); err != nil {
+			// Returned, not exited: the profiling defers above still run.
+			fmt.Fprintf(os.Stderr, "idgbench: %s: %v\n", e.name, err)
+			return 1
+		}
 		fmt.Println()
 		ran++
 	}

@@ -33,7 +33,7 @@ var (
 // throughput — the measured companion to the modelled Fig. 9/10 rows
 // (this machine is the fourth "platform" next to HASWELL, FIJI and
 // PASCAL).
-func runMeasured(scale float64) {
+func runMeasured(scale float64) error {
 	cfg := repro.DefaultObservation()
 	if scale != 1.0 {
 		cfg.NrTimesteps = int(float64(cfg.NrTimesteps) * scale)
@@ -61,7 +61,7 @@ func runMeasured(scale float64) {
 
 	obs, err := cfg.Build()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pix := obs.ImageSize / float64(cfg.GridSize)
 	model := repro.SkyModel{
@@ -70,17 +70,17 @@ func runMeasured(scale float64) {
 	}
 	start := time.Now()
 	if err := obs.FillFromModel(model); err != nil {
-		fatal(err)
+		return err
 	}
 	fillTime := time.Since(start)
 
 	g, gridTimes, err := obs.GridAll(context.Background(), nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	degridTimes, err := obs.DegridAll(context.Background(), nil, g)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	st := obs.Plan.Stats()
@@ -127,7 +127,9 @@ func runMeasured(scale float64) {
 	fftFrac := (gridTimes.SubgridFFT + degridTimes.SubgridFFT).Seconds() / cycle.Total().Seconds()
 	fmt.Printf("subgrid FFT share: %.1f%% of the grid+degrid cycle\n", 100*fftFrac)
 
-	runShortItems(cfg.NrTimesteps)
+	if err := runShortItems(cfg.NrTimesteps); err != nil {
+		return err
+	}
 
 	// Sanity: the dirty image must recover the brighter source.
 	img := core.GridToImage(g, 0)
@@ -152,18 +154,19 @@ func runMeasured(scale float64) {
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := observer.Tracer.WriteChromeTrace(f); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("wrote %s (%d spans, %d dropped) - load it in chrome://tracing or ui.perfetto.dev\n",
 			traceFile, observer.Tracer.Len(), observer.Tracer.Dropped())
 	}
+	return nil
 }
 
 // runShortItems grids and degrids the short-item regime — two channels,
@@ -174,7 +177,7 @@ func runMeasured(scale float64) {
 // epilogue (lane fold, A-term sandwich, taper) and the degridder's
 // prologue (its mirror) as shares of the items' busy time, and the
 // subgrid FFT stage per four-plane subgrid transform.
-func runShortItems(steps int) {
+func runShortItems(steps int) error {
 	cfg := repro.DefaultObservation()
 	cfg.NrStations, cfg.NrTimesteps, cfg.NrChannels = 24, steps, 2
 	cfg.MaxTimestepsPerSubgrid = 8
@@ -184,21 +187,21 @@ func runShortItems(steps int) {
 	cfg.Observer = observer
 	o, err := cfg.Build()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pix := o.ImageSize / float64(cfg.GridSize)
 	if err := o.FillFromModel(repro.SkyModel{{L: 40 * pix, M: -24 * pix, I: 1}}); err != nil {
-		fatal(err)
+		return err
 	}
 	beam := repro.GaussianBeamATerms(0.5, 0.01)
 	g, gridTimes, err := o.GridAll(context.Background(), beam)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	gridSnap := observer.Metrics.Snapshot()
 	degridTimes, err := o.DegridAll(context.Background(), beam, g)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	snap := observer.Metrics.Snapshot()
 	st := o.Plan.Stats()
@@ -213,4 +216,5 @@ func runShortItems(steps int) {
 		100*float64(snap.Counters[idgobs.MetricGridEpilogueNs])/1e9/gridBusy,
 		100*float64(snap.Counters[idgobs.MetricDegridPrologueNs])/1e9/degridBusy,
 		float64(snap.Counters[idgobs.StageNsMetric(idgobs.StageFFT)])/1e3/float64(snap.Counters[idgobs.MetricFFTSubgrids]))
+	return nil
 }

@@ -78,8 +78,12 @@ func main() {
 	)
 	flag.Parse()
 	switch {
-	case *tenants < 1 || *sessions < 1 || *concurrency < 1:
-		fail(fmt.Errorf("-tenants, -sessions and -concurrency must be >= 1"))
+	case *tenants < 1:
+		fail(fmt.Errorf("-tenants must be >= 1, got %d", *tenants))
+	case *sessions < 1:
+		fail(fmt.Errorf("-sessions must be >= 1, got %d", *sessions))
+	case *concurrency < 1:
+		fail(fmt.Errorf("-concurrency must be >= 1, got %d", *concurrency))
 	case *frameVis < 1:
 		fail(fmt.Errorf("-frame-vis must be >= 1, got %d", *frameVis))
 	case *inflight < 0:

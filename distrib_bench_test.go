@@ -13,12 +13,11 @@ import (
 // in-process workers, reporting end-to-end MVis/s. On a multi-core
 // host the curve shows scale-out; on a serial host it pins the
 // per-worker harness overhead (kernels, visibility allocation,
-// fingerprints, wire round trip, reduction) instead. Either way the
-// committed BENCH_distrib.json numbers are what ci.sh's benchjson
-// -compare gates: a fill that reverts to the full visibility set per
-// worker, a plan built once per worker again, or a wire path that
-// ships full zero grids shows up as super-linear cost growth at
-// workers=8 long before the threshold.
+// fingerprints, wire round trip, reduction) instead. Either way a fill
+// that reverts to the full visibility set per worker, a plan built once
+// per worker again, or a wire path that ships full zero grids shows up
+// as super-linear cost growth at workers=8; compare parent and change
+// in alternating pairs, not against a committed number.
 func BenchmarkDistribScale(b *testing.B) {
 	cfg := distribGoldenConfig()
 	o, err := cfg.BuildPlan()

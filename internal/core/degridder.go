@@ -75,7 +75,7 @@ func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, u
 				phaseOffset := twoPi * (uOff*l + vOff*m + wOff*n)
 				phaseIndex := c3.U*l + c3.V*m + c3.W*n
 				// alpha = -(phase used by the gridder): conjugate.
-				sin, cos := k.sincos(phaseIndex*scale - phaseOffset)
+				sin, cos := xmath.SincosFast(phaseIndex*scale - phaseOffset)
 				phi := complex(cos, -sin)
 				s := k.correctedPixel(in, i, a)
 				sum[0] += phi * s[0]

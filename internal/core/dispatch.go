@@ -123,11 +123,8 @@ func (k *Kernels) SIMDInfo() SIMDInfo {
 		Active:   k.disp.tier.String(),
 		Tiles64:  k.disp.tiles64,
 		Tiles32:  k.disp.tiles32,
-		Sincos:   "scalar (configured)",
+		Sincos:   "sincosvec/" + k.disp.tier.String(),
 		Lanes:    k.disp.lanes, // of float64; a register holds twice the float32
-	}
-	if k.vecSincos {
-		si.Sincos = "sincosvec/" + k.disp.tier.String()
 	}
 	switch {
 	case k.disp.scalar:

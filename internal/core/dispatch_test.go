@@ -226,8 +226,8 @@ func TestSIMDInfo(t *testing.T) {
 			lanes64, lanes32 = 8, 16
 		}
 		ti := tilingKernels(t, 8, 8, forceTier(tier)).SIMDInfo()
-		if ti.Active != tier.String() || ti.Tiles64 != want64 || ti.Tiles32 != want32 {
-			t.Fatalf("forceSIMD=%v reports active=%q tiles64=%q tiles32=%q", tier, ti.Active, ti.Tiles64, ti.Tiles32)
+		if ti.Active != tier.String() || ti.Tiles64 != want64 || ti.Tiles32 != want32 || ti.Sincos != "sincosvec/"+tier.String() {
+			t.Fatalf("forceSIMD=%v reports active=%q tiles64=%q tiles32=%q sincos=%q", tier, ti.Active, ti.Tiles64, ti.Tiles32, ti.Sincos)
 		}
 		ti32 := tilingKernels(t, 8, 8, func(p *Params) {
 			p.Precision = Float32
@@ -236,16 +236,6 @@ func TestSIMDInfo(t *testing.T) {
 		if ti.Lanes != lanes64 || ti32.Lanes != lanes32 {
 			t.Fatalf("forceSIMD=%v reports %d float64 and %d float32 lanes, want %d and %d", tier, ti.Lanes, ti32.Lanes, lanes64, lanes32)
 		}
-	}
-	// tilingKernels configures SincosAccurate, so the batch evaluator
-	// must degrade to the configured scalar function and say so.
-	if si.Sincos != "scalar (configured)" {
-		t.Fatalf("configured-evaluator kernels report sincos=%q", si.Sincos)
-	}
-	// The default evaluator batches through SincosVec.
-	defFast := tilingKernels(t, 8, 8, func(p *Params) { p.Sincos = nil })
-	if got := defFast.SIMDInfo().Sincos; !strings.HasPrefix(got, "sincosvec/") {
-		t.Fatalf("default-evaluator kernels report sincos=%q", got)
 	}
 	if !strings.Contains(si.String(), "simd: detected=") {
 		t.Fatalf("SIMDInfo.String() = %q", si.String())

@@ -114,7 +114,7 @@ func (k *Kernels) gridSubgridReference(item plan.WorkItem, uvw []uvwsim.UVW, vis
 			phaseIndex := c3.U*l + c3.V*m + c3.W*n
 			for c := 0; c < item.NrChannels; c++ {
 				phase := phaseIndex*k.scale[item.Channel0+c] - phaseOffset
-				sin, cos := k.sincos(phase)
+				sin, cos := xmath.SincosFast(phase)
 				phi := complex(cos, sin)
 				v := vis[t*item.NrChannels+c]
 				sum[0] += phi * v[0]

@@ -528,7 +528,7 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 			run := func(rows, block, workers int) *grid.Subgrid {
 				k := tilingKernels(t, sg, nc, func(p *Params) {
 					p.Precision = Float32
-					p.PixelTileRows, p.VisBlockTimesteps, p.Workers = rows, block, workers
+					p.pixelTileRows, p.visBlockTimesteps, p.Workers = rows, block, workers
 					sh.mod(p)
 					forceTier(tier)(p)
 				})
@@ -570,7 +570,7 @@ func TestFloat32DegridderTiersBitwise(t *testing.T) {
 		var got [2][]xmath.Matrix2
 		for i, tier := range []xmath.SIMDTier{xmath.SIMDAVX512, xmath.SIMDAVX2} {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
-				p.Precision, p.Sincos = Float32, nil // the batched evaluator both tiers share
+				p.Precision = Float32
 				forceTier(tier)(p)
 				mod(p)
 			})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/xmath"
 )
 
 // observedScenario rebuilds a scenario's kernels with an attached
@@ -278,5 +279,50 @@ func TestObserverDisabledZeroCost(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("GridSubgrid with nil observer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestKernelsZeroAllocs is the deterministic half of the kernels'
+// performance contract: once warm, one worker's GridSubgrid and
+// DegridSubgrid allocate nothing, in both precisions, for the dense
+// item (128 steps of 16 channels, no A-terms) and the short one (8
+// steps of 2 channels, Gaussian A-terms), on every tier the host has.
+// A tile that allocates fails here whatever the host's timing does.
+func TestKernelsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const sg = 24
+	atermP, atermQ := gaussianJones(sg)
+	for _, sh := range []struct {
+		name   string
+		nt, nc int
+		aterms bool
+	}{{"dense", 128, 16, false}, {"short", 8, 2, true}} {
+		item, uvw, vis, _ := tilingItem(89, sh.nt, sh.nc)
+		in, _ := randomSubgrid(sg, item, 97)
+		p, q := atermP, atermQ
+		if !sh.aterms {
+			p, q = nil, nil
+		}
+		for _, tier := range coreHostTiers() {
+			for _, prec := range []Precision{Float64, Float32} {
+				k := tilingKernels(t, sg, sh.nc, func(pr *Params) {
+					pr.Precision, pr.Workers = prec, 1
+					forceTier(tier)(pr)
+				})
+				out := grid.NewSubgrid(sg, item.X0, item.Y0)
+				dst := make([]xmath.Matrix2, len(vis))
+				for name, call := range map[string]func(){
+					"GridSubgrid":   func() { k.GridSubgrid(item, uvw, vis, p, q, out) },
+					"DegridSubgrid": func() { k.DegridSubgrid(item, in, uvw, p, q, dst) },
+				} {
+					call() // warm the scratch pool
+					if allocs := testing.AllocsPerRun(5, call); allocs != 0 {
+						t.Errorf("%s %s %v %v: %v allocs/op, want 0", name, sh.name, tier, prec, allocs)
+					}
+				}
+			}
+		}
 	}
 }

@@ -69,11 +69,11 @@ func (p Precision) String() string {
 	}
 }
 
-// DefaultPixelTileRows is the default pixel-tile height in subgrid
+// defaultPixelTileRows is the default pixel-tile height in subgrid
 // rows. Four rows of a 24-pixel subgrid give 96-pixel tiles: enough
 // work to amortize the per-tile setup, small enough that even a
 // two-subgrid pass fans out across a dozen cores.
-const DefaultPixelTileRows = 4
+const defaultPixelTileRows = 4
 
 // DefaultStreamChunkItems is the largest (and, for one-worker and
 // checkpointed passes, the only) derived number of work items per
@@ -110,9 +110,6 @@ type Params struct {
 	ImageSize float64
 	// Frequencies are the channel center frequencies in Hz.
 	Frequencies []float64
-	// Sincos selects the sine/cosine evaluator; nil selects
-	// xmath.SincosFast (the SVML-medium-accuracy equivalent).
-	Sincos xmath.SincosFunc
 	// Taper is the image-domain window applied to every subgrid; nil
 	// selects the prolate spheroidal used by the paper.
 	Taper func(nu float64) float64
@@ -126,23 +123,6 @@ type Params struct {
 	// Precision selects float64 (default) or float32 kernel storage
 	// and arithmetic.
 	Precision Precision
-	// PixelTileRows is the pixel-tile height in subgrid rows: each
-	// subgrid's pixel loop is split into tiles of this many rows, which
-	// become independently schedulable work units when a pipeline pass
-	// has fewer work items than workers. <= 0 selects
-	// DefaultPixelTileRows; SubgridSize or more runs every subgrid as a
-	// single unit (no tiling). Gridder results are identical for every
-	// tile size; degridder results differ only by summation
-	// association (within rounding).
-	PixelTileRows int
-	// VisBlockTimesteps bounds the time-step extent of the visibility
-	// block the gridder streams per pixel, keeping the gathered planar
-	// block cache-resident across a pixel tile. <= 0 selects an
-	// L1-sized default (pixBlockBytes); a value covering an
-	// item's whole time range streams it in one sweep (no blocking). The
-	// block order never changes per-pixel accumulation order, so results
-	// are identical for every block size.
-	VisBlockTimesteps int
 	// GridShards splits the master uv-grid into this many independently
 	// locked row bands for the gridding pass and the sharded
 	// adder/splitter. 0 (the default) selects one shard per worker.
@@ -194,6 +174,15 @@ type Params struct {
 	// per-tier coverage inside one test binary needs a per-Kernels
 	// knob. Unexported deliberately: production callers use IDG_SIMD.
 	forceSIMD *xmath.SIMDTier
+	// pixelTileRows and visBlockTimesteps are the tiling seams the
+	// decomposition tests and ablation benchmarks sweep; passes leave
+	// both zero. pixelTileRows is the pixel-tile height in subgrid rows
+	// (<= 0 selects defaultPixelTileRows; SubgridSize or more runs every
+	// subgrid as one unit), visBlockTimesteps the time steps per
+	// visibility block of the gridder (<= 0 selects an L1-sized block,
+	// pixBlockBytes). Gridder results are identical for every value of
+	// either; degridder results differ only by summation association.
+	pixelTileRows, visBlockTimesteps int
 }
 
 // Validate checks the parameters.
@@ -205,16 +194,12 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: subgrid size %d must be even and >= 2", p.SubgridSize)
 	case p.SubgridSize > p.GridSize:
 		return fmt.Errorf("core: subgrid %d exceeds grid %d", p.SubgridSize, p.GridSize)
-	case p.ImageSize <= 0:
-		return fmt.Errorf("core: image size %g must be positive", p.ImageSize)
+	case !(p.ImageSize > 0) || math.IsInf(p.ImageSize, 1):
+		return fmt.Errorf("core: image size %g must be positive and finite", p.ImageSize)
 	case len(p.Frequencies) == 0:
 		return fmt.Errorf("core: no frequencies")
 	case p.Precision != Float64 && p.Precision != Float32:
 		return fmt.Errorf("core: unknown precision %d", int(p.Precision))
-	case p.PixelTileRows < 0:
-		return fmt.Errorf("core: negative pixel tile rows %d", p.PixelTileRows)
-	case p.VisBlockTimesteps < 0:
-		return fmt.Errorf("core: negative visibility block %d", p.VisBlockTimesteps)
 	case p.GridShards < 0:
 		return fmt.Errorf("core: negative grid shards %d", p.GridShards)
 	case p.MaxInflightChunks < 0:
@@ -229,8 +214,8 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: checkpoint period %d set without a checkpoint directory", p.CheckpointEvery)
 	}
 	for i, f := range p.Frequencies {
-		if f <= 0 {
-			return fmt.Errorf("core: frequency %d not positive: %g", i, f)
+		if !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("core: frequency %d not positive and finite: %g", i, f)
 		}
 	}
 	return nil
@@ -318,22 +303,13 @@ type Kernels struct {
 	uniformScale bool
 	dscale       float64
 
-	sincos xmath.SincosFunc
-	sgFFT  *fft.Plan2D
+	sgFFT *fft.Plan2D
 
 	// disp is the SIMD dispatch table resolved once at construction
 	// (see dispatch.go): the active tier plus the vector tile kernels
 	// it enables, already accounting for the IDG_SIMD override and the
 	// forceSIMD test seam.
 	disp simdDispatch
-
-	// sincosVec evaluates a batch of phase arguments into parallel
-	// sin/cos slices. With the default evaluator it is the lane-parallel
-	// xmath.SincosVec (vecSincos true); with a configured Params.Sincos
-	// it degrades to a loop over the scalar evaluator so results honor
-	// the configuration.
-	sincosVec func(sin, cos, x []float64)
-	vecSincos bool
 
 	// Per-worker buffer pools of the pipeline hot path (see
 	// scratch.go). Both reach a steady state with zero allocations per
@@ -376,10 +352,6 @@ func NewKernels(params Params) (*Kernels, error) {
 	for c, f := range params.Frequencies {
 		k.scale[c] = 2 * 3.141592653589793 * f / uvwsim.SpeedOfLight
 	}
-	k.sincos = params.Sincos
-	if k.sincos == nil {
-		k.sincos = xmath.SincosFast
-	}
 	// Detect uniform channel spacing once: the recurrence kernels only
 	// engage when the per-channel phase step is constant. The relative
 	// tolerance is tight (1e-12 of the band spread) so that treating a
@@ -397,24 +369,6 @@ func NewKernels(params Params) (*Kernels, error) {
 		}
 	}
 	k.disp = dispatchFor(tier)
-	if params.Sincos == nil {
-		// Pin the batch evaluator to the resolved dispatch tier: bitwise
-		// identical at every tier, but a forced/lowered tier then also
-		// lowers the sincos lanes (so IDG_SIMD measurements mean what
-		// they say) and the hot path skips the per-call tier lookup.
-		sincosTier := k.disp.tier
-		k.sincosVec = func(sin, cos, x []float64) {
-			xmath.SincosVecAt(sincosTier, sin, cos, x)
-		}
-		k.vecSincos = true
-	} else {
-		sc := k.sincos
-		k.sincosVec = func(sin, cos, x []float64) {
-			for i, v := range x {
-				sin[i], cos[i] = sc(v)
-			}
-		}
-	}
 	// Shared via the package cache: every Kernels value (and every
 	// chunk worker) reuses one immutable plan per size.
 	k.sgFFT = fft.CachedPlan2D(sg, sg)
@@ -430,9 +384,9 @@ func (k *Kernels) Params() Params { return k.params }
 // tileRows resolves the configured pixel-tile height for a subgrid of
 // the given row count.
 func (k *Kernels) tileRows(rows int) int {
-	tr := k.params.PixelTileRows
+	tr := k.params.pixelTileRows
 	if tr <= 0 {
-		tr = DefaultPixelTileRows
+		tr = defaultPixelTileRows
 	}
 	if tr > rows {
 		tr = rows

@@ -215,7 +215,7 @@ func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
 					for _, tier := range coreHostTiers() {
 						k := tilingKernels(t, sg, nc, func(pr *Params) {
 							pr.Precision = prec
-							pr.PixelTileRows = 1 // 18-pixel tiles: two tail pixels each
+							pr.pixelTileRows = 1 // 18-pixel tiles: two tail pixels each
 							forceTier(tier)(pr)
 						})
 						got := grid.NewSubgrid(sg, item.X0, item.Y0)
@@ -247,7 +247,7 @@ func TestOneBlockEqualsThreeBlocks(t *testing.T) {
 	item, uvw, vis, _ := tilingItem(81, nt, nc)
 	p, q := randomJones(83, sg*sg)
 	run := func(block int) *grid.Subgrid {
-		k := tilingKernels(t, sg, nc, func(pr *Params) { pr.VisBlockTimesteps = block })
+		k := tilingKernels(t, sg, nc, func(pr *Params) { pr.visBlockTimesteps = block })
 		out := grid.NewSubgrid(sg, item.X0, item.Y0)
 		k.GridSubgrid(item, uvw, vis, p, q, out)
 		return out

@@ -57,7 +57,7 @@ type scratch struct {
 	geo []float64
 
 	// Batched sine/cosine staging of the tiles: phase arguments
-	// gathered into sArg and evaluated in one Kernels.sincosVec call per
+	// gathered into sArg and evaluated in one xmath.SincosVecAt call per
 	// (pixel group, visibility block) of the gridder and per time step of
 	// the degridder (results land in sSin/sCos, or directly in the
 	// float64 phasor buffers). Arguments and results stay float64 in

@@ -57,7 +57,7 @@ const pixBlockBytes = 24 << 10
 // Per (group, visibility block) the stagers write the reference kernel's
 // phase arguments in rows of one per pixel — per time step the channel
 // deltas and a base per resync chunk, or a base per channel
-// (rowChannels) — one sincosVec call evaluates them, and one
+// (rowChannels) — one xmath.SincosVecAt call evaluates them, and one
 // rotAccPixBlk call accumulates the block with the group's sums in
 // registers. Staging and evaluation are float64 whatever F is; the
 // float32 kernel narrows the phasors as it loads them. Between blocks
@@ -105,7 +105,7 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 	rowCh, lead := k.rowChannels(nc)
 	rows := lead + (nc+rowCh-1)/rowCh
 	stride := w * rows // staged arguments per time step
-	block := k.params.VisBlockTimesteps
+	block := k.params.visBlockTimesteps
 	if block <= 0 {
 		block = max(pixBlockBytes/(8*size*nc+8*(w+3*stride)), 4)
 	}
@@ -133,7 +133,7 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 					stageArgsW(&arg[w*r], 8*stride, &pIdx[0], o, scale, w, bn, zmm)
 				}
 			}
-			k.sincosVec(asn, acs, arg)
+			xmath.SincosVecAt(k.disp.tier, asn, acs, arg)
 			rotAccPixBlk(&vacc[8*g],
 				&re[0][jj], &im[0][jj], &re[1][jj], &im[1][jj],
 				&re[2][jj], &im[2][jj], &re[3][jj], &im[3][jj],
@@ -151,16 +151,18 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 }
 
 // seedPhasors sets sn, cs to the sine and cosine of the staged phase
-// arguments, evaluated in float64 by one Kernels.sincosVec call whatever
+// arguments, evaluated in float64 by one xmath.SincosVecAt call whatever
 // F is: straight into the float64 phasor buffers, through the sSin/sCos
-// staging and one narrowing sweep into the float32 ones.
+// staging and one narrowing sweep into the float32 ones. The evaluator
+// runs at the dispatch tier, so a lowered tier lowers its lanes too (the
+// bits are the same at every tier).
 func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, arg []float64) {
 	switch sn := any(sn).(type) {
 	case []float64:
-		k.sincosVec(sn, any(cs).([]float64), arg)
+		xmath.SincosVecAt(k.disp.tier, sn, any(cs).([]float64), arg)
 	case []float32:
 		asn, acs := growF(&ts.sSin, len(arg)), growF(&ts.sCos, len(arg))
-		k.sincosVec(asn, acs, arg)
+		xmath.SincosVecAt(k.disp.tier, asn, acs, arg)
 		xmath.CvtF64F32(sn, asn)
 		xmath.CvtF64F32(any(cs).([]float32), acs)
 	}

@@ -15,7 +15,7 @@ import (
 
 // tilingKernels builds kernels over a uniform channel comb with the
 // given subgrid size; mod tweaks the tiling/precision knobs.
-func tilingKernels(t *testing.T, sg, nc int, mod func(*Params)) *Kernels {
+func tilingKernels(t testing.TB, sg, nc int, mod func(*Params)) *Kernels {
 	t.Helper()
 	freqs := make([]float64, nc)
 	for i := range freqs {
@@ -23,7 +23,6 @@ func tilingKernels(t *testing.T, sg, nc int, mod func(*Params)) *Kernels {
 	}
 	params := Params{
 		GridSize: 256, SubgridSize: sg, ImageSize: 0.1, Frequencies: freqs,
-		Sincos: xmath.SincosAccurate,
 	}
 	if mod != nil {
 		mod(&params)
@@ -227,18 +226,18 @@ func TestGridderDecompositionInvariance(t *testing.T) {
 					}
 					for _, tr := range rows {
 						tr := tr
-						variants = append(variants, func(p *Params) { p.PixelTileRows = tr })
+						variants = append(variants, func(p *Params) { p.pixelTileRows = tr })
 					}
 					for _, bl := range []int{1, 3, 5, nt, nt + 7} {
 						bl := bl
-						variants = append(variants, func(p *Params) { p.VisBlockTimesteps = bl })
+						variants = append(variants, func(p *Params) { p.visBlockTimesteps = bl })
 					}
 					// Tile heights x block sizes, from one pixel row and one time
 					// step up to no tiling and no blocking.
 					for _, tr := range []int{1, 3, 4, sg} {
 						for _, bl := range []int{1, 3, nt} {
 							tr, bl := tr, bl
-							variants = append(variants, func(p *Params) { p.PixelTileRows = tr; p.VisBlockTimesteps = bl })
+							variants = append(variants, func(p *Params) { p.pixelTileRows = tr; p.visBlockTimesteps = bl })
 						}
 					}
 					for vi, v := range variants {
@@ -276,7 +275,7 @@ func testPixelLaneIndependence[F floatT](t *testing.T) {
 		for _, tier := range coreHostTiers() {
 			for _, bl := range []int{0, 3} {
 				k := tilingKernels(t, sg, nc, func(p *Params) {
-					p.VisBlockTimesteps = bl
+					p.visBlockTimesteps = bl
 					sh.mod(p)
 					forceTier(tier)(p)
 				})
@@ -378,7 +377,7 @@ func TestGridderTiledMatchesReference(t *testing.T) {
 	ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
 	want := grid.NewSubgrid(sg, item.X0, item.Y0)
 	ref.GridSubgrid(item, uvw, vis, nil, nil, want)
-	phaseBound := recurrencePhaseBound(ref, item, uvw)
+	phaseBound := evaluatedPhaseBound(ref, item, uvw)
 	tol64 := 2 * math.Sqrt2 * float64(nt*nc) * maxAmp * phaseBound
 	tol32 := float32GridBound(nt*nc, maxAmp, phaseBound)
 	for _, prec := range []Precision{Float64, Float32} {
@@ -389,7 +388,7 @@ func TestGridderTiledMatchesReference(t *testing.T) {
 		for tr := 1; tr <= sg; tr++ {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision = prec
-				p.PixelTileRows = tr
+				p.pixelTileRows = tr
 			})
 			got := grid.NewSubgrid(sg, item.X0, item.Y0)
 			k.GridSubgrid(item, uvw, vis, nil, nil, got)
@@ -422,7 +421,7 @@ func TestDegridderTiledMatchesReference(t *testing.T) {
 		for tr := 1; tr <= sg; tr++ {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision = prec
-				p.PixelTileRows = tr
+				p.pixelTileRows = tr
 			})
 			got := make([]xmath.Matrix2, nt*nc)
 			k.DegridSubgrid(item, in, uvw, nil, nil, got)
@@ -461,7 +460,7 @@ func TestDegridderSerialParallelBitwise(t *testing.T) {
 					mod := func(workers int) func(*Params) {
 						return func(p *Params) {
 							p.Precision = prec
-							p.PixelTileRows = 1
+							p.pixelTileRows = 1
 							p.Workers = workers
 							forceTier(tier)(p)
 						}
@@ -508,7 +507,7 @@ func TestKernelsConcurrentDeterminism(t *testing.T) {
 							p.Frequencies = shape.freqs
 						}
 						p.Precision = prec
-						p.PixelTileRows = 2
+						p.pixelTileRows = 2
 						p.Workers = workers
 					}
 				}
@@ -648,7 +647,7 @@ func TestTiledEdgeChannelCounts(t *testing.T) {
 		for _, prec := range []Precision{Float64, Float32} {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
 				p.Precision = prec
-				p.PixelTileRows = 3 // does not divide sg: exercises the short last tile
+				p.pixelTileRows = 3 // does not divide sg: exercises the short last tile
 			})
 			got := grid.NewSubgrid(sg, item.X0, item.Y0)
 			k.GridSubgrid(item, uvw, vis, nil, nil, got)
@@ -679,5 +678,27 @@ func TestFloat32PrecisionValidate(t *testing.T) {
 	}
 	if Float64.String() == Float32.String() {
 		t.Fatal("precisions must stringify distinctly")
+	}
+}
+
+// TestParamsValidateNonFinite: an image size or a channel frequency that
+// is not a positive finite number is rejected before it can grid
+// silently to NaN.
+func TestParamsValidateNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Params)
+	}{
+		{"NaN image size", func(p *Params) { p.ImageSize = math.NaN() }},
+		{"+Inf image size", func(p *Params) { p.ImageSize = math.Inf(1) }},
+		{"-Inf image size", func(p *Params) { p.ImageSize = math.Inf(-1) }},
+		{"NaN frequency", func(p *Params) { p.Frequencies = []float64{150e6, math.NaN()} }},
+		{"+Inf frequency", func(p *Params) { p.Frequencies = []float64{math.Inf(1)} }},
+	} {
+		p := Params{GridSize: 64, SubgridSize: 8, ImageSize: 0.1, Frequencies: []float64{150e6}}
+		tc.mod(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -40,19 +40,6 @@ type Config struct {
 	// Taper is the image-domain anti-aliasing window; nil selects the
 	// prolate spheroidal.
 	Taper func(nu float64) float64
-	// Sincos evaluates the w-screen phases during kernel precomputation;
-	// nil selects the lane-parallel xmath.SincosVec, which evaluates
-	// whole screen rows per call on the active SIMD tier within the
-	// documented 4-float32-ulp bound (screen phases |2*pi*w*n| stay far
-	// inside its reduced range). Unlike the IDG kernels, no
-	// phasor-rotation recurrence can replace the evaluation here: the
-	// screen phase -2*pi*w*n(l,m) is not affine in the pixel index (n is
-	// a square root of l and m), so each pixel needs a genuine
-	// evaluation. A non-nil evaluator runs scalar, one call per pixel —
-	// the same batch-wraps-scalar rule as the IDG kernels — so callers
-	// can still pin xmath.SincosAccurate (bit-stable reference kernels)
-	// or instrument the evaluation.
-	Sincos xmath.SincosFunc
 }
 
 // Validate checks the configuration.
@@ -88,10 +75,9 @@ type kernel struct {
 
 // Gridder grids and degrids visibilities with W-projection.
 type Gridder struct {
-	cfg       Config
-	sincosVec func(sin, cos, x []float64) // batched w-screen phase evaluator
-	kernels   map[int]*kernel             // by W-plane index (w >= 0; negative w uses conjugate symmetry)
-	norm      float64                     // global kernel normalization
+	cfg     Config
+	kernels map[int]*kernel // by W-plane index (w >= 0; negative w uses conjugate symmetry)
+	norm    float64         // global kernel normalization
 }
 
 // NewGridder precomputes the kernels for all W-planes.
@@ -103,16 +89,6 @@ func NewGridder(cfg Config) (*Gridder, error) {
 		cfg.Taper = taper.Spheroidal
 	}
 	g := &Gridder{cfg: cfg, kernels: make(map[int]*kernel)}
-	if cfg.Sincos != nil {
-		fn := cfg.Sincos
-		g.sincosVec = func(sin, cos, x []float64) {
-			for i, v := range x {
-				sin[i], cos[i] = fn(v)
-			}
-		}
-	} else {
-		g.sincosVec = xmath.SincosVec
-	}
 	nPlanes := 1
 	if cfg.WStepLambda > 0 {
 		nPlanes = int(cfg.MaxWLambda/cfg.WStepLambda) + 2
@@ -160,7 +136,10 @@ func (g *Gridder) computeKernel(w float64) *kernel {
 	screen := make([]complex128, s*s)
 	// One batched sincos evaluation per screen row: stage the row's
 	// phases (zero for pixels outside the unit sphere, skipped on the
-	// consume pass), evaluate lane-parallel, then apply the taper.
+	// consume pass), evaluate lane-parallel, then apply the taper. Unlike
+	// the IDG kernels' phases, the screen phase -2*pi*w*n(l,m) is not
+	// affine in the pixel index (n is a square root of l and m), so no
+	// rotation recurrence can replace an evaluation.
 	args := make([]float64, m)
 	sins := make([]float64, m)
 	coss := make([]float64, m)
@@ -175,7 +154,7 @@ func (g *Gridder) computeKernel(w float64) *kernel {
 				args[x] = -2 * math.Pi * w * sky.N(ll, mm)
 			}
 		}
-		g.sincosVec(sins, coss, args)
+		xmath.SincosVec(sins, coss, args)
 		for x := 0; x < m; x++ {
 			nuX := float64(x-m/2) / float64(m/2)
 			ll := nuX * g.cfg.ImageSize / 2

@@ -294,70 +294,3 @@ func TestOffGridVisibilitiesRejected(t *testing.T) {
 func cAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 func cConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
-
-// TestConfigurableSincos: a caller-supplied evaluator must be the one
-// the kernel tabulation calls (a counting wrapper around
-// SincosAccurate must be bitwise equal to configuring SincosAccurate
-// directly), and both the default lane-parallel evaluator and the fast
-// scalar polynomial must reproduce the accurate kernels within their
-// documented bounds.
-func TestConfigurableSincos(t *testing.T) {
-	calls := 0
-	counting := func(x float64) (float64, float64) {
-		calls++
-		return xmath.SincosAccurate(x)
-	}
-	mk := func(fn xmath.SincosFunc) *Gridder {
-		g, err := NewGridder(Config{
-			GridSize: testGrid, ImageSize: testImage,
-			Support: 8, Oversampling: 4,
-			WStepLambda: 50, MaxWLambda: 150,
-			Sincos: fn,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	def := mk(nil)
-	acc := mk(xmath.SincosAccurate)
-	cnt := mk(counting)
-	fast := mk(xmath.SincosFast)
-	dst := grid.NewGrid(testGrid)
-	vis := xmath.Identity2()
-	if !cnt.Grid(40, -25, 120, vis, dst) {
-		t.Fatal("gridding failed")
-	}
-	if calls == 0 {
-		t.Fatal("custom sincos evaluator never called")
-	}
-	// Same visibility through the four gridders: counting == accurate
-	// exactly; the vectorized default and the fast scalar polynomial
-	// within a few float32 ulps per kernel tap.
-	dDef, dAcc := grid.NewGrid(testGrid), grid.NewGrid(testGrid)
-	dCnt, dFast := grid.NewGrid(testGrid), grid.NewGrid(testGrid)
-	def.Grid(40, -25, 120, vis, dDef)
-	acc.Grid(40, -25, 120, vis, dAcc)
-	cnt.Grid(40, -25, 120, vis, dCnt)
-	fast.Grid(40, -25, 120, vis, dFast)
-	maxDef, maxFast := 0.0, 0.0
-	for c := range dAcc.Data {
-		for i := range dAcc.Data[c] {
-			if dCnt.Data[c][i] != dAcc.Data[c][i] {
-				t.Fatal("counting wrapper changed the result")
-			}
-			if d := cAbs(dDef.Data[c][i] - dAcc.Data[c][i]); d > maxDef {
-				maxDef = d
-			}
-			if d := cAbs(dFast.Data[c][i] - dAcc.Data[c][i]); d > maxFast {
-				maxFast = d
-			}
-		}
-	}
-	if maxDef > 1e-6 {
-		t.Fatalf("default SincosVec kernels differ from accurate by %g", maxDef)
-	}
-	if maxFast > 1e-6 {
-		t.Fatalf("SincosFast kernels differ from accurate by %g", maxFast)
-	}
-}

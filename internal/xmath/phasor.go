@@ -36,9 +36,9 @@ import "math"
 // combines both terms; for the kernels' |phase| <= 1e4 argument range
 // (Section VI-C of the IPDPS paper) it evaluates to ≈ 2.3e-12, and the
 // kernels' property tests assert it against the direct evaluation.
-// Seeding with an approximate evaluator (SincosFast, SincosLUT) adds
-// that evaluator's own error on top, exactly as in the direct path, so
-// the recurrence never changes the accuracy class of a kernel.
+// Seeding with the kernels' evaluator (SincosFast, an approximation)
+// adds its own error on top, exactly as in the direct path, so the
+// recurrence never changes the accuracy class of a kernel.
 
 // DefaultPhasorResync is the default re-sync interval K of the
 // recurrence. 64 keeps the drift below ~8.5e-14 (see PhasorDriftBound)

@@ -6,29 +6,13 @@ import "math"
 // visibility-pixel combination; the paper treats the speed of this
 // evaluation as the property that separates the three platforms
 // (software SVML/VML on Haswell, native ALU functions on Fiji, hardware
-// special function units on Pascal). This file provides the software
-// equivalents used by the Go kernels:
-//
-//   - SincosAccurate: math.Sincos, the libm-quality reference.
-//   - SincosFast: a minimax polynomial after Cody-Waite style range
-//     reduction; comparable to "medium accuracy" vendor libraries
-//     (a few ulps of error in float32 terms).
-//   - SincosLUT: a table lookup with linear interpolation, the cheapest
-//     scheme; comparable to a hardware special-function unit with a
-//     bounded absolute error.
-//
-// All evaluators share the signature func(x float64) (sin, cos float64)
-// and are valid over the argument range used by the kernels
-// (|x| <= ~1e4, see Section VI-C of the paper).
-
-// SincosFunc evaluates sin(x) and cos(x) simultaneously, which the
-// kernels exploit because both are always needed for the same phase.
-type SincosFunc func(x float64) (sin, cos float64)
-
-// SincosAccurate is the libm-quality reference evaluator.
-func SincosAccurate(x float64) (float64, float64) {
-	return math.Sincos(x)
-}
+// special function units on Pascal; internal/arch models that axis).
+// The kernels here have one evaluator, the software equivalent of the
+// SVML "medium accuracy" mode: SincosFast, a minimax polynomial after a
+// Cody-Waite range reduction, valid over the kernels' argument range
+// (|x| <= ~1e4, Section VI-C of the paper). The tiles evaluate it in
+// lanes (SincosVec, sincos_vec.go); the reference kernels call it
+// directly.
 
 const (
 	twoPi    = 2 * math.Pi
@@ -93,79 +77,4 @@ func SincosFast(x float64) (float64, float64) {
 		sign = -1.0
 	}
 	return sinPoly(r), sign * cosPoly(r)
-}
-
-// lutBits is the log2 of the sincos lookup-table size. 4096 entries over
-// one period yields ~4e-7 maximum absolute error with linear
-// interpolation, comparable to the 2-ulp float32 bound of the GPU
-// special function units cited by the paper.
-const lutBits = 12
-
-const lutSize = 1 << lutBits
-
-var sinTable [lutSize + 1]float64
-
-func init() {
-	for i := 0; i <= lutSize; i++ {
-		sinTable[i] = math.Sin(twoPi * float64(i) / lutSize)
-	}
-}
-
-// SincosLUT evaluates sin(x), cos(x) via a linearly interpolated table
-// of one period. It is the fastest evaluator and models the hardware
-// special-function-unit path of the Pascal GPU.
-func SincosLUT(x float64) (float64, float64) {
-	t := x * invTwoPi
-	t -= math.Floor(t) // t in [0, 1)
-	f := t * lutSize
-	i := int(f)
-	frac := f - float64(i)
-	s := sinTable[i] + frac*(sinTable[i+1]-sinTable[i])
-	// cos(x) = sin(x + pi/2): offset by a quarter table.
-	j := i + lutSize/4
-	if j >= lutSize {
-		j -= lutSize
-	}
-	c := sinTable[j] + frac*(sinTable[j+1]-sinTable[j])
-	return s, c
-}
-
-// Phasor returns exp(i*phase) = cos(phase) + i*sin(phase) using the
-// supplied evaluator.
-func Phasor(phase float64, sincos SincosFunc) complex128 {
-	s, c := sincos(phase)
-	return complex(c, s)
-}
-
-// MaxSincosError samples sin/cos over [-limit, limit] at n points and
-// returns the maximum absolute deviation of f from the libm reference.
-// The kernels' phase arguments stay within about [-1e4, 1e4]
-// (Section VI-C), which is the range the accuracy claims refer to.
-func MaxSincosError(f SincosFunc, limit float64, n int) float64 {
-	maxErr := 0.0
-	for i := 0; i < n; i++ {
-		x := -limit + 2*limit*float64(i)/float64(n-1)
-		s, c := f(x)
-		sr, cr := math.Sincos(x)
-		if d := math.Abs(s - sr); d > maxErr {
-			maxErr = d
-		}
-		if d := math.Abs(c - cr); d > maxErr {
-			maxErr = d
-		}
-	}
-	return maxErr
-}
-
-// Float32ULP returns the size of one unit-in-the-last-place of the
-// float32 closest to x, which is the unit the accuracy bounds of the
-// vendor libraries are quoted in.
-func Float32ULP(x float64) float64 {
-	f := float32(x)
-	if f == 0 {
-		return float64(math.SmallestNonzeroFloat32)
-	}
-	bits := math.Float32bits(f)
-	next := math.Float32frombits(bits + 1)
-	return math.Abs(float64(next) - float64(f))
 }

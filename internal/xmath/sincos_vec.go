@@ -2,8 +2,7 @@ package xmath
 
 import "math"
 
-// Lane-parallel sine/cosine. SincosVec (and the fixed-width
-// SincosFast4 / SincosFast8 views of it) evaluates the same Cody-Waite
+// Lane-parallel sine/cosine. SincosVec evaluates the same Cody-Waite
 // reduction + fdlibm minimax polynomials as SincosFast, but across
 // SIMD lanes: four float64 lanes per iteration on the AVX2 tier, eight
 // on the AVX-512 tier. This is the paper's vectorized-trigonometry
@@ -50,16 +49,6 @@ func SincosVecAt(tier SIMDTier, sin, cos, x []float64) {
 		tier = detectedSIMD
 	}
 	sincosVecTier(tier, sin, cos, x)
-}
-
-// SincosFast4 is the fixed-width four-lane form of SincosVec.
-func SincosFast4(sin, cos, x *[4]float64) {
-	sincosVecTier(ActiveSIMD(), sin[:], cos[:], x[:])
-}
-
-// SincosFast8 is the fixed-width eight-lane form of SincosVec.
-func SincosFast8(sin, cos, x *[8]float64) {
-	sincosVecTier(ActiveSIMD(), sin[:], cos[:], x[:])
 }
 
 // sincosFastFMA is the exact per-element operation sequence of the

@@ -103,26 +103,6 @@ func TestSincosVecMatchesScalarFastClass(t *testing.T) {
 	}
 }
 
-func TestSincosFastFixedWidths(t *testing.T) {
-	var x4, s4, c4 [4]float64
-	var x8, s8, c8 [8]float64
-	for i := range x8 {
-		x8[i] = float64(i)*1.7 - 5
-	}
-	copy(x4[:], x8[:4])
-	SincosFast4(&s4, &c4, &x4)
-	SincosFast8(&s8, &c8, &x8)
-	for i := 0; i < 8; i++ {
-		ws, wc := sincosFastFMA(x8[i])
-		if s8[i] != ws || c8[i] != wc {
-			t.Fatalf("SincosFast8 lane %d: got (%g, %g), want (%g, %g)", i, s8[i], c8[i], ws, wc)
-		}
-		if i < 4 && (s4[i] != ws || c4[i] != wc) {
-			t.Fatalf("SincosFast4 lane %d mismatch", i)
-		}
-	}
-}
-
 func TestSincosVecShortOutputPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -318,10 +319,14 @@ func (c *ObservationConfig) validate() error {
 	switch {
 	case c.NrStations < 2:
 		return &ConfigError{Field: "NrStations", Reason: fmt.Sprintf("need >= 2 stations, got %d", c.NrStations)}
-	case c.NrTimesteps < 1 || c.NrChannels < 1:
-		return &ConfigError{Field: "NrTimesteps", Reason: fmt.Sprintf("empty observation %dx%d", c.NrTimesteps, c.NrChannels)}
-	case c.StartFrequency <= 0 || c.ChannelWidth < 0:
-		return &ConfigError{Field: "StartFrequency", Reason: fmt.Sprintf("bad subband %g/%g", c.StartFrequency, c.ChannelWidth)}
+	case c.NrTimesteps < 1:
+		return &ConfigError{Field: "NrTimesteps", Reason: fmt.Sprintf("need >= 1 time step, got %d", c.NrTimesteps)}
+	case c.NrChannels < 1:
+		return &ConfigError{Field: "NrChannels", Reason: fmt.Sprintf("need >= 1 channel, got %d", c.NrChannels)}
+	case !(c.StartFrequency > 0) || math.IsInf(c.StartFrequency, 1):
+		return &ConfigError{Field: "StartFrequency", Reason: fmt.Sprintf("need a positive finite frequency, got %g", c.StartFrequency)}
+	case !(c.ChannelWidth >= 0) || math.IsInf(c.ChannelWidth, 1):
+		return &ConfigError{Field: "ChannelWidth", Reason: fmt.Sprintf("need a finite width >= 0, got %g", c.ChannelWidth)}
 	case c.GridMargin < 0 || c.GridMargin >= c.GridSize/2:
 		return &ConfigError{Field: "GridMargin", Reason: fmt.Sprintf("bad grid margin %d", c.GridMargin)}
 	case c.GridShards < 0:

@@ -1,8 +1,8 @@
 // Benchmarks for the sharded uv-grid accumulation path: the classic
 // row-band adder vs the lock-sharded adder/splitter, the worker
 // scaling of the sharded adder, and the full streamed gridding pass.
-// scripts/bench.sh includes the kernel-style entries in
-// BENCH_kernels.json for the regression gate.
+// scripts/bench.sh records the kernel-style entries in
+// BENCH_kernels.json.
 package repro
 
 import (
