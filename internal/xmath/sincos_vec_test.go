@@ -103,6 +103,49 @@ func TestSincosVecMatchesScalarFastClass(t *testing.T) {
 	}
 }
 
+// TestPhasorUnitModulus: the phasors exp(i*x) the tiles build from the
+// vector evaluator stay on the unit circle across the kernel's range.
+func TestPhasorUnitModulus(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	x := make([]float64, 1000)
+	for i := range x {
+		x[i] = (r.Float64()*2 - 1) * kernelArgRange
+	}
+	sin := make([]float64, len(x))
+	cos := make([]float64, len(x))
+	SincosVec(sin, cos, x)
+	for i := range x {
+		p := complex(cos[i], sin[i])
+		if d := math.Abs(real(p)*real(p) + imag(p)*imag(p) - 1); d > 1e-7 {
+			t.Fatalf("|phasor|^2-1 = %g at x=%g", d, x[i])
+		}
+	}
+}
+
+// TestSincosFastFixedWidths: batches of exactly one quad (4) and one oct
+// (8) through the public entry point give every lane the fused scalar
+// sequence's bits, on every tier the host runs.
+func TestSincosFastFixedWidths(t *testing.T) {
+	x8 := make([]float64, 8)
+	for i := range x8 {
+		x8[i] = float64(i)*1.7 - 5
+	}
+	for _, tier := range hostTiers() {
+		for _, x := range [][]float64{x8[:4], x8} {
+			sin := make([]float64, len(x))
+			cos := make([]float64, len(x))
+			SincosVecAt(tier, sin, cos, x)
+			for i := range x {
+				ws, wc := sincosFastFMA(x[i])
+				if sin[i] != ws || cos[i] != wc {
+					t.Fatalf("tier %v, width %d, lane %d: got (%g, %g), want (%g, %g)",
+						tier, len(x), i, sin[i], cos[i], ws, wc)
+				}
+			}
+		}
+	}
+}
+
 func TestSincosVecShortOutputPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
