@@ -4,12 +4,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos bench-smoke ci
+.PHONY: all build fmt vet test race chaos bench-smoke ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Every Go file as gofmt writes it.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -34,5 +38,6 @@ chaos:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -workload all -smoke
+	scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$$' -benchtime 1x HEAD HEAD
 
-ci: vet build race chaos bench-smoke
+ci: fmt vet build race chaos bench-smoke

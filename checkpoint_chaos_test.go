@@ -172,45 +172,53 @@ func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeAllCorruptCleanRestart: when every snapshot is unusable
-// the resume degrades to a clean full run — noted, never failed.
+// TestResumeAllCorruptCleanRestart: when every snapshot is unusable —
+// truncated, or written by the version 1 format — the resume degrades
+// to a clean full run: noted, never failed.
 func TestResumeAllCorruptCleanRestart(t *testing.T) {
 	want := goldenSHA(t)
-	dir := t.TempDir()
-	o := checkpointGoldenObservation(t, dir, nil, nil)
-	if _, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.idgckpt"))
-	if err != nil || len(names) == 0 {
-		t.Fatal("run wrote no checkpoints")
-	}
-	for _, path := range names {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, raw[:len(raw)/4], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for name, damage := range map[string]func(raw []byte) []byte{
+		"truncated": func(raw []byte) []byte { return raw[:len(raw)/4] },
+		"version-1": func(raw []byte) []byte { raw[len("IDGCKPT\n")] = 1; return raw },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			o := checkpointGoldenObservation(t, dir, nil, nil)
+			if _, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.idgckpt"))
+			if err != nil || len(names) == 0 {
+				t.Fatal("run wrote no checkpoints")
+			}
+			for _, path := range names {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	o2 := checkpointGoldenObservation(t, dir, nil, nil)
-	g, _, rep, err := o2.ResumeStreamed(context.Background(), nil, FaultConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprintGrid(g).SHA256; got != want {
-		t.Errorf("clean-restart grid hash %s, want golden %s", got, want)
-	}
-	found := false
-	for _, n := range rep.Notes {
-		if strings.Contains(n, "clean restart") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("report notes %v lack the clean-restart note", rep.Notes)
+			o2 := checkpointGoldenObservation(t, dir, nil, nil)
+			g, _, rep, err := o2.ResumeStreamed(context.Background(), nil, FaultConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprintGrid(g).SHA256; got != want {
+				t.Errorf("clean-restart grid hash %s, want golden %s", got, want)
+			}
+			found := false
+			for _, n := range rep.Notes {
+				if strings.Contains(n, "clean restart") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("report notes %v lack the clean-restart note", rep.Notes)
+			}
+		})
 	}
 }
 

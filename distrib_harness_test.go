@@ -432,7 +432,7 @@ func TestDistribSummaryStages(t *testing.T) {
 		if len(sum.WorkerFingerprints) != workers {
 			t.Fatalf("workers=%d: %d worker fingerprints", workers, len(sum.WorkerFingerprints))
 		}
-		if workers == 1 && sum.WorkerFingerprints[0] != g.Rows(distrib.NonzeroRowSpan(g)).Fingerprint() {
+		if workers == 1 && sum.WorkerFingerprints[0] != g.Rows(grid.NonzeroRowSpan(g)).Fingerprint() {
 			t.Error("one-worker run: the accepted band fingerprint is not the returned grid's span")
 		}
 		st := sum.Stages

@@ -9,22 +9,24 @@
 //
 // # Format
 //
-// A snapshot file is, in order (all integers little-endian):
+// A snapshot file is one band record, in order (all integers
+// little-endian):
 //
 //	magic   "IDGCKPT\n" (8 bytes)
-//	version uint32 (currently 1)
-//	header  gridSize uint32, shards uint32, nextChunk uint64,
-//	        chunkItems uint32
+//	version uint32 (currently 2)
+//	header  gridSize uint32, nextChunk uint64, chunkItems uint32
 //	plan    SHA-256 of the canonical plan encoding (32 bytes)
 //	report  itemsProcessed, itemsRetried, itemsSkipped,
 //	        droppedVisibilities (4 x uint64)
-//	bands   for each shard i: rowLo uint32, rowHi uint32, then the
-//	        band's rows of all four correlation planes as float64
-//	        (re, im) pairs (grid.Sharded.WriteBand)
+//	band    rowLo uint32, rowHi uint32 (grid.NonzeroRowSpan: the rows
+//	        the pass has touched), then those rows of each correlation
+//	        plane in turn as float64 (re, im) pairs (grid.WriteCells);
+//	        every other row is zero
 //	digest  SHA-256 over every preceding byte (32 bytes)
 //
-// The file size is a closed form of (gridSize, shards), so a reader
-// can reject a truncated or padded file before allocating the grid.
+// The file size is a closed form of (gridSize, rowLo, rowHi), so a
+// reader can reject a truncated or padded file before allocating the
+// grid.
 //
 // # Atomicity
 //
@@ -34,7 +36,9 @@
 // checkpoint set or the complete new file, never a half-written one.
 // A torn file can therefore only appear through external corruption —
 // and the trailing digest catches exactly that, making LoadLatest's
-// fall-back-to-previous scan safe.
+// fall-back-to-previous scan safe. Write keeps the new snapshot and its
+// predecessor and deletes every older one, so the fallback is one
+// snapshot deep.
 package checkpoint
 
 import (
@@ -58,7 +62,7 @@ import (
 
 const (
 	magic   = "IDGCKPT\n"
-	version = 1
+	version = 2
 
 	// filePrefix/fileSuffix frame checkpoint file names; the chunk
 	// cursor is zero-padded so lexical order equals numeric order.
@@ -132,10 +136,6 @@ type Hook func(ev Event, chunk int)
 type Snapshot struct {
 	// GridSize is the master grid dimension in pixels.
 	GridSize int
-	// Shards is the row-band count the grid is serialized as (the
-	// scheduler's shard count; any value works for restore since the
-	// bands tile the grid).
-	Shards int
 	// NextChunk is the cursor: chunks [0, NextChunk) of the plan's
 	// stream are fully accumulated in Grid.
 	NextChunk int
@@ -150,15 +150,15 @@ type Snapshot struct {
 	Grid *grid.Grid
 }
 
-// fileSize returns the exact encoded size of a snapshot with the
-// given dimensions.
-func fileSize(gridSize, shards int) int64 {
+// fileSize returns the exact encoded size of a snapshot of an
+// n-pixel grid holding rows [lo, hi).
+func fileSize(n, lo, hi int) int64 {
 	return int64(len(magic)) + 4 + // magic, version
-		4 + 4 + 8 + 4 + // gridSize, shards, nextChunk, chunkItems
+		4 + 8 + 4 + // gridSize, nextChunk, chunkItems
 		32 + // plan fingerprint
 		4*8 + // report counters
-		int64(shards)*8 + // per-band row bounds
-		4*int64(gridSize)*int64(gridSize)*16 + // grid payload
+		4 + 4 + // band rows
+		grid.NrCorrelations*int64(hi-lo)*int64(n)*grid.CellBytes + // band cells
 		32 // digest
 }
 
@@ -245,7 +245,8 @@ func (hw *hashWriter) u64(v uint64) error {
 // into a temp file which is synced and atomically renamed to
 // FileName(sn.NextChunk); hook (may be nil) observes EventBeforeRename
 // between the sync and the rename, the window where a kill leaves no
-// new checkpoint but an ignorable temp file.
+// new checkpoint but an ignorable temp file. Once the snapshot is
+// published, every snapshot older than its predecessor is deleted.
 func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err error) {
 	if sn.Grid == nil || sn.Grid.N != sn.GridSize {
 		return "", 0, fmt.Errorf("checkpoint: snapshot grid does not match GridSize %d", sn.GridSize)
@@ -253,8 +254,6 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	sh := grid.NewSharded(sn.Grid, sn.Shards)
-
 	f, err := os.CreateTemp(dir, filePrefix+"*.tmp")
 	if err != nil {
 		return "", 0, fmt.Errorf("checkpoint: %w", err)
@@ -278,7 +277,6 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 	}
 	if err := errors.Join(
 		hw.u32(uint32(sn.GridSize)),
-		hw.u32(uint32(sh.NumShards())),
 		hw.u64(uint64(sn.NextChunk)),
 		hw.u32(uint32(sn.ChunkItems)),
 	); err != nil {
@@ -287,20 +285,19 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 	if _, err := hw.Write(sn.PlanSum[:]); err != nil {
 		return "", 0, err
 	}
+	band := sn.Grid.Rows(grid.NonzeroRowSpan(sn.Grid))
 	if err := errors.Join(
 		hw.u64(uint64(sn.Report.ItemsProcessed)),
 		hw.u64(uint64(sn.Report.ItemsRetried)),
 		hw.u64(uint64(sn.Report.ItemsSkipped)),
 		hw.u64(uint64(sn.Report.DroppedVisibilities)),
+		hw.u32(uint32(band.Lo)),
+		hw.u32(uint32(band.Hi)),
 	); err != nil {
 		return "", 0, err
 	}
-	for i := 0; i < sh.NumShards(); i++ {
-		lo, hi := sh.Bounds(i)
-		if err := errors.Join(hw.u32(uint32(lo)), hw.u32(uint32(hi))); err != nil {
-			return "", 0, err
-		}
-		if err := sh.WriteBand(hw, i); err != nil {
+	for c := range band.Data {
+		if err := grid.WriteCells(hw, band.Data[c]); err != nil {
 			return "", 0, err
 		}
 	}
@@ -334,7 +331,18 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 		_ = d.Sync()
 		d.Close()
 	}
-	return path, fileSize(sn.GridSize, sh.NumShards()), nil
+	prune(dir, FileName(sn.NextChunk))
+	return path, fileSize(sn.GridSize, band.Lo, band.Hi), nil
+}
+
+// prune deletes, best effort, every snapshot in dir older than the
+// predecessor of the one just published as name: the new snapshot and
+// the one LoadLatest falls back to stay.
+func prune(dir, name string) {
+	names, _ := List(dir)
+	for _, old := range names[:max(sort.SearchStrings(names, name)-1, 0)] {
+		os.Remove(filepath.Join(dir, old))
+	}
 }
 
 // hashReader tees reads into a running SHA-256.
@@ -405,32 +413,21 @@ func Read(path string) (*Snapshot, error) {
 	}
 
 	gridSize, err1 := hr.u32()
-	shards, err2 := hr.u32()
-	nextChunk, err3 := hr.u64()
-	chunkItems, err4 := hr.u32()
-	if err := errors.Join(err1, err2, err3, err4); err != nil {
+	nextChunk, err2 := hr.u64()
+	chunkItems, err3 := hr.u32()
+	if err := errors.Join(err1, err2, err3); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
 	switch {
 	case gridSize < 2 || gridSize > maxGridSize:
 		return nil, fmt.Errorf("%w: implausible grid size %d", ErrCorrupt, gridSize)
-	case shards < 1 || shards > gridSize:
-		return nil, fmt.Errorf("%w: implausible shard count %d for grid %d", ErrCorrupt, shards, gridSize)
 	case nextChunk > 1<<40:
 		return nil, fmt.Errorf("%w: implausible chunk cursor %d", ErrCorrupt, nextChunk)
 	case chunkItems < 1 || chunkItems > 1<<24:
 		return nil, fmt.Errorf("%w: implausible chunk size %d", ErrCorrupt, chunkItems)
 	}
-	// The whole layout is now determined; reject truncated or padded
-	// files before allocating ~16 N^2 bytes of grid.
-	if want := fileSize(int(gridSize), int(shards)); st.Size() != want {
-		return nil, fmt.Errorf("%w: file is %d bytes, a %d-pixel %d-shard snapshot is %d",
-			ErrCorrupt, st.Size(), gridSize, shards, want)
-	}
-
 	sn := &Snapshot{
 		GridSize:   int(gridSize),
-		Shards:     int(shards),
 		NextChunk:  int(nextChunk),
 		ChunkItems: int(chunkItems),
 	}
@@ -441,8 +438,10 @@ func Read(path string) (*Snapshot, error) {
 	retr, err2 := hr.u64()
 	skip, err3 := hr.u64()
 	drop, err4 := hr.u64()
-	if err := errors.Join(err1, err2, err3, err4); err != nil {
-		return nil, fmt.Errorf("%w: short report: %v", ErrCorrupt, err)
+	lo, err5 := hr.u32()
+	hi, err6 := hr.u32()
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		return nil, fmt.Errorf("%w: short report or band rows: %v", ErrCorrupt, err)
 	}
 	sn.Report = faulttol.ReportState{
 		ItemsProcessed:      int(proc),
@@ -450,22 +449,20 @@ func Read(path string) (*Snapshot, error) {
 		ItemsSkipped:        int(skip),
 		DroppedVisibilities: int64(drop),
 	}
-
+	if lo > hi || hi > gridSize {
+		return nil, fmt.Errorf("%w: band rows [%d, %d) of a %d-row grid", ErrCorrupt, lo, hi, gridSize)
+	}
+	// The whole layout is now determined; reject truncated or padded
+	// files before allocating ~16 N^2 bytes of grid.
+	if want := fileSize(int(gridSize), int(lo), int(hi)); st.Size() != want {
+		return nil, fmt.Errorf("%w: file is %d bytes, a %d-pixel snapshot of rows [%d, %d) is %d",
+			ErrCorrupt, st.Size(), gridSize, lo, hi, want)
+	}
 	sn.Grid = grid.NewGrid(sn.GridSize)
-	sh := grid.NewSharded(sn.Grid, sn.Shards)
-	for i := 0; i < sh.NumShards(); i++ {
-		lo, err1 := hr.u32()
-		hi, err2 := hr.u32()
-		if err := errors.Join(err1, err2); err != nil {
-			return nil, fmt.Errorf("%w: short band header: %v", ErrCorrupt, err)
-		}
-		wlo, whi := sh.Bounds(i)
-		if int(lo) != wlo || int(hi) != whi {
-			return nil, fmt.Errorf("%w: band %d bounds [%d,%d), want [%d,%d)",
-				ErrCorrupt, i, lo, hi, wlo, whi)
-		}
-		if err := sh.ReadBand(hr, i); err != nil {
-			return nil, fmt.Errorf("%w: band %d: %v", ErrCorrupt, i, err)
+	band := sn.Grid.Rows(int(lo), int(hi))
+	for c := range band.Data {
+		if err := grid.ReadCells(hr, band.Data[c]); err != nil {
+			return nil, fmt.Errorf("%w: plane %d: %v", ErrCorrupt, c, err)
 		}
 	}
 

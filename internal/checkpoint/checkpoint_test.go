@@ -1,9 +1,13 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faulttol"
@@ -13,7 +17,7 @@ import (
 
 // testSnapshot builds a deterministic snapshot whose grid has a
 // distinct value at every (correlation, pixel).
-func testSnapshot(gridSize, shards, cursor int) *Snapshot {
+func testSnapshot(gridSize, cursor int) *Snapshot {
 	g := grid.NewGrid(gridSize)
 	for c := range g.Data {
 		for i := range g.Data[c] {
@@ -26,7 +30,6 @@ func testSnapshot(gridSize, shards, cursor int) *Snapshot {
 	}
 	return &Snapshot{
 		GridSize:   gridSize,
-		Shards:     shards,
 		NextChunk:  cursor,
 		ChunkItems: 4,
 		PlanSum:    sum,
@@ -40,11 +43,27 @@ func testSnapshot(gridSize, shards, cursor int) *Snapshot {
 	}
 }
 
+// TestCheckpointRoundTrip: a snapshot restores bit for bit, whatever
+// rows its grid touches — every row, a band holding awkward bit
+// patterns (-0 alone in a row, the smallest subnormal, ±MaxFloat64, a
+// NaN payload), or none — and its file holds only the touched rows.
 func TestCheckpointRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 3, 16} {
+	const n = 16
+	band := testSnapshot(n, 7)
+	band.Grid.Zero()
+	band.Grid.Set(0, 5, 3, complex(math.Copysign(0, -1), 0)) // row 5 holds only -0
+	band.Grid.Set(1, 7, 0, complex(math.SmallestNonzeroFloat64, -math.MaxFloat64))
+	band.Grid.Set(3, 9, 15, complex(math.MaxFloat64, math.Float64frombits(0x7ff8000000000123)))
+	empty := testSnapshot(n, 7)
+	empty.Grid.Zero()
+	for _, tc := range []struct {
+		name   string
+		sn     *Snapshot
+		lo, hi int
+	}{{"full", testSnapshot(n, 7), 0, n}, {"band", band, 5, 10}, {"empty", empty, 0, 0}} {
 		dir := t.TempDir()
-		want := testSnapshot(16, shards, 7)
-		path, n, err := Write(dir, want, nil)
+		want := tc.sn
+		path, size, err := Write(dir, want, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,16 +74,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Size() != n {
-			t.Fatalf("Write reported %d bytes, file is %d", n, st.Size())
+		if st.Size() != size || size != fileSize(n, tc.lo, tc.hi) {
+			t.Fatalf("%s: Write reported %d bytes, file is %d, rows [%d, %d) make %d",
+				tc.name, size, st.Size(), tc.lo, tc.hi, fileSize(n, tc.lo, tc.hi))
 		}
 
 		got, err := Read(path)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.GridSize != want.GridSize || got.Shards != shards ||
-			got.NextChunk != want.NextChunk || got.ChunkItems != want.ChunkItems {
+		if got.GridSize != want.GridSize || got.NextChunk != want.NextChunk || got.ChunkItems != want.ChunkItems {
 			t.Fatalf("header mismatch: %+v", got)
 		}
 		if got.PlanSum != want.PlanSum {
@@ -74,9 +93,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("report state %+v, want %+v", got.Report, want.Report)
 		}
 		for c := range want.Grid.Data {
-			for i := range want.Grid.Data[c] {
-				if got.Grid.Data[c][i] != want.Grid.Data[c][i] {
-					t.Fatalf("grid value [%d][%d] not bit-identical", c, i)
+			for i, w := range want.Grid.Data[c] {
+				g := got.Grid.Data[c][i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("%s: grid value [%d][%d] = %v, want %v bit for bit", tc.name, c, i, g, w)
 				}
 			}
 		}
@@ -92,7 +113,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // path for corruption tests.
 func writeTestFile(t *testing.T, dir string, cursor int) (string, []byte) {
 	t.Helper()
-	path, _, err := Write(dir, testSnapshot(16, 3, cursor), nil)
+	path, _, err := Write(dir, testSnapshot(16, cursor), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +186,7 @@ func TestCheckpointImplausibleHeader(t *testing.T) {
 
 func TestLoadLatestFallsBackPastCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := Write(dir, testSnapshot(16, 3, 2), nil); err != nil {
+	if _, _, err := Write(dir, testSnapshot(16, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	newest, raw := writeTestFile(t, dir, 4)
@@ -224,7 +245,7 @@ func TestLoadLatestPrefersNewestCursor(t *testing.T) {
 	dir := t.TempDir()
 	// Cursor 10 sorts after cursor 2 only with zero padding.
 	for _, cursor := range []int{2, 10} {
-		if _, _, err := Write(dir, testSnapshot(16, 3, cursor), nil); err != nil {
+		if _, _, err := Write(dir, testSnapshot(16, cursor), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +275,7 @@ func TestWriteCrashBeforeRenameLeavesNoSnapshot(t *testing.T) {
 				t.Fatal("hook panic did not propagate")
 			}
 		}()
-		Write(dir, testSnapshot(16, 3, 5), hook)
+		Write(dir, testSnapshot(16, 5), hook)
 	}()
 	if sawEvent != EventBeforeRename || sawChunk != 4 {
 		t.Fatalf("hook saw (%v, %d), want (before-rename, 4)", sawEvent, sawChunk)
@@ -308,5 +329,76 @@ func TestPlanFingerprint(t *testing.T) {
 	s.Items = s.Items[:1]
 	if a == PlanFingerprint(s) {
 		t.Fatal("dropped work item not reflected in fingerprint")
+	}
+}
+
+// TestWriteKeepsTwoSnapshots: each Write deletes every snapshot older
+// than its predecessor, so a directory holds the newest snapshot and
+// the one LoadLatest falls back to.
+func TestWriteKeepsTwoSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	for cursor := 1; cursor <= 5; cursor++ {
+		if _, _, err := Write(dir, testSnapshot(16, cursor), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != FileName(4) || entries[1].Name() != FileName(5) {
+		t.Fatalf("directory holds %v, want %s and %s", entries, FileName(4), FileName(5))
+	}
+}
+
+// writeV1 writes sn in the version 1 layout — a shard count in the
+// header and the grid as one full-height band record — under the name
+// a version 1 writer gave it.
+func writeV1(t *testing.T, dir string, sn *Snapshot) string {
+	t.Helper()
+	var b []byte
+	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	b = append(b, magic...)
+	u32(1)           // version
+	u32(sn.GridSize) // header: grid size, shard count, cursor, chunk size
+	u32(1)
+	u64(uint64(sn.NextChunk))
+	u32(sn.ChunkItems)
+	b = append(b, sn.PlanSum[:]...)
+	for _, v := range []int{sn.Report.ItemsProcessed, sn.Report.ItemsRetried, sn.Report.ItemsSkipped, int(sn.Report.DroppedVisibilities)} {
+		u64(uint64(v))
+	}
+	u32(0) // the one shard's rows [0, GridSize)
+	u32(sn.GridSize)
+	for c := range sn.Grid.Data {
+		for _, v := range sn.Grid.Data[c] {
+			u64(math.Float64bits(real(v)))
+			u64(math.Float64bits(imag(v)))
+		}
+	}
+	sum := sha256.Sum256(b)
+	path := filepath.Join(dir, FileName(sn.NextChunk))
+	if err := os.WriteFile(path, append(b, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestVersion1Rejected: a version 1 snapshot is ErrVersion, and over a
+// directory holding only that file LoadLatest notes the fallback and
+// returns no snapshot, so a resume starts clean.
+func TestVersion1Rejected(t *testing.T) {
+	dir := t.TempDir()
+	path := writeV1(t, dir, testSnapshot(16, 3))
+	if _, err := Read(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 file: got %v, want ErrVersion", err)
+	}
+	sn, _, notes, err := LoadLatest(dir)
+	if err != nil || sn != nil {
+		t.Fatalf("LoadLatest over a version 1 file: %+v, %v", sn, err)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "falling back") {
+		t.Fatalf("notes = %v, want one fallback note", notes)
 	}
 }

@@ -80,27 +80,15 @@ func (k *Kernels) Adder(subgrids []*grid.Subgrid, g *grid.Grid) {
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgAdd, countLive(subgrids))
 	}
-	addBand := func(rowLo, rowHi int) {
+	bounds := grid.ShardBounds(g.N, k.params.workers())
+	runWorkers(len(bounds)-1, func(w int) {
+		band := g.Rows(bounds[w], bounds[w+1])
 		for _, s := range subgrids {
-			if s == nil {
-				continue
-			}
-			lo, hi := max(s.Y0, rowLo), min(s.Y0+s.N, rowHi)
-			for y := lo; y < hi; y++ {
-				sy := y - s.Y0
-				for c := 0; c < grid.NrCorrelations; c++ {
-					dst := g.Data[c][y*g.N+s.X0 : y*g.N+s.X0+s.N]
-					src := s.Data[c][sy*s.N : (sy+1)*s.N]
-					for x := range dst {
-						dst[x] += src[x]
-					}
-				}
+			if s != nil {
+				band.AddSubgrid(s)
 			}
 		}
-	}
-	workers := min(k.params.workers(), g.N)
-	band := (g.N + workers - 1) / workers
-	runWorkers(workers, func(w int) { addBand(w*band, min((w+1)*band, g.N)) })
+	})
 }
 
 // Splitter extracts uv-domain subgrids from the grid (the reverse of
@@ -115,14 +103,8 @@ func (k *Kernels) Splitter(g *grid.Grid, subgrids []*grid.Subgrid) {
 	if k.ob.enabled() {
 		k.ob.subgrids(k.ob.sgSplit, countLive(subgrids))
 	}
-	k.eachSubgrid(subgrids, func(_ int, s *grid.Subgrid) {
-		for c := 0; c < grid.NrCorrelations; c++ {
-			for y := 0; y < s.N; y++ {
-				gy := s.Y0 + y
-				copy(s.Data[c][y*s.N:(y+1)*s.N], g.Data[c][gy*g.N+s.X0:gy*g.N+s.X0+s.N])
-			}
-		}
-	})
+	band := g.Rows(0, g.N)
+	k.eachSubgrid(subgrids, func(_ int, s *grid.Subgrid) { band.CopySubgrid(s) })
 }
 
 // checkInBounds panics unless every subgrid of a batch lies inside an
@@ -204,22 +186,16 @@ func (k *Kernels) shardedBatch(worker int, subgrids []*grid.Subgrid, sh *grid.Sh
 	}
 }
 
-// shardOne adds or extracts one subgrid under its shard locks and
-// returns the locks taken and how many were contended. With a tracer
-// attached it goes shard by shard so that every lock gets a span.
+// shardOne adds or extracts one subgrid shard by shard, each under its
+// lock, and returns the locks taken and how many were contended. With
+// a tracer attached every lock gets a span.
 func (k *Kernels) shardOne(worker int, s *grid.Subgrid, sh *grid.Sharded, add bool) (locks, contended int64) {
-	if !k.ob.tracing() {
-		var l, c int
-		if add {
-			l, c = sh.AddSubgrid(s)
-		} else {
-			l, c = sh.CopySubgrid(s)
+	tracing := k.ob.tracing()
+	for si, last := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1); si <= last; si++ {
+		var t0 time.Time
+		if tracing {
+			t0 = time.Now()
 		}
-		return int64(l), int64(c)
-	}
-	lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
-	for si := lo; si <= hi; si++ {
-		t0 := time.Now()
 		var cont bool
 		if add {
 			cont = sh.AddSubgridShard(s, si)
@@ -230,7 +206,9 @@ func (k *Kernels) shardOne(worker int, s *grid.Subgrid, sh *grid.Sharded, add bo
 			contended++
 		}
 		locks++
-		k.ob.shardDone(worker, si, s.WPlane, t0)
+		if tracing {
+			k.ob.shardDone(worker, si, s.WPlane, t0)
+		}
 	}
 	return locks, contended
 }

@@ -276,7 +276,6 @@ func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor, 
 	t0 := time.Now()
 	sn := &checkpoint.Snapshot{
 		GridSize:   k.params.GridSize,
-		Shards:     sh.NumShards(),
 		NextChunk:  cursor,
 		ChunkItems: chunkItems,
 		PlanSum:    checkpoint.PlanFingerprint(p),

@@ -3,6 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -139,6 +144,54 @@ func TestStreamedCheckpointResumeEquivalence(t *testing.T) {
 				t.Fatalf("resumed report counts %d of %d items", rep.ItemsProcessed, len(sc.plan.Items))
 			}
 		})
+	}
+}
+
+// TestCheckpointDirKeepsTwoSnapshots: a pass checkpointing after
+// every chunk leaves its last two snapshots and nothing else.
+func TestCheckpointDirKeepsTwoSnapshots(t *testing.T) {
+	sc := buildScenario(t, defaultScenarioConfig())
+	sc.fillFromModel(nil)
+	params := ckptParams(sc, t.TempDir())
+	params.CheckpointEvery = 1
+	runStreamed(t, sc, params)
+	chunks := (len(sc.plan.Items) + params.StreamChunkItems - 1) / params.StreamChunkItems
+	entries, err := os.ReadDir(params.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != checkpoint.FileName(chunks-1) || entries[1].Name() != checkpoint.FileName(chunks) {
+		t.Fatalf("%d-chunk pass left %v, want its last two snapshots", chunks, entries)
+	}
+}
+
+// TestCheckpointWriteFailureFailsPass: a checkpoint directory under a
+// regular file cannot be created. The pass fails with an error naming
+// the chunk cursor and wrapping ENOTDIR, and leaves no snapshot or
+// temp file behind. Permissions play no part, so this holds for root.
+func TestCheckpointWriteFailureFailsPass(t *testing.T) {
+	sc := buildScenario(t, defaultScenarioConfig())
+	sc.fillFromModel(nil)
+	parent := t.TempDir()
+	file := filepath.Join(parent, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	params := ckptParams(sc, filepath.Join(file, "ckpt"))
+	k, err := NewKernels(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
+	_, _, err = k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{})
+	if !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("pass error %v does not wrap ENOTDIR", err)
+	}
+	if cursor := params.CheckpointEvery; !strings.Contains(err.Error(), fmt.Sprintf("chunk cursor %d:", cursor)) {
+		t.Fatalf("pass error %q does not name the first checkpoint's cursor %d", err, cursor)
+	}
+	if entries, _ := os.ReadDir(parent); len(entries) != 1 {
+		t.Fatalf("failed checkpoint left %v next to the file", entries)
 	}
 }
 

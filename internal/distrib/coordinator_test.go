@@ -74,7 +74,7 @@ func TestCoordinatorHappyPath(t *testing.T) {
 }
 
 // spanPrint is the band fingerprint a worker declares for g.
-func spanPrint(g *grid.Grid) Fingerprint { return g.Rows(NonzeroRowSpan(g)).Fingerprint() }
+func spanPrint(g *grid.Grid) Fingerprint { return g.Rows(grid.NonzeroRowSpan(g)).Fingerprint() }
 
 // TestCoordinatorRestartsKilledWorker kills one worker's first attempt
 // after partial progress; the relaunch must carry Resume and the final
@@ -386,7 +386,7 @@ func truncatedDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error 
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis}
-	h.Lo, h.Hi = NonzeroRowSpan(g)
+	h.Lo, h.Hi = grid.NonzeroRowSpan(g)
 	if err := sendBands(bw, h, g, 0); err != nil {
 		return err
 	}

@@ -126,7 +126,7 @@ func TestReduceBandsMatchesGridReduction(t *testing.T) {
 				}
 			}
 			whole[i] = g
-			span := g.Rows(NonzeroRowSpan(g))
+			span := g.Rows(grid.NonzeroRowSpan(g))
 			bands[i] = grid.NewBand(size, span.Lo, span.Hi)
 			bands[i].Add(span)
 			if span.Lo == span.Hi {

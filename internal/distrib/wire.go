@@ -31,8 +31,8 @@ const (
 	// FrameBand carries rows [lo, hi) of every correlation plane of the
 	// partial grid: payload = gridSize uint32 | lo uint32 | hi uint32 |
 	// (hi-lo) rows per correlation plane of gridSize complex128 cells,
-	// each cell little-endian float64 (re, im) — the exact byte order of
-	// grid.(*Sharded).WriteBand and of the grid fingerprint.
+	// each cell little-endian float64 (re, im) — the canonical cell
+	// encoding of grid.WriteCells, checkpoints and the grid fingerprint.
 	FrameBand byte = 17
 	// FrameResult closes the stream: payload = worker uint32 | gridSize
 	// uint32 | nonzero uint64 | sumAbs float64 | peakAbs float64 |
@@ -78,8 +78,9 @@ type Hello struct {
 	Axis    Axis
 	// PlanSum fingerprints the sub-plan the worker gridded.
 	PlanSum [32]byte
-	// Lo and Hi bound the rows the worker's bands cover (NonzeroRowSpan
-	// of its partial; Lo == Hi for an empty partition).
+	// Lo and Hi bound the rows the worker's bands cover
+	// (grid.NonzeroRowSpan of its partial; Lo == Hi for an empty
+	// partition).
 	Lo, Hi int
 }
 

@@ -79,7 +79,7 @@ func TestResultRoundTrip(t *testing.T) {
 // source grid.
 func TestBandRoundTrip(t *testing.T) {
 	src := testGrid(24)
-	lo, hi := NonzeroRowSpan(src)
+	lo, hi := grid.NonzeroRowSpan(src)
 	if lo != 2 || hi != 23 {
 		t.Fatalf("NonzeroRowSpan = [%d, %d), want [2, 23)", lo, hi)
 	}

@@ -45,30 +45,9 @@ func (f LauncherFunc) Start(ctx context.Context, spec WorkerSpec) error {
 	return f(ctx, spec)
 }
 
-// NonzeroRowSpan returns the smallest row range [lo, hi) covering
-// every nonzero cell of g across all correlation planes, so Deliver
-// ships only the band a sparse partition actually touched. An all-zero
-// grid returns (0, 0).
-func NonzeroRowSpan(g *grid.Grid) (lo, hi int) {
-	lo, hi = g.N, 0
-	for c := range g.Data {
-		for y := 0; y < g.N; y++ {
-			if lo <= y && y < hi {
-				continue // inside the span already
-			}
-			for _, v := range g.Data[c][y*g.N : (y+1)*g.N] {
-				if v != 0 {
-					lo, hi = min(lo, y), max(hi, y+1)
-					break
-				}
-			}
-		}
-	}
-	if lo >= hi {
-		return 0, 0
-	}
-	return lo, hi
-}
+// NonzeroRowSpan is grid.NonzeroRowSpan, under the name the benchmark
+// module spells.
+var NonzeroRowSpan = grid.NonzeroRowSpan
 
 // Deliver streams a finished partial grid to the coordinator: dial, a
 // Hello announcing g's nonzero row span, that span chunked into
@@ -88,7 +67,7 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 	}
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
-	h.Lo, h.Hi = NonzeroRowSpan(g)
+	h.Lo, h.Hi = grid.NonzeroRowSpan(g)
 	hashed := make(chan Fingerprint, 1)
 	go func() { hashed <- g.Rows(h.Lo, h.Hi).Fingerprint() }()
 	err = sendBands(bw, h, g, maxPayload)

@@ -1,11 +1,15 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Band is rows [Lo, Hi) of an N-pixel grid: the part of a partial grid
-// a row partition touched, held without the zero rows around it. Data
-// holds one row-major (Hi-Lo)*N plane per correlation; grid row y is
-// band row y-Lo. A band over rows [0, N) has a grid's layout.
+// Band is rows [Lo, Hi) of an N-pixel grid, owning its cells
+// (NewBand) or viewing a grid's (Grid.Rows): an adder worker's rows, a
+// shard, or the span a checkpoint or a partial grid touched. Data holds
+// one row-major (Hi-Lo)*N plane per correlation; grid row y is band
+// row y-Lo.
 type Band struct {
 	N, Lo, Hi int
 	Data      [NrCorrelations][]complex128
@@ -34,6 +38,31 @@ func (g *Grid) Rows(lo, hi int) *Band {
 	return b
 }
 
+// NonzeroRowSpan returns the smallest row range [lo, hi) of g covering
+// every cell whose bits are not all zero (-0 counts), across all
+// correlation planes: the band a partial grid actually touched. An
+// all-zero grid returns (0, 0).
+func NonzeroRowSpan(g *Grid) (lo, hi int) {
+	lo, hi = g.N, 0
+	for c := range g.Data {
+		for y := 0; y < g.N; y++ {
+			if lo <= y && y < hi {
+				continue // inside the span already
+			}
+			for _, v := range g.Data[c][y*g.N : (y+1)*g.N] {
+				if math.Float64bits(real(v))|math.Float64bits(imag(v)) != 0 {
+					lo, hi = min(lo, y), max(hi, y+1)
+					break
+				}
+			}
+		}
+	}
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
+}
+
 // Grid returns b as a whole grid: b's own memory when b spans every
 // row, else a new grid holding b's rows and zeros around them.
 func (b *Band) Grid() *Grid {
@@ -59,4 +88,43 @@ func (b *Band) Add(src *Band) {
 			dst[i] += v
 		}
 	}
+}
+
+// AddSubgrid accumulates the rows of s that fall inside [b.Lo, b.Hi)
+// onto b: the adder's one loop over subgrid rows. It panics when s lies
+// outside the grid.
+func (b *Band) AddSubgrid(s *Subgrid) {
+	lo, hi := b.subgridRows(s)
+	for y := lo; y < hi; y++ {
+		row, at := (y-s.Y0)*s.N, (y-b.Lo)*b.N+s.X0
+		for c := range b.Data {
+			dst := b.Data[c][at : at+s.N]
+			src := s.Data[c][row : row+s.N]
+			for x := range dst {
+				dst[x] += src[x]
+			}
+		}
+	}
+}
+
+// CopySubgrid copies the cells under the rows of s that fall inside
+// [b.Lo, b.Hi) into s: the splitter's one loop over subgrid rows. It
+// panics when s lies outside the grid.
+func (b *Band) CopySubgrid(s *Subgrid) {
+	lo, hi := b.subgridRows(s)
+	for y := lo; y < hi; y++ {
+		row, at := (y-s.Y0)*s.N, (y-b.Lo)*b.N+s.X0
+		for c := range b.Data {
+			copy(s.Data[c][row:row+s.N], b.Data[c][at:at+s.N])
+		}
+	}
+}
+
+// subgridRows returns the grid rows [lo, hi) that s and b share, empty
+// when they share none; it panics when s lies outside the grid.
+func (b *Band) subgridRows(s *Subgrid) (lo, hi int) {
+	if !s.InBounds(b.N) {
+		panic(fmt.Sprintf("grid: subgrid (%d,%d)+%d outside %d-pixel grid", s.X0, s.Y0, s.N, b.N))
+	}
+	return max(s.Y0, b.Lo), min(s.Y0+s.N, b.Hi)
 }

@@ -228,3 +228,70 @@ func TestBandGridAndAdd(t *testing.T) {
 	}()
 	narrow.Add(b)
 }
+
+// TestBandSubgridOpsTouchOverlapOnly: on a band that cuts through a
+// subgrid, AddSubgrid and CopySubgrid move exactly the rows the two
+// share, and both reject a subgrid outside the grid even when it misses
+// the band.
+func TestBandSubgridOpsTouchOverlapOnly(t *testing.T) {
+	const n = 12
+	s := NewSubgrid(6, 3, 2) // grid rows [2, 8)
+	for c := range s.Data {
+		for i := range s.Data[c] {
+			s.Data[c][i] = 1
+		}
+	}
+	g := NewGrid(n)
+	g.Rows(4, 6).AddSubgrid(s)
+	for c := range g.Data {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				var want complex128
+				if y >= 4 && y < 6 && x >= 3 && x < 9 {
+					want = 1
+				}
+				if got := g.At(c, y, x); got != want {
+					t.Fatalf("add: plane %d (%d, %d) = %v, want %v", c, y, x, got, want)
+				}
+			}
+		}
+	}
+
+	for c := range g.Data {
+		for i := range g.Data[c] {
+			g.Data[c][i] = complex(float64(i), float64(c))
+		}
+	}
+	const sentinel = complex(-7, -7)
+	for c := range s.Data {
+		for i := range s.Data[c] {
+			s.Data[c][i] = sentinel
+		}
+	}
+	g.Rows(4, 6).CopySubgrid(s)
+	for c := range s.Data {
+		for y := 0; y < s.N; y++ {
+			for x := 0; x < s.N; x++ {
+				want := sentinel
+				if gy := s.Y0 + y; gy >= 4 && gy < 6 {
+					want = g.At(c, gy, s.X0+x)
+				}
+				if got := s.At(c, y, x); got != want {
+					t.Fatalf("copy: plane %d subgrid (%d, %d) = %v, want %v", c, y, x, got, want)
+				}
+			}
+		}
+	}
+
+	outside := NewSubgrid(6, 0, 10) // rows [10, 16) of a 12-row grid
+	for name, op := range map[string]func(*Band, *Subgrid){"add": (*Band).AddSubgrid, "copy": (*Band).CopySubgrid} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a subgrid outside the grid did not panic", name)
+				}
+			}()
+			op(g.Rows(0, 2), outside)
+		}()
+	}
+}

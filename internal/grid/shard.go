@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +22,7 @@ import (
 // per shard, the raw signal behind the obs contention metrics.
 type Sharded struct {
 	g      *Grid
-	bounds []int // len(shards)+1; shard i owns rows [bounds[i], bounds[i+1])
+	bands  []*Band // shard i's rows, views of g
 	shards []shardState
 }
 
@@ -37,18 +36,15 @@ type shardState struct {
 }
 
 // NewSharded wraps g in a sharded accessor with the given number of
-// row bands. shards is clamped to [1, g.N]; values <= 0 select one
-// shard (a single lock, the degenerate but still concurrency-safe
-// layout).
+// row bands, laid out by ShardBounds. shards is clamped to [1, g.N];
+// values <= 0 select one shard (a single lock, the degenerate but still
+// concurrency-safe layout).
 func NewSharded(g *Grid, shards int) *Sharded {
-	if shards < 1 {
-		shards = 1
+	bounds := ShardBounds(g.N, shards)
+	sh := &Sharded{g: g, bands: make([]*Band, len(bounds)-1), shards: make([]shardState, len(bounds)-1)}
+	for i := range sh.bands {
+		sh.bands[i] = g.Rows(bounds[i], bounds[i+1])
 	}
-	if shards > g.N {
-		shards = g.N
-	}
-	sh := &Sharded{g: g, shards: make([]shardState, shards)}
-	sh.bounds = ShardBounds(g.N, shards)
 	return sh
 }
 
@@ -78,16 +74,14 @@ func ShardBounds(n, shards int) []int {
 }
 
 // Master returns the underlying grid. Reading it is only safe once no
-// concurrent AddSubgrid/CopySubgrid calls are in flight.
+// concurrent AddSubgridShard/CopySubgridShard calls are in flight.
 func (sh *Sharded) Master() *Grid { return sh.g }
 
 // NumShards returns the number of row bands.
 func (sh *Sharded) NumShards() int { return len(sh.shards) }
 
-// Bounds returns the row range [lo, hi) owned by shard i.
-func (sh *Sharded) Bounds(i int) (lo, hi int) {
-	return sh.bounds[i], sh.bounds[i+1]
-}
+// Band returns shard i's rows, a view of the master grid.
+func (sh *Sharded) Band(i int) *Band { return sh.bands[i] }
 
 // ShardOfRow returns the shard owning grid row y. The balanced
 // partition makes this a closed form: the first rem shards have
@@ -100,12 +94,6 @@ func (sh *Sharded) ShardOfRow(y int) int {
 		return y / (base + 1)
 	}
 	return rem + (y-split)/base
-}
-
-// shardSpan returns the inclusive shard index range a subgrid's rows
-// overlap.
-func (sh *Sharded) shardSpan(s *Subgrid) (lo, hi int) {
-	return sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0 + s.N - 1)
 }
 
 // lock acquires shard si's mutex, counting the acquisition and
@@ -128,48 +116,7 @@ func (st *shardState) lock() (contended bool) {
 // shard are untouched; callers iterate the range given by
 // ShardOfRow(s.Y0) .. ShardOfRow(s.Y0+s.N-1).
 func (sh *Sharded) AddSubgridShard(s *Subgrid, si int) (contended bool) {
-	if !s.InBounds(sh.g.N) {
-		panic(fmt.Sprintf("grid: subgrid (%d,%d)+%d outside %d-pixel sharded grid", s.X0, s.Y0, s.N, sh.g.N))
-	}
-	lo, hi := sh.bounds[si], sh.bounds[si+1]
-	if lo < s.Y0 {
-		lo = s.Y0
-	}
-	if hi > s.Y0+s.N {
-		hi = s.Y0 + s.N
-	}
-	if lo >= hi {
-		return false
-	}
-	st := &sh.shards[si]
-	contended = st.lock()
-	g := sh.g
-	for y := lo; y < hi; y++ {
-		sy := y - s.Y0
-		for c := 0; c < NrCorrelations; c++ {
-			dst := g.Data[c][y*g.N+s.X0 : y*g.N+s.X0+s.N]
-			src := s.Data[c][sy*s.N : (sy+1)*s.N]
-			for x := range dst {
-				dst[x] += src[x]
-			}
-		}
-	}
-	st.mu.Unlock()
-	return contended
-}
-
-// AddSubgrid accumulates the whole subgrid onto the master grid,
-// locking each overlapped shard in turn. It returns the number of
-// shard locks taken and how many of them were contended.
-func (sh *Sharded) AddSubgrid(s *Subgrid) (locks, contended int) {
-	lo, hi := sh.shardSpan(s)
-	for si := lo; si <= hi; si++ {
-		locks++
-		if sh.AddSubgridShard(s, si) {
-			contended++
-		}
-	}
-	return locks, contended
+	return sh.locked(s, si, (*Band).AddSubgrid)
 }
 
 // CopySubgridShard extracts the rows of shard si covered by s from the
@@ -177,44 +124,21 @@ func (sh *Sharded) AddSubgrid(s *Subgrid) (locks, contended int) {
 // coherent with concurrent adders. It returns whether the lock was
 // contended.
 func (sh *Sharded) CopySubgridShard(s *Subgrid, si int) (contended bool) {
-	if !s.InBounds(sh.g.N) {
-		panic(fmt.Sprintf("grid: subgrid (%d,%d)+%d outside %d-pixel sharded grid", s.X0, s.Y0, s.N, sh.g.N))
-	}
-	lo, hi := sh.bounds[si], sh.bounds[si+1]
-	if lo < s.Y0 {
-		lo = s.Y0
-	}
-	if hi > s.Y0+s.N {
-		hi = s.Y0 + s.N
-	}
-	if lo >= hi {
+	return sh.locked(s, si, (*Band).CopySubgrid)
+}
+
+// locked runs op on shard si's band under its lock, which it takes
+// only when s has rows in the shard.
+func (sh *Sharded) locked(s *Subgrid, si int, op func(*Band, *Subgrid)) (contended bool) {
+	b := sh.bands[si]
+	if lo, hi := b.subgridRows(s); lo >= hi {
 		return false
 	}
 	st := &sh.shards[si]
 	contended = st.lock()
-	g := sh.g
-	for y := lo; y < hi; y++ {
-		sy := y - s.Y0
-		for c := 0; c < NrCorrelations; c++ {
-			copy(s.Data[c][sy*s.N:(sy+1)*s.N], g.Data[c][y*g.N+s.X0:y*g.N+s.X0+s.N])
-		}
-	}
+	op(b, s)
 	st.mu.Unlock()
 	return contended
-}
-
-// CopySubgrid extracts the whole subgrid from the master grid under
-// per-shard locks (the locked splitter primitive). It returns the
-// lock and contention counts like AddSubgrid.
-func (sh *Sharded) CopySubgrid(s *Subgrid) (locks, contended int) {
-	lo, hi := sh.shardSpan(s)
-	for si := lo; si <= hi; si++ {
-		locks++
-		if sh.CopySubgridShard(s, si) {
-			contended++
-		}
-	}
-	return locks, contended
 }
 
 // LockStats returns per-shard cumulative lock acquisition and
@@ -227,16 +151,4 @@ func (sh *Sharded) LockStats() (locks, contended []int64) {
 		contended[i] = sh.shards[i].contended.Load()
 	}
 	return locks, contended
-}
-
-// Zero clears the master grid under all shard locks (safe next to
-// concurrent adders, though the result then depends on interleaving).
-func (sh *Sharded) Zero() {
-	for i := range sh.shards {
-		sh.shards[i].mu.Lock()
-	}
-	sh.g.Zero()
-	for i := range sh.shards {
-		sh.shards[i].mu.Unlock()
-	}
 }

@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// eachShard runs op over every shard s overlaps, as the sharded adder
+// does, and counts the locks taken and how many were contended.
+func eachShard(sh *Sharded, s *Subgrid, op func(*Subgrid, int) bool) (locks, contended int) {
+	for si, last := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1); si <= last; si++ {
+		locks++
+		if op(s, si) {
+			contended++
+		}
+	}
+	return locks, contended
+}
+
 func TestShardBoundsPartition(t *testing.T) {
 	// The balanced partition must be exact (cover [0, n) with no gap or
 	// overlap) and balanced to within one row for every geometry,
@@ -45,10 +57,10 @@ func TestShardOfRowMatchesBounds(t *testing.T) {
 		sh := NewSharded(NewGrid(n), shards)
 		for y := 0; y < n; y++ {
 			si := sh.ShardOfRow(y)
-			lo, hi := sh.Bounds(si)
-			if y < lo || y >= hi {
-				t.Fatalf("n=%d shards=%d: ShardOfRow(%d)=%d but Bounds(%d)=[%d,%d)",
-					n, shards, y, si, si, lo, hi)
+			b := sh.Band(si)
+			if y < b.Lo || y >= b.Hi {
+				t.Fatalf("n=%d shards=%d: ShardOfRow(%d)=%d but Band(%d) is [%d,%d)",
+					n, shards, y, si, si, b.Lo, b.Hi)
 			}
 		}
 	}
@@ -72,10 +84,7 @@ func TestShardDecompositionCoversEachPixelOnce(t *testing.T) {
 				s.Data[c][i] = 1
 			}
 		}
-		lo, hi := sh.ShardOfRow(s.Y0), sh.ShardOfRow(s.Y0+s.N-1)
-		for si := lo; si <= hi; si++ {
-			sh.AddSubgridShard(s, si)
-		}
+		eachShard(sh, s, sh.AddSubgridShard)
 		g := sh.Master()
 		for y := 0; y < n; y++ {
 			for x := 0; x < n; x++ {
@@ -114,9 +123,9 @@ func TestShardedAddMatchesDirectAccumulation(t *testing.T) {
 			}
 		}
 		sh := NewSharded(NewGrid(n), 1+rnd.Intn(n))
-		locks, contended := sh.AddSubgrid(s)
+		locks, contended := eachShard(sh, s, sh.AddSubgridShard)
 		if locks < 1 || contended != 0 {
-			t.Fatalf("uncontended AddSubgrid reported locks=%d contended=%d", locks, contended)
+			t.Fatalf("uncontended add reported locks=%d contended=%d", locks, contended)
 		}
 		if d := ref.MaxAbsDiff(sh.Master()); d != 0 {
 			t.Fatalf("sharded add differs from Grid.AddSubgrid by %g", d)
@@ -135,7 +144,7 @@ func TestShardedCopyRoundTrip(t *testing.T) {
 	}
 	sh := NewSharded(g, 7)
 	s := NewSubgrid(20, 13, 29)
-	sh.CopySubgrid(s)
+	eachShard(sh, s, sh.CopySubgridShard)
 	for c := 0; c < NrCorrelations; c++ {
 		for y := 0; y < s.N; y++ {
 			for x := 0; x < s.N; x++ {
@@ -151,8 +160,8 @@ func TestShardedOutOfBoundsPanics(t *testing.T) {
 	sh := NewSharded(NewGrid(32), 4)
 	s := NewSubgrid(16, 20, 20) // spills past the 32-pixel edge
 	for name, fn := range map[string]func(){
-		"add":  func() { sh.AddSubgrid(s) },
-		"copy": func() { sh.CopySubgrid(s) },
+		"add":  func() { sh.AddSubgridShard(s, sh.ShardOfRow(s.Y0)) },
+		"copy": func() { sh.CopySubgridShard(s, sh.ShardOfRow(s.Y0)) },
 	} {
 		func() {
 			defer func() {
@@ -185,7 +194,7 @@ func TestShardedConcurrentAddsSumExactly(t *testing.T) {
 				}
 			}
 			for r := 0; r < rounds; r++ {
-				sh.AddSubgrid(s)
+				eachShard(sh, s, sh.AddSubgridShard)
 			}
 		}(w)
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -321,7 +322,9 @@ func (s *Server) releaseLocked(tenant string, inflight int) {
 	s.ob.inflight.Set(float64(s.inflight))
 }
 
-// remove unregisters a session and releases its reservation.
+// remove unregisters a session and releases its reservation. A done
+// session's checkpoint directory goes with it; a failed or canceled
+// session keeps its snapshots for ResumeStreamed.
 func (s *Server) remove(sess *session, reason removeReason) {
 	sess.abort()
 	s.mu.Lock()
@@ -333,6 +336,9 @@ func (s *Server) remove(sess *session, reason removeReason) {
 	s.releaseLocked(sess.tenant, sess.inflight)
 	s.ob.active.Set(float64(len(s.sessions)))
 	s.mu.Unlock()
+	if sess.cfg.CheckpointDir != "" && sess.currentState() == StateDone {
+		_ = os.RemoveAll(sess.cfg.CheckpointDir) // best effort: a leftover costs disk, not results
+	}
 	switch reason {
 	case removeDeleted:
 		s.ob.deleted.Inc()

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +51,15 @@ func (b *fakeBackend) Open(cfg SessionConfig) (BackendSession, error) {
 	b.mu.Lock()
 	b.opened++
 	b.mu.Unlock()
+	if cfg.CheckpointDir != "" {
+		// Stand in for the snapshot a checkpointing pass leaves.
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(cfg.CheckpointDir, "snapshot"), nil, 0o644); err != nil {
+			return nil, err
+		}
+	}
 	s := &fakeSession{b: b}
 	s.data = make([]float32, b.nb*b.nt*b.nc*8)
 	return s, nil
@@ -373,6 +384,50 @@ func TestCheckpointRequiresRoot(t *testing.T) {
 	cfg.Checkpoint = true
 	if _, err := c.CreateSession(cfg); !isHTTP(err, 400) {
 		t.Fatalf("checkpoint without a root: %v, want 400", err)
+	}
+}
+
+// TestCheckpointDirRemovedWithDoneSession: deleting a finalized
+// checkpointing session removes its checkpoint directory, while a
+// session a drain cancels mid-pass keeps its snapshot for resume.
+func TestCheckpointDirRemovedWithDoneSession(t *testing.T) {
+	cfg := testSessionConfig()
+	cfg.Checkpoint = true
+	root := t.TempDir()
+	_, c := newTestServer(t, Config{CheckpointRoot: root}, nil)
+	info, err := c.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Finalize(info.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(info.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(root); len(entries) != 0 {
+		t.Fatalf("deleted done session left %v under the checkpoint root", entries)
+	}
+
+	root = t.TempDir()
+	back := &fakeBackend{nb: 3, nt: 4, nc: 2, blockRun: true}
+	s, c := newTestServer(t, Config{CheckpointRoot: root, DrainTimeout: 10 * time.Millisecond}, back)
+	info, err = c.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go c.Finalize(info.SessionID) // blocks until the drain cancels it
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		sess := s.sessions[info.SessionID]
+		s.mu.Unlock()
+		return sess != nil && sess.currentState() == StateFinalizing
+	})
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, info.SessionID, "snapshot")); err != nil {
+		t.Fatalf("canceled session lost its snapshot: %v", err)
 	}
 }
 

@@ -16,8 +16,8 @@ func TestCvtF64F32MatchesGo(t *testing.T) {
 		0, math.Copysign(0, -1), 1, -1,
 		math.Inf(1), math.Inf(-1), math.NaN(),
 		math.MaxFloat64, -math.MaxFloat64, // overflow to +-Inf
-		math.MaxFloat32 * (1 + 1e-8),      // rounds to +Inf boundary case
-		1e-40, -1e-40,                     // float32 subnormals
+		math.MaxFloat32 * (1 + 1e-8), // rounds to +Inf boundary case
+		1e-40, -1e-40,                // float32 subnormals
 		5e-324, math.MaxFloat32, -math.MaxFloat32,
 		1 + 0x1p-24, 1 + 0x1.8p-24, // round-to-even ties
 	}

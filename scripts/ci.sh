@@ -9,6 +9,8 @@
 # `make ci` for environments without make.
 set -eux
 
+# Formatting: every Go file as gofmt writes it.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 # Layering: the distributed reducer reads its frames through
@@ -71,6 +73,9 @@ scripts/server_smoke.sh
 # must report exactly one restart.
 scripts/distrib_smoke.sh
 scripts/bench.sh -short
+# The paired-comparison tool end to end on a tiny budget: two archived
+# checkouts, alternating runs, the per-benchmark table.
+scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$' -benchtime 1x HEAD HEAD
 # The benchmark is its own module (benchmark/go.mod), so the root
 # `go build ./... && go test ./...` cannot see it: vet and test it and
 # run every workload once on tiny shapes, or a facade rename breaks it
