@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race chaos bench-smoke ci
+.PHONY: all build fmt vet test race chaos examples bench-smoke ci
 
 all: build
 
@@ -32,6 +32,14 @@ chaos:
 	$(GO) test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
 	$(GO) test -race -run 'Facade|Chaos|Cancel|Checkpoint|Resume|Kill' . ./internal/core/ ./internal/checkpoint/
 
+# The examples drive the facade end to end: the Fig. 2 imaging cycle,
+# the W-stacked degridding pass (exits 1 if its accuracy regresses)
+# and the quickstart's grid -> dirty image.
+examples:
+	$(GO) run ./examples/imagingcycle
+	$(GO) run ./examples/wstacking
+	$(GO) run ./examples/quickstart
+
 # The benchmark is its own module (benchmark/go.mod), invisible to
 # `go build ./...` here: vet and test it, and run every workload once
 # on tiny shapes, so a facade change cannot break it silently.
@@ -40,4 +48,4 @@ bench-smoke:
 	bash benchmark/run.sh -workload all -smoke
 	scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$$' -benchtime 1x HEAD HEAD
 
-ci: fmt vet build race chaos bench-smoke
+ci: fmt vet build race chaos examples bench-smoke

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -168,5 +169,24 @@ func TestWStackedFacadeRoundtrip(t *testing.T) {
 	}
 	if obs.Vis.Data[0][0] == (Matrix2{}) {
 		t.Fatal("degrid produced no data")
+	}
+
+	// A grid or image of the wrong size is bad input, returned before
+	// any work rather than raised as a panic.
+	half := grid.NewGrid(cfg.GridSize / 2)
+	for name, degrid := range map[string]func() (StageTimes, error){
+		"DegridAll":      func() (StageTimes, error) { return obs.DegridAll(context.Background(), nil, half) },
+		"DegridWStacked": func() (StageTimes, error) { return obs.DegridWStacked(context.Background(), nil, half) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s on a %d-pixel grid panicked: %v", name, half.N, r)
+				}
+			}()
+			if _, err := degrid(); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("%s on a %d-pixel grid: error %v does not wrap ErrBadInput", name, half.N, err)
+			}
+		}()
 	}
 }

@@ -157,8 +157,8 @@ func setPlanes(planes []float64, i int, m xmath.Matrix2) {
 	}
 }
 
-// Cache memoizes Map results per (station, slot); the gridder reuses
-// the same maps for every subgrid of a work group that shares the slot.
+// Cache memoizes Map results per (station, slot); a pass reuses the
+// same maps for every subgrid that shares the slot.
 // A cache holds every map in one layout: per-pixel matrices (NewCache,
 // read with Get) or planes (NewPlanarCache, read with Planes). Cache is
 // not safe for concurrent writes; each worker builds its own or the

@@ -75,7 +75,7 @@ func (k *Kernels) RunImagingCycle(ctx context.Context, p *plan.Plan, vs *Visibil
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := k.checkPlan(p, vs); err != nil {
+	if err := k.checkPlan(p, vs, k.params.GridSize); err != nil {
 		return nil, err
 	}
 	n := k.params.GridSize

@@ -123,11 +123,11 @@ func (ko *kernelObs) now() time.Time {
 }
 
 // stageDone records a completed pipeline-stage span (worker/item -1)
-// plus the stage's cumulative wall-time counter. group is the
-// work-group index of the pass (or the plane/cycle index for the outer
-// stages); wplane is the W-layer all of the stage's data belongs to
-// (-1 when unknown or mixed), so W-stacked passes attribute stage time
-// to layers.
+// plus the stage's cumulative wall-time counter. group is the chunk
+// index of the pass (or the plane/cycle index for the outer stages);
+// wplane is the W-layer all of the stage's data belongs to (-1 when
+// unknown or mixed), so W-stacked passes attribute stage time to
+// layers.
 func (ko *kernelObs) stageDone(stage obs.Stage, group, wplane int, start time.Time, d time.Duration) {
 	if ko == nil {
 		return

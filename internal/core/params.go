@@ -77,10 +77,11 @@ const defaultPixelTileRows = 4
 
 // DefaultStreamChunkItems is the largest (and, for one-worker and
 // checkpointed passes, the only) derived number of work items per
-// gridding chunk. At the paper's subgrid size (24 pixels, 4
-// correlations) one chunk of 256 subgrids is ~9 MB of complex128
-// pixels — large enough to amortize per-chunk scheduling, small enough
-// that a handful of in-flight chunks stay far below grid memory.
+// chunk of a gridding or degridding pass. At the paper's subgrid size
+// (24 pixels, 4 correlations) one chunk of 256 subgrids is ~9 MB of
+// complex128 pixels — large enough to amortize per-chunk scheduling,
+// small enough that a handful of in-flight chunks stay far below grid
+// memory.
 const DefaultStreamChunkItems = 256
 
 // A multi-worker pass cuts its plan into about streamChunksPerWorker
@@ -130,14 +131,14 @@ type Params struct {
 	// with several workers more shards mean less adder contention.
 	// Values above the grid size are clamped.
 	GridShards int
-	// MaxInflightChunks bounds how many chunks of the gridding pass may
-	// be between gridder and adder at once — at most this many chunk
-	// workers run — which bounds peak subgrid memory at
-	// MaxInflightChunks x chunk size subgrids. <= 0 leaves the bound to
-	// Workers.
+	// MaxInflightChunks bounds how many chunks of a gridding or
+	// degridding pass may be between their first and last stage at once
+	// — at most this many chunk workers run — which bounds peak subgrid
+	// memory at MaxInflightChunks x chunk size subgrids. <= 0 leaves the
+	// bound to Workers.
 	MaxInflightChunks int
-	// StreamChunkItems pins the number of work items per chunk of the
-	// gridding pass; <= 0 derives it from the plan length and the
+	// StreamChunkItems pins the number of work items per chunk of both
+	// passes; <= 0 derives it from the plan length and the
 	// chunk-worker count (see Kernels.StreamChunkItems).
 	StreamChunkItems int
 	// CheckpointDir, when non-empty, makes the gridding pass write a
@@ -249,8 +250,8 @@ func (p *Params) gridShards() int {
 	return p.workers()
 }
 
-// chunkWorkers resolves how many chunks the gridding pass keeps in
-// flight, each on its own worker.
+// chunkWorkers resolves how many chunks a pass keeps in flight, each
+// on its own worker.
 func (p *Params) chunkWorkers() int {
 	w := p.workers()
 	if p.MaxInflightChunks > 0 && p.MaxInflightChunks < w {
@@ -259,9 +260,9 @@ func (p *Params) chunkWorkers() int {
 	return w
 }
 
-// StreamChunkItems returns the chunk size, in work items, of a gridding
-// pass over a plan of planItems items: Params.StreamChunkItems when
-// pinned, otherwise derived from what the pass can observe. A
+// StreamChunkItems returns the chunk size, in work items, of a pass
+// over a plan of planItems items: Params.StreamChunkItems when pinned,
+// otherwise derived from what the pass can observe. A
 // checkpointed pass always gets DefaultStreamChunkItems — its chunk
 // cursor is only meaningful relative to the chunking it was counted
 // in, so the chunking must not depend on Workers — and so does a pass

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aterm"
@@ -181,13 +180,12 @@ func (vs *VisibilitySet) itemUVW(item plan.WorkItem) []uvwsim.UVW {
 	return vs.UVW[item.Baseline][item.TimeStart : item.TimeStart+item.NrTimesteps]
 }
 
-// StageTimes records the wall-clock time spent per pipeline stage,
-// the Go-measured analogue of the paper's Fig. 9 runtime distribution.
-// Degridding runs its stages one after the other, so each field is that
-// stage's elapsed time. Gridding runs them interleaved on concurrent
-// chunk workers, so each field is the stage's share of the pass's wall
-// time: its busy time summed over the chunk workers, divided by their
-// number. Either way Total() never exceeds the wall time of the pass.
+// StageTimes records the time spent per pipeline stage, the
+// Go-measured analogue of the paper's Fig. 9 runtime distribution. Both
+// passes run their stages interleaved on concurrent chunk workers, so
+// each field is the stage's share of the pass's wall time: its busy
+// time summed over the chunk workers, divided by their number. Total()
+// never exceeds the wall time of the pass.
 type StageTimes struct {
 	Gridder    time.Duration
 	Degridder  time.Duration
@@ -210,16 +208,16 @@ func (s *StageTimes) Add(other StageTimes) {
 	s.Splitter += other.Splitter
 }
 
-// DefaultWorkGroupSize is the number of work items processed per
-// pipeline round; it bounds the subgrid buffer memory the same way
-// the paper's work groups bound the GPU device buffers.
+// DefaultWorkGroupSize is the paper's work-group size in work items.
+// The passes run in chunks (Kernels.StreamChunkItems); only the
+// benchmark's per-layer ledger still batches by work groups.
 const DefaultWorkGroupSize = 1024
 
 // newATermCache builds the run-level A-term cache; it lives for a
-// whole gridding or degridding pass so maps computed for one work
-// group are reused by every later group that shares the (station,
-// slot). It holds planes, which is how the kernels read the maps
-// (jones); a nil provider yields a nil cache (identity fast path).
+// whole gridding or degridding pass, so every item that shares a
+// (station, slot) reads the same maps. It holds planes, which is how
+// the kernels read the maps (jones); a nil provider yields a nil cache
+// (identity fast path).
 func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
 	if prov == nil {
 		return nil
@@ -227,9 +225,9 @@ func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
 	return aterm.NewPlanarCache(prov, k.params.SubgridSize, k.params.ImageSize)
 }
 
-// planeOf returns the W-layer shared by every item of a group, or -1
-// when the group is empty or mixes layers (only W-stacked passes plan
-// per-layer, so a mixed group has no single layer to attribute to).
+// planeOf returns the W-layer shared by every item of a chunk, or -1
+// when the chunk is empty or mixes layers (only W-stacked passes plan
+// per-layer, so a mixed chunk has no single layer to attribute to).
 func planeOf(items []plan.WorkItem) int {
 	if len(items) == 0 {
 		return -1
@@ -243,8 +241,8 @@ func planeOf(items []plan.WorkItem) int {
 	return w
 }
 
-// prefillATerms warms the cache with every (station, slot) pair a group
-// of work items needs, evaluating the missing maps on the pass's
+// prefillATerms warms the cache with every (station, slot) pair a plan's
+// work items need, evaluating the missing maps on the pass's
 // workers. aterm.Cache is not safe for concurrent writes, but after this
 // prefill every worker lookup is a read-only hit, so the fan-out needs no
 // locking.
@@ -282,17 +280,6 @@ func (k *Kernels) GridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Visi
 	return k.GridVisibilitiesStreamed(ctx, p, vs, prov, k.NewShardedGrid(g), ft)
 }
 
-// releaseSubgrids returns every non-nil subgrid of a work group to the
-// pool and clears the slots.
-func (k *Kernels) releaseSubgrids(subgrids []*grid.Subgrid) {
-	for i, s := range subgrids {
-		if s != nil {
-			k.putSubgrid(s)
-			subgrids[i] = nil
-		}
-	}
-}
-
 // DegridVisibilities runs the full degridding pass of Fig. 4 in
 // reverse order: splitter, inverse subgrid FFTs, degridder kernel.
 // Predicted visibilities overwrite vs.Data. The context cancels the
@@ -305,72 +292,58 @@ func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *Visi
 
 // DegridVisibilitiesFT is DegridVisibilities under an explicit
 // fault-tolerance policy; skipped items leave their visibility block
-// unwritten and are accounted in the returned report.
+// unwritten and are accounted in the returned report. It runs on the
+// pass scheduler (runChunks) without a checkpoint writer: each chunk
+// copies its subgrids out of g, which the pass only reads, so every
+// predicted visibility depends on g and its own item alone and the
+// output is the same for every chunking and worker count.
 func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	var times StageTimes
 	rep := faulttol.NewReport(ft)
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, rep, err
+	if err := k.checkPlan(p, vs, g.N); err != nil {
+		return StageTimes{}, rep, err
 	}
-	cache := k.newATermCache(prov)
-	run := k.newItemRunner(ctx, obs.StageDegrid, ft, rep)
-	defer run.cancel()
-	subgridBuf := make([]*grid.Subgrid, DefaultWorkGroupSize)
-	for gi, group := range p.WorkGroups(DefaultWorkGroupSize) {
-		if run.ctx.Err() != nil {
-			break
-		}
-		k.prefillATerms(cache, group, vs.Baselines)
-		wp := planeOf(group)
-		subgrids := subgridBuf[:len(group)]
-		for i, item := range group {
-			// Pooled subgrids arrive with stale pixels; the splitter
-			// overwrites every pixel of every plane.
-			sgr := k.getSubgrid(item.X0, item.Y0)
-			sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-			subgrids[i] = sgr
-		}
-
-		start := time.Now()
-		k.Splitter(g, subgrids)
-		d := time.Since(start)
-		times.Splitter += d
-		k.ob.stageDone(obs.StageSplit, gi, wp, start, d)
-
-		start = time.Now()
-		k.InverseFFTSubgrids(subgrids)
-		d = time.Since(start)
-		times.SubgridFFT += d
-		k.ob.stageDone(obs.StageFFT, gi, wp, start, d)
-
-		start = time.Now()
-		run.each(gi, group, func(i int, s *scratch, par int) error {
-			item := group[i]
-			vis := s.visBuf(item.NrVisibilities())
-			k.degridSubgridScratch(item, subgrids[i], vs.itemUVW(item), k.lookupATerms(cache, vs.Baselines, item), vis, s, par)
-			vs.scatter(item, vis)
-			return nil
+	band := g.Rows(0, g.N)
+	times, err := k.runChunks(ctx, p, vs, prov, obs.StageDegrid, ft, rep, 0, nil,
+		func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
+			wp := planeOf(c.Items)
+			if !cp.stage(obs.StageSplit, c.Index, wp, func() {
+				for i, item := range c.Items {
+					subgrids[i] = k.getSubgrid(item)
+					band.CopySubgrid(subgrids[i])
+				}
+				if k.ob.enabled() {
+					k.ob.subgrids(k.ob.sgSplit, len(subgrids))
+				}
+			}) {
+				return
+			}
+			if !cp.stage(obs.StageFFT, c.Index, wp, func() { k.fftChunk(subgrids, true) }) {
+				return
+			}
+			cp.stage(obs.StageDegrid, c.Index, wp, func() {
+				for i, item := range c.Items {
+					if cp.run.ctx.Err() != nil {
+						return
+					}
+					cp.run.attempt(c.Index, worker, i, item, func() error {
+						vis := s.visBuf(item.NrVisibilities())
+						k.degridSubgridScratch(item, subgrids[i], vs.itemUVW(item), cp.lookupATerms(item), vis, s, cp.par)
+						vs.scatter(item, vis)
+						return nil
+					})
+				}
+			})
 		})
-		d = time.Since(start)
-		times.Degridder += d
-		k.ob.stageDone(obs.StageDegrid, gi, wp, start, d)
-		k.releaseSubgrids(subgrids)
-	}
-	return times, rep, run.finish()
+	return times, rep, err
 }
 
-// lookupATerms resolves a work item's two station maps from the warm
-// run-level cache (every lookup here is a hit; see prefillATerms).
-func (k *Kernels) lookupATerms(cache *aterm.Cache, baselines []uvwsim.Baseline, item plan.WorkItem) jones {
-	if cache == nil {
-		return jones{}
-	}
-	b := baselines[item.Baseline]
-	return jones{pp: cache.Planes(b.P, item.ATermSlot), qp: cache.Planes(b.Q, item.ATermSlot)}
-}
-
-func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {
+// checkPlan rejects a plan, visibility set or n-pixel grid that does
+// not match the kernel parameters; a wrong grid size wraps
+// faulttol.ErrBadInput.
+func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet, n int) error {
 	switch {
+	case n != k.params.GridSize:
+		return fmt.Errorf("%w: grid size %d != kernel grid size %d", faulttol.ErrBadInput, n, k.params.GridSize)
 	case p.GridSize != k.params.GridSize:
 		return fmt.Errorf("core: plan grid size %d != kernel grid size %d", p.GridSize, k.params.GridSize)
 	case p.SubgridSize != k.params.SubgridSize:
@@ -388,8 +361,7 @@ func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet) error {
 // itemRunner applies one pass's failure policy to its work items. It
 // is the only place a work item is attempted: panic isolation, retries
 // with budgeted backoff, skip-and-flag accounting and the first fatal
-// error live here, shared by the gridding stream's chunk workers and
-// the degridding work groups.
+// error live here, shared by the chunk workers of both passes.
 type itemRunner struct {
 	k      *Kernels
 	stage  obs.Stage
@@ -447,9 +419,9 @@ func (r *itemRunner) finish() error {
 // in which case the failure is a casualty of the cancellation, not its
 // cause, and goes unrecorded.
 //
-// group, worker and i attribute the observer's per-item span; with
+// chunk, worker and i attribute the observer's per-item span; with
 // observation disabled they are unused.
-func (r *itemRunner) attempt(group, worker, i int, item plan.WorkItem, fn func() error) bool {
+func (r *itemRunner) attempt(chunk, worker, i int, item plan.WorkItem, fn func() error) bool {
 	k := r.k
 	t0 := k.ob.now()
 	attempts := r.ft.Attempts()
@@ -465,7 +437,7 @@ func (r *itemRunner) attempt(group, worker, i int, item plan.WorkItem, fn func()
 		})
 		if err == nil {
 			r.rep.RecordSuccess(a > 1)
-			k.ob.itemDone(r.stage, group, worker, i, item, a, t0)
+			k.ob.itemDone(r.stage, chunk, worker, i, item, a, t0)
 			return true
 		}
 		k.ob.attemptFailed(err)
@@ -498,10 +470,9 @@ func (r *itemRunner) attempt(group, worker, i int, item plan.WorkItem, fn func()
 	return false
 }
 
-// tilePar is the intra-item pixel-tile parallelism hint for a pass
-// stage with the given number of concurrently running units (work items
-// of a group, or chunk workers of the stream): 1 while the units alone
-// fill the worker pool, ceil(workers/units) otherwise, so the spare
+// tilePar is the intra-item pixel-tile parallelism hint for a pass with
+// the given number of concurrently running chunk workers (units): 1
+// while the units alone fill the worker pool, ceil(workers/units) otherwise, so the spare
 // workers pick up pixel tiles of the in-flight items (runTiles) instead
 // of idling.
 func tilePar(units, workers int) int {
@@ -509,28 +480,6 @@ func tilePar(units, workers int) int {
 		return 1
 	}
 	return (workers + units - 1) / units
-}
-
-// each executes fn(i, s, par) for every work item of a group on the
-// worker pool, through attempt. Each worker checks one scratch arena
-// out of the kernel pool for its whole run and hands it to every fn
-// call, so the steady state of the hot path allocates nothing.
-func (r *itemRunner) each(group int, items []plan.WorkItem, fn func(i int, s *scratch, par int) error) {
-	k := r.k
-	n := len(items)
-	par := tilePar(n, k.params.workers())
-	var next atomic.Int64
-	runWorkers(min(k.params.workers(), n), func(worker int) {
-		s := k.getScratch()
-		defer k.putScratch(s)
-		for r.ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			r.attempt(group, worker, i, items[i], func() error { return fn(i, s, par) })
-		}
-	})
 }
 
 // runWorkers runs work(0) .. work(n-1) concurrently and waits for them;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/grid"
+	"repro/internal/plan"
 	"repro/internal/xmath"
 )
 
@@ -117,13 +118,13 @@ func (k *Kernels) putScratch(s *scratch) {
 	k.scratchPool.Put(s)
 }
 
-// getSubgrid hands out a pooled subgrid re-anchored at (x0, y0). The
-// pixel data is stale: every consumer (the gridder kernel and the
-// splitter) overwrites all N~^2 pixels of all four correlation planes,
-// so pooled subgrids are never zeroed.
-func (k *Kernels) getSubgrid(x0, y0 int) *grid.Subgrid {
+// getSubgrid hands out a pooled subgrid re-anchored at the work item's
+// position and W-layer. The pixel data is stale: every consumer (the
+// gridder kernel and the splitter) overwrites all N~^2 pixels of all
+// four correlation planes, so pooled subgrids are never zeroed.
+func (k *Kernels) getSubgrid(item plan.WorkItem) *grid.Subgrid {
 	s := k.subgridPool.Get().(*grid.Subgrid)
-	s.X0, s.Y0, s.WOffset, s.WPlane = x0, y0, 0, -1
+	s.X0, s.Y0, s.WOffset, s.WPlane = item.X0, item.Y0, item.WOffset, item.WPlane
 	return s
 }
 

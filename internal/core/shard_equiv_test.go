@@ -142,7 +142,11 @@ func TestSplitterShardedMatchesReference(t *testing.T) {
 // scheduler + sharded adder) against the stage-primitive oracle over
 // the shard matrix, for the derived chunk size and for pinned ones that
 // split the plan unevenly: bit-for-bit with one worker whatever the
-// shard count, within 1e-12 relative with four.
+// shard count, within 1e-12 relative with four. The degridding pass on
+// the same scheduler predicts every visibility from the grid and its
+// own item alone, so from the oracle grid it must give the one-worker
+// bits for every worker count, chunk size and in-flight bound, in both
+// precisions.
 func TestGriddingPassMatchesStageOracle(t *testing.T) {
 	sc := buildScenario(t, defaultScenarioConfig())
 	sc.fillFromModel(nil)
@@ -169,6 +173,31 @@ func TestGriddingPassMatchesStageOracle(t *testing.T) {
 					}
 				} else if d := relMaxDiff(g, ref); d > 1e-12 {
 					t.Errorf("workers=%d shards=%d chunk=%d: relative diff %g exceeds 1e-12", workers, shards, chunkItems, d)
+				}
+			}
+		}
+	}
+
+	for _, prec := range []Precision{Float64, Float32} {
+		want := ""
+		for _, workers := range []int{1, 4} {
+			for _, chunkItems := range []int{0, 8} {
+				for _, inflight := range []int{0, 1} {
+					params := sc.kernels.Params()
+					params.Workers, params.Precision = workers, prec
+					params.StreamChunkItems, params.MaxInflightChunks = chunkItems, inflight
+					k, err := NewKernels(params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, ref); err != nil {
+						t.Fatal(err)
+					}
+					if got := hashVisibilities(sc.vs); want == "" {
+						want = got
+					} else if got != want {
+						t.Errorf("%v degrid workers=%d chunk=%d inflight=%d: visibilities differ from one worker's", prec, workers, chunkItems, inflight)
+					}
 				}
 			}
 		}
@@ -241,6 +270,16 @@ func TestStreamedInflightMemoryBound(t *testing.T) {
 	}
 	if locks := observer.Metrics.Counter(obs.MetricShardLocks).Value(); locks == 0 {
 		t.Fatal("no shard locks counted")
+	}
+
+	// Degridding runs on the same scheduler under the same bound.
+	peakGauge := observer.Metrics.Gauge(obs.GaugeStreamPeakSubgrids)
+	peakGauge.Set(0)
+	if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
+		t.Fatal(err)
+	}
+	if peak := PeakInflightSubgrids(observer); peak == 0 || peak > bound {
+		t.Fatalf("degridding peak in-flight subgrids %d, want in (0, %d]", peak, bound)
 	}
 }
 

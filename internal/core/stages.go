@@ -52,15 +52,26 @@ func (k *Kernels) eachSubgrid(subgrids []*grid.Subgrid, fn func(worker int, s *g
 // transform is scaled by 1/N~^2 so that (a) gridding a visibility
 // deposits unit total weight onto the grid and (b) the degridding
 // pipeline is the exact adjoint of the gridding pipeline (the inverse
-// transform already carries the 1/N~^2 of fft.InverseCentered). The
-// gridding scheduler calls this directly so each chunk worker
-// transforms its own subgrids without a nested fan-out.
+// transform already carries the 1/N~^2 of fft.InverseCentered).
 func (k *Kernels) fftSubgridOne(s *grid.Subgrid, inverse bool) {
 	norm := 1 / float64(k.params.SubgridSize*k.params.SubgridSize)
 	// All four correlation planes through the fused-centering batched
 	// path; both directions carry the same 1/N~^2, so the scale folds
 	// into the transform's output pass.
 	k.sgFFT.TransformPlanes(s.Data[:], inverse, norm)
+}
+
+// fftChunk is a chunk's subgrid FFT stage: the chunk worker transforms
+// the live subgrids of its own chunk, without a nested fan-out.
+func (k *Kernels) fftChunk(subgrids []*grid.Subgrid, inverse bool) {
+	for _, s := range subgrids {
+		if s != nil {
+			k.fftSubgridOne(s, inverse)
+		}
+	}
+	if k.ob.enabled() {
+		k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
+	}
 }
 
 // Adder accumulates uv-domain subgrids onto the grid. Subgrids may

@@ -21,9 +21,9 @@ func (k *Kernels) NewShardedGrid(g *grid.Grid) *grid.Sharded {
 }
 
 // streamAccounting tracks the scheduler's in-flight state: how many
-// chunks are currently between gridder and adder, and the high-water
-// mark of simultaneously alive subgrids (the number the memory bound
-// MaxInflightChunks x StreamChunkItems promises to cap).
+// chunks are currently between their first and last stage, and the
+// high-water mark of simultaneously alive subgrids (the number the
+// memory bound MaxInflightChunks x StreamChunkItems promises to cap).
 type streamAccounting struct {
 	inflight     atomic.Int64
 	liveSubgrids atomic.Int64
@@ -49,8 +49,8 @@ func (a *streamAccounting) release(subgrids int) (inflight int64) {
 // GridVisibilitiesStreamed runs the gridding pass onto a caller-owned
 // sharded grid under an explicit fault-tolerance policy; it is the
 // entry point GridVisibilities and GridVisibilitiesFT wrap (they shard
-// the plain grid with NewShardedGrid). See gridStreamed for the
-// scheduler and DESIGN.md ("The gridding pass") for its contracts.
+// the plain grid with NewShardedGrid). See gridStreamed for the pass
+// and DESIGN.md ("The pass scheduler") for its contracts.
 //
 // On cancellation the error matches both faulttol.ErrCanceled and the
 // context's cause, even when the cancellation surfaced inside a retry
@@ -80,16 +80,8 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 	return k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, startChunk)
 }
 
-// gridStreamed is the gridding scheduler, the one execution shape of
-// Fig. 4: the plan is cut into chunks of StreamChunkItems(len) work
-// items (plan order preserved) and min(Workers, MaxInflightChunks)
-// chunk workers each pump one chunk at a time through gridder ->
-// subgrid FFT -> adder before its subgrids return to the pool. The
-// chunk is the unit of parallelism — inside a chunk items run serially
-// on the owning worker, fanning out over pixel tiles only when there
-// are fewer chunk workers than Workers — so peak subgrid memory is
-// bounded by chunk workers x chunk size regardless of observation
-// length.
+// gridStreamed is the gridding pass on the chunk scheduler (runChunks):
+// each chunk runs gridder -> subgrid FFT -> adder on its worker.
 //
 // Accumulation goes through the shard locks of sh: overlapping chunks
 // contend only on shared row bands. With one chunk worker the chunks
@@ -97,116 +89,135 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 // depend on the chunk size or the shard count; with more it differs by
 // floating-point reassociation only.
 //
-// With Params.CheckpointDir set the chunks [startChunk, len) are
-// processed in epochs of Params.CheckpointEvery; at each epoch boundary
-// the scheduler quiesces and writes a durable snapshot (grid, chunk
-// cursor, fault counters — see internal/checkpoint), including a final
-// one at the end of the plan.
+// With Params.CheckpointDir set the pass writes a durable snapshot
+// (grid, chunk cursor, fault counters — see internal/checkpoint) at
+// every epoch boundary of the scheduler, including a final one at the
+// end of the plan.
 func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
-	var times StageTimes
-	if err := k.checkPlan(p, vs); err != nil {
-		return times, err
+	if err := k.checkPlan(p, vs, sh.Master().N); err != nil {
+		return StageTimes{}, err
 	}
-	if sh.Master().N != k.params.GridSize {
-		return times, fmt.Errorf("core: sharded grid size %d != kernel grid size %d",
-			sh.Master().N, k.params.GridSize)
+	snapshot := func(cursor, chunkItems int) error {
+		return k.writeStreamCheckpoint(p, sh, cursor, chunkItems, rep)
 	}
+	return k.runChunks(ctx, p, vs, prov, obs.StageGrid, ft, rep, startChunk, snapshot,
+		func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
+			wp := planeOf(c.Items)
+			if !cp.stage(obs.StageGrid, c.Index, wp, func() {
+				for i, item := range c.Items {
+					if cp.run.ctx.Err() != nil {
+						return
+					}
+					ok := cp.run.attempt(c.Index, worker, i, item, func() error {
+						// A re-attempt reuses the subgrid of the failed one.
+						sgr := subgrids[i]
+						if sgr == nil {
+							sgr = k.getSubgrid(item)
+							subgrids[i] = sgr
+						}
+						vis := s.visBuf(item.NrVisibilities())
+						vs.gather(item, vis)
+						if k.ob.enabled() {
+							k.ob.flaggedVis(vs.countFlagged(item))
+						}
+						k.gridSubgridScratch(item, vs.itemUVW(item), vis, cp.lookupATerms(item), sgr, s, cp.par)
+						if !sgr.Finite() {
+							return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
+								faulttol.ErrBadInput)
+						}
+						return nil
+					})
+					if !ok && subgrids[i] != nil {
+						// Failed items leave a poisoned subgrid behind; drop
+						// it so the FFT/add stages pass over the slot.
+						k.putSubgrid(subgrids[i])
+						subgrids[i] = nil
+					}
+				}
+			}) {
+				return
+			}
+			if !cp.stage(obs.StageFFT, c.Index, wp, func() { k.fftChunk(subgrids, false) }) {
+				return
+			}
+			cp.stage(obs.StageAdd, c.Index, wp, func() { k.shardedBatch(worker, subgrids, sh, true, true) })
+		})
+}
+
+// chunkPass is the state the chunk workers of one pass share.
+type chunkPass struct {
+	k     *Kernels
+	run   *itemRunner
+	cache *aterm.Cache
+	vs    *VisibilitySet
+	// par is the pixel-tile parallelism of each item (tilePar).
+	par int
+	// busy sums each stage's time over the chunk workers.
+	busy map[obs.Stage]*atomic.Int64
+}
+
+// stage runs one stage of a chunk: it times fn, adds the time to the
+// pass's busy time of st, records the stage span and reports whether
+// the pass goes on.
+func (cp *chunkPass) stage(st obs.Stage, chunk, wplane int, fn func()) bool {
+	t0 := time.Now()
+	fn()
+	d := time.Since(t0)
+	cp.busy[st].Add(d.Nanoseconds())
+	cp.k.ob.stageDone(st, chunk, wplane, t0, d)
+	return cp.run.ctx.Err() == nil
+}
+
+// lookupATerms resolves a work item's two station maps from the warm
+// run-level cache (every lookup here is a hit; see prefillATerms).
+func (cp *chunkPass) lookupATerms(item plan.WorkItem) jones {
+	if cp.cache == nil {
+		return jones{}
+	}
+	b := cp.vs.Baselines[item.Baseline]
+	return jones{pp: cp.cache.Planes(b.P, item.ATermSlot), qp: cp.cache.Planes(b.Q, item.ATermSlot)}
+}
+
+// runChunks is the pass scheduler, the one execution shape of Fig. 4
+// for both directions: the plan is cut into chunks of
+// StreamChunkItems(len) work items (plan order preserved) and
+// min(Workers, MaxInflightChunks) chunk workers each pump one chunk at
+// a time through fn — gridder -> subgrid FFT -> adder, or splitter ->
+// inverse subgrid FFT -> degridder — filling subgrids (one nil slot per
+// item), which return to the pool after the chunk. The chunk is the
+// unit of parallelism — inside a chunk items run serially on the owning
+// worker, fanning out over pixel tiles only when there are fewer chunk
+// workers than Workers — so peak subgrid memory is bounded by chunk
+// workers x chunk size regardless of observation length. stage names
+// the pass's items to the observer.
+//
+// snapshot is the gridding pass's checkpoint writer; degridding passes
+// nil, so no CheckpointHook event fires. With a writer and
+// Params.CheckpointDir set the chunks [startChunk, len) are processed
+// in epochs of Params.CheckpointEvery; at each epoch boundary the
+// scheduler quiesces and calls snapshot with the chunk cursor.
+//
+// The returned StageTimes hold each stage's busy time divided by the
+// number of chunk workers.
+func (k *Kernels) runChunks(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, stage obs.Stage, ft faulttol.Config, rep *faulttol.Report, startChunk int, snapshot func(cursor, chunkItems int) error,
+	fn func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid)) (StageTimes, error) {
 	chunkItems := k.StreamChunkItems(len(p.Items))
 	chunks := p.StreamChunks(chunkItems)
 	if startChunk < 0 || startChunk > len(chunks) {
-		return times, fmt.Errorf("core: resume cursor %d outside the plan's %d chunks", startChunk, len(chunks))
+		return StageTimes{}, fmt.Errorf("core: resume cursor %d outside the plan's %d chunks", startChunk, len(chunks))
 	}
 	if startChunk == len(chunks) {
-		// Nothing left to grid (also covers an empty plan).
-		return times, ctxErr(ctx)
+		// Nothing left to run (also covers an empty plan).
+		return StageTimes{}, ctxErr(ctx)
 	}
+	workers := min(k.params.chunkWorkers(), len(chunks)-startChunk)
+	run := k.newItemRunner(ctx, stage, ft, rep)
+	defer run.cancel()
 	// The A-term cache is not write-safe concurrently: warm it for the
 	// whole plan up front, so every worker Get is a read-only hit.
-	cache := k.newATermCache(prov)
-	k.prefillATerms(cache, p.Items, vs.Baselines)
-
-	workers := min(k.params.chunkWorkers(), len(chunks)-startChunk)
-	par := tilePar(workers, k.params.workers())
-	run := k.newItemRunner(ctx, obs.StageGrid, ft, rep)
-	defer run.cancel()
-
-	var acct streamAccounting
-	var gridNs, fftNs, addNs atomic.Int64
-
-	// runChunk pumps one chunk through grid -> FFT -> add on the
-	// calling worker.
-	runChunk := func(worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
-		acct.acquire(len(c.Items))
-		defer func() {
-			k.releaseSubgrids(subgrids)
-			k.ob.chunkDone(acct.release(len(c.Items)))
-		}()
-		wp := planeOf(c.Items)
-
-		gt0 := k.ob.now()
-		t0 := time.Now()
-		for i, item := range c.Items {
-			if run.ctx.Err() != nil {
-				return
-			}
-			ok := run.attempt(c.Index, worker, i, item, func() error {
-				// A re-attempt reuses the subgrid of the failed one.
-				sgr := subgrids[i]
-				if sgr == nil {
-					sgr = k.getSubgrid(item.X0, item.Y0)
-					subgrids[i] = sgr
-				}
-				sgr.WOffset, sgr.WPlane = item.WOffset, item.WPlane
-				vis := s.visBuf(item.NrVisibilities())
-				vs.gather(item, vis)
-				if k.ob.enabled() {
-					k.ob.flaggedVis(vs.countFlagged(item))
-				}
-				k.gridSubgridScratch(item, vs.itemUVW(item), vis, k.lookupATerms(cache, vs.Baselines, item), sgr, s, par)
-				if !sgr.Finite() {
-					return fmt.Errorf("%w: non-finite subgrid (corrupt unflagged visibilities)",
-						faulttol.ErrBadInput)
-				}
-				return nil
-			})
-			if !ok && subgrids[i] != nil {
-				// Failed items leave a poisoned subgrid behind; drop it
-				// so the FFT/add stages pass over the slot.
-				k.putSubgrid(subgrids[i])
-				subgrids[i] = nil
-			}
-		}
-		d := time.Since(t0)
-		gridNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageGrid, c.Index, wp, gt0, d)
-
-		if run.ctx.Err() != nil {
-			return
-		}
-		ft0 := k.ob.now()
-		t0 = time.Now()
-		for _, sgr := range subgrids {
-			if sgr != nil {
-				k.fftSubgridOne(sgr, false)
-			}
-		}
-		d = time.Since(t0)
-		fftNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageFFT, c.Index, wp, ft0, d)
-		if k.ob.enabled() {
-			k.ob.subgrids(k.ob.sgFFT, countLive(subgrids))
-		}
-
-		if run.ctx.Err() != nil {
-			return
-		}
-		at0 := k.ob.now()
-		t0 = time.Now()
-		k.shardedBatch(worker, subgrids, sh, true, true)
-		d = time.Since(t0)
-		addNs.Add(d.Nanoseconds())
-		k.ob.stageDone(obs.StageAdd, c.Index, wp, at0, d)
-	}
+	cp := &chunkPass{k: k, run: run, cache: k.newATermCache(prov), vs: vs, par: tilePar(workers, k.params.workers()),
+		busy: map[obs.Stage]*atomic.Int64{obs.StageGrid: {}, obs.StageDegrid: {}, obs.StageFFT: {}, obs.StageAdd: {}, obs.StageSplit: {}}}
+	k.prefillATerms(cp.cache, p.Items, vs.Baselines)
 
 	// Chunks are dispatched in checkpoint epochs: all chunks of
 	// [lo, hi) complete (a quiescent barrier), then the snapshot
@@ -214,8 +225,10 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 	// multiples of the period from chunk 0, so a resumed run
 	// checkpoints at the same cursors as an uninterrupted one. Without
 	// checkpointing there is a single epoch and no barrier.
+	var acct streamAccounting
+	checkpointing := snapshot != nil && k.params.checkpointEnabled()
 	ckptEvery := len(chunks)
-	if k.params.checkpointEnabled() {
+	if checkpointing {
 		ckptEvery = k.params.checkpointEvery()
 	}
 	for lo := startChunk; lo < len(chunks) && run.ctx.Err() == nil; {
@@ -228,23 +241,31 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 		runWorkers(workers, func(worker int) {
 			s := k.getScratch()
 			defer k.putScratch(s)
-			subgrids := make([]*grid.Subgrid, chunkItems)
+			buf := make([]*grid.Subgrid, chunkItems)
 			for run.ctx.Err() == nil {
 				ci := int(next.Add(1)) - 1
 				if ci >= hi {
 					return
 				}
-				c := chunks[ci]
-				runChunk(worker, c, s, subgrids[:len(c.Items)])
-				if workers == 1 && run.ctx.Err() == nil {
+				c, subgrids := chunks[ci], buf[:len(chunks[ci].Items)]
+				acct.acquire(len(c.Items))
+				fn(cp, worker, c, s, subgrids)
+				for i, sg := range subgrids {
+					if sg != nil {
+						k.putSubgrid(sg)
+						subgrids[i] = nil
+					}
+				}
+				k.ob.chunkDone(acct.release(len(c.Items)))
+				if snapshot != nil && workers == 1 && run.ctx.Err() == nil {
 					// Concurrent workers commit chunks out of order and
 					// have no consistent point before the epoch barrier.
 					k.fireCheckpointHook(checkpoint.EventChunkCommitted, c.Index)
 				}
 			}
 		})
-		if k.params.checkpointEnabled() && run.ctx.Err() == nil {
-			if err := k.writeStreamCheckpoint(p, sh, hi, chunkItems, rep); err != nil {
+		if checkpointing && run.ctx.Err() == nil {
+			if err := snapshot(hi, chunkItems); err != nil {
 				run.fail(err)
 			}
 		}
@@ -252,10 +273,9 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 	}
 
 	k.ob.streamPeak(acct.peakSubgrids.Load())
-	times.Gridder = time.Duration(gridNs.Load() / int64(workers))
-	times.SubgridFFT = time.Duration(fftNs.Load() / int64(workers))
-	times.Adder = time.Duration(addNs.Load() / int64(workers))
-	return times, run.finish()
+	busy := func(st obs.Stage) time.Duration { return time.Duration(cp.busy[st].Load() / int64(workers)) }
+	return StageTimes{Gridder: busy(obs.StageGrid), Degridder: busy(obs.StageDegrid),
+		SubgridFFT: busy(obs.StageFFT), Adder: busy(obs.StageAdd), Splitter: busy(obs.StageSplit)}, run.finish()
 }
 
 // fireCheckpointHook invokes the crash-injection hook at a checkpoint
@@ -291,10 +311,9 @@ func (k *Kernels) writeStreamCheckpoint(p *plan.Plan, sh *grid.Sharded, cursor, 
 	return nil
 }
 
-// PeakInflightSubgrids returns the high-water mark the latest streamed
-// pass published to the observer's GaugeStreamPeakSubgrids, or 0
-// without an observer. Tests use it to check the streaming memory
-// bound.
+// PeakInflightSubgrids returns the high-water mark the latest pass
+// published to the observer's GaugeStreamPeakSubgrids, or 0 without an
+// observer. Tests use it to check the scheduler's memory bound.
 func PeakInflightSubgrids(o *obs.Observer) int64 {
 	if o == nil || o.Metrics == nil {
 		return 0

@@ -148,7 +148,10 @@ func TestStreamedCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestCheckpointDirKeepsTwoSnapshots: a pass checkpointing after
-// every chunk leaves its last two snapshots and nothing else.
+// every chunk leaves its last two snapshots and nothing else. A
+// degridding pass under the same parameters checkpoints nothing: it
+// completes with a hook that panics on any event and leaves its
+// directory empty.
 func TestCheckpointDirKeepsTwoSnapshots(t *testing.T) {
 	sc := buildScenario(t, defaultScenarioConfig())
 	sc.fillFromModel(nil)
@@ -162,6 +165,21 @@ func TestCheckpointDirKeepsTwoSnapshots(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].Name() != checkpoint.FileName(chunks-1) || entries[1].Name() != checkpoint.FileName(chunks) {
 		t.Fatalf("%d-chunk pass left %v, want its last two snapshots", chunks, entries)
+	}
+
+	params.CheckpointDir = t.TempDir()
+	params.CheckpointHook = func(ev checkpoint.Event, chunk int) {
+		panic(fmt.Sprintf("degridding pass fired checkpoint event %v at chunk %d", ev, chunk))
+	}
+	k, err := NewKernels(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(params.CheckpointDir); err != nil || len(entries) != 0 {
+		t.Fatalf("degridding pass left %v in its checkpoint directory (%v)", entries, err)
 	}
 }
 

@@ -91,6 +91,9 @@ func (k *Kernels) DegridVisibilitiesWStacked(ctx context.Context, p *plan.Plan, 
 	if p.WStepLambda <= 0 {
 		return times, fmt.Errorf("core: plan has no W-layers (WStepLambda=%g)", p.WStepLambda)
 	}
+	if err := k.checkPlan(p, vs, img.N); err != nil {
+		return times, err
+	}
 	for _, w := range WPlanes(p) {
 		if err := ctx.Err(); err != nil {
 			return times, faulttol.Canceled(err)

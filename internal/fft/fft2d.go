@@ -254,21 +254,6 @@ func (p *Plan2D) scatterTile(x, tile []complex128, c0, cw int, fused bool, scale
 	}
 }
 
-// ForwardParallel transforms x in place using up to workers goroutines
-// (<=0 means GOMAXPROCS). Large grid transforms (2048 x 2048 in the
-// paper's dataset) benefit from this; subgrid transforms are too small
-// and are instead batched across subgrids, see TransformBatch.
-func (p *Plan2D) ForwardParallel(x []complex128, workers int) {
-	p.checkLen(x)
-	p.runParallel(x, x, false, false, 1, workers)
-}
-
-// InverseParallel is the parallel variant of Inverse.
-func (p *Plan2D) InverseParallel(x []complex128, workers int) {
-	p.checkLen(x)
-	p.runParallel(x, x, true, false, 1/float64(p.rows*p.cols), workers)
-}
-
 // runParallel splits the row pass by row ranges and the column pass by
 // tile ranges; the row pass reads src (x itself for an in-place
 // transform), everything after it works on x. Tiles are independent
@@ -328,47 +313,6 @@ func (p *Plan2D) runParallel(x, src []complex128, inverse, fused bool, scale flo
 			}
 			p.scratch.Put(sc)
 		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// TransformBatch applies the plan to many independent row-major arrays
-// in parallel (the "embarrassingly parallel" subgrid FFT step of the
-// paper, Section V-B(c)). Each element of batch must have length
-// rows*cols. inverse selects the transform direction.
-func (p *Plan2D) TransformBatch(batch [][]complex128, inverse bool, workers int) {
-	scale := 1.0
-	if inverse {
-		scale = 1 / float64(p.rows*p.cols)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		for _, x := range batch {
-			p.checkLen(x)
-			p.runSerial(x, inverse, false, scale)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan []complex128, len(batch))
-	for _, x := range batch {
-		next <- x
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for x := range next {
-				p.checkLen(x)
-				p.runSerial(x, inverse, false, scale)
-			}
-		}()
 	}
 	wg.Wait()
 }

@@ -55,46 +55,6 @@ func TestPlan2DRoundtrip(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	rows, cols := 64, 64
-	p := NewPlan2D(rows, cols)
-	x := randGrid(r, rows, cols)
-	serial := append([]complex128(nil), x...)
-	parallel := append([]complex128(nil), x...)
-	p.Forward(serial)
-	p.ForwardParallel(parallel, 4)
-	if d := maxDiff(serial, parallel); d != 0 {
-		t.Fatalf("parallel forward differs from serial by %g", d)
-	}
-	p.Inverse(serial)
-	p.InverseParallel(parallel, 3)
-	if d := maxDiff(serial, parallel); d != 0 {
-		t.Fatalf("parallel inverse differs from serial by %g", d)
-	}
-}
-
-func TestTransformBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	p := NewPlan2D(24, 24)
-	const n = 33
-	batch := make([][]complex128, n)
-	want := make([][]complex128, n)
-	for i := range batch {
-		batch[i] = randGrid(r, 24, 24)
-		want[i] = append([]complex128(nil), batch[i]...)
-		p.Forward(want[i])
-	}
-	p.TransformBatch(batch, false, 4)
-	for i := range batch {
-		if d := maxDiff(batch[i], want[i]); d != 0 {
-			t.Fatalf("batch element %d differs by %g", i, d)
-		}
-	}
-	// Inverse batch returns to (scaled) original.
-	p.TransformBatch(batch, true, 0)
-}
-
 func TestCenteredRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for _, n := range []int{8, 24, 25} {
@@ -113,15 +73,17 @@ func TestCenteredRoundtrip(t *testing.T) {
 // transforms write the same bits from src into dst as the serial ones
 // do in place, for every axis engine (radix-4 64, mixed-radix 24 as one
 // tile and 96 in row blocks, Bluestein 22, odd 25 on the unfused path)
-// and worker count, in place through the same entry point too, and
-// leave src untouched.
+// and worker count (1, and 3 and 4, which split the rows and column
+// tiles unevenly and evenly), in place through the same entry point
+// too, and leave src untouched. Parallel output is bitwise the serial
+// output.
 func TestCenteredParallelOutOfPlaceMatchesInPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	for _, n := range []int{64, 24, 96, 22, 25} {
 		p := NewPlan2D(n, n)
 		src := randGrid(r, n, n)
 		keep := append([]complex128(nil), src...)
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 3, 4} {
 			for _, inverse := range []bool{false, true} {
 				want := append([]complex128(nil), src...)
 				dst := make([]complex128, n*n)
@@ -231,6 +193,6 @@ func BenchmarkFFTGrid1024Parallel(b *testing.B) {
 	b.SetBytes(int64(1024 * 1024 * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ForwardParallel(x, 0)
+		p.ForwardCenteredParallel(x, x, 0)
 	}
 }

@@ -206,8 +206,8 @@ func TestEngineTierBitwise(t *testing.T) {
 	}
 }
 
-// TransformBatch and concurrent TransformPlanes from many goroutines
-// share one plan's scratch pool; run under -race this checks the
+// Concurrent TransformPlanes calls from many goroutines share one
+// plan's scratch pool; run under -race this checks the
 // pooled buffers never alias.
 func TestConcurrentPlaneTransformsRace(t *testing.T) {
 	const n = 24

@@ -109,15 +109,17 @@ const (
 	// the write-contention probability; raise Params.GridShards when it
 	// climbs.
 	MetricShardContention = "grid_shard_contention_total"
-	// MetricStreamChunks counts work chunks completed by the streaming
-	// scheduler.
+	// MetricStreamChunks counts work chunks completed by the pass
+	// scheduler (gridding and degridding).
 	MetricStreamChunks = "stream_chunks_total"
 	// GaugeStreamInflight holds the number of chunks currently in
-	// flight in the streaming scheduler (grid -> FFT -> add).
+	// flight in the pass scheduler (grid -> FFT -> add, or split ->
+	// inverse FFT -> degrid).
 	GaugeStreamInflight = "stream_inflight_chunks"
 	// GaugeStreamPeakSubgrids holds the peak number of subgrids
-	// simultaneously alive during the latest streamed pass; the memory
-	// bound MaxInflightChunks x chunk size is checked against it.
+	// simultaneously alive during the latest gridding or degridding
+	// pass; the memory bound MaxInflightChunks x chunk size is checked
+	// against it.
 	GaugeStreamPeakSubgrids = "stream_peak_inflight_subgrids"
 	// GaugeResidualPeak holds the residual peak entering the latest
 	// major cycle.

@@ -17,11 +17,11 @@ type Span struct {
 	// Worker is the worker index that ran the span; -1 for spans of
 	// the whole stage (no single worker).
 	Worker int `json:"worker"`
-	// Group is the work-group index within the pass (the W-plane index
-	// for StageWPlane, the major-cycle index for StageCycle); -1 when
-	// not applicable.
+	// Group is the chunk index within the pass (the W-plane index for
+	// StageWPlane, the major-cycle index for StageCycle); -1 when not
+	// applicable.
 	Group int `json:"group"`
-	// Item is the work-item index within the group; -1 for
+	// Item is the work-item index within the chunk; -1 for
 	// stage-level spans.
 	Item int `json:"item"`
 	// Tile is the pixel-tile index within the item; -1 except for

@@ -1,10 +1,10 @@
 package plan
 
 // Chunk is one unit of streamed execution: a contiguous run of work
-// items (in plan order) that flows through grid -> FFT -> add as a
-// whole before its subgrids are released. Bounding the number of
-// chunks in flight bounds the pipeline's peak subgrid memory at
-// MaxInflightChunks x chunk size.
+// items (in plan order) that flows through grid -> FFT -> add (or
+// split -> inverse FFT -> degrid) as a whole before its subgrids are
+// released. Bounding the number of chunks in flight bounds the
+// pipeline's peak subgrid memory at MaxInflightChunks x chunk size.
 type Chunk struct {
 	// Index is the chunk's position in plan order.
 	Index int

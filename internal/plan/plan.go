@@ -370,7 +370,8 @@ func clamp(v, lo, hi int) int {
 
 // WorkGroups splits the work into groups of at most m items each
 // (Fig. 6: the work is split into work groups that kernels process in
-// one launch).
+// one launch). The passes run in chunks (StreamChunks); only the
+// benchmark's per-layer ledger still batches by work groups.
 func (p *Plan) WorkGroups(m int) [][]WorkItem {
 	if m <= 0 {
 		m = len(p.Items)

@@ -227,9 +227,9 @@ type ObservationConfig struct {
 	// bands for the gridding pass; 0 selects one shard per worker (see
 	// Params.GridShards).
 	GridShards int
-	// MaxInflightChunks bounds the gridding pass's in-flight chunks —
-	// and with it peak subgrid memory; 0 leaves the bound to Workers
-	// (see Params.MaxInflightChunks).
+	// MaxInflightChunks bounds the in-flight chunks of the gridding and
+	// degridding passes — and with it peak subgrid memory; 0 leaves the
+	// bound to Workers (see Params.MaxInflightChunks).
 	MaxInflightChunks int
 	// CheckpointDir, when non-empty, makes gridding passes write
 	// durable snapshots into this directory and enables

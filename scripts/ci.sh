@@ -19,8 +19,12 @@ if go list -deps ./internal/distrib | grep -qx 'repro/internal/server'; then
     echo "internal/distrib depends on internal/server" >&2
     exit 1
 fi
-# The imaging-cycle example is the facade's Fig. 2 loop end to end.
+# The examples drive the facade end to end: the Fig. 2 imaging cycle,
+# the W-stacked degridding pass (exits 1 if its accuracy regresses)
+# and the quickstart's grid -> dirty image.
 go run ./examples/imagingcycle
+go run ./examples/wstacking
+go run ./examples/quickstart
 # Cross-compile check: off amd64 the tiles run the Go bodies of the
 # pixel-lane routines (the asm kernels are amd64-only), so arm64 must
 # build, and vet the packages whose Go and asm declarations pair up.
