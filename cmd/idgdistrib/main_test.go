@@ -12,9 +12,9 @@ import (
 )
 
 // TestDistribExitCodes pins the coordinator's CLI contract: a run with
-// no workers, an unknown partition axis and a worker binary that does
-// not exist each end in a non-zero exit with a message naming the
-// problem; and a tiny two-worker run prints a JSON sha256 that is the
+// no workers, an unknown partition axis, a worker binary that does not
+// exist and two workers on the W-planes axis without -wstep each end
+// in a non-zero exit with a message naming the problem; and a tiny two-worker run prints a JSON sha256 that is the
 // SHA-256 of the grid it writes with -out.
 func TestDistribExitCodes(t *testing.T) {
 	if testing.Short() {
@@ -37,6 +37,7 @@ func TestDistribExitCodes(t *testing.T) {
 		{"no workers", []string{"-workers", "0", "-worker-bin", worker}, "need at least one distrib worker, got 0"},
 		{"unknown axis", []string{"-axis", "columns", "-worker-bin", worker}, "columns"},
 		{"missing worker binary", []string{"-workers", "1", "-max-restarts", "0", "-worker-bin", filepath.Join(dir, "nope")}, "worker 0: failed after 1 attempt(s)"},
+		{"wplanes without wstep", []string{"-workers", "2", "-axis", "wplanes", "-worker-bin", worker}, "invalid WStepLambda"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(bin, append(tc.args, obs...)...).CombinedOutput()

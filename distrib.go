@@ -219,10 +219,16 @@ type DistribOptions struct {
 // miss) — to pin every worker's expected sub-plan fingerprint, and for
 // the in-process workers to grid over — starts the coordinator,
 // launches the workers, restarts failures with Resume set, and returns
-// the tree-reduced grid and the run summary.
+// the tree-reduced grid and the run summary. More than one worker on
+// the W-planes axis needs a W-stacked configuration (WStepLambda > 0);
+// otherwise the run is a *ConfigError.
 func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSummary, error) {
 	if opt.Workers < 1 {
 		return nil, nil, fmt.Errorf("repro: need at least one distrib worker, got %d", opt.Workers)
+	}
+	if opt.Axis == distrib.AxisWPlanes && opt.Workers > 1 && opt.Config.WStepLambda <= 0 {
+		return nil, nil, &ConfigError{Field: "WStepLambda",
+			Reason: fmt.Sprintf("the wplanes axis splits W-layers, and without W-stacking worker 0 of %d would own every item", opt.Workers)}
 	}
 	start := time.Now()
 	planner := opt.Config

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/distrib"
 )
 
@@ -64,11 +65,23 @@ func distribGoldenOptions(t *testing.T, workers int, axis DistribAxis) DistribOp
 	}
 }
 
-// distribSerialReference grids the same observation single-process
-// through the streamed scheduler (the goldenObservation path).
-func distribSerialReference(t *testing.T) *Grid {
+// distribSerialReference grids cfg's observation of the golden model
+// single-process on the reference kernels through the streamed
+// scheduler (for distribGoldenConfig, the goldenObservation path).
+func distribSerialReference(t *testing.T, cfg ObservationConfig) *Grid {
 	t.Helper()
-	o := goldenObservation(t)
+	o, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := o.Kernels.Params()
+	p.DisableBatching = true
+	if o.Kernels, err = core.NewKernels(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.FillFromModel(distribGoldenModel(o)); err != nil {
+		t.Fatal(err)
+	}
 	g, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -100,18 +113,26 @@ func TestDistribSingleWorkerGolden(t *testing.T) {
 
 // TestDistribEquivalenceMatrix is the acceptance matrix of the issue:
 // 2, 4 and 8 workers, both partition axes, each against the serial
-// single-process grid to <= 1e-12 of the peak magnitude.
+// single-process grid to <= 1e-12 of the peak magnitude. The W-planes
+// axis splits W-layers, so its rows run the golden configuration
+// W-stacked in 40-wavelength layers against a W-stacked serial grid.
 func TestDistribEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full distributed passes in -short mode")
 	}
-	ref := distribSerialReference(t)
-	peak := FingerprintGrid(ref).PeakAbs
-	refNonzero := FingerprintGrid(ref).Nonzero
 	for _, axis := range []DistribAxis{distrib.AxisRows, distrib.AxisWPlanes} {
+		cfg := distribGoldenConfig()
+		if axis == distrib.AxisWPlanes {
+			cfg.WStepLambda = 40
+		}
+		ref := distribSerialReference(t, cfg)
+		peak := FingerprintGrid(ref).PeakAbs
+		refNonzero := FingerprintGrid(ref).Nonzero
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", axis, workers), func(t *testing.T) {
-				g, sum, err := RunDistributed(context.Background(), distribGoldenOptions(t, workers, axis))
+				opt := distribGoldenOptions(t, workers, axis)
+				opt.Config = cfg
+				g, sum, err := RunDistributed(context.Background(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -137,6 +137,9 @@ func TestObservationPSF(t *testing.T) {
 	}
 }
 
+// TestWStackedFacadeRoundtrip: a W-stacked observation runs through
+// the facade's one gridding and one degridding entry point, and a grid
+// of the wrong size is bad input there too.
 func TestWStackedFacadeRoundtrip(t *testing.T) {
 	cfg := smallObservation()
 	cfg.SubgridSize = 16
@@ -151,42 +154,35 @@ func TestWStackedFacadeRoundtrip(t *testing.T) {
 	pix := obs.ImageSize / float64(cfg.GridSize)
 	model := SkyModel{{L: 15 * pix, M: 10 * pix, I: 1}}
 	obs.FillFromModel(model)
-	grids, times, err := obs.Kernels.GridVisibilitiesWStacked(context.Background(), obs.Plan, obs.Vis, nil)
+	g, times, err := obs.GridAll(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if times.Gridder <= 0 {
 		t.Fatal("no gridder time recorded")
 	}
-	img := obs.Kernels.CombineWStackedImage(grids, obs.Plan.WStepLambda)
-	if img.Norm2() == 0 {
-		t.Fatal("empty combined image")
+	if g.Norm2() == 0 {
+		t.Fatal("empty W-stacked grid")
 	}
-	// Degrid through the facade too.
-	modelImg := model.Rasterize(cfg.GridSize, obs.ImageSize)
-	if _, err := obs.DegridWStacked(context.Background(), nil, modelImg); err != nil {
+	modelGrid := ImageToGrid(model.Rasterize(cfg.GridSize, obs.ImageSize), 0)
+	if _, err := obs.DegridAll(context.Background(), nil, modelGrid); err != nil {
 		t.Fatal(err)
 	}
 	if obs.Vis.Data[0][0] == (Matrix2{}) {
 		t.Fatal("degrid produced no data")
 	}
 
-	// A grid or image of the wrong size is bad input, returned before
-	// any work rather than raised as a panic.
+	// A grid of the wrong size is bad input, returned before any work
+	// rather than raised as a panic.
 	half := grid.NewGrid(cfg.GridSize / 2)
-	for name, degrid := range map[string]func() (StageTimes, error){
-		"DegridAll":      func() (StageTimes, error) { return obs.DegridAll(context.Background(), nil, half) },
-		"DegridWStacked": func() (StageTimes, error) { return obs.DegridWStacked(context.Background(), nil, half) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("%s on a %d-pixel grid panicked: %v", name, half.N, r)
-				}
-			}()
-			if _, err := degrid(); !errors.Is(err, ErrBadInput) {
-				t.Fatalf("%s on a %d-pixel grid: error %v does not wrap ErrBadInput", name, half.N, err)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("DegridAll on a %d-pixel grid panicked: %v", half.N, r)
 			}
 		}()
-	}
+		if _, err := obs.DegridAll(context.Background(), nil, half); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("DegridAll on a %d-pixel grid: error %v does not wrap ErrBadInput", half.N, err)
+		}
+	}()
 }

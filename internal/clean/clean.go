@@ -58,9 +58,15 @@ type Result struct {
 	FinalPeak float64
 }
 
+// ErrPSFSidelobe marks a PSF with a pixel brighter (in absolute value)
+// than its centre. Subtracting such a PSF raises the residual peak
+// instead of lowering it, so CLEAN would diverge to NaN.
+var ErrPSFSidelobe = errors.New("clean: PSF sidelobe exceeds its centre")
+
 // Hogbom runs Högbom CLEAN on a dirty image with the given PSF. Both
 // images are n x n, row-major; the PSF must peak (value ~1) at its
-// center pixel (n/2, n/2). The dirty image is not modified.
+// center pixel (n/2, n/2), and no pixel may exceed the centre in
+// absolute value (ErrPSFSidelobe). The dirty image is not modified.
 func Hogbom(dirty, psf []float64, n int, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -71,6 +77,12 @@ func Hogbom(dirty, psf []float64, n int, p Params) (*Result, error) {
 	center := (n/2)*n + n/2
 	if math.Abs(psf[center]-1) > 0.1 {
 		return nil, errors.New("clean: PSF must be normalized to ~1 at its center")
+	}
+	for i, v := range psf {
+		if math.Abs(v) > psf[center] {
+			return nil, fmt.Errorf("%w: |PSF| %.3g at pixel (%d,%d), centre %.3g",
+				ErrPSFSidelobe, math.Abs(v), i%n, i/n, psf[center])
+		}
 	}
 	res := &Result{
 		Model:    make([]float64, n*n),

@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -153,6 +154,35 @@ func TestHogbomInputValidation(t *testing.T) {
 	if _, err := Hogbom(make([]float64, 16), psf, 4, p); err == nil {
 		t.Fatal("expected PSF normalization error")
 	}
+}
+
+// TestHogbomRefusesSidelobeAboveCentre: a pixel of |PSF| 4.08 against
+// a centre of 1 (taper correction made one of an unstacked wide-field
+// PSF's edge pixels that bright) makes the subtractions raise the
+// residual peak instead of lowering it, so CLEAN refuses the PSF with
+// ErrPSFSidelobe; a sidelobe equal to the centre is still accepted.
+func TestHogbomRefusesSidelobeAboveCentre(t *testing.T) {
+	const n = 64
+	psf := gaussianPSF(n, 2)
+	side := (n/2)*n + n/2 + 9
+	psf[side] = -4.08
+	dirty := dirtyFrom(gaussianPSF(n, 2), n, []Component{{X: 30, Y: 20, Flux: 1}})
+	p := Params{Gain: 0.2, MaxIterations: 500, Threshold: 0.01}
+	res, err := Hogbom(dirty, psf, n, p)
+	if !errors.Is(err, ErrPSFSidelobe) {
+		t.Fatalf("Hogbom returned %v (final peak %v), want ErrPSFSidelobe", err, finalPeak(res))
+	}
+	psf[side] = -psf[(n/2)*n+n/2]
+	if _, err := Hogbom(dirty, psf, n, p); err != nil {
+		t.Fatalf("a sidelobe equal to the centre: %v", err)
+	}
+}
+
+func finalPeak(res *Result) any {
+	if res == nil {
+		return nil
+	}
+	return res.FinalPeak
 }
 
 func TestRestoreAddsBeam(t *testing.T) {

@@ -148,7 +148,8 @@ type Params struct {
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks;
 	// <= 0 with a CheckpointDir selects DefaultCheckpointEvery.
-	// Setting it without CheckpointDir is a validation error.
+	// Setting it without CheckpointDir is a validation error. A
+	// W-stacked plan checkpoints at every W-layer end instead.
 	CheckpointEvery int
 	// CheckpointHook observes the scheduler's durability-critical
 	// points (chunk commit, snapshot write, atomic rename). It is the

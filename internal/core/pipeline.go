@@ -225,22 +225,6 @@ func (k *Kernels) newATermCache(prov aterm.Provider) *aterm.Cache {
 	return aterm.NewPlanarCache(prov, k.params.SubgridSize, k.params.ImageSize)
 }
 
-// planeOf returns the W-layer shared by every item of a chunk, or -1
-// when the chunk is empty or mixes layers (only W-stacked passes plan
-// per-layer, so a mixed chunk has no single layer to attribute to).
-func planeOf(items []plan.WorkItem) int {
-	if len(items) == 0 {
-		return -1
-	}
-	w := items[0].WPlane
-	for _, it := range items[1:] {
-		if it.WPlane != w {
-			return -1
-		}
-	}
-	return w
-}
-
 // prefillATerms warms the cache with every (station, slot) pair a plan's
 // work items need, evaluating the missing maps on the pass's
 // workers. aterm.Cache is not safe for concurrent writes, but after this
@@ -297,16 +281,28 @@ func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *Visi
 // copies its subgrids out of g, which the pass only reads, so every
 // predicted visibility depends on g and its own item alone and the
 // output is the same for every chunking and worker count.
+//
+// On a W-stacked plan g is taken to the image once, and each W-layer's
+// chunks split from that image times the layer's conjugate w screen,
+// back in uv (the inverse of gridStreamed's flushLayer).
 func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
 	rep := faulttol.NewReport(ft)
 	if err := k.checkPlan(p, vs, g.N); err != nil {
 		return StageTimes{}, rep, err
 	}
 	band := g.Rows(0, g.N)
-	times, err := k.runChunks(ctx, p, vs, prov, obs.StageDegrid, ft, rep, 0, nil,
+	var h epochHooks
+	if p.WStepLambda > 0 {
+		img := GridToImage(g, k.params.workers())
+		h.layerStart = func(w int) {
+			layer := img.Clone()
+			ApplyWScreen(layer, k.params.ImageSize, float64(w)*p.WStepLambda, -1)
+			band = ImageToGrid(layer, k.params.workers()).Rows(0, g.N)
+		}
+	}
+	times, err := k.runChunks(ctx, p, vs, prov, obs.StageDegrid, ft, rep, 0, h,
 		func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
-			wp := planeOf(c.Items)
-			if !cp.stage(obs.StageSplit, c.Index, wp, func() {
+			if !cp.stage(obs.StageSplit, c, func() {
 				for i, item := range c.Items {
 					subgrids[i] = k.getSubgrid(item)
 					band.CopySubgrid(subgrids[i])
@@ -317,10 +313,10 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 			}) {
 				return
 			}
-			if !cp.stage(obs.StageFFT, c.Index, wp, func() { k.fftChunk(subgrids, true) }) {
+			if !cp.stage(obs.StageFFT, c, func() { k.fftChunk(subgrids, true) }) {
 				return
 			}
-			cp.stage(obs.StageDegrid, c.Index, wp, func() {
+			cp.stage(obs.StageDegrid, c, func() {
 				for i, item := range c.Items {
 					if cp.run.ctx.Err() != nil {
 						return

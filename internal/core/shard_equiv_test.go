@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -372,9 +373,10 @@ func TestShardSpansCarryWPlane(t *testing.T) {
 	}
 }
 
-// TestStreamedWStackedPlaneAttribution runs a W-stacked streamed pass
-// and checks that adder stage spans inherit each layer's index, so a
-// trace can attribute add time per W-layer.
+// TestStreamedWStackedPlaneAttribution runs the gridding pass on a
+// W-stacked plan and checks that adder stage spans inherit each
+// layer's index, so a trace can attribute add time per W-layer, and
+// that every layer ends in one W-layer span.
 func TestStreamedWStackedPlaneAttribution(t *testing.T) {
 	cfg := defaultScenarioConfig()
 	cfg.wstep = 40
@@ -389,11 +391,11 @@ func TestStreamedWStackedPlaneAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planes := WPlanes(sc.plan)
+	planes := wLayers(sc.plan)
 	if len(planes) < 2 {
-		t.Skipf("scenario produced %d W-layers, need >= 2", len(planes))
+		t.Fatalf("scenario produced %d W-layers, need >= 2", len(planes))
 	}
-	if _, _, err := k.GridVisibilitiesWStacked(context.Background(), sc.plan, sc.vs, nil); err != nil {
+	if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
 		t.Fatal(err)
 	}
 	valid := map[int]bool{}
@@ -401,7 +403,11 @@ func TestStreamedWStackedPlaneAttribution(t *testing.T) {
 		valid[w] = true
 	}
 	attributed := map[int]bool{}
+	var layerSpans []int
 	for _, span := range observer.Tracer.Spans() {
+		if span.Stage == obs.StageWPlane {
+			layerSpans = append(layerSpans, span.WPlane)
+		}
 		if span.Stage != obs.StageAdd && span.Stage != obs.StageShard {
 			continue
 		}
@@ -411,7 +417,13 @@ func TestStreamedWStackedPlaneAttribution(t *testing.T) {
 		}
 		attributed[span.WPlane] = true
 	}
-	if len(attributed) < 2 {
-		t.Fatalf("adder spans attributed to %d W-layers, want >= 2 (layers %v)", len(attributed), planes)
+	if len(attributed) != len(planes) {
+		t.Fatalf("adder spans attributed to %d W-layers, want all of %v", len(attributed), planes)
+	}
+	if fmt.Sprint(layerSpans) != fmt.Sprint(planes) {
+		t.Fatalf("W-layer spans %v, want one per layer %v", layerSpans, planes)
+	}
+	if n := observer.Metrics.Counter(obs.MetricWPlanes).Value(); n != int64(len(planes)) {
+		t.Fatalf("%s = %d, want %d", obs.MetricWPlanes, n, len(planes))
 	}
 }

@@ -89,6 +89,11 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 // depend on the chunk size or the shard count; with more it differs by
 // floating-point reassociation only.
 //
+// W-stacking (Sections III and VI-E): the gridder removes each item's
+// layer offset, so a W-stacked plan's chunks add onto a layer grid
+// instead, which is folded into sh at every layer end (flushLayer) —
+// sh only ever holds whole layers.
+//
 // With Params.CheckpointDir set the pass writes a durable snapshot
 // (grid, chunk cursor, fault counters — see internal/checkpoint) at
 // every epoch boundary of the scheduler, including a final one at the
@@ -97,13 +102,17 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 	if err := k.checkPlan(p, vs, sh.Master().N); err != nil {
 		return StageTimes{}, err
 	}
-	snapshot := func(cursor, chunkItems int) error {
+	h := epochHooks{snapshot: func(cursor, chunkItems int) error {
 		return k.writeStreamCheckpoint(p, sh, cursor, chunkItems, rep)
+	}}
+	acc := sh
+	if p.WStepLambda > 0 {
+		acc = k.NewShardedGrid(grid.NewGrid(sh.Master().N))
+		h.layerEnd = func(w int) { k.flushLayer(acc.Master(), sh.Master(), float64(w)*p.WStepLambda) }
 	}
-	return k.runChunks(ctx, p, vs, prov, obs.StageGrid, ft, rep, startChunk, snapshot,
+	return k.runChunks(ctx, p, vs, prov, obs.StageGrid, ft, rep, startChunk, h,
 		func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
-			wp := planeOf(c.Items)
-			if !cp.stage(obs.StageGrid, c.Index, wp, func() {
+			if !cp.stage(obs.StageGrid, c, func() {
 				for i, item := range c.Items {
 					if cp.run.ctx.Err() != nil {
 						return
@@ -137,11 +146,22 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 			}) {
 				return
 			}
-			if !cp.stage(obs.StageFFT, c.Index, wp, func() { k.fftChunk(subgrids, false) }) {
+			if !cp.stage(obs.StageFFT, c, func() { k.fftChunk(subgrids, false) }) {
 				return
 			}
-			cp.stage(obs.StageAdd, c.Index, wp, func() { k.shardedBatch(worker, subgrids, sh, true, true) })
+			cp.stage(obs.StageAdd, c, func() { k.shardedBatch(worker, subgrids, acc, true, true) })
 		})
+}
+
+// flushLayer folds the uv grid of one W-layer, whose items the gridder
+// placed with the layer offset w (wavelengths) removed, into g: to the
+// image, times the layer's w screen exp(+2*pi*i*w*n(l,m)), back to uv,
+// added. layer is zeroed for the next layer.
+func (k *Kernels) flushLayer(layer, g *grid.Grid, w float64) {
+	img := GridToImage(layer, k.params.workers())
+	ApplyWScreen(img, k.params.ImageSize, w, +1)
+	g.AddGrid(ImageToGrid(img, k.params.workers()))
+	layer.Zero()
 }
 
 // chunkPass is the state the chunk workers of one pass share.
@@ -159,12 +179,12 @@ type chunkPass struct {
 // stage runs one stage of a chunk: it times fn, adds the time to the
 // pass's busy time of st, records the stage span and reports whether
 // the pass goes on.
-func (cp *chunkPass) stage(st obs.Stage, chunk, wplane int, fn func()) bool {
+func (cp *chunkPass) stage(st obs.Stage, c plan.Chunk, fn func()) bool {
 	t0 := time.Now()
 	fn()
 	d := time.Since(t0)
 	cp.busy[st].Add(d.Nanoseconds())
-	cp.k.ob.stageDone(st, chunk, wplane, t0, d)
+	cp.k.ob.stageDone(st, c.Index, c.WPlane, t0, d)
 	return cp.run.ctx.Err() == nil
 }
 
@@ -178,35 +198,54 @@ func (cp *chunkPass) lookupATerms(item plan.WorkItem) jones {
 	return jones{pp: cp.cache.Planes(b.P, item.ATermSlot), qp: cp.cache.Planes(b.Q, item.ATermSlot)}
 }
 
+// epochHooks are a pass's calls at the scheduler's epoch barriers,
+// each made with no chunk in flight; any of them may be nil.
+type epochHooks struct {
+	// layerStart and layerEnd bracket the chunks of W-layer w of a
+	// W-stacked plan.
+	layerStart, layerEnd func(w int)
+	// snapshot is the gridding pass's checkpoint writer, called with the
+	// chunk cursor at every epoch end when Params.CheckpointDir is set.
+	snapshot func(cursor, chunkItems int) error
+}
+
 // runChunks is the pass scheduler, the one execution shape of Fig. 4
 // for both directions: the plan is cut into chunks of
-// StreamChunkItems(len) work items (plan order preserved) and
-// min(Workers, MaxInflightChunks) chunk workers each pump one chunk at
-// a time through fn — gridder -> subgrid FFT -> adder, or splitter ->
-// inverse subgrid FFT -> degridder — filling subgrids (one nil slot per
-// item), which return to the pool after the chunk. The chunk is the
-// unit of parallelism — inside a chunk items run serially on the owning
-// worker, fanning out over pixel tiles only when there are fewer chunk
-// workers than Workers — so peak subgrid memory is bounded by chunk
-// workers x chunk size regardless of observation length. stage names
-// the pass's items to the observer.
+// StreamChunkItems(len) work items (plan order preserved, one W-layer
+// per chunk) and min(Workers, MaxInflightChunks) chunk workers each
+// pump one chunk at a time through fn — gridder -> subgrid FFT ->
+// adder, or splitter -> inverse subgrid FFT -> degridder — filling
+// subgrids (one nil slot per item), which return to the pool after the
+// chunk. The chunk is the unit of parallelism — inside a chunk items
+// run serially on the owning worker, fanning out over pixel tiles only
+// when there are fewer chunk workers than Workers — so peak subgrid
+// memory is bounded by chunk workers x chunk size regardless of
+// observation length. stage names the pass's items to the observer.
 //
-// snapshot is the gridding pass's checkpoint writer; degridding passes
-// nil, so no CheckpointHook event fires. With a writer and
-// Params.CheckpointDir set the chunks [startChunk, len) are processed
-// in epochs of Params.CheckpointEvery; at each epoch boundary the
-// scheduler quiesces and calls snapshot with the chunk cursor.
+// The chunks [startChunk, len) run in epochs, each ending in a
+// quiescent barrier where the hooks run. On a W-stacked plan every
+// W-layer is one epoch (Params.CheckpointEvery does not apply), so the
+// pass can move a whole layer between the uv and image domains; a
+// resume must start at a layer start. Otherwise, with a snapshot
+// writer and Params.CheckpointDir set, epochs end at the multiples of
+// Params.CheckpointEvery from chunk 0, so a resumed run checkpoints at
+// the same cursors as an uninterrupted one; without either there is a
+// single epoch and no barrier. Degridding passes no snapshot writer,
+// so no CheckpointHook event fires.
 //
 // The returned StageTimes hold each stage's busy time divided by the
 // number of chunk workers.
-func (k *Kernels) runChunks(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, stage obs.Stage, ft faulttol.Config, rep *faulttol.Report, startChunk int, snapshot func(cursor, chunkItems int) error,
+func (k *Kernels) runChunks(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, stage obs.Stage, ft faulttol.Config, rep *faulttol.Report, startChunk int, h epochHooks,
 	fn func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid)) (StageTimes, error) {
 	chunkItems := k.StreamChunkItems(len(p.Items))
 	chunks := p.StreamChunks(chunkItems)
-	if startChunk < 0 || startChunk > len(chunks) {
+	stacked := p.WStepLambda > 0
+	switch {
+	case startChunk < 0 || startChunk > len(chunks):
 		return StageTimes{}, fmt.Errorf("core: resume cursor %d outside the plan's %d chunks", startChunk, len(chunks))
-	}
-	if startChunk == len(chunks) {
+	case stacked && startChunk > 0 && startChunk < len(chunks) && chunks[startChunk].WPlane == chunks[startChunk-1].WPlane:
+		return StageTimes{}, fmt.Errorf("core: resume cursor %d inside W-layer %d", startChunk, chunks[startChunk].WPlane)
+	case startChunk == len(chunks):
 		// Nothing left to run (also covers an empty plan).
 		return StageTimes{}, ctxErr(ctx)
 	}
@@ -219,20 +258,24 @@ func (k *Kernels) runChunks(ctx context.Context, p *plan.Plan, vs *VisibilitySet
 		busy: map[obs.Stage]*atomic.Int64{obs.StageGrid: {}, obs.StageDegrid: {}, obs.StageFFT: {}, obs.StageAdd: {}, obs.StageSplit: {}}}
 	k.prefillATerms(cp.cache, p.Items, vs.Baselines)
 
-	// Chunks are dispatched in checkpoint epochs: all chunks of
-	// [lo, hi) complete (a quiescent barrier), then the snapshot
-	// covering [0, hi) is written. Epoch boundaries are aligned to
-	// multiples of the period from chunk 0, so a resumed run
-	// checkpoints at the same cursors as an uninterrupted one. Without
-	// checkpointing there is a single epoch and no barrier.
 	var acct streamAccounting
-	checkpointing := snapshot != nil && k.params.checkpointEnabled()
+	checkpointing := h.snapshot != nil && k.params.checkpointEnabled()
 	ckptEvery := len(chunks)
 	if checkpointing {
 		ckptEvery = k.params.checkpointEvery()
 	}
 	for lo := startChunk; lo < len(chunks) && run.ctx.Err() == nil; {
+		w, t0 := chunks[lo].WPlane, k.ob.now()
 		hi := min((lo/ckptEvery+1)*ckptEvery, len(chunks))
+		if stacked {
+			hi = lo + 1
+			for hi < len(chunks) && chunks[hi].WPlane == w {
+				hi++
+			}
+			if h.layerStart != nil {
+				h.layerStart(w)
+			}
+		}
 		var next atomic.Int64
 		next.Store(int64(lo))
 		// One worker runs on this goroutine, in chunk order, so that an
@@ -257,15 +300,24 @@ func (k *Kernels) runChunks(ctx context.Context, p *plan.Plan, vs *VisibilitySet
 					}
 				}
 				k.ob.chunkDone(acct.release(len(c.Items)))
-				if snapshot != nil && workers == 1 && run.ctx.Err() == nil {
+				if h.snapshot != nil && workers == 1 && run.ctx.Err() == nil {
 					// Concurrent workers commit chunks out of order and
 					// have no consistent point before the epoch barrier.
 					k.fireCheckpointHook(checkpoint.EventChunkCommitted, c.Index)
 				}
 			}
 		})
-		if checkpointing && run.ctx.Err() == nil {
-			if err := snapshot(hi, chunkItems); err != nil {
+		if run.ctx.Err() != nil {
+			break
+		}
+		if stacked {
+			if h.layerEnd != nil {
+				h.layerEnd(w)
+			}
+			k.ob.planeDone(w, t0)
+		}
+		if checkpointing {
+			if err := h.snapshot(hi, chunkItems); err != nil {
 				run.fail(err)
 			}
 		}

@@ -1,15 +1,17 @@
 package plan
 
 // Chunk is one unit of streamed execution: a contiguous run of work
-// items (in plan order) that flows through grid -> FFT -> add (or
-// split -> inverse FFT -> degrid) as a whole before its subgrids are
-// released. Bounding the number of chunks in flight bounds the
+// items (in plan order, all of one W-layer) that flows through grid ->
+// FFT -> add (or split -> inverse FFT -> degrid) as a whole before its
+// subgrids are released. Bounding the number of chunks in flight bounds the
 // pipeline's peak subgrid memory at MaxInflightChunks x chunk size.
 type Chunk struct {
 	// Index is the chunk's position in plan order.
 	Index int
 	// Items are the chunk's work items, a subslice of Plan.Items.
 	Items []WorkItem
+	// WPlane is the W-layer every item of the chunk lies in.
+	WPlane int
 	// TimeStart and TimeEnd bound the time steps covered by the
 	// chunk's items ([TimeStart, TimeEnd), over all baselines); they
 	// describe the observation window a streaming reader must have
@@ -18,7 +20,9 @@ type Chunk struct {
 }
 
 // StreamChunks splits the plan into chunks of at most maxItems work
-// items each (<= 0 selects one chunk). Plan order is preserved —
+// items each (<= 0: as many as possible). A chunk also ends where the
+// W-layer changes, so no chunk spans two layers; an unstacked plan is
+// one layer, cut every maxItems items. Plan order is preserved —
 // chunking never reorders items — so a streamed pass with one chunk in
 // flight accumulates in exactly the serial pipeline's order and stays
 // bit-for-bit reproducible.
@@ -30,14 +34,18 @@ func (p *Plan) StreamChunks(maxItems int) []Chunk {
 		return nil
 	}
 	chunks := make([]Chunk, 0, (len(p.Items)+maxItems-1)/maxItems)
-	for i := 0; i < len(p.Items); i += maxItems {
-		j := i + maxItems
-		if j > len(p.Items) {
-			j = len(p.Items)
+	for i := 0; i < len(p.Items); {
+		j, w := min(i+maxItems, len(p.Items)), p.Items[i].WPlane
+		for k := i + 1; k < j; k++ {
+			if p.Items[k].WPlane != w {
+				j = k
+				break
+			}
 		}
-		c := Chunk{Index: len(chunks), Items: p.Items[i:j]}
+		c := Chunk{Index: len(chunks), Items: p.Items[i:j], WPlane: w}
 		c.TimeStart, c.TimeEnd = timeWindow(c.Items)
 		chunks = append(chunks, c)
+		i = j
 	}
 	return chunks
 }

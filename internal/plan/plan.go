@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/uvwsim"
 )
@@ -37,7 +38,8 @@ type Config struct {
 	// (256 in the paper); 0 means a single slot.
 	ATermUpdateInterval int
 	// WStepLambda is the W-layer thickness in wavelengths for
-	// W-stacking; 0 disables W-stacking (all subgrids at w=0).
+	// W-stacking; 0 disables W-stacking (all subgrids at w=0). A
+	// W-stacked plan lists its items layer by layer (layerMajor).
 	WStepLambda float64
 	// ChannelBlockSize is C~, the number of channels per work item;
 	// 0 means all channels in one block.
@@ -187,7 +189,18 @@ func New(cfg Config, tracks [][]uvwsim.UVW) (*Plan, error) {
 			p.planBaselineAdaptive(b, tracks[b], c0, nc)
 		}
 	}
+	p.layerMajor()
 	return p, nil
+}
+
+// layerMajor orders a W-stacked plan's items by W-layer with a stable
+// sort, so each layer's items are contiguous and keep their plan order
+// (channel block, baseline, time); the passes run one layer at a time
+// (see StreamChunks). An unstacked plan keeps its order.
+func (p *Plan) layerMajor() {
+	if p.WStepLambda > 0 {
+		sort.SliceStable(p.Items, func(i, j int) bool { return p.Items[i].WPlane < p.Items[j].WPlane })
+	}
 }
 
 // timestepBox returns the pixel bounding box of one time step's

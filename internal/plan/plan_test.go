@@ -174,6 +174,94 @@ func TestWStackingAssignsPlanes(t *testing.T) {
 	}
 }
 
+// TestWStackedPlanLayerMajor: both builders list a W-stacked plan's
+// items layer by layer, each layer in the unstacked order (channel
+// block, baseline, channel group, time); StreamChunks never lets a
+// chunk span two layers and cuts a layer only every maxItems items;
+// an unstacked plan's chunks still start at every multiple of
+// maxItems.
+func TestWStackedPlanLayerMajor(t *testing.T) {
+	tracks, sim := testTracks(t, 12, 128)
+	cfg := testConfig(imageSizeFor(sim, 128, 512, 151.4e6))
+	cfg.ChannelBlockSize = 4
+	cfg.WStepLambda = 50
+	batch, err := New(cfg, tracks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := NewStreaming(cfg, len(tracks), 128, func(b int, buf []uvwsim.UVW) []uvwsim.UVW {
+		return append(buf[:0], tracks[b]...)
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed.Items) != len(batch.Items) {
+		t.Fatalf("streamed %d items, batch %d", len(streamed.Items), len(batch.Items))
+	}
+	key := func(it WorkItem) [4]int { return [4]int{it.Channel0 / 4, it.Baseline, it.Channel0, it.TimeStart} }
+	less := func(a, b [4]int) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] < b[i]
+			}
+		}
+		return false
+	}
+	layers := 1
+	for i := 1; i < len(batch.Items); i++ {
+		if batch.Items[i] != streamed.Items[i] {
+			t.Fatalf("item %d differs between the builders: %+v vs %+v", i, batch.Items[i], streamed.Items[i])
+		}
+		prev, it := batch.Items[i-1], batch.Items[i]
+		switch {
+		case it.WPlane < prev.WPlane:
+			t.Fatalf("item %d in W-layer %d follows layer %d", i, it.WPlane, prev.WPlane)
+		case it.WPlane > prev.WPlane:
+			layers++
+		case !less(key(prev), key(it)):
+			t.Fatalf("items %d and %d of W-layer %d out of plan order", i-1, i, it.WPlane)
+		}
+	}
+	if layers < 3 {
+		t.Fatalf("plan has %d W-layers, want >= 3", layers)
+	}
+
+	for _, maxItems := range []int{1, 7, 64, 0} {
+		var flat []WorkItem
+		for _, c := range batch.StreamChunks(maxItems) {
+			for _, it := range c.Items {
+				if it.WPlane != c.WPlane {
+					t.Fatalf("max %d: chunk %d of W-layer %d holds an item of layer %d", maxItems, c.Index, c.WPlane, it.WPlane)
+				}
+			}
+			end := len(flat) + len(c.Items)
+			if maxItems > 0 && len(c.Items) > maxItems {
+				t.Fatalf("max %d: chunk %d has %d items", maxItems, c.Index, len(c.Items))
+			}
+			if (maxItems <= 0 || len(c.Items) < maxItems) && end < len(batch.Items) && batch.Items[end].WPlane == c.WPlane {
+				t.Fatalf("max %d: chunk %d ends short inside W-layer %d", maxItems, c.Index, c.WPlane)
+			}
+			flat = append(flat, c.Items...)
+		}
+		if len(flat) != len(batch.Items) {
+			t.Fatalf("max %d: chunks cover %d of %d items", maxItems, len(flat), len(batch.Items))
+		}
+	}
+
+	cfg.WStepLambda = 0
+	plain, err := New(cfg, tracks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxItems := range []int{1, 7, 64} {
+		for i, c := range plain.StreamChunks(maxItems) {
+			if &c.Items[0] != &plain.Items[i*maxItems] || len(c.Items) != min(maxItems, len(plain.Items)-i*maxItems) {
+				t.Fatalf("max %d: unstacked chunk %d does not cover items [%d, %d)", maxItems, i, i*maxItems, (i+1)*maxItems)
+			}
+		}
+	}
+}
+
 func TestWorkGroups(t *testing.T) {
 	p, _ := buildTestPlan(t, 10, 128)
 	groups := p.WorkGroups(7)

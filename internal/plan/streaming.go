@@ -19,7 +19,8 @@ type TrackGenerator func(b int, buf []uvwsim.UVW) []uvwsim.UVW
 // baselines are planned in parallel. For the paper's full dataset
 // (11,175 baselines x 8,192 time steps) this needs megabytes instead
 // of gigabytes. The resulting plan is identical to New on the same
-// tracks (items ordered by channel block, then baseline, then time).
+// tracks (items ordered by channel block, then baseline, then time;
+// a W-stacked plan by W-layer first).
 func NewStreaming(cfg Config, nrBaselines, nrTimesteps int, gen TrackGenerator, workers int) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -80,5 +81,6 @@ func NewStreaming(cfg Config, nrBaselines, nrTimesteps int, gen TrackGenerator, 
 			results[b] = result{}
 		}
 	}
+	p.layerMajor()
 	return p, nil
 }

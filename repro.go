@@ -208,7 +208,12 @@ type ObservationConfig struct {
 	ATermInterval int
 	// MaxTimestepsPerSubgrid is T~max (0: unlimited).
 	MaxTimestepsPerSubgrid int
-	// WStepLambda enables W-stacking when positive.
+	// WStepLambda enables W-stacking when positive: the layer
+	// thickness in wavelengths. Every pass — gridding, degridding,
+	// resumes, dirty images, the imaging cycle and distributed runs —
+	// then runs the plan one W-layer at a time, moving each layer
+	// through the image domain to apply its w screen (two full-grid
+	// FFT sets per layer).
 	WStepLambda float64
 	// CoreOnly restricts the layout to the dense station core (no
 	// spiral arms), which yields short baselines and therefore a wide
@@ -237,7 +242,8 @@ type ObservationConfig struct {
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in streamed chunks
 	// (0 with a CheckpointDir: a default period; setting it without
-	// CheckpointDir fails validation).
+	// CheckpointDir fails validation). It does not apply to W-stacked
+	// passes, which checkpoint at every W-layer end.
 	CheckpointEvery int
 	// Observer receives pipeline metrics and trace spans (see
 	// Params.Observer); nil disables observation.
@@ -806,15 +812,6 @@ func (o *Observation) DegridAll(ctx context.Context, prov ATermProvider, g *Grid
 		return StageTimes{}, errNoVisibilities
 	}
 	return o.Kernels.DegridVisibilities(ctx, o.Plan, o.Vis, prov, g)
-}
-
-// DegridWStacked predicts visibilities from a sky image through the
-// W-stacking pipeline.
-func (o *Observation) DegridWStacked(ctx context.Context, prov ATermProvider, img *Grid) (StageTimes, error) {
-	if err := o.AllocateVisibilities(); err != nil {
-		return StageTimes{}, err
-	}
-	return o.Kernels.DegridVisibilitiesWStacked(ctx, o.Plan, o.Vis, prov, img)
 }
 
 // DirtyImage grids the visibilities and converts the result into a
