@@ -26,11 +26,13 @@ race:
 
 # The chaos tests drive the worker pool through injected panics,
 # corrupt visibilities, cancellation and simulated kills at the
-# checkpoint protocol's crash points; racing them exercises the
-# report/cancel/resume paths under contention.
+# checkpoint protocol's crash points, and the distributed coordinator
+# through concurrent reduction streams and killed workers; racing them
+# exercises the report/cancel/resume paths under contention. The same
+# pattern and packages as scripts/ci.sh.
 chaos:
 	$(GO) test -race -count=2 ./internal/faultinject/ ./internal/faulttol/
-	$(GO) test -race -run 'Facade|Chaos|Cancel|Checkpoint|Resume|Kill' . ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'Facade|Chaos|Cancel|Shard|Soak|Streamed|Checkpoint|Resume|Kill|Distrib' . ./internal/core/ ./internal/checkpoint/ ./internal/distrib/
 
 # The examples drive the facade end to end: the Fig. 2 imaging cycle,
 # the W-stacked degridding pass (exits 1 if its accuracy regresses)

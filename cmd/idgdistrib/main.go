@@ -205,8 +205,8 @@ func printStages(sum *repro.DistribSummary, wall time.Duration) {
 	}{
 		{"plan + fingerprint pinning", st.Plan},
 		{"launch -> last hello (workers: build, fill, grid)", st.Launch},
-		{"receive + decode", st.Receive},
-		{"verify hash", st.Verify},
+		{"receive (CRC, decode, band fingerprint)", st.Receive},
+		{"verify (fingerprint compare)", st.Verify},
 		{"reduce", st.Reduce},
 	}
 	rest := wall

@@ -87,7 +87,9 @@ type DistribWorkerOptions struct {
 	// setting under which a 1-worker distributed run reproduces the
 	// committed golden grid hash exactly.
 	ReferenceKernels bool
-	// MaxFramePayload caps reduction frames (<= 0: frame.DefaultMaxPayload).
+	// MaxFramePayload caps reduction frames (<= 0:
+	// frame.DefaultMaxPayload); a cap below one band row of the grid
+	// plus the band header is a *ConfigError.
 	MaxFramePayload int
 }
 
@@ -110,6 +112,9 @@ func RunDistribWorker(ctx context.Context, opt DistribWorkerOptions) (DistribWor
 func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geometry) (times DistribWorkerTimes, err error) {
 	if opt.Workers < 1 || opt.Index < 0 || opt.Index >= opt.Workers {
 		return times, fmt.Errorf("repro: worker %d of %d is not a valid assignment", opt.Index, opt.Workers)
+	}
+	if err := checkFramePayload(opt.MaxFramePayload, opt.Config.GridSize); err != nil {
+		return times, err
 	}
 	mark := time.Now()
 	lap := func(d *time.Duration) { *d, mark = time.Since(mark), time.Now() }
@@ -147,9 +152,13 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 	}
 	planSum := checkpoint.PlanFingerprint(o.Plan)
 	lap(&times.Build)
-	// Plan-scoped fill: the worker predicts only its partition's
-	// samples (bit-identical to a full fill for everything the
-	// partition grids), so fill cost scales down with the partition.
+	// Plan-scoped storage and fill: the worker holds and predicts only
+	// its partition's samples (bit-identical to a full fill for
+	// everything the partition grids), so both scale down with the
+	// partition.
+	if err := o.allocatePartitionVisibilities(); err != nil {
+		return times, err
+	}
 	if err := o.FillFromModelPlan(opt.Model); err != nil {
 		return times, err
 	}
@@ -176,6 +185,29 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 	return times, err
 }
 
+// checkFramePayload rejects a reduction frame cap (<= 0: the default)
+// too small for one band row of a gridSize-pixel grid: every band frame
+// of the run would exceed it and the coordinator discard every stream.
+func checkFramePayload(maxPayload, gridSize int) error {
+	if need := distrib.MinPayload(gridSize); maxPayload > 0 && maxPayload < need {
+		return &ConfigError{Field: "MaxFramePayload",
+			Reason: fmt.Sprintf("%d bytes cannot carry one band row of a %d-pixel grid; the minimum is %d", maxPayload, gridSize, need)}
+	}
+	return nil
+}
+
+// allocatePartitionVisibilities gives o visibility rows for the
+// baselines its plan grids and none for the others: after the plan is
+// filtered to a partition, the fill predicts and the pass reads only
+// those rows, so the rest would be zeroed memory nothing touches.
+func (o *Observation) allocatePartitionVisibilities() error {
+	gridded := make([]bool, len(o.Simulator.Baselines()))
+	for _, it := range o.Plan.Items {
+		gridded[it.Baseline] = true
+	}
+	return o.allocateVisibilities(gridded)
+}
+
 // DistribOptions configures a whole distributed run.
 type DistribOptions struct {
 	// Config is the observation; see DistribWorkerOptions.Config.
@@ -197,7 +229,9 @@ type DistribOptions struct {
 	// ReferenceKernels runs every worker on the reference (unbatched)
 	// kernel path; see DistribWorkerOptions.ReferenceKernels.
 	ReferenceKernels bool
-	// MaxFramePayload caps reduction frames (<= 0: frame.DefaultMaxPayload).
+	// MaxFramePayload caps reduction frames (<= 0:
+	// frame.DefaultMaxPayload); a cap below one band row of the grid
+	// plus the band header is a *ConfigError.
 	MaxFramePayload int
 	// Fault is the per-item failure policy inside each worker.
 	Fault FaultConfig
@@ -229,6 +263,9 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 	if opt.Axis == distrib.AxisWPlanes && opt.Workers > 1 && opt.Config.WStepLambda <= 0 {
 		return nil, nil, &ConfigError{Field: "WStepLambda",
 			Reason: fmt.Sprintf("the wplanes axis splits W-layers, and without W-stacking worker 0 of %d would own every item", opt.Workers)}
+	}
+	if err := checkFramePayload(opt.MaxFramePayload, opt.Config.GridSize); err != nil {
+		return nil, nil, err
 	}
 	start := time.Now()
 	planner := opt.Config

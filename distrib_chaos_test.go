@@ -2,8 +2,11 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -237,5 +240,56 @@ func TestDistribWorkerOptionValidation(t *testing.T) {
 	}
 	if _, _, err := RunDistributed(context.Background(), DistribOptions{Workers: 0}); err == nil {
 		t.Error("RunDistributed accepted zero workers")
+	}
+}
+
+// TestDistribRejectsFramePayloadBelowOneRow: a reduction frame cap too
+// small for one row of one plane plus the band header is a ConfigError
+// on MaxFramePayload naming the minimum, from RunDistributed and
+// RunDistribWorker alike, before any worker starts (every band frame
+// would exceed it, and the coordinator would discard every stream until
+// its result wait ran out). At the minimum itself every band frame is
+// one row of one plane, and the run reduces to the default cap's bits.
+func TestDistribRejectsFramePayloadBelowOneRow(t *testing.T) {
+	ctx := context.Background()
+	opt := distribGoldenOptions(t, 2, DistribRows)
+	opt.MaxRestarts = 1
+	need := distrib.MinPayload(opt.Config.GridSize)
+	var launched atomic.Int32
+	opt.Launcher = DistribLauncherFunc(func(context.Context, DistribWorkerSpec) error {
+		launched.Add(1)
+		return errors.New("a worker was launched")
+	})
+	isPayloadError := func(err error) bool {
+		var ce *ConfigError
+		return errors.As(err, &ce) && ce.Field == "MaxFramePayload" && strings.Contains(ce.Reason, fmt.Sprintf("minimum is %d", need))
+	}
+	for _, cap := range []int{1000, need - 1} {
+		opt.MaxFramePayload = cap
+		if _, _, err := RunDistributed(ctx, opt); !isPayloadError(err) {
+			t.Errorf("RunDistributed with a %d-byte cap: %v, want a MaxFramePayload ConfigError naming %d", cap, err, need)
+		}
+		w := DistribWorkerOptions{Config: opt.Config, Model: opt.Model, Workers: 2, Axis: DistribRows, MaxFramePayload: cap}
+		if _, err := RunDistribWorker(ctx, w); !isPayloadError(err) {
+			t.Errorf("RunDistribWorker with a %d-byte cap: %v, want a MaxFramePayload ConfigError naming %d", cap, err, need)
+		}
+	}
+	if n := launched.Load(); n != 0 {
+		t.Fatalf("%d workers launched under a cap below one band row", n)
+	}
+
+	opt.Launcher = nil
+	opt.MaxFramePayload = 0
+	want, _, err := RunDistributed(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MaxFramePayload = need
+	got, sum, err := RunDistributed(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() || sum.Discarded != 0 || sum.Restarts != 0 {
+		t.Fatalf("at the minimum cap: grid equal %v, discarded %d, restarts %d", got.Fingerprint() == want.Fingerprint(), sum.Discarded, sum.Restarts)
 	}
 }

@@ -173,7 +173,61 @@ func TestDistribRowSplitBalanced(t *testing.T) {
 		if share > 0.51 {
 			t.Errorf("worker %d of 2 holds %.1f %% of the dense plan's visibilities, want <= 51 %%", w, 100*share)
 		}
-		t.Logf("worker %d of 2: %.2f %% of the visibilities", w, 100*share)
+		baselines := make(map[int]bool)
+		for _, it := range sub.Items {
+			baselines[it.Baseline] = true
+		}
+		t.Logf("worker %d of 2: %.2f %% of the visibilities, %d baselines", w, 100*share, len(baselines))
+	}
+}
+
+// TestPartitionVisibilityStorage: a worker holds visibility rows for
+// exactly the baselines its sub-plan grids, and its fill and pass over
+// them give the partial a full visibility set gives, bit for bit.
+func TestPartitionVisibilityStorage(t *testing.T) {
+	opt := distribGoldenOptions(t, 2, DistribRows)
+	for w := 0; w < 2; w++ {
+		build := func() *Observation {
+			o, err := opt.Config.BuildPlan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Plan, err = distrib.FilterPlan(o.Plan, DistribRows, 2, w); err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		part, full := build(), build()
+		if err := part.allocatePartitionVisibilities(); err != nil {
+			t.Fatal(err)
+		}
+		gridded := make(map[int]bool)
+		for _, it := range part.Plan.Items {
+			gridded[it.Baseline] = true
+		}
+		for b, row := range part.Vis.Data {
+			if want := gridded[b]; (row != nil) != want || (want && len(row) != part.Vis.NrTimesteps*part.Vis.NrChannels) {
+				t.Fatalf("worker %d: baseline %d holds %d samples, gridded=%v", w, b, len(row), want)
+			}
+		}
+		if want := int64(len(gridded) * part.Vis.NrTimesteps * part.Vis.NrChannels); part.Vis.NrVisibilities() != want {
+			t.Fatalf("worker %d: NrVisibilities %d, want %d for %d backed baselines", w, part.Vis.NrVisibilities(), want, len(gridded))
+		}
+		t.Logf("worker %d of 2 holds %d of %d baselines", w, len(gridded), len(part.Vis.Data))
+		var prints [2]grid.Fingerprint
+		for i, o := range []*Observation{part, full} {
+			if err := o.FillFromModelPlan(opt.Model); err != nil {
+				t.Fatal(err)
+			}
+			g, _, _, err := o.gridPass(context.Background(), nil, FaultConfig{}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prints[i] = g.Fingerprint()
+		}
+		if prints[0] != prints[1] {
+			t.Errorf("worker %d: the partition's storage grids %x, a full set %x", w, prints[0].SHA256[:6], prints[1].SHA256[:6])
+		}
 	}
 }
 

@@ -39,9 +39,21 @@ type VisibilitySet struct {
 // caller (typically from uvwsim). Dimension mismatches return an
 // error wrapping faulttol.ErrBadInput.
 func NewVisibilitySet(baselines []uvwsim.Baseline, uvw [][]uvwsim.UVW, nrChannels int) (*VisibilitySet, error) {
+	return NewPartialVisibilitySet(baselines, uvw, nrChannels, nil)
+}
+
+// NewPartialVisibilitySet is NewVisibilitySet allocating rows only for
+// the baselines b with backed[b] set (nil: every baseline); the others
+// keep a nil Data row. It is the storage of a plan that grids a subset
+// of the baselines, such as one partition of a distributed run.
+func NewPartialVisibilitySet(baselines []uvwsim.Baseline, uvw [][]uvwsim.UVW, nrChannels int, backed []bool) (*VisibilitySet, error) {
 	if len(baselines) != len(uvw) {
 		return nil, fmt.Errorf("%w: %d baselines but %d uvw tracks",
 			faulttol.ErrBadInput, len(baselines), len(uvw))
+	}
+	if backed != nil && len(backed) != len(baselines) {
+		return nil, fmt.Errorf("%w: %d baselines but %d backing flags",
+			faulttol.ErrBadInput, len(baselines), len(backed))
 	}
 	if len(uvw) == 0 || len(uvw[0]) == 0 {
 		return nil, fmt.Errorf("%w: empty visibility set", faulttol.ErrBadInput)
@@ -62,7 +74,9 @@ func NewVisibilitySet(baselines []uvwsim.Baseline, uvw [][]uvwsim.UVW, nrChannel
 			return nil, fmt.Errorf("%w: ragged uvw tracks (baseline %d has %d steps, want %d)",
 				faulttol.ErrBadInput, b, len(uvw[b]), nt)
 		}
-		vs.Data[b] = make([]xmath.Matrix2, nt*nrChannels)
+		if backed == nil || backed[b] {
+			vs.Data[b] = make([]xmath.Matrix2, nt*nrChannels)
+		}
 	}
 	return vs, nil
 }
@@ -77,9 +91,14 @@ func MustNewVisibilitySet(baselines []uvwsim.Baseline, uvw [][]uvwsim.UVW, nrCha
 	return vs
 }
 
-// NrVisibilities returns the total number of visibilities.
+// NrVisibilities returns the number of visibilities the set holds
+// rows for: every baseline's, unless it is a partial set.
 func (vs *VisibilitySet) NrVisibilities() int64 {
-	return int64(len(vs.Baselines)) * int64(vs.NrTimesteps) * int64(vs.NrChannels)
+	var n int64
+	for _, row := range vs.Data {
+		n += int64(len(row))
+	}
+	return n
 }
 
 // EnsureFlags allocates the flag mask if it is still nil.

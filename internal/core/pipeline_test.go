@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/aterm"
+	"repro/internal/faulttol"
 	"repro/internal/grid"
 	"repro/internal/sky"
+	"repro/internal/uvwsim"
 	"repro/internal/xmath"
 )
 
@@ -340,5 +343,31 @@ func newTestRand(seed uint64) func() float64 {
 	return func() float64 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(state>>11)/float64(1<<52) - 1
+	}
+}
+
+// TestPartialVisibilitySet: a partial set backs exactly the flagged
+// baselines, counts only their samples, and is checked like a full one.
+func TestPartialVisibilitySet(t *testing.T) {
+	bl := []uvwsim.Baseline{{P: 0, Q: 1}, {P: 0, Q: 2}, {P: 1, Q: 2}}
+	uvw := [][]uvwsim.UVW{make([]uvwsim.UVW, 4), make([]uvwsim.UVW, 4), make([]uvwsim.UVW, 4)}
+	vs, err := NewPartialVisibilitySet(bl, uvw, 3, []bool{true, false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, want := range []int{12, 0, 12} {
+		if len(vs.Data[b]) != want {
+			t.Errorf("baseline %d holds %d samples, want %d", b, len(vs.Data[b]), want)
+		}
+	}
+	if n := vs.NrVisibilities(); n != 24 {
+		t.Errorf("NrVisibilities = %d, want 24", n)
+	}
+	if _, err := NewPartialVisibilitySet(bl, uvw, 3, []bool{true}); !errors.Is(err, faulttol.ErrBadInput) {
+		t.Errorf("short backing flags: %v", err)
+	}
+	uvw[1] = uvw[1][:3]
+	if _, err := NewPartialVisibilitySet(bl, uvw, 3, []bool{true, false, true}); !errors.Is(err, faulttol.ErrBadInput) {
+		t.Errorf("ragged track on an unbacked baseline: %v", err)
 	}
 }

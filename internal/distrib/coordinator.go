@@ -86,15 +86,18 @@ type WorkerTimes struct {
 type Stages struct {
 	Plan    time.Duration // plan lookup or build + sub-plan fingerprints; set by whoever planned (RunDistributed)
 	Launch  time.Duration // Run's start to that stream's hello: its worker's build, fill and gridding
-	Receive time.Duration // to its result frame read: band transfer, CRC, decode
-	Verify  time.Duration // to its band re-hashed and accepted
+	Receive time.Duration // to its result frame read: band transfer, CRC, decode, fingerprint
+	Verify  time.Duration // to its fingerprint compared and the partial accepted
 	Reduce  time.Duration // the tree reduction over bands, into the returned grid
 }
 
 // Coordinator assigns partitions, accepts reduction streams, restarts
 // failed workers with Resume set, and tree-reduces the accepted
-// partial bands into the final grid. One Coordinator runs one distributed
-// pass: create, Run, discard.
+// partial bands into the final grid. Worker 0's stream, the root of the
+// reduction tree, decodes into rows of a whole grid of its own
+// (grid.NewGridBand), which the reduction adds the other bands into and
+// returns: no copy of the root at any worker count. One Coordinator
+// runs one distributed pass: create, Run, discard.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
@@ -123,6 +126,10 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ExpectPlanSums != nil && len(cfg.ExpectPlanSums) != cfg.Workers {
 		return nil, fmt.Errorf("distrib: %d plan fingerprints for %d workers", len(cfg.ExpectPlanSums), cfg.Workers)
+	}
+	if cfg.MaxPayload > 0 && cfg.MaxPayload < MinPayload(cfg.GridSize) {
+		return nil, fmt.Errorf("distrib: a %d-byte frame payload cap is below the %d bytes one band row of a %d-pixel grid needs",
+			cfg.MaxPayload, MinPayload(cfg.GridSize), cfg.GridSize)
 	}
 	if cfg.ResultWait <= 0 {
 		cfg.ResultWait = DefaultResultWait
@@ -293,10 +300,11 @@ func (c *Coordinator) acceptLoop(ctx context.Context, accepting *sync.WaitGroup)
 }
 
 // handleStream decodes one worker's reduction stream into the band its
-// hello announced, and accepts it only if the bands tile that span in
-// order and the recomputed band fingerprint matches the one the worker
-// declared. A stream failing any check is discarded whole; the worker's
-// manager will time out and relaunch.
+// hello announced, hashing each band's cells as they are decoded, and
+// accepts it only if the bands tile that span plane by plane in order
+// and the band fingerprint matches the one the worker declared. A
+// stream failing any check is discarded whole; the worker's manager
+// will time out and relaunch.
 func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	if dl, ok := ctx.Deadline(); ok {
@@ -329,8 +337,7 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	}
 
 	marks := [3]time.Time{time.Now()}
-	band := grid.NewBand(c.cfg.GridSize, h.Lo, h.Hi)
-	next := h.Lo       // the row the next band must start at
+	in := newBandStream(h, c.cfg.GridSize)
 	var payload []byte // every frame after the hello, each decoded before the next read
 	for {
 		f, err := frame.Read(br, c.cfg.MaxPayload, reduceRules, payload)
@@ -343,16 +350,10 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 		}
 		switch f.Type {
 		case FrameBand:
-			lo, hi, err := DecodeBandInto(band, f)
-			if err != nil {
+			if err := in.add(f); err != nil {
 				c.discard("worker %d: %v", h.Worker, err)
 				return
 			}
-			if lo != next {
-				c.discard("worker %d sent rows [%d, %d) where row %d was due", h.Worker, lo, hi, next)
-				return
-			}
-			next = hi
 		case FrameResult:
 			r, err := DecodeResult(f)
 			if err != nil {
@@ -363,21 +364,18 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 				c.discard("worker %d stream closed with worker %d's result", h.Worker, r.Worker)
 				return
 			}
-			if next != h.Hi {
-				c.discard("worker %d stream closed at row %d of its span [%d, %d)", h.Worker, next, h.Lo, h.Hi)
+			marks[1] = time.Now()
+			band, got, err := in.finish()
+			if err != nil {
+				c.discard("worker %d: %v", h.Worker, err)
 				return
 			}
-			marks[1] = time.Now()
-			got := band.Fingerprint()
 			if got != r.Fingerprint {
 				c.discard("worker %d partial fingerprint mismatch: declared %x, assembled %x",
 					h.Worker, r.Fingerprint.SHA256[:8], got.SHA256[:8])
 				return
 			}
 			marks[2] = time.Now()
-			if h.Lo == h.Hi {
-				band = nil // an empty partition adds nothing
-			}
 			c.deliver(h.Worker, band, got, marks)
 			return
 		default:
@@ -385,6 +383,70 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 			return
 		}
 	}
+}
+
+// bandStream is the receiving end of one reduction stream's bands: the
+// band its hello announced, the fingerprint accumulated over the cells
+// decoded so far, and the band due next.
+type bandStream struct {
+	band        *grid.Band
+	sum         grid.Hasher
+	plane, next int // the plane and first row of the band due next
+}
+
+// newBandStream receives the span hello h announced of an n-pixel
+// grid: worker 0's, the root of the reduction tree, into rows of a
+// whole grid of its own.
+func newBandStream(h Hello, n int) *bandStream {
+	s := &bandStream{sum: grid.NewHasher(n, h.Lo, h.Hi), next: h.Lo}
+	switch {
+	case h.Lo == h.Hi:
+		s.band = grid.NewBand(n, h.Lo, h.Hi)
+		s.plane = grid.NrCorrelations // an empty span carries no bands
+	case h.Worker == 0:
+		s.band = grid.NewGridBand(n, h.Lo, h.Hi)
+	default:
+		s.band = grid.NewBand(n, h.Lo, h.Hi)
+	}
+	return s
+}
+
+// add decodes a FrameBand, which must be the band due next, and
+// hashes its cells.
+func (s *bandStream) add(f frame.Frame) error {
+	c, lo, hi, cells, err := DecodeBandInto(s.band, f)
+	if err != nil {
+		return err
+	}
+	if c != s.plane || lo != s.next {
+		return fmt.Errorf("sent plane %d rows [%d, %d) where %s was due", c, lo, hi, s.due())
+	}
+	s.sum.Write(cells)
+	if s.next = hi; s.next == s.band.Hi {
+		s.plane, s.next = s.plane+1, s.band.Lo
+	}
+	return nil
+}
+
+// finish returns the received band (nil for an empty span, which adds
+// nothing) and its fingerprint once every band has arrived.
+func (s *bandStream) finish() (*grid.Band, Fingerprint, error) {
+	if s.plane != grid.NrCorrelations {
+		return nil, Fingerprint{}, fmt.Errorf("stream closed where %s of its span [%d, %d) was due", s.due(), s.band.Lo, s.band.Hi)
+	}
+	fp := s.sum.Sum()
+	if s.band.Lo == s.band.Hi {
+		return nil, fp, nil
+	}
+	return s.band, fp, nil
+}
+
+// due names the band a stream owes next.
+func (s *bandStream) due() string {
+	if s.plane == grid.NrCorrelations {
+		return "the result"
+	}
+	return fmt.Sprintf("plane %d row %d", s.plane, s.next)
 }
 
 func (c *Coordinator) discard(format string, args ...any) {

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -136,7 +138,7 @@ func lyingDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := sendBands(bw, Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, Hi: g.N}, g, 0); err != nil {
+	if _, err := sendBands(bw, Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, Hi: g.N}, g, 0); err != nil {
 		return err
 	}
 	fp := g.Rows(0, g.N).Fingerprint()
@@ -208,6 +210,7 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		{Workers: 2, GridSize: 0, Axis: AxisRows},
 		{Workers: 2, GridSize: 8, Axis: Axis(9)},
 		{Workers: 2, GridSize: 8, Axis: AxisRows, ExpectPlanSums: make([][32]byte, 3)},
+		{Workers: 2, GridSize: 8, Axis: AxisRows, MaxPayload: MinPayload(8) - 1},
 	}
 	for i, cfg := range bad {
 		if c, err := New(cfg); err == nil {
@@ -325,12 +328,12 @@ func TestCoordinatorStages(t *testing.T) {
 
 // TestHandleStreamReusesPayloadBuffer: the coordinator reads every
 // frame after a stream's hello into one payload buffer, so beside its
-// receiving band a 16-band stream allocates no more than a 2-band
-// stream of the same band size, give or take one band (per frame it
-// would be fourteen more).
+// receiving grid (worker 0's stream decodes into a whole grid) a
+// 16-band stream allocates no more than a 2-band stream of the same
+// band size, give or take one band (per frame it would be sixty more).
 func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 	const size, rows = 128, 8
-	maxPayload := bandPayloadHeader + rows*grid.NrCorrelations*size*cellBytes
+	maxPayload := bandPayloadHeader + rows*size*cellBytes
 	allocated := func(bands int) uint64 {
 		g := grid.NewGrid(size)
 		for y := 0; y < bands*rows; y++ {
@@ -339,7 +342,7 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		var stream bytes.Buffer
 		bw := bufio.NewWriter(&stream)
 		h := Hello{Workers: 1, Axis: AxisRows, Hi: bands * rows}
-		if err := sendBands(bw, h, g, maxPayload); err != nil {
+		if _, err := sendBands(bw, h, g, maxPayload); err != nil {
 			t.Fatal(err)
 		}
 		if err := frame.Write(bw, EncodeResult(Result{Worker: 0, Fingerprint: spanPrint(g)})); err != nil {
@@ -367,7 +370,7 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		default:
 			t.Fatalf("%d-band stream not accepted: %v", bands, c.notes)
 		}
-		return after.TotalAlloc - before.TotalAlloc - uint64(bands*rows*grid.NrCorrelations*size*cellBytes)
+		return after.TotalAlloc - before.TotalAlloc - uint64(grid.NrCorrelations*size*size*cellBytes)
 	}
 	two, sixteen := allocated(2), allocated(16)
 	if sixteen > two+uint64(maxPayload) {
@@ -387,7 +390,7 @@ func truncatedDeliver(ctx context.Context, spec WorkerSpec, g *grid.Grid) error 
 	bw := bufio.NewWriter(conn)
 	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis}
 	h.Lo, h.Hi = grid.NonzeroRowSpan(g)
-	if err := sendBands(bw, h, g, 0); err != nil {
+	if _, err := sendBands(bw, h, g, 0); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -425,11 +428,14 @@ func TestCoordinatorRejectsStreamWithoutResult(t *testing.T) {
 	}
 }
 
+// band names rows [lo, hi) of correlation plane c.
+type band struct{ c, lo, hi int }
+
 // bandsDeliver sends the hello h, then g's rows cut into the given
 // bands in the given order, then the honest band fingerprint of g's
 // nonzero span: a stream whose cells can assemble the declared band
 // even though its framing breaks the protocol.
-func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, bands [][2]int) error {
+func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, bands []band) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
 	if err != nil {
@@ -441,10 +447,13 @@ func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, b
 		return err
 	}
 	for _, b := range bands {
-		f, err := EncodeBand(g, b[0], b[1])
+		// encodeBandInto refuses a plane past the last; send the last
+		// plane's cells under that plane's index.
+		f, err := encodeBandInto(nil, g, min(b.c, grid.NrCorrelations-1), b.lo, b.hi)
 		if err != nil {
 			return err
 		}
+		binary.LittleEndian.PutUint32(f.Payload[4:], uint32(b.c))
 		if err := frame.Write(bw, f); err != nil {
 			return err
 		}
@@ -455,12 +464,22 @@ func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, b
 	return bw.Flush()
 }
 
+// planes lists rows [lo, hi) of every correlation plane from c on.
+func planes(c, lo, hi int) []band {
+	var bs []band
+	for ; c < grid.NrCorrelations; c++ {
+		bs = append(bs, band{c, lo, hi})
+	}
+	return bs
+}
+
 // TestCoordinatorRejectsMalformedBands: worker 1 owns rows [8, 16) of
 // a 16-row grid. A first attempt whose bands leave the hello's span,
-// overlap, leave a gap, repeat a band or stop short of the span — or
-// whose hello announces rows beyond the grid — is discarded with a note
-// naming the fault, the worker is relaunched, and the run ends as a
-// clean run does.
+// overlap, leave a gap, repeat a band, stop short of the span, name a
+// plane out of order or out of range, leave a plane short or run past
+// the last plane — or whose hello announces rows beyond the grid — is
+// discarded with a note naming the fault, the worker is relaunched,
+// and the run ends as a clean run does.
 func TestCoordinatorRejectsMalformedBands(t *testing.T) {
 	const size = 16
 	clean, _, err := runCoordinator(t, Config{Workers: 2, Axis: AxisRows, GridSize: size}, honestLauncher(size))
@@ -470,15 +489,19 @@ func TestCoordinatorRejectsMalformedBands(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		lo, hi int
-		bands  [][2]int
+		bands  []band
 		note   string
 	}{
-		{"band leaves the span", 8, 16, [][2]int{{6, 12}, {12, 16}}, "outside the span [8, 16)"},
-		{"bands overlap", 8, 16, [][2]int{{8, 12}, {11, 16}}, "sent rows [11, 16) where row 12 was due"},
-		{"bands leave a gap", 8, 16, [][2]int{{8, 11}, {12, 16}}, "sent rows [12, 16) where row 11 was due"},
-		{"band repeated", 8, 16, [][2]int{{8, 12}, {8, 12}, {12, 16}}, "sent rows [8, 12) where row 12 was due"},
-		{"bands stop short", 8, 16, [][2]int{{8, 12}}, "stream closed at row 12 of its span [8, 16)"},
-		{"span beyond the grid", 8, 17, [][2]int{{8, 16}}, "announced rows [8, 17) of a 16-row grid"},
+		{"band leaves the span", 8, 16, []band{{0, 6, 12}, {0, 12, 16}}, "outside the span [8, 16)"},
+		{"bands overlap", 8, 16, []band{{0, 8, 12}, {0, 11, 16}}, "sent plane 0 rows [11, 16) where plane 0 row 12 was due"},
+		{"bands leave a gap", 8, 16, []band{{0, 8, 11}, {0, 12, 16}}, "sent plane 0 rows [12, 16) where plane 0 row 11 was due"},
+		{"band repeated", 8, 16, []band{{0, 8, 12}, {0, 8, 12}, {0, 12, 16}}, "sent plane 0 rows [8, 12) where plane 0 row 12 was due"},
+		{"bands stop short", 8, 16, []band{{0, 8, 12}}, "stream closed where plane 0 row 12 of its span [8, 16) was due"},
+		{"span beyond the grid", 8, 17, []band{{0, 8, 16}}, "announced rows [8, 17) of a 16-row grid"},
+		{"plane out of order", 8, 16, append([]band{{0, 8, 16}, {2, 8, 16}}, planes(1, 8, 16)...), "sent plane 2 rows [8, 16) where plane 1 row 8 was due"},
+		{"plane out of range", 8, 16, append(planes(0, 8, 16), band{4, 8, 16}), "band of correlation plane 4"},
+		{"plane left short", 8, 16, append([]band{{0, 8, 16}, {1, 8, 15}}, planes(2, 8, 16)...), "sent plane 2 rows [8, 16) where plane 1 row 15 was due"},
+		{"band past the last plane", 8, 16, append(planes(0, 8, 16), band{3, 8, 16}), "sent plane 3 rows [8, 16) where the result was due"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
@@ -486,6 +509,108 @@ func TestCoordinatorRejectsMalformedBands(t *testing.T) {
 				if spec.Index == 1 && !spec.Resume {
 					h := Hello{Worker: 1, Workers: 2, Axis: AxisRows, Lo: tc.lo, Hi: tc.hi}
 					return bandsDeliver(ctx, spec, h, g, tc.bands)
+				}
+				return Deliver(ctx, spec, [32]byte{}, g, 0)
+			})
+			cfg := Config{Workers: 2, Axis: AxisRows, GridSize: size, MaxRestarts: 1, ResultWait: 200 * time.Millisecond}
+			g, sum, err := runCoordinator(t, cfg, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Discarded != 1 || sum.Restarts != 1 {
+				t.Fatalf("discarded=%d restarts=%d, want 1 and 1 (notes %q)", sum.Discarded, sum.Restarts, sum.Notes)
+			}
+			if !strings.Contains(strings.Join(sum.Notes, "\n"), tc.note) {
+				t.Errorf("no note names the fault %q: %q", tc.note, sum.Notes)
+			}
+			if FingerprintOf(g) != FingerprintOf(clean) {
+				t.Error("the run with a discarded stream hashed differently from the clean run")
+			}
+		})
+	}
+}
+
+// flipWriter flips the bits of the stream byte at offset at.
+type flipWriter struct {
+	w       io.Writer
+	off, at int
+}
+
+func (f *flipWriter) Write(p []byte) (int, error) {
+	if i := f.at - f.off; i >= 0 && i < len(p) {
+		p = append([]byte(nil), p...)
+		p[i] ^= 0xff
+	}
+	f.off += len(p)
+	return f.w.Write(p)
+}
+
+// TestCoordinatorChecksumsCatchTheirFaults pins what each of the two
+// stream checks is for. The frame CRC rejects a payload byte flipped
+// in flight before the frame is decoded, and the note names the frame
+// checksum (without the CRC the fingerprint would still reject the
+// stream, under another note). The band fingerprint rejects frames
+// that are each intact but carry other cells than the worker declared:
+// a stale partial sent under its successor's fingerprint. Either way
+// worker 1 is relaunched and the run ends as a clean run does.
+func TestCoordinatorChecksumsCatchTheirFaults(t *testing.T) {
+	const size = 16
+	clean, _, err := runCoordinator(t, Config{Workers: 2, Axis: AxisRows, GridSize: size}, honestLauncher(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first cell byte of the first band: after the hello frame and
+	// the band's frame and payload headers.
+	firstCell := frame.HeaderSize + helloPayloadBytes + 8 + frame.HeaderSize + bandPayloadHeader
+	for _, tc := range []struct {
+		name    string
+		deliver func(ctx context.Context, spec WorkerSpec, g *grid.Grid) error
+		note    string
+	}{
+		{"byte flipped in flight", func(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			bw := bufio.NewWriter(&flipWriter{w: conn, at: firstCell + 3})
+			h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis}
+			h.Lo, h.Hi = grid.NonzeroRowSpan(g)
+			fp, err := sendBands(bw, h, g, 0)
+			if err != nil {
+				return err
+			}
+			if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: fp})); err != nil {
+				return err
+			}
+			return bw.Flush()
+		}, "frame checksum mismatch"},
+		{"intact frames, other cells", func(ctx context.Context, spec WorkerSpec, g *grid.Grid) error {
+			stale := g.Clone()
+			lo, hi := grid.NonzeroRowSpan(g)
+			stale.Add(3, hi-1, 2, 0.5)
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			bw := bufio.NewWriter(conn)
+			if _, err := sendBands(bw, Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, Lo: lo, Hi: hi}, stale, 0); err != nil {
+				return err
+			}
+			if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: spanPrint(g)})); err != nil {
+				return err
+			}
+			return bw.Flush()
+		}, "partial fingerprint mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
+				g := workerGrid(spec, size)
+				if spec.Index == 1 && !spec.Resume {
+					return tc.deliver(ctx, spec, g)
 				}
 				return Deliver(ctx, spec, [32]byte{}, g, 0)
 			})

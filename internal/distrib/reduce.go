@@ -30,7 +30,9 @@ func TreeReduce(gs []*grid.Grid) *grid.Grid {
 // so each cell gets the sum, in the association, that merging whole
 // grids gives it. A nil entry (an empty partition) absorbs into its
 // partner by pointer swap. The root is materialised once, as the
-// returned grid (nil if every entry was nil).
+// returned grid (nil if every entry was nil): in place when the root
+// band came from grid.NewGridBand, which Grow widens within its own
+// grid, else by a copy.
 func reduceBands(bs []*grid.Band) *grid.Grid {
 	n := len(bs)
 	for stride := 1; stride < n; stride *= 2 {
@@ -59,19 +61,16 @@ func reduceBands(bs []*grid.Band) *grid.Grid {
 	return bs[0].Grid()
 }
 
-// merge returns a + b: in a when a's rows cover b's, else in a new band
-// over the union of their rows, or over every row at the root.
+// merge returns a + b: in a when a's rows cover b's, else in a grown
+// to the union of their rows, or to every row at the root.
 func merge(a, b *grid.Band, root bool) *grid.Band {
-	if a.Lo <= b.Lo && b.Hi <= a.Hi {
-		a.Add(b)
-		return a
+	if b.Lo < a.Lo || a.Hi < b.Hi {
+		lo, hi := min(a.Lo, b.Lo), max(a.Hi, b.Hi)
+		if root {
+			lo, hi = 0, a.N
+		}
+		a = a.Grow(lo, hi)
 	}
-	lo, hi := min(a.Lo, b.Lo), max(a.Hi, b.Hi)
-	if root {
-		lo, hi = 0, a.N
-	}
-	dst := grid.NewBand(a.N, lo, hi)
-	dst.Add(a)
-	dst.Add(b)
-	return dst
+	a.Add(b)
+	return a
 }

@@ -73,10 +73,11 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBandRoundTrip streams a grid's nonzero span frame by frame into
-// a band of that span and requires bit-identity — the band fingerprint
-// must survive the wire, and the band materialised as a grid is the
-// source grid.
+// TestBandRoundTrip streams a grid's nonzero span plane by plane,
+// frame by frame, into a band of that span and requires bit-identity —
+// the band fingerprint must survive the wire, the cells each frame
+// decodes hash to it in stream order, and the band materialised as a
+// grid is the source grid.
 func TestBandRoundTrip(t *testing.T) {
 	src := testGrid(24)
 	lo, hi := grid.NonzeroRowSpan(src)
@@ -84,25 +85,30 @@ func TestBandRoundTrip(t *testing.T) {
 		t.Fatalf("NonzeroRowSpan = [%d, %d), want [2, 23)", lo, hi)
 	}
 	dst := grid.NewBand(24, lo, hi)
-	for y := lo; y < hi; y += 5 {
-		end := min(y+5, hi)
-		ef, err := EncodeBand(src, y, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := frame.Read(bytes.NewReader(frameBytes(t, ef)), 0, reduceRules, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		glo, ghi, err := DecodeBandInto(dst, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if glo != y || ghi != end {
-			t.Fatalf("band decoded as [%d, %d), want [%d, %d)", glo, ghi, y, end)
+	sum := grid.NewHasher(24, lo, hi)
+	for c := 0; c < grid.NrCorrelations; c++ {
+		for y := lo; y < hi; y += 5 {
+			end := min(y+5, hi)
+			ef, err := encodeBandInto(nil, src, c, y, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := frame.Read(bytes.NewReader(frameBytes(t, ef)), 0, reduceRules, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc, glo, ghi, cells, err := DecodeBandInto(dst, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gc != c || glo != y || ghi != end || &cells[0] != &dst.Data[c][(y-lo)*24] {
+				t.Fatalf("band decoded as plane %d [%d, %d), want plane %d [%d, %d) in place", gc, glo, ghi, c, y, end)
+			}
+			sum.Write(cells)
 		}
 	}
-	if dst.Fingerprint() != src.Rows(lo, hi).Fingerprint() {
+	want := src.Rows(lo, hi).Fingerprint()
+	if dst.Fingerprint() != want || sum.Sum() != want {
 		t.Fatal("band changed across the stream")
 	}
 	if FingerprintOf(dst.Grid()) != FingerprintOf(src) {
@@ -118,10 +124,10 @@ func TestBandRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBandInto(grid.NewBand(16, 0, 16), f); err == nil || !strings.Contains(err.Error(), "16-pixel") {
+	if _, _, _, _, err := DecodeBandInto(grid.NewBand(16, 0, 16), f); err == nil || !strings.Contains(err.Error(), "16-pixel") {
 		t.Errorf("band for the wrong grid size accepted: %v", err)
 	}
-	if _, _, err := DecodeBandInto(grid.NewBand(8, 2, 8), f); err == nil || !strings.Contains(err.Error(), "outside the span [2, 8)") {
+	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 2, 8), f); err == nil || !strings.Contains(err.Error(), "outside the span [2, 8)") {
 		t.Errorf("band leaving the receiving span accepted: %v", err)
 	}
 	if _, err := EncodeBand(src, 4, 4); err == nil {
@@ -130,11 +136,19 @@ func TestBandRejects(t *testing.T) {
 	if _, err := EncodeBand(src, -1, 4); err == nil {
 		t.Error("EncodeBand accepted a negative lo")
 	}
+	if _, err := encodeBandInto(nil, src, grid.NrCorrelations, 1, 4); err == nil {
+		t.Error("encodeBandInto accepted plane 4")
+	}
+	plane4 := frame.Frame{Type: FrameBand, Payload: append([]byte(nil), f.Payload...)}
+	plane4.Payload[4] = grid.NrCorrelations
+	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), plane4); err == nil || !strings.Contains(err.Error(), "plane 4") {
+		t.Errorf("band of plane 4 accepted: %v", err)
+	}
 	// A band whose payload length disagrees with its row range must be
 	// rejected by the decoder even though the frame layer accepted it
 	// (the length is a valid k*cellBytes, just not this range's k).
 	bad := frame.Frame{Type: FrameBand, Payload: f.Payload[:len(f.Payload)-16]}
-	if _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), bad); err == nil {
+	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), bad); err == nil {
 		t.Error("DecodeBandInto accepted a short payload")
 	}
 }
@@ -171,7 +185,7 @@ func TestReduceFrameSizeChecks(t *testing.T) {
 	// error differently — the cap check must fire first.
 	b := frameBytes(t, EncodeHello(Hello{Workers: 1}))[:10]
 	b[5] = FrameBand
-	b[6], b[7], b[8], b[9] = 0x0c, 0x00, 0x00, 0xff // 0xff00000c = header + k*16
+	b[6], b[7], b[8], b[9] = 0x10, 0x00, 0x00, 0xff // 0xff000010 = header + k*16
 	if _, err := frame.Read(bytes.NewReader(b), 1<<20, reduceRules, nil); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("4 GiB declared band length not stopped by the cap: %v", err)
 	}
@@ -195,7 +209,8 @@ func TestFingerprintDistinguishes(t *testing.T) {
 // (the band rule and cap check run on the declared length before the
 // payload allocation), and any accepted frame must decode or be
 // rejected cleanly by its typed decoder — bands into the span the last
-// hello announced, as the coordinator decodes them.
+// hello announced, in the order the coordinator demands, and a result
+// closing that span.
 func FuzzReadReduceFrame(f *testing.F) {
 	g := testGrid(8)
 	band, _ := EncodeBand(g, 2, 6)
@@ -209,7 +224,7 @@ func FuzzReadReduceFrame(f *testing.F) {
 	seeds = append(seeds, append(append([]byte{}, seeds[0]...), seeds[2]...))
 	seeds = append(seeds, seeds[1][:20])
 	hugeband := append([]byte{}, seeds[1]...)
-	hugeband[6], hugeband[7], hugeband[8], hugeband[9] = 0x0c, 0x00, 0x00, 0xff
+	hugeband[6], hugeband[7], hugeband[8], hugeband[9] = 0x10, 0x00, 0x00, 0xff
 	seeds = append(seeds, hugeband)
 	for _, s := range seeds {
 		f.Add(s)
@@ -219,7 +234,7 @@ func FuzzReadReduceFrame(f *testing.F) {
 		// into one reused buffer as the coordinator reads it. Both must see
 		// the same frames and fail at the same one.
 		r, again := bytes.NewReader(data), bytes.NewReader(data)
-		dst := grid.NewBand(8, 0, 8)
+		in := newBandStream(Hello{Hi: 8}, 8)
 		buf := make([]byte, 0, 16)
 		for {
 			fr, err := frame.Read(r, 1<<16, reduceRules, nil)
@@ -242,17 +257,22 @@ func FuzzReadReduceFrame(f *testing.F) {
 				if err != nil {
 					return
 				}
-				if h.Hi <= dst.N {
-					dst = grid.NewBand(dst.N, h.Lo, h.Hi)
+				if h.Hi <= 8 {
+					in = newBandStream(h, 8)
 				}
 			case FrameBand:
-				if _, _, err := DecodeBandInto(dst, fr); err != nil {
+				if err := in.add(fr); err != nil {
 					return
 				}
 			case FrameResult:
 				if _, err := DecodeResult(fr); err != nil {
 					return
 				}
+				if _, _, err := in.finish(); err != nil {
+					return
+				}
+				in = newBandStream(Hello{Hi: 8}, 8) // the coordinator reads no further; the fuzzer does
+
 			default:
 				t.Fatalf("reader accepted unknown frame type %d", fr.Type)
 			}

@@ -50,11 +50,10 @@ func (f LauncherFunc) Start(ctx context.Context, spec WorkerSpec) error {
 var NonzeroRowSpan = grid.NonzeroRowSpan
 
 // Deliver streams a finished partial grid to the coordinator: dial, a
-// Hello announcing g's nonzero row span, that span chunked into
+// Hello announcing g's nonzero row span, that span plane by plane in
 // FrameBands under the payload cap, and a closing FrameResult carrying
-// the span's band fingerprint — hashed on its own goroutine while the
-// bands are encoded and written. maxPayload <= 0 selects
-// frame.DefaultMaxPayload.
+// the span's band fingerprint, accumulated over each band's cells as
+// it is encoded. maxPayload <= 0 selects frame.DefaultMaxPayload.
 func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
@@ -68,14 +67,11 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	h := Hello{Worker: spec.Index, Workers: spec.Workers, Axis: spec.Axis, PlanSum: planSum}
 	h.Lo, h.Hi = grid.NonzeroRowSpan(g)
-	hashed := make(chan Fingerprint, 1)
-	go func() { hashed <- g.Rows(h.Lo, h.Hi).Fingerprint() }()
-	err = sendBands(bw, h, g, maxPayload)
-	res := Result{Worker: spec.Index, Fingerprint: <-hashed} // also on error: g is the caller's again
+	fp, err := sendBands(bw, h, g, maxPayload)
 	if err != nil {
 		return err
 	}
-	if err := frame.Write(bw, EncodeResult(res)); err != nil {
+	if err := frame.Write(bw, EncodeResult(Result{Worker: spec.Index, Fingerprint: fp})); err != nil {
 		return fmt.Errorf("distrib: worker %d sending result: %w", spec.Index, err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -85,22 +81,29 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 }
 
 // sendBands writes the hello h and the band frames of g's rows
-// [h.Lo, h.Hi), every band through one reused payload buffer.
-func sendBands(bw *bufio.Writer, h Hello, g *grid.Grid, maxPayload int) error {
+// [h.Lo, h.Hi), plane by plane, every band through one reused payload
+// buffer, and returns the band fingerprint of those rows hashed frame
+// by frame on the way.
+func sendBands(bw *bufio.Writer, h Hello, g *grid.Grid, maxPayload int) (Fingerprint, error) {
 	if err := frame.Write(bw, EncodeHello(h)); err != nil {
-		return fmt.Errorf("distrib: worker %d sending hello: %w", h.Worker, err)
+		return Fingerprint{}, fmt.Errorf("distrib: worker %d sending hello: %w", h.Worker, err)
 	}
 	step := BandRowsPerFrame(g.N, maxPayload)
+	sum := grid.NewHasher(g.N, h.Lo, h.Hi)
 	var payload []byte
-	for y := h.Lo; y < h.Hi; y += step {
-		f, err := encodeBandInto(payload, g, y, min(y+step, h.Hi))
-		if err != nil {
-			return err
+	for c := range g.Data {
+		for y := h.Lo; y < h.Hi; y += step {
+			end := min(y+step, h.Hi)
+			f, err := encodeBandInto(payload, g, c, y, end)
+			if err != nil {
+				return Fingerprint{}, err
+			}
+			sum.Write(g.Data[c][y*g.N : end*g.N])
+			if err := frame.Write(bw, f); err != nil {
+				return Fingerprint{}, fmt.Errorf("distrib: worker %d sending plane %d rows [%d, %d): %w", h.Worker, c, y, end, err)
+			}
+			payload = f.Payload
 		}
-		if err := frame.Write(bw, f); err != nil {
-			return fmt.Errorf("distrib: worker %d sending band [%d, %d): %w", h.Worker, y, min(y+step, h.Hi), err)
-		}
-		payload = f.Payload
 	}
-	return nil
+	return sum.Sum(), nil
 }

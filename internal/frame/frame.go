@@ -5,7 +5,7 @@
 //
 //	magic "IDGF" | version 1 byte | type 1 byte | payload len uint32 LE
 //	payload (len bytes)
-//	CRC-64/ECMA over header+payload, uint64 LE
+//	CRC-64/ECMA over header+payload, uint64 LE (crc.go)
 //
 // Protocols built on it register their frame types as a Rules table.
 // The payload length is validated against the frame type's rule and
@@ -17,7 +17,6 @@ package frame
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 )
 
@@ -30,8 +29,6 @@ const (
 	// no cap (4 MiB = ~128k visibility samples per frame).
 	DefaultMaxPayload = 4 << 20
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Frame is one decoded wire frame.
 type Frame struct {
@@ -54,9 +51,7 @@ func Write(w io.Writer, f Frame) error {
 	hdr[4] = version
 	hdr[5] = f.Type
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(f.Payload)))
-	crc := crc64.New(crcTable)
-	crc.Write(hdr[:])
-	crc.Write(f.Payload)
+	crc := crcUpdate(crcUpdate(0, hdr[:]), f.Payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -64,7 +59,7 @@ func Write(w io.Writer, f Frame) error {
 		return err
 	}
 	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], crc.Sum64())
+	binary.LittleEndian.PutUint64(sum[:], crc)
 	_, err := w.Write(sum[:])
 	return err
 }
@@ -109,8 +104,7 @@ func Read(r io.Reader, maxPayload int, rules Rules, buf []byte) (Frame, error) {
 	if n > int64(maxPayload) {
 		return Frame{}, fmt.Errorf("frame: frame payload of %d bytes exceeds the %d-byte cap", n, maxPayload)
 	}
-	crc := crc64.New(crcTable)
-	crc.Write(hdr[:])
+	crc := crcUpdate(0, hdr[:])
 	if n > 0 {
 		if int64(cap(buf)) < n {
 			buf = make([]byte, n)
@@ -119,14 +113,14 @@ func Read(r io.Reader, maxPayload int, rules Rules, buf []byte) (Frame, error) {
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, fmt.Errorf("frame: reading %d-byte frame payload: %w", n, unexpected(err))
 		}
-		crc.Write(f.Payload)
+		crc = crcUpdate(crc, f.Payload)
 	}
 	var sum [8]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return Frame{}, fmt.Errorf("frame: reading frame checksum: %w", unexpected(err))
 	}
-	if got := binary.LittleEndian.Uint64(sum[:]); got != crc.Sum64() {
-		return Frame{}, fmt.Errorf("frame: frame checksum mismatch: wire %016x, computed %016x", got, crc.Sum64())
+	if got := binary.LittleEndian.Uint64(sum[:]); got != crc {
+		return Frame{}, fmt.Errorf("frame: frame checksum mismatch: wire %016x, computed %016x", got, crc)
 	}
 	return f, nil
 }

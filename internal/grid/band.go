@@ -6,13 +6,16 @@ import (
 )
 
 // Band is rows [Lo, Hi) of an N-pixel grid, owning its cells
-// (NewBand) or viewing a grid's (Grid.Rows): an adder worker's rows, a
+// (NewBand), viewing a grid's (Grid.Rows) or owning a whole grid of
+// which it is the nonzero rows (NewGridBand): an adder worker's rows, a
 // shard, or the span a checkpoint or a partial grid touched. Data holds
 // one row-major (Hi-Lo)*N plane per correlation; grid row y is band
 // row y-Lo.
 type Band struct {
 	N, Lo, Hi int
 	Data      [NrCorrelations][]complex128
+	// whole is the grid of a NewGridBand band, zero outside [Lo, Hi).
+	whole *Grid
 }
 
 // NewBand allocates zeroed rows [lo, hi) of an n-pixel grid.
@@ -27,6 +30,44 @@ func NewBand(n, lo, hi int) *Band {
 		b.Data[c] = backing[c*m : (c+1)*m]
 	}
 	return b
+}
+
+// NewGridBand returns rows [lo, hi) of a new zeroed n-pixel grid: a
+// band whose Grid is that grid, with no copy, and which Grow widens in
+// place.
+func NewGridBand(n, lo, hi int) *Band {
+	if lo < 0 || hi > n || lo > hi {
+		panic(fmt.Sprintf("grid: invalid band [%d, %d) of a %d-row grid", lo, hi, n))
+	}
+	g := NewGrid(n)
+	b := g.Rows(lo, hi)
+	b.whole = g
+	return b
+}
+
+// Grow returns rows [lo, hi) ⊇ [b.Lo, b.Hi) holding what adding b into
+// zeroed rows [lo, hi) gives: b's cells as +0 + x — a -0 component
+// reads +0 — and zeros around them. A NewGridBand band grows in place:
+// b's cells are rewritten and the result shares b's grid. Any other
+// band is added into a new band and left as it was.
+func (b *Band) Grow(lo, hi int) *Band {
+	if lo > b.Lo || hi < b.Hi {
+		panic(fmt.Sprintf("grid: growing band [%d, %d) to [%d, %d)", b.Lo, b.Hi, lo, hi))
+	}
+	if b.whole == nil {
+		dst := NewBand(b.N, lo, hi)
+		dst.Add(b)
+		return dst
+	}
+	for c := range b.Data {
+		cells := b.Data[c]
+		for i, v := range cells {
+			cells[i] = 0 + v
+		}
+	}
+	dst := b.whole.Rows(lo, hi)
+	dst.whole = b.whole
+	return dst
 }
 
 // Rows returns rows [lo, hi) of g as a band sharing g's memory.
@@ -64,8 +105,12 @@ func NonzeroRowSpan(g *Grid) (lo, hi int) {
 }
 
 // Grid returns b as a whole grid: b's own memory when b spans every
-// row, else a new grid holding b's rows and zeros around them.
+// row or came from NewGridBand, else a new grid holding b's rows and
+// zeros around them.
 func (b *Band) Grid() *Grid {
+	if b.whole != nil {
+		return b.whole
+	}
 	if b.Lo == 0 && b.Hi == b.N {
 		return &Grid{N: b.N, Data: b.Data}
 	}

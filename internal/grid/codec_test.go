@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -103,14 +104,28 @@ func TestFingerprintNegativeZero(t *testing.T) {
 	}
 }
 
-// TestFingerprintSpecials: non-finite cells go through the same Hypot
-// and comparisons as in the per-cell loop (NaN sums, Inf peaks).
+// TestFingerprintSpecials: every pair of awkward parts, and parts of
+// every magnitude, get math.Hypot's modulus bit for bit and go through
+// the same comparisons as in the per-cell loop (NaN sums, Inf peaks).
 func TestFingerprintSpecials(t *testing.T) {
 	for i, re := range awkward {
-		g := sparseGrid(5)
-		g.Data[1][3] = complex(re, awkward[(i+3)%len(awkward)])
+		for j, im := range awkward {
+			g := sparseGrid(5)
+			g.Data[1][3] = complex(re, im)
+			if got, want := g.Fingerprint(), referenceFingerprint(g); !sameFingerprint(got, want) {
+				t.Errorf("special (%d, %d): %+v, want %+v", i, j, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	part := func() float64 {
+		return math.Ldexp(rng.NormFloat64(), rng.Intn(2100)-1075)
+	}
+	for trial := 0; trial < 5000; trial++ {
+		g := NewGrid(1) // one cell: SumAbs is its modulus alone
+		g.Data[trial%NrCorrelations][0] = complex(part(), part())
 		if got, want := g.Fingerprint(), referenceFingerprint(g); !sameFingerprint(got, want) {
-			t.Errorf("special %d: %+v, want %+v", i, got, want)
+			t.Fatalf("cell %v: %+v, want %+v", g.Data[trial%NrCorrelations][0], got, want)
 		}
 	}
 }
@@ -290,5 +305,30 @@ func TestBandFingerprint(t *testing.T) {
 	}
 	if g.Rows(0, 9).Fingerprint().SHA256 == g.Fingerprint().SHA256 {
 		t.Error("a full-height band hashes as the grid: the span is not in the hash")
+	}
+}
+
+// TestHasherMatchesBandFingerprint: a band's cells written plane by
+// plane in runs of one row, three rows or the whole span fingerprint
+// as Band.Fingerprint does, for an empty span and for spans holding -0
+// components as well.
+func TestHasherMatchesBandFingerprint(t *testing.T) {
+	g := sparseGrid(9)
+	g.Set(1, 3, 4, complex(math.Copysign(0, -1), 0))
+	g.Set(2, 5, 0, complex(1, math.Copysign(0, -1)))
+	for _, span := range [][2]int{{0, 9}, {2, 7}, {3, 6}, {4, 4}} {
+		b := g.Rows(span[0], span[1])
+		want := b.Fingerprint()
+		for _, rows := range []int{1, 3, max(1, span[1]-span[0])} {
+			h := NewHasher(9, span[0], span[1])
+			for c := range b.Data {
+				for y := span[0]; y < span[1]; y += rows {
+					h.Write(b.Data[c][(y-span[0])*9 : (min(y+rows, span[1])-span[0])*9])
+				}
+			}
+			if got := h.Sum(); !sameFingerprint(got, want) {
+				t.Errorf("band %v in %d-row runs: %+v, want %+v", span, rows, got, want)
+			}
+		}
 	}
 }

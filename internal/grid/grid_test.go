@@ -295,3 +295,50 @@ func TestBandSubgridOpsTouchOverlapOnly(t *testing.T) {
 		}()
 	}
 }
+
+// TestGridBandGrow: a NewGridBand band grows in its own grid to the
+// bits a new band gets from adding it (-0 components become +0, zeros
+// around it), materialises as that grid with no copy, and a plain band
+// grows into a new band and is left as it was.
+func TestGridBandGrow(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fill := func(b *Band) {
+		for c := range b.Data {
+			for i := range b.Data[c] {
+				switch i % 4 {
+				case 0:
+					b.Data[c][i] = complex(negZero, negZero)
+				case 1:
+					b.Data[c][i] = complex(float64(i), negZero)
+				default:
+					b.Data[c][i] = complex(float64(c), -float64(i))
+				}
+			}
+		}
+	}
+	plain, backed := NewBand(8, 3, 5), NewGridBand(8, 3, 5)
+	fill(plain)
+	fill(backed)
+	before := plain.Fingerprint()
+	want := plain.Grow(1, 7)
+	if plain.Fingerprint() != before {
+		t.Fatal("growing a plain band changed it")
+	}
+	got := backed.Grow(1, 7)
+	if gf, wf := got.Fingerprint(), want.Fingerprint(); got.Lo != 1 || got.Hi != 7 || gf != wf {
+		t.Fatalf("the grid band grew to [%d, %d) %x, the plain band to [1, 7) %x", got.Lo, got.Hi, gf.SHA256[:6], wf.SHA256[:6])
+	}
+	g := got.Grid()
+	if &g.Data[0][8] != &got.Data[0][0] || backed.Grid() != g {
+		t.Fatal("the grown band does not share its grid")
+	}
+	if g.Fingerprint() != want.Grid().Fingerprint() {
+		t.Fatal("the grid band materialises to other bits than the grown plain band")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("shrinking a band did not panic")
+		}
+	}()
+	got.Grow(2, 7)
+}

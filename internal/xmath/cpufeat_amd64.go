@@ -42,6 +42,19 @@ func detectAVX2FMA() bool {
 // internal/core require. Always false off amd64.
 func HasAVX2FMA() bool { return hasAVX2FMA }
 
+var hasPCLMULQDQ = detectPCLMULQDQ()
+
+func detectPCLMULQDQ() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const pclmulqdqBit = 1 << 1
+	return ecx1&pclmulqdqBit != 0
+}
+
+// HasPCLMULQDQ reports the 128-bit carry-less multiply (PCLMULQDQ) the
+// CRC folding routine of internal/frame uses. It reports detection
+// only; callers clamp to ActiveSIMD. Always false off amd64.
+func HasPCLMULQDQ() bool { return hasPCLMULQDQ }
+
 // detectedSIMD is the widest tier the host supports (see SIMDTier).
 var detectedSIMD = detectSIMD()
 

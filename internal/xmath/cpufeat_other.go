@@ -14,3 +14,7 @@ const hasAVX2FMA = false
 
 // detectedSIMD: only the portable kernels exist off amd64.
 const detectedSIMD = SIMDScalar
+
+// HasPCLMULQDQ reports the 128-bit carry-less multiply. Always false
+// off amd64.
+func HasPCLMULQDQ() bool { return false }

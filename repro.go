@@ -589,8 +589,15 @@ func (o *Observation) AllocateVisibilities() error {
 	if o.Vis != nil {
 		return nil
 	}
+	return o.allocateVisibilities(nil)
+}
+
+// allocateVisibilities sets o.Vis to the uvw tracks and zeroed rows of
+// the baselines b with backed[b] (nil: all); see
+// core.NewPartialVisibilitySet.
+func (o *Observation) allocateVisibilities(backed []bool) error {
 	tracks := o.Simulator.AllTracks(o.Config.NrTimesteps)
-	vs, err := core.NewVisibilitySet(o.Simulator.Baselines(), tracks, o.Config.NrChannels)
+	vs, err := core.NewPartialVisibilitySet(o.Simulator.Baselines(), tracks, o.Config.NrChannels, backed)
 	if err != nil {
 		return err
 	}

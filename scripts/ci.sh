@@ -26,10 +26,11 @@ go run ./examples/imagingcycle
 go run ./examples/wstacking
 go run ./examples/quickstart
 # Cross-compile check: off amd64 the tiles run the Go bodies of the
-# pixel-lane routines (the asm kernels are amd64-only), so arm64 must
-# build, and vet the packages whose Go and asm declarations pair up.
+# pixel-lane routines and the frame CRC the hash/crc64 table (the asm is
+# amd64-only), so arm64 must build, and vet the packages whose Go and
+# asm declarations pair up.
 GOOS=linux GOARCH=arm64 go build ./...
-GOOS=linux GOARCH=arm64 go vet ./internal/core/ ./internal/xmath/
+GOOS=linux GOARCH=arm64 go vet ./internal/core/ ./internal/xmath/ ./internal/frame/
 # Fast-fail race pass over the concurrency-heavy packages (pipelines,
 # fault tolerance, the lock-free metrics/tracer, the session server)
 # in short mode before paying for the full raced suite below.
@@ -41,10 +42,13 @@ go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/
 # lower the tier, so these are no-ops on narrower hosts rather than
 # failures). The sky predictor's lanes and the fill built on them must
 # keep Model.Predict's bits, and the golden hashes with them, on every
-# tier. Both legs also run the eight kernel benchmarks once each, so the
-# Go and the YMM bodies run under the benchmark harness too.
-IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
-IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/
+# tier. The frame CRC follows the tier too: the table under scalar, the
+# carry-less multiply fold (PCLMULQDQ) under avx2, so the reduction
+# stream runs on both. Both legs also run the
+# eight kernel benchmarks once each, so the Go and the YMM bodies run
+# under the benchmark harness too.
+IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/ ./internal/frame/ ./internal/distrib/
+IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/ ./internal/frame/ ./internal/distrib/
 IDG_SIMD=scalar go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=avx2 go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=scalar GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$' -benchtime 1x .
