@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -330,93 +332,72 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 	}
 }
 
-// TestStreamedCancelDuringRetry (satellite): cancellation surfacing
-// inside the retry layer must classify as ErrCanceled — and the
-// context's own sentinel — not as the failing item's error; the
-// partial grid stays finite.
-func TestStreamedCancelDuringRetry(t *testing.T) {
-	o := goldenObservation(t)
-	p := o.Kernels.Params()
-	p.GridShards = 1
-	p.StreamChunkItems = 32
-	k, err := core.NewKernels(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Kernels = k
+// TestStreamedCancelDuringItemFailure: an item that fails while the
+// run is being canceled is a casualty of the cancellation, not its
+// cause. Under either policy the pass classifies as ErrCanceled — and
+// the context's own sentinel — not as the failing item's error, and
+// the partial grid stays finite.
+func TestStreamedCancelDuringItemFailure(t *testing.T) {
+	for _, pol := range []FaultPolicy{faulttol.FailFast, faulttol.SkipAndFlag} {
+		t.Run(pol.String(), func(t *testing.T) {
+			o := goldenObservation(t)
+			p := o.Kernels.Params()
+			p.GridShards = 1
+			p.StreamChunkItems = 32
+			k, err := core.NewKernels(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Kernels = k
 
-	ctx, cancel := context.WithCancel(context.Background())
-	victim := o.Plan.Items[len(o.Plan.Items)/2]
-	ft := FaultConfig{
-		Policy:     faulttol.Retry,
-		MaxRetries: 3,
-		Hook: func(item WorkItem, attempt int) {
-			if item.Baseline == victim.Baseline &&
-				item.TimeStart == victim.TimeStart &&
-				item.Channel0 == victim.Channel0 {
-				cancel() // the run is being torn down mid-retry
-				panic("fault racing a cancellation")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			victim := o.Plan.Items[len(o.Plan.Items)/2]
+			ft := FaultConfig{
+				Policy: pol,
+				Hook: func(item WorkItem) {
+					if item.Baseline == victim.Baseline &&
+						item.TimeStart == victim.TimeStart &&
+						item.Channel0 == victim.Channel0 {
+						cancel() // the run is being torn down as the item fails
+						panic("fault racing a cancellation")
+					}
+				},
 			}
-		},
-	}
-	g, _, _, err := o.GridAllStreamed(ctx, nil, ft)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v does not match context.Canceled", err)
-	}
-	for c := range g.Data {
-		for i, v := range g.Data[c] {
-			if math.IsNaN(real(v)) || math.IsInf(real(v), 0) ||
-				math.IsNaN(imag(v)) || math.IsInf(imag(v), 0) {
-				t.Fatalf("canceled run left non-finite value at [%d][%d]", c, i)
+			g, _, rep, err := o.GridAllStreamed(ctx, nil, ft)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
-		}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v does not match context.Canceled", err)
+			}
+			if rep.ItemsSkipped != 0 {
+				t.Fatalf("the cancellation's casualty was recorded as a skip: %s", rep)
+			}
+			for c := range g.Data {
+				for i, v := range g.Data[c] {
+					if math.IsNaN(real(v)) || math.IsInf(real(v), 0) ||
+						math.IsNaN(imag(v)) || math.IsInf(imag(v), 0) {
+						t.Fatalf("canceled run left non-finite value at [%d][%d]", c, i)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestRetryAndCheckpointMetrics (satellite): pin the new registry
-// metrics against a deterministic flaky run — per-item retry counts,
-// retry latency samples, checkpoint write/restore counters.
-func TestRetryAndCheckpointMetrics(t *testing.T) {
+// TestCheckpointMetrics pins the checkpoint instruments of the
+// registry: write, byte and restore counters on a clean checkpointed
+// run and then on a run resumed from its snapshot.
+func TestCheckpointMetrics(t *testing.T) {
 	dir := t.TempDir()
 	observer := NewObserver(0)
 	o := checkpointGoldenObservation(t, dir, nil, observer)
-
-	sel := faultinject.Selector{Fraction: 0.1, Seed: 42}
-	victims := sel.Count(o.Plan.Items)
-	if victims == 0 {
-		t.Fatal("selector picked no victims; raise the fraction")
-	}
-	ft := FaultConfig{
-		Policy:     faulttol.Retry,
-		MaxRetries: 2,
-		Hook:       faultinject.FlakyHook(sel, 1), // each victim fails exactly once
-	}
-	if _, _, rep, err := o.GridAllStreamed(context.Background(), nil, ft); err != nil {
+	if _, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{}); err != nil {
 		t.Fatal(err)
-	} else if rep.ItemsRetried != victims {
-		t.Fatalf("report retried %d items, selector hit %d", rep.ItemsRetried, victims)
 	}
 
 	m := observer.Metrics
-	if got := m.Counter(obs.MetricItemRetries).Value(); got != int64(victims) {
-		t.Errorf("%s = %d, want %d", obs.MetricItemRetries, got, victims)
-	}
-	// One failed attempt per victim: the attempt counter equals the
-	// item counter here, and diverges when items need several retries.
-	if got := m.Counter(obs.MetricRetryAttempts).Value(); got != int64(victims) {
-		t.Errorf("%s = %d, want %d", obs.MetricRetryAttempts, got, victims)
-	}
-	h, err := m.Histogram(obs.HistRetryItemSeconds, obs.DurationBuckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Count(); got != int64(victims) {
-		t.Errorf("%s count = %d, want %d", obs.HistRetryItemSeconds, got, victims)
-	}
-
 	wantWrites := (goldenChunks(o) + 1) / 2 // one write per 2-chunk epoch
 	if got := m.Counter(obs.MetricCheckpointWrites).Value(); got != int64(wantWrites) {
 		t.Errorf("%s = %d, want %d", obs.MetricCheckpointWrites, got, wantWrites)
@@ -443,6 +424,66 @@ func TestRetryAndCheckpointMetrics(t *testing.T) {
 	}
 	if got := observer2.Metrics.Counter(obs.MetricCheckpointRestores).Value(); got != 1 {
 		t.Errorf("%s = %d after resume, want 1", obs.MetricCheckpointRestores, got)
+	}
+}
+
+// TestResumeFromSnapshotWithRetriedCount: format version 2 keeps an
+// 8-byte slot after itemsProcessed that older writers filled with a
+// retried-item count and that is now reserved. A mid-run snapshot
+// whose slot holds a nonzero count — re-sealed with a valid content
+// digest, as such a writer left it — still loads, and the pass resumed
+// from it reproduces the golden grid.
+func TestResumeFromSnapshotWithRetriedCount(t *testing.T) {
+	want := goldenSHA(t)
+	dir := t.TempDir()
+	o := checkpointGoldenObservation(t, dir, faultinject.CrashHook(checkpoint.EventAfterWrite, 1), nil)
+	func() {
+		defer func() {
+			if _, ok := recover().(faultinject.Kill); !ok {
+				t.Fatal("pass was not killed after its second snapshot")
+			}
+		}()
+		o.GridAllStreamed(context.Background(), nil, FaultConfig{})
+	}()
+	names, err := checkpoint.List(dir)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("killed pass left no snapshot: %v %v", names, err)
+	}
+	path := filepath.Join(dir, names[len(names)-1])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, gridSize, nextChunk, chunkItems, plan SHA-256,
+	// itemsProcessed; then the reserved slot.
+	const reserved = 8 + 4 + 4 + 8 + 4 + 32 + 8
+	if got := binary.LittleEndian.Uint64(raw[reserved:]); got != 0 {
+		t.Fatalf("reserved slot written as %d, want 0", got)
+	}
+	binary.LittleEndian.PutUint64(raw[reserved:], 3)
+	body := len(raw) - sha256.Size
+	sum := sha256.Sum256(raw[:body])
+	copy(raw[body:], sum[:])
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Read(path); err != nil {
+		t.Fatalf("snapshot with a nonzero reserved slot: %v", err)
+	}
+
+	o2 := checkpointGoldenObservation(t, dir, nil, nil)
+	g, _, rep, err := o2.ResumeStreamed(context.Background(), nil, FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Notes) != 0 {
+		t.Errorf("resume fell back or restarted: %v", rep.Notes)
+	}
+	if got := fingerprintGrid(g).SHA256; got != want {
+		t.Errorf("resumed grid hash %s, want golden %s", got, want)
+	}
+	if rep.ItemsProcessed != len(o2.Plan.Items) {
+		t.Errorf("resumed report counts %d of %d items", rep.ItemsProcessed, len(o2.Plan.Items))
 	}
 }
 

@@ -36,8 +36,7 @@ func main() {
 		outDir   = flag.String("out", ".", "output directory for PGM images")
 		scheme   = flag.String("weighting", "natural", "imaging weighting: natural, uniform or robust")
 		robust   = flag.Float64("robust", 0.0, "Briggs robustness parameter (weighting=robust)")
-		policy   = flag.String("fault-policy", "fail-fast", "work-item failure policy: fail-fast, retry or skip-and-flag")
-		retries  = flag.Int("max-retries", 0, "retries per failed work item (retry/skip-and-flag policies)")
+		policy   = flag.String("fault-policy", "fail-fast", "work-item failure policy of every IDG pass: fail-fast or skip-and-flag")
 		flagClip = flag.Float64("flag-clip", 0, "flag visibilities with amplitude above this (0 disables)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 disables)")
 		trace    = flag.String("trace", "", "write a chrome://tracing timeline of the pipeline stages to this file")
@@ -80,7 +79,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	ft := repro.FaultConfig{Policy: pol, MaxRetries: *retries}
+	ft := repro.FaultConfig{Policy: pol}
 
 	cfg := repro.DefaultObservation()
 	cfg.NrStations = *stations
@@ -179,12 +178,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	for _, note := range faults.Notes {
-		fmt.Println("note:", note)
-	}
-	if faults.Degraded() {
-		fmt.Println(faults)
-	}
 	if *ckptDir != "" {
 		// Only the imaging pass checkpoints: the PSF and residual
 		// passes below grid different visibilities over the same plan,
@@ -218,10 +211,11 @@ func main() {
 		fail(err)
 	}
 	weight.Apply(obs.Vis, weights, cfg.Frequencies())
-	pg, _, err := obs.GridAll(ctx, nil)
+	pg, _, psfFaults, err := obs.GridAllStreamed(ctx, nil, ft)
 	if err != nil {
 		fail(err)
 	}
+	faults.Merge(psfFaults)
 	psfImg := core.GridToImage(pg, 0)
 	core.ScaleImage(psfImg, norm)
 	core.ApplyTaperCorrection(psfImg, corr)
@@ -263,19 +257,22 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if _, err := obs.Kernels.DegridVisibilities(ctx, obs.Plan, predicted, nil, mg); err != nil {
+	_, predFaults, err := obs.Kernels.DegridVisibilitiesFT(ctx, obs.Plan, predicted, nil, mg, ft)
+	if err != nil {
 		fail(err)
 	}
+	faults.Merge(predFaults)
 	weight.Apply(predicted, weights, cfg.Frequencies())
 	for b := range obs.Vis.Data {
 		for i := range obs.Vis.Data[b] {
 			obs.Vis.Data[b][i] = obs.Vis.Data[b][i].Sub(predicted.Data[b][i])
 		}
 	}
-	rg, _, err := obs.GridAll(ctx, nil)
+	rg, _, resFaults, err := obs.GridAllStreamed(ctx, nil, ft)
 	if err != nil {
 		fail(err)
 	}
+	faults.Merge(resFaults)
 	resImg := core.GridToImage(rg, 0)
 	core.ScaleImage(resImg, norm)
 	core.ApplyTaperCorrection(resImg, corr)
@@ -290,6 +287,14 @@ func main() {
 	}
 	fmt.Printf("residual image peak after model subtraction: %.4f (dirty peak was %.4f)\n",
 		peak, maxOf(dirtyI))
+	// One report for the four IDG passes (imaging, PSF, prediction,
+	// residual), all run under -fault-policy.
+	for _, note := range faults.Notes {
+		fmt.Println("note:", note)
+	}
+	if faults.Degraded() {
+		fmt.Println(faults)
+	}
 
 	restored := clean.Restore(res, n, 2.0)
 	writePGM(*outDir, "restored.pgm", restored, n)

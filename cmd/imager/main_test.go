@@ -26,6 +26,8 @@ func TestImagerExitCodes(t *testing.T) {
 		want string
 	}{
 		{"bad fault policy", []string{"-fault-policy", "sometimes"}, `unknown policy "sometimes"`},
+		{"retry is not a policy", []string{"-fault-policy", "retry"}, `unknown policy "retry"`},
+		{"no retry budget flag", []string{"-max-retries", "1"}, "flag provided but not defined"},
 		{"checkpoint period without directory", []string{"-checkpoint-every", "2"}, "-checkpoint-every needs -checkpoint-dir"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,16 +41,27 @@ func TestImagerExitCodes(t *testing.T) {
 		})
 	}
 
-	t.Run("tiny run", func(t *testing.T) {
-		dir := t.TempDir()
-		out, err := exec.Command(bin, "-stations", "10", "-steps", "32", "-channels", "2", "-grid", "256", "-out", dir).CombinedOutput()
-		if err != nil {
-			t.Fatalf("tiny run: %v\n%s", err, out)
-		}
-		for _, name := range []string{"dirty.pgm", "residual.pgm", "restored.pgm"} {
-			if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
-				t.Errorf("%s not written: %v", name, err)
+	// Both policies image a tiny observation. A multi-worker pass is not
+	// bitwise repeatable, so the runs are not compared byte for byte.
+	for _, run := range []struct {
+		name   string
+		policy string
+	}{
+		{"tiny run", "fail-fast"},
+		{"tiny skip-and-flag run", "skip-and-flag"},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, err := exec.Command(bin, "-stations", "10", "-steps", "32", "-channels", "2", "-grid", "256",
+				"-fault-policy", run.policy, "-out", dir).CombinedOutput()
+			if err != nil {
+				t.Fatalf("tiny run: %v\n%s", err, out)
 			}
-		}
-	})
+			for _, name := range []string{"dirty.pgm", "residual.pgm", "restored.pgm"} {
+				if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
+					t.Errorf("%s not written: %v", name, err)
+				}
+			}
+		})
+	}
 }

@@ -16,8 +16,10 @@
 //	version uint32 (currently 2)
 //	header  gridSize uint32, nextChunk uint64, chunkItems uint32
 //	plan    SHA-256 of the canonical plan encoding (32 bytes)
-//	report  itemsProcessed, itemsRetried, itemsSkipped,
-//	        droppedVisibilities (4 x uint64)
+//	report  itemsProcessed, reserved, itemsSkipped,
+//	        droppedVisibilities (4 x uint64); the reserved slot is
+//	        written as 0 and ignored on read (older writers stored a
+//	        retried-item count there)
 //	band    rowLo uint32, rowHi uint32 (grid.NonzeroRowSpan: the rows
 //	        the pass has touched), then those rows of each correlation
 //	        plane in turn as float64 (re, im) pairs (grid.WriteCells);
@@ -288,7 +290,7 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 	band := sn.Grid.Rows(grid.NonzeroRowSpan(sn.Grid))
 	if err := errors.Join(
 		hw.u64(uint64(sn.Report.ItemsProcessed)),
-		hw.u64(uint64(sn.Report.ItemsRetried)),
+		hw.u64(0), // reserved
 		hw.u64(uint64(sn.Report.ItemsSkipped)),
 		hw.u64(uint64(sn.Report.DroppedVisibilities)),
 		hw.u32(uint32(band.Lo)),
@@ -435,7 +437,7 @@ func Read(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: short plan fingerprint: %v", ErrCorrupt, err)
 	}
 	proc, err1 := hr.u64()
-	retr, err2 := hr.u64()
+	_, err2 = hr.u64() // reserved
 	skip, err3 := hr.u64()
 	drop, err4 := hr.u64()
 	lo, err5 := hr.u32()
@@ -445,7 +447,6 @@ func Read(path string) (*Snapshot, error) {
 	}
 	sn.Report = faulttol.ReportState{
 		ItemsProcessed:      int(proc),
-		ItemsRetried:        int(retr),
 		ItemsSkipped:        int(skip),
 		DroppedVisibilities: int64(drop),
 	}

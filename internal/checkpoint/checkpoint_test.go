@@ -35,7 +35,6 @@ func testSnapshot(gridSize, cursor int) *Snapshot {
 		PlanSum:    sum,
 		Report: faulttol.ReportState{
 			ItemsProcessed:      25,
-			ItemsRetried:        3,
 			ItemsSkipped:        2,
 			DroppedVisibilities: 37,
 		},
@@ -366,7 +365,7 @@ func writeV1(t *testing.T, dir string, sn *Snapshot) string {
 	u64(uint64(sn.NextChunk))
 	u32(sn.ChunkItems)
 	b = append(b, sn.PlanSum[:]...)
-	for _, v := range []int{sn.Report.ItemsProcessed, sn.Report.ItemsRetried, sn.Report.ItemsSkipped, int(sn.Report.DroppedVisibilities)} {
+	for _, v := range []int{sn.Report.ItemsProcessed, 0, sn.Report.ItemsSkipped, int(sn.Report.DroppedVisibilities)} {
 		u64(uint64(v))
 	}
 	u32(0) // the one shard's rows [0, GridSize)

@@ -83,7 +83,7 @@ func (k *Kernels) useRecurrence(nc int) bool {
 // checkItem validates a work item against its buffers. It panics with
 // errors wrapping faulttol.ErrBadInput so that the fault-tolerant
 // pipeline runner classifies the failure as deterministic bad input
-// (not retried) while direct kernel callers still crash loudly.
+// while direct kernel callers still crash loudly.
 func (k *Kernels) checkItem(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2) {
 	if len(uvw) != item.NrTimesteps {
 		panic(fmt.Errorf("%w: uvw length %d does not match work item (%d timesteps)",

@@ -24,7 +24,7 @@ type kernelObs struct {
 	sgGrid, sgDegrid      *obs.Counter
 	sgFFT, sgAdd, sgSplit *obs.Counter
 	flagged               *obs.Counter
-	retries, skips        *obs.Counter
+	skips                 *obs.Counter
 	panics, dropped       *obs.Counter
 	wplanes, cycles       *obs.Counter
 	residualPeak          *obs.Gauge
@@ -43,13 +43,11 @@ type kernelObs struct {
 	streamInflight             *obs.Gauge
 	streamPeakSubgrids         *obs.Gauge
 
-	// Retry-visibility and checkpoint-durability instruments.
-	retryAttempts *obs.Counter
-	retrySeconds  *obs.Histogram
-	ckptWrites    *obs.Counter
-	ckptBytes     *obs.Counter
-	ckptRestores  *obs.Counter
-	ckptSeconds   *obs.Histogram
+	// Checkpoint-durability instruments.
+	ckptWrites   *obs.Counter
+	ckptBytes    *obs.Counter
+	ckptRestores *obs.Counter
+	ckptSeconds  *obs.Histogram
 }
 
 // newKernelObs resolves the observer's instruments; nil in, nil out.
@@ -67,7 +65,6 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.sgAdd = r.Counter(obs.MetricAddedSubgrids)
 		ko.sgSplit = r.Counter(obs.MetricSplitSubgrids)
 		ko.flagged = r.Counter(obs.MetricFlaggedVisibilities)
-		ko.retries = r.Counter(obs.MetricItemRetries)
 		ko.skips = r.Counter(obs.MetricItemSkips)
 		ko.panics = r.Counter(obs.MetricKernelPanics)
 		ko.dropped = r.Counter(obs.MetricDroppedVisibilities)
@@ -83,8 +80,6 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.streamChunks = r.Counter(obs.MetricStreamChunks)
 		ko.streamInflight = r.Gauge(obs.GaugeStreamInflight)
 		ko.streamPeakSubgrids = r.Gauge(obs.GaugeStreamPeakSubgrids)
-		ko.retryAttempts = r.Counter(obs.MetricRetryAttempts)
-		ko.retrySeconds, _ = r.Histogram(obs.HistRetryItemSeconds, obs.DurationBuckets)
 		ko.ckptWrites = r.Counter(obs.MetricCheckpointWrites)
 		ko.ckptBytes = r.Counter(obs.MetricCheckpointBytes)
 		ko.ckptRestores = r.Counter(obs.MetricCheckpointRestores)
@@ -139,9 +134,9 @@ func (ko *kernelObs) stageDone(stage obs.Stage, group, wplane int, start time.Ti
 }
 
 // itemDone accounts one successfully processed work item: the stage's
-// visibility and subgrid counters, the per-item latency histogram, the
-// retry counter, and a worker-attributed span.
-func (ko *kernelObs) itemDone(stage obs.Stage, group, worker, i int, item plan.WorkItem, attempts int, start time.Time) {
+// visibility and subgrid counters, the per-item latency histogram and
+// a worker-attributed span.
+func (ko *kernelObs) itemDone(stage obs.Stage, group, worker, i int, item plan.WorkItem, start time.Time) {
 	if ko == nil {
 		return
 	}
@@ -155,11 +150,6 @@ func (ko *kernelObs) itemDone(stage obs.Stage, group, worker, i int, item plan.W
 		ko.sgDegrid.Inc()
 	}
 	ko.itemSeconds.Observe(d.Seconds())
-	if attempts > 1 {
-		ko.retries.Inc()
-		ko.retryAttempts.Add(int64(attempts - 1))
-		ko.retrySeconds.Observe(d.Seconds())
-	}
 	ko.span(obs.Span{Stage: stage, Worker: worker, Group: group, Item: i,
 		Tile: -1, Baseline: item.Baseline, Shard: -1, WPlane: item.WPlane,
 		Start: ko.tracer.Offset(start), Dur: d.Nanoseconds()})
@@ -175,9 +165,9 @@ func (ko *kernelObs) itemSkipped(item plan.WorkItem) {
 	ko.dropped.Add(int64(item.NrVisibilities()))
 }
 
-// attemptFailed counts recovered kernel panics (every failed attempt,
-// matching the faulttol taxonomy: bad input is not a panic).
-func (ko *kernelObs) attemptFailed(err error) {
+// itemFailed counts a failed item whose cause is a recovered kernel
+// panic (the faulttol taxonomy: bad input is not a panic).
+func (ko *kernelObs) itemFailed(err error) {
 	if ko == nil {
 		return
 	}

@@ -64,7 +64,6 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 	}
 	for _, name := range []string{
 		obs.MetricFlaggedVisibilities,
-		obs.MetricItemRetries,
 		obs.MetricItemSkips,
 		obs.MetricKernelPanics,
 		obs.MetricDroppedVisibilities,
@@ -182,8 +181,8 @@ func TestObserverTraceRoundTrip(t *testing.T) {
 }
 
 // TestObserverFlaggedAndFaultCounts checks the degradation-side
-// metrics: flagged samples, recovered panics, retries, skips and
-// dropped visibilities must mirror the faulttol report exactly.
+// metrics: flagged samples, recovered panics, skips and dropped
+// visibilities must mirror the faulttol report exactly.
 func TestObserverFlaggedAndFaultCounts(t *testing.T) {
 	s, ob := observedScenario(t, defaultScenarioConfig())
 	s.fillFromModel(nil)
@@ -192,8 +191,8 @@ func TestObserverFlaggedAndFaultCounts(t *testing.T) {
 		s.vs.FlagSample(0, 3, c)
 	}
 
-	// Panic on every attempt for one specific item: under SkipAndFlag
-	// with one retry that is 2 recovered panics, 1 skip.
+	// Panic inside one specific item: under SkipAndFlag that is one
+	// recovered panic and one skip.
 	var target plan.WorkItem
 	for _, it := range s.plan.Items {
 		if it.Baseline == 1 {
@@ -202,9 +201,8 @@ func TestObserverFlaggedAndFaultCounts(t *testing.T) {
 		}
 	}
 	ft := faulttol.Config{
-		Policy:     faulttol.SkipAndFlag,
-		MaxRetries: 1,
-		Hook: func(item plan.WorkItem, attempt int) {
+		Policy: faulttol.SkipAndFlag,
+		Hook: func(item plan.WorkItem) {
 			if item.Baseline == target.Baseline && item.TimeStart == target.TimeStart &&
 				item.Channel0 == target.Channel0 && item.X0 == target.X0 && item.Y0 == target.Y0 {
 				panic("injected")
@@ -221,17 +219,14 @@ func TestObserverFlaggedAndFaultCounts(t *testing.T) {
 	}
 
 	snap := ob.Metrics.Snapshot()
-	if got := snap.Counters[obs.MetricKernelPanics]; got != 2 {
-		t.Errorf("panics = %d, want 2 (initial attempt + retry)", got)
+	if got := snap.Counters[obs.MetricKernelPanics]; got != 1 {
+		t.Errorf("panics = %d, want 1 (the item is attempted once)", got)
 	}
 	if got := snap.Counters[obs.MetricItemSkips]; got != int64(rep.ItemsSkipped) {
 		t.Errorf("skips = %d, want %d", got, rep.ItemsSkipped)
 	}
 	if got := snap.Counters[obs.MetricDroppedVisibilities]; got != rep.DroppedVisibilities {
 		t.Errorf("dropped = %d, want %d", got, rep.DroppedVisibilities)
-	}
-	if got := snap.Counters[obs.MetricItemRetries]; got != int64(rep.ItemsRetried) {
-		t.Errorf("retries = %d, want %d", got, rep.ItemsRetried)
 	}
 	// The flagged timestep is seen once per plan item covering
 	// (baseline 0, timestep 3): count those.

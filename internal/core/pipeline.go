@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -276,7 +275,7 @@ func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *Visibi
 // GridVisibilitiesFT is GridVisibilities under an explicit
 // fault-tolerance policy. A panicking kernel or a non-finite subgrid
 // becomes a typed per-item error instead of a crash; depending on
-// ft.Policy the item is retried, skipped (graceful degradation,
+// ft.Policy the item is skipped (graceful degradation,
 // accounted in the returned report) or aborts the run. The report is
 // always non-nil.
 func (k *Kernels) GridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
@@ -374,15 +373,14 @@ func (k *Kernels) checkPlan(p *plan.Plan, vs *VisibilitySet, n int) error {
 }
 
 // itemRunner applies one pass's failure policy to its work items. It
-// is the only place a work item is attempted: panic isolation, retries
-// with budgeted backoff, skip-and-flag accounting and the first fatal
-// error live here, shared by the chunk workers of both passes.
+// is the only place a work item is attempted: panic isolation,
+// skip-and-flag accounting and the first fatal error live here, shared
+// by the chunk workers of both passes.
 type itemRunner struct {
-	k      *Kernels
-	stage  obs.Stage
-	ft     faulttol.Config
-	rep    *faulttol.Report
-	budget *faulttol.BackoffBudget
+	k     *Kernels
+	stage obs.Stage
+	ft    faulttol.Config
+	rep   *faulttol.Report
 
 	// ctx is done once the caller's context (parent) is done or an item
 	// failed fatally; workers stop taking items then.
@@ -396,8 +394,7 @@ type itemRunner struct {
 // newItemRunner starts the item accounting of one pass. The caller
 // defers cancel and ends the pass with finish.
 func (k *Kernels) newItemRunner(ctx context.Context, stage obs.Stage, ft faulttol.Config, rep *faulttol.Report) *itemRunner {
-	r := &itemRunner{k: k, stage: stage, ft: ft, rep: rep,
-		budget: faulttol.NewBackoffBudget(ft), parent: ctx}
+	r := &itemRunner{k: k, stage: stage, ft: ft, rep: rep, parent: ctx}
 	r.ctx, r.cancel = context.WithCancel(ctx)
 	return r
 }
@@ -415,67 +412,41 @@ func (r *itemRunner) fail(err error) {
 // finish ends the pass and returns its verdict: the first fatal error,
 // an ErrCanceled wrapper when the caller gave up, or nil.
 func (r *itemRunner) finish() error {
-	if r.budget.Exhausted() {
-		r.rep.AddNote("faulttol: retry backoff budget exhausted; remaining failures were not retried")
-	}
 	if r.firstErr != nil {
 		return r.firstErr
 	}
 	return ctxErr(r.parent)
 }
 
-// attempt runs fn for one work item under the pass's policy and
+// attempt runs fn for one work item once, under the pass's policy, and
 // reports whether it succeeded. A panic inside fn (or the injection
-// hook) becomes an ErrKernelPanic; errors.Is(err, ErrBadInput) failures
-// are never retried; re-attempts wait out the deterministic exponential
-// backoff, metered against the run's retry budget. An item that is
-// still failing is skipped and accounted (SkipAndFlag) or fails the
-// pass with a *faulttol.ItemError — unless the run is already ending,
-// in which case the failure is a casualty of the cancellation, not its
-// cause, and goes unrecorded.
+// hook) becomes an ErrKernelPanic. A failed item is skipped and
+// accounted (SkipAndFlag) or fails the pass with a *faulttol.ItemError
+// — unless the run is already ending, in which case the failure is a
+// casualty of the cancellation, not its cause, and goes unrecorded.
 //
 // chunk, worker and i attribute the observer's per-item span; with
 // observation disabled they are unused.
 func (r *itemRunner) attempt(chunk, worker, i int, item plan.WorkItem, fn func() error) bool {
 	k := r.k
 	t0 := k.ob.now()
-	attempts := r.ft.Attempts()
-	var err error
-	made := 0
-	for a := 1; a <= attempts; a++ {
-		made = a
-		err = faulttol.Run(func() error {
-			if r.ft.Hook != nil {
-				r.ft.Hook(item, a)
-			}
-			return fn()
-		})
-		if err == nil {
-			r.rep.RecordSuccess(a > 1)
-			k.ob.itemDone(r.stage, chunk, worker, i, item, a, t0)
-			return true
+	err := faulttol.Run(func() error {
+		if r.ft.Hook != nil {
+			r.ft.Hook(item)
 		}
-		k.ob.attemptFailed(err)
-		if r.ctx.Err() != nil {
-			return false
-		}
-		if errors.Is(err, faulttol.ErrBadInput) {
-			break
-		}
-		if a < attempts && !r.budget.Sleep(r.ctx, r.ft.BackoffDelay(a+1)) {
-			if r.ctx.Err() != nil {
-				return false
-			}
-			break // budget spent: the item takes its terminal path now
-		}
+		return fn()
+	})
+	if err == nil {
+		r.rep.RecordSuccess()
+		k.ob.itemDone(r.stage, chunk, worker, i, item, t0)
+		return true
 	}
-	ie := &faulttol.ItemError{
-		Baseline:  item.Baseline,
-		TimeStart: item.TimeStart,
-		Channel0:  item.Channel0,
-		Attempts:  made,
-		Err:       err,
+	k.ob.itemFailed(err)
+	if r.ctx.Err() != nil {
+		return false
 	}
+	ie := &faulttol.ItemError{Baseline: item.Baseline, TimeStart: item.TimeStart,
+		Channel0: item.Channel0, Err: err}
 	if r.ft.Policy == faulttol.SkipAndFlag {
 		r.rep.RecordSkip(ie, int64(item.NrVisibilities()))
 		k.ob.itemSkipped(item)

@@ -300,7 +300,7 @@ func TestStreamedSkipAndFlag(t *testing.T) {
 	victim := sc.plan.Items[len(sc.plan.Items)/2]
 	ft := faulttol.Config{
 		Policy: faulttol.SkipAndFlag,
-		Hook: func(item plan.WorkItem, attempt int) {
+		Hook: func(item plan.WorkItem) {
 			if item.Baseline == victim.Baseline &&
 				item.TimeStart == victim.TimeStart &&
 				item.Channel0 == victim.Channel0 {

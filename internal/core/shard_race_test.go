@@ -151,7 +151,7 @@ func TestStreamedRaceSoakWithFaults(t *testing.T) {
 	}
 	ft := faulttol.Config{
 		Policy: faulttol.SkipAndFlag,
-		Hook: func(item plan.WorkItem, attempt int) {
+		Hook: func(item plan.WorkItem) {
 			if victim(item) {
 				panic("soak: injected kernel panic")
 			}

@@ -53,8 +53,8 @@ func (a *streamAccounting) release(subgrids int) (inflight int64) {
 // and DESIGN.md ("The pass scheduler") for its contracts.
 //
 // On cancellation the error matches both faulttol.ErrCanceled and the
-// context's cause, even when the cancellation surfaced inside a retry
-// loop. The grid then holds exactly the chunks whose add stage
+// context's cause, even when the cancellation surfaced inside a failing
+// work item. The grid then holds exactly the chunks whose add stage
 // completed before the cancellation — every value finite and correct,
 // but only a prefix-plus-stragglers subset of the plan — so a partial
 // grid is useful for checkpointing but not as an image.
@@ -118,12 +118,8 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 						return
 					}
 					ok := cp.run.attempt(c.Index, worker, i, item, func() error {
-						// A re-attempt reuses the subgrid of the failed one.
-						sgr := subgrids[i]
-						if sgr == nil {
-							sgr = k.getSubgrid(item)
-							subgrids[i] = sgr
-						}
+						sgr := k.getSubgrid(item)
+						subgrids[i] = sgr
 						vis := s.visBuf(item.NrVisibilities())
 						vs.gather(item, vis)
 						if k.ob.enabled() {

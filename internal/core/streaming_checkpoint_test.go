@@ -9,12 +9,10 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faulttol"
 	"repro/internal/grid"
-	"repro/internal/plan"
 )
 
 // Core-level checkpoint tests use a local kill sentinel: faultinject
@@ -227,60 +225,5 @@ func TestResumeCursorOutOfRange(t *testing.T) {
 	_, err = k.ResumeVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 1<<20)
 	if err == nil {
 		t.Fatal("out-of-range resume cursor accepted")
-	}
-}
-
-// TestRetryBackoffBudgetStopsRetrying: with a permanently failing item
-// and a budget covering only the first backoff, the retry loop must
-// stop early — the item error reports fewer attempts than MaxRetries
-// allows and the report carries the exhaustion note.
-func TestRetryBackoffBudgetStopsRetrying(t *testing.T) {
-	sc := buildScenario(t, defaultScenarioConfig())
-	sc.fillFromModel(nil)
-	params := sc.kernels.Params()
-	params.GridShards = 1
-	params.Workers = 1
-	params.StreamChunkItems = 4
-	k, err := NewKernels(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := sc.plan.Items[0]
-	ft := faulttol.Config{
-		Policy:       faulttol.Retry,
-		MaxRetries:   5,
-		RetryBackoff: 20 * time.Millisecond,
-		RetryBudget:  20 * time.Millisecond, // covers attempt 2's delay only
-		Hook: func(item plan.WorkItem, attempt int) {
-			if item.Baseline == victim.Baseline &&
-				item.TimeStart == victim.TimeStart &&
-				item.Channel0 == victim.Channel0 {
-				panic("permanent injected fault")
-			}
-		},
-	}
-	sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
-	_, rep, err := k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, ft)
-	if err == nil {
-		t.Fatal("permanently failing item did not fail the retry-policy pass")
-	}
-	var ie *faulttol.ItemError
-	if !errors.As(err, &ie) {
-		t.Fatalf("error %v is not an ItemError", err)
-	}
-	if ie.Attempts >= 1+ft.MaxRetries {
-		t.Fatalf("item ran all %d attempts despite the exhausted backoff budget", ie.Attempts)
-	}
-	if ie.Attempts < 2 {
-		t.Fatalf("item made %d attempts, the budget covered at least one retry", ie.Attempts)
-	}
-	found := false
-	for _, n := range rep.Notes {
-		if n == "faulttol: retry backoff budget exhausted; remaining failures were not retried" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("report notes %v lack the budget-exhaustion note", rep.Notes)
 	}
 }

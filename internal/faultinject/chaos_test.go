@@ -162,8 +162,7 @@ func TestChaosSkipAndFlag(t *testing.T) {
 	}
 
 	// Predict the exact degradation: an item is dropped iff the hook
-	// panics in it (permanently) or it covers an unflagged NaN sample
-	// (bad input, never retried).
+	// panics in it or it covers an unflagged NaN sample (bad input).
 	var wantSkipped int
 	var wantDropped int64
 	for _, it := range pl.plan.Items {
@@ -229,32 +228,6 @@ func TestFlaggedCorruptionNeedsNoDegradation(t *testing.T) {
 	}
 	if !gridFinite(g) {
 		t.Fatal("grid not finite")
-	}
-}
-
-// A transient fault (panics on the first attempt, then succeeds) is
-// ridden out by the retry policy with no data loss.
-func TestRetryRidesOutTransientFaults(t *testing.T) {
-	pl := buildPipeline(t)
-	sel := faultinject.Selector{Fraction: 0.1, Seed: 9}
-	n := sel.Count(pl.plan.Items)
-	if n == 0 {
-		t.Fatal("selector selected nothing")
-	}
-	g := grid.NewGrid(pl.plan.GridSize)
-	_, rep, err := pl.kernels.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g,
-		faulttol.Config{Policy: faulttol.Retry, Hook: faultinject.FlakyHook(sel, 1)})
-	if err != nil {
-		t.Fatalf("retry run failed: %v", err)
-	}
-	if rep.ItemsRetried != n {
-		t.Fatalf("retried %d items, want %d", rep.ItemsRetried, n)
-	}
-	if rep.ItemsSkipped != 0 || rep.DroppedVisibilities != 0 {
-		t.Fatalf("retry run dropped data: %v", rep)
-	}
-	if rep.ItemsProcessed != len(pl.plan.Items) {
-		t.Fatalf("processed %d of %d items", rep.ItemsProcessed, len(pl.plan.Items))
 	}
 }
 

@@ -2,11 +2,15 @@ package faultinject_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/faulttol"
 	"repro/internal/grid"
+	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // pickSelector returns a selector that hits at least one but not all
@@ -23,77 +27,70 @@ func pickSelector(t *testing.T, p *pipeline) faultinject.Selector {
 	return faultinject.Selector{}
 }
 
-// TestFlakyHookSucceedsOnFinalRetry pins the boundary between a
-// transient and a permanent fault: an injector that panics on every
-// attempt but the last one must be fully absorbed by the retry
-// policy — the run succeeds, reports exactly the selected items as
-// retried, and drops nothing.
-func TestFlakyHookSucceedsOnFinalRetry(t *testing.T) {
-	p := buildPipeline(t)
-	sel := pickSelector(t, p)
-	cfg := faulttol.Config{
-		Policy:     faulttol.Retry,
-		MaxRetries: 2,
-		// Fail attempts 1..Attempts()-1; the final retry succeeds.
-		Hook: faultinject.FlakyHook(sel, cfg3Attempts(t)-1),
-	}
-	g := grid.NewGrid(p.plan.GridSize)
-	_, rep, err := p.kernels.GridVisibilitiesFT(context.Background(), p.plan, p.vs, nil, g, cfg)
-	if err != nil {
-		t.Fatalf("fault on the final retry must still succeed: %v", err)
-	}
-	if want := sel.Count(p.plan.Items); rep.ItemsRetried != want {
-		t.Errorf("ItemsRetried = %d, want %d", rep.ItemsRetried, want)
-	}
-	if rep.ItemsSkipped != 0 || rep.DroppedVisibilities != 0 {
-		t.Errorf("final-retry success must drop nothing: %+v", rep)
-	}
-	if rep.ItemsProcessed != len(p.plan.Items) {
-		t.Errorf("ItemsProcessed = %d, want %d", rep.ItemsProcessed, len(p.plan.Items))
-	}
-}
+// TestPanicHookRunsOncePerItem pins the failure model on both passes:
+// a work item is attempted once. Under SkipAndFlag with a PanicHook,
+// the hook runs exactly once per victim item, and the report and the
+// observer agree with the selector: one skip and one recovered panic
+// per victim, and exactly the victims' visibilities dropped.
+func TestPanicHookRunsOncePerItem(t *testing.T) {
+	pl := buildPipeline(t)
+	sel := pickSelector(t, pl)
+	victims := sel.Count(pl.plan.Items)
 
-// cfg3Attempts returns the attempt budget of the config used above
-// (MaxRetries 2 => 3 attempts), asserting the faulttol arithmetic the
-// test depends on.
-func cfg3Attempts(t *testing.T) int {
-	t.Helper()
-	n := faulttol.Config{Policy: faulttol.Retry, MaxRetries: 2}.Attempts()
-	if n != 3 {
-		t.Fatalf("Attempts() = %d, want 3", n)
-	}
-	return n
-}
-
-// TestFlakyHookOneAttemptTooMany is the same injector turned permanent
-// by one extra failing attempt: under Retry the run fails, under
-// SkipAndFlag exactly the selected items are dropped.
-func TestFlakyHookOneAttemptTooMany(t *testing.T) {
-	p := buildPipeline(t)
-	sel := pickSelector(t, p)
-	attempts := cfg3Attempts(t)
-
-	retry := faulttol.Config{
-		Policy:     faulttol.Retry,
-		MaxRetries: 2,
-		Hook:       faultinject.FlakyHook(sel, attempts),
-	}
-	g := grid.NewGrid(p.plan.GridSize)
-	if _, _, err := p.kernels.GridVisibilitiesFT(context.Background(), p.plan, p.vs, nil, g, retry); err == nil {
-		t.Fatal("exhausted retry budget must fail the run")
-	}
-
-	skip := retry
-	skip.Policy = faulttol.SkipAndFlag
-	g = grid.NewGrid(p.plan.GridSize)
-	_, rep, err := p.kernels.GridVisibilitiesFT(context.Background(), p.plan, p.vs, nil, g, skip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sel.Count(p.plan.Items); rep.ItemsSkipped != want {
-		t.Errorf("ItemsSkipped = %d, want %d", rep.ItemsSkipped, want)
-	}
-	if want := sel.SelectedVisibilities(p.plan.Items); rep.DroppedVisibilities != want {
-		t.Errorf("DroppedVisibilities = %d, want %d", rep.DroppedVisibilities, want)
+	type key struct{ baseline, t0, ch0, x0, y0 int }
+	for _, pass := range []string{"grid", "degrid"} {
+		t.Run(pass, func(t *testing.T) {
+			ob := &obs.Observer{Metrics: obs.NewRegistry()}
+			params := pl.kernels.Params()
+			params.Observer = ob
+			k, err := core.NewKernels(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			calls := map[key]int{}
+			panicky := faultinject.PanicHook(sel)
+			ft := faulttol.Config{
+				Policy: faulttol.SkipAndFlag,
+				Hook: func(item plan.WorkItem) {
+					if sel.Selected(item) {
+						mu.Lock()
+						calls[key{item.Baseline, item.TimeStart, item.Channel0, item.X0, item.Y0}]++
+						mu.Unlock()
+					}
+					panicky(item)
+				},
+			}
+			g := grid.NewGrid(pl.plan.GridSize)
+			var rep *faulttol.Report
+			if pass == "grid" {
+				_, rep, err = k.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g, ft)
+			} else {
+				_, rep, err = k.DegridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g, ft)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(calls) != victims {
+				t.Errorf("hook ran in %d victim items, selector hit %d", len(calls), victims)
+			}
+			for item, n := range calls {
+				if n != 1 {
+					t.Errorf("hook ran %d times in item %+v, want once", n, item)
+				}
+			}
+			if rep.ItemsSkipped != victims {
+				t.Errorf("ItemsSkipped = %d, want %d", rep.ItemsSkipped, victims)
+			}
+			if got := ob.Metrics.Counter(obs.MetricKernelPanics).Value(); got != int64(victims) {
+				t.Errorf("%s = %d, want %d", obs.MetricKernelPanics, got, victims)
+			}
+			if want := sel.SelectedVisibilities(pl.plan.Items); rep.DroppedVisibilities != want {
+				t.Errorf("DroppedVisibilities = %d, want %d", rep.DroppedVisibilities, want)
+			}
+			if rep.ItemsProcessed != len(pl.plan.Items)-victims {
+				t.Errorf("ItemsProcessed = %d, want %d", rep.ItemsProcessed, len(pl.plan.Items)-victims)
+			}
+		})
 	}
 }

@@ -86,23 +86,12 @@ func (s Selector) SelectedVisibilities(items []plan.WorkItem) int64 {
 	return n
 }
 
-// PanicHook returns a hook that panics on every attempt of the
-// selected items — a permanently crashing kernel.
+// PanicHook returns a hook that panics inside the selected items — a
+// crashing kernel.
 func PanicHook(sel Selector) faulttol.Hook {
-	return func(item plan.WorkItem, attempt int) {
+	return func(item plan.WorkItem) {
 		if sel.Selected(item) {
 			panic("faultinject: injected kernel panic")
-		}
-	}
-}
-
-// FlakyHook returns a hook that panics on the first failAttempts
-// attempts of the selected items and then succeeds — a transient
-// fault that a retry policy rides out.
-func FlakyHook(sel Selector, failAttempts int) faulttol.Hook {
-	return func(item plan.WorkItem, attempt int) {
-		if attempt <= failAttempts && sel.Selected(item) {
-			panic("faultinject: injected transient panic")
 		}
 	}
 }
@@ -110,18 +99,9 @@ func FlakyHook(sel Selector, failAttempts int) faulttol.Hook {
 // DelayHook returns a hook that sleeps for d inside selected items — a
 // straggling worker for cancellation and deadline tests.
 func DelayHook(sel Selector, d time.Duration) faulttol.Hook {
-	return func(item plan.WorkItem, attempt int) {
+	return func(item plan.WorkItem) {
 		if sel.Selected(item) {
 			time.Sleep(d)
-		}
-	}
-}
-
-// Chain composes hooks; each runs in order.
-func Chain(hooks ...faulttol.Hook) faulttol.Hook {
-	return func(item plan.WorkItem, attempt int) {
-		for _, h := range hooks {
-			h(item, attempt)
 		}
 	}
 }

@@ -3,19 +3,22 @@
 // a production gridding service cannot let one bad work item take down
 // a whole imaging run: this package defines the error taxonomy shared
 // by the pipelines (bad input, kernel panic, cancellation), the
-// per-work-item failure policy (fail fast, retry, skip-and-flag), the
+// per-work-item failure policy (fail fast or skip-and-flag), the
 // panic-isolating runner that converts a crashed kernel into a typed
 // error, and the degradation report that accounts for every visibility
 // dropped under graceful degradation.
+//
+// A work item is attempted once. The gridder and degridder are
+// deterministic functions of their inputs, so an item that fails
+// in-process fails again on the same input; faults that do recover are
+// process-level (a crash or kill), and checkpoint resume and worker
+// relaunch handle those.
 package faulttol
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/plan"
 )
@@ -24,10 +27,9 @@ import (
 // always match via errors.Is.
 var (
 	// ErrBadInput marks deterministic input problems (non-finite
-	// visibilities, mismatched dimensions); retrying cannot help.
+	// visibilities, mismatched dimensions).
 	ErrBadInput = errors.New("faulttol: bad input")
-	// ErrKernelPanic marks a panic recovered from a kernel or worker;
-	// possibly transient, so retry policies apply.
+	// ErrKernelPanic marks a panic recovered from a kernel or worker.
 	ErrKernelPanic = errors.New("faulttol: kernel panic")
 	// ErrCanceled marks a run aborted by context cancellation or
 	// deadline expiry.
@@ -41,10 +43,7 @@ const (
 	// FailFast aborts the whole run on the first item failure
 	// (the pre-fault-tolerance behavior, minus the crash).
 	FailFast Policy = iota
-	// Retry re-runs a failed item up to Config.MaxRetries times and
-	// aborts the run if it still fails.
-	Retry
-	// SkipAndFlag drops failing items (after any retries), records
+	// SkipAndFlag drops failing items, records
 	// them in the degradation report, and lets the run complete.
 	SkipAndFlag
 )
@@ -54,8 +53,6 @@ func (p Policy) String() string {
 	switch p {
 	case FailFast:
 		return "fail-fast"
-	case Retry:
-		return "retry"
 	case SkipAndFlag:
 		return "skip-and-flag"
 	default:
@@ -68,145 +65,43 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "fail-fast", "failfast":
 		return FailFast, nil
-	case "retry":
-		return Retry, nil
 	case "skip-and-flag", "skip":
 		return SkipAndFlag, nil
 	}
 	return FailFast, fmt.Errorf("faulttol: unknown policy %q", s)
 }
 
-// Hook runs before every work-item attempt when set in Config. It is
-// the seam the fault-injection harness uses: a hook may panic (the
-// runner recovers it like a kernel panic) or delay. attempt is
-// 1-based.
-type Hook func(item plan.WorkItem, attempt int)
+// Hook runs before every work item when set in Config. It is the seam
+// the fault-injection harness uses: a hook may panic (the runner
+// recovers it like a kernel panic) or delay.
+type Hook func(item plan.WorkItem)
 
 // Config selects the failure policy of one pipeline run.
 type Config struct {
 	// Policy is the per-item failure disposition.
 	Policy Policy
-	// MaxRetries is the number of re-attempts per failed item under
-	// Retry (default 1) and SkipAndFlag (default 0). Bad-input
-	// failures are never retried; they are deterministic.
-	MaxRetries int
 	// MaxErrors caps the per-item errors kept in the report
 	// (default 16); the counts are always exact.
 	MaxErrors int
-	// Hook, when non-nil, runs before every item attempt inside the
+	// Hook, when non-nil, runs before every item inside the
 	// recovery scope. Used by fault injection; nil in production.
 	Hook Hook
-	// RetryBackoff is the base delay before the first re-attempt of a
-	// failed item; each further re-attempt doubles it (deterministic
-	// exponential backoff, no jitter — reproducibility beats
-	// thundering-herd avoidance in a single-process pipeline). 0
-	// retries immediately (the pre-backoff behavior).
-	RetryBackoff time.Duration
-	// RetryBudget caps the total time one pipeline run may spend in
-	// backoff sleeps across all items and workers. Once spent, failed
-	// items stop retrying and take their policy's terminal path
-	// (abort or skip). 0 means no cap.
-	RetryBudget time.Duration
 }
-
-// Attempts returns the total attempts the config grants one item.
-func (c Config) Attempts() int {
-	if c.MaxRetries > 0 {
-		return 1 + c.MaxRetries
-	}
-	if c.Policy == Retry {
-		return 2
-	}
-	return 1
-}
-
-// BackoffDelay returns the deterministic exponential backoff before
-// the given 1-based attempt: RetryBackoff before attempt 2, doubling
-// for each later attempt, 0 when backoff is disabled or for the first
-// attempt.
-func (c Config) BackoffDelay(attempt int) time.Duration {
-	if c.RetryBackoff <= 0 || attempt < 2 {
-		return 0
-	}
-	shift := attempt - 2
-	if shift > 20 { // cap the doubling; beyond ~1e6x the budget rules anyway
-		shift = 20
-	}
-	return c.RetryBackoff << shift
-}
-
-// BackoffBudget meters the total backoff time of one pipeline run
-// against Config.RetryBudget. Safe for concurrent use by the worker
-// pool: the budget is a shared atomic, so however chunks are
-// scheduled, the run never sleeps more than RetryBudget in aggregate.
-type BackoffBudget struct {
-	unlimited bool
-	remaining atomic.Int64 // nanoseconds
-	exhausted atomic.Bool
-}
-
-// NewBackoffBudget builds the run-level budget for a config.
-func NewBackoffBudget(c Config) *BackoffBudget {
-	b := &BackoffBudget{unlimited: c.RetryBudget <= 0}
-	b.remaining.Store(c.RetryBudget.Nanoseconds())
-	return b
-}
-
-// Sleep blocks for the backoff delay d and reports whether the
-// retry should proceed. It returns false — without sleeping the full
-// d — when the run budget is already spent or ctx is done, so callers
-// stop retrying the moment patience runs out. A zero d is free and
-// always proceeds.
-func (b *BackoffBudget) Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	if ctx.Err() != nil {
-		return false
-	}
-	sleep := d
-	if !b.unlimited {
-		// Deduct the full delay deterministically; sleep only what was
-		// actually left so the run never overshoots the budget.
-		left := b.remaining.Add(-d.Nanoseconds()) + d.Nanoseconds()
-		if left <= 0 {
-			b.exhausted.Store(true)
-			return false
-		}
-		if left < sleep.Nanoseconds() {
-			sleep = time.Duration(left)
-		}
-	}
-	t := time.NewTimer(sleep)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// Exhausted reports whether any Sleep was refused because the budget
-// ran out.
-func (b *BackoffBudget) Exhausted() bool { return b.exhausted.Load() }
 
 // ItemError is the typed per-work-item failure: which visibility block
-// failed, how often it was attempted, and the underlying cause.
+// failed and the underlying cause.
 type ItemError struct {
 	// Baseline, TimeStart and Channel0 identify the work item's
 	// visibility block.
 	Baseline, TimeStart, Channel0 int
-	// Attempts is the number of attempts made.
-	Attempts int
 	// Err is the underlying cause (wraps a sentinel).
 	Err error
 }
 
 // Error formats the failure.
 func (e *ItemError) Error() string {
-	return fmt.Sprintf("work item (baseline %d, t0 %d, ch0 %d) failed after %d attempt(s): %v",
-		e.Baseline, e.TimeStart, e.Channel0, e.Attempts, e.Err)
+	return fmt.Sprintf("work item (baseline %d, t0 %d, ch0 %d) failed: %v",
+		e.Baseline, e.TimeStart, e.Channel0, e.Err)
 }
 
 // Unwrap exposes the cause for errors.Is/As.
@@ -238,7 +133,7 @@ func Canceled(cause error) error {
 }
 
 // Report is the degradation report of one pipeline run under
-// SkipAndFlag: exact counts of processed, retried and skipped work
+// SkipAndFlag: exact counts of processed and skipped work
 // items, the visibilities dropped with them, and a bounded sample of
 // the per-item errors. Safe for concurrent use by the worker pool.
 type Report struct {
@@ -247,8 +142,6 @@ type Report struct {
 
 	// ItemsProcessed counts work items that completed.
 	ItemsProcessed int
-	// ItemsRetried counts items that completed only after a retry.
-	ItemsRetried int
 	// ItemsSkipped counts items dropped under SkipAndFlag.
 	ItemsSkipped int
 	// DroppedVisibilities is the exact number of visibilities the
@@ -257,8 +150,8 @@ type Report struct {
 	// ItemErrors samples up to MaxErrors skipped-item failures.
 	ItemErrors []*ItemError
 	// Notes records run-level degradation events that are not tied to
-	// one work item: checkpoint fallbacks, clean restarts, retry-budget
-	// exhaustion. Notes never affect Degraded().
+	// one work item: checkpoint fallbacks, clean restarts. Notes never
+	// affect Degraded().
 	Notes []string
 }
 
@@ -272,12 +165,9 @@ func NewReport(cfg Config) *Report {
 }
 
 // RecordSuccess counts one completed item.
-func (r *Report) RecordSuccess(retried bool) {
+func (r *Report) RecordSuccess() {
 	r.mu.Lock()
 	r.ItemsProcessed++
-	if retried {
-		r.ItemsRetried++
-	}
 	r.mu.Unlock()
 }
 
@@ -304,7 +194,6 @@ func (r *Report) AddNote(note string) {
 // a resumed run's report continues from the interrupted run's counts.
 type ReportState struct {
 	ItemsProcessed      int
-	ItemsRetried        int
 	ItemsSkipped        int
 	DroppedVisibilities int64
 }
@@ -315,7 +204,6 @@ func (r *Report) State() ReportState {
 	defer r.mu.Unlock()
 	return ReportState{
 		ItemsProcessed:      r.ItemsProcessed,
-		ItemsRetried:        r.ItemsRetried,
 		ItemsSkipped:        r.ItemsSkipped,
 		DroppedVisibilities: r.DroppedVisibilities,
 	}
@@ -327,7 +215,6 @@ func (r *Report) State() ReportState {
 func (r *Report) RestoreState(st ReportState) {
 	r.mu.Lock()
 	r.ItemsProcessed = st.ItemsProcessed
-	r.ItemsRetried = st.ItemsRetried
 	r.ItemsSkipped = st.ItemsSkipped
 	r.DroppedVisibilities = st.DroppedVisibilities
 	r.mu.Unlock()
@@ -342,7 +229,6 @@ func (r *Report) Merge(other *Report) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ItemsProcessed += other.ItemsProcessed
-	r.ItemsRetried += other.ItemsRetried
 	r.ItemsSkipped += other.ItemsSkipped
 	r.DroppedVisibilities += other.DroppedVisibilities
 	for _, e := range other.ItemErrors {
@@ -359,6 +245,6 @@ func (r *Report) Degraded() bool { return r.ItemsSkipped > 0 }
 
 // String renders a one-line degradation summary.
 func (r *Report) String() string {
-	return fmt.Sprintf("faulttol: %d items ok (%d retried), %d skipped, %d visibilities dropped",
-		r.ItemsProcessed, r.ItemsRetried, r.ItemsSkipped, r.DroppedVisibilities)
+	return fmt.Sprintf("faulttol: %d items ok, %d skipped, %d visibilities dropped",
+		r.ItemsProcessed, r.ItemsSkipped, r.DroppedVisibilities)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestPolicyStringRoundtrip(t *testing.T) {
-	for _, p := range []Policy{FailFast, Retry, SkipAndFlag} {
+	for _, p := range []Policy{FailFast, SkipAndFlag} {
 		got, err := ParsePolicy(p.String())
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", p.String(), err)
@@ -21,29 +21,14 @@ func TestPolicyStringRoundtrip(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %v, want %v", p.String(), got, p)
 		}
 	}
-	if _, err := ParsePolicy("explode"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"explode", "retry"} {
+		_, err := ParsePolicy(name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown policy %q", name)) {
+			t.Fatalf("ParsePolicy(%q) = %v, want the unknown-policy error", name, err)
+		}
 	}
 	if s := Policy(99).String(); !strings.Contains(s, "99") {
 		t.Fatalf("unknown policy String() = %q", s)
-	}
-}
-
-func TestConfigAttempts(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want int
-	}{
-		{Config{Policy: FailFast}, 1},
-		{Config{Policy: Retry}, 2},
-		{Config{Policy: Retry, MaxRetries: 3}, 4},
-		{Config{Policy: SkipAndFlag}, 1},
-		{Config{Policy: SkipAndFlag, MaxRetries: 2}, 3},
-	}
-	for _, c := range cases {
-		if got := c.cfg.Attempts(); got != c.want {
-			t.Errorf("%+v: Attempts() = %d, want %d", c.cfg, got, c.want)
-		}
 	}
 }
 
@@ -95,13 +80,13 @@ func TestCanceledWrapsBothSentinels(t *testing.T) {
 }
 
 func TestItemErrorFormatsAndUnwraps(t *testing.T) {
-	ie := &ItemError{Baseline: 7, TimeStart: 32, Channel0: 2, Attempts: 3,
+	ie := &ItemError{Baseline: 7, TimeStart: 32, Channel0: 2,
 		Err: fmt.Errorf("%w: oops", ErrKernelPanic)}
 	if !errors.Is(ie, ErrKernelPanic) {
 		t.Fatalf("ItemError does not unwrap to cause: %v", ie)
 	}
 	msg := ie.Error()
-	for _, want := range []string{"baseline 7", "t0 32", "ch0 2", "3 attempt"} {
+	for _, want := range []string{"baseline 7", "t0 32", "ch0 2", "oops"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("Error() = %q missing %q", msg, want)
 		}
@@ -110,12 +95,12 @@ func TestItemErrorFormatsAndUnwraps(t *testing.T) {
 
 func TestReportAccounting(t *testing.T) {
 	r := NewReport(Config{MaxErrors: 2})
-	r.RecordSuccess(false)
-	r.RecordSuccess(true)
+	r.RecordSuccess()
+	r.RecordSuccess()
 	for i := 0; i < 4; i++ {
 		r.RecordSkip(&ItemError{Baseline: i, Err: ErrKernelPanic}, 100)
 	}
-	if r.ItemsProcessed != 2 || r.ItemsRetried != 1 {
+	if r.ItemsProcessed != 2 {
 		t.Fatalf("success counts: %+v", r)
 	}
 	if r.ItemsSkipped != 4 || r.DroppedVisibilities != 400 {
@@ -135,13 +120,13 @@ func TestReportAccounting(t *testing.T) {
 
 func TestReportMerge(t *testing.T) {
 	a := NewReport(Config{})
-	a.RecordSuccess(false)
+	a.RecordSuccess()
 	b := NewReport(Config{})
-	b.RecordSuccess(true)
+	b.RecordSuccess()
 	b.RecordSkip(&ItemError{Err: ErrKernelPanic}, 64)
 	a.Merge(b)
 	a.Merge(nil)
-	if a.ItemsProcessed != 2 || a.ItemsRetried != 1 || a.ItemsSkipped != 1 || a.DroppedVisibilities != 64 {
+	if a.ItemsProcessed != 2 || a.ItemsSkipped != 1 || a.DroppedVisibilities != 64 {
 		t.Fatalf("merge result: %+v", a)
 	}
 	if len(a.ItemErrors) != 1 {
@@ -159,7 +144,7 @@ func TestReportConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.RecordSuccess(i%2 == 0)
+				r.RecordSuccess()
 				r.RecordSkip(&ItemError{Err: ErrKernelPanic}, 1)
 			}
 		}()
@@ -170,13 +155,42 @@ func TestReportConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestHookReceivesItemAndAttempt(t *testing.T) {
+func TestHookReceivesItem(t *testing.T) {
 	var got []int
-	cfg := Config{Hook: func(item plan.WorkItem, attempt int) {
-		got = append(got, item.Baseline, attempt)
+	cfg := Config{Hook: func(item plan.WorkItem) {
+		got = append(got, item.Baseline)
 	}}
-	cfg.Hook(plan.WorkItem{Baseline: 5}, 1)
-	if len(got) != 2 || got[0] != 5 || got[1] != 1 {
+	cfg.Hook(plan.WorkItem{Baseline: 5})
+	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("hook args: %v", got)
+	}
+}
+
+func TestReportStateRoundTrip(t *testing.T) {
+	rep := NewReport(Config{Policy: SkipAndFlag})
+	rep.ItemsProcessed = 7
+	rep.ItemsSkipped = 1
+	rep.DroppedVisibilities = 640
+
+	st := rep.State()
+	restored := NewReport(Config{Policy: SkipAndFlag})
+	restored.RestoreState(st)
+	if restored.ItemsProcessed != 7 || restored.ItemsSkipped != 1 ||
+		restored.DroppedVisibilities != 640 {
+		t.Fatalf("restored report %+v", restored)
+	}
+}
+
+func TestReportNotes(t *testing.T) {
+	rep := NewReport(Config{})
+	rep.AddNote("checkpoint: fell back one snapshot")
+	if rep.Degraded() {
+		t.Fatal("a note alone must not mark the run degraded")
+	}
+	other := NewReport(Config{})
+	other.AddNote("checkpoint: no usable snapshot; restarted clean")
+	rep.Merge(other)
+	if len(rep.Notes) != 2 {
+		t.Fatalf("merged notes = %v", rep.Notes)
 	}
 }

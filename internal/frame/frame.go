@@ -10,7 +10,7 @@
 // Protocols built on it register their frame types as a Rules table.
 // The payload length is validated against the frame type's rule and
 // the configured cap before any allocation, mirroring the checkpoint
-// and dataio readers: a corrupt or hostile length field is rejected
+// reader: a corrupt or hostile length field is rejected
 // with a descriptive error instead of an attempted huge allocation.
 package frame
 

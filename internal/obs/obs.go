@@ -67,13 +67,10 @@ const (
 	// MetricFlaggedVisibilities counts flagged (zero-weight) samples
 	// seen by the gridder.
 	MetricFlaggedVisibilities = "grid_flagged_visibilities_total"
-	// MetricItemRetries counts work items that needed more than one
-	// attempt before succeeding (faulttol Retry policy).
-	MetricItemRetries = "pipeline_item_retries_total"
 	// MetricItemSkips counts work items abandoned under SkipAndFlag.
 	MetricItemSkips = "pipeline_item_skips_total"
-	// MetricKernelPanics counts kernel panics recovered by faulttol.Run
-	// (every failed attempt, not just final outcomes).
+	// MetricKernelPanics counts work items that failed with a kernel
+	// panic recovered by faulttol.Run (each item is attempted once).
 	MetricKernelPanics = "pipeline_kernel_panics_total"
 	// MetricDroppedVisibilities counts visibilities lost to skipped
 	// items.
@@ -126,16 +123,6 @@ const (
 	GaugeResidualPeak = "cycle_residual_peak"
 	// HistItemSeconds is the per-work-item wall time distribution.
 	HistItemSeconds = "pipeline_item_seconds"
-	// MetricRetryAttempts counts the extra (beyond-first) attempts
-	// consumed by work items that eventually succeeded. Together with
-	// MetricItemRetries (items that needed retries at all) it shows
-	// how hard the retry policy is working: attempts/items is the mean
-	// retry depth of a degraded run.
-	MetricRetryAttempts = "pipeline_retry_attempts_total"
-	// HistRetryItemSeconds is the wall-time distribution of work items
-	// that needed more than one attempt — retry latency including the
-	// failed attempts and any backoff sleeps.
-	HistRetryItemSeconds = "pipeline_retry_item_seconds"
 	// MetricCheckpointWrites counts durable streaming checkpoints
 	// published (temp file synced and renamed into place).
 	MetricCheckpointWrites = "checkpoint_writes_total"

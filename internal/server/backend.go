@@ -97,7 +97,8 @@ type BackendSession interface {
 	// match.
 	Dims() (nrBaselines, nrTimesteps, nrChannels int)
 	// SetVisibilities stores one run of wire samples (8 float32 per
-	// visibility, dataio order) at the baseline's sample offset.
+	// visibility: re, im of each correlation in Matrix2 order) at the
+	// baseline's sample offset.
 	SetVisibilities(baseline, sampleOffset int, samples []float32) error
 	// Run executes the streamed gridding pass and fingerprints the
 	// resulting grid. A canceled context aborts it with the library's

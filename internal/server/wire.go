@@ -22,8 +22,8 @@ import (
 const (
 	// FrameVis carries visibility samples for one baseline range:
 	// payload = baseline uint32 | sample offset uint32 | sample count
-	// uint32 | count samples of 8 float32 (4 correlations, re/im
-	// interleaved — the dataio visibility encoding).
+	// uint32 | count samples of 8 float32 (re, im of the four
+	// correlations in Matrix2 order).
 	FrameVis byte = 1
 	// FrameDone marks the end of a visibility stream; its payload is
 	// empty. A stream may also end at EOF without one.
@@ -67,7 +67,8 @@ var sessionRules = frame.Rules{
 
 // VisChunk is a decoded FrameVis: a run of samples of one baseline,
 // starting at SampleOffset in the baseline's t*nrChannels+c sample
-// order. Samples holds 8 float32 per visibility in dataio order.
+// order. Samples holds 8 float32 per visibility: re, im of each of the
+// four correlations in Matrix2 order.
 type VisChunk struct {
 	Baseline     int
 	SampleOffset int

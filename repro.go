@@ -85,12 +85,12 @@ type (
 	// disables observation at zero cost.
 	Observer = obs.Observer
 	// FaultConfig selects the per-work-item failure policy of a pass
-	// (fail fast, retry, skip-and-flag).
+	// (fail fast or skip-and-flag).
 	FaultConfig = faulttol.Config
 	// FaultPolicy enumerates the failure dispositions.
 	FaultPolicy = faulttol.Policy
 	// FaultReport is the degradation report of a fault-tolerant run:
-	// items processed/retried/skipped and visibilities dropped.
+	// items processed/skipped and visibilities dropped.
 	FaultReport = faulttol.Report
 	// FlaggingConfig selects the corrupt-sample detectors.
 	FlaggingConfig = flagging.Config
@@ -176,7 +176,7 @@ func GaussianBeamATerms(sigma, wobble float64) ATermProvider {
 	return aterm.GaussianBeam{Sigma: sigma, Wobble: wobble}
 }
 
-// ParseFaultPolicy converts "fail-fast", "retry" or "skip-and-flag".
+// ParseFaultPolicy converts "fail-fast" or "skip-and-flag".
 func ParseFaultPolicy(s string) (FaultPolicy, error) { return faulttol.ParsePolicy(s) }
 
 // NewObserver returns an observer with a fresh registry and a tracer
@@ -699,11 +699,11 @@ func (o *Observation) fillBlocks(model SkyModel, blocks []WorkItem) error {
 //
 // Cancellation: when ctx is canceled mid-pass the returned error
 // matches errors.Is(err, ErrCanceled) (and the context's own
-// sentinel) even when the cancellation surfaced inside a retry layer.
-// The returned grid is still the partially filled grid: it holds
-// exactly the chunks whose add stage completed — every value finite
-// and correctly accumulated, but covering only part of the plan — so
-// it is suitable for inspection or checkpointing, not for imaging.
+// sentinel) even when the cancellation surfaced inside a failing work
+// item. The returned grid is still the partially filled grid: it holds
+// exactly the chunks whose add stage completed — every value finite and
+// correctly accumulated, but covering only part of the plan — so it is
+// suitable for inspection or checkpointing, not for imaging.
 func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft FaultConfig, resume bool) (*Grid, StageTimes, *FaultReport, error) {
 	if resume && o.Config.CheckpointDir == "" {
 		return nil, StageTimes{}, nil, &ConfigError{Field: "CheckpointDir", Reason: "ResumeStreamed needs a checkpoint directory"}

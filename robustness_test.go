@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/faulttol"
@@ -119,100 +116,9 @@ func TestFacadeCancellation(t *testing.T) {
 	}
 }
 
-// TestFacadeRetryBackoffAndBudget: gridding and degridding share one
-// item-attempt loop, so under the Retry policy both wait out
-// RetryBackoff between the attempts of a flaky item, and both stop
-// retrying a permanently failing item once RetryBudget is spent,
-// leaving the exhaustion note in the report.
-func TestFacadeRetryBackoffAndBudget(t *testing.T) {
-	obs, err := smallObservation().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pix := obs.ImageSize / float64(obs.Config.GridSize)
-	if err := obs.FillFromModel(SkyModel{{L: 20 * pix, M: -12 * pix, I: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	g, _, err := obs.GridAll(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := obs.Plan.Items[len(obs.Plan.Items)/2]
-	isVictim := func(item WorkItem) bool {
-		return item.Baseline == victim.Baseline && item.TimeStart == victim.TimeStart && item.Channel0 == victim.Channel0
-	}
-	passes := map[string]func(FaultConfig) (*FaultReport, error){
-		"GridAllStreamed": func(ft FaultConfig) (*FaultReport, error) {
-			_, _, rep, err := obs.GridAllStreamed(context.Background(), nil, ft)
-			return rep, err
-		},
-		"DegridVisibilitiesFT": func(ft FaultConfig) (*FaultReport, error) {
-			_, rep, err := obs.Kernels.DegridVisibilitiesFT(context.Background(), obs.Plan, obs.Vis, nil, g, ft)
-			return rep, err
-		},
-	}
-	for name, pass := range passes {
-		t.Run(name+"/backoff", func(t *testing.T) {
-			const backoff = 30 * time.Millisecond
-			var mu sync.Mutex
-			var attempts []time.Time
-			rep, err := pass(FaultConfig{
-				Policy: faulttol.Retry, MaxRetries: 2, RetryBackoff: backoff,
-				Hook: func(item WorkItem, attempt int) {
-					if !isVictim(item) {
-						return
-					}
-					mu.Lock()
-					attempts = append(attempts, time.Now())
-					mu.Unlock()
-					if attempt == 1 {
-						panic("flaky injected fault")
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ItemsRetried != 1 || rep.Degraded() {
-				t.Fatalf("report = %s, want exactly one retried item and no skips", rep)
-			}
-			if len(attempts) != 2 {
-				t.Fatalf("victim was attempted %d times, want 2", len(attempts))
-			}
-			if gap := attempts[1].Sub(attempts[0]); gap < backoff {
-				t.Fatalf("re-attempt came %v after the failure, want >= RetryBackoff %v", gap, backoff)
-			}
-		})
-		t.Run(name+"/budget", func(t *testing.T) {
-			ft := FaultConfig{
-				Policy: faulttol.Retry, MaxRetries: 5,
-				RetryBackoff: 20 * time.Millisecond,
-				RetryBudget:  20 * time.Millisecond, // covers the first backoff only
-				Hook: func(item WorkItem, attempt int) {
-					if isVictim(item) {
-						panic("permanent injected fault")
-					}
-				},
-			}
-			rep, err := pass(ft)
-			var ie *faulttol.ItemError
-			if !errors.As(err, &ie) {
-				t.Fatalf("permanently failing item: got %v, want a faulttol.ItemError", err)
-			}
-			if ie.Attempts < 2 || ie.Attempts >= 1+ft.MaxRetries {
-				t.Fatalf("item made %d attempts; the budget covers one retry, not all %d", ie.Attempts, ft.MaxRetries)
-			}
-			if !slices.Contains(rep.Notes, "faulttol: retry backoff budget exhausted; remaining failures were not retried") {
-				t.Fatalf("report notes %v lack the budget-exhaustion note", rep.Notes)
-			}
-		})
-	}
-}
-
 func TestParseFaultPolicyFacade(t *testing.T) {
 	for name, want := range map[string]FaultPolicy{
 		"fail-fast":     faulttol.FailFast,
-		"retry":         faulttol.Retry,
 		"skip-and-flag": faulttol.SkipAndFlag,
 	} {
 		got, err := ParseFaultPolicy(name)
@@ -220,8 +126,10 @@ func TestParseFaultPolicyFacade(t *testing.T) {
 			t.Fatalf("ParseFaultPolicy(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseFaultPolicy("nonsense"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, name := range []string{"nonsense", "retry"} {
+		if _, err := ParseFaultPolicy(name); err == nil {
+			t.Fatalf("policy %q accepted", name)
+		}
 	}
 }
 

@@ -147,8 +147,8 @@ func (s *backendSession) Dims() (nrBaselines, nrTimesteps, nrChannels int) {
 	return len(s.o.Vis.Data), s.o.Vis.NrTimesteps, s.o.Vis.NrChannels
 }
 
-// SetVisibilities stores wire samples (8 float32 per visibility,
-// dataio correlation order) into the observation.
+// SetVisibilities stores wire samples (8 float32 per visibility: re, im
+// of each correlation in Matrix2 order) into the observation.
 func (s *backendSession) SetVisibilities(baseline, sampleOffset int, samples []float32) error {
 	if len(samples)%8 != 0 {
 		return fmt.Errorf("repro: %d floats is not a whole number of visibilities", len(samples))
