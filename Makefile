@@ -48,7 +48,7 @@ examples:
 # kernel, pass and harness benchmarks of the root package run once
 # each at the detected tier, as in scripts/ci.sh.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkGridderKernel$$|BenchmarkGridderKernelFloat32$$|BenchmarkGridderKernelShortItems$$|BenchmarkGridderKernelShortItemsFloat32$$|BenchmarkDegridderKernel$$|BenchmarkDegridderKernelFloat32$$|BenchmarkDegridderKernelShortItems$$|BenchmarkDegridderKernelShortItemsFloat32$$|BenchmarkFullGriddingPass$$|BenchmarkFullDegriddingPass$$|BenchmarkAdderKernel$$|BenchmarkAdderSharded$$|BenchmarkSplitterSharded$$|BenchmarkStreamedGriddingPass$$|BenchmarkSubgridFFTStage$$|BenchmarkGridFFT2048$$|BenchmarkGridFingerprint$$|BenchmarkWriteGridBinary$$|BenchmarkFillFromModelPlan$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkGridderKernel$$|BenchmarkGridderKernelFloat32$$|BenchmarkGridderKernelShortItems$$|BenchmarkGridderKernelShortItemsFloat32$$|BenchmarkDegridderKernel$$|BenchmarkDegridderKernelFloat32$$|BenchmarkDegridderKernelShortItems$$|BenchmarkDegridderKernelShortItemsFloat32$$|BenchmarkFullGriddingPass$$|BenchmarkFullDegriddingPass$$|BenchmarkAdderKernel$$|BenchmarkAdderSharded$$|BenchmarkSplitterSharded$$|BenchmarkStreamedGriddingPass$$|BenchmarkSubgridFFTStage$$|BenchmarkGridFFT2048$$|BenchmarkGridImagePair$$|BenchmarkGridFingerprint$$|BenchmarkWriteGridBinary$$|BenchmarkFillFromModelPlan$$' -benchtime 1x .
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -workload all -smoke
 	scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$$' -benchtime 1x HEAD HEAD

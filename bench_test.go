@@ -483,6 +483,20 @@ func BenchmarkGridFFT2048(b *testing.B) {
 	}
 }
 
+// BenchmarkGridImagePair measures the grid-FFT step of an imaging
+// cycle: GridToImage then ImageToGrid of a 1024-pixel gridded partial
+// (four planes each way) at GOMAXPROCS workers, allocations included.
+func BenchmarkGridImagePair(b *testing.B) {
+	g := benchPartialGrid()
+	ImageToGrid(GridToImage(g, 0), 0) // warm the plan and its scratch pools
+	b.SetBytes(2 * grid.NrCorrelations * 1024 * 1024 * 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ImageToGrid(GridToImage(g, 0), 0)
+	}
+}
+
 // benchPartialGrid is a 1024-pixel grid shaped like a gridded partial:
 // a centred disc of nonzero cells on a zero background.
 func benchPartialGrid() *Grid {

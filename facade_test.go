@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/aterm"
@@ -185,4 +186,18 @@ func TestWStackedFacadeRoundtrip(t *testing.T) {
 			t.Fatalf("DegridAll on a %d-pixel grid: error %v does not wrap ErrBadInput", half.N, err)
 		}
 	}()
+}
+
+// TestWideFieldOfViewIsConfigError: a configuration whose derived field
+// of view puts image pixels outside the unit sphere is refused as an
+// ErrInvalidConfig, not a panic.
+func TestWideFieldOfViewIsConfigError(t *testing.T) {
+	cfg := DefaultObservation()
+	cfg.NrStations, cfg.CoreOnly = 3, true
+	cfg.NrTimesteps, cfg.NrChannels, cfg.StartFrequency = 2, 1, 50e6
+	cfg.GridSize, cfg.GridMargin = 4096, 16
+	_, err := cfg.Build()
+	if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "field of view") {
+		t.Fatalf("Build: %v, want ErrInvalidConfig naming the field of view", err)
+	}
 }

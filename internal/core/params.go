@@ -220,6 +220,20 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("core: frequency %d not positive and finite: %g", i, f)
 		}
 	}
+	return CheckFieldOfView(p.ImageSize, p.SubgridSize, p.GridSize)
+}
+
+// CheckFieldOfView rejects an image size whose corner pixel lies
+// outside the unit sphere (where n(l, m) is undefined) on an image of
+// any of the given sizes, with the pixel laid out as NewKernels (the
+// subgrid) and ApplyWScreen (the grid) lay it out.
+func CheckFieldOfView(imageSize float64, sizes ...int) error {
+	for _, s := range sizes {
+		c := float64(-(s / 2)) * (imageSize / float64(s))
+		if c*c+c*c > 1 {
+			return fmt.Errorf("core: image size %g puts the corner pixel of a %d-pixel image at l = m = %g, outside the unit sphere", imageSize, s, c)
+		}
+	}
 	return nil
 }
 

@@ -702,3 +702,39 @@ func TestParamsValidateNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestParamsValidateFieldOfView: an image size whose corner pixel lies
+// outside the unit sphere is rejected, at the bound and above it, and
+// neither NewKernels nor a W-screen over the grid panics for any size
+// Validate accepts.
+func TestParamsValidateFieldOfView(t *testing.T) {
+	for _, tc := range []struct {
+		size float64
+		ok   int // 1 accepted, -1 rejected, 0 either (at the bound)
+	}{
+		{1.4, 1},
+		{math.Sqrt2, 0},
+		{math.Nextafter(math.Sqrt2, 2), 0},
+		{1.42, -1},
+		{1.5, -1},
+	} {
+		p := Params{GridSize: 64, SubgridSize: 24, ImageSize: tc.size, Frequencies: []float64{150e6}, Workers: 1}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("image size %v: panic %v", tc.size, r)
+				}
+			}()
+			_, err := NewKernels(p)
+			switch {
+			case tc.ok == 1 && err != nil:
+				t.Errorf("image size %v: rejected: %v", tc.size, err)
+			case tc.ok == -1 && err == nil:
+				t.Errorf("image size %v: accepted", tc.size)
+			}
+			if err == nil {
+				ApplyWScreen(grid.NewGrid(p.GridSize), p.ImageSize, 1, 1)
+			}
+		}()
+	}
+}

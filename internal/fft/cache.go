@@ -3,6 +3,8 @@ package fft
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/xmath"
 )
 
 // Plans are immutable after construction and relatively expensive to
@@ -59,8 +61,11 @@ func CachedPlan2D(rows, cols int) *Plan2D {
 }
 
 // EngineInfo describes the active FFT engine configuration in one
-// line, for the CLI stage reports.
+// line, for the CLI stage reports: the column-tile width of a 1024-row
+// power-of-two plane and the complex lanes per vector register of the
+// dispatch tier.
 func EngineInfo() string {
-	return fmt.Sprintf("fused radix-4 + lane-parallel mixed-radix + Bluestein, fused centering, blocked columns (B=%d), simd=%s",
-		colBlock, planTier())
+	lanes := map[xmath.SIMDTier]int{xmath.SIMDScalar: 1, xmath.SIMDAVX2: 2, xmath.SIMDAVX512: 4}[planTier()]
+	return fmt.Sprintf("fused radix-4 + lane-parallel mixed-radix + Bluestein, fused centering, column tiles of %d (1024 rows; %d mixed-radix/Bluestein), %d complex lanes per op, simd=%s",
+		pow2ColW(1024, 1024), colBlock, lanes, planTier())
 }

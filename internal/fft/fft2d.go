@@ -8,15 +8,25 @@ import (
 	"repro/internal/xmath"
 )
 
-// colBlock is the tile width of the cache-blocked column pass: B
-// adjacent columns are gathered into a contiguous rows x B scratch,
-// transformed as B-wide vector lanes (power-of-two and mixed-radix
-// rows) or B independent contiguous columns (Bluestein rows), and
-// scattered back. Eight complex128 columns are two cache lines per tile
-// row, so the gather walks the source at full line utilization, and the
-// butterfly legs stride B*16 bytes instead of cols*16 — which for
-// power-of-two grids would alias to a handful of L1 sets.
+// colBlock is the tile width of the cache-blocked column pass of
+// mixed-radix and Bluestein axes: B adjacent columns are gathered into
+// a contiguous rows x B scratch, transformed as B-wide vector lanes
+// (mixed-radix rows) or B independent contiguous columns (Bluestein
+// rows), and scattered back. The butterfly legs stride B*16 bytes
+// instead of cols*16, which for large grids would alias to a handful
+// of L1 sets.
 const colBlock = 8
+
+// pow2TileBytes sizes the column tile of a power-of-two axis: as many
+// columns as fit 1 MiB of rows (64 at 1024 rows, 16 at 4096), at
+// least colBlock. The tile stays in L2 for all its stages, every
+// butterfly runs over whole cache lines of lanes, and each tile row
+// the gather reads is a run of cw*16 contiguous bytes.
+const pow2TileBytes = 1 << 20
+
+func pow2ColW(rows, cols int) int {
+	return min(max(colBlock, pow2TileBytes/(16*rows)), cols)
+}
 
 // smoothPlaneMax is the largest plane (in elements) a mixed-radix axis
 // transforms as one tile: up to 64 KB the whole plane and its work copy
@@ -40,6 +50,7 @@ type Plan2D struct {
 }
 
 type p2dScratch struct {
+	row   []complex128 // copy of a power-of-two row transformed in place
 	tile  []complex128 // transformed column tile / row block
 	stage []complex128 // transposed input of a mixed-radix row block
 	oneD  []complex128 // scratch for Bluestein 1-D transforms
@@ -62,8 +73,11 @@ func NewPlan2D(rows, cols int) *Plan2D {
 	}
 	whole := rows*cols <= smoothPlaneMax
 	p.colW, p.rowH = min(colBlock, cols), min(colBlock, rows)
-	if p.rowPlan.smooth != nil && whole {
+	switch {
+	case p.rowPlan.smooth != nil && whole:
 		p.colW = cols
+	case p.rowPlan.pow2:
+		p.colW = pow2ColW(rows, cols)
 	}
 	tile, stage := rows*p.colW, 0
 	if p.colPlan.smooth != nil {
@@ -74,8 +88,13 @@ func NewPlan2D(rows, cols int) *Plan2D {
 		tile = max(tile, stage)
 	}
 	oneD := max(p.rowPlan.scratchLen(), p.colPlan.scratchLen())
+	row := 0
+	if p.colPlan.pow2 {
+		row = cols
+	}
 	p.scratch.New = func() interface{} {
 		return &p2dScratch{
+			row:   make([]complex128, row),
 			tile:  make([]complex128, tile),
 			stage: make([]complex128, stage),
 			oneD:  make([]complex128, oneD),
@@ -132,10 +151,12 @@ func (p *Plan2D) runSerialFrom(x, src []complex128, inverse, fused bool, scale f
 // applies the whole (-1)^(r+c) input checkerboard of the fused
 // centering: its (-1)^r half is constant along a row, so it commutes
 // exactly with the row transform and the column pass can read its input
-// as it lies. Out of place, each row (block) is brought over right
-// before it is transformed — by the first transpose of the mixed-radix
-// schedule, by a row-sized copy ahead of the in-place engines — so no
-// separate pass over the whole destination precedes the transform.
+// as it lies. Out of place, each row (block) is brought over as it is
+// transformed: by the first transpose of the mixed-radix schedule, by
+// the bit-reversed gather of the power-of-two engine (which takes the
+// checkerboard along as a half-row negation), by a row copy ahead of
+// Bluestein. In place, the power-of-two gather reads a copy of the
+// row: one contiguous copy in cache instead of a swap and a flip pass.
 func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool, sc *p2dScratch) {
 	if p.colPlan.smooth != nil {
 		for b0 := r0; b0 < r1; b0 += p.rowH {
@@ -146,6 +167,16 @@ func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool,
 	inPlace := &x[0] == &src[0]
 	for r := r0; r < r1; r++ {
 		row := x[r*p.cols : (r+1)*p.cols]
+		if p.colPlan.pow2 {
+			in := src[r*p.cols : (r+1)*p.cols]
+			if inPlace {
+				in = sc.row
+				copy(in, row)
+			}
+			p.colPlan.gatherPow2(row, in, preFlip && r&1 == 1, preFlip && r&1 == 0)
+			p.colPlan.stagesR4(row, inverse)
+			continue
+		}
 		if !inPlace {
 			copy(row, src[r*p.cols:(r+1)*p.cols])
 		}
@@ -165,34 +196,41 @@ func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool,
 // rowBlockSmooth transforms the h rows from b0 of src into x with the
 // mixed-radix schedule: the block is transposed into staging (taking
 // the input checkerboard along), the lane engine runs down the former
-// rows with the h rows as its lanes, and the result is transposed back.
+// rows with the h rows as its lanes, and its last stage stores the
+// result transposed back into x.
 func (p *Plan2D) rowBlockSmooth(x, src []complex128, b0, h int, inverse, preFlip bool, sc *p2dScratch) {
 	cols := p.cols
 	stage, tile := sc.stage[:cols*h], sc.tile[:cols*h]
 	tier := p.colPlan.tier
 	xmath.TransposeLanes(tier, stage, h, src[b0*cols:(b0+h)*cols], cols, cols, h, preFlip, b0)
-	p.colPlan.smooth.run(tier, tile, stage, h, h, inverse)
-	xmath.TransposeLanes(tier, x[b0*cols:(b0+h)*cols], cols, tile, h, h, cols, false, 0)
+	p.colPlan.smooth.run(tier, tile, stage, h, h, inverse, smoothOut{dst: x[b0*cols : (b0+h)*cols], ds: 1, dl: cols})
 }
 
-// colTile transforms columns [c0, c0+cw) of x. When fused, the scatter
-// applies the output checkerboard (-1)^(k+l) together with the scale
-// (which already carries the caller's sigma factor); the input
-// checkerboard went in with the row pass.
+// colTile transforms columns [c0, c0+cw) of x. When fused, the output
+// checkerboard (-1)^(k+l) goes out together with the scale (which
+// already carries the caller's sigma factor); the input checkerboard
+// went in with the row pass.
 func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale float64, sc *p2dScratch) {
 	rows, cols := p.rows, p.cols
 	tile := sc.tile[:rows*cw]
 	switch {
 	case p.rowPlan.smooth != nil:
-		// The leaf pass reads the columns where they lie, cols apart.
-		p.rowPlan.smooth.run(p.rowPlan.tier, tile, x[c0:], cols, cw, inverse)
-	case p.rowPlan.pow2:
-		// Gather into a row-major rows x cw tile and run the engine's
-		// lane-parallel schedule directly on it.
-		for r := 0; r < rows; r++ {
-			copy(tile[r*cw:r*cw+cw], x[r*cols+c0:r*cols+c0+cw])
+		// The leaf pass reads the columns where they lie, cols apart,
+		// and the last stage writes them back scaled.
+		out := smoothOut{dst: x[c0:], ds: cols, dl: 1, scaled: fused || scale != 1, s0: scale, s1: scale}
+		if fused {
+			out.s1 = -scale
+			if c0&1 == 1 {
+				out.s0, out.s1 = out.s1, out.s0
+			}
 		}
-		p.rowPlan.colPow2(tile, cw, inverse)
+		p.rowPlan.smooth.run(p.rowPlan.tier, tile, x[c0:], cols, cw, inverse, out)
+		return
+	case p.rowPlan.pow2:
+		// Gather the plane rows in bit-reversed order into a row-major
+		// rows x cw tile and run the engine's lane-parallel stages on it.
+		p.rowPlan.gatherCols(tile, x, c0, cw, cols)
+		p.rowPlan.colStagesR4(tile, cw, inverse)
 	default:
 		p.colTileBluestein(x, c0, cw, inverse, fused, scale, sc)
 		return

@@ -104,13 +104,34 @@ func leafOrder(peeled []int) []int32 {
 	return order
 }
 
-// run transforms w lanes: row i of the input is src[i*ss : i*ss+w], the
-// output lands in dst as a contiguous n x w matrix. dst and src must not
-// overlap. inverse runs the unnormalized backward transform.
-func (p *smoothPlan) run(tier xmath.SIMDTier, dst, src []complex128, ss, w int, inverse bool) {
+// smoothOut is where the last butterfly of run writes the result: lane
+// i of row k at dst[k*ds + i*dl]. With scaled set every element is
+// multiplied as ScaleLanes does it: by s0 (even i) or s1 (odd i) on
+// even rows k, by the swapped pair on odd ones, which is a 2-D
+// transform's output scale together with its centering checkerboard.
+type smoothOut struct {
+	dst    []complex128
+	ds, dl int
+	scaled bool
+	s0, s1 float64
+}
+
+// run transforms w lanes: row i of the input is src[i*ss : i*ss+w].
+// The leaf pass writes work, a contiguous n x w matrix, the combine
+// stages run in place on it, and the last one writes out, so that
+// storing the result transposed, scaled or out of place costs no
+// separate pass. work must not overlap src or out.dst; out.dst may be
+// src (the leaf pass has read all of it before the last stage writes).
+// inverse runs the unnormalized backward transform.
+func (p *smoothPlan) run(tier xmath.SIMDTier, work, src []complex128, ss, w int, inverse bool, out smoothOut) {
 	lstride := p.n / p.leaf * ss
+	if len(p.stages) == 0 {
+		// A lone leaf (n = 3 or 5) is the whole transform.
+		out.bfly(tier, p.leaf, 0, 1, src, lstride, w, unitTw[:], inverse)
+		return
+	}
 	for b, s0 := range p.leafSrc {
-		d, s := dst[b*p.leaf*w:], src[int(s0)*ss:]
+		d, s := work[b*p.leaf*w:], src[int(s0)*ss:]
 		switch p.leaf {
 		case 8:
 			xmath.DFT8Lanes(tier, d, w, s, lstride, w, inverse)
@@ -122,6 +143,7 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, dst, src []complex128, ss, w int, 
 			xmath.Bfly2Lanes(tier, d, w, s, lstride, w, 1)
 		}
 	}
+	last := len(p.stages) - 1
 	for i := range p.stages {
 		st := &p.stages[i]
 		tw := st.fwd
@@ -131,8 +153,12 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, dst, src []complex128, ss, w int, 
 		ms := st.m * w
 		for base := 0; base < p.n; base += st.r * st.m {
 			for k := 0; k < st.m; k++ {
-				x := dst[(base+k)*w:]
+				x := work[(base+k)*w:]
 				t := tw[k*(st.r-1):]
+				if i == last {
+					out.bfly(tier, st.r, base+k, st.m, x, ms, w, t, inverse)
+					continue
+				}
 				switch st.r {
 				case 5:
 					xmath.Bfly5Lanes(x, ms, x, ms, w, (*[4]complex128)(t), inverse)
@@ -146,6 +172,38 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, dst, src []complex128, ss, w int, 
 	}
 }
 
+// bfly runs the last butterfly of a schedule, radix r (3 or 5: a
+// non-power-of-two smooth length always ends on its largest factor),
+// whose outputs are result rows row, row+m, ... into o.
+func (o *smoothOut) bfly(tier xmath.SIMDTier, r, row, m int, src []complex128, ss, w int, tw []complex128, inverse bool) {
+	dst, ds := o.dst[row*o.ds:], m*o.ds
+	s0, s1 := o.s0, o.s1
+	if row&1 == 1 {
+		s0, s1 = s1, s0
+	}
+	alt := m&1 == 1
+	if r == 5 {
+		t := (*[4]complex128)(tw)
+		switch {
+		case o.dl != 1:
+			xmath.Bfly5LanesT(dst, ds, o.dl, src, ss, w, t, inverse)
+		case o.scaled:
+			xmath.Bfly5LanesScaled(dst, ds, src, ss, w, t, inverse, s0, s1, alt)
+		default:
+			xmath.Bfly5Lanes(dst, ds, src, ss, w, t, inverse)
+		}
+		return
+	}
+	switch {
+	case o.dl != 1:
+		xmath.Bfly3LanesT(tier, dst, ds, o.dl, src, ss, w, tw[0], tw[1], inverse)
+	case o.scaled:
+		xmath.Bfly3LanesScaled(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse, s0, s1, alt)
+	default:
+		xmath.Bfly3Lanes(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse)
+	}
+}
+
 var unitTw = [4]complex128{1, 1, 1, 1}
 
 // smoothStack is the largest 1-D smooth transform whose work row lives
@@ -153,7 +211,7 @@ var unitTw = [4]complex128{1, 1, 1, 1}
 const smoothStack = 64
 
 // transform1D runs the schedule at one lane, in place; buf (>= n
-// elements, or nil) receives the leaf pass.
+// elements, or nil) is the work row.
 func (p *smoothPlan) transform1D(tier xmath.SIMDTier, x, buf []complex128, inverse bool) {
 	var stack [smoothStack]complex128
 	switch {
@@ -164,6 +222,5 @@ func (p *smoothPlan) transform1D(tier xmath.SIMDTier, x, buf []complex128, inver
 	default:
 		buf = make([]complex128, p.n)
 	}
-	p.run(tier, buf, x, 1, 1, inverse)
-	copy(x, buf)
+	p.run(tier, buf, x, 1, 1, inverse, smoothOut{dst: x, ds: 1, dl: 1})
 }

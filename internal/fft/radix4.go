@@ -72,86 +72,118 @@ func unitRoot(t, m int) complex128 {
 // forwardPow2 transforms x in place with the new engine; inverse runs
 // the unnormalized backward (positive-exponent) transform.
 func (p *Plan) forwardPow2(x []complex128, inverse bool) {
-	n := p.n
-	if n == 1 {
-		return
-	}
 	for i, pi := range p.perm {
 		if int32(i) < pi {
 			x[i], x[pi] = x[pi], x[i]
 		}
 	}
-	r := p.r4
-	if r.leadR2 {
-		for i := 0; i < n; i += 2 {
+	if p.r4.leadR2 {
+		for i := 0; i < p.n; i += 2 {
 			a, b := x[i], x[i+1]
 			x[i], x[i+1] = a+b, a-b
 		}
 	}
-	stages := r.fwd
+	p.stagesR4(x, inverse)
+}
+
+// gatherPow2 writes src into x in bit-reversed order, x[i] =
+// src[perm[i]], running the leading radix-2 stage of an odd-log2
+// length on the way: what forwardPow2 does before its radix-4 stages,
+// without a swap or a second pass. negEven/negOdd negate the elements
+// taken from even/odd source indices first. The parity of perm[i] is
+// the top bit of i, so from n = 4 up each is one half of x, and the
+// radix-2 pairs (i, i+1) never straddle the halves.
+func (p *Plan) gatherPow2(x, src []complex128, negEven, negOdd bool) {
+	r2 := p.r4.leadR2
+	if p.n < 4 {
+		for i, pi := range p.perm {
+			v := src[pi]
+			if (pi&1 == 0 && negEven) || (pi&1 == 1 && negOdd) {
+				v = -v
+			}
+			x[i] = v
+		}
+		if r2 {
+			x[0], x[1] = x[0]+x[1], x[0]-x[1]
+		}
+		return
+	}
+	half := p.n / 2
+	permGather(x[:half], src, p.perm[:half], negEven, r2)
+	permGather(x[half:], src, p.perm[half:], negOdd, r2)
+}
+
+func permGather(dst, src []complex128, perm []int32, neg, r2 bool) {
+	switch {
+	case r2:
+		for i := 0; i < len(perm); i += 2 {
+			a, b := src[perm[i]], src[perm[i+1]]
+			if neg {
+				a, b = -a, -b
+			}
+			dst[i], dst[i+1] = a+b, a-b
+		}
+	case neg:
+		for i, pi := range perm {
+			dst[i] = -src[pi]
+		}
+	default:
+		for i, pi := range perm {
+			dst[i] = src[pi]
+		}
+	}
+}
+
+// stagesR4 runs the radix-4 stages over x, which holds the input in
+// bit-reversed order after the leading radix-2 stage, if any.
+func (p *Plan) stagesR4(x []complex128, inverse bool) {
+	stages := p.r4.fwd
 	if inverse {
-		stages = r.inv
+		stages = p.r4.inv
 	}
 	for _, st := range stages {
 		if st.h == 1 {
-			dft4Blocks(x, inverse)
+			xmath.DFT4Blocks(p.tier, x, inverse)
 			continue
 		}
 		xmath.R4StageTwAt(p.tier, x, st.h, st.tw1, st.tw2, inverse)
 	}
 }
 
-// dft4Blocks runs the twiddle-free h=1 stage: a plain 4-point DFT on
-// every aligned quad (only the first stage of even-log2 lengths).
-func dft4Blocks(x []complex128, inverse bool) {
-	for i := 0; i < len(x); i += 4 {
-		a, b, c, d := x[i], x[i+1], x[i+2], x[i+3]
-		a1, b1 := a+b, a-b
-		c1, d1 := c+d, c-d
-		var e complex128
-		if inverse {
-			e = complex(-imag(d1), real(d1)) // +i*d1
-		} else {
-			e = complex(imag(d1), -real(d1)) // -i*d1
-		}
-		x[i], x[i+1], x[i+2], x[i+3] = a1+c1, b1+e, a1-c1, b1-e
-	}
-}
-
 // Column-pass variants: the same schedule applied to a tile of cw
 // adjacent columns gathered into a row-major (rows x cw) scratch, so
 // each butterfly is a cw-wide vector op on contiguous memory and the
-// twiddles broadcast. This is the cache-blocked column pass: the tile
-// walks the source row-major (sequential reads), and the butterfly
-// legs stride cw*16 bytes instead of cols*16, which for power-of-two
-// grids avoids the pathological set-aliasing of a strided in-place
-// pass.
+// twiddles broadcast. This is the cache-blocked column pass: the
+// gather reads runs of cw*16 contiguous bytes of the plane rows, in
+// bit-reversed row order, and the butterfly legs stride cw*16 bytes
+// instead of cols*16, which for power-of-two grids avoids the
+// pathological set-aliasing of a strided in-place pass.
 
-// colPow2 transforms the cw-wide columns of tile (rows x cw,
-// row-major) in place using plan p (p.n == rows).
-func (p *Plan) colPow2(tile []complex128, cw int, inverse bool) {
-	if p.n == 1 {
+// gatherCols gathers columns [c0, c0+cw) of the row-major plane x
+// (cols wide) into tile in bit-reversed row order, running the leading
+// radix-2 stage on the way (p.n == rows).
+func (p *Plan) gatherCols(tile, x []complex128, c0, cw, cols int) {
+	row := func(i int) []complex128 {
+		r := int(p.perm[i])
+		return x[r*cols+c0 : r*cols+c0+cw]
+	}
+	if p.r4.leadR2 {
+		for i := 0; i < p.n; i += 2 {
+			xmath.AddSubLanes(p.tier, tile[i*cw:i*cw+cw], tile[(i+1)*cw:(i+1)*cw+cw], row(i), row(i+1))
+		}
 		return
 	}
-	var tmp [colBlock]complex128
-	for i, pi := range p.perm {
-		if int32(i) < pi {
-			a := tile[i*cw : i*cw+cw]
-			b := tile[int(pi)*cw : int(pi)*cw+cw]
-			copy(tmp[:cw], a)
-			copy(a, b)
-			copy(b, tmp[:cw])
-		}
+	for i := range p.perm {
+		copy(tile[i*cw:i*cw+cw], row(i))
 	}
-	r := p.r4
-	if r.leadR2 {
-		for i := 0; i < p.n; i += 2 {
-			xmath.AddSubLanes(tile[i*cw:i*cw+cw], tile[(i+1)*cw:(i+1)*cw+cw])
-		}
-	}
-	stages := r.fwd
+}
+
+// colStagesR4 runs the radix-4 stages over the cw-wide columns of a
+// tile gathered by gatherCols, in place.
+func (p *Plan) colStagesR4(tile []complex128, cw int, inverse bool) {
+	stages := p.r4.fwd
 	if inverse {
-		stages = r.inv
+		stages = p.r4.inv
 	}
 	one := complex(1, 0)
 	for _, st := range stages {

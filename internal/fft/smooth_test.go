@@ -95,15 +95,17 @@ func TestSmoothFusedCenteringMatchesShifts(t *testing.T) {
 
 // One lane and n lanes run the same arithmetic: column c of a 2-D
 // column pass equals the 1-D transform of that column bit for bit, on
-// whole-plane tiles and on colBlock tiles alike.
+// whole-plane tiles and on colBlock tiles alike, and so does the
+// result the last stage stores transposed.
 func TestSmoothLanesBitwiseEqualOneLane(t *testing.T) {
 	for _, n := range append([]int{72, 96}, smoothSizes...) {
 		p := NewPlan(n)
 		for _, inverse := range []bool{false, true} {
 			for _, w := range []int{1, 2, 7, n} {
 				src := randSignal(int64(1100+n+w), n*w)
-				dst := make([]complex128, n*w)
-				p.smooth.run(p.tier, dst, src, w, w, inverse)
+				dst, dstT := make([]complex128, n*w), make([]complex128, n*w)
+				p.smooth.run(p.tier, make([]complex128, n*w), src, w, w, inverse, smoothOut{dst: dst, ds: w, dl: 1})
+				p.smooth.run(p.tier, make([]complex128, n*w), src, w, w, inverse, smoothOut{dst: dstT, ds: 1, dl: n})
 				col := make([]complex128, n)
 				for c := 0; c < w; c++ {
 					for r := range col {
@@ -111,9 +113,9 @@ func TestSmoothLanesBitwiseEqualOneLane(t *testing.T) {
 					}
 					p.smooth.transform1D(p.tier, col, nil, inverse)
 					for r := range col {
-						if col[r] != dst[r*w+c] {
-							t.Fatalf("n=%d w=%d inverse=%v: lane %d row %d: %v != %v",
-								n, w, inverse, c, r, dst[r*w+c], col[r])
+						if col[r] != dst[r*w+c] || col[r] != dstT[c*n+r] {
+							t.Fatalf("n=%d w=%d inverse=%v: lane %d row %d: %v, transposed %v != %v",
+								n, w, inverse, c, r, dst[r*w+c], dstT[c*n+r], col[r])
 						}
 					}
 				}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faulttol"
 	"repro/internal/frame"
 	"repro/internal/obs"
 )
@@ -225,10 +226,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if cfg.Checkpoint {
 		cfg.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, id)
 	}
-	back, err := s.back.Open(cfg)
+	back, err := openBackend(s.back, cfg)
 	if err != nil {
 		s.release(tenant, cfg.MaxInflightChunks, id, nil)
-		httpError(w, http.StatusBadRequest, "opening session: %v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, faulttol.ErrKernelPanic) {
+			code = http.StatusInternalServerError
+		}
+		httpError(w, code, "opening session: %v", err)
 		return
 	}
 	now := time.Now()

@@ -27,10 +27,11 @@ type fakeBackend struct {
 	nb, nt, nc int
 	// openErr fails Open; runErr fails Run; runPanic panics inside Run;
 	// blockRun makes Run wait for its context (a drain straggler).
-	openErr  error
-	runErr   error
-	runPanic bool
-	blockRun bool
+	openErr   error
+	openPanic bool
+	runErr    error
+	runPanic  bool
+	blockRun  bool
 
 	mu     sync.Mutex
 	opened int
@@ -45,6 +46,9 @@ type fakeSession struct {
 }
 
 func (b *fakeBackend) Open(cfg SessionConfig) (BackendSession, error) {
+	if b.openPanic {
+		panic("fake backend: open panicked")
+	}
 	if b.openErr != nil {
 		return nil, b.openErr
 	}
@@ -298,6 +302,24 @@ func TestStreamRejectsOutOfRange(t *testing.T) {
 	})
 	if !isHTTP(err, 400) || !strings.Contains(err.Error(), "outside the baseline") {
 		t.Errorf("out-of-range samples: %v, want a 400 naming the range", err)
+	}
+}
+
+// TestCreatePanicReleasesAdmission: a backend that panics while
+// opening fails the create with a 500 and gives the tenant's slot back,
+// so a valid create after more panicking ones than the quota is still
+// admitted.
+func TestCreatePanicReleasesAdmission(t *testing.T) {
+	back := &fakeBackend{nb: 3, nt: 4, nc: 2, openPanic: true}
+	_, c := newTestServer(t, Config{MaxSessionsPerTenant: 2}, back)
+	for i := 0; i < 4; i++ {
+		if _, err := c.CreateSession(testSessionConfig()); !isHTTP(err, 500) {
+			t.Fatalf("create %d with a panicking backend: %v, want 500", i, err)
+		}
+	}
+	back.openPanic = false
+	if _, err := c.CreateSession(testSessionConfig()); err != nil {
+		t.Fatalf("valid create after panicking ones: %v", err)
 	}
 }
 

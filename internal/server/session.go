@@ -157,6 +157,21 @@ func runBackend(ctx context.Context, back BackendSession) (res *Result, err erro
 	return res, err
 }
 
+// openBackend opens a session's backend with the same panic
+// isolation: a configuration the backend cannot build fails the create,
+// it does not end the request without an answer.
+func openBackend(b Backend, cfg SessionConfig) (back BackendSession, err error) {
+	panicked := true
+	defer func() {
+		if panicked {
+			back, err = nil, fmt.Errorf("%w: %v", faulttol.ErrKernelPanic, recover())
+		}
+	}()
+	back, err = b.Open(cfg)
+	panicked = false
+	return back, err
+}
+
 // applyVis stores one decoded chunk with the same panic isolation.
 func applyVis(back BackendSession, c VisChunk) (err error) {
 	panicked := true

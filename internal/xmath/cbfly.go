@@ -86,6 +86,10 @@ func r4ColsScalar(a, b, c, d []complex128, w1, w2 complex128) {
 // inverse selects the backward butterfly (conjugated tables, +i fused
 // factor).
 func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, inverse bool) {
+	if zmm(tier) && h%4 == 0 {
+		r4StageTwQuads(&x[0], len(x), h, &tw1[0], &tw2[0], inverse)
+		return
+	}
 	if hasCBflyASM && tier >= SIMDAVX2 && h >= 2 && h%2 == 0 {
 		if inverse {
 			r4StageTwPairsInv(&x[0], len(x), h, &tw1[0], &tw2[0])
@@ -105,6 +109,10 @@ func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, in
 // four equal-length slices, dispatching on tier. Lanes beyond the
 // widest vector multiple finish on the bit-identical scalar loop.
 func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse bool) {
+	if zmm(tier) && len(a) > 0 {
+		r4ColsQuads(&a[0], &b[0], &c[0], &d[0], len(a), w1, w2, inverse)
+		return
+	}
 	i := 0
 	if hasCBflyASM && tier >= SIMDAVX2 {
 		if np := len(a) / 2; np > 0 {
@@ -126,13 +134,45 @@ func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse
 }
 
 // AddSubLanes applies the twiddle-free radix-2 butterfly lane-wise:
-// a[i], b[i] = a[i]+b[i], a[i]-b[i]. It is the leading stage of
-// odd-log2 transforms; adds are order-independent so no vector form is
-// needed for bitwise parity — the compiler's scalar loop is fine.
-func AddSubLanes(a, b []complex128) {
-	for i := range a {
-		ai, bi := a[i], b[i]
-		a[i], b[i] = ai+bi, ai-bi
+// a[i], b[i] = x[i]+y[i], x[i]-y[i] for i < len(x); a and b may be x
+// and y. It is the leading stage of odd-log2 column transforms, run
+// as the column tile is gathered.
+func AddSubLanes(tier SIMDTier, a, b, x, y []complex128) {
+	if zmm(tier) && len(x) > 0 {
+		addSubQuads(&a[0], &b[0], &x[0], &y[0], len(x))
+		return
+	}
+	i := vecLanes(tier, len(x))
+	if i > 0 {
+		addSubPairs(&a[0], &b[0], &x[0], &y[0], i/2)
+	}
+	for ; i < len(x); i++ {
+		xi, yi := x[i], y[i]
+		a[i], b[i] = xi+yi, xi-yi
+	}
+}
+
+// DFT4Blocks runs the twiddle-free first radix-4 stage: a plain
+// 4-point DFT on every aligned quad of x (len(x) a multiple of 4).
+func DFT4Blocks(tier SIMDTier, x []complex128, inverse bool) {
+	switch {
+	case len(x) == 0:
+	case zmm(tier):
+		dft4Quads(&x[0], len(x)/4, inverse)
+	case vecLanes(tier, 2) > 0:
+		dft4Pairs(&x[0], len(x)/4, inverse)
+	default:
+		dft4Go(x, inverse)
+	}
+}
+
+func dft4Go(x []complex128, inverse bool) {
+	for i := 0; i < len(x); i += 4 {
+		a, b, c, d := x[i], x[i+1], x[i+2], x[i+3]
+		a1, b1 := a+b, a-b
+		c1, d1 := c+d, c-d
+		e := quarter(d1, inverse)
+		x[i], x[i+1], x[i+2], x[i+3] = a1+c1, b1+e, a1-c1, b1-e
 	}
 }
 
@@ -188,12 +228,44 @@ func bfly2Rows(dst []complex128, ds int, src []complex128, ss, i0, w int, tw com
 
 func bfly3Rows(dst []complex128, ds int, src []complex128, ss, i0, w int, w1, w2 complex128, inverse bool) {
 	for i := i0; i < w; i++ {
-		a, b, c := src[i], src[ss+i]*w1, src[2*ss+i]*w2
-		t1 := b + c
-		t2 := a - scaleC(0.5, t1)
-		t3 := scaleC(sin60, quarter(b-c, inverse))
-		dst[i], dst[ds+i], dst[2*ds+i] = a+t1, t2+t3, t2-t3
+		dst[i], dst[ds+i], dst[2*ds+i] = bfly3(src[i], src[ss+i], src[2*ss+i], w1, w2, inverse)
 	}
+}
+
+func bfly3(a, b, c, w1, w2 complex128, inverse bool) (complex128, complex128, complex128) {
+	b, c = b*w1, c*w2
+	t1 := b + c
+	t2 := a - scaleC(0.5, t1)
+	t3 := scaleC(sin60, quarter(b-c, inverse))
+	return a + t1, t2 + t3, t2 - t3
+}
+
+// bfly3RowsT and bfly3RowsScaled are bfly3Rows storing lane i of
+// output row j at dst[j*ds + i*dl], or scaled as ScaleLanes does it
+// with the factors of row 1 swapped when alt is set.
+func bfly3RowsT(dst []complex128, ds, dl int, src []complex128, ss, i0, w int, w1, w2 complex128, inverse bool) {
+	for i := i0; i < w; i++ {
+		dst[i*dl], dst[ds+i*dl], dst[2*ds+i*dl] = bfly3(src[i], src[ss+i], src[2*ss+i], w1, w2, inverse)
+	}
+}
+
+func bfly3RowsScaled(dst []complex128, ds int, src []complex128, ss, i0, w int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+	for i := i0; i < w; i++ {
+		o0, o1, o2 := bfly3(src[i], src[ss+i], src[2*ss+i], w1, w2, inverse)
+		sa, sb := laneScale(i, s0, s1), laneScale(i, s0, s1)
+		if alt {
+			sb = laneScale(i+1, s0, s1)
+		}
+		dst[i], dst[ds+i], dst[2*ds+i] = scaleC(sa, o0), scaleC(sb, o1), scaleC(sa, o2)
+	}
+}
+
+// laneScale is the factor of lane i: s0 for even i, s1 for odd.
+func laneScale(i int, s0, s1 float64) float64 {
+	if i&1 == 1 {
+		return s1
+	}
+	return s0
 }
 
 // dft8Rows is the 8-point decimation-in-time codelet: two 4-point
@@ -219,6 +291,9 @@ func dft8Rows(dst []complex128, ds int, src []complex128, ss, i0, w int, inverse
 	}
 }
 
+// zmm reports whether tier runs the ZMM quad loops.
+func zmm(tier SIMDTier) bool { return hasCBflyASM && tier >= SIMDAVX512 }
+
 // vecLanes is how many of w lanes the assembled pair loops cover on
 // tier: all whole pairs from AVX2 up, none otherwise.
 func vecLanes(tier SIMDTier, w int) int {
@@ -231,6 +306,10 @@ func vecLanes(tier SIMDTier, w int) int {
 // Bfly2Lanes runs the radix-2 combine dst0, dst1 = a + tw*b, a - tw*b
 // over w lanes of the rows a = src[0:], b = src[ss:].
 func Bfly2Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw complex128) {
+	if zmm(tier) && w > 0 {
+		bfly2Quads(&dst[0], ds, &src[0], ss, w, tw)
+		return
+	}
 	i := vecLanes(tier, w)
 	if i > 0 {
 		bfly2Pairs(&dst[0], ds, &src[0], ss, i/2, tw)
@@ -241,6 +320,10 @@ func Bfly2Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w
 // Bfly3Lanes runs the radix-3 combine over w lanes of the rows src[0:],
 // src[ss:], src[2*ss:], the second and third twiddled by w1 and w2.
 func Bfly3Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, w1, w2 complex128, inverse bool) {
+	if zmm(tier) && w > 0 {
+		bfly3Quads(&dst[0], ds, &src[0], ss, w, w1, w2, inverse)
+		return
+	}
 	i := vecLanes(tier, w)
 	if i > 0 {
 		bfly3Pairs(&dst[0], ds, &src[0], ss, i/2, w1, w2, inverse)
@@ -248,28 +331,93 @@ func Bfly3Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w
 	bfly3Rows(dst, ds, src, ss, i, w, w1, w2, inverse)
 }
 
+// Bfly3LanesScaled is Bfly3Lanes for the last stage of a transform:
+// every output is multiplied as ScaleLanes does it, lane i of output
+// rows 0 and 2 by s0 (even i) or s1 (odd i), row 1 by the same or,
+// with alt set, the swapped pair. dst must not overlap src.
+func Bfly3LanesScaled(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+	if zmm(tier) && w > 0 {
+		bfly3QuadsScaled(&dst[0], ds, &src[0], ss, w, w1, w2, inverse, s0, s1, alt)
+		return
+	}
+	i := vecLanes(tier, w)
+	if i > 0 {
+		bfly3PairsScaled(&dst[0], ds, &src[0], ss, i/2, w1, w2, inverse, s0, s1, alt)
+	}
+	bfly3RowsScaled(dst, ds, src, ss, i, w, w1, w2, inverse, s0, s1, alt)
+}
+
+// Bfly3LanesT is Bfly3Lanes storing transposed: lane i of output row
+// j lands at dst[j*ds + i*dl]. dst must not overlap src.
+func Bfly3LanesT(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, w1, w2 complex128, inverse bool) {
+	i := 0
+	if zmm(tier) {
+		if i = w &^ 3; i > 0 {
+			bfly3QuadsT(&dst[0], ds, dl, &src[0], ss, i/4, w1, w2, inverse)
+		}
+	}
+	if np := vecLanes(tier, w-i) / 2; np > 0 {
+		bfly3PairsT(&dst[i*dl], ds, dl, &src[i], ss, np, w1, w2, inverse)
+		i += 2 * np
+	}
+	bfly3RowsT(dst, ds, dl, src, ss, i, w, w1, w2, inverse)
+}
+
 // Bfly5Lanes runs the radix-5 combine over w lanes of five rows, rows
 // 1..4 twiddled by tw[0..3]. It has no assembled body: no subgrid or
 // grid size in use has a factor of five.
 func Bfly5Lanes(dst []complex128, ds int, src []complex128, ss, w int, tw *[4]complex128, inverse bool) {
 	for i := 0; i < w; i++ {
-		x0, x1, x2 := src[i], src[ss+i]*tw[0], src[2*ss+i]*tw[1]
-		x3, x4 := src[3*ss+i]*tw[2], src[4*ss+i]*tw[3]
-		t1, t3 := x1+x4, x1-x4
-		t2, t4 := x2+x3, x2-x3
-		m1 := x0 + (scaleC(cos72, t1) + scaleC(cos144, t2))
-		m2 := x0 + (scaleC(cos144, t1) + scaleC(cos72, t2))
-		n1 := quarter(scaleC(sin72, t3)+scaleC(sin144, t4), inverse)
-		n2 := quarter(scaleC(sin144, t3)-scaleC(sin72, t4), inverse)
-		dst[i] = x0 + (t1 + t2)
-		dst[ds+i], dst[4*ds+i] = m1+n1, m1-n1
-		dst[2*ds+i], dst[3*ds+i] = m2+n2, m2-n2
+		o := bfly5(src, ss, i, tw, inverse)
+		for j, v := range o {
+			dst[j*ds+i] = v
+		}
 	}
+}
+
+// Bfly5LanesT and Bfly5LanesScaled store as Bfly3LanesT and
+// Bfly3LanesScaled do (alt swaps the factors of rows 1 and 3).
+func Bfly5LanesT(dst []complex128, ds, dl int, src []complex128, ss, w int, tw *[4]complex128, inverse bool) {
+	for i := 0; i < w; i++ {
+		o := bfly5(src, ss, i, tw, inverse)
+		for j, v := range o {
+			dst[j*ds+i*dl] = v
+		}
+	}
+}
+
+func Bfly5LanesScaled(dst []complex128, ds int, src []complex128, ss, w int, tw *[4]complex128, inverse bool, s0, s1 float64, alt bool) {
+	for i := 0; i < w; i++ {
+		o := bfly5(src, ss, i, tw, inverse)
+		for j, v := range o {
+			s := laneScale(i, s0, s1)
+			if alt && j&1 == 1 {
+				s = laneScale(i+1, s0, s1)
+			}
+			dst[j*ds+i] = scaleC(s, v)
+		}
+	}
+}
+
+func bfly5(src []complex128, ss, i int, tw *[4]complex128, inverse bool) [5]complex128 {
+	x0, x1, x2 := src[i], src[ss+i]*tw[0], src[2*ss+i]*tw[1]
+	x3, x4 := src[3*ss+i]*tw[2], src[4*ss+i]*tw[3]
+	t1, t3 := x1+x4, x1-x4
+	t2, t4 := x2+x3, x2-x3
+	m1 := x0 + (scaleC(cos72, t1) + scaleC(cos144, t2))
+	m2 := x0 + (scaleC(cos144, t1) + scaleC(cos72, t2))
+	n1 := quarter(scaleC(sin72, t3)+scaleC(sin144, t4), inverse)
+	n2 := quarter(scaleC(sin144, t3)-scaleC(sin72, t4), inverse)
+	return [5]complex128{x0 + (t1 + t2), m1 + n1, m2 + n2, m2 - n2, m1 - n1}
 }
 
 // DFT8Lanes runs the twiddle-free 8-point leaf transform over w lanes
 // of eight rows.
 func DFT8Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, inverse bool) {
+	if zmm(tier) && w > 0 {
+		dft8Quads(&dst[0], ds, &src[0], ss, w, inverse)
+		return
+	}
 	i := vecLanes(tier, w)
 	if i > 0 {
 		dft8Pairs(&dst[0], ds, &src[0], ss, i/2, inverse)
@@ -281,6 +429,10 @@ func DFT8Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w 
 // s1 (odd i): the output scale of a 2-D transform together with, when
 // s1 = -s0, one row of the centering checkerboard.
 func ScaleLanes(tier SIMDTier, dst, src []complex128, s0, s1 float64) {
+	if zmm(tier) && len(src) > 0 {
+		scaleQuads(&dst[0], &src[0], len(src), s0, s1)
+		return
+	}
 	i := vecLanes(tier, len(src))
 	if i > 0 {
 		scalePairs(&dst[0], &src[0], i/2, s0, s1)
@@ -298,15 +450,21 @@ func ScaleLanes(tier SIMDTier, dst, src []complex128, s0, s1 float64) {
 // With checker set, elements whose a+b+phase is odd are negated on the
 // way (the centering checkerboard of a block that starts at row phase).
 func TransposeLanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, na, nb int, checker bool, phase int) {
+	mode := 0
+	if checker {
+		mode = 1 + phase&1
+	}
 	va, vb := vecLanes(tier, na), vecLanes(tier, nb)
-	if va > 0 && vb > 0 {
-		mode := 0
-		if checker {
-			mode = 1 + phase&1
-		}
-		transposePairs(&dst[0], ds, &src[0], ss, va/2, vb/2, mode)
-	} else {
+	if zmm(tier) {
+		va, vb = na&^3, nb&^3
+	}
+	switch {
+	case va == 0 || vb == 0:
 		va = 0
+	case zmm(tier):
+		transposeQuads(&dst[0], ds, &src[0], ss, va/4, vb/4, mode)
+	default:
+		transposePairs(&dst[0], ds, &src[0], ss, va/2, vb/2, mode)
 	}
 	for a := 0; a < na; a++ {
 		b := 0

@@ -50,3 +50,58 @@ func scalePairs(dst, src *complex128, np int, s0, s1 float64)
 
 //go:noescape
 func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int)
+
+// dft4Pairs runs nq twiddle-free 4-point DFTs over contiguous quads,
+// one per iteration in two YMM; addSubPairs is AddSubLanes' pair loop.
+// bfly3PairsScaled and bfly3PairsT are bfly3Pairs storing scaled or
+// transposed. cbfly_amd64.s.
+//
+//go:noescape
+func dft4Pairs(x *complex128, nq int, inverse bool)
+
+//go:noescape
+func addSubPairs(a, b, x, y *complex128, np int)
+
+//go:noescape
+func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
+
+//go:noescape
+func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool)
+
+// The ZMM forms, four lanes per register (cbfly_avx512_amd64.s). The
+// routines over n lanes cover a partial last quad under an opmask;
+// r4StageTwQuads needs h a multiple of 4, bfly3QuadsT and
+// transposeQuads whole quads.
+//
+//go:noescape
+func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool)
+
+//go:noescape
+func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
+
+//go:noescape
+func dft4Quads(x *complex128, nq int, inverse bool)
+
+//go:noescape
+func addSubQuads(a, b, x, y *complex128, n int)
+
+//go:noescape
+func scaleQuads(dst, src *complex128, n int, s0, s1 float64)
+
+//go:noescape
+func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128)
+
+//go:noescape
+func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool)
+
+//go:noescape
+func bfly3QuadsScaled(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
+
+//go:noescape
+func bfly3QuadsT(dst *complex128, ds, dl int, src *complex128, ss, nq int, w1, w2 complex128, inverse bool)
+
+//go:noescape
+func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool)
+
+//go:noescape
+func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int)

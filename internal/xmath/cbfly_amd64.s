@@ -533,3 +533,177 @@ trcols:
 
 	VZEROUPPER
 	RET
+
+// func dft4Pairs(x *complex128, nq int, inverse bool)
+// One 4-point DFT per iteration in two registers: [a b] -> [a+b, a-b]
+// and [c d] -> [c+d, e] by a half swap, a blend and (second register)
+// the quarter turn on its upper lane; then [a1 b1] +- [c1 e].
+TEXT ·dft4Pairs(SB), NOSPLIT, $0-17
+	MOVQ x+0(FP), DI
+	MOVQ nq+8(FP), CX
+	VMOVUPD signOdd<>(SB), Y15
+	CMPB    inverse+16(FP), $0
+	JEQ     d4dir
+	VMOVUPD signEven<>(SB), Y15
+d4dir:
+
+d4loop:
+	VMOVUPD    (DI), Y0               // [a b]
+	VPERM2F128 $0x01, Y0, Y0, Y1      // [b a]
+	VADDPD     Y1, Y0, Y2             // [a+b, .]
+	VSUBPD     Y0, Y1, Y3             // [., a-b]
+	VBLENDPD   $0xc, Y3, Y2, Y4       // [a1 b1]
+	VMOVUPD    32(DI), Y0             // [c d]
+	VPERM2F128 $0x01, Y0, Y0, Y1
+	VADDPD     Y1, Y0, Y2
+	VSUBPD     Y0, Y1, Y3
+	VBLENDPD   $0xc, Y3, Y2, Y5       // [c1 d1]
+	QUARTER(Y5, Y15, Y6)
+	VBLENDPD   $0xc, Y6, Y5, Y5       // [c1 e]
+	VADDPD     Y5, Y4, Y0
+	VSUBPD     Y5, Y4, Y1
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        d4loop
+
+	VZEROUPPER
+	RET
+
+// func addSubPairs(a, b, x, y *complex128, np int)
+TEXT ·addSubPairs(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ y+24(FP), AX
+	MOVQ np+32(FP), CX
+
+asloop:
+	VMOVUPD (DX), Y0
+	VMOVUPD (AX), Y1
+	VADDPD  Y1, Y0, Y2
+	VSUBPD  Y1, Y0, Y3
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, (SI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     asloop
+
+	VZEROUPPER
+	RET
+
+// B3SETUPY completes bfly3Pairs' constants from the twiddle
+// broadcasts in Y10 and Y12: their swaps (Y11, Y13), the quarter mask
+// (Y14), 0.5 (Y15) and sin60 (Y9).
+#define B3SETUPY(inverse, lbl) \
+	VSHUFPD        $0x5, Y10, Y10, Y11   \
+	VSHUFPD        $0x5, Y12, Y12, Y13   \
+	VMOVUPD        signOdd<>(SB), Y14    \
+	CMPB           inverse, $0           \
+	JEQ            lbl                   \
+	VMOVUPD        signEven<>(SB), Y14   \
+lbl:                                     \
+	VBROADCASTSD half<>(SB), Y15         \
+	VBROADCASTSD sin60<>(SB), Y9
+
+// B3BODY: rows a, b, c in Y0..Y2 -> a+t1, t2+t3, t2-t3 in Y0..Y2.
+#define B3BODY \
+	CMUL(Y1, Y10, Y11, Y4, Y3) \
+	CMUL(Y2, Y12, Y13, Y5, Y4) \
+	VADDPD  Y4, Y3, Y5         \
+	VSUBPD  Y4, Y3, Y6         \
+	VMULPD  Y15, Y5, Y7        \
+	VSUBPD  Y7, Y0, Y7         \
+	QUARTER(Y6, Y14, Y6)       \
+	VMULPD  Y9, Y6, Y6         \
+	VADDPD  Y5, Y0, Y0         \
+	VADDPD  Y6, Y7, Y1         \
+	VSUBPD  Y6, Y7, Y2
+
+// func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
+// bfly3Pairs with the outputs scaled as ScaleLanes does it: rows 0 and
+// 2 by [s0 s1], row 1 by [s0 s1] or, with alt, [s1 s0] (kept in the
+// frame: the butterfly leaves one register free).
+TEXT ·bfly3PairsScaled(SB), NOSPLIT, $32-97
+	MOVQ dst+0(FP), DI
+	MOVQ ds+8(FP), R12
+	MOVQ src+16(FP), SI
+	MOVQ ss+24(FP), R9
+	MOVQ np+32(FP), CX
+	SHLQ $4, R12
+	SHLQ $4, R9
+	VBROADCASTF128 w1+40(FP), Y10
+	VBROADCASTF128 w2+56(FP), Y12
+	B3SETUPY(inverse+72(FP), b3sdir)
+	VBROADCASTSD s0+80(FP), Y8
+	VBROADCASTSD s1+88(FP), Y2
+	VPERM2F128   $0x20, Y2, Y8, Y8    // [s0 s0 s1 s1]: rows 0, 2
+	VMOVAPD      Y8, Y1
+	CMPB         alt+96(FP), $0
+	JEQ          b3salt
+	VPERM2F128   $0x01, Y8, Y8, Y1    // [s1 s1 s0 s0]
+b3salt:
+	VMOVUPD      Y1, row1-32(SP)
+
+b3sloop:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R9*1), Y1
+	VMOVUPD (SI)(R9*2), Y2
+	B3BODY
+	VMULPD  Y8, Y0, Y0
+	VMULPD  row1-32(SP), Y1, Y1
+	VMULPD  Y8, Y2, Y2
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R12*1)
+	VMOVUPD Y2, (DI)(R12*2)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     b3sloop
+
+	VZEROUPPER
+	RET
+
+// func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool)
+// bfly3Pairs storing transposed: lane i of output row j lands at
+// dst[j*ds + i*dl].
+TEXT ·bfly3PairsT(SB), NOSPLIT, $0-81
+	MOVQ dst+0(FP), DI
+	MOVQ ds+8(FP), R12
+	MOVQ dl+16(FP), R10
+	MOVQ src+24(FP), SI
+	MOVQ ss+32(FP), R9
+	MOVQ np+40(FP), CX
+	SHLQ $4, R12
+	SHLQ $4, R10
+	SHLQ $4, R9
+	VBROADCASTF128 w1+48(FP), Y10
+	VBROADCASTF128 w2+64(FP), Y12
+	B3SETUPY(inverse+80(FP), b3tdir)
+	LEAQ (DI)(R12*1), BX      // output row 1
+	LEAQ (DI)(R12*2), DX      // output row 2
+
+b3tloop:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R9*1), Y1
+	VMOVUPD (SI)(R9*2), Y2
+	B3BODY
+	VMOVUPD      X0, (DI)
+	VEXTRACTF128 $1, Y0, (DI)(R10*1)
+	VMOVUPD      X1, (BX)
+	VEXTRACTF128 $1, Y1, (BX)(R10*1)
+	VMOVUPD      X2, (DX)
+	VEXTRACTF128 $1, Y2, (DX)(R10*1)
+	ADDQ $32, SI
+	LEAQ (DI)(R10*2), DI
+	LEAQ (BX)(R10*2), BX
+	LEAQ (DX)(R10*2), DX
+	DECQ CX
+	JNZ  b3tloop
+
+	VZEROUPPER
+	RET

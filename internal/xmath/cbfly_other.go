@@ -41,3 +41,55 @@ func scalePairs(dst, src *complex128, np int, s0, s1 float64) {
 func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int) {
 	panic("xmath: transposePairs without AVX")
 }
+
+func dft4Pairs(x *complex128, nq int, inverse bool) { panic("xmath: dft4Pairs without AVX") }
+
+func addSubPairs(a, b, x, y *complex128, np int) { panic("xmath: addSubPairs without AVX") }
+
+func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+	panic("xmath: bfly3PairsScaled without AVX")
+}
+
+func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
+	panic("xmath: bfly3PairsT without AVX")
+}
+
+func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool) {
+	panic("xmath: r4ColsQuads without AVX-512")
+}
+
+func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool) {
+	panic("xmath: r4StageTwQuads without AVX-512")
+}
+
+func dft4Quads(x *complex128, nq int, inverse bool) { panic("xmath: dft4Quads without AVX-512") }
+
+func addSubQuads(a, b, x, y *complex128, n int) { panic("xmath: addSubQuads without AVX-512") }
+
+func scaleQuads(dst, src *complex128, n int, s0, s1 float64) {
+	panic("xmath: scaleQuads without AVX-512")
+}
+
+func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128) {
+	panic("xmath: bfly2Quads without AVX-512")
+}
+
+func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool) {
+	panic("xmath: bfly3Quads without AVX-512")
+}
+
+func bfly3QuadsScaled(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+	panic("xmath: bfly3QuadsScaled without AVX-512")
+}
+
+func bfly3QuadsT(dst *complex128, ds, dl int, src *complex128, ss, nq int, w1, w2 complex128, inverse bool) {
+	panic("xmath: bfly3QuadsT without AVX-512")
+}
+
+func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool) {
+	panic("xmath: dft8Quads without AVX-512")
+}
+
+func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int) {
+	panic("xmath: transposeQuads without AVX-512")
+}

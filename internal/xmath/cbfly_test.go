@@ -58,9 +58,10 @@ func TestR4StageTwTiersBitwise(t *testing.T) {
 					}
 				}
 
-				for _, tier := range []SIMDTier{SIMDScalar, DetectedSIMD()} {
-					got := append([]complex128(nil), x...)
+				for _, tier := range execTiers() {
+					got, back := fenced(x)
 					R4StageTwAt(tier, got, h, tw1, tw2, inverse)
+					checkFence(t, fmt.Sprintf("R4StageTwAt tier=%v h=%d", tier, h), back)
 					for i := range got {
 						if got[i] != want[i] {
 							t.Fatalf("tier=%v h=%d n=%d inv=%v: elem %d = %v, want %v",
@@ -77,8 +78,9 @@ func TestR4ColsTiersBitwise(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	w1 := unit(-0.3)
 	w2 := unit(-0.15)
-	// Odd lane counts exercise the scalar tail after the vector pairs.
-	for _, lanes := range []int{1, 2, 3, 7, 8, 9, 16} {
+	// Every width up to 25 exercises the pair loops' odd lane and the
+	// quad loops' masked last quad.
+	for lanes := 1; lanes <= 25; lanes++ {
 		for _, inverse := range []bool{false, true} {
 			a := randComplexes(rnd, lanes)
 			b := randComplexes(rnd, lanes)
@@ -93,28 +95,96 @@ func TestR4ColsTiersBitwise(t *testing.T) {
 				wa[i], wb[i], wc[i], wd[i] = refBfly(a[i], b[i], c[i], d[i], w1, w2, inverse)
 			}
 
-			for _, tier := range []SIMDTier{SIMDScalar, DetectedSIMD()} {
-				ga := append([]complex128(nil), a...)
-				gb := append([]complex128(nil), b...)
-				gc := append([]complex128(nil), c...)
-				gd := append([]complex128(nil), d...)
+			for _, tier := range execTiers() {
+				what := fmt.Sprintf("R4ColsAt tier=%v lanes=%d inv=%v", tier, lanes, inverse)
+				ga, ba := fenced(a)
+				gb, bb := fenced(b)
+				gc, bc := fenced(c)
+				gd, bd := fenced(d)
 				R4ColsAt(tier, ga, gb, gc, gd, w1, w2, inverse)
-				for i := 0; i < lanes; i++ {
-					if ga[i] != wa[i] || gb[i] != wb[i] || gc[i] != wc[i] || gd[i] != wd[i] {
-						t.Fatalf("tier=%v lanes=%d inv=%v: lane %d mismatch", tier, lanes, inverse, i)
-					}
+				requireSameBits(t, what+" a", ga, wa)
+				requireSameBits(t, what+" b", gb, wb)
+				requireSameBits(t, what+" c", gc, wc)
+				requireSameBits(t, what+" d", gd, wd)
+				for _, back := range [][]complex128{ba, bb, bc, bd} {
+					checkFence(t, what, back)
 				}
 			}
 		}
 	}
 }
 
+// execTiers lists every tier this host can execute, scalar first.
+func execTiers() []SIMDTier {
+	var tiers []SIMDTier
+	for tier := SIMDScalar; tier <= DetectedSIMD(); tier++ {
+		tiers = append(tiers, tier)
+	}
+	return tiers
+}
+
+// DFT4Blocks is the 4-point DFT of every quad (whose input is in
+// bit-reversed order, as the first stage of the engine receives it),
+// bitwise the Go body on every tier, in place inside its fence, for
+// 1..25 quads.
+func TestDFT4BlocksTiers(t *testing.T) {
+	rnd := rand.New(rand.NewSource(24))
+	for quads := 1; quads <= 25; quads++ {
+		for _, inverse := range []bool{false, true} {
+			in := randComplexes(rnd, 4*quads)
+			want := append([]complex128(nil), in...)
+			dft4Go(want, inverse)
+			sign := -1.0
+			if inverse {
+				sign = 1
+			}
+			for q := 0; q < quads; q++ {
+				for k := 0; k < 4; k++ {
+					var sum complex128
+					for j := 0; j < 4; j++ {
+						sum += in[4*q+[4]int{0, 2, 1, 3}[j]] * unit(sign*2*math.Pi*float64(j*k)/4)
+					}
+					if d := cmplxAbs(want[4*q+k] - sum); d > 1e-13 {
+						t.Fatalf("quads=%d inverse=%v: quad %d output %d off the direct DFT by %g", quads, inverse, q, k, d)
+					}
+				}
+			}
+			for _, tier := range execTiers() {
+				what := fmt.Sprintf("DFT4Blocks tier=%v quads=%d inverse=%v", tier, quads, inverse)
+				got, back := fenced(in)
+				DFT4Blocks(tier, got, inverse)
+				requireSameBits(t, what, got, want)
+				checkFence(t, what, back)
+			}
+		}
+	}
+}
+
+// AddSubLanes in place and out of place, 1..25 lanes, every tier.
 func TestAddSubLanes(t *testing.T) {
-	a := []complex128{1 + 2i, 3i}
-	b := []complex128{5, 1 - 1i}
-	AddSubLanes(a, b)
-	if a[0] != 6+2i || b[0] != -4+2i || a[1] != 1+2i || b[1] != -1+4i {
-		t.Fatalf("AddSubLanes wrong: %v %v", a, b)
+	rnd := rand.New(rand.NewSource(25))
+	for w := 1; w <= 25; w++ {
+		x, y := randComplexes(rnd, w), randComplexes(rnd, w)
+		wantA, wantB := make([]complex128, w), make([]complex128, w)
+		for i := range x {
+			wantA[i], wantB[i] = x[i]+y[i], x[i]-y[i]
+		}
+		for _, tier := range execTiers() {
+			what := fmt.Sprintf("AddSubLanes tier=%v w=%d", tier, w)
+			fx, _ := fenced(x)
+			fy, _ := fenced(y)
+			a, ba := fenced(make([]complex128, w))
+			b, bb := fenced(make([]complex128, w))
+			AddSubLanes(tier, a, b, fx, fy)
+			requireSameBits(t, what, a, wantA)
+			requireSameBits(t, what, b, wantB)
+			requireSameBits(t, what+" (source)", fx, x)
+			checkFence(t, what, ba)
+			checkFence(t, what, bb)
+			AddSubLanes(tier, fx, fy, fx, fy)
+			requireSameBits(t, what+" in place", fx, wantA)
+			requireSameBits(t, what+" in place", fy, wantB)
+		}
 	}
 }
 
@@ -168,19 +238,34 @@ var laneButterflies = []struct {
 	name string
 	r    int
 	run  func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool)
+	// final runs the last-stage form: transposed (lane stride dl) when
+	// sc is nil, else scaled by sc[0], sc[1] with alt = sc[2] != 0.
+	final func(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64)
 }{
 	{"Bfly2Lanes", 2, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, _ bool) {
 		Bfly2Lanes(tier, dst, ds, src, ss, w, tw[0])
-	}},
+	}, nil},
 	{"Bfly3Lanes", 3, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool) {
 		Bfly3Lanes(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse)
+	}, func(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64) {
+		if sc == nil {
+			Bfly3LanesT(tier, dst, ds, dl, src, ss, w, tw[0], tw[1], inverse)
+			return
+		}
+		Bfly3LanesScaled(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse, sc[0], sc[1], sc[2] != 0)
 	}},
 	{"Bfly5Lanes", 5, func(_ SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool) {
 		Bfly5Lanes(dst, ds, src, ss, w, (*[4]complex128)(tw), inverse)
+	}, func(_ SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64) {
+		if sc == nil {
+			Bfly5LanesT(dst, ds, dl, src, ss, w, (*[4]complex128)(tw), inverse)
+			return
+		}
+		Bfly5LanesScaled(dst, ds, src, ss, w, (*[4]complex128)(tw), inverse, sc[0], sc[1], sc[2] != 0)
 	}},
 	{"DFT8Lanes", 8, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, _ []complex128, inverse bool) {
 		DFT8Lanes(tier, dst, ds, src, ss, w, inverse)
-	}},
+	}, nil},
 }
 
 func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
@@ -225,21 +310,60 @@ func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
 						}
 					}
 
-					src, srcBack := fenced(in)
-					dst, dstBack := fenced(make([]complex128, len(want)))
-					bf.run(DetectedSIMD(), dst, ds, src, ss, w, tw, inverse)
-					for k := 0; k < r; k++ {
-						requireSameBits(t, what, dst[k*ds:k*ds+w], want[k*ds:k*ds+w])
-					}
-					checkFence(t, what, dstBack)
-					requireSameBits(t, what+" (source)", src, in)
+					for _, tier := range execTiers() {
+						what := fmt.Sprintf("%s tier=%v", what, tier)
+						src, srcBack := fenced(in)
+						dst, dstBack := fenced(make([]complex128, len(want)))
+						bf.run(tier, dst, ds, src, ss, w, tw, inverse)
+						for k := 0; k < r; k++ {
+							requireSameBits(t, what, dst[k*ds:k*ds+w], want[k*ds:k*ds+w])
+						}
+						checkFence(t, what, dstBack)
+						requireSameBits(t, what+" (source)", src, in)
 
-					// In place, as the combine stages run it.
-					bf.run(DetectedSIMD(), src, ss, src, ss, w, tw, inverse)
-					for k := 0; k < r; k++ {
-						requireSameBits(t, what+" in place", src[k*ss:k*ss+w], want[k*ds:k*ds+w])
+						// In place, as the combine stages run it.
+						bf.run(tier, src, ss, src, ss, w, tw, inverse)
+						for k := 0; k < r; k++ {
+							requireSameBits(t, what+" in place", src[k*ss:k*ss+w], want[k*ds:k*ds+w])
+						}
+						checkFence(t, what+" in place", srcBack)
+
+						// Stored by the last-stage forms: transposed, and
+						// scaled (out of place, and in place as a lone leaf).
+						if bf.final == nil {
+							continue
+						}
+						dl := r + pad
+						tdst, tBack := fenced(make([]complex128, (w-1)*dl+r))
+						bf.final(tier, tdst, 1, dl, in, ss, w, tw, inverse, nil)
+						for k := 0; k < r; k++ {
+							for i := 0; i < w; i++ {
+								requireSameBits(t, what+" transposed", tdst[i*dl+k:i*dl+k+1], want[k*ds+i:k*ds+i+1])
+							}
+						}
+						checkFence(t, what+" transposed", tBack)
+						for _, alt := range []bool{false, true} {
+							sc := [2]float64{0.25, -3}
+							swant := make([]complex128, len(want))
+							for k := 0; k < r; k++ {
+								for i := 0; i < w; i++ {
+									s := sc[(i+boolInt(alt && k&1 == 1))&1]
+									v := want[k*ds+i]
+									swant[k*ds+i] = complex(s*real(v), s*imag(v))
+								}
+							}
+							sdst, sBack := fenced(make([]complex128, len(want)))
+							bf.final(tier, sdst, ds, 1, in, ss, w, tw, inverse, &[3]float64{sc[0], sc[1], float64(boolInt(alt))})
+							ssrc, ssBack := fenced(in)
+							bf.final(tier, ssrc, ss, 1, ssrc, ss, w, tw, inverse, &[3]float64{sc[0], sc[1], float64(boolInt(alt))})
+							for k := 0; k < r; k++ {
+								requireSameBits(t, what+" scaled", sdst[k*ds:k*ds+w], swant[k*ds:k*ds+w])
+								requireSameBits(t, what+" scaled in place", ssrc[k*ss:k*ss+w], swant[k*ds:k*ds+w])
+							}
+							checkFence(t, what+" scaled", sBack)
+							checkFence(t, what+" scaled in place", ssBack)
+						}
 					}
-					checkFence(t, what+" in place", srcBack)
 				}
 			}
 		}
@@ -247,6 +371,13 @@ func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
 }
 
 func cmplxAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 func TestScaleLanesBoundsAndTiers(t *testing.T) {
 	rnd := rand.New(rand.NewSource(22))
@@ -260,7 +391,7 @@ func TestScaleLanesBoundsAndTiers(t *testing.T) {
 			}
 			want[i] = complex(s*real(v), s*imag(v))
 		}
-		for _, tier := range []SIMDTier{SIMDScalar, DetectedSIMD()} {
+		for _, tier := range execTiers() {
 			src, _ := fenced(in)
 			dst, back := fenced(make([]complex128, w))
 			ScaleLanes(tier, dst, src, 0.25, -3)
@@ -279,7 +410,7 @@ func TestTransposeLanesBoundsAndTiers(t *testing.T) {
 					ss, ds := na+pad, nb+2*pad
 					in := randComplexes(rnd, (nb-1)*ss+na)
 					checker, phase := mode > 0, mode-1
-					for _, tier := range []SIMDTier{SIMDScalar, DetectedSIMD()} {
+					for _, tier := range execTiers() {
 						what := fmt.Sprintf("TransposeLanes %dx%d pad=%d mode=%d tier=%v", na, nb, pad, mode, tier)
 						src, _ := fenced(in)
 						zero := make([]complex128, (na-1)*ds+nb)

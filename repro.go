@@ -408,7 +408,12 @@ func (c ObservationConfig) fieldOfView() (stations []Station, sim *uvwsim.Simula
 	sim = uvwsim.New(stations, opts)
 	maxFreq := c.StartFrequency + float64(c.NrChannels-1)*c.ChannelWidth
 	maxUV := sim.MaxUV(c.NrTimesteps) * maxFreq / uvwsim.SpeedOfLight
-	return stations, sim, float64(c.GridSize/2-c.GridMargin) / maxUV, nil
+	imageSize = float64(c.GridSize/2-c.GridMargin) / maxUV
+	if err := core.CheckFieldOfView(imageSize, c.SubgridSize, c.GridSize); err != nil {
+		return nil, nil, 0, &ConfigError{Field: "GridSize", Reason: fmt.Sprintf(
+			"the derived field of view %g (direction cosines) is too wide: %v", imageSize, err)}
+	}
+	return stations, sim, imageSize, nil
 }
 
 // StandardSkyModel is the deterministic point-source model the

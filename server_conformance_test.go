@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -267,5 +268,33 @@ func TestServerConfigErrors(t *testing.T) {
 				t.Error("rejection names no field")
 			}
 		})
+	}
+}
+
+// TestServerWideFieldCreate: a session whose derived field of view is
+// too wide for its grid is refused with a 400 that names it, and the
+// refusals do not use up the tenant's quota: after four of them a valid
+// session of the same tenant is created.
+func TestServerWideFieldCreate(t *testing.T) {
+	srv, err := NewGridServer(GridServerConfig{}, &ServerBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c := &server.Client{Base: hs.URL, Tenant: "wide", HTTP: hs.Client()}
+	wide := server.SessionConfig{
+		NrStations: 3, NrTimesteps: 2, NrChannels: 1, StartFrequency: 50e6, ChannelWidth: 1e6,
+		GridSize: 4096, SubgridSize: 24, KernelSupport: 8, GridMargin: 16, Workers: 1,
+	}
+	for i := 0; i < 4; i++ {
+		_, err := c.CreateSession(wide)
+		if err == nil || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), "field of view") {
+			t.Fatalf("wide-field create %d: %v, want a 400 naming the field of view", i, err)
+		}
+	}
+	valid := sessionConfigFor(conformanceConfig())
+	if _, err := c.CreateSession(valid); err != nil {
+		t.Fatalf("valid create after four wide-field ones: %v", err)
 	}
 }
