@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/grid"
@@ -16,10 +18,7 @@ import (
 // Workers <= 0 uses GOMAXPROCS.
 func GridToImage(g *grid.Grid, workers int) *grid.Grid {
 	img := grid.NewGrid(g.N)
-	p := fft.CachedPlan2D(g.N, g.N)
-	for c := 0; c < grid.NrCorrelations; c++ {
-		p.InverseCenteredParallel(img.Data[c], g.Data[c], workers)
-	}
+	transformGrid(img, g, true, workers)
 	return img
 }
 
@@ -27,11 +26,22 @@ func GridToImage(g *grid.Grid, workers int) *grid.Grid {
 // forward FFT — the "FFT" box on the predict side of Fig. 2.
 func ImageToGrid(img *grid.Grid, workers int) *grid.Grid {
 	g := grid.NewGrid(img.N)
-	p := fft.CachedPlan2D(img.N, img.N)
-	for c := 0; c < grid.NrCorrelations; c++ {
-		p.ForwardCenteredParallel(g.Data[c], img.Data[c], workers)
-	}
+	transformGrid(g, img, false, workers)
 	return g
+}
+
+// transformGrid runs the centered transform of every plane of src into
+// dst, which may be src: inverse takes uv to the image. The bits do not
+// depend on whether it runs in place.
+func transformGrid(dst, src *grid.Grid, inverse bool, workers int) {
+	p := fft.CachedPlan2D(src.N, src.N)
+	for c := 0; c < grid.NrCorrelations; c++ {
+		if inverse {
+			p.InverseCenteredParallel(dst.Data[c], src.Data[c], workers)
+		} else {
+			p.ForwardCenteredParallel(dst.Data[c], src.Data[c], workers)
+		}
+	}
 }
 
 // TaperCorrection returns the image-domain correction map for the
@@ -78,19 +88,38 @@ func ScaleImage(img *grid.Grid, s float64) {
 // correction used by W-stacking. imageSize is the field of view of the
 // image.
 func ApplyWScreen(img *grid.Grid, imageSize, w float64, sign float64) {
-	n := img.N
+	wScreen(img, img, imageSize, w, sign, 0)
+}
+
+// wScreen writes src times the w screen into dst (which may be src),
+// rows split over workers (<= 0: GOMAXPROCS): every pixel is its own
+// product, so the bits do not depend on the split.
+func wScreen(dst, src *grid.Grid, imageSize, w, sign float64, workers int) {
+	n := src.N
 	pixel := imageSize / float64(n)
-	for y := 0; y < n; y++ {
-		mv := float64(y-n/2) * pixel
-		for x := 0; x < n; x++ {
-			lv := float64(x-n/2) * pixel
-			phase := sign * twoPi * w * sky.N(lv, mv)
-			sin, cos := math.Sincos(phase)
-			ph := complex(cos, sin)
-			i := y*n + x
-			for c := 0; c < grid.NrCorrelations; c++ {
-				img.Data[c][i] *= ph
-			}
-		}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	rows := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for y0 := 0; y0 < n; y0 += rows {
+		wg.Add(1)
+		go func(y0, y1 int) {
+			defer wg.Done()
+			for y := y0; y < y1; y++ {
+				mv := float64(y-n/2) * pixel
+				for x := 0; x < n; x++ {
+					lv := float64(x-n/2) * pixel
+					phase := sign * twoPi * w * sky.N(lv, mv)
+					sin, cos := math.Sincos(phase)
+					ph := complex(cos, sin)
+					i := y*n + x
+					for c := 0; c < grid.NrCorrelations; c++ {
+						dst.Data[c][i] = src.Data[c][i] * ph
+					}
+				}
+			}
+		}(y0, min(y0+rows, n))
+	}
+	wg.Wait()
 }

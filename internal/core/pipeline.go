@@ -311,11 +311,15 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 	band := g.Rows(0, g.N)
 	var h epochHooks
 	if p.WStepLambda > 0 {
-		img := GridToImage(g, k.params.workers())
+		// One image and one layer buffer for the whole pass: layerStart
+		// runs with no chunk in flight, so the layer's uv grid can be
+		// rebuilt in place.
+		workers := k.params.workers()
+		img, layer := GridToImage(g, workers), grid.NewGrid(g.N)
 		h.layerStart = func(w int) {
-			layer := img.Clone()
-			ApplyWScreen(layer, k.params.ImageSize, float64(w)*p.WStepLambda, -1)
-			band = ImageToGrid(layer, k.params.workers()).Rows(0, g.N)
+			wScreen(layer, img, k.params.ImageSize, float64(w)*p.WStepLambda, -1, workers)
+			transformGrid(layer, layer, false, workers)
+			band = layer.Rows(0, g.N)
 		}
 	}
 	times, err := k.runChunks(ctx, p, vs, prov, obs.StageDegrid, ft, rep, 0, h,

@@ -152,11 +152,13 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 // flushLayer folds the uv grid of one W-layer, whose items the gridder
 // placed with the layer offset w (wavelengths) removed, into g: to the
 // image, times the layer's w screen exp(+2*pi*i*w*n(l,m)), back to uv,
-// added. layer is zeroed for the next layer.
+// added — all in place in layer, which is zeroed for the next layer.
 func (k *Kernels) flushLayer(layer, g *grid.Grid, w float64) {
-	img := GridToImage(layer, k.params.workers())
-	ApplyWScreen(img, k.params.ImageSize, w, +1)
-	g.AddGrid(ImageToGrid(img, k.params.workers()))
+	workers := k.params.workers()
+	transformGrid(layer, layer, true, workers)
+	wScreen(layer, layer, k.params.ImageSize, w, +1, workers)
+	transformGrid(layer, layer, false, workers)
+	g.AddGrid(layer)
 	layer.Zero()
 }
 

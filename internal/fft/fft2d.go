@@ -168,11 +168,8 @@ func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool,
 	for r := r0; r < r1; r++ {
 		row := x[r*p.cols : (r+1)*p.cols]
 		if p.colPlan.pow2 {
-			in := src[r*p.cols : (r+1)*p.cols]
-			if inPlace {
-				in = sc.row
-				copy(in, row)
-			}
+			in := sc.row
+			copy(in, src[r*p.cols:(r+1)*p.cols])
 			p.colPlan.gatherPow2(row, in, preFlip && r&1 == 1, preFlip && r&1 == 0)
 			p.colPlan.stagesR4(row, inverse)
 			continue

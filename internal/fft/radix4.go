@@ -109,29 +109,8 @@ func (p *Plan) gatherPow2(x, src []complex128, negEven, negOdd bool) {
 		return
 	}
 	half := p.n / 2
-	permGather(x[:half], src, p.perm[:half], negEven, r2)
-	permGather(x[half:], src, p.perm[half:], negOdd, r2)
-}
-
-func permGather(dst, src []complex128, perm []int32, neg, r2 bool) {
-	switch {
-	case r2:
-		for i := 0; i < len(perm); i += 2 {
-			a, b := src[perm[i]], src[perm[i+1]]
-			if neg {
-				a, b = -a, -b
-			}
-			dst[i], dst[i+1] = a+b, a-b
-		}
-	case neg:
-		for i, pi := range perm {
-			dst[i] = -src[pi]
-		}
-	default:
-		for i, pi := range perm {
-			dst[i] = src[pi]
-		}
-	}
+	xmath.PermGather(p.tier, x[:half], src, p.perm[:half], negEven, r2)
+	xmath.PermGather(p.tier, x[half:], src, p.perm[half:], negOdd, r2)
 }
 
 // stagesR4 runs the radix-4 stages over x, which holds the input in

@@ -152,6 +152,39 @@ func AddSubLanes(tier SIMDTier, a, b, x, y []complex128) {
 	}
 }
 
+// PermGather writes dst[i] = src[perm[i]] for i < len(perm), negated
+// when neg is set; with addSub each pair (i, i+1) then becomes a+b,
+// a-b — the twiddle-free radix-2 stage (len(perm) even). It is the
+// bit-reversed gather of a power-of-two row.
+func PermGather(tier SIMDTier, dst, src []complex128, perm []int32, neg, addSub bool) {
+	if len(perm) == 0 {
+		return
+	}
+	if vecLanes(tier, 2) > 0 {
+		_ = src[len(src)-1]
+		permGather(&dst[:len(perm)][0], &src[0], &perm[0], len(perm), neg, addSub)
+		return
+	}
+	switch {
+	case addSub:
+		for i := 0; i < len(perm); i += 2 {
+			a, b := src[perm[i]], src[perm[i+1]]
+			if neg {
+				a, b = -a, -b
+			}
+			dst[i], dst[i+1] = a+b, a-b
+		}
+	case neg:
+		for i, pi := range perm {
+			dst[i] = -src[pi]
+		}
+	default:
+		for i, pi := range perm {
+			dst[i] = src[pi]
+		}
+	}
+}
+
 // DFT4Blocks runs the twiddle-free first radix-4 stage: a plain
 // 4-point DFT on every aligned quad of x (len(x) a multiple of 4).
 func DFT4Blocks(tier SIMDTier, x []complex128, inverse bool) {

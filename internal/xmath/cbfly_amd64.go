@@ -105,3 +105,9 @@ func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool
 
 //go:noescape
 func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int)
+
+// permGather is PermGather's loop (VEX-encoded 128-bit, so avx2 and
+// up). cbfly_amd64.s.
+//
+//go:noescape
+func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)

@@ -707,3 +707,55 @@ b3tloop:
 
 	VZEROUPPER
 	RET
+
+// Both sign bits of one complex128.
+DATA negBoth<>+0(SB)/8, $0x8000000000000000
+DATA negBoth<>+8(SB)/8, $0x8000000000000000
+GLOBL negBoth<>(SB), RODATA, $16
+
+// func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)
+// dst[i] = src[perm[i]] for i < n, negated when neg is set; with
+// addSub, each pair becomes a+b, a-b (n even).
+TEXT ·permGather(SB), NOSPLIT, $0-34
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ perm+16(FP), DX
+	MOVQ n+24(FP), CX
+	VXORPD X2, X2, X2
+	CMPB   neg+32(FP), $0
+	JEQ    pgmode
+	VMOVUPD negBoth<>(SB), X2
+pgmode:
+	CMPB addSub+33(FP), $0
+	JNE  pgr2
+
+pgloop:
+	MOVLQSX (DX), AX
+	SHLQ    $4, AX
+	VMOVUPD (SI)(AX*1), X0
+	VXORPD  X2, X0, X0
+	VMOVUPD X0, (DI)
+	ADDQ    $4, DX
+	ADDQ    $16, DI
+	DECQ    CX
+	JNZ     pgloop
+	RET
+
+pgr2:
+	MOVLQSX (DX), AX
+	MOVLQSX 4(DX), BX
+	SHLQ    $4, AX
+	SHLQ    $4, BX
+	VMOVUPD (SI)(AX*1), X0
+	VMOVUPD (SI)(BX*1), X1
+	VXORPD  X2, X0, X0
+	VXORPD  X2, X1, X1
+	VADDPD  X1, X0, X3
+	VSUBPD  X1, X0, X4
+	VMOVUPD X3, (DI)
+	VMOVUPD X4, 16(DI)
+	ADDQ    $8, DX
+	ADDQ    $32, DI
+	SUBQ    $2, CX
+	JNZ     pgr2
+	RET

@@ -93,3 +93,7 @@ func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool
 func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int) {
 	panic("xmath: transposeQuads without AVX-512")
 }
+
+func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool) {
+	panic("xmath: permGather without AVX")
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -427,5 +429,69 @@ func TestImagingCycleRefusesSidelobePSF(t *testing.T) {
 	})
 	if !errors.Is(err, clean.ErrPSFSidelobe) {
 		t.Fatalf("imaging cycle on the unstacked observation: %v, want ErrPSFSidelobe", err)
+	}
+}
+
+// TestWStackedPassAllocations: a W-stacked pass transforms each layer
+// in place and, degridding, rebuilds every layer's grid in one buffer
+// from one image. With four or more layers GridAll allocates at most
+// one grid more than the same pass unstacked, DegridAll at most two.
+func TestWStackedPassAllocations(t *testing.T) {
+	stacked := wstackObservation(t, 1)
+	cfg := wstackConfig(1)
+	cfg.WStepLambda = 0
+	plain, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.FillFromModel(wstackModel(plain)); err != nil {
+		t.Fatal(err)
+	}
+	layers := map[int]bool{}
+	for _, it := range stacked.Plan.Items {
+		layers[it.WPlane] = true
+	}
+	if len(layers) < 4 {
+		t.Fatalf("%d W-layers, want at least 4", len(layers))
+	}
+	n := cfg.GridSize
+	gridBytes := uint64(grid.NrCorrelations * n * n * 16)
+	// No collection during the measurement: it would empty the
+	// transform's scratch pools, whose refill is not a grid.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(f func()) uint64 {
+		f() // warm plans and pools
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		return b.TotalAlloc - a.TotalAlloc
+	}
+	ctx := context.Background()
+	gridAll := func(o *Observation) func() {
+		return func() {
+			if _, _, err := o.GridAll(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, _, err := plain.GridAll(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degridAll := func(o *Observation) func() {
+		return func() {
+			if _, err := o.DegridAll(ctx, nil, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Half a grid of slack covers the per-pass bookkeeping; a layer
+	// that still allocated its own grids would exceed it many times.
+	if s, p := allocated(gridAll(stacked)), allocated(gridAll(plain)); s > p+gridBytes+gridBytes/2 {
+		t.Errorf("W-stacked GridAll allocates %d B against %d B unstacked: more than one %d-B grid beyond", s, p, gridBytes)
+	}
+	if s, p := allocated(degridAll(stacked)), allocated(degridAll(plain)); s > p+2*gridBytes+gridBytes/2 {
+		t.Errorf("W-stacked DegridAll allocates %d B against %d B unstacked: more than two %d-B grids beyond", s, p, gridBytes)
 	}
 }
