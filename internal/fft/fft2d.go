@@ -214,7 +214,7 @@ func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale 
 	case p.rowPlan.smooth != nil:
 		// The leaf pass reads the columns where they lie, cols apart,
 		// and the last stage writes them back scaled.
-		out := smoothOut{dst: x[c0:], ds: cols, dl: 1, scaled: fused || scale != 1, s0: scale, s1: scale}
+		out := smoothOut{dst: x[c0:], ds: cols, dl: 1, s0: scale, s1: scale}
 		if fused {
 			out.s1 = -scale
 			if c0&1 == 1 {

@@ -104,15 +104,15 @@ func leafOrder(peeled []int) []int32 {
 	return order
 }
 
-// smoothOut is where the last butterfly of run writes the result: lane
-// i of row k at dst[k*ds + i*dl]. With scaled set every element is
-// multiplied as ScaleLanes does it: by s0 (even i) or s1 (odd i) on
-// even rows k, by the swapped pair on odd ones, which is a 2-D
-// transform's output scale together with its centering checkerboard.
+// smoothOut is where the last stage of run writes the result. With
+// dl == 1, row k lands at dst[k*ds:], every element multiplied as
+// ScaleLanes does it: by s0 (even lane) or s1 (odd lane) on even rows,
+// by the swapped pair on odd ones (a 2-D transform's output scale with
+// its centering checkerboard; 1 and 1 leave the bits alone). Otherwise
+// lane i of row k lands at dst[k + i*dl], unscaled: transposed.
 type smoothOut struct {
 	dst    []complex128
 	ds, dl int
-	scaled bool
 	s0, s1 float64
 }
 
@@ -127,7 +127,7 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, work, src []complex128, ss, w int,
 	lstride := p.n / p.leaf * ss
 	if len(p.stages) == 0 {
 		// A lone leaf (n = 3 or 5) is the whole transform.
-		out.bfly(tier, p.leaf, 0, 1, src, lstride, w, unitTw[:], inverse)
+		out.last(tier, p.leaf, 1, src, lstride, w, unitTw[:], inverse)
 		return
 	}
 	for b, s0 := range p.leafSrc {
@@ -150,15 +150,16 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, work, src []complex128, ss, w int,
 		if inverse {
 			tw = st.inv
 		}
+		if i == last {
+			// r*m == n: one block, written out.
+			out.last(tier, st.r, st.m, work, w, w, tw, inverse)
+			return
+		}
 		ms := st.m * w
 		for base := 0; base < p.n; base += st.r * st.m {
 			for k := 0; k < st.m; k++ {
 				x := work[(base+k)*w:]
 				t := tw[k*(st.r-1):]
-				if i == last {
-					out.bfly(tier, st.r, base+k, st.m, x, ms, w, t, inverse)
-					continue
-				}
 				switch st.r {
 				case 5:
 					xmath.Bfly5Lanes(x, ms, x, ms, w, (*[4]complex128)(t), inverse)
@@ -172,35 +173,19 @@ func (p *smoothPlan) run(tier xmath.SIMDTier, work, src []complex128, ss, w int,
 	}
 }
 
-// bfly runs the last butterfly of a schedule, radix r (3 or 5: a
+// last runs the last stage of a schedule, radix r (3 or 5: a
 // non-power-of-two smooth length always ends on its largest factor),
-// whose outputs are result rows row, row+m, ... into o.
-func (o *smoothOut) bfly(tier xmath.SIMDTier, r, row, m int, src []complex128, ss, w int, tw []complex128, inverse bool) {
-	dst, ds := o.dst[row*o.ds:], m*o.ds
-	s0, s1 := o.s0, o.s1
-	if row&1 == 1 {
-		s0, s1 = s1, s0
-	}
-	alt := m&1 == 1
-	if r == 5 {
-		t := (*[4]complex128)(tw)
-		switch {
-		case o.dl != 1:
-			xmath.Bfly5LanesT(dst, ds, o.dl, src, ss, w, t, inverse)
-		case o.scaled:
-			xmath.Bfly5LanesScaled(dst, ds, src, ss, w, t, inverse, s0, s1, alt)
-		default:
-			xmath.Bfly5Lanes(dst, ds, src, ss, w, t, inverse)
-		}
-		return
-	}
+// m butterflies over the rows of src (ss apart), into o.
+func (o *smoothOut) last(tier xmath.SIMDTier, r, m int, src []complex128, ss, w int, tw []complex128, inverse bool) {
 	switch {
+	case o.dl != 1 && r == 5:
+		xmath.Bfly5StageT(o.dst, o.dl, src, ss, w, m, tw, inverse)
 	case o.dl != 1:
-		xmath.Bfly3LanesT(tier, dst, ds, o.dl, src, ss, w, tw[0], tw[1], inverse)
-	case o.scaled:
-		xmath.Bfly3LanesScaled(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse, s0, s1, alt)
+		xmath.Bfly3StageT(tier, o.dst, o.dl, src, ss, w, m, tw, inverse)
+	case r == 5:
+		xmath.Bfly5StageScaled(o.dst, o.ds, src, ss, w, m, tw, inverse, o.s0, o.s1)
 	default:
-		xmath.Bfly3Lanes(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse)
+		xmath.Bfly3StageScaled(tier, o.dst, o.ds, src, ss, w, m, tw, inverse, o.s0, o.s1)
 	}
 }
 
@@ -222,5 +207,5 @@ func (p *smoothPlan) transform1D(tier xmath.SIMDTier, x, buf []complex128, inver
 	default:
 		buf = make([]complex128, p.n)
 	}
-	p.run(tier, buf, x, 1, 1, inverse, smoothOut{dst: x, ds: 1, dl: 1})
+	p.run(tier, buf, x, 1, 1, inverse, smoothOut{dst: x, ds: 1, dl: 1, s0: 1, s1: 1})
 }

@@ -164,23 +164,11 @@ func (p *Plan) colStagesR4(tile []complex128, cw int, inverse bool) {
 	if inverse {
 		stages = p.r4.inv
 	}
-	one := complex(1, 0)
 	for _, st := range stages {
-		h := st.h
-		for base := 0; base < p.n; base += 4 * h {
-			for t := 0; t < h; t++ {
-				j := (base + t) * cw
-				w1, w2 := one, one
-				if h > 1 {
-					w1, w2 = st.tw1[t], st.tw2[t]
-				}
-				xmath.R4ColsAt(p.tier,
-					tile[j:j+cw],
-					tile[j+h*cw:j+h*cw+cw],
-					tile[j+2*h*cw:j+2*h*cw+cw],
-					tile[j+3*h*cw:j+3*h*cw+cw],
-					w1, w2, inverse)
-			}
+		tw1, tw2 := st.tw1, st.tw2
+		if st.h == 1 {
+			tw1, tw2 = unitTw[:1], unitTw[:1]
 		}
+		xmath.R4ColsStage(p.tier, tile, p.n, st.h, cw, tw1, tw2, inverse)
 	}
 }

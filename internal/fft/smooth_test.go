@@ -104,7 +104,7 @@ func TestSmoothLanesBitwiseEqualOneLane(t *testing.T) {
 			for _, w := range []int{1, 2, 7, n} {
 				src := randSignal(int64(1100+n+w), n*w)
 				dst, dstT := make([]complex128, n*w), make([]complex128, n*w)
-				p.smooth.run(p.tier, make([]complex128, n*w), src, w, w, inverse, smoothOut{dst: dst, ds: w, dl: 1})
+				p.smooth.run(p.tier, make([]complex128, n*w), src, w, w, inverse, smoothOut{dst: dst, ds: w, dl: 1, s0: 1, s1: 1})
 				p.smooth.run(p.tier, make([]complex128, n*w), src, w, w, inverse, smoothOut{dst: dstT, ds: 1, dl: n})
 				col := make([]complex128, n)
 				for c := 0; c < w; c++ {

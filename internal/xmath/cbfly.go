@@ -133,6 +133,25 @@ func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse
 	}
 }
 
+// R4ColsStage runs one fused radix-4 stage down the columns of the
+// row-major n x w matrix x: butterfly t of every 4h-row block combines
+// rows t, t+h, t+2h, t+3h with tw1[t], tw2[t] broadcast over the w
+// lanes (R4ColsAt on each row quadruple).
+func R4ColsStage(tier SIMDTier, x []complex128, n, h, w int, tw1, tw2 []complex128, inverse bool) {
+	if zmm(tier) && w > 0 {
+		_ = x[n*w-1]
+		r4ColsStageQuads(&x[0], n, h, w, &tw1[0], &tw2[0], inverse)
+		return
+	}
+	for base := 0; base < n; base += 4 * h {
+		for t := 0; t < h; t++ {
+			j := (base + t) * w
+			R4ColsAt(tier, x[j:j+w], x[j+h*w:j+h*w+w], x[j+2*h*w:j+2*h*w+w], x[j+3*h*w:j+3*h*w+w],
+				tw1[t], tw2[t], inverse)
+		}
+	}
+}
+
 // AddSubLanes applies the twiddle-free radix-2 butterfly lane-wise:
 // a[i], b[i] = x[i]+y[i], x[i]-y[i] for i < len(x); a and b may be x
 // and y. It is the leading stage of odd-log2 column transforms, run
@@ -364,36 +383,53 @@ func Bfly3Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w
 	bfly3Rows(dst, ds, src, ss, i, w, w1, w2, inverse)
 }
 
-// Bfly3LanesScaled is Bfly3Lanes for the last stage of a transform:
-// every output is multiplied as ScaleLanes does it, lane i of output
-// rows 0 and 2 by s0 (even i) or s1 (odd i), row 1 by the same or,
-// with alt set, the swapped pair. dst must not overlap src.
-func Bfly3LanesScaled(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+// Bfly3StageScaled runs the last radix-3 combine stage of a 3m-point
+// transform over w lanes out of the work matrix src (rows ss apart):
+// butterfly k combines rows k, k+m, k+2m with tw[2k], tw[2k+1]. Result
+// row q lands at dst[q*ds:], every element multiplied as ScaleLanes
+// does it: by s0 (even lane) or s1 (odd lane) on even rows, by the
+// swapped pair on odd ones — a 2-D transform's output scale with its
+// centering checkerboard. dst must not overlap src unless it is src
+// row for row (ds == ss).
+func Bfly3StageScaled(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w, m int, tw []complex128, inverse bool, s0, s1 float64) {
+	alt := m&1 == 1
 	if zmm(tier) && w > 0 {
-		bfly3QuadsScaled(&dst[0], ds, &src[0], ss, w, w1, w2, inverse, s0, s1, alt)
+		_, _ = dst[(3*m-1)*ds+w-1], src[(3*m-1)*ss+w-1]
+		bfly3StageQuadsScaled(&dst[0], ds, &src[0], ss, w, m, &tw[0], inverse, s0, s1, alt)
 		return
 	}
-	i := vecLanes(tier, w)
-	if i > 0 {
-		bfly3PairsScaled(&dst[0], ds, &src[0], ss, i/2, w1, w2, inverse, s0, s1, alt)
+	for k := 0; k < m; k++ {
+		a, b := s0, s1
+		if k&1 == 1 {
+			a, b = s1, s0
+		}
+		d, s := dst[k*ds:], src[k*ss:]
+		i := vecLanes(tier, w)
+		if i > 0 {
+			bfly3PairsScaled(&d[0], m*ds, &s[0], m*ss, i/2, tw[2*k], tw[2*k+1], inverse, a, b, alt)
+		}
+		bfly3RowsScaled(d, m*ds, s, m*ss, i, w, tw[2*k], tw[2*k+1], inverse, a, b, alt)
 	}
-	bfly3RowsScaled(dst, ds, src, ss, i, w, w1, w2, inverse, s0, s1, alt)
 }
 
-// Bfly3LanesT is Bfly3Lanes storing transposed: lane i of output row
-// j lands at dst[j*ds + i*dl]. dst must not overlap src.
-func Bfly3LanesT(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, w1, w2 complex128, inverse bool) {
+// Bfly3StageT is Bfly3StageScaled unscaled and stored transposed: lane
+// i of result row q lands at dst[q + i*dl]. dst must not overlap src.
+func Bfly3StageT(tier SIMDTier, dst []complex128, dl int, src []complex128, ss, w, m int, tw []complex128, inverse bool) {
 	i := 0
 	if zmm(tier) {
 		if i = w &^ 3; i > 0 {
-			bfly3QuadsT(&dst[0], ds, dl, &src[0], ss, i/4, w1, w2, inverse)
+			_, _ = dst[3*m-1+(i-1)*dl], src[(3*m-1)*ss+i-1]
+			bfly3StageQuadsT(&dst[0], dl, &src[0], ss, i/4, m, &tw[0], inverse)
 		}
 	}
-	if np := vecLanes(tier, w-i) / 2; np > 0 {
-		bfly3PairsT(&dst[i*dl], ds, dl, &src[i], ss, np, w1, w2, inverse)
-		i += 2 * np
+	for k := 0; k < m; k++ {
+		d, s, j := dst[k:], src[k*ss:], i
+		if np := vecLanes(tier, w-j) / 2; np > 0 {
+			bfly3PairsT(&d[j*dl], m, dl, &s[j], m*ss, np, tw[2*k], tw[2*k+1], inverse)
+			j += 2 * np
+		}
+		bfly3RowsT(d, m, dl, s, m*ss, j, w, tw[2*k], tw[2*k+1], inverse)
 	}
-	bfly3RowsT(dst, ds, dl, src, ss, i, w, w1, w2, inverse)
 }
 
 // Bfly5Lanes runs the radix-5 combine over w lanes of five rows, rows
@@ -408,26 +444,30 @@ func Bfly5Lanes(dst []complex128, ds int, src []complex128, ss, w int, tw *[4]co
 	}
 }
 
-// Bfly5LanesT and Bfly5LanesScaled store as Bfly3LanesT and
-// Bfly3LanesScaled do (alt swaps the factors of rows 1 and 3).
-func Bfly5LanesT(dst []complex128, ds, dl int, src []complex128, ss, w int, tw *[4]complex128, inverse bool) {
-	for i := 0; i < w; i++ {
-		o := bfly5(src, ss, i, tw, inverse)
-		for j, v := range o {
-			dst[j*ds+i*dl] = v
+// Bfly5StageScaled and Bfly5StageT are the radix-5 forms of
+// Bfly3StageScaled and Bfly3StageT (butterfly k combines rows k + j*m,
+// j < 5, with tw[4k..4k+3]).
+func Bfly5StageScaled(dst []complex128, ds int, src []complex128, ss, w, m int, tw []complex128, inverse bool, s0, s1 float64) {
+	for k := 0; k < m; k++ {
+		t := (*[4]complex128)(tw[4*k:])
+		for i := 0; i < w; i++ {
+			o := bfly5(src[k*ss:], m*ss, i, t, inverse)
+			for j, v := range o {
+				s := laneScale(i+k+j*m, s0, s1)
+				dst[(k+j*m)*ds+i] = scaleC(s, v)
+			}
 		}
 	}
 }
 
-func Bfly5LanesScaled(dst []complex128, ds int, src []complex128, ss, w int, tw *[4]complex128, inverse bool, s0, s1 float64, alt bool) {
-	for i := 0; i < w; i++ {
-		o := bfly5(src, ss, i, tw, inverse)
-		for j, v := range o {
-			s := laneScale(i, s0, s1)
-			if alt && j&1 == 1 {
-				s = laneScale(i+1, s0, s1)
+func Bfly5StageT(dst []complex128, dl int, src []complex128, ss, w, m int, tw []complex128, inverse bool) {
+	for k := 0; k < m; k++ {
+		t := (*[4]complex128)(tw[4*k:])
+		for i := 0; i < w; i++ {
+			o := bfly5(src[k*ss:], m*ss, i, t, inverse)
+			for j, v := range o {
+				dst[k+j*m+i*dl] = v
 			}
-			dst[j*ds+i] = scaleC(s, v)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w
 
 // The ZMM forms, four lanes per register (cbfly_avx512_amd64.s). The
 // routines over n lanes cover a partial last quad under an opmask;
-// r4StageTwQuads needs h a multiple of 4, bfly3QuadsT and
+// r4StageTwQuads needs h a multiple of 4, bfly3StageQuadsT and
 // transposeQuads whole quads.
 //
 //go:noescape
@@ -95,10 +95,10 @@ func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex1
 func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool)
 
 //go:noescape
-func bfly3QuadsScaled(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
+func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool)
 
 //go:noescape
-func bfly3QuadsT(dst *complex128, ds, dl int, src *complex128, ss, nq int, w1, w2 complex128, inverse bool)
+func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool)
 
 //go:noescape
 func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool)
@@ -111,3 +111,8 @@ func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode
 //
 //go:noescape
 func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)
+
+// r4ColsStageQuads is R4ColsStage at ZMM width. cbfly_avx512_amd64.s.
+//
+//go:noescape
+func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)

@@ -319,16 +319,19 @@ b2loop:
 	VZEROUPPER
 	RET
 
-// B3SETUP loads the quarter mask of the direction (Z14), 0.5 (Z15)
-// and sin60 (Z9), and completes w1 (Z10/Z11) and w2 (Z12/Z13) from
-// their broadcasts in Z10 and Z12.
-#define B3SETUP(inverse) \
+// B3CONST loads the quarter mask of the direction (Z14), 0.5 (Z15)
+// and sin60 (Z9); B3SETUP also completes w1 (Z10/Z11) and w2
+// (Z12/Z13) from their broadcasts in Z10 and Z12.
+#define B3CONST(inverse) \
 	DIRMASK(inverse)                 \
 	VMOVAPD         Z30, Z14         \
-	TWIDDLE(Z10, Z11)                \
-	TWIDDLE(Z12, Z13)                \
 	VBROADCASTSD    zhalf<>(SB), Z15 \
 	VBROADCASTSD    zsin60<>(SB), Z9
+
+#define B3SETUP(inverse) \
+	B3CONST(inverse)  \
+	TWIDDLE(Z10, Z11) \
+	TWIDDLE(Z12, Z13)
 
 // B3BODYZ: rows a, b, c in Z0..Z2 -> outputs a+t1, t2+t3, t2-t3 in
 // Z0..Z2 (bfly3Rows' sequence).
@@ -375,53 +378,90 @@ b3loop:
 	VZEROUPPER
 	RET
 
-// func bfly3QuadsScaled(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
-// bfly3Quads with every output scaled as ScaleLanes does it: lane i of
-// rows 0 and 2 by s0 (even i) or s1 (odd i), row 1 the same or, with
-// alt set, swapped.
-TEXT ·bfly3QuadsScaled(SB), NOSPLIT, $0-97
+// B3STAGETW loads the twiddles of butterfly k of a stage, tw[2k] and
+// tw[2k+1] at R11, into Z10/Z11 and Z12/Z13.
+#define B3STAGETW \
+	VBROADCASTF64X2 (R11), Z10   \
+	VBROADCASTF64X2 16(R11), Z12 \
+	TWIDDLE(Z10, Z11)            \
+	TWIDDLE(Z12, Z13)
+
+// func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool)
+// The last radix-3 stage of a 3m-point transform over n lanes:
+// butterfly k combines source rows k, k+m, k+2m (rows ss apart) with
+// tw[2k], tw[2k+1] and writes result rows k, k+m, k+2m (ds apart),
+// each multiplied as ScaleLanes does it: even rows by s0 (even lane) /
+// s1 (odd lane), odd rows by the swapped pair; alt says m is odd.
+TEXT ·bfly3StageQuadsScaled(SB), NOSPLIT, $0-81
 	MOVQ dst+0(FP), DI
-	MOVQ ds+8(FP), R12
+	MOVQ ds+8(FP), R10
 	MOVQ src+16(FP), SI
 	MOVQ ss+24(FP), R9
-	SHLQ $4, R12
+	MOVQ tw+48(FP), R11
+	SHLQ $4, R10
 	SHLQ $4, R9
-	VBROADCASTF64X2 w1+40(FP), Z10
-	VBROADCASTF64X2 w2+56(FP), Z12
-	B3SETUP(inverse+72(FP))
-	VBROADCASTSD s0+80(FP), Z16
-	VBROADCASTSD s1+88(FP), Z17
-	VSHUFF64X2   $0x00, Z17, Z16, Z18
-	VSHUFF64X2   $0x88, Z18, Z18, Z18   // [s0 s0 s1 s1 ...]: rows 0, 2
-	VMOVAPD      Z18, Z19
-	CMPB         alt+96(FP), $0
-	JEQ          b3sdir
-	VSHUFF64X2   $0x00, Z16, Z17, Z19
-	VSHUFF64X2   $0x88, Z19, Z19, Z19   // [s1 s1 s0 s0 ...]: row 1
-b3sdir:
 	QUADS(n+32(FP))
+	MOVQ  CX, R13               // quads per row
+	KMOVB K1, K3                // all lanes
+	MOVQ  m+40(FP), R8
+	MOVQ  R9, R12
+	IMULQ R8, R12               // source leg: m rows
+	MOVQ  R10, AX
+	IMULQ R8, AX                // destination leg
+	B3CONST(inverse+56(FP))
+	VBROADCASTSD s0+64(FP), Z16
+	VBROADCASTSD s1+72(FP), Z17
+	VSHUFF64X2   $0x00, Z17, Z16, Z18
+	VSHUFF64X2   $0x88, Z18, Z18, Z18   // [s0 s1 s0 s1]: rows k, k+2m of even k
+	VSHUFF64X2   $0x00, Z16, Z17, Z20
+	VSHUFF64X2   $0x88, Z20, Z20, Z20   // [s1 s0 s1 s0]: the same of odd k
+	VMOVAPD      Z18, Z19               // row k+m
+	VMOVAPD      Z20, Z21
+	CMPB         alt+80(FP), $0
+	JEQ          b3ssk
+	VMOVAPD      Z20, Z19
+	VMOVAPD      Z18, Z21
 
-b3sloop:
+b3ssk:
+	B3STAGETW
+	MOVQ  SI, DX
+	MOVQ  DI, BX
+	MOVQ  R13, CX
+	KMOVB K3, K1
+
+b3ssq:
 	LASTQUAD
-	VMOVUPD.Z (SI), K1, Z0
-	VMOVUPD.Z (SI)(R9*1), K1, Z1
-	VMOVUPD.Z (SI)(R9*2), K1, Z2
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z (DX)(R12*1), K1, Z1
+	VMOVUPD.Z (DX)(R12*2), K1, Z2
 	B3BODYZ
 	VMULPD    Z18, Z0, Z0
 	VMULPD    Z19, Z1, Z1
 	VMULPD    Z18, Z2, Z2
-	VMOVUPD   Z0, K1, (DI)
-	VMOVUPD   Z1, K1, (DI)(R12*1)
-	VMOVUPD   Z2, K1, (DI)(R12*2)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
+	VMOVUPD   Z0, K1, (BX)
+	VMOVUPD   Z1, K1, (BX)(AX*1)
+	VMOVUPD   Z2, K1, (BX)(AX*2)
+	ADDQ      $64, DX
+	ADDQ      $64, BX
 	DECQ      CX
-	JNZ       b3sloop
+	JNZ       b3ssq
+
+	VMOVAPD Z18, Z22            // the next row's factors
+	VMOVAPD Z20, Z18
+	VMOVAPD Z22, Z20
+	VMOVAPD Z19, Z22
+	VMOVAPD Z21, Z19
+	VMOVAPD Z22, Z21
+	ADDQ    R9, SI
+	ADDQ    R10, DI
+	ADDQ    $32, R11
+	DECQ    R8
+	JNZ     b3ssk
 
 	VZEROUPPER
 	RET
 
-// STORE4T(v, base) stores the four lanes of v to base, base+dl,
+// STORE4T(v, vx, base) stores the four lanes of v to base, base+dl,
 // base+2dl, base+3dl (R10 = dl, R13 = 3dl, in bytes).
 #define STORE4T(v, vx, base) \
 	VMOVUPD       vx, (base)             \
@@ -429,40 +469,54 @@ b3sloop:
 	VEXTRACTF64X2 $2, v, (base)(R10*2)   \
 	VEXTRACTF64X2 $3, v, (base)(R13*1)
 
-// func bfly3QuadsT(dst *complex128, ds, dl int, src *complex128, ss, nq int, w1, w2 complex128, inverse bool)
-// bfly3Quads over 4*nq lanes storing transposed: lane i of output row j
-// lands at dst[j*ds + i*dl].
-TEXT ·bfly3QuadsT(SB), NOSPLIT, $0-81
-	MOVQ dst+0(FP), DI
-	MOVQ ds+8(FP), R12
-	MOVQ dl+16(FP), R10
-	MOVQ src+24(FP), SI
-	MOVQ ss+32(FP), R9
-	MOVQ nq+40(FP), CX
-	SHLQ $4, R12
-	SHLQ $4, R10
-	SHLQ $4, R9
-	LEAQ (R10)(R10*2), R13
-	VBROADCASTF64X2 w1+48(FP), Z10
-	VBROADCASTF64X2 w2+64(FP), Z12
-	B3SETUP(inverse+80(FP))
-	LEAQ (DI)(R12*1), BX      // output row 1
-	LEAQ (DI)(R12*2), DX      // output row 2
+// func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool)
+// The last radix-3 stage as bfly3StageQuadsScaled, over 4*nq lanes,
+// unscaled and stored transposed: lane i of result row q lands at
+// dst[q + i*dl].
+TEXT ·bfly3StageQuadsT(SB), NOSPLIT, $0-57
+	MOVQ  dst+0(FP), DI
+	MOVQ  dl+8(FP), R10
+	MOVQ  src+16(FP), SI
+	MOVQ  ss+24(FP), R9
+	MOVQ  m+40(FP), R8
+	MOVQ  tw+48(FP), R11
+	SHLQ  $4, R10
+	SHLQ  $4, R9
+	LEAQ  (R10)(R10*2), R13
+	MOVQ  R9, R12
+	IMULQ R8, R12               // source leg: m rows
+	MOVQ  R8, AX
+	SHLQ  $4, AX                // destination leg: m elements
+	B3CONST(inverse+56(FP))
 
-b3tloop:
-	VMOVUPD (SI), Z0
-	VMOVUPD (SI)(R9*1), Z1
-	VMOVUPD (SI)(R9*2), Z2
+b3stk:
+	B3STAGETW
+	MOVQ SI, DX
+	MOVQ DI, BX
+	LEAQ (DI)(AX*1), R14
+	LEAQ (DI)(AX*2), R15
+	MOVQ nq+32(FP), CX
+
+b3stq:
+	VMOVUPD (DX), Z0
+	VMOVUPD (DX)(R12*1), Z1
+	VMOVUPD (DX)(R12*2), Z2
 	B3BODYZ
-	STORE4T(Z0, X0, DI)
-	STORE4T(Z1, X1, BX)
-	STORE4T(Z2, X2, DX)
-	ADDQ $64, SI
-	LEAQ (DI)(R10*4), DI
+	STORE4T(Z0, X0, BX)
+	STORE4T(Z1, X1, R14)
+	STORE4T(Z2, X2, R15)
+	ADDQ $64, DX
 	LEAQ (BX)(R10*4), BX
-	LEAQ (DX)(R10*4), DX
+	LEAQ (R14)(R10*4), R14
+	LEAQ (R15)(R10*4), R15
 	DECQ CX
-	JNZ  b3tloop
+	JNZ  b3stq
+
+	ADDQ R9, SI
+	ADDQ $16, DI
+	ADDQ $32, R11
+	DECQ R8
+	JNZ  b3stk
 
 	VZEROUPPER
 	RET
@@ -622,6 +676,73 @@ trqcols:
 	ADDQ $64, DI
 	DECQ R11
 	JNZ  trqrows
+
+	VZEROUPPER
+	RET
+
+// func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)
+// One fused radix-4 stage down the columns of a row-major n x w tile:
+// butterfly t of every 4h-row block combines rows t, t+h, t+2h, t+3h
+// with tw1[t], tw2[t] broadcast over the w lanes (r4ColsQuads per row
+// quadruple, without a call each).
+TEXT ·r4ColsStageQuads(SB), NOSPLIT, $0-49
+	MOVQ x+0(FP), DI
+	MOVQ h+16(FP), R9
+	MOVQ w+24(FP), R10
+	MOVQ tw1+32(FP), R11
+	MOVQ tw2+40(FP), R12
+	DIRMASK(inverse+48(FP))
+	QUADS(R10)
+	MOVQ  n+8(FP), R8
+	MOVQ  CX, R13             // quads per row
+	KMOVB K1, K3              // all lanes
+	MOVQ  R10, R14
+	SHLQ  $4, R14             // R14 = row stride in bytes
+	MOVQ  R14, R15
+	IMULQ R9, R15             // R15 = leg stride (h rows)
+	IMULQ R14, R8
+	ADDQ  DI, R8              // R8 = tile end
+	SHLQ  $4, R9              // R9 = h*16, twiddle table end offset
+
+r4csblk:
+	XORQ DX, DX               // t*16
+	MOVQ DI, SI               // row t of the block
+r4cst:
+	VBROADCASTF64X2 (R11)(DX*1), Z10
+	TWIDDLE(Z10, Z11)
+	VBROADCASTF64X2 (R12)(DX*1), Z12
+	TWIDDLE(Z12, Z13)
+	W3
+	MOVQ  SI, AX
+	LEAQ  (SI)(R15*2), BX
+	ADDQ  R15, BX             // row t+3h
+	MOVQ  R13, CX
+	KMOVB K3, K1
+
+r4cslane:
+	LASTQUAD
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVUPD.Z (AX)(R15*1), K1, Z1
+	VMOVUPD.Z (AX)(R15*2), K1, Z2
+	VMOVUPD.Z (BX), K1, Z3
+	R4BODYZ
+	VMOVUPD Z2, K1, (AX)
+	VMOVUPD Z4, K1, (AX)(R15*1)
+	VMOVUPD Z3, K1, (AX)(R15*2)
+	VMOVUPD Z5, K1, (BX)
+	ADDQ $64, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  r4cslane
+
+	ADDQ R14, SI
+	ADDQ $16, DX
+	CMPQ DX, R9
+	JB   r4cst
+
+	LEAQ (DI)(R15*4), DI
+	CMPQ DI, R8
+	JB   r4csblk
 
 	VZEROUPPER
 	RET

@@ -78,12 +78,12 @@ func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 comp
 	panic("xmath: bfly3Quads without AVX-512")
 }
 
-func bfly3QuadsScaled(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
-	panic("xmath: bfly3QuadsScaled without AVX-512")
+func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool) {
+	panic("xmath: bfly3StageQuadsScaled without AVX-512")
 }
 
-func bfly3QuadsT(dst *complex128, ds, dl int, src *complex128, ss, nq int, w1, w2 complex128, inverse bool) {
-	panic("xmath: bfly3QuadsT without AVX-512")
+func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool) {
+	panic("xmath: bfly3StageQuadsT without AVX-512")
 }
 
 func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool) {
@@ -96,4 +96,8 @@ func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode
 
 func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool) {
 	panic("xmath: permGather without AVX")
+}
+
+func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool) {
+	panic("xmath: r4ColsStageQuads without AVX-512")
 }

@@ -238,34 +238,19 @@ var laneButterflies = []struct {
 	name string
 	r    int
 	run  func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool)
-	// final runs the last-stage form: transposed (lane stride dl) when
-	// sc is nil, else scaled by sc[0], sc[1] with alt = sc[2] != 0.
-	final func(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64)
 }{
 	{"Bfly2Lanes", 2, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, _ bool) {
 		Bfly2Lanes(tier, dst, ds, src, ss, w, tw[0])
-	}, nil},
+	}},
 	{"Bfly3Lanes", 3, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool) {
 		Bfly3Lanes(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse)
-	}, func(tier SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64) {
-		if sc == nil {
-			Bfly3LanesT(tier, dst, ds, dl, src, ss, w, tw[0], tw[1], inverse)
-			return
-		}
-		Bfly3LanesScaled(tier, dst, ds, src, ss, w, tw[0], tw[1], inverse, sc[0], sc[1], sc[2] != 0)
 	}},
 	{"Bfly5Lanes", 5, func(_ SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw []complex128, inverse bool) {
 		Bfly5Lanes(dst, ds, src, ss, w, (*[4]complex128)(tw), inverse)
-	}, func(_ SIMDTier, dst []complex128, ds, dl int, src []complex128, ss, w int, tw []complex128, inverse bool, sc *[3]float64) {
-		if sc == nil {
-			Bfly5LanesT(dst, ds, dl, src, ss, w, (*[4]complex128)(tw), inverse)
-			return
-		}
-		Bfly5LanesScaled(dst, ds, src, ss, w, (*[4]complex128)(tw), inverse, sc[0], sc[1], sc[2] != 0)
 	}},
 	{"DFT8Lanes", 8, func(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, _ []complex128, inverse bool) {
 		DFT8Lanes(tier, dst, ds, src, ss, w, inverse)
-	}, nil},
+	}},
 }
 
 func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
@@ -328,41 +313,6 @@ func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
 						}
 						checkFence(t, what+" in place", srcBack)
 
-						// Stored by the last-stage forms: transposed, and
-						// scaled (out of place, and in place as a lone leaf).
-						if bf.final == nil {
-							continue
-						}
-						dl := r + pad
-						tdst, tBack := fenced(make([]complex128, (w-1)*dl+r))
-						bf.final(tier, tdst, 1, dl, in, ss, w, tw, inverse, nil)
-						for k := 0; k < r; k++ {
-							for i := 0; i < w; i++ {
-								requireSameBits(t, what+" transposed", tdst[i*dl+k:i*dl+k+1], want[k*ds+i:k*ds+i+1])
-							}
-						}
-						checkFence(t, what+" transposed", tBack)
-						for _, alt := range []bool{false, true} {
-							sc := [2]float64{0.25, -3}
-							swant := make([]complex128, len(want))
-							for k := 0; k < r; k++ {
-								for i := 0; i < w; i++ {
-									s := sc[(i+boolInt(alt && k&1 == 1))&1]
-									v := want[k*ds+i]
-									swant[k*ds+i] = complex(s*real(v), s*imag(v))
-								}
-							}
-							sdst, sBack := fenced(make([]complex128, len(want)))
-							bf.final(tier, sdst, ds, 1, in, ss, w, tw, inverse, &[3]float64{sc[0], sc[1], float64(boolInt(alt))})
-							ssrc, ssBack := fenced(in)
-							bf.final(tier, ssrc, ss, 1, ssrc, ss, w, tw, inverse, &[3]float64{sc[0], sc[1], float64(boolInt(alt))})
-							for k := 0; k < r; k++ {
-								requireSameBits(t, what+" scaled", sdst[k*ds:k*ds+w], swant[k*ds:k*ds+w])
-								requireSameBits(t, what+" scaled in place", ssrc[k*ss:k*ss+w], swant[k*ds:k*ds+w])
-							}
-							checkFence(t, what+" scaled", sBack)
-							checkFence(t, what+" scaled in place", ssBack)
-						}
 					}
 				}
 			}
@@ -372,11 +322,105 @@ func TestLaneButterfliesBoundsTiersAndDFT(t *testing.T) {
 
 func cmplxAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
+// The last-stage forms: radix r over m butterflies and w lanes, each
+// result row stored transposed or scaled (the factors swap on odd
+// rows), bitwise the plain butterfly's outputs, out of place and (the
+// scaled form, as a lone leaf runs it) in place, on every tier.
+func TestLastStageFormsTiers(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	for _, r := range []int{3, 5} {
+		for _, m := range []int{1, 2, 3, 8} {
+			for w := 1; w <= 25; w++ {
+				for _, inverse := range []bool{false, true} {
+					what := fmt.Sprintf("radix %d m=%d w=%d inverse=%v", r, m, w, inverse)
+					n, ss := r*m, w+1
+					tw := make([]complex128, (r-1)*m)
+					for j := range tw {
+						tw[j] = unit(0.29 * float64(j+1))
+					}
+					in := randComplexes(rnd, (n-1)*ss+w)
+					// Reference: the plain butterflies into a n x w matrix.
+					ref := make([]complex128, n*w)
+					for k := 0; k < m; k++ {
+						if r == 3 {
+							Bfly3Lanes(SIMDScalar, ref[k*w:], m*w, in[k*ss:], m*ss, w, tw[2*k], tw[2*k+1], inverse)
+						} else {
+							Bfly5Lanes(ref[k*w:], m*w, in[k*ss:], m*ss, w, (*[4]complex128)(tw[4*k:]), inverse)
+						}
+					}
+					sc := [2]float64{0.25, -3}
+					for _, tier := range execTiers() {
+						what := fmt.Sprintf("%s tier=%v", what, tier)
+						dl := n + 2
+						tdst, tBack := fenced(make([]complex128, (w-1)*dl+n))
+						src, srcBack := fenced(in)
+						ds := w + 3
+						sdst, sBack := fenced(make([]complex128, (n-1)*ds+w))
+						if r == 3 {
+							Bfly3StageT(tier, tdst, dl, src, ss, w, m, tw, inverse)
+							Bfly3StageScaled(tier, sdst, ds, src, ss, w, m, tw, inverse, sc[0], sc[1])
+						} else {
+							Bfly5StageT(tdst, dl, src, ss, w, m, tw, inverse)
+							Bfly5StageScaled(sdst, ds, src, ss, w, m, tw, inverse, sc[0], sc[1])
+						}
+						requireSameBits(t, what+" (source)", src, in)
+						for q := 0; q < n; q++ {
+							for i := 0; i < w; i++ {
+								v, s := ref[q*w+i], sc[(q+i)&1]
+								scaled := complex(s*real(v), s*imag(v))
+								requireSameBits(t, what+" transposed", tdst[q+i*dl:q+i*dl+1], ref[q*w+i:q*w+i+1])
+								requireSameBits(t, what+" scaled", sdst[q*ds+i:q*ds+i+1], []complex128{scaled})
+							}
+						}
+						if r == 3 {
+							Bfly3StageScaled(tier, src, ss, src, ss, w, m, tw, inverse, sc[0], sc[1])
+						} else {
+							Bfly5StageScaled(src, ss, src, ss, w, m, tw, inverse, sc[0], sc[1])
+						}
+						for q := 0; q < n; q++ {
+							requireSameBits(t, what+" scaled in place", src[q*ss:q*ss+w], sdst[q*ds:q*ds+w])
+						}
+						for _, back := range [][]complex128{tBack, srcBack, sBack} {
+							checkFence(t, what, back)
+						}
+					}
+				}
+			}
+		}
 	}
-	return 0
+}
+
+// R4ColsStage is R4ColsAt on every row quadruple of every stage, on
+// every tier, for 1..25 lanes.
+func TestR4ColsStageTiers(t *testing.T) {
+	rnd := rand.New(rand.NewSource(27))
+	for _, n := range []int{4, 16, 64} {
+		for h := 1; 4*h <= n; h *= 4 {
+			tw1, tw2 := make([]complex128, h), make([]complex128, h)
+			for j := range tw1 {
+				tw1[j], tw2[j] = unit(-math.Pi*float64(j)/float64(2*h)), unit(-math.Pi*float64(j)/float64(4*h))
+			}
+			for w := 1; w <= 25; w++ {
+				for _, inverse := range []bool{false, true} {
+					in := randComplexes(rnd, n*w)
+					want := append([]complex128(nil), in...)
+					for base := 0; base < n; base += 4 * h {
+						for tt := 0; tt < h; tt++ {
+							j := (base + tt) * w
+							R4ColsAt(SIMDScalar, want[j:j+w], want[j+h*w:j+h*w+w], want[j+2*h*w:j+2*h*w+w], want[j+3*h*w:j+3*h*w+w], tw1[tt], tw2[tt], inverse)
+						}
+					}
+					for _, tier := range execTiers() {
+						what := fmt.Sprintf("R4ColsStage n=%d h=%d w=%d inverse=%v tier=%v", n, h, w, inverse, tier)
+						x, back := fenced(in)
+						R4ColsStage(tier, x, n, h, w, tw1, tw2, inverse)
+						requireSameBits(t, what, x, want)
+						checkFence(t, what, back)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestScaleLanesBoundsAndTiers(t *testing.T) {
