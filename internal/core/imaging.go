@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/grid"
@@ -31,8 +30,7 @@ func ImageToGrid(img *grid.Grid, workers int) *grid.Grid {
 }
 
 // transformGrid runs the centered transform of every plane of src into
-// dst, which may be src: inverse takes uv to the image. The bits do not
-// depend on whether it runs in place.
+// dst (same bits when dst is src): inverse takes uv to the image.
 func transformGrid(dst, src *grid.Grid, inverse bool, workers int) {
 	p := fft.CachedPlan2D(src.N, src.N)
 	for c := 0; c < grid.NrCorrelations; c++ {
@@ -101,25 +99,19 @@ func wScreen(dst, src *grid.Grid, imageSize, w, sign float64, workers int) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	rows := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for y0 := 0; y0 < n; y0 += rows {
-		wg.Add(1)
-		go func(y0, y1 int) {
-			defer wg.Done()
-			for y := y0; y < y1; y++ {
-				mv := float64(y-n/2) * pixel
-				for x := 0; x < n; x++ {
-					lv := float64(x-n/2) * pixel
-					phase := sign * twoPi * w * sky.N(lv, mv)
-					sin, cos := math.Sincos(phase)
-					ph := complex(cos, sin)
-					i := y*n + x
-					for c := 0; c < grid.NrCorrelations; c++ {
-						dst.Data[c][i] = src.Data[c][i] * ph
-					}
+	runWorkers(workers, func(part int) {
+		for y := part * rows; y < min(part*rows+rows, n); y++ {
+			mv := float64(y-n/2) * pixel
+			for x := 0; x < n; x++ {
+				lv := float64(x-n/2) * pixel
+				phase := sign * twoPi * w * sky.N(lv, mv)
+				sin, cos := math.Sincos(phase)
+				ph := complex(cos, sin)
+				i := y*n + x
+				for c := 0; c < grid.NrCorrelations; c++ {
+					dst.Data[c][i] = src.Data[c][i] * ph
 				}
 			}
-		}(y0, min(y0+rows, n))
-	}
-	wg.Wait()
+		}
+	})
 }

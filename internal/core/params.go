@@ -223,10 +223,9 @@ func (p *Params) Validate() error {
 	return CheckFieldOfView(p.ImageSize, p.SubgridSize, p.GridSize)
 }
 
-// CheckFieldOfView rejects an image size whose corner pixel lies
-// outside the unit sphere (where n(l, m) is undefined) on an image of
-// any of the given sizes, with the pixel laid out as NewKernels (the
-// subgrid) and ApplyWScreen (the grid) lay it out.
+// CheckFieldOfView rejects an image size whose corner pixel, laid out
+// as NewKernels (subgrid) and ApplyWScreen (grid) lay it out on an
+// image of any of the given sizes, lies outside the unit sphere.
 func CheckFieldOfView(imageSize float64, sizes ...int) error {
 	for _, s := range sizes {
 		c := float64(-(s / 2)) * (imageSize / float64(s))

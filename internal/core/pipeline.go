@@ -311,9 +311,8 @@ func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *Vi
 	band := g.Rows(0, g.N)
 	var h epochHooks
 	if p.WStepLambda > 0 {
-		// One image and one layer buffer for the whole pass: layerStart
-		// runs with no chunk in flight, so the layer's uv grid can be
-		// rebuilt in place.
+		// One image and one layer buffer per pass: layerStart runs with
+		// no chunk in flight, so the layer grid is rebuilt in place.
 		workers := k.params.workers()
 		img, layer := GridToImage(g, workers), grid.NewGrid(g.N)
 		h.layerStart = func(w int) {

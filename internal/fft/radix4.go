@@ -88,29 +88,19 @@ func (p *Plan) forwardPow2(x []complex128, inverse bool) {
 
 // gatherPow2 writes src into x in bit-reversed order, x[i] =
 // src[perm[i]], running the leading radix-2 stage of an odd-log2
-// length on the way: what forwardPow2 does before its radix-4 stages,
-// without a swap or a second pass. negEven/negOdd negate the elements
-// taken from even/odd source indices first. The parity of perm[i] is
-// the top bit of i, so from n = 4 up each is one half of x, and the
-// radix-2 pairs (i, i+1) never straddle the halves.
+// length on the way: forwardPow2 up to its radix-4 stages, without a
+// swap or a second pass. negEven/negOdd negate the elements taken from
+// even/odd source indices first: the parity of perm[i] is the top bit
+// of i, so each is one half of x, and from n = 4 up no radix-2 pair
+// straddles the halves.
 func (p *Plan) gatherPow2(x, src []complex128, negEven, negOdd bool) {
-	r2 := p.r4.leadR2
-	if p.n < 4 {
-		for i, pi := range p.perm {
-			v := src[pi]
-			if (pi&1 == 0 && negEven) || (pi&1 == 1 && negOdd) {
-				v = -v
-			}
-			x[i] = v
-		}
-		if r2 {
-			x[0], x[1] = x[0]+x[1], x[0]-x[1]
-		}
-		return
-	}
-	half := p.n / 2
+	half := (p.n + 1) / 2
+	r2 := p.r4.leadR2 && p.n >= 4
 	xmath.PermGather(p.tier, x[:half], src, p.perm[:half], negEven, r2)
 	xmath.PermGather(p.tier, x[half:], src, p.perm[half:], negOdd, r2)
+	if p.n == 2 {
+		x[0], x[1] = x[0]+x[1], x[0]-x[1]
+	}
 }
 
 // stagesR4 runs the radix-4 stages over x, which holds the input in

@@ -21,63 +21,18 @@ package xmath
 // results are bitwise identical to the fallback (the same convention
 // as cvt_amd64.s / the sincos kernels).
 
-// r4BflyScalar applies the fused butterfly to one element quad.
-func r4BflyScalar(a, b, c, d, w1, w2 complex128) (oa, ob, oc, od complex128) {
+// r4Bfly applies the fused butterfly to one element quad. The
+// backward direction takes conjugated w1/w2 and the fused quarter-turn
+// factor conjugates too: w3 = -i*w2 forward, +i*w2 backward (exact:
+// negate + swap).
+func r4Bfly(a, b, c, d, w1, w2 complex128, inverse bool) (oa, ob, oc, od complex128) {
 	tb := w1 * b
 	td := w1 * d
 	a1, b1 := a+tb, a-tb
 	c1, d1 := c+td, c-td
 	tc := w2 * c1
-	w3 := complex(imag(w2), -real(w2)) // -i*w2, exact
-	te := w3 * d1
+	te := quarter(w2, inverse) * d1
 	return a1 + tc, b1 + te, a1 - tc, b1 - te
-}
-
-// r4BflyInvScalar is the backward-direction butterfly: the caller
-// passes conjugated w1/w2 tables and the fused quarter-turn factor
-// conjugates too, w3 = +i*w2 (exact: negate + swap).
-func r4BflyInvScalar(a, b, c, d, w1, w2 complex128) (oa, ob, oc, od complex128) {
-	tb := w1 * b
-	td := w1 * d
-	a1, b1 := a+tb, a-tb
-	c1, d1 := c+td, c-td
-	tc := w2 * c1
-	w3 := complex(-imag(w2), real(w2)) // +i*w2, exact
-	te := w3 * d1
-	return a1 + tc, b1 + te, a1 - tc, b1 - te
-}
-
-// r4StageTwScalar runs a whole fused stage over contiguous data:
-// len(x) must be a multiple of 4h and len(tw1) == len(tw2) == h.
-func r4StageTwScalar(x []complex128, h int, tw1, tw2 []complex128) {
-	n := len(x)
-	for base := 0; base < n; base += 4 * h {
-		q := x[base : base+4*h]
-		for j := 0; j < h; j++ {
-			q[j], q[j+h], q[j+2*h], q[j+3*h] =
-				r4BflyScalar(q[j], q[j+h], q[j+2*h], q[j+3*h], tw1[j], tw2[j])
-		}
-	}
-}
-
-func r4StageTwInvScalar(x []complex128, h int, tw1, tw2 []complex128) {
-	n := len(x)
-	for base := 0; base < n; base += 4 * h {
-		q := x[base : base+4*h]
-		for j := 0; j < h; j++ {
-			q[j], q[j+h], q[j+2*h], q[j+3*h] =
-				r4BflyInvScalar(q[j], q[j+h], q[j+2*h], q[j+3*h], tw1[j], tw2[j])
-		}
-	}
-}
-
-// r4ColsScalar applies one broadcast-twiddle butterfly across B
-// parallel lanes (B = len(a); the 2-D column pass runs B adjacent
-// columns per inner loop on an interleaved tile).
-func r4ColsScalar(a, b, c, d []complex128, w1, w2 complex128) {
-	for i := range a {
-		a[i], b[i], c[i], d[i] = r4BflyScalar(a[i], b[i], c[i], d[i], w1, w2)
-	}
 }
 
 // R4StageTwAt runs a fused radix-4 stage with per-butterfly twiddle
@@ -86,22 +41,20 @@ func r4ColsScalar(a, b, c, d []complex128, w1, w2 complex128) {
 // inverse selects the backward butterfly (conjugated tables, +i fused
 // factor).
 func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, inverse bool) {
-	if zmm(tier) && h%4 == 0 {
+	switch {
+	case zmm(tier) && h%4 == 0:
 		r4StageTwQuads(&x[0], len(x), h, &tw1[0], &tw2[0], inverse)
 		return
-	}
-	if hasCBflyASM && tier >= SIMDAVX2 && h >= 2 && h%2 == 0 {
-		if inverse {
-			r4StageTwPairsInv(&x[0], len(x), h, &tw1[0], &tw2[0])
-		} else {
-			r4StageTwPairs(&x[0], len(x), h, &tw1[0], &tw2[0])
-		}
+	case vecLanes(tier, h) == h:
+		r4StageTwPairs(&x[0], len(x), h, &tw1[0], &tw2[0], inverse)
 		return
 	}
-	if inverse {
-		r4StageTwInvScalar(x, h, tw1, tw2)
-	} else {
-		r4StageTwScalar(x, h, tw1, tw2)
+	for base := 0; base < len(x); base += 4 * h {
+		q := x[base : base+4*h]
+		for j := 0; j < h; j++ {
+			q[j], q[j+h], q[j+2*h], q[j+3*h] =
+				r4Bfly(q[j], q[j+h], q[j+2*h], q[j+3*h], tw1[j], tw2[j], inverse)
+		}
 	}
 }
 
@@ -113,23 +66,12 @@ func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse
 		r4ColsQuads(&a[0], &b[0], &c[0], &d[0], len(a), w1, w2, inverse)
 		return
 	}
-	i := 0
-	if hasCBflyASM && tier >= SIMDAVX2 {
-		if np := len(a) / 2; np > 0 {
-			if inverse {
-				r4ColsPairsInv(&a[0], &b[0], &c[0], &d[0], np, w1, w2)
-			} else {
-				r4ColsPairs(&a[0], &b[0], &c[0], &d[0], np, w1, w2)
-			}
-			i = 2 * np
-		}
+	i := vecLanes(tier, len(a))
+	if i > 0 {
+		r4ColsPairs(&a[0], &b[0], &c[0], &d[0], i/2, w1, w2, inverse)
 	}
-	if inverse {
-		for ; i < len(a); i++ {
-			a[i], b[i], c[i], d[i] = r4BflyInvScalar(a[i], b[i], c[i], d[i], w1, w2)
-		}
-	} else {
-		r4ColsScalar(a[i:], b[i:], c[i:], d[i:], w1, w2)
+	for ; i < len(a); i++ {
+		a[i], b[i], c[i], d[i] = r4Bfly(a[i], b[i], c[i], d[i], w1, w2, inverse)
 	}
 }
 

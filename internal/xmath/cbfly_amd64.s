@@ -62,13 +62,22 @@ GLOBL signEven<>(SB), RODATA, $32
 	VADDPD    Y1, Y7, Y4        \ // b' = b1 + te
 	VSUBPD    Y1, Y7, Y5          // d' = b1 - te
 
-// func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128)
-TEXT ·r4StageTwPairs(SB), NOSPLIT, $0-40
+// func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
+// inverse selects w3 = +i*w2 (signEven) for the conjugated tables of
+// the backward transform; the mask waits in the frame, since the loop
+// uses every YMM register.
+TEXT ·r4StageTwPairs(SB), NOSPLIT, $32-41
 	MOVQ x+0(FP), DI
 	MOVQ n+8(FP), R8
 	MOVQ h+16(FP), R9
 	MOVQ tw1+24(FP), R10
 	MOVQ tw2+32(FP), R11
+	VMOVUPD signOdd<>(SB), Y0
+	CMPB    inverse+40(FP), $0
+	JEQ     r4sdir
+	VMOVUPD signEven<>(SB), Y0
+r4sdir:
+	VMOVUPD Y0, w3mask-32(SP)
 
 	MOVQ R9, R12
 	SHLQ $4, R12              // R12 = h*16, leg stride in bytes
@@ -84,12 +93,12 @@ baseloop:
 	SHRQ $1, CX               // h/2 butterfly pairs
 
 jloop:
-	// Twiddle pair: w1, w2, derived swaps and w3 = -i*w2.
+	// Twiddle pair: w1, w2, derived swaps and w3 = -i*w2 (or +i*w2).
 	VMOVUPD (R13), Y10
 	VSHUFPD $0x5, Y10, Y10, Y11
 	VMOVUPD (R14), Y12
 	VSHUFPD $0x5, Y12, Y12, Y13
-	VXORPD  signOdd<>(SB), Y13, Y14
+	VXORPD  w3mask-32(SP), Y13, Y14
 	VSHUFPD $0x5, Y14, Y14, Y15
 
 	// Leg pointers: a=SI, b=SI+h, c=SI+2h, d=SI+3h (bytes via R12).
@@ -122,68 +131,8 @@ jloop:
 	VZEROUPPER
 	RET
 
-// func r4StageTwPairsInv(x *complex128, n, h int, tw1, tw2 *complex128)
-// Identical to r4StageTwPairs except w3 = +i*w2 (signEven mask): the
-// caller passes conjugated twiddle tables for the backward transform.
-TEXT ·r4StageTwPairsInv(SB), NOSPLIT, $0-40
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), R8
-	MOVQ h+16(FP), R9
-	MOVQ tw1+24(FP), R10
-	MOVQ tw2+32(FP), R11
-
-	MOVQ R9, R12
-	SHLQ $4, R12
-	SHLQ $4, R8
-	LEAQ (DI)(R8*1), R8
-	MOVQ DI, BX
-
-invbaseloop:
-	MOVQ BX, SI
-	MOVQ R10, R13
-	MOVQ R11, R14
-	MOVQ R9, CX
-	SHRQ $1, CX
-
-invjloop:
-	VMOVUPD (R13), Y10
-	VSHUFPD $0x5, Y10, Y10, Y11
-	VMOVUPD (R14), Y12
-	VSHUFPD $0x5, Y12, Y12, Y13
-	VXORPD  signEven<>(SB), Y13, Y14
-	VSHUFPD $0x5, Y14, Y14, Y15
-
-	LEAQ (SI)(R12*1), DX
-	LEAQ (SI)(R12*2), AX
-	LEAQ (AX)(R12*1), R15
-
-	VMOVUPD (SI), Y0
-	VMOVUPD (DX), Y1
-	VMOVUPD (AX), Y2
-	VMOVUPD (R15), Y3
-
-	R4BODY
-
-	VMOVUPD Y2, (SI)
-	VMOVUPD Y4, (DX)
-	VMOVUPD Y3, (AX)
-	VMOVUPD Y5, (R15)
-
-	ADDQ $32, SI
-	ADDQ $32, R13
-	ADDQ $32, R14
-	DECQ CX
-	JNZ  invjloop
-
-	LEAQ (BX)(R12*4), BX
-	CMPQ BX, R8
-	JB   invbaseloop
-
-	VZEROUPPER
-	RET
-
-// func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128)
-TEXT ·r4ColsPairs(SB), NOSPLIT, $0-72
+// func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128, inverse bool)
+TEXT ·r4ColsPairs(SB), NOSPLIT, $0-73
 	MOVQ a+0(FP), DI
 	MOVQ b+8(FP), SI
 	MOVQ c+16(FP), DX
@@ -194,7 +143,12 @@ TEXT ·r4ColsPairs(SB), NOSPLIT, $0-72
 	VSHUFPD        $0x5, Y10, Y10, Y11
 	VBROADCASTF128 w2+56(FP), Y12
 	VSHUFPD        $0x5, Y12, Y12, Y13
-	VXORPD         signOdd<>(SB), Y13, Y14
+	VMOVUPD        signOdd<>(SB), Y0
+	CMPB           inverse+72(FP), $0
+	JEQ            r4cdir
+	VMOVUPD        signEven<>(SB), Y0
+r4cdir:
+	VXORPD         Y0, Y13, Y14
 	VSHUFPD        $0x5, Y14, Y14, Y15
 
 pairloop:
@@ -216,45 +170,6 @@ pairloop:
 	ADDQ $32, AX
 	DECQ CX
 	JNZ  pairloop
-
-	VZEROUPPER
-	RET
-
-// func r4ColsPairsInv(a, b, c, d *complex128, np int, w1, w2 complex128)
-// Backward-direction broadcast butterfly: w3 = +i*w2 (signEven mask).
-TEXT ·r4ColsPairsInv(SB), NOSPLIT, $0-72
-	MOVQ a+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ c+16(FP), DX
-	MOVQ d+24(FP), AX
-	MOVQ np+32(FP), CX
-
-	VBROADCASTF128 w1+40(FP), Y10
-	VSHUFPD        $0x5, Y10, Y10, Y11
-	VBROADCASTF128 w2+56(FP), Y12
-	VSHUFPD        $0x5, Y12, Y12, Y13
-	VXORPD         signEven<>(SB), Y13, Y14
-	VSHUFPD        $0x5, Y14, Y14, Y15
-
-invpairloop:
-	VMOVUPD (DI), Y0
-	VMOVUPD (SI), Y1
-	VMOVUPD (DX), Y2
-	VMOVUPD (AX), Y3
-
-	R4BODY
-
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y4, (SI)
-	VMOVUPD Y3, (DX)
-	VMOVUPD Y5, (AX)
-
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, AX
-	DECQ CX
-	JNZ  invpairloop
 
 	VZEROUPPER
 	RET

@@ -6,98 +6,43 @@ package xmath
 // scalar loops.
 const hasCBflyASM = false
 
-func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128) {
-	panic("xmath: r4StageTwPairs without AVX")
-}
+// The assembled loops below are never called: every dispatch checks
+// hasCBflyASM first.
+const noASM = "xmath: assembled butterfly loop called off amd64"
 
-func r4StageTwPairsInv(x *complex128, n, h int, tw1, tw2 *complex128) {
-	panic("xmath: r4StageTwPairsInv without AVX")
-}
-
-func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128) {
-	panic("xmath: r4ColsPairs without AVX")
-}
-
-func r4ColsPairsInv(a, b, c, d *complex128, np int, w1, w2 complex128) {
-	panic("xmath: r4ColsPairsInv without AVX")
-}
-
-func bfly2Pairs(dst *complex128, ds int, src *complex128, ss, np int, tw complex128) {
-	panic("xmath: bfly2Pairs without AVX")
-}
-
+func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)     { panic(noASM) }
+func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128, inverse bool)    { panic(noASM) }
+func bfly2Pairs(dst *complex128, ds int, src *complex128, ss, np int, tw complex128) { panic(noASM) }
 func bfly3Pairs(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
-	panic("xmath: bfly3Pairs without AVX")
+	panic(noASM)
 }
-
-func dft8Pairs(dst *complex128, ds int, src *complex128, ss, np int, inverse bool) {
-	panic("xmath: dft8Pairs without AVX")
-}
-
-func scalePairs(dst, src *complex128, np int, s0, s1 float64) {
-	panic("xmath: scalePairs without AVX")
-}
-
-func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int) {
-	panic("xmath: transposePairs without AVX")
-}
-
-func dft4Pairs(x *complex128, nq int, inverse bool) { panic("xmath: dft4Pairs without AVX") }
-
-func addSubPairs(a, b, x, y *complex128, np int) { panic("xmath: addSubPairs without AVX") }
-
+func dft8Pairs(dst *complex128, ds int, src *complex128, ss, np int, inverse bool)    { panic(noASM) }
+func scalePairs(dst, src *complex128, np int, s0, s1 float64)                         { panic(noASM) }
+func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int) { panic(noASM) }
+func dft4Pairs(x *complex128, nq int, inverse bool)                                   { panic(noASM) }
+func addSubPairs(a, b, x, y *complex128, np int)                                      { panic(noASM) }
 func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
-	panic("xmath: bfly3PairsScaled without AVX")
+	panic(noASM)
 }
-
 func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
-	panic("xmath: bfly3PairsT without AVX")
+	panic(noASM)
 }
-
-func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool) {
-	panic("xmath: r4ColsQuads without AVX-512")
-}
-
-func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool) {
-	panic("xmath: r4StageTwQuads without AVX-512")
-}
-
-func dft4Quads(x *complex128, nq int, inverse bool) { panic("xmath: dft4Quads without AVX-512") }
-
-func addSubQuads(a, b, x, y *complex128, n int) { panic("xmath: addSubQuads without AVX-512") }
-
-func scaleQuads(dst, src *complex128, n int, s0, s1 float64) {
-	panic("xmath: scaleQuads without AVX-512")
-}
-
-func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128) {
-	panic("xmath: bfly2Quads without AVX-512")
-}
-
+func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool)    { panic(noASM) }
+func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)    { panic(noASM) }
+func dft4Quads(x *complex128, nq int, inverse bool)                                 { panic(noASM) }
+func addSubQuads(a, b, x, y *complex128, n int)                                     { panic(noASM) }
+func scaleQuads(dst, src *complex128, n int, s0, s1 float64)                        { panic(noASM) }
+func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128) { panic(noASM) }
 func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool) {
-	panic("xmath: bfly3Quads without AVX-512")
+	panic(noASM)
 }
-
 func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool) {
-	panic("xmath: bfly3StageQuadsScaled without AVX-512")
+	panic(noASM)
 }
-
 func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool) {
-	panic("xmath: bfly3StageQuadsT without AVX-512")
+	panic(noASM)
 }
-
-func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool) {
-	panic("xmath: dft8Quads without AVX-512")
-}
-
-func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int) {
-	panic("xmath: transposeQuads without AVX-512")
-}
-
-func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool) {
-	panic("xmath: permGather without AVX")
-}
-
-func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool) {
-	panic("xmath: r4ColsStageQuads without AVX-512")
-}
+func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool)     { panic(noASM) }
+func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int) { panic(noASM) }
+func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)           { panic(noASM) }
+func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool) { panic(noASM) }
