@@ -23,15 +23,15 @@ package xmath
 
 // r4Bfly applies the fused butterfly to one element quad. The
 // backward direction takes conjugated w1/w2 and the fused quarter-turn
-// factor conjugates too: w3 = -i*w2 forward, +i*w2 backward (exact:
-// negate + swap).
-func r4Bfly(a, b, c, d, w1, w2 complex128, inverse bool) (oa, ob, oc, od complex128) {
+// factor conjugates too: w3 = quarter(w2, inverse), -i*w2 forward,
+// +i*w2 backward (exact: negate + swap).
+func r4Bfly(a, b, c, d, w1, w2, w3 complex128) (oa, ob, oc, od complex128) {
 	tb := w1 * b
 	td := w1 * d
 	a1, b1 := a+tb, a-tb
 	c1, d1 := c+td, c-td
 	tc := w2 * c1
-	te := quarter(w2, inverse) * d1
+	te := w3 * d1
 	return a1 + tc, b1 + te, a1 - tc, b1 - te
 }
 
@@ -53,7 +53,7 @@ func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, in
 		q := x[base : base+4*h]
 		for j := 0; j < h; j++ {
 			q[j], q[j+h], q[j+2*h], q[j+3*h] =
-				r4Bfly(q[j], q[j+h], q[j+2*h], q[j+3*h], tw1[j], tw2[j], inverse)
+				r4Bfly(q[j], q[j+h], q[j+2*h], q[j+3*h], tw1[j], tw2[j], quarter(tw2[j], inverse))
 		}
 	}
 }
@@ -70,8 +70,9 @@ func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse
 	if i > 0 {
 		r4ColsPairs(&a[0], &b[0], &c[0], &d[0], i/2, w1, w2, inverse)
 	}
+	w3 := quarter(w2, inverse)
 	for ; i < len(a); i++ {
-		a[i], b[i], c[i], d[i] = r4Bfly(a[i], b[i], c[i], d[i], w1, w2, inverse)
+		a[i], b[i], c[i], d[i] = r4Bfly(a[i], b[i], c[i], d[i], w1, w2, w3)
 	}
 }
 
