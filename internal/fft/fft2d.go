@@ -214,13 +214,8 @@ func (p *Plan2D) colTile(x []complex128, c0, cw int, inverse, fused bool, scale 
 	case p.rowPlan.smooth != nil:
 		// The leaf pass reads the columns where they lie, cols apart,
 		// and the last stage writes them back scaled.
-		out := smoothOut{dst: x[c0:], ds: cols, dl: 1, s0: scale, s1: scale}
-		if fused {
-			out.s1 = -scale
-			if c0&1 == 1 {
-				out.s0, out.s1 = out.s1, out.s0
-			}
-		}
+		out := smoothOut{dst: x[c0:], ds: cols, dl: 1}
+		out.s0, out.s1 = outScale(fused, scale, c0)
 		p.rowPlan.smooth.run(p.rowPlan.tier, tile, x[c0:], cols, cw, inverse, out)
 		return
 	case p.rowPlan.pow2:
@@ -271,22 +266,28 @@ func (p *Plan2D) colTileBluestein(x []complex128, c0, cw int, inverse, fused boo
 // scatterTile writes a row-major rows x cw tile back into columns
 // [c0, c0+cw), applying the output checkerboard and scale.
 func (p *Plan2D) scatterTile(x, tile []complex128, c0, cw int, fused bool, scale float64) {
-	rows, cols := p.rows, p.cols
-	tier := p.rowPlan.tier
-	for r := 0; r < rows; r++ {
-		src := tile[r*cw : r*cw+cw]
-		dst := x[r*cols+c0 : r*cols+c0+cw]
-		switch {
-		case fused && (r+c0)&1 == 1:
-			xmath.ScaleLanes(tier, dst, src, -scale, scale)
-		case fused:
-			xmath.ScaleLanes(tier, dst, src, scale, -scale)
-		case scale == 1:
-			copy(dst, src)
-		default:
-			xmath.ScaleLanes(tier, dst, src, scale, scale)
+	s0, s1 := outScale(fused, scale, c0)
+	for r := 0; r < p.rows; r++ {
+		xmath.ScaleLanes(p.rowPlan.tier, x[r*p.cols+c0:r*p.cols+c0+cw], tile[r*cw:r*cw+cw], s0, s1)
+		if fused {
+			s0, s1 = s1, s0
 		}
 	}
+}
+
+// outScale is the pair of factors of the even and odd columns of an
+// output row r with r+c0 even: the scale, with the output
+// checkerboard (-1)^(r+c) when fused; odd rows take them swapped.
+// Multiplying by 1 keeps every bit, so an unscaled output is no
+// special case.
+func outScale(fused bool, scale float64, c0 int) (s0, s1 float64) {
+	switch {
+	case !fused:
+		return scale, scale
+	case c0&1 == 1:
+		return -scale, scale
+	}
+	return scale, -scale
 }
 
 // runParallel splits the row pass by row ranges and the column pass by

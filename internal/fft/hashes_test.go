@@ -87,8 +87,8 @@ func transformHashes(n int) map[string]string {
 }
 
 // TestTransformHashes pins the output bits of the 2-D transforms on
-// every tier the host can execute: a change to the engine or the
-// driver that only moves data or widens a vector must leave each hash
+// every tier the host can execute: a change to the engine or the 2-D
+// passes that only moves data or widens a vector must leave each hash
 // as committed. In -short mode and under the race detector the sizes
 // from 256 up are skipped.
 func TestTransformHashes(t *testing.T) {

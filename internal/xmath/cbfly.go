@@ -16,10 +16,12 @@ package xmath
 // 4, and reads each element once per fused stage instead of twice.
 //
 // The AVX2 paths multiply complexes with two duplicated-element
-// multiplies and VADDSUBPD — no FMA — so every product and sum is the
-// same IEEE operation the Go scalar code performs and the vector
-// results are bitwise identical to the fallback (the same convention
-// as cvt_amd64.s / the sincos kernels).
+// multiplies and VADDSUBPD, the AVX-512 paths (cbfly_avx512_amd64.s)
+// with the same multiplies against a pre-negated twiddle swap and
+// VADDPD — no FMA on any tier — so every product and sum is the same
+// IEEE operation the Go scalar code performs and the vector results
+// are bitwise identical to the fallback (the same convention as
+// cvt_amd64.s / the sincos kernels).
 
 // r4Bfly applies the fused butterfly to one element quad. The
 // backward direction takes conjugated w1/w2 and the fused quarter-turn
@@ -59,13 +61,10 @@ func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, in
 }
 
 // R4ColsAt runs one broadcast-twiddle butterfly across the lanes of
-// four equal-length slices, dispatching on tier. Lanes beyond the
-// widest vector multiple finish on the bit-identical scalar loop.
+// four equal-length slices, dispatching on tier (YMM pairs from avx2
+// up; the ZMM form is R4ColsStage's). Lanes beyond the widest vector
+// multiple finish on the bit-identical scalar loop.
 func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse bool) {
-	if zmm(tier) && len(a) > 0 {
-		r4ColsQuads(&a[0], &b[0], &c[0], &d[0], len(a), w1, w2, inverse)
-		return
-	}
 	i := vecLanes(tier, len(a))
 	if i > 0 {
 		r4ColsPairs(&a[0], &b[0], &c[0], &d[0], i/2, w1, w2, inverse)
@@ -79,7 +78,7 @@ func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse
 // R4ColsStage runs one fused radix-4 stage down the columns of the
 // row-major n x w matrix x: butterfly t of every 4h-row block combines
 // rows t, t+h, t+2h, t+3h with tw1[t], tw2[t] broadcast over the w
-// lanes (R4ColsAt on each row quadruple).
+// lanes (R4ColsAt on each row quadruple; one ZMM loop on avx512).
 func R4ColsStage(tier SIMDTier, x []complex128, n, h, w int, tw1, tw2 []complex128, inverse bool) {
 	if zmm(tier) && w > 0 {
 		_ = x[n*w-1]
@@ -182,9 +181,10 @@ func dft4Go(x []complex128, inverse bool) {
 // conjugated twiddles and the quarter turns inside the butterflies
 // flip from -i to +i.
 //
-// The AVX2 bodies (cbfly_amd64.s, two lanes per YMM) perform exactly
-// the multiplies, adds and subtracts of the one-lane Go bodies below —
-// no FMA on either side — so results are bitwise tier-independent.
+// The AVX2 bodies (cbfly_amd64.s, two lanes per YMM) and the AVX-512
+// bodies (four per ZMM) perform exactly the multiplies, adds and
+// subtracts of the one-lane Go bodies below — no FMA anywhere — so
+// results are bitwise tier-independent.
 // The explicit float64 conversions keep compilers that contract x*y+z
 // (arm64) from fusing.
 

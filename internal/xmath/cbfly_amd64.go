@@ -65,9 +65,6 @@ func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w
 // transposeQuads whole quads.
 //
 //go:noescape
-func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool)
-
-//go:noescape
 func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
 
 //go:noescape

@@ -111,37 +111,70 @@ GLOBL zinvSqrt2<>(SB), RODATA, $8
 	JEQ             2(PC)                \
 	VMOVAPD         Z31, Z30
 
-// func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool)
-TEXT ·r4ColsQuads(SB), NOSPLIT, $0-73
-	MOVQ a+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ c+16(FP), DX
-	MOVQ d+24(FP), AX
-	DIRMASK(inverse+72(FP))
-	VBROADCASTF64X2 w1+40(FP), Z10
+// func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)
+// One fused radix-4 stage down the columns of a row-major n x w tile:
+// butterfly t of every 4h-row block combines rows t, t+h, t+2h, t+3h
+// with tw1[t], tw2[t] broadcast over the w lanes: R4ColsAt on every row
+// quadruple of the stage in one loop, the last quad of each row under
+// the opmask.
+TEXT ·r4ColsStageQuads(SB), NOSPLIT, $0-49
+	MOVQ x+0(FP), DI
+	MOVQ h+16(FP), R9
+	MOVQ w+24(FP), R10
+	MOVQ tw1+32(FP), R11
+	MOVQ tw2+40(FP), R12
+	DIRMASK(inverse+48(FP))
+	QUADS(R10)
+	MOVQ  n+8(FP), R8
+	MOVQ  CX, R13             // quads per row
+	KMOVB K1, K3              // all lanes
+	MOVQ  R10, R14
+	SHLQ  $4, R14             // R14 = row stride in bytes
+	MOVQ  R14, R15
+	IMULQ R9, R15             // R15 = leg stride (h rows)
+	IMULQ R14, R8
+	ADDQ  DI, R8              // R8 = tile end
+	SHLQ  $4, R9              // R9 = h*16, twiddle table end offset
+
+r4csblk:
+	XORQ DX, DX               // t*16
+	MOVQ DI, SI               // row t of the block
+r4cst:
+	VBROADCASTF64X2 (R11)(DX*1), Z10
 	TWIDDLE(Z10, Z11)
-	VBROADCASTF64X2 w2+56(FP), Z12
+	VBROADCASTF64X2 (R12)(DX*1), Z12
 	TWIDDLE(Z12, Z13)
 	W3
-	QUADS(n+32(FP))
+	MOVQ  SI, AX
+	LEAQ  (SI)(R15*2), BX
+	ADDQ  R15, BX             // row t+3h
+	MOVQ  R13, CX
+	KMOVB K3, K1
 
-r4cloop:
+r4cslane:
 	LASTQUAD
-	VMOVUPD.Z (DI), K1, Z0
-	VMOVUPD.Z (SI), K1, Z1
-	VMOVUPD.Z (DX), K1, Z2
-	VMOVUPD.Z (AX), K1, Z3
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVUPD.Z (AX)(R15*1), K1, Z1
+	VMOVUPD.Z (AX)(R15*2), K1, Z2
+	VMOVUPD.Z (BX), K1, Z3
 	R4BODYZ
-	VMOVUPD Z2, K1, (DI)
-	VMOVUPD Z4, K1, (SI)
-	VMOVUPD Z3, K1, (DX)
-	VMOVUPD Z5, K1, (AX)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, DX
+	VMOVUPD Z2, K1, (AX)
+	VMOVUPD Z4, K1, (AX)(R15*1)
+	VMOVUPD Z3, K1, (AX)(R15*2)
+	VMOVUPD Z5, K1, (BX)
 	ADDQ $64, AX
+	ADDQ $64, BX
 	DECQ CX
-	JNZ  r4cloop
+	JNZ  r4cslane
+
+	ADDQ R14, SI
+	ADDQ $16, DX
+	CMPQ DX, R9
+	JB   r4cst
+
+	LEAQ (DI)(R15*4), DI
+	CMPQ DI, R8
+	JB   r4csblk
 
 	VZEROUPPER
 	RET
@@ -676,73 +709,6 @@ trqcols:
 	ADDQ $64, DI
 	DECQ R11
 	JNZ  trqrows
-
-	VZEROUPPER
-	RET
-
-// func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)
-// One fused radix-4 stage down the columns of a row-major n x w tile:
-// butterfly t of every 4h-row block combines rows t, t+h, t+2h, t+3h
-// with tw1[t], tw2[t] broadcast over the w lanes (r4ColsQuads per row
-// quadruple, without a call each).
-TEXT ·r4ColsStageQuads(SB), NOSPLIT, $0-49
-	MOVQ x+0(FP), DI
-	MOVQ h+16(FP), R9
-	MOVQ w+24(FP), R10
-	MOVQ tw1+32(FP), R11
-	MOVQ tw2+40(FP), R12
-	DIRMASK(inverse+48(FP))
-	QUADS(R10)
-	MOVQ  n+8(FP), R8
-	MOVQ  CX, R13             // quads per row
-	KMOVB K1, K3              // all lanes
-	MOVQ  R10, R14
-	SHLQ  $4, R14             // R14 = row stride in bytes
-	MOVQ  R14, R15
-	IMULQ R9, R15             // R15 = leg stride (h rows)
-	IMULQ R14, R8
-	ADDQ  DI, R8              // R8 = tile end
-	SHLQ  $4, R9              // R9 = h*16, twiddle table end offset
-
-r4csblk:
-	XORQ DX, DX               // t*16
-	MOVQ DI, SI               // row t of the block
-r4cst:
-	VBROADCASTF64X2 (R11)(DX*1), Z10
-	TWIDDLE(Z10, Z11)
-	VBROADCASTF64X2 (R12)(DX*1), Z12
-	TWIDDLE(Z12, Z13)
-	W3
-	MOVQ  SI, AX
-	LEAQ  (SI)(R15*2), BX
-	ADDQ  R15, BX             // row t+3h
-	MOVQ  R13, CX
-	KMOVB K3, K1
-
-r4cslane:
-	LASTQUAD
-	VMOVUPD.Z (AX), K1, Z0
-	VMOVUPD.Z (AX)(R15*1), K1, Z1
-	VMOVUPD.Z (AX)(R15*2), K1, Z2
-	VMOVUPD.Z (BX), K1, Z3
-	R4BODYZ
-	VMOVUPD Z2, K1, (AX)
-	VMOVUPD Z4, K1, (AX)(R15*1)
-	VMOVUPD Z3, K1, (AX)(R15*2)
-	VMOVUPD Z5, K1, (BX)
-	ADDQ $64, AX
-	ADDQ $64, BX
-	DECQ CX
-	JNZ  r4cslane
-
-	ADDQ R14, SI
-	ADDQ $16, DX
-	CMPQ DX, R9
-	JB   r4cst
-
-	LEAQ (DI)(R15*4), DI
-	CMPQ DI, R8
-	JB   r4csblk
 
 	VZEROUPPER
 	RET

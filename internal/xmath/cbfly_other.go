@@ -27,7 +27,6 @@ func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, 
 func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
 	panic(noASM)
 }
-func r4ColsQuads(a, b, c, d *complex128, n int, w1, w2 complex128, inverse bool)    { panic(noASM) }
 func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)    { panic(noASM) }
 func dft4Quads(x *complex128, nq int, inverse bool)                                 { panic(noASM) }
 func addSubQuads(a, b, x, y *complex128, n int)                                     { panic(noASM) }
