@@ -68,6 +68,9 @@ func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w
 func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
 
 //go:noescape
+func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)
+
+//go:noescape
 func dft4Quads(x *complex128, nq int, inverse bool)
 
 //go:noescape
@@ -99,8 +102,3 @@ func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode
 //
 //go:noescape
 func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)
-
-// r4ColsStageQuads is R4ColsStage at ZMM width. cbfly_avx512_amd64.s.
-//
-//go:noescape
-func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)

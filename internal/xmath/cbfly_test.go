@@ -484,3 +484,45 @@ func TestTransposeLanesBoundsAndTiers(t *testing.T) {
 		}
 	}
 }
+
+// PermGather is the permuted copy (negated, and with the radix-2
+// pairs formed, on request) on every tier, 1..25 elements (even counts
+// with addSub), inside canaries.
+func TestPermGatherTiers(t *testing.T) {
+	rnd := rand.New(rand.NewSource(28))
+	for n := 1; n <= 25; n++ {
+		src := randComplexes(rnd, 2*n)
+		perm := make([]int32, n)
+		for i, p := range rnd.Perm(2 * n)[:n] {
+			perm[i] = int32(p)
+		}
+		for _, neg := range []bool{false, true} {
+			for _, addSub := range []bool{false, true} {
+				if addSub && n%2 == 1 {
+					continue
+				}
+				want := make([]complex128, n)
+				for i, p := range perm {
+					want[i] = src[p]
+					if neg {
+						want[i] = -want[i]
+					}
+				}
+				if addSub {
+					for i := 0; i < n; i += 2 {
+						want[i], want[i+1] = want[i]+want[i+1], want[i]-want[i+1]
+					}
+				}
+				for _, tier := range execTiers() {
+					what := fmt.Sprintf("PermGather n=%d neg=%v addSub=%v tier=%v", n, neg, addSub, tier)
+					s, _ := fenced(src)
+					dst, back := fenced(make([]complex128, n))
+					PermGather(tier, dst, s, perm, neg, addSub)
+					requireSameBits(t, what, dst, want)
+					requireSameBits(t, what+" (source)", s, src)
+					checkFence(t, what, back)
+				}
+			}
+		}
+	}
+}
