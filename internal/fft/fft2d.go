@@ -151,12 +151,13 @@ func (p *Plan2D) runSerialFrom(x, src []complex128, inverse, fused bool, scale f
 // applies the whole (-1)^(r+c) input checkerboard of the fused
 // centering: its (-1)^r half is constant along a row, so it commutes
 // exactly with the row transform and the column pass can read its input
-// as it lies. Out of place, each row (block) is brought over as it is
-// transformed: by the first transpose of the mixed-radix schedule, by
-// the bit-reversed gather of the power-of-two engine (which takes the
-// checkerboard along as a half-row negation), by a row copy ahead of
-// Bluestein. In place, the power-of-two gather reads a copy of the
-// row: one contiguous copy in cache instead of a swap and a flip pass.
+// as it lies. Each row (block) is brought over as it is transformed:
+// by the first transpose of the mixed-radix schedule; by a copy to
+// scratch and the bit-reversed gather back of the power-of-two engine,
+// which takes the checkerboard along as a half-row negation (the copy
+// streams a cold source row in, where a gather straight from it would
+// wait on every line, and in place it replaces the swap and flip
+// passes); by a row copy ahead of Bluestein.
 func (p *Plan2D) rowPass(x, src []complex128, r0, r1 int, inverse, preFlip bool, sc *p2dScratch) {
 	if p.colPlan.smooth != nil {
 		for b0 := r0; b0 < r1; b0 += p.rowH {
