@@ -15,8 +15,8 @@ import (
 // in-place combine stage per remaining factor — run over w independent
 // transforms at once. The data is a row-major n x w matrix, transform
 // index down the rows: every butterfly operand is a row of w contiguous
-// lanes and every twiddle one scalar per row, the shape colPow2 gives
-// the power-of-two sizes. For 24 that is three 8-point leaves over rows
+// lanes and every twiddle one scalar per row, the shape the column
+// tiles give the power-of-two sizes. For 24 that is three 8-point leaves over rows
 // j, j+3, ... and one radix-3 stage. The 1-D transform is the same
 // schedule at one lane.
 
