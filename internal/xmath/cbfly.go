@@ -365,7 +365,7 @@ func Bfly3StageT(tier SIMDTier, dst []complex128, dl int, src []complex128, ss, 
 			bfly3StageQuadsT(&dst[0], dl, &src[0], ss, i/4, m, &tw[0], inverse)
 		}
 	}
-	for k := 0; k < m; k++ {
+	for k := 0; k < m && i < w; k++ {
 		d, s, j := dst[k:], src[k*ss:], i
 		if np := vecLanes(tier, w-j) / 2; np > 0 {
 			bfly3PairsT(&d[j*dl], m, dl, &s[j], m*ss, np, tw[2*k], tw[2*k+1], inverse)
