@@ -92,13 +92,13 @@ func (k *Kernels) degridSubgridReference(item plan.WorkItem, in *grid.Subgrid, u
 // Section V-B-b with pixel tiling layered on top: the corrected pixels
 // are precomputed once into planar real/imaginary arrays of the kernel
 // precision ("vectorization over pixels"), the per-pixel phase offsets
-// are hoisted, and the pixel loop is split into row tiles (runTiles).
-// Each tile produces a partial visibility sum over its own pixels;
-// partials are then combined in tile order, so the full sum performs
-// the identical addition sequence whether tiles ran serially or
-// concurrently — the result is bitwise reproducible for a fixed tile
-// size (changing the tile size reassociates the pixel sum within the
-// documented rounding bound).
+// are hoisted, and the pixel loop is split into row tiles. Each tile
+// adds its sum over its own pixels into every (t, c) once, in tile
+// order, so the result is bitwise reproducible for a fixed tile size
+// (changing the tile size reassociates the pixel sum within the
+// documented rounding bound). Parallel workers split the time steps
+// instead (runTiles), every one running all tiles over its span of
+// disjoint (t, c): the serial path's additions, element by element.
 //
 // On uniformly spaced channels each pixel's phasor advances from
 // channel to channel by a fixed per-pixel delta phasor (the phase is
@@ -129,45 +129,20 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 	k.ob.prologueDone(start)
 
 	vsum := grow(&b.vsum, 8*nt*nc)
+	clear(vsum)
 	tr := k.tileRows(sg)
-	ntiles := (sg + tr - 1) / tr
-	if par > ntiles {
-		par = ntiles
-	}
-	if par <= 1 {
-		// Serial: tiles accumulate straight into vsum in tile order,
-		// called directly (no closure; see gridSubgridTiled).
-		for i := range vsum {
-			vsum[i] = 0
-		}
-		for r0 := 0; r0 < sg; r0 += tr {
-			r1 := r0 + tr
-			if r1 > sg {
-				r1 = sg
-			}
-			tile(k, item, s, uvw, s, r0, r1, vsum)
-		}
+	if par <= 1 || nt < 2 {
+		// Serial: direct calls, no closure (see gridSubgridTiled).
+		degridTiles(k, item, s, uvw, s, tr, vsum, tile)
 	} else {
-		// Parallel: each tile owns a zeroed partial slab; combining the
-		// partials in tile order afterwards performs the exact addition
-		// sequence of the serial path, element by element.
-		partial := grow(&b.partial, 8*nt*nc*ntiles)
-		for i := range partial {
-			partial[i] = 0
-		}
-		k.runTiles(s, par, sg, func(ts *scratch, row0, row1 int) {
-			seg := partial[8*nt*nc*(row0/tr) : 8*nt*nc*(row0/tr+1)]
-			tile(k, item, s, uvw, ts, row0, row1, seg)
+		// Spans of a quarter of a worker's share of the steps, so that a
+		// worker which falls behind leaves some to the others.
+		span := (nt + 4*par - 1) / (4 * par)
+		k.runTiles(s, par, nt, span, func(ts *scratch, t0, t1 int) {
+			it := item
+			it.NrTimesteps = t1 - t0
+			degridTiles(k, it, s, uvw[t0:t1], ts, tr, vsum[8*t0*nc:8*t1*nc], tile)
 		})
-		for i := range vsum {
-			vsum[i] = 0
-		}
-		for tile := 0; tile < ntiles; tile++ {
-			seg := partial[8*nt*nc*tile : 8*nt*nc*(tile+1)]
-			for i := range vsum {
-				vsum[i] += seg[i]
-			}
-		}
 	}
 	for j := 0; j < nt*nc; j++ {
 		a := vsum[8*j:]
@@ -175,6 +150,15 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 			complex(float64(a[0]), float64(a[1])), complex(float64(a[2]), float64(a[3])),
 			complex(float64(a[4]), float64(a[5])), complex(float64(a[6]), float64(a[7])),
 		}
+	}
+}
+
+// degridTiles runs the item's tiles of tr rows in order over all its
+// time steps, each adding its sums into dst.
+func degridTiles[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, tr int, dst []F, tile degridTileFn[F]) {
+	sg := k.params.SubgridSize
+	for r0 := 0; r0 < sg; r0 += tr {
+		tile(k, item, sb, uvw, ts, r0, min(r0+tr, sg), dst)
 	}
 }
 

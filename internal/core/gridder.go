@@ -180,7 +180,7 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 		}
 		return
 	}
-	k.runTiles(s, par, sg, func(ts *scratch, row0, row1 int) {
+	k.runTiles(s, par, sg, tr, func(ts *scratch, row0, row1 int) {
 		tile(k, item, uvw, s, a, out, ts, row0, row1)
 	})
 }

@@ -283,7 +283,8 @@ pix32chunkdone:
 // register under a lane mask, the eight sums folded (FOLD4_PD) and added
 // once into dst, which advances eight doubles per channel. With all
 // sixteen registers taken by the sweep the mask is rebuilt per channel,
-// and the masked sweep rotates into V12/V13 instead of V14/V15.
+// and the masked sweep rotates into V12/V13 instead of V14/V15. The
+// last channel's sweep does not rotate.
 TEXT ·rotConjAccBlk64W(SB), NOSPLIT, $0-73
 	TO_ZMM(zmm+72(FP), ·rotConjAccOctsBlk64(SB))
 	MOVQ dst+0(FP), AX
@@ -313,7 +314,7 @@ fusedchloop:
 	JZ    fusedtail
 
 fusedpixloop:
-	FUSED64(LDU, STU, V14, V15)
+	FUSED64(LDU, STU, V14, V15, fusedrotdone)
 	ADDQ $32, R14
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -324,7 +325,7 @@ fusedtail:
 	TESTQ R13, R13
 	JZ    fusedfold
 	TAIL_MASK(R13)
-	FUSED64(LDM, STM, V12, V13)
+	FUSED64(LDM, STM, V12, V13, fusedtailrotdone)
 
 fusedfold:
 	FOLD4_PD
@@ -370,7 +371,7 @@ fused32chloop:
 	JZ    fused32tail
 
 fused32pixloop:
-	FUSED32(LDU, STU, V14, V15)
+	FUSED32(LDU, STU, V14, V15, fused32rotdone)
 	ADDQ $32, R14
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -381,7 +382,7 @@ fused32tail:
 	TESTQ R13, R13
 	JZ    fused32fold
 	TAIL_MASK(R13)
-	FUSED32(LDM32, STM32, V12, V13)
+	FUSED32(LDM32, STM32, V12, V13, fused32tailrotdone)
 
 fused32fold:
 	FOLD8_PS

@@ -391,8 +391,10 @@ func rotConjAccRef[F floatT](dst, phRe, phIm, dRe, dIm []F, planes *[8][]F, n, n
 				acc[2*p+1][lane] = fma(-vr, pi, acc[2*p+1][lane])
 				acc[2*p+1][lane] = fma(vi, cr, acc[2*p+1][lane])
 			}
-			phIm[i] = fma(cr, dIm[i], F(pi*dRe[i]))
-			phRe[i] = fma(-pi, dIm[i], F(cr*dRe[i]))
+			if c < nch-1 { // no rotation after the last channel
+				phIm[i] = fma(cr, dIm[i], F(pi*dRe[i]))
+				phRe[i] = fma(-pi, dIm[i], F(cr*dRe[i]))
+			}
 		}
 		for k := range acc {
 			dst[8*c+k] += pairTree(acc[k][:lanes])
@@ -413,7 +415,7 @@ func TestRotConjAccOctsBlk64BoundsAndTranscription(t *testing.T) {
 // kernels — every residue of n, tiles of fewer pixels than a register,
 // one channel up to a whole resync chunk.
 func TestRotConjAccBlk32BoundsAndTranscription(t *testing.T) {
-	testRotConjAccBlk[float32](t, []int{1, 2, 63, 64})
+	testRotConjAccBlk[float32](t, []int{1, 2, 3, 63, 64})
 }
 
 func testRotConjAccBlk[F floatT](t *testing.T, nchs []int) {

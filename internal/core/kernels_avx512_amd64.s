@@ -201,18 +201,105 @@ pixchunkdone:
 	VZEROUPPER
 	RET
 
+// CONJ_ACC is FUSED_ACC's accumulation for the phasor cr/ci of the
+// pixels whose eight planes are already in Z24-Z31, into a0-a7.
+#define CONJ_ACC(FMA, FNMA, cr, ci, a0, a1, a2, a3, a4, a5, a6, a7) \
+	FMA  cr, Z24, a0 \
+	FMA  ci, Z25, a0 \
+	FNMA ci, Z24, a1 \
+	FMA  cr, Z25, a1 \
+	FMA  cr, Z26, a2 \
+	FMA  ci, Z27, a2 \
+	FNMA ci, Z26, a3 \
+	FMA  cr, Z27, a3 \
+	FMA  cr, Z28, a4 \
+	FMA  ci, Z29, a4 \
+	FNMA ci, Z28, a5 \
+	FMA  cr, Z29, a5 \
+	FMA  cr, Z30, a6 \
+	FMA  ci, Z31, a6 \
+	FNMA ci, Z30, a7 \
+	FMA  cr, Z31, a7
+
+// FUSED_PAIR is one register of pixels of a sweep over two channels,
+// c and c+1: each of the eight planes is loaded once (Z24-Z31) and
+// serves both. Channel c's phasor (Z0/Z1, loaded) accumulates into
+// Z4-Z11; its rotation — FUSED_ROT's operations, kept in Z12/Z13
+// instead of stored and reloaded — is channel c+1's phasor, which
+// accumulates into Z16-Z23. NEXT then stores what the next pair starts
+// from: channel c+2's phasor, FUSED_ROT of c+1's (PAIR_ROT), or when c+1
+// is the call's last channel, c+1's as it is (PAIR_KEEP).
+#define FUSED_PAIR(LD, ST, MUL, FMA, FNMA, NEXT) \
+	LD((BX)(R14*1), Z0)                                                 \
+	LD((CX)(R14*1), Z1)                                                 \
+	LD((SI), Z24)                                                       \
+	LD((SI)(R8*1), Z25)                                                 \
+	LD((SI)(R8*2), Z26)                                                 \
+	LD((SI)(R9*1), Z27)                                                 \
+	LD((DI), Z28)                                                       \
+	LD((DI)(R8*1), Z29)                                                 \
+	LD((DI)(R8*2), Z30)                                                 \
+	LD((DI)(R9*1), Z31)                                                 \
+	CONJ_ACC(FMA, FNMA, Z0, Z1, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)       \
+	LD((R10)(R14*1), Z2)                                                \
+	LD((R11)(R14*1), Z3)                                                \
+	MUL  Z2, Z1, Z13                                                    \
+	FMA  Z3, Z0, Z13                                                    \
+	MUL  Z2, Z0, Z12                                                    \
+	FNMA Z3, Z1, Z12                                                    \
+	CONJ_ACC(FMA, FNMA, Z12, Z13, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23) \
+	NEXT(LD, ST, MUL, FMA, FNMA)
+#define PAIR_ROT(LD, ST, MUL, FMA, FNMA) FUSED_ROT(LD, ST, MUL, FMA, FNMA, Z12, Z13, Z15, Z14)
+#define PAIR_KEEP(LD, ST, MUL, FMA, FNMA) \
+	ST(Z13, (CX)(R14*1)) \
+	ST(Z12, (BX)(R14*1))
+#define PAIR64(LD, ST, NEXT) FUSED_PAIR(LD, ST, VMULPD, VFMADD231PD, VFNMADD231PD, NEXT)
+#define PAIR32(LD, ST, NEXT) FUSED_PAIR(LD, ST, VMULPS, VFMADD231PS, VFNMADD231PS, NEXT)
+
+// ZERO_SUMS clears the eight accumulators a0-a7.
+#define ZERO_SUMS(a0, a1, a2, a3, a4, a5, a6, a7) \
+	VPXORQ a0, a0, a0 \
+	VPXORQ a1, a1, a1 \
+	VPXORQ a2, a2, a2 \
+	VPXORQ a3, a3, a3 \
+	VPXORQ a4, a4, a4 \
+	VPXORQ a5, a5, a5 \
+	VPXORQ a6, a6, a6 \
+	VPXORQ a7, a7, a7
+
+// SECOND_SUMS moves a pair's second channel's accumulators Z16-Z23 to
+// Z4-Z11, where the folds read them.
+#define SECOND_SUMS \
+	VMOVAPD Z16, Z4  \
+	VMOVAPD Z17, Z5  \
+	VMOVAPD Z18, Z6  \
+	VMOVAPD Z19, Z7  \
+	VMOVAPD Z20, Z8  \
+	VMOVAPD Z21, Z9  \
+	VMOVAPD Z22, Z10 \
+	VMOVAPD Z23, Z11
+
+// FUSED_START points DI at the pixel planes 4-7 (SI at plane 0) and R14
+// at the sweep's first pixel, and clears channel c's sums.
+#define FUSED_START \
+	LEAQ (SI)(R8*4), DI \
+	XORQ R14, R14       \
+	ZERO_SUMS(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
+
 // func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)
 //
 // The degridder's rotation and conjugate accumulation fused and blocked
 // over the nch channels of one resync chunk, eight pixels per
-// instruction. For each channel in turn it sweeps the n pixels once
-// (FUSED64): sum_i conj(phasor_i) * pixel_i over the pixel planes
-// re0, im0, re1, ... that start stride bytes apart at planes, and in
-// the same sweep the phasors advance by their per-pixel delta phasors,
-// ready for the next channel (the advance after the last channel is
-// discarded by the caller's next seeding). The eight sums of the
-// channel then fold (REDUCE8) and ADD into dst, which advances eight
-// doubles per channel: one addition per element of dst.
+// instruction. The channels go two at a time: each sweep over the n
+// pixels (FUSED_PAIR) loads every pixel once for both, accumulates
+// sum_i conj(phasor_i) * pixel_i over the pixel planes re0, im0, re1,
+// ... that start stride bytes apart at planes, and advances the
+// phasors by their per-pixel delta phasors from channel to channel. An
+// odd last channel takes a sweep of its own (FUSED_ACC). The sums of a
+// channel fold (REDUCE8) and ADD into dst, which advances eight doubles
+// per channel: one addition per element of dst. No rotation follows the
+// last channel (the caller seeds the next chunk afresh): the phasors are
+// left as that channel's.
 //
 // The n mod 8 pixels past the last whole oct run as one more oct under
 // the opmask K1, so they add their products and nothing else, and no
@@ -239,23 +326,68 @@ TEXT ·rotConjAccOctsBlk64(SB), NOSPLIT, $0-72
 	MOVQ phIm+16(FP), CX
 
 fusedchloop:
-	MOVQ   planes+40(FP), SI
-	LEAQ   (SI)(R8*4), DI
-	XORQ   R14, R14
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	MOVQ   R12, DX
-	TESTQ  DX, DX
-	JZ     fusedtail
+	MOVQ planes+40(FP), SI
+	FUSED_START
+	MOVQ R12, DX
+	CMPQ R15, $1
+	JEQ  fusedlast
+	ZERO_SUMS(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	CMPQ R15, $2
+	JEQ  keepentry
+	TESTQ DX, DX
+	JZ    pairtail
+
+pairloop:
+	PAIR64(LDU, STU, PAIR_ROT)
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  pairloop
+
+pairtail:
+	TESTQ R13, R13
+	JZ    pairfold
+	PAIR64(LDM, STM, PAIR_ROT)
+	JMP   pairfold
+
+keepentry:
+	TESTQ DX, DX
+	JZ    keeptail
+
+keeploop:
+	PAIR64(LDU, STU, PAIR_KEEP)
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  keeploop
+
+keeptail:
+	TESTQ R13, R13
+	JZ    pairfold
+	PAIR64(LDM, STM, PAIR_KEEP)
+
+pairfold:
+	REDUCE8
+	VADDPD  (AX), Z4, Z4
+	VMOVUPD Z4, (AX)
+	SECOND_SUMS
+	REDUCE8
+	VADDPD  64(AX), Z4, Z4
+	VMOVUPD Z4, 64(AX)
+	ADDQ    $128, AX
+	SUBQ    $2, R15
+	JNZ     fusedchloop
+	VZEROUPPER
+	RET
+
+fusedlast:
+	TESTQ DX, DX
+	JZ    fusedtail
 
 fusedpixloop:
-	FUSED64(LDU, STU, V14, V15)
+	FUSED_ACC(LDU, VFMADD231PD, VFNMADD231PD)
 	ADDQ $64, R14
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -265,15 +397,12 @@ fusedpixloop:
 fusedtail:
 	TESTQ R13, R13
 	JZ    fusedfold
-	FUSED64(LDM, STM, V14, V15)
+	FUSED_ACC(LDM, VFMADD231PD, VFNMADD231PD)
 
 fusedfold:
 	REDUCE8
 	VADDPD  (AX), Z4, Z4
 	VMOVUPD Z4, (AX)
-	ADDQ    $64, AX
-	DECQ    R15
-	JNZ     fusedchloop
 	VZEROUPPER
 	RET
 
@@ -424,14 +553,56 @@ pix32chunkdone:
 	FOLD_HALVES(Z11, Y11, Y13)      \
 	FOLD8_PS
 
+// HALVES_PAIR folds the halves of accumulator a (channel c) and b (c+1)
+// into one register: the low eight lanes of a's m(i) = l(i) + l(i+8),
+// then b's. Clobbers Z12, Z13.
+#define HALVES_PAIR(a, b, m) \
+	VSHUFF32X4 $0x44, b, a, Z12 \ // a lanes 0-7, b lanes 0-7
+	VSHUFF32X4 $0xEE, b, a, Z13 \ // a lanes 8-15, b lanes 8-15
+	VADDPS     Z13, Z12, m
+
+// HADD_Z is VHADDPS at ZMM width, which EVEX does not encode: per
+// 128-bit lane [a0+a1, a2+a3, b0+b1, b2+b3] of a and b into a, each sum
+// VHADDPS's own. Clobbers Z12, Z13.
+#define HADD_Z(b, a) \
+	VSHUFPS $0x88, b, a, Z12 \ // a0 a2 b0 b2
+	VSHUFPS $0xDD, b, a, Z13 \ // a1 a3 b1 b3
+	VADDPS  Z13, Z12, a
+
+// REDUCE16_PAIR is REDUCE16 of a pair's two channels at once, channel
+// c's accumulators in Z4..Z11 and c+1's in Z16..Z23: the halves of each
+// channel's pair of accumulators into one register (HALVES_PAIR), then
+// FOLD8_PS's tree over both channels at ZMM width, each half of a
+// register one channel's, so every sum is REDUCE16's to the bit. Leaves
+// c's eight sums in the low half of Z4, c+1's in the high half.
+#define REDUCE16_PAIR \
+	HALVES_PAIR(Z4, Z16, Z4)       \
+	HALVES_PAIR(Z5, Z17, Z5)       \
+	HALVES_PAIR(Z6, Z18, Z6)       \
+	HALVES_PAIR(Z7, Z19, Z7)       \
+	HALVES_PAIR(Z8, Z20, Z8)       \
+	HALVES_PAIR(Z9, Z21, Z9)       \
+	HALVES_PAIR(Z10, Z22, Z10)     \
+	HALVES_PAIR(Z11, Z23, Z11)     \
+	HADD_Z(Z5, Z4)                 \
+	HADD_Z(Z7, Z6)                 \
+	HADD_Z(Z9, Z8)                 \
+	HADD_Z(Z11, Z10)               \
+	HADD_Z(Z6, Z4)                 \ // per channel [0123 sums | 4567 sums] of sums 0-3
+	HADD_Z(Z10, Z8)                \ // and of sums 4-7
+	VSHUFF32X4 $0x88, Z8, Z4, Z12  \ // c: 0-3 of 0123, c+1: 0-3 of 0123, c: 4-7 ..., c+1: ...
+	VSHUFF32X4 $0xDD, Z8, Z4, Z13  \ // the same of 4567
+	VADDPS     Z13, Z12, Z4        \
+	VSHUFF32X4 $0xD8, Z4, Z4, Z4      // c's sums 0-7, then c+1's
+
 // func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int)
 //
-// rotConjAccOctsBlk64 at sixteen float32 pixels per instruction: per
-// channel one FUSED32 sweep over the n pixels — the conjugate
-// accumulation per pixel, then the rotation in place — the n mod 16
-// pixels past the last whole register under the opmask K1, the eight
-// sums folded (REDUCE16) and added once into dst, which advances eight
-// float32 per channel.
+// rotConjAccOctsBlk64 at sixteen float32 pixels per instruction: two
+// channels per sweep (PAIR32), an odd last one alone, the n mod 16
+// pixels past the last whole register under the opmask K1, each
+// channel's eight sums folded (REDUCE16, a pair's both at once:
+// REDUCE16_PAIR) and added once into dst, which advances eight float32
+// per channel.
 TEXT ·rotConjAccBlk32(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), AX
 	MOVQ phRe+8(FP), BX
@@ -451,23 +622,64 @@ TEXT ·rotConjAccBlk32(SB), NOSPLIT, $0-72
 	MOVQ phIm+16(FP), CX
 
 fused32chloop:
-	MOVQ   planes+40(FP), SI
-	LEAQ   (SI)(R8*4), DI
-	XORQ   R14, R14
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	MOVQ   R12, DX
-	TESTQ  DX, DX
-	JZ     fused32tail
+	MOVQ planes+40(FP), SI
+	FUSED_START
+	MOVQ R12, DX
+	CMPQ R15, $1
+	JEQ  fused32last
+	ZERO_SUMS(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	CMPQ R15, $2
+	JEQ  keep32entry
+	TESTQ DX, DX
+	JZ    pair32tail
+
+pair32loop:
+	PAIR32(LDU, STU, PAIR_ROT)
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  pair32loop
+
+pair32tail:
+	TESTQ R13, R13
+	JZ    pair32fold
+	PAIR32(LDM32, STM32, PAIR_ROT)
+	JMP   pair32fold
+
+keep32entry:
+	TESTQ DX, DX
+	JZ    keep32tail
+
+keep32loop:
+	PAIR32(LDU, STU, PAIR_KEEP)
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  keep32loop
+
+keep32tail:
+	TESTQ R13, R13
+	JZ    pair32fold
+	PAIR32(LDM32, STM32, PAIR_KEEP)
+
+pair32fold:
+	REDUCE16_PAIR
+	VADDPS  (AX), Z4, Z4
+	VMOVUPS Z4, (AX)
+	ADDQ    $64, AX
+	SUBQ    $2, R15
+	JNZ     fused32chloop
+	VZEROUPPER
+	RET
+
+fused32last:
+	TESTQ DX, DX
+	JZ    fused32tail
 
 fused32pixloop:
-	FUSED32(LDU, STU, V14, V15)
+	FUSED_ACC(LDU, VFMADD231PS, VFNMADD231PS)
 	ADDQ $64, R14
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -477,15 +689,12 @@ fused32pixloop:
 fused32tail:
 	TESTQ R13, R13
 	JZ    fused32fold
-	FUSED32(LDM32, STM32, V14, V15)
+	FUSED_ACC(LDM32, VFMADD231PS, VFNMADD231PS)
 
 fused32fold:
 	REDUCE16
 	VADDPS  (AX), Y4, Y4
 	VMOVUPS Y4, (AX)
-	ADDQ    $32, AX
-	DECQ    R15
-	JNZ     fused32chloop
 	VZEROUPPER
 	RET
 

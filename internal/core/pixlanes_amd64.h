@@ -23,15 +23,13 @@
 #define ROT_PIX32(ps, pc, ds, dc, t0, t1) \
 	ROT_PIX(VMULPS, VFMSUB213PS, VFMADD213PS, ps, pc, ds, dc, t0, t1)
 
-// FUSED_VEC is one register of pixels of the fused degridder kernels at
-// byte offset R14 of the phasor arrays (BX phRe, CX phIm, R10 dRe, R11
-// dIm) and at SI/DI in the pixel planes (SI planes 0-3, DI planes 4-7,
-// R8 and R9 one and three plane strides): the conjugate accumulation into
-// V4-V11 — per correlation s_re += vr*cr + vi*phIm, s_im += vi*cr -
-// vr*phIm — then the rotation phIm' = phIm*dRe + phRe*dIm, phRe' =
-// phRe*dRe - phIm*dIm into ri and rr, stored back in place. MUL, FMA and
-// FNMA are the element width's mnemonics (FUSED64, FUSED32).
-#define FUSED_VEC(LD, ST, MUL, FMA, FNMA, ri, rr) \
+// FUSED_ACC is the conjugate accumulation of one register of pixels of
+// the fused degridder kernels at byte offset R14 of the phasor arrays
+// (BX phRe, CX phIm) and at SI/DI in the pixel planes (SI planes 0-3, DI
+// planes 4-7, R8 and R9 one and three plane strides): the phasor into
+// V0/V1, then into V4-V11 per correlation s_re += vr*cr + vi*phIm, s_im
+// += vi*cr - vr*phIm. FMA and FNMA are the element width's mnemonics.
+#define FUSED_ACC(LD, FMA, FNMA) \
 	LD((BX)(R14*1), V0)  \ // cr = phRe
 	LD((CX)(R14*1), V1)  \ // -ci = phIm (conjugate phasor)
 	LD((SI), V12)        \ // vr, correlation 0
@@ -57,17 +55,34 @@
 	FMA  V0, V12, V10    \
 	FMA  V1, V13, V10    \
 	FNMA V1, V12, V11    \
-	FMA  V0, V13, V11    \
+	FMA  V0, V13, V11
+
+// FUSED_ROT advances the phasor cr/ci of a register of pixels to the
+// next channel, phIm' = phIm*dRe + phRe*dIm, phRe' = phRe*dRe -
+// phIm*dIm with the deltas at R10 (dRe) and R11 (dIm) into V2/V3, the
+// results into ri and rr and stored in place.
+#define FUSED_ROT(LD, ST, MUL, FMA, FNMA, cr, ci, ri, rr) \
 	LD((R10)(R14*1), V2) \ // dRe
 	LD((R11)(R14*1), V3) \ // dIm
-	MUL  V2, V1, ri      \
-	FMA  V3, V0, ri      \
-	MUL  V2, V0, rr      \
-	FNMA V3, V1, rr      \
+	MUL  V2, ci, ri      \
+	FMA  V3, cr, ri      \
+	MUL  V2, cr, rr      \
+	FNMA V3, ci, rr      \
 	ST(ri, (CX)(R14*1))  \
 	ST(rr, (BX)(R14*1))
-#define FUSED64(LD, ST, ri, rr) FUSED_VEC(LD, ST, VMULPD, VFMADD231PD, VFNMADD231PD, ri, rr)
-#define FUSED32(LD, ST, ri, rr) FUSED_VEC(LD, ST, VMULPS, VFMADD231PS, VFNMADD231PS, ri, rr)
+
+// FUSED_VEC is one register of pixels of a sweep over one channel: the
+// conjugate accumulation, then, unless the channel is the call's last
+// (R15 = 1; the caller reseeds after it), the rotation in place. last
+// is a label of the caller's, unique per use.
+#define FUSED_VEC(LD, ST, MUL, FMA, FNMA, ri, rr, last) \
+	FUSED_ACC(LD, FMA, FNMA)                       \
+	CMPQ R15, $1                                   \
+	JEQ  last                                      \
+	FUSED_ROT(LD, ST, MUL, FMA, FNMA, V0, V1, ri, rr) \
+last:
+#define FUSED64(LD, ST, ri, rr, last) FUSED_VEC(LD, ST, VMULPD, VFMADD231PD, VFNMADD231PD, ri, rr, last)
+#define FUSED32(LD, ST, ri, rr, last) FUSED_VEC(LD, ST, VMULPS, VFMADD231PS, VFNMADD231PS, ri, rr, last)
 
 // FOLD8_PS folds eight float32 accumulators of eight lanes, Y4..Y11, into
 // the eight lanes of Y4 (lane k = accumulator k's sum) as a pairwise tree,

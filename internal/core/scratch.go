@@ -11,7 +11,7 @@ import (
 // Go instantiates a fully specialized body per width, so the float64
 // path pays nothing for the float32 one existing.
 type floatT interface {
-	~float32 | ~float64
+	float32 | float64
 }
 
 // kbufs holds the precision-dependent kernel buffers of one scratch
@@ -32,9 +32,8 @@ type kbufs[F floatT] struct {
 	vacc []F
 
 	// vsum is the degridder's visibility accumulator (8 floats per
-	// visibility); partial holds the per-tile partial sums when tiles
-	// run in parallel, reduced in tile order for determinism.
-	vsum, partial []F
+	// visibility).
+	vsum []F
 }
 
 // scratch holds the per-worker reusable buffers of the kernel hot

@@ -8,24 +8,26 @@ import (
 
 // The tiled kernels split each subgrid's pixel loop into tiles of
 // tileRows subgrid rows (the paper's GPU mapping parallelizes pixels
-// within a thread block the same way). Tiles are the intra-item work
-// units: when a pass runs fewer work items at once than it has workers,
-// tilePar raises the per-item parallelism hint and runTiles fans the
-// tiles of one subgrid out across otherwise-idle workers. Tile
-// decomposition depends only on the kernel parameters — never on the
-// hint or on scheduling — so results are reproducible run to run.
+// within a thread block the same way). When a pass runs fewer work
+// items at once than it has workers, tilePar raises the per-item
+// parallelism hint and runTiles fans one item's work out across
+// otherwise-idle workers: the gridder's tiles, the degridder's spans of
+// time steps (each running every tile). Tile decomposition depends only
+// on the kernel parameters — never on the hint or on scheduling — so
+// results are reproducible run to run.
 
-// runTiles executes fn(ts, row0, row1) for every pixel tile of a
-// rows-row subgrid, fanning the tiles out over up to par goroutines
-// (including the calling one). Each invocation gets a scratch arena it
-// owns for the duration of the call: the caller's own s, or one checked
-// out of the kernel pool for the extra workers. fn must confine writes
-// to that scratch and to its tile's disjoint output range. A panic
+// runTiles executes fn(ts, i0, i1) for every unit [i0, i1) of unit
+// rows of an n-row range — the pixel tiles of a subgrid (the gridder),
+// or spans of time steps (the degridder) — fanning the units out over
+// up to par goroutines (including the calling one). Each invocation gets
+// a scratch arena it owns for the duration of the call: the caller's
+// own s, or one checked out of the kernel pool for the extra workers. fn
+// must confine writes to that scratch and to its unit's disjoint output
+// range. A panic
 // inside fn is re-raised on the calling goroutine after all tiles
 // settle, preserving the per-item panic isolation of the pipeline
 // (faulttol.Run wraps the caller).
-func (k *Kernels) runTiles(s *scratch, par, rows int, fn func(ts *scratch, row0, row1 int)) {
-	tr := k.tileRows(rows)
+func (k *Kernels) runTiles(s *scratch, par, rows, tr int, fn func(ts *scratch, row0, row1 int)) {
 	ntiles := (rows + tr - 1) / tr
 	if par > ntiles {
 		par = ntiles

@@ -150,79 +150,72 @@ func gridLanesPix[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW, sb
 	return sums
 }
 
-// seedPhasors sets sn, cs to the sine and cosine of the staged phase
-// arguments, evaluated in float64 by one xmath.SincosVecAt call whatever
-// F is: straight into the float64 phasor buffers, through the sSin/sCos
-// staging and one narrowing sweep into the float32 ones. The evaluator
-// runs at the dispatch tier, so a lowered tier lowers its lanes too (the
-// bits are the same at every tier).
-func seedPhasors[F floatT](k *Kernels, ts *scratch, sn, cs []F, arg []float64) {
-	switch sn := any(sn).(type) {
-	case []float64:
-		xmath.SincosVecAt(k.disp.tier, sn, any(cs).([]float64), arg)
-	case []float32:
-		asn, acs := growF(&ts.sSin, len(arg)), growF(&ts.sCos, len(arg))
-		xmath.SincosVecAt(k.disp.tier, asn, acs, arg)
-		xmath.CvtF64F32(sn, asn)
-		xmath.CvtF64F32(any(cs).([]float32), acs)
-	}
-}
-
 // degridTileFused is the degridder tile of every tier, whatever the
-// precision and the item. Per time step it stages gridLanesPix's
-// rows of phase arguments for the whole tile (rowChannels) and evaluates
-// them in one seedPhasors call; each base row then takes one
-// rotConjAccBlk call, which runs the conjugate accumulation and the
-// rotation of every channel the row serves in one sweep per channel, a
+// precision and the item. Per block of time steps it stages
+// gridLanesPix's rows of phase arguments for the whole tile
+// (rowChannels) and evaluates them in one xmath.SincosVecAt call, which
+// narrows float32 phasors as it stores them; each base row of each step
+// then takes one rotConjAccBlk call, which runs the conjugate
+// accumulation and the rotation of every channel the row serves, a
 // register of pixels per instruction with the tail masked, and adds each
 // (t, c)'s eight folded sums to dst exactly once — what the serial ≡
-// parallel bitwise guarantee of degridSubgridTiled rests on. Per (t, c)
+// parallel bitwise guarantee of degridSubgridTiled rests on. A phasor is
+// a function of its own argument alone, so the block depth reaches no
+// bit; it is cut to the gridder's L1 budget (pixBlockBytes). Per (t, c)
 // the vector tiers share the operation sequence of every lane, so their
 // phasors are the same bits; the sums differ by the association of the
 // lane fold, four or eight lanes on avx2 (and the scalar tier's Go
-// lanes: float64 avx2's bits), eight or sixteen on avx512. (A
-// row that serves one channel is rotated by whatever row comes first and
-// then dropped.)
+// lanes: float64 avx2's bits), eight or sixteen on avx512.
 func degridTileFused[F floatT](k *Kernels, item plan.WorkItem, sb *scratch, uvw []uvwsim.UVW, ts *scratch, row0, row1 int, dst []F) {
 	const resync = xmath.DefaultPhasorResync
 	size := int(unsafe.Sizeof(F(0)))
 	sg := k.params.SubgridSize
-	nc := item.NrChannels
+	nt, nc := item.NrTimesteps, item.NrChannels
 	i0, i1 := row0*sg, row1*sg
 	n := i1 - i0
 	rowCh, lead := k.rowChannels(nc)
 	scalar, zmm := k.disp.scalar, k.disp.zmm
 	tb := bufsOf[F](ts)
-	pIdx := growF(&ts.pIdx, n)
 	planes := &bufsOf[F](sb).planar[i0]
 	off := &sb.pOff[i0]
-	for t := 0; t < item.NrTimesteps; t++ {
+	block := k.params.visBlockTimesteps
+	if block <= 0 {
+		rows := lead + min((nc+rowCh-1)/rowCh, resync)
+		block = max(pixBlockBytes/(n*(8+rows*(8+2*size))), 1)
+	}
+	for t0 := 0; t0 < nt; t0 += block {
+		bn := min(block, nt-t0)
+		pIdx := growF(&ts.pIdx, n*bn)
 		if scalar {
-			stagePIdxGo(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1)
+			stagePIdxGo(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t0].U, bn)
 		} else {
-			stagePIdxW(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t].U, 1, zmm)
+			stagePIdxW(&pIdx[0], &k.l[i0], &k.m[i0], &k.n[i0], n, &uvw[t0].U, bn, zmm)
 		}
 		// At most resync rows a batch: one, but for a long non-uniform comb.
 		for c0 := 0; c0 < nc; c0 += resync * rowCh {
 			rows := lead + min((nc-c0+rowCh-1)/rowCh, resync)
-			arg := growF(&ts.sArg, rows*n)
+			step := rows * n // one time step's staged rows
+			arg := growF(&ts.sArg, step*bn)
 			for r := 0; r < rows; r++ {
 				o, scale := (*float64)(nil), k.dscale // the lead row: channel deltas
 				if r >= lead {
 					o, scale = off, k.scale[item.Channel0+c0+(r-lead)*rowCh]
 				}
 				if scalar {
-					stageArgsGo(&arg[r*n], 0, &pIdx[0], o, scale, n, 1)
+					stageArgsGo(&arg[r*n], 8*step, &pIdx[0], o, scale, n, bn)
 				} else {
-					stageArgsW(&arg[r*n], 0, &pIdx[0], o, scale, n, 1, zmm)
+					stageArgsW(&arg[r*n], 8*step, &pIdx[0], o, scale, n, bn, zmm)
 				}
 			}
-			phRe, phIm := grow(&tb.phRe, rows*n), grow(&tb.phIm, rows*n)
-			seedPhasors(k, ts, phIm, phRe, arg)
-			for r := lead; r < rows; r++ {
-				c := c0 + (r-lead)*rowCh
-				rotConjAccBlk(&dst[8*(t*nc+c)], &phRe[r*n], &phIm[r*n], &phRe[0], &phIm[0],
-					planes, size*sg*sg, n, min(nc-c, rowCh), scalar, zmm)
+			phRe, phIm := grow(&tb.phRe, step*bn), grow(&tb.phIm, step*bn)
+			xmath.SincosVecAt(k.disp.tier, phIm, phRe, arg)
+			for t := t0; t < t0+bn; t++ {
+				p := (t - t0) * step
+				for r := lead; r < rows; r++ {
+					c := c0 + (r-lead)*rowCh
+					rotConjAccBlk(&dst[8*(t*nc+c)], &phRe[p+r*n], &phIm[p+r*n], &phRe[p], &phIm[p],
+						planes, size*sg*sg, n, min(nc-c, rowCh), scalar, zmm)
+				}
 			}
 		}
 	}

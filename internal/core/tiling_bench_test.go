@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/xmath"
 )
 
 // runTilingAblation grids one 64-step, 8-channel item of random
@@ -32,6 +33,29 @@ func BenchmarkAblationPixelTileRows(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", tr), func(b *testing.B) {
 			runTilingAblation(b, func(p *Params) { p.pixelTileRows = tr })
 		})
+	}
+}
+
+// BenchmarkAblationDegridTileRows is BenchmarkAblationPixelTileRows for
+// the degridder, in both precisions, on the same item shape: the tile
+// height sets how many pixels share each (t, c)'s lane fold, and how
+// many tiles the item offers to parallel workers.
+func BenchmarkAblationDegridTileRows(b *testing.B) {
+	const sg, nt, nc = 24, 64, 8
+	item, uvw, _, _ := tilingItem(11, nt, nc)
+	in, _ := randomSubgrid(sg, item, 12)
+	vis := make([]xmath.Matrix2, nt*nc)
+	for _, prec := range []Precision{Float64, Float32} {
+		for _, tr := range []int{1, 2, 4, 8, 24} {
+			b.Run(fmt.Sprintf("%v/rows=%d", prec, tr), func(b *testing.B) {
+				k := tilingKernels(b, sg, nc, func(p *Params) { p.Precision, p.pixelTileRows = prec, tr })
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.DegridSubgrid(item, in, uvw, nil, nil, vis)
+				}
+				b.ReportMetric(float64(b.N)*float64(item.NrVisibilities())/b.Elapsed().Seconds()/1e6, "MVis/s")
+			})
+		}
 	}
 }
 

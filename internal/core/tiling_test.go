@@ -442,8 +442,8 @@ func TestDegridderTiledMatchesReference(t *testing.T) {
 
 // TestDegridderSerialParallelBitwise: for a FIXED tile size, running
 // the tiles on one worker or many must give numerically identical
-// visibilities — the parallel path combines per-tile partials in tile
-// order, replaying the serial addition sequence. Subgrid sizes 8 and
+// visibilities — the parallel path splits the time steps, each span
+// running every tile in tile order, the serial addition sequence. Subgrid sizes 8 and
 // 10 cover both the lane-aligned and the tail-carrying vector paths
 // (one-row tiles of 8 and of 10 pixels: whole registers, and a two-pixel
 // masked tail), 70 channels a second resync chunk, and every executable
@@ -473,6 +473,39 @@ func TestDegridderSerialParallelBitwise(t *testing.T) {
 					parallel.DegridSubgrid(item, in, uvw, nil, nil, got)
 					if !visEqual(want, got) {
 						t.Fatalf("nc=%d sg=%d %v %v: parallel degridder differs from serial", nc, sg, tier, prec)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDegridderSeedBlockInvariance: the degridder seeds its phasors a
+// block of time steps per sincos call, and the block depth reaches no
+// bit — seed blocks of one step, of three (a short last block), and of
+// the whole item give the same visibilities, on every executable tier in
+// both precisions, for channel counts below the recurrence threshold,
+// uniform ones with an odd and an even count, and one longer than a
+// ZMM pair sweep's registers hold.
+func TestDegridderSeedBlockInvariance(t *testing.T) {
+	const sg, nt = 10, 8
+	for _, nc := range []int{2, 5, 16, 37} {
+		item, uvw, _, _ := tilingItem(71, nt, nc)
+		in, _ := randomSubgrid(sg, item, 73)
+		for _, tier := range coreHostTiers() {
+			for _, prec := range []Precision{Float64, Float32} {
+				var want []xmath.Matrix2
+				for _, block := range []int{1, 3, nt} {
+					k := tilingKernels(t, sg, nc, func(p *Params) {
+						p.Precision, p.visBlockTimesteps, p.Workers = prec, block, 1
+						forceTier(tier)(p)
+					})
+					got := make([]xmath.Matrix2, nt*nc)
+					k.DegridSubgrid(item, in, uvw, nil, nil, got)
+					if want == nil {
+						want = got
+					} else if !visEqual(want, got) {
+						t.Fatalf("nc=%d %v %v: seed block %d differs from block 1", nc, tier, prec, block)
 					}
 				}
 			}

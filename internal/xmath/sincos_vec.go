@@ -40,8 +40,11 @@ func SincosVec(sin, cos, x []float64) {
 // fault). Results are bitwise identical at every tier; the point is
 // that callers which resolve a dispatch tier once per kernel set (see
 // internal/core) skip the per-call active-tier lookup and honor a
-// forced tier for performance measurements.
-func SincosVecAt(tier SIMDTier, sin, cos, x []float64) {
+// forced tier for performance measurements. With float32 sin and cos
+// the lanes narrow each result as they store it (VCVTPD2PS, round to
+// nearest even): bitwise CvtF64F32 of the float64 results, without
+// staging them.
+func SincosVecAt[F float32 | float64](tier SIMDTier, sin, cos []F, x []float64) {
 	if len(sin) < len(x) || len(cos) < len(x) {
 		panic("xmath: SincosVec output shorter than input")
 	}
@@ -110,8 +113,9 @@ func sincosFastFMA(x float64) (float64, float64) {
 
 // sincosVecScalar is the portable element loop shared by the scalar
 // tier and the vector paths' tails.
-func sincosVecScalar(sin, cos, x []float64) {
+func sincosVecScalar[F float32 | float64](sin, cos []F, x []float64) {
 	for i, v := range x {
-		sin[i], cos[i] = sincosFastFMA(v)
+		s, c := sincosFastFMA(v)
+		sin[i], cos[i] = F(s), F(c)
 	}
 }

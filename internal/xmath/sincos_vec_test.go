@@ -54,7 +54,7 @@ func TestSincosVecAccuracy(t *testing.T) {
 // IDG_SIMD override and of batch chopping.
 func TestSincosVecTierBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 253} {
+	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 40, 47, 64, 253} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = (rng.Float64() - 0.5) * 2e4
@@ -82,6 +82,42 @@ func TestSincosVecTierBitwise(t *testing.T) {
 						tier, n, i, x[i],
 						math.Float64bits(sin[i]), math.Float64bits(cos[i]),
 						math.Float64bits(wantSin[i]), math.Float64bits(wantCos[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestSincosVecNarrowMatchesCvt: the float32 form of SincosVecAt is
+// CvtF64F32 of the float64 form, bit for bit, on every tier and at
+// every length from empty past eight octs (odd and even oct and quad
+// counts, every tail), and stores nothing past the input's length.
+func TestSincosVecNarrowMatchesCvt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, 67)
+	for i := range x {
+		x[i] = (rng.Float64() - 0.5) * 2e4
+	}
+	x[0], x[1], x[2] = math.Pi/2, -math.Pi/2, 1e-30
+	for _, tier := range hostTiers() {
+		for n := 0; n <= len(x); n++ {
+			s64, c64 := make([]float64, n), make([]float64, n)
+			SincosVecAt(tier, s64, c64, x[:n])
+			want, wantC := make([]float32, n), make([]float32, n)
+			CvtF64F32(want, s64)
+			CvtF64F32(wantC, c64)
+			s32, c32 := make([]float32, n+1), make([]float32, n+1)
+			s32[n], c32[n] = -1, -1
+			SincosVecAt(tier, s32[:n], c32[:n], x[:n])
+			if s32[n] != -1 || c32[n] != -1 {
+				t.Fatalf("tier %v, n=%d: stored past the input", tier, n)
+			}
+			for i := 0; i < n; i++ {
+				if math.Float32bits(s32[i]) != math.Float32bits(want[i]) ||
+					math.Float32bits(c32[i]) != math.Float32bits(wantC[i]) {
+					t.Fatalf("tier %v, n=%d, i=%d: got (%x, %x), want (%x, %x)", tier, n, i,
+						math.Float32bits(s32[i]), math.Float32bits(c32[i]),
+						math.Float32bits(want[i]), math.Float32bits(wantC[i]))
 				}
 			}
 		}
@@ -175,3 +211,20 @@ func benchSincosVec(b *testing.B, tier SIMDTier, n int) {
 func BenchmarkSincosVecScalar(b *testing.B) { benchSincosVec(b, SIMDScalar, 192) }
 func BenchmarkSincosVecAVX2(b *testing.B)   { benchSincosVec(b, SIMDAVX2, 192) }
 func BenchmarkSincosVecAVX512(b *testing.B) { benchSincosVec(b, SIMDAVX512, 192) }
+
+// BenchmarkSincosVecAVX512Float32 is the AVX-512 form that narrows as
+// it stores, at the float32 degridder's batch of 192 arguments.
+func BenchmarkSincosVecAVX512Float32(b *testing.B) {
+	if SIMDAVX512 > DetectedSIMD() {
+		b.Skip("avx512 not supported here")
+	}
+	x := make([]float64, 192)
+	for i := range x {
+		x[i] = float64(i) * 0.37
+	}
+	sin, cos := make([]float32, len(x)), make([]float32, len(x))
+	b.SetBytes(int64(8 * len(x)))
+	for i := 0; i < b.N; i++ {
+		sincosVecTier(SIMDAVX512, sin, cos, x)
+	}
+}
