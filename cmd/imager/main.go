@@ -193,7 +193,7 @@ func main() {
 	}
 	st := obs.Plan.Stats()
 	norm := float64(n*n) / totalWeight
-	dirty := core.GridToImage(g, 0)
+	dirty := core.GridToImageInPlace(g, 0)
 	core.ScaleImage(dirty, norm)
 	corr := obs.Kernels.TaperCorrection(n)
 	core.ApplyTaperCorrection(dirty, corr)
@@ -216,7 +216,7 @@ func main() {
 		fail(err)
 	}
 	faults.Merge(psfFaults)
-	psfImg := core.GridToImage(pg, 0)
+	psfImg := core.GridToImageInPlace(pg, 0)
 	core.ScaleImage(psfImg, norm)
 	core.ApplyTaperCorrection(psfImg, corr)
 	psf := sky.StokesI(psfImg)
@@ -252,7 +252,7 @@ func main() {
 
 	// --- Predict (Fig. 2 right branch): FFT + degridding, subtract.
 	modelImg := model.Rasterize(n, obs.ImageSize)
-	mg := core.ImageToGrid(modelImg, 0)
+	mg := core.ImageToGridInPlace(modelImg, 0)
 	predicted, err := core.NewVisibilitySet(obs.Vis.Baselines, obs.Vis.UVW, obs.Vis.NrChannels)
 	if err != nil {
 		fail(err)
@@ -273,7 +273,7 @@ func main() {
 		fail(err)
 	}
 	faults.Merge(resFaults)
-	resImg := core.GridToImage(rg, 0)
+	resImg := core.GridToImageInPlace(rg, 0)
 	core.ScaleImage(resImg, norm)
 	core.ApplyTaperCorrection(resImg, corr)
 	resI := sky.StokesI(resImg)

@@ -103,7 +103,7 @@ func (k *Kernels) RunImagingCycle(ctx context.Context, p *plan.Plan, vs *Visibil
 			return nil, err
 		}
 		res.Times.Add(t)
-		img := GridToImage(g, k.params.workers())
+		img := GridToImageInPlace(g, k.params.workers())
 		ScaleImage(img, norm)
 		ApplyTaperCorrection(img, corr)
 		dirty := sky.StokesI(img)
@@ -137,7 +137,7 @@ func (k *Kernels) RunImagingCycle(ctx context.Context, p *plan.Plan, vs *Visibil
 		}
 		res.Model = append(res.Model, newModel...)
 		modelImg := newModel.Rasterize(n, k.params.ImageSize)
-		mg := ImageToGrid(modelImg, k.params.workers())
+		mg := ImageToGridInPlace(modelImg, k.params.workers())
 		predicted, err := NewVisibilitySet(vs.Baselines, vs.UVW, vs.NrChannels)
 		if err != nil {
 			return nil, err

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/clean"
+	"repro/internal/grid"
 	"repro/internal/sky"
 )
 
@@ -34,6 +36,73 @@ func cyclePSF(t *testing.T, s *scenario) []float64 {
 		}
 	}
 	return psf
+}
+
+// TestImagingCycleTransformsInPlace: the cycle transforms the grid it
+// imaged and the model image it predicts from in place, which gives the
+// bits of the fresh-grid transforms and saves a grid each: a warm major
+// cycle — the difference between a run of two and a run of one —
+// allocates less than three grids (the grid it images into, the
+// rasterized model, and everything else), where the two fresh
+// transforms alone would take two.
+func TestImagingCycleTransformsInPlace(t *testing.T) {
+	const n = 64
+	rnd := newTestRand(5)
+	g := grid.NewGrid(n)
+	for c := range g.Data {
+		for i := range g.Data[c] {
+			g.Data[c][i] = complex(rnd(), rnd())
+		}
+	}
+	for _, inverse := range []bool{true, false} {
+		in := grid.NewGrid(n)
+		for c := range in.Data {
+			copy(in.Data[c], g.Data[c])
+		}
+		var want, got *grid.Grid
+		if inverse {
+			want, got = GridToImage(g, 2), GridToImageInPlace(in, 2)
+		} else {
+			want, got = ImageToGrid(g, 2), ImageToGridInPlace(in, 2)
+		}
+		for c := range want.Data {
+			for i, v := range want.Data[c] {
+				if math.Float64bits(real(v)) != math.Float64bits(real(got.Data[c][i])) ||
+					math.Float64bits(imag(v)) != math.Float64bits(imag(got.Data[c][i])) {
+					t.Fatalf("inverse=%v: in-place transform differs at plane %d pixel %d", inverse, c, i)
+				}
+			}
+		}
+	}
+
+	sc := defaultScenarioConfig()
+	allocs := func(major int) uint64 {
+		s := buildScenario(t, sc)
+		s.fillFromModel(nil)
+		psf := cyclePSF(t, s)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		res, err := s.kernels.RunImagingCycle(context.Background(), s.plan, s.vs, psf, CycleConfig{
+			MajorCycles: major,
+			Clean:       clean.Params{Gain: 0.2, MaxIterations: 20, Threshold: 1e-9},
+			CycleDepth:  0.3,
+		})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MajorCycles != major {
+			t.Fatalf("ran %d major cycles, want %d", res.MajorCycles, major)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	one, two := allocs(1), allocs(2)
+	gridBytes := uint64(grid.NrCorrelations * sc.gridSize * sc.gridSize * 16)
+	t.Logf("a major cycle allocates %d bytes, %.2f grids", two-one, float64(two-one)/float64(gridBytes))
+	if two-one >= 3*gridBytes {
+		t.Fatalf("a major cycle allocates %d bytes, %.2f grids; want under 3", two-one, float64(two-one)/float64(gridBytes))
+	}
 }
 
 func TestImagingCycleConverges(t *testing.T) {

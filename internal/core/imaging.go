@@ -29,6 +29,20 @@ func ImageToGrid(img *grid.Grid, workers int) *grid.Grid {
 	return g
 }
 
+// GridToImageInPlace is GridToImage over g itself, for a caller done
+// with the uv data: the same image, bit for bit, without a second grid
+// to allocate and zero.
+func GridToImageInPlace(g *grid.Grid, workers int) *grid.Grid {
+	transformGrid(g, g, true, workers)
+	return g
+}
+
+// ImageToGridInPlace is ImageToGrid over img itself.
+func ImageToGridInPlace(img *grid.Grid, workers int) *grid.Grid {
+	transformGrid(img, img, false, workers)
+	return img
+}
+
 // transformGrid runs the centered transform of every plane of src into
 // dst (same bits when dst is src): inverse takes uv to the image.
 func transformGrid(dst, src *grid.Grid, inverse bool, workers int) {

@@ -145,7 +145,8 @@ func (c *Client) Finalize(sessionID string) (Result, error) {
 
 // FetchGridSHA256 streams the finished grid and returns the hex
 // SHA-256 of its bytes — by construction the same hash as
-// Result.SHA256, so a client can verify the transfer end to end.
+// Result.SHA256, so a client can verify the transfer end to end. A body
+// that ends short of its declared length is an error, not a hash.
 func (c *Client) FetchGridSHA256(sessionID string) (string, int64, error) {
 	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/sessions/"+sessionID+"/grid", nil)
 	if err != nil {
@@ -163,6 +164,9 @@ func (c *Client) FetchGridSHA256(sessionID string) (string, int64, error) {
 	n, err := io.Copy(h, resp.Body)
 	if err != nil {
 		return "", n, err
+	}
+	if n != resp.ContentLength {
+		return "", n, fmt.Errorf("server: grid body of %d bytes, %d declared", n, resp.ContentLength)
 	}
 	return hex.EncodeToString(h.Sum(nil)), n, nil
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -475,14 +476,21 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown session")
 		return
 	}
-	if st := sess.currentState(); st != StateDone {
+	sess.mu.Lock()
+	st, res := sess.state, sess.res
+	sess.mu.Unlock()
+	if st != StateDone {
 		httpError(w, http.StatusConflict, "session is %s, the grid exists only after a successful finalize", st)
 		return
 	}
 	sess.touch(time.Now())
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// The declared length (four planes of N² complex128) makes a grid
+	// that WriteGrid fails to finish a short body the client rejects,
+	// where a chunked one would end cleanly.
+	w.Header().Set("Content-Length", strconv.Itoa(4*res.GridSize*res.GridSize*16))
 	if err := sess.back.WriteGrid(w); err != nil {
-		// Headers are gone; the client sees a truncated body.
+		// Headers are gone; the connection closes short of the length.
 		return
 	}
 }

@@ -26,12 +26,14 @@ import (
 type fakeBackend struct {
 	nb, nt, nc int
 	// openErr fails Open; runErr fails Run; runPanic panics inside Run;
-	// blockRun makes Run wait for its context (a drain straggler).
+	// blockRun makes Run wait for its context (a drain straggler);
+	// writeFail makes WriteGrid fail halfway through the grid.
 	openErr   error
 	openPanic bool
 	runErr    error
 	runPanic  bool
 	blockRun  bool
+	writeFail bool
 
 	mu     sync.Mutex
 	opened int
@@ -79,10 +81,22 @@ func (s *fakeSession) SetVisibilities(baseline, sampleOffset int, samples []floa
 	return nil
 }
 
+// gridSize is the fake's grid: the smallest whose bytes, four planes of
+// N² complex128, hold a byte per stored sample.
+func (s *fakeSession) gridSize() int {
+	n := 1
+	for 64*n*n < len(s.data) {
+		n++
+	}
+	return n
+}
+
+// payload is the fake's grid: a byte per stored sample, zero-padded.
 func (s *fakeSession) payload() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := make([]byte, len(s.data))
+	n := s.gridSize()
+	p := make([]byte, 64*n*n)
 	for i, v := range s.data {
 		p[i] = byte(int(v) & 0xff)
 	}
@@ -104,7 +118,7 @@ func (s *fakeSession) Run(ctx context.Context) (*Result, error) {
 	s.mu.Lock()
 	s.done = true
 	s.mu.Unlock()
-	return &Result{GridSize: s.b.nb, SHA256: hex.EncodeToString(sum[:])}, nil
+	return &Result{GridSize: s.gridSize(), SHA256: hex.EncodeToString(sum[:])}, nil
 }
 
 func (s *fakeSession) WriteGrid(w io.Writer) error {
@@ -114,7 +128,12 @@ func (s *fakeSession) WriteGrid(w io.Writer) error {
 	if !done {
 		return errors.New("no finished grid")
 	}
-	_, err := w.Write(s.payload())
+	p := s.payload()
+	if s.b.writeFail {
+		w.Write(p[:len(p)/2])
+		return errors.New("fake backend: grid write failed")
+	}
+	_, err := w.Write(p)
 	return err
 }
 
@@ -157,6 +176,25 @@ func streamAll(t *testing.T, c *Client, id string, nb, nt, nc int) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGridDownloadTruncated: a grid whose WriteGrid fails halfway
+// reaches the client as a body short of its declared length, and the
+// client reports an error instead of the hash of half a grid.
+func TestGridDownloadTruncated(t *testing.T) {
+	_, c := newTestServer(t, Config{}, &fakeBackend{nb: 3, nt: 4, nc: 2, writeFail: true})
+	info, err := c.CreateSession(testSessionConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, c, info.SessionID, 3, 4, 2)
+	if _, err := c.Finalize(info.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	sha, n, err := c.FetchGridSHA256(info.SessionID)
+	if err == nil {
+		t.Fatalf("a grid cut off after %d bytes hashed to %s without an error", n, sha)
 	}
 }
 

@@ -833,7 +833,7 @@ func (o *Observation) DirtyImage(ctx context.Context, prov ATermProvider) (*Grid
 	if err != nil {
 		return nil, err
 	}
-	img := core.GridToImage(g, o.Config.Workers)
+	img := core.GridToImageInPlace(g, o.Config.Workers)
 	st := o.Plan.Stats()
 	core.ScaleImage(img, float64(o.Config.GridSize*o.Config.GridSize)/float64(st.NrGriddedVisibilities))
 	core.ApplyTaperCorrection(img, o.Kernels.TaperCorrection(o.Config.GridSize))
