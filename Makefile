@@ -46,9 +46,13 @@ examples:
 # `go build ./...` here: vet and test it, and run every workload once
 # on tiny shapes, so a facade change cannot break it silently. The
 # kernel, pass and harness benchmarks of the root package run once
-# each at the detected tier, as in scripts/ci.sh.
+# each at the detected tier, and the two tile-height ablations there and
+# under IDG_SIMD=scalar and avx2, as in scripts/ci.sh.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkGridderKernel$$|BenchmarkGridderKernelFloat32$$|BenchmarkGridderKernelShortItems$$|BenchmarkGridderKernelShortItemsFloat32$$|BenchmarkDegridderKernel$$|BenchmarkDegridderKernelFloat32$$|BenchmarkDegridderKernelShortItems$$|BenchmarkDegridderKernelShortItemsFloat32$$|BenchmarkFullGriddingPass$$|BenchmarkFullDegriddingPass$$|BenchmarkAdderKernel$$|BenchmarkAdderSharded$$|BenchmarkSplitterSharded$$|BenchmarkStreamedGriddingPass$$|BenchmarkSubgridFFTStage$$|BenchmarkGridFFT2048$$|BenchmarkGridImagePair$$|BenchmarkGridFingerprint$$|BenchmarkWriteGridBinary$$|BenchmarkFillFromModelPlan$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$$' -benchtime 1x ./internal/core/
+	IDG_SIMD=scalar GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$$' -benchtime 1x ./internal/core/
+	IDG_SIMD=avx2 GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$$' -benchtime 1x ./internal/core/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -workload all -smoke
 	scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$$' -benchtime 1x HEAD HEAD

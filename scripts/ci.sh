@@ -45,15 +45,17 @@ go test -race -short ./internal/core/... ./internal/faulttol/... ./internal/obs/
 # tier. The frame CRC follows the tier too: the table under scalar, the
 # carry-less multiply fold (PCLMULQDQ) under avx2, so the reduction
 # stream runs on both. Both legs also run the
-# eight kernel benchmarks and the two FFT steps (grid image pair,
-# subgrid FFT stage) once each, so the Go and the YMM bodies run under
-# the benchmark harness too.
+# eight kernel benchmarks, the two FFT steps (grid image pair,
+# subgrid FFT stage) and the two tile-height ablations once each, so the
+# Go and the YMM bodies run under the benchmark harness too.
 IDG_SIMD=scalar go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/ ./internal/frame/ ./internal/distrib/
 IDG_SIMD=avx2 go test -race -short ./internal/core/ ./internal/xmath/ ./internal/fft/ ./internal/sky/ ./internal/frame/ ./internal/distrib/
 IDG_SIMD=scalar go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=avx2 go test -count=1 -run 'TestFillMatchesPredictPerSample|TestDistribSingleWorkerGolden' .
 IDG_SIMD=scalar GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$|BenchmarkGridImagePair$|BenchmarkSubgridFFTStage$' -benchtime 1x .
 IDG_SIMD=avx2 GOMAXPROCS=1 go test -run '^$' -bench 'Benchmark(Gridder|Degridder)Kernel(ShortItems)?(Float32)?$|BenchmarkGridImagePair$|BenchmarkSubgridFFTStage$' -benchtime 1x .
+IDG_SIMD=scalar GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$' -benchtime 1x ./internal/core/
+IDG_SIMD=avx2 GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$' -benchtime 1x ./internal/core/
 # And with the core count pinned both ways: one thread hides panics and
 # races that only a fan-out goroutine can raise, four threads hide what
 # only the serial paths do, and a CI box has whatever it has. -count=1
@@ -84,6 +86,7 @@ scripts/distrib_smoke.sh
 # Every kernel, pass and harness benchmark runs once at the detected
 # tier, so none of them rots unnoticed; scripts/pair.sh measures them.
 go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkGridderKernelShortItemsFloat32$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkDegridderKernelShortItemsFloat32$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridImagePair$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$' -benchtime 1x ./internal/core/
 # The paired-comparison tool end to end on a tiny budget: two archived
 # checkouts, alternating runs, the per-benchmark table.
 scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$' -benchtime 1x HEAD HEAD
