@@ -130,7 +130,7 @@ func degridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, in *grid.Subgr
 
 	vsum := grow(&b.vsum, 8*nt*nc)
 	clear(vsum)
-	tr := k.tileRows(sg)
+	tr := k.tileRows(sg, defaultDegridTileRows)
 	if par <= 1 || nt < 2 {
 		// Serial: direct calls, no closure (see gridSubgridTiled).
 		degridTiles(k, item, s, uvw, s, tr, vsum, tile)

@@ -166,7 +166,7 @@ func gridSubgridTiled[F floatT](k *Kernels, item plan.WorkItem, uvw []uvwsim.UVW
 		re[2][j], im[2][j] = F(real(v[2])), F(imag(v[2]))
 		re[3][j], im[3][j] = F(real(v[3])), F(imag(v[3]))
 	}
-	tr := k.tileRows(sg)
+	tr := k.tileRows(sg, defaultPixelTileRows)
 	if ntiles := (sg + tr - 1) / tr; par <= 1 || ntiles <= 1 {
 		// Serial fast path: direct tile calls, no closure — the parallel
 		// branch's fn escapes into worker goroutines, and that single

@@ -554,7 +554,7 @@ func TestPixelLanes32Decomposition(t *testing.T) {
 
 // TestFloat32DegridderTiersBitwise: what the avx512 tier's float32
 // degridder shares with the avx2 tier's, as bits, on an 18-pixel subgrid
-// (tiles of 72 and 36 pixels: a masked half register on both tiers, a
+// (four-row tiles of 72 and 36 pixels: a masked half register on both tiers, a
 // masked quarter ZMM and a masked half YMM). Both tiers run the fused
 // kernel with one per-lane text, so their phasors are the same bits: a
 // subgrid with one lit pixel predicts conj(phasor) * pixel with nothing
@@ -572,7 +572,7 @@ func TestFloat32DegridderTiersBitwise(t *testing.T) {
 		var got [2][]xmath.Matrix2
 		for i, tier := range []xmath.SIMDTier{xmath.SIMDAVX512, xmath.SIMDAVX2} {
 			k := tilingKernels(t, sg, nc, func(p *Params) {
-				p.Precision = Float32
+				p.Precision, p.pixelTileRows = Float32, 4
 				forceTier(tier)(p)
 				mod(p)
 			})

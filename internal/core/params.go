@@ -75,6 +75,13 @@ func (p Precision) String() string {
 // two-subgrid pass fans out across a dozen cores.
 const defaultPixelTileRows = 4
 
+// defaultDegridTileRows is the degridder's tile height: each (t, c)
+// folds its lane sums once per tile, so a taller tile folds less per
+// pixel. Eight rows of a 24-pixel subgrid (192 pixels) keep a tile's
+// planes and phasors in L1 in both precisions
+// (BenchmarkAblationDegridTileRows).
+const defaultDegridTileRows = 8
+
 // DefaultStreamChunkItems is the largest (and, for one-worker and
 // checkpointed passes, the only) derived number of work items per
 // chunk of a gridding or degridding pass. At the paper's subgrid size
@@ -179,8 +186,9 @@ type Params struct {
 	// pixelTileRows and visBlockTimesteps are the tiling seams the
 	// decomposition tests and ablation benchmarks sweep; passes leave
 	// both zero. pixelTileRows is the pixel-tile height in subgrid rows
-	// (<= 0 selects defaultPixelTileRows; SubgridSize or more runs every
-	// subgrid as one unit), visBlockTimesteps the time steps per
+	// of both directions (<= 0 selects defaultPixelTileRows and
+	// defaultDegridTileRows; SubgridSize or more runs every subgrid as
+	// one unit), visBlockTimesteps the time steps per
 	// visibility block of the gridder and per phasor seeding of the
 	// degridder (<= 0 selects an L1-sized block, pixBlockBytes). Results
 	// are identical for every value of either, but for the degridder's
@@ -397,17 +405,13 @@ func NewKernels(params Params) (*Kernels, error) {
 // Params returns a copy of the kernel parameters.
 func (k *Kernels) Params() Params { return k.params }
 
-// tileRows resolves the configured pixel-tile height for a subgrid of
-// the given row count.
-func (k *Kernels) tileRows(rows int) int {
-	tr := k.params.pixelTileRows
-	if tr <= 0 {
-		tr = defaultPixelTileRows
+// tileRows resolves the configured pixel-tile height, def unless the
+// seam sets one, for a subgrid of the given row count.
+func (k *Kernels) tileRows(rows, def int) int {
+	if tr := k.params.pixelTileRows; tr > 0 {
+		def = tr
 	}
-	if tr > rows {
-		tr = rows
-	}
-	return tr
+	return min(def, rows)
 }
 
 // uvOffset returns the uv offset of a subgrid anchored at (x0, y0), in
