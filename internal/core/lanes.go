@@ -71,8 +71,8 @@ func rotAccPixGo[F floatT](acc, r0, i0, r1, i1, r2, i2, r3, i3 *F, nc int, sn, c
 // rotConjAccGo is rotConjAccBlk64W/rotConjAccBlk32W in Go: per channel
 // pixel i accumulates into lane i mod 32/size with FUSED_VEC's sequence,
 // each sum's lanes fold pairwise and add once into dst[8*c:8*c+8], and
-// but after the last channel every phasor advances by its delta: the
-// phasors are left as the last channel's.
+// between channels every phasor advances by its delta: the phasors are
+// left as the last channel's.
 func rotConjAccGo[F floatT](dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch int) {
 	lanes := 32 / int(unsafe.Sizeof(*dst))
 	var v [8][]F // the planes re0, im0, re1, ..., stride bytes apart
@@ -100,7 +100,7 @@ func rotConjAccGo[F floatT](dst, phRe, phIm, dRe, dIm, planes *F, stride, n, nch
 			l[0][lane], l[1][lane], l[2][lane], l[3][lane] = s0, s1, s2, s3
 			l[4][lane], l[5][lane], l[6][lane], l[7][lane] = s4, s5, s6, s7
 		}
-		for i := range pr[:n*min(nch-1-c, 1)] { // none after the last channel
+		for i := 0; c < nch-1 && i < n; i++ {
 			cr, ci := pr[i], pi[i]
 			pi[i] = fmaLane(cr, di[i], F(ci*dr[i]))
 			pr[i] = fmaLane(-ci, di[i], F(cr*dr[i]))

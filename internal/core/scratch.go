@@ -58,10 +58,10 @@ type scratch struct {
 
 	// Batched sine/cosine staging of the tiles: phase arguments
 	// gathered into sArg and evaluated in one xmath.SincosVecAt call per
-	// (pixel group, visibility block) of the gridder and per time step of
-	// the degridder (results land in sSin/sCos, or directly in the
-	// float64 phasor buffers). Arguments and results stay float64 in
-	// both precisions, like the phase tables above.
+	// (pixel group, visibility block) of the gridder, into sSin/sCos, and
+	// per block of time steps of the degridder, into its phasors of the
+	// kernel precision. Arguments stay float64 in both precisions, like
+	// the phase tables above.
 	sArg, sSin, sCos []float64
 
 	// sums holds a float32 gridder tile's sums widened to float64, eight

@@ -16,17 +16,16 @@ import (
 // on the kernel parameters — never on the hint or on scheduling — so
 // results are reproducible run to run.
 
-// runTiles executes fn(ts, i0, i1) for every unit [i0, i1) of unit
-// rows of an n-row range — the pixel tiles of a subgrid (the gridder),
+// runTiles executes fn(ts, i0, i1) for every unit [i0, i1) of tr rows
+// of a rows-row range — the pixel tiles of a subgrid (the gridder),
 // or spans of time steps (the degridder) — fanning the units out over
 // up to par goroutines (including the calling one). Each invocation gets
 // a scratch arena it owns for the duration of the call: the caller's
 // own s, or one checked out of the kernel pool for the extra workers. fn
 // must confine writes to that scratch and to its unit's disjoint output
-// range. A panic
-// inside fn is re-raised on the calling goroutine after all tiles
-// settle, preserving the per-item panic isolation of the pipeline
-// (faulttol.Run wraps the caller).
+// range. A panic inside fn is re-raised on the calling goroutine after
+// all units settle, preserving the per-item panic isolation of the
+// pipeline (faulttol.Run wraps the caller).
 func (k *Kernels) runTiles(s *scratch, par, rows, tr int, fn func(ts *scratch, row0, row1 int)) {
 	ntiles := (rows + tr - 1) / tr
 	if par > ntiles {
