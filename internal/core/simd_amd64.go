@@ -113,7 +113,10 @@ func stageArgsW(arg *float64, stride int, pIdx, off *float64, scale float64, npi
 // channel it adds the eight sums over the n pixels (planes re0, im0, re1,
 // ... stride bytes apart at planes; each folded
 // ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), or (l0+l1)+(l2+l3)) into
-// dst[8*c:8*c+8] and advances phRe/phIm in place by dRe/dIm.
+// dst[8*c:8*c+8]; between channels phRe/phIm advance in place by
+// dRe/dIm, so they are left as the last channel's. The ZMM form sweeps
+// two channels per pass over the pixels, with the same per-lane
+// operations.
 //
 //go:noescape
 func rotConjAccOctsBlk64(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch int)
@@ -125,7 +128,8 @@ func rotConjAccBlk64W(dst, phRe, phIm, dRe, dIm, planes *float64, stride, n, nch
 // instruction (eight at YMM). Per channel each of the eight
 // sums folds its sixteen lanes as m(i) = l(i) + l(i+8), then
 // ((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7)) — its eight lanes as the m — and
-// is added once into dst[8*c:8*c+8]; phRe/phIm advance in place.
+// is added once into dst[8*c:8*c+8]; phRe/phIm advance in place
+// between channels.
 //
 //go:noescape
 func rotConjAccBlk32(dst, phRe, phIm, dRe, dIm, planes *float32, stride, n, nch int)
