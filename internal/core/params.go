@@ -188,11 +188,11 @@ type Params struct {
 	// both zero. pixelTileRows is the pixel-tile height in subgrid rows
 	// of both directions (<= 0 selects defaultPixelTileRows and
 	// defaultDegridTileRows; SubgridSize or more runs every subgrid as
-	// one unit), visBlockTimesteps the time steps per
-	// visibility block of the gridder and per phasor seeding of the
-	// degridder (<= 0 selects an L1-sized block, pixBlockBytes). Results
-	// are identical for every value of either, but for the degridder's
-	// tile height, which reassociates its pixel sums.
+	// one unit), visBlockTimesteps the time steps per visibility block
+	// of the gridder and per phasor seeding of the degridder (<= 0
+	// selects an L1-sized block, pixBlockBytes). Results are identical
+	// for every value of either, but for the degridder's tile height,
+	// which reassociates its pixel sums.
 	pixelTileRows, visBlockTimesteps int
 }
 
