@@ -1,9 +1,9 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// batch-blocked kernels vs the naive Algorithm 1/2 loops, the
-// row-parallel adder vs a lock-serialized one, the subgrid size, and
-// the channel count (the SIMD reduction width of Listing 1). The
-// pixel-tile and visibility-block sweeps sit beside their unexported
-// knobs, in internal/core (tiling_bench_test.go).
+// kernel precision, the row-parallel adder vs a lock-serialized one,
+// the subgrid size and the work-item time bound. The sweeps that set
+// unexported seams (batching, the phasor recurrence against the
+// channel count, pixel tiles, visibility blocks) sit beside them, in
+// internal/core (tiling_bench_test.go).
 package repro
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/plan"
 	"repro/internal/uvwsim"
@@ -68,18 +67,6 @@ func runGridderAblation(b *testing.B, params Params) {
 	b.ReportMetric(float64(b.N)*float64(item.NrVisibilities())/b.Elapsed().Seconds()/1e6, "MVis/s")
 }
 
-// BenchmarkAblationBatching compares the batch-blocked kernels
-// (Section V-B optimizations: transposition, planar re/im, batched
-// sincos) against the naive Algorithm 1 transcription.
-func BenchmarkAblationBatching(b *testing.B) {
-	b.Run("batched", func(b *testing.B) {
-		runGridderAblation(b, Params{})
-	})
-	b.Run("reference", func(b *testing.B) {
-		runGridderAblation(b, Params{DisableBatching: true})
-	})
-}
-
 // BenchmarkAblationPrecision compares the float64 and float32 compute
 // paths of the batch-blocked gridder (same uvw/vis workload).
 func BenchmarkAblationPrecision(b *testing.B) {
@@ -100,47 +87,6 @@ func BenchmarkAblationSubgridSize(b *testing.B) {
 			runGridderAblation(b, Params{SubgridSize: n})
 		})
 	}
-}
-
-// BenchmarkAblationChannelCount sweeps the channel block width of the
-// inner reduction (Listing 1: vectorization works best when the
-// channel count matches the SIMD width). Every uniform comb runs twice
-// per precision: as dispatched and with the recurrence disabled (one
-// evaluated phasor per sample) — the measurement core's one selection
-// threshold, phasorMinChannels, is set from: how the pixel-lane
-// gridLanesPix seeds its phasors in both precisions on every tier, its
-// Go lanes under IDG_SIMD=scalar, YMM under IDG_SIMD=avx2, ZMM on the
-// avx512 tier (it has no other rule about the channel count: 9, 33 and
-// 66 are there for the channel tail and the second resync chunk). The
-// non-uniform comb has only the direct form.
-func BenchmarkAblationChannelCount(b *testing.B) {
-	comb := func(nc int, jitter float64) []float64 {
-		freqs := make([]float64, nc)
-		for i := range freqs {
-			freqs[i] = 150e6 + float64(i)*200e3 + jitter*float64(i%3)
-		}
-		return freqs
-	}
-	for _, nc := range []int{1, 2, 3, 4, 5, 8, 9, 16, 24, 33, 64, 66} {
-		for _, prec := range []Precision{core.Float64, Float32} {
-			name := fmt.Sprintf("c=%d", nc)
-			if prec == Float32 {
-				name += "/f32"
-			}
-			b.Run(name, func(b *testing.B) {
-				runGridderAblation(b, Params{Frequencies: comb(nc, 0), Precision: prec})
-			})
-			b.Run(name+"/direct", func(b *testing.B) {
-				runGridderAblation(b, Params{Frequencies: comb(nc, 0), Precision: prec, DisablePhasorRecurrence: true})
-			})
-		}
-	}
-	b.Run("c=16/nonuniform", func(b *testing.B) {
-		runGridderAblation(b, Params{Frequencies: comb(16, 30e3)})
-	})
-	b.Run("c=16/nonuniform/f32", func(b *testing.B) {
-		runGridderAblation(b, Params{Frequencies: comb(16, 30e3), Precision: Float32})
-	})
 }
 
 // BenchmarkAblationAdder compares the paper's row-parallel adder
@@ -206,7 +152,7 @@ func BenchmarkAblationTmax(b *testing.B) {
 			var times StageTimes
 			for i := 0; i < b.N; i++ {
 				g := grid.NewGrid(cfg.GridSize)
-				t, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g)
+				t, _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, obs.Kernels.NewShardedGrid(g), FaultConfig{}, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -418,14 +418,14 @@ func BenchmarkFullGriddingPass(b *testing.B) {
 	// per pass, and one warm-up pass fills the kernel scratch/subgrid
 	// pools, so allocs/op reflects the warm pipeline hot path.
 	g := grid.NewGrid(obs.Config.GridSize)
-	if _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g); err != nil {
+	if _, _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, obs.Kernels.NewShardedGrid(g), FaultConfig{}, nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var times StageTimes
 	for i := 0; i < b.N; i++ {
 		g.Zero()
-		t, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g)
+		t, _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, obs.Kernels.NewShardedGrid(g), FaultConfig{}, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,19 +439,19 @@ func BenchmarkFullGriddingPass(b *testing.B) {
 func BenchmarkFullDegriddingPass(b *testing.B) {
 	obs := mustBenchObs(b)
 	g := grid.NewGrid(obs.Config.GridSize)
-	if _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, g); err != nil {
+	if _, _, err := obs.Kernels.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, obs.Kernels.NewShardedGrid(g), FaultConfig{}, nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	out := core.MustNewVisibilitySet(obs.Vis.Baselines, obs.Vis.UVW, obs.Vis.NrChannels)
 	// Warm-up pass: fills the kernel scratch/subgrid pools so the timed
 	// iterations measure the steady state.
-	if _, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g); err != nil {
+	if _, _, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g, FaultConfig{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var times StageTimes
 	for i := 0; i < b.N; i++ {
-		t, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g)
+		t, _, err := obs.Kernels.DegridVisibilities(context.Background(), obs.Plan, out, nil, g, FaultConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -257,7 +257,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	_, predFaults, err := obs.Kernels.DegridVisibilitiesFT(ctx, obs.Plan, predicted, nil, mg, ft)
+	_, predFaults, err := obs.Kernels.DegridVisibilities(ctx, obs.Plan, predicted, nil, mg, ft)
 	if err != nil {
 		fail(err)
 	}

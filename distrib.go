@@ -82,11 +82,6 @@ type DistribWorkerOptions struct {
 	// chunk (<= 0: the scheduler default). Small partitions need small
 	// chunks for checkpoints — and kills — to land mid-stream.
 	ChunkItems int
-	// ReferenceKernels runs the reference (unbatched) kernel path, so
-	// the partial's bits do not depend on host FMA/AVX2 dispatch — the
-	// setting under which a 1-worker distributed run reproduces the
-	// committed golden grid hash exactly.
-	ReferenceKernels bool
 	// MaxFramePayload caps reduction frames (<= 0:
 	// frame.DefaultMaxPayload); a cap below one band row of the grid
 	// plus the band header is a *ConfigError.
@@ -135,16 +130,13 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 	if o.Plan, err = distrib.FilterPlan(o.Plan, opt.Axis, opt.Workers, opt.Index); err != nil {
 		return times, err
 	}
-	if opt.CrashHook != nil || opt.ChunkItems > 0 || opt.ReferenceKernels {
+	if opt.CrashHook != nil || opt.ChunkItems > 0 {
 		p := o.Kernels.Params()
 		if opt.CrashHook != nil {
 			p.CheckpointHook = opt.CrashHook
 		}
 		if opt.ChunkItems > 0 {
 			p.StreamChunkItems = opt.ChunkItems
-		}
-		if opt.ReferenceKernels {
-			p.DisableBatching = true
 		}
 		if o.Kernels, err = NewKernels(p); err != nil {
 			return times, err
@@ -226,9 +218,6 @@ type DistribOptions struct {
 	// ChunkItems overrides each worker's streamed chunk size
 	// (<= 0: the scheduler default).
 	ChunkItems int
-	// ReferenceKernels runs every worker on the reference (unbatched)
-	// kernel path; see DistribWorkerOptions.ReferenceKernels.
-	ReferenceKernels bool
 	// MaxFramePayload caps reduction frames (<= 0:
 	// frame.DefaultMaxPayload); a cap below one band row of the grid
 	// plus the band header is a *ConfigError.
@@ -311,17 +300,16 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 				}
 			}()
 			w := DistribWorkerOptions{
-				Config:           opt.Config,
-				Model:            opt.Model,
-				Workers:          spec.Workers,
-				Index:            spec.Index,
-				Axis:             spec.Axis,
-				Resume:           spec.Resume,
-				CoordinatorAddr:  spec.CoordinatorAddr,
-				Fault:            opt.Fault,
-				ChunkItems:       opt.ChunkItems,
-				ReferenceKernels: opt.ReferenceKernels,
-				MaxFramePayload:  opt.MaxFramePayload,
+				Config:          opt.Config,
+				Model:           opt.Model,
+				Workers:         spec.Workers,
+				Index:           spec.Index,
+				Axis:            spec.Axis,
+				Resume:          spec.Resume,
+				CoordinatorAddr: spec.CoordinatorAddr,
+				Fault:           opt.Fault,
+				ChunkItems:      opt.ChunkItems,
+				MaxFramePayload: opt.MaxFramePayload,
 			}
 			if opt.CheckpointRoot != "" {
 				w.CheckpointDir = filepath.Join(opt.CheckpointRoot, fmt.Sprintf("worker%02d", spec.Index))

@@ -61,16 +61,15 @@ func distribExecWorker() {
 		os.Exit(1)
 	}
 	opt := DistribWorkerOptions{
-		Config:           cfg,
-		Model:            distribGoldenModel(o),
-		Workers:          geti("REPRO_DISTRIB_WORKERS"),
-		Index:            geti("REPRO_DISTRIB_INDEX"),
-		Axis:             axis,
-		Resume:           os.Getenv("REPRO_DISTRIB_RESUME") == "1",
-		CoordinatorAddr:  os.Getenv("REPRO_DISTRIB_COORD"),
-		CheckpointDir:    os.Getenv("REPRO_DISTRIB_CKPT"),
-		ChunkItems:       8,
-		ReferenceKernels: true,
+		Config:          cfg,
+		Model:           distribGoldenModel(o),
+		Workers:         geti("REPRO_DISTRIB_WORKERS"),
+		Index:           geti("REPRO_DISTRIB_INDEX"),
+		Axis:            axis,
+		Resume:          os.Getenv("REPRO_DISTRIB_RESUME") == "1",
+		CoordinatorAddr: os.Getenv("REPRO_DISTRIB_COORD"),
+		CheckpointDir:   os.Getenv("REPRO_DISTRIB_CKPT"),
+		ChunkItems:      8,
 	}
 	if os.Getenv("REPRO_DISTRIB_KILL") == "1" {
 		opt.CrashHook = faultinject.CrashHook(checkpoint.EventBeforeRename, -1)

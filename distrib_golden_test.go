@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/distrib"
 )
 
@@ -57,26 +56,20 @@ func distribGoldenOptions(t *testing.T, workers int, axis DistribAxis) DistribOp
 		t.Fatal(err)
 	}
 	return DistribOptions{
-		Config:           cfg,
-		Model:            distribGoldenModel(o),
-		Workers:          workers,
-		Axis:             axis,
-		ReferenceKernels: true,
+		Config:  cfg,
+		Model:   distribGoldenModel(o),
+		Workers: workers,
+		Axis:    axis,
 	}
 }
 
 // distribSerialReference grids cfg's observation of the golden model
-// single-process on the reference kernels through the streamed
-// scheduler (for distribGoldenConfig, the goldenObservation path).
+// single-process through the pass every caller runs (for
+// distribGoldenConfig, the goldenObservation path).
 func distribSerialReference(t *testing.T, cfg ObservationConfig) *Grid {
 	t.Helper()
 	o, err := cfg.Build()
 	if err != nil {
-		t.Fatal(err)
-	}
-	p := o.Kernels.Params()
-	p.DisableBatching = true
-	if o.Kernels, err = core.NewKernels(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.FillFromModel(distribGoldenModel(o)); err != nil {

@@ -341,7 +341,7 @@ func TestDistribBuildsGeometryOnce(t *testing.T) {
 	opt.Launcher = DistribLauncherFunc(func(ctx context.Context, spec DistribWorkerSpec) error {
 		_, err := RunDistribWorker(ctx, DistribWorkerOptions{
 			Config: opt.Config, Model: opt.Model, Workers: spec.Workers, Index: spec.Index, Axis: spec.Axis,
-			CoordinatorAddr: spec.CoordinatorAddr, ReferenceKernels: true,
+			CoordinatorAddr: spec.CoordinatorAddr,
 		})
 		return err
 	})
@@ -529,7 +529,7 @@ func TestDistribSummaryWorkerTimes(t *testing.T) {
 	opt.Launcher = DistribLauncherFunc(func(ctx context.Context, spec DistribWorkerSpec) error {
 		_, err := RunDistribWorker(ctx, DistribWorkerOptions{
 			Config: opt.Config, Model: opt.Model, Workers: spec.Workers, Index: spec.Index, Axis: spec.Axis,
-			CoordinatorAddr: spec.CoordinatorAddr, ReferenceKernels: true,
+			CoordinatorAddr: spec.CoordinatorAddr,
 		})
 		return err
 	})

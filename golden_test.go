@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -32,10 +31,11 @@ type goldenGrid = GridFingerprint
 
 // goldenObservation builds the fixed observation the golden file is
 // keyed to. Everything that could perturb the output bits is pinned:
-// the station layout seed is constant (layout.SKA1LowConfig), Workers
-// is 1 so floating-point accumulation order is the serial order, and
-// the kernels run the reference path (DisableBatching) so the hash
-// does not depend on host FMA/AVX2 dispatch.
+// the station layout seed is constant (layout.SKA1LowConfig) and
+// Workers is 1 so floating-point accumulation order is the serial
+// order. The kernels are the production tiles: every SIMD tier grids
+// the same float64 bits, so one hash holds on every host (CI checks it
+// under IDG_SIMD=scalar and avx2 too).
 func goldenObservation(t *testing.T) *Observation {
 	t.Helper()
 	cfg := ObservationConfig{
@@ -55,13 +55,6 @@ func goldenObservation(t *testing.T) *Observation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := o.Kernels.Params()
-	p.DisableBatching = true
-	k, err := core.NewKernels(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Kernels = k
 	pix := o.ImageSize / float64(cfg.GridSize)
 	model := SkyModel{
 		{L: 20 * pix, M: -12 * pix, I: 1},

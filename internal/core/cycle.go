@@ -97,7 +97,7 @@ func (k *Kernels) RunImagingCycle(ctx context.Context, p *plan.Plan, vs *Visibil
 		// Image the residual visibilities.
 		cstart := k.ob.now()
 		g := grid.NewGrid(n)
-		t, rep, err := k.GridVisibilitiesFT(ctx, p, vs, cfg.ATerms, g, cfg.FaultTolerance)
+		t, rep, err := k.GridVisibilities(ctx, p, vs, cfg.ATerms, k.NewShardedGrid(g), cfg.FaultTolerance, nil, 0)
 		res.Faults.Merge(rep)
 		if err != nil {
 			return nil, err
@@ -142,7 +142,7 @@ func (k *Kernels) RunImagingCycle(ctx context.Context, p *plan.Plan, vs *Visibil
 		if err != nil {
 			return nil, err
 		}
-		t, rep, err = k.DegridVisibilitiesFT(ctx, p, predicted, cfg.ATerms, mg, cfg.FaultTolerance)
+		t, rep, err = k.DegridVisibilities(ctx, p, predicted, cfg.ATerms, mg, cfg.FaultTolerance)
 		res.Faults.Merge(rep)
 		if err != nil {
 			return nil, err

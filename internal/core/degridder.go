@@ -25,10 +25,7 @@ func (k *Kernels) DegridSubgrid(item plan.WorkItem, in *grid.Subgrid, uvw []uvws
 // gridSubgridScratch).
 func (k *Kernels) degridSubgridScratch(item plan.WorkItem, in *grid.Subgrid, uvw []uvwsim.UVW, a jones, vis []xmath.Matrix2, s *scratch, par int) {
 	k.checkItem(item, uvw, vis)
-	if k.params.DisableBatching {
-		if k.ob.enabled() {
-			k.ob.kernelPath(k.ob.pathRef)
-		}
+	if k.params.disableBatching {
 		k.degridSubgridReference(item, in, uvw, a, vis)
 		return
 	}

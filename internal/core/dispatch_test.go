@@ -96,7 +96,7 @@ func TestDispatchPerTier(t *testing.T) {
 		in, pixAmp := randomSubgrid(sg, item, 107)
 		ref := tilingKernels(t, sg, nc, func(p *Params) {
 			sh.mod(p)
-			p.DisableBatching = true
+			p.disableBatching = true
 		})
 		want := grid.NewSubgrid(sg, item.X0, item.Y0)
 		ref.GridSubgrid(item, uvw, vis, nil, nil, want)
@@ -296,10 +296,10 @@ func TestShortAndNonUniformItemsTakeVectorPath(t *testing.T) {
 		s, ob := observedScenario(t, sc)
 		s.fillFromModel(nil)
 		g := grid.NewGrid(s.plan.GridSize)
-		if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+		if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+		if _, err := degridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g); err != nil {
 			t.Fatal(err)
 		}
 		snap := ob.Metrics.Snapshot()

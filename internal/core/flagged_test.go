@@ -51,11 +51,11 @@ func TestFlaggedSamplesAreZeroWeightInGridding(t *testing.T) {
 	}
 
 	g1 := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g1); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g1); err != nil {
 		t.Fatal(err)
 	}
 	g2 := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, zeroed, nil, g2); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, zeroed, nil, g2); err != nil {
 		t.Fatal(err)
 	}
 	for c := range g1.Data {
@@ -77,7 +77,7 @@ func TestDegriddingWritesZerosAtFlaggedSamples(t *testing.T) {
 	s := buildScenario(t, sc)
 	s.fillFromModel(nil)
 	g := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,7 +85,7 @@ func TestDegriddingWritesZerosAtFlaggedSamples(t *testing.T) {
 	if flagEveryNth(out, 5) == 0 {
 		t.Fatal("nothing flagged")
 	}
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, out, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, out, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	zeros, nonzeros := 0, 0
@@ -134,7 +134,7 @@ func TestGridderDegridderAdjointWithFlags(t *testing.T) {
 	}
 
 	gv := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, gv); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, gv); err != nil {
 		t.Fatal(err)
 	}
 	var lhs complex128
@@ -146,7 +146,7 @@ func TestGridderDegridderAdjointWithFlags(t *testing.T) {
 
 	vsOut := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
 	vsOut.Flags = s.vs.Flags // same mask on the degridding side
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, vsOut, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, vsOut, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	// Flagged entries of vsOut are exactly zero, so summing over all
@@ -251,7 +251,7 @@ func TestFlaggedRoundtripRecoversUnflaggedSamples(t *testing.T) {
 	mg := ImageToGrid(img, 0)
 	out := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
 	out.Flags = s.vs.Flags
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, out, nil, mg); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, out, nil, mg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +259,7 @@ func TestFlaggedRoundtripRecoversUnflaggedSamples(t *testing.T) {
 	// unflagged sample: the mask only zeroes its own entries.
 	var maxErr float64
 	ref := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, ref, nil, mg); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, ref, nil, mg); err != nil {
 		t.Fatal(err)
 	}
 	for b := range out.Data {

@@ -35,10 +35,7 @@ func (k *Kernels) GridSubgrid(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.
 func (k *Kernels) gridSubgridScratch(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, a jones, out *grid.Subgrid, s *scratch, par int) {
 	k.checkItem(item, uvw, vis)
 	out.X0, out.Y0, out.WOffset = item.X0, item.Y0, item.WOffset
-	if k.params.DisableBatching {
-		if k.ob.enabled() {
-			k.ob.kernelPath(k.ob.pathRef)
-		}
+	if k.params.disableBatching {
 		k.gridSubgridReference(item, uvw, vis, a, out)
 		return
 	}
@@ -100,7 +97,8 @@ func (k *Kernels) checkItem(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Ma
 }
 
 // gridSubgridReference is the direct transcription of Algorithm 1,
-// kept as the correctness reference and the "no batching" ablation.
+// kept as the correctness reference and the "no batching" ablation
+// (Params.disableBatching).
 func (k *Kernels) gridSubgridReference(item plan.WorkItem, uvw []uvwsim.UVW, vis []xmath.Matrix2, a jones, out *grid.Subgrid) {
 	sg := k.params.SubgridSize
 	uOff, vOff := k.uvOffset(item.X0, item.Y0)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/aterm"
+	"repro/internal/faulttol"
 	"repro/internal/grid"
 	"repro/internal/layout"
 	"repro/internal/plan"
@@ -13,6 +15,19 @@ import (
 	"repro/internal/uvwsim"
 	"repro/internal/xmath"
 )
+
+// gridPlain runs the gridding pass fail-fast onto g, sharded as the
+// kernels' Params say: the plain case of GridVisibilities.
+func gridPlain(ctx context.Context, k *Kernels, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
+	t, _, err := k.GridVisibilities(ctx, p, vs, prov, k.NewShardedGrid(g), faulttol.Config{}, nil, 0)
+	return t, err
+}
+
+// degridPlain runs the degridding pass fail-fast from g.
+func degridPlain(ctx context.Context, k *Kernels, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
+	t, _, err := k.DegridVisibilities(ctx, p, vs, prov, g, faulttol.Config{})
+	return t, err
+}
 
 // scenario bundles everything an end-to-end test needs.
 type scenario struct {
@@ -154,9 +169,9 @@ func (s *scenario) dirtyImage(tb testing.TB, prov interface {
 	g := grid.NewGrid(s.plan.GridSize)
 	var err error
 	if prov == nil {
-		_, err = s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g)
+		_, err = gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g)
 	} else {
-		_, err = s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, prov, g)
+		_, err = gridPlain(context.Background(), s.kernels, s.plan, s.vs, prov, g)
 	}
 	if err != nil {
 		tb.Fatal(err)

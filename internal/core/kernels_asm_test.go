@@ -500,7 +500,7 @@ var shortShapes = []itemShape{
 	{"one channel", 9, 1, func(*Params) {}},
 	{"two channels", 8, 2, func(*Params) {}},
 	{"non-uniform comb", 7, len(nonUniformComb), func(p *Params) { p.Frequencies = nonUniformComb }},
-	{"recurrence disabled", 6, 16, func(p *Params) { p.DisablePhasorRecurrence = true }},
+	{"recurrence disabled", 6, 16, func(p *Params) { p.disablePhasorRecurrence = true }},
 }
 
 // shortAndUniformShapes is shortShapes followed by uniform combs of nt

@@ -336,13 +336,13 @@ func TestChannelSpecializationsMatchReference(t *testing.T) {
 			}
 			params := Params{
 				GridSize: 256, SubgridSize: 16, ImageSize: 0.1, Frequencies: freqs,
-				DisablePhasorRecurrence: true,
+				disablePhasorRecurrence: true,
 			}
 			batched, err := NewKernels(params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			params.DisableBatching = true
+			params.disableBatching = true
 			ref, err := NewKernels(params)
 			if err != nil {
 				t.Fatal(err)

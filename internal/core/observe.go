@@ -35,7 +35,7 @@ type kernelObs struct {
 
 	// Kernel dispatch-path counters (which code path actually ran:
 	// essential when a perf number surprises).
-	pathRef, pathVec, pathVec32 *obs.Counter
+	pathVec, pathVec32 *obs.Counter
 
 	// Sharded-grid and streaming-scheduler instruments.
 	shardLocks, shardContended *obs.Counter
@@ -72,7 +72,6 @@ func newKernelObs(o *obs.Observer) *kernelObs {
 		ko.cycles = r.Counter(obs.MetricMajorCycles)
 		ko.residualPeak = r.Gauge(obs.GaugeResidualPeak)
 		ko.itemSeconds, _ = r.Histogram(obs.HistItemSeconds, obs.DurationBuckets)
-		ko.pathRef = r.Counter(obs.MetricKernelPathReference)
 		ko.pathVec = r.Counter(obs.MetricKernelPathVector)
 		ko.pathVec32 = r.Counter(obs.MetricKernelPathVector32)
 		ko.shardLocks = r.Counter(obs.MetricShardLocks)

@@ -38,10 +38,10 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 	s.fillFromModel(nil)
 	ctx := context.Background()
 	g := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(ctx, s.plan, s.vs, nil, g); err != nil {
+	if _, err := gridPlain(ctx, s.kernels, s.plan, s.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.kernels.DegridVisibilities(ctx, s.plan, s.vs, nil, g); err != nil {
+	if _, err := degridPlain(ctx, s.kernels, s.plan, s.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,8 +74,7 @@ func TestObserverStageCountsMatchPlan(t *testing.T) {
 	}
 	// Kernel dispatch-path counters must add up to one invocation per
 	// item per pipeline.
-	paths := snap.Counters[obs.MetricKernelPathReference] +
-		snap.Counters[obs.MetricKernelPathVector] +
+	paths := snap.Counters[obs.MetricKernelPathVector] +
 		snap.Counters[obs.MetricKernelPathVector32]
 	if paths != 2*nItems {
 		t.Errorf("kernel path counters sum to %d, want %d", paths, 2*nItems)
@@ -101,12 +100,12 @@ func TestObserverGridEpilogueCounter(t *testing.T) {
 	s, ob := observedScenario(t, defaultScenarioConfig())
 	s.fillFromModel(nil)
 	g := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, aterm.Identity{}, g); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, aterm.Identity{}, g); err != nil {
 		t.Fatal(err)
 	}
 	snap := ob.Metrics.Snapshot()
 	gridItems := snap.Histograms[obs.HistItemSeconds].Sum
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, s.vs, aterm.Identity{}, g); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, s.vs, aterm.Identity{}, g); err != nil {
 		t.Fatal(err)
 	}
 	snap = ob.Metrics.Snapshot()
@@ -131,7 +130,7 @@ func TestObserverTraceRoundTrip(t *testing.T) {
 	s, ob := observedScenario(t, defaultScenarioConfig())
 	s.fillFromModel(nil)
 	g := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +209,7 @@ func TestObserverFlaggedAndFaultCounts(t *testing.T) {
 		},
 	}
 	g := grid.NewGrid(s.plan.GridSize)
-	_, rep, err := s.kernels.GridVisibilitiesFT(context.Background(), s.plan, s.vs, nil, g, ft)
+	_, rep, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, s.kernels.NewShardedGrid(g), ft, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,18 +163,16 @@ type Params struct {
 	// crash-injection seam of the kill-and-resume chaos tests — a hook
 	// may panic to simulate a kill; nil in production.
 	CheckpointHook checkpoint.Hook
-	// DisableBatching selects the straightforward reference kernels
-	// instead of the batch-blocked ones: the scalar oracle whose bits do
-	// not depend on host FMA/SIMD dispatch (the committed golden grid
-	// hash is computed with it; results are identical to rounding).
-	DisableBatching bool
-	// DisablePhasorRecurrence forces one sine/cosine evaluation per
-	// (pixel, time step, channel) even when the channel spacing is
-	// uniform, instead of the phasor rotation recurrence (the oracle of
-	// the recurrence's error bound; the results are identical to within
-	// xmath.PhasorErrorBound).
-	DisablePhasorRecurrence bool
 
+	// disableBatching runs the direct transcriptions of Algorithms 1
+	// and 2 (gridSubgridReference, degridSubgridReference) instead of
+	// the tiles: the oracle of the decomposition, sandwich and
+	// recurrence tests (results identical to rounding).
+	// disablePhasorRecurrence forces one sine/cosine evaluation per
+	// (pixel, time step, channel) on uniformly spaced channels too: the
+	// oracle of the recurrence's error bound (xmath.PhasorErrorBound).
+	// Test seams, like the ones below; no pass sets them.
+	disableBatching, disablePhasorRecurrence bool
 	// forceSIMD pins the dispatch tier of this Kernels value,
 	// overriding xmath.ActiveSIMD (still clamped to the detected
 	// hardware: forcing an unsupported tier would fault). It is the
@@ -381,7 +379,7 @@ func NewKernels(params Params) (*Kernels, error) {
 	// tolerance is tight (1e-12 of the band spread) so that treating a
 	// nearly-uniform plan as uniform could never move a phase by more
 	// than ~1e-10 rad over the kernels' argument range.
-	if df, ok := xmath.UniformSpacing(params.Frequencies, 1e-12); ok && !params.DisablePhasorRecurrence {
+	if df, ok := xmath.UniformSpacing(params.Frequencies, 1e-12); ok && !params.disablePhasorRecurrence {
 		k.uniformScale = true
 		k.dscale = 2 * math.Pi * df / uvwsim.SpeedOfLight
 	}

@@ -30,13 +30,13 @@ func recurrenceTestSetup(t *testing.T, nc int) (rec, direct *Kernels) {
 	if !rec.uniformScale {
 		t.Fatal("uniform channel comb not detected")
 	}
-	params.DisablePhasorRecurrence = true
+	params.disablePhasorRecurrence = true
 	direct, err = NewKernels(params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.uniformScale {
-		t.Fatal("DisablePhasorRecurrence must force the direct path")
+		t.Fatal("disablePhasorRecurrence must force the direct path")
 	}
 	return rec, direct
 }
@@ -184,7 +184,7 @@ func TestRecurrenceFallbackNonUniform(t *testing.T) {
 	if k.useRecurrence(len(freqs)) {
 		t.Fatal("useRecurrence must report false for non-uniform channels")
 	}
-	params.DisableBatching = true
+	params.disableBatching = true
 	ref, err := NewKernels(params)
 	if err != nil {
 		t.Fatal(err)

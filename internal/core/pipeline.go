@@ -135,9 +135,6 @@ func (vs *VisibilitySet) NrFlagged() int64 {
 	return n
 }
 
-// ClearFlags drops the flag mask.
-func (vs *VisibilitySet) ClearFlags() { vs.Flags = nil }
-
 // gather copies the visibilities covered by a work item into dst
 // (layout [t*item.NrChannels + c]), zeroing flagged samples so they
 // enter the gridder with zero weight. Flagged samples are zeroed
@@ -260,50 +257,21 @@ func (k *Kernels) prefillATerms(cache *aterm.Cache, items []plan.WorkItem, basel
 	cache.Fill(keys, k.params.workers())
 }
 
-// GridVisibilities runs the full gridding pass of Fig. 4 — gridder
-// kernel, subgrid FFTs, adder — as a stream of chunks over the plan's
-// work (see gridStreamed). The grid is accumulated into (callers zero
-// it first for a fresh pass). It returns per-stage timings. The context
-// cancels or deadline-bounds the run (the error then wraps
-// faulttol.ErrCanceled); item failures abort the run (fail-fast) — use
-// GridVisibilitiesFT for other policies.
-func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
-	times, _, err := k.GridVisibilitiesFT(ctx, p, vs, prov, g, faulttol.Config{})
-	return times, err
-}
-
-// GridVisibilitiesFT is GridVisibilities under an explicit
-// fault-tolerance policy. A panicking kernel or a non-finite subgrid
-// becomes a typed per-item error instead of a crash; depending on
-// ft.Policy the item is skipped (graceful degradation,
-// accounted in the returned report) or aborts the run. The report is
-// always non-nil.
-func (k *Kernels) GridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	return k.GridVisibilitiesStreamed(ctx, p, vs, prov, k.NewShardedGrid(g), ft)
-}
-
-// DegridVisibilities runs the full degridding pass of Fig. 4 in
-// reverse order: splitter, inverse subgrid FFTs, degridder kernel.
-// Predicted visibilities overwrite vs.Data. The context cancels the
-// run; item failures abort it (fail-fast) — use DegridVisibilitiesFT
-// for other policies.
-func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid) (StageTimes, error) {
-	times, _, err := k.DegridVisibilitiesFT(ctx, p, vs, prov, g, faulttol.Config{})
-	return times, err
-}
-
-// DegridVisibilitiesFT is DegridVisibilities under an explicit
-// fault-tolerance policy; skipped items leave their visibility block
-// unwritten and are accounted in the returned report. It runs on the
-// pass scheduler (runChunks) without a checkpoint writer: each chunk
-// copies its subgrids out of g, which the pass only reads, so every
-// predicted visibility depends on g and its own item alone and the
-// output is the same for every chunking and worker count.
+// DegridVisibilities runs the degridding pass of Fig. 4 — splitter,
+// inverse subgrid FFTs, degridder kernel — and overwrites vs.Data with
+// the predicted visibilities. It is the one degridding pass every
+// caller runs. Item failures follow ft.Policy as in GridVisibilities;
+// skipped items leave their visibility block unwritten and are
+// accounted in the returned report. It runs on the pass scheduler
+// (runChunks) without a checkpoint writer: each chunk copies its
+// subgrids out of g, which the pass only reads, so every predicted
+// visibility depends on g and its own item alone and the output is the
+// same for every chunking and worker count.
 //
 // On a W-stacked plan g is taken to the image once, and each W-layer's
 // chunks split from that image times the layer's conjugate w screen,
-// back in uv (the inverse of gridStreamed's flushLayer).
-func (k *Kernels) DegridVisibilitiesFT(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
+// back in uv (the inverse of GridVisibilities' flushLayer).
+func (k *Kernels) DegridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, g *grid.Grid, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
 	rep := faulttol.NewReport(ft)
 	if err := k.checkPlan(p, vs, g.N); err != nil {
 		return StageTimes{}, rep, err

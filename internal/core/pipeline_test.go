@@ -27,7 +27,7 @@ func TestDegriddingMatchesMeasurementEquation(t *testing.T) {
 	img := s.model.Rasterize(s.plan.GridSize, s.plan.ImageSize)
 	g := ImageToGrid(img, 0)
 
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestGridderDegridderAdjoint(t *testing.T) {
 
 			// <G(v), g>
 			gv := grid.NewGrid(s.plan.GridSize)
-			if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, tc.prov, gv); err != nil {
+			if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, tc.prov, gv); err != nil {
 				t.Fatal(err)
 			}
 			var lhs complex128
@@ -155,7 +155,7 @@ func TestGridderDegridderAdjoint(t *testing.T) {
 
 			// <v, D(g)>
 			vsOut := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
-			if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, vsOut, tc.prov, g); err != nil {
+			if _, err := degridPlain(context.Background(), s.kernels, s.plan, vsOut, tc.prov, g); err != nil {
 				t.Fatal(err)
 			}
 			var rhs complex128
@@ -185,11 +185,11 @@ func TestIdentityATermsMatchNilFastPath(t *testing.T) {
 	s.fillFromModel(nil)
 
 	g1 := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g1); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g1); err != nil {
 		t.Fatal(err)
 	}
 	g2 := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, aterm.Identity{}, g2); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, aterm.Identity{}, g2); err != nil {
 		t.Fatal(err)
 	}
 	if d := g1.MaxAbsDiff(g2); d > 1e-9 {
@@ -241,18 +241,18 @@ func TestBatchedKernelsMatchReference(t *testing.T) {
 	s.fillFromModel(nil)
 
 	params := s.kernels.Params()
-	params.DisableBatching = true
+	params.disableBatching = true
 	ref, err := NewKernels(params)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	g1 := grid.NewGrid(s.plan.GridSize)
-	if _, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g1); err != nil {
+	if _, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g1); err != nil {
 		t.Fatal(err)
 	}
 	g2 := grid.NewGrid(s.plan.GridSize)
-	if _, err := ref.GridVisibilities(context.Background(), s.plan, s.vs, nil, g2); err != nil {
+	if _, err := gridPlain(context.Background(), ref, s.plan, s.vs, nil, g2); err != nil {
 		t.Fatal(err)
 	}
 	scale := math.Sqrt(g1.Norm2() / float64(g1.N*g1.N))
@@ -265,10 +265,10 @@ func TestBatchedKernelsMatchReference(t *testing.T) {
 	g := ImageToGrid(img, 0)
 	v1 := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
 	v2 := MustNewVisibilitySet(s.vs.Baselines, s.vs.UVW, s.vs.NrChannels)
-	if _, err := s.kernels.DegridVisibilities(context.Background(), s.plan, v1, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), s.kernels, s.plan, v1, nil, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.DegridVisibilities(context.Background(), s.plan, v2, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), ref, s.plan, v2, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	var maxD float64
@@ -293,7 +293,7 @@ func TestStageTimesAccounted(t *testing.T) {
 	s := buildScenario(t, sc)
 	s.fillFromModel(nil)
 	g := grid.NewGrid(s.plan.GridSize)
-	times, err := s.kernels.GridVisibilities(context.Background(), s.plan, s.vs, nil, g)
+	times, err := gridPlain(context.Background(), s.kernels, s.plan, s.vs, nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPipelineParameterMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.NewGrid(s.plan.GridSize * 2)
-	if _, err := other.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err == nil {
+	if _, err := gridPlain(context.Background(), other, s.plan, s.vs, nil, g); err == nil {
 		t.Fatal("expected grid-size mismatch error")
 	}
 }

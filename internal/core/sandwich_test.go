@@ -207,7 +207,7 @@ func TestEpilogueAndPrologueAgainstOracleKernels(t *testing.T) {
 					p, q = nil, nil
 				}
 				t.Run(fmt.Sprintf("%dx%d/%v/%s", nt, nc, prec, maps), func(t *testing.T) {
-					ref := tilingKernels(t, sg, nc, func(pr *Params) { pr.DisableBatching = true })
+					ref := tilingKernels(t, sg, nc, func(pr *Params) { pr.disableBatching = true })
 					want := grid.NewSubgrid(sg, item.X0, item.Y0)
 					ref.GridSubgrid(item, uvw, vis, p, q, want)
 					wv := make([]xmath.Matrix2, nt*nc)

@@ -165,7 +165,7 @@ func TestGriddingPassMatchesStageOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				g := grid.NewGrid(params.GridSize)
-				if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
+				if _, err := gridPlain(context.Background(), k, sc.plan, sc.vs, nil, g); err != nil {
 					t.Fatal(err)
 				}
 				if workers == 1 {
@@ -191,7 +191,7 @@ func TestGriddingPassMatchesStageOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, ref); err != nil {
+					if _, err := degridPlain(context.Background(), k, sc.plan, sc.vs, nil, ref); err != nil {
 						t.Fatal(err)
 					}
 					if got := hashVisibilities(sc.vs); want == "" {
@@ -223,7 +223,7 @@ func TestSmallPlanFansOutPixelTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.NewGrid(params.GridSize)
-	if _, err := k.GridVisibilities(context.Background(), &small, sc.vs, nil, g); err != nil {
+	if _, err := gridPlain(context.Background(), k, &small, sc.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	tiles := 0
@@ -255,7 +255,7 @@ func TestStreamedInflightMemoryBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.NewGrid(params.GridSize)
-	if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
+	if _, err := gridPlain(context.Background(), k, sc.plan, sc.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	peak := PeakInflightSubgrids(observer)
@@ -276,7 +276,7 @@ func TestStreamedInflightMemoryBound(t *testing.T) {
 	// Degridding runs on the same scheduler under the same bound.
 	peakGauge := observer.Metrics.Gauge(obs.GaugeStreamPeakSubgrids)
 	peakGauge.Set(0)
-	if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), k, sc.plan, sc.vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	if peak := PeakInflightSubgrids(observer); peak == 0 || peak > bound {
@@ -309,7 +309,7 @@ func TestStreamedSkipAndFlag(t *testing.T) {
 		},
 	}
 	sh := grid.NewSharded(grid.NewGrid(params.GridSize), params.GridShards)
-	_, rep, err := k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, ft)
+	_, rep, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, ft, nil, 0)
 	if err != nil {
 		t.Fatalf("streamed pass failed instead of degrading: %v", err)
 	}
@@ -328,7 +328,7 @@ func TestStreamedSkipAndFlag(t *testing.T) {
 	// SkipAndFlag must surface as an error.
 	ft.Policy = faulttol.FailFast
 	sh2 := grid.NewSharded(grid.NewGrid(params.GridSize), params.GridShards)
-	if _, _, err := k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh2, ft); err == nil {
+	if _, _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh2, ft, nil, 0); err == nil {
 		t.Fatal("fail-fast streamed pass swallowed the injected fault")
 	}
 }
@@ -395,7 +395,7 @@ func TestStreamedWStackedPlaneAttribution(t *testing.T) {
 	if len(planes) < 2 {
 		t.Fatalf("scenario produced %d W-layers, need >= 2", len(planes))
 	}
-	if _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
+	if _, err := gridPlain(context.Background(), k, sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
 		t.Fatal(err)
 	}
 	valid := map[int]bool{}

@@ -167,8 +167,8 @@ func TestStreamedRaceSoakWithFaults(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sh := k.NewShardedGrid(grid.NewGrid(params.GridSize))
-			_, reports[i], errs[i] = k.GridVisibilitiesStreamed(
-				context.Background(), sc.plan, sc.vs, nil, sh, ft)
+			_, reports[i], errs[i] = k.GridVisibilities(
+				context.Background(), sc.plan, sc.vs, nil, sh, ft, nil, 0)
 		}(i)
 	}
 	wg.Wait()

@@ -46,42 +46,23 @@ func (a *streamAccounting) release(subgrids int) (inflight int64) {
 	return a.inflight.Add(-1)
 }
 
-// GridVisibilitiesStreamed runs the gridding pass onto a caller-owned
-// sharded grid under an explicit fault-tolerance policy; it is the
-// entry point GridVisibilities and GridVisibilitiesFT wrap (they shard
-// the plain grid with NewShardedGrid). See gridStreamed for the pass
-// and DESIGN.md ("The pass scheduler") for its contracts.
+// GridVisibilities runs the gridding pass of Fig. 4 — gridder kernel,
+// subgrid FFTs, adder — onto the caller-owned sharded grid sh (callers
+// zero it first for a fresh pass; NewShardedGrid shards a plain grid),
+// on the chunk scheduler (runChunks, and DESIGN.md "The pass
+// scheduler"): each chunk runs gridder -> subgrid FFT -> adder on its
+// worker. It is the one gridding pass every caller runs.
 //
-// On cancellation the error matches both faulttol.ErrCanceled and the
-// context's cause, even when the cancellation surfaced inside a failing
-// work item. The grid then holds exactly the chunks whose add stage
-// completed before the cancellation — every value finite and correct,
-// but only a prefix-plus-stragglers subset of the plan — so a partial
-// grid is useful for checkpointing but not as an image.
-func (k *Kernels) GridVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config) (StageTimes, *faulttol.Report, error) {
-	rep := faulttol.NewReport(ft)
-	times, err := k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, 0)
-	return times, rep, err
-}
-
-// ResumeVisibilitiesStreamed continues a gridding pass whose chunks
-// [0, startChunk) are already accumulated onto sh — restored from a
-// checkpoint — processing only the remaining chunks. rep carries the
-// restored fault counters forward (nil allocates a fresh report). The
-// chunking must match the interrupted run (StreamChunkItems); with one
-// worker the resumed grid is bit-identical to an uninterrupted pass.
-func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
-	if rep == nil {
-		rep = faulttol.NewReport(ft)
-	}
-	if startChunk > 0 {
-		k.ob.checkpointRestored()
-	}
-	return k.gridStreamed(ctx, p, vs, prov, sh, ft, rep, startChunk)
-}
-
-// gridStreamed is the gridding pass on the chunk scheduler (runChunks):
-// each chunk runs gridder -> subgrid FFT -> adder on its worker.
+// A panicking kernel or a non-finite subgrid becomes a typed per-item
+// error; depending on ft.Policy the item is skipped (accounted in the
+// report) or aborts the pass. rep carries earlier fault counters
+// forward; nil starts a fresh report, and the report is returned
+// either way.
+//
+// startChunk > 0 continues a pass whose chunks [0, startChunk) are
+// already accumulated onto sh, restored from a checkpoint. The chunking
+// must match the interrupted run (StreamChunkItems); with one worker
+// the resumed grid is bit-identical to an uninterrupted pass.
 //
 // Accumulation goes through the shard locks of sh: overlapping chunks
 // contend only on shared row bands. With one chunk worker the chunks
@@ -98,9 +79,22 @@ func (k *Kernels) ResumeVisibilitiesStreamed(ctx context.Context, p *plan.Plan, 
 // (grid, chunk cursor, fault counters — see internal/checkpoint) at
 // every epoch boundary of the scheduler, including a final one at the
 // end of the plan.
-func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, error) {
+//
+// On cancellation the error matches both faulttol.ErrCanceled and the
+// context's cause, even when the cancellation surfaced inside a failing
+// work item. The grid then holds exactly the chunks whose add stage
+// completed before the cancellation — every value finite and correct,
+// but only a prefix-plus-stragglers subset of the plan — so a partial
+// grid is useful for checkpointing but not as an image.
+func (k *Kernels) GridVisibilities(ctx context.Context, p *plan.Plan, vs *VisibilitySet, prov aterm.Provider, sh *grid.Sharded, ft faulttol.Config, rep *faulttol.Report, startChunk int) (StageTimes, *faulttol.Report, error) {
+	if rep == nil {
+		rep = faulttol.NewReport(ft)
+	}
 	if err := k.checkPlan(p, vs, sh.Master().N); err != nil {
-		return StageTimes{}, err
+		return StageTimes{}, rep, err
+	}
+	if startChunk > 0 {
+		k.ob.checkpointRestored()
 	}
 	h := epochHooks{snapshot: func(cursor, chunkItems int) error {
 		return k.writeStreamCheckpoint(p, sh, cursor, chunkItems, rep)
@@ -110,7 +104,7 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 		acc = k.NewShardedGrid(grid.NewGrid(sh.Master().N))
 		h.layerEnd = func(w int) { k.flushLayer(acc.Master(), sh.Master(), float64(w)*p.WStepLambda) }
 	}
-	return k.runChunks(ctx, p, vs, prov, obs.StageGrid, ft, rep, startChunk, h,
+	times, err := k.runChunks(ctx, p, vs, prov, obs.StageGrid, ft, rep, startChunk, h,
 		func(cp *chunkPass, worker int, c plan.Chunk, s *scratch, subgrids []*grid.Subgrid) {
 			if !cp.stage(obs.StageGrid, c, func() {
 				for i, item := range c.Items {
@@ -147,6 +141,7 @@ func (k *Kernels) gridStreamed(ctx context.Context, p *plan.Plan, vs *Visibility
 			}
 			cp.stage(obs.StageAdd, c, func() { k.shardedBatch(worker, subgrids, acc, true, true) })
 		})
+	return times, rep, err
 }
 
 // flushLayer folds the uv grid of one W-layer, whose items the gridder

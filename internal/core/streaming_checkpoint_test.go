@@ -58,7 +58,7 @@ func runStreamed(t *testing.T, sc *scenario, params Params) *grid.Grid {
 		t.Fatal(err)
 	}
 	sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
-	if _, rep, err := k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}); err != nil {
+	if _, rep, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 0); err != nil {
 		t.Fatal(err)
 	} else if rep.ItemsProcessed != len(sc.plan.Items) {
 		t.Fatalf("uninterrupted pass processed %d of %d items", rep.ItemsProcessed, len(sc.plan.Items))
@@ -89,7 +89,7 @@ func resumeFromDir(t *testing.T, sc *scenario, params Params) (*grid.Grid, *faul
 		start = sn.NextChunk
 	}
 	sh := grid.NewSharded(g, 1)
-	if _, err := k.ResumeVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, rep, start); err != nil {
+	if _, _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, rep, start); err != nil {
 		t.Fatal(err)
 	}
 	return g, rep
@@ -130,7 +130,7 @@ func TestStreamedCheckpointResumeEquivalence(t *testing.T) {
 						t.Fatalf("expected the injected kill, recovered %v", r)
 					}
 				}()
-				k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{})
+				k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 0)
 				t.Fatal("pass completed without hitting the crash point")
 			}()
 
@@ -173,7 +173,7 @@ func TestCheckpointDirKeepsTwoSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.DegridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
+	if _, err := degridPlain(context.Background(), k, sc.plan, sc.vs, nil, grid.NewGrid(params.GridSize)); err != nil {
 		t.Fatal(err)
 	}
 	if entries, err := os.ReadDir(params.CheckpointDir); err != nil || len(entries) != 0 {
@@ -199,7 +199,7 @@ func TestCheckpointWriteFailureFailsPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
-	_, _, err = k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{})
+	_, _, err = k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 0)
 	if !errors.Is(err, syscall.ENOTDIR) {
 		t.Fatalf("pass error %v does not wrap ENOTDIR", err)
 	}
@@ -222,7 +222,7 @@ func TestResumeCursorOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
-	_, err = k.ResumeVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 1<<20)
+	_, _, err = k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, 1<<20)
 	if err == nil {
 		t.Fatal("out-of-range resume cursor accepted")
 	}

@@ -81,14 +81,14 @@ func TestLowerTiersMatchRecordedHashes(t *testing.T) {
 					t.Fatal(err)
 				}
 				g := grid.NewGrid(s.plan.GridSize)
-				if _, err := k.GridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+				if _, err := gridPlain(context.Background(), k, s.plan, s.vs, nil, g); err != nil {
 					t.Fatal(err)
 				}
 				fp := g.Fingerprint()
 				if fp.Nonzero == 0 {
 					t.Fatal("gridded observation produced an all-zero grid")
 				}
-				if _, err := k.DegridVisibilities(context.Background(), s.plan, s.vs, nil, g); err != nil {
+				if _, err := degridPlain(context.Background(), k, s.plan, s.vs, nil, g); err != nil {
 					t.Fatal(err)
 				}
 				got[fmt.Sprintf("%v/%v/nc=%d", tier, prec, nc)] = tierHash{

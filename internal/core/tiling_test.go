@@ -374,7 +374,7 @@ func testPixelLaneGridderAdjoint(t *testing.T, tier xmath.SIMDTier) {
 func TestGridderTiledMatchesReference(t *testing.T) {
 	const sg, nt, nc = 16, 12, 16
 	item, uvw, vis, maxAmp := tilingItem(53, nt, nc)
-	ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
+	ref := tilingKernels(t, sg, nc, func(p *Params) { p.disableBatching = true })
 	want := grid.NewSubgrid(sg, item.X0, item.Y0)
 	ref.GridSubgrid(item, uvw, vis, nil, nil, want)
 	phaseBound := evaluatedPhaseBound(ref, item, uvw)
@@ -406,7 +406,7 @@ func TestDegridderTiledMatchesReference(t *testing.T) {
 	const sg, nt, nc = 16, 10, 16
 	item, uvw, _, _ := tilingItem(57, nt, nc)
 	in, maxAmp := randomSubgrid(sg, item, 59)
-	ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
+	ref := tilingKernels(t, sg, nc, func(p *Params) { p.disableBatching = true })
 	want := make([]xmath.Matrix2, nt*nc)
 	ref.DegridSubgrid(item, in, uvw, nil, nil, want)
 	phaseBound := recurrencePhaseBound(ref, item, uvw)
@@ -599,7 +599,7 @@ func TestFlaggedVisibilitiesExactZero(t *testing.T) {
 		{"Float64", nil},
 		{"Float64NoVec", forceTier(xmath.SIMDScalar)},
 		{"Float32", func(p *Params) { p.Precision = Float32 }},
-		{"Reference", func(p *Params) { p.DisableBatching = true }},
+		{"Reference", func(p *Params) { p.disableBatching = true }},
 	} {
 		k := tilingKernels(t, sg, nc, tc.mod)
 		out := grid.NewSubgrid(sg, item.X0, item.Y0)
@@ -673,7 +673,7 @@ func TestTiledEdgeChannelCounts(t *testing.T) {
 	const sg, nt = 10, 5
 	for _, nc := range []int{1, 2, 3, 4, 5} {
 		item, uvw, vis, maxAmp := tilingItem(83+uint64(nc), nt, nc)
-		ref := tilingKernels(t, sg, nc, func(p *Params) { p.DisableBatching = true })
+		ref := tilingKernels(t, sg, nc, func(p *Params) { p.disableBatching = true })
 		want := grid.NewSubgrid(sg, item.X0, item.Y0)
 		ref.GridSubgrid(item, uvw, vis, nil, nil, want)
 		phaseBound := recurrencePhaseBound(ref, item, uvw)

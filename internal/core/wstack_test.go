@@ -15,7 +15,7 @@ import (
 
 // W-stacking is a property of the plan: the same gridding and
 // degridding passes run a W-stacked plan layer by layer (see
-// gridStreamed and DegridVisibilitiesFT). These tests run those passes
+// GridVisibilities and DegridVisibilities). These tests run those passes
 // on high-w data.
 
 // highWScenario fabricates an observation whose baselines carry large
@@ -88,7 +88,7 @@ func highWScenario(tb testing.TB, wstep float64) (*plan.Plan, *Kernels, *Visibil
 func degridError(tb testing.TB, p *plan.Plan, k *Kernels, vs *VisibilitySet, model sky.Model) float64 {
 	tb.Helper()
 	g := ImageToGrid(model.Rasterize(p.GridSize, p.ImageSize), 0)
-	if _, err := k.DegridVisibilities(context.Background(), p, vs, nil, g); err != nil {
+	if _, err := degridPlain(context.Background(), k, p, vs, nil, g); err != nil {
 		tb.Fatal(err)
 	}
 	half := p.ImageSize / 2
@@ -152,7 +152,7 @@ func TestWStackedGriddingRecoversSource(t *testing.T) {
 		}
 	}
 	g := grid.NewGrid(p.GridSize)
-	if _, err := k.GridVisibilities(context.Background(), p, vs, nil, g); err != nil {
+	if _, err := gridPlain(context.Background(), k, p, vs, nil, g); err != nil {
 		t.Fatal(err)
 	}
 	img := GridToImage(g, 0)
@@ -220,7 +220,7 @@ func TestWStackedCheckpointResume(t *testing.T) {
 						t.Fatal("expected the injected kill")
 					}
 				}()
-				k.GridVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, grid.NewSharded(grid.NewGrid(params.GridSize), 1), faulttol.Config{})
+				k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewSharded(grid.NewGrid(params.GridSize), 1), faulttol.Config{}, nil, 0)
 			}()
 			if sn, _, _, err := checkpoint.LoadLatest(params.CheckpointDir); err != nil {
 				t.Fatal(err)
@@ -246,7 +246,7 @@ func TestWStackedCheckpointResume(t *testing.T) {
 			continue
 		}
 		sh := grid.NewSharded(grid.NewGrid(params.GridSize), 1)
-		if _, err := k.ResumeVisibilitiesStreamed(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, cursor); err == nil {
+		if _, _, err := k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, sh, faulttol.Config{}, nil, cursor); err == nil {
 			t.Fatalf("resume cursor %d inside a W-layer accepted", cursor)
 		}
 		break

@@ -7,8 +7,6 @@
 package energy
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/perfmodel"
 )
@@ -89,56 +87,4 @@ func Cycle(p *arch.Platform, d perfmodel.Dataset) (CycleEnergy, error) {
 	}
 	out.HostJoules = p.HostPowerWatts * breakdown.Total()
 	return out, nil
-}
-
-// PowerSample is one reading of the simulated PowerSensor [31], which
-// provides "power measurements at high time resolution" for
-// per-kernel energy analysis.
-type PowerSample struct {
-	Seconds float64
-	Watts   float64
-}
-
-// Trace simulates a PowerSensor capture of an imaging cycle: the
-// device idles at 15% of its kernel power between kernels and draws
-// KernelPowerWatts while one runs. dt is the sample spacing.
-func Trace(p *arch.Platform, d perfmodel.Dataset, dt float64) ([]PowerSample, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("energy: non-positive sample spacing %g", dt)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	b := perfmodel.ImagingCycle(p, d)
-	idle := 0.15 * p.KernelPowerWatts
-	// Kernel schedule in execution order (gridding then degridding).
-	type seg struct{ dur, watts float64 }
-	segs := []seg{
-		{b.Gridder.Seconds, p.KernelPowerWatts},
-		{b.SubgridFFT.Seconds / 2, p.KernelPowerWatts},
-		{b.Adder.Seconds, p.KernelPowerWatts},
-		{0.02 * b.Total(), idle}, // inter-pass gap
-		{b.Splitter.Seconds, p.KernelPowerWatts},
-		{b.SubgridFFT.Seconds / 2, p.KernelPowerWatts},
-		{b.Degridder.Seconds, p.KernelPowerWatts},
-	}
-	var out []PowerSample
-	t := 0.0
-	for _, s := range segs {
-		end := t + s.dur
-		for ; t < end; t += dt {
-			out = append(out, PowerSample{Seconds: t, Watts: s.watts})
-		}
-	}
-	return out, nil
-}
-
-// Integrate returns the energy of a power trace in joules
-// (trapezoidal is unnecessary: samples are piecewise constant).
-func Integrate(trace []PowerSample, dt float64) float64 {
-	var e float64
-	for _, s := range trace {
-		e += s.Watts * dt
-	}
-	return e
 }

@@ -81,43 +81,6 @@ func TestCycleRejectsBadDataset(t *testing.T) {
 	}
 }
 
-func TestPowerTraceIntegratesToKernelEnergy(t *testing.T) {
-	d := perfmodel.PaperDataset()
-	p := arch.Pascal()
-	const dt = 1e-3
-	trace, err := Trace(p, d, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) == 0 {
-		t.Fatal("empty trace")
-	}
-	e := Integrate(trace, dt)
-	c, err := Cycle(p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trace contains the device kernels plus a small idle gap.
-	if e < c.DeviceTotal() || e > 1.1*c.DeviceTotal() {
-		t.Fatalf("trace energy %.0f J vs kernel energy %.0f J", e, c.DeviceTotal())
-	}
-	// Samples are monotonically increasing in time.
-	for i := 1; i < len(trace); i++ {
-		if trace[i].Seconds <= trace[i-1].Seconds {
-			t.Fatal("trace not monotone")
-		}
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	if _, err := Trace(arch.Pascal(), perfmodel.PaperDataset(), 0); err == nil {
-		t.Fatal("expected error for dt=0")
-	}
-	if _, err := Trace(arch.Pascal(), perfmodel.Dataset{}, 1e-3); err == nil {
-		t.Fatal("expected error for bad dataset")
-	}
-}
-
 func TestEfficiencyZeroDivGuard(t *testing.T) {
 	// A zero-ops kernel (splitter) has zero flops and must report
 	// zero efficiency without dividing by zero.

@@ -182,8 +182,8 @@ func TestChaosSkipAndFlag(t *testing.T) {
 	}
 
 	g := grid.NewGrid(pl.plan.GridSize)
-	_, rep, err := pl.kernels.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g,
-		faulttol.Config{Policy: faulttol.SkipAndFlag, Hook: faultinject.PanicHook(sel)})
+	_, rep, err := pl.kernels.GridVisibilities(context.Background(), pl.plan, pl.vs, nil, pl.kernels.NewShardedGrid(g),
+		faulttol.Config{Policy: faulttol.SkipAndFlag, Hook: faultinject.PanicHook(sel)}, nil, 0)
 	if err != nil {
 		t.Fatalf("skip-and-flag run failed: %v", err)
 	}
@@ -218,8 +218,8 @@ func TestFlaggedCorruptionNeedsNoDegradation(t *testing.T) {
 		t.Fatal("flagging found nothing")
 	}
 	g := grid.NewGrid(pl.plan.GridSize)
-	_, rep, err := pl.kernels.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g,
-		faulttol.Config{Policy: faulttol.FailFast})
+	_, rep, err := pl.kernels.GridVisibilities(context.Background(), pl.plan, pl.vs, nil, pl.kernels.NewShardedGrid(g),
+		faulttol.Config{Policy: faulttol.FailFast}, nil, 0)
 	if err != nil {
 		t.Fatalf("fail-fast run over flagged data failed: %v", err)
 	}
@@ -237,8 +237,8 @@ func TestFailFastAbortsOnInjectedPanic(t *testing.T) {
 	pl := buildPipeline(t)
 	sel := faultinject.Selector{Fraction: 0.05, Seed: 42}
 	g := grid.NewGrid(pl.plan.GridSize)
-	_, _, err := pl.kernels.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g,
-		faulttol.Config{Policy: faulttol.FailFast, Hook: faultinject.PanicHook(sel)})
+	_, _, err := pl.kernels.GridVisibilities(context.Background(), pl.plan, pl.vs, nil, pl.kernels.NewShardedGrid(g),
+		faulttol.Config{Policy: faulttol.FailFast, Hook: faultinject.PanicHook(sel)}, nil, 0)
 	if err == nil {
 		t.Fatal("fail-fast run succeeded despite injected panics")
 	}
@@ -265,8 +265,8 @@ func TestCancellationAbortsPromptly(t *testing.T) {
 	defer cancel()
 	g := grid.NewGrid(pl.plan.GridSize)
 	start := time.Now()
-	_, _, err := pl.kernels.GridVisibilitiesFT(ctx, pl.plan, pl.vs, nil, g,
-		faulttol.Config{Policy: faulttol.SkipAndFlag, Hook: hook})
+	_, _, err := pl.kernels.GridVisibilities(ctx, pl.plan, pl.vs, nil, pl.kernels.NewShardedGrid(g),
+		faulttol.Config{Policy: faulttol.SkipAndFlag, Hook: hook}, nil, 0)
 	elapsed := time.Since(start)
 	if !errors.Is(err, faulttol.ErrCanceled) {
 		t.Fatalf("expected ErrCanceled, got %v", err)
@@ -285,10 +285,10 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := grid.NewGrid(pl.plan.GridSize)
-	if _, err := pl.kernels.GridVisibilities(ctx, pl.plan, pl.vs, nil, g); !errors.Is(err, faulttol.ErrCanceled) {
+	if _, _, err := pl.kernels.GridVisibilities(ctx, pl.plan, pl.vs, nil, pl.kernels.NewShardedGrid(g), faulttol.Config{}, nil, 0); !errors.Is(err, faulttol.ErrCanceled) {
 		t.Fatalf("gridding: expected ErrCanceled, got %v", err)
 	}
-	if _, err := pl.kernels.DegridVisibilities(ctx, pl.plan, pl.vs, nil, g); !errors.Is(err, faulttol.ErrCanceled) {
+	if _, _, err := pl.kernels.DegridVisibilities(ctx, pl.plan, pl.vs, nil, g, faulttol.Config{}); !errors.Is(err, faulttol.ErrCanceled) {
 		t.Fatalf("degridding: expected ErrCanceled, got %v", err)
 	}
 }
@@ -302,7 +302,7 @@ func TestChaosDegridSkipAndFlag(t *testing.T) {
 		t.Fatal("selector selected nothing")
 	}
 	g := grid.NewGrid(pl.plan.GridSize)
-	_, rep, err := pl.kernels.DegridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g,
+	_, rep, err := pl.kernels.DegridVisibilities(context.Background(), pl.plan, pl.vs, nil, g,
 		faulttol.Config{Policy: faulttol.SkipAndFlag, Hook: faultinject.PanicHook(sel)})
 	if err != nil {
 		t.Fatalf("degrid skip-and-flag failed: %v", err)

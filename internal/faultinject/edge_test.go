@@ -64,9 +64,9 @@ func TestPanicHookRunsOncePerItem(t *testing.T) {
 			g := grid.NewGrid(pl.plan.GridSize)
 			var rep *faulttol.Report
 			if pass == "grid" {
-				_, rep, err = k.GridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g, ft)
+				_, rep, err = k.GridVisibilities(context.Background(), pl.plan, pl.vs, nil, k.NewShardedGrid(g), ft, nil, 0)
 			} else {
-				_, rep, err = k.DegridVisibilitiesFT(context.Background(), pl.plan, pl.vs, nil, g, ft)
+				_, rep, err = k.DegridVisibilities(context.Background(), pl.plan, pl.vs, nil, g, ft)
 			}
 			if err != nil {
 				t.Fatal(err)

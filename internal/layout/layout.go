@@ -125,19 +125,3 @@ func Generate(cfg Config) []Station {
 func NrBaselines(nrStations int) int {
 	return nrStations * (nrStations - 1) / 2
 }
-
-// MaxBaselineLength returns the longest pairwise distance in meters.
-func MaxBaselineLength(stations []Station) float64 {
-	maxLen := 0.0
-	for i := range stations {
-		for j := i + 1; j < len(stations); j++ {
-			de := stations[i].E - stations[j].E
-			dn := stations[i].N - stations[j].N
-			du := stations[i].U - stations[j].U
-			if l := math.Sqrt(de*de + dn*dn + du*du); l > maxLen {
-				maxLen = l
-			}
-		}
-	}
-	return maxLen
-}

@@ -70,15 +70,6 @@ func TestUniqueNames(t *testing.T) {
 	}
 }
 
-func TestMaxBaselineLength(t *testing.T) {
-	cfg := SKA1LowConfig()
-	st := Generate(cfg)
-	l := MaxBaselineLength(st)
-	if l < cfg.MaxRadius || l > 2.2*cfg.MaxRadius {
-		t.Fatalf("max baseline %.0f m implausible for %.0f m arms", l, cfg.MaxRadius)
-	}
-}
-
 func TestLOFARLikeConfig(t *testing.T) {
 	st := Generate(LOFARLikeConfig())
 	if len(st) != 50 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faulttol"
 	"repro/internal/grid"
 	"repro/internal/layout"
 	"repro/internal/plan"
@@ -44,7 +45,7 @@ func imageNoiseRMS(t *testing.T, nt int, seed int64) float64 {
 		t.Fatal(err)
 	}
 	g := grid.NewGrid(gridSize)
-	if _, err := k.GridVisibilities(context.Background(), p, vs, nil, g); err != nil {
+	if _, _, err := k.GridVisibilities(context.Background(), p, vs, nil, k.NewShardedGrid(g), faulttol.Config{}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	img := core.GridToImage(g, 0)

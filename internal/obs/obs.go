@@ -79,9 +79,6 @@ const (
 	MetricWPlanes = "wstack_planes_total"
 	// MetricMajorCycles counts imaging major cycles executed.
 	MetricMajorCycles = "cycle_major_total"
-	// MetricKernelPathReference counts kernel invocations dispatched
-	// to the straightforward reference kernels (DisableBatching).
-	MetricKernelPathReference = "kernel_path_reference_total"
 	// MetricKernelPathVector counts invocations of the float64 tile
 	// kernels (pixel-lane gridder, fused degridder) on any tier.
 	MetricKernelPathVector = "kernel_path_vector_total"

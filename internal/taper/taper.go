@@ -103,12 +103,6 @@ func Window2D(n int, f func(nu float64) float64) []float64 {
 	return out
 }
 
-// SpheroidalSubgrid returns the spheroidal taper map for an n x n
-// subgrid, the map applied by apply_spheroidal in Algorithms 1 and 2.
-func SpheroidalSubgrid(n int) []float64 {
-	return Window2D(n, Spheroidal)
-}
-
 // CorrectionMap returns the map that undoes the taper in the final
 // image: 1/taper where the taper is above floor, 0 outside (those
 // pixels carry no usable signal and are conventionally blanked).

@@ -97,7 +97,7 @@ func TestBesselI0(t *testing.T) {
 
 func TestWindow2DSeparableAndSymmetric(t *testing.T) {
 	n := 24
-	w := SpheroidalSubgrid(n)
+	w := Window2D(n, Spheroidal)
 	if len(w) != n*n {
 		t.Fatalf("window length %d", len(w))
 	}
@@ -132,7 +132,7 @@ func TestWindow2DSeparableAndSymmetric(t *testing.T) {
 
 func TestCorrectionMapInvertsInterior(t *testing.T) {
 	n := 16
-	w := SpheroidalSubgrid(n)
+	w := Window2D(n, Spheroidal)
 	corr := CorrectionMap(w, 1e-6)
 	for i := range w {
 		if w[i] > 1e-6 {

@@ -158,19 +158,3 @@ func Apply(vs *core.VisibilitySet, w *Weights, freqs []float64) float64 {
 	}
 	return total
 }
-
-// MeanWeight returns the average weight over the observation, used by
-// tests and diagnostics.
-func MeanWeight(vs *core.VisibilitySet, w *Weights, freqs []float64) float64 {
-	var total float64
-	var n int64
-	for b := range vs.UVW {
-		for t := 0; t < vs.NrTimesteps; t++ {
-			for c := 0; c < vs.NrChannels; c++ {
-				total += w.For(vs.UVW[b][t], freqs[c])
-				n++
-			}
-		}
-	}
-	return total / float64(n)
-}

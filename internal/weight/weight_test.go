@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faulttol"
 	"repro/internal/layout"
 	"repro/internal/uvwsim"
 )
@@ -135,18 +136,6 @@ func TestApplyScalesVisibilitiesAndReturnsTotal(t *testing.T) {
 	}
 }
 
-func TestMeanWeightConsistent(t *testing.T) {
-	w, tracks, freqs := computeScheme(t, Uniform, 0)
-	cfg := layout.SKA1LowConfig()
-	cfg.NrStations = 12
-	sim := uvwsim.New(layout.Generate(cfg), uvwsim.DefaultOptions())
-	vs := core.MustNewVisibilitySet(sim.Baselines(), tracks, len(freqs))
-	mean := MeanWeight(vs, w, freqs)
-	if mean <= 0 || mean > 1 {
-		t.Fatalf("mean uniform weight %g out of range", mean)
-	}
-}
-
 func TestComputeValidation(t *testing.T) {
 	tracks, freqs, _, imageSize, gridSize := testObservation(t)
 	bad := []Config{
@@ -206,7 +195,7 @@ func TestUniformWeightingSharpensPSF(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := coreNewGrid(gridSize)
-		if _, err := kernels.GridVisibilities(context.Background(), p, vs, nil, g); err != nil {
+		if _, _, err := kernels.GridVisibilities(context.Background(), p, vs, nil, kernels.NewShardedGrid(g), faulttol.Config{}, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		img := core.GridToImage(g, 0)

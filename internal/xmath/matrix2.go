@@ -21,11 +21,6 @@ func Identity2() Matrix2 {
 	return Matrix2{1, 0, 0, 1}
 }
 
-// Zero2 returns the 2x2 zero matrix.
-func Zero2() Matrix2 {
-	return Matrix2{}
-}
-
 // Add returns a + b.
 func (a Matrix2) Add(b Matrix2) Matrix2 {
 	return Matrix2{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]}

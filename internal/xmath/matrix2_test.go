@@ -155,7 +155,7 @@ func TestIdentityInverseAndUnitDet(t *testing.T) {
 }
 
 func TestFrobeniusNormZero(t *testing.T) {
-	if Zero2().FrobeniusNorm() != 0 {
+	if (Matrix2{}).FrobeniusNorm() != 0 {
 		t.Fatal("||0|| != 0")
 	}
 	if math.Abs(Identity2().FrobeniusNorm()-math.Sqrt2) > 1e-15 {

@@ -731,7 +731,7 @@ func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft Fault
 	if g == nil {
 		g = grid.NewGrid(o.Config.GridSize)
 	}
-	times, err := o.Kernels.ResumeVisibilitiesStreamed(ctx, o.Plan, o.Vis, prov, o.Kernels.NewShardedGrid(g), ft, rep, start)
+	times, _, err := o.Kernels.GridVisibilities(ctx, o.Plan, o.Vis, prov, o.Kernels.NewShardedGrid(g), ft, rep, start)
 	return g, times, rep, err
 }
 
@@ -823,7 +823,8 @@ func (o *Observation) DegridAll(ctx context.Context, prov ATermProvider, g *Grid
 	if o.Vis == nil {
 		return StageTimes{}, errNoVisibilities
 	}
-	return o.Kernels.DegridVisibilities(ctx, o.Plan, o.Vis, prov, g)
+	times, _, err := o.Kernels.DegridVisibilities(ctx, o.Plan, o.Vis, prov, g, FaultConfig{})
+	return times, err
 }
 
 // DirtyImage grids the visibilities and converts the result into a

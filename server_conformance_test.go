@@ -10,11 +10,10 @@ import (
 	"repro/internal/server"
 )
 
-// Server <-> library conformance (ISSUE 9 satellite 1), extending the
-// golden-grid pattern across the network boundary: an observation
-// streamed over the wire protocol into a live server must produce the
-// exact same grid SHA-256 as GridVisibilitiesStreamed run locally on
-// the same data. The wire carries float32, so the local reference
+// Server <-> library conformance, extending the golden-grid pattern
+// across the network boundary: an observation streamed over the wire
+// protocol into a live server must produce the exact same grid SHA-256
+// as the gridding pass run locally on the same data. The wire carries float32, so the local reference
 // grids the float32-quantized values — the identical bytes the server
 // decodes — making the comparison bit-for-bit, not approximate.
 

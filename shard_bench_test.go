@@ -133,14 +133,14 @@ func BenchmarkStreamedGriddingPass(b *testing.B) {
 	g := grid.NewGrid(obs.Config.GridSize)
 	sh := k.NewShardedGrid(g)
 	// Warm-up pass fills the scratch/subgrid pools.
-	if _, _, err := k.GridVisibilitiesStreamed(context.Background(), obs.Plan, obs.Vis, nil, sh, FaultConfig{}); err != nil {
+	if _, _, err := k.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, sh, FaultConfig{}, nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var times StageTimes
 	for i := 0; i < b.N; i++ {
 		g.Zero()
-		t, _, err := k.GridVisibilitiesStreamed(context.Background(), obs.Plan, obs.Vis, nil, sh, FaultConfig{})
+		t, _, err := k.GridVisibilities(context.Background(), obs.Plan, obs.Vis, nil, sh, FaultConfig{}, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
