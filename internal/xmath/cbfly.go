@@ -15,13 +15,12 @@ package xmath
 // which costs 3 complex multiplies per 4 outputs instead of radix-2's
 // 4, and reads each element once per fused stage instead of twice.
 //
-// The AVX2 paths multiply complexes with two duplicated-element
-// multiplies and VADDSUBPD, the AVX-512 paths (cbfly_avx512_amd64.s)
-// with the same multiplies against a pre-negated twiddle swap and
-// VADDPD — no FMA on any tier — so every product and sum is the same
-// IEEE operation the Go scalar code performs and the vector results
-// are bitwise identical to the fallback (the same convention as
-// cvt_amd64.s / the sincos kernels).
+// The vector forms (cbfly_amd64.h, one text at YMM and ZMM width)
+// multiply complexes with two duplicated-element multiplies against the
+// twiddle and its pre-negated swap, then VADDPD — no FMA on any tier —
+// so every product and sum is the same IEEE operation the Go scalar
+// code performs and the vector results are bitwise identical to the
+// fallback (the same convention as cvt_amd64.s / the sincos kernels).
 
 // r4Bfly applies the fused butterfly to one element quad. The
 // backward direction takes conjugated w1/w2 and the fused quarter-turn
@@ -43,12 +42,8 @@ func r4Bfly(a, b, c, d, w1, w2, w3 complex128) (oa, ob, oc, od complex128) {
 // inverse selects the backward butterfly (conjugated tables, +i fused
 // factor).
 func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, inverse bool) {
-	switch {
-	case zmm(tier) && h%4 == 0:
-		r4StageTwQuads(&x[0], len(x), h, &tw1[0], &tw2[0], inverse)
-		return
-	case vecLanes(tier, h) == h:
-		r4StageTwPairs(&x[0], len(x), h, &tw1[0], &tw2[0], inverse)
+	if ymm(tier) && h%2 == 0 {
+		r4StageTwW(&x[0], len(x), h, &tw1[0], &tw2[0], inverse, zmm(tier) && h%4 == 0)
 		return
 	}
 	for base := 0; base < len(x); base += 4 * h {
@@ -60,37 +55,23 @@ func R4StageTwAt(tier SIMDTier, x []complex128, h int, tw1, tw2 []complex128, in
 	}
 }
 
-// R4ColsAt runs one broadcast-twiddle butterfly across the lanes of
-// four equal-length slices, dispatching on tier (YMM pairs from avx2
-// up; the ZMM form is R4ColsStage's). Lanes beyond the widest vector
-// multiple finish on the bit-identical scalar loop.
-func R4ColsAt(tier SIMDTier, a, b, c, d []complex128, w1, w2 complex128, inverse bool) {
-	i := vecLanes(tier, len(a))
-	if i > 0 {
-		r4ColsPairs(&a[0], &b[0], &c[0], &d[0], i/2, w1, w2, inverse)
-	}
-	w3 := quarter(w2, inverse)
-	for ; i < len(a); i++ {
-		a[i], b[i], c[i], d[i] = r4Bfly(a[i], b[i], c[i], d[i], w1, w2, w3)
-	}
-}
-
 // R4ColsStage runs one fused radix-4 stage down the columns of the
 // row-major n x w matrix x: butterfly t of every 4h-row block combines
 // rows t, t+h, t+2h, t+3h with tw1[t], tw2[t] broadcast over the w
-// lanes (R4ColsAt on each row quadruple; one ZMM loop on avx512).
+// lanes.
 func R4ColsStage(tier SIMDTier, x []complex128, n, h, w int, tw1, tw2 []complex128, inverse bool) {
-	if zmm(tier) && w > 0 {
-		_ = x[n*w-1]
-		r4ColsStageQuads(&x[0], n, h, w, &tw1[0], &tw2[0], inverse)
-		return
-	}
-	for base := 0; base < n; base += 4 * h {
+	i := vecLanes(tier, w)
+	for base := 0; base < n && i < w; base += 4 * h {
 		for t := 0; t < h; t++ {
-			j := (base + t) * w
-			R4ColsAt(tier, x[j:j+w], x[j+h*w:j+h*w+w], x[j+2*h*w:j+2*h*w+w], x[j+3*h*w:j+3*h*w+w],
-				tw1[t], tw2[t], inverse)
+			w1, w2, w3 := tw1[t], tw2[t], quarter(tw2[t], inverse)
+			for j := (base+t)*w + i; j < (base+t+1)*w; j++ {
+				x[j], x[j+h*w], x[j+2*h*w], x[j+3*h*w] = r4Bfly(x[j], x[j+h*w], x[j+2*h*w], x[j+3*h*w], w1, w2, w3)
+			}
 		}
+	}
+	if i > 0 {
+		_ = x[n*w-1]
+		r4ColsStageW(&x[0], n, h, w, i, &tw1[0], &tw2[0], inverse, zmm(tier))
 	}
 }
 
@@ -99,17 +80,13 @@ func R4ColsStage(tier SIMDTier, x []complex128, n, h, w int, tw1, tw2 []complex1
 // and y. It is the leading stage of odd-log2 column transforms, run
 // as the column tile is gathered.
 func AddSubLanes(tier SIMDTier, a, b, x, y []complex128) {
-	if zmm(tier) && len(x) > 0 {
-		addSubQuads(&a[0], &b[0], &x[0], &y[0], len(x))
-		return
-	}
 	i := vecLanes(tier, len(x))
-	if i > 0 {
-		addSubPairs(&a[0], &b[0], &x[0], &y[0], i/2)
+	for j := i; j < len(x); j++ {
+		xj, yj := x[j], y[j]
+		a[j], b[j] = xj+yj, xj-yj
 	}
-	for ; i < len(x); i++ {
-		xi, yi := x[i], y[i]
-		a[i], b[i] = xi+yi, xi-yi
+	if i > 0 {
+		addSubW(&a[0], &b[0], &x[0], &y[0], i, zmm(tier))
 	}
 }
 
@@ -121,7 +98,7 @@ func PermGather(tier SIMDTier, dst, src []complex128, perm []int32, neg, addSub 
 	if len(perm) == 0 {
 		return
 	}
-	if vecLanes(tier, 2) > 0 {
+	if ymm(tier) {
 		_ = src[len(src)-1]
 		permGather(&dst[:len(perm)][0], &src[0], &perm[0], len(perm), neg, addSub)
 		return
@@ -151,10 +128,8 @@ func PermGather(tier SIMDTier, dst, src []complex128, perm []int32, neg, addSub 
 func DFT4Blocks(tier SIMDTier, x []complex128, inverse bool) {
 	switch {
 	case len(x) == 0:
-	case zmm(tier):
-		dft4Quads(&x[0], len(x)/4, inverse)
-	case vecLanes(tier, 2) > 0:
-		dft4Pairs(&x[0], len(x)/4, inverse)
+	case ymm(tier):
+		dft4W(&x[0], len(x), inverse, zmm(tier) && len(x)%8 == 0)
 	default:
 		dft4Go(x, inverse)
 	}
@@ -181,10 +156,9 @@ func dft4Go(x []complex128, inverse bool) {
 // conjugated twiddles and the quarter turns inside the butterflies
 // flip from -i to +i.
 //
-// The AVX2 bodies (cbfly_amd64.s, two lanes per YMM) and the AVX-512
-// bodies (four per ZMM) perform exactly the multiplies, adds and
-// subtracts of the one-lane Go bodies below — no FMA anywhere — so
-// results are bitwise tier-independent.
+// The vector bodies (two lanes per YMM, four per ZMM) perform exactly
+// the multiplies, adds and subtracts of the one-lane Go bodies below —
+// no FMA anywhere — so results are bitwise tier-independent.
 // The explicit float64 conversions keep compilers that contract x*y+z
 // (arm64) from fusing.
 
@@ -211,8 +185,8 @@ func scaleC(s float64, z complex128) complex128 {
 }
 
 // bfly2Rows .. dft8Rows are the one-lane-at-a-time bodies, lanes
-// [i0, w): the whole row on the scalar tier, the odd last lane behind
-// the assembled pair loops.
+// [i0, w): the whole row on the scalar tier, the lanes the vector form
+// leaves behind it otherwise.
 
 func bfly2Rows(dst []complex128, ds int, src []complex128, ss, i0, w int, tw complex128) {
 	for i := i0; i < w; i++ {
@@ -286,44 +260,52 @@ func dft8Rows(dst []complex128, ds int, src []complex128, ss, i0, w int, inverse
 	}
 }
 
-// zmm reports whether tier runs the ZMM quad loops.
+// ymm and zmm report whether tier runs the vector forms at all (YMM
+// from avx2 up) and at ZMM width.
+func ymm(tier SIMDTier) bool { return hasCBflyASM && tier >= SIMDAVX2 }
 func zmm(tier SIMDTier) bool { return hasCBflyASM && tier >= SIMDAVX512 }
 
-// vecLanes is how many of w lanes the assembled pair loops cover on
-// tier: all whole pairs from AVX2 up, none otherwise.
+// vecLanes is how many of w lanes one vector call covers on tier: all of
+// them at ZMM (the last quad under an opmask), the whole pairs at YMM,
+// none on the scalar tier. wholeLanes is the same for the forms without
+// a tail: whole quads at ZMM. The lanes are independent: the routines
+// below run the Go body over the lanes past the vector ones first and
+// make the vector call last, so that nothing stays live across it.
 func vecLanes(tier SIMDTier, w int) int {
-	if hasCBflyASM && tier >= SIMDAVX2 {
+	switch {
+	case zmm(tier):
+		return w
+	case ymm(tier):
 		return w &^ 1
 	}
 	return 0
 }
 
+func wholeLanes(tier SIMDTier, w int) int {
+	if zmm(tier) {
+		return w &^ 3
+	}
+	return vecLanes(tier, w)
+}
+
 // Bfly2Lanes runs the radix-2 combine dst0, dst1 = a + tw*b, a - tw*b
 // over w lanes of the rows a = src[0:], b = src[ss:].
 func Bfly2Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, tw complex128) {
-	if zmm(tier) && w > 0 {
-		bfly2Quads(&dst[0], ds, &src[0], ss, w, tw)
-		return
-	}
 	i := vecLanes(tier, w)
-	if i > 0 {
-		bfly2Pairs(&dst[0], ds, &src[0], ss, i/2, tw)
-	}
 	bfly2Rows(dst, ds, src, ss, i, w, tw)
+	if i > 0 {
+		bfly2W(&dst[0], ds, &src[0], ss, i, tw, zmm(tier))
+	}
 }
 
 // Bfly3Lanes runs the radix-3 combine over w lanes of the rows src[0:],
 // src[ss:], src[2*ss:], the second and third twiddled by w1 and w2.
 func Bfly3Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, w1, w2 complex128, inverse bool) {
-	if zmm(tier) && w > 0 {
-		bfly3Quads(&dst[0], ds, &src[0], ss, w, w1, w2, inverse)
-		return
-	}
 	i := vecLanes(tier, w)
-	if i > 0 {
-		bfly3Pairs(&dst[0], ds, &src[0], ss, i/2, w1, w2, inverse)
-	}
 	bfly3Rows(dst, ds, src, ss, i, w, w1, w2, inverse)
+	if i > 0 {
+		bfly3W(&dst[0], ds, &src[0], ss, i, w1, w2, inverse, zmm(tier))
+	}
 }
 
 // Bfly3StageScaled runs the last radix-3 combine stage of a 3m-point
@@ -336,42 +318,30 @@ func Bfly3Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w
 // row for row (ds == ss).
 func Bfly3StageScaled(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w, m int, tw []complex128, inverse bool, s0, s1 float64) {
 	alt := m&1 == 1
-	if zmm(tier) && w > 0 {
-		_, _ = dst[(3*m-1)*ds+w-1], src[(3*m-1)*ss+w-1]
-		bfly3StageQuadsScaled(&dst[0], ds, &src[0], ss, w, m, &tw[0], inverse, s0, s1, alt)
-		return
-	}
-	for k := 0; k < m; k++ {
+	i := vecLanes(tier, w)
+	for k := 0; k < m && i < w; k++ {
 		a, b := s0, s1
 		if k&1 == 1 {
 			a, b = s1, s0
 		}
-		d, s := dst[k*ds:], src[k*ss:]
-		i := vecLanes(tier, w)
-		if i > 0 {
-			bfly3PairsScaled(&d[0], m*ds, &s[0], m*ss, i/2, tw[2*k], tw[2*k+1], inverse, a, b, alt)
-		}
-		bfly3RowsScaled(d, m*ds, s, m*ss, i, w, tw[2*k], tw[2*k+1], inverse, a, b, alt)
+		bfly3RowsScaled(dst[k*ds:], m*ds, src[k*ss:], m*ss, i, w, tw[2*k], tw[2*k+1], inverse, a, b, alt)
+	}
+	if i > 0 {
+		_, _ = dst[(3*m-1)*ds+i-1], src[(3*m-1)*ss+i-1]
+		bfly3StageScaledW(&dst[0], ds, &src[0], ss, i, m, &tw[0], inverse, s0, s1, alt, zmm(tier))
 	}
 }
 
 // Bfly3StageT is Bfly3StageScaled unscaled and stored transposed: lane
 // i of result row q lands at dst[q + i*dl]. dst must not overlap src.
 func Bfly3StageT(tier SIMDTier, dst []complex128, dl int, src []complex128, ss, w, m int, tw []complex128, inverse bool) {
-	i := 0
-	if zmm(tier) {
-		if i = w &^ 3; i > 0 {
-			_, _ = dst[3*m-1+(i-1)*dl], src[(3*m-1)*ss+i-1]
-			bfly3StageQuadsT(&dst[0], dl, &src[0], ss, i/4, m, &tw[0], inverse)
-		}
-	}
+	i := wholeLanes(tier, w)
 	for k := 0; k < m && i < w; k++ {
-		d, s, j := dst[k:], src[k*ss:], i
-		if np := vecLanes(tier, w-j) / 2; np > 0 {
-			bfly3PairsT(&d[j*dl], m, dl, &s[j], m*ss, np, tw[2*k], tw[2*k+1], inverse)
-			j += 2 * np
-		}
-		bfly3RowsT(d, m, dl, s, m*ss, j, w, tw[2*k], tw[2*k+1], inverse)
+		bfly3RowsT(dst[k:], m, dl, src[k*ss:], m*ss, i, w, tw[2*k], tw[2*k+1], inverse)
+	}
+	if i > 0 {
+		_, _ = dst[3*m-1+(i-1)*dl], src[(3*m-1)*ss+i-1]
+		bfly3StageTW(&dst[0], dl, &src[0], ss, i, m, &tw[0], inverse, zmm(tier))
 	}
 }
 
@@ -430,35 +400,23 @@ func bfly5(src []complex128, ss, i int, tw *[4]complex128, inverse bool) [5]comp
 // DFT8Lanes runs the twiddle-free 8-point leaf transform over w lanes
 // of eight rows.
 func DFT8Lanes(tier SIMDTier, dst []complex128, ds int, src []complex128, ss, w int, inverse bool) {
-	if zmm(tier) && w > 0 {
-		dft8Quads(&dst[0], ds, &src[0], ss, w, inverse)
-		return
-	}
 	i := vecLanes(tier, w)
-	if i > 0 {
-		dft8Pairs(&dst[0], ds, &src[0], ss, i/2, inverse)
-	}
 	dft8Rows(dst, ds, src, ss, i, w, inverse)
+	if i > 0 {
+		dft8W(&dst[0], ds, &src[0], ss, i, inverse, zmm(tier))
+	}
 }
 
 // ScaleLanes writes dst[i] = src[i] scaled by the real s0 (even i) or
 // s1 (odd i): the output scale of a 2-D transform together with, when
 // s1 = -s0, one row of the centering checkerboard.
 func ScaleLanes(tier SIMDTier, dst, src []complex128, s0, s1 float64) {
-	if zmm(tier) && len(src) > 0 {
-		scaleQuads(&dst[0], &src[0], len(src), s0, s1)
-		return
-	}
 	i := vecLanes(tier, len(src))
-	if i > 0 {
-		scalePairs(&dst[0], &src[0], i/2, s0, s1)
+	for j := i; j < len(src); j++ {
+		dst[j] = scaleC(laneScale(j, s0, s1), src[j])
 	}
-	for ; i < len(src); i++ {
-		s := s0
-		if i&1 == 1 {
-			s = s1
-		}
-		dst[i] = scaleC(s, src[i])
+	if i > 0 {
+		scaleW(&dst[0], &src[0], i, s0, s1, zmm(tier))
 	}
 }
 
@@ -470,17 +428,9 @@ func TransposeLanes(tier SIMDTier, dst []complex128, ds int, src []complex128, s
 	if checker {
 		mode = 1 + phase&1
 	}
-	va, vb := vecLanes(tier, na), vecLanes(tier, nb)
-	if zmm(tier) {
-		va, vb = na&^3, nb&^3
-	}
-	switch {
-	case va == 0 || vb == 0:
+	va, vb := wholeLanes(tier, na), wholeLanes(tier, nb)
+	if vb == 0 {
 		va = 0
-	case zmm(tier):
-		transposeQuads(&dst[0], ds, &src[0], ss, va/4, vb/4, mode)
-	default:
-		transposePairs(&dst[0], ds, &src[0], ss, va/2, vb/2, mode)
 	}
 	for a := 0; a < na; a++ {
 		b := 0
@@ -494,5 +444,8 @@ func TransposeLanes(tier SIMDTier, dst []complex128, ds int, src []complex128, s
 			}
 			dst[a*ds+b] = v
 		}
+	}
+	if va > 0 {
+		transposeW(&dst[0], ds, &src[0], ss, va, vb, mode, zmm(tier))
 	}
 }

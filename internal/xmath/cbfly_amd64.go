@@ -2,100 +2,52 @@
 
 package xmath
 
-// hasCBflyASM gates the assembled radix-4 butterfly loops; callers
-// still clamp on the runtime SIMD tier (the loops are VEX-encoded).
+// hasCBflyASM gates the assembled lane routines; callers still clamp on
+// the runtime SIMD tier (the routines are VEX- or EVEX-encoded).
 const hasCBflyASM = true
 
-// r4StageTwPairs runs a fused radix-4 stage over n contiguous
-// complex128 elements, two butterflies per iteration; n must be a
-// multiple of 4h and h even, h >= 2. inverse selects w3 = +i*w2.
-// cbfly_amd64.s.
+// The W routines are cbfly.go's lane loops, one per routine for both
+// vector widths: with zmm set they run four lanes per ZMM (avx512), else
+// two per YMM (avx2 and up). The forms over n lanes cover them all at
+// ZMM (the last quad under an opmask) and need n even at YMM; r4StageTwW
+// needs h a multiple of the lanes, dft4W n a multiple of twice them, and
+// bfly3StageTW and transposeW whole registers. n > 0 everywhere. See
+// cbfly_amd64.h for the bodies.
+
+//go:noescape
+func r4StageTwW(x *complex128, n, h int, tw1, tw2 *complex128, inverse, zmm bool)
+
+// r4ColsStageW runs R4ColsStage over the first nl of the w lanes.
 //
 //go:noescape
-func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
-
-// r4ColsPairs applies np pairs of broadcast-twiddle butterflies across
-// four lane arrays (2*np elements each). cbfly_amd64.s.
-//
-//go:noescape
-func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128, inverse bool)
-
-// bfly2Pairs, bfly3Pairs and dft8Pairs are the lane-pair loops of
-// Bfly2Lanes, Bfly3Lanes and DFT8Lanes: np pairs of lanes of rows ds
-// (destination) and ss (source) elements apart. cbfly_amd64.s.
-//
-//go:noescape
-func bfly2Pairs(dst *complex128, ds int, src *complex128, ss, np int, tw complex128)
+func r4ColsStageW(x *complex128, n, h, w, nl int, tw1, tw2 *complex128, inverse, zmm bool)
 
 //go:noescape
-func bfly3Pairs(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool)
+func dft4W(x *complex128, n int, inverse, zmm bool)
 
 //go:noescape
-func dft8Pairs(dst *complex128, ds int, src *complex128, ss, np int, inverse bool)
-
-// scalePairs and transposePairs are the pair loops of ScaleLanes and
-// TransposeLanes. cbfly_amd64.s.
-//
-//go:noescape
-func scalePairs(dst, src *complex128, np int, s0, s1 float64)
+func addSubW(a, b, x, y *complex128, n int, zmm bool)
 
 //go:noescape
-func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int)
-
-// dft4Pairs runs nq twiddle-free 4-point DFTs over contiguous quads,
-// one per iteration in two YMM; addSubPairs is AddSubLanes' pair loop.
-// bfly3PairsScaled and bfly3PairsT are bfly3Pairs storing scaled or
-// transposed. cbfly_amd64.s.
-//
-//go:noescape
-func dft4Pairs(x *complex128, nq int, inverse bool)
+func scaleW(dst, src *complex128, n int, s0, s1 float64, zmm bool)
 
 //go:noescape
-func addSubPairs(a, b, x, y *complex128, np int)
+func bfly2W(dst *complex128, ds int, src *complex128, ss, n int, tw complex128, zmm bool)
 
 //go:noescape
-func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool)
+func bfly3W(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse, zmm bool)
 
 //go:noescape
-func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool)
-
-// The ZMM forms, four lanes per register (cbfly_avx512_amd64.s). The
-// routines over n lanes cover a partial last quad under an opmask;
-// r4StageTwQuads needs h a multiple of 4, bfly3StageQuadsT and
-// transposeQuads whole quads.
-//
-//go:noescape
-func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)
+func bfly3StageScaledW(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt, zmm bool)
 
 //go:noescape
-func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool)
+func bfly3StageTW(dst *complex128, dl int, src *complex128, ss, n, m int, tw *complex128, inverse, zmm bool)
 
 //go:noescape
-func dft4Quads(x *complex128, nq int, inverse bool)
+func dft8W(dst *complex128, ds int, src *complex128, ss, n int, inverse, zmm bool)
 
 //go:noescape
-func addSubQuads(a, b, x, y *complex128, n int)
-
-//go:noescape
-func scaleQuads(dst, src *complex128, n int, s0, s1 float64)
-
-//go:noescape
-func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128)
-
-//go:noescape
-func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool)
-
-//go:noescape
-func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool)
-
-//go:noescape
-func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool)
-
-//go:noescape
-func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool)
-
-//go:noescape
-func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int)
+func transposeW(dst *complex128, ds int, src *complex128, ss, na, nb, mode int, zmm bool)
 
 // permGather is PermGather's loop (VEX-encoded 128-bit, so avx2 and
 // up). cbfly_amd64.s.

@@ -2,46 +2,34 @@
 
 package xmath
 
-// hasCBflyASM is false off amd64: the butterfly helpers run their
-// scalar loops.
+// hasCBflyASM is false off amd64: the lane helpers run their Go bodies.
 const hasCBflyASM = false
 
-// The assembled loops below are never called: every dispatch checks
+// The assembled routines below are never called: every dispatch checks
 // hasCBflyASM first.
-const noASM = "xmath: assembled butterfly loop called off amd64"
+const noASM = "xmath: assembled lane routine called off amd64"
 
-func r4StageTwPairs(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)     { panic(noASM) }
-func r4ColsPairs(a, b, c, d *complex128, np int, w1, w2 complex128, inverse bool)    { panic(noASM) }
-func bfly2Pairs(dst *complex128, ds int, src *complex128, ss, np int, tw complex128) { panic(noASM) }
-func bfly3Pairs(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
+func r4StageTwW(x *complex128, n, h int, tw1, tw2 *complex128, inverse, zmm bool) { panic(noASM) }
+func r4ColsStageW(x *complex128, n, h, w, nl int, tw1, tw2 *complex128, inverse, zmm bool) {
 	panic(noASM)
 }
-func dft8Pairs(dst *complex128, ds int, src *complex128, ss, np int, inverse bool)    { panic(noASM) }
-func scalePairs(dst, src *complex128, np int, s0, s1 float64)                         { panic(noASM) }
-func transposePairs(dst *complex128, ds int, src *complex128, ss, npa, npb, mode int) { panic(noASM) }
-func dft4Pairs(x *complex128, nq int, inverse bool)                                   { panic(noASM) }
-func addSubPairs(a, b, x, y *complex128, np int)                                      { panic(noASM) }
-func bfly3PairsScaled(dst *complex128, ds int, src *complex128, ss, np int, w1, w2 complex128, inverse bool, s0, s1 float64, alt bool) {
+func dft4W(x *complex128, n int, inverse, zmm bool)                { panic(noASM) }
+func addSubW(a, b, x, y *complex128, n int, zmm bool)              { panic(noASM) }
+func scaleW(dst, src *complex128, n int, s0, s1 float64, zmm bool) { panic(noASM) }
+func bfly2W(dst *complex128, ds int, src *complex128, ss, n int, tw complex128, zmm bool) {
 	panic(noASM)
 }
-func bfly3PairsT(dst *complex128, ds, dl int, src *complex128, ss, np int, w1, w2 complex128, inverse bool) {
+func bfly3W(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse, zmm bool) {
 	panic(noASM)
 }
-func r4StageTwQuads(x *complex128, n, h int, tw1, tw2 *complex128, inverse bool)    { panic(noASM) }
-func dft4Quads(x *complex128, nq int, inverse bool)                                 { panic(noASM) }
-func addSubQuads(a, b, x, y *complex128, n int)                                     { panic(noASM) }
-func scaleQuads(dst, src *complex128, n int, s0, s1 float64)                        { panic(noASM) }
-func bfly2Quads(dst *complex128, ds int, src *complex128, ss, n int, tw complex128) { panic(noASM) }
-func bfly3Quads(dst *complex128, ds int, src *complex128, ss, n int, w1, w2 complex128, inverse bool) {
+func bfly3StageScaledW(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt, zmm bool) {
 	panic(noASM)
 }
-func bfly3StageQuadsScaled(dst *complex128, ds int, src *complex128, ss, n, m int, tw *complex128, inverse bool, s0, s1 float64, alt bool) {
+func bfly3StageTW(dst *complex128, dl int, src *complex128, ss, n, m int, tw *complex128, inverse, zmm bool) {
 	panic(noASM)
 }
-func bfly3StageQuadsT(dst *complex128, dl int, src *complex128, ss, nq, m int, tw *complex128, inverse bool) {
+func dft8W(dst *complex128, ds int, src *complex128, ss, n int, inverse, zmm bool) { panic(noASM) }
+func transposeW(dst *complex128, ds int, src *complex128, ss, na, nb, mode int, zmm bool) {
 	panic(noASM)
 }
-func dft8Quads(dst *complex128, ds int, src *complex128, ss, n int, inverse bool)     { panic(noASM) }
-func transposeQuads(dst *complex128, ds int, src *complex128, ss, nqa, nqb, mode int) { panic(noASM) }
-func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool)           { panic(noASM) }
-func r4ColsStageQuads(x *complex128, n, h, w int, tw1, tw2 *complex128, inverse bool) { panic(noASM) }
+func permGather(dst, src *complex128, perm *int32, n int, neg, addSub bool) { panic(noASM) }

@@ -5,8 +5,8 @@
 # and runs once, without burning benchmark time). It gates only what is
 # deterministic — bits, allocation counts (TestKernelsZeroAllocs), op
 # counts, exit codes — never a wall-clock time: speed is judged by
-# alternating parent/change pairs (benchmark/README.md). Mirrors
-# `make ci` for environments without make.
+# alternating parent/change pairs (benchmark/README.md). It is the one
+# CI definition: `make ci` runs this script.
 set -eux
 
 # Formatting: every Go file as gofmt writes it.

@@ -9,11 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// shardedGoldenObservation is goldenObservation — same pinned dataset
-// and serial reference kernels — with the given shard count. With the
+// shardedGoldenObservation is goldenObservation — same pinned dataset,
+// one-worker production pass — with the given shard count. With the
 // fixture's Workers == 1 the pass must reproduce the committed golden
 // hash bit-for-bit at every shard count: chunking and sharding are pure
-// reorganizations of the same serial arithmetic.
+// reorganizations of the same plan-order arithmetic.
 func shardedGoldenObservation(t *testing.T, shards int) *Observation {
 	t.Helper()
 	o := goldenObservation(t)
