@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/clean"
@@ -78,6 +79,12 @@ func TestImagingCycleTransformsInPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts: sync.Pool drops items at random under the race detector")
 	}
+	// One P and no GC while measuring: sync.Pool keeps a private cache
+	// per P, so a pass spread over several Ps puts its transforms back
+	// where the next pass may not find them, and a GC mid-run empties
+	// the pools; either would add grids that are not the cycle's own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sc := defaultScenarioConfig()
 	allocs := func(major int) uint64 {
 		s := buildScenario(t, sc)
@@ -100,12 +107,7 @@ func TestImagingCycleTransformsInPlace(t *testing.T) {
 		}
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	// A GC that empties the kernels' pools mid-run only adds bytes: the
-	// least of three runs is the cycle's own.
 	one, two := allocs(1), allocs(2)
-	for i := 0; i < 2; i++ {
-		one, two = min(one, allocs(1)), min(two, allocs(2))
-	}
 	gridBytes := uint64(grid.NrCorrelations * sc.gridSize * sc.gridSize * 16)
 	t.Logf("a major cycle allocates %d bytes, %.2f grids", two-one, float64(two-one)/float64(gridBytes))
 	if two-one >= 3*gridBytes {

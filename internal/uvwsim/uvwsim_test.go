@@ -2,6 +2,7 @@ package uvwsim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/layout"
@@ -90,6 +91,84 @@ func TestBaselineTrackMatchesPointwise(t *testing.T) {
 		want := s.UVW(b.P, b.Q, 5+i)
 		if c != want {
 			t.Fatalf("track[%d] = %v, want %v", i, c, want)
+		}
+	}
+}
+
+// perCallUVW is the per-call formula BaselineTrack and AllTracks must
+// reproduce bit for bit: both sines and cosines taken afresh for every
+// sample, the declination's included.
+func perCallUVW(s *Simulator, decDeg float64, p, q, t int) UVW {
+	lx := s.xyz[q][0] - s.xyz[p][0]
+	ly := s.xyz[q][1] - s.xyz[p][1]
+	lz := s.xyz[q][2] - s.xyz[p][2]
+	sinH, cosH := math.Sincos(s.HourAngle(t))
+	sinD, cosD := math.Sincos(decDeg * math.Pi / 180)
+	return UVW{
+		U: sinH*lx + cosH*ly,
+		V: -sinD*cosH*lx + sinD*sinH*ly + cosD*lz,
+		W: cosD*cosH*lx - cosD*sinH*ly + sinD*lz,
+	}
+}
+
+// TestTracksMatchPerCallFormula: tracks read the shared hour-angle
+// table, and every sample equals the per-call formula's bits, whether
+// a window reuses the table, lies inside it or replaces it, and under
+// concurrent callers with different windows.
+func TestTracksMatchPerCallFormula(t *testing.T) {
+	cfg := layout.SKA1LowConfig()
+	cfg.NrStations = 12
+	stations := layout.Generate(cfg)
+	same := func(a, b UVW) bool {
+		return math.Float64bits(a.U) == math.Float64bits(b.U) &&
+			math.Float64bits(a.V) == math.Float64bits(b.V) &&
+			math.Float64bits(a.W) == math.Float64bits(b.W)
+	}
+	for _, opts := range []Options{
+		DefaultOptions(),
+		{LatitudeDeg: 52.9, DeclinationDeg: 48.2, HourAngleStartDeg: 30, IntegrationTime: 10},
+	} {
+		s := New(stations, opts)
+		check := func(what string, b Baseline, t0 int, track []UVW) {
+			t.Helper()
+			for i, got := range track {
+				if want := perCallUVW(s, opts.DeclinationDeg, b.P, b.Q, t0+i); !same(got, want) {
+					t.Fatalf("dec %g %s baseline %v sample %d: %v, per-call formula %v",
+						opts.DeclinationDeg, what, b, t0+i, got, want)
+				}
+			}
+		}
+		for _, nt := range []int{1, 7, 64} {
+			for b, tr := range s.AllTracks(nt) {
+				check("AllTracks", s.Baselines()[b], 0, tr)
+			}
+		}
+		for _, w := range [][2]int{{5, 50}, {0, 64}, {63, 1}, {100, 30}, {110, 5}, {-3, 9}, {0, 1}} {
+			for _, b := range s.Baselines()[:20] {
+				check("BaselineTrack", b, w[0], s.BaselineTrack(b, w[0], w[1], nil))
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []UVW
+				for i, b := range s.Baselines() {
+					t0 := (g + i) % 3 * 40
+					buf = s.BaselineTrack(b, t0, 80, buf)
+					for j, got := range buf {
+						if want := perCallUVW(s, opts.DeclinationDeg, b.P, b.Q, t0+j); !same(got, want) {
+							t.Errorf("concurrent baseline %v sample %d: %v, per-call formula %v", b, t0+j, got, want)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if c := s.UVW(2, 9, 17); !same(c, perCallUVW(s, opts.DeclinationDeg, 2, 9, 17)) {
+			t.Fatalf("UVW %v differs from the per-call formula", c)
 		}
 	}
 }
