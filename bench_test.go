@@ -516,29 +516,29 @@ func benchPartialGrid() *Grid {
 }
 
 // BenchmarkGridFingerprint measures the one-pass grid fingerprint
-// (SHA-256 over the cell memory, which on a little-endian host is the
-// canonical encoding, + diagnostics) of a 1024-pixel grid — the hash a
-// served session takes at finalize; a distributed run takes it of each
-// partial's band on both ends of the wire. MB/s is over the 64 MiB of
-// canonical bytes; the SHA-NI block function alone runs near 1.2 GB/s
-// here.
+// (SHA-256 of the grid stream + diagnostics) of a 1024-pixel grid —
+// the hash a served session takes at finalize; a distributed run takes
+// it of each partial's band on both ends of the wire. MB/s is over the
+// 64 MiB of dense cells; stream-B/op is what the hash consumed.
 func BenchmarkGridFingerprint(b *testing.B) {
 	g := benchPartialGrid()
-	g.Fingerprint() // fills the codec's buffer pool
+	_, n := g.FingerprintStream() // fills the codec's buffer pool
 	b.SetBytes(int64(grid.NrCorrelations * g.N * g.N * grid.CellBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchFingerprint = g.Fingerprint()
 	}
+	b.ReportMetric(float64(n), "stream-B/op")
 }
 
 var benchFingerprint grid.Fingerprint
 
 // BenchmarkWriteGridBinary measures the grid fetch path (a served
-// session's /grid, idgdistrib -out) for one 512-pixel grid, into a sink
-// that copies every write as a socket or bufio.Writer does: io.Discard
-// would time nothing where the writer hands over cell memory itself.
+// session's /grid, idgdistrib -out) for one 512-pixel grid with no
+// zero cell — the stream's worst case — into a sink that copies every
+// write as a socket or bufio.Writer does. MB/s is over the dense
+// cells; stream-B/op is what was written.
 func BenchmarkWriteGridBinary(b *testing.B) {
 	g := grid.NewGrid(512)
 	rnd := newTestRand(20)
@@ -556,6 +556,7 @@ func BenchmarkWriteGridBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(FingerprintGrid(g).GridBytes), "stream-B/op")
 }
 
 // copySink copies each write into one reused 64 KB buffer.

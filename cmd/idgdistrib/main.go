@@ -41,7 +41,7 @@ func main() {
 		restarts  = flag.Int("max-restarts", 2, "restart budget per worker")
 		kill      = flag.String("kill", "", "inject one crash: index:event[@chunk] (e.g. 2:before-rename); applied to the worker's first attempt only")
 		workerBin = flag.String("worker-bin", "", "path to the idgworker binary (default: next to this binary, else PATH)")
-		outPath   = flag.String("out", "", "write the final grid (fingerprint byte order) to this file")
+		outPath   = flag.String("out", "", "write the final grid's stream (zero-run cells, what the sha256 hashes) to this file")
 		jsonOut   = flag.Bool("json", false, "print the final fingerprint as JSON")
 		verbose   = flag.Bool("v", false, "log coordinator progress")
 

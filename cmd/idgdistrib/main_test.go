@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,13 +10,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
+	"repro/internal/grid"
 )
 
 // TestDistribExitCodes pins the coordinator's CLI contract: a run with
 // no workers, an unknown partition axis, a worker binary that does not
 // exist and two workers on the W-planes axis without -wstep each end
-// in a non-zero exit with a message naming the problem; and a tiny two-worker run prints a JSON sha256 that is the
-// SHA-256 of the grid it writes with -out.
+// in a non-zero exit with a message naming the problem; and a tiny
+// two-worker run prints a JSON sha256 that is the SHA-256 of the grid
+// stream it writes with -out, a stream that decodes to a 64-pixel grid
+// with the printed fingerprint.
 func TestDistribExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the idgdistrib and idgworker binaries in -short mode")
@@ -61,10 +67,9 @@ func TestDistribExitCodes(t *testing.T) {
 			t.Fatalf("%v\n%s", err, stderr.String())
 		}
 		var res struct {
-			SHA256   string `json:"sha256"`
-			Nonzero  int    `json:"nonzero"`
-			Workers  int    `json:"workers"`
-			Restarts int    `json:"restarts"`
+			repro.GridFingerprint
+			Workers  int `json:"workers"`
+			Restarts int `json:"restarts"`
 		}
 		if err := json.NewDecoder(strings.NewReader(string(stdout))).Decode(&res); err != nil {
 			t.Fatalf("no JSON fingerprint on stdout: %v\n%s", err, stdout)
@@ -76,8 +81,15 @@ func TestDistribExitCodes(t *testing.T) {
 		if sum := sha256.Sum256(written); hex.EncodeToString(sum[:]) != res.SHA256 {
 			t.Errorf("printed sha256 %s is not the SHA-256 of the -out file", res.SHA256)
 		}
-		if res.Workers != 2 || res.Restarts != 0 || res.Nonzero == 0 || len(written) != 4*64*64*16 {
+		if res.Workers != 2 || res.Restarts != 0 || res.Nonzero == 0 {
 			t.Errorf("result %+v over %d written bytes", res, len(written))
+		}
+		g, err := grid.ReadStream(bytes.NewReader(written), 64)
+		if err != nil {
+			t.Fatalf("the -out file does not decode as a 64-pixel grid: %v", err)
+		}
+		if fp := repro.FingerprintGrid(g); fp != res.GridFingerprint {
+			t.Errorf("the -out file's grid fingerprints %+v, printed %+v", fp, res.GridFingerprint)
 		}
 		if !strings.Contains(stderr.String(), "coordinator stage") {
 			t.Errorf("no stage table on stderr:\n%s", stderr.String())

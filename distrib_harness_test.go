@@ -543,9 +543,12 @@ func TestDistribSummaryWorkerTimes(t *testing.T) {
 }
 
 // TestWriteGridBinaryMatchesReflectionEncoding: the chunked writer
-// emits byte for byte what encoding/binary's reflection path emitted
-// for the planes, special values included; the bytes hash to
-// FingerprintGrid's SHA-256; and a warm call allocates nothing.
+// emits byte for byte the grid stream spelled out with
+// encoding/binary's reflection path — each cell that is not all-zero
+// bits after the uvarint count of the zero cells before it, then the
+// trailing count — special values included; the bytes hash to
+// FingerprintGrid's SHA-256, count its GridBytes and decode to the
+// grid bit for bit; and a warm call allocates nothing.
 func TestWriteGridBinaryMatchesReflectionEncoding(t *testing.T) {
 	specials := []float64{
 		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
@@ -565,20 +568,41 @@ func TestWriteGridBinaryMatchesReflectionEncoding(t *testing.T) {
 			}
 		}
 		var want, got bytes.Buffer
+		var run uint64
 		for c := range g.Data {
-			if err := binary.Write(&want, binary.LittleEndian, g.Data[c]); err != nil {
-				t.Fatal(err)
+			for _, v := range g.Data[c] {
+				if math.Float64bits(real(v))|math.Float64bits(imag(v)) == 0 {
+					run++
+					continue
+				}
+				want.Write(binary.AppendUvarint(nil, run))
+				if err := binary.Write(&want, binary.LittleEndian, v); err != nil {
+					t.Fatal(err)
+				}
+				run = 0
 			}
 		}
+		want.Write(binary.AppendUvarint(nil, run))
 		if err := WriteGridBinary(&got, g); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("n=%d: WriteGridBinary differs from binary.Write of the planes", n)
+			t.Fatalf("n=%d: WriteGridBinary differs from the stream spelled out with binary.Write", n)
 		}
 		sum := sha256.Sum256(got.Bytes())
-		if hex.EncodeToString(sum[:]) != FingerprintGrid(g).SHA256 {
-			t.Fatalf("n=%d: written bytes do not hash to FingerprintGrid's SHA-256", n)
+		if fp := FingerprintGrid(g); hex.EncodeToString(sum[:]) != fp.SHA256 || int64(got.Len()) != fp.GridBytes {
+			t.Fatalf("n=%d: %d written bytes do not hash to FingerprintGrid's SHA-256 or count its %d", n, got.Len(), fp.GridBytes)
+		}
+		back, err := grid.ReadStream(bytes.NewReader(got.Bytes()), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range g.Data {
+			for i, v := range g.Data[c] {
+				if w := back.Data[c][i]; math.Float64bits(real(w)) != math.Float64bits(real(v)) || math.Float64bits(imag(w)) != math.Float64bits(imag(v)) {
+					t.Fatalf("n=%d: plane %d cell %d decoded as %v, written %v", n, c, i, w, v)
+				}
+			}
 		}
 		if !raceEnabled {
 			if a := testing.AllocsPerRun(5, func() { WriteGridBinary(io.Discard, g) }); a != 0 {

@@ -1,9 +1,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,7 +41,7 @@ type goldenGrid = GridFingerprint
 // order. The kernels are the production tiles: every SIMD tier grids
 // the same float64 bits, so one hash holds on every host (CI checks it
 // under IDG_SIMD=scalar and avx2 too).
-func goldenObservation(t *testing.T) *Observation {
+func goldenObservation(t testing.TB) *Observation {
 	t.Helper()
 	cfg := ObservationConfig{
 		NrStations:     10,
@@ -67,13 +72,27 @@ func goldenObservation(t *testing.T) *Observation {
 	return o
 }
 
-// fingerprintGrid hashes the little-endian float64 bytes of every
-// correlation plane (real then imaginary per cell) and collects the
+// fingerprintGrid hashes the grid's stream and collects the
 // human-readable diagnostics; it delegates to the exported
 // FingerprintGrid so the golden file, the serving path and client-side
 // verification all hash identically.
 func fingerprintGrid(g *grid.Grid) goldenGrid {
 	return FingerprintGrid(g)
+}
+
+// goldenDenseSHA256 is the golden grid's hash under the dense
+// definition the fingerprint had before its stream elided zero cells:
+// the SHA-256 of every plane's cells, float64 real then imaginary
+// bits, little-endian. It pins the grid's bits apart from the stream.
+const goldenDenseSHA256 = "a36e8171aa48e70838e0982ede49eedce3fa4293ffd11b2487b056d6ea132880"
+
+// denseSHA256 is the dense oracle: the hex SHA-256 of g's dense cells.
+func denseSHA256(g *grid.Grid) string {
+	h := sha256.New()
+	for c := range g.Data {
+		grid.WriteCells(h, g.Data[c])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenGridConformance runs the full grid -> subgrid FFT -> adder
@@ -88,6 +107,9 @@ func TestGoldenGridConformance(t *testing.T) {
 	got := fingerprintGrid(g)
 	if got.Nonzero == 0 {
 		t.Fatal("gridded observation produced an all-zero grid")
+	}
+	if d := denseSHA256(g); d != goldenDenseSHA256 {
+		t.Errorf("dense grid hash %s, want %s: a grid bit moved", d, goldenDenseSHA256)
 	}
 
 	if *updateGolden {
@@ -137,4 +159,57 @@ func TestGoldenGridDeterminism(t *testing.T) {
 	if a, b := hash(), hash(); a != b {
 		t.Fatalf("two identical runs hashed differently: %s vs %s", a, b)
 	}
+}
+
+// FuzzGridStream feeds grid.ReadStream arbitrary bytes as the stream of
+// a grid of at most 256 pixels, seeded with the golden grid's stream
+// and a few small ones: input that decodes must be the decoded grid's
+// own stream byte for byte, and decoding that stream again gives the
+// grid bit for bit; any other input is a *grid.StreamError.
+func FuzzGridStream(f *testing.F) {
+	o := goldenObservation(f)
+	g, _, err := o.GridAll(context.Background(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	specials := grid.NewGrid(2)
+	specials.Data[1][2] = complex(math.Copysign(0, -1), math.Float64frombits(0x7ff8dead0000beef))
+	for _, g := range []*grid.Grid{g, grid.NewGrid(1), specials} {
+		var stream bytes.Buffer
+		if err := WriteGridBinary(&stream, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stream.Bytes(), g.N)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, n int) {
+		if n > 256 {
+			return // a declared grid that large costs its allocation alone
+		}
+		g, err := grid.ReadStream(bytes.NewReader(stream), n)
+		if err != nil {
+			if se := (*grid.StreamError)(nil); !errors.As(err, &se) {
+				t.Fatalf("error %v (%T) is not a *grid.StreamError", err, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteGridBinary(&again, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), stream) {
+			t.Fatal("a decoded stream re-encodes to other bytes")
+		}
+		back, err := grid.ReadStream(&again, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range g.Data {
+			for i, v := range g.Data[c] {
+				w := back.Data[c][i]
+				if math.Float64bits(real(w)) != math.Float64bits(real(v)) || math.Float64bits(imag(w)) != math.Float64bits(imag(v)) {
+					t.Fatalf("plane %d cell %d: %v decoded as %v", c, i, v, w)
+				}
+			}
+		}
+	})
 }

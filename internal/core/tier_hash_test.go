@@ -32,11 +32,24 @@ var updateTierHashes = flag.Bool("update-tier-hashes", false, "rewrite the per-t
 const tierHashFile = "testdata/tier_hashes.json"
 
 // tierHash is the fingerprint of one one-worker pass pair: the grid
-// GridVisibilities leaves and the visibilities DegridVisibilities
-// predicts back from it.
+// GridVisibilities leaves — the dense oracle's hash of its cells, the
+// definition the keys were recorded under, and the fingerprint of its
+// stream — and the visibilities DegridVisibilities predicts back from
+// it.
 type tierHash struct {
-	Grid string `json:"grid"`
-	Vis  string `json:"vis"`
+	Grid   string `json:"grid"`
+	Stream string `json:"stream"`
+	Vis    string `json:"vis"`
+}
+
+// denseGridHash is the dense oracle: the SHA-256 of every plane's
+// cells, float64 real then imaginary bits, little-endian.
+func denseGridHash(g *grid.Grid) string {
+	h := sha256.New()
+	for c := range g.Data {
+		grid.WriteCells(h, g.Data[c])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // hashVisibilities hashes the float64 bits of every visibility
@@ -84,7 +97,7 @@ func TestLowerTiersMatchRecordedHashes(t *testing.T) {
 				if _, err := gridPlain(context.Background(), k, s.plan, s.vs, nil, g); err != nil {
 					t.Fatal(err)
 				}
-				fp := g.Fingerprint()
+				fp, dense := g.Fingerprint(), denseGridHash(g)
 				if fp.Nonzero == 0 {
 					t.Fatal("gridded observation produced an all-zero grid")
 				}
@@ -92,8 +105,9 @@ func TestLowerTiersMatchRecordedHashes(t *testing.T) {
 					t.Fatal(err)
 				}
 				got[fmt.Sprintf("%v/%v/nc=%d", tier, prec, nc)] = tierHash{
-					Grid: hex.EncodeToString(fp.SHA256[:]),
-					Vis:  hashVisibilities(s.vs),
+					Grid:   dense,
+					Stream: hex.EncodeToString(fp.SHA256[:]),
+					Vis:    hashVisibilities(s.vs),
 				}
 			}
 		}

@@ -41,8 +41,8 @@ const (
 	// FrameBand carries rows [lo, hi) of one correlation plane of the
 	// partial grid: payload = gridSize uint32 | plane uint32 | lo
 	// uint32 | hi uint32 | (hi-lo) rows of gridSize complex128 cells,
-	// each cell little-endian float64 (re, im) — the canonical cell
-	// encoding of grid.WriteCells, checkpoints and the grid fingerprint.
+	// each cell little-endian float64 (re, im) — the dense cell
+	// encoding of grid.EncodeCells and checkpoints.
 	FrameBand byte = 17
 	// FrameResult closes the stream: payload = worker uint32 | gridSize
 	// uint32 | nonzero uint64 | sumAbs float64 | peakAbs float64 |
@@ -211,7 +211,7 @@ func DecodeBandInto(dst *grid.Band, f frame.Frame) (c, lo, hi int, cells []compl
 }
 
 // Fingerprint is what partials are declared and verified with: the
-// grid.Band fingerprint of the span, over the canonical cell bytes
+// grid.Band fingerprint of the span, over the stream of the cells
 // FrameBand carries, so a band assembled from a full-cover stream
 // fingerprints identically to the sender's.
 type Fingerprint = grid.Fingerprint

@@ -12,18 +12,37 @@ import (
 	"testing"
 )
 
+// referenceStream is the per-cell transcription of the grid stream the
+// Hasher and WriteStream must produce: header, then every cell of the
+// planes in order, +0 cells counted and the rest written with the
+// count before them, then the count of the trailing zeros.
+func referenceStream(header []byte, planes [NrCorrelations][]complex128) []byte {
+	out := append([]byte(nil), header...)
+	var run uint64
+	for _, plane := range planes {
+		for _, v := range plane {
+			re, im := math.Float64bits(real(v)), math.Float64bits(imag(v))
+			if re == 0 && im == 0 {
+				run++
+				continue
+			}
+			out = binary.AppendUvarint(out, run)
+			out = binary.LittleEndian.AppendUint64(out, re)
+			out = binary.LittleEndian.AppendUint64(out, im)
+			run = 0
+		}
+	}
+	return binary.AppendUvarint(out, run)
+}
+
 // referenceFingerprint is the per-cell transcription the chunked
-// Fingerprint must equal field for field: sixteen bytes per hash Write,
-// Hypot of every cell (zeros included), in canonical cell order.
+// Fingerprint must equal field for field: the SHA-256 of
+// referenceStream, Hypot of every cell (zeros included), in canonical
+// cell order.
 func referenceFingerprint(g *Grid) Fingerprint {
-	h := sha256.New()
-	var buf [16]byte
-	fp := Fingerprint{GridSize: g.N}
+	fp := Fingerprint{GridSize: g.N, SHA256: sha256.Sum256(referenceStream(nil, g.Data))}
 	for c := 0; c < NrCorrelations; c++ {
 		for _, v := range g.Data[c] {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(v)))
-			h.Write(buf[:])
 			a := math.Hypot(real(v), imag(v))
 			fp.SumAbs += a
 			if a > fp.PeakAbs {
@@ -34,8 +53,21 @@ func referenceFingerprint(g *Grid) Fingerprint {
 			}
 		}
 	}
-	h.Sum(fp.SHA256[:0])
 	return fp
+}
+
+// denseSHA256 is the dense oracle: the SHA-256 of the planes' cells,
+// each its float64 real then imaginary bits, little-endian — the
+// fingerprint before the stream elided zero cells. Grid bits are
+// checked against the hashes recorded under this definition.
+func denseSHA256(g *Grid) [32]byte {
+	h := sha256.New()
+	for c := range g.Data {
+		binary.Write(h, binary.LittleEndian, g.Data[c])
+	}
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // awkward are the float64 bit patterns a lossy or value-based codec
@@ -278,18 +310,17 @@ func sameFingerprint(a, b Fingerprint) bool {
 }
 
 // TestBandFingerprint: a band hashes its grid size, Lo and Hi as
-// little-endian uint32 and then its cells in the canonical order, its
+// little-endian uint32 and then the stream of its cells, its
 // diagnostics cover its cells only, and the empty span hashes the
-// header alone.
+// header and a zero tail alone.
 func TestBandFingerprint(t *testing.T) {
 	g := sparseGrid(9)
 	for _, span := range [][2]int{{0, 9}, {2, 7}, {4, 4}} {
 		b := g.Rows(span[0], span[1])
-		h := sha256.New()
-		binary.Write(h, binary.LittleEndian, [3]uint32{9, uint32(span[0]), uint32(span[1])})
-		want := Fingerprint{GridSize: 9}
+		var header bytes.Buffer
+		binary.Write(&header, binary.LittleEndian, [3]uint32{9, uint32(span[0]), uint32(span[1])})
+		want := Fingerprint{GridSize: 9, SHA256: sha256.Sum256(referenceStream(header.Bytes(), b.Data))}
 		for c := range b.Data {
-			binary.Write(h, binary.LittleEndian, b.Data[c])
 			for _, v := range b.Data[c] {
 				if v != 0 {
 					want.Nonzero++
@@ -298,7 +329,6 @@ func TestBandFingerprint(t *testing.T) {
 				}
 			}
 		}
-		h.Sum(want.SHA256[:0])
 		if got := b.Fingerprint(); got != want {
 			t.Errorf("band %v: %+v, want %+v", span, got, want)
 		}

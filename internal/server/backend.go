@@ -68,15 +68,17 @@ func (c *SessionConfig) validate() error {
 }
 
 // Result is the outcome of a finalized session: the grid fingerprint
-// (the same bytes-hash the conformance suite pins) plus degradation
-// notes from the fault-tolerance report.
+// (the same stream hash the conformance suite pins), the length of the
+// grid stream WriteGrid sends, and degradation notes from the
+// fault-tolerance report.
 type Result struct {
-	GridSize int      `json:"grid_size"`
-	SHA256   string   `json:"sha256"`
-	SumAbs   float64  `json:"sum_abs"`
-	PeakAbs  float64  `json:"peak_abs"`
-	Nonzero  int      `json:"nonzero"`
-	Notes    []string `json:"notes,omitempty"`
+	GridSize  int      `json:"grid_size"`
+	SHA256    string   `json:"sha256"`
+	SumAbs    float64  `json:"sum_abs"`
+	PeakAbs   float64  `json:"peak_abs"`
+	Nonzero   int      `json:"nonzero"`
+	GridBytes int64    `json:"grid_bytes"`
+	Notes     []string `json:"notes,omitempty"`
 }
 
 // Backend turns session configs into gridding sessions. The root
@@ -105,8 +107,8 @@ type BackendSession interface {
 	// usual cancellation semantics (checkpointing sessions keep their
 	// last durable snapshot).
 	Run(ctx context.Context) (*Result, error)
-	// WriteGrid streams the finished grid (little-endian complex128,
-	// correlation-plane-major — the byte order the SHA-256 in Result
-	// is computed over). It fails before a successful Run.
+	// WriteGrid writes the finished grid's stream: the Result.GridBytes
+	// bytes its SHA-256 is computed over. It fails before a successful
+	// Run.
 	WriteGrid(w io.Writer) error
 }

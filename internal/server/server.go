@@ -135,7 +135,7 @@ func New(cfg Config, back Backend) (*Server, error) {
 //	POST   /v1/sessions/{id}/chunks stream visibility frames (binary wire format)
 //	POST   /v1/sessions/{id}/finalize run the gridding pass, return the Result
 //	GET    /v1/sessions/{id}       session state
-//	GET    /v1/sessions/{id}/grid  the finished grid (binary, LE complex128)
+//	GET    /v1/sessions/{id}/grid  the finished grid's stream (grid.ReadStream)
 //	DELETE /v1/sessions/{id}       abort/release the session
 //	GET    /v1/healthz             liveness + drain state
 //	GET    /v1/metricz             metrics snapshot (JSON; 404 without an Observer)
@@ -485,10 +485,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.touch(time.Now())
 	w.Header().Set("Content-Type", "application/octet-stream")
-	// The declared length (four planes of N² complex128) makes a grid
-	// that WriteGrid fails to finish a short body the client rejects,
-	// where a chunked one would end cleanly.
-	w.Header().Set("Content-Length", strconv.Itoa(4*res.GridSize*res.GridSize*16))
+	// The declared length (the stream's, measured as Run hashed it)
+	// makes a grid that WriteGrid fails to finish a short body the
+	// client rejects, where a chunked one would end cleanly.
+	w.Header().Set("Content-Length", strconv.FormatInt(res.GridBytes, 10))
 	if err := sess.back.WriteGrid(w); err != nil {
 		// Headers are gone; the connection closes short of the length.
 		return

@@ -114,11 +114,12 @@ func (s *fakeSession) Run(ctx context.Context) (*Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	sum := sha256.Sum256(s.payload())
+	p := s.payload()
+	sum := sha256.Sum256(p)
 	s.mu.Lock()
 	s.done = true
 	s.mu.Unlock()
-	return &Result{GridSize: s.gridSize(), SHA256: hex.EncodeToString(sum[:])}, nil
+	return &Result{GridSize: s.gridSize(), SHA256: hex.EncodeToString(sum[:]), GridBytes: int64(len(p))}, nil
 }
 
 func (s *fakeSession) WriteGrid(w io.Writer) error {

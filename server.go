@@ -38,41 +38,39 @@ func NewGridServer(cfg GridServerConfig, backend *ServerBackend) (*GridServer, e
 }
 
 // GridFingerprint pins the exact bits of a grid: the SHA-256 of its
-// little-endian complex128 bytes (correlation-plane-major, real then
-// imaginary per cell) plus human-readable diagnostics for diagnosing a
-// mismatch. It is the conformance currency of the repository: the
-// golden tests, the server's session results and WriteGridBinary all
-// speak this byte order.
+// stream (grid.WriteStream: correlation-plane-major, each cell that is
+// not all-zero bits after the count of zero cells since the previous
+// one, as little-endian float64 real then imaginary) plus diagnostics
+// for a mismatch, and the stream's length. It is the conformance currency
+// of the repository: the golden tests, the server's session results
+// and WriteGridBinary all speak this stream.
 type GridFingerprint struct {
-	SHA256   string  `json:"sha256"`
-	GridSize int     `json:"grid_size"`
-	SumAbs   float64 `json:"sum_abs"`
-	PeakAbs  float64 `json:"peak_abs"`
-	Nonzero  int     `json:"nonzero"`
+	SHA256    string  `json:"sha256"`
+	GridSize  int     `json:"grid_size"`
+	SumAbs    float64 `json:"sum_abs"`
+	PeakAbs   float64 `json:"peak_abs"`
+	Nonzero   int     `json:"nonzero"`
+	GridBytes int64   `json:"grid_bytes"`
 }
 
 // FingerprintGrid hashes and summarizes a grid (grid.Fingerprint with
-// the hash in hex).
+// the hash in hex) and measures its stream, in one pass.
 func FingerprintGrid(g *Grid) GridFingerprint {
-	fp := g.Fingerprint()
+	fp, n := g.FingerprintStream()
 	return GridFingerprint{
-		SHA256:   hex.EncodeToString(fp.SHA256[:]),
-		GridSize: fp.GridSize,
-		SumAbs:   fp.SumAbs,
-		PeakAbs:  fp.PeakAbs,
-		Nonzero:  int(fp.Nonzero),
+		SHA256:    hex.EncodeToString(fp.SHA256[:]),
+		GridSize:  fp.GridSize,
+		SumAbs:    fp.SumAbs,
+		PeakAbs:   fp.PeakAbs,
+		Nonzero:   int(fp.Nonzero),
+		GridBytes: n,
 	}
 }
 
-// WriteGridBinary streams a grid in the fingerprint byte order, so
-// hashing the written bytes reproduces FingerprintGrid(g).SHA256.
+// WriteGridBinary writes a grid's stream, so hashing the written bytes
+// reproduces FingerprintGrid(g).SHA256 and their count its GridBytes.
 func WriteGridBinary(w io.Writer, g *Grid) error {
-	for c := range g.Data {
-		if err := grid.WriteCells(w, g.Data[c]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return grid.WriteStream(w, g)
 }
 
 // ServerBackend implements the server's gridding backend on the
@@ -184,11 +182,12 @@ func (s *backendSession) Run(ctx context.Context) (*server.Result, error) {
 	s.grid = g
 	s.mu.Unlock()
 	res := &server.Result{
-		GridSize: fp.GridSize,
-		SHA256:   fp.SHA256,
-		SumAbs:   fp.SumAbs,
-		PeakAbs:  fp.PeakAbs,
-		Nonzero:  fp.Nonzero,
+		GridSize:  fp.GridSize,
+		SHA256:    fp.SHA256,
+		SumAbs:    fp.SumAbs,
+		PeakAbs:   fp.PeakAbs,
+		Nonzero:   fp.Nonzero,
+		GridBytes: fp.GridBytes,
 	}
 	if rep != nil {
 		res.Notes = append(res.Notes, rep.Notes...)
@@ -199,7 +198,7 @@ func (s *backendSession) Run(ctx context.Context) (*server.Result, error) {
 	return res, nil
 }
 
-// WriteGrid streams the finished grid in fingerprint byte order.
+// WriteGrid writes the finished grid's stream.
 func (s *backendSession) WriteGrid(w io.Writer) error {
 	s.mu.Lock()
 	g := s.grid
