@@ -522,7 +522,7 @@ func benchPartialGrid() *Grid {
 // 64 MiB of dense cells; stream-B/op is what the hash consumed.
 func BenchmarkGridFingerprint(b *testing.B) {
 	g := benchPartialGrid()
-	_, n := g.FingerprintStream() // fills the codec's buffer pool
+	_, n, _ := grid.WriteStream(nil, g) // fills the codec's buffer pool
 	b.SetBytes(int64(grid.NrCorrelations * g.N * g.N * grid.CellBytes))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -317,7 +317,7 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 	if _, _, _, err := o.GridAllStreamed(context.Background(), nil, FaultConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	sn, path, notes, err := checkpoint.LoadLatest(dir)
+	sn, path, notes, err := checkpoint.LoadLatest(dir, o.Config.GridSize)
 	if err != nil || sn == nil {
 		t.Fatalf("LoadLatest: %v %v", sn, err)
 	}
@@ -467,7 +467,7 @@ func TestResumeFromSnapshotWithRetriedCount(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := checkpoint.Read(path); err != nil {
+	if _, err := checkpoint.Read(path, o.Config.GridSize); err != nil {
 		t.Fatalf("snapshot with a nonzero reserved slot: %v", err)
 	}
 

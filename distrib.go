@@ -83,8 +83,9 @@ type DistribWorkerOptions struct {
 	// chunks for checkpoints — and kills — to land mid-stream.
 	ChunkItems int
 	// MaxFramePayload caps reduction frames (<= 0:
-	// frame.DefaultMaxPayload); a cap below one band row of the grid
-	// plus the band header is a *ConfigError.
+	// frame.DefaultMaxPayload); a cap below distrib.MinPayload, the
+	// largest of the hello, the result and one grid stream entry, is a
+	// *ConfigError.
 	MaxFramePayload int
 }
 
@@ -108,7 +109,7 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 	if opt.Workers < 1 || opt.Index < 0 || opt.Index >= opt.Workers {
 		return times, fmt.Errorf("repro: worker %d of %d is not a valid assignment", opt.Index, opt.Workers)
 	}
-	if err := checkFramePayload(opt.MaxFramePayload, opt.Config.GridSize); err != nil {
+	if err := checkFramePayload(opt.MaxFramePayload); err != nil {
 		return times, err
 	}
 	mark := time.Now()
@@ -178,12 +179,12 @@ func runDistribWorker(ctx context.Context, opt DistribWorkerOptions, geo *geomet
 }
 
 // checkFramePayload rejects a reduction frame cap (<= 0: the default)
-// too small for one band row of a gridSize-pixel grid: every band frame
+// too small for the hello, the result or one stream entry: such a frame
 // of the run would exceed it and the coordinator discard every stream.
-func checkFramePayload(maxPayload, gridSize int) error {
-	if need := distrib.MinPayload(gridSize); maxPayload > 0 && maxPayload < need {
+func checkFramePayload(maxPayload int) error {
+	if maxPayload > 0 && maxPayload < distrib.MinPayload {
 		return &ConfigError{Field: "MaxFramePayload",
-			Reason: fmt.Sprintf("%d bytes cannot carry one band row of a %d-pixel grid; the minimum is %d", maxPayload, gridSize, need)}
+			Reason: fmt.Sprintf("%d bytes cannot carry every reduction frame; the minimum is %d", maxPayload, distrib.MinPayload)}
 	}
 	return nil
 }
@@ -219,8 +220,9 @@ type DistribOptions struct {
 	// (<= 0: the scheduler default).
 	ChunkItems int
 	// MaxFramePayload caps reduction frames (<= 0:
-	// frame.DefaultMaxPayload); a cap below one band row of the grid
-	// plus the band header is a *ConfigError.
+	// frame.DefaultMaxPayload); a cap below distrib.MinPayload, the
+	// largest of the hello, the result and one grid stream entry, is a
+	// *ConfigError.
 	MaxFramePayload int
 	// Fault is the per-item failure policy inside each worker.
 	Fault FaultConfig
@@ -253,7 +255,7 @@ func RunDistributed(ctx context.Context, opt DistribOptions) (*Grid, *DistribSum
 		return nil, nil, &ConfigError{Field: "WStepLambda",
 			Reason: fmt.Sprintf("the wplanes axis splits W-layers, and without W-stacking worker 0 of %d would own every item", opt.Workers)}
 	}
-	if err := checkFramePayload(opt.MaxFramePayload, opt.Config.GridSize); err != nil {
+	if err := checkFramePayload(opt.MaxFramePayload); err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()

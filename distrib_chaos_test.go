@@ -243,18 +243,18 @@ func TestDistribWorkerOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDistribRejectsFramePayloadBelowOneRow: a reduction frame cap too
-// small for one row of one plane plus the band header is a ConfigError
-// on MaxFramePayload naming the minimum, from RunDistributed and
-// RunDistribWorker alike, before any worker starts (every band frame
-// would exceed it, and the coordinator would discard every stream until
-// its result wait ran out). At the minimum itself every band frame is
-// one row of one plane, and the run reduces to the default cap's bits.
+// TestDistribRejectsFramePayloadBelowOneRow: a reduction frame cap
+// below distrib.MinPayload, too small for the result frame, is a
+// ConfigError on MaxFramePayload naming the minimum, from
+// RunDistributed and RunDistribWorker alike, before any worker starts
+// (the coordinator would discard every stream until its result wait ran
+// out). At the minimum itself the band stream goes a few entries to a
+// frame, and the run reduces to the default cap's bits.
 func TestDistribRejectsFramePayloadBelowOneRow(t *testing.T) {
 	ctx := context.Background()
 	opt := distribGoldenOptions(t, 2, DistribRows)
 	opt.MaxRestarts = 1
-	need := distrib.MinPayload(opt.Config.GridSize)
+	need := distrib.MinPayload
 	var launched atomic.Int32
 	opt.Launcher = DistribLauncherFunc(func(context.Context, DistribWorkerSpec) error {
 		launched.Add(1)
@@ -264,7 +264,7 @@ func TestDistribRejectsFramePayloadBelowOneRow(t *testing.T) {
 		var ce *ConfigError
 		return errors.As(err, &ce) && ce.Field == "MaxFramePayload" && strings.Contains(ce.Reason, fmt.Sprintf("minimum is %d", need))
 	}
-	for _, cap := range []int{1000, need - 1} {
+	for _, cap := range []int{1, need - 1} {
 		opt.MaxFramePayload = cap
 		if _, _, err := RunDistributed(ctx, opt); !isPayloadError(err) {
 			t.Errorf("RunDistributed with a %d-byte cap: %v, want a MaxFramePayload ConfigError naming %d", cap, err, need)
@@ -275,7 +275,7 @@ func TestDistribRejectsFramePayloadBelowOneRow(t *testing.T) {
 		}
 	}
 	if n := launched.Load(); n != 0 {
-		t.Fatalf("%d workers launched under a cap below one band row", n)
+		t.Fatalf("%d workers launched under a cap below the minimum", n)
 	}
 
 	opt.Launcher = nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -90,7 +91,7 @@ const goldenDenseSHA256 = "a36e8171aa48e70838e0982ede49eedce3fa4293ffd11b2487b05
 func denseSHA256(g *grid.Grid) string {
 	h := sha256.New()
 	for c := range g.Data {
-		grid.WriteCells(h, g.Data[c])
+		binary.Write(h, binary.LittleEndian, g.Data[c])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

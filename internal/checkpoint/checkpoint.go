@@ -9,26 +9,23 @@
 //
 // # Format
 //
-// A snapshot file is one band record, in order (all integers
-// little-endian):
+// A snapshot file is, in order (all integers little-endian):
 //
 //	magic   "IDGCKPT\n" (8 bytes)
-//	version uint32 (currently 2)
+//	version uint32 (currently 3)
 //	header  gridSize uint32, nextChunk uint64, chunkItems uint32
 //	plan    SHA-256 of the canonical plan encoding (32 bytes)
 //	report  itemsProcessed, reserved, itemsSkipped,
 //	        droppedVisibilities (4 x uint64); the reserved slot is
 //	        written as 0 and ignored on read (older writers stored a
 //	        retried-item count there)
-//	band    rowLo uint32, rowHi uint32 (grid.NonzeroRowSpan: the rows
-//	        the pass has touched), then those rows of each correlation
-//	        plane in turn as float64 (re, im) pairs (grid.WriteCells);
-//	        every other row is zero
+//	grid    the grid's stream (grid.WriteStream: its nonzero cells,
+//	        each after the count of zero cells before it)
 //	digest  SHA-256 over every preceding byte (32 bytes)
 //
-// The file size is a closed form of (gridSize, rowLo, rowHi), so a
-// reader can reject a truncated or padded file before allocating the
-// grid.
+// A reader names the grid size it resumes into and is refused any
+// other before the grid is allocated; the stream must end exactly
+// where the digest begins.
 //
 // # Atomicity
 //
@@ -49,7 +46,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"os"
@@ -64,7 +60,9 @@ import (
 
 const (
 	magic   = "IDGCKPT\n"
-	version = 2
+	version = 3
+	// headerBytes is the size of everything before the grid.
+	headerBytes = 8 + 4 + 4 + 8 + 4 + 32 + 4*8
 
 	// filePrefix/fileSuffix frame checkpoint file names; the chunk
 	// cursor is zero-padded so lexical order equals numeric order.
@@ -152,18 +150,6 @@ type Snapshot struct {
 	Grid *grid.Grid
 }
 
-// fileSize returns the exact encoded size of a snapshot of an
-// n-pixel grid holding rows [lo, hi).
-func fileSize(n, lo, hi int) int64 {
-	return int64(len(magic)) + 4 + // magic, version
-		4 + 8 + 4 + // gridSize, nextChunk, chunkItems
-		32 + // plan fingerprint
-		4*8 + // report counters
-		4 + 4 + // band rows
-		grid.NrCorrelations*int64(hi-lo)*int64(n)*grid.CellBytes + // band cells
-		32 // digest
-}
-
 // PlanFingerprint hashes the plan's canonical content — config,
 // frequencies and every work item — so a snapshot can prove it
 // belongs to the plan a resume is about to grid. Two plans fingerprint
@@ -216,32 +202,6 @@ func FileName(nextChunk int) string {
 	return fmt.Sprintf("%s%012d%s", filePrefix, nextChunk, fileSuffix)
 }
 
-// hashWriter tees writes into a running SHA-256.
-type hashWriter struct {
-	w io.Writer
-	h hash.Hash
-}
-
-func (hw *hashWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	return n, err
-}
-
-func (hw *hashWriter) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := hw.Write(b[:])
-	return err
-}
-
-func (hw *hashWriter) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := hw.Write(b[:])
-	return err
-}
-
 // Write durably stores sn into dir (created if missing) and returns
 // the published file path and its size in bytes. The snapshot streams
 // into a temp file which is synced and atomically renamed to
@@ -269,43 +229,27 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 		}
 	}()
 
+	b := make([]byte, 0, headerBytes)
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(sn.GridSize))
+	b = binary.LittleEndian.AppendUint64(b, uint64(sn.NextChunk))
+	b = binary.LittleEndian.AppendUint32(b, uint32(sn.ChunkItems))
+	b = append(b, sn.PlanSum[:]...)
+	for _, v := range []uint64{uint64(sn.Report.ItemsProcessed), 0, uint64(sn.Report.ItemsSkipped), uint64(sn.Report.DroppedVisibilities)} {
+		b = binary.LittleEndian.AppendUint64(b, v) // the second is reserved
+	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	hw := &hashWriter{w: bw, h: sha256.New()}
-	if _, err := hw.Write([]byte(magic)); err != nil {
+	digest := sha256.New()
+	w := io.MultiWriter(bw, digest)
+	if _, err := w.Write(b); err != nil {
 		return "", 0, err
 	}
-	if err := hw.u32(version); err != nil {
+	_, n, err := grid.WriteStream(w, sn.Grid)
+	if err != nil {
 		return "", 0, err
 	}
-	if err := errors.Join(
-		hw.u32(uint32(sn.GridSize)),
-		hw.u64(uint64(sn.NextChunk)),
-		hw.u32(uint32(sn.ChunkItems)),
-	); err != nil {
-		return "", 0, err
-	}
-	if _, err := hw.Write(sn.PlanSum[:]); err != nil {
-		return "", 0, err
-	}
-	band := sn.Grid.Rows(grid.NonzeroRowSpan(sn.Grid))
-	if err := errors.Join(
-		hw.u64(uint64(sn.Report.ItemsProcessed)),
-		hw.u64(0), // reserved
-		hw.u64(uint64(sn.Report.ItemsSkipped)),
-		hw.u64(uint64(sn.Report.DroppedVisibilities)),
-		hw.u32(uint32(band.Lo)),
-		hw.u32(uint32(band.Hi)),
-	); err != nil {
-		return "", 0, err
-	}
-	for c := range band.Data {
-		if err := grid.WriteCells(hw, band.Data[c]); err != nil {
-			return "", 0, err
-		}
-	}
-	var digest [32]byte
-	hw.h.Sum(digest[:0])
-	if _, err := bw.Write(digest[:]); err != nil {
+	if _, err := bw.Write(digest.Sum(nil)); err != nil {
 		return "", 0, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -334,7 +278,7 @@ func Write(dir string, sn *Snapshot, hook Hook) (path string, bytes int64, err e
 		d.Close()
 	}
 	prune(dir, FileName(sn.NextChunk))
-	return path, fileSize(sn.GridSize, band.Lo, band.Hi), nil
+	return path, headerBytes + n + sha256.Size, nil
 }
 
 // prune deletes, best effort, every snapshot in dir older than the
@@ -347,46 +291,14 @@ func prune(dir, name string) {
 	}
 }
 
-// hashReader tees reads into a running SHA-256.
-type hashReader struct {
-	r io.Reader
-	h hash.Hash
-}
-
-func (hr *hashReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	hr.h.Write(p[:n])
-	return n, err
-}
-
-func (hr *hashReader) full(p []byte) error {
-	_, err := io.ReadFull(hr, p)
-	return err
-}
-
-func (hr *hashReader) u32() (uint32, error) {
-	var b [4]byte
-	if err := hr.full(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func (hr *hashReader) u64() (uint64, error) {
-	var b [8]byte
-	if err := hr.full(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// Read loads and fully validates one snapshot file: magic, version,
-// header sanity, exact file size, band structure and the trailing
-// SHA-256 digest. Any structural problem returns an error matching
-// ErrCorrupt (or ErrVersion for a well-formed file of another
+// Read loads and fully validates one snapshot file of a gridSize-pixel
+// grid: magic, version, header sanity, the grid stream and the trailing
+// SHA-256 digest. A snapshot of another grid size is ErrMismatch,
+// refused before the grid is allocated. Any structural problem returns
+// an error matching ErrCorrupt (or ErrVersion for a file of another
 // version); Read never panics and never returns a partially valid
 // snapshot.
-func Read(path string) (*Snapshot, error) {
+func Read(path string, gridSize int) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -397,79 +309,54 @@ func Read(path string) (*Snapshot, error) {
 		return nil, err
 	}
 
-	br := bufio.NewReaderSize(f, 1<<16)
-	hr := &hashReader{r: br, h: sha256.New()}
-	var mg [len(magic)]byte
-	if err := hr.full(mg[:]); err != nil {
-		return nil, fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
+	// Everything before the digest passes through the hash; the stream
+	// decoder's end-of-input check finds a padded file.
+	digest := sha256.New()
+	body := io.TeeReader(io.LimitReader(f, st.Size()-sha256.Size), digest)
+	var b [headerBytes]byte
+	if _, err := io.ReadFull(body, b[:len(magic)+4]); err != nil {
+		return nil, fmt.Errorf("%w: short magic or version: %v", ErrCorrupt, err)
 	}
-	if string(mg[:]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, mg)
+	if string(b[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:len(magic)])
 	}
-	ver, err := hr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if ver != version {
+	if ver := binary.LittleEndian.Uint32(b[len(magic):]); ver != version {
 		return nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrVersion, ver, version)
 	}
-
-	gridSize, err1 := hr.u32()
-	nextChunk, err2 := hr.u64()
-	chunkItems, err3 := hr.u32()
-	if err := errors.Join(err1, err2, err3); err != nil {
+	if _, err := io.ReadFull(body, b[len(magic)+4:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
+	h := b[len(magic)+4:]
+	u64 := func(at int) uint64 { return binary.LittleEndian.Uint64(h[at:]) }
+	size, nextChunk, chunkItems := binary.LittleEndian.Uint32(h), u64(4), binary.LittleEndian.Uint32(h[12:])
 	switch {
-	case gridSize < 2 || gridSize > maxGridSize:
-		return nil, fmt.Errorf("%w: implausible grid size %d", ErrCorrupt, gridSize)
+	case size < 2 || size > maxGridSize:
+		return nil, fmt.Errorf("%w: implausible grid size %d", ErrCorrupt, size)
+	case int64(size) != int64(gridSize):
+		return nil, fmt.Errorf("%w: snapshot grid is %d pixels, resuming into %d", ErrMismatch, size, gridSize)
 	case nextChunk > 1<<40:
 		return nil, fmt.Errorf("%w: implausible chunk cursor %d", ErrCorrupt, nextChunk)
 	case chunkItems < 1 || chunkItems > 1<<24:
 		return nil, fmt.Errorf("%w: implausible chunk size %d", ErrCorrupt, chunkItems)
 	}
 	sn := &Snapshot{
-		GridSize:   int(gridSize),
+		GridSize:   gridSize,
 		NextChunk:  int(nextChunk),
 		ChunkItems: int(chunkItems),
+		Report: faulttol.ReportState{
+			ItemsProcessed:      int(u64(48)),
+			ItemsSkipped:        int(u64(64)), // u64(56) is reserved
+			DroppedVisibilities: int64(u64(72)),
+		},
 	}
-	if err := hr.full(sn.PlanSum[:]); err != nil {
-		return nil, fmt.Errorf("%w: short plan fingerprint: %v", ErrCorrupt, err)
-	}
-	proc, err1 := hr.u64()
-	_, err2 = hr.u64() // reserved
-	skip, err3 := hr.u64()
-	drop, err4 := hr.u64()
-	lo, err5 := hr.u32()
-	hi, err6 := hr.u32()
-	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
-		return nil, fmt.Errorf("%w: short report or band rows: %v", ErrCorrupt, err)
-	}
-	sn.Report = faulttol.ReportState{
-		ItemsProcessed:      int(proc),
-		ItemsSkipped:        int(skip),
-		DroppedVisibilities: int64(drop),
-	}
-	if lo > hi || hi > gridSize {
-		return nil, fmt.Errorf("%w: band rows [%d, %d) of a %d-row grid", ErrCorrupt, lo, hi, gridSize)
-	}
-	// The whole layout is now determined; reject truncated or padded
-	// files before allocating ~16 N^2 bytes of grid.
-	if want := fileSize(int(gridSize), int(lo), int(hi)); st.Size() != want {
-		return nil, fmt.Errorf("%w: file is %d bytes, a %d-pixel snapshot of rows [%d, %d) is %d",
-			ErrCorrupt, st.Size(), gridSize, lo, hi, want)
-	}
-	sn.Grid = grid.NewGrid(sn.GridSize)
-	band := sn.Grid.Rows(int(lo), int(hi))
-	for c := range band.Data {
-		if err := grid.ReadCells(hr, band.Data[c]); err != nil {
-			return nil, fmt.Errorf("%w: plane %d: %v", ErrCorrupt, c, err)
-		}
+	copy(sn.PlanSum[:], h[16:48])
+	if sn.Grid, err = grid.ReadStream(bufio.NewReaderSize(body, 1<<16), gridSize); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	var want, got [32]byte
-	hr.h.Sum(want[:0])
-	if _, err := io.ReadFull(br, got[:]); err != nil {
+	var want, got [sha256.Size]byte
+	digest.Sum(want[:0])
+	if _, err := io.ReadFull(f, got[:]); err != nil {
 		return nil, fmt.Errorf("%w: short digest: %v", ErrCorrupt, err)
 	}
 	if want != got {
@@ -500,22 +387,27 @@ func List(dir string) ([]string, error) {
 	return names, nil
 }
 
-// LoadLatest returns the newest valid snapshot in dir, scanning
-// backwards past invalid files: a torn, corrupt or version-mismatched
-// newest checkpoint falls back to its predecessor. Each skipped file
-// adds a note (for the run's FaultReport); a nil snapshot with a nil
-// error means no valid checkpoint exists and the caller should start
-// clean. Only I/O-level problems (unreadable directory) are errors.
-func LoadLatest(dir string) (sn *Snapshot, path string, notes []string, err error) {
+// LoadLatest returns the newest valid snapshot of a gridSize-pixel
+// grid in dir, scanning backwards past invalid files: a torn, corrupt
+// or version-mismatched newest checkpoint falls back to its
+// predecessor. Each skipped file adds a note (for the run's
+// FaultReport); a nil snapshot with a nil error means no valid
+// checkpoint exists and the caller should start clean. Errors are an
+// unreadable directory and a snapshot of another grid size (ErrMismatch:
+// the directory belongs to another observation).
+func LoadLatest(dir string, gridSize int) (sn *Snapshot, path string, notes []string, err error) {
 	names, err := List(dir)
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		p := filepath.Join(dir, names[i])
-		s, rerr := Read(p)
+		s, rerr := Read(p, gridSize)
 		if rerr == nil {
 			return s, p, notes, nil
+		}
+		if errors.Is(rerr, ErrMismatch) {
+			return nil, p, notes, fmt.Errorf("%s: %w", p, rerr)
 		}
 		notes = append(notes, fmt.Sprintf("checkpoint %s unusable, falling back: %v", names[i], rerr))
 	}

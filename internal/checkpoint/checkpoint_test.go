@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,9 +44,10 @@ func testSnapshot(gridSize, cursor int) *Snapshot {
 }
 
 // TestCheckpointRoundTrip: a snapshot restores bit for bit, whatever
-// rows its grid touches — every row, a band holding awkward bit
-// patterns (-0 alone in a row, the smallest subnormal, ±MaxFloat64, a
-// NaN payload), or none — and its file holds only the touched rows.
+// cells its grid holds — every cell, a few awkward bit patterns (-0
+// alone in a row, the smallest subnormal, ±MaxFloat64, a NaN payload),
+// or none — and its file is the header, the grid's stream and the
+// digest.
 func TestCheckpointRoundTrip(t *testing.T) {
 	const n = 16
 	band := testSnapshot(n, 7)
@@ -56,10 +58,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	empty := testSnapshot(n, 7)
 	empty.Grid.Zero()
 	for _, tc := range []struct {
-		name   string
-		sn     *Snapshot
-		lo, hi int
-	}{{"full", testSnapshot(n, 7), 0, n}, {"band", band, 5, 10}, {"empty", empty, 0, 0}} {
+		name string
+		sn   *Snapshot
+	}{{"full", testSnapshot(n, 7)}, {"band", band}, {"empty", empty}} {
 		dir := t.TempDir()
 		want := tc.sn
 		path, size, err := Write(dir, want, nil)
@@ -73,12 +74,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Size() != size || size != fileSize(n, tc.lo, tc.hi) {
-			t.Fatalf("%s: Write reported %d bytes, file is %d, rows [%d, %d) make %d",
-				tc.name, size, st.Size(), tc.lo, tc.hi, fileSize(n, tc.lo, tc.hi))
+		_, stream, _ := grid.WriteStream(nil, want.Grid)
+		if st.Size() != size || size != headerBytes+stream+sha256.Size {
+			t.Fatalf("%s: Write reported %d bytes, file is %d, header, %d-byte stream and digest make %d",
+				tc.name, size, st.Size(), stream, headerBytes+stream+sha256.Size)
 		}
 
-		got, err := Read(path)
+		got, err := Read(path, n)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -130,7 +132,7 @@ func TestCheckpointTruncated(t *testing.T) {
 		if err := os.WriteFile(path, raw[:keep], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+		if _, err := Read(path, 16); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated to %d bytes: got %v, want ErrCorrupt", keep, err)
 		}
 	}
@@ -147,7 +149,7 @@ func TestCheckpointFlippedByte(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+		if _, err := Read(path, 16); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped byte at %d: got %v, want ErrCorrupt", off, err)
 		}
 	}
@@ -161,7 +163,7 @@ func TestCheckpointWrongVersion(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(path); !errors.Is(err, ErrVersion) {
+	if _, err := Read(path, 16); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 99: got %v, want ErrVersion", err)
 	}
 }
@@ -178,7 +180,7 @@ func TestCheckpointImplausibleHeader(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := Read(path, 16); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge grid size: got %v, want ErrCorrupt", err)
 	}
 }
@@ -194,7 +196,7 @@ func TestLoadLatestFallsBackPastCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sn, path, notes, err := LoadLatest(dir)
+	sn, path, notes, err := LoadLatest(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestLoadLatestAllCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sn, _, notes, err := LoadLatest(dir)
+	sn, _, notes, err := LoadLatest(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +232,11 @@ func TestLoadLatestAllCorrupt(t *testing.T) {
 }
 
 func TestLoadLatestEmptyAndMissingDir(t *testing.T) {
-	sn, _, notes, err := LoadLatest(t.TempDir())
+	sn, _, notes, err := LoadLatest(t.TempDir(), 16)
 	if err != nil || sn != nil || len(notes) != 0 {
 		t.Fatalf("empty dir: %v %v %v", sn, notes, err)
 	}
-	sn, _, notes, err = LoadLatest(filepath.Join(t.TempDir(), "never-created"))
+	sn, _, notes, err = LoadLatest(filepath.Join(t.TempDir(), "never-created"), 16)
 	if err != nil || sn != nil || len(notes) != 0 {
 		t.Fatalf("missing dir: %v %v %v", sn, notes, err)
 	}
@@ -248,7 +250,7 @@ func TestLoadLatestPrefersNewestCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sn, _, _, err := LoadLatest(dir)
+	sn, _, _, err := LoadLatest(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestWriteCrashBeforeRenameLeavesNoSnapshot(t *testing.T) {
 		t.Fatalf("crash published %v", names)
 	}
 	// LoadLatest over the aftermath is a clean restart, not an error.
-	sn, _, _, err := LoadLatest(dir)
+	sn, _, _, err := LoadLatest(dir, 16)
 	if err != nil || sn != nil {
 		t.Fatalf("post-crash LoadLatest: %v %v", sn, err)
 	}
@@ -350,28 +352,35 @@ func TestWriteKeepsTwoSnapshots(t *testing.T) {
 	}
 }
 
-// writeV1 writes sn in the version 1 layout — a shard count in the
-// header and the grid as one full-height band record — under the name
-// a version 1 writer gave it.
-func writeV1(t *testing.T, dir string, sn *Snapshot) string {
+// writeOld writes sn in the layout of an older version under the name
+// its writer gave it: version 1 has a shard count in the header and
+// the grid as one full-height band record, version 2 the rows
+// grid.NonzeroRowSpan finds as one band record, each as dense cells.
+func writeOld(t *testing.T, dir string, ver int, sn *Snapshot) string {
 	t.Helper()
 	var b []byte
 	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	b = append(b, magic...)
-	u32(1)           // version
-	u32(sn.GridSize) // header: grid size, shard count, cursor, chunk size
-	u32(1)
+	u32(ver)
+	u32(sn.GridSize) // header: grid size, [shard count,] cursor, chunk size
+	if ver == 1 {
+		u32(1)
+	}
 	u64(uint64(sn.NextChunk))
 	u32(sn.ChunkItems)
 	b = append(b, sn.PlanSum[:]...)
 	for _, v := range []int{sn.Report.ItemsProcessed, 0, sn.Report.ItemsSkipped, int(sn.Report.DroppedVisibilities)} {
 		u64(uint64(v))
 	}
-	u32(0) // the one shard's rows [0, GridSize)
-	u32(sn.GridSize)
+	lo, hi := 0, sn.GridSize // the one shard's rows
+	if ver == 2 {
+		lo, hi = grid.NonzeroRowSpan(sn.Grid)
+	}
+	u32(lo)
+	u32(hi)
 	for c := range sn.Grid.Data {
-		for _, v := range sn.Grid.Data[c] {
+		for _, v := range sn.Grid.Data[c][lo*sn.GridSize : hi*sn.GridSize] {
 			u64(math.Float64bits(real(v)))
 			u64(math.Float64bits(imag(v)))
 		}
@@ -388,16 +397,74 @@ func writeV1(t *testing.T, dir string, sn *Snapshot) string {
 // directory holding only that file LoadLatest notes the fallback and
 // returns no snapshot, so a resume starts clean.
 func TestVersion1Rejected(t *testing.T) {
+	testOldVersionRejected(t, 1)
+}
+
+// TestVersion2Rejected: so is a version 2 snapshot, whose grid is dense
+// rows.
+func TestVersion2Rejected(t *testing.T) {
+	testOldVersionRejected(t, 2)
+}
+
+func testOldVersionRejected(t *testing.T, ver int) {
 	dir := t.TempDir()
-	path := writeV1(t, dir, testSnapshot(16, 3))
-	if _, err := Read(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 1 file: got %v, want ErrVersion", err)
+	sn := testSnapshot(16, 3)
+	for y := 0; y < 16; y += 5 {
+		for c := range sn.Grid.Data {
+			clear(sn.Grid.Data[c][y*16 : (y+1)*16])
+		}
 	}
-	sn, _, notes, err := LoadLatest(dir)
+	path := writeOld(t, dir, ver, sn)
+	if _, err := Read(path, 16); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version %d file: got %v, want ErrVersion", ver, err)
+	}
+	sn, _, notes, err := LoadLatest(dir, 16)
 	if err != nil || sn != nil {
-		t.Fatalf("LoadLatest over a version 1 file: %+v, %v", sn, err)
+		t.Fatalf("LoadLatest over a version %d file: %+v, %v", ver, sn, err)
 	}
 	if len(notes) != 1 || !strings.Contains(notes[0], "falling back") {
 		t.Fatalf("notes = %v, want one fallback note", notes)
+	}
+}
+
+// TestReadRefusesOtherGridSize: a small file that declares a
+// 16384-pixel grid is ErrMismatch to a reader resuming into 16 pixels,
+// which allocates no more than its own grid for it, and LoadLatest
+// reports it rather than falling back past it.
+func TestReadRefusesOtherGridSize(t *testing.T) {
+	dir := t.TempDir()
+	path, raw := writeTestFile(t, dir, 1)
+	binary.LittleEndian.PutUint32(raw[len(magic)+4:], maxGridSize)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Read(path, 16)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMismatch) {
+		t.Fatalf("a 16384-pixel snapshot read into 16 pixels: %v, want ErrMismatch", err)
+	}
+	if allocated, grid16 := after.TotalAlloc-before.TotalAlloc, uint64(grid.NrCorrelations*16*16*grid.CellBytes); allocated > grid16 {
+		t.Errorf("refusing it allocated %d bytes, more than the %d of the expected grid", allocated, grid16)
+	}
+	if sn, _, _, err := LoadLatest(dir, 16); sn != nil || !errors.Is(err, ErrMismatch) {
+		t.Fatalf("LoadLatest over it: %v, %v, want ErrMismatch", sn, err)
+	}
+}
+
+// TestCheckpointPadded: bytes between the grid's stream and the digest
+// make the file ErrCorrupt, even under a digest that covers them.
+func TestCheckpointPadded(t *testing.T) {
+	dir := t.TempDir()
+	path, raw := writeTestFile(t, dir, 1)
+	body := append(raw[:len(raw)-sha256.Size:len(raw)-sha256.Size], 0)
+	sum := sha256.Sum256(body)
+	if err := os.WriteFile(path, append(body, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(path, 16); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "after the stream's end") {
+		t.Fatalf("padded file: got %v, want ErrCorrupt naming the bytes after the stream", err)
 	}
 }

@@ -76,7 +76,7 @@ func resumeFromDir(t *testing.T, sc *scenario, params Params) (*grid.Grid, *faul
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, _, _, err := checkpoint.LoadLatest(params.CheckpointDir)
+	sn, _, _, err := checkpoint.LoadLatest(params.CheckpointDir, params.GridSize)
 	if err != nil {
 		t.Fatal(err)
 	}

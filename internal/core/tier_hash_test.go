@@ -47,7 +47,7 @@ type tierHash struct {
 func denseGridHash(g *grid.Grid) string {
 	h := sha256.New()
 	for c := range g.Data {
-		grid.WriteCells(h, g.Data[c])
+		binary.Write(h, binary.LittleEndian, g.Data[c])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -222,7 +222,7 @@ func TestWStackedCheckpointResume(t *testing.T) {
 				}()
 				k.GridVisibilities(context.Background(), sc.plan, sc.vs, nil, grid.NewSharded(grid.NewGrid(params.GridSize), 1), faulttol.Config{}, nil, 0)
 			}()
-			if sn, _, _, err := checkpoint.LoadLatest(params.CheckpointDir); err != nil {
+			if sn, _, _, err := checkpoint.LoadLatest(params.CheckpointDir, params.GridSize); err != nil {
 				t.Fatal(err)
 			} else if sn != nil && !layerEnds[sn.NextChunk] {
 				t.Fatalf("snapshot cursor %d is not at a layer end", sn.NextChunk)

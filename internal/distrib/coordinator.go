@@ -54,8 +54,8 @@ type Summary struct {
 	// Restarts counts worker relaunches across the whole run.
 	Restarts int
 	// Discarded counts reduction streams rejected before acceptance
-	// (bad hello, a band outside or out of order in its span, fingerprint
-	// mismatch, truncation).
+	// (bad hello, a band stream that leaves its span or does not end
+	// where the result begins, fingerprint mismatch, truncation).
 	Discarded int
 	// WorkerFingerprints holds every accepted partial's band fingerprint
 	// (grid.Band.Fingerprint of its nonzero row span), indexed by worker.
@@ -127,9 +127,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ExpectPlanSums != nil && len(cfg.ExpectPlanSums) != cfg.Workers {
 		return nil, fmt.Errorf("distrib: %d plan fingerprints for %d workers", len(cfg.ExpectPlanSums), cfg.Workers)
 	}
-	if cfg.MaxPayload > 0 && cfg.MaxPayload < MinPayload(cfg.GridSize) {
-		return nil, fmt.Errorf("distrib: a %d-byte frame payload cap is below the %d bytes one band row of a %d-pixel grid needs",
-			cfg.MaxPayload, MinPayload(cfg.GridSize), cfg.GridSize)
+	if cfg.MaxPayload > 0 && cfg.MaxPayload < MinPayload {
+		return nil, fmt.Errorf("distrib: a %d-byte frame payload cap is below the %d-byte minimum", cfg.MaxPayload, MinPayload)
 	}
 	if cfg.ResultWait <= 0 {
 		cfg.ResultWait = DefaultResultWait
@@ -300,11 +299,11 @@ func (c *Coordinator) acceptLoop(ctx context.Context, accepting *sync.WaitGroup)
 }
 
 // handleStream decodes one worker's reduction stream into the band its
-// hello announced, hashing each band's cells as they are decoded, and
-// accepts it only if the bands tile that span plane by plane in order
-// and the band fingerprint matches the one the worker declared. A
-// stream failing any check is discarded whole; the worker's manager
-// will time out and relaunch.
+// hello announced, hashing the band stream's bytes as they arrive, and
+// accepts it only if the stream decodes whole into that span, the
+// result frame follows its end and the band fingerprint matches the
+// one the worker declared. A stream failing any check is discarded
+// whole; the worker's manager will time out and relaunch.
 func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	if dl, ok := ctx.Deadline(); ok {
@@ -337,116 +336,23 @@ func (c *Coordinator) handleStream(ctx context.Context, conn net.Conn) {
 	}
 
 	marks := [3]time.Time{time.Now()}
-	in := newBandStream(h, c.cfg.GridSize)
-	var payload []byte // every frame after the hello, each decoded before the next read
-	for {
-		f, err := frame.Read(br, c.cfg.MaxPayload, reduceRules, payload)
-		if err != nil {
-			c.discard("worker %d stream truncated: %v", h.Worker, err)
-			return
-		}
-		if cap(f.Payload) > cap(payload) {
-			payload = f.Payload
-		}
-		switch f.Type {
-		case FrameBand:
-			if err := in.add(f); err != nil {
-				c.discard("worker %d: %v", h.Worker, err)
-				return
-			}
-		case FrameResult:
-			r, err := DecodeResult(f)
-			if err != nil {
-				c.discard("worker %d: %v", h.Worker, err)
-				return
-			}
-			if r.Worker != h.Worker {
-				c.discard("worker %d stream closed with worker %d's result", h.Worker, r.Worker)
-				return
-			}
-			marks[1] = time.Now()
-			band, got, err := in.finish()
-			if err != nil {
-				c.discard("worker %d: %v", h.Worker, err)
-				return
-			}
-			if got != r.Fingerprint {
-				c.discard("worker %d partial fingerprint mismatch: declared %x, assembled %x",
-					h.Worker, r.Fingerprint.SHA256[:8], got.SHA256[:8])
-				return
-			}
-			marks[2] = time.Now()
-			c.deliver(h.Worker, band, got, marks)
-			return
-		default:
-			c.discard("worker %d sent frame type %d mid-stream", h.Worker, f.Type)
-			return
-		}
-	}
-}
-
-// bandStream is the receiving end of one reduction stream's bands: the
-// band its hello announced, the fingerprint accumulated over the cells
-// decoded so far, and the band due next.
-type bandStream struct {
-	band        *grid.Band
-	sum         grid.Hasher
-	plane, next int // the plane and first row of the band due next
-}
-
-// newBandStream receives the span hello h announced of an n-pixel
-// grid: worker 0's, the root of the reduction tree, into rows of a
-// whole grid of its own.
-func newBandStream(h Hello, n int) *bandStream {
-	s := &bandStream{sum: grid.NewHasher(n, h.Lo, h.Hi), next: h.Lo}
-	switch {
-	case h.Lo == h.Hi:
-		s.band = grid.NewBand(n, h.Lo, h.Hi)
-		s.plane = grid.NrCorrelations // an empty span carries no bands
-	case h.Worker == 0:
-		s.band = grid.NewGridBand(n, h.Lo, h.Hi)
-	default:
-		s.band = grid.NewBand(n, h.Lo, h.Hi)
-	}
-	return s
-}
-
-// add decodes a FrameBand, which must be the band due next, and
-// hashes its cells.
-func (s *bandStream) add(f frame.Frame) error {
-	c, lo, hi, cells, err := DecodeBandInto(s.band, f)
+	band, got, r, err := receiveBand(br, h, c.cfg.GridSize, c.cfg.MaxPayload)
 	if err != nil {
-		return err
+		c.discard("worker %d: %v", h.Worker, err)
+		return
 	}
-	if c != s.plane || lo != s.next {
-		return fmt.Errorf("sent plane %d rows [%d, %d) where %s was due", c, lo, hi, s.due())
+	marks[1] = time.Now()
+	if r.Worker != h.Worker {
+		c.discard("worker %d stream closed with worker %d's result", h.Worker, r.Worker)
+		return
 	}
-	s.sum.Write(cells)
-	if s.next = hi; s.next == s.band.Hi {
-		s.plane, s.next = s.plane+1, s.band.Lo
+	if got != r.Fingerprint {
+		c.discard("worker %d partial fingerprint mismatch: declared %x, assembled %x",
+			h.Worker, r.Fingerprint.SHA256[:8], got.SHA256[:8])
+		return
 	}
-	return nil
-}
-
-// finish returns the received band (nil for an empty span, which adds
-// nothing) and its fingerprint once every band has arrived.
-func (s *bandStream) finish() (*grid.Band, Fingerprint, error) {
-	if s.plane != grid.NrCorrelations {
-		return nil, Fingerprint{}, fmt.Errorf("stream closed where %s of its span [%d, %d) was due", s.due(), s.band.Lo, s.band.Hi)
-	}
-	fp := s.sum.Sum()
-	if s.band.Lo == s.band.Hi {
-		return nil, fp, nil
-	}
-	return s.band, fp, nil
-}
-
-// due names the band a stream owes next.
-func (s *bandStream) due() string {
-	if s.plane == grid.NrCorrelations {
-		return "the result"
-	}
-	return fmt.Sprintf("plane %d row %d", s.plane, s.next)
+	marks[2] = time.Now()
+	c.deliver(h.Worker, band, got, marks)
 }
 
 func (c *Coordinator) discard(format string, args ...any) {

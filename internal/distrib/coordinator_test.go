@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -210,7 +211,7 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		{Workers: 2, GridSize: 0, Axis: AxisRows},
 		{Workers: 2, GridSize: 8, Axis: Axis(9)},
 		{Workers: 2, GridSize: 8, Axis: AxisRows, ExpectPlanSums: make([][32]byte, 3)},
-		{Workers: 2, GridSize: 8, Axis: AxisRows, MaxPayload: MinPayload(8) - 1},
+		{Workers: 2, GridSize: 8, Axis: AxisRows, MaxPayload: MinPayload - 1},
 	}
 	for i, cfg := range bad {
 		if c, err := New(cfg); err == nil {
@@ -239,7 +240,7 @@ func TestCoordinatorContextCancel(t *testing.T) {
 
 // emptyPartitionLauncher delivers honest partials, except that the
 // workers named empty have an empty partition: their partial is the
-// all-zero grid, whose stream carries no bands.
+// all-zero grid, whose band stream is its header and one zero count.
 func emptyPartitionLauncher(size int, empty map[int]bool) Launcher {
 	return LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
 		g := workerGrid(spec, size)
@@ -329,19 +330,20 @@ func TestCoordinatorStages(t *testing.T) {
 // TestHandleStreamReusesPayloadBuffer: the coordinator reads every
 // frame after a stream's hello into one payload buffer, so beside its
 // receiving grid (worker 0's stream decodes into a whole grid) a
-// 16-band stream allocates no more than a 2-band stream of the same
-// band size, give or take one band (per frame it would be sixty more).
+// 16-frame stream allocates no more than a 2-frame stream of the same
+// frame size, give or take one frame (per frame it would be sixty
+// more).
 func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
-	const size, rows = 128, 8
-	maxPayload := bandPayloadHeader + rows*size*cellBytes
-	allocated := func(bands int) uint64 {
+	const size, maxPayload = 128, 2048
+	allocated := func(frames int) uint64 {
 		g := grid.NewGrid(size)
-		for y := 0; y < bands*rows; y++ {
-			g.Set(0, y, 1, 1)
+		for i := 0; i < frames*maxPayload/(1+grid.CellBytes); i++ {
+			g.Data[0][i] = 1
 		}
 		var stream bytes.Buffer
 		bw := bufio.NewWriter(&stream)
-		h := Hello{Workers: 1, Axis: AxisRows, Hi: bands * rows}
+		lo, hi := grid.NonzeroRowSpan(g)
+		h := Hello{Workers: 1, Axis: AxisRows, Lo: lo, Hi: hi}
 		if _, err := sendBands(bw, h, g, maxPayload); err != nil {
 			t.Fatal(err)
 		}
@@ -368,13 +370,13 @@ func TestHandleStreamReusesPayloadBuffer(t *testing.T) {
 		select {
 		case <-c.arrived[0]:
 		default:
-			t.Fatalf("%d-band stream not accepted: %v", bands, c.notes)
+			t.Fatalf("%d-frame stream not accepted: %v", frames, c.notes)
 		}
-		return after.TotalAlloc - before.TotalAlloc - uint64(grid.NrCorrelations*size*size*cellBytes)
+		return after.TotalAlloc - before.TotalAlloc - uint64(grid.NrCorrelations*size*size*grid.CellBytes)
 	}
 	two, sixteen := allocated(2), allocated(16)
-	if sixteen > two+uint64(maxPayload) {
-		t.Errorf("a 16-band stream allocated %d bytes, a 2-band one %d: more than one %d-byte band apart", sixteen, two, maxPayload)
+	if sixteen > two+maxPayload {
+		t.Errorf("a 16-frame stream allocated %d bytes, a 2-frame one %d: more than one %d-byte frame apart", sixteen, two, maxPayload)
 	}
 }
 
@@ -428,14 +430,10 @@ func TestCoordinatorRejectsStreamWithoutResult(t *testing.T) {
 	}
 }
 
-// band names rows [lo, hi) of correlation plane c.
-type band struct{ c, lo, hi int }
-
-// bandsDeliver sends the hello h, then g's rows cut into the given
-// bands in the given order, then the honest band fingerprint of g's
-// nonzero span: a stream whose cells can assemble the declared band
-// even though its framing breaks the protocol.
-func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, bands []band) error {
+// rawDeliver sends the hello h, the given FrameBand payloads and a
+// result declaring the honest band fingerprint of g's nonzero span: a
+// stream whose bytes break the protocol however its cells compare.
+func rawDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, payloads [][]byte) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
 	if err != nil {
@@ -446,15 +444,8 @@ func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, b
 	if err := frame.Write(bw, EncodeHello(h)); err != nil {
 		return err
 	}
-	for _, b := range bands {
-		// encodeBandInto refuses a plane past the last; send the last
-		// plane's cells under that plane's index.
-		f, err := encodeBandInto(nil, g, min(b.c, grid.NrCorrelations-1), b.lo, b.hi)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(f.Payload[4:], uint32(b.c))
-		if err := frame.Write(bw, f); err != nil {
+	for _, p := range payloads {
+		if err := frame.Write(bw, frame.Frame{Type: FrameBand, Payload: p}); err != nil {
 			return err
 		}
 	}
@@ -464,51 +455,81 @@ func bandsDeliver(ctx context.Context, spec WorkerSpec, h Hello, g *grid.Grid, b
 	return bw.Flush()
 }
 
-// planes lists rows [lo, hi) of every correlation plane from c on.
-func planes(c, lo, hi int) []band {
-	var bs []band
-	for ; c < grid.NrCorrelations; c++ {
-		bs = append(bs, band{c, lo, hi})
+// denseBand is a FrameBand payload as the dense cell codec built it:
+// grid size, plane, lo and hi (uint32), then the rows' cells.
+func denseBand(g *grid.Grid, c, lo, hi int) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, uint32(g.N))
+	for _, v := range []int{c, lo, hi} {
+		p = binary.LittleEndian.AppendUint32(p, uint32(v))
 	}
-	return bs
+	for _, v := range g.Data[min(c, grid.NrCorrelations-1)][lo*g.N : hi*g.N] {
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(real(v)))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(imag(v)))
+	}
+	return p
 }
 
 // TestCoordinatorRejectsMalformedBands: worker 1 owns rows [8, 16) of
-// a 16-row grid. A first attempt whose bands leave the hello's span,
-// overlap, leave a gap, repeat a band, stop short of the span, name a
-// plane out of order or out of range, leave a plane short or run past
-// the last plane — or whose hello announces rows beyond the grid — is
-// discarded with a note naming the fault, the worker is relaunched,
-// and the run ends as a clean run does.
+// a 16-row grid, every cell of which it writes, so its band stream is
+// the 12-byte header, 512 entries of a zero count (one byte, 0) and a
+// cell, and the last count, 0. A first attempt whose stream leaves the
+// span, carries cells twice, leaves some out or in another order, runs
+// past the last plane, stops short — a result frame where an entry was
+// due, after a count or a cell split across frames — writes out an
+// all-zero cell, carries bytes after its last count, or comes in the
+// dense cell codec's band frames — or whose hello announces rows beyond
+// the grid — is discarded with a note naming the fault, the worker is
+// relaunched, and the run ends as a clean run does.
 func TestCoordinatorRejectsMalformedBands(t *testing.T) {
 	const size = 16
 	clean, _, err := runCoordinator(t, Config{Workers: 2, Axis: AxisRows, GridSize: size}, honestLauncher(size))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := workerGrid(WorkerSpec{Index: 1, Workers: 2}, size)
+	valid := bandStream(g, 8, 16)
+	header, entries := valid[:12], valid[12:len(valid)-1]
+	const entry, row = 1 + grid.CellBytes, size * (1 + grid.CellBytes) // one cell's entry, one row's
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	other := func(edit func(g *grid.Grid)) []byte {
+		h := g.Clone()
+		edit(h)
+		return bandStream(h, 8, 16)
+	}
 	for _, tc := range []struct {
-		name   string
-		lo, hi int
-		bands  []band
-		note   string
+		name     string
+		lo, hi   int
+		payloads [][]byte
+		note     string
 	}{
-		{"band leaves the span", 8, 16, []band{{0, 6, 12}, {0, 12, 16}}, "outside the span [8, 16)"},
-		{"bands overlap", 8, 16, []band{{0, 8, 12}, {0, 11, 16}}, "sent plane 0 rows [11, 16) where plane 0 row 12 was due"},
-		{"bands leave a gap", 8, 16, []band{{0, 8, 11}, {0, 12, 16}}, "sent plane 0 rows [12, 16) where plane 0 row 11 was due"},
-		{"band repeated", 8, 16, []band{{0, 8, 12}, {0, 8, 12}, {0, 12, 16}}, "sent plane 0 rows [8, 12) where plane 0 row 12 was due"},
-		{"bands stop short", 8, 16, []band{{0, 8, 12}}, "stream closed where plane 0 row 12 of its span [8, 16) was due"},
-		{"span beyond the grid", 8, 17, []band{{0, 8, 16}}, "announced rows [8, 17) of a 16-row grid"},
-		{"plane out of order", 8, 16, append([]band{{0, 8, 16}, {2, 8, 16}}, planes(1, 8, 16)...), "sent plane 2 rows [8, 16) where plane 1 row 8 was due"},
-		{"plane out of range", 8, 16, append(planes(0, 8, 16), band{4, 8, 16}), "band of correlation plane 4"},
-		{"plane left short", 8, 16, append([]band{{0, 8, 16}, {1, 8, 15}}, planes(2, 8, 16)...), "sent plane 2 rows [8, 16) where plane 1 row 15 was due"},
-		{"band past the last plane", 8, 16, append(planes(0, 8, 16), band{3, 8, 16}), "sent plane 3 rows [8, 16) where the result was due"},
+		{"band leaves the span", 8, 16, [][]byte{cat(header, uv(513))}, "zero run of 513 past the last of 512 cells"},
+		{"bands overlap", 8, 16, [][]byte{cat(header, entries[:4*row], entries, uv(0))}, "bytes after the band stream's end"},
+		{"bands leave a gap", 8, 16, [][]byte{other(func(h *grid.Grid) {
+			for x := 0; x < size; x++ {
+				h.Set(0, 11, x, 0)
+			}
+		})}, "partial fingerprint mismatch"},
+		{"band repeated", 8, 16, [][]byte{valid, valid}, "bytes after the band stream's end"},
+		{"bands stop short", 8, 16, [][]byte{valid[:len(valid)/2]}, "before the band stream's end"},
+		{"span beyond the grid", 8, 17, [][]byte{valid}, "announced rows [8, 17) of a 16-row grid"},
+		{"plane out of order", 8, 16, [][]byte{other(func(h *grid.Grid) { h.Data[1], h.Data[2] = h.Data[2], h.Data[1] })}, "partial fingerprint mismatch"},
+		{"plane out of range", 8, 16, [][]byte{denseBand(g, 4, 8, 16)}, "header for rows [4, 8) of a 16-pixel grid"},
+		{"plane left short", 8, 16, [][]byte{cat(header, entries[:2*8*row-row], uv(0))}, "before the band stream's end"},
+		{"band past the last plane", 8, 16, [][]byte{cat(valid, uv(0), entries[:grid.CellBytes+1])}, "bytes after the band stream's end"},
+		{"count split across frames, then cut", 8, 16, [][]byte{cat(header, uv(300)[:1]), uv(300)[1:]}, "before the band stream's end"},
+		{"cell split across frames, then cut", 8, 16, [][]byte{cat(header, entries[:entry+5]), entries[entry+5 : 2*entry]}, "before the band stream's end"},
+		{"all-zero cell written out", 8, 16, [][]byte{cat(header, uv(0), make([]byte, grid.CellBytes), uv(511))}, "an all-zero cell written out"},
+		{"bytes after the last count", 8, 16, [][]byte{valid, {0}}, "1 bytes after the band stream's end"},
+		{"result before the stream ends", 8, 16, [][]byte{header}, "before the band stream's end"},
+		{"dense cell codec", 8, 16, [][]byte{denseBand(g, 0, 8, 16), denseBand(g, 1, 8, 16), denseBand(g, 2, 8, 16), denseBand(g, 3, 8, 16)}, "header for rows [0, 8) of a 16-pixel grid"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := LauncherFunc(func(ctx context.Context, spec WorkerSpec) error {
 				g := workerGrid(spec, size)
 				if spec.Index == 1 && !spec.Resume {
 					h := Hello{Worker: 1, Workers: 2, Axis: AxisRows, Lo: tc.lo, Hi: tc.hi}
-					return bandsDeliver(ctx, spec, h, g, tc.bands)
+					return rawDeliver(ctx, spec, h, g, tc.payloads)
 				}
 				return Deliver(ctx, spec, [32]byte{}, g, 0)
 			})
@@ -559,9 +580,10 @@ func TestCoordinatorChecksumsCatchTheirFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first cell byte of the first band: after the hello frame and
-	// the band's frame and payload headers.
-	firstCell := frame.HeaderSize + helloPayloadBytes + 8 + frame.HeaderSize + bandPayloadHeader
+	// The first cell byte of the band stream: after the hello frame, the
+	// first band's frame header, the stream's 12-byte header and its
+	// first zero count.
+	firstCell := frame.HeaderSize + helloPayloadBytes + 8 + frame.HeaderSize + 12 + 1
 	for _, tc := range []struct {
 		name    string
 		deliver func(ctx context.Context, spec WorkerSpec, g *grid.Grid) error

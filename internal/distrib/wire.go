@@ -1,8 +1,13 @@
 package distrib
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 
 	"repro/internal/frame"
@@ -12,18 +17,20 @@ import (
 // Reduction stream: after a worker finishes gridding its partition it
 // dials the coordinator and sends
 //
-//	FrameHello | FrameBand* | FrameResult
+//	FrameHello | FrameBand+ | FrameResult
 //
 // as internal/frame frames. The hello announces the row span [lo, hi)
-// the partial grid touched; the bands carry exactly those rows, plane
-// by plane and in row order within a plane — the order the band
-// fingerprint hashes cells in — chunked so each frame stays under the
-// payload cap; the closing result frame carries the sender's
-// fingerprint of that band. Both sides accumulate the fingerprint over
-// each frame's cells as the frame passes (grid.Hasher), and the
-// coordinator accepts the partial only if its sum matches the declared
-// one: a truncated, reordered or out-of-span stream is discarded, not
-// merged.
+// the partial grid touched; the FrameBand payloads, joined in order,
+// are byte for byte the grid stream of that band (grid.Band.WriteStream:
+// its header, then the zero-run entries of its cells, plane by plane),
+// cut between entries so each frame stays under the payload cap; the
+// closing result frame carries the sender's fingerprint of the band,
+// the SHA-256 of that stream. The coordinator hashes the payload bytes
+// as they arrive and decodes them into the band it allocated from the
+// hello, and accepts the partial only if the stream ends where the
+// result frame begins, with nothing after it, and its fingerprint
+// matches the declared one: a truncated, reordered or out-of-span
+// stream is discarded, not merged.
 //
 // Two checks guard every stream, and each catches what the other
 // cannot. The frame CRC (internal/frame) rejects a frame damaged on
@@ -38,11 +45,7 @@ const (
 	// coordinator can reject a worker gridding the wrong partition) |
 	// lo uint32 | hi uint32, the row span its bands cover.
 	FrameHello byte = 16
-	// FrameBand carries rows [lo, hi) of one correlation plane of the
-	// partial grid: payload = gridSize uint32 | plane uint32 | lo
-	// uint32 | hi uint32 | (hi-lo) rows of gridSize complex128 cells,
-	// each cell little-endian float64 (re, im) — the dense cell
-	// encoding of grid.EncodeCells and checkpoints.
+	// FrameBand carries the next piece of the band's grid stream.
 	FrameBand byte = 17
 	// FrameResult closes the stream: payload = worker uint32 | gridSize
 	// uint32 | nonzero uint64 | sumAbs float64 | peakAbs float64 |
@@ -51,18 +54,13 @@ const (
 )
 
 const (
-	helloPayloadBytes = 4 + 4 + 1 + 32 + 4 + 4
-	// bandPayloadHeader is the fixed prefix of a FrameBand payload.
-	bandPayloadHeader = 16
-	// bandFrameCells bounds the cell bytes of one FrameBand so that
-	// each side's passes over a frame (encode, fingerprint, CRC, write;
-	// read, CRC, decode, fingerprint) find its cells still in a core's
-	// cache: 1 MB frames deliver a dense partial ~10 % faster than
-	// 4 MB ones (BenchmarkReductionStream).
-	bandFrameCells     = 1 << 20
-	cellBytes          = grid.CellBytes
+	helloPayloadBytes  = 4 + 4 + 1 + 32 + 4 + 4
 	resultPayloadBytes = 4 + 4 + 8 + 8 + 8 + 32
 )
+
+// MinPayload is the smallest payload cap a reduction stream fits
+// under: the hello, the result and one stream entry each fill a frame.
+const MinPayload = max(helloPayloadBytes, resultPayloadBytes, grid.EntryBytes)
 
 // reduceRules is the frame-type table of the reduction stream; each
 // rule length-checks its type before the reader allocates the payload.
@@ -73,12 +71,7 @@ var reduceRules = frame.Rules{
 		}
 		return nil
 	},
-	FrameBand: func(n int64) error {
-		if n < bandPayloadHeader || (n-bandPayloadHeader)%cellBytes != 0 {
-			return fmt.Errorf("distrib: FrameBand payload of %d bytes is not %d + k*%d", n, bandPayloadHeader, cellBytes)
-		}
-		return nil
-	},
+	FrameBand: func(int64) error { return nil }, // a stream is cut anywhere under the cap
 	FrameResult: func(n int64) error {
 		if n != resultPayloadBytes {
 			return fmt.Errorf("distrib: FrameResult payload of %d bytes, want %d", n, resultPayloadBytes)
@@ -134,80 +127,129 @@ func DecodeHello(f frame.Frame) (Hello, error) {
 	return h, nil
 }
 
-// BandRowsPerFrame returns how many grid rows of one correlation
-// plane go in one FrameBand: as many as fit under the payload cap
-// (<= 0: frame.DefaultMaxPayload) and in bandFrameCells, at least 1 —
-// a cap below MinPayload is a configuration error the callers reject
-// up front.
+// BandRowsPerFrame returns how many grid rows of a gridSize-pixel
+// grid EncodeBand can put in one FrameBand under the payload cap
+// (<= 0: frame.DefaultMaxPayload) whatever they hold — a written cell
+// costs at most a byte of zero count more than its own bytes — and at
+// least 1.
 func BandRowsPerFrame(gridSize, maxPayload int) int {
 	if maxPayload <= 0 {
 		maxPayload = frame.DefaultMaxPayload
 	}
-	return max(1, min(maxPayload-bandPayloadHeader, bandFrameCells)/(cellBytes*gridSize))
+	return max(1, (maxPayload-grid.EntryBytes)/(grid.NrCorrelations*gridSize*(1+grid.CellBytes)))
 }
 
-// MinPayload is the smallest payload cap a reduction stream of a
-// gridSize-pixel grid fits under: one row of one plane plus the band
-// header, or the hello or result frame when those are larger.
-func MinPayload(gridSize int) int {
-	return max(bandPayloadHeader+gridSize*cellBytes, helloPayloadBytes, resultPayloadBytes)
-}
-
-// EncodeBand builds the FrameBand of rows [lo, hi) of g's first
-// correlation plane. A delivery (Deliver) sends such frames for every
-// plane, so a loop of EncodeBand over a span encodes a quarter of one.
+// EncodeBand builds the FrameBand that carries the whole grid stream of
+// rows [lo, hi) of g: the frames a delivery of that span sends, in one.
 func EncodeBand(g *grid.Grid, lo, hi int) (frame.Frame, error) {
-	return encodeBandInto(nil, g, 0, lo, hi)
+	if lo < 0 || hi > g.N || lo >= hi {
+		return frame.Frame{}, fmt.Errorf("distrib: band rows [%d, %d) outside %d-row grid", lo, hi, g.N)
+	}
+	var payload bytes.Buffer
+	g.Rows(lo, hi).WriteStream(&payload, 0)
+	return frame.Frame{Type: FrameBand, Payload: payload.Bytes()}, nil
 }
 
-// encodeBandInto builds the FrameBand of rows [lo, hi) of g's plane c
-// into buf's storage (replaced when too small); the frame aliases it
-// until it has been written out.
-func encodeBandInto(buf []byte, g *grid.Grid, c, lo, hi int) (frame.Frame, error) {
-	if lo < 0 || hi > g.N || lo >= hi || c < 0 || c >= grid.NrCorrelations {
-		return frame.Frame{}, fmt.Errorf("distrib: band rows [%d, %d) of plane %d outside %d-row grid", lo, hi, c, g.N)
+// bandFrames sends each Write as one FrameBand.
+type bandFrames struct{ w io.Writer }
+
+func (b bandFrames) Write(p []byte) (int, error) {
+	if err := frame.Write(b.w, frame.Frame{Type: FrameBand, Payload: p}); err != nil {
+		return 0, err
 	}
-	if n := bandPayloadHeader + (hi-lo)*g.N*cellBytes; cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(g.N))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(c))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(lo))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(hi))
-	grid.EncodeCells(buf[bandPayloadHeader:], g.Data[c][lo*g.N:hi*g.N])
-	return frame.Frame{Type: FrameBand, Payload: buf}, nil
+	return len(p), nil
 }
 
-// DecodeBandInto restores a FrameBand's rows into dst (overwriting,
-// not accumulating: bands of one stream are disjoint) and returns the
-// cells it wrote, of plane c, rows [lo, hi). The embedded grid size,
-// plane and row range are cross-checked against dst's size and rows and
-// the payload length before any write.
-func DecodeBandInto(dst *grid.Band, f frame.Frame) (c, lo, hi int, cells []complex128, err error) {
-	if f.Type != FrameBand || len(f.Payload) < bandPayloadHeader {
-		return 0, 0, 0, nil, fmt.Errorf("distrib: decoding frame type %d (%d bytes) as FrameBand", f.Type, len(f.Payload))
+// bandReader reads the payloads of a reduction stream's FrameBands as
+// one byte stream, each read into one reused buffer and hashed as it
+// arrives. Any other frame ends the bands: it is kept in next, and
+// reads fail.
+type bandReader struct {
+	r          io.Reader
+	maxPayload int
+	buf, rest  []byte // the payload buffer, and what of it is unread
+	sum        hash.Hash
+	next       frame.Frame
+	err        error
+}
+
+// errBandsEnded is the read error once a frame other than FrameBand
+// has arrived.
+var errBandsEnded = errors.New("a frame other than FrameBand before the band stream's end")
+
+// fill reads frames until one carries an unread byte.
+func (b *bandReader) fill() error {
+	for len(b.rest) == 0 && b.err == nil {
+		f, err := frame.Read(b.r, b.maxPayload, reduceRules, b.buf)
+		switch {
+		case err != nil:
+			b.err = err
+		case f.Type != FrameBand:
+			b.next, b.err = f, errBandsEnded
+		default:
+			if cap(f.Payload) > cap(b.buf) {
+				b.buf = f.Payload
+			}
+			b.sum.Write(f.Payload)
+			b.rest = f.Payload
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(f.Payload[0:]))
-	c = int(binary.LittleEndian.Uint32(f.Payload[4:]))
-	lo = int(binary.LittleEndian.Uint32(f.Payload[8:]))
-	hi = int(binary.LittleEndian.Uint32(f.Payload[12:]))
-	if n != dst.N {
-		return 0, 0, 0, nil, fmt.Errorf("distrib: band for a %d-pixel grid arriving at a %d-pixel grid", n, dst.N)
+	if len(b.rest) > 0 {
+		return nil
 	}
-	if c < 0 || c >= grid.NrCorrelations {
-		return 0, 0, 0, nil, fmt.Errorf("distrib: band of correlation plane %d (there are %d)", c, grid.NrCorrelations)
+	return b.err
+}
+
+func (b *bandReader) Read(p []byte) (int, error) {
+	if err := b.fill(); err != nil {
+		return 0, err
 	}
-	if lo < dst.Lo || hi > dst.Hi || lo >= hi {
-		return 0, 0, 0, nil, fmt.Errorf("distrib: band rows [%d, %d) outside the span [%d, %d)", lo, hi, dst.Lo, dst.Hi)
+	n := copy(p, b.rest)
+	b.rest = b.rest[n:]
+	return n, nil
+}
+
+func (b *bandReader) ReadByte() (byte, error) {
+	if err := b.fill(); err != nil {
+		return 0, err
 	}
-	if want := bandPayloadHeader + (hi-lo)*n*cellBytes; len(f.Payload) != want {
-		return 0, 0, 0, nil, fmt.Errorf("distrib: band [%d, %d) carries %d payload bytes, want %d", lo, hi, len(f.Payload), want)
+	c := b.rest[0]
+	b.rest = b.rest[1:]
+	return c, nil
+}
+
+// receiveBand reads what follows hello h on a reduction stream of an
+// n-pixel grid: the FrameBands, decoded as they arrive into a band of
+// h's span — worker 0's, the root of the reduction tree, into rows of a
+// whole grid of its own — and the FrameResult that must follow the
+// band stream's end at once. It returns the band (nil for an empty
+// span, which adds nothing), the fingerprint of the stream received and
+// the result.
+func receiveBand(r io.Reader, h Hello, n, maxPayload int) (*grid.Band, Fingerprint, Result, error) {
+	newBand := grid.NewBand
+	if h.Worker == 0 {
+		newBand = grid.NewGridBand
 	}
-	cells = dst.Data[c][(lo-dst.Lo)*n : (hi-dst.Lo)*n]
-	grid.DecodeCells(cells, f.Payload[bandPayloadHeader:])
-	return c, lo, hi, cells, nil
+	band := newBand(n, h.Lo, h.Hi)
+	in := &bandReader{r: r, maxPayload: maxPayload, sum: sha256.New()}
+	fp, err := band.ReadStream(in)
+	if err != nil {
+		return nil, Fingerprint{}, Result{}, err
+	}
+	if err := in.fill(); err == nil {
+		return nil, Fingerprint{}, Result{}, fmt.Errorf("%d bytes after the band stream's end", len(in.rest))
+	} else if err != errBandsEnded {
+		return nil, Fingerprint{}, Result{}, fmt.Errorf("after the band stream's end: %w", err)
+	}
+	res, err := DecodeResult(in.next)
+	if err != nil {
+		return nil, Fingerprint{}, Result{}, err
+	}
+	in.sum.Sum(fp.SHA256[:0])
+	if band.Lo == band.Hi {
+		band = nil
+	}
+	return band, fp, res, nil
 }
 
 // Fingerprint is what partials are declared and verified with: the

@@ -1,7 +1,9 @@
 package distrib
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -73,62 +75,104 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBandRoundTrip streams a grid's nonzero span plane by plane,
-// frame by frame, into a band of that span and requires bit-identity —
-// the band fingerprint must survive the wire, the cells each frame
-// decodes hash to it in stream order, and the band materialised as a
-// grid is the source grid.
+// wire is a reduction stream after hello h: the band stream cut into
+// FrameBands of the given payloads, then the result r.
+func wire(t testing.TB, h Hello, payloads [][]byte, r Result) []byte {
+	t.Helper()
+	b := frameBytes(t, EncodeHello(h))
+	for _, p := range payloads {
+		b = append(b, frameBytes(t, frame.Frame{Type: FrameBand, Payload: p})...)
+	}
+	return append(b, frameBytes(t, EncodeResult(r))...)
+}
+
+// bandStream is the grid stream of rows [lo, hi) of g.
+func bandStream(g *grid.Grid, lo, hi int) []byte {
+	var b bytes.Buffer
+	g.Rows(lo, hi).WriteStream(&b, 0)
+	return b.Bytes()
+}
+
+// cut splits a stream into pieces of size bytes, the last shorter.
+func cut(stream []byte, size int) [][]byte {
+	var pieces [][]byte
+	for len(stream) > size {
+		pieces, stream = append(pieces, stream[:size]), stream[size:]
+	}
+	return append(pieces, stream)
+}
+
+// TestBandRoundTrip streams a grid's nonzero span as a worker sends it
+// under caps from MinPayload up, and cut at every byte and every
+// seventh byte, into a band of that span, and requires bit-identity:
+// the band fingerprint survives the wire, the hash of the bytes
+// received and the cells decoded is the sender's, and the band
+// materialised as a grid is the source grid.
 func TestBandRoundTrip(t *testing.T) {
 	src := testGrid(24)
 	lo, hi := grid.NonzeroRowSpan(src)
 	if lo != 2 || hi != 23 {
 		t.Fatalf("NonzeroRowSpan = [%d, %d), want [2, 23)", lo, hi)
 	}
-	dst := grid.NewBand(24, lo, hi)
-	sum := grid.NewHasher(24, lo, hi)
-	for c := 0; c < grid.NrCorrelations; c++ {
-		for y := lo; y < hi; y += 5 {
-			end := min(y+5, hi)
-			ef, err := encodeBandInto(nil, src, c, y, end)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := frame.Read(bytes.NewReader(frameBytes(t, ef)), 0, reduceRules, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gc, glo, ghi, cells, err := DecodeBandInto(dst, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gc != c || glo != y || ghi != end || &cells[0] != &dst.Data[c][(y-lo)*24] {
-				t.Fatalf("band decoded as plane %d [%d, %d), want plane %d [%d, %d) in place", gc, glo, ghi, c, y, end)
-			}
-			sum.Write(cells)
-		}
-	}
 	want := src.Rows(lo, hi).Fingerprint()
-	if dst.Fingerprint() != want || sum.Sum() != want {
-		t.Fatal("band changed across the stream")
+	h := Hello{Worker: 1, Workers: 2, Lo: lo, Hi: hi}
+	streams := map[string][]byte{}
+	for _, maxPayload := range []int{MinPayload, 1000, 0} {
+		var b bytes.Buffer
+		bw := bufio.NewWriter(&b)
+		fp, err := sendBands(bw, h, src, maxPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != want {
+			t.Fatalf("cap %d: sent fingerprint %+v, want %+v", maxPayload, fp, want)
+		}
+		frame.Write(bw, EncodeResult(Result{Worker: 1, Fingerprint: fp}))
+		bw.Flush()
+		streams[fmt.Sprintf("cap %d", maxPayload)] = b.Bytes()
 	}
-	if FingerprintOf(dst.Grid()) != FingerprintOf(src) {
-		t.Fatal("the received band materialises to another grid")
+	for _, size := range []int{1, 7} {
+		streams[fmt.Sprintf("%d-byte pieces", size)] = wire(t, h, cut(bandStream(src, lo, hi), size), Result{Worker: 1, Fingerprint: want})
+	}
+	for name, stream := range streams {
+		r := bytes.NewReader(stream)
+		if _, err := frame.Read(r, MinPayload, reduceRules, nil); err != nil {
+			t.Fatal(err)
+		}
+		band, got, res, err := receiveBand(r, h, 24, MinPayload*1000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want || res.Fingerprint != want || r.Len() != 0 {
+			t.Fatalf("%s: received %+v declared %+v, want %+v (%d bytes unread)", name, got, res.Fingerprint, want, r.Len())
+		}
+		if FingerprintOf(band.Grid()) != FingerprintOf(src) {
+			t.Fatalf("%s: the received band materialises to another grid", name)
+		}
 	}
 }
 
-// TestBandRejects covers the header cross-checks that run before any
-// cell is written.
+// TestBandRejects covers EncodeBand's row checks and the band stream
+// header, which must name the grid size and the span the hello
+// announced before any cell is written.
 func TestBandRejects(t *testing.T) {
 	src := testGrid(8)
 	f, err := EncodeBand(src, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := DecodeBandInto(grid.NewBand(16, 0, 16), f); err == nil || !strings.Contains(err.Error(), "16-pixel") {
-		t.Errorf("band for the wrong grid size accepted: %v", err)
+	if !bytes.Equal(f.Payload, bandStream(src, 1, 4)) {
+		t.Error("EncodeBand's payload is not the band's stream")
 	}
-	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 2, 8), f); err == nil || !strings.Contains(err.Error(), "outside the span [2, 8)") {
-		t.Errorf("band leaving the receiving span accepted: %v", err)
+	for _, tc := range []struct {
+		n      int
+		lo, hi int
+	}{{16, 1, 4}, {8, 2, 4}, {8, 1, 5}} {
+		r := bytes.NewReader(frameBytes(t, f))
+		_, _, _, err := receiveBand(r, Hello{Worker: 1, Lo: tc.lo, Hi: tc.hi}, tc.n, 0)
+		if err == nil || !strings.Contains(err.Error(), "header for rows [1, 4) of a 8-pixel grid") {
+			t.Errorf("rows [1, 4) of 8 received as [%d, %d) of %d: %v", tc.lo, tc.hi, tc.n, err)
+		}
 	}
 	if _, err := EncodeBand(src, 4, 4); err == nil {
 		t.Error("EncodeBand accepted an empty row range")
@@ -136,27 +180,16 @@ func TestBandRejects(t *testing.T) {
 	if _, err := EncodeBand(src, -1, 4); err == nil {
 		t.Error("EncodeBand accepted a negative lo")
 	}
-	if _, err := encodeBandInto(nil, src, grid.NrCorrelations, 1, 4); err == nil {
-		t.Error("encodeBandInto accepted plane 4")
-	}
-	plane4 := frame.Frame{Type: FrameBand, Payload: append([]byte(nil), f.Payload...)}
-	plane4.Payload[4] = grid.NrCorrelations
-	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), plane4); err == nil || !strings.Contains(err.Error(), "plane 4") {
-		t.Errorf("band of plane 4 accepted: %v", err)
-	}
-	// A band whose payload length disagrees with its row range must be
-	// rejected by the decoder even though the frame layer accepted it
-	// (the length is a valid k*cellBytes, just not this range's k).
-	bad := frame.Frame{Type: FrameBand, Payload: f.Payload[:len(f.Payload)-16]}
-	if _, _, _, _, err := DecodeBandInto(grid.NewBand(8, 0, 8), bad); err == nil {
-		t.Error("DecodeBandInto accepted a short payload")
+	if _, err := EncodeBand(src, 1, 9); err == nil {
+		t.Error("EncodeBand accepted rows past the grid")
 	}
 }
 
 // TestReduceFrameSizeChecks pins the validate-before-allocate
-// contract: declared lengths that no reduction frame can have are
+// contract: declared lengths that no reduction frame can have, or that
+// exceed the cap — a FrameBand length field claiming ~4 GiB — are
 // rejected from the 10-byte header alone, before any payload is read
-// or allocated — including a FrameBand length field claiming ~4 GiB.
+// or allocated.
 func TestReduceFrameSizeChecks(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -164,7 +197,6 @@ func TestReduceFrameSizeChecks(t *testing.T) {
 		errPart string
 	}{
 		{"hello wrong length", func(b []byte) { b[6] = 12 }, "FrameHello payload"},
-		{"band not whole cells", func(b []byte) { b[5] = FrameBand; b[6] = 13 }, "FrameBand payload"},
 		{"result wrong length", func(b []byte) { b[5] = FrameResult; b[6] = 1 }, "FrameResult payload"},
 		{"unknown type", func(b []byte) { b[5] = 99 }, "unknown frame type"},
 		{"session type on reduce stream", func(b []byte) { b[5] = 1; b[6] = 44 }, "unknown frame type"}, // server.FrameVis
@@ -179,13 +211,13 @@ func TestReduceFrameSizeChecks(t *testing.T) {
 			}
 		})
 	}
-	// Huge declared band length: valid shape (header + k cells) but
-	// over the cap; only the 10 header bytes exist, so an attempted
-	// allocation of the declared 4 GiB would OOM or ReadFull would
-	// error differently — the cap check must fire first.
+	// Huge declared band length over the cap; only the 10 header bytes
+	// exist, so an attempted allocation of the declared 4 GiB would OOM
+	// or ReadFull would error differently — the cap check must fire
+	// first.
 	b := frameBytes(t, EncodeHello(Hello{Workers: 1}))[:10]
 	b[5] = FrameBand
-	b[6], b[7], b[8], b[9] = 0x10, 0x00, 0x00, 0xff // 0xff000010 = header + k*16
+	b[6], b[7], b[8], b[9] = 0x10, 0x00, 0x00, 0xff // 0xff000010 bytes
 	if _, err := frame.Read(bytes.NewReader(b), 1<<20, reduceRules, nil); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("4 GiB declared band length not stopped by the cap: %v", err)
 	}
@@ -206,22 +238,23 @@ func TestFingerprintDistinguishes(t *testing.T) {
 
 // FuzzReadReduceFrame fuzzes the reduction-stream reader with a small
 // payload cap: it must never panic, never allocate more than the cap
-// (the band rule and cap check run on the declared length before the
-// payload allocation), and any accepted frame must decode or be
-// rejected cleanly by its typed decoder — bands into the span the last
-// hello announced, in the order the coordinator demands, and a result
-// closing that span.
+// (the cap check runs on the declared length before the payload
+// allocation), and any accepted frame must decode or be rejected
+// cleanly: a hello's band stream is received into the span it
+// announced, and a stream received whole re-encodes to the bytes that
+// arrived.
 func FuzzReadReduceFrame(f *testing.F) {
 	g := testGrid(8)
 	band, _ := EncodeBand(g, 2, 6)
+	h := Hello{Worker: 1, Workers: 4, Axis: AxisRows, Lo: 2, Hi: 6}
 	seeds := [][]byte{
-		frameBytes(f, EncodeHello(Hello{Worker: 1, Workers: 4, Axis: AxisRows, Lo: 2, Hi: 6})),
+		frameBytes(f, EncodeHello(h)),
 		frameBytes(f, band),
 		frameBytes(f, EncodeResult(Result{Worker: 2, Fingerprint: g.Rows(2, 6).Fingerprint()})),
+		wire(f, h, cut(band.Payload, 40), Result{Worker: 1, Fingerprint: g.Rows(2, 6).Fingerprint()}),
 	}
-	// A two-frame stream, a truncated band and a corrupt-length band
-	// round out the committed corpus shapes.
-	seeds = append(seeds, append(append([]byte{}, seeds[0]...), seeds[2]...))
+	// A truncated band and a corrupt-length band round out the
+	// committed corpus shapes.
 	seeds = append(seeds, seeds[1][:20])
 	hugeband := append([]byte{}, seeds[1]...)
 	hugeband[6], hugeband[7], hugeband[8], hugeband[9] = 0x10, 0x00, 0x00, 0xff
@@ -230,21 +263,9 @@ func FuzzReadReduceFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The stream is read twice in step: into a fresh payload, and
-		// into one reused buffer as the coordinator reads it. Both must see
-		// the same frames and fail at the same one.
-		r, again := bytes.NewReader(data), bytes.NewReader(data)
-		in := newBandStream(Hello{Hi: 8}, 8)
-		buf := make([]byte, 0, 16)
+		r := bytes.NewReader(data)
 		for {
 			fr, err := frame.Read(r, 1<<16, reduceRules, nil)
-			into, errInto := frame.Read(again, 1<<16, reduceRules, buf)
-			if (err == nil) != (errInto == nil) || fr.Type != into.Type || !bytes.Equal(fr.Payload, into.Payload) {
-				t.Fatalf("reused buffer read frame %d (%v), fresh read frame %d (%v)", into.Type, errInto, fr.Type, err)
-			}
-			if cap(into.Payload) > cap(buf) {
-				buf = into.Payload
-			}
 			if err != nil {
 				if err == io.EOF && r.Len() != 0 {
 					t.Fatal("clean EOF with bytes left on the stream")
@@ -254,25 +275,26 @@ func FuzzReadReduceFrame(f *testing.F) {
 			switch fr.Type {
 			case FrameHello:
 				h, err := DecodeHello(fr)
+				if err != nil || h.Hi > 8 {
+					return
+				}
+				b, fp, _, err := receiveBand(r, h, 8, 1<<16)
 				if err != nil {
 					return
 				}
-				if h.Hi <= 8 {
-					in = newBandStream(h, 8)
+				want := grid.NewBand(8, h.Lo, h.Hi).Fingerprint()
+				if b != nil {
+					want = b.Fingerprint()
+				}
+				if fp.SHA256 != want.SHA256 || fp.Nonzero != want.Nonzero {
+					t.Fatal("a band stream received whole re-encodes to other bytes")
 				}
 			case FrameBand:
-				if err := in.add(fr); err != nil {
-					return
-				}
+				// Bands with no hello before them: the coordinator reads none.
 			case FrameResult:
 				if _, err := DecodeResult(fr); err != nil {
-					return
+					t.Fatalf("accepted result frame does not decode: %v", err)
 				}
-				if _, _, err := in.finish(); err != nil {
-					return
-				}
-				in = newBandStream(Hello{Hi: 8}, 8) // the coordinator reads no further; the fuzzer does
-
 			default:
 				t.Fatalf("reader accepted unknown frame type %d", fr.Type)
 			}

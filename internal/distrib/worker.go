@@ -50,10 +50,10 @@ func (f LauncherFunc) Start(ctx context.Context, spec WorkerSpec) error {
 var NonzeroRowSpan = grid.NonzeroRowSpan
 
 // Deliver streams a finished partial grid to the coordinator: dial, a
-// Hello announcing g's nonzero row span, that span plane by plane in
-// FrameBands under the payload cap, and a closing FrameResult carrying
-// the span's band fingerprint, accumulated over each band's cells as
-// it is encoded. maxPayload <= 0 selects frame.DefaultMaxPayload.
+// Hello announcing g's nonzero row span, the grid stream of that span
+// in FrameBands under the payload cap, and a closing FrameResult
+// carrying the span's band fingerprint, hashed as the stream is
+// encoded. maxPayload <= 0 selects frame.DefaultMaxPayload.
 func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Grid, maxPayload int) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", spec.CoordinatorAddr)
@@ -80,30 +80,19 @@ func Deliver(ctx context.Context, spec WorkerSpec, planSum [32]byte, g *grid.Gri
 	return nil
 }
 
-// sendBands writes the hello h and the band frames of g's rows
-// [h.Lo, h.Hi), plane by plane, every band through one reused payload
-// buffer, and returns the band fingerprint of those rows hashed frame
-// by frame on the way.
+// sendBands writes the hello h and the grid stream of g's rows
+// [h.Lo, h.Hi) in FrameBands of at most maxPayload bytes, and returns
+// the band fingerprint of those rows from the same pass.
 func sendBands(bw *bufio.Writer, h Hello, g *grid.Grid, maxPayload int) (Fingerprint, error) {
 	if err := frame.Write(bw, EncodeHello(h)); err != nil {
 		return Fingerprint{}, fmt.Errorf("distrib: worker %d sending hello: %w", h.Worker, err)
 	}
-	step := BandRowsPerFrame(g.N, maxPayload)
-	sum := grid.NewHasher(g.N, h.Lo, h.Hi)
-	var payload []byte
-	for c := range g.Data {
-		for y := h.Lo; y < h.Hi; y += step {
-			end := min(y+step, h.Hi)
-			f, err := encodeBandInto(payload, g, c, y, end)
-			if err != nil {
-				return Fingerprint{}, err
-			}
-			sum.Write(g.Data[c][y*g.N : end*g.N])
-			if err := frame.Write(bw, f); err != nil {
-				return Fingerprint{}, fmt.Errorf("distrib: worker %d sending plane %d rows [%d, %d): %w", h.Worker, c, y, end, err)
-			}
-			payload = f.Payload
-		}
+	if maxPayload <= 0 {
+		maxPayload = frame.DefaultMaxPayload
 	}
-	return sum.Sum(), nil
+	fp, err := g.Rows(h.Lo, h.Hi).WriteStream(bandFrames{bw}, maxPayload)
+	if err != nil {
+		return Fingerprint{}, fmt.Errorf("distrib: worker %d sending its band: %w", h.Worker, err)
+	}
+	return fp, nil
 }

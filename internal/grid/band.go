@@ -8,7 +8,7 @@ import (
 // Band is rows [Lo, Hi) of an N-pixel grid, owning its cells
 // (NewBand), viewing a grid's (Grid.Rows) or owning a whole grid of
 // which it is the nonzero rows (NewGridBand): an adder worker's rows, a
-// shard, or the span a checkpoint or a partial grid touched. Data holds
+// shard, or the span a partial grid touched. Data holds
 // one row-major (Hi-Lo)*N plane per correlation; grid row y is band
 // row y-Lo.
 type Band struct {

@@ -9,13 +9,14 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // referenceStream is the per-cell transcription of the grid stream the
-// Hasher and WriteStream must produce: header, then every cell of the
-// planes in order, +0 cells counted and the rest written with the
-// count before them, then the count of the trailing zeros.
+// encoder must produce: header, then every cell of the planes in
+// order, +0 cells counted and the rest written with the count before
+// them, then the count of the trailing zeros.
 func referenceStream(header []byte, planes [NrCorrelations][]complex128) []byte {
 	out := append([]byte(nil), header...)
 	var run uint64
@@ -162,51 +163,124 @@ func TestFingerprintSpecials(t *testing.T) {
 	}
 }
 
+// bufCells is how many cells fill the encoder's buffer.
+const bufCells = len(cellStream{}.buf) / CellBytes
+
+// awkwardBand is a one-row band of n cells holding every pair of
+// awkward parts in turn, and so every nonzero bit pattern a lossy or
+// value-based codec would change, beside +0 cells.
+func awkwardBand(n int) *Band {
+	b := NewBand(max(1, (n+NrCorrelations-1)/NrCorrelations), 0, 1)
+	for i := 0; i < n; i++ {
+		b.Data[i%NrCorrelations][i/NrCorrelations] = complex(awkward[i%len(awkward)], awkward[(i/len(awkward))%len(awkward)])
+	}
+	return b
+}
+
 // TestCellCodecRoundTripBitExact drives every awkward bit pattern, in
-// both parts, through the slice and the streaming forms, over lengths
-// around the chunk size.
+// both parts, through a band's stream and back, over lengths around
+// the encoder's buffer and in writes from the shortest allowed to the
+// whole buffer: the stream is the per-cell reference, every write ends
+// between two entries, and the decoded cells and diagnostics are the
+// source's.
 func TestCellCodecRoundTripBitExact(t *testing.T) {
-	for _, n := range []int{0, 1, len(awkward) * len(awkward), streamCells - 1, streamCells, streamCells + 1, 2*streamCells + 5} {
-		src := make([]complex128, n)
-		for i := range src {
-			src[i] = complex(awkward[i%len(awkward)], awkward[(i/len(awkward))%len(awkward)])
-		}
-		enc := make([]byte, CellBytes*n)
-		EncodeCells(enc, src)
-		var buf bytes.Buffer
-		if err := WriteCells(&buf, src); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), enc) {
-			t.Fatalf("n=%d: WriteCells and EncodeCells disagree", n)
-		}
-		viaSlice, viaStream := make([]complex128, n), make([]complex128, n)
-		DecodeCells(viaSlice, enc)
-		if err := ReadCells(&buf, viaStream); err != nil {
-			t.Fatal(err)
-		}
-		for i := range src {
-			if !sameBits(viaSlice[i], src[i]) || !sameBits(viaStream[i], src[i]) {
-				t.Fatalf("n=%d cell %d: %v / %v, want the bits of %v", n, i, viaSlice[i], viaStream[i], src[i])
+	for _, n := range []int{0, 1, len(awkward) * len(awkward), bufCells - 1, bufCells, bufCells + 1, 2*bufCells + 5} {
+		src := awkwardBand(n)
+		var header bytes.Buffer
+		binary.Write(&header, binary.LittleEndian, [3]uint32{uint32(src.N), 0, 1})
+		want := referenceStream(header.Bytes(), src.Data)
+		for _, limit := range []int{EntryBytes, 100, 0} {
+			var w entryWriter
+			fp, err := src.WriteStream(&w, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.stream, want) {
+				t.Fatalf("n=%d limit=%d: stream differs from the per-cell reference", n, limit)
+			}
+			if limit > 0 && w.longest > limit {
+				t.Fatalf("n=%d: a %d-byte write under a %d-byte limit", n, w.longest, limit)
+			}
+			if err := w.check(); err != nil {
+				t.Fatalf("n=%d limit=%d: %v", n, limit, err)
+			}
+			dst := NewBand(src.N, 0, 1)
+			got, err := dst.ReadStream(bytes.NewReader(w.stream))
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			got.SHA256 = sha256.Sum256(w.stream)
+			if !sameFingerprint(got, fp) {
+				t.Fatalf("n=%d: decoded fingerprint %+v, written %+v", n, got, fp)
+			}
+			for c := range src.Data {
+				for i := range src.Data[c] {
+					if !sameBits(dst.Data[c][i], src.Data[c][i]) {
+						t.Fatalf("n=%d cell %d of plane %d: %v, want the bits of %v", n, i, c, dst.Data[c][i], src.Data[c][i])
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestReadCellsShortInput: a stream cut inside a chunk and one cut
-// between chunks both fail with an EOF error instead of leaving a
-// silently half-filled plane.
+// entryWriter collects a stream and where each write ended.
+type entryWriter struct {
+	stream  []byte
+	ends    []int
+	longest int
+}
+
+func (w *entryWriter) Write(p []byte) (int, error) {
+	w.stream = append(w.stream, p...)
+	w.ends = append(w.ends, len(w.stream))
+	w.longest = max(w.longest, len(p))
+	return len(p), nil
+}
+
+// check reports a write that ended inside the header or an entry.
+func (w *entryWriter) check() error {
+	at := bandHeaderBytes
+	ok := map[int]bool{at: true}
+	for at < len(w.stream) {
+		_, k := binary.Uvarint(w.stream[at:])
+		if at += k; at < len(w.stream) {
+			at += CellBytes
+		}
+		ok[at] = true
+	}
+	for _, end := range w.ends {
+		if !ok[end] {
+			return fmt.Errorf("a write ended at byte %d, inside an entry", end)
+		}
+	}
+	return nil
+}
+
+// TestReadCellsShortInput: a band stream cut inside its header, a zero
+// count, a cell, between buffer chunks or before its last count fails
+// with an EOF error instead of leaving a silently half-filled band, and
+// the decoder reads nothing past a stream's end.
 func TestReadCellsShortInput(t *testing.T) {
-	src := make([]complex128, streamCells+10)
+	src := awkwardBand(2*bufCells + 10)
+	src.Data[1][3] = 0
+	src.Data[2][300] = 0 // two zero runs
 	var full bytes.Buffer
-	if err := WriteCells(&full, src); err != nil {
+	if _, err := src.WriteStream(&full, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{0, 8, streamCells * CellBytes, full.Len() - 1} {
-		err := ReadCells(bytes.NewReader(full.Bytes()[:cut]), make([]complex128, len(src)))
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut at %d: error %v does not wrap EOF", cut, err)
+	for _, cut := range []int{0, 5, bandHeaderBytes, bandHeaderBytes + 3, bufCells * CellBytes, full.Len() - 1} {
+		_, err := NewBand(src.N, 0, 1).ReadStream(bytes.NewReader(full.Bytes()[:cut]))
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at %d: error %v does not wrap io.ErrUnexpectedEOF", cut, err)
 		}
+	}
+	r := bytes.NewReader(append(full.Bytes(), 1, 2, 3))
+	if _, err := NewBand(src.N, 0, 1).ReadStream(r); err != nil || r.Len() != 3 {
+		t.Errorf("stream with 3 bytes after it: %v, %d bytes left unread", err, r.Len())
+	}
+	if _, err := NewBand(src.N, 0, 2).ReadStream(bytes.NewReader(full.Bytes())); err == nil || !strings.Contains(err.Error(), "header for rows [0, 1)") {
+		t.Errorf("the stream of other rows: %v", err)
 	}
 }
 
@@ -219,10 +293,15 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestWriteCellsReportsWriterError: a writer failing after the first
+// buffer of a stream fails WriteStream and Band.WriteStream.
 func TestWriteCellsReportsWriterError(t *testing.T) {
-	err := WriteCells(&failingWriter{after: streamCells * CellBytes}, make([]complex128, 2*streamCells))
-	if err == nil {
-		t.Fatal("writer error swallowed")
+	g := denseGrid(128)
+	if _, _, err := WriteStream(&failingWriter{after: len(cellStream{}.buf)}, g); err == nil {
+		t.Error("WriteStream swallowed the writer's error")
+	}
+	if _, err := g.Rows(0, 128).WriteStream(&failingWriter{after: 100}, 100); err == nil {
+		t.Error("Band.WriteStream swallowed the writer's error")
 	}
 }
 
@@ -236,68 +315,6 @@ func TestFingerprintSteadyStateAllocs(t *testing.T) {
 	g.Fingerprint()
 	if a := testing.AllocsPerRun(10, func() { g.Fingerprint() }); a != 0 {
 		t.Errorf("Fingerprint allocates %.0f times per call", a)
-	}
-}
-
-// TestZeroCopyMatchesPortableEncoder: on this host the codec moves and
-// hashes cell memory directly (when little-endian); the per-cell
-// encoder, the path of every other host, must give the same bytes, the
-// same decoded bits and the same grid and band fingerprints for every
-// awkward bit pattern — ±0, NaN payloads, ±Inf, subnormals.
-func TestZeroCopyMatchesPortableEncoder(t *testing.T) {
-	src := make([]complex128, len(awkward)*len(awkward)+streamCells+3)
-	for i := range src {
-		src[i] = complex(awkward[i%len(awkward)], awkward[(i/len(awkward))%len(awkward)])
-	}
-	g := sparseGrid(67)
-	for c := range g.Data {
-		copy(g.Data[c][c:], src[:len(awkward)*len(awkward)])
-	}
-	type out struct {
-		enc, written []byte
-		dec          []complex128
-		grid, band   Fingerprint
-	}
-	run := func(le bool) (o out) {
-		defer func(v bool) { hostLE = v }(hostLE)
-		hostLE = le
-		o.enc = make([]byte, CellBytes*len(src))
-		EncodeCells(o.enc, src)
-		var buf bytes.Buffer
-		if err := WriteCells(&buf, src); err != nil {
-			t.Fatal(err)
-		}
-		o.written = buf.Bytes()
-		o.dec = make([]complex128, len(src))
-		DecodeCells(o.dec, o.enc)
-		viaStream := make([]complex128, len(src))
-		if err := ReadCells(bytes.NewReader(o.enc), viaStream); err != nil {
-			t.Fatal(err)
-		}
-		for i := range src {
-			if !sameBits(o.dec[i], src[i]) || !sameBits(viaStream[i], src[i]) {
-				t.Fatalf("hostLE=%v cell %d: %v / %v, want the bits of %v", le, i, o.dec[i], viaStream[i], src[i])
-			}
-		}
-		o.grid, o.band = g.Fingerprint(), g.Rows(3, 60).Fingerprint()
-		return o
-	}
-	portable := run(false)
-	if !bytes.Equal(portable.enc, portable.written) {
-		t.Fatal("portable EncodeCells and WriteCells disagree")
-	}
-	if want := referenceFingerprint(g); !sameFingerprint(portable.grid, want) {
-		t.Fatalf("portable fingerprint %+v, per-cell reference %+v", portable.grid, want)
-	}
-	if !hostLE {
-		t.Skip("big-endian host: the portable path is the only path")
-	}
-	direct := run(true)
-	if !bytes.Equal(direct.enc, portable.enc) || !bytes.Equal(direct.written, portable.enc) {
-		t.Error("the direct path encodes other bytes than the per-cell encoder")
-	}
-	if !sameFingerprint(direct.grid, portable.grid) || !sameFingerprint(direct.band, portable.band) {
-		t.Errorf("direct fingerprints %+v / %+v, portable %+v / %+v", direct.grid, direct.band, portable.grid, portable.band)
 	}
 }
 
@@ -338,9 +355,9 @@ func TestBandFingerprint(t *testing.T) {
 	}
 }
 
-// TestHasherMatchesBandFingerprint: a band's cells written plane by
-// plane in runs of one row, three rows or the whole span fingerprint
-// as Band.Fingerprint does, for an empty span and for spans holding -0
+// TestHasherMatchesBandFingerprint: a band's cells written to the
+// encoder plane by plane in runs of one row, three rows or the whole
+// span fingerprint as Band.Fingerprint does, for an empty span and for spans holding -0
 // components as well.
 func TestHasherMatchesBandFingerprint(t *testing.T) {
 	g := sparseGrid(9)
@@ -350,13 +367,13 @@ func TestHasherMatchesBandFingerprint(t *testing.T) {
 		b := g.Rows(span[0], span[1])
 		want := b.Fingerprint()
 		for _, rows := range []int{1, 3, max(1, span[1]-span[0])} {
-			h := NewHasher(9, span[0], span[1])
+			h := newHasher(nil, 0, 9, span[0], span[1])
 			for c := range b.Data {
 				for y := span[0]; y < span[1]; y += rows {
-					h.Write(b.Data[c][(y-span[0])*9 : (min(y+rows, span[1])-span[0])*9])
+					h.write(b.Data[c][(y-span[0])*9 : (min(y+rows, span[1])-span[0])*9])
 				}
 			}
-			if got := h.Sum(); !sameFingerprint(got, want) {
+			if got := h.sum(&[NrCorrelations][]complex128{}); !sameFingerprint(got, want) {
 				t.Errorf("band %v in %d-row runs: %+v, want %+v", span, rows, got, want)
 			}
 		}

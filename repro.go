@@ -736,17 +736,15 @@ func (o *Observation) gridPass(ctx context.Context, prov ATermProvider, ft Fault
 }
 
 // checkSnapshot verifies that a snapshot belongs to this observation:
-// same grid size, same plan content, same chunk size (the cursor is
-// meaningless under different chunking). Visibilities are not
+// same plan content, same chunk size (the cursor is meaningless under
+// different chunking); checkpoint.LoadLatest has refused another grid
+// size. Visibilities are not
 // fingerprinted — the caller must refill the same data, which the
 // deterministic simulator and sky model guarantee here and an
 // ingest-once visibility store guarantees in production.
 func (o *Observation) checkSnapshot(sn *checkpoint.Snapshot) error {
 	chunkItems := o.Kernels.StreamChunkItems(len(o.Plan.Items))
 	switch {
-	case sn.GridSize != o.Config.GridSize:
-		return fmt.Errorf("%w: snapshot grid is %d pixels, this observation grids %d",
-			ErrCheckpointMismatch, sn.GridSize, o.Config.GridSize)
 	case sn.ChunkItems != chunkItems:
 		return fmt.Errorf("%w: snapshot cursor counts %d-item chunks, this run streams %d-item chunks",
 			ErrCheckpointMismatch, sn.ChunkItems, chunkItems)
@@ -763,7 +761,7 @@ func (o *Observation) checkSnapshot(sn *checkpoint.Snapshot) error {
 // means the directory holds no usable checkpoint and the pass restarts
 // clean. Either fallback is recorded as a note in rep.
 func (o *Observation) latestSnapshot(rep *FaultReport) (*checkpoint.Snapshot, error) {
-	sn, path, notes, err := checkpoint.LoadLatest(o.Config.CheckpointDir)
+	sn, path, notes, err := checkpoint.LoadLatest(o.Config.CheckpointDir, o.Config.GridSize)
 	if err != nil {
 		return nil, err
 	}

@@ -90,6 +90,7 @@ scripts/distrib_smoke.sh
 # tier, so none of them rots unnoticed; scripts/pair.sh measures them.
 go test -run '^$' -bench 'BenchmarkGridderKernel$|BenchmarkGridderKernelFloat32$|BenchmarkGridderKernelShortItems$|BenchmarkGridderKernelShortItemsFloat32$|BenchmarkDegridderKernel$|BenchmarkDegridderKernelFloat32$|BenchmarkDegridderKernelShortItems$|BenchmarkDegridderKernelShortItemsFloat32$|BenchmarkFullGriddingPass$|BenchmarkFullDegriddingPass$|BenchmarkAdderKernel$|BenchmarkAdderSharded$|BenchmarkSplitterSharded$|BenchmarkStreamedGriddingPass$|BenchmarkSubgridFFTStage$|BenchmarkGridFFT2048$|BenchmarkGridImagePair$|BenchmarkGridFingerprint$|BenchmarkWriteGridBinary$|BenchmarkFillFromModelPlan$|BenchmarkPlanConstruction$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkAblation(Pixel|Degrid)TileRows$|BenchmarkAblation(Batching|ChannelCount)$' -benchtime 1x ./internal/core/
+go test -run '^$' -bench 'BenchmarkReductionStream$' -benchtime 1x ./internal/distrib/
 # The paired-comparison tool end to end on a tiny budget: two archived
 # checkouts, alternating runs, the per-benchmark table.
 scripts/pair.sh -n 2 -bench 'BenchmarkAdderKernel$' -benchtime 1x HEAD HEAD

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"fmt"
@@ -56,7 +57,12 @@ type GridFingerprint struct {
 // FingerprintGrid hashes and summarizes a grid (grid.Fingerprint with
 // the hash in hex) and measures its stream, in one pass.
 func FingerprintGrid(g *Grid) GridFingerprint {
-	fp, n := g.FingerprintStream()
+	fp, n, _ := grid.WriteStream(nil, g)
+	return gridFingerprint(fp, n)
+}
+
+// gridFingerprint is fp with the hash in hex and n, its stream's length.
+func gridFingerprint(fp grid.Fingerprint, n int64) GridFingerprint {
 	return GridFingerprint{
 		SHA256:    hex.EncodeToString(fp.SHA256[:]),
 		GridSize:  fp.GridSize,
@@ -70,7 +76,8 @@ func FingerprintGrid(g *Grid) GridFingerprint {
 // WriteGridBinary writes a grid's stream, so hashing the written bytes
 // reproduces FingerprintGrid(g).SHA256 and their count its GridBytes.
 func WriteGridBinary(w io.Writer, g *Grid) error {
-	return grid.WriteStream(w, g)
+	_, _, err := grid.WriteStream(w, g)
+	return err
 }
 
 // ServerBackend implements the server's gridding backend on the
@@ -136,8 +143,8 @@ type backendSession struct {
 	o  *Observation
 	ft FaultConfig
 
-	mu   sync.Mutex
-	grid *Grid
+	mu     sync.Mutex
+	stream []byte // the finished grid's stream, written as Run hashed it
 }
 
 // Dims returns the observation dimensions.
@@ -171,15 +178,19 @@ func (s *backendSession) SetVisibilities(baseline, sampleOffset int, samples []f
 	return nil
 }
 
-// Run executes the gridding pass and fingerprints the grid.
+// Run executes the gridding pass, fingerprints the grid and keeps its
+// stream, written in the same pass, for the download; the grid itself
+// is dropped.
 func (s *backendSession) Run(ctx context.Context) (*server.Result, error) {
 	g, _, rep, err := s.o.gridPass(ctx, nil, s.ft, false)
 	if err != nil {
 		return nil, err
 	}
-	fp := FingerprintGrid(g)
+	var stream bytes.Buffer
+	sum, n, _ := grid.WriteStream(&stream, g) // a bytes.Buffer does not fail
+	fp := gridFingerprint(sum, n)
 	s.mu.Lock()
-	s.grid = g
+	s.stream = stream.Bytes()
 	s.mu.Unlock()
 	res := &server.Result{
 		GridSize:  fp.GridSize,
@@ -201,10 +212,11 @@ func (s *backendSession) Run(ctx context.Context) (*server.Result, error) {
 // WriteGrid writes the finished grid's stream.
 func (s *backendSession) WriteGrid(w io.Writer) error {
 	s.mu.Lock()
-	g := s.grid
+	stream := s.stream
 	s.mu.Unlock()
-	if g == nil {
+	if stream == nil {
 		return fmt.Errorf("repro: session has no finished grid")
 	}
-	return WriteGridBinary(w, g)
+	_, err := w.Write(stream)
+	return err
 }

@@ -259,7 +259,7 @@ func wstackKilledAndResumed(t *testing.T, workers int) *Grid {
 		}()
 		o.GridAllStreamed(context.Background(), nil, FaultConfig{})
 	}()
-	if sn, _, _, err := checkpoint.LoadLatest(o.Config.CheckpointDir); err != nil || sn == nil || sn.NextChunk == 0 {
+	if sn, _, _, err := checkpoint.LoadLatest(o.Config.CheckpointDir, o.Config.GridSize); err != nil || sn == nil || sn.NextChunk == 0 {
 		t.Fatalf("no mid-plan snapshot to resume from (%v)", err)
 	}
 	o.Kernels = clean
